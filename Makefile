@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the gate CI runs: build, vet,
 # and the full test suite under the race detector.
 
-.PHONY: check test bench bench-hotpath bench-overload bench-causality bench-tail bench-cluster bench-bootstrap check-bench scenarios profile chaos
+.PHONY: check test bench bench-overload bench-causality bench-tail bench-cluster bench-bootstrap check-bench scenarios chaos
 
 check:
 	./scripts/check.sh
@@ -12,11 +12,6 @@ test:
 # Regenerates the Fig 13 round-trip sweep and BENCH_fig13.json.
 bench:
 	go run ./cmd/synapse-bench -exp fig13rt
-
-# Regenerates the message-path alloc/throughput comparison (hand-rolled
-# wire codec vs encoding/json) and BENCH_hotpath.json.
-bench-hotpath:
-	go run ./cmd/synapse-bench -exp hotpath
 
 # Regenerates the overload experiment (degradation ladder, queue bounds,
 # stall quarantine under sustained ~2x overload) and BENCH_overload.json.
@@ -46,20 +41,17 @@ bench-bootstrap:
 	go run ./cmd/synapse-bench -exp bootstrap
 
 # Bench-regression gate: quick-runs every experiment and compares
-# config-invariant metrics (rt counts, allocs/op, convergence, tail
-# p99) against the committed BENCH_*.json baselines. Non-zero exit on
-# any breach; committed baselines are restored afterwards.
+# config-invariant metrics (rt counts, convergence, tail p99) against
+# the committed BENCH_*.json baselines. Non-zero exit on any breach;
+# committed baselines are restored afterwards.
 check-bench:
 	./scripts/bench_gate.sh
 
 # The CI scenario suite (check/chaos/overload/causality/tail/cluster/
-# bootstrap), quick sweeps — the same commands the workflow matrix runs.
+# bootstrap/benchmark), quick sweeps — the same commands the workflow
+# matrix runs.
 scenarios:
 	./scripts/scenarios.sh -quick
-
-# Same run with pprof CPU + heap capture into ./profiles/.
-profile:
-	go run ./cmd/synapse-bench -exp hotpath -cpuprofile -memprofile
 
 # Long-haul chaos soak: 100 seeds of long fault scripts (partitions,
 # broker crash/restarts, version-store deaths) that must all converge.

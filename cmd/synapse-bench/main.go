@@ -7,18 +7,16 @@
 //
 //	synapse-bench -exp table1|table3|fig8|fig9a|fig9b|fig12a|fig12b|
 //	                   fig13a|fig13b|fig13c|fig13rt|lostmsg|reliability|
-//	                   chaos|overload|hotpath|ablation-hash|causality|
-//	                   tail|cluster|bootstrap|all
+//	                   chaos|overload|ablation-hash|causality|tail|
+//	                   cluster|bootstrap|all
 //	              [-quick] [-cpuprofile] [-memprofile] [-profiledir DIR]
 //
-// fig13rt additionally writes BENCH_fig13.json (round trips per message,
-// batched vs unbatched), chaos writes BENCH_chaos.json (seeded fault
+// fig13rt additionally writes BENCH_fig13.json (round trips per message
+// by dependency count), chaos writes BENCH_chaos.json (seeded fault
 // scripts, convergence + recovery times), overload writes
 // BENCH_overload.json (degradation-ladder composition, queue bounds,
-// stall-quarantine latency under sustained ~2x overload), and hotpath
-// writes BENCH_hotpath.json (message-path allocs/op and throughput,
-// hand-rolled codec vs encoding/json), causality writes
-// BENCH_causality.json (subscriber apply throughput under hashed
+// stall-quarantine latency under sustained ~2x overload), causality
+// writes BENCH_causality.json (subscriber apply throughput under hashed
 // dependency cardinalities vs dotted version vectors), and tail writes
 // BENCH_tail.json (open-loop publish→deliver p50/p99/p999 across an
 // arrival-rate sweep, knee detection), and cluster writes
@@ -109,7 +107,6 @@ func main() {
 		{"reliability", runReliability},
 		{"chaos", runChaos},
 		{"overload", runOverload},
-		{"hotpath", runHotpath},
 		{"ablation-hash", runAblationHash},
 		{"causality", runCausality},
 		{"tail", runTail},
@@ -333,26 +330,6 @@ func runOverload(quick bool) {
 		os.Exit(1)
 	}
 	fmt.Println("wrote BENCH_overload.json")
-}
-
-func runHotpath(quick bool) {
-	cfg := bench.DefaultHotpath()
-	if quick {
-		cfg.Messages = 300
-		cfg.Warmup = 50
-	}
-	r := bench.RunHotpath(cfg)
-	fmt.Print(bench.FormatHotpath(r))
-	doc, err := bench.MarshalHotpath(r)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile("BENCH_hotpath.json", doc, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote BENCH_hotpath.json")
 }
 
 func runAblationHash(quick bool) {

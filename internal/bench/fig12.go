@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"synapse/internal/core"
-	"synapse/internal/metrics"
+	"synapse/internal/hdr"
 	"synapse/internal/model"
 	"synapse/internal/storage"
 	"synapse/internal/workload"
@@ -84,14 +84,14 @@ func RunFig12a(cfg Fig12aConfig) Fig12aResult {
 	sampler := workload.NewSampler(cfg.Seed, mix)
 
 	type stats struct {
-		ctrl, syn  *metrics.Histogram
+		ctrl, syn  *hdr.Recorder
 		msgSamples []int
 		depSamples []int
 		calls      int
 	}
 	byCtrl := make(map[string]*stats)
 	for _, c := range mix {
-		byCtrl[c.Name] = &stats{ctrl: metrics.NewHistogram(), syn: metrics.NewHistogram()}
+		byCtrl[c.Name] = &stats{ctrl: hdr.New(), syn: hdr.New()}
 	}
 
 	next := 0
@@ -121,8 +121,8 @@ func RunFig12a(cfg Fig12aConfig) Fig12aResult {
 			depTotal += deps
 			st.depSamples = append(st.depSamples, deps)
 		}
-		st.ctrl.Observe(time.Since(start))
-		st.syn.Observe(app.PublishLatency.Sum() - synBefore)
+		st.ctrl.Record(int64(time.Since(start)))
+		st.syn.Record(app.PublishLatency.Sum() - synBefore)
 		st.msgSamples = append(st.msgSamples, msgs)
 	}
 
@@ -137,10 +137,10 @@ func RunFig12a(cfg Fig12aConfig) Fig12aResult {
 		row := Fig12aRow{
 			Controller:   c.Name,
 			CallPct:      float64(st.calls) / float64(cfg.Calls),
-			CtrlTimeMean: st.ctrl.Mean(),
-			CtrlTimeP99:  st.ctrl.Percentile(99),
-			SynTimeMean:  st.syn.Mean(),
-			SynTimeP99:   st.syn.Percentile(99),
+			CtrlTimeMean: time.Duration(st.ctrl.Mean()),
+			CtrlTimeP99:  time.Duration(st.ctrl.Quantile(0.99)),
+			SynTimeMean:  time.Duration(st.syn.Mean()),
+			SynTimeP99:   time.Duration(st.syn.Quantile(0.99)),
 		}
 		row.MsgsMean, row.MsgsP99 = intStats(st.msgSamples)
 		row.DepsMean, row.DepsP99 = intStats(st.depSamples)
@@ -161,13 +161,11 @@ func intStats(samples []int) (mean float64, p99 int) {
 	if len(samples) == 0 {
 		return 0, 0
 	}
-	h := metrics.NewHistogram()
-	total := 0
+	h := hdr.New()
 	for _, s := range samples {
-		total += s
-		h.Observe(time.Duration(s))
+		h.Record(int64(s))
 	}
-	return float64(total) / float64(len(samples)), int(h.Percentile(99))
+	return h.Mean(), int(h.Quantile(0.99))
 }
 
 // Format renders the table in the layout of Fig 12(a).
@@ -226,8 +224,8 @@ func RunFig12b(cfg Fig12aConfig) []Fig12bRow {
 		rng := rand.New(rand.NewSource(cfg.Seed + 7))
 		for _, profile := range profiles {
 			const calls = 40
-			ctrl := metrics.NewHistogram()
-			syn := metrics.NewHistogram()
+			ctrl := hdr.New()
+			syn := hdr.New()
 			for i := 0; i < calls; i++ {
 				msgs := int(profile.MsgsPerCall)
 				if rng.Float64() < profile.MsgsPerCall-float64(msgs) {
@@ -248,14 +246,14 @@ func RunFig12b(cfg Fig12aConfig) []Fig12bRow {
 						panic(err)
 					}
 				}
-				ctrl.Observe(time.Since(start))
-				syn.Observe(app.PublishLatency.Sum() - synBefore)
+				ctrl.Record(int64(time.Since(start)))
+				syn.Record(app.PublishLatency.Sum() - synBefore)
 			}
 			row := Fig12bRow{
 				App:        appName,
 				Controller: profile.Name,
-				CtrlTime:   ctrl.Mean(),
-				SynTime:    syn.Mean(),
+				CtrlTime:   time.Duration(ctrl.Mean()),
+				SynTime:    time.Duration(syn.Mean()),
 			}
 			if row.CtrlTime > 0 {
 				row.OverheadPct = 100 * float64(row.SynTime) / float64(row.CtrlTime)

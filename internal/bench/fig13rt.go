@@ -12,11 +12,11 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// Fig 13 round-trip extension: version-store round trips per message,
-// batched round-trip plans vs the legacy per-key call chains.
+// Fig 13 round-trip extension: version-store round trips per message
+// under the batched round-trip plans, by dependency count.
 // ---------------------------------------------------------------------
 
-// Fig13RTConfig parameterizes the batched-vs-unbatched sweep.
+// Fig13RTConfig parameterizes the round-trip sweep.
 type Fig13RTConfig struct {
 	// Deps is the dependency counts to sweep (read deps + the object's
 	// own write dep per message, like Fig 13(a)).
@@ -30,7 +30,8 @@ type Fig13RTConfig struct {
 	VStorePerKey time.Duration
 }
 
-// DefaultFig13RT sweeps the multi-dependency range where batching pays.
+// DefaultFig13RT sweeps the multi-dependency range: the batched plans
+// keep the round trips per message flat across it.
 func DefaultFig13RT() Fig13RTConfig {
 	return Fig13RTConfig{
 		Deps:         []int{1, 2, 5, 10, 20, 50, 100},
@@ -41,7 +42,7 @@ func DefaultFig13RT() Fig13RTConfig {
 	}
 }
 
-// Fig13RTSide is one pipeline variant's measurement at a dep count.
+// Fig13RTSide is the measurement at one dep count.
 type Fig13RTSide struct {
 	// PubRT/SubRT/TotalRT are version-store round-trip windows per
 	// published message, split by the store they hit (each app owns its
@@ -55,41 +56,29 @@ type Fig13RTSide struct {
 
 // Fig13RTPoint is one measured dependency count.
 type Fig13RTPoint struct {
-	Deps      int         `json:"deps"`
-	Batched   Fig13RTSide `json:"batched"`
-	Unbatched Fig13RTSide `json:"unbatched"`
-	// Reduction is unbatched/batched total round trips per message.
-	Reduction float64 `json:"reduction"`
+	Deps    int         `json:"deps"`
+	Batched Fig13RTSide `json:"batched"`
 }
 
 // RunFig13RT measures, for each dependency count, the version-store
 // round trips per published message end to end (publisher bump/lock
-// traffic plus subscriber wait/claim/increment traffic), with the
-// batched round-trip plans and with Config.VStoreUnbatched forcing the
-// legacy per-key chains.
+// traffic plus subscriber wait/claim/increment traffic).
 func RunFig13RT(cfg Fig13RTConfig) []Fig13RTPoint {
 	var out []Fig13RTPoint
 	for _, deps := range cfg.Deps {
-		batched := runRTOnce(cfg, deps, false)
-		unbatched := runRTOnce(cfg, deps, true)
-		p := Fig13RTPoint{Deps: deps, Batched: batched, Unbatched: unbatched}
-		if batched.TotalRT > 0 {
-			p.Reduction = unbatched.TotalRT / batched.TotalRT
-		}
-		out = append(out, p)
+		out = append(out, Fig13RTPoint{Deps: deps, Batched: runRTOnce(cfg, deps)})
 	}
 	return out
 }
 
-func runRTOnce(cfg Fig13RTConfig, deps int, unbatched bool) Fig13RTSide {
+func runRTOnce(cfg Fig13RTConfig, deps int) Fig13RTSide {
 	f := core.NewFabric()
 	mk := func(name string) *core.App {
 		return mustApp(f, name, NewMapper(MongoDB, storage.Profile{}), core.Config{
-			Mode:            core.Causal,
-			VStoreShards:    cfg.Shards,
-			VStoreRTT:       cfg.VStoreRTT,
-			VStorePerKey:    cfg.VStorePerKey,
-			VStoreUnbatched: unbatched,
+			Mode:         core.Causal,
+			VStoreShards: cfg.Shards,
+			VStoreRTT:    cfg.VStoreRTT,
+			VStorePerKey: cfg.VStorePerKey,
 		})
 	}
 	pub := mk("pub")
@@ -156,16 +145,11 @@ func waitProcessed(a *core.App, want int64, timeout time.Duration) {
 // FormatFig13RT renders the sweep as a table.
 func FormatFig13RT(points []Fig13RTPoint) string {
 	var b strings.Builder
-	fmt.Fprintln(&b, "Fig 13 extension: version-store round trips per message, batched vs unbatched")
-	fmt.Fprintf(&b, "%6s %28s %28s %10s\n", "", "batched (pub+sub=total)", "unbatched (pub+sub=total)", "")
-	fmt.Fprintf(&b, "%6s %8s %8s %9s  %8s %8s %9s %10s\n",
-		"deps", "pub", "sub", "total", "pub", "sub", "total", "reduction")
+	fmt.Fprintln(&b, "Fig 13 extension: version-store round trips per message (batched plans)")
+	fmt.Fprintf(&b, "%6s %8s %8s %9s %12s\n", "deps", "pub", "sub", "total", "publish ms")
 	for _, p := range points {
-		fmt.Fprintf(&b, "%6d %8.1f %8.1f %9.1f  %8.1f %8.1f %9.1f %9.1fx\n",
-			p.Deps,
-			p.Batched.PubRT, p.Batched.SubRT, p.Batched.TotalRT,
-			p.Unbatched.PubRT, p.Unbatched.SubRT, p.Unbatched.TotalRT,
-			p.Reduction)
+		fmt.Fprintf(&b, "%6d %8.1f %8.1f %9.1f %12.2f\n",
+			p.Deps, p.Batched.PubRT, p.Batched.SubRT, p.Batched.TotalRT, p.Batched.PublishMs)
 	}
 	return b.String()
 }
@@ -179,7 +163,7 @@ func MarshalFig13RT(points []Fig13RTPoint) ([]byte, error) {
 		Points      []Fig13RTPoint `json:"points"`
 	}{
 		Figure:      "fig13-round-trips",
-		Description: "version-store round trips per published message, batched round-trip plans vs legacy per-key calls",
+		Description: "version-store round trips per published message under the batched round-trip plans, by dependency count",
 		Points:      points,
 	}
 	return json.MarshalIndent(doc, "", "  ")

@@ -49,7 +49,7 @@ type TailConfig struct {
 	PubWorkers     int
 	SubWorkers     int
 	// PipelineDepth is the subscriber's per-worker in-flight pipeline
-	// bound (0 = the core default; 1 = the serial apply ablation).
+	// bound (0 = the core default; 1 = the window-of-one ablation).
 	PipelineDepth int
 	// Callback is the subscriber's per-message application work.
 	Callback time.Duration
@@ -167,9 +167,9 @@ type TailResult struct {
 	// swept point achieved — the fabric's measured msg/s ceiling.
 	DeliveredCapacity float64 `json:"delivered_capacity_msgs_per_sec"`
 	// SerialCapacity re-measures the top swept rate with PipelineDepth
-	// 1 (the pre-pipeline serial apply path); PipelineSpeedup is
+	// 1 (one message at a time per worker); PipelineSpeedup is
 	// DeliveredCapacity over it. The bench gate holds the speedup
-	// floor, so the pipeline's win over the serial ceiling is
+	// floor, so the window's win over the one-at-a-time ceiling is
 	// re-proven, not assumed, on every gated run.
 	SerialCapacity  float64    `json:"serial_capacity_msgs_per_sec"`
 	PipelineSpeedup float64    `json:"pipeline_speedup"`
@@ -177,7 +177,7 @@ type TailResult struct {
 }
 
 // RunTail sweeps the arrival rates, each on a fresh fabric, then runs
-// the serial-apply ablation at the top rate for the capacity ratio.
+// the depth-1 ablation at the top rate for the capacity ratio.
 func RunTail(cfg TailConfig) TailResult {
 	res := TailResult{Seed: cfg.Seed, KneeFactor: cfg.KneeFactor}
 	for _, rate := range cfg.Rates {

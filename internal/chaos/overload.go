@@ -182,7 +182,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 			// ~250 msg/s). Pipeline depth is a capacity knob — at the
 			// default 4 the overlapped applies drain faster than the
 			// writer and the degradation ladder never engages — so this
-			// harness pins the serial path; the pipelined apply gets its
+			// harness pins a window of one; deeper windows get their
 			// chaos coverage from the crash/partition runs.
 			PipelineDepth:        1,
 			QueueMaxLen:          cfg.HardBound,

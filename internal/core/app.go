@@ -11,6 +11,7 @@ import (
 	"synapse/internal/broker"
 	"synapse/internal/deptrack"
 	"synapse/internal/faultinject"
+	"synapse/internal/hdr"
 	"synapse/internal/metrics"
 	"synapse/internal/model"
 	"synapse/internal/netsim"
@@ -180,7 +181,7 @@ type App struct {
 	applyLocks [64]sync.Mutex
 
 	// Metrics consumed by the benchmarks.
-	PublishLatency *metrics.Histogram
+	PublishLatency *hdr.Recorder
 	Processed      *metrics.Meter
 	Timeline       *metrics.Timeline
 	// Stages times the subscriber pipeline per message (see the Stage*
@@ -189,19 +190,19 @@ type App struct {
 	// DepWaitBlocked times only the dependency waits that actually
 	// blocked (the StageDepWait timer averages over every message, most
 	// of which wait 0).
-	DepWaitBlocked *metrics.Histogram
+	DepWaitBlocked *hdr.Recorder
 	// BootstrapStall times each bounded publisher-lock hold taken by a
 	// chunked bootstrap's chunk read — the only instants a bootstrap can
 	// stall the publisher's live writes. Its max is the worst-case
 	// publish stall the join inflicted.
-	BootstrapStall *metrics.Histogram
+	BootstrapStall *hdr.Recorder
 	// PipelineFill samples the number of in-flight pipeline slots each
 	// time a worker dispatches a delivery (occupancy; samples are counts,
 	// not durations). FlushBatchSize samples the entries merged per
 	// group-commit flush — together they show where the per-message
 	// round trips went once the apply stage overlapped.
-	PipelineFill   *metrics.Histogram
-	FlushBatchSize *metrics.Histogram
+	PipelineFill   *hdr.Recorder
+	FlushBatchSize *hdr.Recorder
 }
 
 // depWriterStripe is one stripe of the last-writer fingerprint table.
@@ -221,7 +222,7 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 		PerKey:      cfg.VStorePerKey,
 		Precise:     cfg.VStorePrecise,
 	})
-	tracker, err := deptrack.New(cfg.DepTracker, store, cfg.VStoreUnbatched)
+	tracker, err := deptrack.New(cfg.DepTracker, store, false)
 	if err != nil {
 		return nil, err
 	}
@@ -255,13 +256,13 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 		depTimeouts:      metrics.NewCounter(),
 		falseDeps:        metrics.NewCounter(),
 		rng:              rand.New(rand.NewSource(seedFor(name, "overload"))),
-		BootstrapStall:   metrics.NewHistogram(),
-		PublishLatency:   metrics.NewHistogram(),
+		BootstrapStall:   hdr.New(),
+		PublishLatency:   hdr.New(),
 		Processed:        metrics.NewMeter(),
 		Stages:           metrics.NewStageSet(StageDecode, StageBarrier, StageDepWait, StageApply, StageFlush, StageAck),
-		DepWaitBlocked:   metrics.NewHistogram(),
-		PipelineFill:     metrics.NewHistogram(),
-		FlushBatchSize:   metrics.NewHistogram(),
+		DepWaitBlocked:   hdr.New(),
+		PipelineFill:     hdr.New(),
+		FlushBatchSize:   hdr.New(),
 	}
 	if err := f.registerApp(a); err != nil {
 		return nil, err
@@ -291,15 +292,13 @@ func genCounterName(app string) string { return "generation/" + app }
 
 // Stage names for App.Stages, the subscriber pipeline timers: payload
 // decode, generation barrier (§4.4), dependency wait (§4.2), version
-// claim + DB apply (§4.2), group-commit flush, and broker ack. With the
-// pipelined apply (Config.PipelineDepth > 1) the stages overlap across
-// messages: decode/barrier/dep-wait/apply are still observed once per
-// message (concurrently, so their totals can exceed wall clock), while
-// flush and ack are observed once per group-commit flush — the counter
+// claim + DB apply (§4.2), group-commit flush, and broker ack. The
+// stages overlap across the messages in a worker's window:
+// decode/barrier/dep-wait/apply are observed once per message
+// (concurrently, so their totals can exceed wall clock), while flush
+// and ack are observed once per group-commit flush — the counter
 // increments and acks of every message completing in a flush window
-// share one IncrOpsMulti and one AckMulti round trip. On the serial
-// path (depth 1) apply includes the per-message IncrOps and ack is
-// per-message, as before.
+// share one IncrOpsMulti and one AckMulti round trip.
 const (
 	StageDecode  = "decode"
 	StageBarrier = "barrier"
@@ -428,15 +427,15 @@ func (a *App) Stats() Stats {
 		ChunkRowsDeduped:   a.chunkRowsDeduped.Count(),
 		Stages:             a.Stages.Snapshot(),
 	}
-	st.MaxPublishStall = a.BootstrapStall.Max()
-	st.DepWaitBlockedMean = a.DepWaitBlocked.Mean()
-	st.DepWaitBlockedMax = a.DepWaitBlocked.Max()
-	// Occupancy and flush-size histograms store counts as raw samples.
-	st.PipelineFillMean = float64(a.PipelineFill.Mean())
-	st.PipelineFillMax = int64(a.PipelineFill.Max())
+	st.MaxPublishStall = time.Duration(a.BootstrapStall.Max())
+	st.DepWaitBlockedMean = time.Duration(a.DepWaitBlocked.Mean())
+	st.DepWaitBlockedMax = time.Duration(a.DepWaitBlocked.Max())
+	// The occupancy and flush-size recorders hold counts, not durations.
+	st.PipelineFillMean = a.PipelineFill.Mean()
+	st.PipelineFillMax = a.PipelineFill.Max()
 	st.Flushes = int64(a.FlushBatchSize.Count())
-	st.FlushBatchMean = float64(a.FlushBatchSize.Mean())
-	st.FlushBatchMax = int64(a.FlushBatchSize.Max())
+	st.FlushBatchMean = a.FlushBatchSize.Mean()
+	st.FlushBatchMax = a.FlushBatchSize.Max()
 	a.lastDepTimeoutMu.Lock()
 	st.LastDepTimeout = a.lastDepTimeout
 	a.lastDepTimeoutMu.Unlock()

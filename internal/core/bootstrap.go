@@ -242,7 +242,7 @@ func (a *App) Bootstrap(from string, models ...string) error {
 		if !got {
 			break
 		}
-		if perr := a.consume(d.Payload, nil, nil); perr != nil {
+		if perr := a.consume(d.Payload); perr != nil {
 			_ = q.Nack(d.Tag, true)
 			continue
 		}
@@ -378,7 +378,7 @@ func (a *App) bootstrapChunk(pub *App, modelName string, desc *model.Descriptor,
 		})
 	}
 	pub.store.UnlockWrites(held)
-	pub.BootstrapStall.Observe(time.Since(start))
+	pub.BootstrapStall.Record(int64(time.Since(start)))
 
 	if err := a.faults.Fire(FaultBootstrapChunkHigh); err != nil {
 		return err
@@ -440,7 +440,7 @@ func (a *App) awaitHighWatermark(w *chunkWindow) error {
 			time.Sleep(time.Millisecond)
 			continue
 		}
-		if perr := a.consume(d.Payload, nil, nil); perr != nil {
+		if perr := a.consume(d.Payload); perr != nil {
 			_ = q.Nack(d.Tag, true)
 			continue
 		}
@@ -453,7 +453,7 @@ func (a *App) awaitHighWatermark(w *chunkWindow) error {
 // version was touched by a live message inside the watermark window are
 // skipped outright (the live apply already moved the guard at least
 // that far); the rest claim their versions in one ApplyBatch round trip
-// under the apply stripes, exactly like the pipelined live path, and
+// under the apply stripes, exactly like the live path, and
 // roll their claims back if a DB apply fails so a resumed chunk
 // re-applies exactly the unapplied rows.
 func (a *App) applyChunk(pub *App, desc *model.Descriptor, rows []chunkRow, touched map[string]uint64) error {
@@ -522,11 +522,8 @@ func (a *App) applyChunk(pub *App, desc *model.Descriptor, rows []chunkRow, touc
 // applied inline — bootstrap-concurrent live traffic batches its
 // increments exactly like steady-state causal traffic.
 func (a *App) processBootstrapMessage(msg *wire.Message, deferIncr bool) ([]vKey, error) {
-	for i := range msg.Operations {
-		op := &msg.Operations[i]
-		if err := a.applyGuarded(msg, op); err != nil {
-			return nil, err
-		}
+	if err := a.applyOpsBatched(msg); err != nil {
+		return nil, err
 	}
 	// Only after every operation applied: a failed message is redelivered
 	// whole, and recording its versions early could dedup a chunk row

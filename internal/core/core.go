@@ -119,21 +119,14 @@ type Config struct {
 	// handoffs only bound — not eliminate — the head-of-line cost.
 	Prefetch int
 	// PipelineDepth bounds how many deliveries one subscriber worker may
-	// have in flight at once (default 4; 1 restores the serial apply
-	// path). With depth k, the decode, dependency wait, and version
-	// claims of messages N+1..N+k proceed while message N's callback
-	// runs; messages sharing an apply stripe are dispatched in order
-	// (never concurrently), and completed messages group-commit their
-	// counter increments and broker acks through the per-queue flusher
-	// (one IncrOpsMulti + one AckMulti round trip per flush window).
-	// Ignored (serial) under VStoreUnbatched.
+	// have in flight at once (default 4; 1 = a window of one). With
+	// depth k, the decode, dependency wait, and version claims of
+	// messages N+1..N+k proceed while message N's callback runs;
+	// messages sharing an apply stripe are dispatched in order (never
+	// concurrently), and completed messages group-commit their counter
+	// increments and broker acks through the per-queue flusher (one
+	// IncrOpsMulti + one AckMulti round trip per flush window).
 	PipelineDepth int
-	// VStoreUnbatched routes publish/subscribe through the legacy per-key
-	// version-store calls (LockWrites/Bump, per-dep WaitAtLeast,
-	// per-claim ApplyIfNewer) instead of the batched round-trip plans.
-	// Kept for the batched-vs-unbatched ablation benchmark; semantics are
-	// identical either way.
-	VStoreUnbatched bool
 	// MaxDeliveryAttempts bounds failed processing attempts per
 	// subscribed message: after this many failures the message is set
 	// aside on the queue's dead-letter list instead of redelivered

@@ -116,7 +116,7 @@ func drain(t *testing.T, a *App) {
 		if !ok {
 			return
 		}
-		if perr := a.consume(d.Payload, nil, nil); perr != nil {
+		if perr := a.consume(d.Payload); perr != nil {
 			t.Fatalf("consume: %v", perr)
 		}
 		_ = q.Ack(d.Tag)

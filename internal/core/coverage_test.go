@@ -187,3 +187,21 @@ func TestAddReadDepsExplicit(t *testing.T) {
 		t.Errorf("explicit read dep = %v (deps %v)", v, got[0].Dependencies)
 	}
 }
+
+// TestStatsMeansAreFractional: the occupancy and flush-size means are
+// counts averaged as floats — fills of 1 and 2 report 1.5, not an
+// integer division's 1.
+func TestStatsMeansAreFractional(t *testing.T) {
+	app, _ := newDocApp(t, NewFabric(), "sub", Config{})
+	for _, n := range []int64{1, 2} {
+		app.PipelineFill.Record(n)
+		app.FlushBatchSize.Record(n)
+	}
+	st := app.Stats()
+	if st.PipelineFillMean != 1.5 || st.FlushBatchMean != 1.5 {
+		t.Errorf("PipelineFillMean/FlushBatchMean = %v/%v, want 1.5/1.5", st.PipelineFillMean, st.FlushBatchMean)
+	}
+	if st.PipelineFillMax != 2 || st.FlushBatchMax != 2 || st.Flushes != 2 {
+		t.Errorf("PipelineFillMax/FlushBatchMax/Flushes = %d/%d/%d, want 2/2/2", st.PipelineFillMax, st.FlushBatchMax, st.Flushes)
+	}
+}

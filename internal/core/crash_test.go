@@ -281,97 +281,101 @@ func TestPerObjectOrderUnderTimeouts(t *testing.T) {
 // unapplied operations, so the retry skips the persisted operation as
 // stale and applies only what is missing.
 func TestRedeliveryAfterMidBatchApplyFailure(t *testing.T) {
-	f := NewFabric()
-	pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
-	mustPublish(t, pub, userDesc(), "name")
-	mustPublish(t, pub, postDesc(), "body", "author")
+	for _, depth := range []int{1, 4} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			f := NewFabric()
+			pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
+			mustPublish(t, pub, userDesc(), "name")
+			mustPublish(t, pub, postDesc(), "body", "author")
 
-	sub, subMapper := newDocApp(t, f, "sub", Config{})
-	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}, Mode: Causal})
-	mustSubscribe(t, sub, postDesc(), SubSpec{From: "pub", Attrs: []string{"body", "author"}, Mode: Causal})
+			sub, subMapper := newDocApp(t, f, "sub", Config{PipelineDepth: depth})
+			mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}, Mode: Causal})
+			mustSubscribe(t, sub, postDesc(), SubSpec{From: "pub", Attrs: []string{"body", "author"}, Mode: Causal})
 
-	// Count applies per record; kill the Post's first attempt before it
-	// persists (BeforeCreate runs ahead of the insert, so the operation
-	// fails exactly like a worker dying mid-batch: the User is already
-	// in the DB, the Post is not, and its version claim must be rolled
-	// back for the redelivery to reclaim).
-	var mu sync.Mutex
-	applied := map[string]int{}
-	attempts := 0
-	count := func(ctx *model.CallbackCtx) error {
-		mu.Lock()
-		applied[ctx.Record.Model+"/"+ctx.Record.ID]++
-		mu.Unlock()
-		return nil
-	}
-	ud, _ := sub.Descriptor("User")
-	ud.Callbacks.On(model.AfterCreate, count)
-	ud.Callbacks.On(model.AfterUpdate, count)
-	pd, _ := sub.Descriptor("Post")
-	pd.Callbacks.On(model.AfterCreate, count)
-	pd.Callbacks.On(model.BeforeCreate, func(*model.CallbackCtx) error {
-		mu.Lock()
-		defer mu.Unlock()
-		attempts++
-		if attempts == 1 {
-			return fmt.Errorf("worker killed mid-apply")
-		}
-		return nil
-	})
+			// Count applies per record; kill the Post's first attempt before it
+			// persists (BeforeCreate runs ahead of the insert, so the operation
+			// fails exactly like a worker dying mid-batch: the User is already
+			// in the DB, the Post is not, and its version claim must be rolled
+			// back for the redelivery to reclaim).
+			var mu sync.Mutex
+			applied := map[string]int{}
+			attempts := 0
+			count := func(ctx *model.CallbackCtx) error {
+				mu.Lock()
+				applied[ctx.Record.Model+"/"+ctx.Record.ID]++
+				mu.Unlock()
+				return nil
+			}
+			ud, _ := sub.Descriptor("User")
+			ud.Callbacks.On(model.AfterCreate, count)
+			ud.Callbacks.On(model.AfterUpdate, count)
+			pd, _ := sub.Descriptor("Post")
+			pd.Callbacks.On(model.AfterCreate, count)
+			pd.Callbacks.On(model.BeforeCreate, func(*model.CallbackCtx) error {
+				mu.Lock()
+				defer mu.Unlock()
+				attempts++
+				if attempts == 1 {
+					return fmt.Errorf("worker killed mid-apply")
+				}
+				return nil
+			})
 
-	sub.StartWorkers(1)
-	defer sub.StopWorkers()
+			sub.StartWorkers(1)
+			defer sub.StopWorkers()
 
-	// One transactional message carrying both operations (§4.2).
-	ctl := pub.NewController(nil)
-	if err := ctl.Transaction(func(tx *Txn) error {
-		u := model.NewRecord("User", "u1")
-		u.Set("name", "alice")
-		if err := tx.Create(u); err != nil {
-			return err
-		}
-		p := model.NewRecord("Post", "p1")
-		p.Set("body", "hello")
-		p.Set("author", "u1")
-		return tx.Create(p)
-	}); err != nil {
-		t.Fatal(err)
-	}
+			// One transactional message carrying both operations (§4.2).
+			ctl := pub.NewController(nil)
+			if err := ctl.Transaction(func(tx *Txn) error {
+				u := model.NewRecord("User", "u1")
+				u.Set("name", "alice")
+				if err := tx.Create(u); err != nil {
+					return err
+				}
+				p := model.NewRecord("Post", "p1")
+				p.Set("body", "hello")
+				p.Set("author", "u1")
+				return tx.Create(p)
+			}); err != nil {
+				t.Fatal(err)
+			}
 
-	// The redelivered message completes the Post.
-	waitFor(t, 10*time.Second, func() bool {
-		_, err := subMapper.Find("Post", "p1")
-		return err == nil
-	})
+			// The redelivered message completes the Post.
+			waitFor(t, 10*time.Second, func() bool {
+				_, err := subMapper.Find("Post", "p1")
+				return err == nil
+			})
 
-	mu.Lock()
-	if n := applied["User/u1"]; n != 1 {
-		t.Errorf("User applied %d times, want exactly 1 (double-apply after redelivery)", n)
-	}
-	if n := applied["Post/p1"]; n != 1 {
-		t.Errorf("Post applied %d times, want exactly 1", n)
-	}
-	if attempts != 2 {
-		t.Errorf("Post create attempted %d times, want 2 (fail, then redelivery)", attempts)
-	}
-	mu.Unlock()
+			mu.Lock()
+			if n := applied["User/u1"]; n != 1 {
+				t.Errorf("User applied %d times, want exactly 1 (double-apply after redelivery)", n)
+			}
+			if n := applied["Post/p1"]; n != 1 {
+				t.Errorf("Post applied %d times, want exactly 1", n)
+			}
+			if attempts != 2 {
+				t.Errorf("Post create attempted %d times, want 2 (fail, then redelivery)", attempts)
+			}
+			mu.Unlock()
 
-	// Version bookkeeping survived the partial failure: a later update to
-	// the already-applied object still replicates.
-	patch := model.NewRecord("User", "u1")
-	patch.Set("name", "alice-v2")
-	if _, err := pub.NewController(nil).Update(patch); err != nil {
-		t.Fatal(err)
+			// Version bookkeeping survived the partial failure: a later update to
+			// the already-applied object still replicates.
+			patch := model.NewRecord("User", "u1")
+			patch.Set("name", "alice-v2")
+			if _, err := pub.NewController(nil).Update(patch); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 10*time.Second, func() bool {
+				got, err := subMapper.Find("User", "u1")
+				return err == nil && got.String("name") == "alice-v2"
+			})
+			mu.Lock()
+			if n := applied["User/u1"]; n != 2 {
+				t.Errorf("User applied %d times after follow-up update, want 2", n)
+			}
+			mu.Unlock()
+		})
 	}
-	waitFor(t, 10*time.Second, func() bool {
-		got, err := subMapper.Find("User", "u1")
-		return err == nil && got.String("name") == "alice-v2"
-	})
-	mu.Lock()
-	if n := applied["User/u1"]; n != 2 {
-		t.Errorf("User applied %d times after follow-up update, want 2", n)
-	}
-	mu.Unlock()
 }
 
 // TestManyAppsOneFabricSmoke: a larger ecosystem (12 services in a

@@ -49,7 +49,7 @@ func (a *App) Drain(ctx context.Context) error {
 		return ctx.Err()
 	case <-done:
 	}
-	// StopWorkers waited out every pipelined apply, and each completing
+	// StopWorkers waited out every in-flight apply, and each completing
 	// apply either flushed its own group commit or was picked up by an
 	// active flusher — the flush queue is empty by construction here.
 	// One explicit drain keeps that a local fact rather than a distant

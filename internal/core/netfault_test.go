@@ -151,7 +151,7 @@ func TestParkedAcksFlushAndDefunctDrop(t *testing.T) {
 
 	// Partitioned ack: parks, survives a failed flush, then lands.
 	f.Net.Partition("sub", EndpointBroker)
-	sub.ackDelivery(q, ds[0].Tag)
+	sub.ackMultiDelivery(q, []uint64{ds[0].Tag})
 	if n := sub.PendingAcks(); n != 1 {
 		t.Fatalf("PendingAcks = %d after partitioned ack, want 1", n)
 	}

@@ -200,22 +200,15 @@ type pendingAck struct {
 	kind ackKind
 }
 
-// ackDelivery acknowledges one delivery through the network; a
-// transport failure parks the ack for retry rather than losing it.
-func (a *App) ackDelivery(q *broker.Queue, tag uint64) {
-	if err := a.brokerOp(func() error { return q.Ack(tag) }); err != nil && isTransportErr(err) {
-		a.parkAck(pendingAck{q: q, tag: tag, kind: ackAck})
-	}
-}
-
 // ackMultiDelivery acknowledges a coalesced batch of deliveries in one
-// broker call (the pipelined flusher's ack path). A transport failure
-// parks every tag individually — the per-tag retry path already knows
-// how to drop tags that died with a broker restart. Logical errors
-// (ErrBadTag for a tag that raced a crash-redelivery, or a
-// decommissioned queue) are absorbed: the broker either already
-// redelivered the message or set the whole queue aside, and in both
-// cases the version guard / recovery path owns what happens next.
+// broker call (the group-commit flusher's ack path). A transport
+// failure parks every tag for retry rather than losing it, each
+// individually — the per-tag retry path already knows how to drop tags
+// that died with a broker restart. Logical errors (ErrBadTag for a tag
+// that raced a crash-redelivery, or a decommissioned queue) are
+// absorbed: the broker either already redelivered the message or set
+// the whole queue aside, and in both cases the version guard / recovery
+// path owns what happens next.
 func (a *App) ackMultiDelivery(q *broker.Queue, tags []uint64) {
 	if len(tags) == 0 {
 		return

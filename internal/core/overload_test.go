@@ -201,79 +201,84 @@ func TestPublishBoundedBlockRidesOutPressure(t *testing.T) {
 // sibling messages keep flowing, and the poison message quarantines to
 // the dead-letter set-aside after MaxDeliveryAttempts.
 func TestStallWatchdogQuarantinesHungCallback(t *testing.T) {
-	f := NewFabric()
-	pub, _ := newDocApp(t, f, "pub", Config{})
-	sub, subMapper := newSQLApp(t, f, "sub", Config{
-		Workers:             2,
-		Prefetch:            1,
-		ApplyTimeout:        5 * time.Millisecond,
-		MaxDeliveryAttempts: 2,
-		RetryBackoffBase:    time.Millisecond,
-		RetryBackoffMax:     4 * time.Millisecond,
-		DepTimeout:          20 * time.Millisecond,
-	})
-	mustPublish(t, pub, userDesc(), "name")
+	for _, depth := range []int{1, 4} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			f := NewFabric()
+			pub, _ := newDocApp(t, f, "pub", Config{})
+			sub, subMapper := newSQLApp(t, f, "sub", Config{
+				Workers:             2,
+				Prefetch:            1,
+				PipelineDepth:       depth,
+				ApplyTimeout:        5 * time.Millisecond,
+				MaxDeliveryAttempts: 2,
+				RetryBackoffBase:    time.Millisecond,
+				RetryBackoffMax:     4 * time.Millisecond,
+				DepTimeout:          20 * time.Millisecond,
+			})
+			mustPublish(t, pub, userDesc(), "name")
 
-	release := make(chan struct{})
-	d := userDesc()
-	hang := func(ctx *model.CallbackCtx) error {
-		if ctx.Record.ID == "poison" {
-			<-release
-		}
-		return nil
-	}
-	d.Callbacks.On(model.AfterCreate, hang)
-	d.Callbacks.On(model.AfterUpdate, hang)
-	mustSubscribe(t, sub, d, SubSpec{From: "pub", Attrs: []string{"name"}})
-	sub.StartWorkers(0)
-	defer sub.StopWorkers()
+			release := make(chan struct{})
+			d := userDesc()
+			hang := func(ctx *model.CallbackCtx) error {
+				if ctx.Record.ID == "poison" {
+					<-release
+				}
+				return nil
+			}
+			d.Callbacks.On(model.AfterCreate, hang)
+			d.Callbacks.On(model.AfterUpdate, hang)
+			mustSubscribe(t, sub, d, SubSpec{From: "pub", Attrs: []string{"name"}})
+			sub.StartWorkers(0)
+			defer sub.StopWorkers()
 
-	ctl := pub.NewController(nil)
-	poison := model.NewRecord("User", "poison")
-	poison.Set("name", "hang")
-	if _, err := ctl.Create(poison); err != nil {
-		t.Fatal(err)
-	}
-	// Sibling ids are chosen to land on apply stripes distinct from the
-	// poison object's: a message whose object shares the hung apply's
-	// stripe blocks on that mutex and is quarantined as collateral —
-	// correct isolation behaviour, but not what this test measures.
-	const siblings = 6
-	for i := 0; i < siblings; i++ {
-		rec := model.NewRecord("User", fmt.Sprintf("sib%d", i))
-		rec.Set("name", "n")
-		if _, err := ctl.Create(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
+			ctl := pub.NewController(nil)
+			poison := model.NewRecord("User", "poison")
+			poison.Set("name", "hang")
+			if _, err := ctl.Create(poison); err != nil {
+				t.Fatal(err)
+			}
+			// Sibling ids are chosen to land on apply stripes distinct from the
+			// poison object's: a message whose object shares the hung apply's
+			// stripe blocks on that mutex and is quarantined as collateral —
+			// correct isolation behaviour, but not what this test measures.
+			const siblings = 6
+			for i := 0; i < siblings; i++ {
+				rec := model.NewRecord("User", fmt.Sprintf("sib%d", i))
+				rec.Set("name", "n")
+				if _, err := ctl.Create(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	// Quarantine within the escalation budget (5ms + 10ms + backoffs,
-	// asserted with generous race-detector slack) while siblings drain.
-	start := time.Now()
-	waitFor(t, 5*time.Second, func() bool { return sub.Stats().DeadLettered >= 1 })
-	quarantine := time.Since(start)
-	if quarantine > 2*time.Second {
-		t.Fatalf("quarantine took %v", quarantine)
-	}
-	waitFor(t, 5*time.Second, func() bool { return sub.Stats().Processed >= siblings })
-	st := sub.Stats()
-	if st.Stalled < 2 {
-		t.Fatalf("Stalled = %d, want >= 2 (one per delivery attempt)", st.Stalled)
-	}
-	if st.DeadLetters != 1 {
-		t.Fatalf("DeadLetters = %d, want 1", st.DeadLetters)
-	}
+			// Quarantine within the escalation budget (5ms + 10ms + backoffs,
+			// asserted with generous race-detector slack) while siblings drain.
+			start := time.Now()
+			waitFor(t, 5*time.Second, func() bool { return sub.Stats().DeadLettered >= 1 })
+			quarantine := time.Since(start)
+			if quarantine > 2*time.Second {
+				t.Fatalf("quarantine took %v", quarantine)
+			}
+			waitFor(t, 5*time.Second, func() bool { return sub.Stats().Processed >= siblings })
+			st := sub.Stats()
+			if st.Stalled < 2 {
+				t.Fatalf("Stalled = %d, want >= 2 (one per delivery attempt)", st.Stalled)
+			}
+			if st.DeadLetters != 1 {
+				t.Fatalf("DeadLetters = %d, want 1", st.DeadLetters)
+			}
 
-	// Operator clears the fault: the hung applies unblock and the
-	// replayed dead letter converges the subscriber.
-	close(release)
-	if n := sub.ReplayDeadLetters(); n != 1 {
-		t.Fatalf("ReplayDeadLetters = %d, want 1", n)
+			// Operator clears the fault: the hung applies unblock and the
+			// replayed dead letter converges the subscriber.
+			close(release)
+			if n := sub.ReplayDeadLetters(); n != 1 {
+				t.Fatalf("ReplayDeadLetters = %d, want 1", n)
+			}
+			waitFor(t, 5*time.Second, func() bool {
+				_, err := subMapper.Find("User", "poison")
+				return err == nil && sub.Stats().DeadLetters == 0
+			})
+		})
 	}
-	waitFor(t, 5*time.Second, func() bool {
-		_, err := subMapper.Find("User", "poison")
-		return err == nil && sub.Stats().DeadLetters == 0
-	})
 }
 
 // --- graceful drain ----------------------------------------------------

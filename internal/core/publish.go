@@ -25,7 +25,7 @@ import (
 //  6. marshal the published attributes and send one message.
 //
 // The Synapse-specific time (everything except step 4) is recorded in
-// the app's PublishLatency histogram — the "Synapse time" column of
+// the app's PublishLatency recorder — the "Synapse time" column of
 // Fig 12(a).
 func (a *App) performWrites(c *Controller, staged []stagedWrite, _ []string) ([]*model.Record, error) {
 	if a.draining.Load() {
@@ -273,7 +273,7 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite, _ []string) ([]
 		c.pendingWriteDeps = c.pendingWriteDeps[:0]
 	}
 
-	a.PublishLatency.Observe(time.Since(start) - dbTime)
+	a.PublishLatency.Record(int64(time.Since(start) - dbTime))
 	if a.Timeline != nil {
 		a.Timeline.Record(a.name, "synapse-pub", fmt.Sprintf("seq=%d ops=%d", msg.Seq, len(msg.Operations)))
 	}

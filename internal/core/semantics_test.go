@@ -220,33 +220,37 @@ func TestGlobalPublisherWeakSubscriber(t *testing.T) {
 // TestFailingCallbackRedelivery: a subscriber callback that fails
 // transiently nacks the message; redelivery eventually applies it.
 func TestFailingCallbackRedelivery(t *testing.T) {
-	f := NewFabric()
-	pub, _ := newDocApp(t, f, "pub", Config{})
-	mustPublish(t, pub, userDesc(), "name")
+	for _, depth := range []int{1, 4} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			f := NewFabric()
+			pub, _ := newDocApp(t, f, "pub", Config{})
+			mustPublish(t, pub, userDesc(), "name")
 
-	sub, subMapper := newDocApp(t, f, "sub", Config{})
-	d := userDesc()
-	failures := 3
-	d.Callbacks.On(model.BeforeCreate, func(*model.CallbackCtx) error {
-		if failures > 0 {
-			failures--
-			return errors.New("transient downstream failure")
-		}
-		return nil
-	})
-	mustSubscribe(t, sub, d, SubSpec{From: "pub", Attrs: []string{"name"}})
-	sub.StartWorkers(2)
-	defer sub.StopWorkers()
+			sub, subMapper := newDocApp(t, f, "sub", Config{PipelineDepth: depth})
+			d := userDesc()
+			failures := 3
+			d.Callbacks.On(model.BeforeCreate, func(*model.CallbackCtx) error {
+				if failures > 0 {
+					failures--
+					return errors.New("transient downstream failure")
+				}
+				return nil
+			})
+			mustSubscribe(t, sub, d, SubSpec{From: "pub", Attrs: []string{"name"}})
+			sub.StartWorkers(2)
+			defer sub.StopWorkers()
 
-	ctl := pub.NewController(nil)
-	rec := model.NewRecord("User", "u1")
-	rec.Set("name", "a")
-	if _, err := ctl.Create(rec); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 10*time.Second, func() bool { return subMapper.Len("User") == 1 })
-	if failures != 0 {
-		t.Errorf("callback failure budget not consumed: %d", failures)
+			ctl := pub.NewController(nil)
+			rec := model.NewRecord("User", "u1")
+			rec.Set("name", "a")
+			if _, err := ctl.Create(rec); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 10*time.Second, func() bool { return subMapper.Len("User") == 1 })
+			if failures != 0 {
+				t.Errorf("callback failure budget not consumed: %d", failures)
+			}
+		})
 	}
 }
 

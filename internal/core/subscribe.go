@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"synapse/internal/broker"
@@ -215,7 +214,7 @@ func (a *App) workerLoop(stop <-chan struct{}) {
 			continue
 		}
 		prefetch := a.cfg.Prefetch
-		if a.pipelined() && prefetch < a.cfg.PipelineDepth {
+		if prefetch < a.cfg.PipelineDepth {
 			// A pipeline can't fill past what the worker holds.
 			prefetch = a.cfg.PipelineDepth
 		}
@@ -241,116 +240,24 @@ func (a *App) workerLoop(stop <-chan struct{}) {
 		default: // closed
 			return
 		}
-		if a.pipelined() {
-			a.processBatchPipelined(q, batch, stop)
-		} else {
-			a.processBatch(q, batch, stop)
-		}
+		a.processBatch(q, batch, stop)
 	}
 }
 
-// pipelined reports whether subscriber workers run the overlapped apply
-// pipeline. VStoreUnbatched forces the serial path: the legacy per-key
-// calls exist to measure the unpipelined, unbatched baseline.
-func (a *App) pipelined() bool {
-	return a.cfg.PipelineDepth > 1 && !a.cfg.VStoreUnbatched
-}
-
-// processBatch works through one prefetched batch of deliveries, acking
-// each message as it completes. Three rules keep batching from hurting a
-// causal pool:
-//
-//   - Spill on block: when a message's dependency wait is about to
-//     block, the worker first nacks the REST of its batch back to the
-//     queue (reverse order, restoring FIFO order) so idle workers can
-//     process it — otherwise a prefetched batch whose head waits on
-//     another worker's batch serializes the whole pool.
-//   - Spill on starvation: between messages, if other workers sit idle
-//     on an empty queue, the rest of the batch is handed back the same
-//     way — a batch of slow applies (expensive callbacks) must not
-//     serialize in one worker while the pool starves.
-//   - Fail to the front: when a message fails (or the worker is
-//     stopping), the failed delivery and every remaining one are nacked
-//     so the queue front reads [failed, rest...]; a worker never sits on
-//     later messages while an earlier one needs redelivery (which could
-//     deadlock a single-worker causal subscriber on its own prefetch).
-func (a *App) processBatch(q *broker.Queue, batch []broker.Delivery, stop <-chan struct{}) {
-	for i := 0; i < len(batch); i++ {
-		d := batch[i]
-		if d.Redelivered {
-			a.redelivered.Inc()
-		}
-		rest := batch[i+1:]
-		// Once + atomic: with the stall watchdog armed, consume runs in a
-		// goroutine that may be abandoned mid-apply and call spill later,
-		// concurrently with this worker reading the flag.
-		var spilled atomic.Bool
-		var spillOnce sync.Once
-		spill := func() {
-			spillOnce.Do(func() {
-				spilled.Store(true)
-				for j := len(rest) - 1; j >= 0; j-- {
-					a.nackDelivery(q, rest[j].Tag)
-				}
-			})
-		}
-		if len(rest) > 0 && q.Starving() {
-			spill()
-		}
-		stopped := false
-		select {
-		case <-stop:
-			stopped = true
-		default:
-		}
-		var perr error
-		if !stopped {
-			perr = a.consumeGuarded(d, stop, spill)
-		}
-		if stopped || perr != nil {
-			spill()
-			if perr == nil {
-				// Stopping, not failing: hand the message back without
-				// penalty.
-				a.nackDelivery(q, d.Tag)
-				return
-			}
-			// Failed processing: requeue through the failure-counting
-			// nack. After Config.MaxDeliveryAttempts failures the broker
-			// sets the message aside (dead-letter) so a poison message
-			// cannot wedge the pool; until then back off exponentially
-			// before the worker looks at the queue again, so redelivery
-			// does not spin on a persistent fault.
-			dead := a.nackErrorDelivery(q, d.Tag)
-			if !dead {
-				a.retries.Inc()
-				a.retryBackoff(d.Attempts, stop)
-			}
-			return
-		}
-		ackStart := time.Now()
-		a.ackDelivery(q, d.Tag)
-		a.Stages.Observe(StageAck, time.Since(ackStart))
-		if spilled.Load() {
-			return
-		}
-	}
-}
-
-// processBatchPipelined is processBatch with a bounded in-flight
-// pipeline (Config.PipelineDepth > 1): up to depth deliveries from the
-// prefetched batch run concurrently in this worker, so the decode,
-// dependency wait, version claims, and callback of messages N+1..N+k
-// overlap message N's 2ms-class callback instead of queueing behind
-// it. Order is preserved exactly where it matters:
+// processBatch works through one prefetched batch of deliveries with a
+// bounded in-flight window: up to Config.PipelineDepth deliveries run
+// concurrently in this worker, so the decode, dependency wait, version
+// claims, and callback of messages N+1..N+k overlap message N's
+// 2ms-class callback instead of queueing behind it. A depth of 1 is the
+// same loop with a window of one. Order is preserved exactly where it
+// matters:
 //
 //   - Conflicts serialize: each message folds its operations' apply
 //     stripes into a 64-bit mask (applyMask); a message is dispatched
 //     only when its mask is disjoint from every in-flight message's,
 //     so two updates to the same guarded object never race within the
-//     worker and dispatch in queue order. Cross-worker ordering is,
-//     as before, the job of the dependency waits and the per-object
-//     version guard.
+//     worker and dispatch in queue order. Cross-worker ordering is the
+//     job of the dependency waits and the per-object version guard.
 //   - Completion is group-committed: a finished message does not
 //     increment counters or ack inline — it queues both on the
 //     per-queue flusher (flushCommits), which merges every message
@@ -358,13 +265,27 @@ func (a *App) processBatch(q *broker.Queue, batch []broker.Delivery, stop <-chan
 //     followed by ONE AckMulti call. Acks flush strictly after the
 //     increments land, so a crash between the two redelivers the
 //     messages and the version guard discards the re-applies as stale
-//     (the crash-redelivery invariant, unchanged).
-//   - The spill rules of processBatch carry over: the undispatched
-//     tail is handed back to idle workers when an in-flight dependency
-//     wait blocks or the pool starves, and on failure or stop the
-//     failed deliveries are nacked after the tail so the queue front
-//     reads [failed..., rest...].
-func (a *App) processBatchPipelined(q *broker.Queue, batch []broker.Delivery, stop <-chan struct{}) {
+//     (the crash-redelivery invariant).
+//   - Spill on block: when an in-flight dependency wait is about to
+//     block, the undispatched tail of the batch is nacked back to the
+//     queue (reverse order, restoring FIFO order) so idle workers can
+//     process it — otherwise a prefetched batch whose head waits on
+//     another worker's batch serializes the whole pool.
+//   - Spill on starvation: if other workers sit idle on an empty queue,
+//     the tail is handed back the same way — a batch of slow applies
+//     (expensive callbacks) must not serialize in one worker while the
+//     pool starves.
+//   - Fail to the front: when a message fails (or the worker is
+//     stopping), the tail and then the failed deliveries are nacked so
+//     the queue front reads [failed..., rest...]; a worker never sits
+//     on later messages while an earlier one needs redelivery (which
+//     could deadlock a single-worker causal subscriber on its own
+//     prefetch). Failures go through the failure-counting nack: after
+//     Config.MaxDeliveryAttempts the broker sets the message aside
+//     (dead-letter) so a poison message cannot wedge the pool; until
+//     then the worker backs off exponentially before it looks at the
+//     queue again, so redelivery does not spin on a persistent fault.
+func (a *App) processBatch(q *broker.Queue, batch []broker.Delivery, stop <-chan struct{}) {
 	depth := a.cfg.PipelineDepth
 	type result struct {
 		d    broker.Delivery
@@ -445,7 +366,7 @@ func (a *App) processBatchPipelined(q *broker.Queue, batch []broker.Delivery, st
 			next++
 			inflight++
 			inflightMask |= mask
-			a.PipelineFill.Observe(time.Duration(inflight))
+			a.PipelineFill.Record(int64(inflight))
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -603,7 +524,7 @@ func (a *App) flushCommits() {
 // are deduped (IncrOps semantics, done at defer time).
 func (a *App) flushBatch(entries []flushEntry) {
 	flushStart := time.Now()
-	a.FlushBatchSize.Observe(time.Duration(len(entries)))
+	a.FlushBatchSize.Record(int64(len(entries)))
 	var counts map[vstore.Key]uint64
 	for _, e := range entries {
 		for _, k := range e.incr {
@@ -702,56 +623,6 @@ func (a *App) retryBackoff(attempts int, stop <-chan struct{}) {
 // expired.
 var errStalled = errors.New("synapse: subscriber apply stalled past watchdog budget")
 
-// consumeGuarded runs consume under the per-delivery stall watchdog
-// (Config.ApplyTimeout; disabled at 0, where it falls through with no
-// extra goroutine). The budget escalates with the message's prior
-// failed attempts — doubling each time, capped at ApplyTimeoutMax — so
-// transiently slow applies get a longer second chance while a truly
-// hung callback still exhausts MaxDeliveryAttempts and quarantines to
-// the dead-letter set-aside. A timed-out apply is abandoned: its
-// private cancel channel is closed (dependency waits observe it), a
-// short grace wait lets a responsive callback surface its result, and
-// then the delivery is failed so the worker moves on. The abandoned
-// goroutine may straggle and eventually write; the apply stripes plus
-// the per-object version guard absorb that exactly as they absorb
-// redelivered duplicates.
-func (a *App) consumeGuarded(d broker.Delivery, stop <-chan struct{}, onBlock func()) error {
-	if a.cfg.ApplyTimeout <= 0 {
-		return a.consume(d.Payload, stop, onBlock)
-	}
-	budget := a.stallBudget(d.Attempts)
-	cancel := make(chan struct{})
-	done := make(chan error, 1)
-	go func() { done <- a.consume(d.Payload, cancel, onBlock) }()
-	t := time.NewTimer(budget)
-	defer t.Stop()
-	var reason error
-	select {
-	case err := <-done:
-		return err
-	case <-stop:
-		reason = errWaitInterrupted
-	case <-t.C:
-		reason = errStalled
-	}
-	close(cancel)
-	grace := budget / 4
-	if grace < time.Millisecond {
-		grace = time.Millisecond
-	}
-	g := time.NewTimer(grace)
-	defer g.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-g.C:
-	}
-	if errors.Is(reason, errStalled) {
-		a.stalled.Inc()
-	}
-	return reason
-}
-
 // stallBudget is the watchdog time budget for a delivery with the given
 // prior failed attempts: ApplyTimeout doubled per attempt (capped at
 // ApplyTimeoutMax), plus the finite DepTimeout allowance — a bounded
@@ -774,10 +645,9 @@ func (a *App) stallBudget(attempts int) time.Duration {
 	return budget
 }
 
-// consumeDecoded processes one already-decoded message for the
-// pipelined path, returning the deferred counter-increment keys for
-// the group-commit flusher. It takes ownership of msg and releases it
-// back to the decode pool.
+// consumeDecoded processes one already-decoded message, returning the
+// deferred counter-increment keys for the group-commit flusher. It
+// takes ownership of msg and releases it back to the decode pool.
 func (a *App) consumeDecoded(msg *wire.Message, cancel <-chan struct{}, onBlock func()) ([]vstore.Key, error) {
 	incr, err := a.processMessageDefer(msg, cancel, onBlock, true)
 	wire.ReleaseMessage(msg)
@@ -787,12 +657,22 @@ func (a *App) consumeDecoded(msg *wire.Message, cancel <-chan struct{}, onBlock 
 	return incr, err
 }
 
-// consumeDecodedGuarded is consumeGuarded for the pipelined path: the
-// same escalating stall watchdog, operating on a pre-decoded message
-// and surfacing the deferred increments. An abandoned straggler's
-// increments are simply dropped along with its ack — the redelivered
-// attempt re-applies and re-increments, which the version guard and
-// at-least-once counting semantics absorb.
+// consumeDecodedGuarded runs consumeDecoded under the per-delivery stall
+// watchdog (Config.ApplyTimeout; disabled at 0, where it falls through
+// with no extra goroutine). The budget escalates with the message's
+// prior failed attempts — doubling each time, capped at ApplyTimeoutMax
+// — so transiently slow applies get a longer second chance while a
+// truly hung callback still exhausts MaxDeliveryAttempts and
+// quarantines to the dead-letter set-aside. A timed-out apply is
+// abandoned: its private cancel channel is closed (dependency waits
+// observe it), a short grace wait lets a responsive callback surface
+// its result, and then the delivery is failed so the worker moves on.
+// The abandoned goroutine may straggle and eventually write; the apply
+// stripes plus the per-object version guard absorb that exactly as they
+// absorb redelivered duplicates. A straggler's increments are dropped
+// along with its ack — the redelivered attempt re-applies and
+// re-increments, which the version guard and at-least-once counting
+// semantics absorb.
 func (a *App) consumeDecodedGuarded(d broker.Delivery, msg *wire.Message, stop <-chan struct{}, onBlock func()) ([]vstore.Key, error) {
 	if a.cfg.ApplyTimeout <= 0 {
 		return a.consumeDecoded(msg, stop, onBlock)
@@ -837,11 +717,10 @@ func (a *App) consumeDecodedGuarded(d broker.Delivery, msg *wire.Message, stop <
 	return nil, reason
 }
 
-// consume decodes and processes one message payload. onBlock (may be
-// nil) is called at most once, just before the dependency wait first
-// blocks — the worker's chance to hand the rest of its prefetched batch
-// back to the queue.
-func (a *App) consume(payload []byte, cancel <-chan struct{}, onBlock func()) error {
+// consume decodes and processes one message payload synchronously,
+// increments inline — bootstrap's live-queue drain, outside the
+// workers' windowed loop.
+func (a *App) consume(payload []byte) error {
 	decodeStart := time.Now()
 	msg, err := wire.UnmarshalPooled(payload)
 	a.Stages.Observe(StageDecode, time.Since(decodeStart))
@@ -849,7 +728,7 @@ func (a *App) consume(payload []byte, cancel <-chan struct{}, onBlock func()) er
 		// Poison message: drop it loudly rather than loop forever.
 		return nil
 	}
-	err = a.processMessage(msg, cancel, onBlock)
+	_, err = a.processMessageDefer(msg, nil, nil, false)
 	// The processing pipeline copies attribute values into records and
 	// never retains the message, so it can go back to the decode pool.
 	wire.ReleaseMessage(msg)
@@ -863,15 +742,11 @@ func (a *App) consume(payload []byte, cancel <-chan struct{}, onBlock func()) er
 // configured for its origin. Exported for the synchronous processing
 // used by bootstrap and tests.
 func (a *App) ProcessMessage(msg *wire.Message) error {
-	return a.processMessage(msg, nil, nil)
-}
-
-func (a *App) processMessage(msg *wire.Message, cancel <-chan struct{}, onBlock func()) error {
-	_, err := a.processMessageDefer(msg, cancel, onBlock, false)
+	_, err := a.processMessageDefer(msg, nil, nil, false)
 	return err
 }
 
-// processMessageDefer is processMessage with the group-commit split:
+// processMessageDefer applies one message, with the group-commit split:
 // with deferIncr set, a causal message's counter increments are NOT
 // applied inline — the due keys are returned for the caller to hand to
 // the per-queue flusher, which merges them across messages into one
@@ -915,44 +790,6 @@ func (a *App) processMessageDefer(msg *wire.Message, cancel <-chan struct{}, onB
 // nacked back and handled after recovery.
 var errWaitInterrupted = errors.New("synapse: dependency wait interrupted")
 
-// waitDep waits for a dependency counter in slices, so a worker blocked
-// on a dependency that will never arrive (lost message, §6.5) can still
-// observe shutdown and queue decommission instead of hanging forever.
-func (a *App) waitDep(k vstore.Key, min uint64, timeout time.Duration, cancel <-chan struct{}) error {
-	const slice = 100 * time.Millisecond
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	for {
-		step := slice
-		if timeout == 0 {
-			step = 0
-		} else if timeout > 0 {
-			if rem := time.Until(deadline); rem < step {
-				step = rem
-			}
-		}
-		err := a.store.WaitAtLeast(k, min, step)
-		if err == nil || !errors.Is(err, vstore.ErrTimeout) {
-			return err
-		}
-		if timeout >= 0 && (timeout == 0 || !time.Now().Before(deadline)) {
-			return a.describeDepTimeout(err)
-		}
-		select {
-		case <-cancel:
-			return errWaitInterrupted
-		default:
-		}
-		if q := a.Queue(); q != nil && q.Dead() {
-			// The queue died while we waited; abandon the message so
-			// the worker can run the recovery path.
-			return errWaitInterrupted
-		}
-	}
-}
-
 // originMode returns the strongest delivery mode among this app's
 // subscriptions from the origin.
 func (a *App) originMode(origin string) DeliveryMode {
@@ -980,9 +817,6 @@ func (a *App) originMode(origin string) DeliveryMode {
 // lifted out entirely: the due increment keys are returned (deduped)
 // for the group-commit flusher, which merges them across messages.
 func (a *App) processCausal(msg *wire.Message, mode DeliveryMode, cancel <-chan struct{}, onBlock func(), deferIncr bool) ([]vstore.Key, error) {
-	if a.cfg.VStoreUnbatched {
-		return nil, a.processCausalUnbatched(msg, mode, cancel)
-	}
 	timeout := a.cfg.DepTimeout
 	deps, err := msg.Deps()
 	if err != nil {
@@ -1000,7 +834,7 @@ func (a *App) processCausal(msg *wire.Message, mode DeliveryMode, cancel <-chan 
 	// DVV subscriber interns them), and external dependency minimums
 	// (decorator cross-app causality — waited, never incremented).
 	// Requirements landing on the same key are max-merged, which is
-	// equivalent to the legacy one-wait-per-entry behaviour.
+	// equivalent to waiting on each entry in turn.
 	reqs := make(map[vstore.Key]uint64, len(deps)+len(msg.Dots)+len(msg.External))
 	incr := make([]vstore.Key, 0, len(deps)+len(msg.Dots))
 	for k, minVersion := range deps {
@@ -1034,7 +868,7 @@ func (a *App) processCausal(msg *wire.Message, mode DeliveryMode, cancel <-chan 
 	a.Stages.Observe(StageDepWait, waited)
 	if blocked {
 		a.depWaitsBlocked.Inc()
-		a.DepWaitBlocked.Observe(waited)
+		a.DepWaitBlocked.Record(int64(waited))
 	}
 	if werr != nil && !errors.Is(werr, vstore.ErrTimeout) {
 		return nil, werr
@@ -1094,104 +928,14 @@ func dedupKeys(keys []vstore.Key) []vstore.Key {
 	return out
 }
 
-// processCausalUnbatched is the legacy per-key subscriber path: one
-// version-store round trip per dependency wait, per object claim, and
-// per counter increment. Kept behind Config.VStoreUnbatched for the
-// batched-vs-unbatched ablation benchmark; the semantics are identical.
-func (a *App) processCausalUnbatched(msg *wire.Message, mode DeliveryMode, cancel <-chan struct{}) error {
-	timeout := a.cfg.DepTimeout
-	waitStart := time.Now()
-	for depKey, minVersion := range msg.Dependencies {
-		if mode < Global && depKey == msg.GlobalDep {
-			continue
-		}
-		if werr := a.waitDep(a.tracker.Resolve(depKey), minVersion, timeout, cancel); werr != nil {
-			if errors.Is(werr, vstore.ErrTimeout) {
-				// §6.5: give up waiting for late or lost messages and
-				// process anyway, trading consistency for availability.
-				a.noteDepTimeout(werr)
-				continue
-			}
-			return werr
-		}
-	}
-	// Exact dots (DVV publisher) resolve through this app's tracker —
-	// same wait discipline as the hashed dependencies above.
-	for name, minVersion := range msg.Dots {
-		if mode < Global && name == msg.GlobalDep {
-			continue
-		}
-		if werr := a.waitDep(a.tracker.Resolve(name), minVersion, timeout, cancel); werr != nil {
-			if errors.Is(werr, vstore.ErrTimeout) {
-				a.noteDepTimeout(werr)
-				continue
-			}
-			return werr
-		}
-	}
-	// External dependencies (decorator cross-app causality): wait, never
-	// increment.
-	for depKey, minOps := range msg.External {
-		if werr := a.waitDep(a.tracker.Resolve(depKey), minOps, timeout, cancel); werr != nil {
-			if !errors.Is(werr, vstore.ErrTimeout) {
-				return werr
-			}
-			a.noteDepTimeout(werr)
-		}
-	}
-	a.Stages.Observe(StageDepWait, time.Since(waitStart))
-
-	// Apply with a per-object version guard. When the waits succeeded,
-	// the guard always passes (ordering already ensured it); its value
-	// is for the degraded cases: a wait that timed out (§6.5 — the
-	// message may be out of order, so stale versions are discarded,
-	// weak-style) and redelivered messages after a worker failure
-	// (idempotence).
-	applyStart := time.Now()
-	for i := range msg.Operations {
-		op := &msg.Operations[i]
-		if err := a.applyGuarded(msg, op); err != nil {
-			return err
-		}
-	}
-
-	a.recordDepWriters(msg)
-
-	keys := make([]vstore.Key, 0, len(msg.Dependencies)+len(msg.Dots))
-	for depKey := range msg.Dependencies {
-		if mode < Global && depKey == msg.GlobalDep {
-			continue
-		}
-		keys = append(keys, a.tracker.Resolve(depKey))
-	}
-	for name := range msg.Dots {
-		if mode < Global && name == msg.GlobalDep {
-			continue
-		}
-		keys = append(keys, a.tracker.Resolve(name))
-	}
-	// Same bootstrap Seq boundary as the batched path: bumps already
-	// covered by a bootstrap version snapshot must not re-increment.
-	if msg.Seq > a.bootSeqFor(msg.App) {
-		if err := a.store.IncrOps(keys); err != nil {
-			return err
-		}
-	}
-	a.Stages.Observe(StageApply, time.Since(applyStart))
-	a.Processed.Add(1)
-	a.recordApplied(msg)
-	return nil
-}
-
-// waitDepsMulti is the batched counterpart of waitDep: one registered
-// waiter and one pipelined check per round for the whole dependency
-// map, still sliced so a worker blocked on a dependency that will never
-// arrive (lost message, §6.5) can observe shutdown and queue
-// decommission instead of hanging forever. onBlock (may be nil) fires
-// once, before the first round that actually blocks. The returned bool
-// reports whether the wait actually blocked (the initial non-blocking
-// probe failed) — the signal behind Stats.DepWaitsBlocked and the
-// false-dependency estimate.
+// waitDepsMulti waits for a message's whole dependency map: one
+// registered waiter and one pipelined check per round, sliced so a
+// worker blocked on a dependency that will never arrive (lost message,
+// §6.5) can observe shutdown and queue decommission instead of hanging
+// forever. onBlock (may be nil) fires once, before the first round that
+// actually blocks. The returned bool reports whether the wait actually
+// blocked (the initial non-blocking probe failed) — the signal behind
+// Stats.DepWaitsBlocked and the false-dependency estimate.
 func (a *App) waitDepsMulti(reqs map[vstore.Key]uint64, timeout time.Duration, cancel <-chan struct{}, onBlock func()) (bool, error) {
 	// Probe without blocking: the common case (every dependency already
 	// satisfied) answers in one pipelined round trip, and a failed probe
@@ -1282,14 +1026,14 @@ func (a *App) lockApplyStripes(depKeys []string) func() {
 
 // applyOpsBatched claims every guarded operation's object version in one
 // ApplyBatch round trip, then applies the operations in order. A claim
-// that loses (stale version) skips its operation, exactly like the
-// sequential applyGuarded path. If a DB apply fails mid-message, every
-// fresh claim from the failed operation onward is rolled back so the
-// redelivered message re-applies exactly the unapplied operations —
-// operations already persisted keep their claims and are skipped as
-// stale on redelivery (no double-apply). The apply stripes for every
-// guarded object are held from the claim window through the last DB
-// write (see applyStripe).
+// that loses (stale version) skips its operation: weak-mode
+// last-writer-wins and duplicate redelivery. If a DB apply fails
+// mid-message, every fresh claim from the failed operation onward is
+// rolled back so the redelivered message re-applies exactly the
+// unapplied operations — operations already persisted keep their claims
+// and are skipped as stale on redelivery (no double-apply). The apply
+// stripes for every guarded object are held from the claim window
+// through the last DB write (see applyStripe).
 func (a *App) applyOpsBatched(msg *wire.Message) error {
 	claims := make([]vstore.Claim, 0, len(msg.Operations))
 	idx := make([]int, 0, len(msg.Operations))
@@ -1349,49 +1093,12 @@ func (a *App) recordApplied(msg *wire.Message) {
 // discarding messages older than what the store has seen (§4.2).
 func (a *App) processWeak(msg *wire.Message) error {
 	applyStart := time.Now()
-	if a.cfg.VStoreUnbatched {
-		for i := range msg.Operations {
-			op := &msg.Operations[i]
-			if err := a.applyGuarded(msg, op); err != nil {
-				return err
-			}
-		}
-	} else if err := a.applyOpsBatched(msg); err != nil {
+	if err := a.applyOpsBatched(msg); err != nil {
 		return err
 	}
 	a.Stages.Observe(StageApply, time.Since(applyStart))
 	a.Processed.Add(1)
 	a.recordApplied(msg)
-	return nil
-}
-
-// applyGuarded applies one operation under the per-object version guard:
-// stale versions are skipped (weak-mode last-writer-wins, duplicate
-// redelivery); a failed apply rolls the claim back so the redelivered
-// message can try again.
-func (a *App) applyGuarded(msg *wire.Message, op *wire.Operation) error {
-	newVersion, guarded := a.objectVersion(msg, op)
-	var prev uint64
-	if guarded {
-		// Same claim/write atomicity as the batched path (see applyStripe).
-		mu := &a.applyLocks[a.applyStripe(op.ObjectDep)]
-		mu.Lock()
-		defer mu.Unlock()
-		applied, p, err := a.store.ApplyIfNewer(a.tracker.Resolve(op.ObjectDep), newVersion)
-		if err != nil {
-			return err
-		}
-		if !applied {
-			return nil // stale update: skip to the latest version
-		}
-		prev = p
-	}
-	if err := a.applyOp(msg.App, op); err != nil {
-		if guarded {
-			_ = a.store.RestoreVersion(a.tracker.Resolve(op.ObjectDep), newVersion, prev)
-		}
-		return err
-	}
 	return nil
 }
 

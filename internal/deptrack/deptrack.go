@@ -52,27 +52,12 @@ type Plan struct {
 	// writes (§4.2).
 	Versions map[string]uint64
 
-	store    *vstore.Store
-	batch    *vstore.Batch // batched path
-	held     []vstore.Key  // legacy unbatched path
-	released bool
+	batch *vstore.Batch
 }
 
 // Release unlocks the plan's dependency keys, waking subscribers
 // blocked on them. Idempotent.
-func (p *Plan) Release() {
-	if p.released {
-		return
-	}
-	p.released = true
-	if p.batch != nil {
-		p.batch.Release()
-		return
-	}
-	if p.store != nil {
-		p.store.UnlockWrites(p.held)
-	}
-}
+func (p *Plan) Release() { p.batch.Release() }
 
 // Tracker is one dependency-tracking policy bound to an app's version
 // store. It owns every translation between dependency names, wire
@@ -113,43 +98,26 @@ type Tracker interface {
 }
 
 // New builds the tracker for a policy name ("" selects hash, the
-// paper's default). unbatched routes plans through the legacy per-call
-// LockWrites/Bump chain instead of BumpBatch (the ablation toggle).
-func New(policy string, store *vstore.Store, unbatched bool) (Tracker, error) {
+// paper's default). The third parameter is ignored: benchmark/layers.go
+// pins this signature and a PR may not edit the benchmark.
+func New(policy string, store *vstore.Store, _ bool) (Tracker, error) {
 	switch Policy(policy) {
 	case "", PolicyHash:
-		return &hashTracker{store: store, unbatched: unbatched}, nil
+		return &hashTracker{store: store}, nil
 	case PolicyDVV:
 		return &dvvTracker{
-			store:     store,
-			unbatched: unbatched,
-			names:     make(map[string]vstore.Key),
-			byKey:     make(map[vstore.Key]string),
+			store: store,
+			names: make(map[string]vstore.Key),
+			byKey: make(map[vstore.Key]string),
 		}, nil
 	}
 	return nil, fmt.Errorf("deptrack: unknown tracker policy %q", policy)
 }
 
 // bumpLocked runs the lock+bump step shared by both trackers: one
-// BumpBatch round-trip plan, or the legacy LockWrites/Bump chain when
-// unbatched. The returned plan holds the locks; Versions is left for
-// the caller to re-key by token.
-func bumpLocked(store *vstore.Store, unbatched bool, readKeys, writeKeys []vstore.Key) (map[vstore.Key]uint64, *Plan, error) {
-	if unbatched {
-		all := make([]vstore.Key, 0, len(writeKeys)+len(readKeys))
-		all = append(all, writeKeys...)
-		all = append(all, readKeys...)
-		held, err := store.LockWrites(all)
-		if err != nil {
-			return nil, nil, err
-		}
-		versions, err := store.Bump(readKeys, writeKeys)
-		if err != nil {
-			store.UnlockWrites(held)
-			return nil, nil, err
-		}
-		return versions, &Plan{store: store, held: held}, nil
-	}
+// BumpBatch round-trip plan. The returned plan holds the locks;
+// Versions is left for the caller to re-key by token.
+func bumpLocked(store *vstore.Store, readKeys, writeKeys []vstore.Key) (map[vstore.Key]uint64, *Plan, error) {
 	b, err := store.BumpBatch(readKeys, writeKeys)
 	if err != nil {
 		return nil, nil, err
@@ -161,8 +129,7 @@ func bumpLocked(store *vstore.Store, unbatched bool, readKeys, writeKeys []vstor
 // store's KeyFor folds names into the configured key space, tokens are
 // the decimal keys, and colliding names deliberately share counters.
 type hashTracker struct {
-	store     *vstore.Store
-	unbatched bool
+	store *vstore.Store
 }
 
 func (t *hashTracker) Policy() Policy { return PolicyHash }
@@ -191,7 +158,7 @@ func (t *hashTracker) Plan(readNames, writeNames []string) (*Plan, error) {
 	for i, n := range writeNames {
 		writeKeys[i] = t.store.KeyFor(n)
 	}
-	versions, plan, err := bumpLocked(t.store, t.unbatched, readKeys, writeKeys)
+	versions, plan, err := bumpLocked(t.store, readKeys, writeKeys)
 	if err != nil {
 		return nil, err
 	}
@@ -233,8 +200,7 @@ func (t *hashTracker) DescribeKey(k vstore.Key) string {
 // they can never collide with a hash publisher's fixed-cardinality
 // keys adopted verbatim by Resolve on a mixed-policy subscriber.
 type dvvTracker struct {
-	store     *vstore.Store
-	unbatched bool
+	store *vstore.Store
 
 	mu    sync.RWMutex
 	names map[string]vstore.Key
@@ -289,7 +255,7 @@ func (t *dvvTracker) Plan(readNames, writeNames []string) (*Plan, error) {
 	for i, n := range writeNames {
 		writeKeys[i] = t.intern(n)
 	}
-	versions, plan, err := bumpLocked(t.store, t.unbatched, readKeys, writeKeys)
+	versions, plan, err := bumpLocked(t.store, readKeys, writeKeys)
 	if err != nil {
 		return nil, err
 	}

@@ -78,38 +78,36 @@ func TestDVVTokensAreNames(t *testing.T) {
 }
 
 // Plan must embed version for reads and version−1 for writes (§4.2),
-// keyed by wire token, for both policies and both batching modes.
+// keyed by wire token, for both policies.
 func TestPlanVersions(t *testing.T) {
 	for _, policy := range []string{"hash", "dvv"} {
-		for _, unbatched := range []bool{false, true} {
-			s := newStore(t, 0)
-			tr, _ := New(policy, s, unbatched)
-			write := "app/posts/id/1"
-			read := "app/users/id/9"
+		s := newStore(t, 0)
+		tr, _ := New(policy, s, false)
+		write := "app/posts/id/1"
+		read := "app/users/id/9"
 
-			p1, err := tr.Plan([]string{read}, []string{write})
-			if err != nil {
-				t.Fatalf("%s unbatched=%v: %v", policy, unbatched, err)
-			}
-			wTok, rTok := tr.Token(write), tr.Token(read)
-			if got := p1.Versions[wTok]; got != 0 {
-				t.Fatalf("%s: first write version = %d, want 0 (version-1)", policy, got)
-			}
-			if got := p1.Versions[rTok]; got != 0 {
-				t.Fatalf("%s: read-only version = %d, want 0", policy, got)
-			}
-			p1.Release()
-			p1.Release() // idempotent
-
-			p2, err := tr.Plan(nil, []string{write})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := p2.Versions[wTok]; got != 1 {
-				t.Fatalf("%s: second write version = %d, want 1", policy, got)
-			}
-			p2.Release()
+		p1, err := tr.Plan([]string{read}, []string{write})
+		if err != nil {
+			t.Fatalf("%s: %v", policy, err)
 		}
+		wTok, rTok := tr.Token(write), tr.Token(read)
+		if got := p1.Versions[wTok]; got != 0 {
+			t.Fatalf("%s: first write version = %d, want 0 (version-1)", policy, got)
+		}
+		if got := p1.Versions[rTok]; got != 0 {
+			t.Fatalf("%s: read-only version = %d, want 0", policy, got)
+		}
+		p1.Release()
+		p1.Release() // idempotent
+
+		p2, err := tr.Plan(nil, []string{write})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p2.Versions[wTok]; got != 1 {
+			t.Fatalf("%s: second write version = %d, want 1", policy, got)
+		}
+		p2.Release()
 	}
 }
 

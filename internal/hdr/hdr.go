@@ -1,12 +1,12 @@
 // Package hdr provides an HDR-histogram-style log-bucketed latency
-// recorder for tail-latency measurement. Unlike metrics.Histogram,
-// which keeps every raw sample under a mutex (fine for thousands of
-// closed-loop samples, ruinous for open-loop rate sweeps recording
-// hundreds of thousands of latencies from many workers), the Recorder
-// uses a fixed array of atomic bucket counters: recording is lock-free
-// and allocation-free, memory is constant, and quantiles are read back
-// with a bounded relative error of 1/32 (~3%) — the same trade
-// HdrHistogram makes.
+// recorder for the hot-path stage timers and tail-latency measurement.
+// Keeping every raw sample under a mutex is ruinous for a subscriber
+// recording several samples per message or an open-loop rate sweep
+// recording hundreds of thousands of latencies from many workers, so
+// the Recorder uses a fixed array of atomic bucket counters: recording
+// is lock-free and allocation-free, memory is constant, and quantiles
+// are read back with a bounded relative error of 1/32 (~3%) — the same
+// trade HdrHistogram makes.
 //
 // Buckets are geometric: values below 32 get exact unit buckets, and
 // every power-of-two octave above that is split into 32 sub-buckets, so
@@ -109,6 +109,9 @@ func (r *Recorder) Min() int64 {
 
 // Max reports the largest recorded sample (0 when empty).
 func (r *Recorder) Max() int64 { return r.max.Load() }
+
+// Sum reports the exact total of all recorded samples.
+func (r *Recorder) Sum() int64 { return r.sum.Load() }
 
 // Mean reports the exact arithmetic mean (sums are kept per sample, not
 // per bucket, so the mean carries no bucketing error).

@@ -1,5 +1,5 @@
 // Package metrics provides the small measurement toolkit used by the
-// Synapse benchmarks: latency histograms with percentile queries,
+// Synapse benchmarks: per-stage latency recorders, event counters,
 // throughput meters, and event timelines for the execution-sample figures.
 //
 // Everything is safe for concurrent use unless noted otherwise.
@@ -7,112 +7,14 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"synapse/internal/hdr"
 )
-
-// Histogram records duration samples and answers mean / percentile queries.
-// It keeps the raw samples (the benchmark runs are bounded), which keeps
-// percentiles exact rather than bucket-approximated.
-type Histogram struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	sorted  bool
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
-
-// Observe records one sample.
-func (h *Histogram) Observe(d time.Duration) {
-	h.mu.Lock()
-	h.samples = append(h.samples, d)
-	h.sorted = false
-	h.mu.Unlock()
-}
-
-// Count reports the number of recorded samples.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
-}
-
-// Mean reports the arithmetic mean of all samples, or 0 if empty.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, s := range h.samples {
-		sum += s
-	}
-	return sum / time.Duration(len(h.samples))
-}
-
-// Percentile reports the p-th percentile (0 < p <= 100) using
-// nearest-rank on the sorted samples, or 0 if empty.
-func (h *Histogram) Percentile(p float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
-	}
-	if p <= 0 {
-		return h.samples[0]
-	}
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return h.samples[rank-1]
-}
-
-// Max reports the largest sample, or 0 if empty.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var max time.Duration
-	for _, s := range h.samples {
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
-// Sum reports the total of all samples.
-func (h *Histogram) Sum() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var sum time.Duration
-	for _, s := range h.samples {
-		sum += s
-	}
-	return sum
-}
-
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	h.samples = h.samples[:0]
-	h.sorted = false
-	h.mu.Unlock()
-}
 
 // Counter is a monotonically increasing event counter (journal
 // republishes, delivery retries, dead-letters). Unlike Meter it carries
@@ -180,7 +82,9 @@ func (m *Meter) RateSince(start time.Time, end time.Time) float64 {
 	return float64(m.count) / elapsed
 }
 
-// StageStat is one stage's summary in a StageSet snapshot.
+// StageStat is one stage's summary in a StageSet snapshot. Count, Mean
+// and Total are exact; P95 carries the recorder's bucketing error (at
+// most 1/32 of the value).
 type StageStat struct {
 	Count int
 	Mean  time.Duration
@@ -190,30 +94,31 @@ type StageStat struct {
 
 // StageSet times the named stages of a processing pipeline (e.g. the
 // subscriber's decode / barrier / dep-wait / apply / ack stages), one
-// histogram per stage, preserving declaration order for display.
+// constant-memory recorder per stage, preserving declaration order for
+// display.
 type StageSet struct {
 	mu     sync.Mutex
 	order  []string
-	stages map[string]*Histogram
+	stages map[string]*hdr.Recorder
 }
 
 // NewStageSet declares the stages in display order. Observing an
 // undeclared stage registers it on the fly.
 func NewStageSet(names ...string) *StageSet {
-	s := &StageSet{stages: make(map[string]*Histogram, len(names))}
+	s := &StageSet{stages: make(map[string]*hdr.Recorder, len(names))}
 	for _, n := range names {
 		s.order = append(s.order, n)
-		s.stages[n] = NewHistogram()
+		s.stages[n] = hdr.New()
 	}
 	return s
 }
 
-func (s *StageSet) stage(name string) *Histogram {
+func (s *StageSet) stage(name string) *hdr.Recorder {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h, ok := s.stages[name]
 	if !ok {
-		h = NewHistogram()
+		h = hdr.New()
 		s.order = append(s.order, name)
 		s.stages[name] = h
 	}
@@ -222,7 +127,7 @@ func (s *StageSet) stage(name string) *Histogram {
 
 // Observe records one sample for the stage.
 func (s *StageSet) Observe(name string, d time.Duration) {
-	s.stage(name).Observe(d)
+	s.stage(name).Record(int64(d))
 }
 
 // Stages returns the stage names in declaration order.
@@ -241,7 +146,12 @@ func (s *StageSet) Stat(name string) StageStat {
 	if !ok {
 		return StageStat{}
 	}
-	return StageStat{Count: h.Count(), Mean: h.Mean(), P95: h.Percentile(95), Total: h.Sum()}
+	return StageStat{
+		Count: int(h.Count()),
+		Mean:  time.Duration(h.Mean()),
+		P95:   time.Duration(h.Quantile(0.95)),
+		Total: time.Duration(h.Sum()),
+	}
 }
 
 // Snapshot summarizes every stage, keyed by stage name.
@@ -251,15 +161,6 @@ func (s *StageSet) Snapshot() map[string]StageStat {
 		out[name] = s.Stat(name)
 	}
 	return out
-}
-
-// Reset discards all samples in every stage.
-func (s *StageSet) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, h := range s.stages {
-		h.Reset()
-	}
 }
 
 // String renders one line per stage: name, count, mean, p95.

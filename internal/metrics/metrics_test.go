@@ -1,87 +1,14 @@
 package metrics
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram()
-	if h.Mean() != 0 || h.Percentile(99) != 0 || h.Max() != 0 || h.Count() != 0 {
-		t.Error("empty histogram should report zeros")
-	}
-}
-
-func TestHistogramStats(t *testing.T) {
-	h := NewHistogram()
-	for i := 1; i <= 100; i++ {
-		h.Observe(time.Duration(i) * time.Millisecond)
-	}
-	if h.Count() != 100 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	if got := h.Mean(); got != 50500*time.Microsecond {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := h.Percentile(50); got != 50*time.Millisecond {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := h.Percentile(99); got != 99*time.Millisecond {
-		t.Errorf("p99 = %v", got)
-	}
-	if got := h.Percentile(100); got != 100*time.Millisecond {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := h.Percentile(0); got != 1*time.Millisecond {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := h.Max(); got != 100*time.Millisecond {
-		t.Errorf("Max = %v", got)
-	}
-	if got := h.Sum(); got != 5050*time.Millisecond {
-		t.Errorf("Sum = %v", got)
-	}
-}
-
-func TestHistogramObserveAfterPercentile(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(5 * time.Millisecond)
-	_ = h.Percentile(50)
-	h.Observe(1 * time.Millisecond) // must re-sort
-	if got := h.Percentile(0); got != 1*time.Millisecond {
-		t.Errorf("min after late observe = %v", got)
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(time.Second)
-	h.Reset()
-	if h.Count() != 0 || h.Mean() != 0 {
-		t.Error("Reset did not clear samples")
-	}
-}
-
-func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				h.Observe(time.Microsecond)
-				_ = h.Percentile(99)
-			}
-		}()
-	}
-	wg.Wait()
-	if h.Count() != 8000 {
-		t.Errorf("Count = %d", h.Count())
-	}
-}
 
 func TestMeter(t *testing.T) {
 	m := NewMeter()
@@ -150,9 +77,45 @@ func TestStageSet(t *testing.T) {
 	if out := s.String(); !strings.Contains(out, "decode") || !strings.Contains(out, "3.00ms") {
 		t.Errorf("String = %q", out)
 	}
-	s.Reset()
-	if st := s.Stat("decode"); st.Count != 0 {
-		t.Errorf("after reset: %+v", st)
+}
+
+// TestStageSetExactAndP95 records a latency-shaped sample set from
+// eight goroutines at once (run under -race) and checks the snapshot
+// against a sorted oracle: Count, Total and Mean are exact, P95 is
+// within the recorder's 1/32 relative error.
+func TestStageSetExactAndP95(t *testing.T) {
+	const workers, per = 8, 5000
+	rng := rand.New(rand.NewSource(11))
+	samples := make([]time.Duration, workers*per)
+	var total time.Duration
+	for i := range samples {
+		samples[i] = time.Duration(math.Exp(11 + 1.5*rng.NormFloat64()))
+		total += samples[i]
+	}
+	s := NewStageSet("apply")
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(part []time.Duration) {
+			defer wg.Done()
+			for _, d := range part {
+				s.Observe("apply", d)
+			}
+		}(samples[w*per : (w+1)*per])
+	}
+	wg.Wait()
+
+	st := s.Stat("apply")
+	if st.Count != len(samples) || st.Total != total {
+		t.Errorf("Count/Total = %d/%v, want %d/%v", st.Count, st.Total, len(samples), total)
+	}
+	if want := time.Duration(float64(total) / float64(len(samples))); st.Mean != want {
+		t.Errorf("Mean = %v, want %v", st.Mean, want)
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	want := samples[len(samples)*95/100-1]
+	if diff := math.Abs(float64(st.P95 - want)); diff > float64(want)/32 {
+		t.Errorf("P95 = %v, oracle %v: off by more than 1/32", st.P95, want)
 	}
 }
 

@@ -21,9 +21,9 @@
 // traffic into one scripted round trip per shard, the way the paper
 // batches version-store commands into LUA scripts and pipelines them.
 // The per-key operations (LockWrites/Bump, WaitAtLeast, ApplyIfNewer,
-// IncrOps) remain as the reference implementation the batch paths are
-// property-tested against, and as the unbatched ablation the Fig 13
-// round-trip benchmark compares with.
+// IncrOps) remain for the journal, bootstrap and synchronous message
+// processing, and as the reference implementation the batch paths are
+// property-tested against.
 //
 // An injectable per-script round-trip latency models the network cost of
 // a remote Redis, and Kill/Revive model version-store death for the

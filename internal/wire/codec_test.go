@@ -487,26 +487,6 @@ func TestWithEncodedMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestStdlibCodecToggle pins the A/B switch used by the benchmark.
-func TestStdlibCodecToggle(t *testing.T) {
-	SetStdlibCodec(true)
-	defer SetStdlibCodec(false)
-	if !StdlibCodec() {
-		t.Fatal("toggle did not stick")
-	}
-	b, err := Marshal(sampleMessage())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.App != "pub3" {
-		t.Fatalf("stdlib path decoded %q", m.App)
-	}
-}
-
 // TestMarshalErrorParity checks the encoder rejects what encoding/json
 // rejects (and falls back so the error is the stdlib's).
 func TestMarshalErrorParity(t *testing.T) {

@@ -73,13 +73,6 @@ func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 // valid inside fn: callers that retain it (brokers, journals) must copy
 // — which they do anyway when they convert to string or persist.
 func WithEncoded(m *Message, fn func(payload []byte) error) error {
-	if useStdlibCodec.Load() {
-		b, err := marshalStd(m)
-		if err != nil {
-			return err
-		}
-		return fn(b)
-	}
 	e := encPool.Get().(*encoder)
 	e.buf = e.buf[:0]
 	e.keys = e.keys[:0]

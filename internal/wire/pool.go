@@ -36,9 +36,6 @@ func getDepMap() map[string]uint64 { return depMapPool.Get().(map[string]uint64)
 // struct goes back to the pool and the stdlib fallback allocates a
 // fresh message — callers release either kind with ReleaseMessage.
 func UnmarshalPooled(b []byte) (*Message, error) {
-	if useStdlibCodec.Load() {
-		return unmarshalStd(b)
-	}
 	m := msgPool.Get().(*Message)
 	if err := decodeFast(b, m); err != nil {
 		m.reset()

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"synapse/internal/model"
@@ -182,28 +181,11 @@ func ParseDepKey(s string) (uint64, error) {
 	return v, nil
 }
 
-// useStdlibCodec routes Marshal/Unmarshal through encoding/json instead
-// of the hand-rolled codec. The wire format is identical either way; the
-// toggle exists so the hotpath benchmark (and a paranoid operator) can
-// measure or A/B the two implementations side by side.
-var useStdlibCodec atomic.Bool
-
-// SetStdlibCodec switches the codec implementation. on=true selects the
-// reflection-based encoding/json path; on=false (the default) selects
-// the hand-rolled zero-allocation path. Byte output is identical.
-func SetStdlibCodec(on bool) { useStdlibCodec.Store(on) }
-
-// StdlibCodec reports whether the stdlib codec is selected.
-func StdlibCodec() bool { return useStdlibCodec.Load() }
-
 // Marshal encodes the message as JSON. The hand-rolled encoder produces
 // byte-for-byte the same payload encoding/json would; if it rejects the
 // message (non-finite float, out-of-range year) the stdlib path runs so
 // the returned error is the canonical one.
 func Marshal(m *Message) ([]byte, error) {
-	if useStdlibCodec.Load() {
-		return marshalStd(m)
-	}
 	b, err := marshalFast(m)
 	if err != nil {
 		return marshalStd(m)
@@ -226,9 +208,6 @@ func marshalStd(m *Message) ([]byte, error) {
 // of range, pathological nesting — is re-decoded by encoding/json so
 // both results and errors stay exactly the stdlib's.
 func Unmarshal(b []byte) (*Message, error) {
-	if useStdlibCodec.Load() {
-		return unmarshalStd(b)
-	}
 	m := new(Message)
 	if err := decodeFast(b, m); err != nil {
 		return unmarshalStd(b)

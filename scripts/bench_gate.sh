@@ -2,21 +2,15 @@
 # bench_gate.sh — regression gate over the committed BENCH_*.json
 # baselines. Runs the quick bench suite, compares the fresh output
 # against the baselines on config-invariant metrics (round-trip counts,
-# allocs/op, convergence, false-dependency counts, tail p99 at the
-# anchor rate), restores the committed files, and exits non-zero on any
-# breach.
+# convergence, false-dependency counts, tail p99 at the anchor rate),
+# restores the committed files, and exits non-zero on any breach.
 #
 # Only metrics that do not depend on sweep size are compared, so a
 # -quick run is comparable against full-sweep baselines:
 #
-#   fig13     batched/unbatched round trips per message: EXACT match at
-#             every deps value the quick sweep shares with the baseline.
-#             These are protocol counts, not timings.
-#   hotpath   fast-codec allocs/op (marshal, unmarshal, publish+deliver):
-#             at most the baseline (+0 tolerance — the zero-allocation
-#             hot path must not regress by a single allocation), plus an
-#             absolute ceiling of 12 allocs/op on fast unmarshal that
-#             even a freshly regenerated (worse) baseline cannot evade.
+#   fig13     round trips per message: EXACT match at every deps value
+#             the quick sweep shares with the baseline. These are
+#             protocol counts, not timings.
 #   chaos     converged == seeds (every seeded fault script converges).
 #   overload  converged == seeds and queue bounds held; decommission
 #             recovery converged with an absolute round-trip budget of
@@ -32,9 +26,9 @@
 #             tolerance is generous; the gate catches collapses, not
 #             jitter. Delivered capacity (best sustained delivery rate,
 #             measured at the shared saturating top rate) must clear
-#             1.6x the committed serial-apply ceiling — the pipelined
-#             apply's win is re-proven on every run — and must not fall
-#             below 0.6x the committed capacity.
+#             1.6x the committed depth-1 ceiling — the apply window's
+#             win is re-proven on every run — and must not fall below
+#             0.6x the committed capacity.
 #   cluster   zero_lost true (failover drain recovered every message and
 #             every chaos seed converged with zero regressions), and
 #             throughput at 4 shards at least 1.6x the 1-shard rate
@@ -60,7 +54,7 @@ if ! command -v jq >/dev/null 2>&1; then
     exit 2
 fi
 
-GATED="BENCH_fig13.json BENCH_hotpath.json BENCH_chaos.json BENCH_overload.json BENCH_causality.json BENCH_tail.json BENCH_cluster.json BENCH_bootstrap.json"
+GATED="BENCH_fig13.json BENCH_chaos.json BENCH_overload.json BENCH_causality.json BENCH_tail.json BENCH_cluster.json BENCH_bootstrap.json"
 
 tmp=$(mktemp -d)
 restore_needed=""
@@ -89,30 +83,13 @@ compare() {
 
     # fig13: protocol round-trip counts, exact, joined on deps.
     for deps in $(jq -r '.points[].deps' "$fresh/BENCH_fig13.json"); do
-        for side in batched unbatched; do
-            b=$(jq -r --argjson d "$deps" ".points[] | select(.deps == \$d) | .$side.total_rt_per_msg" "$base/BENCH_fig13.json")
-            n=$(jq -r --argjson d "$deps" ".points[] | select(.deps == \$d) | .$side.total_rt_per_msg" "$fresh/BENCH_fig13.json")
-            if [ -z "$b" ] || [ "$b" = "null" ]; then
-                continue # deps value not in baseline sweep
-            fi
-            [ "$b" = "$n" ] || breach "fig13: $side rt/msg at deps=$deps changed $b -> $n"
-        done
+        b=$(jq -r --argjson d "$deps" '.points[] | select(.deps == $d) | .batched.total_rt_per_msg' "$base/BENCH_fig13.json")
+        n=$(jq -r --argjson d "$deps" '.points[] | select(.deps == $d) | .batched.total_rt_per_msg' "$fresh/BENCH_fig13.json")
+        if [ -z "$b" ] || [ "$b" = "null" ]; then
+            continue # deps value not in baseline sweep
+        fi
+        [ "$b" = "$n" ] || breach "fig13: rt/msg at deps=$deps changed $b -> $n"
     done
-
-    # hotpath: the zero-allocation hot path may not gain an alloc.
-    for path in marshal unmarshal publish_deliver; do
-        b=$(jq -r ".result.fast.$path.allocs_per_op" "$base/BENCH_hotpath.json")
-        n=$(jq -r ".result.fast.$path.allocs_per_op" "$fresh/BENCH_hotpath.json")
-        awk -v b="$b" -v n="$n" 'BEGIN { exit (n <= b) ? 0 : 1 }' ||
-            breach "hotpath: fast $path allocs/op regressed $b -> $n"
-    done
-    # hotpath: absolute decode budget, independent of the baseline — a
-    # regenerated baseline cannot launder an unmarshal alloc regression
-    # past this ceiling.
-    alloc_cap=12
-    n=$(jq -r '.result.fast.unmarshal.allocs_per_op' "$fresh/BENCH_hotpath.json")
-    awk -v n="$n" -v cap="$alloc_cap" 'BEGIN { exit (n <= cap) ? 0 : 1 }' ||
-        breach "hotpath: fast unmarshal $n allocs/op above the absolute cap of $alloc_cap"
 
     # chaos: every seeded fault script converged.
     jq -e '.converged == .seeds' "$fresh/BENCH_chaos.json" >/dev/null ||
@@ -154,8 +131,8 @@ compare() {
             breach "tail: p99 at ${anchor} ops/s regressed ${b}ms -> ${n}ms (>${tol}x)"
     fi
 
-    # tail: the pipelined apply's delivered capacity must clear 1.6x the
-    # committed serial-apply ceiling and stay within 0.6x of the
+    # tail: the apply window's delivered capacity must clear 1.6x the
+    # committed depth-1 ceiling and stay within 0.6x of the
     # committed capacity (both measured at the shared saturating rate,
     # so quick and full runs are comparable).
     bs=$(jq -r '.serial_capacity_msgs_per_sec' "$base/BENCH_tail.json")
@@ -238,9 +215,6 @@ if [ "${1:-}" = "selftest" ]; then
     jq '.points[0].batched.total_rt_per_msg += 1' "$tmp/committed/BENCH_fig13.json" >"$tmp/fresh/BENCH_fig13.json"
     expect_breach "fig13 batched +1 round trip"
 
-    jq '.result.fast.unmarshal.allocs_per_op += 5' "$tmp/committed/BENCH_hotpath.json" >"$tmp/fresh/BENCH_hotpath.json"
-    expect_breach "hotpath +5 allocs/op"
-
     jq '.converged -= 1' "$tmp/committed/BENCH_chaos.json" >"$tmp/fresh/BENCH_chaos.json"
     expect_breach "chaos seed failed to converge"
 
@@ -261,22 +235,6 @@ if [ "${1:-}" = "selftest" ]; then
     jq '.delivered_capacity_msgs_per_sec *= 0.3' \
         "$tmp/committed/BENCH_tail.json" >"$tmp/fresh/BENCH_tail.json"
     expect_breach "tail delivered capacity 0.3x collapse"
-
-    # Absolute unmarshal alloc cap: regenerate BOTH sides at 13
-    # allocs/op — the relative check passes, the cap must still trip.
-    mkdir -p "$tmp/pbase"
-    cp "$tmp/committed/"* "$tmp/pbase/"
-    jq '.result.fast.unmarshal.allocs_per_op = 13' \
-        "$tmp/committed/BENCH_hotpath.json" >"$tmp/pbase/BENCH_hotpath.json"
-    cp "$tmp/pbase/BENCH_hotpath.json" "$tmp/fresh/BENCH_hotpath.json"
-    fails=0
-    compare "$tmp/pbase" "$tmp/fresh"
-    if [ "$fails" -eq 0 ]; then
-        echo "selftest: gate MISSED injected regression: unmarshal alloc cap with relaundered baseline" >&2
-        exit 1
-    fi
-    echo "selftest: gate caught: unmarshal alloc cap with relaundered baseline"
-    cp "$tmp/committed/"* "$tmp/fresh/"
 
     jq '.zero_lost = false' "$tmp/committed/BENCH_cluster.json" >"$tmp/fresh/BENCH_cluster.json"
     expect_breach "cluster zero-lost invariant broken"
@@ -308,7 +266,7 @@ fi
 
 echo "== bench_gate: quick bench suite =="
 restore_needed=1
-for exp in fig13rt hotpath chaos overload causality tail cluster bootstrap; do
+for exp in fig13rt chaos overload causality tail cluster bootstrap; do
     go run ./cmd/synapse-bench -exp "$exp" -quick || {
         echo "bench_gate: $exp run failed" >&2
         exit 1
@@ -328,7 +286,7 @@ echo "== bench_gate: comparing against committed baselines =="
 compare "$tmp/committed" "$tmp/fresh"
 if [ "$fails" -gt 0 ]; then
     echo "bench_gate: $fails breach(es) against committed baselines" >&2
-    echo "(if intentional, regenerate the baselines: make bench bench-hotpath bench-overload bench-causality bench-tail bench-cluster bench-bootstrap and synapse-bench -exp chaos)" >&2
+    echo "(if intentional, regenerate the baselines: make bench bench-overload bench-causality bench-tail bench-cluster bench-bootstrap and synapse-bench -exp chaos)" >&2
     exit 1
 fi
 echo "bench_gate OK: all baselines within tolerance"
