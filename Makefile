@@ -48,8 +48,8 @@ check-bench:
 	./scripts/bench_gate.sh
 
 # The CI scenario suite (check/chaos/overload/causality/tail/cluster/
-# bootstrap/benchmark), quick sweeps — the same commands the workflow
-# matrix runs.
+# bootstrap/benchmark/liveness), quick sweeps — the same commands the
+# workflow matrix runs.
 scenarios:
 	./scripts/scenarios.sh -quick
 

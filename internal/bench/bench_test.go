@@ -312,7 +312,7 @@ func TestLostMsgDecommissionRecovers(t *testing.T) {
 	}
 	res := RunLostMsg(cfg)
 	if !res.Converged {
-		t.Fatal("decommission+rebootstrap did not converge")
+		t.Fatalf("decommission+rebootstrap did not converge: lost=%d, %d still parked: %q", res.Lost, len(res.Parked), res.Parked)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"synapse/internal/core"
@@ -50,6 +51,7 @@ type LostMsgResult struct {
 	Converged     bool
 	ConvergeTime  time.Duration
 	Decommissions bool
+	Parked        []string // at the deadline: what the subscriber still waits for
 }
 
 // RunLostMsg publishes a stream of updates with injected message loss
@@ -83,14 +85,13 @@ func RunLostMsg(cfg LostMsgConfig) LostMsgResult {
 	must(sub.Subscribe(subItem, core.SubSpec{From: "pub", Attrs: []string{"v"}, Mode: mode}))
 	sub.StartWorkers(cfg.Workers)
 	defer sub.StopWorkers()
+	q0 := sub.Queue()
 
-	lost := 0
-	n := 0
+	var lost, n atomic.Int64 // the filter runs on publisher goroutines
 	if cfg.LossEvery > 0 {
 		f.Broker.SetLoss(func(queue, exchange string, payload []byte) bool {
-			n++
-			if n%cfg.LossEvery == 0 {
-				lost++
+			if n.Add(1)%int64(cfg.LossEvery) == 0 {
+				lost.Add(1)
 				return true
 			}
 			return false
@@ -106,20 +107,23 @@ func RunLostMsg(cfg LostMsgConfig) LostMsgResult {
 			panic(err)
 		}
 	}
-	for i := 0; i < cfg.Messages; i++ {
+	update := func(i int) {
 		patch := model.NewRecord("Item", fmt.Sprintf("it%d", i%objects))
 		patch.Set("v", i)
 		if _, err := ctl.Update(patch); err != nil {
 			panic(err)
 		}
 	}
+	for i := 0; i < cfg.Messages; i++ {
+		update(i)
+	}
 	f.Broker.SetLoss(nil)
 
 	start := time.Now()
-	res := LostMsgResult{Timeout: cfg.DepTimeout, Lost: lost}
+	res := LostMsgResult{Timeout: cfg.DepTimeout, Lost: int(lost.Load())}
 	deadline := time.Now().Add(cfg.Deadline)
-	for time.Now().Before(deadline) {
-		if q := sub.Queue(); q != nil && q.Dead() {
+	for i := cfg.Messages; time.Now().Before(deadline); i++ {
+		if q := sub.Queue(); q != q0 || q.Dead() { // a recovered queue is a new handle
 			res.Decommissions = true
 		}
 		if converged(pub, sub, objects) {
@@ -127,8 +131,12 @@ func RunLostMsg(cfg LostMsgConfig) LostMsgResult {
 			res.ConvergeTime = time.Since(start)
 			return res
 		}
+		// The stream stays live (lossless now): a subscriber parked behind a
+		// loss heals only when the traffic behind it overflows the queue (§6.5).
+		update(i)
 		time.Sleep(5 * time.Millisecond)
 	}
+	res.Parked = sub.Stats().Parked
 	return res
 }
 
@@ -164,6 +172,9 @@ func FormatLostMsg(results []LostMsgResult) string {
 		}
 		fmt.Fprintf(&b, "%-14s %6d %10v %14s %14v\n",
 			timeout, r.Lost, r.Converged, r.ConvergeTime.Round(time.Millisecond), r.Decommissions)
+		for _, p := range r.Parked {
+			fmt.Fprintf(&b, "  parked: %s\n", p)
+		}
 	}
 	return b.String()
 }

@@ -56,7 +56,7 @@ type Delivery struct {
 	Redelivered bool
 	Exchange    string
 	// Attempts counts prior FAILED processing attempts (NackError calls)
-	// for this message — 0 on first delivery. Spill handbacks via Nack do
+	// for this message — 0 on first delivery. Hand-backs via Nack do
 	// not count. Consumers use it to scale their retry backoff.
 	Attempts int
 }
@@ -448,6 +448,7 @@ type Queue struct {
 	unacked   map[uint64]*item
 	nextTag   uint64
 	cancelSeq uint64 // bumped by CancelWaiters to wake blocked Gets
+	canceled  bool   // a cancel found nobody blocked; owed to the next Get that would block
 	waiters   int    // consumers currently blocked in GetBatch
 	dead      bool   // decommissioned
 	closed    bool
@@ -462,7 +463,7 @@ type Queue struct {
 	deadLettered int64 // total messages ever set aside
 
 	// redeliveredTotal counts deliveries of messages already handed out
-	// before (crash redeliveries, nack requeues, spill handbacks). Like
+	// before (crash redeliveries, nack requeues and hand-backs). Like
 	// deadLettered it is cumulative and survives Restart via the log.
 	redeliveredTotal int64
 
@@ -582,7 +583,8 @@ func (q *Queue) GetBatch(max int) ([]Delivery, error) {
 			}
 			return out, nil
 		}
-		if q.cancelSeq != seq {
+		if q.cancelSeq != seq || q.canceled {
+			q.canceled = false
 			return nil, ErrCanceled
 		}
 		q.waiters++
@@ -591,20 +593,18 @@ func (q *Queue) GetBatch(max int) ([]Delivery, error) {
 	}
 }
 
-// Starving reports whether consumers are blocked on an empty queue. A
-// prefetching worker checks this between messages and hands the rest of
-// its batch back when idle workers could be processing it.
-func (q *Queue) Starving() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.waiters > 0 && q.pending.Len() == 0
-}
-
 // CancelWaiters wakes every consumer currently blocked in Get with
-// ErrCanceled. Pending messages and future Gets are unaffected.
+// ErrCanceled; when none is blocked, the next Get that would block
+// returns ErrCanceled instead — so a caller can hand a consumer other
+// work without a lost wakeup: one that looked for it just before the
+// cancel and is about to block comes back to look again. Pending
+// messages and Gets that find one are unaffected.
 func (q *Queue) CancelWaiters() {
 	q.mu.Lock()
 	q.cancelSeq++
+	if q.waiters == 0 {
+		q.canceled = true
+	}
 	q.cond.Broadcast()
 	q.mu.Unlock()
 }

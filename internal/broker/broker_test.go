@@ -456,35 +456,32 @@ func TestGetBatchCancelAndDecommission(t *testing.T) {
 	if err := <-errs; !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-}
 
-func TestStarving(t *testing.T) {
-	b := New()
-	q, _ := b.DeclareQueue("sub", 0)
+	// A cancel that finds nobody blocked is owed to the next Get that
+	// would block — once — and never to one that finds a message.
 	if err := b.Bind("sub", "pub"); err != nil {
 		t.Fatal(err)
 	}
-	if q.Starving() {
-		t.Fatal("no waiters yet, queue reports starving")
+	q.CancelWaiters()
+	b.Publish("pub", []byte("m"))
+	if ds, err := q.GetBatch(8); err != nil || len(ds) != 1 {
+		t.Fatalf("GetBatch with a message pending = %v, %v; the owed cancel must not preempt it", ds, err)
 	}
-	got := make(chan struct{})
+	if _, err := q.GetBatch(8); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("GetBatch on the empty queue after an unobserved cancel: err = %v, want ErrCanceled", err)
+	}
 	go func() {
-		if _, err := q.Get(); err != nil {
-			t.Error(err)
-		}
-		close(got)
+		_, err := q.GetBatch(8)
+		errs <- err
 	}()
-	waitUntil := time.Now().Add(time.Second)
-	for !q.Starving() && time.Now().Before(waitUntil) {
-		time.Sleep(time.Millisecond)
-	}
-	if !q.Starving() {
-		t.Fatal("blocked waiter on empty queue, Starving() = false")
+	select {
+	case err := <-errs:
+		t.Fatalf("the owed cancel was delivered twice: %v", err)
+	case <-time.After(20 * time.Millisecond):
 	}
 	b.Publish("pub", []byte("m"))
-	<-got
-	if q.Starving() {
-		t.Fatal("no blocked waiters left, queue still reports starving")
+	if err := <-errs; err != nil {
+		t.Fatal(err)
 	}
 }
 

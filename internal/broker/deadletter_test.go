@@ -58,7 +58,7 @@ func TestSpillNackDoesNotCountAsFailure(t *testing.T) {
 	_ = b.Bind("s", "p")
 	b.Publish("p", []byte("m"))
 
-	// Prefetch handbacks (plain Nack) never dead-letter, no matter how
+	// Hand-backs (plain Nack) never dead-letter, no matter how
 	// many times they happen.
 	for i := 0; i < 5; i++ {
 		d, _ := q.Get()

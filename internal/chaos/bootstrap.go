@@ -257,7 +257,7 @@ func RunBootstrap(cfg BootstrapConfig) (BootstrapResult, error) {
 	arng := rand.New(rand.NewSource(cfg.Seed + 7))
 	crashPlan := 1 + arng.Intn(3)
 	joinStart := time.Now()
-	maxAttempts := crashPlan + cfg.Steps + 16
+	maxAttempts := crashPlan + 8*cfg.Steps + 16 // a broker outage fails an attempt at once, every 2ms
 	for {
 		if res.Attempts < crashPlan {
 			switch arng.Intn(3) {

@@ -413,14 +413,15 @@ func diverged(pub *core.App, subs []*core.App, objs []string) string {
 			return fmt.Sprintf("publisher missing %s: %v", id, err)
 		}
 		for _, s := range subs {
+			// What a lagging subscriber's parked messages wait for is the diagnosis.
 			got, err := s.Mapper().Find(chaosModel, id)
 			if err != nil {
-				return fmt.Sprintf("%s missing %s", s.Name(), id)
+				return fmt.Sprintf("%s missing %s; parked: %q", s.Name(), id, s.Stats().Parked)
 			}
 			if got.String("name") != want.String("name") || got.Int("likes") != want.Int("likes") {
-				return fmt.Sprintf("%s has %s=(%s,%d), publisher has (%s,%d)",
+				return fmt.Sprintf("%s has %s=(%s,%d), publisher has (%s,%d); parked: %q",
 					s.Name(), id, got.String("name"), got.Int("likes"),
-					want.String("name"), want.Int("likes"))
+					want.String("name"), want.Int("likes"), s.Stats().Parked)
 			}
 		}
 	}

@@ -176,7 +176,6 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 			Mode:       core.Causal,
 			DepTimeout: 20 * time.Millisecond,
 			Workers:    2,
-			Prefetch:   4,
 			// The scenario's premise is a consumer whose capacity sits
 			// ~2x below the offered rate (2 workers x 8ms applies =
 			// ~250 msg/s). Pipeline depth is a capacity knob — at the

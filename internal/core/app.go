@@ -167,6 +167,15 @@ type App struct {
 	workersMu sync.Mutex
 	stopCh    chan struct{}
 	workersWG sync.WaitGroup
+	poolSize  atomic.Int32 // workers started and not yet stopped
+
+	// Park/ready state (see job in subscribe.go): the deliveries whose
+	// message is not ready, and the FIFO of released ones that workers
+	// drain before fetching. Who waits on which counter is the version
+	// store's table alone; this set is for hand-back, drop and Stats.
+	parkMu sync.Mutex
+	parked map[*job]struct{}
+	ready  []*job
 
 	// Group-commit flusher state (see subscribe.go): completed pipeline
 	// deliveries queue their counter increments and broker acks here;
@@ -187,9 +196,9 @@ type App struct {
 	// Stages times the subscriber pipeline per message (see the Stage*
 	// constants); surfaced in Stats.
 	Stages *metrics.StageSet
-	// DepWaitBlocked times only the dependency waits that actually
-	// blocked (the StageDepWait timer averages over every message, most
-	// of which wait 0).
+	// DepWaitBlocked times only the dependency waits that found a
+	// dependency unmet, from then to the probe that resolved them (the
+	// StageDepWait timer averages over every message, most of which wait 0).
 	DepWaitBlocked *hdr.Recorder
 	// BootstrapStall times each bounded publisher-lock hold taken by a
 	// chunked bootstrap's chunk read — the only instants a bootstrap can
@@ -252,6 +261,7 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 		bootstrapResumes: metrics.NewCounter(),
 		chunkRowsDeduped: metrics.NewCounter(),
 		bootWindows:      make(map[string]*chunkWindow),
+		parked:           make(map[*job]struct{}),
 		depWaitsBlocked:  metrics.NewCounter(),
 		depTimeouts:      metrics.NewCounter(),
 		falseDeps:        metrics.NewCounter(),
@@ -352,12 +362,18 @@ type Stats struct {
 	// (callback still running past its escalating ApplyTimeout budget).
 	Stalled int64
 	// DepWaitsBlocked counts causal dependency waits that found at least
-	// one dependency unmet on the first check; DepWaitBlockedMean and
-	// DepWaitBlockedMax summarize how long those blocked waits took to
-	// resolve (or give up).
+	// one dependency unmet on the first check, as soon as they find it;
+	// DepWaitBlockedMean and DepWaitBlockedMax summarize how long those
+	// that have resolved (or given up) took.
 	DepWaitsBlocked    int64
 	DepWaitBlockedMean time.Duration
 	DepWaitBlockedMax  time.Duration
+	// Parked describes each delivery currently parked — fetched, unacked,
+	// waiting for a dependency counter or a generation — as "origin
+	// seq=N: what it waits for", the first unmet dependency rendered
+	// like LastDepTimeout. Its length is the gauge; a subscriber making
+	// no progress with entries here waits for a late or lost message.
+	Parked []string
 	// FalseDepsSuspected estimates the blocked waits released by a write
 	// to a DIFFERENT name hashing onto the same dependency key — the
 	// false-dependency cost of the fixed-cardinality hash tracker
@@ -425,6 +441,7 @@ func (a *App) Stats() Stats {
 		ChunkRetries:       a.chunkRetries.Count(),
 		BootstrapResumes:   a.bootstrapResumes.Count(),
 		ChunkRowsDeduped:   a.chunkRowsDeduped.Count(),
+		Parked:             a.describeParked(),
 		Stages:             a.Stages.Snapshot(),
 	}
 	st.MaxPublishStall = time.Duration(a.BootstrapStall.Max())
@@ -694,16 +711,24 @@ func (a *App) tuneQueue(q *broker.Queue) {
 	q.SetWatermarks(a.cfg.QueueHighWatermark, a.cfg.QueueLowWatermark)
 	q.SetAgeWatermark(a.cfg.QueueAgeWatermark)
 	// Every in-flight pipeline slot holds an unacked delivery until its
-	// group-commit flush lands, so a credit window smaller than the
-	// pool's slot count would starve the pipeline it is supposed to
-	// pace: clamp it to the configured concurrency (the window still
-	// bounds the un-flushed backlog beyond that).
-	cw := a.cfg.CreditWindow
-	if min := a.cfg.Workers * a.cfg.PipelineDepth; cw > 0 && cw < min {
-		cw = min
+	// group-commit flush lands, and so does every parked message — the
+	// window is what bounds the parked set. A failed delivery nacked to
+	// the queue front gives its credit back, so its retry can always be
+	// fetched ahead of the dependants parked behind it. The derived
+	// window is creditWindowFactor windows' worth; a configured one
+	// smaller than the pool's slot count would starve the pipeline it is
+	// supposed to pace, so it is raised to that.
+	slots := max(a.cfg.Workers, int(a.poolSize.Load())) * a.cfg.PipelineDepth
+	cw := max(a.cfg.CreditWindow, slots)
+	if a.cfg.CreditWindow == 0 {
+		cw = creditWindowFactor * slots
 	}
 	q.SetCredits(cw)
 }
+
+// creditWindowFactor sizes the derived credit window in pipeline slots:
+// every slot busy plus three times as many parked or awaiting their flush.
+const creditWindowFactor = 4
 
 // Queue returns the app's subscriber queue (nil when it subscribes to
 // nothing).

@@ -193,7 +193,7 @@ func (a *App) Bootstrap(from string, models ...string) error {
 	gs.mu.Lock()
 	if g := pub.generation.Load(); g > gs.cur {
 		gs.cur = g
-		gs.cond.Broadcast()
+		a.releaseWaiting(gs)
 	}
 	gs.mu.Unlock()
 
@@ -574,10 +574,10 @@ func (a *App) bootSeqFor(origin string) uint64 {
 // from every subscribed origin (§4.4: "If the subscriber comes back,
 // Synapse initiates a partial bootstrap to get the application back in
 // sync"). Safe to call from multiple workers; only one recovery runs.
-// A recovery that fails partway resumes from the failed origin on the
-// next call — origins that already converged are not re-bootstrapped,
-// and within the failed origin the cursor journal resumes the scan from
-// the last completed chunk.
+// A recovery that fails partway with its queue intact resumes from the
+// failed origin on the next call — origins that already converged are
+// not re-bootstrapped, and within the failed origin the cursor journal
+// resumes the scan from the last completed chunk.
 func (a *App) RecoverQueue() error {
 	a.recoverMu.Lock()
 	defer a.recoverMu.Unlock()
@@ -597,9 +597,16 @@ func (a *App) RecoverQueue() error {
 		a.mu.Lock()
 		a.queue = nq
 		a.mu.Unlock()
-		// A rebuilt queue owes every origin a partial bootstrap; Bootstrap
-		// itself re-binds each origin's exchange as it runs.
+		// A rebuilt queue owes every origin a partial bootstrap (Bootstrap
+		// itself re-binds each origin's exchange as it runs) — from the
+		// start: chunks an interrupted one had journaled were kept current
+		// by live messages that died with the old queue.
 		a.recoverPending = a.subscribedOrigins()
+		for _, origin := range a.recoverPending {
+			for _, m := range a.modelsFrom(origin) {
+				a.clearCursor(origin, m)
+			}
+		}
 	}
 	for len(a.recoverPending) > 0 {
 		if err := a.Bootstrap(a.recoverPending[0]); err != nil {

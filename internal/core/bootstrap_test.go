@@ -353,6 +353,42 @@ func TestLostMessageDecommissionCycle(t *testing.T) {
 		want, _ := pubMapper.Find("User", "u1")
 		return got.String("name") == want.String("name")
 	})
+	// The updates parked behind the lost one died with the decommissioned
+	// queue handle; recovery must not leave them parked.
+	waitFor(t, 5*time.Second, func() bool { return len(sub.Stats().Parked) == 0 })
+}
+
+// TestRecoverQueueRestartsJournaledScan: a recovery bootstrap that had
+// journaled its scan as done and then lost its queue again (a second
+// overflow before the drain finished) must scan again on the next
+// recovery — the live messages that kept the scanned rows current died
+// with the queue. Resuming from the cursor skipped the snapshot and left
+// the subscriber permanently stale (the TestDecommissionLastResort
+// flake, ~1 run in 20).
+func TestRecoverQueueRestartsJournaledScan(t *testing.T) {
+	f := NewFabric()
+	pub, _ := newDocApp(t, f, "pub", Config{})
+	mustPublish(t, pub, userDesc(), "name")
+	sub, subMapper := newDocApp(t, f, "sub", Config{QueueMaxLen: 4})
+	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
+
+	ctl := pub.NewController(nil)
+	createUser(t, ctl, "u1", "v0")
+	if err := sub.writeCursor("pub", "User", "u1", true); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 6; i++ {
+		updateUser(t, ctl, "u1", fmt.Sprintf("v%d", i))
+	}
+	if !sub.Queue().Dead() {
+		t.Fatal("queue did not decommission")
+	}
+	if err := sub.RecoverQueue(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := subMapper.Find("User", "u1"); err != nil || got.String("name") != "v6" {
+		t.Fatalf("after recovery u1 = %v, %v; want v6", got, err)
+	}
 }
 
 // TestPartialBootstrapSpecificModels only syncs the named models.

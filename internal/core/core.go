@@ -112,16 +112,12 @@ type Config struct {
 	DepTimeout time.Duration
 	// Workers is the default worker-pool size for StartWorkers(0).
 	Workers int
-	// Prefetch is how many queued messages one subscriber worker dequeues
-	// per queue lock acquisition (default 4). 1 disables batching. Small
-	// values matter for causal pools: a prefetched batch concentrates the
-	// runnable frontier in one worker, and the spill-on-block/starvation
-	// handoffs only bound — not eliminate — the head-of-line cost.
-	Prefetch int
 	// PipelineDepth bounds how many deliveries one subscriber worker may
-	// have in flight at once (default 4; 1 = a window of one). With
-	// depth k, the decode, dependency wait, and version claims of
-	// messages N+1..N+k proceed while message N's callback runs;
+	// have in flight at once (default 4; 1 = a window of one), and is how
+	// many it fetches at a time. With depth k, the decode, dependency
+	// probe, and version claims of messages N+1..N+k proceed while
+	// message N's callback runs; a message that is not ready parks and
+	// frees its slot;
 	// messages sharing an apply stripe are dispatched in order (never
 	// concurrently), and completed messages group-commit their counter
 	// increments and broker acks through the per-queue flusher (one
@@ -181,8 +177,11 @@ type Config struct {
 	// publishers even at modest queue depth. 0 disables the age signal.
 	QueueAgeWatermark time.Duration
 	// CreditWindow bounds outstanding unacked deliveries across this
-	// app's worker pool: the queue hands out at most this many in-flight
-	// messages and acks replenish the window. 0 = unbounded.
+	// app's worker pool — in flight, awaiting their flush, or parked on
+	// an unmet dependency: the queue hands out at most this many and acks
+	// replenish the window. 0 (the default) derives it: 4 × workers ×
+	// PipelineDepth, workers being the larger of Workers and the pool
+	// actually started; smaller values are raised to 1 × that.
 	CreditWindow int
 	// PublishBlockTimeout enables bounded-block admission: a publish
 	// that sees PressureHigh first waits (jittered polls) up to this
@@ -232,9 +231,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.Prefetch <= 0 {
-		c.Prefetch = 4
 	}
 	if c.PipelineDepth == 0 {
 		c.PipelineDepth = 4

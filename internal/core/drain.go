@@ -15,9 +15,10 @@ import (
 //     restart values the durability hand-off over smoothing (the hard
 //     queue bound still holds).
 //  3. Workers are stopped and waited for: in-flight deliveries finish
-//     their apply and ack; unprocessed prefetch is nacked back to the
-//     queue front in order. Nothing is left dangling unacked, so the
-//     broker has no redelivery storm to replay at the next consumer.
+//     their apply and ack; fetched-but-unstarted and parked deliveries
+//     are nacked back to the queue front in order. Nothing is left
+//     dangling unacked, so the broker has no redelivery storm to replay
+//     at the next consumer.
 //  4. Parked acknowledgements are flushed so the broker's unacked set
 //     for this consumer is empty.
 //

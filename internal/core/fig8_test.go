@@ -130,13 +130,32 @@ func TestFig8MessageTrace(t *testing.T) {
 	// The resulting dependency DAG (Fig 8c): apply the four messages to
 	// a causal subscriber in the worst-case order and check completion
 	// order respects M1 -> {M2, M3} -> M4.
-	sub, _ := newDocApp(t, f, "sub", Config{})
-	mustSubscribe(t, sub, postDesc(), SubSpec{From: "app", Attrs: []string{"body", "author"}})
-	mustSubscribe(t, sub, commentDesc(), SubSpec{From: "app", Attrs: []string{"body", "post", "author"}})
-	drainQueue(t, sub) // discard queued copies; we replay manually
-
+	// Completion is recorded where the message is applied (the model
+	// callbacks), not where ProcessMessage returns: a message's inline
+	// increments wake its dependants before its own call has returned.
 	var mu sync.Mutex
 	var completed []int
+	applied := func(i int) func(*model.CallbackCtx) error {
+		return func(ctx *model.CallbackCtx) error {
+			m := i
+			if ctx.Record.ID == "2" {
+				m = 2 // comment 2 is M3
+			}
+			mu.Lock()
+			completed = append(completed, m)
+			mu.Unlock()
+			return nil
+		}
+	}
+	subPost, subComment := postDesc(), commentDesc()
+	subPost.Callbacks.On(model.AfterCreate, applied(0))
+	subPost.Callbacks.On(model.AfterUpdate, applied(3))
+	subComment.Callbacks.On(model.AfterCreate, applied(1))
+	sub, _ := newDocApp(t, f, "sub", Config{})
+	mustSubscribe(t, sub, subPost, SubSpec{From: "app", Attrs: []string{"body", "author"}})
+	mustSubscribe(t, sub, subComment, SubSpec{From: "app", Attrs: []string{"body", "post", "author"}})
+	drainQueue(t, sub) // discard queued copies; we replay manually
+
 	var wg sync.WaitGroup
 	for _, order := range []int{3, 2, 1, 0} { // M4 first, M1 last
 		wg.Add(1)
@@ -144,15 +163,14 @@ func TestFig8MessageTrace(t *testing.T) {
 			defer wg.Done()
 			if err := sub.ProcessMessage(got[i]); err != nil {
 				t.Errorf("M%d: %v", i+1, err)
-				return
 			}
-			mu.Lock()
-			completed = append(completed, i)
-			mu.Unlock()
 		}(order)
 		time.Sleep(5 * time.Millisecond) // let each goroutine block first
 	}
 	wg.Wait()
+	if len(completed) != 4 {
+		t.Fatalf("applied %v, want all four messages", completed)
+	}
 	pos := make(map[int]int)
 	for p, i := range completed {
 		pos[i] = p

@@ -105,19 +105,21 @@ func TestEngineMatrix(t *testing.T) {
 }
 
 // TestQuickConvergenceRandomOps drives random controller operations on
-// the publisher and random worker counts on the subscriber, checking
-// that the subscriber's final state converges to the publisher's — the
-// core replication invariant — under causal delivery.
+// the publisher and random worker counts and window depths on the
+// subscriber, checking that the subscriber's final state converges to
+// the publisher's — the core replication invariant — under causal
+// delivery.
 func TestQuickConvergenceRandomOps(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
+		workers := 1 + rng.Intn(4)
+		depth := []int{1, 4}[rng.Intn(2)]
 		f := NewFabric()
 		pub, pubMapper := newDocApp(t, f, "pub", Config{Mode: Causal})
-		sub, subMapper := newSQLApp(t, f, "sub", Config{})
+		sub, subMapper := newSQLApp(t, f, "sub", Config{PipelineDepth: depth})
 		mustPublish(t, pub, userDesc(), "name", "likes")
 		mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name", "likes"}})
 
-		workers := 1 + rng.Intn(4)
 		sub.StartWorkers(workers)
 		defer sub.StopWorkers()
 
@@ -136,13 +138,13 @@ func TestQuickConvergenceRandomOps(t *testing.T) {
 				rec.Set("name", fmt.Sprintf("name-%d", op))
 				rec.Set("likes", op)
 				if _, err := ctl.Create(rec); err != nil {
-					t.Logf("create: %v", err)
+					t.Logf("seed %d: create: %v", seed, err)
 					return false
 				}
 				live[id] = true
 			case rng.Float64() < 0.2:
 				if err := ctl.Destroy("User", id); err != nil {
-					t.Logf("destroy: %v", err)
+					t.Logf("seed %d: destroy: %v", seed, err)
 					return false
 				}
 				live[id] = false
@@ -153,7 +155,7 @@ func TestQuickConvergenceRandomOps(t *testing.T) {
 					patch.Set("name", fmt.Sprintf("name-%d", op))
 				}
 				if _, err := ctl.Update(patch); err != nil {
-					t.Logf("update: %v", err)
+					t.Logf("seed %d: update: %v", seed, err)
 					return false
 				}
 			}
@@ -168,7 +170,12 @@ func TestQuickConvergenceRandomOps(t *testing.T) {
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
-		t.Logf("seed %d: pub=%d sub=%d records", seed, pubMapper.Len("User"), subMapper.Len("User"))
+		st, q := sub.Stats(), sub.Queue()
+		t.Logf("seed %d (workers=%d depth=%d): pub=%d sub=%d records; processed=%d pending=%d unacked=%d blocked=%d",
+			seed, workers, depth, pubMapper.Len("User"), subMapper.Len("User"), st.Processed, q.Len(), q.Unacked(), st.DepWaitsBlocked)
+		for _, p := range st.Parked {
+			t.Logf("seed %d: parked: %s", seed, p)
+		}
 		return false
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 8}); err != nil {

@@ -220,8 +220,8 @@ func (a *App) ackMultiDelivery(q *broker.Queue, tags []uint64) {
 	}
 }
 
-// nackDelivery hands one delivery back (spill, shutdown) through the
-// network, parking on transport failure.
+// nackDelivery hands one delivery back (fail-to-front tail, shutdown)
+// through the network, parking the nack on transport failure.
 func (a *App) nackDelivery(q *broker.Queue, tag uint64) {
 	if err := a.brokerOp(func() error { return q.Nack(tag, true) }); err != nil && isTransportErr(err) {
 		a.parkAck(pendingAck{q: q, tag: tag, kind: ackNack})

@@ -207,7 +207,6 @@ func TestStallWatchdogQuarantinesHungCallback(t *testing.T) {
 			pub, _ := newDocApp(t, f, "pub", Config{})
 			sub, subMapper := newSQLApp(t, f, "sub", Config{
 				Workers:             2,
-				Prefetch:            1,
 				PipelineDepth:       depth,
 				ApplyTimeout:        5 * time.Millisecond,
 				MaxDeliveryAttempts: 2,
@@ -347,7 +346,7 @@ func TestDrainFlushesPublisherJournal(t *testing.T) {
 func TestDrainHandsBackUnackedWork(t *testing.T) {
 	f := NewFabric()
 	pub, _ := newDocApp(t, f, "pub", Config{})
-	sub, _ := newSQLApp(t, f, "sub", Config{Workers: 2, Prefetch: 4})
+	sub, _ := newSQLApp(t, f, "sub", Config{Workers: 2})
 	mustPublish(t, pub, userDesc(), "name")
 
 	d := userDesc()

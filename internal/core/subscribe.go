@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -20,9 +21,9 @@ import (
 // and only then process the new generation.
 type genState struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
 	cur      uint64
 	inflight map[uint64]int
+	waiting  []*job // parked on the barrier: ahead of cur while older ones are in flight
 }
 
 func (a *App) genStateFor(origin string) *genState {
@@ -31,7 +32,6 @@ func (a *App) genStateFor(origin string) *genState {
 	gs := a.gens[origin]
 	if gs == nil {
 		gs = &genState{inflight: make(map[uint64]int)}
-		gs.cond = sync.NewCond(&gs.mu)
 		a.gens[origin] = gs
 	}
 	return gs
@@ -41,35 +41,33 @@ func (a *App) genStateFor(origin string) *genState {
 // they are acked and dropped (their state was resynced by bootstrap).
 var errStaleGeneration = errors.New("synapse: stale generation message")
 
-// enter blocks until the message's generation is current, running the
-// flush barrier if this message moves the generation forward.
-func (a *App) enterGeneration(origin string, gen uint64) error {
-	gs := a.genStateFor(origin)
+// enterGeneration counts j's message into its generation, running the
+// flush barrier if it moves the generation forward. It never blocks:
+// while older messages are in flight, j waits on the barrier's list.
+func (a *App) enterGeneration(j *job) (bool, error) {
+	gen := j.msg.Generation
+	gs := a.genStateFor(j.msg.App)
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
-	for gen > gs.cur {
-		older := 0
-		for g, n := range gs.inflight {
+	if gen > gs.cur {
+		for g := range gs.inflight {
 			if g < gen {
-				older += n
+				gs.waiting = append(gs.waiting, j)
+				return false, nil
 			}
 		}
-		if older == 0 {
-			// Barrier reached: flush and advance (§4.4). The flush
-			// clears this app's whole version store; counters for the
-			// new generation restart from zero on both sides.
-			a.store.Flush()
-			gs.cur = gen
-			gs.cond.Broadcast()
-			break
-		}
-		gs.cond.Wait()
+		// Barrier reached: flush and advance (§4.4). The flush clears
+		// this app's whole version store; counters for the new
+		// generation restart from zero on both sides.
+		a.store.Flush()
+		gs.cur = gen
+		a.releaseWaiting(gs)
 	}
 	if gen < gs.cur {
-		return errStaleGeneration
+		return false, errStaleGeneration
 	}
 	gs.inflight[gen]++
-	return nil
+	return true, nil
 }
 
 func (a *App) exitGeneration(origin string, gen uint64) {
@@ -78,9 +76,140 @@ func (a *App) exitGeneration(origin string, gen uint64) {
 	gs.inflight[gen]--
 	if gs.inflight[gen] <= 0 {
 		delete(gs.inflight, gen)
+		a.releaseWaiting(gs)
 	}
-	gs.cond.Broadcast()
 	gs.mu.Unlock()
+}
+
+// releaseWaiting lets every message parked on the barrier try again;
+// called with gs.mu held whenever a generation empties or cur moves.
+func (a *App) releaseWaiting(gs *genState) {
+	for _, j := range gs.waiting {
+		a.release(j)
+	}
+	gs.waiting = nil
+}
+
+// job is one delivery on its way through the subscriber. It holds what
+// a message that is not ready must keep while parked — the decoded
+// message, its generation count, its dependency plan — so that parking
+// frees everything else: window slot, stripe mask, goroutine. A job with
+// no queue is a synchronous caller's message (see ProcessMessage).
+type job struct {
+	q    *broker.Queue
+	d    broker.Delivery
+	msg  *wire.Message
+	mask uint64
+
+	barrierAt time.Time // first try at the generation barrier
+	entered   bool      // counted in its generation
+
+	reqs     map[vstore.Key]uint64 // causal dependency plan, built at the first probe
+	incr     []vstore.Key
+	probedAt time.Time
+	parkedAt time.Time // first probe that found a dependency unmet
+
+	// Either releases it while parked on dependencies: the registration
+	// of the latest probe, or the job's one DepTimeout timer.
+	wait  *vstore.Parked
+	timer *time.Timer
+
+	woken  bool          // released before park recorded it (under parkMu)
+	wakeup chan struct{} // synchronous jobs: what release signals
+}
+
+// park records j as parked — unless the release it waits for already
+// happened, in which case j goes straight on to the ready list.
+func (a *App) park(j *job) {
+	a.parkMu.Lock()
+	a.parked[j] = struct{}{}
+	woken := j.woken
+	j.woken = false
+	a.parkMu.Unlock()
+	if woken {
+		a.release(j)
+	}
+}
+
+// release is every parked job's wake action — a counter reached its
+// threshold, the deadline passed, a generation emptied: it moves to the
+// ready list and an idle worker is woken to take it and probe again (a
+// release is a reason to look, not a promise).
+func (a *App) release(j *job) {
+	if j.q == nil {
+		select {
+		case j.wakeup <- struct{}{}:
+		default:
+		}
+		return
+	}
+	a.parkMu.Lock()
+	_, parked := a.parked[j]
+	if parked {
+		delete(a.parked, j)
+		a.ready = append(a.ready, j)
+	} else {
+		j.woken = true
+	}
+	a.parkMu.Unlock()
+	if parked {
+		j.q.CancelWaiters()
+	}
+}
+
+// takeReady removes up to max jobs from the head of the ready list.
+func (a *App) takeReady(max int) []*job {
+	a.parkMu.Lock()
+	defer a.parkMu.Unlock()
+	batch := slices.Clone(a.ready[:min(len(a.ready), max)])
+	a.ready = slices.Delete(a.ready, 0, len(batch))
+	return batch
+}
+
+// retire ends this delivery of a job — applied, failed or handed back:
+// its registrations go, its generation count and its message return.
+func (a *App) retire(j *job) {
+	if j.wait != nil {
+		j.wait.Cancel()
+	}
+	if j.timer != nil {
+		j.timer.Stop()
+	}
+	if j.entered {
+		a.exitGeneration(j.msg.App, j.msg.Generation)
+	}
+	if j.msg != nil {
+		wire.ReleaseMessage(j.msg)
+	}
+}
+
+// retireParked removes and retires every parked and ready job delivered
+// on q (any queue handle when nil), oldest first. A stop then nacks them
+// back; those of a dead handle are just forgotten — their tags died with
+// it: a restarted broker redelivers them, RecoverQueue resyncs a
+// decommissioned queue's content.
+func (a *App) retireParked(q *broker.Queue) []*job {
+	a.parkMu.Lock()
+	var out []*job
+	for j := range a.parked {
+		if q == nil || j.q == q {
+			out = append(out, j)
+			delete(a.parked, j)
+		}
+	}
+	a.ready = slices.DeleteFunc(a.ready, func(j *job) bool {
+		if q == nil || j.q == q {
+			out = append(out, j)
+			return true
+		}
+		return false
+	})
+	a.parkMu.Unlock()
+	sort.Slice(out, func(i, k int) bool { return out[i].d.Tag < out[k].d.Tag })
+	for _, j := range out {
+		a.retire(j)
+	}
+	return out
 }
 
 // StartWorkers launches n subscriber workers processing this app's
@@ -96,6 +225,10 @@ func (a *App) StartWorkers(n int) {
 	}
 	stop := a.stopCh
 	a.workersMu.Unlock()
+	a.poolSize.Add(int32(n)) // the derived credit window follows it
+	if q := a.Queue(); q != nil {
+		a.tuneQueue(q)
+	}
 	for i := 0; i < n; i++ {
 		a.workersWG.Add(1)
 		go a.workerLoop(stop)
@@ -158,7 +291,8 @@ func (a *App) StartWorkers(n int) {
 }
 
 // StopWorkers stops all workers and waits for them to drain in-flight
-// messages.
+// messages. Deliveries still parked or ready go back to the queue front
+// in delivery order, so nothing stays unacked.
 func (a *App) StopWorkers() {
 	a.workersMu.Lock()
 	stop := a.stopCh
@@ -168,26 +302,30 @@ func (a *App) StopWorkers() {
 		return
 	}
 	close(stop)
-	// Cancel repeatedly until every worker exits: CancelWaiters only
-	// wakes consumers already blocked, and a worker can enter GetBatch
-	// just after a one-shot cancel (it checks stop at the loop top, then
-	// flushes acks and passes the network gate before fetching). The
-	// queue handle is also re-read each round — a worker may have
-	// reattached to a rebuilt queue after a broker restart.
+	// Cancel repeatedly until every worker exits: CancelWaiters wakes the
+	// consumers already blocked and at most one about to be, and several
+	// workers can be between their stop check at the loop top and
+	// GetBatch. The queue handle is also re-read each round — a worker
+	// may have reattached to a rebuilt queue after a broker restart.
 	done := make(chan struct{})
 	go func() {
 		a.workersWG.Wait()
 		close(done)
 	}()
-	for {
+	for stopped := false; !stopped; {
 		if q := a.Queue(); q != nil {
 			q.CancelWaiters()
 		}
 		select {
 		case <-done:
-			return
+			stopped = true
 		case <-time.After(time.Millisecond):
 		}
+	}
+	a.poolSize.Store(0)
+	jobs := a.retireParked(nil)
+	for i := len(jobs) - 1; i >= 0; i-- { // Nack pushes front: newest first
+		a.nackDelivery(jobs[i].q, jobs[i].d.Tag)
 	}
 }
 
@@ -213,51 +351,70 @@ func (a *App) workerLoop(stop <-chan struct{}) {
 			}
 			continue
 		}
-		prefetch := a.cfg.Prefetch
-		if prefetch < a.cfg.PipelineDepth {
-			// A pipeline can't fill past what the worker holds.
-			prefetch = a.cfg.PipelineDepth
-		}
-		batch, err := q.GetBatch(prefetch)
-		switch {
-		case err == nil:
-		case errors.Is(err, broker.ErrCanceled):
-			continue
-		case errors.Is(err, broker.ErrDecommissioned):
-			if rerr := a.RecoverQueue(); rerr != nil {
-				// Cannot recover (e.g. origin gone); retry after a beat.
-				time.Sleep(10 * time.Millisecond)
-			}
-			continue
-		case errors.Is(err, broker.ErrBrokerDown):
-			// Broker crashed: wait out the restart, then swap onto the
-			// rebuilt queue handle (the old one is permanently defunct).
-			if !a.awaitBrokerUp(stop) {
+		// Released messages run before new ones are fetched: they are
+		// older than anything in the queue, and what is parked behind
+		// them waits for exactly these. Either way a worker takes what
+		// its window can start.
+		batch := a.takeReady(a.cfg.PipelineDepth)
+		if len(batch) == 0 {
+			ds, err := q.GetBatch(a.cfg.PipelineDepth)
+			switch {
+			case err == nil:
+			case errors.Is(err, broker.ErrCanceled):
+				continue
+			case errors.Is(err, broker.ErrDecommissioned):
+				a.retireParked(q)
+				if rerr := a.RecoverQueue(); rerr != nil {
+					// Cannot recover (e.g. origin gone); retry after a beat.
+					time.Sleep(10 * time.Millisecond)
+				}
+				continue
+			case errors.Is(err, broker.ErrBrokerDown):
+				// Broker crashed: wait out the restart, then swap onto the
+				// rebuilt queue handle (the old one is permanently defunct).
+				if !a.awaitBrokerUp(stop) {
+					return
+				}
+				a.retireParked(q)
+				a.reattachQueue()
+				continue
+			default: // closed
 				return
 			}
-			a.reattachQueue()
-			continue
-		default: // closed
-			return
+			jobs := make([]job, len(ds)) // one allocation per batch, not per message
+			batch = make([]*job, len(ds))
+			for i, d := range ds {
+				jobs[i] = job{q: q, d: d}
+				batch[i] = &jobs[i]
+			}
 		}
-		a.processBatch(q, batch, stop)
+		a.processBatch(batch, stop)
 	}
 }
 
-// processBatch works through one prefetched batch of deliveries with a
-// bounded in-flight window: up to Config.PipelineDepth deliveries run
-// concurrently in this worker, so the decode, dependency wait, version
-// claims, and callback of messages N+1..N+k overlap message N's
-// 2ms-class callback instead of queueing behind it. A depth of 1 is the
-// same loop with a window of one. Order is preserved exactly where it
-// matters:
+// processBatch works through one batch of deliveries — released from
+// the ready list or freshly fetched — with a bounded in-flight window:
+// up to Config.PipelineDepth run concurrently in this worker, so the
+// decode, dependency probe, version claims, and callback of messages
+// N+1..N+k overlap message N's 2ms-class callback instead of queueing
+// behind it. A depth of 1 is the same loop with a window of one.
 //
+//   - Park, don't block: a message whose dependencies are unmet, or
+//     whose generation is ahead of the barrier, parks (see job): its
+//     goroutine returns and its slot and stripe mask are free at once.
+//     The delivery stays unacked, so the credit window bounds the parked
+//     set. Whatever moves the counter it needs (a group-commit flush, a
+//     bootstrap bulk load, an inline increment), empties the generation
+//     it waits for, or runs out its DepTimeout releases it to the ready
+//     list. Queue order is never changed to get there, so every message
+//     ahead of a parked one is parked, running or done — the oldest
+//     unapplied message can always run.
 //   - Conflicts serialize: each message folds its operations' apply
 //     stripes into a 64-bit mask (applyMask); a message is dispatched
 //     only when its mask is disjoint from every in-flight message's,
 //     so two updates to the same guarded object never race within the
 //     worker and dispatch in queue order. Cross-worker ordering is the
-//     job of the dependency waits and the per-object version guard.
+//     job of the dependency counters and the per-object version guard.
 //   - Completion is group-committed: a finished message does not
 //     increment counters or ack inline — it queues both on the
 //     per-queue flusher (flushCommits), which merges every message
@@ -266,71 +423,34 @@ func (a *App) workerLoop(stop <-chan struct{}) {
 //     increments land, so a crash between the two redelivers the
 //     messages and the version guard discards the re-applies as stale
 //     (the crash-redelivery invariant).
-//   - Spill on block: when an in-flight dependency wait is about to
-//     block, the undispatched tail of the batch is nacked back to the
-//     queue (reverse order, restoring FIFO order) so idle workers can
-//     process it — otherwise a prefetched batch whose head waits on
-//     another worker's batch serializes the whole pool.
-//   - Spill on starvation: if other workers sit idle on an empty queue,
-//     the tail is handed back the same way — a batch of slow applies
-//     (expensive callbacks) must not serialize in one worker while the
-//     pool starves.
 //   - Fail to the front: when a message fails (or the worker is
-//     stopping), the tail and then the failed deliveries are nacked so
-//     the queue front reads [failed..., rest...]; a worker never sits
-//     on later messages while an earlier one needs redelivery (which
-//     could deadlock a single-worker causal subscriber on its own
-//     prefetch). Failures go through the failure-counting nack: after
+//     stopping), the undispatched tail and then the failed deliveries
+//     are nacked so the queue front reads [failed..., rest...] — the one
+//     reordering there is, and it puts the retry, with the credit its
+//     nack returned, AHEAD of the dependants parked behind it. Failures
+//     go through the failure-counting nack: after
 //     Config.MaxDeliveryAttempts the broker sets the message aside
 //     (dead-letter) so a poison message cannot wedge the pool; until
 //     then the worker backs off exponentially before it looks at the
 //     queue again, so redelivery does not spin on a persistent fault.
-func (a *App) processBatch(q *broker.Queue, batch []broker.Delivery, stop <-chan struct{}) {
+func (a *App) processBatch(batch []*job, stop <-chan struct{}) {
 	depth := a.cfg.PipelineDepth
 	type result struct {
-		d    broker.Delivery
-		mask uint64
-		err  error
+		j   *job
+		err error
 	}
 	results := make(chan result, len(batch))
-	blockedCh := make(chan struct{}, 1)
-	noteBlocked := func() {
-		select {
-		case blockedCh <- struct{}{}:
-		default:
-		}
-	}
 	var wg sync.WaitGroup
 	var (
 		next         int
 		inflight     int
 		inflightMask uint64
 		stopping     bool
-		spilled      bool
-		failures     []broker.Delivery
-		maxAttempts  int
-		pending      *wire.Message // decoded but blocked on a stripe conflict
-		pendingMask  uint64
+		failures     []*job
 	)
-	// spillTail nacks every undispatched delivery back to the queue in
-	// reverse order (Nack pushes front, so reversal restores FIFO order)
-	// and stops further dispatch.
-	spillTail := func() {
-		if !spilled {
-			spilled = true
-			for j := len(batch) - 1; j >= next; j-- {
-				a.nackDelivery(q, batch[j].Tag)
-			}
-			next = len(batch)
-			if pending != nil {
-				wire.ReleaseMessage(pending)
-				pending = nil
-			}
-		}
-	}
 	for {
 		// Dispatch while there is capacity and nothing diverted the batch.
-		for !stopping && !spilled && len(failures) == 0 && next < len(batch) && inflight < depth {
+		for !stopping && len(failures) == 0 && next < len(batch) && inflight < depth {
 			select {
 			case <-stop:
 				stopping = true
@@ -339,89 +459,75 @@ func (a *App) processBatch(q *broker.Queue, batch []broker.Delivery, stop <-chan
 			if stopping {
 				break
 			}
-			d := batch[next]
-			if pending == nil {
-				if d.Redelivered {
+			j := batch[next]
+			if j.msg == nil {
+				if j.d.Redelivered {
 					a.redelivered.Inc()
 				}
 				decodeStart := time.Now()
-				msg, derr := wire.UnmarshalPooled(d.Payload)
+				msg, derr := wire.UnmarshalPooled(j.d.Payload)
 				a.Stages.Observe(StageDecode, time.Since(decodeStart))
 				if derr != nil {
 					// Poison message: ack (coalesced) and drop it rather
 					// than loop forever.
-					a.enqueueFlush(flushEntry{q: q, tag: d.Tag})
+					a.enqueueFlush(flushEntry{q: j.q, tag: j.d.Tag})
 					a.flushCommits()
 					next++
 					continue
 				}
-				pending = msg
-				pendingMask = a.applyMask(msg)
+				j.msg, j.mask = msg, a.applyMask(msg)
 			}
-			if pendingMask&inflightMask != 0 {
+			if j.mask&inflightMask != 0 {
 				break // shared apply stripe: wait for the earlier message
 			}
-			msg, mask := pending, pendingMask
-			pending = nil
 			next++
 			inflight++
-			inflightMask |= mask
+			inflightMask |= j.mask
 			a.PipelineFill.Record(int64(inflight))
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				incr, err := a.consumeDecodedGuarded(d, msg, stop, noteBlocked)
-				if err == nil {
-					a.enqueueFlush(flushEntry{q: q, tag: d.Tag, incr: incr})
+				incr, parked, err := a.consumeDecodedGuarded(j)
+				done := err == nil && !parked
+				if done {
+					a.enqueueFlush(flushEntry{q: j.q, tag: j.d.Tag, incr: incr})
 				}
-				results <- result{d: d, mask: mask, err: err}
-				if err == nil {
+				results <- result{j, err}
+				if done {
 					a.flushCommits()
 				}
 			}()
-			// Spill on starvation: a batch of slow applies must not hold
-			// work this worker cannot start while the pool sits idle.
-			if next < len(batch) && q.Starving() {
-				spillTail()
-			}
 		}
 		if inflight == 0 {
 			break
 		}
 		select {
 		case r := <-results:
+			// A job that parked may be running in another worker by now;
+			// its mask was fixed before dispatch.
 			inflight--
-			inflightMask &^= r.mask
+			inflightMask &^= r.j.mask
 			if r.err != nil {
-				failures = append(failures, r.d)
-				if r.d.Attempts > maxAttempts {
-					maxAttempts = r.d.Attempts
-				}
+				failures = append(failures, r.j)
 			}
-		case <-blockedCh:
-			// An in-flight dependency wait blocked: hand the undispatched
-			// tail to idle workers (spill-on-block); the pipeline itself
-			// keeps running — later independent messages may be exactly
-			// what the blocked wait needs.
-			spillTail()
 		case <-stop:
 			stopping = true
 		}
 	}
 	wg.Wait() // group commits of completed messages have landed
-	if pending != nil {
-		wire.ReleaseMessage(pending)
-		pending = nil
-	}
-	if stopping || len(failures) > 0 {
-		spillTail()
+	// A stop or a failure leaves an undispatched tail. Nack pushes front,
+	// so handing it back newest first restores queue order.
+	for i := len(batch) - 1; i >= next; i-- {
+		a.retire(batch[i])
+		a.nackDelivery(batch[i].q, batch[i].d.Tag)
 	}
 	if len(failures) > 0 {
 		// Fail to the front, after the tail: the failure-counting nacks
 		// push last so the queue front reads [failed..., rest...].
-		alive := false
-		for _, d := range failures {
-			if !a.nackErrorDelivery(q, d.Tag) {
+		alive, maxAttempts := false, 0
+		for _, j := range failures {
+			maxAttempts = max(maxAttempts, j.d.Attempts)
+			if !a.nackErrorDelivery(j.q, j.d.Tag) {
 				alive = true
 				a.retries.Inc()
 			}
@@ -624,13 +730,9 @@ func (a *App) retryBackoff(attempts int, stop <-chan struct{}) {
 var errStalled = errors.New("synapse: subscriber apply stalled past watchdog budget")
 
 // stallBudget is the watchdog time budget for a delivery with the given
-// prior failed attempts: ApplyTimeout doubled per attempt (capped at
-// ApplyTimeoutMax), plus the finite DepTimeout allowance — a bounded
-// causal dependency wait is not a stall, so the watchdog arms after
-// that allowance on top of the apply budget. Under WaitForever no
-// allowance is added: there the watchdog is exactly what bounds an
-// otherwise unbounded wait (the wait observes the cancel channel and
-// exits cleanly).
+// prior failed attempts: ApplyTimeout doubled per attempt, capped at
+// ApplyTimeoutMax. It covers the version claim and the callback only —
+// a message that is not ready parks, and its run returns.
 func (a *App) stallBudget(attempts int) time.Duration {
 	budget := a.cfg.ApplyTimeout
 	for i := 0; i < attempts && budget < a.cfg.ApplyTimeoutMax; i++ {
@@ -639,22 +741,22 @@ func (a *App) stallBudget(attempts int) time.Duration {
 	if budget > a.cfg.ApplyTimeoutMax {
 		budget = a.cfg.ApplyTimeoutMax
 	}
-	if a.cfg.DepTimeout > 0 && a.cfg.DepTimeout != WaitForever {
-		budget += a.cfg.DepTimeout
-	}
 	return budget
 }
 
-// consumeDecoded processes one already-decoded message, returning the
-// deferred counter-increment keys for the group-commit flusher. It
-// takes ownership of msg and releases it back to the decode pool.
-func (a *App) consumeDecoded(msg *wire.Message, cancel <-chan struct{}, onBlock func()) ([]vstore.Key, error) {
-	incr, err := a.processMessageDefer(msg, cancel, onBlock, true)
-	wire.ReleaseMessage(msg)
-	if errors.Is(err, errStaleGeneration) {
-		return nil, nil
+// consumeDecoded runs one decoded job as far as it goes without
+// blocking. Either it parks — the parked set owns it now, hands off —
+// or this delivery is over: the job is retired, and its deferred
+// counter-increment keys are returned for the group-commit flusher.
+func (a *App) consumeDecoded(j *job) (incr []vstore.Key, parked bool, err error) {
+	incr, parked, err = a.process(j)
+	if !parked {
+		a.retire(j)
 	}
-	return incr, err
+	if errors.Is(err, errStaleGeneration) {
+		err = nil
+	}
+	return incr, parked, err
 }
 
 // consumeDecodedGuarded runs consumeDecoded under the per-delivery stall
@@ -664,57 +766,53 @@ func (a *App) consumeDecoded(msg *wire.Message, cancel <-chan struct{}, onBlock 
 // — so transiently slow applies get a longer second chance while a
 // truly hung callback still exhausts MaxDeliveryAttempts and
 // quarantines to the dead-letter set-aside. A timed-out apply is
-// abandoned: its private cancel channel is closed (dependency waits
-// observe it), a short grace wait lets a responsive callback surface
-// its result, and then the delivery is failed so the worker moves on.
-// The abandoned goroutine may straggle and eventually write; the apply
+// abandoned and the delivery failed so the worker moves on. The
+// abandoned goroutine may straggle and eventually write; the apply
 // stripes plus the per-object version guard absorb that exactly as they
 // absorb redelivered duplicates. A straggler's increments are dropped
 // along with its ack — the redelivered attempt re-applies and
 // re-increments, which the version guard and at-least-once counting
 // semantics absorb.
-func (a *App) consumeDecodedGuarded(d broker.Delivery, msg *wire.Message, stop <-chan struct{}, onBlock func()) ([]vstore.Key, error) {
+func (a *App) consumeDecodedGuarded(j *job) ([]vstore.Key, bool, error) {
 	if a.cfg.ApplyTimeout <= 0 {
-		return a.consumeDecoded(msg, stop, onBlock)
+		return a.consumeDecoded(j)
 	}
-	budget := a.stallBudget(d.Attempts)
-	cancel := make(chan struct{})
-	type outcome struct {
-		incr []vstore.Key
-		err  error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		incr, err := a.consumeDecoded(msg, cancel, onBlock)
-		done <- outcome{incr, err}
-	}()
-	t := time.NewTimer(budget)
+	var (
+		incr   []vstore.Key
+		parked bool
+		err    error
+	)
+	done := make(chan struct{})
+	t := time.NewTimer(a.stallBudget(j.d.Attempts))
 	defer t.Stop()
-	var reason error
+	go func() {
+		incr, parked, err = a.consumeDecoded(j)
+		close(done)
+	}()
 	select {
-	case out := <-done:
-		return out.incr, out.err
-	case <-stop:
-		reason = errWaitInterrupted
-	case <-t.C:
-		reason = errStalled
-	}
-	close(cancel)
-	grace := budget / 4
-	if grace < time.Millisecond {
-		grace = time.Millisecond
-	}
-	g := time.NewTimer(grace)
-	defer g.Stop()
-	select {
-	case out := <-done:
-		return out.incr, out.err
-	case <-g.C:
-	}
-	if errors.Is(reason, errStalled) {
+	case <-done:
+		return incr, parked, err
+	case <-t.C: // abandoned: the straggler's results are never read
 		a.stalled.Inc()
+		return nil, false, errStalled
 	}
-	return nil, reason
+}
+
+// ProcessMessage applies one write message with the delivery semantics
+// configured for its origin, synchronously (bootstrap's drain, tests):
+// with no queue to park on, a message stopped at the generation barrier
+// blocks its caller until a release lets it try again.
+func (a *App) ProcessMessage(msg *wire.Message) error {
+	j := &job{msg: msg, wakeup: make(chan struct{}, 1)}
+	_, parked, err := a.process(j)
+	for parked {
+		<-j.wakeup
+		_, parked, err = a.process(j)
+	}
+	if j.entered {
+		a.exitGeneration(msg.App, msg.Generation)
+	}
+	return err
 }
 
 // consume decodes and processes one message payload synchronously,
@@ -728,7 +826,7 @@ func (a *App) consume(payload []byte) error {
 		// Poison message: drop it loudly rather than loop forever.
 		return nil
 	}
-	_, err = a.processMessageDefer(msg, nil, nil, false)
+	err = a.ProcessMessage(msg)
 	// The processing pipeline copies attribute values into records and
 	// never retains the message, so it can go back to the decode pool.
 	wire.ReleaseMessage(msg)
@@ -738,22 +836,15 @@ func (a *App) consume(payload []byte) error {
 	return err
 }
 
-// ProcessMessage applies one write message with the delivery semantics
-// configured for its origin. Exported for the synchronous processing
-// used by bootstrap and tests.
-func (a *App) ProcessMessage(msg *wire.Message) error {
-	_, err := a.processMessageDefer(msg, nil, nil, false)
-	return err
-}
-
-// processMessageDefer applies one message, with the group-commit split:
-// with deferIncr set, a causal message's counter increments are NOT
-// applied inline — the due keys are returned for the caller to hand to
-// the per-queue flusher, which merges them across messages into one
-// IncrOpsMulti round trip. The returned keys are resolved values with
-// no reference into msg, so they outlive ReleaseMessage.
-func (a *App) processMessageDefer(msg *wire.Message, cancel <-chan struct{}, onBlock func(), deferIncr bool) ([]vstore.Key, error) {
-	origin := msg.App
+// process applies j's message with the delivery semantics configured
+// for its origin, or parks it (true) at the first thing it would have
+// to wait for. A queue job's causal counter increments are deferred:
+// the due keys are returned for the per-queue flusher, which merges
+// them across messages into one IncrOpsMulti round trip (resolved
+// values with no reference into the message, so they outlive
+// ReleaseMessage). A synchronous job's increments apply inline.
+func (a *App) process(j *job) ([]vstore.Key, bool, error) {
+	msg := j.msg
 	// Bootstrap watermark control messages carry no object state: they
 	// only flip the in-flight chunk window's state (and are ignored
 	// entirely when no chunked bootstrap from this origin is running —
@@ -761,34 +852,35 @@ func (a *App) processMessageDefer(msg *wire.Message, cancel <-chan struct{}, onB
 	// origin's exchange). Intercepted before the generation barrier so a
 	// publisher recovery mid-bootstrap cannot strand the window wait.
 	if id, kind, ok := wire.WatermarkOf(msg); ok {
-		a.noteWatermark(origin, id, kind)
-		return nil, nil
+		a.noteWatermark(msg.App, id, kind)
+		return nil, false, nil
 	}
-	barrierStart := time.Now()
-	err := a.enterGeneration(origin, msg.Generation)
-	a.Stages.Observe(StageBarrier, time.Since(barrierStart))
-	if err != nil {
-		return nil, err
+	if !j.entered {
+		if j.barrierAt.IsZero() {
+			j.barrierAt = time.Now()
+		}
+		entered, err := a.enterGeneration(j)
+		if !entered && err == nil {
+			if j.q != nil {
+				a.park(j)
+			}
+			return nil, true, nil
+		}
+		a.Stages.Observe(StageBarrier, time.Since(j.barrierAt))
+		if err != nil {
+			return nil, false, err
+		}
+		j.entered = true
 	}
-	defer a.exitGeneration(origin, msg.Generation)
-
-	mode := a.originMode(origin)
 	if a.Bootstrapping() {
-		return a.processBootstrapMessage(msg, deferIncr)
+		incr, err := a.processBootstrapMessage(msg, j.q != nil)
+		return incr, false, err
 	}
-
-	switch mode {
-	case Weak:
-		return nil, a.processWeak(msg)
-	default:
-		return a.processCausal(msg, mode, cancel, onBlock, deferIncr)
+	if mode := a.originMode(msg.App); mode != Weak {
+		return a.processCausal(j, mode)
 	}
+	return nil, false, a.processWeak(msg)
 }
-
-// errWaitInterrupted marks a dependency wait abandoned because the
-// worker is stopping or the queue was decommissioned; the message is
-// nacked back and handled after recovery.
-var errWaitInterrupted = errors.New("synapse: dependency wait interrupted")
 
 // originMode returns the strongest delivery mode among this app's
 // subscriptions from the origin.
@@ -810,103 +902,143 @@ func (a *App) originMode(origin string) DeliveryMode {
 // additionally respects the global-object dependency, which causal mode
 // ignores (it only appears when the publisher runs in global mode).
 //
-// The hot path runs batched: one WaitAtLeastMulti waiter for the whole
-// dependency map, one ApplyBatch claim window for all operations, one
-// IncrOps window — three round-trip plans per message instead of one
-// round trip per dependency key. With deferIncr the third plan is
-// lifted out entirely: the due increment keys are returned (deduped)
-// for the group-commit flusher, which merges them across messages.
-func (a *App) processCausal(msg *wire.Message, mode DeliveryMode, cancel <-chan struct{}, onBlock func(), deferIncr bool) ([]vstore.Key, error) {
+// The hot path runs batched: one Park probe for the whole dependency
+// map, one ApplyBatch claim window for all operations, one IncrOps
+// window — three round-trip plans per message instead of one round trip
+// per dependency key. For a queue job the third plan is lifted out
+// entirely: the due increment keys are returned (deduped) for the
+// group-commit flusher, which merges them across messages.
+//
+// The wait is one mechanism with a parameter (§6.5: "weak and causal …
+// timeout set to 0 s and ∞"): a queue job whose probe fails parks until
+// a counter it needs moves, and once DepTimeout has run out (at once for
+// 0, never for WaitForever) it is processed anyway. A synchronous job
+// has no queue to park on and blocks in the store.
+func (a *App) processCausal(j *job, mode DeliveryMode) ([]vstore.Key, bool, error) {
+	msg := j.msg
 	timeout := a.cfg.DepTimeout
-	deps, err := msg.Deps()
+	if j.reqs == nil {
+		deps, err := msg.Deps()
+		if err != nil {
+			return nil, false, err
+		}
+		var globalKey vstore.Key
+		skipGlobal := mode < Global && msg.GlobalDep != ""
+		if skipGlobal {
+			globalKey = a.tracker.Resolve(msg.GlobalDep)
+		}
+
+		// One request map for the whole message: hashed dependency versions,
+		// exact dots (resolved through this app's tracker — a hash
+		// subscriber folds a DVV publisher's names into its own key space, a
+		// DVV subscriber interns them), and external dependency minimums
+		// (decorator cross-app causality — waited, never incremented).
+		// Requirements landing on the same key are max-merged, which is
+		// equivalent to waiting on each entry in turn.
+		j.reqs = make(map[vstore.Key]uint64, len(deps)+len(msg.Dots)+len(msg.External))
+		j.incr = make([]vstore.Key, 0, len(deps)+len(msg.Dots))
+		for k, minVersion := range deps {
+			key := vstore.Key(k)
+			if skipGlobal && key == globalKey {
+				continue
+			}
+			j.reqs[key] = minVersion
+			j.incr = append(j.incr, key)
+		}
+		for name, minVersion := range msg.Dots {
+			key := a.tracker.Resolve(name)
+			if skipGlobal && key == globalKey {
+				continue
+			}
+			if minVersion > j.reqs[key] {
+				j.reqs[key] = minVersion
+			}
+			j.incr = append(j.incr, key)
+		}
+		for depKey, minOps := range msg.External {
+			k := a.tracker.Resolve(depKey)
+			if minOps > j.reqs[k] {
+				j.reqs[k] = minOps
+			}
+		}
+		j.probedAt = time.Now()
+	} else {
+		j.wait.Cancel() // back from the ready list; the timer may have put it there
+	}
+
+	deadline := j.probedAt.Add(timeout)
+	var wake func()
+	if j.q != nil && (timeout < 0 || time.Now().Before(deadline)) {
+		wake = func() { a.release(j) }
+	}
+	w, err := a.store.Park(j.reqs, wake)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	var globalKey vstore.Key
-	skipGlobal := mode < Global && msg.GlobalDep != ""
-	if skipGlobal {
-		globalKey = a.tracker.Resolve(msg.GlobalDep)
-	}
-
-	// One request map for the whole message: hashed dependency versions,
-	// exact dots (resolved through this app's tracker — a hash
-	// subscriber folds a DVV publisher's names into its own key space, a
-	// DVV subscriber interns them), and external dependency minimums
-	// (decorator cross-app causality — waited, never incremented).
-	// Requirements landing on the same key are max-merged, which is
-	// equivalent to waiting on each entry in turn.
-	reqs := make(map[vstore.Key]uint64, len(deps)+len(msg.Dots)+len(msg.External))
-	incr := make([]vstore.Key, 0, len(deps)+len(msg.Dots))
-	for k, minVersion := range deps {
-		key := vstore.Key(k)
-		if skipGlobal && key == globalKey {
-			continue
-		}
-		reqs[key] = minVersion
-		incr = append(incr, key)
-	}
-	for name, minVersion := range msg.Dots {
-		key := a.tracker.Resolve(name)
-		if skipGlobal && key == globalKey {
-			continue
-		}
-		if minVersion > reqs[key] {
-			reqs[key] = minVersion
-		}
-		incr = append(incr, key)
-	}
-	for depKey, minOps := range msg.External {
-		k := a.tracker.Resolve(depKey)
-		if minOps > reqs[k] {
-			reqs[k] = minOps
-		}
-	}
-
-	waitStart := time.Now()
-	blocked, werr := a.waitDepsMulti(reqs, timeout, cancel, onBlock)
-	waited := time.Since(waitStart)
-	a.Stages.Observe(StageDepWait, waited)
-	if blocked {
+	if w != nil && timeout != 0 && j.parkedAt.IsZero() {
+		// Counted when found, not when resolved: a subscriber stuck on a
+		// dependency that never arrives must not report 0.
+		j.parkedAt = time.Now()
 		a.depWaitsBlocked.Inc()
-		a.DepWaitBlocked.Record(int64(waited))
 	}
-	if werr != nil && !errors.Is(werr, vstore.ErrTimeout) {
-		return nil, werr
+	var werr error
+	switch {
+	case w == nil:
+	case wake != nil:
+		j.wait = w
+		if timeout > 0 && j.timer == nil {
+			j.timer = time.AfterFunc(time.Until(deadline), wake)
+		}
+		a.park(j)
+		return nil, true, nil
+	case j.q == nil && timeout != 0:
+		werr = a.store.WaitAtLeastMulti(j.reqs, timeout)
+		if werr != nil && !errors.Is(werr, vstore.ErrTimeout) {
+			return nil, false, werr
+		}
+	default:
+		werr = &vstore.WaitError{Unmet: w.Unmet}
+	}
+	resolved := time.Now()
+	a.Stages.Observe(StageDepWait, resolved.Sub(j.probedAt))
+	blocked := !j.parkedAt.IsZero()
+	if blocked {
+		a.DepWaitBlocked.Record(int64(resolved.Sub(j.parkedAt)))
 	}
 	// On ErrTimeout: §6.5 — give up waiting for late or lost messages and
 	// process anyway, trading consistency for availability; the per-object
 	// guard in the apply discards stale versions, weak-style.
 	if werr != nil {
-		a.noteDepTimeout(werr)
+		a.noteDepTimeout(a.describeDepTimeout(werr))
 	} else if blocked {
-		a.noteFalseDeps(msg, reqs)
+		a.noteFalseDeps(msg, j.reqs)
 	}
 
 	applyStart := time.Now()
 	if err := a.applyOpsBatched(msg); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	a.recordDepWriters(msg)
 	// The bootstrap Seq boundary outlives Bootstrapping(): a message
 	// published before the version snapshot has its bumps bulk-loaded
-	// already, and re-incrementing (e.g. backlog prefetched during the
+	// already, and re-incrementing (e.g. backlog fetched during the
 	// bootstrap but processed after it) would push this store's counters
 	// past the publisher's, making every later guarded apply look stale.
 	var deferred []vstore.Key
 	if msg.Seq > a.bootSeqFor(msg.App) {
-		if deferIncr {
+		if j.q != nil {
 			// Group commit: the flusher counts each message's DISTINCT
 			// keys once (IncrOps semantics), so dedup here, where the
 			// per-message set is small and hot in cache.
-			deferred = dedupKeys(incr)
-		} else if err := a.store.IncrOps(incr); err != nil {
-			return nil, err
+			deferred = dedupKeys(j.incr)
+		} else if err := a.store.IncrOps(j.incr); err != nil {
+			return nil, false, err
 		}
 	}
 	a.Stages.Observe(StageApply, time.Since(applyStart))
 	a.Processed.Add(1)
 	a.recordApplied(msg)
-	return deferred, nil
+	return deferred, false, nil
 }
 
 // dedupKeys returns keys with duplicates removed (order preserved);
@@ -926,62 +1058,6 @@ func dedupKeys(keys []vstore.Key) []vstore.Key {
 		}
 	}
 	return out
-}
-
-// waitDepsMulti waits for a message's whole dependency map: one
-// registered waiter and one pipelined check per round, sliced so a
-// worker blocked on a dependency that will never arrive (lost message,
-// §6.5) can observe shutdown and queue decommission instead of hanging
-// forever. onBlock (may be nil) fires once, before the first round that
-// actually blocks. The returned bool reports whether the wait actually
-// blocked (the initial non-blocking probe failed) — the signal behind
-// Stats.DepWaitsBlocked and the false-dependency estimate.
-func (a *App) waitDepsMulti(reqs map[vstore.Key]uint64, timeout time.Duration, cancel <-chan struct{}, onBlock func()) (bool, error) {
-	// Probe without blocking: the common case (every dependency already
-	// satisfied) answers in one pipelined round trip, and a failed probe
-	// marks the wait as genuinely blocked — the signal for spilling the
-	// rest of a prefetched batch (onBlock) to idle workers.
-	err := a.store.WaitAtLeastMulti(reqs, 0)
-	if err == nil || !errors.Is(err, vstore.ErrTimeout) {
-		return false, err
-	}
-	if timeout == 0 {
-		// Zero timeout degrades immediately (§6.5 weak-like processing).
-		return false, a.describeDepTimeout(err)
-	}
-	if onBlock != nil {
-		onBlock()
-	}
-	const slice = 100 * time.Millisecond
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	for {
-		step := slice
-		if timeout > 0 {
-			if rem := time.Until(deadline); rem < step {
-				step = rem
-			}
-		}
-		err := a.store.WaitAtLeastMulti(reqs, step)
-		if err == nil || !errors.Is(err, vstore.ErrTimeout) {
-			return true, err
-		}
-		if timeout > 0 && !time.Now().Before(deadline) {
-			return true, a.describeDepTimeout(err)
-		}
-		select {
-		case <-cancel:
-			return true, errWaitInterrupted
-		default:
-		}
-		if q := a.Queue(); q != nil && q.Dead() {
-			// The queue died while we waited; abandon the message so
-			// the worker can run the recovery path.
-			return true, errWaitInterrupted
-		}
-	}
 }
 
 // applyStripe returns the per-object apply lock for a dependency key.
@@ -1138,6 +1214,23 @@ func (a *App) describeDepTimeout(err error) error {
 	}
 	return fmt.Errorf("synapse: %s tracker blocked on %s (have %d, need %d)%s: %w",
 		a.tracker.Policy(), a.tracker.DescribeKey(r.Key), r.Have, r.Need, extra, err)
+}
+
+// describeParked renders every parked message for Stats.Parked: which
+// message, and what it waits for, in describeDepTimeout's words.
+func (a *App) describeParked() []string {
+	a.parkMu.Lock()
+	defer a.parkMu.Unlock()
+	out := make([]string, 0, len(a.parked))
+	for j := range a.parked {
+		reason := fmt.Sprintf("generation %d is ahead of the barrier", j.msg.Generation)
+		if j.entered {
+			reason = a.describeDepTimeout(&vstore.WaitError{Unmet: j.wait.Unmet}).Error()
+		}
+		out = append(out, fmt.Sprintf("%s seq=%d: %s", j.msg.App, j.msg.Seq, reason))
+	}
+	sort.Strings(out)
+	return out
 }
 
 // noteDepTimeout records a dependency wait that gave up (§6.5), keeping

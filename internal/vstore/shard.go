@@ -31,14 +31,14 @@ type shard struct {
 	waiters map[Key][]waiter
 }
 
-// waiter is one registered dependency wait: the channel to signal and
-// the ops value the waiter needs. Wakeups are threshold-aware — an
-// increment only signals waiters whose threshold it reached — so a hot
+// waiter is one registered dependency wait: the wait to fire and the
+// ops value it needs on this key. Wakeups are threshold-aware — an
+// increment only fires waiters whose threshold it reached — so a hot
 // key incremented thousands of times per second does not stampede every
-// blocked subscriber into a spurious re-check round trip each time
+// parked subscriber into a spurious re-check round trip each time
 // (the thundering herd zipf-skewed workloads otherwise produce).
 type waiter struct {
-	ch  chan struct{}
+	p   *Parked
 	min uint64
 }
 
@@ -111,32 +111,26 @@ func (sh *shard) unlock(k Key) {
 }
 
 // register adds a waiter for the key, needing ops >= min. The caller
-// must check its condition AFTER registering (and deregister if already
-// satisfied) so that no wakeup can be lost between the check and the
-// registration.
-func (sh *shard) register(k Key, min uint64) chan struct{} {
-	ch := make(chan struct{}, 1)
-	sh.registerCh(k, min, ch)
-	return ch
-}
-
-// registerCh registers a caller-owned waiter channel for the key, with
-// the ops threshold the waiter needs. A multi-key waiter registers one
-// channel on every key it waits for (across shards); wakeups are
-// non-blocking sends, so duplicate registrations of the same channel
-// are harmless.
-func (sh *shard) registerCh(k Key, min uint64, ch chan struct{}) {
+// still holds the shard's read lock from the check that found the key
+// short, so no increment — and no wakeup — can fall between the check
+// and the registration. A multi-key wait registers the same *Parked on
+// every key it waits for (across shards) — unless it has ended already
+// (fired on an earlier key): its sweep of this shard may be over.
+func (sh *shard) register(k Key, min uint64, p *Parked) {
 	sh.waitMu.Lock()
-	sh.waiters[k] = append(sh.waiters[k], waiter{ch: ch, min: min})
+	if !p.done.Load() {
+		sh.waiters[k] = append(sh.waiters[k], waiter{p: p, min: min})
+	}
 	sh.waitMu.Unlock()
 }
 
-// deregister removes a waiter channel (no-op if already woken).
-func (sh *shard) deregister(k Key, ch chan struct{}) {
+// deregister removes a wait's registration on the key (no-op if it
+// already fired or was never registered there).
+func (sh *shard) deregister(k Key, p *Parked) {
 	sh.waitMu.Lock()
 	ws := sh.waiters[k]
 	for i, w := range ws {
-		if w.ch == ch {
+		if w.p == p {
 			sh.waiters[k] = append(ws[:i], ws[i+1:]...)
 			break
 		}
@@ -147,32 +141,14 @@ func (sh *shard) deregister(k Key, ch chan struct{}) {
 	sh.waitMu.Unlock()
 }
 
-// await blocks on a registered waiter channel until signalled or timeout
-// (timeout < 0 waits forever). Returns false on timeout; the caller must
-// deregister in that case.
-func await(ch chan struct{}, timeout time.Duration) bool {
-	if timeout < 0 {
-		<-ch
-		return true
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-ch:
-		return true
-	case <-timer.C:
-		return false
-	}
-}
-
-// wakeReached signals waiters on keys[i] whose threshold vals[i] (the
+// wakeReached fires waiters on keys[i] whose threshold vals[i] (the
 // key's ops counter after the update) satisfies. Waiters still short of
 // their threshold stay registered: waking them would only trigger a
 // futile re-check round trip, and the increment that eventually reaches
-// their threshold will signal them.
+// their threshold will fire them.
 func (sh *shard) wakeReached(keys []Key, vals []uint64) {
 	sh.waitMu.Lock()
-	var toWake []chan struct{}
+	var toWake []*Parked
 	for i, k := range keys {
 		ws := sh.waiters[k]
 		if len(ws) == 0 {
@@ -181,7 +157,7 @@ func (sh *shard) wakeReached(keys []Key, vals []uint64) {
 		kept := ws[:0]
 		for _, w := range ws {
 			if w.min <= vals[i] {
-				toWake = append(toWake, w.ch)
+				toWake = append(toWake, w.p)
 			} else {
 				kept = append(kept, w)
 			}
@@ -193,30 +169,24 @@ func (sh *shard) wakeReached(keys []Key, vals []uint64) {
 		}
 	}
 	sh.waitMu.Unlock()
-	for _, ch := range toWake {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
+	for _, p := range toWake {
+		p.fire()
 	}
 }
 
-// wakeAll signals every waiter regardless of threshold (store death,
+// wakeAll fires every waiter regardless of threshold (store death,
 // flush: waiters must re-check liveness, not counters).
 func (sh *shard) wakeAll() {
 	sh.waitMu.Lock()
-	var toWake []chan struct{}
+	var toWake []*Parked
 	for k, ws := range sh.waiters {
 		for _, w := range ws {
-			toWake = append(toWake, w.ch)
+			toWake = append(toWake, w.p)
 		}
 		delete(sh.waiters, k)
 	}
 	sh.waitMu.Unlock()
-	for _, ch := range toWake {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
+	for _, p := range toWake {
+		p.fire()
 	}
 }

@@ -16,10 +16,11 @@
 // ablation benchmark exploits.
 //
 // The hot-path entry points are the batched round-trip plans —
-// BumpBatch on the publisher side, WaitAtLeastMulti and ApplyBatch on
-// the subscriber side — which amortize a whole message's dependency
-// traffic into one scripted round trip per shard, the way the paper
-// batches version-store commands into LUA scripts and pipelines them.
+// BumpBatch on the publisher side, Park (and its blocking form
+// WaitAtLeastMulti) and ApplyBatch on the subscriber side — which
+// amortize a whole message's dependency traffic into one scripted round
+// trip per shard, the way the paper batches version-store commands into
+// LUA scripts and pipelines them.
 // The per-key operations (LockWrites/Bump, WaitAtLeast, ApplyIfNewer,
 // IncrOps) remain for the journal, bootstrap and synchronous message
 // processing, and as the reference implementation the batch paths are
@@ -87,11 +88,6 @@ func (e *WaitError) Error() string {
 
 // Unwrap keeps WaitError compatible with errors.Is(err, ErrTimeout).
 func (e *WaitError) Unwrap() error { return ErrTimeout }
-
-// waitTimeout builds the single-key WaitError.
-func waitTimeout(k Key, need, have uint64) error {
-	return &WaitError{Unmet: []WaitReq{{Key: k, Need: need, Have: have}}}
-}
 
 // Key is a hashed dependency key.
 type Key uint64
@@ -474,19 +470,15 @@ func (s *Store) Ops(k Key) uint64 {
 	return out
 }
 
-// IncrOps increments the subscriber ops counter for every key (after a
-// message is processed) and wakes waiters. Keys sharing a shard are
-// applied in one script.
-func (s *Store) IncrOps(keys []Key) error {
-	if err := s.checkAlive(); err != nil {
-		return err
-	}
+// window runs script once per shard on the keys it holds, after charging
+// the one pipelined round-trip window the scripts share: the slowest
+// shard's cost, once. A callback keeps the grouping map on this stack.
+func (s *Store) window(keys []Key, script func(*shard, []Key)) {
 	byShard := make(map[*shard][]Key)
-	for _, k := range dedupSorted(keys) {
+	for _, k := range keys {
 		sh := s.shardFor(k)
 		byShard[sh] = append(byShard[sh], k)
 	}
-	// One pipelined round trip: charge the slowest shard's cost once.
 	var cost time.Duration
 	for _, ks := range byShard {
 		if c := s.cfg.scriptCost(len(ks)); c > cost {
@@ -495,6 +487,22 @@ func (s *Store) IncrOps(keys []Key) error {
 	}
 	s.charge(cost)
 	for sh, ks := range byShard {
+		script(sh, ks)
+	}
+}
+
+// moveOps is the one way a subscriber ops counter moves: move runs on
+// every key's entry (created on demand), one atomic script per shard in
+// one window, then the waiters whose threshold a key's new value reaches
+// are woken — nothing that moves a counter can forget the waiter table.
+func (s *Store) moveOps(keys []Key, move func(Key, *entry)) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	if err := s.checkAlive(); err != nil {
+		return err
+	}
+	s.window(keys, func(sh *shard, ks []Key) {
 		vals := make([]uint64, len(ks))
 		sh.script(0, func(m map[Key]*entry) {
 			for i, k := range ks {
@@ -503,13 +511,19 @@ func (s *Store) IncrOps(keys []Key) error {
 					e = &entry{}
 					m[k] = e
 				}
-				e.ops++
+				move(k, e)
 				vals[i] = e.ops
 			}
 		})
 		sh.wakeReached(ks, vals)
-	}
+	})
 	return nil
+}
+
+// IncrOps increments the subscriber ops counter for every key (after a
+// message is processed) and wakes waiters. Duplicate keys count once.
+func (s *Store) IncrOps(keys []Key) error {
+	return s.moveOps(dedupSorted(keys), func(_ Key, e *entry) { e.ops++ })
 }
 
 // IncrOpsMulti applies many messages' worth of counter increments in
@@ -528,276 +542,158 @@ func (s *Store) IncrOpsMulti(counts map[Key]uint64) error {
 			keys = append(keys, k)
 		}
 	}
-	if len(keys) == 0 {
-		return nil
-	}
-	if err := s.checkAlive(); err != nil {
-		return err
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	byShard := make(map[*shard][]Key)
-	for _, k := range keys {
-		sh := s.shardFor(k)
-		byShard[sh] = append(byShard[sh], k)
-	}
-	// One pipelined round trip: charge the slowest shard's cost once.
-	var cost time.Duration
-	for _, ks := range byShard {
-		if c := s.cfg.scriptCost(len(ks)); c > cost {
-			cost = c
-		}
-	}
-	s.charge(cost)
-	for sh, ks := range byShard {
-		vals := make([]uint64, len(ks))
-		sh.script(0, func(m map[Key]*entry) {
-			for i, k := range ks {
-				e := m[k]
-				if e == nil {
-					e = &entry{}
-					m[k] = e
-				}
-				e.ops += counts[k]
-				vals[i] = e.ops
-			}
-		})
-		sh.wakeReached(ks, vals)
-	}
-	return nil
+	return s.moveOps(keys, func(k Key, e *entry) { e.ops += counts[k] })
 }
 
 // SetOps raises the ops counter for a key to at least val (bulk version
 // load during bootstrap; max-merge so late loads cannot regress).
 func (s *Store) SetOps(k Key, val uint64) error {
-	if err := s.checkAlive(); err != nil {
-		return err
-	}
-	sh := s.shardFor(k)
-	s.charge(s.cfg.scriptCost(1))
-	var cur uint64
-	sh.script(0, func(m map[Key]*entry) {
-		e := m[k]
-		if e == nil {
-			e = &entry{}
-			m[k] = e
-		}
-		if val > e.ops {
-			e.ops = val
-		}
-		cur = e.ops
-	})
-	sh.wakeReached([]Key{k}, []uint64{cur})
-	return nil
+	return s.SetOpsMulti(map[Key]uint64{k: val})
 }
 
 // SetOpsMulti raises many keys' ops counters to at least their mapped
-// values in one pipelined round-trip window (max-merge per key, like
-// SetOps). This is the bulk version load of a bootstrap: equivalent to
-// one SetOps call per key, but charged a single window instead of one
+// values in one pipelined round-trip window (max-merge per key). This
+// is the bulk version load of a bootstrap: one window instead of one
 // per counter.
 func (s *Store) SetOpsMulti(vals map[Key]uint64) error {
-	if len(vals) == 0 {
-		return nil
-	}
-	if err := s.checkAlive(); err != nil {
-		return err
-	}
 	keys := make([]Key, 0, len(vals))
 	for k := range vals {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	byShard := make(map[*shard][]Key)
-	for _, k := range keys {
-		sh := s.shardFor(k)
-		byShard[sh] = append(byShard[sh], k)
-	}
-	// One pipelined round trip: charge the slowest shard's cost once.
-	var cost time.Duration
-	for _, ks := range byShard {
-		if c := s.cfg.scriptCost(len(ks)); c > cost {
-			cost = c
-		}
-	}
-	s.charge(cost)
-	for sh, ks := range byShard {
-		out := make([]uint64, len(ks))
-		sh.script(0, func(m map[Key]*entry) {
-			for i, k := range ks {
-				e := m[k]
-				if e == nil {
-					e = &entry{}
-					m[k] = e
-				}
-				if v := vals[k]; v > e.ops {
-					e.ops = v
-				}
-				out[i] = e.ops
-			}
-		})
-		sh.wakeReached(ks, out)
-	}
-	return nil
+	return s.moveOps(keys, func(k Key, e *entry) { e.ops = max(e.ops, vals[k]) })
 }
 
-// WaitAtLeast blocks until the ops counter for the key reaches min, the
-// timeout elapses (a *WaitError wrapping ErrTimeout, naming the
-// blocking key and its counters), or the store dies (ErrDead). A zero
-// timeout checks once without blocking; a negative timeout waits
-// forever. This is the subscriber's dependency wait (§4.2), with the
-// configurable give-up recommended in §6.5.
+// WaitAtLeast is WaitAtLeastMulti for a single key: the subscriber's
+// dependency wait (§4.2), with the configurable give-up recommended in
+// §6.5.
 func (s *Store) WaitAtLeast(k Key, min uint64, timeout time.Duration) error {
-	if min == 0 {
-		return s.checkAlive()
+	return s.WaitAtLeastMulti(map[Key]uint64{k: min}, timeout)
+}
+
+// Parked is a dependency wait that Park found unmet: the blocking keys
+// as probed and — given a wake action — one registration per unmet key
+// in the shards' waiter tables. It ends exactly once, dropping every
+// remaining registration: it fires (a threshold reached, a flush, a
+// kill; wake runs on the goroutine that did it) or it is cancelled.
+type Parked struct {
+	// Unmet lists the keys short of their minimum at the probe, with the
+	// counters observed, in ascending key order.
+	Unmet []WaitReq
+
+	store *Store
+	keys  []Key // every key the wait may be registered on
+	wake  func()
+	done  atomic.Bool
+}
+
+func (p *Parked) fire() {
+	if p.Cancel() {
+		p.wake()
 	}
-	sh := s.shardFor(k)
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
+}
+
+// Cancel withdraws the wait and reports whether that ended it: true
+// means wake has not run and never will.
+func (p *Parked) Cancel() bool {
+	if !p.done.CompareAndSwap(false, true) {
+		return false
 	}
-	for {
-		if err := s.checkAlive(); err != nil {
-			return err
+	for _, k := range p.keys {
+		p.store.shardFor(k).deregister(k, p)
+	}
+	return true
+}
+
+// Park is the non-blocking dependency wait: it probes every key in reqs
+// against its required minimum in one pipelined round trip over the
+// shards involved and reports nil when all are reached (zero-minimum
+// entries need no round trip). Otherwise it returns the unmet keys and,
+// given a non-nil wake, leaves a threshold-aware waiter registered on
+// each: wake is called once — possibly before Park returns — when any
+// of them reaches its threshold or the store is flushed or killed, and
+// the caller probes again to learn whether the whole map is satisfied
+// now. Each key is checked and registered under one hold of its shard's
+// read lock, so an increment between the two cannot be lost.
+func (s *Store) Park(reqs map[Key]uint64, wake func()) (*Parked, error) {
+	if err := s.checkAlive(); err != nil {
+		return nil, err
+	}
+	keys := make([]Key, 0, len(reqs))
+	for k, min := range reqs {
+		if min > 0 {
+			keys = append(keys, k)
 		}
-		// Register (with the needed threshold) before checking so a
-		// concurrent IncrOps between the check and the wait cannot be
-		// lost; increments below the threshold won't wake us.
-		ch := sh.register(k, min)
-		var cur uint64
-		s.rt.Add(1)
+	}
+	if len(keys) == 0 {
+		return nil, nil
+	}
+	var p *Parked
+	s.window(keys, func(sh *shard, ks []Key) {
 		sh.rscript(0, func(m map[Key]*entry) {
-			if e := m[k]; e != nil {
-				cur = e.ops
+			for _, k := range ks {
+				var cur uint64
+				if e := m[k]; e != nil {
+					cur = e.ops
+				}
+				if cur >= reqs[k] {
+					continue
+				}
+				if p == nil {
+					p = &Parked{store: s, keys: keys, wake: wake}
+				}
+				p.Unmet = append(p.Unmet, WaitReq{Key: k, Need: reqs[k], Have: cur})
+				if wake != nil {
+					sh.register(k, reqs[k], p)
+				}
 			}
 		})
-		if cur >= min {
-			sh.deregister(k, ch)
-			return nil
-		}
-		if timeout == 0 {
-			sh.deregister(k, ch)
-			return waitTimeout(k, min, cur)
-		}
-		var waitFor time.Duration = -1
-		if timeout > 0 {
-			waitFor = time.Until(deadline)
-			if waitFor <= 0 {
-				sh.deregister(k, ch)
-				return waitTimeout(k, min, cur)
-			}
-		}
-		if !await(ch, waitFor) {
-			sh.deregister(k, ch)
-			return waitTimeout(k, min, cur)
-		}
+	})
+	if p == nil {
+		return nil, nil
 	}
+	sort.Slice(p.Unmet, func(i, j int) bool { return p.Unmet[i].Key < p.Unmet[j].Key })
+	return p, nil
 }
 
 // WaitAtLeastMulti blocks until the ops counter of EVERY key in reqs
 // reaches its required minimum, the timeout elapses (a *WaitError
 // wrapping ErrTimeout, naming every still-blocking key), or the store
-// dies (ErrDead). It is the batched replacement for one WaitAtLeast
-// call per dependency: a single waiter is registered for the whole
-// dependency map, and each check is one pipelined round trip over the
-// shards involved instead of one per key. Zero-minimum entries are
-// satisfied without any round trip. Timeout semantics follow
-// WaitAtLeast, applied to the map as a whole (a zero timeout checks
-// once; a negative timeout waits forever).
+// dies (ErrDead). It is the blocking form of Park — the batched
+// replacement for one WaitAtLeast call per dependency: each check is
+// one pipelined round trip over the shards involved instead of one per
+// key, and after a wakeup only the keys still unmet are checked again.
+// Timeout semantics follow WaitAtLeast, applied to the map as a whole
+// (a zero timeout checks once; a negative timeout waits forever).
 func (s *Store) WaitAtLeastMulti(reqs map[Key]uint64, timeout time.Duration) error {
-	remaining := make(map[Key]uint64, len(reqs))
-	for k, min := range reqs {
-		if min > 0 {
-			remaining[k] = min
-		}
-	}
-	if len(remaining) == 0 {
-		return s.checkAlive()
-	}
-	// have tracks the last observed ops counter for each outstanding key
-	// so a timeout can report how far short every blocker was.
-	have := make(map[Key]uint64, len(remaining))
-	unmet := func() error {
-		e := &WaitError{Unmet: make([]WaitReq, 0, len(remaining))}
-		for k, need := range remaining {
-			e.Unmet = append(e.Unmet, WaitReq{Key: k, Need: need, Have: have[k]})
-		}
-		sort.Slice(e.Unmet, func(i, j int) bool { return e.Unmet[i].Key < e.Unmet[j].Key })
-		return e
-	}
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	for {
-		if err := s.checkAlive(); err != nil {
+	if timeout == 0 {
+		p, err := s.Park(reqs, nil)
+		if p == nil {
 			return err
 		}
-		// One shared waiter channel, registered on every outstanding key
-		// BEFORE the check so no concurrent IncrOps wakeup can be lost.
-		// Each registration carries that key's threshold: on a hot key
-		// whose counter advances constantly, only the increment that
-		// reaches the threshold wakes this waiter.
-		ch := make(chan struct{}, 1)
-		regd := make([]Key, 0, len(remaining))
-		byShard := make(map[*shard][]Key)
-		for k, min := range remaining {
-			sh := s.shardFor(k)
-			sh.registerCh(k, min, ch)
-			regd = append(regd, k)
-			byShard[sh] = append(byShard[sh], k)
+		return &WaitError{Unmet: p.Unmet}
+	}
+	var expired <-chan time.Time // nil: a negative timeout never expires
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
+	}
+	woken := make(chan struct{}, 1) // a wait fires once and is drained before the next: never full
+	wake := func() { woken <- struct{}{} }
+	for {
+		p, err := s.Park(reqs, wake)
+		if p == nil {
+			return err
 		}
-		deregister := func() {
-			for _, k := range regd {
-				s.shardFor(k).deregister(k, ch)
-			}
+		select {
+		case <-woken:
+		case <-expired:
+			p.Cancel()
+			return &WaitError{Unmet: p.Unmet}
 		}
-		// One pipelined check window over all shards involved.
-		var cost time.Duration
-		for _, ks := range byShard {
-			if c := s.cfg.scriptCost(len(ks)); c > cost {
-				cost = c
-			}
-		}
-		s.charge(cost)
-		var satisfied []Key
-		for sh, ks := range byShard {
-			sh.rscript(0, func(m map[Key]*entry) {
-				for _, k := range ks {
-					e := m[k]
-					var cur uint64
-					if e != nil {
-						cur = e.ops
-					}
-					have[k] = cur
-					if cur >= remaining[k] {
-						satisfied = append(satisfied, k)
-					}
-				}
-			})
-		}
-		for _, k := range satisfied {
-			delete(remaining, k)
-		}
-		if len(remaining) == 0 {
-			deregister()
-			return nil
-		}
-		if timeout == 0 {
-			deregister()
-			return unmet()
-		}
-		var waitFor time.Duration = -1
-		if timeout > 0 {
-			waitFor = time.Until(deadline)
-			if waitFor <= 0 {
-				deregister()
-				return unmet()
-			}
-		}
-		ok := await(ch, waitFor)
-		deregister()
-		if !ok {
-			return unmet()
+		reqs = make(map[Key]uint64, len(p.Unmet))
+		for _, r := range p.Unmet {
+			reqs[r.Key] = r.Need
 		}
 	}
 }

@@ -114,7 +114,20 @@ scenario_benchmark() {
     done
 }
 
-ALL="check chaos overload causality tail cluster bootstrap benchmark"
+# Subscriber liveness: a message that is not ready parks and nothing
+# blocks behind it. The two regression tests wedge a blocking worker
+# deterministically (dependant ahead of its satisfier, new generation
+# ahead of the last old message, one worker); the park/ready/release unit
+# tests and the random-ops convergence property run under the race
+# detector — a failing seed is a bug report, never a rerun.
+scenario_liveness() {
+    go test -race -run 'TestPark' ./internal/vstore/ &&
+        go test -race -run 'TestDependantAhead|TestNewGeneration|TestParked|TestStopWorkersHands' \
+            ./internal/core/ &&
+        go test -race -count=20 -run 'TestQuickConvergenceRandomOps' ./internal/core/
+}
+
+ALL="check chaos overload causality tail cluster bootstrap benchmark liveness"
 run_list="$*"
 if [ -z "$run_list" ]; then
     run_list="$ALL"
