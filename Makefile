@@ -48,7 +48,7 @@ check-bench:
 	./scripts/bench_gate.sh
 
 # The CI scenario suite (check/chaos/overload/causality/tail/cluster/
-# bootstrap/benchmark/liveness), quick sweeps — the same commands the
+# bootstrap/benchmark/liveness/journal), quick sweeps — the same commands the
 # workflow matrix runs.
 scenarios:
 	./scripts/scenarios.sh -quick

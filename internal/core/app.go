@@ -90,7 +90,7 @@ type App struct {
 	env        map[string]any
 	envMu      sync.Mutex
 	recoverMu  sync.Mutex // serializes queue recovery
-	journalMu  sync.Mutex // serializes journal drains
+	journalMu  sync.Mutex // serializes journal drains and cuts
 
 	// recoverPending is the set of origins RecoverQueue still owes a
 	// bootstrap (guarded by recoverMu): a multi-origin recovery that
@@ -111,8 +111,10 @@ type App struct {
 	faults *faultinject.Registry
 	// journalEpoch stamps this app instance's journal entry IDs so a
 	// restarted instance (same name, same database) can never collide
-	// with entries a crashed predecessor left behind.
+	// with entries a crashed predecessor left behind. outbox indexes
+	// this instance's entries (see journal.go).
 	journalEpoch int64
+	outbox       *outbox
 	republished  *metrics.Counter // journal entries republished
 	retries      *metrics.Counter // failed deliveries requeued
 	redelivered  *metrics.Counter // deliveries received with the redelivered flag
@@ -274,6 +276,7 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 		PipelineFill:     hdr.New(),
 		FlushBatchSize:   hdr.New(),
 	}
+	a.outbox = newOutbox(&a.seq)
 	if err := f.registerApp(a); err != nil {
 		return nil, err
 	}
@@ -334,8 +337,12 @@ type Stats struct {
 	// published and processed (0 when no messages have flowed).
 	RoundTripsPerMessage float64
 	// JournalDepth is the publish-journal entries awaiting a broker send
-	// (nonzero only mid-publish or after a crash).
-	JournalDepth int
+	// (nonzero only mid-publish, while sends are deferred, or after a
+	// crash). JournalTruncated counts the journal rows removed by range
+	// deletes — the journal's engine work that Mapper().Stats() leaves
+	// out because when a cut happens depends on the schedule.
+	JournalDepth     int
+	JournalTruncated int64
 	// Republished counts journal entries resent by RecoverJournal.
 	Republished int64
 	// Retries counts failed deliveries requeued for another attempt.
@@ -422,7 +429,9 @@ type Stats struct {
 
 // Stats snapshots the app's hot-path counters and stage timers.
 func (a *App) Stats() Stats {
+	_, _, truncated := a.outbox.counts()
 	st := Stats{
+		JournalTruncated:   truncated,
 		Published:          a.seq.Load(),
 		Processed:          a.Processed.Count(),
 		VStoreRoundTrips:   a.store.RoundTrips(),

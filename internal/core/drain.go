@@ -13,7 +13,8 @@ import (
 //  2. The publish journal is flushed until empty — deferred sends go
 //     out now even under subscriber backpressure, because a planned
 //     restart values the durability hand-off over smoothing (the hard
-//     queue bound still holds).
+//     queue bound still holds) — and then truncated, so a successor
+//     instance finds no rows to replay.
 //  3. Workers are stopped and waited for: in-flight deliveries finish
 //     their apply and ack; fetched-but-unstarted and parked deliveries
 //     are nacked back to the queue front in order. Nothing is left
@@ -31,8 +32,9 @@ func (a *App) Drain(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if _, err := a.RecoverJournal(); err != nil {
-			// Broker endpoint unreachable; retry until the deadline.
+		if n, err := a.RecoverJournal(); err != nil || n == 0 {
+			// Broker endpoint unreachable, or the remaining entries belong
+			// to publishes still in flight; retry until the deadline.
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -40,6 +42,7 @@ func (a *App) Drain(ctx context.Context) error {
 			}
 		}
 	}
+	a.cutJournal()
 	done := make(chan struct{})
 	go func() {
 		a.StopWorkers()

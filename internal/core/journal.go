@@ -1,10 +1,15 @@
 package core
 
 import (
-	"fmt"
+	"errors"
+	"slices"
+	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"synapse/internal/model"
 	"synapse/internal/orm"
+	"synapse/internal/storage"
 	"synapse/internal/vstore"
 	"synapse/internal/wire"
 )
@@ -12,8 +17,8 @@ import (
 // The durable publish journal closes the paper's crash window between
 // the publisher's local commit and the broker send (§4.2 discusses the
 // 2PC; the original system heals the window with a subscriber
-// bootstrap). Every message is staged in the publisher's OWN storage
-// engine before the broker send and deleted right after it:
+// bootstrap). Every message is appended to a log in the publisher's OWN
+// storage engine before the broker send:
 //
 //   - On transactional engines the journal row rides in the same engine
 //     transaction as the data writes (the transactional-outbox pattern),
@@ -26,20 +31,32 @@ import (
 //     the paper's original (now much smaller) window; a crash after
 //     leaves an entry to replay.
 //
-// RecoverJournal republishes surviving entries VERBATIM with respect to
+// The log is append-only with a high-water acknowledgement (the shape
+// DBLog assumes of a source): an entry is registered in the in-memory
+// outbox before it can commit, confirmed there once its message was sent
+// (or shed) — a mutex and a counter, no engine call — and its row leaves
+// the engine later, by truncation: one range delete below the lowest
+// unconfirmed entry per outboxCutEvery confirmations, and at every
+// drain and graceful stop. What a crash can replay is therefore the
+// entries in flight plus up to outboxCutEvery confirmed ones (and a
+// shed entry may resurface); both are duplicates or late messages the
+// subscriber-side guard below makes harmless.
+//
+// RecoverJournal republishes entries VERBATIM with respect to
 // dependency versions: the crashed publish already bumped the
 // version-store counters, and a message carrying those exact versions is
 // the only thing that can fill the resulting gap in subscriber ops
 // counters — re-running the publisher algorithm would burn fresh
 // versions and wedge strict-causal subscribers forever. Replays may
-// duplicate a send that did reach the broker (crash between send and
-// journal delete); the subscriber side is idempotent for liveness — the
-// per-object version guard discards the duplicate apply, and the
-// duplicate ops increments only run subscriber counters ahead, which
-// weakens ordering for already-delivered messages but never blocks.
+// duplicate a send that did reach the broker; the subscriber side is
+// idempotent for liveness — the per-object version guard discards the
+// duplicate apply, and the duplicate ops increments only run subscriber
+// counters ahead, which weakens ordering for already-delivered messages
+// but never blocks.
 
 // journalModel is the reserved model backing the publish journal, one
-// instance ("synapse_journals" row/document) per in-flight message.
+// instance ("synapse_journals" row/document) per entry not yet
+// truncated.
 const journalModel = "SynapseJournal"
 
 // Named fault sites on the publish/recovery path (see faultinject).
@@ -48,15 +65,145 @@ const (
 	// write) but before the broker send — the classic crash window.
 	FaultBeforePublish = "publish/before-send"
 	// FaultBeforeJournalAck fires between the broker send and the
-	// journal-entry delete; a crash here leaves a duplicate replay.
+	// journal-entry confirmation; a crash here leaves a duplicate replay.
 	FaultBeforeJournalAck = "publish/before-journal-ack"
 	// FaultJournalDrain fires after each recovery republish, before the
-	// entry delete; a crash here tests re-entrant drains.
+	// entry is confirmed; a crash here tests re-entrant drains.
 	FaultJournalDrain = "journal/drain"
 	// FaultApply fires at the top of every subscriber-side operation
 	// apply, driving the retry/dead-letter path.
 	FaultApply = "subscribe/apply"
 )
+
+// outboxCutEvery is how many confirmations accumulate before the
+// confirming goroutine truncates the confirmed prefix of the log. It
+// bounds both the rows a healthy publisher keeps and the duplicates a
+// crash can replay; one range delete per 256 messages is already below
+// 1 % of a publish, so nothing is gained by tuning it.
+const outboxCutEvery = 256
+
+// outbox is the in-memory index of this instance's journal entries.
+// The engine holds the payloads; the outbox knows which of them still
+// matter. An entry is
+//
+//	registered — its seq is drawn and recorded before the entry can
+//	             commit, so no committed row is ever unknown here;
+//	deferred   — committed, and the publish gave the send up (broker
+//	             unreachable, backpressure, a crash fault): the drain
+//	             owns it now;
+//	confirmed  — sent or shed: forgotten here, its row awaits the cut;
+//	withdrawn  — its transaction aborted: forgotten, there is no row.
+//
+// Invariant (what makes the lagging cut safe): every committed row of
+// this epoch whose seq is below the watermark is confirmed.
+type outbox struct {
+	seq *atomic.Uint64 // the app's message counter; register draws from it under mu
+
+	mu        sync.Mutex
+	open      map[uint64]bool // registered, not confirmed; true = deferred
+	cut       uint64          // rows of this epoch below it are gone
+	sinceCut  int             // confirmations since the watermark was last taken
+	inherited int             // rows predecessor instances left, still to replay
+	truncated int64           // rows removed by range deletes
+}
+
+func newOutbox(seq *atomic.Uint64) *outbox {
+	return &outbox{seq: seq, open: make(map[uint64]bool)}
+}
+
+// register draws the next message seq and records it as in flight.
+// Drawing under the mutex makes seqs register in increasing order, so a
+// watermark taken when nothing is open (seq+1) is below every entry
+// that registers later.
+func (o *outbox) register() uint64 {
+	o.mu.Lock()
+	seq := o.seq.Add(1)
+	o.open[seq] = false
+	o.mu.Unlock()
+	return seq
+}
+
+// confirm forgets a sent (or shed) entry and reports whether a cut is
+// due.
+func (o *outbox) confirm(seq uint64) bool {
+	o.mu.Lock()
+	delete(o.open, seq)
+	o.sinceCut++
+	due := o.sinceCut >= outboxCutEvery
+	o.mu.Unlock()
+	return due
+}
+
+// abandon ends a publish that did not confirm its entry: a committed
+// entry becomes deferred, one whose transaction aborted is withdrawn.
+func (o *outbox) abandon(seq uint64, committed bool) {
+	o.mu.Lock()
+	if committed {
+		o.open[seq] = true
+	} else {
+		delete(o.open, seq)
+	}
+	o.mu.Unlock()
+}
+
+// deferred lists the entries the drain owns, in seq order.
+func (o *outbox) deferred() []uint64 {
+	o.mu.Lock()
+	var seqs []uint64
+	for seq, deferred := range o.open {
+		if deferred {
+			seqs = append(seqs, seq)
+		}
+	}
+	o.mu.Unlock()
+	slices.Sort(seqs)
+	return seqs
+}
+
+// watermark returns the range of this epoch's seqs a cut may delete —
+// from the last cut up to the lowest unconfirmed entry, or past the
+// newest entry when none is open — and restarts the confirmation count.
+// ok is false when the range is empty.
+func (o *outbox) watermark() (from, to uint64, ok bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.sinceCut = 0
+	to = o.seq.Load() + 1
+	for seq := range o.open {
+		if seq < to {
+			to = seq
+		}
+	}
+	return o.cut, to, to > o.cut
+}
+
+// truncatedTo records a successful cut.
+func (o *outbox) truncatedTo(to uint64, rows int) {
+	o.mu.Lock()
+	o.cut = to
+	o.truncated += int64(rows)
+	o.mu.Unlock()
+}
+
+// replayedInherited records predecessor rows replayed and removed; all
+// marks the scan as having reached this instance's own epoch.
+func (o *outbox) replayedInherited(rows int, all bool) {
+	o.mu.Lock()
+	o.inherited -= rows
+	if all || o.inherited < 0 {
+		o.inherited = 0
+	}
+	o.truncated += int64(rows)
+	o.mu.Unlock()
+}
+
+// counts reports the entries still awaiting a broker send — this
+// instance's and the inherited ones — and the rows truncated so far.
+func (o *outbox) counts() (unconfirmed, inherited int, truncated int64) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.open), o.inherited, o.truncated
+}
 
 func journalDescriptor() *model.Descriptor {
 	return model.NewDescriptor(journalModel,
@@ -65,12 +212,17 @@ func journalDescriptor() *model.Descriptor {
 }
 
 // registerJournal binds the journal model to the app's own storage
-// engine (NewApp, when the app has a database and journaling is on).
+// engine (NewApp, when the app has a database and journaling is on) and
+// counts the rows predecessor instances left in it: at this point every
+// row is someone else's.
 func (a *App) registerJournal() error {
-	if _, ok := a.mapper.Descriptor(journalModel); ok {
-		return nil
+	if _, ok := a.mapper.Descriptor(journalModel); !ok {
+		if err := a.mapper.Register(journalDescriptor()); err != nil {
+			return err
+		}
 	}
-	return a.mapper.Register(journalDescriptor())
+	a.outbox.inherited = a.mapper.Len(journalModel)
+	return nil
 }
 
 // journaling reports whether publishes go through the durable journal.
@@ -79,48 +231,95 @@ func (a *App) journaling() bool {
 }
 
 // journalID builds the entry's primary key: instance epoch then message
-// seq, both fixed-width so lexicographic id order (what Mapper.Each
-// iterates in) is publish order, and entries left by a crashed
+// seq, both fixed-width so lexicographic id order (what Mapper.Each and
+// DeleteRange go by) is publish order, and entries left by a crashed
 // predecessor instance sort — and therefore replay — before new ones.
-func (a *App) journalID(seq uint64) string {
-	return fmt.Sprintf("%020d-%016d", a.journalEpoch, seq)
+func journalID(epoch int64, seq uint64) string {
+	var arr [40]byte
+	b := appendPadded(arr[:0], uint64(epoch), 20)
+	b = append(b, '-')
+	b = appendPadded(b, seq, 16)
+	return string(b)
+}
+
+// appendPadded appends v in decimal, zero-padded to width.
+func appendPadded(b []byte, v uint64, width int) []byte {
+	var arr [20]byte
+	digits := strconv.AppendUint(arr[:0], v, 10)
+	for i := len(digits); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
 }
 
 // journalRecord wraps a marshalled message as a journal entry.
 func (a *App) journalRecord(payload []byte, seq uint64) *model.Record {
-	rec := model.NewRecord(journalModel, a.journalID(seq))
-	rec.Set("payload", string(payload))
-	return rec
+	return &model.Record{
+		Model: journalModel,
+		ID:    journalID(a.journalEpoch, seq),
+		Attrs: map[string]any{"payload": string(payload)},
+	}
 }
 
-// journalAck deletes the entry after a successful broker send. A failed
-// delete is deliberately swallowed: the entry replays on the next
-// recovery and the duplicate is idempotent, whereas failing the publish
-// here would report an error for a write that fully succeeded.
-func (a *App) journalAck(id string) {
-	_ = a.mapper.Delete(journalModel, id)
+// journalAck confirms an entry whose message was sent (or shed) — the
+// one acknowledgement path. The confirmation that brings the count to
+// outboxCutEvery also truncates, unless a drain holds journalMu: the
+// drain cuts when it ends.
+func (a *App) journalAck(seq uint64) {
+	if a.outbox.confirm(seq) && a.journalMu.TryLock() {
+		a.truncateJournal()
+		a.journalMu.Unlock()
+	}
+}
+
+// truncateJournal removes the confirmed prefix of this instance's log
+// in one range delete. The caller holds journalMu. A failed delete is
+// deliberately swallowed: the rows stay for the next cut (the bound is
+// only advanced on success), and at worst replay after a crash as
+// duplicates — failing a publish or a drain here would report an error
+// for work that fully succeeded.
+func (a *App) truncateJournal() {
+	from, to, ok := a.outbox.watermark()
+	if !ok {
+		return
+	}
+	rows, err := a.mapper.DeleteRange(journalModel, journalID(a.journalEpoch, from), journalID(a.journalEpoch, to))
+	if err == nil {
+		a.outbox.truncatedTo(to, rows)
+	}
+}
+
+// cutJournal truncates outside a drain: the graceful stops call it so
+// that they leave no rows behind.
+func (a *App) cutJournal() {
+	if !a.journaling() {
+		return
+	}
+	a.journalMu.Lock()
+	defer a.journalMu.Unlock()
+	a.truncateJournal()
 }
 
 // JournalDepth reports the journal entries currently awaiting a broker
-// send — nonzero only while a publish is in flight or after a crash.
+// send: this instance's unconfirmed entries (in flight or deferred)
+// plus the rows a crashed predecessor left that have not been replayed.
+// Confirmed rows waiting for the next cut do not count.
 func (a *App) JournalDepth() int {
 	if !a.journaling() {
 		return 0
 	}
-	if _, ok := a.mapper.Descriptor(journalModel); !ok {
-		return 0
-	}
-	return a.mapper.Len(journalModel)
+	unconfirmed, inherited, _ := a.outbox.counts()
+	return unconfirmed + inherited
 }
 
-// RecoverJournal republishes every journal entry left by a crashed
-// publish and reports how many it drained. A restarted publisher calls
-// it before serving traffic (StartWorkers also kicks it for apps that
-// consume); it is safe to call at any time — entries for in-flight
-// publishes cannot be observed because the journal is only nonempty
-// between an entry's commit and its ack, both inside performWrites, and
-// drains are serialized against each other (not against publishes; a
-// live publisher should not call this concurrently with writes).
+// RecoverJournal republishes the journal entries that still owe a send
+// and reports how many it drained: rows inherited from a predecessor
+// instance, then this instance's deferred entries, in (epoch, seq)
+// order. A restarted publisher calls it before serving traffic
+// (StartWorkers also kicks it for apps that consume). It is safe at any
+// time, next to live publishes too: an entry whose publish is still in
+// flight is not deferred and is left alone. Drains are serialized
+// against each other, and each ends by truncating the confirmed rows.
 func (a *App) RecoverJournal() (int, error) {
 	return a.recoverJournal(nil)
 }
@@ -137,55 +336,116 @@ func (a *App) recoverJournal(admit func() bool) (int, error) {
 	if !a.journaling() {
 		return 0, nil
 	}
-	if _, ok := a.mapper.Descriptor(journalModel); !ok {
-		return 0, nil
-	}
 	a.journalMu.Lock()
 	defer a.journalMu.Unlock()
+	drained, more, err := a.replayInherited(admit)
+	if more && err == nil {
+		var n int
+		n, err = a.replayDeferred(admit)
+		drained += n
+	}
+	a.truncateJournal()
+	return drained, err
+}
 
-	var entries []*model.Record
+// replayInherited republishes the rows predecessor instances left, in
+// id order, and removes the replayed prefix in one range delete. more
+// reports that none is left and the drain may go on to this instance's
+// own entries.
+func (a *App) replayInherited(admit func() bool) (drained int, more bool, err error) {
+	if _, inherited, _ := a.outbox.counts(); inherited == 0 {
+		return 0, true, nil
+	}
+	own := journalID(a.journalEpoch, 0)
+	var rows []*model.Record
 	if err := a.mapper.Each(journalModel, "", func(r *model.Record) bool {
-		entries = append(entries, r)
+		if r.ID >= own {
+			return false
+		}
+		rows = append(rows, r)
 		return true
 	}); err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	drained := 0
-	for _, e := range entries {
+	done := 0 // rows[:done] need no further replay
+	for _, e := range rows {
+		if admit != nil && !admit() {
+			break
+		}
+		var sent bool
+		sent, err = a.replay(e.String("payload"))
+		if sent {
+			drained++
+		}
+		if err != nil {
+			break
+		}
+		done++
+	}
+	removed, all := 0, done == len(rows)
+	if done > 0 {
+		// "\x00" makes the half-open bound include the last replayed id.
+		var derr error
+		if removed, derr = a.mapper.DeleteRange(journalModel, "", rows[done-1].ID+"\x00"); derr != nil {
+			all = false // the rows are still there: they replay again
+		}
+	}
+	a.outbox.replayedInherited(removed, all)
+	return drained, done == len(rows), err
+}
+
+// replayDeferred republishes this instance's deferred entries in seq
+// order, confirming each as it goes.
+func (a *App) replayDeferred(admit func() bool) (drained int, err error) {
+	for _, seq := range a.outbox.deferred() {
 		if admit != nil && !admit() {
 			return drained, nil
 		}
-		msg, err := wire.Unmarshal([]byte(e.String("payload")))
-		if err != nil {
-			// A corrupt entry can never replay; drop it rather than
-			// wedge every future recovery on it.
-			a.journalAck(e.ID)
-			continue
-		}
-		a.refreshJournalAttrs(msg, false)
-		msg.Recovered = true
-		if err := a.regenerateStaleEntry(msg); err != nil {
-			// The store died again mid-recovery; the entry stays for the
-			// next drain.
+		e, err := a.mapper.Find(journalModel, journalID(a.journalEpoch, seq))
+		if err != nil && !errors.Is(err, storage.ErrNotFound) {
 			return drained, err
 		}
-		payload, err := wire.Marshal(msg)
-		if err != nil {
-			return drained, err
+		if err == nil {
+			sent, err := a.replay(e.String("payload"))
+			if sent {
+				drained++
+			}
+			if err != nil {
+				return drained, err
+			}
 		}
-		if err := a.sendMessage(payload); err != nil {
-			// Endpoint still unreachable: keep the entry for the next
-			// periodic drain.
-			return drained, err
-		}
-		a.republished.Inc()
-		drained++
-		if err := a.faults.Fire(FaultJournalDrain); err != nil {
-			return drained, err
-		}
-		a.journalAck(e.ID)
+		// Sent, or unreplayable (corrupt, or its row is gone): either way
+		// it must not wedge every future drain.
+		a.journalAck(seq)
 	}
 	return drained, nil
+}
+
+// replay republishes one journal payload. sent is false (and err nil)
+// for a corrupt entry, which can never replay and is dropped rather
+// than wedge every future recovery. An error means the entry stays for
+// the next drain: the store or the broker endpoint is still
+// unreachable, or — with sent true — the journal/drain fault fired
+// between the republish and the caller's confirmation.
+func (a *App) replay(stored string) (sent bool, err error) {
+	msg, err := wire.Unmarshal([]byte(stored))
+	if err != nil {
+		return false, nil
+	}
+	a.refreshJournalAttrs(msg, false)
+	msg.Recovered = true
+	if err := a.regenerateStaleEntry(msg); err != nil {
+		return false, err
+	}
+	payload, err := wire.Marshal(msg)
+	if err != nil {
+		return false, err
+	}
+	if err := a.sendMessage(payload); err != nil {
+		return false, err
+	}
+	a.republished.Inc()
+	return true, a.faults.Fire(FaultJournalDrain)
 }
 
 // refreshJournalAttrs fills each operation's published attributes from
@@ -293,26 +553,22 @@ func (a *App) regenerateStaleEntry(msg *wire.Message) error {
 // stageJournalTx stages the entry into the prepared data transaction
 // (transactional-outbox). Reports false when the engine cannot, in
 // which case the caller journals post-commit like the non-tx path.
-func (a *App) stageJournalTx(tx orm.MapperTx, payload []byte, seq uint64) (string, bool, error) {
+func (a *App) stageJournalTx(tx orm.MapperTx, payload []byte, seq uint64) (bool, error) {
 	jtx, ok := tx.(orm.TxJournaler)
 	if !ok {
-		return "", false, nil
+		return false, nil
 	}
-	rec := a.journalRecord(payload, seq)
-	if err := jtx.StageJournal(rec); err != nil {
-		return "", false, err
+	if err := jtx.StageJournal(a.journalRecord(payload, seq)); err != nil {
+		return false, err
 	}
-	return rec.ID, true, nil
+	return true, nil
 }
 
 // journalDirect writes the entry as a plain insert (non-transactional
 // engines, post-apply; transactional engines whose tx cannot journal).
-func (a *App) journalDirect(payload []byte, seq uint64) (string, error) {
-	rec := a.journalRecord(payload, seq)
-	if _, err := a.mapper.Create(rec); err != nil {
-		return "", err
-	}
-	return rec.ID, nil
+func (a *App) journalDirect(payload []byte, seq uint64) error {
+	_, err := a.mapper.Create(a.journalRecord(payload, seq))
+	return err
 }
 
 // ---------------------------------------------------------------------

@@ -149,14 +149,33 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite, _ []string) ([]
 	defer plan.Release()
 	deps := plan.Versions
 
-	seq := a.seq.Add(1)
 	journaling := !allEphemeral && a.journaling()
-	var journalID string
-	journaled := false
+	var seq uint64
+	// journaled: the entry is durable. acked: its message needs no
+	// replay (sent, or shed). Whatever way this function is left —
+	// return, error, or a crash fault's panic — the deferred call settles
+	// the entry in the outbox: confirmed, deferred to the journal drain,
+	// or withdrawn because nothing committed. On the way out it runs
+	// after the explicit plan.Release below: a cut is never made under
+	// the dependency locks.
+	journaled, acked := false, false
+	if journaling {
+		seq = a.outbox.register()
+		defer func() {
+			if acked {
+				a.journalAck(seq)
+			} else {
+				a.outbox.abandon(seq, journaled)
+			}
+		}()
+	} else {
+		seq = a.seq.Add(1)
+	}
 
 	dbStart := time.Now()
 	var msg *wire.Message
 	if useTx {
+		inTx := false // the entry rides in the transaction
 		if journaling {
 			// Stage the journal entry into the prepared transaction (the
 			// transactional outbox; see journal.go). The message is built
@@ -172,7 +191,7 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite, _ []string) ([]
 			}
 			if err := wire.WithEncoded(msg, func(skelPayload []byte) error {
 				var jerr error
-				journalID, journaled, jerr = a.stageJournalTx(tx, skelPayload, seq)
+				inTx, jerr = a.stageJournalTx(tx, skelPayload, seq)
 				return jerr
 			}); err != nil {
 				return nil, err
@@ -186,6 +205,7 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite, _ []string) ([]
 			return nil, fmt.Errorf("synapse: commit after prepare failed: %w", err)
 		}
 		tx = nil
+		journaled = inTx
 		written = a.mergeWritten(staged, committed)
 	} else {
 		written = make([]*model.Record, len(staged))
@@ -215,8 +235,7 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite, _ []string) ([]
 	if journaling && !journaled {
 		// Non-transactional engine (or a tx that cannot journal): write
 		// the entry — final payload this time — right after the apply.
-		journalID, err = a.journalDirect(payload, seq)
-		if err != nil {
+		if err := a.journalDirect(payload, seq); err != nil {
 			return nil, err
 		}
 		journaled = true
@@ -234,9 +253,7 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite, _ []string) ([]
 		// resurrect a message the publisher chose to drop.
 		send = false
 		a.shed.Inc()
-		if journaled {
-			a.journalAck(journalID)
-		}
+		acked = journaled
 	case admitDefer:
 		// Journal-and-defer without touching the broker: the pressured
 		// queue must not grow, and the entry is already durable — the
@@ -262,7 +279,7 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite, _ []string) ([]
 			// duplicate, which the subscriber version guard absorbs.
 			return nil, err
 		}
-		a.journalAck(journalID)
+		acked = true
 	}
 	plan.Release()
 

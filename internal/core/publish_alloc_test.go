@@ -1,0 +1,66 @@
+package core
+
+import (
+	"runtime/debug"
+	"testing"
+
+	"synapse/internal/model"
+)
+
+// TestPublishAllocBudget pins what one journaled publish allocates on
+// the path the benchmark's social_causal workload takes: a PostgreSQL
+// publisher (2PC, transactional outbox), causal mode, one Update with
+// one read dependency. The journal's share of it is the append alone —
+// confirming an entry allocates nothing and truncation is amortised
+// over 256 messages. The race detector makes sync.Pool drop items on
+// purpose, so the steady state is only observable without it.
+func TestPublishAllocBudget(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("sync.Pool is lossy under the race detector")
+			}
+		}
+	}
+	f := NewFabric()
+	pub, _ := newSQLApp(t, f, "pub", Config{Mode: Causal})
+	mustPublish(t, pub, userDesc(), "name")
+	mustPublish(t, pub, postDesc(), "author", "body")
+	tap(t, f, "pub") // a bound queue, so the broker does its enqueue work
+
+	seed := pub.NewController(nil)
+	u := model.NewRecord("User", "u1")
+	u.Set("name", "alice")
+	if _, err := seed.Create(u); err != nil {
+		t.Fatal(err)
+	}
+	p := model.NewRecord("Post", "p1")
+	p.Set("author", "u1")
+	p.Set("body", "v0")
+	if _, err := seed.Create(p); err != nil {
+		t.Fatal(err)
+	}
+
+	publish := func() {
+		ctl := pub.NewController(nil)
+		ctl.AddReadDeps("User", "u1")
+		patch := model.NewRecord("Post", "p1")
+		patch.Set("body", "v1")
+		if _, err := ctl.Update(patch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*outboxCutEvery; i++ { // warm pools, maps and the first cuts
+		publish()
+	}
+	n := testing.AllocsPerRun(4*outboxCutEvery, publish)
+	// 72 as of the outbox rebuild; 131 before it, 17 of them the
+	// per-message ack delete.
+	const budget = 74
+	if n > budget {
+		t.Errorf("journaled causal Update = %v allocs/op, want <= %d", n, budget)
+	}
+	if d := pub.JournalDepth(); d != 0 {
+		t.Errorf("JournalDepth = %d after confirmed publishes, want 0", d)
+	}
+}

@@ -233,10 +233,12 @@ func (a *App) StartWorkers(n int) {
 		a.workersWG.Add(1)
 		go a.workerLoop(stop)
 	}
-	// A restarting app may have journal entries from a crashed publish;
-	// drain them before (well, concurrently with) serving traffic. A
-	// no-op for apps with an empty journal. The drain then repeats every
-	// JournalRetryInterval so deferred work retries once the endpoint
+	// A restarting app may have inherited journal entries from a crashed
+	// predecessor; drain them before (well, concurrently with) serving
+	// traffic. A no-op for apps with an empty journal. The drain then
+	// repeats every JournalRetryInterval — it replays only deferred and
+	// inherited entries, never one whose publish is still in flight — so
+	// deferred work retries once the endpoint
 	// heals: sends deferred on a broker outage (journal-and-defer, see
 	// publish.go) and acknowledgements parked on transport failure. The
 	// ack flush cannot live only in the worker loop — a worker whose
@@ -327,6 +329,7 @@ func (a *App) StopWorkers() {
 	for i := len(jobs) - 1; i >= 0; i-- { // Nack pushes front: newest first
 		a.nackDelivery(jobs[i].q, jobs[i].d.Tag)
 	}
+	a.cutJournal()
 }
 
 func (a *App) workerLoop(stop <-chan struct{}) {

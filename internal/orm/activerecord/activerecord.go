@@ -74,14 +74,19 @@ func (m *Mapper) table(modelName string) (string, *model.Descriptor, error) {
 	return orm.Tableize(modelName), d, nil
 }
 
+// The engine copies on the way in and on the way out, so the adapter
+// makes no copy of its own: toRow lends the record's attributes to a
+// call that clones them, and toRecord adopts a row the engine already
+// cloned for the caller.
 func toRow(rec *model.Record) storage.Row {
-	return storage.Row{ID: rec.ID, Cols: rec.Clone().Attrs}
+	return storage.Row{ID: rec.ID, Cols: rec.Attrs}
 }
 
 func toRecord(modelName string, row storage.Row) *model.Record {
-	rec := model.NewRecord(modelName, row.ID)
-	rec.Merge(row.Clone().Cols)
-	return rec
+	if row.Cols == nil {
+		return model.NewRecord(modelName, row.ID)
+	}
+	return &model.Record{Model: modelName, ID: row.ID, Attrs: row.Cols}
 }
 
 // Find loads one object by primary key.
@@ -147,7 +152,7 @@ func (m *Mapper) Update(rec *model.Record) (*model.Record, error) {
 		return nil, err
 	}
 	m.Stats().Writes.Add(1)
-	row, err := m.db.Update(table, rec.ID, rec.Clone().Attrs)
+	row, err := m.db.Update(table, rec.ID, rec.Attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -190,6 +195,15 @@ func (m *Mapper) Delete(modelName, id string) error {
 	return m.RunCallbacks(model.AfterDestroy, rec)
 }
 
+// DeleteRange removes the objects with from <= id < to in one statement.
+func (m *Mapper) DeleteRange(modelName, from, to string) (int, error) {
+	table, _, err := m.table(modelName)
+	if err != nil {
+		return 0, err
+	}
+	return m.db.DeleteRange(table, from, to)
+}
+
 // Save upserts: update callbacks and an attribute merge when the object
 // exists, create callbacks and an insert otherwise. Merging (rather than
 // replacing) preserves decoration attributes owned by other publishers.
@@ -209,7 +223,7 @@ func (m *Mapper) Save(rec *model.Record) error {
 			return err
 		}
 		m.Stats().Writes.Add(1)
-		if _, err := m.db.Update(table, rec.ID, rec.Clone().Attrs); err != nil {
+		if _, err := m.db.Update(table, rec.ID, rec.Attrs); err != nil {
 			return err
 		}
 		return m.RunCallbacks(model.AfterUpdate, rec)

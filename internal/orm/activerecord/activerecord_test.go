@@ -2,9 +2,11 @@ package activerecord
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"synapse/internal/model"
+	"synapse/internal/orm"
 	"synapse/internal/orm/ormtest"
 	"synapse/internal/storage"
 	"synapse/internal/storage/reldb"
@@ -177,5 +179,170 @@ func TestTxAfterCallbacksRunOnCommit(t *testing.T) {
 	}
 	if afters != 1 {
 		t.Fatalf("after_create ran %d times", afters)
+	}
+}
+
+// DeleteRange goes through the engine's own delete path: secondary
+// index entries go with the rows.
+func TestDeleteRangeCleansSecondaryIndex(t *testing.T) {
+	m := New(reldb.New(reldb.Postgres))
+	d := model.NewDescriptor("User",
+		model.Field{Name: "name", Type: model.String},
+		model.Field{Name: "team", Type: model.String, Indexed: true},
+	)
+	if err := m.Register(d); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a1", "a2", "b1"} {
+		rec := model.NewRecord("User", id)
+		rec.Set("team", "red")
+		if err := m.Save(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := m.DeleteRange("User", "a", "b"); n != 2 || err != nil {
+		t.Fatalf("DeleteRange = %d, %v", n, err)
+	}
+	rows, err := m.DB().Select("users", storage.Predicate{Field: "team", Op: storage.Eq, Value: "red"})
+	if err != nil || len(rows) != 1 || rows[0].ID != "b1" {
+		t.Errorf("index lookup after DeleteRange = %+v, %v; want only b1", rows, err)
+	}
+}
+
+// The journal record staged into a prepared transaction commits with
+// it, but is not an operation of the caller's: no read-back, no
+// callback, not among the returned records.
+func TestStageJournalIsNotReadBack(t *testing.T) {
+	m := New(reldb.New(reldb.Postgres))
+	if err := m.Register(ormtest.NewUserDescriptor()); err != nil {
+		t.Fatal(err)
+	}
+	jd := model.NewDescriptor("Journal", model.Field{Name: "payload", Type: model.String})
+	if err := m.Register(jd); err != nil {
+		t.Fatal(err)
+	}
+	callbacks := 0
+	for _, h := range []model.Hook{model.BeforeCreate, model.AfterCreate} {
+		jd.Callbacks.On(h, func(*model.CallbackCtx) error { callbacks++; return nil })
+	}
+	stage := func(user, id string) ([]*model.Record, error) {
+		tx := m.Begin()
+		rec := model.NewRecord("User", user)
+		rec.Set("name", "a")
+		if err := tx.Create(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Prepare(); err != nil {
+			t.Fatal(err)
+		}
+		entry := model.NewRecord("Journal", id)
+		entry.Set("payload", "p-"+id)
+		if err := tx.(orm.TxJournaler).StageJournal(entry); err != nil {
+			tx.Abort()
+			return nil, err
+		}
+		return tx.Commit()
+	}
+	written, err := stage("u1", "j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(written) != 1 || written[0].ID != "u1" {
+		t.Errorf("Commit returned %+v, want the one data write", written)
+	}
+	if callbacks != 0 {
+		t.Errorf("%d callbacks ran for the journal record", callbacks)
+	}
+	if got, err := m.Find("Journal", "j1"); err != nil || got.String("payload") != "p-j1" {
+		t.Errorf("journal row = %+v, %v", got, err)
+	}
+	// An id that is already stored is refused at staging, so that Commit
+	// still cannot fail — and the data write aborts with it.
+	if _, err := stage("u2", "j1"); !errors.Is(err, storage.ErrExists) {
+		t.Errorf("staging a stored id = %v, want ErrExists", err)
+	}
+	if _, err := m.Find("User", "u2"); !errors.Is(err, storage.ErrNotFound) {
+		t.Errorf("the refused transaction's data write persisted: %v", err)
+	}
+}
+
+// The adapter makes no copy of its own, so the engine's must hold: what
+// is stored shares nothing with the record written or the record
+// returned, nested values included, in or out of a transaction.
+func TestStoredStateIsIsolated(t *testing.T) {
+	m := New(reldb.New(reldb.Postgres))
+	if err := m.Register(ormtest.NewUserDescriptor()); err != nil {
+		t.Fatal(err)
+	}
+	stored := func(id string) string {
+		t.Helper()
+		got, err := m.Find("User", id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(got.String("name"), got.Strings("interests"))
+	}
+	scribble := func(rec *model.Record) {
+		rec.Attrs["name"] = "scribbled"
+		if in, ok := rec.Attrs["interests"].([]any); ok && len(in) > 0 {
+			in[0] = "scribbled"
+		}
+	}
+	newRec := func(id string) *model.Record {
+		rec := model.NewRecord("User", id)
+		rec.Set("name", "alice")
+		rec.Set("interests", []string{"cats"})
+		return rec
+	}
+
+	rec := newRec("c1")
+	written, err := m.Create(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(rec)
+	scribble(written)
+	if got := stored("c1"); got != "alice[cats]" {
+		t.Errorf("Create shares state with its argument or result: stored %s", got)
+	}
+
+	patch := newRec("c1")
+	patch.Set("interests", []string{"dogs"})
+	written, err = m.Update(patch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(patch)
+	scribble(written)
+	if got := stored("c1"); got != "alice[dogs]" {
+		t.Errorf("Update shares state with its argument or result: stored %s", got)
+	}
+
+	found, _ := m.Find("User", "c1")
+	scribble(found)
+	if got := stored("c1"); got != "alice[dogs]" {
+		t.Errorf("Find hands out stored state: stored %s", got)
+	}
+
+	tx := m.Begin()
+	created, patched := newRec("t1"), newRec("c1")
+	patched.Set("interests", []string{"birds"})
+	if err := tx.Create(created); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update(patched); err != nil {
+		t.Fatal(err)
+	}
+	scribble(created) // between staging and commit
+	scribble(patched)
+	out, err := tx.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range out {
+		scribble(r)
+	}
+	if a, b := stored("t1"), stored("c1"); a != "alice[cats]" || b != "alice[birds]" {
+		t.Errorf("a transaction shares state with its arguments or results: stored %s, %s", a, b)
 	}
 }

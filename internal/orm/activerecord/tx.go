@@ -34,7 +34,7 @@ type txRecOp struct {
 	modelName string
 	id        string
 	hook      model.Hook // after-hook to run on commit
-	deleted   bool
+	journal   bool       // staged by StageJournal: no read-back, no callbacks
 }
 
 // Begin starts a transaction (orm.Transactional).
@@ -75,7 +75,7 @@ func (tx *Tx) Update(rec *model.Record) error {
 		return err
 	}
 	tx.m.Stats().Writes.Add(1)
-	if err := tx.tx.Update(table, rec.ID, rec.Clone().Attrs); err != nil {
+	if err := tx.tx.Update(table, rec.ID, rec.Attrs); err != nil {
 		return err
 	}
 	tx.ops = append(tx.ops, txRecOp{modelName: rec.Model, id: rec.ID, hook: model.AfterUpdate})
@@ -96,7 +96,7 @@ func (tx *Tx) Delete(modelName, id string) error {
 	if err := tx.tx.Delete(table, id); err != nil {
 		return err
 	}
-	tx.ops = append(tx.ops, txRecOp{modelName: modelName, id: id, hook: model.AfterDestroy, deleted: true})
+	tx.ops = append(tx.ops, txRecOp{modelName: modelName, id: id, hook: model.AfterDestroy})
 	return nil
 }
 
@@ -108,7 +108,8 @@ func (tx *Tx) Prepare() error { return tx.tx.Prepare() }
 // Prepare (when its payload — the bumped dependency versions — exists).
 // Journal rows have app-unique IDs, so the extra row lock cannot
 // deadlock with concurrent transactions, and the fresh-ID validation in
-// InsertPrepared keeps the Commit-cannot-fail guarantee.
+// InsertPrepared keeps the Commit-cannot-fail guarantee. The record's
+// attribute map goes to the engine as is (InsertPrepared consumes it).
 func (tx *Tx) StageJournal(rec *model.Record) error {
 	table, d, err := tx.m.table(rec.Model)
 	if err != nil {
@@ -121,12 +122,13 @@ func (tx *Tx) StageJournal(rec *model.Record) error {
 		return err
 	}
 	tx.m.Stats().Writes.Add(1)
-	tx.ops = append(tx.ops, txRecOp{modelName: rec.Model, id: rec.ID, hook: model.AfterCreate})
+	tx.ops = append(tx.ops, txRecOp{modelName: rec.Model, id: rec.ID, journal: true})
 	return nil
 }
 
 // Commit applies the staged writes, returning the written objects (the
 // engine-level read-back) in operation order, and runs after-callbacks.
+// A staged journal record is neither read back nor returned.
 func (tx *Tx) Commit() ([]*model.Record, error) {
 	rows, err := tx.tx.Commit()
 	if err != nil {
@@ -136,16 +138,16 @@ func (tx *Tx) Commit() ([]*model.Record, error) {
 	if len(rows) != len(tx.ops) {
 		return nil, fmt.Errorf("activerecord: commit returned %d rows for %d ops", len(rows), len(tx.ops))
 	}
-	out := make([]*model.Record, len(rows))
+	out := make([]*model.Record, 0, len(rows))
 	for i, op := range tx.ops {
-		if op.deleted {
-			out[i] = model.NewRecord(op.modelName, op.id)
-		} else {
-			out[i] = toRecord(op.modelName, rows[i])
+		if op.journal {
+			continue
 		}
-		if err := tx.m.RunCallbacks(op.hook, out[i]); err != nil {
+		rec := toRecord(op.modelName, rows[i]) // a deleted row carries only its id
+		if err := tx.m.RunCallbacks(op.hook, rec); err != nil {
 			return nil, err
 		}
+		out = append(out, rec)
 	}
 	return out, nil
 }

@@ -164,6 +164,16 @@ func (m *Mapper) Delete(modelName, id string) error {
 	return m.RunCallbacks(model.AfterDestroy, rec)
 }
 
+// DeleteRange tombstones the rows with from <= id < to in one logged
+// batch.
+func (m *Mapper) DeleteRange(modelName, from, to string) (int, error) {
+	fam, _, err := m.family(modelName)
+	if err != nil {
+		return 0, err
+	}
+	return m.db.DeleteRange(fam, from, to)
+}
+
 // Save upserts; column writes merge cells natively.
 func (m *Mapper) Save(rec *model.Record) error {
 	fam, d, err := m.family(rec.Model)

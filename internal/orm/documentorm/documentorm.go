@@ -140,6 +140,16 @@ func (m *Mapper) Delete(modelName, id string) error {
 	return m.RunCallbacks(model.AfterDestroy, rec)
 }
 
+// DeleteRange removes the documents with from <= id < to in one
+// statement.
+func (m *Mapper) DeleteRange(modelName, from, to string) (int, error) {
+	coll, _, err := m.collection(modelName)
+	if err != nil {
+		return 0, err
+	}
+	return m.db.DeleteRange(coll, from, to)
+}
+
 // Save upserts, merging attributes to preserve decorations.
 func (m *Mapper) Save(rec *model.Record) error {
 	coll, d, err := m.collection(rec.Model)

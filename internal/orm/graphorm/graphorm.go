@@ -100,6 +100,15 @@ func (m *Mapper) Delete(modelName, id string) error {
 	return m.RunCallbacks(model.AfterDestroy, rec)
 }
 
+// DeleteRange detaches and removes the model's nodes with
+// from <= id < to in one statement.
+func (m *Mapper) DeleteRange(modelName, from, to string) (int, error) {
+	if _, err := m.descriptor(modelName); err != nil {
+		return 0, err
+	}
+	return m.db.DeleteNodeRange(nodeID(modelName, from), nodeID(modelName, to))
+}
+
 // Save merges a labelled node with the record's attributes as properties.
 func (m *Mapper) Save(rec *model.Record) error {
 	d, err := m.descriptor(rec.Model)

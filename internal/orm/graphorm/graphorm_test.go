@@ -101,3 +101,32 @@ func TestDeleteDetachesEdges(t *testing.T) {
 		t.Fatalf("dangling edges = %v", got)
 	}
 }
+
+// DeleteRange is scoped to the model's nodes and detaches them.
+func TestDeleteRangeScopedAndDetached(t *testing.T) {
+	m := New(graphdb.New())
+	for _, name := range []string{"User", "Usher"} {
+		if err := m.Register(model.NewDescriptor(name, model.Field{Name: "name", Type: model.String})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{"a", "b", "c"} {
+		for _, name := range []string{"User", "Usher"} {
+			if err := m.Save(model.NewRecord(name, id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := m.Relate("User", "a", "FRIEND", "User", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := m.DeleteRange("User", "b", "z"); n != 2 || err != nil {
+		t.Fatalf("DeleteRange = %d, %v; want 2, nil", n, err)
+	}
+	if got := m.Neighbors("User", "a", "FRIEND"); len(got) != 0 {
+		t.Errorf("a deleted node is still a neighbour: %v", got)
+	}
+	if m.Len("User") != 1 || m.Len("Usher") != 3 {
+		t.Errorf("Len = %d users, %d ushers; want 1, 3", m.Len("User"), m.Len("Usher"))
+	}
+}

@@ -72,6 +72,13 @@ type Mapper interface {
 	Update(rec *model.Record) (*model.Record, error)
 	// Delete removes an object, running destroy callbacks.
 	Delete(modelName, id string) error
+	// DeleteRange removes every object of the model with
+	// from <= id < to and reports how many went — ActiveRecord's
+	// where(...).delete_all: one engine statement, no object is loaded
+	// and no callback runs. It is maintenance, not a per-object query,
+	// and stays out of Stats, so the query counters do not depend on
+	// when a caller chooses to batch.
+	DeleteRange(modelName, from, to string) (int, error)
 	// Save upserts an object (the subscriber persistence path:
 	// find-or-instantiate, assign, save). It runs create or update
 	// callbacks depending on prior existence.
@@ -119,6 +126,9 @@ type TxJournaler interface {
 	// StageJournal adds the journal record to the prepared transaction.
 	// The record's model must already be registered. After a nil return,
 	// Commit persists the journal row atomically with the data writes.
+	// The record is consumed: the transaction stores its attribute map
+	// as is, so the caller must not touch it again, and Commit neither
+	// returns it nor runs callbacks for it.
 	StageJournal(rec *model.Record) error
 }
 

@@ -1,6 +1,8 @@
 package orm
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"synapse/internal/model"
@@ -22,6 +24,34 @@ func TestTableize(t *testing.T) {
 		if got := Tableize(in); got != want {
 			t.Errorf("Tableize(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// Tableize is memoised: a repeated name costs no allocation, the memo
+// agrees with the derivation for names met concurrently for the first
+// time, and it stops growing at its cap without changing a result.
+func TestTableizeMemo(t *testing.T) {
+	Tableize("Comment")
+	if n := testing.AllocsPerRun(100, func() { Tableize("Comment") }); n != 0 {
+		t.Errorf("memoised Tableize = %v allocs/op, want 0", n)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < tableNamesMax+200; i++ {
+				name := fmt.Sprintf("Model%dy", i)
+				if got, want := Tableize(name), tableize(name); got != want {
+					t.Errorf("Tableize(%q) = %q, want %q", name, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(*tableNames.Load()); n > tableNamesMax {
+		t.Errorf("memo holds %d names, cap is %d", n, tableNamesMax)
 	}
 }
 

@@ -170,6 +170,8 @@ func Run(t *testing.T, m orm.Mapper, publisherCapable bool) {
 		}
 	})
 
+	t.Run("DeleteRange", func(t *testing.T) { runDeleteRange(t, m, d) })
+
 	if publisherCapable {
 		runPublisherHalf(t, m)
 	} else {
@@ -182,6 +184,90 @@ func Run(t *testing.T, m orm.Mapper, publisherCapable bool) {
 				t.Errorf("Update on read-only adapter = %v", err)
 			}
 		})
+	}
+}
+
+// runDeleteRange checks the bulk delete every adapter offers: a
+// half-open id range, gone in one statement, the count returned, with
+// no object loaded — so no callback fires — and the query counters
+// untouched.
+func runDeleteRange(t *testing.T, m orm.Mapper, d *model.Descriptor) {
+	for i := 0; i < 10; i++ {
+		rec := model.NewRecord("User", fmt.Sprintf("rng%02d", i))
+		rec.Set("name", "n")
+		if err := m.Save(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	callbacks := 0
+	for _, h := range []model.Hook{model.BeforeDestroy, model.AfterDestroy} {
+		d.Callbacks.On(h, func(ctx *model.CallbackCtx) error {
+			if len(ctx.Record.ID) > 3 && ctx.Record.ID[:3] == "rng" {
+				callbacks++
+			}
+			return nil
+		})
+	}
+	left := func() string {
+		var ids string
+		if err := m.Each("User", "rng", func(r *model.Record) bool {
+			if r.ID >= "rnh" {
+				return false
+			}
+			ids += r.ID[3:] + " "
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return ids
+	}
+	reads, writes, extra := m.Stats().Snapshot()
+	for _, c := range []struct {
+		name, from, to string
+		want           int
+		left           string
+	}{
+		{"half-open: from goes, to stays", "rng02", "rng05", 3, "00 01 05 06 07 08 09 "},
+		{"empty range", "rng07", "rng07", 0, "00 01 05 06 07 08 09 "},
+		{"inverted range", "rng09", "rng01", 0, "00 01 05 06 07 08 09 "},
+		{"range between ids", "rng02", "rng05", 0, "00 01 05 06 07 08 09 "},
+		{"range past every id", "rnh", "rnz", 0, "00 01 05 06 07 08 09 "},
+		{"bound that is no id", "rng08x", "rng99", 1, "00 01 05 06 07 08 "},
+		{"everything left", "rng", "rng\xff", 6, ""},
+	} {
+		n, err := m.DeleteRange("User", c.from, c.to)
+		if err != nil || n != c.want {
+			t.Errorf("%s: DeleteRange(%q, %q) = %d, %v; want %d, nil", c.name, c.from, c.to, n, err, c.want)
+		}
+		r, w, x := m.Stats().Snapshot()
+		if r != reads || w != writes || x != extra {
+			t.Errorf("%s: DeleteRange moved the query counters", c.name)
+		}
+		if got := left(); got != c.left {
+			t.Errorf("%s: ids left %q, want %q", c.name, got, c.left)
+		}
+		reads, writes, extra = m.Stats().Snapshot() // left() scanned
+	}
+	if callbacks != 0 {
+		t.Errorf("DeleteRange fired %d destroy callbacks, want none", callbacks)
+	}
+	if _, err := m.Find("User", "s1"); err != nil {
+		t.Errorf("DeleteRange reached outside its range: %v", err)
+	}
+	if _, err := m.DeleteRange("Ghost", "a", "b"); !errors.Is(err, orm.ErrUnknownModel) {
+		t.Errorf("DeleteRange on an unknown model = %v", err)
+	}
+	// A deleted id is free again.
+	rec := model.NewRecord("User", "rng03")
+	rec.Set("name", "back")
+	if err := m.Save(rec); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := m.Find("User", "rng03"); err != nil || got.String("name") != "back" {
+		t.Errorf("re-created object = %+v, %v", got, err)
+	}
+	if _, err := m.DeleteRange("User", "rng03", "rng04"); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -100,6 +100,16 @@ func (m *Mapper) Delete(modelName, id string) error {
 	return m.RunCallbacks(model.AfterDestroy, rec)
 }
 
+// DeleteRange removes the documents with from <= id < to in one
+// statement.
+func (m *Mapper) DeleteRange(modelName, from, to string) (int, error) {
+	idx, _, err := m.index(modelName)
+	if err != nil {
+		return 0, err
+	}
+	return m.db.DeleteRange(idx, from, to)
+}
+
 // Save indexes the document, merging with any existing copy so partial
 // subscriptions and decorations coexist.
 func (m *Mapper) Save(rec *model.Record) error {

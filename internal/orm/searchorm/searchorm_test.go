@@ -73,3 +73,26 @@ func TestSaveMergePreservesDecorations(t *testing.T) {
 		t.Error("decoration not indexed")
 	}
 }
+
+func TestDeleteRangeCleansInvertedIndex(t *testing.T) {
+	m := New(searchdb.New())
+	d := model.NewDescriptor("Post", model.Field{Name: "body", Type: model.String})
+	if err := m.Register(d); err != nil {
+		t.Fatal(err)
+	}
+	m.SetAnalyzer("Post", "body", searchdb.SimpleAnalyzer)
+	for _, id := range []string{"a", "b", "c"} {
+		rec := model.NewRecord("Post", id)
+		rec.Set("body", "brown fox")
+		if err := m.Save(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := m.DeleteRange("Post", "a", "c"); n != 2 || err != nil {
+		t.Fatalf("DeleteRange = %d, %v; want 2, nil", n, err)
+	}
+	recs, err := m.Search("Post", searchdb.Query{Match: &searchdb.MatchQuery{Field: "body", Text: "fox"}})
+	if err != nil || len(recs) != 1 || recs[0].ID != "c" {
+		t.Errorf("Search after DeleteRange = %+v, %v; want only c", recs, err)
+	}
+}

@@ -91,37 +91,70 @@ func (db *DB) ApplyBatch(ms []Mutation) error {
 			err = storage.ErrClosed
 			return
 		}
-		db.clock++
-		ts := db.clock
-		for _, m := range ms {
-			k := key(m.Family, m.ID)
-			p := db.memtable[k]
-			if p == nil {
-				p = make(partition)
-				db.memtable[k] = p
-			}
-			if m.Delete {
-				// Row tombstone: shadows every cell with an older
-				// timestamp at read time. Only ever advances, so a
-				// re-insert in the same memtable cannot erase it.
-				if prev, ok := p[tombCol]; !ok || ts > prev.ts {
-					p[tombCol] = cell{ts: ts, dead: true}
-					db.memSize++
-				}
-				continue
-			}
-			p[presenceCol] = cell{value: true, ts: ts}
-			db.memSize++
-			for col, v := range m.Cols {
-				p[col] = cell{value: v, ts: ts}
-				db.memSize++
-			}
-		}
-		if db.memSize >= db.flushSize {
-			db.flushLocked()
-		}
+		db.applyLocked(ms)
 	})
 	return err
+}
+
+// applyLocked writes the mutations into the memtable under one
+// timestamp.
+func (db *DB) applyLocked(ms []Mutation) {
+	db.clock++
+	ts := db.clock
+	for _, m := range ms {
+		k := key(m.Family, m.ID)
+		p := db.memtable[k]
+		if p == nil {
+			p = make(partition)
+			db.memtable[k] = p
+		}
+		if m.Delete {
+			// Row tombstone: shadows every cell with an older
+			// timestamp at read time. Only ever advances, so a
+			// re-insert in the same memtable cannot erase it.
+			if prev, ok := p[tombCol]; !ok || ts > prev.ts {
+				p[tombCol] = cell{ts: ts, dead: true}
+				db.memSize++
+			}
+			continue
+		}
+		p[presenceCol] = cell{value: true, ts: ts}
+		db.memSize++
+		for col, v := range m.Cols {
+			p[col] = cell{value: v, ts: ts}
+			db.memSize++
+		}
+	}
+	if db.memSize >= db.flushSize {
+		db.flushLocked()
+	}
+}
+
+// DeleteRange tombstones every live row of the family with
+// from <= id < to as one logged batch (one timestamp) and reports how
+// many went.
+func (db *DB) DeleteRange(family, from, to string) (int, error) {
+	var n int
+	var err error
+	db.gate.Write(func() {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		if db.closed {
+			err = storage.ErrClosed
+			return
+		}
+		ids := db.rowIDs(family, from, to)
+		if len(ids) == 0 {
+			return
+		}
+		ms := make([]Mutation, len(ids))
+		for i, id := range ids {
+			ms[i] = Mutation{Family: family, ID: id, Delete: true}
+		}
+		db.applyLocked(ms)
+		n = len(ids)
+	})
+	return n, err
 }
 
 // presenceCol marks row existence so that reads can distinguish "row
@@ -269,13 +302,16 @@ func partitionToRow(id string, p partition) storage.Row {
 	return row.Clone()
 }
 
-// rowIDs returns all live row ids in the family, sorted.
-func (db *DB) rowIDs(family string) []string {
+// rowIDs returns the live row ids of the family with from <= id < to,
+// sorted; an empty to leaves the range open above.
+func (db *DB) rowIDs(family, from, to string) []string {
 	seen := make(map[string]struct{})
 	collect := func(data map[string]partition) {
 		for k := range data {
 			if len(k) > len(family) && k[:len(family)] == family && k[len(family)] == 0 {
-				seen[k[len(family)+1:]] = struct{}{}
+				if id := k[len(family)+1:]; id >= from && (to == "" || id < to) {
+					seen[id] = struct{}{}
+				}
 			}
 		}
 	}
@@ -302,7 +338,7 @@ func (db *DB) Scan(family string, preds ...storage.Predicate) ([]storage.Row, er
 	db.gate.Read(func() {
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		for _, id := range db.rowIDs(family) {
+		for _, id := range db.rowIDs(family, "", "") {
 			row := partitionToRow(id, db.readPartition(family, id))
 			if storage.MatchAll(row, preds) {
 				out = append(out, row)
@@ -319,10 +355,7 @@ func (db *DB) ScanFrom(family, start string, fn func(storage.Row) bool) error {
 	db.gate.Read(func() {
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		for _, id := range db.rowIDs(family) {
-			if id < start {
-				continue
-			}
+		for _, id := range db.rowIDs(family, start, "") {
 			rows = append(rows, partitionToRow(id, db.readPartition(family, id)))
 		}
 	})
@@ -338,7 +371,7 @@ func (db *DB) ScanFrom(family, start string, fn func(storage.Row) bool) error {
 func (db *DB) Len(family string) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.rowIDs(family))
+	return len(db.rowIDs(family, "", ""))
 }
 
 // Close marks the database closed; subsequent writes fail.

@@ -198,3 +198,41 @@ func TestClosedRejectsWrites(t *testing.T) {
 		t.Errorf("apply after close = %v", err)
 	}
 }
+
+// A range delete is one logged batch of tombstones: the rows stay dead
+// across a flush and a compaction, rows outside the range and in other
+// families live on, and a deleted id can be written again.
+func TestDeleteRange(t *testing.T) {
+	db := New()
+	for i := 0; i < 6; i++ {
+		_ = db.Apply(Mutation{Family: "j", ID: fmt.Sprintf("e%d", i), Cols: map[string]any{"p": int64(i)}})
+	}
+	_ = db.Apply(Mutation{Family: "jx", ID: "e2", Cols: map[string]any{"p": int64(9)}})
+	db.Flush() // the rows sit in an sstable, the tombstones in the memtable
+	if n, err := db.DeleteRange("j", "e1", "e4"); n != 3 || err != nil {
+		t.Fatalf("DeleteRange = %d, %v; want 3, nil", n, err)
+	}
+	if n, err := db.DeleteRange("j", "e1", "e4"); n != 0 || err != nil {
+		t.Fatalf("second DeleteRange = %d, %v; dead rows counted again", n, err)
+	}
+	live := func() string {
+		var ids []string
+		_ = db.ScanFrom("j", "", func(r storage.Row) bool { ids = append(ids, r.ID); return true })
+		return fmt.Sprint(ids)
+	}
+	if got := live(); got != "[e0 e4 e5]" {
+		t.Errorf("rows left = %s", got)
+	}
+	db.Flush()
+	db.Compact()
+	if got := live(); got != "[e0 e4 e5]" {
+		t.Errorf("rows left after compaction = %s", got)
+	}
+	if db.Len("jx") != 1 {
+		t.Error("DeleteRange reached into another family")
+	}
+	_ = db.Apply(Mutation{Family: "j", ID: "e2", Cols: map[string]any{"p": int64(7)}})
+	if got, err := db.Get("j", "e2"); err != nil || got.Cols["p"] != int64(7) {
+		t.Errorf("re-created row = %+v, %v", got, err)
+	}
+}

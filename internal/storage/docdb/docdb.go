@@ -168,6 +168,29 @@ func (db *DB) Delete(collection, id string) error {
 	return err
 }
 
+// DeleteRange removes every document with from <= id < to in one
+// statement (deleteMany on an _id range) and reports how many went.
+func (db *DB) DeleteRange(collection, from, to string) (int, error) {
+	var n int
+	var err error
+	db.gate.Write(func() {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		if db.closed {
+			err = storage.ErrClosed
+			return
+		}
+		c := db.collections[collection]
+		for id := range c {
+			if id >= from && id < to {
+				delete(c, id)
+				n++
+			}
+		}
+	})
+	return n, err
+}
+
 // Find returns documents matching the example, in id order. The example
 // matches nested fields with dotted paths ("profile.city") and treats a
 // scalar example value against an array field as membership (the

@@ -187,3 +187,29 @@ func TestReturnedDocIsIsolated(t *testing.T) {
 		t.Error("returned document shares storage with the engine")
 	}
 }
+
+func TestDeleteRange(t *testing.T) {
+	db := New(MongoDB)
+	for _, id := range []string{"a1", "a2", "a3", "b1"} {
+		if _, err := db.Insert("c", storage.Row{ID: id, Cols: map[string]any{"k": "v"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _ = db.Insert("other", storage.Row{ID: "a2"})
+	if n, err := db.DeleteRange("c", "a2", "b1"); n != 2 || err != nil {
+		t.Fatalf("DeleteRange = %d, %v; want 2, nil", n, err)
+	}
+	if db.Len("c") != 2 || db.Len("other") != 1 {
+		t.Errorf("Len = %d (other %d) after DeleteRange", db.Len("c"), db.Len("other"))
+	}
+	if _, err := db.Get("c", "b1"); err != nil {
+		t.Error("the upper bound was deleted")
+	}
+	if n, err := db.DeleteRange("never", "a", "z"); n != 0 || err != nil {
+		t.Errorf("DeleteRange on a missing collection = %d, %v", n, err)
+	}
+	db.Close()
+	if _, err := db.DeleteRange("c", "a", "z"); !errors.Is(err, storage.ErrClosed) {
+		t.Errorf("DeleteRange on a closed engine = %v", err)
+	}
+}

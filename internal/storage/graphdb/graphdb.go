@@ -104,28 +104,56 @@ func (db *DB) DeleteNode(id string) error {
 			err = storage.ErrClosed
 			return
 		}
-		n, ok := db.nodes[id]
-		if !ok {
+		if _, ok := db.nodes[id]; !ok {
 			return
 		}
-		for rel, peers := range n.out {
-			for peer := range peers {
-				if pn := db.nodes[peer]; pn != nil {
-					delete(pn.in[rel], id)
-				}
-			}
-		}
-		for rel, peers := range n.in {
-			for peer := range peers {
-				if pn := db.nodes[peer]; pn != nil {
-					delete(pn.out[rel], id)
-				}
-			}
-		}
-		delete(db.nodes, id)
+		db.detachDeleteLocked(id)
 		err = nil
 	})
 	return err
+}
+
+// detachDeleteLocked removes an existing node and its relationships.
+func (db *DB) detachDeleteLocked(id string) {
+	n := db.nodes[id]
+	for rel, peers := range n.out {
+		for peer := range peers {
+			if pn := db.nodes[peer]; pn != nil {
+				delete(pn.in[rel], id)
+			}
+		}
+	}
+	for rel, peers := range n.in {
+		for peer := range peers {
+			if pn := db.nodes[peer]; pn != nil {
+				delete(pn.out[rel], id)
+			}
+		}
+	}
+	delete(db.nodes, id)
+}
+
+// DeleteNodeRange removes every node with from <= id < to, and their
+// relationships, in one statement (MATCH ... WHERE id range DETACH
+// DELETE) and reports how many went.
+func (db *DB) DeleteNodeRange(from, to string) (int, error) {
+	var n int
+	var err error
+	db.gate.Write(func() {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		if db.closed {
+			err = storage.ErrClosed
+			return
+		}
+		for id := range db.nodes {
+			if id >= from && id < to {
+				db.detachDeleteLocked(id)
+				n++
+			}
+		}
+	})
+	return n, err
 }
 
 // Relate adds a directed relationship from -> to of the given type. Both

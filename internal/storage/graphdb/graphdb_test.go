@@ -195,3 +195,22 @@ func TestClosedRejectsWrites(t *testing.T) {
 		t.Errorf("merge after close = %v", err)
 	}
 }
+
+func TestDeleteNodeRangeDetaches(t *testing.T) {
+	db := New()
+	for _, id := range []string{"User:a", "User:b", "User:c", "Zed:a"} {
+		_ = db.MergeNode("User", id, nil)
+	}
+	_ = db.RelateBoth("User:a", "F", "User:b")
+	_ = db.RelateBoth("User:b", "F", "User:c") // both ends in the range
+	_ = db.RelateBoth("User:a", "F", "Zed:a")
+	if n, err := db.DeleteNodeRange("User:b", "User:d"); n != 2 || err != nil {
+		t.Fatalf("DeleteNodeRange = %d, %v; want 2, nil", n, err)
+	}
+	if got := db.Neighbors("User:a", "F"); len(got) != 1 || got[0] != "Zed:a" {
+		t.Errorf("neighbours of a survivor = %v, want [Zed:a]", got)
+	}
+	if db.Len() != 2 {
+		t.Errorf("Len = %d, want 2", db.Len())
+	}
+}

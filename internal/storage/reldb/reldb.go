@@ -233,6 +233,21 @@ func (db *DB) Get(tableName, id string) (storage.Row, error) {
 	return row, err
 }
 
+// exists reports whether the row is present, without copying it out.
+func (db *DB) exists(tableName, id string) (bool, error) {
+	var found bool
+	var err error
+	db.gate.Read(func() {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		var t *table
+		if t, err = db.table(tableName); err == nil {
+			_, found = t.rows.Get(id)
+		}
+	})
+	return found, err
+}
+
 // Insert adds a new row. Duplicate primary keys are rejected. When the
 // flavor supports RETURNING, the written row is returned; otherwise the
 // returned row is zero and callers must issue a separate Get (the
@@ -242,35 +257,36 @@ func (db *DB) Insert(tableName string, row storage.Row) (storage.Row, error) {
 	var err error
 	db.rowLocks.Acquire(lockKey(tableName, row.ID))
 	defer db.rowLocks.Release(lockKey(tableName, row.ID))
+	stored := row.Clone()
 	db.gate.Write(func() {
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		out, err = db.insertLocked(tableName, row)
+		if err = db.insertLocked(tableName, stored); err == nil && db.flavor.Returning {
+			out = stored.Clone()
+		}
 	})
 	return out, err
 }
 
-func (db *DB) insertLocked(tableName string, row storage.Row) (storage.Row, error) {
+// insertLocked stores row itself: the engine owns it from here on, so a
+// caller holding someone else's row clones it first.
+func (db *DB) insertLocked(tableName string, row storage.Row) error {
 	if db.closed {
-		return storage.Row{}, storage.ErrClosed
+		return storage.ErrClosed
 	}
 	t, err := db.table(tableName)
 	if err != nil {
-		return storage.Row{}, err
+		return err
 	}
 	if err := t.checkColumns(row); err != nil {
-		return storage.Row{}, err
+		return err
 	}
 	if _, ok := t.rows.Get(row.ID); ok {
-		return storage.Row{}, fmt.Errorf("%w: %s/%s", storage.ErrExists, tableName, row.ID)
+		return fmt.Errorf("%w: %s/%s", storage.ErrExists, tableName, row.ID)
 	}
-	stored := row.Clone()
-	t.rows.Set(row.ID, stored)
-	t.indexAdd(stored)
-	if db.flavor.Returning {
-		return stored.Clone(), nil
-	}
-	return storage.Row{}, nil
+	t.rows.Set(row.ID, row)
+	t.indexAdd(row)
+	return nil
 }
 
 // Update merges the given columns into an existing row, returning the
@@ -283,11 +299,18 @@ func (db *DB) Update(tableName, id string, cols map[string]any) (storage.Row, er
 	db.gate.Write(func() {
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		out, err = db.updateLocked(tableName, id, cols)
+		var stored storage.Row
+		if stored, err = db.updateLocked(tableName, id, cols); err == nil && db.flavor.Returning {
+			out = stored.Clone()
+		}
 	})
 	return out, err
 }
 
+// updateLocked merges deep copies of cols into the stored row in place
+// (every reader copies out under the read lock, so nothing outside the
+// engine holds the stored map) and returns the STORED row: a caller
+// handing it on clones it.
 func (db *DB) updateLocked(tableName, id string, cols map[string]any) (storage.Row, error) {
 	if db.closed {
 		return storage.Row{}, storage.ErrClosed
@@ -305,16 +328,11 @@ func (db *DB) updateLocked(tableName, id string, cols map[string]any) (storage.R
 	}
 	row := v.(storage.Row)
 	t.indexRemove(row)
-	updated := row.Clone()
 	for k, val := range cols {
-		updated.Cols[k] = val
+		row.Cols[k] = storage.CloneValue(val)
 	}
-	t.rows.Set(id, updated)
-	t.indexAdd(updated)
-	if db.flavor.Returning {
-		return updated.Clone(), nil
-	}
-	return storage.Row{}, nil
+	t.indexAdd(row)
+	return row, nil
 }
 
 // Upsert inserts or overwrites the row (subscriber persistence path).
@@ -322,14 +340,16 @@ func (db *DB) Upsert(tableName string, row storage.Row) error {
 	var err error
 	db.rowLocks.Acquire(lockKey(tableName, row.ID))
 	defer db.rowLocks.Release(lockKey(tableName, row.ID))
+	stored := row.Clone()
 	db.gate.Write(func() {
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		err = db.upsertLocked(tableName, row)
+		err = db.upsertLocked(tableName, stored)
 	})
 	return err
 }
 
+// upsertLocked stores row itself, like insertLocked.
 func (db *DB) upsertLocked(tableName string, row storage.Row) error {
 	if db.closed {
 		return storage.ErrClosed
@@ -344,9 +364,8 @@ func (db *DB) upsertLocked(tableName string, row storage.Row) error {
 	if v, ok := t.rows.Get(row.ID); ok {
 		t.indexRemove(v.(storage.Row))
 	}
-	stored := row.Clone()
-	t.rows.Set(row.ID, stored)
-	t.indexAdd(stored)
+	t.rows.Set(row.ID, row)
+	t.indexAdd(row)
 	return nil
 }
 
@@ -378,6 +397,43 @@ func (db *DB) deleteLocked(tableName, id string) error {
 	}
 	t.indexRemove(v.(storage.Row))
 	return nil
+}
+
+// DeleteRange removes every row with from <= id < to in one statement
+// (DELETE ... WHERE id >= from AND id < to) and reports how many went.
+// It does not wait for row locks: a prepared transaction that updates or
+// deletes a row in the range would fail at Commit, so callers range over
+// rows no open transaction names (Synapse: confirmed journal entries).
+func (db *DB) DeleteRange(tableName, from, to string) (int, error) {
+	var n int
+	var err error
+	db.gate.Write(func() {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		if db.closed {
+			err = storage.ErrClosed
+			return
+		}
+		var t *table
+		if t, err = db.table(tableName); err != nil {
+			return
+		}
+		// The tree cannot be changed under its own iteration.
+		var doomed []storage.Row
+		t.rows.AscendFrom(from, func(id string, v any) bool {
+			if id >= to {
+				return false
+			}
+			doomed = append(doomed, v.(storage.Row))
+			return true
+		})
+		for _, row := range doomed {
+			t.rows.Delete(row.ID)
+			t.indexRemove(row)
+		}
+		n = len(doomed)
+	})
+	return n, err
 }
 
 // Select returns rows matching all predicates, in primary-key order. It

@@ -498,3 +498,160 @@ func TestCount(t *testing.T) {
 		t.Errorf("Count = %d, %v", n, err)
 	}
 }
+
+func TestDeleteRange(t *testing.T) {
+	db := newUserDB(t, Postgres)
+	for i := 0; i < 6; i++ {
+		if _, err := db.Insert("users", row(fmt.Sprintf("u%d", i), map[string]any{"email": "x@example.com"})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := db.DeleteRange("users", "u1", "u4"); n != 3 || err != nil {
+		t.Fatalf("DeleteRange = %d, %v; want 3, nil", n, err)
+	}
+	var ids []string
+	_ = db.ScanFrom("users", "", func(r storage.Row) bool { ids = append(ids, r.ID); return true })
+	if fmt.Sprint(ids) != "[u0 u4 u5]" {
+		t.Errorf("rows left = %v", ids)
+	}
+	rows, _ := db.Select("users", storage.Predicate{Field: "email", Op: storage.Eq, Value: "x@example.com"})
+	if len(rows) != 3 {
+		t.Errorf("index still lists %d rows, want 3", len(rows))
+	}
+	if n, err := db.DeleteRange("users", "u4", "u4"); n != 0 || err != nil {
+		t.Errorf("empty range = %d, %v", n, err)
+	}
+	if _, err := db.DeleteRange("ghosts", "a", "b"); !errors.Is(err, storage.ErrNoTable) {
+		t.Errorf("DeleteRange on a missing table = %v", err)
+	}
+	db.Close()
+	if _, err := db.DeleteRange("users", "u0", "u9"); !errors.Is(err, storage.ErrClosed) {
+		t.Errorf("DeleteRange on a closed engine = %v", err)
+	}
+}
+
+// scribble overwrites everything reachable from a row the test owns.
+func scribble(r storage.Row) {
+	for k, v := range r.Cols {
+		if l, ok := v.([]any); ok && len(l) > 0 {
+			l[0] = "scribbled"
+		}
+		r.Cols[k] = "scribbled"
+	}
+	r.Cols["extra"] = "scribbled"
+}
+
+// The engine copies once on the way in and once on the way out, and
+// nowhere shares a map or a nested value with the caller — including
+// the rows a transaction stages and the rows its Commit returns.
+func TestStoredRowsAreIsolated(t *testing.T) {
+	db := New(Postgres)
+	if err := db.CreateTable("t", Column{Name: "name"}, Column{Name: "tags"}); err != nil {
+		t.Fatal(err)
+	}
+	fresh := func(id string) storage.Row {
+		return row(id, map[string]any{"name": "n", "tags": []any{"a"}})
+	}
+	check := func(what, id string, wantTag string) {
+		t.Helper()
+		got, err := db.Get("t", id)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if len(got.Cols) != 2 || got.Cols["name"] != "n" || fmt.Sprint(got.Cols["tags"]) != "["+wantTag+"]" {
+			t.Errorf("%s: stored row shares state with the caller: %+v", what, got.Cols)
+		}
+	}
+
+	in := fresh("i1")
+	out, err := db.Insert("t", in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(in)
+	scribble(out)
+	check("Insert", "i1", "a")
+
+	cols := map[string]any{"tags": []any{"b"}}
+	out, err = db.Update("t", "i1", cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(storage.Row{Cols: cols})
+	scribble(out)
+	check("Update", "i1", "b")
+
+	up := fresh("i2")
+	if err := db.Upsert("t", up); err != nil {
+		t.Fatal(err)
+	}
+	scribble(up)
+	check("Upsert", "i2", "a")
+
+	got, _ := db.Get("t", "i1")
+	scribble(got)
+	check("Get", "i1", "b")
+
+	tx := db.Begin()
+	ins, upd := fresh("t1"), map[string]any{"tags": []any{"c"}}
+	if err := tx.Insert("t", ins); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update("t", "i1", upd); err != nil {
+		t.Fatal(err)
+	}
+	scribble(ins) // between staging and commit
+	scribble(storage.Row{Cols: upd})
+	seen, err := tx.Get("t", "i1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(seen)
+	written, err := tx.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range written {
+		scribble(w)
+	}
+	check("Tx insert", "t1", "a")
+	check("Tx update", "i1", "c")
+}
+
+// InsertPrepared consumes its row and reports only the id at Commit.
+func TestInsertPreparedIsBare(t *testing.T) {
+	db := newUserDB(t, Postgres)
+	tx := db.Begin()
+	if err := tx.Insert("users", row("u1", map[string]any{"name": "a"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.InsertPrepared("users", row("j1", map[string]any{"name": "journal"})); err != nil {
+		t.Fatal(err)
+	}
+	written, err := tx.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(written) != 2 || written[0].Cols["name"] != "a" || written[1].ID != "j1" || written[1].Cols != nil {
+		t.Errorf("Commit returned %+v; want the data row and a bare id", written)
+	}
+	if got, err := db.Get("users", "j1"); err != nil || got.Cols["name"] != "journal" {
+		t.Errorf("prepared insert = %+v, %v", got, err)
+	}
+	if db.rowLocks.Held() != 0 {
+		t.Errorf("%d row locks left held", db.rowLocks.Held())
+	}
+	// A stored id is refused, and its lock is given back.
+	tx = db.Begin()
+	_ = tx.Prepare()
+	if err := tx.InsertPrepared("users", row("j1", nil)); !errors.Is(err, storage.ErrExists) {
+		t.Errorf("InsertPrepared of a stored id = %v", err)
+	}
+	tx.Abort()
+	if db.rowLocks.Held() != 0 {
+		t.Errorf("%d row locks left held after a refused insert", db.rowLocks.Held())
+	}
+}

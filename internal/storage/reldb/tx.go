@@ -35,8 +35,9 @@ type txOp struct {
 	kind  opKind
 	table string
 	id    string
-	row   storage.Row    // insert
-	cols  map[string]any // update
+	row   storage.Row    // insert; owned by the transaction
+	cols  map[string]any // update; owned by the transaction
+	bare  bool           // Commit reports only the id (InsertPrepared)
 }
 
 // Tx is a buffered transaction over a DB.
@@ -60,11 +61,7 @@ func (tx *Tx) Insert(table string, row storage.Row) error {
 
 // Update stages a column merge into an existing row.
 func (tx *Tx) Update(table, id string, cols map[string]any) error {
-	c := make(map[string]any, len(cols))
-	for k, v := range cols {
-		c[k] = v
-	}
-	return tx.stage(txOp{kind: opUpdate, table: table, id: id, cols: c})
+	return tx.stage(txOp{kind: opUpdate, table: table, id: id, cols: storage.Row{Cols: cols}.Clone().Cols})
 }
 
 // Delete stages a row deletion.
@@ -103,7 +100,7 @@ func (tx *Tx) Get(table, id string) (storage.Row, error) {
 		case opUpdate:
 			if found {
 				for k, v := range op.cols {
-					row.Cols[k] = v
+					row.Cols[k] = storage.CloneValue(v)
 				}
 			}
 		case opDelete:
@@ -158,15 +155,7 @@ func (tx *Tx) validateLocked() error {
 		if e, ok := exists[key]; ok {
 			return e, nil
 		}
-		_, err := tx.db.Get(table, id)
-		switch {
-		case err == nil:
-			return true, nil
-		case err == storage.ErrNotFound:
-			return false, nil
-		default:
-			return false, err
-		}
+		return tx.db.exists(table, id)
 	}
 	for _, op := range tx.ops {
 		key := lockKey(op.table, op.id)
@@ -201,7 +190,9 @@ func (tx *Tx) validateLocked() error {
 // when the version-store counters have been bumped. To preserve the
 // after-Prepare guarantee that Commit cannot fail, the row is validated
 // here: its lock is acquired and the insert is rejected if the row
-// already exists.
+// already exists. The row is CONSUMED — the transaction stores it as is,
+// so the caller must not touch it afterwards — and Commit reports only
+// its id: the caller built the row and needs no copy of it back.
 func (tx *Tx) InsertPrepared(table string, row storage.Row) error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -209,16 +200,17 @@ func (tx *Tx) InsertPrepared(table string, row storage.Row) error {
 		return storage.ErrTxClosed
 	}
 	key := lockKey(table, row.ID)
-	held := tx.db.rowLocks.AcquireAll([]string{key})
-	if _, err := tx.db.Get(table, row.ID); err == nil {
-		tx.db.rowLocks.ReleaseAll(held)
-		return fmt.Errorf("%w: %s/%s", storage.ErrExists, table, row.ID)
-	} else if err != storage.ErrNotFound {
-		tx.db.rowLocks.ReleaseAll(held)
+	tx.db.rowLocks.Acquire(key)
+	found, err := tx.db.exists(table, row.ID)
+	if err == nil && found {
+		err = fmt.Errorf("%w: %s/%s", storage.ErrExists, table, row.ID)
+	}
+	if err != nil {
+		tx.db.rowLocks.Release(key)
 		return err
 	}
-	tx.held = append(tx.held, held...)
-	tx.ops = append(tx.ops, txOp{kind: opInsert, table: table, id: row.ID, row: row.Clone()})
+	tx.held = append(tx.held, key)
+	tx.ops = append(tx.ops, txOp{kind: opInsert, table: table, id: row.ID, row: row, bare: true})
 	return nil
 }
 
@@ -247,19 +239,25 @@ func (tx *Tx) Commit() ([]storage.Row, error) {
 		for _, op := range tx.ops {
 			switch op.kind {
 			case opInsert:
-				if _, err := tx.db.insertLocked(op.table, op.row); err != nil {
+				// op.row is the transaction's own copy (or a consumed
+				// row): the engine adopts it, and the copy out is the
+				// only one made here.
+				if err := tx.db.insertLocked(op.table, op.row); err != nil {
 					applyErr = err
 					return
 				}
-				written = append(written, op.row.Clone())
+				if op.bare {
+					written = append(written, storage.Row{ID: op.id})
+				} else {
+					written = append(written, op.row.Clone())
+				}
 			case opUpdate:
-				if _, err := tx.db.updateLocked(op.table, op.id, op.cols); err != nil {
+				stored, err := tx.db.updateLocked(op.table, op.id, op.cols)
+				if err != nil {
 					applyErr = err
 					return
 				}
-				t, _ := tx.db.table(op.table)
-				v, _ := t.rows.Get(op.id)
-				written = append(written, v.(storage.Row).Clone())
+				written = append(written, stored.Clone())
 			case opDelete:
 				if err := tx.db.deleteLocked(op.table, op.id); err != nil {
 					applyErr = err

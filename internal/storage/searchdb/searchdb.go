@@ -253,6 +253,34 @@ func (db *DB) Delete(indexName, id string) error {
 	return err
 }
 
+// DeleteRange removes every document with from <= id < to in one
+// statement (delete-by-query on an id range), inverted-index entries
+// included, and reports how many went.
+func (db *DB) DeleteRange(indexName, from, to string) (int, error) {
+	var n int
+	var err error
+	db.gate.Write(func() {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		if db.closed {
+			err = storage.ErrClosed
+			return
+		}
+		ix, ok := db.indexes[indexName]
+		if !ok {
+			return
+		}
+		for id, doc := range ix.docs {
+			if id >= from && id < to {
+				ix.unindexDoc(doc)
+				delete(ix.docs, id)
+				n++
+			}
+		}
+	})
+	return n, err
+}
+
 // Query is a search query: a tree of term/match/bool nodes.
 type Query struct {
 	// Term matches documents whose field produced exactly this token.

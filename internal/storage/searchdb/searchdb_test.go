@@ -207,3 +207,24 @@ func TestClosedRejectsWrites(t *testing.T) {
 		t.Errorf("index after close = %v", err)
 	}
 }
+
+func TestDeleteRangeUnindexes(t *testing.T) {
+	db := New()
+	db.SetAnalyzer("posts", "body", SimpleAnalyzer)
+	for _, id := range []string{"p1", "p2", "p3"} {
+		_ = db.Index("posts", doc(id, map[string]any{"body": "hello " + id}))
+	}
+	if n, err := db.DeleteRange("posts", "p1", "p3"); n != 2 || err != nil {
+		t.Fatalf("DeleteRange = %d, %v; want 2, nil", n, err)
+	}
+	ids, _ := db.Search("posts", Query{Term: &TermQuery{Field: "body", Token: "hello"}})
+	if len(ids) != 1 || ids[0] != "p3" {
+		t.Errorf("Search after DeleteRange = %v, want [p3]", ids)
+	}
+	if ids, _ := db.Search("posts", Query{Term: &TermQuery{Field: "body", Token: "p1"}}); len(ids) != 0 {
+		t.Error("a token of a deleted document survived")
+	}
+	if n, err := db.DeleteRange("never", "a", "z"); n != 0 || err != nil {
+		t.Errorf("DeleteRange on a missing index = %d, %v", n, err)
+	}
+}

@@ -37,23 +37,26 @@ type Row struct {
 func (r Row) Clone() Row {
 	out := Row{ID: r.ID, Cols: make(map[string]any, len(r.Cols))}
 	for k, v := range r.Cols {
-		out.Cols[k] = cloneVal(v)
+		out.Cols[k] = CloneValue(v)
 	}
 	return out
 }
 
-func cloneVal(v any) any {
+// CloneValue deep-copies one column value (scalars are returned as is).
+// Engines use it to merge caller-owned values into a stored row without
+// sharing nested slices or maps.
+func CloneValue(v any) any {
 	switch t := v.(type) {
 	case []any:
 		out := make([]any, len(t))
 		for i, e := range t {
-			out[i] = cloneVal(e)
+			out[i] = CloneValue(e)
 		}
 		return out
 	case map[string]any:
 		out := make(map[string]any, len(t))
 		for k, e := range t {
-			out[k] = cloneVal(e)
+			out[k] = CloneValue(e)
 		}
 		return out
 	default:

@@ -127,7 +127,20 @@ scenario_liveness() {
         go test -race -count=20 -run 'TestQuickConvergenceRandomOps' ./internal/core/
 }
 
-ALL="check chaos overload causality tail cluster bootstrap benchmark liveness"
+# Publisher outbox: the journal is a log with a high-water ack, so what
+# guards it is schedules, not states — the crash windows, the seeded
+# crash/restart property, the overload ladder's defer/shed/drain paths
+# and the outbox, truncation and restart tests, twenty times under the
+# race detector; then the workload that journals every publish, which
+# exits non-zero on any failed operation or oracle mismatch.
+scenario_journal() {
+    go test -race -count=20 \
+        -run 'TestCrash|TestPublish|TestDrain|TestOutbox|TestJournal|TestLiveDrain|TestRestart|TestInherited|TestAbortedPublish' \
+        ./internal/core/ &&
+        bash benchmark/run.sh --workload social_causal --seconds 5
+}
+
+ALL="check chaos overload causality tail cluster bootstrap benchmark liveness journal"
 run_list="$*"
 if [ -z "$run_list" ]; then
     run_list="$ALL"
