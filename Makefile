@@ -1,13 +1,18 @@
 # Developer entry points. `make check` is the gate CI runs: build, vet,
 # and the full test suite under the race detector.
 
-.PHONY: check test bench bench-overload bench-causality bench-tail bench-cluster bench-bootstrap check-bench scenarios chaos
+.PHONY: check test loc bench bench-overload bench-causality bench-tail bench-cluster bench-bootstrap check-bench scenarios chaos
 
 check:
 	./scripts/check.sh
 
 test:
 	go test ./...
+
+# ROADMAP's one line counter: non-test Go lines outside the repository
+# benchmark. Every PR reports this number before and after.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # Regenerates the Fig 13 round-trip sweep and BENCH_fig13.json.
 bench:
@@ -48,7 +53,7 @@ check-bench:
 	./scripts/bench_gate.sh
 
 # The CI scenario suite (check/chaos/overload/causality/tail/cluster/
-# bootstrap/benchmark/liveness/journal), quick sweeps — the same commands the
+# bootstrap/benchmark/liveness/journal/orm), quick sweeps — the same commands the
 # workflow matrix runs.
 scenarios:
 	./scripts/scenarios.sh -quick

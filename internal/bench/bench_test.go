@@ -365,12 +365,15 @@ func TestTable3Counts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 9 {
+	if len(rows) != 10 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	for _, r := range rows {
-		if r.ORMLoC <= 0 || r.DBLoC <= 0 {
+	for i, r := range rows {
+		if r.ORMLoC <= 0 || (r.DBLoC <= 0) != (i == 0) { // row 0 is the shared core: no engine
 			t.Errorf("%s: LoC = %d/%d", r.DB, r.ORMLoC, r.DBLoC)
+		}
+		if i > 0 && r.ORMLoC >= rows[0].ORMLoC {
+			t.Errorf("%s: adapter (%d lines) is no smaller than the shared core (%d)", r.ORM, r.ORMLoC, rows[0].ORMLoC)
 		}
 	}
 	out := FormatTable3(rows)

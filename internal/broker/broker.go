@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"synapse/internal/faultinject"
 )
@@ -68,7 +67,6 @@ type item struct {
 	redelivered bool
 	delivered   bool // handed to a consumer at least once
 	fails       int
-	enq         time.Time // when the item entered this queue's pending deque
 }
 
 // Pressure is a queue's overload signal to its publishers. It is the
@@ -152,7 +150,6 @@ func (b *Broker) Restart() {
 		return
 	}
 	st := b.log.replay()
-	now := time.Now()
 	b.queues = make(map[string]*Queue, len(st.queues))
 	b.bindings = make(map[string][]*Queue)
 	for name, rq := range st.queues {
@@ -169,13 +166,9 @@ func (b *Broker) Restart() {
 		var redo, fresh []*item
 		for _, id := range rq.order {
 			m := rq.msgs[id]
-			// Ages restart at the recovery time: the crash gap is broker
-			// downtime, not consumer slowness, so it must not trip the
-			// age watermark the moment the queue comes back.
 			it := &item{
 				id: m.id, payload: m.payload, exchange: m.exchange,
 				fails: m.fails, delivered: m.delivered, redelivered: m.delivered,
-				enq: now,
 			}
 			switch {
 			case m.deadLettered:
@@ -467,16 +460,15 @@ type Queue struct {
 	// deadLettered it is cumulative and survives Restart via the log.
 	redeliveredTotal int64
 
-	// Overload control. Watermarks, age bound, and the credit window are
+	// Overload control. Watermarks and the credit window are
 	// volatile consumer tuning — deliberately NOT in the queue log; the
 	// owning app re-applies them on every (re)attach, the same way a real
 	// AMQP consumer re-sends basic.qos after a reconnect.
-	hiWater      int           // soft depth high watermark (0 = no depth signal)
-	loWater      int           // depth that ends a high episode (hysteresis)
-	ageWater     time.Duration // oldest-pending age watermark (0 = no age signal)
-	credits      int           // max outstanding unacked deliveries (0 = unbounded)
-	pressured    bool          // inside a high-watermark episode
-	maxDepthSeen int           // high-water mark of pending+unacked depth
+	hiWater      int  // soft depth high watermark (0 = no depth signal)
+	loWater      int  // depth that ends a high episode (hysteresis)
+	credits      int  // max outstanding unacked deliveries (0 = unbounded)
+	pressured    bool // inside a high-watermark episode
+	maxDepthSeen int  // high-water mark of pending+unacked depth
 }
 
 func newQueue(name string, maxLen int, log *queueLog) *Queue {
@@ -508,7 +500,7 @@ func (q *Queue) push(payload []byte, exchange string, id uint64) {
 	if q.dead || q.closed || q.downErr != nil {
 		return
 	}
-	q.pending.PushBack(&item{id: id, payload: payload, exchange: exchange, enq: time.Now()})
+	q.pending.PushBack(&item{id: id, payload: payload, exchange: exchange})
 	q.log.append(logEntry{op: opEnqueue, queue: q.name, id: id, payload: payload, exchange: exchange})
 	q.notePressureLocked()
 	// Unacked deliveries count against the bound: a prefetching consumer
@@ -677,15 +669,6 @@ func (q *Queue) SetWatermarks(high, low int) {
 	q.notePressureLocked()
 }
 
-// SetAgeWatermark installs the age watermark: while the oldest pending
-// message is older than d, the queue signals PressureHigh regardless of
-// depth. 0 disables the age signal.
-func (q *Queue) SetAgeWatermark(d time.Duration) {
-	q.mu.Lock()
-	q.ageWater = d
-	q.mu.Unlock()
-}
-
 // SetCredits grants the consumer pool a credit window of n outstanding
 // unacked deliveries (basic.qos in AMQP terms): GetBatch/TryGet stop
 // handing out messages while the window is exhausted and resume as acks
@@ -705,11 +688,6 @@ func (q *Queue) Pressure() Pressure {
 	if q.pressured {
 		return PressureHigh
 	}
-	if q.ageWater > 0 && q.pending.Len() > 0 {
-		if it := q.pending.At(0); time.Since(it.enq) >= q.ageWater {
-			return PressureHigh
-		}
-	}
 	return PressureNormal
 }
 
@@ -727,17 +705,6 @@ func (q *Queue) MaxDepthSeen() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.maxDepthSeen
-}
-
-// OldestAge reports how long the head pending message has been waiting
-// (0 when the queue is empty).
-func (q *Queue) OldestAge() time.Duration {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.pending.Len() == 0 {
-		return 0
-	}
-	return time.Since(q.pending.At(0).enq)
 }
 
 func (q *Queue) takeLocked() Delivery {
@@ -935,7 +902,6 @@ func (q *Queue) ReplayDeadLetters() int {
 	for i := n - 1; i >= 0; i-- {
 		it := q.setAside[i]
 		it.fails = 0
-		it.enq = time.Now()
 		q.pending.PushFront(it)
 	}
 	q.setAside = nil

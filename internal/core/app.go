@@ -718,7 +718,6 @@ func (a *App) ensureQueue() {
 func (a *App) tuneQueue(q *broker.Queue) {
 	q.SetMaxAttempts(a.cfg.MaxDeliveryAttempts)
 	q.SetWatermarks(a.cfg.QueueHighWatermark, a.cfg.QueueLowWatermark)
-	q.SetAgeWatermark(a.cfg.QueueAgeWatermark)
 	// Every in-flight pipeline slot holds an unacked delivery until its
 	// group-commit flush lands, and so does every parked message — the
 	// window is what bounds the parked set. A failed delivery nacked to

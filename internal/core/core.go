@@ -172,10 +172,6 @@ type Config struct {
 	// to it (hysteresis, so publishers are not flapped at the boundary).
 	// 0 or an out-of-range value defaults to QueueHighWatermark/2.
 	QueueLowWatermark int
-	// QueueAgeWatermark signals PressureHigh while the oldest pending
-	// message is older than this, so a stalled consumer pressures its
-	// publishers even at modest queue depth. 0 disables the age signal.
-	QueueAgeWatermark time.Duration
 	// CreditWindow bounds outstanding unacked deliveries across this
 	// app's worker pool — in flight, awaiting their flush, or parked on
 	// an unmet dependency: the queue hands out at most this many and acks
@@ -201,14 +197,11 @@ type Config struct {
 	// ApplyTimeout arms the per-delivery stall watchdog: a subscriber
 	// callback still running after the budget is abandoned and the
 	// delivery counted as a failed attempt. The budget escalates —
-	// doubling per prior failure, capped at ApplyTimeoutMax — so a hung
+	// doubling per prior failure, capped at 8× ApplyTimeout — so a hung
 	// callback quarantines to the dead-letter list after
 	// MaxDeliveryAttempts instead of wedging its worker forever.
 	// 0 (the default) disables the watchdog.
 	ApplyTimeout time.Duration
-	// ApplyTimeoutMax caps the escalating stall budget
-	// (default 8× ApplyTimeout).
-	ApplyTimeoutMax time.Duration
 
 	// BootstrapChunkSize bounds how many publisher objects one bootstrap
 	// chunk reads under a single bounded publisher lock hold (DBLog-style
@@ -249,9 +242,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JournalRetryInterval == 0 {
 		c.JournalRetryInterval = 50 * time.Millisecond
-	}
-	if c.ApplyTimeoutMax <= 0 {
-		c.ApplyTimeoutMax = 8 * c.ApplyTimeout
 	}
 	if c.BootstrapChunkSize <= 0 {
 		c.BootstrapChunkSize = 256

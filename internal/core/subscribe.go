@@ -732,19 +732,19 @@ func (a *App) retryBackoff(attempts int, stop <-chan struct{}) {
 // expired.
 var errStalled = errors.New("synapse: subscriber apply stalled past watchdog budget")
 
+// stallBudgetCap bounds the stall budget, in multiples of ApplyTimeout.
+const stallBudgetCap = 8
+
 // stallBudget is the watchdog time budget for a delivery with the given
-// prior failed attempts: ApplyTimeout doubled per attempt, capped at
-// ApplyTimeoutMax. It covers the version claim and the callback only —
-// a message that is not ready parks, and its run returns.
+// prior failed attempts: ApplyTimeout doubled per attempt, up to
+// stallBudgetCap times it. It covers the version claim and the callback
+// only — a message that is not ready parks, and its run returns.
 func (a *App) stallBudget(attempts int) time.Duration {
-	budget := a.cfg.ApplyTimeout
-	for i := 0; i < attempts && budget < a.cfg.ApplyTimeoutMax; i++ {
+	budget, max := a.cfg.ApplyTimeout, stallBudgetCap*a.cfg.ApplyTimeout
+	for i := 0; i < attempts && budget < max; i++ {
 		budget *= 2
 	}
-	if budget > a.cfg.ApplyTimeoutMax {
-		budget = a.cfg.ApplyTimeoutMax
-	}
-	return budget
+	return min(budget, max)
 }
 
 // consumeDecoded runs one decoded job as far as it goes without
@@ -765,8 +765,8 @@ func (a *App) consumeDecoded(j *job) (incr []vstore.Key, parked bool, err error)
 // consumeDecodedGuarded runs consumeDecoded under the per-delivery stall
 // watchdog (Config.ApplyTimeout; disabled at 0, where it falls through
 // with no extra goroutine). The budget escalates with the message's
-// prior failed attempts — doubling each time, capped at ApplyTimeoutMax
-// — so transiently slow applies get a longer second chance while a
+// prior failed attempts — doubling each time, up to stallBudgetCap
+// times — so transiently slow applies get a longer second chance while a
 // truly hung callback still exhausts MaxDeliveryAttempts and
 // quarantines to the dead-letter set-aside. A timed-out apply is
 // abandoned and the delivery failed so the worker moves on. The

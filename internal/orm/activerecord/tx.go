@@ -6,6 +6,7 @@ import (
 	"synapse/internal/model"
 	"synapse/internal/orm"
 	"synapse/internal/storage"
+	"synapse/internal/storage/reldb"
 )
 
 // Tx is a buffered multi-object transaction over the relational engine.
@@ -14,25 +15,13 @@ import (
 // commit succeeds.
 type Tx struct {
 	m      *Mapper
-	tx     txHandle
+	tx     *reldb.Tx
 	ops    []txRecOp
 	closed bool
 }
 
-// txHandle narrows reldb.Tx to what the adapter uses.
-type txHandle interface {
-	Insert(table string, row storage.Row) error
-	Update(table, id string, cols map[string]any) error
-	Delete(table, id string) error
-	InsertPrepared(table string, row storage.Row) error
-	Prepare() error
-	Commit() ([]storage.Row, error)
-	Abort()
-}
-
 type txRecOp struct {
 	modelName string
-	id        string
 	hook      model.Hook // after-hook to run on commit
 	journal   bool       // staged by StageJournal: no read-back, no callbacks
 }
@@ -42,62 +31,39 @@ func (m *Mapper) Begin() orm.MapperTx {
 	return &Tx{m: m, tx: m.db.Begin()}
 }
 
-// Create stages an insert.
-func (tx *Tx) Create(rec *model.Record) error {
-	table, d, err := tx.m.table(rec.Model)
+// stage runs the skeleton's validate → before-hook → count step, hands
+// the write to the engine transaction and notes the after-hook.
+func (tx *Tx) stage(rec *model.Record, before, after model.Hook, write func(table string) error) error {
+	table, err := tx.m.Stage(before, rec)
 	if err != nil {
 		return err
 	}
-	if err := d.Validate(rec); err != nil {
+	if err := write(table); err != nil {
 		return err
 	}
-	if err := tx.m.RunCallbacks(model.BeforeCreate, rec); err != nil {
-		return err
-	}
-	tx.m.Stats().Writes.Add(1)
-	if err := tx.tx.Insert(table, toRow(rec)); err != nil {
-		return err
-	}
-	tx.ops = append(tx.ops, txRecOp{modelName: rec.Model, id: rec.ID, hook: model.AfterCreate})
+	tx.ops = append(tx.ops, txRecOp{modelName: rec.Model, hook: after})
 	return nil
+}
+
+// Create stages an insert.
+func (tx *Tx) Create(rec *model.Record) error {
+	return tx.stage(rec, model.BeforeCreate, model.AfterCreate, func(table string) error {
+		return tx.tx.Insert(table, storage.Row{ID: rec.ID, Cols: rec.Attrs})
+	})
 }
 
 // Update stages an attribute merge.
 func (tx *Tx) Update(rec *model.Record) error {
-	table, d, err := tx.m.table(rec.Model)
-	if err != nil {
-		return err
-	}
-	if err := d.Validate(rec); err != nil {
-		return err
-	}
-	if err := tx.m.RunCallbacks(model.BeforeUpdate, rec); err != nil {
-		return err
-	}
-	tx.m.Stats().Writes.Add(1)
-	if err := tx.tx.Update(table, rec.ID, rec.Attrs); err != nil {
-		return err
-	}
-	tx.ops = append(tx.ops, txRecOp{modelName: rec.Model, id: rec.ID, hook: model.AfterUpdate})
-	return nil
+	return tx.stage(rec, model.BeforeUpdate, model.AfterUpdate, func(table string) error {
+		return tx.tx.Update(table, rec.ID, rec.Attrs)
+	})
 }
 
 // Delete stages a deletion.
 func (tx *Tx) Delete(modelName, id string) error {
-	table, _, err := tx.m.table(modelName)
-	if err != nil {
-		return err
-	}
-	rec := model.NewRecord(modelName, id)
-	if err := tx.m.RunCallbacks(model.BeforeDestroy, rec); err != nil {
-		return err
-	}
-	tx.m.Stats().Writes.Add(1)
-	if err := tx.tx.Delete(table, id); err != nil {
-		return err
-	}
-	tx.ops = append(tx.ops, txRecOp{modelName: modelName, id: id, hook: model.AfterDestroy})
-	return nil
+	return tx.stage(model.NewRecord(modelName, id), model.BeforeDestroy, model.AfterDestroy, func(table string) error {
+		return tx.tx.Delete(table, id)
+	})
 }
 
 // Prepare locks and validates the staged writes.
@@ -111,18 +77,18 @@ func (tx *Tx) Prepare() error { return tx.tx.Prepare() }
 // InsertPrepared keeps the Commit-cannot-fail guarantee. The record's
 // attribute map goes to the engine as is (InsertPrepared consumes it).
 func (tx *Tx) StageJournal(rec *model.Record) error {
-	table, d, err := tx.m.table(rec.Model)
-	if err != nil {
-		return err
+	d, ok := tx.m.Descriptor(rec.Model)
+	if !ok {
+		return fmt.Errorf("%w: %s", orm.ErrUnknownModel, rec.Model)
 	}
 	if err := d.Validate(rec); err != nil {
 		return err
 	}
-	if err := tx.tx.InsertPrepared(table, toRow(rec)); err != nil {
+	if err := tx.tx.InsertPrepared(orm.Tableize(rec.Model), storage.Row{ID: rec.ID, Cols: rec.Attrs}); err != nil {
 		return err
 	}
 	tx.m.Stats().Writes.Add(1)
-	tx.ops = append(tx.ops, txRecOp{modelName: rec.Model, id: rec.ID, journal: true})
+	tx.ops = append(tx.ops, txRecOp{modelName: rec.Model, journal: true})
 	return nil
 }
 
@@ -143,7 +109,7 @@ func (tx *Tx) Commit() ([]*model.Record, error) {
 		if op.journal {
 			continue
 		}
-		rec := toRecord(op.modelName, rows[i]) // a deleted row carries only its id
+		rec := orm.Adopt(op.modelName, rows[i]) // a deleted row carries only its id
 		if err := tx.m.RunCallbacks(op.hook, rec); err != nil {
 			return nil, err
 		}

@@ -33,36 +33,6 @@ func TestExtraReadsCounted(t *testing.T) {
 	}
 }
 
-func TestSaveBatchAtomic(t *testing.T) {
-	m := New(coldb.New())
-	if err := m.Register(ormtest.NewUserDescriptor()); err != nil {
-		t.Fatal(err)
-	}
-	seed := model.NewRecord("User", "gone")
-	seed.Set("name", "x")
-	if err := m.Save(seed); err != nil {
-		t.Fatal(err)
-	}
-
-	a := model.NewRecord("User", "a")
-	a.Set("name", "a")
-	b := model.NewRecord("User", "b")
-	b.Set("name", "b")
-	if err := m.SaveBatch([]*model.Record{a, b}, []*model.Record{model.NewRecord("User", "gone")}); err != nil {
-		t.Fatal(err)
-	}
-	if m.Len("User") != 2 {
-		t.Fatalf("Len = %d", m.Len("User"))
-	}
-	if _, err := m.Find("User", "gone"); err == nil {
-		t.Error("batched delete not applied")
-	}
-	got, err := m.Find("User", "a")
-	if err != nil || got.String("name") != "a" {
-		t.Fatalf("Find(a) = %+v, %v", got, err)
-	}
-}
-
 func TestUpdateAfterFlushMergesAcrossSSTables(t *testing.T) {
 	m := New(coldb.New())
 	if err := m.Register(ormtest.NewUserDescriptor()); err != nil {

@@ -11,7 +11,7 @@
 package graphorm
 
 import (
-	"fmt"
+	"strings"
 
 	"synapse/internal/model"
 	"synapse/internal/orm"
@@ -26,114 +26,70 @@ type Mapper struct {
 }
 
 // New wraps a graph database.
-func New(db *graphdb.DB) *Mapper { return &Mapper{db: db} }
-
-// Name identifies the ORM.
-func (m *Mapper) Name() string { return "graphorm" }
-
-// Engine identifies the backing vendor.
-func (m *Mapper) Engine() string { return "neo4j" }
+func New(db *graphdb.DB) *Mapper {
+	m := &Mapper{db: db}
+	m.Bind(orm.Traits{ORM: "graphorm", Vendor: "neo4j"}, binding{db})
+	return m
+}
 
 // DB exposes the underlying engine (observer callbacks traverse it).
 func (m *Mapper) DB() *graphdb.DB { return m.db }
 
-// Register records the descriptor; nodes are created lazily on Save.
+// Register records the descriptor under the model's own name, which is
+// its nodes' label; nodes are created lazily on Save.
 func (m *Mapper) Register(d *model.Descriptor) error {
-	m.Registry.Add(d)
+	m.RegisterAs(d, d.Name)
 	return nil
-}
-
-func (m *Mapper) descriptor(modelName string) (*model.Descriptor, error) {
-	d, ok := m.Descriptor(modelName)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", orm.ErrUnknownModel, modelName)
-	}
-	return d, nil
 }
 
 // nodeID namespaces node identities per model so that, e.g., a User and
 // a Product with the same primary key do not collide.
 func nodeID(modelName, id string) string { return modelName + ":" + id }
 
-func toRecord(modelName, nid string, props map[string]any) *model.Record {
-	rec := model.NewRecord(modelName, nid[len(modelName)+1:])
-	rec.Merge(props)
-	return rec
+// binding is graphdb as the skeleton sees it: a model's rows are the
+// nodes labelled with its name, ids prefixed by it.
+type binding struct{ db *graphdb.DB }
+
+func (b binding) Get(label, id string) (storage.Row, error) {
+	_, props, err := b.db.Node(nodeID(label, id))
+	return storage.Row{ID: id, Cols: props}, err
 }
 
-// Find loads one node by model-scoped id.
-func (m *Mapper) Find(modelName, id string) (*model.Record, error) {
-	if _, err := m.descriptor(modelName); err != nil {
-		return nil, err
-	}
-	m.Stats().Reads.Add(1)
-	_, props, err := m.db.Node(nodeID(modelName, id))
-	if err != nil {
-		return nil, err
-	}
-	return toRecord(modelName, nodeID(modelName, id), props), nil
+func (b binding) Exists(label, id string) (bool, error) {
+	return b.db.Exists(nodeID(label, id)), nil
 }
 
-// Create is unsupported: the adapter is subscriber-only.
-func (m *Mapper) Create(*model.Record) (*model.Record, error) { return nil, orm.ErrReadOnly }
-
-// Update is unsupported: the adapter is subscriber-only.
-func (m *Mapper) Update(*model.Record) (*model.Record, error) { return nil, orm.ErrReadOnly }
-
-// Delete detaches and removes a node.
-func (m *Mapper) Delete(modelName, id string) error {
-	if _, err := m.descriptor(modelName); err != nil {
-		return err
-	}
-	rec := model.NewRecord(modelName, id)
-	m.Stats().Reads.Add(1)
-	if _, props, err := m.db.Node(nodeID(modelName, id)); err == nil {
-		rec.Merge(props)
-	}
-	if err := m.RunCallbacks(model.BeforeDestroy, rec); err != nil {
-		return err
-	}
-	m.Stats().Writes.Add(1)
-	if err := m.db.DeleteNode(nodeID(modelName, id)); err != nil {
-		return err
-	}
-	return m.RunCallbacks(model.AfterDestroy, rec)
+// Insert merges the node: MERGE creates it or updates it alike.
+func (b binding) Insert(label string, row storage.Row) (storage.Row, error) {
+	return storage.Row{}, b.db.MergeNode(label, nodeID(label, row.ID), row.Cols)
 }
 
-// DeleteRange detaches and removes the model's nodes with
-// from <= id < to in one statement.
-func (m *Mapper) DeleteRange(modelName, from, to string) (int, error) {
-	if _, err := m.descriptor(modelName); err != nil {
-		return 0, err
-	}
-	return m.db.DeleteNodeRange(nodeID(modelName, from), nodeID(modelName, to))
+func (b binding) Update(label string, row storage.Row) (storage.Row, error) {
+	return b.Insert(label, row)
 }
 
-// Save merges a labelled node with the record's attributes as properties.
-func (m *Mapper) Save(rec *model.Record) error {
-	d, err := m.descriptor(rec.Model)
-	if err != nil {
-		return err
-	}
-	if err := d.Validate(rec); err != nil {
-		return err
-	}
-	m.Stats().Reads.Add(1)
-	_, _, findErr := m.db.Node(nodeID(rec.Model, rec.ID))
-	exists := findErr == nil
-	before, after := model.BeforeCreate, model.AfterCreate
-	if exists {
-		before, after = model.BeforeUpdate, model.AfterUpdate
-	}
-	if err := m.RunCallbacks(before, rec); err != nil {
-		return err
-	}
-	m.Stats().Writes.Add(1)
-	if err := m.db.MergeNode(rec.Model, nodeID(rec.Model, rec.ID), rec.Clone().Attrs); err != nil {
-		return err
-	}
-	return m.RunCallbacks(after, rec)
+func (b binding) Delete(label, id string) error { return b.db.DeleteNode(nodeID(label, id)) }
+
+func (b binding) DeleteRange(label, from, to string) (int, error) {
+	return b.db.DeleteNodeRange(nodeID(label, from), nodeID(label, to))
 }
+
+func (b binding) ScanFrom(label, from string, fn func(storage.Row) bool) error {
+	prefix := label + ":"
+	return b.db.ScanFrom(prefix+from, func(row storage.Row) bool {
+		id, ok := strings.CutPrefix(row.ID, prefix)
+		if !ok || id == "" {
+			// Node ids sort by model prefix; anything else means we ran
+			// past this model's range.
+			return row.ID < prefix
+		}
+		row.ID = id
+		delete(row.Cols, "_label") // the row is the caller's copy
+		return fn(row)
+	})
+}
+
+func (b binding) Len(label string) int { return len(b.db.NodesByLabel(label)) }
 
 // Relate adds a mutual relationship between two model instances (the
 // `has_many :both` of Fig 5's Neo4j subscriber).
@@ -169,34 +125,6 @@ func stripIDs(modelName string, nids []string) []string {
 		}
 	}
 	return out
-}
-
-// Each streams nodes of the model with id >= from in id order.
-func (m *Mapper) Each(modelName, from string, fn func(*model.Record) bool) error {
-	if _, err := m.descriptor(modelName); err != nil {
-		return err
-	}
-	m.Stats().Reads.Add(1)
-	prefix := modelName + ":"
-	return m.db.ScanFrom(prefix+from, func(row storage.Row) bool {
-		if len(row.ID) <= len(prefix) || row.ID[:len(prefix)] != prefix {
-			// Node ids sort by model prefix; anything else means we ran
-			// past this model's range.
-			return row.ID < prefix
-		}
-		props := make(map[string]any, len(row.Cols))
-		for k, v := range row.Cols {
-			if k != "_label" {
-				props[k] = v
-			}
-		}
-		return fn(toRecord(modelName, row.ID, props))
-	})
-}
-
-// Len reports the number of nodes with the model's label.
-func (m *Mapper) Len(modelName string) int {
-	return len(m.db.NodesByLabel(modelName))
 }
 
 var _ orm.Mapper = (*Mapper)(nil)

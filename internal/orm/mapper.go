@@ -1,0 +1,358 @@
+package orm
+
+import (
+	"fmt"
+	"sync"
+
+	"synapse/internal/model"
+	"synapse/internal/storage"
+)
+
+// Binding is what an engine offers the skeleton: its row-level calls, in
+// storage.Row terms, the adapter's native format (mutations, node ids,
+// analyzed fields) behind them. Rows cross it under package storage's
+// row-ownership rule: the engine copies what it is given and hands out
+// copies, so neither side of a Binding ever clones.
+type Binding interface {
+	// Get returns a copy of the row, or storage.ErrNotFound.
+	Get(table, id string) (storage.Row, error)
+	// Exists is Get's query without the row: nothing is copied out.
+	Exists(table, id string) (bool, error)
+	// Insert stores a new row and Update merges the row's columns into
+	// the stored one, keeping those it does not name. Where
+	// Traits.Written is WrittenRow they return the row as written.
+	Insert(table string, row storage.Row) (storage.Row, error)
+	Update(table string, row storage.Row) (storage.Row, error)
+	Delete(table, id string) error
+	// DeleteRange removes the rows with from <= id < to in one
+	// statement and reports how many went.
+	DeleteRange(table, from, to string) (int, error)
+	// ScanFrom streams copies of the rows with id >= from, in id order,
+	// until fn returns false.
+	ScanFrom(table, from string, fn func(storage.Row) bool) error
+	Len(table string) int
+}
+
+// Written says what a write query reports back about the row it wrote —
+// with Traits.Publisher, the only way one engine is seen to differ from
+// the next behind its Binding (§4.1).
+type Written int
+
+const (
+	// WrittenRow: the row as written (RETURNING *: PostgreSQL, Oracle,
+	// the document stores).
+	WrittenRow Written = iota
+	// WrittenStatus: success or a constraint violation, no row (MySQL).
+	// Create and Update read the row back, counted in Stats.ExtraReads.
+	WrittenStatus
+	// WrittenNothing: the query is an upsert, or a tombstone, and cannot
+	// tell a stored row from a missing one (Cassandra). Create, Update
+	// and Delete find that out with a read first, as Cequel does, and
+	// Create and Update read the row back.
+	WrittenNothing
+)
+
+// Traits is what an adapter tells the skeleton about itself.
+type Traits struct {
+	ORM, Vendor string // Mapper.Name, Mapper.Engine
+	// Publisher is false for the subscriber-only engines of Table 3
+	// (Elasticsearch, Neo4j): Create and Update return ErrReadOnly.
+	Publisher bool
+	Written   Written
+}
+
+// table is one registered model, resolved once, at Register.
+type table struct {
+	desc *model.Descriptor
+	name string
+}
+
+// Registry is the ORM skeleton every adapter embeds. It implements Mapper
+// once — model lookup, validation, query counters, callbacks, Save's
+// create-or-update, RETURNING-or-read-back — over the adapter's Binding.
+type Registry struct {
+	traits Traits
+	b      Binding
+	stats  Stats
+
+	mu     sync.RWMutex
+	models map[string]table
+	host   Host
+}
+
+// Bind installs the adapter's traits and binding, at construction.
+func (r *Registry) Bind(t Traits, b Binding) { r.traits, r.b = t, b }
+
+// Name identifies the ORM.
+func (r *Registry) Name() string { return r.traits.ORM }
+
+// Engine identifies the backing vendor.
+func (r *Registry) Engine() string { return r.traits.Vendor }
+
+// Register binds a model descriptor to the table Tableize names. An
+// adapter whose engine needs schema set-up or names differently wraps it.
+func (r *Registry) Register(d *model.Descriptor) error {
+	r.RegisterAs(d, Tableize(d.Name))
+	return nil
+}
+
+// RegisterAs binds a model descriptor to the named table.
+func (r *Registry) RegisterAs(d *model.Descriptor, tableName string) {
+	r.mu.Lock()
+	if r.models == nil {
+		r.models = make(map[string]table)
+	}
+	r.models[d.Name] = table{desc: d, name: tableName}
+	r.mu.Unlock()
+}
+
+// Descriptor returns the registered descriptor for a model.
+func (r *Registry) Descriptor(name string) (*model.Descriptor, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	t, ok := r.models[name]
+	return t.desc, ok
+}
+
+// SetHost installs the callback host: the Synapse app adopting the mapper.
+func (r *Registry) SetHost(h Host) {
+	r.mu.Lock()
+	r.host = h
+	r.mu.Unlock()
+}
+
+// Stats exposes the adapter's query counters.
+func (r *Registry) Stats() *Stats { return &r.stats }
+
+// op is one mapper operation: its table, and the callback context both
+// of its hooks run in, built when a hook first has a callback to run.
+type op struct {
+	table
+	host Host
+	ctx  *model.CallbackCtx
+}
+
+func (r *Registry) op(modelName string) (op, error) {
+	r.mu.RLock()
+	t, ok := r.models[modelName]
+	o := op{table: t, host: r.host}
+	r.mu.RUnlock()
+	if !ok {
+		return o, fmt.Errorf("%w: %s", ErrUnknownModel, modelName)
+	}
+	return o, nil
+}
+
+// begin opens a write: the record's table, and the record validated.
+func (r *Registry) begin(rec *model.Record) (op, error) {
+	o, err := r.op(rec.Model)
+	if err == nil {
+		err = o.desc.Validate(rec)
+	}
+	return o, err
+}
+
+// run dispatches an active-model hook for the record.
+func (o *op) run(h model.Hook, rec *model.Record) error {
+	if o.desc.Callbacks.Count(h) == 0 {
+		return nil
+	}
+	if o.ctx == nil {
+		o.ctx = &model.CallbackCtx{}
+		if o.host != nil {
+			o.ctx.Bootstrapping = o.host.Bootstrapping()
+			o.ctx.Env = o.host.Env()
+		}
+	}
+	o.ctx.Record = rec
+	return o.desc.Callbacks.Run(h, o.ctx)
+}
+
+// RunCallbacks dispatches a hook for the record in the host's context.
+func (r *Registry) RunCallbacks(h model.Hook, rec *model.Record) error {
+	o, err := r.op(rec.Model)
+	if err != nil {
+		return err
+	}
+	return o.run(h, rec)
+}
+
+// Stage is the half of a write that comes before the engine — validate,
+// before-hook, count — for an adapter that buffers writes in a
+// transaction: it names the table to write to, and the adapter owes the
+// after-hook (RunCallbacks) once the write is applied.
+func (r *Registry) Stage(before model.Hook, rec *model.Record) (string, error) {
+	o, err := r.begin(rec)
+	if err != nil {
+		return "", err
+	}
+	if err := o.run(before, rec); err != nil {
+		return "", err
+	}
+	r.stats.Writes.Add(1)
+	return o.name, nil
+}
+
+// Adopt makes a record of a row the engine copied out: no second copy.
+func Adopt(modelName string, row storage.Row) *model.Record {
+	if row.Cols == nil {
+		return model.NewRecord(modelName, row.ID)
+	}
+	return &model.Record{Model: modelName, ID: row.ID, Attrs: row.Cols}
+}
+
+// Find loads one object by primary key.
+func (r *Registry) Find(modelName, id string) (*model.Record, error) {
+	o, err := r.op(modelName)
+	if err != nil {
+		return nil, err
+	}
+	r.stats.Reads.Add(1)
+	row, err := r.b.Get(o.name, id)
+	if err != nil {
+		return nil, err
+	}
+	return Adopt(modelName, row), nil
+}
+
+// write runs the before-hook, counts the query and lends the record's
+// attributes to the engine.
+func (r *Registry) write(o *op, rec *model.Record, update bool) (storage.Row, error) {
+	before := model.BeforeCreate
+	if update {
+		before = model.BeforeUpdate
+	}
+	if err := o.run(before, rec); err != nil {
+		return storage.Row{}, err
+	}
+	r.stats.Writes.Add(1)
+	row := storage.Row{ID: rec.ID, Cols: rec.Attrs}
+	if update {
+		return r.b.Update(o.name, row)
+	}
+	return r.b.Insert(o.name, row)
+}
+
+// Create persists a new object and returns it as written.
+func (r *Registry) Create(rec *model.Record) (*model.Record, error) { return r.publish(rec, false) }
+
+// Update merges the record into the stored object and returns all of it.
+func (r *Registry) Update(rec *model.Record) (*model.Record, error) { return r.publish(rec, true) }
+
+// publish is Create and Update: a write that must find the object
+// missing (stored, for an update) and whose result the caller reads.
+func (r *Registry) publish(rec *model.Record, update bool) (*model.Record, error) {
+	if !r.traits.Publisher {
+		return nil, ErrReadOnly
+	}
+	o, err := r.begin(rec)
+	if err != nil {
+		return nil, err
+	}
+	if r.traits.Written == WrittenNothing {
+		r.stats.Reads.Add(1)
+		exists, err := r.b.Exists(o.name, rec.ID)
+		switch {
+		case err != nil:
+			return nil, err
+		case exists && !update:
+			return nil, fmt.Errorf("%w: %s/%s", storage.ErrExists, o.name, rec.ID)
+		case update && !exists:
+			return nil, storage.ErrNotFound
+		}
+	}
+	row, err := r.write(&o, rec, update)
+	if err != nil {
+		return nil, err
+	}
+	if r.traits.Written != WrittenRow {
+		// No written row came back: the additional read query of §4.1.
+		r.stats.ExtraReads.Add(1)
+		if row, err = r.b.Get(o.name, rec.ID); err != nil {
+			return nil, err
+		}
+	}
+	written, after := Adopt(rec.Model, row), model.AfterCreate
+	if update {
+		after = model.AfterUpdate
+	}
+	if err := o.run(after, written); err != nil {
+		return nil, err
+	}
+	return written, nil
+}
+
+// Save upserts: update callbacks and an attribute merge when the object
+// exists, create callbacks and an insert otherwise. Merging (rather than
+// replacing) preserves decoration attributes owned by other publishers.
+func (r *Registry) Save(rec *model.Record) error {
+	o, err := r.begin(rec)
+	if err != nil {
+		return err
+	}
+	r.stats.Reads.Add(1)
+	exists, err := r.b.Exists(o.name, rec.ID)
+	if err != nil {
+		return err
+	}
+	if _, err := r.write(&o, rec, exists); err != nil {
+		return err
+	}
+	if exists {
+		return o.run(model.AfterUpdate, rec)
+	}
+	return o.run(model.AfterCreate, rec)
+}
+
+// Delete removes an object, running destroy callbacks with the object's
+// last state when it can be loaded.
+func (r *Registry) Delete(modelName, id string) error {
+	o, err := r.op(modelName)
+	if err != nil {
+		return err
+	}
+	r.stats.Reads.Add(1)
+	row, err := r.b.Get(o.name, id)
+	if err != nil && r.traits.Written == WrittenNothing {
+		return err // the tombstone would not say
+	}
+	rec := Adopt(modelName, storage.Row{ID: id, Cols: row.Cols}) // bare, if it could not be loaded
+	if err := o.run(model.BeforeDestroy, rec); err != nil {
+		return err
+	}
+	r.stats.Writes.Add(1)
+	if err := r.b.Delete(o.name, id); err != nil {
+		return err
+	}
+	return o.run(model.AfterDestroy, rec)
+}
+
+// DeleteRange removes the objects with from <= id < to in one statement.
+func (r *Registry) DeleteRange(modelName, from, to string) (int, error) {
+	o, err := r.op(modelName)
+	if err != nil {
+		return 0, err
+	}
+	return r.b.DeleteRange(o.name, from, to)
+}
+
+// Each streams objects with id >= from in id order.
+func (r *Registry) Each(modelName, from string, fn func(*model.Record) bool) error {
+	o, err := r.op(modelName)
+	if err != nil {
+		return err
+	}
+	r.stats.Reads.Add(1)
+	return r.b.ScanFrom(o.name, from, func(row storage.Row) bool {
+		return fn(Adopt(modelName, row))
+	})
+}
+
+// Len reports the number of stored objects for the model.
+func (r *Registry) Len(modelName string) int {
+	o, err := r.op(modelName)
+	if err != nil {
+		return 0
+	}
+	return r.b.Len(o.name)
+}

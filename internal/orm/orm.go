@@ -5,22 +5,23 @@
 // surface suffices as a cross-database translation layer. Mapper is that
 // common surface.
 //
-// Each adapter subpackage implements Mapper over one storage engine:
+// Mapper is implemented once, by Registry (mapper.go), over a Binding:
+// the handful of row-level calls an engine offers. Each adapter
+// subpackage is one Binding plus whatever its engine alone can do:
 //
-//	activerecord — reldb (PostgreSQL / MySQL / Oracle)
+//	activerecord — reldb (PostgreSQL / MySQL / Oracle), transactions
 //	documentorm  — docdb (MongoDB / TokuMX / RethinkDB)
 //	columnorm    — coldb (Cassandra)
-//	searchorm    — searchdb (Elasticsearch, subscriber-only)
-//	graphorm     — graphdb (Neo4j, subscriber-only)
+//	searchorm    — searchdb (Elasticsearch, subscriber-only), search
+//	graphorm     — graphdb (Neo4j, subscriber-only), relationships
 //
-// Adapters invoke the model's active-model callbacks around persistence
-// operations, as Ruby ORMs do; Synapse re-purposes those callbacks for
-// subscriber-side update notification (§3.1).
+// The skeleton invokes the model's active-model callbacks around
+// persistence operations, as Ruby ORMs do; Synapse re-purposes those
+// callbacks for subscriber-side update notification (§3.1).
 package orm
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 
 	"synapse/internal/model"
@@ -145,70 +146,4 @@ type Stats struct {
 // Snapshot returns a plain copy of the counters.
 func (s *Stats) Snapshot() (reads, writes, extraReads int64) {
 	return s.Reads.Load(), s.Writes.Load(), s.ExtraReads.Load()
-}
-
-// Registry is the embeddable descriptor table shared by all adapters.
-type Registry struct {
-	mu     sync.RWMutex
-	models map[string]*model.Descriptor
-	host   Host
-	stats  Stats
-}
-
-// Add registers a descriptor.
-func (r *Registry) Add(d *model.Descriptor) {
-	r.mu.Lock()
-	if r.models == nil {
-		r.models = make(map[string]*model.Descriptor)
-	}
-	r.models[d.Name] = d
-	r.mu.Unlock()
-}
-
-// Descriptor returns the registered descriptor for a model.
-func (r *Registry) Descriptor(name string) (*model.Descriptor, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	d, ok := r.models[name]
-	return d, ok
-}
-
-// Models returns the registered model names (unsorted).
-func (r *Registry) Models() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.models))
-	for n := range r.models {
-		out = append(out, n)
-	}
-	return out
-}
-
-// SetHost installs the callback host (done by the Synapse app when it
-// adopts the mapper).
-func (r *Registry) SetHost(h Host) {
-	r.mu.Lock()
-	r.host = h
-	r.mu.Unlock()
-}
-
-// Stats exposes the adapter's query counters.
-func (r *Registry) Stats() *Stats { return &r.stats }
-
-// RunCallbacks dispatches an active-model hook for the record with the
-// host's context.
-func (r *Registry) RunCallbacks(h model.Hook, rec *model.Record) error {
-	d, ok := r.Descriptor(rec.Model)
-	if !ok {
-		return ErrUnknownModel
-	}
-	ctx := &model.CallbackCtx{Record: rec}
-	r.mu.RLock()
-	host := r.host
-	r.mu.RUnlock()
-	if host != nil {
-		ctx.Bootstrapping = host.Bootstrapping()
-		ctx.Env = host.Env()
-	}
-	return d.Callbacks.Run(h, ctx)
 }

@@ -62,9 +62,6 @@ func NewWithProfile(p storage.Profile) *DB {
 	}
 }
 
-// Gate exposes the performance gate.
-func (db *DB) Gate() *storage.Gate { return db.gate }
-
 func key(family, id string) string { return family + "\x00" + id }
 
 // Mutation is one cell write or deletion within a batch.
@@ -77,12 +74,22 @@ type Mutation struct {
 
 // Apply writes one mutation (a single-row write).
 func (db *DB) Apply(m Mutation) error {
-	return db.ApplyBatch([]Mutation{m})
+	return db.write(func(ts uint64) { db.applyLocked(ts, m) })
 }
 
 // ApplyBatch applies all mutations atomically under a single timestamp
 // (a Cassandra logged batch).
 func (db *DB) ApplyBatch(ms []Mutation) error {
+	return db.write(func(ts uint64) {
+		for _, m := range ms {
+			db.applyLocked(ts, m)
+		}
+	})
+}
+
+// write runs fn, which applies one batch at the timestamp it is given,
+// and only then flushes a full memtable: no batch straddles two sstables.
+func (db *DB) write(fn func(ts uint64)) error {
 	var err error
 	db.gate.Write(func() {
 		db.mu.Lock()
@@ -91,42 +98,38 @@ func (db *DB) ApplyBatch(ms []Mutation) error {
 			err = storage.ErrClosed
 			return
 		}
-		db.applyLocked(ms)
+		db.clock++
+		fn(db.clock)
+		if db.memSize >= db.flushSize {
+			db.flushLocked()
+		}
 	})
 	return err
 }
 
-// applyLocked writes the mutations into the memtable under one
-// timestamp.
-func (db *DB) applyLocked(ms []Mutation) {
-	db.clock++
-	ts := db.clock
-	for _, m := range ms {
-		k := key(m.Family, m.ID)
-		p := db.memtable[k]
-		if p == nil {
-			p = make(partition)
-			db.memtable[k] = p
-		}
-		if m.Delete {
-			// Row tombstone: shadows every cell with an older
-			// timestamp at read time. Only ever advances, so a
-			// re-insert in the same memtable cannot erase it.
-			if prev, ok := p[tombCol]; !ok || ts > prev.ts {
-				p[tombCol] = cell{ts: ts, dead: true}
-				db.memSize++
-			}
-			continue
-		}
-		p[presenceCol] = cell{value: true, ts: ts}
-		db.memSize++
-		for col, v := range m.Cols {
-			p[col] = cell{value: v, ts: ts}
+// applyLocked writes one mutation into the memtable at timestamp ts.
+func (db *DB) applyLocked(ts uint64, m Mutation) {
+	k := key(m.Family, m.ID)
+	p := db.memtable[k]
+	if p == nil {
+		p = make(partition)
+		db.memtable[k] = p
+	}
+	if m.Delete {
+		// Row tombstone: shadows every cell with an older timestamp at
+		// read time. Only ever advances, so a re-insert in the same
+		// memtable cannot erase it.
+		if prev, ok := p[tombCol]; !ok || ts > prev.ts {
+			p[tombCol] = cell{ts: ts, dead: true}
 			db.memSize++
 		}
+		return
 	}
-	if db.memSize >= db.flushSize {
-		db.flushLocked()
+	p[presenceCol] = cell{value: true, ts: ts}
+	db.memSize++
+	for col, v := range m.Cols {
+		p[col] = cell{value: storage.CloneValue(v), ts: ts}
+		db.memSize++
 	}
 }
 
@@ -135,23 +138,11 @@ func (db *DB) applyLocked(ms []Mutation) {
 // many went.
 func (db *DB) DeleteRange(family, from, to string) (int, error) {
 	var n int
-	var err error
-	db.gate.Write(func() {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		if db.closed {
-			err = storage.ErrClosed
-			return
-		}
+	err := db.write(func(ts uint64) {
 		ids := db.rowIDs(family, from, to)
-		if len(ids) == 0 {
-			return
+		for _, id := range ids {
+			db.applyLocked(ts, Mutation{Family: family, ID: id, Delete: true})
 		}
-		ms := make([]Mutation, len(ids))
-		for i, id := range ids {
-			ms[i] = Mutation{Family: family, ID: id, Delete: true}
-		}
-		db.applyLocked(ms)
 		n = len(ids)
 	})
 	return n, err
@@ -215,7 +206,6 @@ func (db *DB) Compact() {
 			if c.ts <= tombTs || c.dead {
 				delete(p, col)
 			}
-			_ = col
 		}
 		if pc, ok := p[presenceCol]; !ok || pc.dead {
 			delete(merged, k)
@@ -265,7 +255,6 @@ func (db *DB) readPartition(family, id string) partition {
 		if c.ts <= tombTs {
 			delete(merged, col)
 		}
-		_ = col
 	}
 	pc, ok := merged[presenceCol]
 	if !ok || pc.dead {
@@ -291,15 +280,37 @@ func (db *DB) Get(family, id string) (storage.Row, error) {
 	return row, err
 }
 
+// Exists reports whether the row is live, without building it: the
+// newest presence cell against the newest row tombstone.
+func (db *DB) Exists(family, id string) bool {
+	var live bool
+	db.gate.Read(func() {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		k := key(family, id)
+		var present, tomb uint64
+		look := func(p partition) { // a missing cell reads as timestamp 0
+			present, tomb = max(present, p[presenceCol].ts), max(tomb, p[tombCol].ts)
+		}
+		for _, ss := range db.sstables {
+			look(ss.data[k])
+		}
+		look(db.memtable[k])
+		live = present > tomb
+	})
+	return live
+}
+
+// partitionToRow is the copy out: the merged cells, cloned once.
 func partitionToRow(id string, p partition) storage.Row {
 	row := storage.Row{ID: id, Cols: make(map[string]any, len(p))}
 	for col, c := range p {
 		if col == presenceCol || c.dead {
 			continue
 		}
-		row.Cols[col] = c.value
+		row.Cols[col] = storage.CloneValue(c.value)
 	}
-	return row.Clone()
+	return row
 }
 
 // rowIDs returns the live row ids of the family with from <= id < to,

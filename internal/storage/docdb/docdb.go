@@ -4,9 +4,9 @@
 // the paper builds on).
 //
 // It stands in for MongoDB, TokuMX, and RethinkDB. The flavour only
-// carries a name and whether write queries report the written document
-// (all three real engines can, which is why the paper lists zero
-// DB-specific lines for them in Table 3).
+// carries a name: all three real engines report the written document
+// from a write query, which is why the paper lists zero DB-specific
+// lines for them in Table 3.
 package docdb
 
 import (
@@ -19,16 +19,13 @@ import (
 )
 
 // Flavor selects a document-store personality.
-type Flavor struct {
-	Name      string
-	Returning bool
-}
+type Flavor struct{ Name string }
 
 // Vendor personalities from Table 1.
 var (
-	MongoDB   = Flavor{Name: "mongodb", Returning: true}
-	TokuMX    = Flavor{Name: "tokumx", Returning: true}
-	RethinkDB = Flavor{Name: "rethinkdb", Returning: true}
+	MongoDB   = Flavor{Name: "mongodb"}
+	TokuMX    = Flavor{Name: "tokumx"}
+	RethinkDB = Flavor{Name: "rethinkdb"}
 )
 
 // DB is one document database instance holding named collections.
@@ -56,9 +53,6 @@ func NewWithProfile(f Flavor, p storage.Profile) *DB {
 // Flavor returns the vendor personality.
 func (db *DB) Flavor() Flavor { return db.flavor }
 
-// Gate exposes the performance gate.
-func (db *DB) Gate() *storage.Gate { return db.gate }
-
 func (db *DB) collection(name string) map[string]storage.Row {
 	c, ok := db.collections[name]
 	if !ok {
@@ -81,6 +75,17 @@ func (db *DB) Get(collection, id string) (storage.Row, error) {
 		}
 	})
 	return row, err
+}
+
+// Exists reports whether the document is present, copying nothing out.
+func (db *DB) Exists(collection, id string) bool {
+	var found bool
+	db.gate.Read(func() {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		_, found = db.collections[collection][id]
+	})
+	return found
 }
 
 // Insert adds a document; duplicate ids are rejected. The written
@@ -107,7 +112,8 @@ func (db *DB) Insert(collection string, doc storage.Row) (storage.Row, error) {
 	return out, err
 }
 
-// Update merges fields into an existing document and returns the result.
+// Update merges fields into an existing document, in place, and returns
+// the result.
 func (db *DB) Update(collection, id string, fields map[string]any) (storage.Row, error) {
 	var out storage.Row
 	var err error
@@ -124,29 +130,12 @@ func (db *DB) Update(collection, id string, fields map[string]any) (storage.Row,
 			err = storage.ErrNotFound
 			return
 		}
-		updated := doc.Clone()
 		for k, v := range fields {
-			updated.Cols[k] = v
+			doc.Cols[k] = storage.CloneValue(v)
 		}
-		c[id] = updated
-		out = updated.Clone()
+		out = doc.Clone()
 	})
 	return out, err
-}
-
-// Upsert inserts or replaces the document.
-func (db *DB) Upsert(collection string, doc storage.Row) error {
-	var err error
-	db.gate.Write(func() {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		if db.closed {
-			err = storage.ErrClosed
-			return
-		}
-		db.collection(collection)[doc.ID] = doc.Clone()
-	})
-	return err
 }
 
 // Delete removes a document.

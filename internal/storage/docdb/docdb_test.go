@@ -71,20 +71,6 @@ func TestUpdateMerges(t *testing.T) {
 	}
 }
 
-func TestUpsertReplaces(t *testing.T) {
-	db := New(TokuMX)
-	if err := db.Upsert("users", doc("u1", map[string]any{"a": int64(1), "b": int64(2)})); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Upsert("users", doc("u1", map[string]any{"a": int64(9)})); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := db.Get("users", "u1")
-	if _, ok := got.Cols["b"]; ok {
-		t.Error("upsert merged instead of replacing")
-	}
-}
-
 func TestFindByExample(t *testing.T) {
 	db := New(MongoDB)
 	for i := 0; i < 10; i++ {
@@ -173,8 +159,8 @@ func TestClosedRejectsWrites(t *testing.T) {
 	if _, err := db.Insert("c", doc("1", nil)); !errors.Is(err, storage.ErrClosed) {
 		t.Errorf("insert after close = %v", err)
 	}
-	if err := db.Upsert("c", doc("1", nil)); !errors.Is(err, storage.ErrClosed) {
-		t.Errorf("upsert after close = %v", err)
+	if _, err := db.Update("c", "1", nil); !errors.Is(err, storage.ErrClosed) {
+		t.Errorf("update after close = %v", err)
 	}
 }
 

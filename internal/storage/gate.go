@@ -47,9 +47,6 @@ func NewGate(p Profile) *Gate {
 	return g
 }
 
-// Profile returns the gate's profile.
-func (g *Gate) Profile() Profile { return g.profile }
-
 // Read runs fn under the concurrency limit with read latency applied.
 func (g *Gate) Read(fn func()) {
 	g.acquire()

@@ -40,9 +40,6 @@ func NewWithProfile(p storage.Profile) *DB {
 	return &DB{gate: storage.NewGate(p), nodes: make(map[string]*node)}
 }
 
-// Gate exposes the performance gate.
-func (db *DB) Gate() *storage.Gate { return db.gate }
-
 // MergeNode creates or updates a labelled node with the given
 // properties (Cypher MERGE + SET).
 func (db *DB) MergeNode(label, id string, props map[string]any) error {
@@ -66,10 +63,21 @@ func (db *DB) MergeNode(label, id string, props map[string]any) error {
 		}
 		n.label = label
 		for k, v := range props {
-			n.props[k] = v
+			n.props[k] = storage.CloneValue(v)
 		}
 	})
 	return err
+}
+
+// Exists reports whether the node is present, without copying it out.
+func (db *DB) Exists(id string) bool {
+	var found bool
+	db.gate.Read(func() {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		_, found = db.nodes[id]
+	})
+	return found
 }
 
 // Node returns a node's label and properties.
@@ -87,7 +95,7 @@ func (db *DB) Node(id string) (string, map[string]any, error) {
 		label = n.label
 		props = make(map[string]any, len(n.props))
 		for k, v := range n.props {
-			props[k] = v
+			props[k] = storage.CloneValue(v)
 		}
 		err = nil
 	})
@@ -340,7 +348,7 @@ func (db *DB) ScanFrom(start string, fn func(storage.Row) bool) error {
 			n := db.nodes[id]
 			row := storage.Row{ID: id, Cols: make(map[string]any, len(n.props)+1)}
 			for k, v := range n.props {
-				row.Cols[k] = v
+				row.Cols[k] = storage.CloneValue(v)
 			}
 			row.Cols["_label"] = n.label
 			rows = append(rows, row)

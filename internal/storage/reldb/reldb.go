@@ -125,9 +125,6 @@ func NewWithProfile(f Flavor, p storage.Profile) *DB {
 // Flavor returns the vendor personality.
 func (db *DB) Flavor() Flavor { return db.flavor }
 
-// Gate exposes the performance gate (benchmarks inspect it).
-func (db *DB) Gate() *storage.Gate { return db.gate }
-
 // CreateTable declares a table. Creating an existing table is an error.
 func (db *DB) CreateTable(name string, cols ...Column) error {
 	db.mu.Lock()
@@ -233,8 +230,8 @@ func (db *DB) Get(tableName, id string) (storage.Row, error) {
 	return row, err
 }
 
-// exists reports whether the row is present, without copying it out.
-func (db *DB) exists(tableName, id string) (bool, error) {
+// Exists reports whether the row is present, without copying it out.
+func (db *DB) Exists(tableName, id string) (bool, error) {
 	var found bool
 	var err error
 	db.gate.Read(func() {
@@ -333,40 +330,6 @@ func (db *DB) updateLocked(tableName, id string, cols map[string]any) (storage.R
 	}
 	t.indexAdd(row)
 	return row, nil
-}
-
-// Upsert inserts or overwrites the row (subscriber persistence path).
-func (db *DB) Upsert(tableName string, row storage.Row) error {
-	var err error
-	db.rowLocks.Acquire(lockKey(tableName, row.ID))
-	defer db.rowLocks.Release(lockKey(tableName, row.ID))
-	stored := row.Clone()
-	db.gate.Write(func() {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		err = db.upsertLocked(tableName, stored)
-	})
-	return err
-}
-
-// upsertLocked stores row itself, like insertLocked.
-func (db *DB) upsertLocked(tableName string, row storage.Row) error {
-	if db.closed {
-		return storage.ErrClosed
-	}
-	t, err := db.table(tableName)
-	if err != nil {
-		return err
-	}
-	if err := t.checkColumns(row); err != nil {
-		return err
-	}
-	if v, ok := t.rows.Get(row.ID); ok {
-		t.indexRemove(v.(storage.Row))
-	}
-	t.rows.Set(row.ID, row)
-	t.indexAdd(row)
-	return nil
 }
 
 // Delete removes the row with the given primary key. Deleting a missing

@@ -112,23 +112,6 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestUpsert(t *testing.T) {
-	db := newUserDB(t, Postgres)
-	if err := db.Upsert("users", row("u1", map[string]any{"name": "a"})); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Upsert("users", row("u1", map[string]any{"name": "b"})); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := db.Get("users", "u1")
-	if got.Cols["name"] != "b" {
-		t.Errorf("upsert did not replace: %+v", got)
-	}
-	if _, ok := got.Cols["age"]; ok {
-		t.Error("upsert merged instead of replacing")
-	}
-}
-
 func TestSelectWithIndex(t *testing.T) {
 	db := newUserDB(t, Postgres)
 	for i := 0; i < 20; i++ {
@@ -580,13 +563,6 @@ func TestStoredRowsAreIsolated(t *testing.T) {
 	scribble(storage.Row{Cols: cols})
 	scribble(out)
 	check("Update", "i1", "b")
-
-	up := fresh("i2")
-	if err := db.Upsert("t", up); err != nil {
-		t.Fatal(err)
-	}
-	scribble(up)
-	check("Upsert", "i2", "a")
 
 	got, _ := db.Get("t", "i1")
 	scribble(got)

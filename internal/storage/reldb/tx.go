@@ -155,7 +155,7 @@ func (tx *Tx) validateLocked() error {
 		if e, ok := exists[key]; ok {
 			return e, nil
 		}
-		return tx.db.exists(table, id)
+		return tx.db.Exists(table, id)
 	}
 	for _, op := range tx.ops {
 		key := lockKey(op.table, op.id)
@@ -201,7 +201,7 @@ func (tx *Tx) InsertPrepared(table string, row storage.Row) error {
 	}
 	key := lockKey(table, row.ID)
 	tx.db.rowLocks.Acquire(key)
-	found, err := tx.db.exists(table, row.ID)
+	found, err := tx.db.Exists(table, row.ID)
 	if err == nil && found {
 		err = fmt.Errorf("%w: %s/%s", storage.ErrExists, table, row.ID)
 	}

@@ -69,9 +69,6 @@ func NewWithProfile(p storage.Profile) *DB {
 	return &DB{gate: storage.NewGate(p), indexes: make(map[string]*index)}
 }
 
-// Gate exposes the performance gate.
-func (db *DB) Gate() *storage.Gate { return db.gate }
-
 // SetAnalyzer declares the analyzer for a field of an index (the
 // property mapping of Fig 4's Sub1b). Fields without a declared analyzer
 // are indexed with KeywordAnalyzer.
@@ -159,34 +156,49 @@ func floatToString(v float64) string {
 	return intToString(int64(v*1000)) + "e-3"
 }
 
-func (ix *index) indexDoc(doc storage.Row) {
-	for field, v := range doc.Cols {
-		for _, tok := range ix.analyze(field, v) {
-			m := ix.inverted[field]
-			if m == nil {
-				m = make(map[string]map[string]struct{})
-				ix.inverted[field] = m
+func (ix *index) indexField(id, field string, v any) {
+	for _, tok := range ix.analyze(field, v) {
+		m := ix.inverted[field]
+		if m == nil {
+			m = make(map[string]map[string]struct{})
+			ix.inverted[field] = m
+		}
+		set := m[tok]
+		if set == nil {
+			set = make(map[string]struct{})
+			m[tok] = set
+		}
+		set[id] = struct{}{}
+	}
+}
+
+func (ix *index) unindexField(id, field string, v any) {
+	for _, tok := range ix.analyze(field, v) {
+		if set := ix.inverted[field][tok]; set != nil {
+			delete(set, id)
+			if len(set) == 0 {
+				delete(ix.inverted[field], tok)
 			}
-			set := m[tok]
-			if set == nil {
-				set = make(map[string]struct{})
-				m[tok] = set
-			}
-			set[doc.ID] = struct{}{}
 		}
 	}
 }
 
 func (ix *index) unindexDoc(doc storage.Row) {
 	for field, v := range doc.Cols {
-		for _, tok := range ix.analyze(field, v) {
-			if set := ix.inverted[field][tok]; set != nil {
-				delete(set, doc.ID)
-				if len(set) == 0 {
-					delete(ix.inverted[field], tok)
-				}
-			}
+		ix.unindexField(doc.ID, field, v)
+	}
+}
+
+// merge copies the columns into the stored document, in place,
+// re-analyzing only the fields they name.
+func (ix *index) merge(stored storage.Row, cols map[string]any) {
+	for field, v := range cols {
+		if old, ok := stored.Cols[field]; ok {
+			ix.unindexField(stored.ID, field, old)
 		}
+		v = storage.CloneValue(v)
+		stored.Cols[field] = v
+		ix.indexField(stored.ID, field, v)
 	}
 }
 
@@ -204,11 +216,43 @@ func (db *DB) Index(indexName string, doc storage.Row) error {
 		if old, ok := ix.docs[doc.ID]; ok {
 			ix.unindexDoc(old)
 		}
-		stored := doc.Clone()
+		stored := storage.Row{ID: doc.ID, Cols: make(map[string]any, len(doc.Cols))}
 		ix.docs[doc.ID] = stored
-		ix.indexDoc(stored)
+		ix.merge(stored, doc.Cols)
 	})
 	return err
+}
+
+// Update merges the partial document into the indexed one (_update).
+func (db *DB) Update(indexName string, doc storage.Row) error {
+	err := storage.ErrNotFound
+	db.gate.Write(func() {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		if db.closed {
+			err = storage.ErrClosed
+			return
+		}
+		ix := db.index(indexName)
+		if stored, ok := ix.docs[doc.ID]; ok {
+			ix.merge(stored, doc.Cols)
+			err = nil
+		}
+	})
+	return err
+}
+
+// Exists reports whether the document is indexed, copying nothing out.
+func (db *DB) Exists(indexName, id string) bool {
+	var found bool
+	db.gate.Read(func() {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		if ix, ok := db.indexes[indexName]; ok {
+			_, found = ix.docs[id]
+		}
+	})
+	return found
 }
 
 // Get returns a document by id.

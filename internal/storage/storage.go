@@ -10,18 +10,33 @@
 //	coldb    — column-family (Cassandra stand-in)
 //	searchdb — search (Elasticsearch stand-in)
 //	graphdb  — graph (Neo4j stand-in)
+//
+// # Row ownership
+//
+// One rule holds for all five engines, so that no caller ever copies a
+// row to protect it or itself: a stored row belongs to the engine and
+// shares nothing, at any depth, with a value a caller holds.
+//
+//   - In: an engine copies the values a caller writes with CloneValue. It
+//     makes a new map only when it creates the row; a merge copies each
+//     value into the stored row in place — safe, because every reader
+//     copies out under the engine's read lock.
+//   - Out: an engine copies a row exactly once for a caller that gets to
+//     read it — a point read, each row of a scan, the row a write query
+//     returns — and the caller owns that copy outright.
+//   - A call that hands no row back copies nothing out: the existence
+//     probe (Exists), and a write whose query returns no row.
 package storage
 
 import "errors"
 
 // Errors shared by all engines.
 var (
-	ErrNotFound   = errors.New("storage: not found")
-	ErrExists     = errors.New("storage: already exists")
-	ErrNoTable    = errors.New("storage: no such table")
-	ErrTxClosed   = errors.New("storage: transaction closed")
-	ErrTxConflict = errors.New("storage: transaction conflict")
-	ErrClosed     = errors.New("storage: engine closed")
+	ErrNotFound = errors.New("storage: not found")
+	ErrExists   = errors.New("storage: already exists")
+	ErrNoTable  = errors.New("storage: no such table")
+	ErrTxClosed = errors.New("storage: transaction closed")
+	ErrClosed   = errors.New("storage: engine closed")
 )
 
 // Row is the engine-neutral record representation: an identity plus a
@@ -42,9 +57,8 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// CloneValue deep-copies one column value (scalars are returned as is).
-// Engines use it to merge caller-owned values into a stored row without
-// sharing nested slices or maps.
+// CloneValue deep-copies one column value (scalars are returned as is):
+// the copy in and the copy out of the row-ownership rule.
 func CloneValue(v any) any {
 	switch t := v.(type) {
 	case []any:

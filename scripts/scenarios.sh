@@ -140,7 +140,20 @@ scenario_journal() {
         bash benchmark/run.sh --workload social_causal --seconds 5
 }
 
-ALL="check chaos overload causality tail cluster bootstrap benchmark liveness journal"
+# Persistence: one ORM skeleton over five bindings, and one
+# row-ownership rule for five engines. The conformance suite (isolation,
+# queries per operation, the Save allocation budget — which only runs
+# without the race detector, so vet and a plain run come first) and the
+# engine isolation table, five times under the race detector; then the
+# workload that applies every message through all five adapters.
+scenario_orm() {
+    go vet ./internal/orm/... ./internal/storage/... &&
+        go test ./internal/orm/... &&
+        go test -race -count=5 ./internal/orm/... ./internal/storage/... &&
+        bash benchmark/run.sh --workload fanout_hetero --seconds 5
+}
+
+ALL="check chaos overload causality tail cluster bootstrap benchmark liveness journal orm"
 run_list="$*"
 if [ -z "$run_list" ]; then
     run_list="$ALL"
