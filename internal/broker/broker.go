@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"synapse/internal/faultinject"
 )
@@ -60,15 +61,6 @@ type Delivery struct {
 	Attempts int
 }
 
-type item struct {
-	id          uint64 // log identity, unique per (queue, enqueue)
-	payload     []byte
-	exchange    string
-	redelivered bool
-	delivered   bool // handed to a consumer at least once
-	fails       int
-}
-
 // Pressure is a queue's overload signal to its publishers. It is the
 // soft counterpart of the §4.4 decommission cliff: past the high
 // watermark the queue asks publishers to degrade (throttle, defer,
@@ -76,21 +68,23 @@ type item struct {
 type Pressure int
 
 const (
-	// PressureNormal: depth below the high watermark and the oldest
-	// pending message younger than the age watermark.
+	// PressureNormal: the queue is not inside a high-watermark episode.
 	PressureNormal Pressure = iota
-	// PressureHigh: the queue crossed its soft high watermark and has
-	// not yet drained back to the low watermark (hysteresis), or its
-	// oldest pending message exceeds the age watermark (a stalled
-	// consumer pressures publishers even at modest depth).
+	// PressureHigh: depth (pending + unacked) reached the soft high
+	// watermark and has not yet drained back to the low watermark.
+	// Depth hysteresis is the whole signal.
 	PressureHigh
 )
 
 // LossFunc decides whether to drop a message on its way into a queue.
+// It runs under the broker's lock and must not call back into it.
 type LossFunc func(queue, exchange string, payload []byte) bool
 
 // Broker routes published messages from exchanges to bound queues.
 type Broker struct {
+	// mu orders publishes: the log append and the fan-out to the bound
+	// queues happen under it, so every queue sees arrivals in log order
+	// and a Bind lands at a definite log position.
 	mu        sync.Mutex
 	bindings  map[string][]*Queue // exchange -> queues
 	queues    map[string]*Queue
@@ -98,9 +92,16 @@ type Broker struct {
 	faults    *faultinject.Registry
 	published int64
 	down      bool
-	fenced    bool   // permanently down: a promoted replica superseded this instance
-	seq       uint64 // message-id source for the queue log
-	log       *queueLog
+	fenced    bool // permanently down: a promoted replica superseded this instance
+	log       *msgLog
+	// disk holds the cursor states between Crash and Restart: with the
+	// log, everything a process death leaves behind.
+	disk map[string]*QueueState
+	// rev numbers cursor-state changes, so a follower can be shipped only
+	// the states that changed since its last pull.
+	rev atomic.Uint64
+	// truncateHook, when set, observes every truncation (tests).
+	truncateHook func(head uint64, lows map[string]uint64)
 }
 
 // New returns an empty broker.
@@ -108,39 +109,36 @@ func New() *Broker {
 	return &Broker{
 		bindings: make(map[string][]*Queue),
 		queues:   make(map[string]*Queue),
-		log:      newQueueLog(),
+		log:      newLog(0, nil),
 	}
 }
 
-// Crash models broker process death: all in-memory routing and queue
-// state is wiped, every operation fails with ErrBrokerDown, and every
-// outstanding queue handle — including consumers blocked in GetBatch —
-// is woken with ErrBrokerDown. Only the queue log (the modelled disk)
-// survives; Restart replays it.
+// Crash models broker process death: every operation fails with
+// ErrBrokerDown, and every outstanding queue handle — including
+// consumers blocked in GetBatch — is woken with ErrBrokerDown. Handles,
+// delivery tags, waiters, in-flight-ness, hand-back order, credit and
+// watermark tuning all die; only the log and each queue's QueueState
+// (the modelled disk) survive, and Restart rebuilds from them.
 func (b *Broker) Crash() {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.down {
-		b.mu.Unlock()
 		return
 	}
 	b.down = true
-	old := make([]*Queue, 0, len(b.queues))
-	for _, q := range b.queues {
-		old = append(old, q)
+	b.disk = make(map[string]*QueueState, len(b.queues))
+	for name, q := range b.queues {
+		b.disk[name] = q.crash()
 	}
 	b.queues = make(map[string]*Queue)
 	b.bindings = make(map[string][]*Queue)
-	b.mu.Unlock()
-	for _, q := range old {
-		q.fail(ErrBrokerDown)
-	}
 }
 
-// Restart brings a crashed broker back by replaying the queue log:
-// queues and bindings are rebuilt, pending messages reappear in
-// publish order, delivered-but-unacked messages return to the front of
-// their queues flagged Redelivered (their ack was lost with the
-// crash), dead-letter parks and failure counts survive, and acked
+// Restart brings a crashed broker back from the log and the cursor
+// states: pending messages reappear in publish order,
+// delivered-but-unsettled messages return to the front of their queues
+// flagged Redelivered (their ack was lost with the crash), dead-letter
+// parks, failure counts and cumulative counters survive, and acked
 // messages stay gone. Pre-crash queue handles and delivery tags remain
 // invalid; consumers must re-fetch their queue.
 func (b *Broker) Restart() {
@@ -149,53 +147,21 @@ func (b *Broker) Restart() {
 	if !b.down || b.fenced {
 		return
 	}
-	st := b.log.replay()
-	b.queues = make(map[string]*Queue, len(st.queues))
-	b.bindings = make(map[string][]*Queue)
-	for name, rq := range st.queues {
-		q := newQueue(name, rq.maxLen, b.log)
-		q.maxAttempts = rq.maxAttempts
-		q.dead = rq.dead
-		q.deadLettered = rq.deadCount
-		// Cumulative observability counters survive the restart the same
-		// way the dead-letter total does: the log carries them (opRedeliver
-		// entries plus the opQueueStats snapshot line), so post-restart
-		// Stats never silently reset under the bench gate.
-		q.redeliveredTotal = rq.redelivered
-		q.maxDepthSeen = rq.maxDepth
-		var redo, fresh []*item
-		for _, id := range rq.order {
-			m := rq.msgs[id]
-			it := &item{
-				id: m.id, payload: m.payload, exchange: m.exchange,
-				fails: m.fails, delivered: m.delivered, redelivered: m.delivered,
-			}
-			switch {
-			case m.deadLettered:
-				q.setAside = append(q.setAside, it)
-			case m.delivered:
-				// Unacked in-flight at crash time: redeliver first,
-				// preserving their publish order among themselves.
-				redo = append(redo, it)
-			default:
-				fresh = append(fresh, it)
-			}
-		}
-		for _, it := range redo {
-			q.pending.PushBack(it)
-		}
-		for _, it := range fresh {
-			q.pending.PushBack(it)
-		}
+	// Sorted, so the fan-out order of an exchange is the same after every
+	// restart.
+	names := make([]string, 0, len(b.disk))
+	for name := range b.disk {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		q := restoreQueue(b, name, b.disk[name])
 		b.queues[name] = q
-	}
-	for ex, qnames := range st.bindings {
-		for _, qn := range qnames {
-			if q, ok := b.queues[qn]; ok {
-				b.bindings[ex] = append(b.bindings[ex], q)
-			}
+		for _, bd := range q.st.bound {
+			b.bindings[bd.exchange] = append(b.bindings[bd.exchange], q)
 		}
 	}
+	b.disk = nil
 	b.down = false
 }
 
@@ -214,18 +180,9 @@ func (b *Broker) Down() bool {
 // delivered again (the generation number its lease lost is the fence).
 func (b *Broker) Fence() {
 	b.mu.Lock()
-	if b.fenced {
-		b.mu.Unlock()
-		return
-	}
 	b.fenced = true
 	b.mu.Unlock()
 	b.Crash()
-	// Crash returns early when already down; mark down unconditionally so
-	// a crash-then-fence sequence still pins the broker down forever.
-	b.mu.Lock()
-	b.down = true
-	b.mu.Unlock()
 }
 
 // Fenced reports whether the broker has been permanently superseded.
@@ -235,8 +192,19 @@ func (b *Broker) Fenced() bool {
 	return b.fenced
 }
 
-// LogSize reports the queue-log entry count (tests, compaction).
-func (b *Broker) LogSize() int { return b.log.size() }
+// LogSegments reports how many log segments are retained. Once every
+// queue has drained it is at most one.
+func (b *Broker) LogSegments() int { return b.log.segments() }
+
+// SetTruncateHook installs a test observer called after every
+// truncation with the new log head and each live queue's low-water
+// mark, re-read after the drop. The invariant it exists to check: no
+// mark is ever below the head.
+func (b *Broker) SetTruncateHook(f func(head uint64, lows map[string]uint64)) {
+	b.mu.Lock()
+	b.truncateHook = f
+	b.mu.Unlock()
+}
 
 // SetLoss installs (or clears, with nil) the loss-injection function.
 func (b *Broker) SetLoss(f LossFunc) {
@@ -267,9 +235,8 @@ func (b *Broker) DeclareQueue(name string, maxLen int) (*Queue, error) {
 	if q, ok := b.queues[name]; ok {
 		return q, nil
 	}
-	q := newQueue(name, maxLen, b.log)
+	q := restoreQueue(b, name, &QueueState{maxLen: maxLen, next: b.log.tail.Load()})
 	b.queues[name] = q
-	b.log.append(logEntry{op: opDeclare, queue: name, n: maxLen})
 	return q, nil
 }
 
@@ -280,10 +247,6 @@ func (b *Broker) DeclareQueue(name string, maxLen int) (*Queue, error) {
 // with ErrBrokerDown and take the journal-and-defer path anyway.
 func (b *Broker) ExchangePressure(exchange string) Pressure {
 	b.mu.Lock()
-	if b.down {
-		b.mu.Unlock()
-		return PressureNormal
-	}
 	// Copy-on-write bindings: safe to iterate after the unlock.
 	qs := b.bindings[exchange]
 	b.mu.Unlock()
@@ -306,6 +269,8 @@ func (b *Broker) Queue(name string) (*Queue, bool) {
 
 // DeleteQueue removes a queue entirely (used after decommission, before
 // the replacement queue is declared for a re-bootstrapping subscriber).
+// It is the only way a binding ends; whatever the queue pinned in the
+// log is released at once.
 func (b *Broker) DeleteQueue(name string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -318,8 +283,8 @@ func (b *Broker) DeleteQueue(name string) {
 	for ex, qs := range b.bindings {
 		for i, bound := range qs {
 			if bound == q {
-				// Copy-on-write: Publish iterates binding slices outside the
-				// broker lock, so a bound slice is never mutated in place.
+				// Copy-on-write: ExchangePressure iterates binding slices
+				// outside the broker lock, so one is never mutated in place.
 				next := make([]*Queue, 0, len(qs)-1)
 				next = append(next, qs[:i]...)
 				next = append(next, qs[i+1:]...)
@@ -328,10 +293,11 @@ func (b *Broker) DeleteQueue(name string) {
 			}
 		}
 	}
-	b.log.append(logEntry{op: opDeleteQueue, queue: name})
+	b.truncateLocked()
 }
 
-// Bind subscribes the named queue to an exchange's messages.
+// Bind subscribes the named queue to an exchange's messages, starting
+// at the log tail: nothing published before the Bind is delivered.
 func (b *Broker) Bind(queueName, exchange string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -345,69 +311,75 @@ func (b *Broker) Bind(queueName, exchange string) error {
 			return nil
 		}
 	}
-	// Copy-on-write: build a fresh slice so a Publish holding the old
-	// snapshot (it iterates outside the lock) never observes the append.
+	// Copy-on-write (see DeleteQueue).
 	next := make([]*Queue, 0, len(qs)+1)
 	next = append(next, qs...)
 	next = append(next, q)
 	b.bindings[exchange] = next
-	b.log.append(logEntry{op: opBind, queue: queueName, exchange: exchange})
+	q.bind(exchange, b.log.tail.Load())
 	return nil
 }
 
-// Unbind removes a queue's binding to an exchange.
-func (b *Broker) Unbind(queueName, exchange string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	q, ok := b.queues[queueName]
-	if !ok {
-		return
-	}
-	qs := b.bindings[exchange]
-	for i, bound := range qs {
-		if bound == q {
-			// Copy-on-write (see Bind).
-			next := make([]*Queue, 0, len(qs)-1)
-			next = append(next, qs[:i]...)
-			next = append(next, qs[i+1:]...)
-			b.bindings[exchange] = next
-			b.log.append(logEntry{op: opUnbind, queue: queueName, exchange: exchange})
-			return
-		}
-	}
-}
-
-// Publish fans the payload out to every queue bound to the exchange.
-// Delivery into each queue is independent: one decommissioned queue does
-// not affect the others. Fails with ErrBrokerDown while crashed; a nil
-// return means the message is on the log (durable) for every queue it
-// reached.
+// Publish appends the message to the log once and lets every queue
+// bound to the exchange know it is there. Delivery into each queue is
+// independent: one decommissioned queue does not affect the others.
+// Fails with ErrBrokerDown while crashed; a nil return means the message
+// is on the log (durable) for every queue it reached.
 func (b *Broker) Publish(exchange string, payload []byte) error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.down {
-		b.mu.Unlock()
 		return ErrBrokerDown
 	}
-	// Bindings are copy-on-write: the slice under the map is never
-	// mutated in place, so this snapshot is safe to iterate after the
-	// unlock without cloning it per publish.
-	qs := b.bindings[exchange]
-	loss := b.loss
-	faults := b.faults
 	b.published++
-	base := b.seq
-	b.seq += uint64(len(qs))
-	b.mu.Unlock()
-	for i, q := range qs {
-		if loss != nil && loss(q.name, exchange, payload) {
-			continue
+	qs := b.bindings[exchange]
+	if len(qs) == 0 {
+		return nil // a fanout exchange with no queue routes to nobody
+	}
+	if b.log.tail.Load()%segmentSize == 0 {
+		b.truncateLocked() // about to open a segment: drop the settled ones
+	}
+	seq := b.log.append(exchange, payload)
+	decommissioned := false
+	for _, q := range qs {
+		// Loss is decided per (queue, message) before the queue hears of
+		// the record: a lost record is marked skipped, never forked.
+		lost := (b.loss != nil && b.loss(q.name, exchange, payload)) ||
+			b.faults.Fire(FaultBrokerDrop) != nil
+		if q.arrive(seq, lost) {
+			decommissioned = true
 		}
-		if faults.Fire(FaultBrokerDrop) != nil {
-			continue
-		}
-		q.push(payload, exchange, base+uint64(i)+1)
+	}
+	if decommissioned {
+		b.truncateLocked()
 	}
 	return nil
+}
+
+// truncate drops the log segments no live queue can still read. Queues
+// call it when their low-water mark enters a new segment.
+func (b *Broker) truncate() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.down { // a crashed broker's queues are on disk, not in b.queues
+		b.truncateLocked()
+	}
+}
+
+func (b *Broker) truncateLocked() {
+	tail := b.log.tail.Load()
+	low := tail
+	for _, q := range b.queues {
+		low = min(low, q.pin(tail))
+	}
+	if !b.log.truncate(low) || b.truncateHook == nil {
+		return
+	}
+	lows := make(map[string]uint64, len(b.queues))
+	for name, q := range b.queues {
+		lows[name] = q.pin(tail)
+	}
+	b.truncateHook(b.log.head, lows)
 }
 
 // Published reports the total number of Publish calls (metrics).
@@ -429,95 +401,129 @@ func (b *Broker) Queues() []string {
 	return out
 }
 
-// Queue is one subscriber app's durable message queue.
+// Queue is one subscriber app's durable message queue: a cursor over
+// the broker's log (st, the part that survives a crash) plus the state
+// of the consumers currently attached to it (everything else).
 type Queue struct {
-	name   string
-	maxLen int
+	name string
+	b    *Broker
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	log       *queueLog
-	pending   itemDeque
-	unacked   map[uint64]*item
-	nextTag   uint64
+	mu   sync.Mutex
+	cond *sync.Cond
+	st   *QueueState
+
+	tags    map[uint64]uint64 // delivery tag -> seq of an open flight a consumer holds
+	nextTag uint64
+	// redo lists the open flights handed back (Nack requeue, NackError,
+	// ReplayDeadLetters, a restart) and awaiting redelivery ahead of the
+	// cursor. The LAST element is the front of the queue. It is bounded
+	// by what consumers hold, i.e. by the credit window.
+	redo      []uint64
+	lowSeg    uint64 // segment of the low-water mark when last looked at
 	cancelSeq uint64 // bumped by CancelWaiters to wake blocked Gets
 	canceled  bool   // a cancel found nobody blocked; owed to the next Get that would block
 	waiters   int    // consumers currently blocked in GetBatch
-	dead      bool   // decommissioned
 	closed    bool
 	downErr   error // set when the owning broker crashed; handle is defunct
 
-	// Dead-letter "set aside" list (§4): a message whose processing has
-	// failed maxAttempts times is parked here instead of wedging the
-	// consumer pool on endless redelivery. Parked messages stay
-	// inspectable and replayable.
-	maxAttempts  int
-	setAside     []*item
-	deadLettered int64 // total messages ever set aside
-
-	// redeliveredTotal counts deliveries of messages already handed out
-	// before (crash redeliveries, nack requeues and hand-backs). Like
-	// deadLettered it is cumulative and survives Restart via the log.
-	redeliveredTotal int64
-
-	// Overload control. Watermarks and the credit window are
-	// volatile consumer tuning — deliberately NOT in the queue log; the
-	// owning app re-applies them on every (re)attach, the same way a real
-	// AMQP consumer re-sends basic.qos after a reconnect.
-	hiWater      int  // soft depth high watermark (0 = no depth signal)
-	loWater      int  // depth that ends a high episode (hysteresis)
-	credits      int  // max outstanding unacked deliveries (0 = unbounded)
-	pressured    bool // inside a high-watermark episode
-	maxDepthSeen int  // high-water mark of pending+unacked depth
+	// Overload control. Watermarks and the credit window are volatile
+	// consumer tuning — deliberately NOT in the QueueState; the owning app
+	// re-applies them on every (re)attach, the same way a real AMQP
+	// consumer re-sends basic.qos after a reconnect.
+	hiWater   int  // soft depth high watermark (0 = no depth signal)
+	loWater   int  // depth that ends a high episode (hysteresis)
+	credits   int  // max outstanding unacked deliveries (0 = unbounded)
+	pressured bool // inside a high-watermark episode
 }
 
-func newQueue(name string, maxLen int, log *queueLog) *Queue {
-	q := &Queue{
-		name:    name,
-		maxLen:  maxLen,
-		log:     log,
-		unacked: make(map[uint64]*item),
-	}
+// restoreQueue builds a live queue over a cursor state — a fresh one at
+// DeclareQueue, a surviving one at Restart and FromReplica. Whatever
+// was unsettled comes back first, in publish order, to be flagged
+// Redelivered.
+func restoreQueue(b *Broker, name string, st *QueueState) *Queue {
+	q := &Queue{name: name, b: b, st: st, tags: make(map[uint64]uint64)}
 	q.cond = sync.NewCond(&q.mu)
+	for i := len(st.open) - 1; i >= 0; i-- {
+		q.redo = append(q.redo, st.open[i].seq)
+	}
+	q.touchLocked() // new to this broker's followers, whatever revision it carried
 	return q
 }
 
 // Name returns the queue name.
 func (q *Queue) Name() string { return q.name }
 
-// fail marks a handle defunct after a broker crash: every operation on
-// it returns err from now on, and blocked consumers wake with it.
-func (q *Queue) fail(err error) {
+// crash marks the handle defunct — every operation on it returns
+// ErrBrokerDown from now on, and blocked consumers wake with it — and
+// returns the durable state. The handle keeps reporting the depth and
+// in-flight counts it died with.
+func (q *Queue) crash() *QueueState {
 	q.mu.Lock()
-	q.downErr = err
+	defer q.mu.Unlock()
+	q.downErr = ErrBrokerDown
 	q.cond.Broadcast()
+	return q.st.clone()
+}
+
+// touchLocked stamps the cursor state as changed, for replication.
+func (q *Queue) touchLocked() { q.st.rev = q.b.rev.Add(1) }
+
+func (q *Queue) bind(exchange string, from uint64) {
+	q.mu.Lock()
+	q.st.bound = append(q.st.bound, binding{exchange, from})
+	q.touchLocked()
 	q.mu.Unlock()
 }
 
-func (q *Queue) push(payload []byte, exchange string, id uint64) {
+// arrive tells the queue that the record at seq was published to an
+// exchange it is bound to. Reports whether the arrival decommissioned
+// the queue.
+func (q *Queue) arrive(seq uint64, lost bool) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.dead || q.closed || q.downErr != nil {
-		return
+	st := q.st
+	if st.dead || q.closed {
+		return false
 	}
-	q.pending.PushBack(&item{id: id, payload: payload, exchange: exchange})
-	q.log.append(logEntry{op: opEnqueue, queue: q.name, id: id, payload: payload, exchange: exchange})
+	q.touchLocked()
+	if lost {
+		st.lose(seq)
+		return false
+	}
+	st.pending++
 	q.notePressureLocked()
+	q.cond.Broadcast()
 	// Unacked deliveries count against the bound: a prefetching consumer
 	// that cannot finish its batch is as far behind as one that never
 	// dequeued, and must not mask the overflow.
-	if q.maxLen > 0 && q.pending.Len()+len(q.unacked) > q.maxLen {
-		// Decommission: the subscriber has been away too long; kill the
-		// queue rather than grow without bound (§4.4).
-		q.pending.Clear()
-		for tag := range q.unacked {
-			delete(q.unacked, tag)
-		}
-		q.setAside = nil
-		q.dead = true
-		q.log.append(logEntry{op: opDecommission, queue: q.name})
+	if st.maxLen <= 0 || q.depthLocked() <= st.maxLen {
+		return false
 	}
-	q.cond.Broadcast()
+	// Decommission: the subscriber has been away too long; kill the
+	// queue rather than let it pin the log without bound (§4.4).
+	st.dead = true
+	st.pending, st.open, st.setAside, st.skip = 0, nil, nil, nil
+	q.redo = nil
+	clear(q.tags)
+	return true
+}
+
+// pin reports the lowest log seq the queue may still read, given the
+// log tail; the broker holds its lock, so no arrival is in progress.
+// An idle cursor rides the tail, and a dead or deleted queue pins
+// nothing.
+func (q *Queue) pin(tail uint64) uint64 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	st := q.st
+	if st.dead || q.closed {
+		return tail
+	}
+	if st.pending == 0 && st.next != tail {
+		st.next, st.skip = tail, nil
+		q.touchLocked()
+	}
+	return st.low(tail)
 }
 
 // Get blocks until a message is available, the queue is decommissioned,
@@ -530,6 +536,19 @@ func (q *Queue) Get() (Delivery, error) {
 		return Delivery{}, err
 	}
 	return ds[0], nil
+}
+
+// usableLocked reports why the queue cannot serve consumers, if so.
+func (q *Queue) usableLocked() error {
+	switch {
+	case q.downErr != nil:
+		return q.downErr
+	case q.st.dead:
+		return ErrDecommissioned
+	case q.closed:
+		return ErrClosed
+	}
+	return nil
 }
 
 // GetBatch blocks like Get until at least one message is available, then
@@ -548,19 +567,13 @@ func (q *Queue) GetBatch(max int) ([]Delivery, error) {
 	defer q.mu.Unlock()
 	seq := q.cancelSeq
 	for {
-		if q.downErr != nil {
-			return nil, q.downErr
+		if err := q.usableLocked(); err != nil {
+			return nil, err
 		}
-		if q.dead {
-			return nil, ErrDecommissioned
-		}
-		if q.closed {
-			return nil, ErrClosed
-		}
-		if q.pending.Len() > 0 && q.creditLocked() != 0 {
+		if ready := q.readyLocked(); ready > 0 && q.creditLocked() != 0 {
 			// Fair share: leave enough behind for every consumer still
 			// blocked in the wait below (ceil division keeps n >= 1).
-			n := (q.pending.Len() + q.waiters) / (q.waiters + 1)
+			n := (ready + q.waiters) / (q.waiters + 1)
 			if n > max {
 				n = max
 			}
@@ -569,11 +582,7 @@ func (q *Queue) GetBatch(max int) ([]Delivery, error) {
 			if c := q.creditLocked(); c > 0 && n > c {
 				n = c
 			}
-			out := make([]Delivery, 0, n)
-			for i := 0; i < n; i++ {
-				out = append(out, q.takeLocked())
-			}
-			return out, nil
+			return q.takeLocked(make([]Delivery, 0, n), n), nil
 		}
 		if q.cancelSeq != seq || q.canceled {
 			q.canceled = false
@@ -605,20 +614,23 @@ func (q *Queue) CancelWaiters() {
 func (q *Queue) TryGet() (Delivery, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.downErr != nil {
-		return Delivery{}, false, q.downErr
+	if err := q.usableLocked(); err != nil {
+		return Delivery{}, false, err
 	}
-	if q.dead {
-		return Delivery{}, false, ErrDecommissioned
-	}
-	if q.closed {
-		return Delivery{}, false, ErrClosed
-	}
-	if q.pending.Len() == 0 || q.creditLocked() == 0 {
+	if q.readyLocked() == 0 || q.creditLocked() == 0 {
 		return Delivery{}, false, nil
 	}
-	return q.takeLocked(), true, nil
+	var one [1]Delivery
+	return q.takeLocked(one[:0], 1)[0], true, nil
 }
+
+// readyLocked counts the messages waiting for a consumer: handed-back
+// ones plus those ahead of the cursor.
+func (q *Queue) readyLocked() int { return q.st.pending + len(q.redo) }
+
+// depthLocked is pending plus unsettled — the figure the watermarks and
+// the decommission bound are measured against.
+func (q *Queue) depthLocked() int { return q.st.pending + len(q.st.open) }
 
 // creditLocked reports how many more deliveries the credit window
 // admits right now: -1 when the window is unbounded, otherwise the
@@ -627,7 +639,7 @@ func (q *Queue) creditLocked() int {
 	if q.credits <= 0 {
 		return -1
 	}
-	if c := q.credits - len(q.unacked); c > 0 {
+	if c := q.credits - len(q.tags); c > 0 {
 		return c
 	}
 	return 0
@@ -638,9 +650,9 @@ func (q *Queue) creditLocked() int {
 // hiWater and clears only once depth drains to loWater, so publishers
 // are not flapped on/off at the boundary.
 func (q *Queue) notePressureLocked() {
-	d := q.pending.Len() + len(q.unacked)
-	if d > q.maxDepthSeen {
-		q.maxDepthSeen = d
+	d := q.depthLocked()
+	if d > q.st.maxDepthSeen {
+		q.st.maxDepthSeen = d
 	}
 	if q.hiWater <= 0 {
 		q.pressured = false
@@ -696,7 +708,7 @@ func (q *Queue) Pressure() Pressure {
 func (q *Queue) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.pending.Len() + len(q.unacked)
+	return q.depthLocked()
 }
 
 // MaxDepthSeen reports the deepest the queue has ever been
@@ -704,88 +716,120 @@ func (q *Queue) Depth() int {
 func (q *Queue) MaxDepthSeen() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.maxDepthSeen
+	return q.st.maxDepthSeen
 }
 
-func (q *Queue) takeLocked() Delivery {
-	it := q.pending.PopFront()
-	q.nextTag++
-	tag := q.nextTag
-	q.unacked[tag] = it
-	if !it.delivered {
-		// First hand-off: from here until the ack lands, a crash makes
-		// this message redeliverable.
-		it.delivered = true
-		q.log.append(logEntry{op: opDeliver, queue: q.name, id: it.id})
-	} else {
-		q.redeliveredTotal++
-		q.log.append(logEntry{op: opRedeliver, queue: q.name, id: it.id})
+// takeLocked appends the next n messages to out, n <= readyLocked():
+// hand-backs first, then the log from the cursor on. The log lock is
+// taken once for the batch, not per message.
+func (q *Queue) takeLocked(out []Delivery, n int) []Delivery {
+	st, log := q.st, q.b.log
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	for len(out) < n {
+		var (
+			seq uint64
+			rec *Record
+			d   Delivery
+		)
+		if k := len(q.redo); k > 0 {
+			seq, q.redo = q.redo[k-1], q.redo[:k-1]
+			f := st.open[st.find(seq)]
+			rec, d.Redelivered, d.Attempts = f.rec, true, f.fails
+			st.redelivered++
+		} else {
+			// The first st.pending selected records from the cursor on have
+			// all arrived, so the scan stays below the last arrival.
+			for seq = st.next; !st.wants(seq, log.at(seq)); seq++ {
+			}
+			st.next = seq + 1
+			st.pending--
+			st.open = append(st.open, flight{seq: seq})
+		}
+		if rec == nil {
+			rec = log.at(seq)
+		}
+		q.nextTag++
+		q.tags[q.nextTag] = seq
+		d.Payload, d.Exchange, d.Tag = rec.payload, rec.exchange, q.nextTag
+		out = append(out, d)
 	}
-	return Delivery{Payload: it.payload, Tag: tag, Redelivered: it.redelivered, Exchange: it.exchange, Attempts: it.fails}
+	q.touchLocked()
+	return out
+}
+
+// untagLocked takes the delivery with the given tag back from its
+// consumer and reports the index of its flight in st.open.
+func (q *Queue) untagLocked(tag uint64) (int, error) {
+	if q.downErr != nil {
+		return 0, q.downErr
+	}
+	seq, ok := q.tags[tag]
+	if !ok {
+		if q.st.dead {
+			return 0, ErrDecommissioned
+		}
+		return 0, ErrBadTag
+	}
+	delete(q.tags, tag)
+	return q.st.find(seq), nil
+}
+
+// dropLocked settles the flight at index i for good.
+func (q *Queue) dropLocked(i int) {
+	q.st.open = append(q.st.open[:i], q.st.open[i+1:]...)
+}
+
+// doneLocked finishes an operation that settled or handed back
+// deliveries: one state stamp, one pressure note and, when a message
+// became available (wake) or credit returned to a bounded window, one
+// wake-up. Reports whether the low-water mark has entered a new segment
+// since it was last looked at: the caller then truncates the log, once
+// it has released the queue lock.
+func (q *Queue) doneLocked(wake bool) bool {
+	q.touchLocked()
+	q.notePressureLocked()
+	if wake || q.credits > 0 {
+		q.cond.Broadcast()
+	}
+	seg := q.st.low(q.b.log.tail.Load()) / segmentSize
+	moved := seg != q.lowSeg
+	q.lowSeg = seg
+	return moved
 }
 
 // Ack confirms processing of a delivery.
 func (q *Queue) Ack(tag uint64) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.downErr != nil {
-		return q.downErr
-	}
-	it, ok := q.unacked[tag]
-	if !ok {
-		if q.dead {
-			return ErrDecommissioned
-		}
-		return ErrBadTag
-	}
-	delete(q.unacked, tag)
-	q.log.append(logEntry{op: opAck, queue: q.name, id: it.id})
-	q.notePressureLocked()
-	// The ack returns credit to the window; wake consumers blocked on an
-	// exhausted window.
-	if q.credits > 0 {
-		q.cond.Broadcast()
-	}
-	return nil
+	return q.AckMulti([]uint64{tag})
 }
 
 // AckMulti acknowledges a batch of deliveries in one broker call: one
-// lock acquisition, a log append per tag, one pressure note, and one
-// credit broadcast — the coalesced-ack half of the subscriber's
-// group-commit flush. Every valid tag in the batch is acked even when
-// others are stale; the error (ErrBadTag, or ErrDecommissioned on a
-// dead queue) reports only that some tags were unknown, which a
-// crash/redelivery race makes benign for the caller.
+// lock acquisition and one cursor-state update however many tags — the
+// coalesced-ack half of the subscriber's group-commit flush. Every valid
+// tag in the batch is acked even when others are stale; the error
+// (ErrBadTag, or ErrDecommissioned on a dead queue) reports only that
+// some tags were unknown, which a crash/redelivery race makes benign for
+// the caller.
 func (q *Queue) AckMulti(tags []uint64) error {
 	if len(tags) == 0 {
 		return nil
 	}
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.downErr != nil {
-		return q.downErr
-	}
-	missing := false
+	var bad error
 	for _, tag := range tags {
-		it, ok := q.unacked[tag]
-		if !ok {
-			missing = true
+		i, err := q.untagLocked(tag)
+		if err != nil {
+			bad = err
 			continue
 		}
-		delete(q.unacked, tag)
-		q.log.append(logEntry{op: opAck, queue: q.name, id: it.id})
+		q.dropLocked(i)
 	}
-	q.notePressureLocked()
-	if q.credits > 0 {
-		q.cond.Broadcast()
+	truncate := q.downErr == nil && q.doneLocked(false)
+	q.mu.Unlock()
+	if truncate {
+		q.b.truncate()
 	}
-	if missing {
-		if q.dead {
-			return ErrDecommissioned
-		}
-		return ErrBadTag
-	}
-	return nil
+	return bad
 }
 
 // Nack returns a delivery to the queue. With requeue, the message goes
@@ -793,29 +837,20 @@ func (q *Queue) AckMulti(tags []uint64) error {
 // without, it is dropped.
 func (q *Queue) Nack(tag uint64, requeue bool) error {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.downErr != nil {
-		return q.downErr
+	i, err := q.untagLocked(tag)
+	if err != nil {
+		q.mu.Unlock()
+		return err
 	}
-	it, ok := q.unacked[tag]
-	if !ok {
-		if q.dead {
-			return ErrDecommissioned
-		}
-		return ErrBadTag
-	}
-	delete(q.unacked, tag)
-	if requeue && !q.dead && !q.closed {
-		it.redelivered = true
-		q.pending.PushFront(it)
-		q.cond.Broadcast()
+	if requeue && !q.closed {
+		q.redo = append(q.redo, q.st.open[i].seq)
 	} else {
-		// Dropped without requeue: gone from the durable state too.
-		q.log.append(logEntry{op: opAck, queue: q.name, id: it.id})
-		q.notePressureLocked()
-		if q.credits > 0 {
-			q.cond.Broadcast()
-		}
+		q.dropLocked(i)
+	}
+	truncate := q.doneLocked(requeue)
+	q.mu.Unlock()
+	if truncate {
+		q.b.truncate()
 	}
 	return nil
 }
@@ -826,8 +861,10 @@ func (q *Queue) Nack(tag uint64, requeue bool) error {
 // requeue forever, the pre-dead-letter behaviour.
 func (q *Queue) SetMaxAttempts(n int) {
 	q.mu.Lock()
-	q.maxAttempts = n
-	q.log.append(logEntry{op: opMaxAttempts, queue: q.name, n: n})
+	if q.downErr == nil && q.st.maxAttempts != n {
+		q.st.maxAttempts = n
+		q.touchLocked()
+	}
 	q.mu.Unlock()
 }
 
@@ -839,36 +876,38 @@ func (q *Queue) SetMaxAttempts(n int) {
 // wedge the consumer pool. Reports whether the message was set aside.
 func (q *Queue) NackError(tag uint64) (deadLettered bool, err error) {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.downErr != nil {
-		return false, q.downErr
+	i, err := q.untagLocked(tag)
+	if err != nil {
+		q.mu.Unlock()
+		return false, err
 	}
-	it, ok := q.unacked[tag]
-	if !ok {
-		if q.dead {
-			return false, ErrDecommissioned
+	st := q.st
+	f := &st.open[i]
+	switch {
+	case q.closed:
+		q.dropLocked(i)
+	case st.maxAttempts > 0 && f.fails+1 >= st.maxAttempts:
+		// Park a copy: quarantine shrinks the live depth, returns credit,
+		// and lets go of the log record.
+		f.fails++
+		if f.rec == nil {
+			r := q.b.log.get(f.seq)
+			f.rec = &r
 		}
-		return false, ErrBadTag
+		st.setAside = append(st.setAside, *f)
+		st.deadLettered++
+		q.dropLocked(i)
+		deadLettered = true
+	default:
+		f.fails++
+		q.redo = append(q.redo, f.seq)
 	}
-	delete(q.unacked, tag)
-	if q.dead || q.closed {
-		return false, nil
+	truncate := q.doneLocked(true)
+	q.mu.Unlock()
+	if truncate {
+		q.b.truncate()
 	}
-	it.fails++
-	it.redelivered = true
-	q.log.append(logEntry{op: opFail, queue: q.name, id: it.id})
-	if q.maxAttempts > 0 && it.fails >= q.maxAttempts {
-		q.setAside = append(q.setAside, it)
-		q.deadLettered++
-		q.log.append(logEntry{op: opDeadLetter, queue: q.name, id: it.id})
-		// Quarantine shrinks the live depth and returns credit.
-		q.notePressureLocked()
-		q.cond.Broadcast()
-		return true, nil
-	}
-	q.pending.PushFront(it)
-	q.cond.Broadcast()
-	return false, nil
+	return deadLettered, nil
 }
 
 // DeadLetters returns copies of the set-aside message payloads in the
@@ -876,11 +915,10 @@ func (q *Queue) NackError(tag uint64) (deadLettered bool, err error) {
 func (q *Queue) DeadLetters() []Delivery {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make([]Delivery, 0, len(q.setAside))
-	for _, it := range q.setAside {
-		payload := make([]byte, len(it.payload))
-		copy(payload, it.payload)
-		out = append(out, Delivery{Payload: payload, Redelivered: true, Exchange: it.exchange, Attempts: it.fails})
+	out := make([]Delivery, 0, len(q.st.setAside))
+	for _, f := range q.st.setAside {
+		payload := append([]byte(nil), f.rec.payload...)
+		out = append(out, Delivery{Payload: payload, Redelivered: true, Exchange: f.rec.exchange, Attempts: f.fails})
 	}
 	return out
 }
@@ -892,20 +930,24 @@ func (q *Queue) DeadLetters() []Delivery {
 func (q *Queue) ReplayDeadLetters() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	n := len(q.setAside)
-	if n == 0 || q.dead || q.closed {
-		q.setAside = nil
+	st := q.st
+	n := len(st.setAside)
+	if n == 0 || q.closed || q.downErr != nil {
 		return 0
 	}
-	// Front-load the parked items in their original order: pushing each
-	// to the head back-to-front lands setAside[0] first in line.
+	// Front-load the parked flights in their original order: pushing each
+	// to the front back-to-front lands setAside[0] first in line.
 	for i := n - 1; i >= 0; i-- {
-		it := q.setAside[i]
-		it.fails = 0
-		q.pending.PushFront(it)
+		f := st.setAside[i]
+		f.fails = 0
+		at := st.find(f.seq)
+		st.open = append(st.open, flight{})
+		copy(st.open[at+1:], st.open[at:])
+		st.open[at] = f
+		q.redo = append(q.redo, f.seq)
 	}
-	q.setAside = nil
-	q.log.append(logEntry{op: opReplayDL, queue: q.name})
+	st.setAside = nil
+	q.touchLocked()
 	q.notePressureLocked()
 	q.cond.Broadcast()
 	return n
@@ -915,42 +957,42 @@ func (q *Queue) ReplayDeadLetters() int {
 func (q *Queue) DeadLetterCount() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.setAside)
+	return len(q.st.setAside)
 }
 
 // DeadLettered reports the total messages ever set aside.
 func (q *Queue) DeadLettered() int64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.deadLettered
+	return q.st.deadLettered
 }
 
 // Redelivered reports the total repeat deliveries ever handed out.
 func (q *Queue) Redelivered() int64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.redeliveredTotal
+	return q.st.redelivered
 }
 
 // Len reports pending (undelivered) messages.
 func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.pending.Len()
+	return q.readyLocked()
 }
 
 // Unacked reports delivered-but-unacked messages.
 func (q *Queue) Unacked() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.unacked)
+	return len(q.tags)
 }
 
 // Dead reports whether the queue was decommissioned.
 func (q *Queue) Dead() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.dead
+	return q.st.dead
 }
 
 // close wakes all consumers with ErrClosed.

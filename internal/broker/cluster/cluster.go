@@ -2,7 +2,7 @@
 // replicated broker fabric — the clustered RabbitMQ deployment of
 // §4.4 scaled past one node. A Cluster front-end hash-partitions
 // queues across N broker shards; each shard runs one primary broker
-// plus a warm follower that tails the primary's queue log over the
+// plus a warm follower that tails the primary's message log over the
 // simulated network (so latency, drops, and partitions apply to
 // replication itself); and a per-shard agent elects the primary with
 // an expiring coordinator lease. When the primary crashes — or is
@@ -19,10 +19,10 @@
 // version guard, and full-state messages make convergence heal any
 // gap — the chaos harness asserts it.
 //
-// Catch-up never pauses the primary: a follower whose cursor falls
-// behind a log compaction refetches the DBLog-style snapshot (the
-// already-maintained compacted state, captured under a brief lock) and
-// resumes tailing from the returned cursor.
+// Catch-up never pauses the primary: a follower pulls the log records
+// past its cursor plus the queue cursor states that changed, and one
+// that fell behind the primary's truncation is simply served from the
+// log head — there is no rewritten history to refetch.
 package cluster
 
 import (
@@ -111,14 +111,19 @@ type Cluster struct {
 	mu       sync.Mutex
 	queues   map[string]queueMeta
 	bindings map[string][]string // exchange -> queue names, bind order
-	closed   bool
+	// routes is bindings reduced to what a publish needs: exchange ->
+	// the shards holding a bound queue, ascending. Copy-on-write, like
+	// Broker.bindings: rebuilt whenever bindings changes, never mutated
+	// in place, so a publish reads it without allocating.
+	routes map[string][]*shard
+	closed bool
+	// truncateHook, when set, is installed on every shard primary (tests).
+	truncateHook func(head uint64, lows map[string]uint64)
 
 	shards []*shard
 
 	published int64 // atomic
 	failovers int64 // atomic
-	shipped   int64 // atomic: log records shipped to followers
-	snapshots int64 // atomic: follower snapshot refetches
 }
 
 // New builds the cluster: every shard starts with a fresh primary
@@ -131,6 +136,7 @@ func New(cfg Config) *Cluster {
 		net:      cfg.Net,
 		queues:   make(map[string]queueMeta),
 		bindings: make(map[string][]string),
+		routes:   make(map[string][]*shard),
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		b := broker.New()
@@ -145,8 +151,7 @@ func New(cfg Config) *Cluster {
 		if held, epoch := c.coord.Acquire(leaseName(i), s.owner, cfg.LeaseTTL); held {
 			s.gen = epoch
 		}
-		s.buf, s.cursor = b.SnapshotLog()
-		s.lastCompact = len(s.buf)
+		s.replica, _ = b.ShipLog(broker.Cursor{})
 		c.shards = append(c.shards, s)
 	}
 	for _, s := range c.shards {
@@ -241,6 +246,7 @@ func (c *Cluster) DeleteQueue(name string) {
 		for i, qn := range qs {
 			if qn == name {
 				c.bindings[ex] = append(append([]string{}, qs[:i]...), qs[i+1:]...)
+				c.rerouteLocked(ex)
 				break
 			}
 		}
@@ -262,6 +268,7 @@ func (c *Cluster) Bind(queueName, exchange string) error {
 	}
 	if !bound {
 		c.bindings[exchange] = append(c.bindings[exchange], queueName)
+		c.rerouteLocked(exchange)
 	}
 	c.mu.Unlock()
 	s := c.shards[c.ShardOf(queueName)]
@@ -271,25 +278,35 @@ func (c *Cluster) Bind(queueName, exchange string) error {
 	return s.broker().Bind(queueName, exchange)
 }
 
+// rerouteLocked rebuilds the exchange's shard list from its bindings.
+func (c *Cluster) rerouteLocked(exchange string) {
+	var route []*shard
+	for _, s := range c.shards {
+		for _, qn := range c.bindings[exchange] {
+			if c.ShardOf(qn) == s.idx {
+				route = append(route, s)
+				break
+			}
+		}
+	}
+	c.routes[exchange] = route
+}
+
+func (c *Cluster) route(exchange string) []*shard {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.routes[exchange]
+}
+
 // Publish fans the payload out to every shard holding a queue bound to
 // the exchange. Shard deliveries are independent: one unreachable
 // shard fails the call (the publisher journals and re-sends) but the
 // reachable shards still got the message — the redundant re-delivery
 // is absorbed by at-least-once semantics downstream.
 func (c *Cluster) Publish(exchange string, payload []byte) error {
-	c.mu.Lock()
-	qs := c.bindings[exchange]
-	want := make(map[int]bool, len(qs))
-	for _, qn := range qs {
-		want[c.ShardOf(qn)] = true
-	}
-	c.mu.Unlock()
 	atomic.AddInt64(&c.published, 1)
 	var firstErr error
-	for _, s := range c.shards {
-		if !want[s.idx] {
-			continue
-		}
+	for _, s := range c.route(exchange) {
 		if err := c.publishShard(s, exchange, payload); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -318,18 +335,8 @@ func (c *Cluster) publishShard(s *shard, exchange string, payload []byte) error 
 // ExchangePressure reports the worst overload signal across the shards
 // holding queues bound to the exchange.
 func (c *Cluster) ExchangePressure(exchange string) broker.Pressure {
-	c.mu.Lock()
-	qs := c.bindings[exchange]
-	want := make(map[int]bool, len(qs))
-	for _, qn := range qs {
-		want[c.ShardOf(qn)] = true
-	}
-	c.mu.Unlock()
 	p := broker.PressureNormal
-	for _, s := range c.shards {
-		if !want[s.idx] {
-			continue
-		}
+	for _, s := range c.route(exchange) {
 		if sp := s.broker().ExchangePressure(exchange); sp > p {
 			p = sp
 		}
@@ -350,13 +357,13 @@ func (c *Cluster) Down() bool {
 	return true
 }
 
-// CrashShard kills shard i's primary process. The queue log survives
-// in-instance: a RestartShard before the lease lapses revives it; once
-// the lease lapses the follower is promoted instead and the old
-// primary is fenced for good.
+// CrashShard kills shard i's primary process. Its log and cursor
+// states survive in-instance: a RestartShard before the lease lapses
+// revives it; once the lease lapses the follower is promoted instead
+// and the old primary is fenced for good.
 func (c *Cluster) CrashShard(i int) { c.shards[i].broker().Crash() }
 
-// RestartShard restarts shard i's primary from its queue log — a
+// RestartShard restarts shard i's primary from its surviving log — a
 // no-op if the failover already fenced it (the promoted follower is
 // the primary now, and stale state must stay dead).
 func (c *Cluster) RestartShard(i int) { c.shards[i].broker().Restart() }
@@ -370,18 +377,22 @@ func (c *Cluster) Published() int64 { return atomic.LoadInt64(&c.published) }
 // Failovers reports completed follower promotions.
 func (c *Cluster) Failovers() int64 { return atomic.LoadInt64(&c.failovers) }
 
-// Shipped reports log records shipped to followers.
-func (c *Cluster) Shipped() int64 { return atomic.LoadInt64(&c.shipped) }
+// SetTruncateHook installs a broker truncation observer (tests) on
+// every shard primary, current and promoted later.
+func (c *Cluster) SetTruncateHook(f func(head uint64, lows map[string]uint64)) {
+	c.mu.Lock()
+	c.truncateHook = f
+	c.mu.Unlock()
+	for _, s := range c.shards {
+		s.broker().SetTruncateHook(f)
+	}
+}
 
-// SnapshotFetches reports follower catch-ups that fell back to a full
-// snapshot because compaction outran their cursor.
-func (c *Cluster) SnapshotFetches() int64 { return atomic.LoadInt64(&c.snapshots) }
-
-// LogSize reports the total queue-log entries across shard primaries.
-func (c *Cluster) LogSize() int {
+// LogSegments reports the most log segments any shard primary retains.
+func (c *Cluster) LogSegments() int {
 	n := 0
 	for _, s := range c.shards {
-		n += s.broker().LogSize()
+		n = max(n, s.broker().LogSegments())
 	}
 	return n
 }
@@ -392,10 +403,8 @@ func (c *Cluster) LogSize() int {
 func (c *Cluster) CaughtUp(i int) bool {
 	s := c.shards[i]
 	s.mu.Lock()
-	cursor := s.cursor
-	p := s.primary
-	s.mu.Unlock()
-	return cursor == p.LogSeq()
+	defer s.mu.Unlock()
+	return s.replica.Next == s.primary.LogCursor()
 }
 
 // Generation reports shard i's current fencing epoch.

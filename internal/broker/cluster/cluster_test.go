@@ -87,12 +87,7 @@ func TestCrashPromotesFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Let the follower catch up past the last publish.
-	waitFor(t, "follower catch-up", func() bool {
-		s := c.shards[0]
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.cursor == s.primary.LogSeq()
-	})
+	waitFor(t, "follower catch-up", func() bool { return c.CaughtUp(0) })
 
 	c.CrashShard(0)
 	waitFor(t, "failover", func() bool { return c.Failovers() == 1 && !c.ShardDown(0) })
@@ -164,12 +159,7 @@ func TestCoordIsolationFencesLivePrimary(t *testing.T) {
 	_, _ = c.DeclareQueue(name, 0)
 	_ = c.Bind(name, "ex")
 	_ = c.Publish("ex", []byte("pre"))
-	waitFor(t, "follower catch-up", func() bool {
-		s := c.shards[0]
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.cursor == s.primary.LogSeq()
-	})
+	waitFor(t, "follower catch-up", func() bool { return c.CaughtUp(0) })
 	old := c.shards[0].broker()
 
 	// The primary loses sight of the coordinator while staying alive:
@@ -251,8 +241,8 @@ func TestPublishDuringFailoverFailsBrokerDown(t *testing.T) {
 }
 
 // TestAckMultiSurvivesFailover proves the coalesced-ack path is as
-// durable on a sharded cluster as single acks: AckMulti's per-tag log
-// entries ship to the follower, so a promoted follower does not
+// durable on a sharded cluster as single acks: the cursor state the
+// batch settled ships to the follower, so a promoted follower does not
 // redeliver the batch-acked messages.
 func TestAckMultiSurvivesFailover(t *testing.T) {
 	c := New(Config{Shards: 2, Coord: coord.New(), ShipInterval: time.Millisecond})
@@ -281,12 +271,7 @@ func TestAckMultiSurvivesFailover(t *testing.T) {
 	if err := q.AckMulti(tags); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "follower catch-up", func() bool {
-		s := c.shards[0]
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.cursor == s.primary.LogSeq()
-	})
+	waitFor(t, "follower catch-up", func() bool { return c.CaughtUp(0) })
 
 	c.CrashShard(0)
 	waitFor(t, "failover", func() bool { return c.Failovers() == 1 && !c.ShardDown(0) })
@@ -308,5 +293,50 @@ func TestAckMultiSurvivesFailover(t *testing.T) {
 	}
 	if q2.Len() != 0 || q2.Unacked() != 0 {
 		t.Fatalf("Len=%d Unacked=%d after drain", q2.Len(), q2.Unacked())
+	}
+}
+
+// TestRoutesFollowBindings: the exchange -> shards table a publish reads
+// is rebuilt when a binding comes or goes, lists each shard once however
+// many of its queues are bound, and costs a publish no allocation.
+func TestRoutesFollowBindings(t *testing.T) {
+	c := New(Config{Shards: 4, Coord: coord.New()})
+	defer c.Close()
+	shards := func() []int {
+		var idx []int
+		for _, s := range c.route("ex") {
+			idx = append(idx, s.idx)
+		}
+		return idx
+	}
+	a, b, other := pickQueue(c, 2, "a"), pickQueue(c, 2, "b"), pickQueue(c, 0, "c")
+	for _, name := range []string{a, b, other} {
+		if _, err := c.DeclareQueue(name, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Bind(name, "ex"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fmt.Sprint(shards()); got != "[0 2]" {
+		t.Fatalf("route = %s, want [0 2]", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = c.route("ex") }); n != 0 {
+		t.Fatalf("routing a publish allocates %.0f times", n)
+	}
+	c.DeleteQueue(a)
+	if got := fmt.Sprint(shards()); got != "[0 2]" {
+		t.Fatalf("route = %s after deleting one of shard 2's two queues, want [0 2]", got)
+	}
+	c.DeleteQueue(b)
+	if got := fmt.Sprint(shards()); got != "[0]" {
+		t.Fatalf("route = %s after deleting shard 2's last queue, want [0]", got)
+	}
+	if err := c.Publish("ex", []byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	q, _ := c.Queue(other)
+	if d, err := q.Get(); err != nil || string(d.Payload) != "m" {
+		t.Fatalf("delivery after reroute = %q/%v", d.Payload, err)
 	}
 }

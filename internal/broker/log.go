@@ -1,341 +1,213 @@
 package broker
 
-import "sync"
-
-// The queue log is the broker's durability story (§4.4: "RabbitMQ
-// persists messages on disk"): an append-only record of every
-// state-changing queue operation — declarations, bindings, enqueues,
-// deliveries, acks, failures, dead-letterings, decommissions. It is
-// the one structure a Crash() does NOT wipe, and Restart() rebuilds
-// the broker's entire routing and queue state by replaying it: pending
-// messages come back in publish order, delivered-but-unacked messages
-// return to the front of their queue flagged Redelivered, dead-letter
-// parks and failure counts survive, and acked messages stay gone.
-//
-// The log self-compacts: past a threshold of appends it replays itself
-// into a snapshot and rewrites the entries as the minimal set that
-// reproduces that snapshot (acked message payloads are dropped here),
-// so memory is bounded by live state, not by traffic history.
-
-type logOp uint8
-
-const (
-	opDeclare logOp = iota
-	opMaxAttempts
-	opBind
-	opUnbind
-	opDeleteQueue
-	opEnqueue
-	opDeliver
-	opFail
-	opAck
-	opDeadLetter
-	opReplayDL
-	opDecommission
-	opDeadCount  // synthesized at compaction: cumulative dead-letter total
-	opRedeliver  // a delivered-before message was handed out again
-	opQueueStats // synthesized at compaction: cumulative redeliveries + max depth
+import (
+	"sync"
+	"sync/atomic"
 )
 
-type logEntry struct {
-	op       logOp
-	queue    string
+// The message log is the broker's durability story (§4.4: "RabbitMQ
+// persists messages on disk"): ONE append-only log for the whole
+// broker, one record per Publish, payload referenced once however many
+// queues are bound. A queue is a cursor over it (QueueState). The log
+// and the cursor states are the only things a Crash() does not wipe.
+//
+// The log is cut into fixed-size segments, and a segment is dropped as
+// soon as it lies wholly below every live queue's low-water mark —
+// truncation, so memory follows the slowest live queue's backlog, not
+// traffic history. A dead, deleted or idle queue pins nothing.
+
+// segmentSize is the records per segment: the unit of truncation.
+const segmentSize = 256
+
+// Record is one published message as the log holds it.
+type Record struct {
 	exchange string
-	id       uint64
 	payload  []byte
-	n        int   // maxLen (declare) / maxAttempts / fails (snapshot enqueue)
-	n64      int64 // cumulative dead-letter count (opDeadCount)
-	// Snapshot-enqueue flags: state the message had at compaction time.
-	delivered    bool
-	deadLettered bool
 }
 
-// compactEvery bounds appends between snapshot rewrites.
-const compactEvery = 4096
-
-type queueLog struct {
-	mu      sync.Mutex
-	entries []logEntry
-	// compacted is the entry count right after the last snapshot
-	// rewrite. The next compaction waits until the log doubles past it:
-	// a snapshot cannot shrink below the live state, so compacting at a
-	// fixed size would replay the ENTIRE log on every append once the
-	// live backlog alone exceeds the threshold — quadratic in backlog.
-	// Doubling keeps the amortized cost per append O(1) at any depth.
-	compacted int
-	// seq counts entries ever appended (monotonic across compactions) —
-	// the replication cursor space. snapBase is the seq value at the
-	// last compaction: the entry appended at seq s >= snapBase lives at
-	// index compacted + (s - snapBase); history below snapBase has been
-	// rewritten into the snapshot prefix and can only be shipped whole.
-	seq      uint64
-	snapBase uint64
+type msgLog struct {
+	mu   sync.Mutex
+	head uint64        // first retained seq; always a multiple of segmentSize
+	tail atomic.Uint64 // next seq to assign; written under mu
+	segs []*[segmentSize]Record
 }
 
-func newQueueLog() *queueLog { return &queueLog{} }
-
-// append records one entry, compacting first if the log has grown past
-// the threshold. Callers hold the owning queue's (or broker's) lock,
-// which serializes the per-queue entry order; the log's own lock only
-// protects the slice.
-func (l *queueLog) append(e logEntry) {
-	l.mu.Lock()
-	if n := len(l.entries); n >= compactEvery && n >= 2*l.compacted {
-		l.compactLocked()
-		l.compacted = len(l.entries)
-		l.snapBase = l.seq
+// newLog returns a log holding recs at seqs head, head+1, ...
+func newLog(head uint64, recs []Record) *msgLog {
+	l := &msgLog{head: head}
+	l.tail.Store(head)
+	for _, r := range recs {
+		l.append(r.exchange, r.payload)
 	}
-	l.entries = append(l.entries, e)
-	l.seq++
-	l.mu.Unlock()
+	return l
 }
 
-// shipSince returns copies of the entries appended at or after cursor
-// `since` plus the next cursor. ok is false when compaction has
-// rewritten history past `since`: the follower's incremental basis is
-// gone and it must restart from snapshot().
-func (l *queueLog) shipSince(since uint64) (recs []logEntry, next uint64, ok bool) {
+func (l *msgLog) append(exchange string, payload []byte) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if since < l.snapBase || since > l.seq {
-		return nil, l.seq, false
+	seq := l.tail.Load()
+	if int(seq-l.head)/segmentSize == len(l.segs) {
+		l.segs = append(l.segs, new([segmentSize]Record))
 	}
-	idx := l.compacted + int(since-l.snapBase)
-	if idx < len(l.entries) {
-		recs = append(recs, l.entries[idx:]...)
-	}
-	return recs, l.seq, true
+	*l.at(seq) = Record{exchange: exchange, payload: payload}
+	l.tail.Store(seq + 1)
+	return seq
 }
 
-// snapshot returns a copy of the full current log — the compacted
-// prefix plus the live tail — and the cursor to continue shipping from.
-// This is the DBLog-style join: the snapshot is the already-maintained
-// compacted state, captured under a brief lock without ever pausing
-// appends, and the follower interleaves it with the live tail it ships
-// afterwards.
-func (l *queueLog) snapshot() (recs []logEntry, next uint64) {
+// at returns the record at seq; the caller holds l.mu. A seq below the
+// head indexes out of range: reading a truncated record is a bug in the
+// truncation rule, never a recoverable state.
+func (l *msgLog) at(seq uint64) *Record {
+	return &l.segs[(seq-l.head)/segmentSize][seq%segmentSize]
+}
+
+// get copies the record at seq out of the log.
+func (l *msgLog) get(seq uint64) Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	recs = append(recs, l.entries...)
-	return recs, l.seq
+	return *l.at(seq)
 }
 
-// size reports the current entry count (tests).
-func (l *queueLog) size() int {
+// truncate drops every segment wholly below seq and reports whether
+// any was dropped.
+func (l *msgLog) truncate(below uint64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.entries)
+	if below <= l.head {
+		return false
+	}
+	n := int(below-l.head) / segmentSize
+	if n == 0 {
+		return false
+	}
+	// Copy down rather than reslice: a resliced prefix would keep the
+	// dropped segments reachable through the backing array.
+	kept := copy(l.segs, l.segs[n:])
+	clear(l.segs[kept:])
+	l.segs = l.segs[:kept]
+	l.head += uint64(n) * segmentSize
+	return true
 }
 
-// replayMsg is one live message reconstructed from the log.
-type replayMsg struct {
-	id           uint64
-	payload      []byte
-	exchange     string
-	delivered    bool // handed to a consumer at least once (→ Redelivered)
-	fails        int
-	deadLettered bool
+// since copies out the records from max(seq, head) to the tail.
+func (l *msgLog) since(seq uint64) (recs []Record, head, tail uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	tail = l.tail.Load()
+	for s := max(seq, l.head); s < tail; s++ {
+		recs = append(recs, *l.at(s))
+	}
+	return recs, l.head, tail
 }
 
-// replayQueue is one queue's reconstructed state.
-type replayQueue struct {
+// segments reports the retained segment count.
+func (l *msgLog) segments() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.segs)
+}
+
+// flight is one unsettled message of a queue: handed out at least once
+// and not yet acked, dropped or replayed out of the set-aside list.
+type flight struct {
+	seq   uint64
+	fails int
+	// rec is a private copy, made when the message is parked: a parked
+	// poison message pins no segment, so its log record may be gone.
+	rec *Record
+}
+
+// binding is one exchange a queue consumes, from the log position the
+// Bind happened at.
+type binding struct {
+	exchange string
+	from     uint64
+}
+
+// QueueState is the durable half of a Queue — its cursor over the log.
+// It is exactly what survives Crash() and what a follower holds:
+// Restart and FromReplica build a live queue from it directly. Every
+// record below next that the bindings select is either settled or in
+// open (delivered ⇔ below the cursor and unsettled); every selected
+// record from next on, minus skip, is pending.
+type QueueState struct {
 	maxLen      int
 	maxAttempts int
-	dead        bool
-	deadCount   int64
-	redelivered int64    // cumulative redeliveries handed out
-	maxDepth    int      // deepest pending+unacked the log describes
-	depth       int      // live (non-parked) messages while folding entries
-	order       []uint64 // enqueue order of live message ids
-	msgs        map[uint64]*replayMsg
+	bound       []binding
+	next        uint64              // first log seq not yet examined
+	pending     int                 // selected, unskipped records in [next, tail)
+	skip        map[uint64]struct{} // seqs >= next lost on their way in (§6.5)
+	open        []flight            // unsettled deliveries, ascending seq
+	setAside    []flight            // dead-letter parks, park order; each holds its copy
+	dead        bool                // decommissioned (§4.4)
+
+	// Cumulative observability counters.
+	deadLettered int64
+	redelivered  int64
+	maxDepthSeen int
+
+	rev uint64 // broker revision of the last change (replication)
 }
 
-// noteDepthDelta adjusts the folding depth and tracks its high water.
-func (q *replayQueue) noteDepthDelta(d int) {
-	q.depth += d
-	if q.depth > q.maxDepth {
-		q.maxDepth = q.depth
+// clone deep-copies the state for shipping; payload bytes stay shared.
+func (s *QueueState) clone() *QueueState {
+	c := *s
+	c.bound = append([]binding(nil), s.bound...)
+	c.open = append([]flight(nil), s.open...)
+	c.setAside = append([]flight(nil), s.setAside...)
+	c.skip = nil
+	for seq := range s.skip {
+		c.lose(seq)
 	}
+	return &c
 }
 
-type replayState struct {
-	queues   map[string]*replayQueue
-	bindings map[string][]string // exchange -> queue names, bind order
+// wants reports whether the record at seq is this queue's to deliver,
+// consuming its skip mark if it has one.
+func (s *QueueState) wants(seq uint64, r *Record) bool {
+	for _, b := range s.bound {
+		if b.exchange == r.exchange && seq >= b.from {
+			if _, lost := s.skip[seq]; lost {
+				delete(s.skip, seq)
+				return false
+			}
+			return true
+		}
+	}
+	return false
 }
 
-// replay folds the log into the state it describes.
-func (l *queueLog) replay() *replayState {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.replayLocked()
+func (s *QueueState) lose(seq uint64) {
+	if s.skip == nil {
+		s.skip = make(map[uint64]struct{})
+	}
+	s.skip[seq] = struct{}{}
 }
 
-func (l *queueLog) replayLocked() *replayState {
-	st := &replayState{
-		queues:   make(map[string]*replayQueue),
-		bindings: make(map[string][]string),
-	}
-	for i := range l.entries {
-		e := &l.entries[i]
-		switch e.op {
-		case opDeclare:
-			if _, ok := st.queues[e.queue]; !ok {
-				st.queues[e.queue] = &replayQueue{maxLen: e.n, msgs: make(map[uint64]*replayMsg)}
-			}
-		case opMaxAttempts:
-			if q := st.queues[e.queue]; q != nil {
-				q.maxAttempts = e.n
-			}
-		case opBind:
-			bound := false
-			for _, qn := range st.bindings[e.exchange] {
-				if qn == e.queue {
-					bound = true
-					break
-				}
-			}
-			if !bound {
-				st.bindings[e.exchange] = append(st.bindings[e.exchange], e.queue)
-			}
-		case opUnbind:
-			qs := st.bindings[e.exchange]
-			for j, qn := range qs {
-				if qn == e.queue {
-					st.bindings[e.exchange] = append(qs[:j], qs[j+1:]...)
-					break
-				}
-			}
-		case opDeleteQueue:
-			delete(st.queues, e.queue)
-			for ex, qs := range st.bindings {
-				for j, qn := range qs {
-					if qn == e.queue {
-						st.bindings[ex] = append(qs[:j], qs[j+1:]...)
-						break
-					}
-				}
-			}
-		case opEnqueue:
-			q := st.queues[e.queue]
-			if q == nil || q.dead {
-				break
-			}
-			m := &replayMsg{
-				id: e.id, payload: e.payload, exchange: e.exchange,
-				delivered: e.delivered, fails: e.n, deadLettered: e.deadLettered,
-			}
-			q.msgs[e.id] = m
-			q.order = append(q.order, e.id)
-			if !e.deadLettered {
-				q.noteDepthDelta(1)
-			}
-		case opDeliver:
-			if q := st.queues[e.queue]; q != nil {
-				if m := q.msgs[e.id]; m != nil {
-					m.delivered = true
-				}
-			}
-		case opRedeliver:
-			if q := st.queues[e.queue]; q != nil {
-				q.redelivered++
-			}
-		case opFail:
-			if q := st.queues[e.queue]; q != nil {
-				if m := q.msgs[e.id]; m != nil {
-					m.fails++
-				}
-			}
-		case opAck:
-			if q := st.queues[e.queue]; q != nil {
-				if m := q.msgs[e.id]; m != nil && !m.deadLettered {
-					q.noteDepthDelta(-1)
-				}
-				delete(q.msgs, e.id)
-			}
-		case opDeadLetter:
-			if q := st.queues[e.queue]; q != nil {
-				q.deadCount++
-				if m := q.msgs[e.id]; m != nil && !m.deadLettered {
-					m.deadLettered = true
-					q.noteDepthDelta(-1)
-				}
-			}
-		case opReplayDL:
-			if q := st.queues[e.queue]; q != nil {
-				for _, m := range q.msgs {
-					if m.deadLettered {
-						m.deadLettered = false
-						m.fails = 0
-						q.noteDepthDelta(1)
-					}
-				}
-			}
-		case opDecommission:
-			if q := st.queues[e.queue]; q != nil {
-				q.dead = true
-				q.msgs = make(map[uint64]*replayMsg)
-				q.order = nil
-				q.depth = 0
-			}
-		case opDeadCount:
-			if q := st.queues[e.queue]; q != nil {
-				q.deadCount = e.n64
-			}
-		case opQueueStats:
-			if q := st.queues[e.queue]; q != nil {
-				q.redelivered = e.n64
-				if e.n > q.maxDepth {
-					q.maxDepth = e.n
-				}
-			}
+// low is the queue's low-water mark, given the log tail: the lowest
+// seq it may still read from the log. Parked copies read nothing, and
+// neither does a cursor with nothing pending ahead of it.
+func (s *QueueState) low(tail uint64) uint64 {
+	for i := range s.open {
+		if s.open[i].rec == nil {
+			return s.open[i].seq
 		}
 	}
-	// Drop ids whose message was acked so live() iteration is direct.
-	for _, q := range st.queues {
-		live := q.order[:0]
-		for _, id := range q.order {
-			if _, ok := q.msgs[id]; ok {
-				live = append(live, id)
-			}
-		}
-		q.order = live
+	if s.pending == 0 {
+		return tail
 	}
-	return st
+	return s.next
 }
 
-// compactLocked rewrites the log as the minimal entry set reproducing
-// the current replayed state.
-func (l *queueLog) compactLocked() {
-	st := l.replayLocked()
-	out := make([]logEntry, 0, len(st.queues)*2)
-	for name, q := range st.queues {
-		out = append(out, logEntry{op: opDeclare, queue: name, n: q.maxLen})
-		if q.maxAttempts > 0 {
-			out = append(out, logEntry{op: opMaxAttempts, queue: name, n: q.maxAttempts})
-		}
-		if q.deadCount > 0 {
-			out = append(out, logEntry{op: opDeadCount, queue: name, n64: q.deadCount})
-		}
-		if q.redelivered > 0 || q.maxDepth > 0 {
-			out = append(out, logEntry{op: opQueueStats, queue: name, n64: q.redelivered, n: q.maxDepth})
-		}
-		if q.dead {
-			out = append(out, logEntry{op: opDecommission, queue: name})
-			continue
-		}
-		for _, id := range q.order {
-			m := q.msgs[id]
-			out = append(out, logEntry{
-				op: opEnqueue, queue: name, id: m.id,
-				payload: m.payload, exchange: m.exchange,
-				n: m.fails, delivered: m.delivered, deadLettered: m.deadLettered,
-			})
+// find returns the index in open of the flight with the given seq.
+func (s *QueueState) find(seq uint64) int {
+	lo, hi := 0, len(s.open)
+	for lo < hi {
+		if mid := (lo + hi) / 2; s.open[mid].seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	for ex, qs := range st.bindings {
-		for _, qn := range qs {
-			out = append(out, logEntry{op: opBind, queue: qn, exchange: ex})
-		}
-	}
-	l.entries = out
+	return lo
 }

@@ -5,9 +5,34 @@ import (
 	"testing"
 )
 
-// TestStatsSurviveRestart (satellite fix): Redelivered and MaxDepthSeen
-// are cumulative observability counters; like the dead-letter total
-// they must ride the log through crash/restart instead of silently
+// churn publishes and acks enough traffic through q to roll the log
+// over several segments, and checks that truncation followed.
+func churn(t *testing.T, b *Broker, q *Queue, exchange string) {
+	t.Helper()
+	checkTruncation(t, b)
+	for i := 0; i < 4*segmentSize; i++ {
+		_ = b.Publish(exchange, []byte("churn"))
+		d, _ := q.Get()
+		_ = q.Ack(d.Tag)
+	}
+	if n := b.LogSegments(); n > 1 {
+		t.Fatalf("log never truncated: %d segments", n)
+	}
+}
+
+// promoted returns the broker a caught-up follower of b would become.
+func promoted(t *testing.T, b *Broker) *Broker {
+	t.Helper()
+	ship, ok := b.ShipLog(Cursor{})
+	if !ok {
+		t.Fatal("ShipLog refused the zero cursor")
+	}
+	return FromReplica(ship)
+}
+
+// TestStatsSurviveRestart: Redelivered and MaxDepthSeen are cumulative
+// observability counters; like the dead-letter total they are part of
+// the cursor state and must survive crash/restart instead of silently
 // resetting under the bench gate.
 func TestStatsSurviveRestart(t *testing.T) {
 	b := New()
@@ -43,27 +68,20 @@ func TestStatsSurviveRestart(t *testing.T) {
 }
 
 // TestStatsSurviveCompactionAndRestart: the counters must also survive
-// the log rewriting itself — compaction folds them into opQueueStats
-// lines the same way it preserves opDeadCount.
+// the log being truncated under them — they live in the cursor state,
+// not in the records that went away.
 func TestStatsSurviveCompactionAndRestart(t *testing.T) {
 	b := New()
 	q, _ := b.DeclareQueue("q", 0)
 	_ = b.Bind("q", "ex")
-	// One early redelivery, then enough acked churn to compact the log
+	// One early redelivery, then enough acked churn to truncate the log
 	// several times over.
 	_ = b.Publish("ex", []byte("early"))
 	d, _ := q.Get()
 	_ = q.Nack(d.Tag, true)
 	d, _ = q.Get()
 	_ = q.Ack(d.Tag)
-	for i := 0; i < 2*compactEvery; i++ {
-		_ = b.Publish("ex", []byte("churn"))
-		d, _ := q.Get()
-		_ = q.Ack(d.Tag)
-	}
-	if b.LogSize() > compactEvery+8 {
-		t.Fatalf("log never compacted: %d entries", b.LogSize())
-	}
+	churn(t, b, q, "ex")
 	wantRedeliv, wantDepth := q.Redelivered(), q.MaxDepthSeen()
 	if wantRedeliv < 1 {
 		t.Fatalf("pre-crash Redelivered = %d, want >= 1", wantRedeliv)
@@ -73,28 +91,26 @@ func TestStatsSurviveCompactionAndRestart(t *testing.T) {
 	b.Restart()
 	q, _ = b.Queue("q")
 	if got := q.Redelivered(); got != wantRedeliv {
-		t.Fatalf("Redelivered after compacted restart = %d, want %d", got, wantRedeliv)
+		t.Fatalf("Redelivered after truncated restart = %d, want %d", got, wantRedeliv)
 	}
 	if got := q.MaxDepthSeen(); got != wantDepth {
-		t.Fatalf("MaxDepthSeen after compacted restart = %d, want %d", got, wantDepth)
+		t.Fatalf("MaxDepthSeen after truncated restart = %d, want %d", got, wantDepth)
 	}
 	// And the counters replicate: a promoted follower reports them too.
-	r := FromReplica(func() []ReplRecord { recs, _ := b.SnapshotLog(); return recs }())
-	rq, _ := r.Queue("q")
+	rq, _ := promoted(t, b).Queue("q")
 	if got := rq.Redelivered(); got != wantRedeliv {
 		t.Fatalf("replica Redelivered = %d, want %d", got, wantRedeliv)
 	}
 }
 
-// TestCompactionInterleavedWithDecommission (satellite): the op
-// sequence the cluster log-shipper replicates mid-compaction — a queue
-// decommissions, the log compacts around it, and the tombstone must
-// survive both the rewrite and a restart.
+// TestCompactionInterleavedWithDecommission: a queue decommissions,
+// the log is truncated past everything it ever held, and the tombstone
+// must survive the truncation, a restart and a failover.
 func TestCompactionInterleavedWithDecommission(t *testing.T) {
 	b := New()
 	q, _ := b.DeclareQueue("victim", 4)
 	_ = b.Bind("victim", "vex")
-	churn, _ := b.DeclareQueue("churn", 0)
+	other, _ := b.DeclareQueue("churn", 0)
 	_ = b.Bind("churn", "cex")
 
 	// Overflow the victim: maxLen 4 means the 5th pending message kills it.
@@ -104,15 +120,8 @@ func TestCompactionInterleavedWithDecommission(t *testing.T) {
 	if !q.Dead() {
 		t.Fatal("victim not decommissioned at overflow")
 	}
-	// Compact with the tombstone in the log.
-	for i := 0; i < 2*compactEvery; i++ {
-		_ = b.Publish("cex", []byte("c"))
-		d, _ := churn.Get()
-		_ = churn.Ack(d.Tag)
-	}
-	if b.LogSize() > compactEvery+8 {
-		t.Fatalf("log never compacted: %d entries", b.LogSize())
-	}
+	// Truncate past the dead queue's records: it pins none of them.
+	churn(t, b, other, "cex")
 	b.Crash()
 	b.Restart()
 	q, ok := b.Queue("victim")
@@ -120,11 +129,10 @@ func TestCompactionInterleavedWithDecommission(t *testing.T) {
 		t.Fatal("decommissioned queue vanished from restart (must survive as tombstone)")
 	}
 	if !q.Dead() {
-		t.Fatal("decommission lost across compaction + restart")
+		t.Fatal("decommission lost across truncation + restart")
 	}
 	// The shipped form carries the tombstone too.
-	recs, _ := b.SnapshotLog()
-	rq, ok := FromReplica(recs).Queue("victim")
+	rq, ok := promoted(t, b).Queue("victim")
 	if !ok || !rq.Dead() {
 		t.Fatal("decommission lost across replication")
 	}
@@ -136,9 +144,10 @@ func TestCompactionInterleavedWithDecommission(t *testing.T) {
 	}
 }
 
-// TestCompactionInterleavedWithDeadLetterReplay (satellite): parked
-// messages and their replay must survive compactions landing between
-// the park, the replay, and the restart.
+// TestCompactionInterleavedWithDeadLetterReplay: parked messages and
+// their replay must survive truncations landing between the park, the
+// replay, and the restart — a park holds its own copy, so the log is
+// free to drop the record under it.
 func TestCompactionInterleavedWithDeadLetterReplay(t *testing.T) {
 	b := New()
 	q, _ := b.DeclareQueue("q", 0)
@@ -157,11 +166,10 @@ func TestCompactionInterleavedWithDeadLetterReplay(t *testing.T) {
 	if q.DeadLetterCount() != 1 {
 		t.Fatalf("dead letters = %d, want 1", q.DeadLetterCount())
 	}
-	// Compact with the park in place.
-	for i := 0; i < 2*compactEvery; i++ {
-		_ = b.Publish("ex", []byte("c"))
-		d, _ := q.Get()
-		_ = q.Ack(d.Tag)
+	// Truncate with the park in place: its record goes, its copy stays.
+	churn(t, b, q, "ex")
+	if dls := q.DeadLetters(); len(dls) != 1 || string(dls[0].Payload) != "poison" {
+		t.Fatalf("park lost its copy: %+v", dls)
 	}
 	b.Crash()
 	b.Restart()
@@ -169,21 +177,17 @@ func TestCompactionInterleavedWithDeadLetterReplay(t *testing.T) {
 	if q.DeadLetterCount() != 1 || q.DeadLettered() != 1 {
 		t.Fatalf("park lost: count=%d total=%d", q.DeadLetterCount(), q.DeadLettered())
 	}
-	// Replay, then compact again: the replayed message is live with a
+	// Replay, then truncate again: the replayed message is live with a
 	// reset failure budget, and the cumulative total still reads 1.
 	if n := q.ReplayDeadLetters(); n != 1 {
 		t.Fatalf("ReplayDeadLetters = %d, want 1", n)
 	}
-	for i := 0; i < 2*compactEvery; i++ {
-		_ = b.Publish("ex", []byte("c"))
-		d, _ := q.Get()
-		if string(d.Payload) == "poison" {
-			// Interleaved replay delivery: process it this time.
-			_ = q.Ack(d.Tag)
-			continue
-		}
-		_ = q.Ack(d.Tag)
+	if d, _ := q.Get(); string(d.Payload) != "poison" || d.Attempts != 0 {
+		t.Fatalf("replayed delivery = %q attempts=%d", d.Payload, d.Attempts)
+	} else {
+		_ = q.Ack(d.Tag) // process it this time
 	}
+	churn(t, b, q, "ex")
 	b.Crash()
 	b.Restart()
 	q, _ = b.Queue("q")

@@ -1,125 +1,106 @@
 package broker
 
 // Log shipping: the primitives a broker cluster uses to keep a warm
-// follower per shard. The primary's queue log is already the complete
-// durable state (Restart rebuilds everything from it), so replication
-// is just shipping that log: the follower pulls batches of records
-// after its cursor, and on promotion constructs a live broker from
-// them exactly the way Restart would — pending messages in publish
-// order, delivered-but-unacked messages re-flagged Redelivered, dead-
-// letter parks and cumulative counters intact.
+// follower per shard. The log plus the queues' cursor states are already
+// the complete durable state (Restart rebuilds everything from them), so
+// replication ships exactly that pair, and promotion constructs a live
+// broker from it the way Restart would.
 //
-// Catch-up follows the DBLog watermark pattern (PAPERS.md): a joining
-// or lagging follower takes SnapshotLog — the already-maintained
-// compacted state plus live tail, captured under a brief lock without
-// pausing the primary — and continues shipping the live log from the
-// returned cursor. ShipLog reports ok=false when compaction has
-// rewritten history past the follower's cursor, which is the signal to
-// restart from snapshot.
+// Catch-up follows the DBLog watermark pattern (PAPERS.md): consumers
+// are positions over one ordered log. A pull never pauses the primary
+// for longer than a copy under its lock, and it cannot fail for falling
+// behind: the primary ships from max(cursor, head), and whatever it
+// truncated is by construction below every cursor state it ships.
 
-// ReplRecord is one queue-log record in shippable (exported) form.
-type ReplRecord struct {
-	Op           uint8
-	Queue        string
-	Exchange     string
-	ID           uint64
-	Payload      []byte
-	N            int
-	N64          int64
-	Delivered    bool
-	DeadLettered bool
+// Cursor is a follower's position in its primary: the next log record
+// it needs, and the newest cursor-state revision it has seen.
+type Cursor struct{ Seq, Rev uint64 }
+
+// Replica is a copy of a broker's durable state: the retained log and
+// the queues' cursor states. ShipLog returns one — complete when pulled
+// from the zero Cursor, otherwise just what changed since — and Merge
+// folds a later pull into the follower's copy.
+type Replica struct {
+	head   uint64 // the primary's log head; recs end at Next.Seq
+	recs   []Record
+	queues map[string]*QueueState // the states that changed
+	live   []string               // every declared queue; the rest are deleted
+	// Next is the cursor to pull from next time.
+	Next Cursor
 }
 
-func toRecords(entries []logEntry) []ReplRecord {
-	recs := make([]ReplRecord, len(entries))
-	for i, e := range entries {
-		recs[i] = ReplRecord{
-			Op: uint8(e.op), Queue: e.queue, Exchange: e.exchange,
-			ID: e.id, Payload: e.payload, N: e.n, N64: e.n64,
-			Delivered: e.delivered, DeadLettered: e.deadLettered,
+// LogSeq reports the records ever appended to the log: one per Publish
+// that reached a queue, however many queues, deliveries and acks.
+func (b *Broker) LogSeq() uint64 { return b.LogCursor().Seq }
+
+// LogCursor reports the position of a follower that has everything.
+func (b *Broker) LogCursor() Cursor {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return Cursor{Seq: b.log.tail.Load(), Rev: b.rev.Load()}
+}
+
+// ShipLog returns the log records from max(since.Seq, head) on plus the
+// cursor state of every queue that changed after since.Rev — one
+// consistent cut, taken under the broker lock. ok is false only for a
+// cursor the log has not reached or a crashed broker, which ships
+// nothing (the caller sees the crash via Down and drives failover).
+func (b *Broker) ShipLog(since Cursor) (r Replica, ok bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.down || since.Seq > b.log.tail.Load() {
+		return Replica{Next: since}, false
+	}
+	// Read the revision first: a queue changing under the copy below is
+	// shipped again next time rather than missed.
+	r.Next.Rev = b.rev.Load()
+	r.queues = make(map[string]*QueueState)
+	for name, q := range b.queues {
+		r.live = append(r.live, name)
+		q.mu.Lock()
+		if q.st.rev > since.Rev {
+			r.queues[name] = q.st.clone()
+		}
+		q.mu.Unlock()
+	}
+	r.recs, r.head, r.Next.Seq = b.log.since(since.Seq)
+	return r, true
+}
+
+// Merge folds a later pull d, taken from r.Next, into r: the buffer is
+// trimmed to the primary's head, so a follower holds what the primary
+// holds and nothing older.
+func (r *Replica) Merge(d Replica) {
+	if drop := min(int(d.head-r.head), len(r.recs)); drop > 0 {
+		kept := copy(r.recs, r.recs[drop:])
+		clear(r.recs[kept:]) // let the dropped payloads go
+		r.recs = r.recs[:kept]
+	}
+	r.head = d.head
+	r.recs = append(r.recs, d.recs...)
+	live := make(map[string]*QueueState, len(d.live))
+	for _, name := range d.live {
+		if st, ok := d.queues[name]; ok {
+			live[name] = st
+		} else {
+			live[name] = r.queues[name]
 		}
 	}
-	return recs
+	r.queues, r.live, r.Next = live, d.live, d.Next
 }
 
-func fromRecords(recs []ReplRecord) []logEntry {
-	entries := make([]logEntry, len(recs))
-	for i, r := range recs {
-		entries[i] = logEntry{
-			op: logOp(r.Op), queue: r.Queue, exchange: r.Exchange,
-			id: r.ID, payload: r.Payload, n: r.N, n64: r.N64,
-			delivered: r.Delivered, deadLettered: r.DeadLettered,
-		}
-	}
-	return entries
-}
-
-// LogSeq reports the log's current append cursor — the total records
-// ever appended, monotonic across compactions.
-func (b *Broker) LogSeq() uint64 {
-	b.log.mu.Lock()
-	defer b.log.mu.Unlock()
-	return b.log.seq
-}
-
-// ShipLog returns the records appended at or after cursor since, plus
-// the cursor to resume from. ok=false means compaction has rewritten
-// history past since and the follower must restart from SnapshotLog.
-// A crashed broker ships nothing (the caller sees the crash via Down
-// and drives failover instead).
-func (b *Broker) ShipLog(since uint64) (recs []ReplRecord, next uint64, ok bool) {
-	if b.Down() {
-		return nil, since, false
-	}
-	entries, next, ok := b.log.shipSince(since)
-	if !ok {
-		return nil, next, false
-	}
-	return toRecords(entries), next, true
-}
-
-// SnapshotLog returns the full current log — compacted prefix plus
-// live tail — and the cursor to continue shipping from. The capture is
-// a brief lock, never a pause: appends proceed the moment it returns.
-func (b *Broker) SnapshotLog() (recs []ReplRecord, next uint64) {
-	entries, next := b.log.snapshot()
-	return toRecords(entries), next
-}
-
-// FromReplica constructs a live broker from shipped log records: the
-// promotion step. The new broker replays the records exactly like
-// Restart — delivered-but-unacked messages come back at the front of
+// FromReplica constructs a live broker from a replica, consuming it:
+// the promotion step. It is a Restart over the shipped log and cursor
+// states — delivered-but-unsettled messages come back at the front of
 // their queues flagged Redelivered (their acks, if any, died with the
-// old primary) — and is immediately serving. Its own log restarts a
-// fresh cursor space seeded with the records, so the new primary can
-// be shipped from in turn.
-func FromReplica(recs []ReplRecord) *Broker {
+// old primary) — and the new broker is immediately serving, its log
+// continuing the shipped one's seq space so it can be shipped from in
+// turn.
+func FromReplica(r Replica) *Broker {
 	b := New()
-	entries := fromRecords(recs)
-	b.log.entries = append(b.log.entries, entries...)
-	b.log.seq = uint64(len(entries))
-	// Message-id allocation must clear every id the records mention, or
-	// fresh publishes on the promoted broker would collide with
-	// replicated messages in the queue log.
-	for i := range entries {
-		if entries[i].id > b.seq {
-			b.seq = entries[i].id
-		}
-	}
+	b.log = newLog(r.head, r.recs)
+	b.disk = r.queues
 	b.down = true
 	b.Restart()
 	return b
-}
-
-// CompactReplica rewrites shipped records as the minimal set that
-// reproduces their replayed state — the follower-side compaction. A
-// follower applies it periodically so its buffered log is bounded by
-// the primary's live state, not by traffic history. The result is only
-// for buffering and eventual FromReplica: record positions change, so
-// it must never be mixed with a ship cursor taken before the call.
-func CompactReplica(recs []ReplRecord) []ReplRecord {
-	l := newQueueLog()
-	l.entries = fromRecords(recs)
-	l.compactLocked()
-	return toRecords(l.entries)
 }

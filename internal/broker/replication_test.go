@@ -33,11 +33,11 @@ func TestReplicationRoundTrip(t *testing.T) {
 		t.Fatalf("NackError = (%v, %v), want parked", dead, err)
 	}
 
-	recs, next := b.SnapshotLog()
-	if next != b.LogSeq() {
-		t.Fatalf("snapshot cursor %d != LogSeq %d", next, b.LogSeq())
+	ship, ok := b.ShipLog(Cursor{})
+	if !ok || ship.Next != b.LogCursor() {
+		t.Fatalf("full ship: ok=%v cursor %v != LogCursor %v", ok, ship.Next, b.LogCursor())
 	}
-	r := FromReplica(recs)
+	r := FromReplica(ship)
 	rq, ok := r.Queue("q")
 	if !ok {
 		t.Fatal("replica lost the queue")
@@ -74,94 +74,96 @@ func TestReplicationRoundTrip(t *testing.T) {
 }
 
 // TestShipLogIncrementalAndSnapshotFallback walks the follower
-// protocol: snapshot once, tail the live log by cursor, and when
-// compaction invalidates the cursor, fall back to a fresh snapshot.
+// protocol: pull everything once, tail the log and the changed cursor
+// states by cursor, and — there being no history to rewrite — a
+// follower that fell behind the head is served from the head, which is
+// all a fresh full pull would hold.
 func TestShipLogIncrementalAndSnapshotFallback(t *testing.T) {
 	b := New()
 	q, _ := b.DeclareQueue("q", 0)
 	_ = b.Bind("q", "ex")
+	idle, _ := b.DeclareQueue("idle", 0)
+	_ = idle
 
-	// Follower joins: snapshot plus cursor.
-	buf, cursor := b.SnapshotLog()
+	// Follower joins: a full pull.
+	var f Replica
+	pull := func() Replica {
+		t.Helper()
+		d, ok := b.ShipLog(f.Next)
+		if !ok {
+			t.Fatalf("ShipLog(%v) refused", f.Next)
+		}
+		f.Merge(d)
+		return d
+	}
+	if d := pull(); len(d.queues) != 2 {
+		t.Fatalf("full pull shipped %d queue states, want 2", len(d.queues))
+	}
 
 	for i := 0; i < 5; i++ {
 		_ = b.Publish("ex", []byte(fmt.Sprintf("live%d", i)))
 	}
-	recs, next, ok := b.ShipLog(cursor)
-	if !ok || len(recs) != 5 {
-		t.Fatalf("ShipLog = %d recs, ok=%v, want 5 live entries", len(recs), ok)
+	if d := pull(); len(d.recs) != 5 || len(d.queues) != 1 || d.queues["q"] == nil {
+		t.Fatalf("incremental pull = %d records, %d states; want the 5 live records and q's state", len(d.recs), len(d.queues))
 	}
-	buf, cursor = append(buf, recs...), next
-
-	// Shipping from an up-to-date cursor is an empty, valid batch.
-	if recs, _, ok := b.ShipLog(cursor); !ok || len(recs) != 0 {
-		t.Fatalf("up-to-date ship = %d recs, ok=%v", len(recs), ok)
+	// Pulling from an up-to-date cursor is an empty, valid batch.
+	if d := pull(); len(d.recs) != 0 || len(d.queues) != 0 {
+		t.Fatalf("up-to-date pull = %d records, %d states", len(d.recs), len(d.queues))
 	}
 	// A cursor from the future is rejected, not silently served.
-	if _, _, ok := b.ShipLog(cursor + 1); ok {
+	if _, ok := b.ShipLog(Cursor{Seq: f.Next.Seq + 1}); ok {
 		t.Fatal("ShipLog accepted a cursor past the log end")
 	}
+	// A delivery and an ack append nothing, and still reach the follower.
+	d0, _ := q.Get()
+	if d := pull(); len(d.recs) != 0 || len(d.queues["q"].open) != 1 {
+		t.Fatalf("delivery not shipped: %d records, state %+v", len(d.recs), d.queues["q"])
+	}
+	_ = q.Ack(d0.Tag)
+	if d := pull(); len(d.recs) != 0 || len(d.queues["q"].open) != 0 {
+		t.Fatalf("ack not shipped: %d records, state %+v", len(d.recs), d.queues["q"])
+	}
 
-	// Churn enough acked traffic to force a compaction, stranding the
-	// follower's cursor below snapBase.
-	for i := 0; i < compactEvery; i++ {
+	// Churn enough acked traffic to truncate the log well past the
+	// follower's cursor.
+	stale := f.Next
+	for i := 0; i < 3*segmentSize; i++ {
 		_ = b.Publish("ex", []byte("churn"))
 		d, _ := q.Get()
 		_ = q.Ack(d.Tag)
 	}
-	if _, _, ok := b.ShipLog(cursor); ok {
-		t.Fatal("ShipLog honored a cursor compaction rewrote away")
+	if b.log.head <= stale.Seq {
+		t.Fatalf("log head %d never passed the follower's cursor %d", b.log.head, stale.Seq)
 	}
-	// DBLog-style refetch: restart from snapshot, then tail as before.
-	buf, cursor = b.SnapshotLog()
+	behind, ok := b.ShipLog(stale)
+	full, _ := b.ShipLog(Cursor{})
+	if !ok || behind.head != full.head || len(behind.recs) != len(full.recs) || behind.Next != full.Next {
+		t.Fatalf("pull from behind the head: ok=%v head=%d records=%d next=%v; a full pull has head=%d records=%d next=%v",
+			ok, behind.head, len(behind.recs), behind.Next, full.head, len(full.recs), full.Next)
+	}
+	f.Merge(behind)
+	if len(f.recs) > segmentSize {
+		t.Fatalf("follower buffers %d records: not trimmed to the primary's head", len(f.recs))
+	}
 	_ = b.Publish("ex", []byte("tail"))
-	recs, cursor, ok = b.ShipLog(cursor)
-	if !ok {
-		t.Fatal("post-snapshot tail ship failed")
-	}
-	buf = append(buf, recs...)
+	pull()
+	b.DeleteQueue("idle")
+	pull()
 
-	// The follower's buffer must now reproduce the primary's live state:
-	// the churn loop kept depth at 5 (each iteration consumed the head
-	// and published one), plus the post-snapshot tail message.
-	r := FromReplica(buf)
+	// The follower's copy must now reproduce the primary's live state:
+	// the churn loop kept depth at 4 (each iteration consumed the head
+	// and published one), plus the tail message; the deleted queue is
+	// gone.
+	r := FromReplica(f)
 	rq, _ := r.Queue("q")
-	if got, want := rq.Len(), q.Len(); got != want || want != 6 {
-		t.Fatalf("replica pending = %d, primary = %d, want 6", got, want)
+	if got, want := rq.Len(), q.Len(); got != want || want != 5 {
+		t.Fatalf("replica pending = %d, primary = %d, want 5", got, want)
 	}
-}
-
-// TestCompactReplicaBoundsBufferAndPreservesState: follower-side
-// compaction must shrink an ack-heavy buffer and still build the same
-// broker.
-func TestCompactReplicaBoundsBufferAndPreservesState(t *testing.T) {
-	b := New()
-	q, _ := b.DeclareQueue("q", 0)
-	_ = b.Bind("q", "ex")
-	for i := 0; i < 500; i++ {
-		_ = b.Publish("ex", []byte("acked"))
-		d, _ := q.Get()
-		_ = q.Ack(d.Tag)
+	if d, err := rq.Get(); err != nil || string(d.Payload) != "churn" || d.Redelivered {
+		t.Fatalf("replica's first delivery = %q redelivered=%v, %v", d.Payload, d.Redelivered, err)
 	}
-	_ = b.Publish("ex", []byte("keep0"))
-	_ = b.Publish("ex", []byte("keep1"))
-
-	recs, _ := b.SnapshotLog()
-	small := CompactReplica(recs)
-	if len(small) >= len(recs)/10 {
-		t.Fatalf("CompactReplica left %d of %d records", len(small), len(recs))
-	}
-	r := FromReplica(small)
-	rq, _ := r.Queue("q")
-	if rq.Len() != 2 {
-		t.Fatalf("compacted replica pending = %d, want 2", rq.Len())
-	}
-	for _, want := range []string{"keep0", "keep1"} {
-		d, err := rq.Get()
-		if err != nil || string(d.Payload) != want {
-			t.Fatalf("compacted replica delivery = %q/%v, want %q", d.Payload, err, want)
-		}
-		_ = rq.Ack(d.Tag)
+	if _, ok := r.Queue("idle"); ok {
+		t.Fatal("deleted queue survived on the follower")
 	}
 }
 
@@ -198,7 +200,7 @@ func TestFencePermanentlyDown(t *testing.T) {
 		t.Fatal("Restart revived a crashed-then-fenced broker")
 	}
 	// ShipLog from a fenced broker fails closed.
-	if _, _, ok := b.ShipLog(0); ok {
+	if _, ok := b.ShipLog(Cursor{}); ok {
 		t.Fatal("fenced broker shipped log records")
 	}
 }

@@ -233,7 +233,7 @@ func RunBootstrap(cfg BootstrapConfig) (BootstrapResult, error) {
 				res.Partitions++
 				time.Sleep(hold())
 				net.Heal(sub.Name(), core.EndpointBroker)
-			case 1: // broker crash + restart (durable queue-log replay)
+			case 1: // broker crash + restart (log and cursor states survive)
 				f.Broker.Crash()
 				res.BrokerBounces++
 				time.Sleep(hold())

@@ -19,13 +19,16 @@
 //     object, every subscriber's database exactly matches the
 //     publisher's — with no Bootstrap call anywhere (queues are
 //     unbounded, so nothing decommissions; recovery is pure message
-//     flow: journal redrains, broker queue-log replay, redelivery, and
+//     flow: journal redrains, broker restart from its log, redelivery, and
 //     generation flushes).
 //   - Zero double-applied updates: object values are globally
 //     monotonic across writes, so any subscriber callback observing a
 //     value regression means a stale delivery was re-applied over a
 //     newer one past the version guard (Result.Regressions counts
 //     these; it must be 0).
+//   - The broker log is truncated, never over-truncated (LogCheck): no
+//     truncation drops a record at or above a live queue's low-water
+//     mark, and once converged a broker retains at most one segment.
 package chaos
 
 import (
@@ -109,12 +112,83 @@ type Result struct {
 	RegressionDetail []string      // one line per regression (debugging)
 
 	// Traffic and healing volume.
-	Net           netsim.Stats
-	Deferred      int64 // publisher sends degraded to journal-and-defer
-	Republished   int64 // journal entries re-sent by the periodic drain
-	Redelivered   int64 // subscriber deliveries redelivered (lost acks, restarts)
-	PendingAcks   int   // parked acks left at the end (0 when converged)
-	BrokerLogSize int   // broker queue-log entries at the end
+	Net         netsim.Stats
+	Deferred    int64 // publisher sends degraded to journal-and-defer
+	Republished int64 // journal entries re-sent by the periodic drain
+	Redelivered int64 // subscriber deliveries redelivered (lost acks, restarts)
+	PendingAcks int   // parked acks left at the end (0 when converged)
+
+	LogCheck
+}
+
+// LogCheck is the broker-log invariant every script asserts.
+type LogCheck struct {
+	// LogViolation describes the first truncation that dropped a record
+	// at or above some live queue's low-water mark ("" = never happened).
+	LogViolation string
+	// LogSegments is the most log segments any broker still retained
+	// once the run had converged; at most 1 when the log follows the
+	// queues down.
+	LogSegments int
+}
+
+// logWatch observes a broker's (or every cluster shard's) truncations.
+type logWatch struct {
+	mu        sync.Mutex
+	violation string
+}
+
+// hook is the broker truncation observer.
+func (w *logWatch) hook(head uint64, lows map[string]uint64) {
+	for name, low := range lows {
+		if low < head {
+			w.mu.Lock()
+			if w.violation == "" {
+				w.violation = fmt.Sprintf("log truncated to %d past queue %s's low-water mark %d", head, name, low)
+			}
+			w.mu.Unlock()
+		}
+	}
+}
+
+// verdict is the LogCheck of a run whose brokers retain the given
+// number of segments.
+func (w *logWatch) verdict(segments int) LogCheck {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return LogCheck{LogViolation: w.violation, LogSegments: segments}
+}
+
+// quiesce gives a run's trailing work until the deadline to finish, and
+// reports the acks still parked then. The databases can match while the
+// last deliveries — redelivered duplicates the version guard discards —
+// are still being acked, and an ack whose call the lossy link dropped
+// sits parked until the next retry tick: neither is a leftover, and a
+// count taken the instant the databases match would flake on them.
+func quiesce(deadline time.Time, segments func() int, apps ...*core.App) int {
+	for {
+		parked := 0
+		for _, a := range apps {
+			parked += a.PendingAcks()
+		}
+		if (parked == 0 && segments() <= 1) || !time.Now().Before(deadline) {
+			return parked
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// logErr is the error a script returns for a broken log invariant, so
+// every caller — tests, soak, bench experiments — asserts it. Retention
+// is only judged on a run that converged.
+func (c LogCheck) logErr(converged bool) error {
+	switch {
+	case c.LogViolation != "":
+		return errors.New(c.LogViolation)
+	case converged && c.LogSegments > 1:
+		return fmt.Errorf("broker log retains %d segments after convergence", c.LogSegments)
+	}
+	return nil
 }
 
 const chaosModel = "User"
@@ -179,6 +253,8 @@ func Run(cfg Config) (Result, error) {
 
 	f := core.NewFabric()
 	f.Net = net
+	var logs logWatch
+	f.Broker.SetTruncateHook(logs.hook)
 
 	rpc := core.Config{
 		Mode:                 core.Causal,
@@ -320,7 +396,7 @@ func Run(cfg Config) (Result, error) {
 			partition(s.Name())
 			time.Sleep(hold())
 			net.Heal(s.Name(), core.EndpointBroker)
-		case 2: // broker crash + restart (durable queue-log replay)
+		case 2: // broker crash + restart (log and cursor states survive)
 			f.Broker.Crash()
 			res.BrokerBounces++
 			time.Sleep(hold())
@@ -389,11 +465,10 @@ func Run(cfg Config) (Result, error) {
 	res.Republished = ps.Republished
 	for _, s := range subs {
 		res.Redelivered += s.Stats().Redelivered
-		res.PendingAcks += s.PendingAcks()
 	}
-	res.PendingAcks += pub.PendingAcks()
-	res.BrokerLogSize = f.Broker.LogSize()
-	return res, nil
+	res.PendingAcks = quiesce(deadline, f.Broker.LogSegments, append(subs[:len(subs):len(subs)], pub)...)
+	res.LogCheck = logs.verdict(f.Broker.LogSegments())
+	return res, res.logErr(res.Converged)
 }
 
 // diverged reports the first divergence between the publisher and the

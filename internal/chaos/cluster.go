@@ -47,7 +47,6 @@ type ClusterResult struct {
 	ShipPartitions  int   // replication-link partitions injected
 	CoordIsolations int   // shard<->coord partitions (forced promotions)
 	Failovers       int64 // follower promotions performed
-	SnapshotFetches int64 // follower catch-ups that refetched a snapshot
 }
 
 // ClusterRun executes one seeded chaos script against a full ecosystem
@@ -85,6 +84,8 @@ func ClusterRun(cfg ClusterConfig) (ClusterResult, error) {
 	})
 	defer cl.Close()
 	f.Bus = cl
+	var logs logWatch
+	cl.SetTruncateHook(logs.hook)
 
 	rpc := core.Config{
 		Mode:                 core.Causal,
@@ -297,11 +298,9 @@ func ClusterRun(cfg ClusterConfig) (ClusterResult, error) {
 	res.Republished = ps.Republished
 	for _, s := range subs {
 		res.Redelivered += s.Stats().Redelivered
-		res.PendingAcks += s.PendingAcks()
 	}
-	res.PendingAcks += pub.PendingAcks()
-	res.BrokerLogSize = cl.LogSize()
+	res.PendingAcks = quiesce(deadline, cl.LogSegments, append(subs[:len(subs):len(subs)], pub)...)
+	res.LogCheck = logs.verdict(cl.LogSegments())
 	res.Failovers = cl.Failovers()
-	res.SnapshotFetches = cl.SnapshotFetches()
-	return res, nil
+	return res, res.logErr(res.Converged)
 }

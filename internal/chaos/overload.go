@@ -131,6 +131,8 @@ type OverloadResult struct {
 	DrainUnacked int // unacked deliveries left after Drain (must be 0)
 	PendingAcks  int // parked acks left at the end (must be 0)
 
+	LogCheck
+
 	Net netsim.Stats
 }
 
@@ -158,6 +160,8 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	})
 	f := core.NewFabric()
 	f.Net = net
+	var logs logWatch
+	f.Broker.SetTruncateHook(logs.hook)
 
 	pub, err := core.NewApp(f, "overload-pub",
 		documentorm.New(docdb.New(docdb.MongoDB)), core.Config{
@@ -349,6 +353,8 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 		res.DrainOK = false
 	}
 	res.DrainUnacked = sub.Queue().Unacked()
+	quiesce(deadline, f.Broker.LogSegments)
+	res.LogCheck = logs.verdict(f.Broker.LogSegments())
 
 	ps := pub.Stats()
 	ss := sub.Stats()
@@ -361,5 +367,5 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	res.Regressions = probe.count()
 	res.PendingAcks = pub.PendingAcks() + sub.PendingAcks()
 	res.Net = net.Stats()
-	return res, nil
+	return res, res.logErr(res.Converged)
 }

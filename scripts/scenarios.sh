@@ -35,6 +35,20 @@ while [ $# -gt 0 ]; do
     esac
 done
 
+# gotest is `go test` for a scenario that selects tests by -run: it
+# also fails when a package matched none, so a pattern that has outlived
+# the tests it named cannot pass silently.
+gotest() {
+    out=$(go test "$@" 2>&1)
+    status=$?
+    printf '%s\n' "$out"
+    [ "$status" -eq 0 ] || return "$status"
+    if printf '%s\n' "$out" | grep -q 'no tests to run'; then
+        echo "scenario selects no tests in some package: go test $*" >&2
+        return 1
+    fi
+}
+
 # Build + vet + gofmt + full race suite with the coverage floor, then
 # the round-trip/reliability bench smokes and the alloc microbenches.
 # This is the "does the repo hold together" scenario.
@@ -43,7 +57,7 @@ scenario_check() {
         go run ./cmd/synapse-bench -exp fig13rt $QUICK &&
         go run ./cmd/synapse-bench -exp reliability $QUICK &&
         go test ./internal/wire/ ./internal/broker/ -run '^$' \
-            -bench 'BenchmarkMarshal|BenchmarkUnmarshal|FrontInsert' \
+            -bench 'BenchmarkMarshal|BenchmarkUnmarshal|NackRequeue|PublishFanout' \
             -benchtime 10x -benchmem
 }
 
@@ -51,7 +65,7 @@ scenario_check() {
 # deaths) and the crash property tests, under the race detector.
 scenario_chaos() {
     go test -race $SHORT ./internal/chaos/ ./internal/netsim/ &&
-        go test -race $SHORT -run 'TestBroker|TestCrash|TestDeadLetter|TestJournal' \
+        gotest -race $SHORT -run 'TestBroker|TestCrash|TestDeadLetter|TestJournal|TestConcurrentPublish' \
             ./internal/broker/ ./internal/core/ &&
         go run ./cmd/synapse-bench -exp chaos $QUICK
 }
@@ -59,8 +73,8 @@ scenario_chaos() {
 # Sustained ~2x overload: degradation ladder, watermark backpressure,
 # stall quarantine, drain/decommission.
 scenario_overload() {
-    go test -race $SHORT -run 'TestOverload' ./internal/chaos/ &&
-        go test -race $SHORT -run 'TestPublish|TestStall|TestDrain|TestDecommission' \
+    gotest -race $SHORT -run 'TestOverload' ./internal/chaos/ &&
+        gotest -race $SHORT -run 'TestPublish|TestStall|TestDrain|TestDecommission' \
             ./internal/core/ &&
         go run ./cmd/synapse-bench -exp overload $QUICK
 }
@@ -69,7 +83,7 @@ scenario_overload() {
 # fabrics, false-dependency accounting.
 scenario_causality() {
     go test -race ./internal/deptrack/ &&
-        go test -race -run 'TestDVV|TestMixedTracker|TestDepTimeout|TestFalseDep|TestTrueDependency|TestCausalitySmoke' \
+        gotest -race -run 'TestDVV|TestMixedTracker|TestDepTimeout|TestFalseDep|TestTrueDependency|TestCausalitySmoke' \
             ./internal/core/ ./internal/bench/ &&
         go run ./cmd/synapse-bench -exp causality $QUICK
 }
@@ -82,14 +96,14 @@ scenario_tail() {
         go run ./cmd/synapse-bench -exp tail $QUICK
 }
 
-# Sharded broker cluster: coord lease elections, log-shipped replica
-# queues, promotion/fencing, and the cluster chaos scripts, then the
-# scaling + failover bench.
+# Sharded broker cluster: coord lease elections, the shipped log and
+# cursor states (and the truncation they follow), promotion/fencing, and
+# the cluster chaos scripts, then the scaling + failover bench.
 scenario_cluster() {
     go test -race $SHORT ./internal/broker/cluster/ ./internal/coord/ &&
-        go test -race $SHORT -run 'TestReplication|TestShipLog|TestCompactReplica|TestFence|TestStats|TestCompactionInterleaved' \
+        gotest -race $SHORT -run 'TestReplication|TestShipLog|TestFence|TestStats|TestCompactionInterleaved|TestQueueLog|TestOneRecordPerPublish|TestSlowConsumer' \
             ./internal/broker/ &&
-        go test -race $SHORT -run 'TestClusterChaos' ./internal/chaos/ &&
+        gotest -race $SHORT -run 'TestClusterChaos' ./internal/chaos/ &&
         go run ./cmd/synapse-bench -exp cluster $QUICK
 }
 
@@ -98,8 +112,8 @@ scenario_cluster() {
 # (crashes mid-walk, partitions, broker bounces), then the join-time /
 # publish-stall / crash-resume bench.
 scenario_bootstrap() {
-    go test -race $SHORT -run 'TestBootstrap|TestRecoverQueue' ./internal/core/ &&
-        go test -race $SHORT -run 'TestBootstrapRace' ./internal/chaos/ &&
+    gotest -race $SHORT -run 'TestBootstrap|TestRecoverQueue' ./internal/core/ &&
+        gotest -race $SHORT -run 'TestBootstrapRace' ./internal/chaos/ &&
         go run ./cmd/synapse-bench -exp bootstrap $QUICK
 }
 
@@ -121,10 +135,10 @@ scenario_benchmark() {
 # tests and the random-ops convergence property run under the race
 # detector — a failing seed is a bug report, never a rerun.
 scenario_liveness() {
-    go test -race -run 'TestPark' ./internal/vstore/ &&
-        go test -race -run 'TestDependantAhead|TestNewGeneration|TestParked|TestStopWorkersHands' \
+    gotest -race -run 'TestPark' ./internal/vstore/ &&
+        gotest -race -run 'TestDependantAhead|TestNewGeneration|TestParked|TestStopWorkersHands' \
             ./internal/core/ &&
-        go test -race -count=20 -run 'TestQuickConvergenceRandomOps' ./internal/core/
+        gotest -race -count=20 -run 'TestQuickConvergenceRandomOps' ./internal/core/
 }
 
 # Publisher outbox: the journal is a log with a high-water ack, so what
@@ -134,7 +148,7 @@ scenario_liveness() {
 # race detector; then the workload that journals every publish, which
 # exits non-zero on any failed operation or oracle mismatch.
 scenario_journal() {
-    go test -race -count=20 \
+    gotest -race -count=20 \
         -run 'TestCrash|TestPublish|TestDrain|TestOutbox|TestJournal|TestLiveDrain|TestRestart|TestInherited|TestAbortedPublish' \
         ./internal/core/ &&
         bash benchmark/run.sh --workload social_causal --seconds 5
