@@ -53,7 +53,7 @@ check-bench:
 	./scripts/bench_gate.sh
 
 # The CI scenario suite (check/chaos/overload/causality/tail/cluster/
-# bootstrap/benchmark/liveness/journal/orm), quick sweeps — the same commands the
+# bootstrap/benchmark/liveness/journal/orm/windows), quick sweeps — the same commands the
 # workflow matrix runs.
 scenarios:
 	./scripts/scenarios.sh -quick

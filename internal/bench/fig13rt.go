@@ -61,8 +61,9 @@ type Fig13RTPoint struct {
 }
 
 // RunFig13RT measures, for each dependency count, the version-store
-// round trips per published message end to end (publisher bump/lock
-// traffic plus subscriber wait/claim/increment traffic).
+// round trips per published message end to end (the publisher's bump
+// and unlock windows plus the subscriber's probe-and-claim and increment
+// windows).
 func RunFig13RT(cfg Fig13RTConfig) []Fig13RTPoint {
 	var out []Fig13RTPoint
 	for _, deps := range cfg.Deps {
@@ -105,7 +106,18 @@ func runRTOnce(cfg Fig13RTConfig, deps int) Fig13RTSide {
 			panic(err)
 		}
 	}
-	waitProcessed(sub, int64(deps-1), 10*time.Second)
+	// settle waits until the subscriber has applied want messages and
+	// both stores have been charged everything those cost: a message's
+	// increments and ack land after it counts as processed, a publish's
+	// unlock window behind its back.
+	settle := func(want int) {
+		waitProcessed(sub, int64(want), 10*time.Second)
+		for deadline := time.Now().Add(10 * time.Second); sub.Queue().Depth() > 0 && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+		pub.Store().WaitReleases()
+	}
+	settle(deps - 1)
 
 	pubRT0 := pub.Store().RoundTrips()
 	subRT0 := sub.Store().RoundTrips()
@@ -122,8 +134,11 @@ func runRTOnce(cfg Fig13RTConfig, deps int) Fig13RTSide {
 			panic(err)
 		}
 		total += time.Since(start)
+		// One message at a time, end to end: the count is the protocol's,
+		// not the schedule's — with two in flight the publisher's unlock
+		// windows and the subscriber's increments coalesce by luck.
+		settle(deps + i)
 	}
-	waitProcessed(sub, int64(deps-1+cfg.Messages), 10*time.Second)
 
 	n := float64(cfg.Messages)
 	side := Fig13RTSide{

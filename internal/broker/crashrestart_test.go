@@ -193,11 +193,11 @@ func TestRestartPreservesDecommission(t *testing.T) {
 	}
 }
 
-// TestQueueLogCompaction: sustained traffic must not grow the log
+// TestLogTruncationBoundsTheLog: sustained traffic must not grow the log
 // without bound — truncation keeps at most the segment being written
 // once the queue has drained — and a bounce right after a truncation
 // still restores the live state.
-func TestQueueLogCompaction(t *testing.T) {
+func TestLogTruncationBoundsTheLog(t *testing.T) {
 	b := New()
 	checkTruncation(t, b)
 	q, _ := b.DeclareQueue("q", 0)

@@ -67,10 +67,10 @@ func TestStatsSurviveRestart(t *testing.T) {
 	}
 }
 
-// TestStatsSurviveCompactionAndRestart: the counters must also survive
+// TestStatsSurviveTruncationAndRestart: the counters must also survive
 // the log being truncated under them — they live in the cursor state,
 // not in the records that went away.
-func TestStatsSurviveCompactionAndRestart(t *testing.T) {
+func TestStatsSurviveTruncationAndRestart(t *testing.T) {
 	b := New()
 	q, _ := b.DeclareQueue("q", 0)
 	_ = b.Bind("q", "ex")
@@ -103,10 +103,10 @@ func TestStatsSurviveCompactionAndRestart(t *testing.T) {
 	}
 }
 
-// TestCompactionInterleavedWithDecommission: a queue decommissions,
+// TestTruncationInterleavedWithDecommission: a queue decommissions,
 // the log is truncated past everything it ever held, and the tombstone
 // must survive the truncation, a restart and a failover.
-func TestCompactionInterleavedWithDecommission(t *testing.T) {
+func TestTruncationInterleavedWithDecommission(t *testing.T) {
 	b := New()
 	q, _ := b.DeclareQueue("victim", 4)
 	_ = b.Bind("victim", "vex")
@@ -144,11 +144,11 @@ func TestCompactionInterleavedWithDecommission(t *testing.T) {
 	}
 }
 
-// TestCompactionInterleavedWithDeadLetterReplay: parked messages and
+// TestTruncationInterleavedWithDeadLetterReplay: parked messages and
 // their replay must survive truncations landing between the park, the
 // replay, and the restart — a park holds its own copy, so the log is
 // free to drop the record under it.
-func TestCompactionInterleavedWithDeadLetterReplay(t *testing.T) {
+func TestTruncationInterleavedWithDeadLetterReplay(t *testing.T) {
 	b := New()
 	q, _ := b.DeclareQueue("q", 0)
 	_ = b.Bind("q", "ex")

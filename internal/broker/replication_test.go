@@ -73,12 +73,12 @@ func TestReplicationRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShipLogIncrementalAndSnapshotFallback walks the follower
+// TestShipLogIncrementalAndBehindHeadFallback walks the follower
 // protocol: pull everything once, tail the log and the changed cursor
 // states by cursor, and — there being no history to rewrite — a
 // follower that fell behind the head is served from the head, which is
 // all a fresh full pull would hold.
-func TestShipLogIncrementalAndSnapshotFallback(t *testing.T) {
+func TestShipLogIncrementalAndBehindHeadFallback(t *testing.T) {
 	b := New()
 	q, _ := b.DeclareQueue("q", 0)
 	_ = b.Bind("q", "ex")

@@ -11,6 +11,7 @@ import (
 	"synapse/internal/broker"
 	"synapse/internal/deptrack"
 	"synapse/internal/faultinject"
+	"synapse/internal/groupcommit"
 	"synapse/internal/hdr"
 	"synapse/internal/metrics"
 	"synapse/internal/model"
@@ -179,13 +180,13 @@ type App struct {
 	parked map[*job]struct{}
 	ready  []*job
 
-	// Group-commit flusher state (see subscribe.go): completed pipeline
-	// deliveries queue their counter increments and broker acks here;
-	// whichever worker wins the flushing flag drains the queue in
-	// IncrOpsMulti + AckMulti batches.
-	flushMu  sync.Mutex
-	flushQ   []flushEntry
-	flushing atomic.Bool
+	// The subscriber's group commit (see flushBatch in subscribe.go):
+	// completed pipeline deliveries queue their counter increments and
+	// broker acks here, and whichever worker leads the flusher drains
+	// them in IncrOpsMulti + AckMulti batches. flushCounts is the
+	// leader's scratch map, reused from one batch to the next.
+	commits     *groupcommit.Flusher[flushEntry]
+	flushCounts map[vstore.Key]uint64
 
 	// applyLocks are striped per-object locks making a version claim and
 	// its DB write atomic (see applyStripe in subscribe.go).
@@ -277,6 +278,8 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 		FlushBatchSize:   hdr.New(),
 	}
 	a.outbox = newOutbox(&a.seq)
+	a.commits = groupcommit.New(flushBatchCap, 0, a.flushBatch)
+	a.flushCounts = make(map[vstore.Key]uint64)
 	if err := f.registerApp(a); err != nil {
 		return nil, err
 	}
@@ -711,10 +714,10 @@ func (a *App) ensureQueue() {
 }
 
 // tuneQueue applies this app's consumer policy — delivery-attempt
-// bound, soft watermarks, age bound, credit window — to a queue handle.
-// Watermarks and credits are volatile broker state (not in the queue
-// log), so this runs on every declare/reattach, like re-sending
-// basic.qos after an AMQP reconnect.
+// bound, soft watermarks, credit window — to a queue handle. Watermarks
+// and credits belong to the consumers attached now, not to the cursor
+// state the broker's log keeps, so this runs on every declare/reattach,
+// like re-sending basic.qos after an AMQP reconnect.
 func (a *App) tuneQueue(q *broker.Queue) {
 	q.SetMaxAttempts(a.cfg.MaxDeliveryAttempts)
 	q.SetWatermarks(a.cfg.QueueHighWatermark, a.cfg.QueueLowWatermark)

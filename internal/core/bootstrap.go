@@ -470,17 +470,17 @@ func (a *App) applyChunk(pub *App, desc *model.Descriptor, rows []chunkRow, touc
 	}
 	claims := make([]vstore.Claim, 0, len(kept))
 	claimIdx := make([]int, 0, len(kept))
-	depKeys := make([]string, 0, len(kept))
+	var stripes uint64
 	for ki, r := range kept {
 		if r.version == 0 {
 			continue // never published: no guard counter to claim
 		}
 		claims = append(claims, vstore.Claim{Key: r.subKey, Version: r.version})
 		claimIdx = append(claimIdx, ki)
-		depKeys = append(depKeys, r.token)
+		stripes |= 1 << uint(a.applyStripe(r.token))
 	}
-	unlock := a.lockApplyStripes(depKeys)
-	defer unlock()
+	a.lockStripes(stripes)
+	defer a.unlockStripes(stripes)
 	results, err := a.store.ApplyBatch(claims)
 	if err != nil {
 		return err
@@ -522,7 +522,7 @@ func (a *App) applyChunk(pub *App, desc *model.Descriptor, rows []chunkRow, touc
 // applied inline — bootstrap-concurrent live traffic batches its
 // increments exactly like steady-state causal traffic.
 func (a *App) processBootstrapMessage(msg *wire.Message, deferIncr bool) ([]vKey, error) {
-	if err := a.applyOpsBatched(msg); err != nil {
+	if _, _, err := a.applyOps(msg, nil, nil); err != nil {
 		return nil, err
 	}
 	// Only after every operation applied: a failed message is redelivered

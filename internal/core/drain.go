@@ -58,7 +58,7 @@ func (a *App) Drain(ctx context.Context) error {
 	// active flusher — the flush queue is empty by construction here.
 	// One explicit drain keeps that a local fact rather than a distant
 	// invariant.
-	a.flushCommits()
+	a.commits.Flush()
 	a.flushPendingAcks()
 	return nil
 }

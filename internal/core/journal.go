@@ -515,23 +515,20 @@ func (a *App) regenerateStaleEntry(msg *wire.Message) error {
 	for i := range msg.Operations {
 		keys = append(keys, a.tracker.Resolve(msg.Operations[i].ObjectDep))
 	}
-	held, err := a.store.LockWrites(keys)
+	// One window, like a live publish; a write dependency's version comes
+	// back as version−1 — the wire encoding.
+	bumped, err := a.store.BumpBatch(nil, keys)
 	if err != nil {
 		return err
 	}
-	defer a.store.UnlockWrites(held)
-	// Bump returns version−1 for write dependencies — the wire encoding.
-	bumped, err := a.store.Bump(nil, keys)
-	if err != nil {
-		return err
-	}
+	defer bumped.Release()
 	// Rebuild the dependency maps in the tokens' own forms: exact names
 	// (DVV dots) back into Dots, decimal hashed keys into Dependencies.
 	deps := make(map[string]uint64, len(msg.Operations))
 	var dots map[string]uint64
 	for i := range msg.Operations {
 		tok := msg.Operations[i].ObjectDep
-		v := bumped[a.tracker.Resolve(tok)]
+		v := bumped.Version(a.tracker.Resolve(tok))
 		if wire.IsNameToken(tok) {
 			if dots == nil {
 				dots = make(map[string]uint64, len(msg.Operations))

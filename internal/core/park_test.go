@@ -187,8 +187,8 @@ func TestParkedReleasedOnlyAtThreshold(t *testing.T) {
 		if parked || err != nil {
 			t.Fatalf("satisfier: parked=%v err=%v", parked, err)
 		}
-		sub.enqueueFlush(flushEntry{q: j.q, tag: j.d.Tag, incr: incr})
-		sub.flushCommits()
+		sub.commits.Add(flushEntry{q: j.q, tag: j.d.Tag, incr: incr})
+		sub.commits.Flush()
 	}
 	if p, r := parkedAndReady(sub); p != 0 || r != 1 {
 		t.Fatalf("at the threshold: parked=%d ready=%d, want 0, 1", p, r)

@@ -21,8 +21,10 @@ import (
 //     the versions to embed in the message (version for reads,
 //     version−1 for writes);
 //  4. perform the operations and read back the written objects;
-//  5. release locks;
-//  6. marshal the published attributes and send one message.
+//  5. marshal the published attributes and send one message;
+//  6. release locks — after the send, and without waiting for the unlock
+//     round trip: a publish waits for ONE version-store window (step
+//     2+3).
 //
 // The Synapse-specific time (everything except step 4) is recorded in
 // the app's PublishLatency recorder — the "Synapse time" column of
@@ -141,7 +143,9 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite, _ []string) ([]
 	// carrying its dependency, which a subscriber can only escape with
 	// spare workers or timeouts. Holding the locks across the publish
 	// makes queue order consistent with dependency order, so even a
-	// single-worker causal subscriber never deadlocks.
+	// single-worker causal subscriber never deadlocks. Release drops the
+	// locks where it is called and hands the unlock window to the store's
+	// release flusher: the controller does not sleep for its reply.
 	plan, err := a.tracker.Plan(readNames, writeNames)
 	if err != nil {
 		return nil, err

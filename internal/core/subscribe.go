@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -104,8 +105,13 @@ type job struct {
 	barrierAt time.Time // first try at the generation barrier
 	entered   bool      // counted in its generation
 
-	reqs     map[vstore.Key]uint64 // causal dependency plan, built at the first probe
+	// The causal dependency plan, built at the first probe: what must be
+	// reached before the message applies, and what it increments after.
+	// The usual handful of keys lives in the job itself.
+	reqs     []vstore.WaitReq
 	incr     []vstore.Key
+	reqBuf   [jobKeys]vstore.WaitReq
+	incrBuf  [jobKeys]vstore.Key
 	probedAt time.Time
 	parkedAt time.Time // first probe that found a dependency unmet
 
@@ -117,6 +123,9 @@ type job struct {
 	woken  bool          // released before park recorded it (under parkMu)
 	wakeup chan struct{} // synchronous jobs: what release signals
 }
+
+// jobKeys is the fixed capacity of a job's inline dependency plan.
+const jobKeys = 6
 
 // park records j as parked — unless the release it waits for already
 // happened, in which case j goes straight on to the ready list.
@@ -166,15 +175,21 @@ func (a *App) takeReady(max int) []*job {
 	return batch
 }
 
-// retire ends this delivery of a job — applied, failed or handed back:
-// its registrations go, its generation count and its message return.
-func (a *App) retire(j *job) {
+// stopWaiting drops what could still release a job parked on
+// dependencies: its store registration and its DepTimeout timer.
+func (j *job) stopWaiting() {
 	if j.wait != nil {
 		j.wait.Cancel()
 	}
 	if j.timer != nil {
 		j.timer.Stop()
 	}
+}
+
+// retire ends this delivery of a job — applied, failed or handed back:
+// its registrations go, its generation count and its message return.
+func (a *App) retire(j *job) {
+	j.stopWaiting()
 	if j.entered {
 		a.exitGeneration(j.msg.App, j.msg.Generation)
 	}
@@ -296,6 +311,9 @@ func (a *App) StartWorkers(n int) {
 // messages. Deliveries still parked or ready go back to the queue front
 // in delivery order, so nothing stays unacked.
 func (a *App) StopWorkers() {
+	// Unlock windows this app's publishes handed off are charged by the
+	// time it is stopped, so Stats().VStoreRoundTrips is exact.
+	defer a.store.WaitReleases()
 	a.workersMu.Lock()
 	stop := a.stopCh
 	a.stopCh = nil
@@ -419,13 +437,13 @@ func (a *App) workerLoop(stop <-chan struct{}) {
 //     worker and dispatch in queue order. Cross-worker ordering is the
 //     job of the dependency counters and the per-object version guard.
 //   - Completion is group-committed: a finished message does not
-//     increment counters or ack inline — it queues both on the
-//     per-queue flusher (flushCommits), which merges every message
-//     completing in a flush window into ONE IncrOpsMulti round trip
-//     followed by ONE AckMulti call. Acks flush strictly after the
-//     increments land, so a crash between the two redelivers the
-//     messages and the version guard discards the re-applies as stale
-//     (the crash-redelivery invariant).
+//     increment counters or ack inline — it queues both on the app's
+//     group-commit flusher (a.commits, drained by flushBatch), which
+//     merges every message completing in a flush window into ONE
+//     IncrOpsMulti round trip followed by ONE AckMulti call. Acks flush
+//     strictly after the increments land, so a crash between the two
+//     redelivers the messages and the version guard discards the
+//     re-applies as stale (the crash-redelivery invariant).
 //   - Fail to the front: when a message fails (or the worker is
 //     stopping), the undispatched tail and then the failed deliveries
 //     are nacked so the queue front reads [failed..., rest...] — the one
@@ -473,8 +491,8 @@ func (a *App) processBatch(batch []*job, stop <-chan struct{}) {
 				if derr != nil {
 					// Poison message: ack (coalesced) and drop it rather
 					// than loop forever.
-					a.enqueueFlush(flushEntry{q: j.q, tag: j.d.Tag})
-					a.flushCommits()
+					a.commits.Add(flushEntry{q: j.q, tag: j.d.Tag})
+					a.commits.Flush()
 					next++
 					continue
 				}
@@ -493,11 +511,11 @@ func (a *App) processBatch(batch []*job, stop <-chan struct{}) {
 				incr, parked, err := a.consumeDecodedGuarded(j)
 				done := err == nil && !parked
 				if done {
-					a.enqueueFlush(flushEntry{q: j.q, tag: j.d.Tag, incr: incr})
+					a.commits.Add(flushEntry{q: j.q, tag: j.d.Tag, incr: incr})
 				}
 				results <- result{j, err}
 				if done {
-					a.flushCommits()
+					a.commits.Flush()
 				}
 			}()
 		}
@@ -566,7 +584,7 @@ type flushEntry struct {
 
 // flushBatchCap bounds the entries merged into one group commit, so a
 // deep backlog cannot grow a single IncrOpsMulti/AckMulti call without
-// bound (the flush loop just takes another turn).
+// bound (the flusher's leader just takes another turn).
 const flushBatchCap = 256
 
 // FaultBeforeAckFlush fires in the group-commit flusher after a batch's
@@ -574,58 +592,11 @@ const flushBatchCap = 256
 // crash-redelivery window the ack-after-increment ordering exists for.
 const FaultBeforeAckFlush = "subscribe/before-ack-flush"
 
-func (a *App) enqueueFlush(e flushEntry) {
-	a.flushMu.Lock()
-	a.flushQ = append(a.flushQ, e)
-	a.flushMu.Unlock()
-}
-
-// flushCommits drains the group-commit queue. Whichever goroutine wins
-// the flushing flag becomes the flusher and loops until the queue is
-// empty; losers return immediately — their entries are guaranteed to
-// be taken by the active flusher (it re-checks the queue after
-// releasing the flag, closing the lost-wakeup window). There is no
-// timer: the flush's own round trip is the batching window, so an idle
-// queue pays zero added latency and a busy one batches naturally —
-// every message completing during flush N rides in flush N+1.
-func (a *App) flushCommits() {
-	for {
-		if !a.flushing.CompareAndSwap(false, true) {
-			return
-		}
-		for {
-			a.flushMu.Lock()
-			pend := a.flushQ
-			if len(pend) == 0 {
-				a.flushMu.Unlock()
-				break
-			}
-			var entries []flushEntry
-			if len(pend) > flushBatchCap {
-				entries = pend[:flushBatchCap:flushBatchCap]
-				a.flushQ = pend[flushBatchCap:]
-			} else {
-				entries = pend
-				a.flushQ = nil
-			}
-			a.flushMu.Unlock()
-			a.flushBatch(entries)
-		}
-		a.flushing.Store(false)
-		a.flushMu.Lock()
-		again := len(a.flushQ) > 0
-		a.flushMu.Unlock()
-		if !again {
-			return
-		}
-		// Entries landed between the last drain check and the flag
-		// release; their enqueuers lost the CAS, so take another turn.
-	}
-}
-
-// flushBatch lands one group commit: every entry's counter increments
-// in ONE IncrOpsMulti round trip, then every entry's broker ack in ONE
-// AckMulti call. The order is the invariant: acks flush only after
+// flushBatch is the commit flusher's drain — it runs on whichever
+// worker leads, one batch at a time, inline: a message completing alone
+// pays no goroutine hop — and lands one group commit: every entry's
+// counter increments in ONE IncrOpsMulti round trip, then every entry's
+// broker ack in ONE AckMulti call. The order is the invariant: acks flush only after
 // their increments land, so a crash between the two leaves the
 // messages unacked, the broker redelivers them, and the per-object
 // version guard discards the duplicate applies as stale. A key bumped
@@ -634,12 +605,10 @@ func (a *App) flushCommits() {
 func (a *App) flushBatch(entries []flushEntry) {
 	flushStart := time.Now()
 	a.FlushBatchSize.Record(int64(len(entries)))
-	var counts map[vstore.Key]uint64
+	counts := a.flushCounts
+	clear(counts)
 	for _, e := range entries {
 		for _, k := range e.incr {
-			if counts == nil {
-				counts = make(map[vstore.Key]uint64, len(entries))
-			}
 			counts[k]++
 		}
 	}
@@ -804,7 +773,9 @@ func (a *App) consumeDecodedGuarded(j *job) ([]vstore.Key, bool, error) {
 // ProcessMessage applies one write message with the delivery semantics
 // configured for its origin, synchronously (bootstrap's drain, tests):
 // with no queue to park on, a message stopped at the generation barrier
-// blocks its caller until a release lets it try again.
+// or on an unmet dependency blocks its caller until a release — a
+// counter reaching its threshold, the DepTimeout timer — lets it try
+// again.
 func (a *App) ProcessMessage(msg *wire.Message) error {
 	j := &job{msg: msg, wakeup: make(chan struct{}, 1)}
 	_, parked, err := a.process(j)
@@ -812,6 +783,7 @@ func (a *App) ProcessMessage(msg *wire.Message) error {
 		<-j.wakeup
 		_, parked, err = a.process(j)
 	}
+	j.stopWaiting()
 	if j.entered {
 		a.exitGeneration(msg.App, msg.Generation)
 	}
@@ -905,76 +877,37 @@ func (a *App) originMode(origin string) DeliveryMode {
 // additionally respects the global-object dependency, which causal mode
 // ignores (it only appears when the publisher runs in global mode).
 //
-// The hot path runs batched: one Park probe for the whole dependency
-// map, one ApplyBatch claim window for all operations, one IncrOps
-// window — three round-trip plans per message instead of one round trip
-// per dependency key. For a queue job the third plan is lifted out
-// entirely: the due increment keys are returned (deduped) for the
-// group-commit flusher, which merges them across messages.
+// A message waits for ONE version-store window: under its apply stripes
+// the store probes the whole dependency plan and, if it is met, claims
+// the object versions in the same script (applyOps); the increments are
+// a second window only for a synchronous job — a queue job's due keys
+// are returned (deduped) for the group-commit flusher, which merges
+// them across messages.
 //
 // The wait is one mechanism with a parameter (§6.5: "weak and causal …
-// timeout set to 0 s and ∞"): a queue job whose probe fails parks until
+// timeout set to 0 s and ∞"): a job whose plan is unmet parks — on the
+// parked set, or for a synchronous job on its caller's goroutine — until
 // a counter it needs moves, and once DepTimeout has run out (at once for
-// 0, never for WaitForever) it is processed anyway. A synchronous job
-// has no queue to park on and blocks in the store.
+// 0, never for WaitForever) it is processed anyway, which costs it a
+// second window for the claims.
 func (a *App) processCausal(j *job, mode DeliveryMode) ([]vstore.Key, bool, error) {
 	msg := j.msg
 	timeout := a.cfg.DepTimeout
 	if j.reqs == nil {
-		deps, err := msg.Deps()
-		if err != nil {
+		if err := a.planDeps(j, mode); err != nil {
 			return nil, false, err
-		}
-		var globalKey vstore.Key
-		skipGlobal := mode < Global && msg.GlobalDep != ""
-		if skipGlobal {
-			globalKey = a.tracker.Resolve(msg.GlobalDep)
-		}
-
-		// One request map for the whole message: hashed dependency versions,
-		// exact dots (resolved through this app's tracker — a hash
-		// subscriber folds a DVV publisher's names into its own key space, a
-		// DVV subscriber interns them), and external dependency minimums
-		// (decorator cross-app causality — waited, never incremented).
-		// Requirements landing on the same key are max-merged, which is
-		// equivalent to waiting on each entry in turn.
-		j.reqs = make(map[vstore.Key]uint64, len(deps)+len(msg.Dots)+len(msg.External))
-		j.incr = make([]vstore.Key, 0, len(deps)+len(msg.Dots))
-		for k, minVersion := range deps {
-			key := vstore.Key(k)
-			if skipGlobal && key == globalKey {
-				continue
-			}
-			j.reqs[key] = minVersion
-			j.incr = append(j.incr, key)
-		}
-		for name, minVersion := range msg.Dots {
-			key := a.tracker.Resolve(name)
-			if skipGlobal && key == globalKey {
-				continue
-			}
-			if minVersion > j.reqs[key] {
-				j.reqs[key] = minVersion
-			}
-			j.incr = append(j.incr, key)
-		}
-		for depKey, minOps := range msg.External {
-			k := a.tracker.Resolve(depKey)
-			if minOps > j.reqs[k] {
-				j.reqs[k] = minOps
-			}
 		}
 		j.probedAt = time.Now()
 	} else {
-		j.wait.Cancel() // back from the ready list; the timer may have put it there
+		j.wait.Cancel() // released; the timer may have done it
 	}
 
 	deadline := j.probedAt.Add(timeout)
 	var wake func()
-	if j.q != nil && (timeout < 0 || time.Now().Before(deadline)) {
+	if timeout < 0 || time.Now().Before(deadline) {
 		wake = func() { a.release(j) }
 	}
-	w, err := a.store.Park(j.reqs, wake)
+	w, admitted, err := a.applyOps(msg, j.reqs, wake)
 	if err != nil {
 		return nil, false, err
 	}
@@ -984,42 +917,31 @@ func (a *App) processCausal(j *job, mode DeliveryMode) ([]vstore.Key, bool, erro
 		j.parkedAt = time.Now()
 		a.depWaitsBlocked.Inc()
 	}
-	var werr error
-	switch {
-	case w == nil:
-	case wake != nil:
+	if w != nil && wake != nil {
 		j.wait = w
 		if timeout > 0 && j.timer == nil {
 			j.timer = time.AfterFunc(time.Until(deadline), wake)
 		}
-		a.park(j)
-		return nil, true, nil
-	case j.q == nil && timeout != 0:
-		werr = a.store.WaitAtLeastMulti(j.reqs, timeout)
-		if werr != nil && !errors.Is(werr, vstore.ErrTimeout) {
-			return nil, false, werr
+		if j.q != nil {
+			a.park(j)
 		}
-	default:
-		werr = &vstore.WaitError{Unmet: w.Unmet}
+		return nil, true, nil
 	}
-	resolved := time.Now()
-	a.Stages.Observe(StageDepWait, resolved.Sub(j.probedAt))
-	blocked := !j.parkedAt.IsZero()
-	if blocked {
-		a.DepWaitBlocked.Record(int64(resolved.Sub(j.parkedAt)))
+	if w != nil {
+		// §6.5 — give up waiting for late or lost messages and process
+		// anyway, trading consistency for availability; the per-object
+		// guard in the apply discards stale versions, weak-style.
+		a.noteDepTimeout(a.describeDepTimeout(&vstore.WaitError{Unmet: w.Unmet}))
+		if _, admitted, err = a.applyOps(msg, nil, nil); err != nil {
+			return nil, false, err
+		}
 	}
-	// On ErrTimeout: §6.5 — give up waiting for late or lost messages and
-	// process anyway, trading consistency for availability; the per-object
-	// guard in the apply discards stale versions, weak-style.
-	if werr != nil {
-		a.noteDepTimeout(a.describeDepTimeout(werr))
-	} else if blocked {
-		a.noteFalseDeps(msg, j.reqs)
-	}
-
-	applyStart := time.Now()
-	if err := a.applyOpsBatched(msg); err != nil {
-		return nil, false, err
+	a.Stages.Observe(StageDepWait, admitted.Sub(j.probedAt))
+	if !j.parkedAt.IsZero() {
+		a.DepWaitBlocked.Record(int64(admitted.Sub(j.parkedAt)))
+		if w == nil {
+			a.noteFalseDeps(msg, j.reqs)
+		}
 	}
 	a.recordDepWriters(msg)
 	// The bootstrap Seq boundary outlives Bootstrapping(): a message
@@ -1038,10 +960,48 @@ func (a *App) processCausal(j *job, mode DeliveryMode) ([]vstore.Key, bool, erro
 			return nil, false, err
 		}
 	}
-	a.Stages.Observe(StageApply, time.Since(applyStart))
+	a.Stages.Observe(StageApply, time.Since(admitted))
 	a.Processed.Add(1)
 	a.recordApplied(msg)
 	return deferred, false, nil
+}
+
+// planDeps builds j's dependency plan from its message: one requirement
+// list for the whole message — hashed dependency versions, exact dots
+// (resolved through this app's tracker — a hash subscriber folds a DVV
+// publisher's names into its own key space, a DVV subscriber interns
+// them), and external dependency minimums (decorator cross-app
+// causality — waited, never incremented). Requirements landing on the
+// same key are max-merged by the store, which is equivalent to waiting
+// on each entry in turn.
+func (a *App) planDeps(j *job, mode DeliveryMode) error {
+	msg := j.msg
+	deps, err := msg.Deps()
+	if err != nil {
+		return err
+	}
+	var globalKey vstore.Key
+	skipGlobal := mode < Global && msg.GlobalDep != ""
+	if skipGlobal {
+		globalKey = a.tracker.Resolve(msg.GlobalDep)
+	}
+	j.reqs, j.incr = j.reqBuf[:0], j.incrBuf[:0]
+	for k, minVersion := range deps {
+		if key := vstore.Key(k); !skipGlobal || key != globalKey {
+			j.reqs = append(j.reqs, vstore.WaitReq{Key: key, Need: minVersion})
+			j.incr = append(j.incr, key)
+		}
+	}
+	for name, minVersion := range msg.Dots {
+		if key := a.tracker.Resolve(name); !skipGlobal || key != globalKey {
+			j.reqs = append(j.reqs, vstore.WaitReq{Key: key, Need: minVersion})
+			j.incr = append(j.incr, key)
+		}
+	}
+	for depKey, minOps := range msg.External {
+		j.reqs = append(j.reqs, vstore.WaitReq{Key: a.tracker.Resolve(depKey), Need: minOps})
+	}
+	return nil
 }
 
 // dedupKeys returns keys with duplicates removed (order preserved);
@@ -1078,81 +1038,89 @@ func (a *App) applyStripe(depKey string) int {
 	return int(h % uint32(len(a.applyLocks)))
 }
 
-// lockApplyStripes acquires the apply stripes for the given dependency
-// keys in index order (deduplicated), returning the unlock function.
-// Index ordering makes concurrent multi-op messages deadlock-free, the
-// same protocol the version store uses for its shards.
-func (a *App) lockApplyStripes(depKeys []string) func() {
-	var seen [64]bool
-	idx := make([]int, 0, len(depKeys))
-	for _, k := range depKeys {
-		i := a.applyStripe(k)
-		if !seen[i] {
-			seen[i] = true
-			idx = append(idx, i)
-		}
-	}
-	sort.Ints(idx)
-	for _, i := range idx {
-		a.applyLocks[i].Lock()
-	}
-	return func() {
-		for j := len(idx) - 1; j >= 0; j-- {
-			a.applyLocks[idx[j]].Unlock()
-		}
+// lockStripes acquires the apply stripes in mask, lowest first — the
+// index order that makes concurrent multi-op messages deadlock-free, the
+// same protocol the version store uses for its keys.
+func (a *App) lockStripes(mask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		a.applyLocks[bits.TrailingZeros64(m)].Lock()
 	}
 }
 
-// applyOpsBatched claims every guarded operation's object version in one
-// ApplyBatch round trip, then applies the operations in order. A claim
-// that loses (stale version) skips its operation: weak-mode
-// last-writer-wins and duplicate redelivery. If a DB apply fails
-// mid-message, every fresh claim from the failed operation onward is
-// rolled back so the redelivered message re-applies exactly the
-// unapplied operations — operations already persisted keep their claims
-// and are skipped as stale on redelivery (no double-apply). The apply
-// stripes for every guarded object are held from the claim window
-// through the last DB write (see applyStripe).
-func (a *App) applyOpsBatched(msg *wire.Message) error {
-	claims := make([]vstore.Claim, 0, len(msg.Operations))
-	idx := make([]int, 0, len(msg.Operations))
-	depKeys := make([]string, 0, len(msg.Operations))
+func (a *App) unlockStripes(mask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		a.applyLocks[bits.TrailingZeros64(m)].Unlock()
+	}
+}
+
+// guardWidth is how many guarded operations a message can carry before
+// applyOps' claim lists leave the stack.
+const guardWidth = 4
+
+// applyOps is the subscriber's one version-store window per message.
+// Under the apply stripes of every guarded object (held from the claim
+// through the last DB write, see applyStripe) it asks the store to claim
+// the object versions — one claim per operation whose object version the
+// message carries — if every requirement in reqs is met, and then
+// applies the operations in order. A claim that loses (stale version)
+// skips its operation: weak-mode last-writer-wins and duplicate
+// redelivery. If the requirements are unmet nothing is claimed or
+// applied and the store's wait comes back (registered for wake, if one
+// is given) with the stripes released. admitted is when the window
+// returned.
+//
+// If a DB apply fails mid-message, every fresh claim from the failed
+// operation onward is rolled back so the redelivered message re-applies
+// exactly the unapplied operations — operations already persisted keep
+// their claims and are skipped as stale on redelivery (no double-apply).
+func (a *App) applyOps(msg *wire.Message, reqs []vstore.WaitReq, wake func()) (w *vstore.Parked, admitted time.Time, err error) {
+	var (
+		cbuf    [guardWidth]vstore.Claim
+		rbuf    [guardWidth]vstore.ClaimResult
+		obuf    [guardWidth]int
+		stripes uint64
+	)
+	claims, claimOp := cbuf[:0], obuf[:0] // claimOp[c] is the operation claims[c] guards
 	for i := range msg.Operations {
 		op := &msg.Operations[i]
-		v, guarded := a.objectVersion(msg, op)
-		if !guarded {
-			continue
+		if v, guarded := a.objectVersion(msg, op); guarded {
+			claims = append(claims, vstore.Claim{Key: a.tracker.Resolve(op.ObjectDep), Version: v})
+			claimOp = append(claimOp, i)
+			stripes |= 1 << uint(a.applyStripe(op.ObjectDep))
 		}
-		claims = append(claims, vstore.Claim{Key: a.tracker.Resolve(op.ObjectDep), Version: v})
-		idx = append(idx, i)
-		depKeys = append(depKeys, op.ObjectDep)
 	}
-	unlock := a.lockApplyStripes(depKeys)
-	defer unlock()
-	results, err := a.store.ApplyBatch(claims)
-	if err != nil {
-		return err
+	results := rbuf[:]
+	if len(claims) > guardWidth {
+		results = make([]vstore.ClaimResult, len(claims))
 	}
-	claimed := make(map[int]vstore.ClaimResult, len(claims))
-	for ci := range claims {
-		claimed[idx[ci]] = results[ci]
+	results = results[:len(claims)]
+
+	a.lockStripes(stripes)
+	defer a.unlockStripes(stripes)
+	w, err = a.store.ClaimIfMet(reqs, claims, results, wake)
+	admitted = time.Now()
+	if err != nil || w != nil {
+		return w, admitted, err
 	}
+	c := 0 // the first claim not yet passed
 	for i := range msg.Operations {
-		op := &msg.Operations[i]
-		if r, guarded := claimed[i]; guarded && !r.Applied {
-			continue // stale update: skip to the latest version
+		mine := c // the claim guarding operation i, if it has one
+		if c < len(claims) && claimOp[c] == i {
+			c++
+			if !results[mine].Applied {
+				continue // stale update: skip to the latest version
+			}
 		}
-		if err := a.applyOp(msg.App, op); err != nil {
-			for j := i; j < len(msg.Operations); j++ {
-				if rj, ok := claimed[j]; ok && rj.Applied {
-					v, _ := a.objectVersion(msg, &msg.Operations[j])
-					_ = a.store.RestoreVersion(a.tracker.Resolve(msg.Operations[j].ObjectDep), v, rj.Prev)
+		if err := a.applyOp(msg.App, &msg.Operations[i]); err != nil {
+			for ; mine < len(claims); mine++ {
+				if results[mine].Applied {
+					_ = a.store.RestoreVersion(claims[mine].Key, claims[mine].Version, results[mine].Prev)
 				}
 			}
-			return err
+			return nil, admitted, err
 		}
 	}
-	return nil
+	return nil, admitted, nil
 }
 
 // recordApplied emits a timeline event for the execution-sample figures.
@@ -1172,7 +1140,7 @@ func (a *App) recordApplied(msg *wire.Message) {
 // discarding messages older than what the store has seen (§4.2).
 func (a *App) processWeak(msg *wire.Message) error {
 	applyStart := time.Now()
-	if err := a.applyOpsBatched(msg); err != nil {
+	if _, _, err := a.applyOps(msg, nil, nil); err != nil {
 		return err
 	}
 	a.Stages.Observe(StageApply, time.Since(applyStart))
@@ -1251,11 +1219,11 @@ func (a *App) noteDepTimeout(err error) {
 // DIFFERENT (origin, model, id), the block was at least partly a false
 // dependency — an unrelated name hashing onto the same key. Under the
 // DVV tracker keys are per-name, so the estimate is structurally zero.
-func (a *App) noteFalseDeps(msg *wire.Message, reqs map[vstore.Key]uint64) {
+func (a *App) noteFalseDeps(msg *wire.Message, reqs []vstore.WaitReq) {
 	for i := range msg.Operations {
 		op := &msg.Operations[i]
 		k := a.tracker.Resolve(op.ObjectDep)
-		if need, waited := reqs[k]; !waited || need == 0 {
+		if !slices.ContainsFunc(reqs, func(r vstore.WaitReq) bool { return r.Key == k && r.Need > 0 }) {
 			continue
 		}
 		if last, ok := a.lastDepWriter(k); ok && last != opFingerprint(msg.App, op.Model(), op.ID) {

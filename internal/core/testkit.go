@@ -120,15 +120,11 @@ func (e *Emulator) emulate(verb wire.OpKind, rec *model.Record) error {
 		return fmt.Errorf("%w: %s/%s", ErrUnpublished, e.pf.App, rec.Model)
 	}
 	key := e.emuVst.KeyFor(depName(e.pf.App, rec.Model, rec.ID))
-	held, err := e.emuVst.LockWrites([]vstore.Key{key})
+	bumped, err := e.emuVst.BumpBatch(nil, []vstore.Key{key})
 	if err != nil {
 		return err
 	}
-	deps, err := e.emuVst.Bump(nil, []vstore.Key{key})
-	e.emuVst.UnlockWrites(held)
-	if err != nil {
-		return err
-	}
+	bumped.Release()
 
 	e.seq++
 	op := wire.Operation{
@@ -148,7 +144,7 @@ func (e *Emulator) emulate(verb wire.OpKind, rec *model.Record) error {
 	msg := &wire.Message{
 		App:          e.pf.App,
 		Operations:   []wire.Operation{op},
-		Dependencies: map[string]uint64{wire.DepKey(uint64(key)): deps[key]},
+		Dependencies: map[string]uint64{wire.DepKey(uint64(key)): bumped.Version(key)},
 		PublishedAt:  time.Now().UTC(),
 		Seq:          e.seq,
 	}

@@ -44,19 +44,21 @@ const (
 
 // Plan is one publish's dependency plan in flight: the versions to
 // embed in the message, keyed by wire token, with the version-store
-// write locks held until Release (they cover the broker send, keeping
-// queue order consistent with dependency order — see core's publisher).
+// locks held until Release (they cover the broker send, keeping queue
+// order consistent with dependency order — see core's publisher). It is
+// a value holding its vstore.Batch; keep it in one variable.
 type Plan struct {
 	// Versions maps each dependency's wire token to the version to embed
 	// in the message: version for read dependencies, version−1 for
-	// writes (§4.2).
+	// writes (§4.2). It is built once and is the map the message carries
+	// (EncodeDeps installs it as it is).
 	Versions map[string]uint64
 
-	batch *vstore.Batch
+	batch vstore.Batch
 }
 
-// Release unlocks the plan's dependency keys, waking subscribers
-// blocked on them. Idempotent.
+// Release unlocks the plan's dependency keys without waiting for the
+// unlock round trip (vstore.Batch.Release). Idempotent.
 func (p *Plan) Release() { p.batch.Release() }
 
 // Tracker is one dependency-tracking policy bound to an app's version
@@ -81,7 +83,7 @@ type Tracker interface {
 	// counters in one batched round trip per shard (§4.2 step 2+3),
 	// returning the versions to embed keyed by wire token. The locks
 	// stay held until Plan.Release.
-	Plan(readNames, writeNames []string) (*Plan, error)
+	Plan(readNames, writeNames []string) (Plan, error)
 	// EncodeDeps installs a plan's versions on an outgoing message in
 	// this tracker's wire form: Dependencies for hashed keys, Dots (plus
 	// an empty Dependencies map, which the format requires) for names.
@@ -114,15 +116,35 @@ func New(policy string, store *vstore.Store, _ bool) (Tracker, error) {
 	return nil, fmt.Errorf("deptrack: unknown tracker policy %q", policy)
 }
 
-// bumpLocked runs the lock+bump step shared by both trackers: one
-// BumpBatch round-trip plan. The returned plan holds the locks;
-// Versions is left for the caller to re-key by token.
-func bumpLocked(store *vstore.Store, readKeys, writeKeys []vstore.Key) (map[vstore.Key]uint64, *Plan, error) {
-	b, err := store.BumpBatch(readKeys, writeKeys)
-	if err != nil {
-		return nil, nil, err
+// planKeys is the fixed capacity a plan's key lists keep on the stack.
+const planKeys = 8
+
+// plan is both trackers' Plan, a slot fill: the names' keys go into
+// fixed arrays, one BumpBatch locks and bumps them, and the one map the
+// message will carry is filled with each name's token and the version
+// the batch holds for its key.
+func plan(store *vstore.Store, readNames, writeNames []string, keyFor func(string) vstore.Key, token func(string, vstore.Key) string) (Plan, error) {
+	var rbuf, wbuf [planKeys]vstore.Key
+	reads, writes := rbuf[:0], wbuf[:0]
+	for _, n := range readNames {
+		reads = append(reads, keyFor(n))
 	}
-	return b.Versions, &Plan{batch: b}, nil
+	for _, n := range writeNames {
+		writes = append(writes, keyFor(n))
+	}
+	p := Plan{}
+	var err error
+	if p.batch, err = store.BumpBatch(reads, writes); err != nil {
+		return Plan{}, err
+	}
+	p.Versions = make(map[string]uint64, p.batch.Len())
+	for i, n := range writeNames {
+		p.Versions[token(n, writes[i])] = p.batch.Version(writes[i])
+	}
+	for i, n := range readNames {
+		p.Versions[token(n, reads[i])] = p.batch.Version(reads[i])
+	}
+	return p, nil
 }
 
 // hashTracker is the paper's fixed-cardinality dependency hashing: the
@@ -149,25 +171,10 @@ func (t *hashTracker) Resolve(token string) vstore.Key {
 	return vstore.Key(k)
 }
 
-func (t *hashTracker) Plan(readNames, writeNames []string) (*Plan, error) {
-	readKeys := make([]vstore.Key, len(readNames))
-	for i, n := range readNames {
-		readKeys[i] = t.store.KeyFor(n)
-	}
-	writeKeys := make([]vstore.Key, len(writeNames))
-	for i, n := range writeNames {
-		writeKeys[i] = t.store.KeyFor(n)
-	}
-	versions, plan, err := bumpLocked(t.store, readKeys, writeKeys)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]uint64, len(versions))
-	for k, v := range versions {
-		out[wire.DepKey(uint64(k))] = v
-	}
-	plan.Versions = out
-	return plan, nil
+func (t *hashTracker) Plan(readNames, writeNames []string) (Plan, error) {
+	// Colliding names share a key and so a token.
+	return plan(t.store, readNames, writeNames, t.store.KeyFor,
+		func(_ string, k vstore.Key) string { return wire.DepKey(uint64(k)) })
 }
 
 func (t *hashTracker) EncodeDeps(msg *wire.Message, versions map[string]uint64) {
@@ -246,27 +253,9 @@ func (t *dvvTracker) Resolve(token string) vstore.Key {
 	return vstore.Key(k)
 }
 
-func (t *dvvTracker) Plan(readNames, writeNames []string) (*Plan, error) {
-	readKeys := make([]vstore.Key, len(readNames))
-	for i, n := range readNames {
-		readKeys[i] = t.intern(n)
-	}
-	writeKeys := make([]vstore.Key, len(writeNames))
-	for i, n := range writeNames {
-		writeKeys[i] = t.intern(n)
-	}
-	versions, plan, err := bumpLocked(t.store, readKeys, writeKeys)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]uint64, len(versions))
-	t.mu.RLock()
-	for k, v := range versions {
-		out[t.byKey[k]] = v
-	}
-	t.mu.RUnlock()
-	plan.Versions = out
-	return plan, nil
+func (t *dvvTracker) Plan(readNames, writeNames []string) (Plan, error) {
+	return plan(t.store, readNames, writeNames, t.intern,
+		func(name string, _ vstore.Key) string { return name })
 }
 
 func (t *dvvTracker) EncodeDeps(msg *wire.Message, versions map[string]uint64) {

@@ -1,6 +1,9 @@
 package deptrack
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -222,6 +225,149 @@ func TestDVVInternConcurrent(t *testing.T) {
 	for w := 1; w < workers; w++ {
 		if keys[w] != keys[0] {
 			t.Fatalf("concurrent intern diverged: %d vs %d", keys[w], keys[0])
+		}
+	}
+}
+
+// TestPlanAllocBudget pins the publisher's plan as a slot fill: for a
+// publish's usual three names the hash tracker allocates the token
+// strings and the one map the message then carries, the DVV tracker
+// (whose tokens are the names) only the map — no key lists, no grouping
+// maps, no Batch, no Plan.
+func TestPlanAllocBudget(t *testing.T) {
+	reads := []string{"app/posts/id/7"}
+	writes := []string{"app/comments/id/1", "app/users/id/9"}
+	for policy, budget := range map[string]float64{"hash": 5, "dvv": 2} {
+		tr, _ := New(policy, newStore(t, 0), false)
+		got := testing.AllocsPerRun(200, func() {
+			p, err := tr.Plan(reads, writes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Release()
+		})
+		if got > budget {
+			t.Errorf("%s: Plan+Release = %.0f allocations, budget %.0f", policy, got, budget)
+		}
+	}
+}
+
+// TestOneWindowScriptServesBothTrackers drives the subscriber's combined
+// probe-and-claim script with what real messages carry — hashed keys
+// from a hash publisher, exact dots from a DVV one — resolved through a
+// hash and through a DVV subscriber, the mixed pairs included, at 1 and
+// 4 shards. A publisher's stream is delivered out of order to a pair of
+// twin subscriber stores: one takes each message through ClaimIfMet, the
+// other through the sequence it replaced (Park, then ApplyBatch). Both
+// must admit the same messages at the same points with the same claim
+// results, be woken by the same increments, and end with the same
+// counters under every token.
+func TestOneWindowScriptServesBothTrackers(t *testing.T) {
+	type message struct {
+		deps   map[string]uint64 // token -> version, as the wire carries it
+		object string            // the written object's token
+	}
+	type side struct {
+		store *vstore.Store
+		tr    Tracker
+		wakes map[int]int
+	}
+	for _, shards := range []int{1, 4} {
+		for _, pair := range [][2]string{{"hash", "hash"}, {"dvv", "dvv"}, {"dvv", "hash"}, {"hash", "dvv"}} {
+			rng := rand.New(rand.NewSource(int64(shards)))
+			pub, _ := New(pair[0], vstore.New(vstore.Config{Shards: shards, Cardinality: 16}), false)
+			var stream []message
+			for i := 0; i < 60; i++ {
+				write := fmt.Sprintf("pub/posts/id/%d", rng.Intn(6))
+				reads := []string{fmt.Sprintf("pub/users/id/%d", rng.Intn(4))}
+				plan, err := pub.Plan(reads, []string{write})
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan.Release()
+				stream = append(stream, message{deps: plan.Versions, object: pub.Token(write)})
+			}
+			// Deliver in a shuffled order so dependants run ahead of what
+			// they depend on.
+			order := rng.Perm(len(stream))
+
+			var sides [2]*side
+			for i := range sides {
+				store := vstore.New(vstore.Config{Shards: shards, Cardinality: 16})
+				tr, _ := New(pair[1], store, false)
+				sides[i] = &side{store: store, tr: tr, wakes: map[int]int{}}
+			}
+			// try runs message m on one side; combined says which script.
+			try := func(s *side, m int, combined bool) (admitted bool, res vstore.ClaimResult) {
+				msg := stream[m]
+				var reqs []vstore.WaitReq
+				reqMap := map[vstore.Key]uint64{}
+				for tok, v := range msg.deps {
+					k := s.tr.Resolve(tok)
+					reqs = append(reqs, vstore.WaitReq{Key: k, Need: v})
+					reqMap[k] = max(reqMap[k], v)
+				}
+				claims := []vstore.Claim{{Key: s.tr.Resolve(msg.object), Version: msg.deps[msg.object] + 1}}
+				wake := func() { s.wakes[m]++ }
+				var p *vstore.Parked
+				var err error
+				results := make([]vstore.ClaimResult, 1)
+				if combined {
+					p, err = s.store.ClaimIfMet(reqs, claims, results, wake)
+				} else if p, err = s.store.Park(reqMap, wake); p == nil && err == nil {
+					results, err = s.store.ApplyBatch(claims)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p != nil {
+					return false, vstore.ClaimResult{}
+				}
+				keys := make([]vstore.Key, 0, len(reqs))
+				for _, r := range reqs {
+					keys = append(keys, r.Key)
+				}
+				if err := s.store.IncrOps(keys); err != nil {
+					t.Fatal(err)
+				}
+				return true, results[0]
+			}
+			pending, waiting := order, []int(nil)
+			for len(pending) > 0 {
+				for _, m := range pending {
+					a0, r0 := try(sides[0], m, true)
+					a1, r1 := try(sides[1], m, false)
+					if a0 != a1 || r0 != r1 {
+						t.Fatalf("%v shards=%d message %d: combined admitted=%v %+v, sequence admitted=%v %+v", pair, shards, m, a0, r0, a1, r1)
+					}
+					if !a0 {
+						waiting = append(waiting, m)
+					}
+				}
+				// Only what an increment released tries again.
+				pending = nil
+				still := waiting[:0]
+				for _, m := range waiting {
+					if sides[0].wakes[m] != sides[1].wakes[m] {
+						t.Fatalf("%v shards=%d message %d: woken %d times combined, %d by the sequence", pair, shards, m, sides[0].wakes[m], sides[1].wakes[m])
+					}
+					if sides[0].wakes[m] > 0 {
+						sides[0].wakes[m], sides[1].wakes[m] = 0, 0
+						pending = append(pending, m)
+					} else {
+						still = append(still, m)
+					}
+				}
+				waiting = still
+			}
+			if len(waiting) > 0 {
+				t.Fatalf("%v shards=%d: %d messages parked and never woken", pair, shards, len(waiting))
+			}
+			x0, err0 := sides[0].tr.ExportVersions()
+			x1, err1 := sides[1].tr.ExportVersions()
+			if err0 != nil || err1 != nil || !reflect.DeepEqual(x0, x1) {
+				t.Fatalf("%v shards=%d: the stores diverged:\ncombined %v\nsequence %v", pair, shards, x0, x1)
+			}
 		}
 	}
 }

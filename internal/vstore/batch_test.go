@@ -56,11 +56,11 @@ func TestQuickBumpBatchParity(t *testing.T) {
 		}
 		b.Release()
 
-		if len(want) != len(b.Versions) {
+		if len(want) != b.Len() {
 			return false
 		}
 		for k, v := range want {
-			if b.Versions[k] != v {
+			if b.Version(k) != v {
 				return false
 			}
 		}

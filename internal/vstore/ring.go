@@ -2,7 +2,6 @@ package vstore
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 )
 
@@ -42,18 +41,26 @@ func (r *ring) locate(h uint64) int {
 	return r.points[i].shard
 }
 
+// FNV-1a, 64 bits, written out: hash/fnv's hasher is an allocation per
+// call, and a key is hashed on every publish.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
 func hashString(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum64()
+	h := uint64(fnvOffset)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
 }
 
+// hashUint hashes v's eight bytes, least significant first.
 func hashUint(v uint64) uint64 {
-	var buf [8]byte
+	h := uint64(fnvOffset)
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
+		h = (h ^ (v >> (8 * i) & 0xff)) * fnvPrime
 	}
-	h := fnv.New64a()
-	_, _ = h.Write(buf[:])
-	return h.Sum64()
+	return h
 }

@@ -76,6 +76,17 @@ func (sh *shard) rscript(cost time.Duration, fn func(map[Key]*entry)) {
 	sh.mu.RUnlock()
 }
 
+// entry returns the key's counters, created on demand; the caller holds
+// the shard's write lock.
+func (sh *shard) entry(k Key) *entry {
+	e := sh.data[k]
+	if e == nil {
+		e = &entry{}
+		sh.data[k] = e
+	}
+	return e
+}
+
 func (sh *shard) flush() {
 	sh.mu.Lock()
 	sh.data = make(map[Key]*entry)
@@ -141,31 +152,35 @@ func (sh *shard) deregister(k Key, p *Parked) {
 	sh.waitMu.Unlock()
 }
 
-// wakeReached fires waiters on keys[i] whose threshold vals[i] (the
-// key's ops counter after the update) satisfies. Waiters still short of
-// their threshold stay registered: waking them would only trigger a
-// futile re-check round trip, and the increment that eventually reaches
-// their threshold will fire them.
-func (sh *shard) wakeReached(keys []Key, vals []uint64) {
+// wakeReached fires the waiters on this shard's keys among ops whose
+// threshold the key's counter after the update (op.out) satisfies.
+// Waiters still short of their threshold stay registered: waking them
+// would only trigger a futile re-check round trip, and the increment
+// that eventually reaches their threshold will fire them.
+func (sh *shard) wakeReached(ops []op) {
 	sh.waitMu.Lock()
 	var toWake []*Parked
-	for i, k := range keys {
-		ws := sh.waiters[k]
+	for i := range ops {
+		o := &ops[i]
+		if o.sh != sh {
+			continue
+		}
+		ws := sh.waiters[o.key]
 		if len(ws) == 0 {
 			continue
 		}
 		kept := ws[:0]
 		for _, w := range ws {
-			if w.min <= vals[i] {
+			if w.min <= o.out {
 				toWake = append(toWake, w.p)
 			} else {
 				kept = append(kept, w)
 			}
 		}
 		if len(kept) == 0 {
-			delete(sh.waiters, k)
+			delete(sh.waiters, o.key)
 		} else {
-			sh.waiters[k] = kept
+			sh.waiters[o.key] = kept
 		}
 	}
 	sh.waitMu.Unlock()

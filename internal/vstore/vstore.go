@@ -15,16 +15,19 @@
 // Store"); a cardinality of 1 degenerates to global ordering, which the
 // ablation benchmark exploits.
 //
-// The hot-path entry points are the batched round-trip plans —
-// BumpBatch on the publisher side, Park (and its blocking form
-// WaitAtLeastMulti) and ApplyBatch on the subscriber side — which
-// amortize a whole message's dependency traffic into one scripted round
-// trip per shard, the way the paper batches version-store commands into
-// LUA scripts and pipelines them.
-// The per-key operations (LockWrites/Bump, WaitAtLeast, ApplyIfNewer,
-// IncrOps) remain for the journal, bootstrap and synchronous message
-// processing, and as the reference implementation the batch paths are
-// property-tested against.
+// The hot-path entry points are the batched round-trip plans, one
+// window per side: BumpBatch on the publisher (its Release drops the
+// locks without waiting for the unlock round trip), ClaimIfMet on the
+// subscriber — the dependency probe and the version claims as one
+// script per shard; Park, WaitAtLeastMulti and ApplyBatch are that
+// script with one half empty — and IncrOpsMulti behind the subscriber's
+// group-commit flusher. Each lays a whole message's keys out in a small
+// fixed array (see op) and costs one scripted round trip per shard, the
+// way the paper batches version-store commands into LUA scripts and
+// pipelines them. LockWrites/UnlockWrites remain for bootstrap's chunk
+// reads, which lock without bumping; the per-step references the batch
+// scripts are property-tested against (Bump, ApplyIfNewer, WaitAtLeast)
+// live beside those tests.
 //
 // An injectable per-script round-trip latency models the network cost of
 // a remote Redis, and Kill/Revive model version-store death for the
@@ -33,14 +36,16 @@
 package vstore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"synapse/internal/groupcommit"
 	"synapse/internal/timeutil"
 )
 
@@ -138,6 +143,9 @@ type Store struct {
 	// can still assert round-trip plans.
 	rt atomic.Uint64
 
+	// releases carries the unlock windows nobody waits for (see settle).
+	releases *groupcommit.Flusher[time.Duration]
+
 	mu        sync.RWMutex
 	dead      bool
 	transport Transport
@@ -164,6 +172,7 @@ func New(cfg Config) *Store {
 		cfg.Shards = 1
 	}
 	s := &Store{cfg: cfg, ring: newRing(cfg.Shards)}
+	s.releases = groupcommit.New(releasePipeline, releasePipeline, s.chargeReleases)
 	for i := 0; i < cfg.Shards; i++ {
 		s.shards = append(s.shards, newShard())
 	}
@@ -194,6 +203,9 @@ func (s *Store) KeyFor(name string) Key {
 }
 
 func (s *Store) shardFor(k Key) *shard {
+	if len(s.shards) == 1 {
+		return s.shards[0]
+	}
 	return s.shards[s.ring.locate(hashUint(uint64(k)))]
 }
 
@@ -246,172 +258,177 @@ func (s *Store) Flush() {
 	}
 }
 
-// lockOrdered is the single place that defines the deadlock-free locking
-// protocol: cooperative key locks are always acquired in deduplicated
-// ascending key order, so two holders can never wait on each other in a
-// cycle regardless of the order callers list their keys in. Every path
-// that takes write locks (LockWrites, BumpBatch) goes through it. It
-// returns the held keys in acquisition order for unlockOrdered.
-func (s *Store) lockOrdered(keys []Key) []Key {
-	held := dedupSorted(keys)
-	for _, k := range held {
-		s.shardFor(k).lock(k)
-	}
-	return held
-}
-
-// unlockOrdered releases locks taken by lockOrdered, in reverse
-// acquisition order. It must be passed the exact slice lockOrdered
-// returned.
-func (s *Store) unlockOrdered(held []Key) {
-	for i := len(held) - 1; i >= 0; i-- {
-		s.shardFor(held[i]).unlock(held[i])
-	}
-}
-
-// LockWrites acquires the write-dependency locks in sorted key order
-// (see lockOrdered), returning the ordered keys for UnlockWrites.
-// Duplicate keys are acquired once.
+// LockWrites acquires the cooperative locks of the given keys in the
+// canonical order (prepare: ascending, deduplicated — the one protocol
+// every lock taker follows, so two holders can never wait on each other
+// in a cycle whatever order callers list their keys in), returning the
+// ordered keys for UnlockWrites.
 func (s *Store) LockWrites(keys []Key) ([]Key, error) {
 	if err := s.checkAlive(); err != nil {
 		return nil, err
 	}
-	uniq := dedupSorted(keys)
+	var buf [inlineOps]op
+	ops := s.prepare(keyOps(buf[:0], keys, 0, true))
 	// One batched lock script round trip (the 2PC steps of §4.2 each
 	// cost a version-store round trip).
-	s.charge(s.cfg.scriptCost(len(uniq)))
-	for _, k := range uniq {
-		s.shardFor(k).lock(k)
+	s.charge(s.cfg.scriptCost(len(ops)))
+	held := make([]Key, len(ops))
+	for i := range ops {
+		ops[i].sh.lock(ops[i].key)
+		held[i] = ops[i].key
 	}
-	return uniq, nil
+	return held, nil
 }
 
 // UnlockWrites releases locks taken by LockWrites (it must be passed
-// the slice LockWrites returned, which is already in the canonical
-// sorted order). The unlock round trip is charged after the locks are
-// released so it never extends the critical section.
+// the slice LockWrites returned). Like Batch.Release it does not wait
+// for the unlock round trip.
 func (s *Store) UnlockWrites(keys []Key) {
-	s.unlockOrdered(keys)
-	s.charge(s.cfg.scriptCost(len(keys)))
+	var buf [inlineOps]op
+	ops := keyOps(buf[:0], keys, 0, true)
+	s.resolve(ops)
+	s.unlock(ops)
 }
 
-// Bump runs the publisher counter update of §4.2 for one operation:
-// for every dependency, ops is incremented; for write dependencies,
-// version is set to ops. The returned map holds the version to embed in
-// the message: version for read dependencies, version−1 for writes.
-// Write-dependency locks must be held by the caller.
-//
-// A key listed as both read and write dependency is treated as a write.
-// Each shard touched costs one script round trip.
-func (s *Store) Bump(readDeps, writeDeps []Key) (map[Key]uint64, error) {
-	if err := s.checkAlive(); err != nil {
-		return nil, err
+// unlock is the one unlock path: the locks go down at once, in reverse
+// acquisition order, and only then is the unlock script's round-trip
+// window accounted for — so it never extends the critical section, and
+// the caller never sleeps for its reply (settle).
+func (s *Store) unlock(held []op) {
+	for i := len(held) - 1; i >= 0; i-- {
+		held[i].sh.unlock(held[i].key)
 	}
-	byShard, n := s.groupBumpOps(readDeps, writeDeps)
-	// Shards execute their scripts concurrently in a real deployment
-	// (pipelined round trips), so the injected latency is the slowest
-	// shard's cost, charged once, rather than the sum.
-	s.charge(s.maxShardCost(byShard))
-	return s.runBumpScripts(byShard, n), nil
+	s.settle(s.cfg.scriptCost(len(held)))
 }
 
-// bumpOp is one key touched by a bump script, with its read/write role.
-type bumpOp struct {
-	key   Key
-	write bool
-}
+// releasePipeline bounds the unlock windows handed to the flusher and
+// not yet charged: a release that finds the pipeline full waits for a
+// window to land (its locks are down already), it never queues without
+// limit. It is also the most one window coalesces.
+const releasePipeline = 256
 
-// groupBumpOps dedups the dependency keys (writes win over reads) and
-// groups them per shard so each shard executes one atomic script.
-func (s *Store) groupBumpOps(readDeps, writeDeps []Key) (map[*shard][]bumpOp, int) {
-	writes := make(map[Key]struct{}, len(writeDeps))
-	for _, k := range writeDeps {
-		writes[k] = struct{}{}
+// settle accounts for an unlock window nobody waits for. With no
+// injected latency that is the counter, inline. Otherwise the window
+// goes to the release flusher, whose leader — a goroutine of its own —
+// charges every window handed in while the previous one was in flight
+// as ONE pipelined round trip: the replies are not awaited one by one,
+// the pipeline's progress is.
+func (s *Store) settle(cost time.Duration) {
+	if cost <= 0 {
+		s.rt.Add(1)
+		return
 	}
-	byShard := make(map[*shard][]bumpOp)
-	seen := make(map[Key]struct{})
-	addKey := func(k Key, write bool) {
-		if _, dup := seen[k]; dup {
-			return
+	s.releases.Add(cost)
+	s.releases.Kick()
+}
+
+// chargeReleases is the release flusher's drain: one window for the
+// batch, as long as its slowest script. It sleeps even on a Precise
+// store — spinning is for paths someone measures, and nobody waits here.
+func (s *Store) chargeReleases(costs []time.Duration) {
+	s.rt.Add(1)
+	time.Sleep(slices.Max(costs))
+}
+
+// WaitReleases returns once every unlock window handed off so far has
+// been charged, so RoundTrips is exact on a quiesced store.
+func (s *Store) WaitReleases() { s.releases.Wait() }
+
+// bump executes the publisher counter update of §4.2, one atomic script
+// per shard: for every dependency ops is incremented; for write
+// dependencies (a key listed as both read and write is a write) version
+// is set to ops. The version to embed in the message is left in each
+// op's out: version for reads, version−1 for writes.
+func (s *Store) bump(ops []op) {
+	for _, sh := range s.shards {
+		if on(ops, sh) == 0 {
+			continue
 		}
-		seen[k] = struct{}{}
-		sh := s.shardFor(k)
-		byShard[sh] = append(byShard[sh], bumpOp{key: k, write: write})
-	}
-	for _, k := range writeDeps {
-		addKey(k, true)
-	}
-	for _, k := range readDeps {
-		if _, isWrite := writes[k]; !isWrite {
-			addKey(k, false)
-		}
-	}
-	return byShard, len(seen)
-}
-
-// maxShardCost is the injected latency of one pipelined window: the
-// slowest shard script's cost.
-func (s *Store) maxShardCost(byShard map[*shard][]bumpOp) time.Duration {
-	var cost time.Duration
-	for _, ops := range byShard {
-		if c := s.cfg.scriptCost(len(ops)); c > cost {
-			cost = c
-		}
-	}
-	return cost
-}
-
-// runBumpScripts executes the §4.2 counter update on every shard and
-// collects the versions to embed in the message.
-func (s *Store) runBumpScripts(byShard map[*shard][]bumpOp, n int) map[Key]uint64 {
-	out := make(map[Key]uint64, n)
-	for sh, ops := range byShard {
-		sh.script(0, func(m map[Key]*entry) {
-			for _, o := range ops {
-				e := m[o.key]
-				if e == nil {
-					e = &entry{}
-					m[o.key] = e
-				}
-				e.ops++
-				if o.write {
-					e.version = e.ops
-					out[o.key] = e.version - 1
-				} else {
-					out[o.key] = e.version
-				}
+		sh.mu.Lock()
+		for i := range ops {
+			o := &ops[i]
+			if o.sh != sh {
+				continue
 			}
-		})
+			e := sh.entry(o.key)
+			e.ops++
+			if o.ok {
+				e.version = e.ops
+				o.out = e.version - 1
+			} else {
+				o.out = e.version
+			}
+		}
+		sh.mu.Unlock()
 	}
-	return out
 }
 
 // Batch is a publisher round-trip plan in flight: the versions returned
-// by BumpBatch plus the write locks held until Release. It is the
-// batched replacement for the LockWrites → Bump → UnlockWrites chain.
+// by BumpBatch plus the locks held until Release. It is a value — up to
+// inlineOps keys live inside it, so a plan allocates nothing — and must
+// not be copied once Release may run.
 type Batch struct {
 	store    *Store
-	held     []Key
+	n        int
+	inline   [inlineOps]op
+	spill    []op // instead of inline, beyond inlineOps keys
 	released bool
-	// Versions holds the version to embed in the message for every
-	// dependency key: version for reads, version−1 for writes (§4.2).
-	Versions map[Key]uint64
+}
+
+func (b *Batch) ops() []op {
+	if b.spill != nil {
+		return b.spill
+	}
+	return b.inline[:b.n]
+}
+
+// Len is the number of distinct dependency keys in the plan.
+func (b *Batch) Len() int { return len(b.ops()) }
+
+// Version returns the version to embed in the message for one of the
+// plan's keys: version for reads, version−1 for writes (§4.2).
+func (b *Batch) Version(k Key) uint64 {
+	for _, o := range b.ops() {
+		if o.key == k {
+			return o.out
+		}
+	}
+	return 0
 }
 
 // BumpBatch runs the whole publisher counter update of §4.2 as one
 // scripted round trip per shard (the paper's Redis LUA scripts): it
 // acquires the dependency locks in the canonical deadlock-free order
-// (lockOrdered), increments ops, sets version for write dependencies,
-// and collects the versions to embed — all within a single pipelined
+// (prepare), increments ops, sets version for write dependencies, and
+// collects the versions to embed — all within a single pipelined
 // round-trip window, instead of the separate lock and bump windows of
 // the legacy chain. Locks cover reads and writes, like the callers of
 // LockWrites did, so broker queue order stays consistent with
 // dependency order; they are held until Release.
-func (s *Store) BumpBatch(readDeps, writeDeps []Key) (*Batch, error) {
+func (s *Store) BumpBatch(readDeps, writeDeps []Key) (Batch, error) {
+	b := Batch{store: s}
+	var err error
+	if n := len(readDeps) + len(writeDeps); n > inlineOps {
+		b.spill, err = s.lockAndBump(make([]op, 0, n), readDeps, writeDeps)
+	} else {
+		var buf [inlineOps]op
+		var ops []op
+		ops, err = s.lockAndBump(buf[:0], readDeps, writeDeps)
+		b.n = copy(b.inline[:], ops)
+	}
+	if err != nil {
+		return Batch{}, err
+	}
+	return b, nil
+}
+
+// lockAndBump is BumpBatch's window over the keys laid out in ops'
+// array: the ops it returns hold the locks and carry the versions.
+func (s *Store) lockAndBump(ops []op, readDeps, writeDeps []Key) ([]op, error) {
 	if err := s.checkAlive(); err != nil {
 		return nil, err
 	}
-	byShard, n := s.groupBumpOps(readDeps, writeDeps)
+	ops = s.prepare(keyOps(keyOps(ops, writeDeps, 0, true), readDeps, 0, false))
 	// The whole plan is ONE pipelined round-trip window: the injected
 	// RTT models the network flight to the store, so it is charged
 	// BEFORE the locks are taken — server-side, the script acquires the
@@ -420,30 +437,30 @@ func (s *Store) BumpBatch(readDeps, writeDeps []Key) (*Batch, error) {
 	// locked across the sleep, serializing concurrent publishers to the
 	// same popular object for an extra RTT each and convoying the
 	// publish path under zipf-skewed traffic.
-	s.charge(s.maxShardCost(byShard))
-	all := make([]Key, 0, len(readDeps)+len(writeDeps))
-	all = append(all, writeDeps...)
-	all = append(all, readDeps...)
-	held := s.lockOrdered(all)
+	s.charge(s.windowCost(ops, nil))
+	for i := range ops {
+		ops[i].sh.lock(ops[i].key)
+	}
 	if err := s.checkAlive(); err != nil {
 		// The store died while we waited for a lock holder; hand back
 		// the locks rather than versions from a dead store.
-		s.unlockOrdered(held)
+		s.unlock(ops)
 		return nil, err
 	}
-	return &Batch{store: s, held: held, Versions: s.runBumpScripts(byShard, n)}, nil
+	s.bump(ops)
+	return ops, nil
 }
 
-// Release unlocks the batch's write locks (reverse acquisition order)
-// and charges the unlock round trip after the locks are down, so it
-// never extends the critical section. Safe to call more than once.
+// Release drops the batch's locks where it is called — after the broker
+// send, so queue order stays consistent with dependency order — without
+// waiting for the unlock round trip (see unlock). Safe to call more than
+// once.
 func (b *Batch) Release() {
-	if b.released {
+	if b.released || b.store == nil {
 		return
 	}
 	b.released = true
-	b.store.unlockOrdered(b.held)
-	b.store.charge(b.store.cfg.scriptCost(len(b.held)))
+	b.store.unlock(b.ops())
 }
 
 // Counters returns the publisher counters for a key (zero when absent).
@@ -470,60 +487,45 @@ func (s *Store) Ops(k Key) uint64 {
 	return out
 }
 
-// window runs script once per shard on the keys it holds, after charging
-// the one pipelined round-trip window the scripts share: the slowest
-// shard's cost, once. A callback keeps the grouping map on this stack.
-func (s *Store) window(keys []Key, script func(*shard, []Key)) {
-	byShard := make(map[*shard][]Key)
-	for _, k := range keys {
-		sh := s.shardFor(k)
-		byShard[sh] = append(byShard[sh], k)
-	}
-	var cost time.Duration
-	for _, ks := range byShard {
-		if c := s.cfg.scriptCost(len(ks)); c > cost {
-			cost = c
-		}
-	}
-	s.charge(cost)
-	for sh, ks := range byShard {
-		script(sh, ks)
-	}
-}
-
 // moveOps is the one way a subscriber ops counter moves: move runs on
 // every key's entry (created on demand), one atomic script per shard in
 // one window, then the waiters whose threshold a key's new value reaches
 // are woken — nothing that moves a counter can forget the waiter table.
-func (s *Store) moveOps(keys []Key, move func(Key, *entry)) error {
-	if len(keys) == 0 {
+func (s *Store) moveOps(ops []op, move func(*entry, uint64)) error {
+	if len(ops) == 0 {
 		return nil
 	}
 	if err := s.checkAlive(); err != nil {
 		return err
 	}
-	s.window(keys, func(sh *shard, ks []Key) {
-		vals := make([]uint64, len(ks))
-		sh.script(0, func(m map[Key]*entry) {
-			for i, k := range ks {
-				e := m[k]
-				if e == nil {
-					e = &entry{}
-					m[k] = e
-				}
-				move(k, e)
-				vals[i] = e.ops
+	ops = s.prepare(ops)
+	s.charge(s.windowCost(ops, nil))
+	for _, sh := range s.shards {
+		if on(ops, sh) == 0 {
+			continue
+		}
+		sh.mu.Lock()
+		for i := range ops {
+			if o := &ops[i]; o.sh == sh {
+				e := sh.entry(o.key)
+				move(e, o.arg)
+				o.out = e.ops
 			}
-		})
-		sh.wakeReached(ks, vals)
-	})
+		}
+		sh.mu.Unlock()
+		sh.wakeReached(ops)
+	}
 	return nil
 }
+
+func addOps(e *entry, n uint64)   { e.ops += n }
+func raiseOps(e *entry, v uint64) { e.ops = max(e.ops, v) }
 
 // IncrOps increments the subscriber ops counter for every key (after a
 // message is processed) and wakes waiters. Duplicate keys count once.
 func (s *Store) IncrOps(keys []Key) error {
-	return s.moveOps(dedupSorted(keys), func(_ Key, e *entry) { e.ops++ })
+	var buf [inlineOps]op
+	return s.moveOps(keyOps(buf[:0], keys, 1, false), addOps)
 }
 
 // IncrOpsMulti applies many messages' worth of counter increments in
@@ -536,19 +538,20 @@ func (s *Store) IncrOps(keys []Key) error {
 // the final post-increment values (threshold-aware waiters only fire
 // once their target version is actually reached).
 func (s *Store) IncrOpsMulti(counts map[Key]uint64) error {
-	keys := make([]Key, 0, len(counts))
+	var buf [inlineOps]op
+	ops := buf[:0]
 	for k, n := range counts {
 		if n > 0 {
-			keys = append(keys, k)
+			ops = append(ops, op{key: k, arg: n})
 		}
 	}
-	return s.moveOps(keys, func(k Key, e *entry) { e.ops += counts[k] })
+	return s.moveOps(ops, addOps)
 }
 
 // SetOps raises the ops counter for a key to at least val (bulk version
 // load during bootstrap; max-merge so late loads cannot regress).
 func (s *Store) SetOps(k Key, val uint64) error {
-	return s.SetOpsMulti(map[Key]uint64{k: val})
+	return s.moveOps([]op{{key: k, arg: val}}, raiseOps)
 }
 
 // SetOpsMulti raises many keys' ops counters to at least their mapped
@@ -556,25 +559,19 @@ func (s *Store) SetOps(k Key, val uint64) error {
 // is the bulk version load of a bootstrap: one window instead of one
 // per counter.
 func (s *Store) SetOpsMulti(vals map[Key]uint64) error {
-	keys := make([]Key, 0, len(vals))
-	for k := range vals {
-		keys = append(keys, k)
+	ops := make([]op, 0, len(vals))
+	for k, v := range vals {
+		ops = append(ops, op{key: k, arg: v})
 	}
-	return s.moveOps(keys, func(k Key, e *entry) { e.ops = max(e.ops, vals[k]) })
+	return s.moveOps(ops, raiseOps)
 }
 
-// WaitAtLeast is WaitAtLeastMulti for a single key: the subscriber's
-// dependency wait (§4.2), with the configurable give-up recommended in
-// §6.5.
-func (s *Store) WaitAtLeast(k Key, min uint64, timeout time.Duration) error {
-	return s.WaitAtLeastMulti(map[Key]uint64{k: min}, timeout)
-}
-
-// Parked is a dependency wait that Park found unmet: the blocking keys
-// as probed and — given a wake action — one registration per unmet key
-// in the shards' waiter tables. It ends exactly once, dropping every
-// remaining registration: it fires (a threshold reached, a flush, a
-// kill; wake runs on the goroutine that did it) or it is cancelled.
+// Parked is a dependency wait that found requirements unmet: the
+// blocking keys as probed and — given a wake action — one registration
+// per unmet key in the shards' waiter tables. It ends exactly once,
+// dropping every remaining registration: it fires (a threshold reached,
+// a flush, a kill; wake runs on the goroutine that did it) or it is
+// cancelled.
 type Parked struct {
 	// Unmet lists the keys short of their minimum at the probe, with the
 	// counters observed, in ascending key order.
@@ -604,86 +601,197 @@ func (p *Parked) Cancel() bool {
 	return true
 }
 
-// Park is the non-blocking dependency wait: it probes every key in reqs
-// against its required minimum in one pipelined round trip over the
-// shards involved and reports nil when all are reached (zero-minimum
-// entries need no round trip). Otherwise it returns the unmet keys and,
-// given a non-nil wake, leaves a threshold-aware waiter registered on
-// each: wake is called once — possibly before Park returns — when any
-// of them reaches its threshold or the store is flushed or killed, and
-// the caller probes again to learn whether the whole map is satisfied
-// now. Each key is checked and registered under one hold of its shard's
-// read lock, so an increment between the two cannot be lost.
-func (s *Store) Park(reqs map[Key]uint64, wake func()) (*Parked, error) {
+// Claim is one per-object version claim: the object's dependency key
+// and the post-write version the message carries.
+type Claim struct {
+	Key     Key
+	Version uint64
+}
+
+// ClaimResult is what a claim found: whether its version was newer than
+// the stored one (and is recorded now), and the version stored before —
+// what RestoreVersion puts back if the guarded apply fails.
+type ClaimResult struct {
+	Applied bool
+	Prev    uint64
+}
+
+// ClaimIfMet is the subscriber's one round-trip window per message: the
+// dependency probe and the per-object version claims of §4.2 as ONE
+// atomic script per shard, pipelined over the shards involved. Each
+// shard checks its share of reqs (the ops counter of every key against
+// the minimum it needs; zero minimums need nothing) and — only if all of
+// them are reached — runs its share of claims in slice order: a claim
+// whose version is newer than the stored one records it and wins, any
+// other is stale (weak-mode last-writer-wins, duplicate redelivery).
+// When every requirement is met the outcome of claims[i] is left in
+// results[i] and nil is returned.
+//
+// Otherwise nothing stays claimed and the unmet keys come back with the
+// counters observed. Given a non-nil wake, a threshold-aware waiter is
+// left registered on each of them: wake is called once — possibly before
+// ClaimIfMet returns — when any of them reaches its threshold or the
+// store is flushed or killed, and the caller tries again to learn
+// whether everything is satisfied now. A key is checked and registered
+// under one hold of its shard's lock, so an increment between the two
+// cannot be lost.
+//
+// Shards do not see each other's keys: with more than one, a shard
+// whose own requirements are met claims even though another will report
+// unmet. Those claims are taken back in one more window with
+// RestoreVersion's compare-and-set, before ClaimIfMet returns — the
+// caller still holds its apply stripes, so no claim of its own objects
+// can have landed in between. A message whose requirements and claims
+// share a shard never pays it.
+//
+// The probe alone (Park, WaitAtLeastMulti) is ClaimIfMet with no claims
+// and takes only read locks, so concurrent probes of the same hot keys
+// never serialize against each other; the claim alone (ApplyBatch) is
+// ClaimIfMet with no requirements.
+func (s *Store) ClaimIfMet(reqs []WaitReq, claims []Claim, results []ClaimResult, wake func()) (*Parked, error) {
 	if err := s.checkAlive(); err != nil {
 		return nil, err
 	}
-	keys := make([]Key, 0, len(reqs))
-	for k, min := range reqs {
-		if min > 0 {
-			keys = append(keys, k)
+	var pbuf, cbuf [inlineOps]op
+	probes := pbuf[:0]
+	for _, r := range reqs {
+		if r.Need > 0 {
+			probes = append(probes, op{key: r.Key, arg: r.Need})
 		}
 	}
-	if len(keys) == 0 {
+	probes = s.prepare(probes)
+	cl := cbuf[:0]
+	for _, c := range claims {
+		cl = append(cl, op{key: c.Key, arg: c.Version})
+	}
+	s.resolve(cl)
+	if len(probes)+len(cl) == 0 {
 		return nil, nil
 	}
+	s.charge(s.windowCost(probes, cl))
 	var p *Parked
-	s.window(keys, func(sh *shard, ks []Key) {
-		sh.rscript(0, func(m map[Key]*entry) {
-			for _, k := range ks {
-				var cur uint64
-				if e := m[k]; e != nil {
-					cur = e.ops
-				}
-				if cur >= reqs[k] {
-					continue
-				}
-				if p == nil {
-					p = &Parked{store: s, keys: keys, wake: wake}
-				}
-				p.Unmet = append(p.Unmet, WaitReq{Key: k, Need: reqs[k], Have: cur})
-				if wake != nil {
-					sh.register(k, reqs[k], p)
+	claimed := false
+	for _, sh := range s.shards {
+		writes := on(cl, sh) > 0
+		if !writes && on(probes, sh) == 0 {
+			continue
+		}
+		if writes {
+			sh.mu.Lock()
+		} else {
+			sh.mu.RLock()
+		}
+		met := true
+		for i := range probes {
+			o := &probes[i]
+			if o.sh != sh {
+				continue
+			}
+			var cur uint64
+			if e := sh.data[o.key]; e != nil {
+				cur = e.ops
+			}
+			if cur >= o.arg {
+				continue
+			}
+			met = false
+			if p == nil {
+				p = &Parked{store: s, wake: wake, keys: make([]Key, len(probes))}
+				for j := range probes {
+					p.keys[j] = probes[j].key
 				}
 			}
-		})
-	})
+			p.Unmet = append(p.Unmet, WaitReq{Key: o.key, Need: o.arg, Have: cur})
+			if wake != nil {
+				sh.register(o.key, o.arg, p)
+			}
+		}
+		if !writes {
+			sh.mu.RUnlock()
+			continue
+		}
+		for i := range cl {
+			if o := &cl[i]; met && o.sh == sh {
+				e := sh.entry(o.key)
+				o.out = e.version
+				if o.arg > e.version {
+					e.version = o.arg
+					o.ok, claimed = true, true
+				}
+			}
+		}
+		sh.mu.Unlock()
+	}
 	if p == nil {
+		for i := range cl {
+			results[i] = ClaimResult{Applied: cl[i].ok, Prev: cl[i].out}
+		}
 		return nil, nil
 	}
-	sort.Slice(p.Unmet, func(i, j int) bool { return p.Unmet[i].Key < p.Unmet[j].Key })
+	if claimed {
+		s.takeBack(cl)
+	}
+	slices.SortFunc(p.Unmet, func(a, b WaitReq) int { return cmp.Compare(a.Key, b.Key) })
 	return p, nil
+}
+
+// takeBack undoes the claims a shard made for a message another shard
+// then refused, newest first, each only if the version it recorded is
+// still the stored one — one more window (the rare cross-shard path of
+// ClaimIfMet).
+func (s *Store) takeBack(cl []op) {
+	s.charge(s.windowCost(cl, nil))
+	for _, sh := range s.shards {
+		if on(cl, sh) == 0 {
+			continue
+		}
+		sh.mu.Lock()
+		for i := len(cl) - 1; i >= 0; i-- {
+			if o := &cl[i]; o.ok && o.sh == sh {
+				if e := sh.data[o.key]; e != nil && e.version == o.arg {
+					e.version = o.out
+				}
+			}
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// Park is the non-blocking dependency wait: ClaimIfMet with no claims,
+// over a requirement map.
+func (s *Store) Park(reqs map[Key]uint64, wake func()) (*Parked, error) {
+	var buf [inlineOps]WaitReq
+	list := buf[:0]
+	for k, min := range reqs {
+		list = append(list, WaitReq{Key: k, Need: min})
+	}
+	return s.ClaimIfMet(list, nil, nil, wake)
 }
 
 // WaitAtLeastMulti blocks until the ops counter of EVERY key in reqs
 // reaches its required minimum, the timeout elapses (a *WaitError
 // wrapping ErrTimeout, naming every still-blocking key), or the store
-// dies (ErrDead). It is the blocking form of Park — the batched
-// replacement for one WaitAtLeast call per dependency: each check is
-// one pipelined round trip over the shards involved instead of one per
+// dies (ErrDead). It is the blocking form of Park: each check is one
+// pipelined round trip over the shards involved instead of one per
 // key, and after a wakeup only the keys still unmet are checked again.
-// Timeout semantics follow WaitAtLeast, applied to the map as a whole
-// (a zero timeout checks once; a negative timeout waits forever).
+// A zero timeout checks once; a negative timeout waits forever.
 func (s *Store) WaitAtLeastMulti(reqs map[Key]uint64, timeout time.Duration) error {
-	if timeout == 0 {
-		p, err := s.Park(reqs, nil)
-		if p == nil {
-			return err
-		}
-		return &WaitError{Unmet: p.Unmet}
-	}
-	var expired <-chan time.Time // nil: a negative timeout never expires
+	var expired <-chan time.Time // nil: never expires
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
 		defer t.Stop()
 		expired = t.C
 	}
-	woken := make(chan struct{}, 1) // a wait fires once and is drained before the next: never full
-	wake := func() { woken <- struct{}{} }
-	for {
-		p, err := s.Park(reqs, wake)
-		if p == nil {
-			return err
+	var woken chan struct{}
+	var wake func()
+	if timeout != 0 {
+		woken = make(chan struct{}, 1) // a wait fires once and is drained before the next: never full
+		wake = func() { woken <- struct{}{} }
+	}
+	p, err := s.Park(reqs, wake)
+	for p != nil {
+		if wake == nil {
+			return &WaitError{Unmet: p.Unmet}
 		}
 		select {
 		case <-woken:
@@ -691,42 +799,14 @@ func (s *Store) WaitAtLeastMulti(reqs map[Key]uint64, timeout time.Duration) err
 			p.Cancel()
 			return &WaitError{Unmet: p.Unmet}
 		}
-		reqs = make(map[Key]uint64, len(p.Unmet))
-		for _, r := range p.Unmet {
-			reqs[r.Key] = r.Need
-		}
+		p, err = s.ClaimIfMet(p.Unmet, nil, nil, wake)
 	}
-}
-
-// ApplyIfNewer implements weak-mode last-writer-wins: it atomically
-// checks whether version is newer than the stored version for the
-// object key and records it if so. Returns applied=false when the
-// message is stale and must be discarded (§4.2, weak delivery), plus
-// the previously stored version so a failed apply can be rolled back
-// with RestoreVersion.
-func (s *Store) ApplyIfNewer(k Key, version uint64) (applied bool, prev uint64, err error) {
-	if err := s.checkAlive(); err != nil {
-		return false, 0, err
-	}
-	s.charge(s.cfg.scriptCost(1))
-	s.shardFor(k).script(0, func(m map[Key]*entry) {
-		e := m[k]
-		if e == nil {
-			e = &entry{}
-			m[k] = e
-		}
-		prev = e.version
-		if version > e.version {
-			e.version = version
-			applied = true
-		}
-	})
-	return applied, prev, nil
+	return err
 }
 
 // RestoreVersion rolls a claimed object version back to prev, but only
 // if the stored version still equals expect — a compare-and-set used
-// when the apply guarded by ApplyIfNewer failed and the message will be
+// when the apply guarded by a claim failed and the message will be
 // redelivered. If another (newer) claim landed in between, the rollback
 // is skipped: the newer version legitimately owns the object.
 func (s *Store) RestoreVersion(k Key, expect, prev uint64) error {
@@ -742,61 +822,18 @@ func (s *Store) RestoreVersion(k Key, expect, prev uint64) error {
 	return nil
 }
 
-// Claim is one per-object version claim for ApplyBatch: the object's
-// dependency key and the post-write version the message carries.
-type Claim struct {
-	Key     Key
-	Version uint64
-}
-
-// ClaimResult mirrors ApplyIfNewer's result for one claim of a batch.
-type ClaimResult struct {
-	Applied bool
-	Prev    uint64
-}
-
-// ApplyBatch runs the ApplyIfNewer check-and-claim for a whole
-// message's operations in one pipelined round trip (one atomic script
-// per shard), the subscriber-side counterpart of BumpBatch. Claims are
-// evaluated in slice order, so several claims on the same key behave
-// exactly like sequential ApplyIfNewer calls. A failed apply is rolled
-// back per claim with RestoreVersion, as before.
+// ApplyBatch runs the check-and-claim for a whole message's operations
+// in one pipelined round trip — ClaimIfMet with no requirements, the
+// subscriber-side counterpart of BumpBatch. Claims are evaluated in
+// slice order, so several claims on the same key behave exactly like
+// sequential single claims.
 func (s *Store) ApplyBatch(claims []Claim) ([]ClaimResult, error) {
-	if err := s.checkAlive(); err != nil {
-		return nil, err
-	}
 	if len(claims) == 0 {
-		return nil, nil
+		return nil, s.checkAlive()
 	}
 	out := make([]ClaimResult, len(claims))
-	byShard := make(map[*shard][]int)
-	for i, c := range claims {
-		sh := s.shardFor(c.Key)
-		byShard[sh] = append(byShard[sh], i)
-	}
-	var cost time.Duration
-	for _, idxs := range byShard {
-		if c := s.cfg.scriptCost(len(idxs)); c > cost {
-			cost = c
-		}
-	}
-	s.charge(cost)
-	for sh, idxs := range byShard {
-		sh.script(0, func(m map[Key]*entry) {
-			for _, i := range idxs {
-				c := claims[i]
-				e := m[c.Key]
-				if e == nil {
-					e = &entry{}
-					m[c.Key] = e
-				}
-				out[i].Prev = e.version
-				if c.Version > e.version {
-					e.version = c.Version
-					out[i].Applied = true
-				}
-			}
-		})
+	if _, err := s.ClaimIfMet(nil, claims, out, nil); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -825,17 +862,4 @@ func (s *Store) Entries() int {
 		sh.rscript(0, func(m map[Key]*entry) { n += len(m) })
 	}
 	return n
-}
-
-func dedupSorted(keys []Key) []Key {
-	uniq := make([]Key, 0, len(keys))
-	seen := make(map[Key]struct{}, len(keys))
-	for _, k := range keys {
-		if _, ok := seen[k]; !ok {
-			seen[k] = struct{}{}
-			uniq = append(uniq, k)
-		}
-	}
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
-	return uniq
 }

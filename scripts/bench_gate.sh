@@ -8,8 +8,9 @@
 # Only metrics that do not depend on sweep size are compared, so a
 # -quick run is comparable against full-sweep baselines:
 #
-#   fig13     round trips per message: EXACT match at every deps value
-#             the quick sweep shares with the baseline. These are
+#   fig13     round trips per message: at every deps value the quick
+#             sweep shares with the baseline, no more windows than the
+#             baseline and no fewer by more than 0.25. These are
 #             protocol counts, not timings.
 #   chaos     converged == seeds (every seeded fault script converges).
 #   overload  converged == seeds and queue bounds held; decommission
@@ -81,14 +82,19 @@ compare() {
     base=$1
     fresh=$2
 
-    # fig13: protocol round-trip counts, exact, joined on deps.
+    # fig13: protocol round-trip windows per message, joined on deps. No
+    # dependency count may pay more windows than the baseline, nor fewer
+    # by more than 0.25: the sweep runs one message at a time, but an
+    # unlock or increment window that coalesces on a slow machine reads
+    # a tenth low, and a real saving is a baseline to regenerate.
     for deps in $(jq -r '.points[].deps' "$fresh/BENCH_fig13.json"); do
         b=$(jq -r --argjson d "$deps" '.points[] | select(.deps == $d) | .batched.total_rt_per_msg' "$base/BENCH_fig13.json")
         n=$(jq -r --argjson d "$deps" '.points[] | select(.deps == $d) | .batched.total_rt_per_msg' "$fresh/BENCH_fig13.json")
         if [ -z "$b" ] || [ "$b" = "null" ]; then
             continue # deps value not in baseline sweep
         fi
-        [ "$b" = "$n" ] || breach "fig13: rt/msg at deps=$deps changed $b -> $n"
+        awk -v b="$b" -v n="$n" 'BEGIN { exit (n <= b + 1e-9 && n >= b - 0.25) ? 0 : 1 }' ||
+            breach "fig13: rt/msg at deps=$deps is $n, baseline $b (allowed: $b down to $b - 0.25)"
     done
 
     # chaos: every seeded fault script converged.
@@ -214,6 +220,19 @@ if [ "${1:-}" = "selftest" ]; then
 
     jq '.points[0].batched.total_rt_per_msg += 1' "$tmp/committed/BENCH_fig13.json" >"$tmp/fresh/BENCH_fig13.json"
     expect_breach "fig13 batched +1 round trip"
+
+    jq '.points[0].batched.total_rt_per_msg -= 0.5' "$tmp/committed/BENCH_fig13.json" >"$tmp/fresh/BENCH_fig13.json"
+    expect_breach "fig13 batched half a round trip under a stale baseline"
+
+    # One coalesced window in a quick run (a tenth low) is not a breach.
+    jq '.points[0].batched.total_rt_per_msg -= 0.1' "$tmp/committed/BENCH_fig13.json" >"$tmp/fresh/BENCH_fig13.json"
+    fails=0
+    compare "$tmp/committed" "$tmp/fresh"
+    [ "$fails" -eq 0 ] || {
+        echo "selftest: gate tripped on a single coalesced fig13 window" >&2
+        exit 1
+    }
+    cp "$tmp/committed/"* "$tmp/fresh/"
 
     jq '.converged -= 1' "$tmp/committed/BENCH_chaos.json" >"$tmp/fresh/BENCH_chaos.json"
     expect_breach "chaos seed failed to converge"

@@ -101,7 +101,7 @@ scenario_tail() {
 # the cluster chaos scripts, then the scaling + failover bench.
 scenario_cluster() {
     go test -race $SHORT ./internal/broker/cluster/ ./internal/coord/ &&
-        gotest -race $SHORT -run 'TestReplication|TestShipLog|TestFence|TestStats|TestCompactionInterleaved|TestQueueLog|TestOneRecordPerPublish|TestSlowConsumer' \
+        gotest -race $SHORT -run 'TestReplication|TestShipLog|TestFence|TestStats|TestTruncationInterleaved|TestLogTruncation|TestOneRecordPerPublish|TestSlowConsumer' \
             ./internal/broker/ &&
         gotest -race $SHORT -run 'TestClusterChaos' ./internal/chaos/ &&
         go run ./cmd/synapse-bench -exp cluster $QUICK
@@ -167,7 +167,24 @@ scenario_orm() {
         bash benchmark/run.sh --workload fanout_hetero --seconds 5
 }
 
-ALL="check chaos overload causality tail cluster bootstrap benchmark liveness journal orm"
+# One version-store window per side: the combined probe-and-claim script
+# against the two-window sequence it replaced (both trackers, 1 and 4
+# shards, the cross-shard take-back), releases that do not wait, the one
+# group-commit flusher, and the core one-window and park tests, twenty
+# times under the race detector; then the workload whose every publish
+# and apply sleeps in those windows, which exits non-zero on any failed
+# operation or oracle mismatch.
+scenario_windows() {
+    gotest -race -count=20 -run 'TestClaimIfMet|TestReleaseDoesNotWait|TestBatchCallAllocBudget' ./internal/vstore/ &&
+        gotest -race -count=20 -run 'TestOneWindowScript|TestPlanAllocBudget' ./internal/deptrack/ &&
+        go test -race -count=20 ./internal/groupcommit/ &&
+        gotest -race -count=20 \
+            -run 'TestPublishWaitsOneWindow|TestApplyWaitsOneWindow|TestParked|TestDependantAhead|TestStopWorkersHands' \
+            ./internal/core/ &&
+        bash benchmark/run.sh --workload social_rtt --seconds 5
+}
+
+ALL="check chaos overload causality tail cluster bootstrap benchmark liveness journal orm windows"
 run_list="$*"
 if [ -z "$run_list" ]; then
     run_list="$ALL"
