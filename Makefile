@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the gate CI runs: build, vet,
 # and the full test suite under the race detector.
 
-.PHONY: check test loc bench bench-overload bench-causality bench-tail bench-cluster bench-bootstrap check-bench scenarios chaos
+.PHONY: check test loc bench check-bench scenarios chaos
 
 check:
 	./scripts/check.sh
@@ -14,43 +14,22 @@ test:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
-# Regenerates the Fig 13 round-trip sweep and BENCH_fig13.json.
-bench:
-	go run ./cmd/synapse-bench -exp fig13rt
+# `make bench-NAME` runs one synapse-bench experiment at full size
+# (bench-tail, bench-cluster, bench-chaos, ...), rewriting its committed
+# BENCH_*.json baseline when it has one; `make bench` is the Fig 13
+# round-trip sweep (BENCH_fig13.json).
+bench: bench-fig13rt
 
-# Regenerates the overload experiment (degradation ladder, queue bounds,
-# stall quarantine under sustained ~2x overload) and BENCH_overload.json.
-bench-overload:
-	go run ./cmd/synapse-bench -exp overload
+bench-%:
+	go run ./cmd/synapse-bench -exp $*
 
-# Regenerates the dependency-tracker comparison (hashed cardinality
-# sweep vs dotted version vectors) and BENCH_causality.json.
-bench-causality:
-	go run ./cmd/synapse-bench -exp causality
-
-# Regenerates the open-loop tail-latency sweep (publish→deliver
-# p50/p99/p999 vs arrival rate, knee detection) and BENCH_tail.json.
-bench-tail:
-	go run ./cmd/synapse-bench -exp tail
-
-# Regenerates the sharded-broker cluster experiment (throughput scaling
-# at 1/2/4 shards, failover unavailability window, zero-lost verdict)
-# and BENCH_cluster.json.
-bench-cluster:
-	go run ./cmd/synapse-bench -exp cluster
-
-# Regenerates the chunked live bootstrap experiment (join time vs
-# publisher size under sustained write load, max publish stall,
-# crash-resume from the journaled chunk cursor) and BENCH_bootstrap.json.
-bench-bootstrap:
-	go run ./cmd/synapse-bench -exp bootstrap
-
-# Bench-regression gate: quick-runs every experiment and compares
-# config-invariant metrics (rt counts, convergence, tail p99) against
-# the committed BENCH_*.json baselines. Non-zero exit on any breach;
-# committed baselines are restored afterwards.
+# Bench-regression gate: quick-runs every gated experiment in memory and
+# checks config-invariant metrics (rt counts, convergence, tail p99)
+# against the committed BENCH_*.json baselines with the rule beside each
+# experiment in internal/bench. Non-zero exit on any breach; no file is
+# written.
 check-bench:
-	./scripts/bench_gate.sh
+	go run ./cmd/synapse-bench -gate
 
 # The CI scenario suite (check/chaos/overload/causality/tail/cluster/
 # bootstrap/benchmark/liveness/journal/orm/windows), quick sweeps — the same commands the

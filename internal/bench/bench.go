@@ -1,7 +1,8 @@
 // Package bench is the experiment harness that regenerates every table
-// and figure of the paper's evaluation (§6). It is shared between the
-// synapse-bench command (full parameter sweeps, paper-style output) and
-// the repository's testing.B benchmarks (reduced configurations).
+// and figure of the paper's evaluation (§6). Experiments (table.go) is
+// the one list of them: what each runs, the document it produces, how
+// that prints, and the rule that gates it against its committed
+// BENCH_*.json baseline. The synapse-bench command is a loop over it.
 //
 // Absolute numbers differ from the paper — the substrates are in-process
 // simulators with scaled-down latency profiles, not a fleet of c3.large
@@ -45,105 +46,90 @@ const (
 	Ephemeral     = "ephemeral" // DB-less (nil mapper)
 )
 
-// Engines lists every backed engine (everything but Ephemeral).
-func Engines() []string {
-	return []string{PostgreSQL, MySQL, Oracle, MongoDB, TokuMX, RethinkDB, Cassandra, Elasticsearch, Neo4j}
+// engines is the one table of backed engines (everything but
+// Ephemeral): how to build a mapper over each, the per-write latency
+// used as the no-Synapse baseline in Fig 13(a), and the sustained write
+// rate at which it saturates in the Fig 13(b) runs. PostgreSQL's 0.81ms
+// and Cassandra's 1.9ms, and PostgreSQL's 12,000 and Elasticsearch's
+// 20,000 writes/s, come from the paper; the others are interpolated to
+// keep its ranking (column stores fastest, graph slowest).
+var engines = []struct {
+	name         string
+	mapper       func(storage.Profile) orm.Mapper
+	writeLatency time.Duration
+	maxWriteRate float64
+}{
+	{PostgreSQL, relMapper(reldb.Postgres), 810 * time.Microsecond, 12000},
+	{MySQL, relMapper(reldb.MySQL), 900 * time.Microsecond, 18000},
+	{Oracle, relMapper(reldb.Oracle), 810 * time.Microsecond, 12000},
+	{MongoDB, docMapper(docdb.MongoDB), 600 * time.Microsecond, 26000},
+	{TokuMX, docMapper(docdb.TokuMX), 700 * time.Microsecond, 30000},
+	{RethinkDB, docMapper(docdb.RethinkDB), 750 * time.Microsecond, 22000},
+	{Cassandra, func(p storage.Profile) orm.Mapper { return columnorm.New(coldb.NewWithProfile(p)) }, 1900 * time.Microsecond, 45000},
+	{Elasticsearch, func(p storage.Profile) orm.Mapper { return searchorm.New(searchdb.NewWithProfile(p)) }, 1200 * time.Microsecond, 20000},
+	{Neo4j, func(p storage.Profile) orm.Mapper { return graphorm.New(graphdb.NewWithProfile(p)) }, 1500 * time.Microsecond, 9000},
+}
+
+func relMapper(v reldb.Flavor) func(storage.Profile) orm.Mapper {
+	return func(p storage.Profile) orm.Mapper { return activerecord.New(reldb.NewWithProfile(v, p)) }
+}
+
+func docMapper(v docdb.Flavor) func(storage.Profile) orm.Mapper {
+	return func(p storage.Profile) orm.Mapper { return documentorm.New(docdb.NewWithProfile(v, p)) }
 }
 
 // NewMapper builds a fresh mapper over the named engine with the given
 // performance profile. Ephemeral returns nil (a DB-less app).
 func NewMapper(engine string, p storage.Profile) orm.Mapper {
-	switch engine {
-	case PostgreSQL:
-		return activerecord.New(reldb.NewWithProfile(reldb.Postgres, p))
-	case MySQL:
-		return activerecord.New(reldb.NewWithProfile(reldb.MySQL, p))
-	case Oracle:
-		return activerecord.New(reldb.NewWithProfile(reldb.Oracle, p))
-	case MongoDB:
-		return documentorm.New(docdb.NewWithProfile(docdb.MongoDB, p))
-	case TokuMX:
-		return documentorm.New(docdb.NewWithProfile(docdb.TokuMX, p))
-	case RethinkDB:
-		return documentorm.New(docdb.NewWithProfile(docdb.RethinkDB, p))
-	case Cassandra:
-		return columnorm.New(coldb.NewWithProfile(p))
-	case Elasticsearch:
-		return searchorm.New(searchdb.NewWithProfile(p))
-	case Neo4j:
-		return graphorm.New(graphdb.NewWithProfile(p))
-	case Ephemeral:
-		return nil
+	for _, e := range engines {
+		if e.name == engine {
+			return e.mapper(p)
+		}
 	}
-	panic("bench: unknown engine " + engine)
+	if engine != Ephemeral {
+		panic("bench: unknown engine " + engine)
+	}
+	return nil
 }
 
-// WriteLatencyFor returns the per-write engine latency used as the
-// no-Synapse baseline in Fig 13(a). PostgreSQL's 0.81ms and Cassandra's
-// 1.9ms come from the paper; the others are interpolated.
-func WriteLatencyFor(engine string) time.Duration {
-	switch engine {
-	case PostgreSQL, Oracle:
-		return 810 * time.Microsecond
-	case MySQL:
-		return 900 * time.Microsecond
-	case MongoDB:
-		return 600 * time.Microsecond
-	case TokuMX:
-		return 700 * time.Microsecond
-	case RethinkDB:
-		return 750 * time.Microsecond
-	case Cassandra:
-		return 1900 * time.Microsecond
-	case Elasticsearch:
-		return 1200 * time.Microsecond
-	case Neo4j:
-		return 1500 * time.Microsecond
+// engineProfile makes an engine's workers latency-bound (its write
+// latency) and caps it at its saturation rate; Ephemeral is unlimited.
+func engineProfile(engine string) (p storage.Profile) {
+	for _, e := range engines {
+		if e.name == engine {
+			p = storage.Profile{WriteLatency: e.writeLatency, ReadLatency: e.writeLatency / 2, MaxWriteRate: e.maxWriteRate}
+		}
 	}
-	return 0
+	return p
 }
 
-// MaxWriteRateFor returns the sustained write throughput at which each
-// engine saturates in the Fig 13(b) runs. PostgreSQL's 12,000 writes/s
-// and Elasticsearch's 20,000 writes/s are the saturation points the
-// paper reports; the others are plausible relative figures chosen to
-// keep the paper's ranking (column stores fastest, graph slowest).
-func MaxWriteRateFor(engine string) float64 {
-	switch engine {
-	case PostgreSQL, Oracle:
-		return 12000
-	case MySQL:
-		return 18000
-	case MongoDB:
-		return 26000
-	case TokuMX:
-		return 30000
-	case RethinkDB:
-		return 22000
-	case Cassandra:
-		return 45000
-	case Elasticsearch:
-		return 20000
-	case Neo4j:
-		return 9000
-	}
-	return 0 // ephemeral: unlimited
-}
-
-// SocialModels returns fresh Post and Comment descriptors for the §6.3
+// socialModels returns fresh Post and Comment descriptors for the §6.3
 // social microbenchmark.
-func SocialModels() (post, comment *model.Descriptor) {
-	post = model.NewDescriptor("Post",
-		model.Field{Name: "author", Type: model.Ref, RefModel: "User"},
-		model.Field{Name: "body", Type: model.String},
-	)
-	comment = model.NewDescriptor("Comment",
-		model.Field{Name: "post", Type: model.Ref, RefModel: "Post"},
-		model.Field{Name: "author", Type: model.Ref, RefModel: "User"},
-		model.Field{Name: "body", Type: model.String},
-	)
-	return post, comment
+func socialModels() []*model.Descriptor {
+	return []*model.Descriptor{
+		model.NewDescriptor("Post",
+			model.Field{Name: "author", Type: model.Ref, RefModel: "User"},
+			model.Field{Name: "body", Type: model.String},
+		),
+		model.NewDescriptor("Comment",
+			model.Field{Name: "post", Type: model.Ref, RefModel: "Post"},
+			model.Field{Name: "author", Type: model.Ref, RefModel: "User"},
+			model.Field{Name: "body", Type: model.String},
+		),
+	}
 }
+
+// itemModel returns the one-attribute Item descriptor the single-model
+// experiments publish.
+func itemModel(attr string, typ model.FieldType) func() []*model.Descriptor {
+	return func() []*model.Descriptor {
+		return []*model.Descriptor{model.NewDescriptor("Item", model.Field{Name: attr, Type: typ})}
+	}
+}
+
+// vstoreShards is the version-store width of every experiment that
+// injects a version-store round trip.
+const vstoreShards = 8
 
 // mustApp registers an app or panics (harness setup errors are bugs).
 func mustApp(f *core.Fabric, name string, m orm.Mapper, cfg core.Config) *core.App {
@@ -162,12 +148,8 @@ func must(err error) {
 
 // fmtRate renders a throughput for the paper-style tables.
 func fmtRate(v float64) string {
-	switch {
-	case v >= 10000:
+	if v >= 100 {
 		return fmt.Sprintf("%.0f", v)
-	case v >= 100:
-		return fmt.Sprintf("%.0f", v)
-	default:
-		return fmt.Sprintf("%.1f", v)
 	}
+	return fmt.Sprintf("%.1f", v)
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -9,7 +8,6 @@ import (
 
 	"synapse/internal/core"
 	"synapse/internal/model"
-	"synapse/internal/storage"
 )
 
 // ---------------------------------------------------------------------
@@ -23,40 +21,35 @@ import (
 // subscriber's worker pool collapses toward serial order.
 // ---------------------------------------------------------------------
 
-// CausalityConfig parameterizes the tracker sweep.
+// CausalityConfig parameterizes the tracker sweep: one point per hash
+// cardinality, then the dotted-version-vector tracker.
 type CausalityConfig struct {
-	// Cards are the hash cardinalities to sweep (each is one point).
 	Cards []uint64
-	// IncludeDVV appends the dotted-version-vector tracker as the final
-	// point.
-	IncludeDVV bool
 	// Workers is the subscriber worker-pool size.
 	Workers int
-	// Callback is the per-apply subscriber callback cost (models real
-	// work; parallelism across unrelated objects is what recovers it).
-	Callback time.Duration
 	// Duration is the measured window per point.
 	Duration time.Duration
 	// Objects is how many distinct Posts the workload touches.
 	Objects int
-	// ReadDeps is how many random read dependencies each update carries
-	// (explicit AddReadDeps, per Table 2 — aggregation-style reads).
-	ReadDeps int
 }
 
-// DefaultCausality: three cardinalities spanning the §4.2 spectrum plus
-// the DVV tracker, under a 2ms apply cost.
-func DefaultCausality() CausalityConfig {
-	return CausalityConfig{
-		Cards:      []uint64{1, 16, 256},
-		IncludeDVV: true,
-		Workers:    16,
-		Callback:   2 * time.Millisecond,
-		Duration:   time.Second,
-		Objects:    512,
-		ReadDeps:   3,
+// causalityConfig: three cardinalities spanning the §4.2 spectrum plus
+// the DVV tracker.
+func causalityConfig(quick bool) CausalityConfig {
+	if quick {
+		return CausalityConfig{Cards: []uint64{1, 256}, Workers: 8, Duration: 300 * time.Millisecond, Objects: 128}
 	}
+	return CausalityConfig{Cards: []uint64{1, 16, 256}, Workers: 16, Duration: time.Second, Objects: 512}
 }
+
+const (
+	// causalityCallback is the per-apply subscriber callback cost (models
+	// real work; parallelism across unrelated objects is what recovers it).
+	causalityCallback = 2 * time.Millisecond
+	// causalityReadDeps is how many random read dependencies each update
+	// carries (explicit AddReadDeps, per Table 2 — aggregation-style reads).
+	causalityReadDeps = 3
+)
 
 // CausalityPoint is one tracker cell of the sweep.
 type CausalityPoint struct {
@@ -87,81 +80,70 @@ func (p CausalityPoint) Label() string {
 	return fmt.Sprintf("hash/%d", p.Cardinality)
 }
 
+// CausalityDoc is BENCH_causality.json.
+type CausalityDoc struct {
+	Experiment  string           `json:"experiment"`
+	Description string           `json:"description"`
+	Points      []CausalityPoint `json:"points"`
+}
+
 // RunCausality sweeps the tracker policies over the same workload.
-func RunCausality(cfg CausalityConfig) []CausalityPoint {
-	var out []CausalityPoint
+func RunCausality(cfg CausalityConfig) (CausalityDoc, error) {
+	doc := CausalityDoc{
+		Experiment:  "causality",
+		Description: "subscriber apply throughput and blocked-wait composition under fixed-cardinality dependency hashing (1 = global ordering) vs exact per-object dots (DVV); same workload — random-object updates each carrying explicit read dependencies — for every point",
+	}
 	for _, card := range cfg.Cards {
-		out = append(out, runCausalityPoint(cfg, core.TrackerHash, card))
+		doc.Points = append(doc.Points, runCausalityPoint(cfg, core.TrackerHash, card))
 	}
-	if cfg.IncludeDVV {
-		out = append(out, runCausalityPoint(cfg, core.TrackerDVV, 0))
-	}
-	return out
+	doc.Points = append(doc.Points, runCausalityPoint(cfg, core.TrackerDVV, 0))
+	return doc, nil
 }
 
 func runCausalityPoint(cfg CausalityConfig, tracker string, card uint64) CausalityPoint {
-	f := core.NewFabric()
-	appCfg := core.Config{
-		Mode:           core.Causal,
-		DepTracker:     tracker,
-		DepCardinality: card,
-	}
-	pub := mustApp(f, "pub", NewMapper(MongoDB, storage.Profile{}), appCfg)
-	sub := mustApp(f, "sub", NewMapper(MongoDB, storage.Profile{}), appCfg)
-
-	post, _ := SocialModels()
-	must(pub.Publish(post, core.PubSpec{Attrs: []string{"author", "body"}}))
-	subPost, _ := SocialModels()
-	work := func(*model.CallbackCtx) error {
-		time.Sleep(cfg.Callback)
-		return nil
-	}
-	subPost.Callbacks.On(model.AfterCreate, work)
-	subPost.Callbacks.On(model.AfterUpdate, work)
-	must(sub.Subscribe(subPost, core.SubSpec{From: "pub", Attrs: []string{"author", "body"}, Mode: core.Causal}))
+	app := core.Config{Mode: core.Causal, DepTracker: tracker, DepCardinality: card}
+	p := pair(pairSpec{
+		Pub: app, Sub: app,
+		Models: func() []*model.Descriptor { return socialModels()[:1] },
+		OnSub: afterWrite(func(*model.CallbackCtx) error {
+			time.Sleep(causalityCallback)
+			return nil
+		}),
+	})
+	pub, sub := p.pub, p.sub
 
 	// Seed the object population, then enqueue the measured stream:
-	// updates of random posts, each reading ReadDeps other random posts
-	// (the aggregation pattern of Table 2). Identical publish order and
+	// updates of random posts, each reading other random posts (the
+	// aggregation pattern of Table 2). Identical publish order and
 	// dependency structure for every tracker point — only the key space
 	// the dependencies land in differs.
 	rng := rand.New(rand.NewSource(42))
 	ids := make([]string, cfg.Objects)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("p%d", i)
-		ctl := pub.NewController(nil)
 		rec := model.NewRecord("Post", ids[i])
 		rec.Set("author", "u0")
 		rec.Set("body", "b")
-		if _, err := ctl.Create(rec); err != nil {
-			panic(err)
-		}
+		_, err := pub.NewController(nil).Create(rec)
+		must(err)
 	}
-	need := int(1.5*cfg.Duration.Seconds()/cfg.Callback.Seconds())*cfg.Workers + 50
-	for i := 0; i < need; i++ {
+	for i := backlog(cfg.Duration, causalityCallback, cfg.Workers); i > 0; i-- {
 		ctl := pub.NewController(nil)
-		for r := 0; r < cfg.ReadDeps; r++ {
+		for r := 0; r < causalityReadDeps; r++ {
 			ctl.AddReadDeps("Post", ids[rng.Intn(len(ids))])
 		}
 		patch := model.NewRecord("Post", ids[rng.Intn(len(ids))])
 		patch.Set("body", fmt.Sprintf("b%d", i))
-		if _, err := ctl.Update(patch); err != nil {
-			panic(err)
-		}
+		_, err := ctl.Update(patch)
+		must(err)
 	}
 
-	start := time.Now()
-	sub.StartWorkers(cfg.Workers)
-	time.Sleep(cfg.Duration)
-	count := sub.Processed.Count()
-	elapsed := time.Since(start)
-	sub.StopWorkers()
-
+	rate := drainRate(sub, cfg.Workers, cfg.Duration)
 	st := sub.Stats()
 	return CausalityPoint{
 		Tracker:              tracker,
 		Cardinality:          card,
-		Throughput:           float64(count) / elapsed.Seconds(),
+		Throughput:           rate,
 		DepWaitsBlocked:      st.DepWaitsBlocked,
 		FalseDepsSuspected:   st.FalseDepsSuspected,
 		DepWaitBlockedMeanMS: float64(st.DepWaitBlockedMean) / float64(time.Millisecond),
@@ -169,31 +151,42 @@ func runCausalityPoint(cfg CausalityConfig, tracker string, card uint64) Causali
 }
 
 // FormatCausality renders the tracker sweep.
-func FormatCausality(points []CausalityPoint) string {
+func FormatCausality(doc CausalityDoc) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Causality: hashed dependency tracking vs dotted version vectors")
 	fmt.Fprintln(&b, "(false dependencies from hash collisions serialize unrelated applies;")
 	fmt.Fprintln(&b, "DVV dots are per-name, so blocked waits are all true dependencies)")
 	fmt.Fprintf(&b, "%-16s %12s %14s %12s %16s\n",
 		"tracker", "throughput", "blocked waits", "false deps", "mean block [ms]")
-	for _, p := range points {
+	for _, p := range doc.Points {
 		fmt.Fprintf(&b, "%-16s %12s %14d %12d %16.2f\n",
 			p.Label(), fmtRate(p.Throughput), p.DepWaitsBlocked, p.FalseDepsSuspected, p.DepWaitBlockedMeanMS)
 	}
 	return b.String()
 }
 
-// MarshalCausality serializes the sweep for BENCH_causality.json so the
-// cardinality-vs-DVV trade has a perf trajectory to diff against.
-func MarshalCausality(points []CausalityPoint) ([]byte, error) {
-	doc := struct {
-		Experiment  string           `json:"experiment"`
-		Description string           `json:"description"`
-		Points      []CausalityPoint `json:"points"`
-	}{
-		Experiment:  "causality",
-		Description: "subscriber apply throughput and blocked-wait composition under fixed-cardinality dependency hashing (1 = global ordering) vs exact per-object dots (DVV); same workload — random-object updates each carrying explicit read dependencies — for every point",
-		Points:      points,
+// gateCausality: DVVs must stay exact (no false dependencies) and beat
+// the degenerate hash tracker at cardinality 1 (the paper's qualitative
+// claim). cardinality is omitted from dvv points, so it is not in Reads:
+// a sweep without a hash/1 or a dvv point is the breach instead.
+func gateCausality(_, fresh CausalityDoc, v *Verdict) {
+	var dvv, hash1 *CausalityPoint
+	for i, p := range fresh.Points {
+		switch {
+		case p.Tracker == core.TrackerDVV:
+			dvv = &fresh.Points[i]
+		case p.Tracker == core.TrackerHash && p.Cardinality == 1:
+			hash1 = &fresh.Points[i]
+		}
 	}
-	return json.MarshalIndent(doc, "", "  ")
+	if dvv == nil || hash1 == nil {
+		v.breachf("the sweep lacks its dvv or its hash/1 point")
+		return
+	}
+	if dvv.FalseDepsSuspected != 0 {
+		v.breachf("dvv tracker reported %d false dependencies", dvv.FalseDepsSuspected)
+	}
+	if dvv.Throughput <= hash1.Throughput {
+		v.breachf("dvv throughput %.0f no longer beats hash/1 (%.0f)", dvv.Throughput, hash1.Throughput)
+	}
 }

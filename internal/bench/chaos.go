@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -16,61 +15,69 @@ import (
 // convergence as the pass condition (§4.4's fault model end to end).
 // ---------------------------------------------------------------------
 
-// ChaosConfig parameterizes the chaos experiment: Seeds consecutive
-// seeds starting at FirstSeed, each running one chaos.Run script per
-// tracker policy in Trackers.
+// ChaosConfig parameterizes the chaos experiment: seeds 1..Seeds, each
+// running one chaos.Run script per tracker policy.
 type ChaosConfig struct {
-	FirstSeed int64
-	Seeds     int
-	Writes    int
-	Steps     int
-	Objects   int
-	// Trackers lists the dependency-tracking policies to run every seed
-	// under (default: hash and dvv — the same fault scripts must uphold
-	// zero-lost/zero-regression under both).
-	Trackers []string
+	Seeds  int
+	Writes int // 0 = the script's default length
+	Steps  int
 }
 
-// DefaultChaos mirrors the headline property test: 25 seeds, default
-// script length, both tracker policies.
-func DefaultChaos() ChaosConfig {
-	return ChaosConfig{FirstSeed: 1, Seeds: 25}
+// chaosConfig mirrors the headline property test: 25 seeds, default
+// script length.
+func chaosConfig(quick bool) ChaosConfig {
+	if quick {
+		return ChaosConfig{Seeds: 6, Writes: 20, Steps: 5}
+	}
+	return ChaosConfig{Seeds: 25}
+}
+
+// ChaosDoc is BENCH_chaos.json.
+type ChaosDoc struct {
+	Experiment    string         `json:"experiment"`
+	Description   string         `json:"description"`
+	Seeds         int            `json:"seeds"`
+	Converged     int            `json:"converged"`
+	WorstRecovery string         `json:"worst_recovery"`
+	Runs          []chaos.Result `json:"runs"`
 }
 
 // RunChaos runs the seeded scripts serially (each run owns its own
-// fabric; serial keeps the per-run timings honest).
-func RunChaos(cfg ChaosConfig) ([]chaos.Result, error) {
-	trackers := cfg.Trackers
-	if len(trackers) == 0 {
-		trackers = []string{core.TrackerHash, core.TrackerDVV}
+// fabric; serial keeps the per-run timings honest) under both tracker
+// policies: the same fault scripts must uphold zero-lost/zero-regression
+// under hash and dvv.
+func RunChaos(cfg ChaosConfig) (ChaosDoc, error) {
+	doc := ChaosDoc{
+		Experiment:  "chaos",
+		Description: "seeded fault scripts (bidirectional partitions, broker crash/restarts, version-store deaths healed by generation bumps) over a simulated lossy network; pass = exact cross-engine convergence with zero lost and zero double-applied updates, no Bootstrap call",
 	}
-	results := make([]chaos.Result, 0, cfg.Seeds*len(trackers))
-	for _, tracker := range trackers {
-		for i := 0; i < cfg.Seeds; i++ {
-			res, err := chaos.Run(chaos.Config{
-				Seed:    cfg.FirstSeed + int64(i),
-				Writes:  cfg.Writes,
-				Steps:   cfg.Steps,
-				Objects: cfg.Objects,
-				Tracker: tracker,
-			})
+	var worst time.Duration
+	for _, tracker := range []string{core.TrackerHash, core.TrackerDVV} {
+		for seed := int64(1); seed <= int64(cfg.Seeds); seed++ {
+			res, err := chaos.Run(chaos.Config{Seed: seed, Writes: cfg.Writes, Steps: cfg.Steps, Tracker: tracker})
 			if err != nil {
-				return results, fmt.Errorf("seed %d (%s): %w", res.Seed, tracker, err)
+				return doc, fmt.Errorf("seed %d (%s): %w", seed, tracker, err)
 			}
-			results = append(results, res)
+			doc.Runs = append(doc.Runs, res)
+			doc.Seeds++
+			if res.Converged {
+				doc.Converged++
+			}
+			worst = max(worst, res.RecoveryTime)
 		}
 	}
-	return results, nil
+	doc.WorstRecovery = worst.Round(time.Microsecond).String()
+	return doc, nil
 }
 
 // FormatChaos renders the per-seed chaos runs.
-func FormatChaos(results []chaos.Result) string {
+func FormatChaos(doc ChaosDoc) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Chaos: seeded fault scripts (partitions, broker bounces, vstore kills)")
 	fmt.Fprintln(&b, "(exact cross-engine convergence, zero regressions, no Bootstrap call)")
 	fmt.Fprintf(&b, "%5s %-7s %7s %8s %6s %6s %6s %6s %6s %6s %7s %6s %10s %10s\n",
 		"seed", "tracker", "bounces", "partns", "kills", "bumps", "drops", "dups", "defer", "repub", "redeliv", "regr", "converged", "recovery")
-	for _, r := range results {
+	for _, r := range doc.Runs {
 		fmt.Fprintf(&b, "%5d %-7s %7d %8d %6d %6d %6d %6d %6d %6d %7d %6d %10v %10s\n",
 			r.Seed, r.Tracker, r.BrokerBounces, r.Partitions, r.VStoreKills, r.GenBumps,
 			r.Net.Drops, r.Net.Duplicates, r.Deferred, r.Republished, r.Redelivered,
@@ -79,33 +86,9 @@ func FormatChaos(results []chaos.Result) string {
 	return b.String()
 }
 
-// MarshalChaos serializes the runs for BENCH_chaos.json so future
-// changes have a robustness trajectory to diff against.
-func MarshalChaos(results []chaos.Result) ([]byte, error) {
-	converged := 0
-	var worst time.Duration
-	for _, r := range results {
-		if r.Converged {
-			converged++
-		}
-		if r.RecoveryTime > worst {
-			worst = r.RecoveryTime
-		}
+// gateChaos: every seeded fault script converged.
+func gateChaos(_, fresh ChaosDoc, v *Verdict) {
+	if fresh.Converged != fresh.Seeds {
+		v.breachf("%d/%d seeds converged", fresh.Converged, fresh.Seeds)
 	}
-	doc := struct {
-		Experiment    string         `json:"experiment"`
-		Description   string         `json:"description"`
-		Seeds         int            `json:"seeds"`
-		Converged     int            `json:"converged"`
-		WorstRecovery string         `json:"worst_recovery"`
-		Runs          []chaos.Result `json:"runs"`
-	}{
-		Experiment:    "chaos",
-		Description:   "seeded fault scripts (bidirectional partitions, broker crash/restarts, version-store deaths healed by generation bumps) over a simulated lossy network; pass = exact cross-engine convergence with zero lost and zero double-applied updates, no Bootstrap call",
-		Seeds:         len(results),
-		Converged:     converged,
-		WorstRecovery: worst.Round(time.Microsecond).String(),
-		Runs:          results,
-	}
-	return json.MarshalIndent(doc, "", "  ")
 }

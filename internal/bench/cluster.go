@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -27,55 +26,42 @@ import (
 // gate input.
 // ---------------------------------------------------------------------
 
-// ClusterBenchConfig parameterizes the cluster experiment.
-type ClusterBenchConfig struct {
-	// ShardCounts is the scaling sweep (default 1, 2, 4).
-	ShardCounts []int
-	// Publishers is the number of concurrent publishers, each with its
-	// own exchange and bound queue, spread round-robin over the shards.
-	Publishers int
+// ClusterConfig is the breadth of the cluster experiment.
+type ClusterConfig struct {
 	// Messages is the per-publisher publish count in the scaling sweep.
 	Messages int
-	// ServiceTime is the serialized per-shard admission cost per
-	// publish, modeling single-node ingest capacity (default 2ms —
-	// comfortably above coarse host timer granularity, so the wakeup
-	// overhead is a small constant inside the serialized section and
-	// the shard-count ratios stay clean even on tiny CI hosts).
-	ServiceTime time.Duration
 	// FailoverMessages is the per-phase publish count around the
 	// injected crash (shipped before, fresh after).
 	FailoverMessages int
-	// LeaseTTL bounds failover detection in the probe measurement.
-	LeaseTTL time.Duration
 	// ChaosSeeds is the cluster-chaos seed sweep width for the
 	// zero-lost verdict.
 	ChaosSeeds int
 }
 
-// DefaultCluster returns the committed-baseline configuration.
-func DefaultCluster() ClusterBenchConfig {
-	return ClusterBenchConfig{
-		ShardCounts:      []int{1, 2, 4},
-		Publishers:       8,
-		Messages:         50,
-		ServiceTime:      2 * time.Millisecond,
-		FailoverMessages: 200,
-		LeaseTTL:         15 * time.Millisecond,
-		ChaosSeeds:       3,
+// clusterConfig is the committed-baseline breadth; quick shrinks only
+// breadth. Every capacity knob is a constant below, so the gate-compared
+// ratios (scaling_4x, failover window, zero_lost) are config-invariant.
+func clusterConfig(quick bool) ClusterConfig {
+	if quick {
+		return ClusterConfig{Messages: 20, FailoverMessages: 80, ChaosSeeds: 2}
 	}
+	return ClusterConfig{Messages: 50, FailoverMessages: 200, ChaosSeeds: 3}
 }
 
-// QuickCluster shrinks breadth (messages, seeds) while keeping the
-// capacity knobs — service time, publisher count, shard counts, lease
-// TTL — identical to the default, so the gate-compared ratios
-// (scaling_4x, failover window, zero_lost) stay config-invariant.
-func QuickCluster() ClusterBenchConfig {
-	cfg := DefaultCluster()
-	cfg.Messages = 20
-	cfg.FailoverMessages = 80
-	cfg.ChaosSeeds = 2
-	return cfg
-}
+const (
+	// clusterPublishers is the number of concurrent publishers, each with
+	// its own exchange and bound queue, spread round-robin over the
+	// shards.
+	clusterPublishers = 8
+	// clusterServiceTime is the serialized per-shard admission cost per
+	// publish, modeling single-node ingest capacity: comfortably above
+	// coarse host timer granularity, so the wakeup overhead is a small
+	// constant inside the serialized section and the shard-count ratios
+	// stay clean even on tiny CI hosts.
+	clusterServiceTime = 2 * time.Millisecond
+	// clusterLeaseTTL bounds failover detection in the probe measurement.
+	clusterLeaseTTL = 15 * time.Millisecond
+)
 
 // ClusterScalingPoint is one shard count in the throughput sweep.
 type ClusterScalingPoint struct {
@@ -108,59 +94,61 @@ type ClusterChaosSummary struct {
 	Isolations  int   `json:"coord_isolations"`
 }
 
-// ClusterResult is the full experiment output.
-type ClusterResult struct {
-	Scaling   []ClusterScalingPoint `json:"scaling"`
-	Scaling4x float64               `json:"scaling_4x"`
-	Failover  ClusterFailover       `json:"failover"`
-	Chaos     ClusterChaosSummary   `json:"chaos"`
+// ClusterDoc is BENCH_cluster.json.
+type ClusterDoc struct {
+	Experiment  string                `json:"experiment"`
+	Description string                `json:"description"`
+	Scaling     []ClusterScalingPoint `json:"scaling"`
+	Scaling4x   float64               `json:"scaling_4x"`
+	Failover    ClusterFailover       `json:"failover"`
+	Chaos       ClusterChaosSummary   `json:"chaos"`
 	// ZeroLost is the headline verdict: the failover drain recovered
 	// every message and every chaos seed converged with zero
 	// regressions.
 	ZeroLost bool `json:"zero_lost"`
 }
 
-// queueOn finds a queue name that ShardOf places on the wanted shard.
-func queueOn(cl *cluster.Cluster, shard int, base string) string {
-	for i := 0; ; i++ {
-		name := fmt.Sprintf("%s-%d", base, i)
-		if cl.ShardOf(name) == shard {
-			return name
-		}
+// queueOn declares a queue under a name that ShardOf places on the
+// wanted shard and binds it to the exchange.
+func queueOn(cl *cluster.Cluster, shard int, base, exchange string) (string, error) {
+	name := base
+	for i := 0; cl.ShardOf(name) != shard; i++ {
+		name = fmt.Sprintf("%s-%d", base, i)
 	}
+	if _, err := cl.DeclareQueue(name, 0); err != nil {
+		return "", err
+	}
+	return name, cl.Bind(name, exchange)
 }
 
 // runClusterScaling measures aggregate publish throughput at one shard
-// count: Publishers concurrent goroutines, each with a dedicated
+// count: clusterPublishers concurrent goroutines, each with a dedicated
 // exchange bound to a queue pinned round-robin to a shard, against the
-// serialized per-shard ServiceTime admission.
-func runClusterScaling(shards int, cfg ClusterBenchConfig) (ClusterScalingPoint, error) {
+// serialized per-shard clusterServiceTime admission.
+func runClusterScaling(shards int, cfg ClusterConfig) (ClusterScalingPoint, error) {
 	cl := cluster.New(cluster.Config{
 		Shards:      shards,
 		Coord:       coord.New(),
 		LeaseTTL:    time.Second, // no failover during the sweep
-		ServiceTime: cfg.ServiceTime,
+		ServiceTime: clusterServiceTime,
 	})
 	defer cl.Close()
 
-	exchanges := make([]string, cfg.Publishers)
-	queues := make([]string, cfg.Publishers)
+	exchanges := make([]string, clusterPublishers)
+	queues := make([]string, clusterPublishers)
 	for p := range exchanges {
+		var err error
 		exchanges[p] = fmt.Sprintf("scale-ex%d", p)
-		queues[p] = queueOn(cl, p%shards, fmt.Sprintf("scale-q%d", p))
-		if _, err := cl.DeclareQueue(queues[p], 0); err != nil {
-			return ClusterScalingPoint{}, err
-		}
-		if err := cl.Bind(queues[p], exchanges[p]); err != nil {
+		if queues[p], err = queueOn(cl, p%shards, fmt.Sprintf("scale-q%d", p), exchanges[p]); err != nil {
 			return ClusterScalingPoint{}, err
 		}
 	}
 
 	payload := []byte("cluster-scaling-payload")
-	errs := make([]error, cfg.Publishers)
+	errs := make([]error, clusterPublishers)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for p := 0; p < cfg.Publishers; p++ {
+	for p := 0; p < clusterPublishers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
@@ -180,7 +168,7 @@ func runClusterScaling(shards int, cfg ClusterBenchConfig) (ClusterScalingPoint,
 		}
 	}
 
-	total := cfg.Publishers * cfg.Messages
+	total := clusterPublishers * cfg.Messages
 	enqueued := 0
 	for _, qn := range queues {
 		if q, ok := cl.Queue(qn); ok {
@@ -202,22 +190,19 @@ func runClusterScaling(shards int, cfg ClusterBenchConfig) (ClusterScalingPoint,
 // primary, probe-publishes until the promoted follower accepts again
 // (the unavailability window), publishes a fresh suffix, and drains the
 // promoted queue to verify nothing shipped was lost.
-func runClusterFailover(cfg ClusterBenchConfig) (ClusterFailover, error) {
+func runClusterFailover(cfg ClusterConfig) (ClusterFailover, error) {
 	var out ClusterFailover
 	cl := cluster.New(cluster.Config{
 		Shards:       2,
 		Coord:        coord.New(),
 		ShipInterval: time.Millisecond,
-		LeaseTTL:     cfg.LeaseTTL,
+		LeaseTTL:     clusterLeaseTTL,
 	})
 	defer cl.Close()
 
-	qname := queueOn(cl, 0, "failover-q")
 	const exchange = "failover-ex"
-	if _, err := cl.DeclareQueue(qname, 0); err != nil {
-		return out, err
-	}
-	if err := cl.Bind(qname, exchange); err != nil {
+	qname, err := queueOn(cl, 0, "failover-q", exchange)
+	if err != nil {
 		return out, err
 	}
 	shard := cl.ShardOf(qname)
@@ -296,14 +281,11 @@ func runClusterFailover(cfg ClusterBenchConfig) (ClusterFailover, error) {
 }
 
 // runClusterChaos sweeps the full cluster fault script across seeds.
-func runClusterChaos(cfg ClusterBenchConfig) (ClusterChaosSummary, error) {
+func runClusterChaos(cfg ClusterConfig) (ClusterChaosSummary, error) {
 	var out ClusterChaosSummary
 	out.Seeds = cfg.ChaosSeeds
 	for seed := int64(1); seed <= int64(cfg.ChaosSeeds); seed++ {
-		res, err := chaos.ClusterRun(chaos.ClusterConfig{
-			Config: chaos.Config{Seed: seed, Writes: 25, Steps: 6},
-			Shards: 4,
-		})
+		res, err := chaos.ClusterRun(chaos.Config{Seed: seed, Writes: 25, Steps: 6})
 		if err != nil {
 			return out, fmt.Errorf("chaos seed %d: %w", seed, err)
 		}
@@ -318,48 +300,39 @@ func runClusterChaos(cfg ClusterBenchConfig) (ClusterChaosSummary, error) {
 	return out, nil
 }
 
-// RunCluster executes the full cluster experiment.
-func RunCluster(cfg ClusterBenchConfig) (ClusterResult, error) {
-	var res ClusterResult
-	for _, shards := range cfg.ShardCounts {
+// RunCluster executes the full cluster experiment: the scaling sweep at
+// 1, 2 and 4 shards, the failover probe, the chaos sweep.
+func RunCluster(cfg ClusterConfig) (ClusterDoc, error) {
+	res := ClusterDoc{
+		Experiment:  "cluster",
+		Description: "hash-partitioned broker shards with log-shipped follower queues and coord-elected failover: aggregate publish throughput at 1/2/4 shards under a fixed per-shard service time, the crash-to-promotion unavailability window with a zero-shipped-loss drain check, and a cluster-chaos seed sweep as the zero-lost gate input",
+	}
+	rate := map[int]float64{}
+	for _, shards := range []int{1, 2, 4} {
 		pt, err := runClusterScaling(shards, cfg)
 		if err != nil {
 			return res, err
 		}
 		res.Scaling = append(res.Scaling, pt)
+		rate[shards] = pt.MsgsPerSec
 	}
-	var rate1, rate4 float64
-	for _, pt := range res.Scaling {
-		switch pt.Shards {
-		case 1:
-			rate1 = pt.MsgsPerSec
-		case 4:
-			rate4 = pt.MsgsPerSec
-		}
+	if rate[1] > 0 {
+		res.Scaling4x = rate[4] / rate[1]
 	}
-	if rate1 > 0 {
-		res.Scaling4x = rate4 / rate1
-	}
-
-	fo, err := runClusterFailover(cfg)
-	if err != nil {
+	var err error
+	if res.Failover, err = runClusterFailover(cfg); err != nil {
 		return res, err
 	}
-	res.Failover = fo
-
-	cs, err := runClusterChaos(cfg)
-	if err != nil {
+	if res.Chaos, err = runClusterChaos(cfg); err != nil {
 		return res, err
 	}
-	res.Chaos = cs
-
-	res.ZeroLost = fo.ZeroLost &&
-		cs.Converged == cs.Seeds && cs.Regressions == 0
+	res.ZeroLost = res.Failover.ZeroLost &&
+		res.Chaos.Converged == res.Chaos.Seeds && res.Chaos.Regressions == 0
 	return res, nil
 }
 
 // FormatCluster renders the experiment.
-func FormatCluster(r ClusterResult) string {
+func FormatCluster(r ClusterDoc) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Cluster: sharded broker scaling and coord-elected failover")
 	fmt.Fprintf(&b, "%7s %9s %11s %12s\n", "shards", "messages", "elapsed_ms", "msgs/s")
@@ -377,16 +350,21 @@ func FormatCluster(r ClusterResult) string {
 	return b.String()
 }
 
-// MarshalCluster serializes the experiment for BENCH_cluster.json.
-func MarshalCluster(r ClusterResult) ([]byte, error) {
-	doc := struct {
-		Experiment  string `json:"experiment"`
-		Description string `json:"description"`
-		ClusterResult
-	}{
-		Experiment:    "cluster",
-		Description:   "hash-partitioned broker shards with log-shipped follower queues and coord-elected failover: aggregate publish throughput at 1/2/4 shards under a fixed per-shard service time, the crash-to-promotion unavailability window with a zero-shipped-loss drain check, and a cluster-chaos seed sweep as the zero-lost gate input",
-		ClusterResult: r,
+// gateCluster: the zero-lost invariant (the failover drain recovered
+// every message and every chaos seed converged with zero regressions),
+// the sharding payoff (4 shards at least 1.6x the 1-shard rate) and a
+// failover window inside (0, 500) ms.
+func gateCluster(_, fresh ClusterDoc, v *Verdict) {
+	if !fresh.ZeroLost {
+		v.breachf("zero-lost invariant broken (failover drain or chaos convergence)")
 	}
-	return json.MarshalIndent(doc, "", "  ")
+	if c := fresh.Chaos; c.Converged != c.Seeds || c.Regressions != 0 {
+		v.breachf("%d/%d chaos seeds converged, %d regressions", c.Converged, c.Seeds, c.Regressions)
+	}
+	if fresh.Scaling4x < 1.6 {
+		v.breachf("4-shard scaling %.2fx below the 1.6x floor", fresh.Scaling4x)
+	}
+	if ms := fresh.Failover.UnavailMS; ms <= 0 || ms >= 500 {
+		v.breachf("failover window %gms outside (0, 500)", ms)
+	}
 }

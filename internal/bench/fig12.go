@@ -17,28 +17,68 @@ import (
 // Fig 12(a): per-controller publishing overheads on the Crowdtap mix.
 // ---------------------------------------------------------------------
 
-// Fig12aConfig parameterizes the Crowdtap replay.
-type Fig12aConfig struct {
-	Calls int
+// Fig12Config parameterizes the Fig 12 controller replays.
+type Fig12Config struct {
+	Calls int // Fig 12(a) only
 	// TimeScale shrinks the paper's production controller times (0.1 =
 	// one tenth) so the replay finishes quickly; overheads scale with
 	// it, percentages do not.
 	TimeScale float64
-	Shards    int
-	VStoreRTT time.Duration
-	Seed      int64
 }
 
-// DefaultFig12a replays 2,000 controller calls at one tenth of the
+// fig12Config replays 2,000 controller calls at one tenth of the
 // production controller times.
-func DefaultFig12a() Fig12aConfig {
-	return Fig12aConfig{
-		Calls:     2000,
-		TimeScale: 0.1,
-		Shards:    8,
-		VStoreRTT: 400 * time.Microsecond,
-		Seed:      1,
+func fig12Config(quick bool) Fig12Config {
+	if quick {
+		return Fig12Config{Calls: 300, TimeScale: 0.02}
 	}
+	return Fig12Config{Calls: 2000, TimeScale: 0.1}
+}
+
+// replayer is the causal-mode publisher both replays measure, and the
+// controller calls they replay through it.
+type replayer struct {
+	app       *core.App
+	timeScale float64
+	next      int // Action ids
+}
+
+func newReplayer(name, engine string, timeScale float64) *replayer {
+	app := mustApp(core.NewFabric(), name, NewMapper(engine, storage.Profile{}), core.Config{
+		Mode:          core.Causal,
+		VStoreShards:  vstoreShards,
+		VStoreRTT:     400 * time.Microsecond,
+		VStorePrecise: true, // sequential replay: spin-wait
+	})
+	action := model.NewDescriptor("Action",
+		model.Field{Name: "kind", Type: model.String},
+		model.Field{Name: "payload", Type: model.String},
+	)
+	must(app.Publish(action, core.PubSpec{Attrs: action.FieldNames()}))
+	return &replayer{app: app, timeScale: timeScale}
+}
+
+// call runs one controller call of the profile in the user's session —
+// the application's own work, then msgs creates with deps() read
+// dependencies each — and returns the controller's wall time and the
+// Synapse share of it.
+func (r *replayer) call(profile workload.ControllerProfile, user string, msgs int, deps func() int) (ctrl, syn int64) {
+	synBefore := r.app.PublishLatency.Sum()
+	start := time.Now()
+	time.Sleep(time.Duration(float64(profile.AppTime) * r.timeScale))
+	ctl := r.app.NewController(r.app.NewSession("User", user))
+	for m := 0; m < msgs; m++ {
+		for d, n := 0, deps(); d < n; d++ {
+			ctl.AddReadDeps("Action", fmt.Sprintf("seen-%d", d))
+		}
+		rec := model.NewRecord("Action", fmt.Sprintf("a-%d", r.next))
+		r.next++
+		rec.Set("kind", profile.Name)
+		rec.Set("payload", "x")
+		_, err := ctl.Create(rec)
+		must(err)
+	}
+	return int64(time.Since(start)), r.app.PublishLatency.Sum() - synBefore
 }
 
 // Fig12aRow is one controller's measured line of the table.
@@ -66,64 +106,32 @@ type Fig12aResult struct {
 // publisher, measuring per-controller message counts, dependency
 // counts, controller times, and Synapse time — the columns of the
 // paper's Fig 12(a).
-func RunFig12a(cfg Fig12aConfig) Fig12aResult {
-	f := core.NewFabric()
-	app := mustApp(f, "crowdtap-main", NewMapper(MongoDB, storage.Profile{}), core.Config{
-		Mode:          core.Causal,
-		VStoreShards:  cfg.Shards,
-		VStoreRTT:     cfg.VStoreRTT,
-		VStorePrecise: true, // sequential replay: spin-wait
-	})
-	action := model.NewDescriptor("Action",
-		model.Field{Name: "kind", Type: model.String},
-		model.Field{Name: "payload", Type: model.String},
-	)
-	must(app.Publish(action, core.PubSpec{Attrs: []string{"kind", "payload"}}))
-
+func RunFig12a(cfg Fig12Config) (Fig12aResult, error) {
+	r := newReplayer("crowdtap-main", MongoDB, cfg.TimeScale)
 	mix := workload.CrowdtapMix()
-	sampler := workload.NewSampler(cfg.Seed, mix)
+	sampler := workload.NewSampler(1, mix)
 
 	type stats struct {
-		ctrl, syn  *hdr.Recorder
-		msgSamples []int
-		depSamples []int
-		calls      int
+		ctrl, syn, msgs, deps *hdr.Recorder
+		calls                 int
 	}
 	byCtrl := make(map[string]*stats)
 	for _, c := range mix {
-		byCtrl[c.Name] = &stats{ctrl: hdr.New(), syn: hdr.New()}
+		byCtrl[c.Name] = &stats{ctrl: hdr.New(), syn: hdr.New(), msgs: hdr.New(), deps: hdr.New()}
 	}
 
-	next := 0
 	for i := 0; i < cfg.Calls; i++ {
 		profile, msgs := sampler.Next()
 		st := byCtrl[profile.Name]
 		st.calls++
-
-		appTime := time.Duration(float64(profile.AppTime) * cfg.TimeScale)
-		synBefore := app.PublishLatency.Sum()
-		start := time.Now()
-		time.Sleep(appTime) // the application's own work
-		ctl := app.NewController(app.NewSession("User", fmt.Sprintf("u%d", i%500)))
-		depTotal := 0
-		for m := 0; m < msgs; m++ {
+		ctrl, syn := r.call(profile, fmt.Sprintf("u%d", i%500), msgs, func() int {
 			deps := sampler.SampleDeps(profile)
-			for d := 0; d < deps; d++ {
-				ctl.AddReadDeps("Action", fmt.Sprintf("seen-%d", d))
-			}
-			rec := model.NewRecord("Action", fmt.Sprintf("a-%d", next))
-			next++
-			rec.Set("kind", profile.Name)
-			rec.Set("payload", "x")
-			if _, err := ctl.Create(rec); err != nil {
-				panic(err)
-			}
-			depTotal += deps
-			st.depSamples = append(st.depSamples, deps)
-		}
-		st.ctrl.Record(int64(time.Since(start)))
-		st.syn.Record(app.PublishLatency.Sum() - synBefore)
-		st.msgSamples = append(st.msgSamples, msgs)
+			st.deps.Record(int64(deps))
+			return deps
+		})
+		st.ctrl.Record(ctrl)
+		st.syn.Record(syn)
+		st.msgs.Record(int64(msgs))
 	}
 
 	var res Fig12aResult
@@ -137,13 +145,15 @@ func RunFig12a(cfg Fig12aConfig) Fig12aResult {
 		row := Fig12aRow{
 			Controller:   c.Name,
 			CallPct:      float64(st.calls) / float64(cfg.Calls),
+			MsgsMean:     st.msgs.Mean(),
+			MsgsP99:      int(st.msgs.Quantile(0.99)),
+			DepsMean:     st.deps.Mean(),
+			DepsP99:      int(st.deps.Quantile(0.99)),
 			CtrlTimeMean: time.Duration(st.ctrl.Mean()),
 			CtrlTimeP99:  time.Duration(st.ctrl.Quantile(0.99)),
 			SynTimeMean:  time.Duration(st.syn.Mean()),
 			SynTimeP99:   time.Duration(st.syn.Quantile(0.99)),
 		}
-		row.MsgsMean, row.MsgsP99 = intStats(st.msgSamples)
-		row.DepsMean, row.DepsP99 = intStats(st.depSamples)
 		if row.CtrlTimeMean > 0 {
 			row.OverheadPct = 100 * float64(row.SynTimeMean) / float64(row.CtrlTimeMean)
 		}
@@ -154,18 +164,7 @@ func RunFig12a(cfg Fig12aConfig) Fig12aResult {
 	if overheadN > 0 {
 		res.MeanOverheadPct = overheadSum / float64(overheadN)
 	}
-	return res
-}
-
-func intStats(samples []int) (mean float64, p99 int) {
-	if len(samples) == 0 {
-		return 0, 0
-	}
-	h := hdr.New()
-	for _, s := range samples {
-		h.Record(int64(s))
-	}
-	return h.Mean(), int(h.Quantile(0.99))
+	return res, nil
 }
 
 // Format renders the table in the layout of Fig 12(a).
@@ -204,24 +203,12 @@ type Fig12bRow struct {
 // RunFig12b replays three controllers in each of the Crowdtap,
 // Diaspora, and Discourse profiles, reporting the Synapse share of each
 // controller's execution time (the grey bars of Fig 12(b)).
-func RunFig12b(cfg Fig12aConfig) []Fig12bRow {
+func RunFig12b(cfg Fig12Config) ([]Fig12bRow, error) {
 	var out []Fig12bRow
 	for _, appName := range []string{"crowdtap", "diaspora", "discourse"} {
 		profiles := workload.OpenSourceMix()[appName]
-		f := core.NewFabric()
-		app := mustApp(f, appName, NewMapper(PostgreSQL, storage.Profile{}), core.Config{
-			Mode:          core.Causal,
-			VStoreShards:  cfg.Shards,
-			VStoreRTT:     cfg.VStoreRTT,
-			VStorePrecise: true, // sequential replay: spin-wait
-		})
-		item := model.NewDescriptor("Item",
-			model.Field{Name: "kind", Type: model.String},
-		)
-		must(app.Publish(item, core.PubSpec{Attrs: []string{"kind"}}))
-
-		next := 0
-		rng := rand.New(rand.NewSource(cfg.Seed + 7))
+		r := newReplayer(appName, PostgreSQL, cfg.TimeScale)
+		rng := rand.New(rand.NewSource(8))
 		for _, profile := range profiles {
 			const calls = 40
 			ctrl := hdr.New()
@@ -231,23 +218,9 @@ func RunFig12b(cfg Fig12aConfig) []Fig12bRow {
 				if rng.Float64() < profile.MsgsPerCall-float64(msgs) {
 					msgs++
 				}
-				synBefore := app.PublishLatency.Sum()
-				start := time.Now()
-				time.Sleep(time.Duration(float64(profile.AppTime) * cfg.TimeScale))
-				ctl := app.NewController(app.NewSession("User", fmt.Sprintf("u%d", i)))
-				for m := 0; m < msgs; m++ {
-					for d := 0; d < int(profile.DepsPerMsg); d++ {
-						ctl.AddReadDeps("Item", fmt.Sprintf("dep-%d", d))
-					}
-					rec := model.NewRecord("Item", fmt.Sprintf("%s-%d", profile.Name, next))
-					next++
-					rec.Set("kind", profile.Name)
-					if _, err := ctl.Create(rec); err != nil {
-						panic(err)
-					}
-				}
-				ctrl.Record(int64(time.Since(start)))
-				syn.Record(app.PublishLatency.Sum() - synBefore)
+				c, s := r.call(profile, fmt.Sprintf("u%d", i), msgs, func() int { return int(profile.DepsPerMsg) })
+				ctrl.Record(c)
+				syn.Record(s)
 			}
 			row := Fig12bRow{
 				App:        appName,
@@ -261,7 +234,7 @@ func RunFig12b(cfg Fig12aConfig) []Fig12bRow {
 			out = append(out, row)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // FormatFig12b renders the per-controller overhead bars.

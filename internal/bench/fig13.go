@@ -8,7 +8,6 @@ import (
 
 	"synapse/internal/core"
 	"synapse/internal/model"
-	"synapse/internal/storage"
 	"synapse/internal/workload"
 )
 
@@ -18,27 +17,24 @@ import (
 
 // Fig13aConfig parameterizes the dependency sweep.
 type Fig13aConfig struct {
-	Engines      []string
-	Deps         []int
-	Samples      int // writes measured per point
-	Shards       int
-	VStoreRTT    time.Duration
-	VStorePerKey time.Duration
+	Engines []string
+	Deps    []int
+	Samples int // writes measured per point
 }
 
-// DefaultFig13a mirrors the paper's sweep (1..1000 dependencies over
-// MySQL, PostgreSQL, TokuMX, MongoDB, Cassandra, and Ephemeral), with
-// the version-store round trip calibrated so the 1-dependency overhead
-// lands in the paper's 4.5-6.5ms band.
-func DefaultFig13a() Fig13aConfig {
-	return Fig13aConfig{
-		Engines:      []string{MySQL, PostgreSQL, TokuMX, MongoDB, Cassandra, Ephemeral},
-		Deps:         []int{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000},
-		Samples:      20,
-		Shards:       8,
-		VStoreRTT:    500 * time.Microsecond,
-		VStorePerKey: 55 * time.Microsecond,
+// fig13aConfig mirrors the paper's sweep (1..1000 dependencies over
+// MySQL, PostgreSQL, TokuMX, MongoDB, Cassandra, and Ephemeral).
+func fig13aConfig(quick bool) Fig13aConfig {
+	cfg := Fig13aConfig{
+		Engines: []string{MySQL, PostgreSQL, TokuMX, MongoDB, Cassandra, Ephemeral},
+		Deps:    []int{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000},
+		Samples: 20,
 	}
+	if quick {
+		cfg.Deps = []int{1, 10, 100, 1000}
+		cfg.Samples = 5
+	}
+	return cfg
 }
 
 // Fig13aPoint is one measured cell.
@@ -46,95 +42,54 @@ type Fig13aPoint struct {
 	Engine   string
 	Deps     int
 	Overhead time.Duration
-	Baseline time.Duration // engine write latency without Synapse
 }
 
 // RunFig13a measures publisher overhead (total controller write latency
 // minus the engine's intrinsic write latency) as the number of
 // dependencies per message grows.
-func RunFig13a(cfg Fig13aConfig) []Fig13aPoint {
+func RunFig13a(cfg Fig13aConfig) ([]Fig13aPoint, error) {
 	var out []Fig13aPoint
-	itemDesc := func() *model.Descriptor {
-		return model.NewDescriptor("Item",
-			model.Field{Name: "payload", Type: model.String},
-		)
-	}
 	for _, engine := range cfg.Engines {
-		baseline := WriteLatencyFor(engine)
-		f := core.NewFabric()
-		mapper := NewMapper(engine, storage.Profile{
-			WriteLatency: baseline,
-			ReadLatency:  baseline / 2,
-			Precise:      true, // sequential measurement: spin-wait
-		})
-		app := mustApp(f, "pub", mapper, core.Config{
+		profile := engineProfile(engine)
+		profile.MaxWriteRate = 0
+		profile.Precise = true // sequential measurement: spin-wait
+		baseline := profile.WriteLatency
+		mapper := NewMapper(engine, profile)
+		// The version-store round trip is calibrated so the 1-dependency
+		// overhead lands in the paper's 4.5-6.5ms band.
+		app := mustApp(core.NewFabric(), "pub", mapper, core.Config{
 			Mode:          core.Causal,
-			VStoreShards:  cfg.Shards,
-			VStoreRTT:     cfg.VStoreRTT,
-			VStorePerKey:  cfg.VStorePerKey,
+			VStoreShards:  vstoreShards,
+			VStoreRTT:     500 * time.Microsecond,
+			VStorePerKey:  55 * time.Microsecond,
 			VStorePrecise: true,
 		})
-		spec := core.PubSpec{Attrs: []string{"payload"}, Ephemeral: engine == Ephemeral}
-		must(app.Publish(itemDesc(), spec))
+		item := itemModel("payload", model.String)()[0]
+		must(app.Publish(item, core.PubSpec{Attrs: item.FieldNames(), Ephemeral: engine == Ephemeral}))
 
 		next := 0
 		for _, deps := range cfg.Deps {
 			var total time.Duration
 			for s := 0; s < cfg.Samples; s++ {
-				ctl := app.NewController(nil)
-				// deps-1 read dependencies plus the object's own write
-				// dependency = deps total per message.
-				for d := 0; d < deps-1; d++ {
-					ctl.AddReadDeps("Item", fmt.Sprintf("dep-%d", d))
-				}
-				rec := model.NewRecord("Item", fmt.Sprintf("it-%d", next))
+				total += createItem(app, fmt.Sprintf("it-%d", next), deps)
 				next++
-				rec.Set("payload", "x")
-				start := time.Now()
-				if _, err := ctl.Create(rec); err != nil {
-					panic(err)
-				}
-				total += time.Since(start)
 			}
-			mean := total / time.Duration(cfg.Samples)
-			overhead := mean - baseline
+			overhead := total/time.Duration(cfg.Samples) - baseline
 			if overhead < 0 {
 				overhead = 0
 			}
-			out = append(out, Fig13aPoint{Engine: engine, Deps: deps, Overhead: overhead, Baseline: baseline})
+			out = append(out, Fig13aPoint{Engine: engine, Deps: deps, Overhead: overhead})
 		}
 	}
-	return out
+	return out, nil
 }
 
 // FormatFig13a renders the sweep as a paper-style series table.
 func FormatFig13a(points []Fig13aPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 13(a): publisher overhead [ms] vs number of dependencies\n")
-	byEngine := map[string][]Fig13aPoint{}
-	var order []string
-	for _, p := range points {
-		if _, ok := byEngine[p.Engine]; !ok {
-			order = append(order, p.Engine)
-		}
-		byEngine[p.Engine] = append(byEngine[p.Engine], p)
-	}
-	if len(points) == 0 {
-		return b.String()
-	}
-	fmt.Fprintf(&b, "%-14s", "deps")
-	for _, p := range byEngine[order[0]] {
-		fmt.Fprintf(&b, "%9d", p.Deps)
-	}
-	fmt.Fprintln(&b)
-	for _, e := range order {
-		fmt.Fprintf(&b, "%-14s", e)
-		for _, p := range byEngine[e] {
-			fmt.Fprintf(&b, "%9.2f", float64(p.Overhead.Microseconds())/1000)
-		}
-		fmt.Fprintln(&b)
-	}
-	return b.String()
+	return formatSeries("Fig 13(a): publisher overhead [ms] vs number of dependencies", "deps", 14,
+		points, func(p Fig13aPoint) (string, int, string) {
+			return p.Engine, p.Deps, fmt.Sprintf("%.2f", float64(p.Overhead.Microseconds())/1000)
+		})
 }
 
 // ---------------------------------------------------------------------
@@ -155,21 +110,11 @@ type Fig13bConfig struct {
 	Workers  []int
 	Duration time.Duration // measurement window per point
 	Warmup   time.Duration
-	Users    int
-	Shards   int
-	// RateCaps enables each engine's MaxWriteRateFor saturation model.
-	RateCaps bool
-	// Latencies makes workers latency-bound (engine write latency plus
-	// a version-store round trip), so throughput scales with workers
-	// until a DB saturates, matching the paper's cluster behaviour.
-	// Without it, a single in-process worker is already CPU-bound.
-	Latencies bool
-	VStoreRTT time.Duration
 }
 
-// DefaultFig13b mirrors the paper's five pairs and worker sweep.
-func DefaultFig13b() Fig13bConfig {
-	return Fig13bConfig{
+// fig13bConfig mirrors the paper's five pairs and worker sweep.
+func fig13bConfig(quick bool) Fig13bConfig {
+	cfg := Fig13bConfig{
 		Pairs: []EnginePair{
 			{Ephemeral, Ephemeral},
 			{Cassandra, Elasticsearch},
@@ -177,15 +122,15 @@ func DefaultFig13b() Fig13bConfig {
 			{PostgreSQL, TokuMX},
 			{MySQL, Neo4j},
 		},
-		Workers:   []int{1, 2, 5, 10, 20, 50, 100, 200, 400},
-		Duration:  700 * time.Millisecond,
-		Warmup:    200 * time.Millisecond,
-		Users:     256,
-		Shards:    8,
-		RateCaps:  true,
-		Latencies: true,
-		VStoreRTT: 300 * time.Microsecond,
+		Workers:  []int{1, 2, 5, 10, 20, 50, 100, 200, 400},
+		Duration: 700 * time.Millisecond,
+		Warmup:   200 * time.Millisecond,
 	}
+	if quick {
+		cfg.Workers = []int{1, 10, 50, 200}
+		cfg.Duration = 300 * time.Millisecond
+	}
+	return cfg
 }
 
 // Fig13bPoint is one measured cell.
@@ -199,7 +144,7 @@ type Fig13bPoint struct {
 // pair: N publisher workers create posts (25%) and comments (75%) while
 // N subscriber workers apply them; throughput is the subscriber-side
 // message rate over the measurement window.
-func RunFig13b(cfg Fig13bConfig) []Fig13bPoint {
+func RunFig13b(cfg Fig13bConfig) ([]Fig13bPoint, error) {
 	var out []Fig13bPoint
 	for _, pair := range cfg.Pairs {
 		for _, workers := range cfg.Workers {
@@ -210,55 +155,28 @@ func RunFig13b(cfg Fig13bConfig) []Fig13bPoint {
 			})
 		}
 	}
-	return out
+	return out, nil
 }
 
-func runPairOnce(cfg Fig13bConfig, pair EnginePair, workers int) float64 {
-	f := core.NewFabric()
-
-	pubProfile := storage.Profile{}
-	subProfile := storage.Profile{}
-	if cfg.RateCaps {
-		pubProfile.MaxWriteRate = MaxWriteRateFor(pair.Pub)
-		subProfile.MaxWriteRate = MaxWriteRateFor(pair.Sub)
-	}
-	var rtt time.Duration
-	if cfg.Latencies {
-		pubProfile.WriteLatency = WriteLatencyFor(pair.Pub)
-		pubProfile.ReadLatency = WriteLatencyFor(pair.Pub) / 2
-		subProfile.WriteLatency = WriteLatencyFor(pair.Sub)
-		subProfile.ReadLatency = WriteLatencyFor(pair.Sub) / 2
-		rtt = cfg.VStoreRTT
-	}
-	pub := mustApp(f, "pub", NewMapper(pair.Pub, pubProfile), core.Config{
-		Mode:         core.Causal,
-		VStoreShards: cfg.Shards,
-		VStoreRTT:    rtt,
+// runPairOnce runs one pair with both engines latency-bound and capped
+// at their saturation rates (engineProfile), so throughput scales with
+// workers until a DB saturates, matching the paper's cluster behaviour;
+// without the latency a single in-process worker is already CPU-bound.
+func runPairOnce(cfg Fig13bConfig, engines EnginePair, workers int) float64 {
+	app := core.Config{Mode: core.Causal, VStoreShards: vstoreShards, VStoreRTT: 300 * time.Microsecond}
+	p := pair(pairSpec{
+		PubEngine: engines.Pub, PubProfile: engineProfile(engines.Pub), Pub: app,
+		SubEngine: engines.Sub, SubProfile: engineProfile(engines.Sub), Sub: app,
+		Models: socialModels,
 	})
-	sub := mustApp(f, "sub", NewMapper(pair.Sub, subProfile), core.Config{
-		Mode:         core.Causal,
-		VStoreShards: cfg.Shards,
-		VStoreRTT:    rtt,
-	})
+	p.sub.StartWorkers(workers)
+	defer p.sub.StopWorkers()
 
-	post, comment := SocialModels()
-	ephemeral := pair.Pub == Ephemeral
-	must(pub.Publish(post, core.PubSpec{Attrs: []string{"author", "body"}, Ephemeral: ephemeral}))
-	must(pub.Publish(comment, core.PubSpec{Attrs: []string{"post", "author", "body"}, Ephemeral: ephemeral}))
-
-	subPost, subComment := SocialModels()
-	observer := pair.Sub == Ephemeral
-	must(sub.Subscribe(subPost, core.SubSpec{From: "pub", Attrs: []string{"author", "body"}, Observer: observer}))
-	must(sub.Subscribe(subComment, core.SubSpec{From: "pub", Attrs: []string{"post", "author", "body"}, Observer: observer}))
-
-	sub.StartWorkers(workers)
-	defer sub.StopWorkers()
-
-	gen := workload.NewSocialGen(1, cfg.Users)
-	var sessions sync.Map // userID -> *core.Session
+	gen := workload.NewSocialGen(1, 256)
+	w := socialWriter{pub: p.pub}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -267,47 +185,23 @@ func runPairOnce(cfg Fig13bConfig, pair EnginePair, workers int) float64 {
 				case <-stop:
 					return
 				default:
-				}
-				op := gen.Next()
-				sv, _ := sessions.LoadOrStore(op.UserID, pub.NewSession("User", op.UserID))
-				ctl := pub.NewController(sv.(*core.Session))
-				switch op.Kind {
-				case workload.OpPost:
-					rec := model.NewRecord("Post", op.ID)
-					rec.Set("author", op.UserID)
-					rec.Set("body", "post body")
-					if _, err := ctl.Create(rec); err != nil {
-						panic(err)
-					}
-				case workload.OpComment:
-					ctl.AddReadDeps("Post", op.PostID)
-					rec := model.NewRecord("Comment", op.ID)
-					rec.Set("post", op.PostID)
-					rec.Set("author", op.UserID)
-					rec.Set("body", "comment body")
-					if _, err := ctl.Create(rec); err != nil {
-						panic(err)
-					}
+					w.write(gen.Next(), nil)
 				}
 			}
 		}()
 	}
 
 	time.Sleep(cfg.Warmup)
-	startCount := sub.Processed.Count()
-	start := time.Now()
-	time.Sleep(cfg.Duration)
-	endCount := sub.Processed.Count()
-	elapsed := time.Since(start)
+	rate := applyRate(p.sub, cfg.Duration)
 	close(stop)
 	wg.Wait()
-	return float64(endCount-startCount) / elapsed.Seconds()
+	return rate
 }
 
 // FormatFig13b renders the sweep as a paper-style series table.
 func FormatFig13b(points []Fig13bPoint) string {
-	return formatThroughputSeries("Fig 13(b): end-to-end throughput [msg/s] vs number of workers",
-		points, func(p Fig13bPoint) (string, int, float64) { return p.Pair, p.Workers, p.Throughput })
+	return formatSeries("Fig 13(b): end-to-end throughput [msg/s] vs number of workers", "workers", 28,
+		points, func(p Fig13bPoint) (string, int, string) { return p.Pair, p.Workers, fmtRate(p.Throughput) })
 }
 
 // ---------------------------------------------------------------------
@@ -316,30 +210,29 @@ func FormatFig13b(points []Fig13bPoint) string {
 
 // Fig13cConfig parameterizes the delivery-mode comparison.
 type Fig13cConfig struct {
-	Modes    []core.DeliveryMode
 	Workers  []int
 	Callback time.Duration // subscriber processing time per message
 	Duration time.Duration
-	Users    int
-	Shards   int
-	// MaxMessages caps the pre-published backlog per point.
-	MaxMessages int
 }
 
-// DefaultFig13c scales the paper's 100ms callback down to 10ms to keep
+// fig13cConfig scales the paper's 100ms callback down to 10ms to keep
 // the sweep's wall-clock time reasonable; throughput scales by the same
 // factor and the curves' shapes are unchanged.
-func DefaultFig13c() Fig13cConfig {
-	return Fig13cConfig{
-		Modes:       []core.DeliveryMode{core.Weak, core.Causal, core.Global},
-		Workers:     []int{1, 2, 5, 10, 20, 50, 100, 200, 400},
-		Callback:    10 * time.Millisecond,
-		Duration:    time.Second,
-		Users:       100,
-		Shards:      8,
-		MaxMessages: 120000,
+func fig13cConfig(quick bool) Fig13cConfig {
+	cfg := Fig13cConfig{
+		Workers:  []int{1, 2, 5, 10, 20, 50, 100, 200, 400},
+		Callback: 10 * time.Millisecond,
+		Duration: time.Second,
 	}
+	if quick {
+		cfg.Workers = []int{1, 10, 50, 200}
+		cfg.Duration = 500 * time.Millisecond
+	}
+	return cfg
 }
+
+// fig13cMaxBacklog caps the pre-published backlog per point.
+const fig13cMaxBacklog = 120000
 
 // Fig13cPoint is one measured cell.
 type Fig13cPoint struct {
@@ -352,9 +245,9 @@ type Fig13cPoint struct {
 // subscriber worker pools of increasing size can drain it under each
 // delivery mode, with every message costing Callback of processing (the
 // paper's simulated email send).
-func RunFig13c(cfg Fig13cConfig) []Fig13cPoint {
+func RunFig13c(cfg Fig13cConfig) ([]Fig13cPoint, error) {
 	var out []Fig13cPoint
-	for _, mode := range cfg.Modes {
+	for _, mode := range []core.DeliveryMode{core.Weak, core.Causal, core.Global} {
 		for _, workers := range cfg.Workers {
 			out = append(out, Fig13cPoint{
 				Mode:       mode,
@@ -363,116 +256,67 @@ func RunFig13c(cfg Fig13cConfig) []Fig13cPoint {
 			})
 		}
 	}
-	return out
+	return out, nil
 }
 
 func runModeOnce(cfg Fig13cConfig, mode core.DeliveryMode, workers int) float64 {
-	f := core.NewFabric()
-	pub := mustApp(f, "pub", NewMapper(MongoDB, storage.Profile{}), core.Config{
-		Mode:         mode,
-		VStoreShards: cfg.Shards,
+	p := pair(pairSpec{
+		Pub:    core.Config{Mode: mode, VStoreShards: vstoreShards},
+		Sub:    core.Config{VStoreShards: vstoreShards},
+		Models: socialModels,
+		Mode:   mode,
+		OnSub: afterWrite(func(*model.CallbackCtx) error {
+			time.Sleep(cfg.Callback)
+			return nil
+		}),
 	})
-	sub := mustApp(f, "sub", NewMapper(MongoDB, storage.Profile{}), core.Config{
-		VStoreShards: cfg.Shards,
-	})
-
-	post, comment := SocialModels()
-	must(pub.Publish(post, core.PubSpec{Attrs: []string{"author", "body"}}))
-	must(pub.Publish(comment, core.PubSpec{Attrs: []string{"post", "author", "body"}}))
-
-	subPost, subComment := SocialModels()
-	slowCallback := func(*model.CallbackCtx) error {
-		time.Sleep(cfg.Callback)
-		return nil
-	}
-	for _, d := range []*model.Descriptor{subPost, subComment} {
-		d.Callbacks.On(model.AfterCreate, slowCallback)
-		d.Callbacks.On(model.AfterUpdate, slowCallback)
-	}
-	must(sub.Subscribe(subPost, core.SubSpec{From: "pub", Attrs: []string{"author", "body"}, Mode: mode}))
-	must(sub.Subscribe(subComment, core.SubSpec{From: "pub", Attrs: []string{"post", "author", "body"}, Mode: mode}))
-
 	// Pre-publish enough backlog that the consumers never go idle.
-	need := int(1.5*cfg.Duration.Seconds()/cfg.Callback.Seconds())*workers + 100
-	if cfg.MaxMessages > 0 && need > cfg.MaxMessages {
-		need = cfg.MaxMessages
+	gen := workload.NewSocialGen(2, 100)
+	w := socialWriter{pub: p.pub}
+	for i := min(backlog(cfg.Duration, cfg.Callback, workers), fig13cMaxBacklog); i > 0; i-- {
+		w.write(gen.Next(), nil)
 	}
-	gen := workload.NewSocialGen(2, cfg.Users)
-	sessions := make(map[string]*core.Session)
-	for i := 0; i < need; i++ {
-		op := gen.Next()
-		sess := sessions[op.UserID]
-		if sess == nil {
-			sess = pub.NewSession("User", op.UserID)
-			sessions[op.UserID] = sess
-		}
-		ctl := pub.NewController(sess)
-		switch op.Kind {
-		case workload.OpPost:
-			rec := model.NewRecord("Post", op.ID)
-			rec.Set("author", op.UserID)
-			rec.Set("body", "b")
-			if _, err := ctl.Create(rec); err != nil {
-				panic(err)
-			}
-		case workload.OpComment:
-			ctl.AddReadDeps("Post", op.PostID)
-			rec := model.NewRecord("Comment", op.ID)
-			rec.Set("post", op.PostID)
-			rec.Set("author", op.UserID)
-			rec.Set("body", "c")
-			if _, err := ctl.Create(rec); err != nil {
-				panic(err)
-			}
-		}
-	}
-
-	start := time.Now()
-	startCount := sub.Processed.Count()
-	sub.StartWorkers(workers)
-	time.Sleep(cfg.Duration)
-	endCount := sub.Processed.Count()
-	elapsed := time.Since(start)
-	sub.StopWorkers()
-	return float64(endCount-startCount) / elapsed.Seconds()
+	return drainRate(p.sub, workers, cfg.Duration)
 }
 
 // FormatFig13c renders the sweep as a paper-style series table.
 func FormatFig13c(points []Fig13cPoint) string {
-	return formatThroughputSeries("Fig 13(c): subscriber throughput [msg/s] vs workers per delivery mode",
-		points, func(p Fig13cPoint) (string, int, float64) {
-			return p.Mode.String() + " delivery", p.Workers, p.Throughput
+	return formatSeries("Fig 13(c): subscriber throughput [msg/s] vs workers per delivery mode", "workers", 28,
+		points, func(p Fig13cPoint) (string, int, string) {
+			return p.Mode.String() + " delivery", p.Workers, fmtRate(p.Throughput)
 		})
 }
 
-func formatThroughputSeries[T any](title string, points []T, get func(T) (string, int, float64)) string {
+// formatSeries renders points as one row per series and one column per
+// swept x value; the first series' x values head the columns.
+func formatSeries[T any](title, xName string, nameWidth int, points []T, get func(T) (series string, x int, cell string)) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, title)
 	type cell struct {
-		workers int
-		rate    float64
+		x    int
+		text string
 	}
 	bySeries := map[string][]cell{}
 	var order []string
 	for _, p := range points {
-		name, workers, rate := get(p)
+		name, x, text := get(p)
 		if _, ok := bySeries[name]; !ok {
 			order = append(order, name)
 		}
-		bySeries[name] = append(bySeries[name], cell{workers, rate})
+		bySeries[name] = append(bySeries[name], cell{x, text})
 	}
 	if len(order) == 0 {
 		return b.String()
 	}
-	fmt.Fprintf(&b, "%-28s", "workers")
+	fmt.Fprintf(&b, "%-*s", nameWidth, xName)
 	for _, c := range bySeries[order[0]] {
-		fmt.Fprintf(&b, "%9d", c.workers)
+		fmt.Fprintf(&b, "%9d", c.x)
 	}
 	fmt.Fprintln(&b)
 	for _, name := range order {
-		fmt.Fprintf(&b, "%-28s", name)
+		fmt.Fprintf(&b, "%-*s", nameWidth, name)
 		for _, c := range bySeries[name] {
-			fmt.Fprintf(&b, "%9s", fmtRate(c.rate))
+			fmt.Fprintf(&b, "%9s", c.text)
 		}
 		fmt.Fprintln(&b)
 	}

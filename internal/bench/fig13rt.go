@@ -1,14 +1,12 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
 
 	"synapse/internal/core"
 	"synapse/internal/model"
-	"synapse/internal/storage"
 )
 
 // ---------------------------------------------------------------------
@@ -23,23 +21,15 @@ type Fig13RTConfig struct {
 	Deps []int
 	// Messages measured per point.
 	Messages int
-	Shards   int
-	// VStoreRTT/VStorePerKey inject the Fig 13(a) round-trip latency so
-	// the publish-latency column reflects the saved round trips.
-	VStoreRTT    time.Duration
-	VStorePerKey time.Duration
 }
 
-// DefaultFig13RT sweeps the multi-dependency range: the batched plans
+// fig13RTConfig sweeps the multi-dependency range: the batched plans
 // keep the round trips per message flat across it.
-func DefaultFig13RT() Fig13RTConfig {
-	return Fig13RTConfig{
-		Deps:         []int{1, 2, 5, 10, 20, 50, 100},
-		Messages:     30,
-		Shards:       8,
-		VStoreRTT:    300 * time.Microsecond,
-		VStorePerKey: 20 * time.Microsecond,
+func fig13RTConfig(quick bool) Fig13RTConfig {
+	if quick {
+		return Fig13RTConfig{Deps: []int{1, 10, 50}, Messages: 10}
 	}
+	return Fig13RTConfig{Deps: []int{1, 2, 5, 10, 20, 50, 100}, Messages: 30}
 }
 
 // Fig13RTSide is the measurement at one dep count.
@@ -60,84 +50,81 @@ type Fig13RTPoint struct {
 	Batched Fig13RTSide `json:"batched"`
 }
 
+// Fig13RTDoc is BENCH_fig13.json.
+type Fig13RTDoc struct {
+	Figure      string         `json:"figure"`
+	Description string         `json:"description"`
+	Points      []Fig13RTPoint `json:"points"`
+}
+
 // RunFig13RT measures, for each dependency count, the version-store
 // round trips per published message end to end (the publisher's bump
 // and unlock windows plus the subscriber's probe-and-claim and increment
 // windows).
-func RunFig13RT(cfg Fig13RTConfig) []Fig13RTPoint {
-	var out []Fig13RTPoint
-	for _, deps := range cfg.Deps {
-		out = append(out, Fig13RTPoint{Deps: deps, Batched: runRTOnce(cfg, deps)})
+func RunFig13RT(cfg Fig13RTConfig) (Fig13RTDoc, error) {
+	doc := Fig13RTDoc{
+		Figure:      "fig13-round-trips",
+		Description: "version-store round trips per published message under the batched round-trip plans, by dependency count",
 	}
-	return out
+	for _, deps := range cfg.Deps {
+		side, err := runRTOnce(cfg, deps)
+		if err != nil {
+			return doc, fmt.Errorf("deps=%d: %w", deps, err)
+		}
+		doc.Points = append(doc.Points, Fig13RTPoint{Deps: deps, Batched: side})
+	}
+	return doc, nil
 }
 
-func runRTOnce(cfg Fig13RTConfig, deps int) Fig13RTSide {
-	f := core.NewFabric()
-	mk := func(name string) *core.App {
-		return mustApp(f, name, NewMapper(MongoDB, storage.Profile{}), core.Config{
-			Mode:         core.Causal,
-			VStoreShards: cfg.Shards,
-			VStoreRTT:    cfg.VStoreRTT,
-			VStorePerKey: cfg.VStorePerKey,
-		})
+func runRTOnce(cfg Fig13RTConfig, deps int) (Fig13RTSide, error) {
+	// The Fig 13(a) round-trip latency is injected so the publish-latency
+	// column reflects the saved round trips.
+	app := core.Config{
+		Mode:         core.Causal,
+		VStoreShards: vstoreShards,
+		VStoreRTT:    300 * time.Microsecond,
+		VStorePerKey: 20 * time.Microsecond,
 	}
-	pub := mk("pub")
-	sub := mk("sub")
-
-	itemDesc := func() *model.Descriptor {
-		return model.NewDescriptor("Item",
-			model.Field{Name: "payload", Type: model.String},
-		)
-	}
-	must(pub.Publish(itemDesc(), core.PubSpec{Attrs: []string{"payload"}}))
-	must(sub.Subscribe(itemDesc(), core.SubSpec{From: "pub", Attrs: []string{"payload"}}))
-
+	p := pair(pairSpec{Pub: app, Sub: app, Models: itemModel("payload", model.String)})
+	pub, sub := p.pub, p.sub
 	sub.StartWorkers(1)
 	defer sub.StopWorkers()
 
+	// applied waits until the subscriber holds the item and both stores
+	// have been charged everything the messages so far cost: a message's
+	// increments and ack land after it counts as processed, a publish's
+	// unlock window behind its back.
+	applied := func(ids ...string) error {
+		err := settle(time.Now().Add(10*time.Second), pub, []*core.App{sub}, "Item", ids)
+		pub.Store().WaitReleases()
+		return err
+	}
 	// Pre-create the shared dependency objects, so the measured messages'
 	// read dependencies carry nonzero version minimums — a zero minimum
 	// is satisfied without any round trip and would hide the wait cost.
+	var seeded []string
 	for d := 0; d < deps-1; d++ {
-		rec := model.NewRecord("Item", fmt.Sprintf("dep-%d", d))
-		rec.Set("payload", "d")
-		if _, err := pub.NewController(nil).Create(rec); err != nil {
-			panic(err)
-		}
+		seeded = append(seeded, fmt.Sprintf("dep-%d", d))
+		createItem(pub, seeded[d], 1)
 	}
-	// settle waits until the subscriber has applied want messages and
-	// both stores have been charged everything those cost: a message's
-	// increments and ack land after it counts as processed, a publish's
-	// unlock window behind its back.
-	settle := func(want int) {
-		waitProcessed(sub, int64(want), 10*time.Second)
-		for deadline := time.Now().Add(10 * time.Second); sub.Queue().Depth() > 0 && time.Now().Before(deadline); {
-			time.Sleep(100 * time.Microsecond)
-		}
-		pub.Store().WaitReleases()
+	if err := applied(seeded...); err != nil {
+		return Fig13RTSide{}, err
 	}
-	settle(deps - 1)
 
 	pubRT0 := pub.Store().RoundTrips()
 	subRT0 := sub.Store().RoundTrips()
 	var total time.Duration
 	for i := 0; i < cfg.Messages; i++ {
-		ctl := pub.NewController(nil)
-		for d := 0; d < deps-1; d++ {
-			ctl.AddReadDeps("Item", fmt.Sprintf("dep-%d", d))
-		}
-		rec := model.NewRecord("Item", fmt.Sprintf("it-%d", i))
-		rec.Set("payload", "x")
-		start := time.Now()
-		if _, err := ctl.Create(rec); err != nil {
-			panic(err)
-		}
-		total += time.Since(start)
+		id := fmt.Sprintf("it-%d", i)
+		total += createItem(pub, id, deps)
 		// One message at a time, end to end: the count is the protocol's,
 		// not the schedule's — with two in flight the publisher's unlock
-		// windows and the subscriber's increments coalesce by luck.
-		settle(deps + i)
+		// windows and the subscriber's increments coalesce by luck. A
+		// message that never applied fails the run: it must not become a
+		// lower round-trip count.
+		if err := applied(id); err != nil {
+			return Fig13RTSide{}, err
+		}
 	}
 
 	n := float64(cfg.Messages)
@@ -147,39 +134,40 @@ func runRTOnce(cfg Fig13RTConfig, deps int) Fig13RTSide {
 		PublishMs: float64(total.Microseconds()) / 1000 / n,
 	}
 	side.TotalRT = side.PubRT + side.SubRT
-	return side
-}
-
-func waitProcessed(a *core.App, want int64, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for a.Processed.Count() < want && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	return side, nil
 }
 
 // FormatFig13RT renders the sweep as a table.
-func FormatFig13RT(points []Fig13RTPoint) string {
+func FormatFig13RT(doc Fig13RTDoc) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Fig 13 extension: version-store round trips per message (batched plans)")
 	fmt.Fprintf(&b, "%6s %8s %8s %9s %12s\n", "deps", "pub", "sub", "total", "publish ms")
-	for _, p := range points {
+	for _, p := range doc.Points {
 		fmt.Fprintf(&b, "%6d %8.1f %8.1f %9.1f %12.2f\n",
 			p.Deps, p.Batched.PubRT, p.Batched.SubRT, p.Batched.TotalRT, p.Batched.PublishMs)
 	}
 	return b.String()
 }
 
-// MarshalFig13RT encodes the sweep as the BENCH_fig13.json document, so
-// later PRs can diff the round-trip trajectory.
-func MarshalFig13RT(points []Fig13RTPoint) ([]byte, error) {
-	doc := struct {
-		Figure      string         `json:"figure"`
-		Description string         `json:"description"`
-		Points      []Fig13RTPoint `json:"points"`
-	}{
-		Figure:      "fig13-round-trips",
-		Description: "version-store round trips per published message under the batched round-trip plans, by dependency count",
-		Points:      points,
+// gateFig13RT: protocol round-trip windows per message, joined on deps.
+// No dependency count may pay more windows than the baseline, nor fewer
+// by more than 0.25: the sweep runs one message at a time, but an unlock
+// or increment window that coalesces on a slow machine reads a tenth
+// low, and a real saving is a baseline to regenerate.
+func gateFig13RT(base, fresh Fig13RTDoc, v *Verdict) {
+	if len(fresh.Points) == 0 {
+		v.breachf("the fresh sweep has no points")
 	}
-	return json.MarshalIndent(doc, "", "  ")
+	want := make(map[int]float64, len(base.Points))
+	for _, p := range base.Points {
+		want[p.Deps] = p.Batched.TotalRT
+	}
+	for _, p := range fresh.Points {
+		b, ok := want[p.Deps]
+		if !ok {
+			v.skipf("deps=%d is not in the baseline sweep", p.Deps)
+		} else if n := p.Batched.TotalRT; n > b+1e-9 || n < b-0.25 {
+			v.breachf("rt/msg at deps=%d is %g, baseline %g (allowed: %g down to %g)", p.Deps, n, b, b, b-0.25)
+		}
+	}
 }

@@ -28,32 +28,30 @@ type ecosystem struct {
 // mailDelay is the simulated email-send cost in the mailer callbacks.
 const mailDelay = 25 * time.Millisecond
 
+// fig9User is the ecosystem's User model. Every app declares the
+// interests column up front, so the decoration subscribed back from the
+// analyzer has a home.
+func fig9User() *model.Descriptor {
+	return model.NewDescriptor("User",
+		model.Field{Name: "name", Type: model.String},
+		model.Field{Name: "interests", Type: model.StringList},
+	)
+}
+
 func buildEcosystem(mailerWorkers, analyzerWorkers int) *ecosystem {
 	e := &ecosystem{fabric: core.NewFabric(), timeline: metrics.NewTimeline()}
 
 	// Diaspora: the social network, owner of User and Post.
 	e.diaspora = mustApp(e.fabric, "diaspora", NewMapper(PostgreSQL, storage.Profile{}), core.Config{Mode: core.Causal})
 	e.diaspora.Timeline = e.timeline
-	// The User model declares the interests column up front so the
-	// decoration subscribed back from the analyzer has a home.
-	user := model.NewDescriptor("User",
-		model.Field{Name: "name", Type: model.String},
-		model.Field{Name: "interests", Type: model.StringList},
-	)
-	post := model.NewDescriptor("Post",
-		model.Field{Name: "author", Type: model.Ref, RefModel: "User"},
-		model.Field{Name: "body", Type: model.String},
-	)
+	user, post := fig9User(), socialModels()[0]
 	must(e.diaspora.Publish(user, core.PubSpec{Attrs: []string{"name"}}))
 	must(e.diaspora.Publish(post, core.PubSpec{Attrs: []string{"author", "body"}}))
 
 	// Mailer: DB-less observer notifying friends of new posts (Fig 2).
 	e.mailer = mustApp(e.fabric, "mailer", nil, core.Config{Mode: core.Causal})
 	e.mailer.Timeline = e.timeline
-	mailerPost := model.NewDescriptor("Post",
-		model.Field{Name: "author", Type: model.Ref, RefModel: "User"},
-		model.Field{Name: "body", Type: model.String},
-	)
+	mailerPost := socialModels()[0]
 	mailerPost.Callbacks.On(model.AfterCreate, func(ctx *model.CallbackCtx) error {
 		if ctx.Bootstrapping {
 			return nil
@@ -72,14 +70,7 @@ func buildEcosystem(mailerWorkers, analyzerWorkers int) *ecosystem {
 	// post bodies (the Textalytics stand-in).
 	e.analyzer = mustApp(e.fabric, "analyzer", NewMapper(MySQL, storage.Profile{}), core.Config{Mode: core.Causal})
 	e.analyzer.Timeline = e.timeline
-	anUser := model.NewDescriptor("User",
-		model.Field{Name: "name", Type: model.String},
-		model.Field{Name: "interests", Type: model.StringList},
-	)
-	anPost := model.NewDescriptor("Post",
-		model.Field{Name: "author", Type: model.Ref, RefModel: "User"},
-		model.Field{Name: "body", Type: model.String},
-	)
+	anUser, anPost := fig9User(), socialModels()[0]
 	anPost.Callbacks.On(model.AfterCreate, func(ctx *model.CallbackCtx) error {
 		if ctx.Bootstrapping {
 			return nil
@@ -111,10 +102,7 @@ func buildEcosystem(mailerWorkers, analyzerWorkers int) *ecosystem {
 	// User from both origins.
 	e.spree = mustApp(e.fabric, "spree", NewMapper(MySQL, storage.Profile{}), core.Config{Mode: core.Causal})
 	e.spree.Timeline = e.timeline
-	spreeUser := model.NewDescriptor("User",
-		model.Field{Name: "name", Type: model.String},
-		model.Field{Name: "interests", Type: model.StringList},
-	)
+	spreeUser := fig9User()
 	must(e.spree.Subscribe(spreeUser, core.SubSpec{From: "diaspora", Attrs: []string{"name"}}))
 	must(e.spree.Subscribe(spreeUser, core.SubSpec{From: "analyzer", Attrs: []string{"interests"}}))
 	e.spree.StartWorkers(2)
@@ -147,9 +135,12 @@ func extractTopics(body string) []string {
 // Diaspora; the mailer and the semantic analyzer receive the post in
 // parallel; the analyzer publishes the decorated User; Diaspora and
 // Spree each receive the decoration. Returns the unified timeline.
-func RunFig9a() *metrics.Timeline {
+func RunFig9a() (*metrics.Timeline, error) {
 	e := buildEcosystem(2, 2)
 	defer e.stop()
+	settled := func(pub *core.App, subs ...*core.App) error {
+		return settle(time.Now().Add(5*time.Second), pub, subs, "", nil)
+	}
 
 	ctl := e.diaspora.NewController(e.diaspora.NewSession("User", "1"))
 	u := model.NewRecord("User", "1")
@@ -158,10 +149,9 @@ func RunFig9a() *metrics.Timeline {
 		panic(err)
 	}
 	// Let the user propagate before the post references it.
-	waitUntil(5*time.Second, func() bool {
-		_, err := e.analyzer.Mapper().Find("User", "1")
-		return err == nil
-	})
+	if err := settled(e.diaspora, e.analyzer); err != nil {
+		return nil, err
+	}
 
 	e.timeline.Record("diaspora", "app", "user 1 posts a message")
 	p := model.NewRecord("Post", "p1")
@@ -171,29 +161,20 @@ func RunFig9a() *metrics.Timeline {
 		panic(err)
 	}
 
-	// Wait for the decoration to land everywhere.
-	waitUntil(5*time.Second, func() bool {
-		rec, err := e.spree.Mapper().Find("User", "1")
-		if err != nil {
-			return false
-		}
-		return len(rec.Strings("interests")) > 0
-	})
-	waitUntil(5*time.Second, func() bool {
-		rec, err := e.diaspora.Mapper().Find("User", "1")
-		if err != nil {
-			return false
-		}
-		return len(rec.Strings("interests")) > 0
-	})
-	return e.timeline
+	// Wait for the post to reach the mailer and the analyzer — whose
+	// callback publishes the decoration before the post is acked — and
+	// then for the decoration to land everywhere.
+	if err := settled(e.diaspora, e.mailer, e.analyzer); err != nil {
+		return nil, err
+	}
+	return e.timeline, settled(e.analyzer, e.diaspora, e.spree)
 }
 
 // RunFig9b reproduces the Fig 9(b) execution sample: two users post two
 // messages each while the mailer is disconnected; when the mailer comes
 // back online, it processes the two users' messages in parallel but
 // each user's posts in serial order, enforcing causality.
-func RunFig9b() *metrics.Timeline {
+func RunFig9b() (*metrics.Timeline, error) {
 	e := buildEcosystem(0, 2) // mailer starts with no workers: offline
 	defer e.stop()
 
@@ -222,25 +203,23 @@ func RunFig9b() *metrics.Timeline {
 
 	e.timeline.Record("mailer", "app", "mailer reconnects")
 	e.mailer.StartWorkers(4)
-	waitUntil(10*time.Second, func() bool {
-		count := 0
-		for _, ev := range e.timeline.Events() {
-			if ev.Actor == "mailer" && ev.Phase == "app" && strings.Contains(ev.Label, "emailed") {
-				count++
-			}
-		}
-		return count == 4
-	})
-	return e.timeline
+	// A drained mailer queue is four sent emails: the callback sends
+	// before the delivery is acked.
+	return e.timeline, settle(time.Now().Add(10*time.Second), e.diaspora, []*core.App{e.mailer}, "", nil)
 }
 
-func waitUntil(timeout time.Duration, cond func() bool) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	panic("bench: condition never became true")
+const (
+	fig9aHeader = `Fig 9(a): execution sample — user posts on Diaspora; mailer and
+semantic analyzer receive in parallel; Diaspora and Spree receive
+the decorated User.
+`
+	fig9bHeader = `Fig 9(b): execution with subscriber disconnection — two users post
+while the mailer is offline; on reconnection it processes the users
+in parallel but each user's posts in serial (causal) order.
+`
+)
+
+// timeline renders a Fig 9 execution sample under its caption.
+func timeline(header string) func(doc any) string {
+	return func(doc any) string { return header + doc.(*metrics.Timeline).String() }
 }

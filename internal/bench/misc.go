@@ -5,15 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"synapse/internal/core"
 	"synapse/internal/model"
-	"synapse/internal/storage"
-	"synapse/internal/workload"
 )
 
 // ---------------------------------------------------------------------
@@ -23,25 +20,31 @@ import (
 // LostMsgConfig parameterizes the lost-message experiment.
 type LostMsgConfig struct {
 	Messages    int
-	LossEvery   int // drop every n-th message (0 = no loss)
+	LossEvery   int // drop every n-th message
 	DepTimeout  time.Duration
-	QueueMaxLen int
-	Workers     int
-	Deadline    time.Duration
+	QueueMaxLen int // 0 = unbounded
 }
 
-// DefaultLostMsg drops 1 in 50 messages.
-func DefaultLostMsg() LostMsgConfig {
-	return LostMsgConfig{
-		Messages:   500,
-		LossEvery:  50,
-		DepTimeout: 25 * time.Millisecond,
-		// Unbounded queue by default; the pure-causal run of the CLI
-		// overrides this to exercise the decommission path.
-		QueueMaxLen: 0,
-		Workers:     4,
-		Deadline:    30 * time.Second,
+// lostMsgConfig drops 1 in 50 messages.
+func lostMsgConfig(quick bool) LostMsgConfig {
+	if quick {
+		return LostMsgConfig{Messages: 200, LossEvery: 50}
 	}
+	return LostMsgConfig{Messages: 500, LossEvery: 50}
+}
+
+// RunLostMsgSweep runs the §6.5 timeout spectrum: give up at once (weak),
+// a finite dependency wait, and pure causal — which heals only through
+// queue decommission + rebootstrap, so that run bounds the queue.
+func RunLostMsgSweep(cfg LostMsgConfig) ([]LostMsgResult, error) {
+	var out []LostMsgResult
+	for _, cfg.DepTimeout = range []time.Duration{0, 25 * time.Millisecond, core.WaitForever} {
+		if cfg.DepTimeout == core.WaitForever {
+			cfg.QueueMaxLen = 100
+		}
+		out = append(out, RunLostMsg(cfg))
+	}
+	return out, nil
 }
 
 // LostMsgResult reports how the subscriber weathered the losses.
@@ -62,19 +65,6 @@ type LostMsgResult struct {
 // queue-overflow decommission triggers the automatic partial bootstrap
 // — the §6.5 production incident.
 func RunLostMsg(cfg LostMsgConfig) LostMsgResult {
-	f := core.NewFabric()
-	pub := mustApp(f, "pub", NewMapper(MongoDB, storage.Profile{}), core.Config{Mode: core.Causal})
-	sub := mustApp(f, "sub", NewMapper(MongoDB, storage.Profile{}), core.Config{
-		DepTimeout:  cfg.DepTimeout,
-		QueueMaxLen: cfg.QueueMaxLen,
-	})
-	item := model.NewDescriptor("Item",
-		model.Field{Name: "v", Type: model.Int},
-	)
-	must(pub.Publish(item, core.PubSpec{Attrs: []string{"v"}}))
-	subItem := model.NewDescriptor("Item",
-		model.Field{Name: "v", Type: model.Int},
-	)
 	// A zero DepTimeout is the §6.5 "give up immediately" end of the
 	// spectrum, i.e. weak mode; Config.DepTimeout zero means default
 	// (wait forever), so express it as a weak subscription.
@@ -82,33 +72,38 @@ func RunLostMsg(cfg LostMsgConfig) LostMsgResult {
 	if cfg.DepTimeout == 0 {
 		mode = core.Weak
 	}
-	must(sub.Subscribe(subItem, core.SubSpec{From: "pub", Attrs: []string{"v"}, Mode: mode}))
-	sub.StartWorkers(cfg.Workers)
+	p := pair(pairSpec{
+		Pub:    core.Config{Mode: core.Causal},
+		Sub:    core.Config{DepTimeout: cfg.DepTimeout, QueueMaxLen: cfg.QueueMaxLen},
+		Models: itemModel("v", model.Int),
+		Mode:   mode,
+	})
+	f, pub, sub := p.f, p.pub, p.sub
+	sub.StartWorkers(4)
 	defer sub.StopWorkers()
 	q0 := sub.Queue()
 
 	var lost, n atomic.Int64 // the filter runs on publisher goroutines
-	if cfg.LossEvery > 0 {
-		f.Broker.SetLoss(func(queue, exchange string, payload []byte) bool {
-			if n.Add(1)%int64(cfg.LossEvery) == 0 {
-				lost.Add(1)
-				return true
-			}
-			return false
-		})
-	}
+	f.Broker.SetLoss(func(queue, exchange string, payload []byte) bool {
+		if n.Add(1)%int64(cfg.LossEvery) == 0 {
+			lost.Add(1)
+			return true
+		}
+		return false
+	})
 
-	const objects = 10
+	ids := make([]string, 10)
 	ctl := pub.NewController(nil)
-	for i := 0; i < objects; i++ {
-		rec := model.NewRecord("Item", fmt.Sprintf("it%d", i))
+	for i := range ids {
+		ids[i] = fmt.Sprintf("it%d", i)
+		rec := model.NewRecord("Item", ids[i])
 		rec.Set("v", 0)
 		if _, err := ctl.Create(rec); err != nil {
 			panic(err)
 		}
 	}
 	update := func(i int) {
-		patch := model.NewRecord("Item", fmt.Sprintf("it%d", i%objects))
+		patch := model.NewRecord("Item", ids[i%len(ids)])
 		patch.Set("v", i)
 		if _, err := ctl.Update(patch); err != nil {
 			panic(err)
@@ -121,12 +116,11 @@ func RunLostMsg(cfg LostMsgConfig) LostMsgResult {
 
 	start := time.Now()
 	res := LostMsgResult{Timeout: cfg.DepTimeout, Lost: int(lost.Load())}
-	deadline := time.Now().Add(cfg.Deadline)
-	for i := cfg.Messages; time.Now().Before(deadline); i++ {
+	for i, deadline := cfg.Messages, start.Add(30*time.Second); time.Now().Before(deadline); i++ {
 		if q := sub.Queue(); q != q0 || q.Dead() { // a recovered queue is a new handle
 			res.Decommissions = true
 		}
-		if converged(pub, sub, objects) {
+		if diverged(pub, []*core.App{sub}, "Item", ids) == nil {
 			res.Converged = true
 			res.ConvergeTime = time.Since(start)
 			return res
@@ -138,24 +132,6 @@ func RunLostMsg(cfg LostMsgConfig) LostMsgResult {
 	}
 	res.Parked = sub.Stats().Parked
 	return res
-}
-
-func converged(pub, sub *core.App, objects int) bool {
-	for i := 0; i < objects; i++ {
-		id := fmt.Sprintf("it%d", i)
-		want, err := pub.Mapper().Find("Item", id)
-		if err != nil {
-			return false
-		}
-		got, err := sub.Mapper().Find("Item", id)
-		if err != nil {
-			return false
-		}
-		if got.Int("v") != want.Int("v") {
-			return false
-		}
-	}
-	return true
 }
 
 // FormatLostMsg renders the timeout sweep results.
@@ -180,86 +156,11 @@ func FormatLostMsg(results []LostMsgResult) string {
 }
 
 // ---------------------------------------------------------------------
-// Ablation: dependency-hash cardinality (1 ⇒ global ordering).
-// ---------------------------------------------------------------------
-
-// AblationPoint is one cardinality cell.
-type AblationPoint struct {
-	Cardinality uint64
-	Throughput  float64
-}
-
-// RunAblationHashCardinality sweeps the dependency hash space. As §4.2
-// notes, "using a 1-entry dependency hash space is equivalent to using
-// global ordering": hash collisions serialize unrelated objects, so
-// subscriber parallelism — and throughput under a per-message callback
-// cost — collapses as the space shrinks.
-func RunAblationHashCardinality(cards []uint64, workers int, callback, duration time.Duration) []AblationPoint {
-	var out []AblationPoint
-	for _, card := range cards {
-		f := core.NewFabric()
-		pub := mustApp(f, "pub", NewMapper(MongoDB, storage.Profile{}), core.Config{
-			Mode:           core.Causal,
-			DepCardinality: card,
-		})
-		sub := mustApp(f, "sub", NewMapper(MongoDB, storage.Profile{}), core.Config{
-			DepCardinality: card,
-		})
-		post, _ := SocialModels()
-		must(pub.Publish(post, core.PubSpec{Attrs: []string{"author", "body"}}))
-		subPost, _ := SocialModels()
-		subPost.Callbacks.On(model.AfterCreate, func(*model.CallbackCtx) error {
-			time.Sleep(callback)
-			return nil
-		})
-		must(sub.Subscribe(subPost, core.SubSpec{From: "pub", Attrs: []string{"author", "body"}, Mode: core.Causal}))
-
-		gen := workload.NewSocialGen(3, 256)
-		gen.SetCommentRatio(0)
-		need := int(1.5*duration.Seconds()/callback.Seconds())*workers + 50
-		for i := 0; i < need; i++ {
-			op := gen.Next()
-			ctl := pub.NewController(nil)
-			rec := model.NewRecord("Post", op.ID)
-			rec.Set("author", op.UserID)
-			rec.Set("body", "b")
-			if _, err := ctl.Create(rec); err != nil {
-				panic(err)
-			}
-		}
-		start := time.Now()
-		sub.StartWorkers(workers)
-		time.Sleep(duration)
-		count := sub.Processed.Count()
-		elapsed := time.Since(start)
-		sub.StopWorkers()
-		out = append(out, AblationPoint{Cardinality: card, Throughput: float64(count) / elapsed.Seconds()})
-	}
-	return out
-}
-
-// FormatAblation renders the cardinality sweep.
-func FormatAblation(points []AblationPoint) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Ablation: causal throughput [msg/s] vs dependency-hash cardinality")
-	fmt.Fprintln(&b, "(cardinality 1 degenerates to global ordering, §4.2)")
-	fmt.Fprintf(&b, "%-14s %12s\n", "cardinality", "throughput")
-	for _, p := range points {
-		card := fmt.Sprintf("%d", p.Cardinality)
-		if p.Cardinality == 0 {
-			card = "unbounded"
-		}
-		fmt.Fprintf(&b, "%-14s %12s\n", card, fmtRate(p.Throughput))
-	}
-	return b.String()
-}
-
-// ---------------------------------------------------------------------
 // Table 1: supported DB types and vendors.
 // ---------------------------------------------------------------------
 
-// FormatTable1 prints the engine/vendor support matrix.
-func FormatTable1() string {
+// table1 prints the engine/vendor support matrix.
+func table1() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Table 1: DB types and vendors supported")
 	fmt.Fprintf(&b, "%-12s %-34s %s\n", "Type", "Supported Vendors", "Example use cases")
@@ -275,6 +176,16 @@ func FormatTable1() string {
 	}
 	return b.String()
 }
+
+// fig8 points at the golden test that replays the paper's trace.
+const fig8 = `Fig 8: dependency and message generation (see the golden test
+internal/core/fig8_test.go, which replays the paper's exact trace).
+Expected message dependencies, reproduced by the implementation:
+  M1: {u1: 0, p1: 0}
+  M2: {u2: 0, c1: 0, p1: 1}
+  M3: {u1: 1, c2: 0, p1: 1}
+  M4: {u1: 2, p1: 3}
+`
 
 // ---------------------------------------------------------------------
 // Table 3: lines of code to support each DB/ORM.
@@ -350,17 +261,12 @@ func countGoLines(dir string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	names := make([]string, 0, len(entries))
+	total := 0
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	total := 0
-	for _, name := range names {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return 0, err

@@ -11,7 +11,6 @@ import (
 	"synapse/internal/core"
 	"synapse/internal/faultinject"
 	"synapse/internal/model"
-	"synapse/internal/storage"
 )
 
 // ---------------------------------------------------------------------
@@ -21,25 +20,28 @@ import (
 
 // ReliabilityConfig parameterizes the crash/recovery experiment.
 type ReliabilityConfig struct {
-	Engine              string // publisher engine (subscriber is MongoDB)
-	Writes              int
-	Seed                int64
-	Workers             int
-	MaxDeliveryAttempts int
-	Deadline            time.Duration
+	Engine string // publisher engine (the subscriber is MongoDB)
+	Writes int
 }
 
-// DefaultReliability crashes the publisher at random publish-path fault
+// reliabilityConfig crashes the publisher at random publish-path fault
 // sites over a 200-write schedule.
-func DefaultReliability() ReliabilityConfig {
-	return ReliabilityConfig{
-		Engine:              MongoDB,
-		Writes:              200,
-		Seed:                1,
-		Workers:             4,
-		MaxDeliveryAttempts: 5,
-		Deadline:            60 * time.Second,
+func reliabilityConfig(quick bool) ReliabilityConfig {
+	if quick {
+		return ReliabilityConfig{Writes: 40}
 	}
+	return ReliabilityConfig{Writes: 200}
+}
+
+// RunReliabilitySweep runs the schedule once per journaling path:
+// MongoDB journals the final payload directly; PostgreSQL stages the
+// journal row inside the data transaction (transactional outbox).
+func RunReliabilitySweep(cfg ReliabilityConfig) ([]ReliabilityResult, error) {
+	var out []ReliabilityResult
+	for _, cfg.Engine = range []string{MongoDB, PostgreSQL} {
+		out = append(out, RunReliability(cfg))
+	}
+	return out, nil
 }
 
 // ReliabilityResult reports how delivery weathered the schedule.
@@ -68,31 +70,26 @@ type ReliabilityResult struct {
 // with no Bootstrap call — journal replay, retry, and dead-letter replay
 // carry the whole recovery.
 func RunReliability(cfg ReliabilityConfig) ReliabilityResult {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	f := core.NewFabric()
-	pub := mustApp(f, "pub", NewMapper(cfg.Engine, storage.Profile{}), core.Config{Mode: core.Causal})
-	sub := mustApp(f, "sub", NewMapper(MongoDB, storage.Profile{}), core.Config{
-		MaxDeliveryAttempts: cfg.MaxDeliveryAttempts,
-		RetryBackoffBase:    10 * time.Microsecond,
-	})
-	item := model.NewDescriptor("Item",
-		model.Field{Name: "v", Type: model.Int},
-	)
-	must(pub.Publish(item, core.PubSpec{Attrs: []string{"v"}}))
-	subItem := model.NewDescriptor("Item",
-		model.Field{Name: "v", Type: model.Int},
-	)
+	rng := rand.New(rand.NewSource(1))
 	// The persistent fault: applying "poison" fails until cleared, so it
 	// burns through MaxDeliveryAttempts and lands on the dead-letter list.
 	var faulty atomic.Bool
 	faulty.Store(true)
-	subItem.Callbacks.On(model.BeforeCreate, func(ctx *model.CallbackCtx) error {
-		if faulty.Load() && ctx.Record.ID == "poison" {
-			return errors.New("downstream dependency offline")
-		}
-		return nil
+	p := pair(pairSpec{
+		PubEngine: cfg.Engine,
+		Pub:       core.Config{Mode: core.Causal},
+		Sub:       core.Config{MaxDeliveryAttempts: 5, RetryBackoffBase: 10 * time.Microsecond},
+		Models:    itemModel("v", model.Int),
+		OnSub: func(d *model.Descriptor) {
+			d.Callbacks.On(model.BeforeCreate, func(ctx *model.CallbackCtx) error {
+				if faulty.Load() && ctx.Record.ID == "poison" {
+					return errors.New("downstream dependency offline")
+				}
+				return nil
+			})
+		},
 	})
-	must(sub.Subscribe(subItem, core.SubSpec{From: "pub", Attrs: []string{"v"}, Mode: core.Causal}))
+	pub, sub := p.pub, p.sub
 
 	recoverCrash := func(fn func()) (crashed bool) {
 		defer func() {
@@ -158,24 +155,23 @@ func RunReliability(cfg ReliabilityConfig) ReliabilityResult {
 		sub.Faults().ArmN(core.FaultApply, rng.Intn(cfg.Writes), 1, faultinject.Fail(errors.New("transient apply error")))
 	}
 	start := time.Now()
-	sub.StartWorkers(cfg.Workers)
+	sub.StartWorkers(4)
 	defer sub.StopWorkers()
 
-	replayed := false
-	deadline := time.Now().Add(cfg.Deadline)
-	for time.Now().Before(deadline) {
-		if !replayed && sub.Stats().DeadLetters == 1 {
-			// Operator clears the fault and replays the set-aside message.
-			faulty.Store(false)
-			sub.ReplayDeadLetters()
-			replayed = true
-		}
-		if replayed && reliabilityConverged(pub, sub, created) {
-			res.Converged = true
-			res.ConvergeTime = time.Since(start)
-			break
-		}
+	deadline := start.Add(time.Minute)
+	for sub.Stats().DeadLetters == 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
+	}
+	// Operator clears the fault and replays the set-aside message.
+	faulty.Store(false)
+	sub.ReplayDeadLetters()
+	ids := make([]string, 0, len(created))
+	for id := range created {
+		ids = append(ids, id)
+	}
+	if settle(deadline, pub, []*core.App{sub}, "Item", ids) == nil {
+		res.Converged = true
+		res.ConvergeTime = time.Since(start)
 	}
 
 	pst, sst := pub.Stats(), sub.Stats()
@@ -185,23 +181,6 @@ func RunReliability(cfg ReliabilityConfig) ReliabilityResult {
 	res.DeadLettered = sst.DeadLettered
 	res.JournalDepth = pst.JournalDepth
 	return res
-}
-
-func reliabilityConverged(pub, sub *core.App, created map[string]bool) bool {
-	if q := sub.Queue(); q == nil || q.Len() > 0 || q.Unacked() > 0 {
-		return false
-	}
-	for id := range created {
-		want, err := pub.Mapper().Find("Item", id)
-		if err != nil {
-			return false
-		}
-		got, err := sub.Mapper().Find("Item", id)
-		if err != nil || got.Int("v") != want.Int("v") {
-			return false
-		}
-	}
-	return true
 }
 
 // FormatReliability renders the per-engine reliability runs.

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"synapse/internal/core"
 	"synapse/internal/hdr"
 	"synapse/internal/model"
-	"synapse/internal/storage"
 	"synapse/internal/workload"
 )
 
@@ -23,83 +21,66 @@ import (
 
 // TailConfig parameterizes the open-loop tail sweep.
 type TailConfig struct {
-	// Seed drives the open-loop generator; same seed + same config ⇒
-	// identical op stream (checkable via the per-point fingerprint).
-	Seed int64
 	// Rates are the base arrival rates (ops/sec) swept.
 	Rates []float64
 	// Duration is each point's stream horizon; Warmup drops samples
 	// whose intended send time falls before it.
 	Duration time.Duration
 	Warmup   time.Duration
-	// Shape is the arrival-rate profile (ShapeBurst by default: hot-key
-	// bursts are exactly what exposes vstore lock contention).
-	Shape workload.RateShape
-
-	Users int
-	// ActiveSessions / SessionMean enable session arrival/churn in the
-	// generator: ~ActiveSessions users browse concurrently, each for a
-	// seeded exponential lifetime with mean SessionMean, with arrivals
-	// drawn from the whole Users population — large-population key
-	// shapes without a proportional live set. 0 keeps the legacy
-	// uniform draw (the committed-baseline workload).
-	ActiveSessions int
-	SessionMean    time.Duration
-	Shards         int
-	PubWorkers     int
-	SubWorkers     int
-	// PipelineDepth is the subscriber's per-worker in-flight pipeline
-	// bound (0 = the core default; 1 = the window-of-one ablation).
-	PipelineDepth int
-	// Callback is the subscriber's per-message application work.
-	Callback time.Duration
-	// VStoreRTT is the injected version-store round trip; it is what
-	// makes hot-key lock-hold time observable.
-	VStoreRTT time.Duration
-	// HotPosts / ZipfS shape comment-target popularity (see workload).
-	HotPosts int
-	ZipfS    float64
-	// Burst knobs (ShapeBurst): every BurstEvery the rate becomes
-	// BurstFactor × base for BurstLen, with comments biased to the hot
-	// set with probability HotFraction.
-	BurstEvery  time.Duration
-	BurstLen    time.Duration
-	BurstFactor float64
-	HotFraction float64
-	// KneeFactor: the knee is the lowest rate whose p99 exceeds
-	// KneeFactor × the lowest rate's p99 (default 3).
-	KneeFactor float64
-	// DrainTimeout bounds the wait for the subscriber to finish the
-	// backlog after the stream ends.
-	DrainTimeout time.Duration
 }
 
-// DefaultTail is the committed-baseline configuration: a social mix at
-// 25/75 post/comment, zipf-skewed targets with a pinned 16-post hot
-// set, 4x hot-key bursts 200ms out of every second, 16 subscriber
-// workers with 2ms of application work (≈8k msg/s nominal capacity),
-// and a 500µs version-store round trip.
-func DefaultTail() TailConfig {
+// tailConfig is the committed-baseline sweep. Quick keeps the 1000 ops/s
+// anchor point so the gate can compare its p99 against the baseline, and
+// the saturating top rate so delivered_capacity (and the serial ablation
+// the capacity rule ratios against) is still measured; only the sweep
+// breadth and horizon shrink — every capacity knob is a constant below.
+func tailConfig(quick bool) TailConfig {
+	if quick {
+		return TailConfig{Rates: []float64{250, 1000, 5600}, Duration: time.Second, Warmup: 250 * time.Millisecond}
+	}
 	return TailConfig{
-		Seed:         1,
-		Rates:        []float64{250, 500, 1000, 1500, 2000, 2400, 3200, 4000, 4800, 5600},
-		Duration:     2500 * time.Millisecond,
-		Warmup:       500 * time.Millisecond,
-		Shape:        workload.ShapeBurst,
-		Users:        256,
-		Shards:       8,
-		PubWorkers:   64,
-		SubWorkers:   16,
-		Callback:     2 * time.Millisecond,
-		VStoreRTT:    500 * time.Microsecond,
-		HotPosts:     16,
-		ZipfS:        1.2,
-		BurstEvery:   time.Second,
-		BurstLen:     200 * time.Millisecond,
-		BurstFactor:  4,
-		HotFraction:  0.8,
-		KneeFactor:   3,
-		DrainTimeout: 30 * time.Second,
+		Rates:    []float64{250, 500, 1000, 1500, 2000, 2400, 3200, 4000, 4800, 5600},
+		Duration: 2500 * time.Millisecond,
+		Warmup:   500 * time.Millisecond,
+	}
+}
+
+// The workload and capacity of every point: a social mix at 25/75
+// post/comment over 256 users, zipf-skewed targets with a pinned 16-post
+// hot set, 4x hot-key bursts 200ms out of every second (hot-key bursts
+// are exactly what exposes vstore lock contention), 64 open-loop
+// publishers, 16 subscriber workers with 2ms of application work (≈8k
+// msg/s nominal capacity), and a 500µs version-store round trip — what
+// makes hot-key lock-hold time observable.
+const (
+	tailSeed       = 1 // same seed + same config ⇒ identical op stream
+	tailPubWorkers = 64
+	tailSubWorkers = 16
+	tailCallback   = 2 * time.Millisecond
+	tailVStoreRTT  = 500 * time.Microsecond
+	// The knee is the lowest rate whose p99 exceeds tailKneeFactor × the
+	// lowest rate's p99.
+	tailKneeFactor = 3
+	// tailDrainTimeout bounds the wait for the subscriber to finish the
+	// backlog after the stream ends.
+	tailDrainTimeout = 30 * time.Second
+	// tailSerialDepth is the window-of-one ablation; 0 is the core default.
+	tailSerialDepth = 1
+)
+
+func tailWorkload(rate float64, horizon time.Duration) workload.OpenLoopConfig {
+	return workload.OpenLoopConfig{
+		Seed:        tailSeed,
+		Users:       256,
+		Rate:        rate,
+		Horizon:     horizon,
+		Shape:       workload.ShapeBurst,
+		HotPosts:    16,
+		ZipfS:       1.2,
+		BurstEvery:  time.Second,
+		BurstLen:    200 * time.Millisecond,
+		BurstFactor: 4,
+		HotFraction: 0.8,
 	}
 }
 
@@ -154,11 +135,13 @@ type TailPoint struct {
 	Stages map[string]TailStage `json:"stages"`
 }
 
-// TailResult is the whole sweep plus the detected knee and the
-// delivered-capacity summary.
-type TailResult struct {
-	Seed   int64       `json:"seed"`
-	Points []TailPoint `json:"points"`
+// TailDoc is BENCH_tail.json: the whole sweep plus the detected knee and
+// the delivered-capacity summary.
+type TailDoc struct {
+	Experiment  string      `json:"experiment"`
+	Description string      `json:"description"`
+	Seed        int64       `json:"seed"`
+	Points      []TailPoint `json:"points"`
 	// KneeRate is the lowest swept rate whose p99 exceeded KneeFactor ×
 	// the lowest rate's p99 (0 when no rate did).
 	KneeRate   float64 `json:"knee_rate_ops_per_sec"`
@@ -168,9 +151,9 @@ type TailResult struct {
 	DeliveredCapacity float64 `json:"delivered_capacity_msgs_per_sec"`
 	// SerialCapacity re-measures the top swept rate with PipelineDepth
 	// 1 (one message at a time per worker); PipelineSpeedup is
-	// DeliveredCapacity over it. The bench gate holds the speedup
-	// floor, so the window's win over the one-at-a-time ceiling is
-	// re-proven, not assumed, on every gated run.
+	// DeliveredCapacity over it. The gate holds the speedup floor, so
+	// the window's win over the one-at-a-time ceiling is re-proven, not
+	// assumed, on every gated run.
 	SerialCapacity  float64    `json:"serial_capacity_msgs_per_sec"`
 	PipelineSpeedup float64    `json:"pipeline_speedup"`
 	SerialPoint     *TailPoint `json:"serial_ablation_point,omitempty"`
@@ -178,63 +161,49 @@ type TailResult struct {
 
 // RunTail sweeps the arrival rates, each on a fresh fabric, then runs
 // the depth-1 ablation at the top rate for the capacity ratio.
-func RunTail(cfg TailConfig) TailResult {
-	res := TailResult{Seed: cfg.Seed, KneeFactor: cfg.KneeFactor}
+func RunTail(cfg TailConfig) (TailDoc, error) {
+	res := TailDoc{
+		Experiment:  "tail",
+		Description: "open-loop rate sweep over the zipf/burst social mix: publish→deliver p50/p99/p999 measured from INTENDED send times (no coordinated omission), per-stage breakdown, knee where p99 departs, delivered_capacity = best sustained delivery rate with pipeline occupancy / group-commit batch histograms, plus a PipelineDepth=1 serial ablation at the top rate; workload_fingerprint is deterministic per seed+config — latencies are wall-clock measurements",
+		Seed:        tailSeed,
+		KneeFactor:  tailKneeFactor,
+	}
 	for _, rate := range cfg.Rates {
-		p := runTailPoint(cfg, rate)
-		if p.AchievedRate > res.DeliveredCapacity {
-			res.DeliveredCapacity = p.AchievedRate
+		p, err := runTailPoint(cfg, rate, 0)
+		if err != nil {
+			return res, fmt.Errorf("rate %g: %w", rate, err)
 		}
+		res.DeliveredCapacity = max(res.DeliveredCapacity, p.AchievedRate)
 		res.Points = append(res.Points, p)
 	}
-	if len(res.Points) > 0 {
-		base := res.Points[0].P99Ms
-		for _, p := range res.Points {
-			if base > 0 && p.P99Ms > cfg.KneeFactor*base {
-				res.KneeRate = p.Rate
-				break
-			}
+	for _, p := range res.Points {
+		if base := res.Points[0].P99Ms; base > 0 && p.P99Ms > tailKneeFactor*base {
+			res.KneeRate = p.Rate
+			break
 		}
 	}
-	if n := len(cfg.Rates); n > 0 && cfg.PipelineDepth != 1 {
-		serial := cfg
-		serial.PipelineDepth = 1
-		sp := runTailPoint(serial, cfg.Rates[n-1])
+	if n := len(cfg.Rates); n > 0 {
+		sp, err := runTailPoint(cfg, cfg.Rates[n-1], tailSerialDepth)
+		if err != nil {
+			return res, fmt.Errorf("serial ablation: %w", err)
+		}
 		res.SerialPoint = &sp
 		res.SerialCapacity = sp.AchievedRate
 		if res.SerialCapacity > 0 {
 			res.PipelineSpeedup = res.DeliveredCapacity / res.SerialCapacity
 		}
 	}
-	return res
+	return res, nil
 }
 
-func runTailPoint(cfg TailConfig, rate float64) TailPoint {
-	f := core.NewFabric()
-	pub := mustApp(f, "pub", NewMapper(MongoDB, storage.Profile{}), core.Config{
-		Mode:         core.Causal,
-		VStoreShards: cfg.Shards,
-		VStoreRTT:    cfg.VStoreRTT,
-	})
-	sub := mustApp(f, "sub", NewMapper(MongoDB, storage.Profile{}), core.Config{
-		Mode:          core.Causal,
-		VStoreShards:  cfg.Shards,
-		VStoreRTT:     cfg.VStoreRTT,
-		PipelineDepth: cfg.PipelineDepth,
-	})
-
-	post, comment := tailModels()
-	must(pub.Publish(post, core.PubSpec{Attrs: []string{"author", "body", "t"}}))
-	must(pub.Publish(comment, core.PubSpec{Attrs: []string{"post", "author", "body", "t"}}))
-
+// runTailPoint measures one rate; depth is the subscriber's per-worker
+// in-flight pipeline bound (0 = the core default).
+func runTailPoint(cfg TailConfig, rate float64, depth int) (TailPoint, error) {
 	rec := hdr.New()
 	var start time.Time // set right before the publishers launch
 	warmupNs := cfg.Warmup.Nanoseconds()
-	subPost, subComment := tailModels()
 	measure := func(ctx *model.CallbackCtx) error {
-		if cfg.Callback > 0 {
-			time.Sleep(cfg.Callback)
-		}
+		time.Sleep(tailCallback)
 		sendAt, ok := ctx.Record.Get("t").(float64)
 		if !ok {
 			return fmt.Errorf("tail: record %s/%s missing send stamp", ctx.Record.Model, ctx.Record.ID)
@@ -244,37 +213,22 @@ func runTailPoint(cfg TailConfig, rate float64) TailPoint {
 		}
 		return nil
 	}
-	for _, d := range []*model.Descriptor{subPost, subComment} {
-		d.Callbacks.On(model.AfterCreate, measure)
-		d.Callbacks.On(model.AfterUpdate, measure)
-	}
-	must(sub.Subscribe(subPost, core.SubSpec{From: "pub", Attrs: []string{"author", "body", "t"}}))
-	must(sub.Subscribe(subComment, core.SubSpec{From: "pub", Attrs: []string{"post", "author", "body", "t"}}))
-	sub.StartWorkers(cfg.SubWorkers)
+	p := pair(pairSpec{
+		Pub:    core.Config{Mode: core.Causal, VStoreShards: vstoreShards, VStoreRTT: tailVStoreRTT},
+		Sub:    core.Config{Mode: core.Causal, VStoreShards: vstoreShards, VStoreRTT: tailVStoreRTT, PipelineDepth: depth},
+		Models: tailModels,
+		OnSub:  afterWrite(measure),
+	})
+	pub, sub := p.pub, p.sub
+	sub.StartWorkers(tailSubWorkers)
 	defer sub.StopWorkers()
 
-	gen := workload.NewOpenLoopGen(workload.OpenLoopConfig{
-		Seed:           cfg.Seed,
-		Users:          cfg.Users,
-		Rate:           rate,
-		Horizon:        cfg.Duration,
-		Shape:          cfg.Shape,
-		HotPosts:       cfg.HotPosts,
-		ZipfS:          cfg.ZipfS,
-		BurstEvery:     cfg.BurstEvery,
-		BurstLen:       cfg.BurstLen,
-		BurstFactor:    cfg.BurstFactor,
-		HotFraction:    cfg.HotFraction,
-		ActiveSessions: cfg.ActiveSessions,
-		SessionMean:    cfg.SessionMean,
-	})
-
-	var sessions sync.Map // userID -> *core.Session
+	gen := workload.NewOpenLoopGen(tailWorkload(rate, cfg.Duration))
+	w := socialWriter{pub: pub}
 	var maxLag atomic.Int64
 	var wg sync.WaitGroup
-	startProcessed := sub.Processed.Count()
 	start = time.Now()
-	for w := 0; w < cfg.PubWorkers; w++ {
+	for i := 0; i < tailPubWorkers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -297,19 +251,7 @@ func runTailPoint(cfg TailConfig, rate float64) TailPoint {
 						break
 					}
 				}
-				sv, _ := sessions.LoadOrStore(op.UserID, pub.NewSession("User", op.UserID))
-				ctl := pub.NewController(sv.(*core.Session))
-				r := model.NewRecord(kindModel(op.Kind), op.ID)
-				if op.Kind == workload.OpComment {
-					ctl.AddReadDeps("Post", op.PostID)
-					r.Set("post", op.PostID)
-				}
-				r.Set("author", op.UserID)
-				r.Set("body", "b")
-				r.Set("t", float64(op.SendAt.Nanoseconds()))
-				if _, err := ctl.Create(r); err != nil {
-					panic(err)
-				}
+				w.write(op.SocialOp, func(r *model.Record) { r.Set("t", float64(op.SendAt.Nanoseconds())) })
 			}
 		}()
 	}
@@ -318,21 +260,19 @@ func runTailPoint(cfg TailConfig, rate float64) TailPoint {
 
 	// Drain: the tail of the backlog still counts — dropping it would
 	// be coordinated omission through the back door.
-	deadline := time.Now().Add(cfg.DrainTimeout)
-	for sub.Processed.Count()-startProcessed < int64(sent) && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
+	if err := settle(time.Now().Add(tailDrainTimeout), pub, []*core.App{sub}, "", nil); err != nil {
+		return TailPoint{}, err
 	}
 	elapsed := time.Since(start)
-	delivered := sub.Processed.Count() - startProcessed
+	delivered := sub.Processed.Count()
 	st := sub.Stats()
 
-	depth := cfg.PipelineDepth
 	if depth == 0 {
 		depth = 4 // echo the core default (see core.Config.withDefaults)
 	}
-	p := TailPoint{
+	pt := TailPoint{
 		Rate:             rate,
-		Shape:            cfg.Shape.String(),
+		Shape:            workload.ShapeBurst.String(),
 		Fingerprint:      fmt.Sprintf("%016x", gen.Fingerprint()),
 		Sent:             sent,
 		Delivered:        delivered,
@@ -356,45 +296,31 @@ func runTailPoint(cfg TailConfig, rate float64) TailPoint {
 		Stages:           map[string]TailStage{},
 	}
 	for name, ss := range st.Stages {
-		p.Stages[name] = TailStage{
+		pt.Stages[name] = TailStage{
 			Count:  ss.Count,
 			MeanMs: float64(ss.Mean.Nanoseconds()) / 1e6,
 			P95Ms:  float64(ss.P95.Nanoseconds()) / 1e6,
 		}
 	}
-	return p
+	return pt, nil
 }
 
 // tailModels is the §6.3 social pair plus the intended-send-time stamp
 // "t" (ns offset from stream start): posts and comments both carry it
 // so the subscriber can charge latency from the moment the op was
 // SCHEDULED, not the moment a free publisher worker got to it.
-func tailModels() (post, comment *model.Descriptor) {
-	post = model.NewDescriptor("Post",
-		model.Field{Name: "author", Type: model.Ref, RefModel: "User"},
-		model.Field{Name: "body", Type: model.String},
-		model.Field{Name: "t", Type: model.Float},
-	)
-	comment = model.NewDescriptor("Comment",
-		model.Field{Name: "post", Type: model.Ref, RefModel: "Post"},
-		model.Field{Name: "author", Type: model.Ref, RefModel: "User"},
-		model.Field{Name: "body", Type: model.String},
-		model.Field{Name: "t", Type: model.Float},
-	)
-	return post, comment
-}
-
-func kindModel(k workload.SocialOpKind) string {
-	if k == workload.OpComment {
-		return "Comment"
+func tailModels() []*model.Descriptor {
+	models := socialModels()
+	for _, d := range models {
+		d.AddField(model.Field{Name: "t", Type: model.Float})
 	}
-	return "Post"
+	return models
 }
 
 func nsToMs(v int64) float64 { return float64(v) / 1e6 }
 
 // FormatTail renders the sweep as a table plus the knee verdict.
-func FormatTail(r TailResult) string {
+func FormatTail(r TailDoc) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Tail: open-loop publish→deliver latency vs arrival rate (measured from intended send time)")
 	fmt.Fprintf(&b, "%-10s %9s %9s %9s %9s %9s %9s %9s %10s %12s\n",
@@ -417,16 +343,32 @@ func FormatTail(r TailResult) string {
 	return b.String()
 }
 
-// MarshalTail renders BENCH_tail.json.
-func MarshalTail(r TailResult) ([]byte, error) {
-	doc := struct {
-		Experiment  string `json:"experiment"`
-		Description string `json:"description"`
-		TailResult
-	}{
-		Experiment:  "tail",
-		Description: "open-loop rate sweep over the zipf/burst social mix: publish→deliver p50/p99/p999 measured from INTENDED send times (no coordinated omission), per-stage breakdown, knee where p99 departs, delivered_capacity = best sustained delivery rate with pipeline occupancy / group-commit batch histograms, plus a PipelineDepth=1 serial ablation at the top rate; workload_fingerprint is deterministic per seed+config — latencies are wall-clock measurements",
-		TailResult:  r,
+// gateTail: p99 at the anchor rate (1000 ops/s, present in quick and
+// full sweeps with identical capacity knobs) within 3x of the baseline —
+// wall-clock latency is noisy in CI, so the rule catches collapses, not
+// jitter. Delivered capacity, measured at the shared saturating top rate,
+// must clear 1.6x the committed depth-1 ceiling — the apply window's win
+// is re-proven on every run — and must not fall below 0.6x the committed
+// capacity.
+func gateTail(base, fresh TailDoc, v *Verdict) {
+	const anchor, tol = 1000, 3
+	p99 := func(d TailDoc) float64 {
+		for _, p := range d.Points {
+			if p.Rate == anchor {
+				return p.P99Ms
+			}
+		}
+		return 0
 	}
-	return json.MarshalIndent(doc, "", "  ")
+	if b, n := p99(base), p99(fresh); b == 0 || n == 0 {
+		v.breachf("anchor rate %d missing from the baseline or the fresh run", anchor)
+	} else if n > tol*b {
+		v.breachf("p99 at %d ops/s regressed %gms -> %gms (>%dx)", anchor, b, n, tol)
+	}
+	if n, s := fresh.DeliveredCapacity, base.SerialCapacity; n < 1.6*s {
+		v.breachf("delivered capacity %.0f msg/s below 1.6x the committed serial ceiling (%.0f msg/s)", n, s)
+	}
+	if n, b := fresh.DeliveredCapacity, base.DeliveredCapacity; n < 0.6*b {
+		v.breachf("delivered capacity collapsed %.0f -> %.0f msg/s (below 0.6x baseline)", b, n)
+	}
 }

@@ -8,10 +8,6 @@ import (
 
 	"synapse/internal/core"
 	"synapse/internal/faultinject"
-	"synapse/internal/model"
-	"synapse/internal/netsim"
-	"synapse/internal/orm/documentorm"
-	"synapse/internal/storage/docdb"
 )
 
 // BootstrapConfig parameterizes one seeded bootstrap-race run: a
@@ -31,19 +27,11 @@ type BootstrapConfig struct {
 	// Steps is how many fault-script steps the scheduler runs
 	// (default 4).
 	Steps int
-	// StepHold is the nominal held duration of each injected fault
-	// (default 10ms; the script jitters around it).
-	StepHold time.Duration
-	// ChunkSize is the subscriber's BootstrapChunkSize (default 16, so
-	// a default run walks ~19 chunks — plenty of cursor writes and
-	// watermark windows for the script to land faults in).
-	ChunkSize int
-	// SettleTimeout bounds how long convergence may take after the final
-	// heal (default 10s).
-	SettleTimeout time.Duration
-	// Tracker selects the dependency-tracking policy (default hash).
-	Tracker string
 }
+
+// bootstrapChunkSize makes a default run walk ~19 chunks — plenty of
+// cursor writes and watermark windows for the script to land faults in.
+const bootstrapChunkSize = 16
 
 func (c BootstrapConfig) withDefaults() BootstrapConfig {
 	if c.Objects <= 0 {
@@ -54,15 +42,6 @@ func (c BootstrapConfig) withDefaults() BootstrapConfig {
 	}
 	if c.Steps <= 0 {
 		c.Steps = 4
-	}
-	if c.StepHold <= 0 {
-		c.StepHold = 10 * time.Millisecond
-	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = 16
-	}
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 10 * time.Second
 	}
 	return c
 }
@@ -104,116 +83,43 @@ type BootstrapResult struct {
 // where the script crashed or partitioned the join.
 func RunBootstrap(cfg BootstrapConfig) (BootstrapResult, error) {
 	cfg = cfg.withDefaults()
-	tracker := cfg.Tracker
-	if tracker == "" {
-		tracker = core.TrackerHash
-	}
-	res := BootstrapResult{Seed: cfg.Seed, Objects: cfg.Objects, Writes: cfg.Writes, Tracker: tracker}
-
-	net := netsim.New(cfg.Seed)
-	net.SetDefaultProfile(netsim.Profile{
-		LatencyMin: 10 * time.Microsecond,
-		LatencyMax: 80 * time.Microsecond,
-	})
-	f := core.NewFabric()
-	f.Net = net
-
-	rpc := core.Config{
-		Mode:                 core.Causal,
-		DepTracker:           tracker,
-		DepTimeout:           50 * time.Millisecond,
-		RPCAttempts:          2,
-		RPCDeadline:          4 * time.Millisecond,
-		RPCBackoffBase:       200 * time.Microsecond,
-		RPCBackoffMax:        time.Millisecond,
-		BreakerThreshold:     3,
-		BreakerCooldown:      5 * time.Millisecond,
-		JournalRetryInterval: 5 * time.Millisecond,
-		Workers:              2,
-	}
-
-	pub, err := core.NewApp(f, "boot-pub", documentorm.New(docdb.New(docdb.MongoDB)), rpc)
+	res := BootstrapResult{Seed: cfg.Seed, Objects: cfg.Objects, Writes: cfg.Writes, Tracker: core.TrackerHash}
+	t := newTurbulent(cfg.Seed, core.TrackerHash)
+	net, brk := t.net, t.f.Broker
+	w, err := t.publisher("boot-pub", nil)
 	if err != nil {
 		return res, err
 	}
-	if err := pub.Publish(chaosDesc(), core.PubSpec{Attrs: []string{"name", "likes"}}); err != nil {
-		return res, err
-	}
+	pub := w.pub
 
 	// Seed the publisher BEFORE the subscriber exists: the pre-join
 	// population only ever reaches the subscriber through the chunked
 	// bootstrap, never the live stream.
 	objs := make([]string, cfg.Objects)
-	var nextValue int64
-	ctl := pub.NewController(nil)
 	for i := range objs {
 		objs[i] = fmt.Sprintf("u%03d", i)
-		nextValue++
-		rec := model.NewRecord(chaosModel, objs[i])
-		rec.Set("name", fmt.Sprintf("v%d", nextValue))
-		rec.Set("likes", nextValue)
-		if _, err := ctl.Create(rec); err != nil {
+		if err := w.put(objs[i], false); err != nil {
 			return res, err
 		}
 	}
 
-	subCfg := rpc
-	subCfg.BootstrapChunkSize = cfg.ChunkSize
-	subCfg.BootstrapChunkWait = 200 * time.Millisecond
-	sub, err := core.NewApp(f, "boot-sub", documentorm.New(docdb.New(docdb.RethinkDB)), subCfg)
+	sub, err := t.app("boot-sub", rethink(), func(c *core.Config) {
+		c.BootstrapChunkSize = bootstrapChunkSize
+		c.BootstrapChunkWait = 200 * time.Millisecond
+	})
 	if err != nil {
 		return res, err
 	}
 	probe := &subProbe{name: sub.Name()}
-	d := chaosDesc()
-	watch := func(ctx *model.CallbackCtx) error {
-		probe.observe(ctx.Record.ID, ctx.Record.Int("likes"))
-		return nil
-	}
-	d.Callbacks.On(model.AfterCreate, watch)
-	d.Callbacks.On(model.AfterUpdate, watch)
-	if err := sub.Subscribe(d, core.SubSpec{From: pub.Name(), Attrs: []string{"name", "likes"}}); err != nil {
+	if err := subscribe(sub, pub, probe.watch); err != nil {
 		return res, err
 	}
-
-	// Baseline turbulence on the broker links, like the main chaos
-	// harness: a few percent of calls drop and duplicate even while
-	// "healthy".
-	brokerLink := netsim.Profile{
-		LatencyMin: 10 * time.Microsecond,
-		LatencyMax: 150 * time.Microsecond,
-		DropRate:   0.03,
-		DupRate:    0.02,
-	}
-	net.SetProfile(pub.Name(), core.EndpointBroker, brokerLink)
-	net.SetProfile(sub.Name(), core.EndpointBroker, brokerLink)
-
-	// The publisher's worker loop exits immediately (it subscribes to
-	// nothing) but its periodic journal drain heals sends deferred while
-	// the broker was down or partitioned.
+	t.lossy(pub, sub)
 	pub.StartWorkers(1)
 	defer pub.StopWorkers()
 
-	// Live writer racing the join (its own rng space, Seed+1, so the
-	// fault script is independent of write placement).
-	var writerErr error
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		wrng := rand.New(rand.NewSource(cfg.Seed + 1))
-		v := nextValue
-		for w := 0; w < cfg.Writes; w++ {
-			v++
-			rec := model.NewRecord(chaosModel, objs[wrng.Intn(len(objs))])
-			rec.Set("name", fmt.Sprintf("v%d", v))
-			rec.Set("likes", v)
-			if _, err := pub.NewController(nil).Update(rec); err != nil {
-				writerErr = err
-				return
-			}
-			time.Sleep(time.Duration(1+wrng.Intn(3)) * time.Millisecond)
-		}
-	}()
+	// Live writer racing the join.
+	written := w.steady(cfg.Seed, objs, cfg.Writes)
 
 	// Seeded network script racing the join: partitions and broker
 	// bounces. These degrade the watermark round-trip (waits time out,
@@ -223,27 +129,24 @@ func RunBootstrap(cfg BootstrapConfig) (BootstrapResult, error) {
 	go func() {
 		defer close(schedDone)
 		srng := rand.New(rand.NewSource(cfg.Seed))
-		hold := func() time.Duration {
-			return cfg.StepHold/2 + time.Duration(srng.Int63n(int64(cfg.StepHold)))
-		}
 		for step := 0; step < cfg.Steps; step++ {
 			switch srng.Intn(2) {
 			case 0: // subscriber cut off from the broker mid-join
 				net.Partition(sub.Name(), core.EndpointBroker)
 				res.Partitions++
-				time.Sleep(hold())
+				time.Sleep(hold(srng))
 				net.Heal(sub.Name(), core.EndpointBroker)
 			case 1: // broker crash + restart (log and cursor states survive)
-				f.Broker.Crash()
+				brk.Crash()
 				res.BrokerBounces++
-				time.Sleep(hold())
-				f.Broker.Restart()
+				time.Sleep(hold(srng))
+				brk.Restart()
 			}
-			time.Sleep(hold())
+			time.Sleep(hold(srng))
 		}
 		net.Heal(sub.Name(), core.EndpointBroker)
-		if f.Broker.Down() {
-			f.Broker.Restart()
+		if brk.Down() {
+			brk.Restart()
 		}
 	}()
 
@@ -260,20 +163,16 @@ func RunBootstrap(cfg BootstrapConfig) (BootstrapResult, error) {
 	maxAttempts := crashPlan + 8*cfg.Steps + 16 // a broker outage fails an attempt at once, every 2ms
 	for {
 		if res.Attempts < crashPlan {
-			switch arng.Intn(3) {
-			case 0: // between a chunk's high watermark and its cursor write
-				sub.Faults().ArmN(core.FaultBootstrapCursor, arng.Intn(3), 1,
-					faultinject.Fail(errors.New("chaos: injected cursor-journal crash")))
-				res.CursorFails++
-			case 1: // before a chunk's low watermark
-				sub.Faults().ArmN(core.FaultBootstrapChunkLow, arng.Intn(3), 1,
-					faultinject.Fail(errors.New("chaos: injected chunk crash")))
-				res.ChunkFails++
-			case 2: // after a chunk's locked read, before its high watermark
-				sub.Faults().ArmN(core.FaultBootstrapChunkHigh, arng.Intn(3), 1,
-					faultinject.Fail(errors.New("chaos: injected chunk crash")))
-				res.ChunkFails++
-			}
+			s := []struct {
+				site  string
+				fails *int
+			}{
+				{core.FaultBootstrapCursor, &res.CursorFails},   // between a chunk's high watermark and its cursor write
+				{core.FaultBootstrapChunkLow, &res.ChunkFails},  // before a chunk's low watermark
+				{core.FaultBootstrapChunkHigh, &res.ChunkFails}, // after a chunk's locked read, before its high watermark
+			}[arng.Intn(3)]
+			sub.Faults().ArmN(s.site, arng.Intn(3), 1, faultinject.Fail(errors.New("chaos: injected crash at "+s.site)))
+			*s.fails++
 		}
 		res.Attempts++
 		err := sub.Bootstrap(pub.Name())
@@ -282,7 +181,7 @@ func RunBootstrap(cfg BootstrapConfig) (BootstrapResult, error) {
 		}
 		if res.Attempts >= maxAttempts {
 			<-schedDone
-			<-writerDone
+			_ = written() // the join's failure is the one to report
 			return res, fmt.Errorf("bootstrap never converged after %d attempts: %w", res.Attempts, err)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -294,9 +193,8 @@ func RunBootstrap(cfg BootstrapConfig) (BootstrapResult, error) {
 	joined := time.Now()
 
 	<-schedDone
-	<-writerDone
-	if writerErr != nil {
-		return res, writerErr
+	if err := written(); err != nil {
+		return res, err
 	}
 
 	// Post-join the subscriber runs like any live replica: workers drain
@@ -304,23 +202,13 @@ func RunBootstrap(cfg BootstrapConfig) (BootstrapResult, error) {
 	sub.StartWorkers(0)
 	defer sub.StopWorkers()
 
-	deadline := time.Now().Add(cfg.SettleTimeout)
-	for {
-		mismatch := diverged(pub, []*core.App{sub}, objs)
-		if mismatch == "" {
-			res.Converged = true
-			res.RecoveryTime = time.Since(joined)
-			break
-		}
-		if time.Now().After(deadline) {
-			res.Mismatch = mismatch
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	deadline := time.Now().Add(settleTimeout)
+	if res.Converged, res.Mismatch = converge(deadline, pub, []*core.App{sub}, objs); res.Converged {
+		res.RecoveryTime = time.Since(joined)
 	}
 
-	res.Regressions = probe.count()
-	res.RegressionDetail = append(res.RegressionDetail, probe.detail...)
+	res.RegressionDetail = probe.regressions()
+	res.Regressions = len(res.RegressionDetail)
 	st := sub.Stats()
 	res.Resumes = st.BootstrapResumes
 	res.Chunks = st.BootstrapChunks

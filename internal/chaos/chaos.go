@@ -41,11 +41,6 @@ import (
 	"synapse/internal/core"
 	"synapse/internal/model"
 	"synapse/internal/netsim"
-	"synapse/internal/orm/activerecord"
-	"synapse/internal/orm/documentorm"
-	"synapse/internal/storage/docdb"
-	"synapse/internal/storage/reldb"
-	"synapse/internal/vstore"
 )
 
 // Config parameterizes one chaos run.
@@ -60,18 +55,16 @@ type Config struct {
 	// Steps is how many fault-script steps the scheduler runs
 	// (default 8).
 	Steps int
-	// StepHold is the nominal duration each injected fault is held
-	// before healing (default 12ms; the script jitters around it).
-	StepHold time.Duration
-	// SettleTimeout bounds how long convergence may take after the
-	// final heal (default 10s).
-	SettleTimeout time.Duration
 	// Tracker selects the dependency-tracking policy for every app in
 	// the ecosystem: core.TrackerHash (the default) or core.TrackerDVV.
 	// The invariants are policy-independent; running the same seeds
 	// under both trackers is the DVV zero-lost/zero-regression check.
 	Tracker string
 }
+
+// stepHold is the nominal duration each injected fault is held before
+// healing; the scripts jitter around it.
+const stepHold = 12 * time.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.Writes <= 0 {
@@ -83,13 +76,15 @@ func (c Config) withDefaults() Config {
 	if c.Steps <= 0 {
 		c.Steps = 8
 	}
-	if c.StepHold <= 0 {
-		c.StepHold = 12 * time.Millisecond
-	}
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 10 * time.Second
+	if c.Tracker == "" {
+		c.Tracker = core.TrackerHash
 	}
 	return c
+}
+
+// hold jitters a fault's held duration around stepHold: [0.5x, 1.5x].
+func hold(rng *rand.Rand) time.Duration {
+	return stepHold/2 + time.Duration(rng.Int63n(int64(stepHold)))
 }
 
 // Result is what one chaos run observed.
@@ -193,6 +188,8 @@ func (c LogCheck) logErr(converged bool) error {
 
 const chaosModel = "User"
 
+var chaosAttrs = []string{"name", "likes"}
+
 func chaosDesc() *model.Descriptor {
 	return model.NewDescriptor(chaosModel,
 		model.Field{Name: "name", Type: model.String},
@@ -204,183 +201,51 @@ func chaosDesc() *model.Descriptor {
 // per object must never decrease (globally monotonic writes + the
 // per-object version guard).
 type subProbe struct {
-	name        string
-	mu          sync.Mutex
-	last        map[string]int64
-	regressions int
-	detail      []string
+	name   string
+	mu     sync.Mutex
+	last   map[string]int64
+	detail []string // one line per regression
 }
 
-func (p *subProbe) observe(id string, v int64) {
+// watch is the subscriber callback feeding the probe.
+func (p *subProbe) watch(ctx *model.CallbackCtx) error {
+	id, v := ctx.Record.ID, ctx.Record.Int("likes")
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.last == nil {
 		p.last = make(map[string]int64)
 	}
 	if v < p.last[id] {
-		p.regressions++
 		p.detail = append(p.detail, fmt.Sprintf("%s: %s went %d -> %d", p.name, id, p.last[id], v))
 	} else {
 		p.last[id] = v
 	}
+	return nil
 }
 
-func (p *subProbe) count() int {
+// regressions returns the regressions seen so far, one line each.
+func (p *subProbe) regressions() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.regressions
+	return p.detail
 }
 
 // Run executes one seeded chaos script and reports what it observed.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	tracker := cfg.Tracker
-	if tracker == "" {
-		tracker = core.TrackerHash
-	}
-	res := Result{Seed: cfg.Seed, Writes: cfg.Writes, Tracker: tracker}
-
-	net := netsim.New(cfg.Seed)
-	// Version-store and coordinator links: latency only. A persistent
-	// subscriber<->vstore fault would silently strand claim rollbacks,
-	// which is a different failure class than this harness asserts on;
-	// broker links carry the loss (below), where the journal, parked
-	// acks, and redelivery heal it.
-	net.SetDefaultProfile(netsim.Profile{
-		LatencyMin: 10 * time.Microsecond,
-		LatencyMax: 80 * time.Microsecond,
-	})
-
-	f := core.NewFabric()
-	f.Net = net
-	var logs logWatch
-	f.Broker.SetTruncateHook(logs.hook)
-
-	rpc := core.Config{
-		Mode:                 core.Causal,
-		DepTracker:           tracker,
-		DepTimeout:           50 * time.Millisecond,
-		RPCAttempts:          2,
-		RPCDeadline:          4 * time.Millisecond,
-		RPCBackoffBase:       200 * time.Microsecond,
-		RPCBackoffMax:        time.Millisecond,
-		BreakerThreshold:     3,
-		BreakerCooldown:      5 * time.Millisecond,
-		JournalRetryInterval: 5 * time.Millisecond,
-		Workers:              2,
-	}
-
-	pub, err := core.NewApp(f, "chaos-pub", documentorm.New(docdb.New(docdb.MongoDB)), rpc)
+	res := Result{Seed: cfg.Seed, Writes: cfg.Writes, Tracker: cfg.Tracker}
+	t := newTurbulent(cfg.Seed, cfg.Tracker)
+	e, err := t.ecosystem(cfg.Objects)
 	if err != nil {
 		return res, err
 	}
-	subDoc, err := core.NewApp(f, "chaos-doc", documentorm.New(docdb.New(docdb.RethinkDB)), rpc)
-	if err != nil {
-		return res, err
-	}
-	subSQL, err := core.NewApp(f, "chaos-sql", activerecord.New(reldb.New(reldb.Postgres)), rpc)
-	if err != nil {
-		return res, err
-	}
-	subs := []*core.App{subDoc, subSQL}
-
-	// Baseline turbulence on every app<->broker link, even while
-	// "healthy": a few percent of calls drop (visible RPC failures,
-	// healed by retry/journal/parked acks) and duplicate (absorbed by
-	// the version guard and ErrBadTag).
-	brokerLink := netsim.Profile{
-		LatencyMin: 10 * time.Microsecond,
-		LatencyMax: 150 * time.Microsecond,
-		DropRate:   0.03,
-		DupRate:    0.02,
-	}
-	for _, a := range []*core.App{pub, subDoc, subSQL} {
-		net.SetProfile(a.Name(), core.EndpointBroker, brokerLink)
-	}
-
-	if err := pub.Publish(chaosDesc(), core.PubSpec{Attrs: []string{"name", "likes"}}); err != nil {
-		return res, err
-	}
-	// The publisher subscribes to nothing, so its worker loop exits
-	// immediately — but StartWorkers also runs the periodic journal
-	// drain, which is what republishes journal-and-defer sends once the
-	// broker endpoint heals.
-	pub.StartWorkers(1)
-	defer pub.StopWorkers()
-	probes := make([]*subProbe, len(subs))
-	for i, s := range subs {
-		d := chaosDesc()
-		p := &subProbe{name: s.Name()}
-		probes[i] = p
-		watch := func(ctx *model.CallbackCtx) error {
-			p.observe(ctx.Record.ID, ctx.Record.Int("likes"))
-			return nil
-		}
-		d.Callbacks.On(model.AfterCreate, watch)
-		d.Callbacks.On(model.AfterUpdate, watch)
-		if err := s.Subscribe(d, core.SubSpec{From: pub.Name(), Attrs: []string{"name", "likes"}}); err != nil {
-			return res, err
-		}
-		s.StartWorkers(0)
-		defer s.StopWorkers()
-	}
-
-	objs := make([]string, cfg.Objects)
-	for i := range objs {
-		objs[i] = fmt.Sprintf("u%d", i)
-	}
-
-	// write publishes value v to the object, healing a dead version
-	// store in place (§4.4: bump the generation, revive empty, resume).
-	write := func(id string, v int64) error {
-		for {
-			rec := model.NewRecord(chaosModel, id)
-			rec.Set("name", fmt.Sprintf("v%d", v))
-			rec.Set("likes", v)
-			ctl := pub.NewController(nil)
-			var werr error
-			if _, ferr := pub.Mapper().Find(chaosModel, id); ferr == nil {
-				_, werr = ctl.Update(rec)
-			} else {
-				_, werr = ctl.Create(rec)
-			}
-			if werr == nil {
-				return nil
-			}
-			if errors.Is(werr, vstore.ErrDead) {
-				pub.RecoverVersionStore()
-				res.GenBumps++
-				continue
-			}
-			return werr
-		}
-	}
+	defer e.stop()
+	net, brk, pub, subs := t.net, t.f.Broker, e.pub, e.subs
 
 	// Turbulent phase: the writer publishes on a steady cadence while
-	// the scheduler injects faults. The writer runs in this goroutine's
-	// rng space (Seed+1) so the fault script (Seed) is independent of
-	// write placement.
-	var writerErr error
-	var nextValue int64
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		wrng := rand.New(rand.NewSource(cfg.Seed + 1))
-		for w := 0; w < cfg.Writes; w++ {
-			nextValue++
-			if err := write(objs[wrng.Intn(len(objs))], nextValue); err != nil {
-				writerErr = err
-				return
-			}
-			time.Sleep(time.Duration(1+wrng.Intn(3)) * time.Millisecond)
-		}
-	}()
-
+	// this goroutine injects the faults.
+	written := e.steady(cfg.Seed, e.objs, cfg.Writes)
 	srng := rand.New(rand.NewSource(cfg.Seed))
-	hold := func() time.Duration {
-		// Jitter the hold around StepHold: [0.5x, 1.5x].
-		return cfg.StepHold/2 + time.Duration(srng.Int63n(int64(cfg.StepHold)))
-	}
 	partition := func(app string) {
 		net.Partition(app, core.EndpointBroker)
 		res.Partitions++
@@ -389,86 +254,43 @@ func Run(cfg Config) (Result, error) {
 		switch srng.Intn(5) {
 		case 0: // publisher cut off from the broker
 			partition(pub.Name())
-			time.Sleep(hold())
+			time.Sleep(hold(srng))
 			net.Heal(pub.Name(), core.EndpointBroker)
 		case 1: // one subscriber cut off from the broker
 			s := subs[srng.Intn(len(subs))]
 			partition(s.Name())
-			time.Sleep(hold())
+			time.Sleep(hold(srng))
 			net.Heal(s.Name(), core.EndpointBroker)
 		case 2: // broker crash + restart (log and cursor states survive)
-			f.Broker.Crash()
+			brk.Crash()
 			res.BrokerBounces++
-			time.Sleep(hold())
-			f.Broker.Restart()
+			time.Sleep(hold(srng))
+			brk.Restart()
 		case 3: // publisher version-store death; the writer heals it
 			pub.Store().Kill()
 			res.VStoreKills++
-			time.Sleep(hold())
+			time.Sleep(hold(srng))
 		case 4: // combined: broker down AND a subscriber partitioned
 			s := subs[srng.Intn(len(subs))]
-			f.Broker.Crash()
+			brk.Crash()
 			res.BrokerBounces++
 			partition(s.Name())
-			time.Sleep(hold())
-			f.Broker.Restart()
-			time.Sleep(hold() / 2)
+			time.Sleep(hold(srng))
+			brk.Restart()
+			time.Sleep(hold(srng) / 2)
 			net.Heal(s.Name(), core.EndpointBroker)
 		}
-		time.Sleep(cfg.StepHold / 2)
+		time.Sleep(stepHold / 2)
 	}
-	<-writerDone
-	if writerErr != nil {
-		return res, writerErr
+	if err := written(); err != nil {
+		return res, err
 	}
 
-	// Final heal, then one settle write per object: full-state messages
-	// under the final generation, so convergence never needs a
-	// Bootstrap even when a generation flush dropped earlier updates.
 	net.HealAll()
-	if f.Broker.Down() {
-		f.Broker.Restart()
+	if brk.Down() {
+		brk.Restart()
 	}
-	healed := time.Now()
-	for _, id := range objs {
-		nextValue++
-		if err := write(id, nextValue); err != nil {
-			return res, err
-		}
-	}
-
-	// Convergence: every subscriber database exactly matches the
-	// publisher's, the publish journal is drained, and no acks remain
-	// parked.
-	deadline := time.Now().Add(cfg.SettleTimeout)
-	for {
-		mismatch := diverged(pub, subs, objs)
-		if mismatch == "" {
-			res.Converged = true
-			res.RecoveryTime = time.Since(healed)
-			break
-		}
-		if time.Now().After(deadline) {
-			res.Mismatch = mismatch
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	for i := range probes {
-		res.Regressions += probes[i].count()
-		res.RegressionDetail = append(res.RegressionDetail, probes[i].detail...)
-	}
-	res.Net = net.Stats()
-	ps := pub.Stats()
-	res.Deferred = ps.Deferred
-	res.Republished = ps.Republished
-	for _, s := range subs {
-		res.Redelivered += s.Stats().Redelivered
-	}
-	res.PendingAcks = quiesce(deadline, f.Broker.LogSegments, append(subs[:len(subs):len(subs)], pub)...)
-	res.LogCheck = logs.verdict(f.Broker.LogSegments())
-	return res, res.logErr(res.Converged)
+	return res, e.finish(&res, brk.LogSegments)
 }
 
 // diverged reports the first divergence between the publisher and the

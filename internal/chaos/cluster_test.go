@@ -10,7 +10,7 @@ import "testing"
 // cross-engine convergence, zero regressions, and no parked acks.
 func TestClusterChaosConvergesAcrossSeeds(t *testing.T) {
 	seeds := 12
-	cfg := ClusterConfig{}
+	cfg := Config{}
 	if testing.Short() {
 		seeds = 4
 		cfg.Writes = 20
@@ -21,13 +21,10 @@ func TestClusterChaosConvergesAcrossSeeds(t *testing.T) {
 		i := i
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
-			res, err := ClusterRun(ClusterConfig{
-				Config: Config{
-					Seed:   int64(i + 1),
-					Writes: cfg.Writes,
-					Steps:  cfg.Steps,
-				},
-				Shards: 4,
+			res, err := ClusterRun(Config{
+				Seed:   int64(i + 1),
+				Writes: cfg.Writes,
+				Steps:  cfg.Steps,
 			})
 			if err != nil {
 				t.Fatalf("seed %d: %v", res.Seed, err)
@@ -57,7 +54,7 @@ func TestClusterChaosExercisesFailover(t *testing.T) {
 	var bounces, isolations int
 	var failovers int64
 	for seed := int64(1); seed <= 6; seed++ {
-		res, err := ClusterRun(ClusterConfig{Config: Config{Seed: seed, Writes: 20, Steps: 6}})
+		res, err := ClusterRun(Config{Seed: seed, Writes: 20, Steps: 6})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -9,10 +9,6 @@ import (
 	"synapse/internal/core"
 	"synapse/internal/model"
 	"synapse/internal/netsim"
-	"synapse/internal/orm/activerecord"
-	"synapse/internal/orm/documentorm"
-	"synapse/internal/storage/docdb"
-	"synapse/internal/storage/reldb"
 )
 
 // RunOverload drives the overload-control layer end to end: a publisher
@@ -44,53 +40,35 @@ type OverloadConfig struct {
 	// Writes is how many publisher writes the overload phase sustains
 	// (default 240).
 	Writes int
-	// Objects is how many distinct objects the writes touch (default 8).
-	Objects int
-	// ApplyDelay is the subscriber's per-apply processing time. The
-	// default 8ms across the pool's two workers caps drain at ~250
-	// msg/s; the writer sustains ~500 msg/s (its ~1ms publish cost
-	// through the simulated network plus a 0.5-1.5ms jittered pause) —
-	// a sustained ~2x overload.
-	ApplyDelay time.Duration
-	// HighWatermark is the queue depth that triggers publisher
-	// degradation (default 24; low watermark is half).
-	HighWatermark int
-	// HardBound is the queue's maxLen decommission bound, which the run
-	// must never reach (default 512).
-	HardBound int
-	// LowPriorityEvery marks every Nth write sheddable (default 4;
-	// 0 disables low-priority marking).
+	// LowPriorityEvery marks every Nth write sheddable (default 4).
 	LowPriorityEvery int
 	// DisableStall skips the poison write and its quarantine phase.
 	DisableStall bool
-	// SettleTimeout bounds convergence after the overload ends
-	// (default 15s).
-	SettleTimeout time.Duration
 }
+
+const (
+	// overloadObjects is how many distinct objects the writes touch.
+	overloadObjects = 8
+	// overloadApplyDelay is the subscriber's per-apply processing time:
+	// 8ms across the pool's two workers caps drain at ~250 msg/s while
+	// the writer sustains ~500 msg/s (its ~1ms publish cost through the
+	// simulated network plus a 0.5-1.5ms jittered pause) — a sustained
+	// ~2x overload.
+	overloadApplyDelay = 8 * time.Millisecond
+	// overloadHighWatermark is the queue depth that triggers publisher
+	// degradation (the low watermark is half).
+	overloadHighWatermark = 24
+	// overloadHardBound is the queue's maxLen decommission bound, which
+	// the run must never reach.
+	overloadHardBound = 512
+)
 
 func (c OverloadConfig) withDefaults() OverloadConfig {
 	if c.Writes <= 0 {
 		c.Writes = 240
 	}
-	if c.Objects <= 0 {
-		c.Objects = 8
-	}
-	if c.ApplyDelay <= 0 {
-		c.ApplyDelay = 8 * time.Millisecond
-	}
-	if c.HighWatermark <= 0 {
-		c.HighWatermark = 24
-	}
-	if c.HardBound <= 0 {
-		c.HardBound = 512
-	}
-	if c.LowPriorityEvery < 0 {
-		c.LowPriorityEvery = 0
-	} else if c.LowPriorityEvery == 0 {
+	if c.LowPriorityEvery <= 0 {
 		c.LowPriorityEvery = 4
-	}
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 15 * time.Second
 	}
 	return c
 }
@@ -149,102 +127,65 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	res := OverloadResult{
 		Seed:          cfg.Seed,
 		Writes:        cfg.Writes,
-		HighWatermark: cfg.HighWatermark,
-		HardBound:     cfg.HardBound,
+		HighWatermark: overloadHighWatermark,
+		HardBound:     overloadHardBound,
 	}
-
-	net := netsim.New(cfg.Seed)
-	net.SetDefaultProfile(netsim.Profile{
-		LatencyMin: 10 * time.Microsecond,
-		LatencyMax: 80 * time.Microsecond,
+	t := newTurbulent(cfg.Seed, core.TrackerHash)
+	brk := t.f.Broker
+	w, err := t.publisher("overload-pub", func(c *core.Config) {
+		c.PublishBlockTimeout = 2 * time.Millisecond
+		c.ShedLowPriority = true
 	})
-	f := core.NewFabric()
-	f.Net = net
-	var logs logWatch
-	f.Broker.SetTruncateHook(logs.hook)
-
-	pub, err := core.NewApp(f, "overload-pub",
-		documentorm.New(docdb.New(docdb.MongoDB)), core.Config{
-			Mode:                 core.Causal,
-			JournalRetryInterval: 5 * time.Millisecond,
-			RPCAttempts:          2,
-			RPCDeadline:          4 * time.Millisecond,
-			PublishBlockTimeout:  2 * time.Millisecond,
-			ShedLowPriority:      true,
-		})
 	if err != nil {
 		return res, err
 	}
-	sub, err := core.NewApp(f, "overload-sql",
-		activerecord.New(reldb.New(reldb.Postgres)), core.Config{
-			Mode:       core.Causal,
-			DepTimeout: 20 * time.Millisecond,
-			Workers:    2,
-			// The scenario's premise is a consumer whose capacity sits
-			// ~2x below the offered rate (2 workers x 8ms applies =
-			// ~250 msg/s). Pipeline depth is a capacity knob — at the
-			// default 4 the overlapped applies drain faster than the
-			// writer and the degradation ladder never engages — so this
-			// harness pins a window of one; deeper windows get their
-			// chaos coverage from the crash/partition runs.
-			PipelineDepth:        1,
-			QueueMaxLen:          cfg.HardBound,
-			QueueHighWatermark:   cfg.HighWatermark,
-			QueueLowWatermark:    cfg.HighWatermark / 2,
-			CreditWindow:         cfg.HighWatermark / 2,
-			ApplyTimeout:         25 * time.Millisecond,
-			MaxDeliveryAttempts:  3,
-			RetryBackoffBase:     2 * time.Millisecond,
-			RetryBackoffMax:      10 * time.Millisecond,
-			JournalRetryInterval: 5 * time.Millisecond,
-		})
+	pub := w.pub
+	sub, err := t.app("overload-sql", postgres(), func(c *core.Config) {
+		c.DepTimeout = 20 * time.Millisecond
+		// The scenario's premise is a consumer whose capacity sits
+		// ~2x below the offered rate (2 workers x 8ms applies =
+		// ~250 msg/s). Pipeline depth is a capacity knob — at the
+		// default 4 the overlapped applies drain faster than the
+		// writer and the degradation ladder never engages — so this
+		// harness pins a window of one; deeper windows get their
+		// chaos coverage from the crash/partition runs.
+		c.PipelineDepth = 1
+		c.QueueMaxLen = overloadHardBound
+		c.QueueHighWatermark = overloadHighWatermark
+		c.QueueLowWatermark = overloadHighWatermark / 2
+		c.CreditWindow = overloadHighWatermark / 2
+		c.ApplyTimeout = 25 * time.Millisecond
+		c.MaxDeliveryAttempts = 3
+		c.RetryBackoffBase = 2 * time.Millisecond
+		c.RetryBackoffMax = 10 * time.Millisecond
+	})
 	if err != nil {
 		return res, err
 	}
 
-	if err := pub.Publish(chaosDesc(), core.PubSpec{Attrs: []string{"name", "likes"}}); err != nil {
-		return res, err
-	}
 	release := make(chan struct{})
 	probe := &subProbe{name: sub.Name()}
-	d := chaosDesc()
-	slow := func(ctx *model.CallbackCtx) error {
+	err = subscribe(sub, pub, func(ctx *model.CallbackCtx) error {
 		if !cfg.DisableStall && ctx.Record.ID == poisonID {
 			<-release // hung until the "operator" fixes the callback
 			return nil
 		}
-		probe.observe(ctx.Record.ID, ctx.Record.Int("likes"))
-		time.Sleep(cfg.ApplyDelay)
-		return nil
-	}
-	d.Callbacks.On(model.AfterCreate, slow)
-	d.Callbacks.On(model.AfterUpdate, slow)
-	if err := sub.Subscribe(d, core.SubSpec{From: pub.Name(), Attrs: []string{"name", "likes"}}); err != nil {
+		err := probe.watch(ctx)
+		time.Sleep(overloadApplyDelay)
+		return err
+	})
+	if err != nil {
 		return res, err
 	}
 	q := sub.Queue()
-	pub.StartWorkers(1) // journal-drain ticker (the pub consumes nothing)
+	pub.StartWorkers(1)
 	defer pub.StopWorkers()
 	sub.StartWorkers(0)
 	defer sub.StopWorkers()
 
-	objs := make([]string, cfg.Objects)
+	objs := make([]string, overloadObjects)
 	for i := range objs {
 		objs[i] = fmt.Sprintf("u%d", i)
-	}
-
-	write := func(id string, v int64, low bool) error {
-		rec := model.NewRecord(chaosModel, id)
-		rec.Set("name", fmt.Sprintf("v%d", v))
-		rec.Set("likes", v)
-		ctl := pub.NewController(nil)
-		ctl.SetLowPriority(low)
-		if _, ferr := pub.Mapper().Find(chaosModel, id); ferr == nil {
-			_, err := ctl.Update(rec)
-			return err
-		}
-		_, err := ctl.Create(rec)
-		return err
 	}
 
 	// Overload phase: the writer publishes at ~2x the subscriber's
@@ -255,13 +196,12 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	var poisonTime time.Time
 	var processedAtPoison int64
 	quarantined := make(chan time.Duration, 1)
-	var nextValue int64
 	overloadStart := time.Now()
-	for w := 0; w < cfg.Writes; w++ {
-		if !cfg.DisableStall && w == poisonAt {
+	for i := 0; i < cfg.Writes; i++ {
+		if !cfg.DisableStall && i == poisonAt {
 			poisonTime = time.Now()
 			processedAtPoison = sub.Stats().Processed
-			if err := write(poisonID, 1, false); err != nil {
+			if err := w.put(poisonID, false); err != nil {
 				return res, err
 			}
 			go func(start time.Time) {
@@ -274,9 +214,8 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 				quarantined <- time.Since(start)
 			}(poisonTime)
 		}
-		nextValue++
-		low := cfg.LowPriorityEvery > 0 && w%cfg.LowPriorityEvery == cfg.LowPriorityEvery-1
-		if err := write(objs[wrng.Intn(len(objs))], nextValue, low); err != nil {
+		low := i%cfg.LowPriorityEvery == cfg.LowPriorityEvery-1
+		if err := w.put(objs[wrng.Intn(len(objs))], low); err != nil {
 			return res, err
 		}
 		time.Sleep(time.Duration(500+wrng.Intn(1000)) * time.Microsecond)
@@ -306,8 +245,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	// shed, then the run must converge exactly.
 	recoveryStart := time.Now()
 	for _, id := range objs {
-		nextValue++
-		if err := write(id, nextValue, false); err != nil {
+		if err := w.put(id, false); err != nil {
 			return res, err
 		}
 	}
@@ -315,19 +253,9 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	if !cfg.DisableStall {
 		settleObjs = append(append([]string{}, objs...), poisonID)
 	}
-	deadline := time.Now().Add(cfg.SettleTimeout)
-	for {
-		mismatch := diverged(pub, []*core.App{sub}, settleObjs)
-		if mismatch == "" {
-			res.Converged = true
-			res.RecoveryTime = time.Since(recoveryStart)
-			break
-		}
-		if time.Now().After(deadline) {
-			res.Mismatch = mismatch
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	deadline := time.Now().Add(settleTimeout)
+	if res.Converged, res.Mismatch = converge(deadline, pub, []*core.App{sub}, settleObjs); res.Converged {
+		res.RecoveryTime = time.Since(recoveryStart)
 	}
 	if res.RecoveryTime > 0 {
 		if n := sub.Stats().Processed - processedOverload; n > 0 {
@@ -353,8 +281,8 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 		res.DrainOK = false
 	}
 	res.DrainUnacked = sub.Queue().Unacked()
-	quiesce(deadline, f.Broker.LogSegments)
-	res.LogCheck = logs.verdict(f.Broker.LogSegments())
+	quiesce(deadline, brk.LogSegments)
+	res.LogCheck = t.logs.verdict(brk.LogSegments())
 
 	ps := pub.Stats()
 	ss := sub.Stats()
@@ -364,8 +292,8 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	res.Republished = ps.Republished
 	res.Stalled = ss.Stalled
 	res.DeadLettered = ss.DeadLettered
-	res.Regressions = probe.count()
+	res.Regressions = len(probe.regressions())
 	res.PendingAcks = pub.PendingAcks() + sub.PendingAcks()
-	res.Net = net.Stats()
+	res.Net = t.net.Stats()
 	return res, res.logErr(res.Converged)
 }

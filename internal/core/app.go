@@ -286,10 +286,8 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 	a.initCallers()
 	if mapper != nil {
 		mapper.SetHost(a)
-		if !cfg.DisablePublishJournal {
-			if err := a.registerJournal(); err != nil {
-				return nil, err
-			}
+		if err := a.registerJournal(); err != nil {
+			return nil, err
 		}
 		// The bootstrap cursor journal is independent of the publish
 		// journal: any app with a database can resume an interrupted

@@ -206,7 +206,7 @@ func (c *Controller) write(verb wire.OpKind, rec *model.Record) (*model.Record, 
 		return nil, err
 	}
 	ops := []stagedWrite{{verb: verb, rec: rec}}
-	written, err := c.app.performWrites(c, ops, nil)
+	written, err := c.app.performWrites(c, ops)
 	if err != nil {
 		return nil, err
 	}
@@ -264,7 +264,7 @@ func (c *Controller) Transaction(fn func(*Txn) error) error {
 	if len(txn.staged) == 0 {
 		return nil
 	}
-	_, err := c.app.performWrites(c, txn.staged, nil)
+	_, err := c.app.performWrites(c, txn.staged)
 	return err
 }
 

@@ -135,11 +135,6 @@ type Config struct {
 	// RetryBackoffMax caps the exponential redelivery backoff
 	// (default 100ms).
 	RetryBackoffMax time.Duration
-	// DisablePublishJournal turns off the durable publish journal, losing
-	// crash atomicity between the local commit and the broker send — the
-	// paper's original behaviour, where a crash in that window requires a
-	// subscriber bootstrap to heal. Kept for the journal ablation tests.
-	DisablePublishJournal bool
 	// RPCAttempts/RPCDeadline/RPCBackoffBase/RPCBackoffMax tune the
 	// per-endpoint resilient callers wrapping every cross-service call
 	// (broker, version store, coordinator): attempts per call, total

@@ -161,33 +161,35 @@ func TestCrashBeforeJournalAck(t *testing.T) {
 	}
 }
 
-// TestCrashBetweenCommitAndPublishBootstrapAblation keeps the paper's
-// original recovery as the ablation arm: with the journal disabled the
-// same crash leaves no local record of the unsent message, and only a
-// subscriber bootstrap (§4.4) can close the gap.
-func TestCrashBetweenCommitAndPublishBootstrapAblation(t *testing.T) {
+// TestBootstrapHealsLostMessageGap keeps the paper's original recovery
+// (§4.4) under test: a message the broker lost leaves no local record of
+// the gap — the journal saw it sent — so only a subscriber bootstrap can
+// close it.
+func TestBootstrapHealsLostMessageGap(t *testing.T) {
 	f := NewFabric()
-	pub, pubMapper := newDocApp(t, f, "pub", Config{DisablePublishJournal: true})
+	pub, pubMapper := newDocApp(t, f, "pub", Config{})
 	mustPublish(t, pub, userDesc(), "name")
 	sub, subMapper := newDocApp(t, f, "sub", Config{})
 	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
 
-	pub.Faults().Arm(FaultBeforePublish, faultinject.Crash())
-	crashPublish(t, pub, "u1", "committed-but-unpublished")
+	f.Broker.SetLoss(func(queue, exchange string, payload []byte) bool { return queue == "sub" })
+	rec := model.NewRecord("User", "u1")
+	rec.Set("name", "committed-but-lost")
+	if _, err := pub.NewController(nil).Create(rec); err != nil {
+		t.Fatal(err)
+	}
+	f.Broker.SetLoss(nil)
 
-	// The write committed locally but nothing records the lost message.
+	// The write committed locally and nothing records the lost message.
 	if _, err := pubMapper.Find("User", "u1"); err != nil {
 		t.Fatalf("local commit missing: %v", err)
 	}
-	if d := pub.JournalDepth(); d != 0 {
-		t.Fatalf("journal depth = %d, want 0 with the journal disabled", d)
-	}
-	if n, err := pub.RecoverJournal(); err != nil || n != 0 {
-		t.Fatalf("RecoverJournal = %d, %v; want 0, nil", n, err)
+	if n, err := pub.RecoverJournal(); err != nil || n != 0 || pub.JournalDepth() != 0 {
+		t.Fatalf("RecoverJournal = %d, %v, depth %d; want nothing owed", n, err, pub.JournalDepth())
 	}
 	drain(t, sub)
 	if _, err := subMapper.Find("User", "u1"); err == nil {
-		t.Fatal("subscriber received a message that was never published")
+		t.Fatal("subscriber received a message the broker lost")
 	}
 
 	// Only a (partial) bootstrap closes the gap.
@@ -195,7 +197,7 @@ func TestCrashBetweenCommitAndPublishBootstrapAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := subMapper.Find("User", "u1")
-	if err != nil || got.String("name") != "committed-but-unpublished" {
+	if err != nil || got.String("name") != "committed-but-lost" {
 		t.Fatalf("bootstrap did not heal the gap: %+v, %v", got, err)
 	}
 }

@@ -227,7 +227,7 @@ func (a *App) registerJournal() error {
 
 // journaling reports whether publishes go through the durable journal.
 func (a *App) journaling() bool {
-	return a.mapper != nil && !a.cfg.DisablePublishJournal
+	return a.mapper != nil
 }
 
 // journalID builds the entry's primary key: instance epoch then message

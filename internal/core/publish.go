@@ -29,7 +29,7 @@ import (
 // The Synapse-specific time (everything except step 4) is recorded in
 // the app's PublishLatency recorder — the "Synapse time" column of
 // Fig 12(a).
-func (a *App) performWrites(c *Controller, staged []stagedWrite, _ []string) ([]*model.Record, error) {
+func (a *App) performWrites(c *Controller, staged []stagedWrite) ([]*model.Record, error) {
 	if a.draining.Load() {
 		return nil, ErrDraining
 	}

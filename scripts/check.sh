@@ -18,9 +18,9 @@ echo "== go build =="
 go build ./...
 
 echo "== go vet (hot path) =="
-# Vet the alloc-sensitive hot-path packages first so codec/broker/bench
+# Vet the alloc-sensitive hot-path packages first so codec/broker
 # regressions fail fast, before the full-suite vet and race build.
-go vet ./internal/wire/ ./internal/broker/ ./internal/bench/
+go vet ./internal/wire/ ./internal/broker/
 
 echo "== go vet =="
 go vet ./...
