@@ -32,7 +32,7 @@ check-bench:
 	go run ./cmd/synapse-bench -gate
 
 # The CI scenario suite (check/chaos/overload/causality/tail/cluster/
-# bootstrap/benchmark/liveness/journal/orm/windows), quick sweeps — the same commands the
+# bootstrap/benchmark/liveness/journal/orm/windows/projection), quick sweeps — the same commands the
 # workflow matrix runs.
 scenarios:
 	./scripts/scenarios.sh -quick

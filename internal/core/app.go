@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,6 +20,7 @@ import (
 	"synapse/internal/netsim"
 	"synapse/internal/orm"
 	"synapse/internal/vstore"
+	"synapse/internal/wire"
 )
 
 // PubSpec declares what an app publishes for a model (Table 2:
@@ -48,7 +51,11 @@ type SubSpec struct {
 	Observer bool
 }
 
+// pubSpec is one publication. It is never changed once it is in
+// App.pubs — another Publish of the model, or a schema change, puts a new
+// one there — so that a publish reads it without holding the app's lock.
 type pubSpec struct {
+	desc      *model.Descriptor
 	attrs     map[string]struct{}
 	ephemeral bool
 	// owner marks the model's originator: the app published the model
@@ -57,6 +64,17 @@ type pubSpec struct {
 	// to decorations of its own model (the Fig 9a Diaspora pattern)
 	// remains the owner.
 	owner bool
+	// What every message of the model needs, compiled once: the type
+	// chain every operation shares, and the published attributes with
+	// their getters.
+	chain []string
+	lens  *model.Projection
+}
+
+// compile derives the publication's compiled half from its attributes.
+func (ps *pubSpec) compile() *pubSpec {
+	ps.chain, ps.lens = ps.desc.TypeChain(), ps.desc.Project(slices.Collect(maps.Keys(ps.attrs)))
+	return ps
 }
 
 type subSpec struct {
@@ -64,6 +82,27 @@ type subSpec struct {
 	attrs    map[string]struct{}
 	mode     DeliveryMode
 	observer bool
+}
+
+// projection is one subscription compiled (see compileSubs): everything
+// between bytes off the queue and Mapper.Save that Subscribe already
+// knows. It is the decoder's sink and applyOp's plan.
+type projection struct {
+	*model.Projection
+	observer bool
+}
+
+// Wants implements wire.Sink: a persisted model's destroy is a delete by
+// id, only an observer's callbacks see the object's last attributes.
+func (p *projection) Wants(verb wire.OpKind) bool { return p.observer || verb != wire.OpDestroy }
+
+// subTable is the app's subscriptions compiled, by origin: swapped whole,
+// read without a lock.
+type subTable map[string]*originSubs
+
+type originSubs struct {
+	mode   DeliveryMode // the strongest among the origin's subscriptions
+	models map[string]*projection
 }
 
 // App is one Synapse service: a publisher, subscriber, decorator, or any
@@ -84,6 +123,10 @@ type App struct {
 	descs    map[string]*model.Descriptor   // all models this app knows
 	gens     map[string]*genState           // origin -> generation barrier state
 	bootSeqs map[string]uint64              // origin -> bootstrap snapshot seq
+	// compiled is subs as the delivery path reads it (see compileSubs);
+	// resolve is resolveSink, bound once.
+	compiled atomic.Pointer[subTable]
+	resolve  wire.Resolver
 
 	bootDepth  atomic.Int64  // >0 while any bootstrap runs
 	generation atomic.Uint64 // this app's publisher generation
@@ -277,6 +320,8 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 		PipelineFill:     hdr.New(),
 		FlushBatchSize:   hdr.New(),
 	}
+	a.compiled.Store(&subTable{})
+	a.resolve = a.resolveSink
 	a.outbox = newOutbox(&a.seq)
 	a.commits = groupcommit.New(flushBatchCap, 0, a.flushBatch)
 	a.flushCounts = make(map[vstore.Key]uint64)
@@ -582,18 +627,15 @@ func (a *App) Publish(d *model.Descriptor, spec PubSpec) error {
 			return fmt.Errorf("synapse: decorated model %s cannot be ephemeral", d.Name)
 		}
 	}
-	ps := a.pubs[d.Name]
-	if ps == nil {
-		ps = &pubSpec{
-			attrs:     make(map[string]struct{}),
-			ephemeral: spec.Ephemeral,
-			owner:     len(subOrigins) == 0,
-		}
-		a.pubs[d.Name] = ps
+	ps := &pubSpec{desc: d, attrs: make(map[string]struct{}), ephemeral: spec.Ephemeral, owner: len(subOrigins) == 0}
+	if old := a.pubs[d.Name]; old != nil {
+		ps.ephemeral, ps.owner = old.ephemeral, old.owner
+		maps.Copy(ps.attrs, old.attrs)
 	}
 	for _, attr := range spec.Attrs {
 		ps.attrs[attr] = struct{}{}
 	}
+	a.pubs[d.Name] = ps.compile()
 	a.descs[d.Name] = d
 	needRegister := !spec.Ephemeral && a.mapper != nil
 	if needRegister {
@@ -678,6 +720,7 @@ func (a *App) Subscribe(d *model.Descriptor, spec SubSpec) error {
 		ss.attrs[attr] = struct{}{}
 	}
 	a.descs[d.Name] = d
+	a.compileSubs()
 	needRegister := !spec.Observer && a.mapper != nil
 	if needRegister {
 		if _, ok := a.mapper.Descriptor(d.Name); ok {
@@ -694,6 +737,60 @@ func (a *App) Subscribe(d *model.Descriptor, spec SubSpec) error {
 	// Ensure the queue exists and is bound to the origin's exchange.
 	a.ensureQueue()
 	return a.fabric.bus().Bind(a.queueName(), spec.From)
+}
+
+// compileSubs rebuilds the compiled subscription table from subs, with
+// a.mu held: by Subscribe, and by the delivery that finds a projection
+// stale — AddField, RemoveField and DefineVirtual after Subscribe are a
+// supported flow (live schema migration, §4.3).
+func (a *App) compileSubs() {
+	t := make(subTable)
+	for modelName, origins := range a.subs {
+		for origin, ss := range origins {
+			o := t[origin]
+			if o == nil {
+				o = &originSubs{mode: Weak, models: make(map[string]*projection)}
+				t[origin] = o
+			}
+			o.mode = max(o.mode, ss.mode)
+			attrs := slices.Collect(maps.Keys(ss.attrs))
+			o.models[modelName] = &projection{a.descs[modelName].Project(attrs), ss.observer}
+		}
+	}
+	a.compiled.Store(&t)
+}
+
+// projectionFor resolves the most-derived subscribed model of an
+// operation's type chain (polymorphic consumption, §4.1) to its current
+// projection; nil when this app does not subscribe to it from origin.
+func (a *App) projectionFor(origin string, types []string) *projection {
+	for {
+		t := a.compiled.Load()
+		var p *projection
+		if o := (*t)[origin]; o != nil {
+			for _, name := range types {
+				if p = o.models[name]; p != nil {
+					break
+				}
+			}
+		}
+		if p == nil || !p.Stale() {
+			return p
+		}
+		a.mu.Lock()
+		if a.compiled.Load() == t {
+			a.compileSubs()
+		}
+		a.mu.Unlock()
+	}
+}
+
+// resolveSink is the wire.Resolver of this app's deliveries.
+func (a *App) resolveSink(origin string, types []string) wire.Sink {
+	if p := a.projectionFor(origin, types); p != nil {
+		return p
+	}
+	return nil
 }
 
 func (a *App) queueName() string { return a.name }
@@ -758,15 +855,23 @@ func (a *App) owned(modelName string) bool {
 	return pub && ps.owner
 }
 
-// publishedAttrs returns this app's published attribute set for a model.
-func (a *App) publishedAttrs(modelName string) (map[string]struct{}, bool) {
+// publication returns what this app publishes of a model, compiled
+// against the descriptor's current schema; nil when it publishes nothing
+// of it.
+func (a *App) publication(modelName string) *pubSpec {
 	a.mu.RLock()
-	defer a.mu.RUnlock()
-	ps, ok := a.pubs[modelName]
-	if !ok {
-		return nil, false
+	ps := a.pubs[modelName]
+	a.mu.RUnlock()
+	if ps != nil && ps.lens.Stale() {
+		a.mu.Lock()
+		if ps = a.pubs[modelName]; ps.lens.Stale() {
+			fresh := *ps
+			ps = fresh.compile()
+			a.pubs[modelName] = ps
+		}
+		a.mu.Unlock()
 	}
-	return ps.attrs, true
+	return ps
 }
 
 // subscribedAttrSet returns the union of attributes this app subscribes

@@ -27,8 +27,8 @@ const (
 
 // chunkWindow is the live-dedup state for one origin's in-flight chunk:
 // between the chunk's low and high watermarks, every live message
-// processed records the max object version it carried per dependency
-// token. A chunk row whose version is at or below the touched version is
+// processed records the max object version it carried per object
+// key. A chunk row whose version is at or below the touched version is
 // already superseded by live traffic, so its claim and DB write are
 // skipped (DBLog §3.1, adapted: the version guard — not the watermark —
 // carries correctness here, because our version store is external to the
@@ -38,11 +38,11 @@ type chunkWindow struct {
 	id      string
 	open    bool
 	hiSeen  bool
-	touched map[string]uint64
+	touched map[vKey]uint64
 }
 
 // close seals the window and hands back the touched-version snapshot.
-func (w *chunkWindow) close() map[string]uint64 {
+func (w *chunkWindow) close() map[vKey]uint64 {
 	w.mu.Lock()
 	t := w.touched
 	w.open = false
@@ -80,7 +80,7 @@ func (a *App) openWindow(origin, id string) *chunkWindow {
 	w.id = id
 	w.open = true
 	w.hiSeen = false
-	w.touched = make(map[string]uint64)
+	w.touched = make(map[vKey]uint64)
 	w.mu.Unlock()
 	return w
 }
@@ -111,8 +111,8 @@ func (a *App) touchWindow(msg *wire.Message) {
 	if w.open {
 		for i := range msg.Operations {
 			op := &msg.Operations[i]
-			if v, ok := a.objectVersion(msg, op); ok && v > w.touched[op.ObjectDep] {
-				w.touched[op.ObjectDep] = v
+			if v, ok := msg.ObjectVersion(op); ok {
+				w.touched[a.objectKey(op)] = max(v, w.touched[a.objectKey(op)])
 			}
 		}
 	}
@@ -276,8 +276,7 @@ func (a *App) bootstrapModel(pub *App, modelName string) error {
 	if pub.isEphemeral(modelName) || pub.mapper == nil {
 		return nil // nothing persisted to snapshot
 	}
-	desc, ok := pub.Descriptor(modelName)
-	if !ok {
+	if pub.publication(modelName) == nil {
 		return fmt.Errorf("%w: %s/%s", ErrUnpublished, pub.name, modelName)
 	}
 
@@ -310,7 +309,7 @@ func (a *App) bootstrapModel(pub *App, modelName string) error {
 		if end > len(ids) {
 			end = len(ids)
 		}
-		if err := a.bootstrapChunk(pub, modelName, desc, ids[start:end]); err != nil {
+		if err := a.bootstrapChunk(pub, modelName, ids[start:end]); err != nil {
 			return err
 		}
 		cursor = ids[end-1]
@@ -325,7 +324,7 @@ func (a *App) bootstrapModel(pub *App, modelName string) error {
 // bootstrapChunk syncs one chunk: low watermark, bounded locked read of
 // the chunk's (version, record) pairs, high watermark, live drain until
 // the high watermark returns, then the deduplicated batched apply.
-func (a *App) bootstrapChunk(pub *App, modelName string, desc *model.Descriptor, ids []string) error {
+func (a *App) bootstrapChunk(pub *App, modelName string, ids []string) error {
 	if err := a.faults.Fire(FaultBootstrapChunkLow); err != nil {
 		return err
 	}
@@ -368,7 +367,7 @@ func (a *App) bootstrapChunk(pub *App, modelName string, desc *model.Descriptor,
 			// skipped rather than resurrected.
 			continue
 		}
-		attrs := pub.projectPublished(desc, rec)
+		attrs := pub.projectPublished(modelName, rec)
 		rows = append(rows, chunkRow{
 			id:      id,
 			token:   tokens[i],
@@ -390,7 +389,7 @@ func (a *App) bootstrapChunk(pub *App, modelName string, desc *model.Descriptor,
 		return err
 	}
 	touched := w.close()
-	return a.applyChunk(pub, desc, rows, touched)
+	return a.applyChunk(pub, modelName, rows, touched)
 }
 
 // publishWatermark sends a watermark control message through the
@@ -456,10 +455,10 @@ func (a *App) awaitHighWatermark(w *chunkWindow) error {
 // under the apply stripes, exactly like the live path, and
 // roll their claims back if a DB apply fails so a resumed chunk
 // re-applies exactly the unapplied rows.
-func (a *App) applyChunk(pub *App, desc *model.Descriptor, rows []chunkRow, touched map[string]uint64) error {
+func (a *App) applyChunk(pub *App, modelName string, rows []chunkRow, touched map[vKey]uint64) error {
 	kept := make([]chunkRow, 0, len(rows))
 	for _, r := range rows {
-		if tv, ok := touched[r.token]; ok && tv >= r.version {
+		if tv, ok := touched[r.subKey]; ok && tv >= r.version {
 			a.chunkRowsDeduped.Inc()
 			continue
 		}
@@ -477,7 +476,7 @@ func (a *App) applyChunk(pub *App, desc *model.Descriptor, rows []chunkRow, touc
 		}
 		claims = append(claims, vstore.Claim{Key: r.subKey, Version: r.version})
 		claimIdx = append(claimIdx, ki)
-		stripes |= 1 << uint(a.applyStripe(r.token))
+		stripes |= 1 << uint(a.applyStripe(r.subKey))
 	}
 	a.lockStripes(stripes)
 	defer a.unlockStripes(stripes)
@@ -489,18 +488,19 @@ func (a *App) applyChunk(pub *App, desc *model.Descriptor, rows []chunkRow, touc
 	for ci := range claims {
 		claimed[claimIdx[ci]] = results[ci]
 	}
+	types, scratch := pub.publication(modelName).chain, new(applyScratch)
 	for ki, r := range kept {
 		if res, guarded := claimed[ki]; guarded && !res.Applied {
 			continue // a newer live update already landed
 		}
 		op := wire.Operation{
 			Operation:  wire.OpUpdate,
-			Types:      desc.TypeChain(),
+			Types:      types,
 			ID:         r.id,
 			Attributes: r.attrs,
 			ObjectDep:  r.token,
 		}
-		if aerr := a.applyOp(pub.name, &op); aerr != nil {
+		if aerr := a.applyOp(pub.name, &op, scratch); aerr != nil {
 			// Roll back the fresh claims from the failed row onward so the
 			// resumed chunk re-applies exactly the unapplied rows.
 			for kj := ki; kj < len(kept); kj++ {
@@ -521,8 +521,9 @@ func (a *App) applyChunk(pub *App, desc *model.Descriptor, rows []chunkRow, touc
 // returned for the caller's group-commit flusher instead of being
 // applied inline — bootstrap-concurrent live traffic batches its
 // increments exactly like steady-state causal traffic.
-func (a *App) processBootstrapMessage(msg *wire.Message, deferIncr bool) ([]vKey, error) {
-	if _, _, err := a.applyOps(msg, nil, nil); err != nil {
+func (a *App) processBootstrapMessage(j *job, deferIncr bool) ([]vKey, error) {
+	msg := j.msg
+	if _, _, err := a.applyOps(j, nil, nil); err != nil {
 		return nil, err
 	}
 	// Only after every operation applied: a failed message is redelivered
@@ -531,7 +532,10 @@ func (a *App) processBootstrapMessage(msg *wire.Message, deferIncr bool) ([]vKey
 	a.touchWindow(msg)
 	var incr []vKey
 	if msg.Seq > a.bootSeqFor(msg.App) && a.originMode(msg.App) >= Causal {
-		keys := a.depKeys(msg)
+		keys, err := a.depKeys(msg)
+		if err != nil {
+			return nil, err
+		}
 		if deferIncr {
 			incr = dedupKeys(keys)
 		} else if err := a.store.IncrOps(keys); err != nil {
@@ -544,15 +548,19 @@ func (a *App) processBootstrapMessage(msg *wire.Message, deferIncr bool) ([]vKey
 
 // depKeys resolves every dependency token a message carries — hashed
 // keys and exact dots alike — into this app's version-store key space.
-func (a *App) depKeys(msg *wire.Message) []vKey {
-	keys := make([]vKey, 0, len(msg.Dependencies)+len(msg.Dots))
-	for depKey := range msg.Dependencies {
-		keys = append(keys, a.tracker.Resolve(depKey))
+func (a *App) depKeys(msg *wire.Message) ([]vKey, error) {
+	deps, err := msg.Deps()
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]vKey, 0, len(deps)+len(msg.Dots))
+	for k := range deps {
+		keys = append(keys, vKey(k))
 	}
 	for name := range msg.Dots {
 		keys = append(keys, a.tracker.Resolve(name))
 	}
-	return keys
+	return keys, nil
 }
 
 func (a *App) setBootSeq(origin string, seq uint64) {

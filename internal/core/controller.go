@@ -174,7 +174,7 @@ func (c *Controller) Destroy(modelName, id string) error {
 
 func (c *Controller) checkWriteAllowed(verb wire.OpKind, rec *model.Record) error {
 	app := c.app
-	if _, published := app.publishedAttrs(rec.Model); !published {
+	if app.publication(rec.Model) == nil {
 		return fmt.Errorf("synapse: app %s does not publish model %s", app.name, rec.Model)
 	}
 	isOwner := app.owned(rec.Model)

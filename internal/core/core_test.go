@@ -75,29 +75,42 @@ func mustSubscribe(t *testing.T, a *App, d *model.Descriptor, spec SubSpec) {
 	}
 }
 
-// tap binds a raw queue to an exchange and returns a function that
-// drains and decodes everything published so far.
-func tap(t *testing.T, f *Fabric, exchange string) func() []*wire.Message {
+// payloadTap binds a raw queue to an exchange and returns a function
+// that drains the payloads published so far, as the bus carries them.
+func payloadTap(t *testing.T, f *Fabric, exchange string) func() [][]byte {
 	t.Helper()
 	name := "tap-" + exchange
 	q, _ := f.Broker.DeclareQueue(name, 0)
 	if err := f.Broker.Bind(name, exchange); err != nil {
 		t.Fatal(err)
 	}
-	return func() []*wire.Message {
-		var out []*wire.Message
+	return func() [][]byte {
+		var out [][]byte
 		for {
 			d, ok, err := q.TryGet()
 			if err != nil || !ok {
 				return out
 			}
-			m, err := wire.Unmarshal(d.Payload)
+			out = append(out, d.Payload)
+			_ = q.Ack(d.Tag)
+		}
+	}
+}
+
+// tap is payloadTap, decoded.
+func tap(t *testing.T, f *Fabric, exchange string) func() []*wire.Message {
+	t.Helper()
+	payloads := payloadTap(t, f, exchange)
+	return func() []*wire.Message {
+		var out []*wire.Message
+		for _, payload := range payloads() {
+			m, err := wire.Unmarshal(payload)
 			if err != nil {
 				t.Fatal(err)
 			}
 			out = append(out, m)
-			_ = q.Ack(d.Tag)
 		}
+		return out
 	}
 }
 

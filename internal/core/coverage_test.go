@@ -56,7 +56,7 @@ func TestBootstrapMessageProcessingDeterministic(t *testing.T) {
 
 	// Counter accounting: the message at the watermark must not have
 	// incremented counters; the one past it must have.
-	k := keyOf(got[0].Operations[0].ObjectDep)
+	k := sub.objectKey(&got[0].Operations[0])
 	if ops := sub.Store().Ops(k); ops != 1 {
 		t.Errorf("ops = %d, want 1 (only the post-watermark message counted)", ops)
 	}

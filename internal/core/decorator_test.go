@@ -205,7 +205,7 @@ func TestExternalDepsNotIncremented(t *testing.T) {
 
 	dm := decMsgs()
 	for extKey := range dm[0].External {
-		k := keyOf(extKey)
+		k := sub.Tracker().Resolve(extKey)
 		// The origin's create incremented it once; the decorator
 		// message must not have incremented it again.
 		if got := sub.Store().Ops(k); got != 1 {

@@ -469,15 +469,14 @@ func (a *App) refreshJournalAttrs(msg *wire.Message, overwrite bool) {
 		if op.Operation == wire.OpDestroy {
 			continue
 		}
-		desc, ok := a.Descriptor(op.Model())
-		if !ok || a.isEphemeral(op.Model()) {
+		if a.isEphemeral(op.Model()) {
 			continue
 		}
 		rec, err := a.mapper.Find(op.Model(), op.ID)
 		if err != nil {
 			continue
 		}
-		attrs := a.projectPublished(desc, rec)
+		attrs := a.projectPublished(op.Model(), rec)
 		if attrs == nil {
 			continue
 		}

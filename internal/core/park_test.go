@@ -138,7 +138,7 @@ func fetchJobs(t *testing.T, a *App, n int) []*job {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs[i] = &job{q: q, d: d, msg: msg, mask: a.applyMask(msg)}
+		jobs[i] = &job{app: a, q: q, d: d, msg: msg, mask: a.applyMask(msg)}
 	}
 	return jobs
 }

@@ -1,0 +1,478 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"synapse/internal/model"
+	"synapse/internal/orm"
+	"synapse/internal/wire"
+)
+
+// TestVirtualSetterObserverSeesEveryVerb: an observer subscribed through
+// a virtual setter (Example 3's join-table maintenance) sees adapted
+// attributes on create, update AND destroy — destroy used to fill the
+// record with the raw attributes, bypassing the setter.
+func TestVirtualSetterObserverSeesEveryVerb(t *testing.T) {
+	f := NewFabric()
+	pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
+	pubUser := model.NewDescriptor("User",
+		model.Field{Name: "name", Type: model.String},
+		model.Field{Name: "interests", Type: model.StringList})
+	mustPublish(t, pub, pubUser, "name", "interests")
+
+	sub, err := NewApp(f, "sub", nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subUser := model.NewDescriptor("User", model.Field{Name: "name", Type: model.String})
+	subUser.DefineVirtual(&model.VirtualAttr{Name: "interests", Set: func(r *model.Record, v any) error {
+		tmp := model.NewRecord("tmp", "tmp")
+		tmp.Set("t", v)
+		r.Set("tags", strings.Join(tmp.Strings("t"), ","))
+		return nil
+	}})
+	var seen []string
+	for _, h := range []model.Hook{model.AfterCreate, model.AfterUpdate, model.AfterDestroy} {
+		subUser.Callbacks.On(h, func(ctx *model.CallbackCtx) error {
+			seen = append(seen, fmt.Sprintf("%s name=%v tags=%v raw=%v", h, ctx.Record.Get("name"), ctx.Record.Get("tags"), ctx.Record.Has("interests")))
+			return nil
+		})
+	}
+	mustSubscribe(t, sub, subUser, SubSpec{From: "pub", Attrs: []string{"name", "interests"}, Observer: true})
+
+	ctl := pub.NewController(nil)
+	u := model.NewRecord("User", "u1")
+	u.Set("name", "ada")
+	u.Set("interests", []string{"cats", "dogs"})
+	if _, err := ctl.Create(u); err != nil {
+		t.Fatal(err)
+	}
+	patch := model.NewRecord("User", "u1")
+	patch.Set("interests", []string{"hiking"})
+	if _, err := ctl.Update(patch); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Destroy("User", "u1"); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, sub)
+	want := []string{
+		"after_create name=ada tags=cats,dogs raw=false",
+		"after_update name=ada tags=hiking raw=false",
+		"after_destroy name=ada tags=hiking raw=false",
+	}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("observer saw\n%s\nwant\n%s", strings.Join(seen, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// benchModels are the repository benchmark's two models.
+func benchModels() (post, comment *model.Descriptor) {
+	post = model.NewDescriptor("Post",
+		model.Field{Name: "body", Type: model.String},
+		model.Field{Name: "rev", Type: model.Int},
+		model.Field{Name: "t", Type: model.Float})
+	comment = model.NewDescriptor("Comment",
+		model.Field{Name: "post_id", Type: model.String},
+		model.Field{Name: "body", Type: model.String},
+		model.Field{Name: "post_rev", Type: model.Int},
+		model.Field{Name: "t", Type: model.Float})
+	return post, comment
+}
+
+// TestApplyAllocBudget pins what one delivery allocates between bytes
+// off the queue and the engine, on the stream the benchmark carries: a
+// causal publisher's Post updates, Comment creates and Comment destroys
+// (every id, object key, dependency key and t stamp distinct), decoded
+// through the subscription's projection and applied by a MongoDB
+// subscriber with the benchmark's callbacks hung. What is left is the
+// copy and box of each value the decode keeps, the engine's copy-in, the
+// synchronous job, and the version store's claim.
+func TestApplyAllocBudget(t *testing.T) {
+	skipUnderRace(t)
+	f := NewFabric()
+	pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
+	post, comment := benchModels()
+	mustPublish(t, pub, post, "body", "rev", "t")
+	mustPublish(t, pub, comment, "post_id", "body", "post_rev", "t")
+	payloads := payloadTap(t, f, "pub")
+
+	sub, _ := newDocApp(t, f, "sub", Config{Mode: Causal})
+	sp, sc := benchModels()
+	applied := 0
+	for _, d := range []*model.Descriptor{sp, sc} {
+		for _, h := range []model.Hook{model.AfterCreate, model.AfterUpdate, model.AfterDestroy} {
+			d.Callbacks.On(h, func(ctx *model.CallbackCtx) error {
+				if ctx.Record.ID != "" {
+					applied++
+				}
+				return nil
+			})
+		}
+	}
+	mustSubscribe(t, sub, sp, SubSpec{From: "pub", Attrs: []string{"body", "rev", "t"}})
+	mustSubscribe(t, sub, sc, SubSpec{From: "pub", Attrs: []string{"post_id", "body", "post_rev", "t"}})
+
+	const posts, rounds = 64, 256
+	session := pub.NewSession("User", "u001")
+	body := "store journal commit post comment column session session journal user graph commit causal"
+	publish := func(verb wire.OpKind, modelName, id string, attrs map[string]any, readPost string) {
+		t.Helper()
+		ctl := pub.NewController(session)
+		if readPost != "" {
+			ctl.AddReadDeps("Post", readPost)
+		}
+		rec := model.NewRecord(modelName, id)
+		rec.Merge(attrs)
+		var err error
+		switch verb {
+		case wire.OpCreate:
+			_, err = ctl.Create(rec)
+		case wire.OpUpdate:
+			_, err = ctl.Update(rec)
+		case wire.OpDestroy:
+			err = ctl.Destroy(modelName, id)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := 0; p < posts; p++ {
+		publish(wire.OpCreate, "Post", fmt.Sprintf("p%04d", p), map[string]any{"body": body, "rev": 0, "t": 1e6 + float64(p)}, "")
+	}
+	preload := payloads()
+	for i := 0; i < rounds; i++ {
+		p, c := fmt.Sprintf("p%04d", i%posts), fmt.Sprintf("c%07d", i)
+		publish(wire.OpUpdate, "Post", p, map[string]any{"body": body, "rev": i + 1, "t": 2e6 + float64(i)}, "")
+		publish(wire.OpCreate, "Comment", c, map[string]any{"post_id": p, "body": body, "post_rev": i + 1, "t": 3e6 + float64(i)}, p)
+		if i >= 8 {
+			publish(wire.OpDestroy, "Comment", fmt.Sprintf("c%07d", i-8), nil, "")
+		}
+	}
+	stream := payloads()
+
+	consume := func(batch [][]byte) {
+		t.Helper()
+		for _, payload := range batch {
+			if err := sub.consume(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	consume(preload) // and warm the pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	consume(stream)
+	runtime.ReadMemStats(&after)
+	if want := len(preload) + len(stream); applied != want {
+		t.Fatalf("%d of %d deliveries reached a callback", applied, want)
+	}
+	n := float64(after.Mallocs-before.Mallocs) / float64(len(stream))
+	const budget = 10 // measured 8.8: decode 4.0, the engine's copy-in 2, the synchronous job 1, the version store's windows the rest
+	if n > budget {
+		t.Errorf("decode + apply of the live stream = %.1f allocs/delivery, want <= %d", n, budget)
+	}
+	t.Logf("decode + apply of the live stream = %.2f allocs/delivery over %d deliveries", n, len(stream))
+}
+
+// observerLog is what an observer's callbacks saw, in order.
+type observerLog struct {
+	mu   sync.Mutex
+	seen []string
+}
+
+func (l *observerLog) hang(d *model.Descriptor) {
+	for h := model.BeforeCreate; h <= model.AfterDestroy; h++ {
+		d.Callbacks.On(h, func(ctx *model.CallbackCtx) error {
+			l.mu.Lock()
+			l.seen = append(l.seen, fmt.Sprintf("%s %s/%s %v", h, ctx.Record.Model, ctx.Record.ID, sortedAttrs(ctx.Record)))
+			l.mu.Unlock()
+			return nil
+		})
+	}
+}
+
+func sortedAttrs(r *model.Record) string {
+	var parts []string
+	for _, k := range r.AttrNames() {
+		parts = append(parts, fmt.Sprintf("%s=%v", k, r.Attrs[k]))
+	}
+	return strings.Join(parts, " ")
+}
+
+// differentialSub is one subscriber of TestProjectedApplyMatchesFull: a
+// subset of pubA's Post attributes persisted, another attribute of the
+// same model name from pubB, an Event observed through a virtual setter,
+// and everything it was handed written down.
+func differentialSub(t *testing.T, f *Fabric, name string) (*App, orm.Mapper, *observerLog) {
+	t.Helper()
+	m := mapperFor("mongodb")
+	a, err := NewApp(f, name, m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &observerLog{}
+	post := model.NewDescriptor("Post",
+		model.Field{Name: "title", Type: model.String},
+		model.Field{Name: "tags", Type: model.StringList},
+		model.Field{Name: "meta", Type: model.Map},
+		model.Field{Name: "body", Type: model.String})
+	log.hang(post)
+	mustSubscribe(t, a, post, SubSpec{From: "pubA", Attrs: []string{"title", "tags", "meta"}, Mode: Weak})
+	mustSubscribe(t, a, post, SubSpec{From: "pubB", Attrs: []string{"body"}, Mode: Weak})
+	event := model.NewDescriptor("Event", model.Field{Name: "kind", Type: model.String})
+	event.DefineVirtual(&model.VirtualAttr{Name: "tags", Set: func(r *model.Record, v any) error {
+		r.Set("tag_count", len(fmt.Sprint(v)))
+		return nil
+	}})
+	log.hang(event)
+	mustSubscribe(t, a, event, SubSpec{From: "pubA", Attrs: []string{"kind", "tags"}, Mode: Weak, Observer: true})
+	return a, m, log
+}
+
+// TestProjectedApplyMatchesFull is the differential property end to end:
+// for random payloads — subscribed and unsubscribed attributes, models
+// and origins, polymorphic chains of which only an ancestor is
+// subscribed, two origins publishing one model name, nested Map and
+// StringList values, null and duplicate attributes, keys out of order,
+// hashed keys and DVV dots — a subscriber fed through the projected
+// decode ends in the same state, and shows its callbacks the same
+// records, as one fed wire.Unmarshal's full decode.
+func TestProjectedApplyMatchesFull(t *testing.T) {
+	f := NewFabric()
+	for _, origin := range []struct {
+		name    string
+		tracker string
+		attrs   []string
+	}{{"pubA", TrackerHash, []string{"title", "tags", "meta", "junk"}}, {"pubB", TrackerDVV, []string{"body", "junk"}}} {
+		pub, err := NewApp(f, origin.name, mapperFor("mongodb"), Config{Mode: Causal, DepTracker: origin.tracker})
+		if err != nil {
+			t.Fatal(err)
+		}
+		post := model.NewDescriptor("Post",
+			model.Field{Name: "title", Type: model.String}, model.Field{Name: "tags", Type: model.StringList},
+			model.Field{Name: "meta", Type: model.Map}, model.Field{Name: "body", Type: model.String},
+			model.Field{Name: "junk", Type: model.Map})
+		mustPublish(t, pub, post, origin.attrs...)
+		if origin.name == "pubA" {
+			event := model.NewDescriptor("Event", model.Field{Name: "kind", Type: model.String}, model.Field{Name: "tags", Type: model.StringList})
+			mustPublish(t, pub, event, "kind", "tags")
+		}
+	}
+	projected, pm, plog := differentialSub(t, f, "projected")
+	full, fm, flog := differentialSub(t, f, "full")
+
+	rng := rand.New(rand.NewSource(24))
+	versions := map[string]uint64{}
+	values := []string{
+		`"plain"`, `"esc\"aped é"`, `["a","b"]`, `[]`, `{"k":{"deep":[1,2,{"x":null}]},"n":1.5}`, `null`, `12`, `true`,
+	}
+	for i := 0; i < 600; i++ {
+		origin := []string{"pubA", "pubA", "pubB", "stranger"}[rng.Intn(4)]
+		types := [][]string{{"Post"}, {"Article", "Post"}, {"Event"}, {"Ghost"}, {"Ghost", "Event"}}[rng.Intn(5)]
+		verb := []string{"create", "update", "update", "destroy"}[rng.Intn(4)]
+		id := fmt.Sprintf("o%d", rng.Intn(12))
+		token := fmt.Sprint(1000 + rng.Intn(12))
+		if origin == "pubB" {
+			token = origin + "/posts/id/" + id
+		}
+		versions[origin+token]++
+		attrs := func() string {
+			var members []string
+			for _, k := range []string{"title", "tags", "meta", "body", "kind", "junk", "junk"} {
+				if rng.Intn(3) > 0 {
+					members = append(members, fmt.Sprintf("%q:%s", k, values[rng.Intn(len(values))]))
+				}
+			}
+			rng.Shuffle(len(members), func(a, b int) { members[a], members[b] = members[b], members[a] })
+			return "{" + strings.Join(members, ",") + "}"
+		}
+		members := []string{
+			fmt.Sprintf(`"operation":%q`, verb),
+			`"types":["` + strings.Join(types, `","`) + `"]`,
+			fmt.Sprintf(`"id":%q`, id),
+			`"attributes":` + attrs(),
+			fmt.Sprintf(`"object_dep":%q`, token),
+		}
+		switch rng.Intn(8) {
+		case 0: // out of order
+			rng.Shuffle(len(members), func(a, b int) { members[a], members[b] = members[b], members[a] })
+		case 1:
+			members = append(members, `"attributes":`+attrs())
+		case 2:
+			members[3] = `"attributes":null`
+		case 3:
+			members = append(members[:3], members[4])
+		}
+		deps, dots := fmt.Sprintf(`{%q:%d,"77":0}`, token, versions[origin+token]-1), ""
+		if origin == "pubB" {
+			deps, dots = `{}`, fmt.Sprintf(`,"dots":{%q:%d}`, token, versions[origin+token]-1)
+		}
+		envelope := []string{
+			fmt.Sprintf(`"app":%q`, origin),
+			`"operations":[{` + strings.Join(members, ",") + `}]`,
+			`"dependencies":` + deps + dots,
+			fmt.Sprintf(`"published_at":"2026-10-03T00:00:00Z","generation":0,"seq":%d`, i+1),
+		}
+		if rng.Intn(8) == 0 {
+			envelope[0], envelope[1] = envelope[1], envelope[0]
+		}
+		payload := []byte("{" + strings.Join(envelope, ",") + "}")
+
+		perr := projected.consume(payload)
+		msg, err := wire.Unmarshal(payload)
+		if err != nil {
+			t.Fatalf("generated payload does not decode: %v\n%s", err, payload)
+		}
+		ferr := full.ProcessMessage(msg)
+		if (perr == nil) != (ferr == nil) {
+			t.Fatalf("message %d: projected apply says %v, full apply says %v\n%s", i, perr, ferr, payload)
+		}
+		if !reflect.DeepEqual(plog.seen, flog.seen) {
+			n := min(len(plog.seen), len(flog.seen))
+			t.Fatalf("message %d: callbacks diverge\nprojected: %v\n     full: %v\n%s", i, plog.seen[n-1:], flog.seen[n-1:], payload)
+		}
+	}
+	if len(plog.seen) < 200 {
+		t.Fatalf("only %d callbacks ran: the generator does not reach the apply", len(plog.seen))
+	}
+	stored := func(m orm.Mapper) []string {
+		var out []string
+		if err := m.Each("Post", "", func(r *model.Record) bool {
+			out = append(out, r.ID+" "+sortedAttrs(r))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(out)
+		return out
+	}
+	if got, want := stored(pm), stored(fm); !reflect.DeepEqual(got, want) || len(want) == 0 {
+		t.Errorf("stored posts diverge\nprojected: %v\n     full: %v", got, want)
+	}
+}
+
+// TestLentAttributesNeverReachAnEngine: the record Mapper.Save is handed
+// IS the pooled message's decoded attribute map, so the engine's copy-in
+// has to be the whole isolation — for all five engines, scribbling on
+// the message after the apply, releasing it and decoding other payloads
+// into the same pooled maps leaves the stored object untouched.
+func TestLentAttributesNeverReachAnEngine(t *testing.T) {
+	for _, engine := range []string{"postgresql", "mongodb", "cassandra", "elasticsearch", "neo4j"} {
+		t.Run(engine, func(t *testing.T) {
+			f := NewFabric()
+			pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
+			doc := func() *model.Descriptor {
+				return model.NewDescriptor("Doc",
+					model.Field{Name: "title", Type: model.String},
+					model.Field{Name: "tags", Type: model.StringList},
+					model.Field{Name: "meta", Type: model.Map})
+			}
+			mustPublish(t, pub, doc(), "title", "tags", "meta")
+			payloads := payloadTap(t, f, "pub")
+			m := mapperFor(engine)
+			sub, err := NewApp(f, "sub", m, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustSubscribe(t, sub, doc(), SubSpec{From: "pub", Attrs: []string{"title", "tags", "meta"}})
+
+			ctl := pub.NewController(nil)
+			for i := 0; i < 4; i++ {
+				rec := model.NewRecord("Doc", fmt.Sprint("d", i))
+				rec.Set("title", fmt.Sprint("title ", i))
+				rec.Set("tags", []string{"keep", fmt.Sprint("tag", i)})
+				rec.Set("meta", map[string]any{"nested": map[string]any{"n": i}, "list": []any{"x", i}})
+				if _, err := ctl.Create(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stream := payloads()
+			msg, err := wire.UnmarshalProjected(stream[0], sub.resolve)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sub.ProcessMessage(msg); err != nil {
+				t.Fatal(err)
+			}
+			want, err := m.Find("Doc", "d0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			attrs := msg.Operations[0].Attributes
+			attrs["tags"].([]any)[0] = "scribbled"
+			attrs["meta"].(map[string]any)["nested"].(map[string]any)["n"] = "scribbled"
+			attrs["title"] = "scribbled"
+			wire.ReleaseMessage(msg)
+			for _, payload := range stream[1:] { // the same pooled maps, refilled
+				if err := sub.consume(payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, err := m.Find("Doc", "d0"); err != nil || !got.Equal(want) || got.String("title") != "title 0" {
+				t.Errorf("stored object after the message was scribbled on and reused: %v (%v), want %v", got, err, want)
+			}
+		})
+	}
+}
+
+// TestSchemaChangeAfterSubscribeTakesEffect: AddField, RemoveField and
+// DefineVirtual after Publish and Subscribe are a supported flow (live
+// migration, §4.3) — the compiled publication and projection notice the
+// descriptor's revision and the NEXT publish and delivery go through the
+// new getter and setter, with the workers running throughout.
+func TestSchemaChangeAfterSubscribeTakesEffect(t *testing.T) {
+	f := NewFabric()
+	pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
+	pubUser := userDesc()
+	mustPublish(t, pub, pubUser, "name", "email")
+	sub, subMapper := newDocApp(t, f, "sub", Config{})
+	subUser := userDesc()
+	mustSubscribe(t, sub, subUser, SubSpec{From: "pub", Attrs: []string{"name", "email"}})
+	sub.StartWorkers(2)
+	defer sub.StopWorkers()
+
+	ctl := pub.NewController(nil)
+	u := model.NewRecord("User", "u1")
+	u.Set("name", "ada")
+	u.Set("email", "ada@v1")
+	if _, err := ctl.Create(u); err != nil {
+		t.Fatal(err)
+	}
+	stored := func() *model.Record {
+		rec, err := subMapper.Find("User", "u1")
+		if err != nil {
+			return model.NewRecord("User", "")
+		}
+		return rec
+	}
+	waitFor(t, 2*time.Second, func() bool { return stored().String("email") == "ada@v1" })
+
+	// The publisher drops the column behind a virtual alias; the
+	// subscriber starts filing names under a new field, through a setter.
+	pubUser.RemoveField("email")
+	pubUser.DefineVirtual(&model.VirtualAttr{Name: "email", Get: func(r *model.Record) any { return r.ID + "@contacts" }})
+	subUser.AddField(model.Field{Name: "display", Type: model.String})
+	subUser.DefineVirtual(&model.VirtualAttr{Name: "name", Set: func(r *model.Record, v any) error {
+		r.Set("display", strings.ToUpper(fmt.Sprint(v)))
+		return nil
+	}})
+
+	patch := model.NewRecord("User", "u1")
+	patch.Set("name", "grace")
+	if _, err := ctl.Update(patch); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() bool { return stored().String("display") == "GRACE" })
+	if got := stored(); got.String("email") != "u1@contacts" || got.String("name") != "ada" {
+		t.Errorf("after the schema change the subscriber stores %v; want the getter's email, the name left to the setter", got.Attrs)
+	}
+}

@@ -327,18 +327,18 @@ func (a *App) buildMessage(staged []stagedWrite, recs []*model.Record, objectDep
 		msg.GlobalDep = a.tracker.Token(globalDepName(a.name))
 	}
 	for i, op := range staged {
-		desc, _ := a.Descriptor(op.rec.Model)
+		ps := a.publication(op.rec.Model)
 		wireOp := wire.Operation{
 			Operation: op.verb,
-			Types:     desc.TypeChain(),
+			Types:     ps.chain, // shared by every message of the model: read-only
 			ID:        op.rec.ID,
 			ObjectDep: a.tracker.Token(objectDeps[i]),
 		}
 		if op.verb != wire.OpDestroy {
-			wireOp.Attributes = a.projectPublished(desc, recs[i])
+			wireOp.Attributes = ps.lens.Read(recs[i])
 		} else if len(op.rec.Attrs) > 0 {
 			// Final attributes for DB-less observers (see performWrites).
-			wireOp.Attributes = a.projectPublished(desc, op.rec)
+			wireOp.Attributes = ps.lens.Read(op.rec)
 		}
 		msg.Operations[i] = wireOp
 	}
@@ -361,8 +361,7 @@ func (a *App) patchCommitted(msg *wire.Message, staged []stagedWrite, written []
 		if op.verb == wire.OpDestroy {
 			continue
 		}
-		desc, _ := a.Descriptor(op.rec.Model)
-		msg.Operations[i].Attributes = a.projectPublished(desc, written[i])
+		msg.Operations[i].Attributes = a.projectPublished(op.rec.Model, written[i])
 	}
 	msg.PublishedAt = time.Now().UTC()
 }
@@ -418,21 +417,12 @@ func (a *App) mergeWritten(staged []stagedWrite, committed []*model.Record) []*m
 }
 
 // projectPublished extracts the app's published attributes from the
-// written record, computing virtual attribute getters (§3.1).
-func (a *App) projectPublished(desc *model.Descriptor, rec *model.Record) map[string]any {
-	pubAttrs, ok := a.publishedAttrs(desc.Name)
-	if !ok {
+// written record, computing virtual attribute getters (§3.1); nil when
+// the app publishes nothing of the model.
+func (a *App) projectPublished(modelName string, rec *model.Record) map[string]any {
+	ps := a.publication(modelName)
+	if ps == nil {
 		return nil
 	}
-	out := make(map[string]any, len(pubAttrs))
-	for attr := range pubAttrs {
-		if v := desc.VirtualAttrFor(attr); v != nil && v.Get != nil {
-			out[attr] = model.Coerce(v.Get(rec))
-			continue
-		}
-		if rec.Has(attr) {
-			out[attr] = rec.Get(attr)
-		}
-	}
-	return out
+	return ps.lens.Read(rec)
 }

@@ -14,7 +14,10 @@ import (
 // confirming an entry allocates nothing and truncation is amortised
 // over 256 messages. The race detector makes sync.Pool drop items on
 // purpose, so the steady state is only observable without it.
-func TestPublishAllocBudget(t *testing.T) {
+// skipUnderRace skips an allocation budget: the race detector makes
+// sync.Pool drop items on purpose and allocates on its own account.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
 			if s.Key == "-race" && s.Value == "true" {
@@ -22,6 +25,10 @@ func TestPublishAllocBudget(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestPublishAllocBudget(t *testing.T) {
+	skipUnderRace(t)
 	f := NewFabric()
 	pub, _ := newSQLApp(t, f, "pub", Config{Mode: Causal})
 	mustPublish(t, pub, userDesc(), "name")
@@ -54,9 +61,9 @@ func TestPublishAllocBudget(t *testing.T) {
 		publish()
 	}
 	n := testing.AllocsPerRun(4*outboxCutEvery, publish)
-	// 72 as of the outbox rebuild; 131 before it, 17 of them the
-	// per-message ack delete.
-	const budget = 74
+	// 54 measured: 55 before the type chain was compiled into the
+	// publication, 72 as of the outbox rebuild, 131 before it.
+	const budget = 56
 	if n > budget {
 		t.Errorf("journaled causal Update = %v allocs/op, want <= %d", n, budget)
 	}

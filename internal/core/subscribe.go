@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -97,6 +98,7 @@ func (a *App) releaseWaiting(gs *genState) {
 // frees everything else: window slot, stripe mask, goroutine. A job with
 // no queue is a synchronous caller's message (see ProcessMessage).
 type job struct {
+	app  *App
 	q    *broker.Queue
 	d    broker.Delivery
 	msg  *wire.Message
@@ -120,9 +122,26 @@ type job struct {
 	wait  *vstore.Parked
 	timer *time.Timer
 
-	woken  bool          // released before park recorded it (under parkMu)
-	wakeup chan struct{} // synchronous jobs: what release signals
+	woken  bool          // released before park or awaitRelease recorded it (under parkMu)
+	wakeup chan struct{} // a synchronous job that parked: what release signals
+
+	scratch applyScratch
 }
+
+// applyScratch is what applying one operation needs and nothing keeps:
+// the record handed to Mapper.Save or to an observer's callbacks, and
+// those callbacks' context. It lives in the job, one operation after the
+// other, which is why a subscriber's CallbackCtx.Record is valid for the
+// duration of the callback only (Clone to keep).
+type applyScratch struct {
+	rec model.Record
+	ctx model.CallbackCtx
+}
+
+// Wake implements vstore.Waker: the job itself is what a dependency wait
+// leaves registered, so a probe that finds everything met — nearly all
+// of them — allocates nothing for a wake-up it never needs.
+func (j *job) Wake() { j.app.release(j) }
 
 // jobKeys is the fixed capacity of a job's inline dependency plan.
 const jobKeys = 6
@@ -146,9 +165,15 @@ func (a *App) park(j *job) {
 // release is a reason to look, not a promise).
 func (a *App) release(j *job) {
 	if j.q == nil {
-		select {
-		case j.wakeup <- struct{}{}:
-		default:
+		a.parkMu.Lock()
+		ch := j.wakeup
+		j.woken = ch == nil // before its caller got to wait: see awaitRelease
+		a.parkMu.Unlock()
+		if ch != nil {
+			select {
+			case ch <- struct{}{}:
+			default:
+			}
 		}
 		return
 	}
@@ -405,7 +430,7 @@ func (a *App) workerLoop(stop <-chan struct{}) {
 			jobs := make([]job, len(ds)) // one allocation per batch, not per message
 			batch = make([]*job, len(ds))
 			for i, d := range ds {
-				jobs[i] = job{q: q, d: d}
+				jobs[i] = job{app: a, q: q, d: d}
 				batch[i] = &jobs[i]
 			}
 		}
@@ -486,7 +511,7 @@ func (a *App) processBatch(batch []*job, stop <-chan struct{}) {
 					a.redelivered.Inc()
 				}
 				decodeStart := time.Now()
-				msg, derr := wire.UnmarshalPooled(j.d.Payload)
+				msg, derr := wire.UnmarshalProjected(j.d.Payload, a.resolve)
 				a.Stages.Observe(StageDecode, time.Since(decodeStart))
 				if derr != nil {
 					// Poison message: ack (coalesced) and drop it rather
@@ -567,7 +592,7 @@ func (a *App) processBatch(batch []*job, stop <-chan struct{}) {
 func (a *App) applyMask(msg *wire.Message) uint64 {
 	var mask uint64
 	for i := range msg.Operations {
-		mask |= 1 << uint(a.applyStripe(msg.Operations[i].ObjectDep))
+		mask |= 1 << uint(a.applyStripe(a.objectKey(&msg.Operations[i])))
 	}
 	return mask
 }
@@ -776,11 +801,15 @@ func (a *App) consumeDecodedGuarded(j *job) ([]vstore.Key, bool, error) {
 // or on an unmet dependency blocks its caller until a release — a
 // counter reaching its threshold, the DepTimeout timer — lets it try
 // again.
+//
+// The message is lent to the apply, not copied: its attribute values
+// must be in the set a decode produces (model.Coerce's), and a callback
+// that modifies its record modifies the message.
 func (a *App) ProcessMessage(msg *wire.Message) error {
-	j := &job{msg: msg, wakeup: make(chan struct{}, 1)}
+	j := &job{app: a, msg: msg}
 	_, parked, err := a.process(j)
 	for parked {
-		<-j.wakeup
+		a.awaitRelease(j)
 		_, parked, err = a.process(j)
 	}
 	j.stopWaiting()
@@ -790,20 +819,35 @@ func (a *App) ProcessMessage(msg *wire.Message) error {
 	return err
 }
 
+// awaitRelease blocks a synchronous job's caller until a release. The
+// channel it waits on is made here, by the few that do park.
+func (a *App) awaitRelease(j *job) {
+	a.parkMu.Lock()
+	if j.wakeup == nil {
+		j.wakeup = make(chan struct{}, 1)
+	}
+	woken := j.woken
+	j.woken = false
+	a.parkMu.Unlock()
+	if !woken {
+		<-j.wakeup
+	}
+}
+
 // consume decodes and processes one message payload synchronously,
 // increments inline — bootstrap's live-queue drain, outside the
 // workers' windowed loop.
 func (a *App) consume(payload []byte) error {
 	decodeStart := time.Now()
-	msg, err := wire.UnmarshalPooled(payload)
+	msg, err := wire.UnmarshalProjected(payload, a.resolve)
 	a.Stages.Observe(StageDecode, time.Since(decodeStart))
 	if err != nil {
 		// Poison message: drop it loudly rather than loop forever.
 		return nil
 	}
 	err = a.ProcessMessage(msg)
-	// The processing pipeline copies attribute values into records and
-	// never retains the message, so it can go back to the decode pool.
+	// The engine copied in what it stored and nothing else retains the
+	// message, so it can go back to the decode pool.
 	wire.ReleaseMessage(msg)
 	if errors.Is(err, errStaleGeneration) {
 		return nil
@@ -848,27 +892,22 @@ func (a *App) process(j *job) ([]vstore.Key, bool, error) {
 		j.entered = true
 	}
 	if a.Bootstrapping() {
-		incr, err := a.processBootstrapMessage(msg, j.q != nil)
+		incr, err := a.processBootstrapMessage(j, j.q != nil)
 		return incr, false, err
 	}
 	if mode := a.originMode(msg.App); mode != Weak {
 		return a.processCausal(j, mode)
 	}
-	return nil, false, a.processWeak(msg)
+	return nil, false, a.processWeak(j)
 }
 
 // originMode returns the strongest delivery mode among this app's
 // subscriptions from the origin.
 func (a *App) originMode(origin string) DeliveryMode {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	mode := Weak
-	for _, origins := range a.subs {
-		if ss, ok := origins[origin]; ok && ss.mode > mode {
-			mode = ss.mode
-		}
+	if o := (*a.compiled.Load())[origin]; o != nil {
+		return o.mode
 	}
-	return mode
+	return Weak
 }
 
 // processCausal implements the subscriber algorithm of §4.2: wait until
@@ -903,11 +942,11 @@ func (a *App) processCausal(j *job, mode DeliveryMode) ([]vstore.Key, bool, erro
 	}
 
 	deadline := j.probedAt.Add(timeout)
-	var wake func()
+	var wake vstore.Waker
 	if timeout < 0 || time.Now().Before(deadline) {
-		wake = func() { a.release(j) }
+		wake = j
 	}
-	w, admitted, err := a.applyOps(msg, j.reqs, wake)
+	w, admitted, err := a.applyOps(j, j.reqs, wake)
 	if err != nil {
 		return nil, false, err
 	}
@@ -920,7 +959,7 @@ func (a *App) processCausal(j *job, mode DeliveryMode) ([]vstore.Key, bool, erro
 	if w != nil && wake != nil {
 		j.wait = w
 		if timeout > 0 && j.timer == nil {
-			j.timer = time.AfterFunc(time.Until(deadline), wake)
+			j.timer = time.AfterFunc(time.Until(deadline), j.Wake)
 		}
 		if j.q != nil {
 			a.park(j)
@@ -932,7 +971,7 @@ func (a *App) processCausal(j *job, mode DeliveryMode) ([]vstore.Key, bool, erro
 		// anyway, trading consistency for availability; the per-object
 		// guard in the apply discards stale versions, weak-style.
 		a.noteDepTimeout(a.describeDepTimeout(&vstore.WaitError{Unmet: w.Unmet}))
-		if _, admitted, err = a.applyOps(msg, nil, nil); err != nil {
+		if _, admitted, err = a.applyOps(j, nil, nil); err != nil {
 			return nil, false, err
 		}
 	}
@@ -1029,13 +1068,28 @@ func dedupKeys(keys []vstore.Key) []vstore.Key {
 // the row can write stale data after a newer version already landed —
 // and since the guard has recorded the newer version, no redelivery ever
 // repairs it (permanent divergence under weak/degraded processing).
-func (a *App) applyStripe(depKey string) int {
+//
+// The stripe is FNV-1a over the key's decimal digits — the wire token of
+// a hashed key, so it never had to be kept as a string to be hashed.
+func (a *App) applyStripe(k vstore.Key) int {
+	var buf [20]byte
 	h := uint32(2166136261)
-	for i := 0; i < len(depKey); i++ {
-		h ^= uint32(depKey[i])
+	for _, c := range strconv.AppendUint(buf[:0], uint64(k), 10) {
+		h ^= uint32(c)
 		h *= 16777619
 	}
 	return int(h % uint32(len(a.applyLocks)))
+}
+
+// objectKey resolves an operation's object token into this app's
+// version-store key space: a hashed key is adopted verbatim (a projected
+// decode has it parsed already), a DVV publisher's name goes through the
+// tracker.
+func (a *App) objectKey(op *wire.Operation) vstore.Key {
+	if k, ok := op.ObjectKey(); ok {
+		return vstore.Key(k)
+	}
+	return a.tracker.Resolve(op.ObjectDep)
 }
 
 // lockStripes acquires the apply stripes in mask, lowest first — the
@@ -1073,7 +1127,8 @@ const guardWidth = 4
 // operation onward is rolled back so the redelivered message re-applies
 // exactly the unapplied operations — operations already persisted keep
 // their claims and are skipped as stale on redelivery (no double-apply).
-func (a *App) applyOps(msg *wire.Message, reqs []vstore.WaitReq, wake func()) (w *vstore.Parked, admitted time.Time, err error) {
+func (a *App) applyOps(j *job, reqs []vstore.WaitReq, wake vstore.Waker) (w *vstore.Parked, admitted time.Time, err error) {
+	msg := j.msg
 	var (
 		cbuf    [guardWidth]vstore.Claim
 		rbuf    [guardWidth]vstore.ClaimResult
@@ -1083,10 +1138,11 @@ func (a *App) applyOps(msg *wire.Message, reqs []vstore.WaitReq, wake func()) (w
 	claims, claimOp := cbuf[:0], obuf[:0] // claimOp[c] is the operation claims[c] guards
 	for i := range msg.Operations {
 		op := &msg.Operations[i]
-		if v, guarded := a.objectVersion(msg, op); guarded {
-			claims = append(claims, vstore.Claim{Key: a.tracker.Resolve(op.ObjectDep), Version: v})
+		if v, guarded := msg.ObjectVersion(op); guarded {
+			key := a.objectKey(op)
+			claims = append(claims, vstore.Claim{Key: key, Version: v})
 			claimOp = append(claimOp, i)
-			stripes |= 1 << uint(a.applyStripe(op.ObjectDep))
+			stripes |= 1 << uint(a.applyStripe(key))
 		}
 	}
 	results := rbuf[:]
@@ -1111,7 +1167,7 @@ func (a *App) applyOps(msg *wire.Message, reqs []vstore.WaitReq, wake func()) (w
 				continue // stale update: skip to the latest version
 			}
 		}
-		if err := a.applyOp(msg.App, &msg.Operations[i]); err != nil {
+		if err := a.applyOp(msg.App, &msg.Operations[i], &j.scratch); err != nil {
 			for ; mine < len(claims); mine++ {
 				if results[mine].Applied {
 					_ = a.store.RestoreVersion(claims[mine].Key, claims[mine].Version, results[mine].Prev)
@@ -1138,34 +1194,16 @@ func (a *App) recordApplied(msg *wire.Message) {
 
 // processWeak implements weak delivery: per-object last-writer-wins,
 // discarding messages older than what the store has seen (§4.2).
-func (a *App) processWeak(msg *wire.Message) error {
+func (a *App) processWeak(j *job) error {
+	msg := j.msg
 	applyStart := time.Now()
-	if _, _, err := a.applyOps(msg, nil, nil); err != nil {
+	if _, _, err := a.applyOps(j, nil, nil); err != nil {
 		return err
 	}
 	a.Stages.Observe(StageApply, time.Since(applyStart))
 	a.Processed.Add(1)
 	a.recordApplied(msg)
 	return nil
-}
-
-// objectVersion computes the object's post-write version from the
-// message dependencies (the embedded value is version−1 for writes).
-// The object's token lives in Dependencies (hash publisher) or Dots
-// (DVV publisher) depending on the origin's tracker.
-func (a *App) objectVersion(msg *wire.Message, op *wire.Operation) (uint64, bool) {
-	if v, ok := msg.Dependencies[op.ObjectDep]; ok {
-		return v + 1, true
-	}
-	if v, ok := msg.Dots[op.ObjectDep]; ok {
-		return v + 1, true
-	}
-	return 0, false
-}
-
-func keyOf(depKey string) vstore.Key {
-	k, _ := wire.ParseDepKey(depKey)
-	return vstore.Key(k)
 }
 
 // describeDepTimeout decorates a dependency-wait timeout with the
@@ -1222,7 +1260,7 @@ func (a *App) noteDepTimeout(err error) {
 func (a *App) noteFalseDeps(msg *wire.Message, reqs []vstore.WaitReq) {
 	for i := range msg.Operations {
 		op := &msg.Operations[i]
-		k := a.tracker.Resolve(op.ObjectDep)
+		k := a.objectKey(op)
 		if !slices.ContainsFunc(reqs, func(r vstore.WaitReq) bool { return r.Key == k && r.Need > 0 }) {
 			continue
 		}
@@ -1238,86 +1276,71 @@ func (a *App) noteFalseDeps(msg *wire.Message, reqs []vstore.WaitReq) {
 func (a *App) recordDepWriters(msg *wire.Message) {
 	for i := range msg.Operations {
 		op := &msg.Operations[i]
-		a.recordDepWriter(a.tracker.Resolve(op.ObjectDep), opFingerprint(msg.App, op.Model(), op.ID))
+		a.recordDepWriter(a.objectKey(op), opFingerprint(msg.App, op.Model(), op.ID))
 	}
 }
+
+// errStaleProjection fails a delivery whose attributes were decoded for
+// a projection that is not the subscription's current one (a Subscribe
+// or a schema change came between decode and apply): what the current
+// one wants may have been skipped, so the redelivery decodes it again.
+var errStaleProjection = errors.New("synapse: subscription changed since the message was decoded")
 
 // applyOp persists (or observes) a single operation if this app
 // subscribes to its model from the message's origin. Irrelevant
 // operations are skipped — but the message's dependency counters are
 // still maintained by the caller, since later messages may depend on
 // them.
-func (a *App) applyOp(origin string, op *wire.Operation) error {
+//
+// The received attributes are lent, not copied, whenever they can be the
+// record's own as they are: decoded through the subscription's current
+// projection, or all of them subscribed, and no virtual setter to run.
+// The engine's copy-in is then the only copy (package storage's row-
+// ownership rule). Otherwise the projection lands the subscribed ones on
+// a map of the record's own — for create, update and destroy alike.
+func (a *App) applyOp(origin string, op *wire.Operation, sc *applyScratch) error {
 	if err := a.faults.Fire(FaultApply); err != nil {
 		return err
 	}
-	modelName, spec := a.matchSubscription(origin, op.Types)
-	if spec == nil {
+	p := a.projectionFor(origin, op.Types)
+	if p == nil {
 		return nil
 	}
-	desc, ok := a.Descriptor(modelName)
-	if !ok {
-		return fmt.Errorf("synapse: subscribed model %s has no descriptor", modelName)
-	}
-
+	before, after := model.BeforeCreate, model.AfterCreate
 	switch op.Operation {
+	case wire.OpUpdate:
+		before, after = model.BeforeUpdate, model.AfterUpdate
 	case wire.OpDestroy:
-		if spec.observer {
-			rec := model.NewRecord(modelName, op.ID)
-			for attr := range spec.attrs {
-				if v, ok := op.Attributes[attr]; ok {
-					rec.Set(attr, v)
-				}
+		if !p.observer {
+			err := a.mapper.Delete(p.Desc.Name, op.ID)
+			if errors.Is(err, storage.ErrNotFound) {
+				return nil // deletes are idempotent on subscribers
 			}
-			return a.observe(desc, rec, model.BeforeDestroy, model.AfterDestroy)
+			return err
 		}
-		err := a.mapper.Delete(modelName, op.ID)
-		if errors.Is(err, storage.ErrNotFound) {
-			return nil // deletes are idempotent on subscribers
+		before, after = model.BeforeDestroy, model.AfterDestroy
+	}
+	sink, projected := op.Sink()
+	if projected && sink != wire.Sink(p) {
+		return errStaleProjection
+	}
+	rec := &sc.rec
+	*rec = model.Record{Model: p.Desc.Name, ID: op.ID, Attrs: op.Attributes}
+	if p.Virtual() || !(projected || p.Covers(op.Attributes)) {
+		rec.Attrs = make(map[string]any, len(op.Attributes))
+		if err := p.Apply(rec, op.Attributes); err != nil {
+			return err
 		}
-		return err
-	default:
-		rec := model.NewRecord(modelName, op.ID)
-		for attr := range spec.attrs {
-			v, ok := op.Attributes[attr]
-			if !ok {
-				continue
-			}
-			// Virtual attribute setters adapt mismatched schemas
-			// (Example 3); plain attributes are assigned directly.
-			if err := model.WriteValue(desc, rec, attr, v); err != nil {
-				return err
-			}
-		}
-		if spec.observer {
-			before, after := model.BeforeCreate, model.AfterCreate
-			if op.Operation == wire.OpUpdate {
-				before, after = model.BeforeUpdate, model.AfterUpdate
-			}
-			return a.observe(desc, rec, before, after)
-		}
+	} else if rec.Attrs == nil {
+		rec.Attrs = make(map[string]any)
+	}
+	if !p.observer {
 		return a.mapper.Save(rec)
 	}
-}
-
-// observe runs callbacks for a non-persisted (observer) model.
-func (a *App) observe(desc *model.Descriptor, rec *model.Record, before, after model.Hook) error {
-	ctx := &model.CallbackCtx{Record: rec, Bootstrapping: a.Bootstrapping(), Env: a.Env()}
-	if err := desc.Callbacks.Run(before, ctx); err != nil {
+	// A DB-less observer: the callbacks are all there is.
+	sc.ctx = model.CallbackCtx{Record: rec, Bootstrapping: a.Bootstrapping(), Env: a.Env()}
+	if err := p.Desc.Callbacks.Run(before, &sc.ctx); err != nil {
 		return err
 	}
-	return desc.Callbacks.Run(after, ctx)
-}
-
-// matchSubscription resolves the most-derived subscribed model for the
-// operation's type chain (polymorphic consumption, §4.1).
-func (a *App) matchSubscription(origin string, types []string) (string, *subSpec) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	for _, t := range types {
-		if ss, ok := a.subs[t][origin]; ok {
-			return t, ss
-		}
-	}
-	return "", nil
+	return p.Desc.Callbacks.Run(after, &sc.ctx)
 }

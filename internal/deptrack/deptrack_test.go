@@ -308,7 +308,7 @@ func TestOneWindowScriptServesBothTrackers(t *testing.T) {
 					reqMap[k] = max(reqMap[k], v)
 				}
 				claims := []vstore.Claim{{Key: s.tr.Resolve(msg.object), Version: msg.deps[msg.object] + 1}}
-				wake := func() { s.wakes[m]++ }
+				wake := vstore.WakeFunc(func() { s.wakes[m]++ })
 				var p *vstore.Parked
 				var err error
 				results := make([]vstore.ClaimResult, 1)

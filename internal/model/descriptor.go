@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // FieldType enumerates the attribute types a model descriptor can declare.
@@ -76,6 +77,9 @@ type Descriptor struct {
 	Callbacks Callbacks
 
 	fieldIndex map[string]*Field
+	// rev counts AddField, RemoveField and DefineVirtual: what a value
+	// compiled from the descriptor (Projection) checks itself against.
+	rev atomic.Uint64
 }
 
 // NewDescriptor builds a descriptor over the given fields.
@@ -94,6 +98,17 @@ func (d *Descriptor) reindex() {
 	for i := range d.Fields {
 		d.fieldIndex[d.Fields[i].Name] = &d.Fields[i]
 	}
+	d.rev.Add(1)
+}
+
+// Revision changes whenever the schema of the descriptor or of an
+// ancestor does (AddField, RemoveField, DefineVirtual).
+func (d *Descriptor) Revision() uint64 {
+	var rev uint64
+	for m := d; m != nil; m = m.Parent {
+		rev += m.rev.Load()
+	}
+	return rev
 }
 
 // AddField appends a persisted field (used by live schema migrations).
@@ -168,6 +183,7 @@ func (d *Descriptor) AttrNames() []string {
 // and/or setter for an attribute not in the DB schema, §3.1).
 func (d *Descriptor) DefineVirtual(v *VirtualAttr) {
 	d.Virtual[v.Name] = v
+	d.rev.Add(1)
 }
 
 // TypeChain returns the inheritance chain from this model up to the root,

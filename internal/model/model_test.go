@@ -207,23 +207,28 @@ func TestVirtualReadWrite(t *testing.T) {
 	r := NewRecord("User", "u1")
 	r.Set("first", "Ada")
 	r.Set("last", "Lovelace")
-	if got := ReadValue(d, r, "full"); got != "Ada Lovelace" {
-		t.Errorf("ReadValue(full) = %v", got)
+	p := d.Project([]string{"full", "first", "last", "nickname"})
+	if !p.Virtual() || p.Stale() {
+		t.Errorf("Virtual, Stale = %v, %v on a fresh projection with a setter", p.Virtual(), p.Stale())
 	}
-	if got := ReadValue(d, r, "first"); got != "Ada" {
-		t.Errorf("ReadValue(first) = %v", got)
+	if got := p.Read(r); len(got) != 3 || got["full"] != "Ada Lovelace" || got["first"] != "Ada" {
+		t.Errorf("Read = %v, want the getter's value, the stored ones, no absent one", got)
 	}
-	if err := WriteValue(d, r, "full", "Grace"); err != nil {
+	if err := p.Apply(r, map[string]any{"full": "Grace", "last": "Hopper", "unnamed": 1}); err != nil {
 		t.Fatal(err)
 	}
-	if r.String("first") != "Grace" {
-		t.Errorf("virtual setter did not apply: %v", r.Attrs)
+	if r.String("first") != "Grace" || r.String("last") != "Hopper" || r.Has("unnamed") || r.Has("full") {
+		t.Errorf("Apply left %v, want the setter run, the plain one assigned, the unnamed one dropped", r.Attrs)
 	}
-	if err := WriteValue(d, r, "last", "Hopper"); err != nil {
-		t.Fatal(err)
+	if k, ok := p.Key([]byte("last")); !ok || k != "last" {
+		t.Errorf("Key(last) = %q, %v", k, ok)
 	}
-	if r.String("last") != "Hopper" {
-		t.Errorf("plain WriteValue did not apply")
+	if _, ok := p.Key([]byte("unnamed")); ok || p.Covers(map[string]any{"unnamed": 1}) || !p.Covers(map[string]any{"last": 1}) {
+		t.Error("an unnamed key is named or covered, or a named one is not")
+	}
+	d.AddField(Field{Name: "nickname", Type: String})
+	if !p.Stale() {
+		t.Error("AddField left the projection current")
 	}
 }
 

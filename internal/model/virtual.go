@@ -4,28 +4,9 @@ package model
 // DB schema (§3.1). On the publisher, Get computes the value to marshal;
 // on the subscriber, Set consumes the received value (e.g. to maintain a
 // join table, Example 3 / Fig 7). Either side may be nil when unused.
+// A Projection compiles which attributes go through one.
 type VirtualAttr struct {
 	Name string
 	Get  func(r *Record) any
 	Set  func(r *Record, v any) error
-}
-
-// ReadValue returns the attribute value for publishing: the virtual
-// getter when defined for name, otherwise the stored attribute. This is
-// the "call field getters" half of Synapse's ORM translation (§3.1).
-func ReadValue(d *Descriptor, r *Record, name string) any {
-	if v := d.VirtualAttrFor(name); v != nil && v.Get != nil {
-		return Coerce(v.Get(r))
-	}
-	return r.Get(name)
-}
-
-// WriteValue applies a received attribute value: the virtual setter when
-// defined, otherwise a plain attribute assignment.
-func WriteValue(d *Descriptor, r *Record, name string, value any) error {
-	if v := d.VirtualAttrFor(name); v != nil && v.Set != nil {
-		return v.Set(r, value)
-	}
-	r.Set(name, value)
-	return nil
 }

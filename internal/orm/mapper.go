@@ -125,11 +125,23 @@ func (r *Registry) SetHost(h Host) {
 func (r *Registry) Stats() *Stats { return &r.stats }
 
 // op is one mapper operation: its table, and the callback context both
-// of its hooks run in, built when a hook first has a callback to run.
+// of its hooks run in, taken from ctxPool when a hook first has a
+// callback to run and given back by done — a CallbackCtx is valid for
+// the duration of the callback.
 type op struct {
 	table
 	host Host
 	ctx  *model.CallbackCtx
+}
+
+var ctxPool = sync.Pool{New: func() any { return new(model.CallbackCtx) }}
+
+// done ends the operation.
+func (o *op) done() {
+	if o.ctx != nil {
+		*o.ctx = model.CallbackCtx{}
+		ctxPool.Put(o.ctx)
+	}
 }
 
 func (r *Registry) op(modelName string) (op, error) {
@@ -158,7 +170,7 @@ func (o *op) run(h model.Hook, rec *model.Record) error {
 		return nil
 	}
 	if o.ctx == nil {
-		o.ctx = &model.CallbackCtx{}
+		o.ctx = ctxPool.Get().(*model.CallbackCtx)
 		if o.host != nil {
 			o.ctx.Bootstrapping = o.host.Bootstrapping()
 			o.ctx.Env = o.host.Env()
@@ -174,6 +186,7 @@ func (r *Registry) RunCallbacks(h model.Hook, rec *model.Record) error {
 	if err != nil {
 		return err
 	}
+	defer o.done()
 	return o.run(h, rec)
 }
 
@@ -186,6 +199,7 @@ func (r *Registry) Stage(before model.Hook, rec *model.Record) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	defer o.done()
 	if err := o.run(before, rec); err != nil {
 		return "", err
 	}
@@ -249,6 +263,7 @@ func (r *Registry) publish(rec *model.Record, update bool) (*model.Record, error
 	if err != nil {
 		return nil, err
 	}
+	defer o.done()
 	if r.traits.Written == WrittenNothing {
 		r.stats.Reads.Add(1)
 		exists, err := r.b.Exists(o.name, rec.ID)
@@ -290,6 +305,7 @@ func (r *Registry) Save(rec *model.Record) error {
 	if err != nil {
 		return err
 	}
+	defer o.done()
 	r.stats.Reads.Add(1)
 	exists, err := r.b.Exists(o.name, rec.ID)
 	if err != nil {
@@ -311,6 +327,7 @@ func (r *Registry) Delete(modelName, id string) error {
 	if err != nil {
 		return err
 	}
+	defer o.done()
 	r.stats.Reads.Add(1)
 	row, err := r.b.Get(o.name, id)
 	if err != nil && r.traits.Written == WrittenNothing {

@@ -36,12 +36,12 @@ func tryBoth(t *testing.T, one, two *Store, m *scriptMsg) (windows uint64, parke
 	t.Helper()
 	results := make([]ClaimResult, len(m.claims))
 	before := one.RoundTrips()
-	p1, err := one.ClaimIfMet(m.reqs, m.claims, results, func() { m.wakes[0]++ })
+	p1, err := one.ClaimIfMet(m.reqs, m.claims, results, WakeFunc(func() { m.wakes[0]++ }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	windows = one.RoundTrips() - before
-	p2, err := two.Park(m.reqMap(), func() { m.wakes[1]++ })
+	p2, err := two.Park(m.reqMap(), WakeFunc(func() { m.wakes[1]++ }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestClaimIfMetNoLostWakeUnderConcurrentIncrements(t *testing.T) {
 				claims := []Claim{{Key: object, Version: v}}
 				var res [1]ClaimResult
 				for {
-					p, err := s.ClaimIfMet(reqs, claims, res[:], func() { woken <- struct{}{} })
+					p, err := s.ClaimIfMet(reqs, claims, res[:], WakeFunc(func() { woken <- struct{}{} }))
 					if err != nil {
 						t.Error(err)
 						return

@@ -29,7 +29,7 @@ func TestParkReadyRegistersNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wakes atomic.Int32
-	wake := func() { wakes.Add(1) }
+	wake := WakeFunc(func() { wakes.Add(1) })
 	before := s.RoundTrips()
 	if p, err := s.Park(map[Key]uint64{a: 1, b: 1}, wake); p != nil || err != nil {
 		t.Fatalf("Park on satisfied reqs = %v, %v; want nil, nil", p, err)
@@ -62,7 +62,7 @@ func TestParkFiresOnceAtThreshold(t *testing.T) {
 	}
 
 	var wakes atomic.Int32
-	p, err := s.Park(reqs, func() { wakes.Add(1) })
+	p, err := s.Park(reqs, WakeFunc(func() { wakes.Add(1) }))
 	if err != nil || p == nil {
 		t.Fatalf("Park = %v, %v; want unmet", p, err)
 	}
@@ -106,7 +106,7 @@ func TestParkCancelFlushKill(t *testing.T) {
 	k := s.KeyFor("k")
 	reqs := map[Key]uint64{k: 2}
 	var wakes atomic.Int32
-	wake := func() { wakes.Add(1) }
+	wake := WakeFunc(func() { wakes.Add(1) })
 
 	p, _ := s.Park(reqs, wake)
 	if !p.Cancel() || registrations(s) != 0 {
@@ -149,7 +149,7 @@ func TestParkNoLostWakeupUnderConcurrentIncrements(t *testing.T) {
 			for v := uint64(1); v <= rounds; v++ {
 				reqs := map[Key]uint64{keys[0]: v, keys[1]: v, keys[2]: v}
 				for {
-					p, err := s.Park(reqs, func() { woken <- struct{}{} })
+					p, err := s.Park(reqs, WakeFunc(func() { woken <- struct{}{} }))
 					if err != nil {
 						t.Error(err)
 						return

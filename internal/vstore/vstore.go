@@ -579,13 +579,25 @@ type Parked struct {
 
 	store *Store
 	keys  []Key // every key the wait may be registered on
-	wake  func()
+	wake  Waker
 	done  atomic.Bool
 }
 
+// Waker is what a wait that found requirements unmet leaves registered:
+// Wake is called once when the wait fires. An interface rather than a
+// func so that the waiter itself — the subscriber's job — can be handed
+// over on every probe, met or not, without allocating a closure.
+type Waker interface{ Wake() }
+
+// WakeFunc makes a Waker of a function.
+type WakeFunc func()
+
+// Wake calls f.
+func (f WakeFunc) Wake() { f() }
+
 func (p *Parked) fire() {
 	if p.Cancel() {
-		p.wake()
+		p.wake.Wake()
 	}
 }
 
@@ -648,7 +660,7 @@ type ClaimResult struct {
 // and takes only read locks, so concurrent probes of the same hot keys
 // never serialize against each other; the claim alone (ApplyBatch) is
 // ClaimIfMet with no requirements.
-func (s *Store) ClaimIfMet(reqs []WaitReq, claims []Claim, results []ClaimResult, wake func()) (*Parked, error) {
+func (s *Store) ClaimIfMet(reqs []WaitReq, claims []Claim, results []ClaimResult, wake Waker) (*Parked, error) {
 	if err := s.checkAlive(); err != nil {
 		return nil, err
 	}
@@ -759,7 +771,7 @@ func (s *Store) takeBack(cl []op) {
 
 // Park is the non-blocking dependency wait: ClaimIfMet with no claims,
 // over a requirement map.
-func (s *Store) Park(reqs map[Key]uint64, wake func()) (*Parked, error) {
+func (s *Store) Park(reqs map[Key]uint64, wake Waker) (*Parked, error) {
 	var buf [inlineOps]WaitReq
 	list := buf[:0]
 	for k, min := range reqs {
@@ -783,10 +795,10 @@ func (s *Store) WaitAtLeastMulti(reqs map[Key]uint64, timeout time.Duration) err
 		expired = t.C
 	}
 	var woken chan struct{}
-	var wake func()
+	var wake Waker
 	if timeout != 0 {
 		woken = make(chan struct{}, 1) // a wait fires once and is drained before the next: never full
-		wake = func() { woken <- struct{}{} }
+		wake = WakeFunc(func() { woken <- struct{}{} })
 	}
 	p, err := s.Park(reqs, wake)
 	for p != nil {

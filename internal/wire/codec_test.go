@@ -175,7 +175,7 @@ func stripCache(m *Message) *Message {
 func decodeBothWays(t *testing.T, payload []byte) (*Message, *Message) {
 	t.Helper()
 	fast := new(Message)
-	if err := decodeFast(payload, fast); err != nil {
+	if err := decodeFast(payload, fast, nil); err != nil {
 		t.Fatalf("fast decode rejected %s: %v", payload, err)
 	}
 	std, err := unmarshalStd(payload)
@@ -381,7 +381,7 @@ func TestQuickCodecEquivalence(t *testing.T) {
 			return false
 		}
 		fast := new(Message)
-		if err := decodeFast(want, fast); err != nil {
+		if err := decodeFast(want, fast, nil); err != nil {
 			t.Logf("fast decode rejected own output: %v", err)
 			return false
 		}
@@ -527,7 +527,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte(`{"APP":"😀","ſeq":1,"unknown":[{}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fast := new(Message)
-		if err := decodeFast(data, fast); err != nil {
+		if err := decodeFast(data, fast, nil); err != nil {
 			return // fallback handles it; parity covered by Unmarshal
 		}
 		std, err := unmarshalStd(data)

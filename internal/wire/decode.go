@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
 	"unicode/utf16"
@@ -39,7 +41,21 @@ type decoder struct {
 	data    []byte
 	pos     int
 	scratch []byte // unescape buffer, reused across strings
+
+	// resolve makes this a projected decode (see UnmarshalProjected).
+	// app is the message's origin once its key has been read; used marks
+	// that a sink has decided some operation's attributes already.
+	resolve Resolver
+	app     *string
+	used    bool
+	ranged  bool // skipping an attribute: numbers must fit float64
 }
+
+// errReordered ends a projected decode that cannot stand: it read the
+// app, a verb or a type chain after a sink chosen without it had skipped
+// attributes, or a dependency key spelled like no encoder spells it. The
+// payload is decoded again in full.
+var errReordered = errors.New("wire: projected decode met its keys out of order")
 
 func (d *decoder) errf(format string, args ...any) error {
 	return &decodeError{pos: d.pos, msg: fmt.Sprintf(format, args...)}
@@ -47,8 +63,8 @@ func (d *decoder) errf(format string, args ...any) error {
 
 // decodeFast parses data into m. m must be zeroed or pool-reset; its
 // retained maps/slices (cleared by reset) are refilled in place.
-func decodeFast(data []byte, m *Message) error {
-	d := decoder{data: data}
+func decodeFast(data []byte, m *Message, resolve Resolver) error {
+	d := decoder{data: data, resolve: resolve}
 	if err := d.message(m); err != nil {
 		return err
 	}
@@ -309,6 +325,19 @@ func (d *decoder) uint64Value() (uint64, error) {
 	return v, nil
 }
 
+// parseDecimal parses a dependency token that is a canonical decimal
+// uint64 — exactly what DepKey prints, so two of them are equal as
+// numbers if and only if equal as strings. (The conversion does not
+// allocate: ParseUint does not keep its argument, and a token that
+// parses fits the stack.)
+func parseDecimal(tok []byte) (uint64, bool) {
+	if len(tok) > 1 && tok[0] == '0' {
+		return 0, false
+	}
+	v, err := strconv.ParseUint(string(tok), 10, 64)
+	return v, err == nil
+}
+
 // message parses the top-level message object.
 func (d *decoder) message(m *Message) error {
 	if err := d.expect('{'); err != nil {
@@ -330,23 +359,27 @@ func (d *decoder) message(m *Message) error {
 		}
 		switch fieldName(key, messageFields) {
 		case "app":
-			if err := d.stringField(&m.App); err != nil {
+			if d.used {
+				return errReordered
+			}
+			if err := d.stringField(&m.App, true); err != nil {
 				return err
 			}
+			d.app = &m.App
 		case "operations":
 			if err := d.operations(m); err != nil {
 				return err
 			}
 		case "dependencies":
-			if err := d.depMap(&m.Dependencies); err != nil {
+			if err := d.depMap(&m.Dependencies, m); err != nil {
 				return err
 			}
 		case "external_dependencies":
-			if err := d.depMap(&m.External); err != nil {
+			if err := d.depMap(&m.External, nil); err != nil {
 				return err
 			}
 		case "dots":
-			if err := d.depMap(&m.Dots); err != nil {
+			if err := d.depMap(&m.Dots, nil); err != nil {
 				return err
 			}
 		case "published_at":
@@ -358,7 +391,7 @@ func (d *decoder) message(m *Message) error {
 				return err
 			}
 		case "global_dep":
-			if err := d.stringField(&m.GlobalDep); err != nil {
+			if err := d.stringField(&m.GlobalDep, true); err != nil {
 				return err
 			}
 		case "seq":
@@ -448,7 +481,9 @@ func foldEqual(key []byte, name string) bool {
 	return j == len(name)
 }
 
-func (d *decoder) stringField(dst *string) error {
+// stringField parses a string member; intern is for the tokens every
+// message of a stream repeats (origin, global dependency).
+func (d *decoder) stringField(dst *string, intern bool) error {
 	if null, err := d.tryNull(); err != nil {
 		return err
 	} else if null {
@@ -458,7 +493,11 @@ func (d *decoder) stringField(dst *string) error {
 	if err != nil {
 		return err
 	}
-	*dst = internString(s)
+	if intern {
+		*dst = internString(s)
+	} else {
+		*dst = string(s)
+	}
 	return nil
 }
 
@@ -523,21 +562,36 @@ func (d *decoder) publishedAt(m *Message) error {
 }
 
 // depMap parses a string→uint64 object, reusing the existing (cleared)
-// map when the pool supplies one.
-func (d *decoder) depMap(dst *map[string]uint64) error {
+// map when the pool supplies one. Keys are unique per object or per
+// message, so each is copied, not interned. Given the message — the
+// hashed dependencies of a projected decode — canonical decimal keys are
+// parsed in place into its numeric map and only the others are kept as
+// strings.
+func (d *decoder) depMap(dst *map[string]uint64, hashed *Message) error {
+	if d.resolve == nil {
+		hashed = nil
+	}
 	if null, err := d.tryNull(); err != nil {
 		return err
 	} else if null {
 		*dst = nil
+		if hashed != nil {
+			clear(hashed.parsedDeps)
+			hashed.depsParsed = false
+		}
 		return nil
 	}
 	if err := d.expect('{'); err != nil {
 		return err
 	}
-	m := *dst
-	if m == nil {
-		m = getDepMap()
-		*dst = m
+	if hashed == nil && *dst == nil {
+		*dst = getDepMap()
+	}
+	if hashed != nil {
+		if hashed.parsedDeps == nil {
+			hashed.parsedDeps = make(map[uint64]uint64, 4)
+		}
+		hashed.depsParsed = len(*dst) == 0 // until a key has to stay a string
 	}
 	if b, err := d.next(); err != nil {
 		return err
@@ -550,19 +604,43 @@ func (d *decoder) depMap(dst *map[string]uint64) error {
 		if err != nil {
 			return err
 		}
+		var (
+			name    string
+			k       uint64
+			numeric bool
+		)
+		if hashed != nil {
+			k, numeric = parseDecimal(key)
+		}
+		if !numeric {
+			name = string(key)
+			if _, err := strconv.ParseUint(name, 10, 64); hashed != nil && err == nil {
+				// "007": the same key as "7" to Deps, another one to
+				// ObjectVersion. Only the string form keeps both apart.
+				return errReordered
+			}
+		}
 		if err := d.expect(':'); err != nil {
 			return err
 		}
+		var v uint64
 		if null, err := d.tryNull(); err != nil {
 			return err
-		} else if null {
-			m[internString(key)] = 0
-		} else {
-			v, err := d.uint64Value()
-			if err != nil {
+		} else if !null {
+			if v, err = d.uint64Value(); err != nil {
 				return err
 			}
-			m[internString(key)] = v
+		}
+		if numeric {
+			hashed.parsedDeps[k] = v
+		} else {
+			if *dst == nil {
+				*dst = getDepMap()
+			}
+			(*dst)[name] = v
+			if hashed != nil {
+				hashed.depsParsed = false
+			}
 		}
 		b, err := d.next()
 		if err != nil {
@@ -647,6 +725,9 @@ func (d *decoder) operation(op *Operation) error {
 		d.pos++
 		return nil
 	}
+	// What a sink is chosen by; an attributes member ahead of either is
+	// decoded in full.
+	var verbSet, typesSet bool
 	for {
 		key, err := d.str()
 		if err != nil {
@@ -657,6 +738,9 @@ func (d *decoder) operation(op *Operation) error {
 		}
 		switch fieldName(key, operationFields) {
 		case "operation":
+			if op.projected {
+				return errReordered
+			}
 			if null, err := d.tryNull(); err != nil {
 				return err
 			} else if !null {
@@ -666,29 +750,28 @@ func (d *decoder) operation(op *Operation) error {
 				}
 				op.Operation = internVerb(s)
 			}
+			verbSet = true
 		case "types":
+			if op.projected {
+				return errReordered
+			}
 			if err := d.typeChain(op); err != nil {
 				return err
 			}
+			typesSet = true
 		case "id":
-			if err := d.stringField(&op.ID); err != nil {
+			if err := d.stringField(&op.ID, false); err != nil {
 				return err
 			}
 		case "attributes":
-			if null, err := d.tryNull(); err != nil {
+			// Not over attributes an earlier member left here in full.
+			project := op.projected || (d.resolve != nil && d.app != nil && verbSet && typesSet &&
+				op.Operation != OpWatermark && op.Attributes == nil)
+			if err := d.attributes(op, project); err != nil {
 				return err
-			} else if null {
-				op.Attributes = nil
-			} else {
-				if op.Attributes == nil {
-					op.Attributes = getAttrMap()
-				}
-				if err := d.anyObjectInto(op.Attributes, 0); err != nil {
-					return err
-				}
 			}
 		case "object_dep":
-			if err := d.stringField(&op.ObjectDep); err != nil {
+			if err := d.objectDep(op); err != nil {
 				return err
 			}
 		default:
@@ -708,6 +791,61 @@ func (d *decoder) operation(op *Operation) error {
 			return d.errf("expected ',' or '}' in object")
 		}
 	}
+}
+
+// attributes parses an operation's attributes member: in full, or — a
+// projected decode that knows the operation's origin, verb and type
+// chain by now — only what the operation's sink asks for.
+func (d *decoder) attributes(op *Operation, project bool) error {
+	var sink Sink
+	if project {
+		if !op.projected {
+			op.sink, op.projected, d.used = d.resolve(*d.app, op.Types), true, true
+		}
+		if sink = op.sink; sink == nil || !sink.Wants(op.Operation) {
+			sink = nothing{}
+		}
+	}
+	if null, err := d.tryNull(); err != nil {
+		return err
+	} else if null {
+		op.Attributes = nil
+		return nil
+	}
+	if op.Attributes == nil && sink != (nothing{}) {
+		op.Attributes = getAttrMap()
+	}
+	return d.anyObjectInto(op.Attributes, 0, sink)
+}
+
+// nothing is the sink of an operation nobody wants the attributes of:
+// the member is still checked to be the object it has to be.
+type nothing struct{}
+
+func (nothing) Wants(OpKind) bool         { return false }
+func (nothing) Key([]byte) (string, bool) { return "", false }
+
+// objectDep parses the object's dependency token: a projected decode
+// keeps a canonical decimal as the number it is, anything else is a
+// string unique to its object.
+func (d *decoder) objectDep(op *Operation) error {
+	if null, err := d.tryNull(); err != nil {
+		return err
+	} else if null {
+		return nil
+	}
+	s, err := d.str()
+	if err != nil {
+		return err
+	}
+	op.ObjectDep, op.depKey, op.hasKey = "", 0, false
+	if d.resolve != nil {
+		op.depKey, op.hasKey = parseDecimal(s)
+	}
+	if !op.hasKey {
+		op.ObjectDep = string(s)
+	}
+	return nil
 }
 
 // internVerb maps the three operation verbs onto their constants so the
@@ -803,10 +941,10 @@ func (d *decoder) anyValue(depth int) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return internStringAny(s), nil
+		return string(s), nil
 	case '{':
 		m := make(map[string]any)
-		if err := d.anyObjectInto(m, depth); err != nil {
+		if err := d.anyObjectInto(m, depth, nil); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -844,7 +982,7 @@ func (d *decoder) anyValue(depth int) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, err := internNumberAny(tok)
+		v, err := strconv.ParseFloat(string(tok), 64)
 		if err != nil {
 			return nil, d.errf("number %q out of range", tok)
 		}
@@ -853,8 +991,10 @@ func (d *decoder) anyValue(depth int) (any, error) {
 }
 
 // anyObjectInto fills an object's members into m (which may be a reused
-// pooled map, already cleared).
-func (d *decoder) anyObjectInto(m map[string]any, depth int) error {
+// pooled map, already cleared): all of them under interned keys — key
+// names repeat from one message to the next — or, given a sink, those it
+// asks for under its own strings, the rest scanned past.
+func (d *decoder) anyObjectInto(m map[string]any, depth int, sink Sink) error {
 	if depth > maxFastDepth {
 		return d.errf("nesting too deep for fast path")
 	}
@@ -875,12 +1015,21 @@ func (d *decoder) anyObjectInto(m map[string]any, depth int) error {
 		if err := d.expect(':'); err != nil {
 			return err
 		}
-		k := internString(key)
-		v, err := d.anyValue(depth + 1)
-		if err != nil {
+		k, wanted := "", true
+		if sink == nil {
+			k = internString(key)
+		} else {
+			k, wanted = sink.Key(key)
+		}
+		if wanted {
+			v, err := d.anyValue(depth + 1)
+			if err != nil {
+				return err
+			}
+			m[k] = v
+		} else if err := d.skipAttr(depth + 1); err != nil {
 			return err
 		}
-		m[k] = v
 		b, err := d.next()
 		if err != nil {
 			return err
@@ -893,6 +1042,17 @@ func (d *decoder) anyObjectInto(m map[string]any, depth int) error {
 			return d.errf("expected ',' or '}' in object")
 		}
 	}
+}
+
+// skipAttr scans past an attribute value nobody subscribed to. It fails
+// where building the value would — a number beyond float64 — so that a
+// projected decode falls back to encoding/json on exactly the payloads
+// a full one does.
+func (d *decoder) skipAttr(depth int) error {
+	d.ranged = true
+	err := d.skipValue(depth)
+	d.ranged = false
+	return err
 }
 
 // skipValue scans past one well-formed JSON value without building it.
@@ -969,7 +1129,12 @@ func (d *decoder) skipValue(depth int) error {
 			}
 		}
 	default:
-		_, err := d.number()
+		tok, err := d.number()
+		if err == nil && d.ranged && (len(tok) > 300 || bytes.ContainsAny(tok, "eE")) {
+			if _, perr := strconv.ParseFloat(string(tok), 64); perr != nil {
+				return d.errf("number %q out of range", tok)
+			}
+		}
 		return err
 	}
 }

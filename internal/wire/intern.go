@@ -1,57 +1,35 @@
 package wire
 
-import (
-	"strconv"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Bounded interning for the decode hot path. Message payloads repeat
-// the same small tokens endlessly — attribute and dependency key names,
-// type-chain entries, object IDs, enum-like string values, and even
-// number literals (versions, counters) — and every one of them used to
-// cost Unmarshal a fresh string copy, plus an interface box when the
-// destination is `any`. The tables below memoize both at once: a
-// direct-mapped, fixed-size cache keyed by the raw token bytes, each
-// slot holding the canonical string AND its pre-boxed `any`, so a hit
-// allocates nothing at all.
+// Bounded interning for the tokens a stream repeats in every message:
+// origin names, type-chain entries, attribute key names. Each used to
+// cost a decode a fresh string copy; the table below memoizes them in a
+// direct-mapped, fixed-size cache keyed by the raw token bytes, so a hit
+// allocates nothing. Tokens that are unique to their object or message —
+// ids, dependency tokens, attribute values — are never put through it:
+// on a live stream they only miss, and a miss costs more than the copy
+// it was meant to save.
 //
 // Properties that keep this safe and bounded:
 //
 //   - Strings are immutable, so sharing one canonical copy across
 //     messages (including pooled messages that are released while the
 //     interned string lives on) can never alias a mutation.
-//   - The tables are direct-mapped with overwrite-on-collision: a slot
+//   - The table is direct-mapped with overwrite-on-collision: a slot
 //     always holds at most one entry, so memory is hard-bounded at
-//     internSlots x (entry + <= internMaxLen bytes) per table, and a
-//     pathological workload degrades to the old copy-per-token cost,
-//     never to unbounded growth.
+//     internSlots x (entry + <= internMaxLen bytes), and a pathological
+//     workload degrades to the old copy-per-token cost, never to
+//     unbounded growth.
 //   - Slots are atomic pointers: readers race writers without locks;
 //     a lost-update on concurrent misses just means one extra copy.
-//   - Tokens longer than internMaxLen bypass the cache — big payload
-//     strings are both poor cache candidates and the ones that would
-//     pin the most memory.
+//   - Tokens longer than internMaxLen bypass the cache.
 const (
-	internSlots  = 2048 // per table; must be a power of two
+	internSlots  = 2048 // must be a power of two
 	internMaxLen = 64
 )
 
-type internEntry struct {
-	s   string
-	box any // s pre-boxed, so `any` destinations skip the convT alloc
-}
-
-// numEntry memoizes a parsed number literal: token bytes -> boxed
-// float64. Kept separate from the string table because the same token
-// ("42") can legitimately appear as both a string and a number.
-type numEntry struct {
-	tok string
-	box any
-}
-
-var (
-	internTab [internSlots]atomic.Pointer[internEntry]
-	numTab    [internSlots]atomic.Pointer[numEntry]
-)
+var internTab [internSlots]atomic.Pointer[string]
 
 // internIdx is FNV-1a over the token bytes, folded to a table slot.
 func internIdx(b []byte) uint32 {
@@ -64,58 +42,17 @@ func internIdx(b []byte) uint32 {
 }
 
 // internString returns a canonical string for b, copying only on a
-// cache miss. (The e.s == string(b) comparison does not allocate: the
+// cache miss. (The *e == string(b) comparison does not allocate: the
 // compiler compares the bytes in place.)
 func internString(b []byte) string {
 	if len(b) > internMaxLen {
 		return string(b)
 	}
 	slot := &internTab[internIdx(b)]
-	if e := slot.Load(); e != nil && e.s == string(b) {
-		return e.s
+	if e := slot.Load(); e != nil && *e == string(b) {
+		return *e
 	}
-	e := &internEntry{s: string(b)}
-	e.box = e.s
-	slot.Store(e)
-	return e.s
-}
-
-// internStringAny returns b as a boxed `any` string, allocating neither
-// the string nor the interface on a cache hit.
-func internStringAny(b []byte) any {
-	if len(b) > internMaxLen {
-		return string(b)
-	}
-	slot := &internTab[internIdx(b)]
-	if e := slot.Load(); e != nil && e.s == string(b) {
-		return e.box
-	}
-	e := &internEntry{s: string(b)}
-	e.box = e.s
-	slot.Store(e)
-	return e.box
-}
-
-// internNumberAny parses a JSON number token into a boxed float64,
-// memoizing token -> box so repeated literals (versions, ids, counters)
-// cost zero allocations. Parse failures are never cached.
-func internNumberAny(tok []byte) (any, error) {
-	if len(tok) > internMaxLen {
-		f, err := strconv.ParseFloat(string(tok), 64)
-		if err != nil {
-			return nil, err
-		}
-		return f, nil
-	}
-	slot := &numTab[internIdx(tok)]
-	if e := slot.Load(); e != nil && e.tok == string(tok) {
-		return e.box, nil
-	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		return nil, err
-	}
-	e := &numEntry{tok: string(tok), box: f}
-	slot.Store(e)
-	return e.box, nil
+	s := string(b)
+	slot.Store(&s)
+	return s
 }

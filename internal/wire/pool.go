@@ -7,13 +7,13 @@ import (
 
 // Message pooling. The subscriber hot path decodes one message per
 // delivery, walks it, and drops it — a perfect pooling candidate,
-// because nothing downstream retains the struct: attribute values are
-// copied into model records and the maps themselves never escape the
-// worker (see DESIGN.md, "Pooling lifecycle"). UnmarshalPooled hands out
-// a reset pooled message; the caller owns it until ReleaseMessage, after
-// which every map, slice, and byte of it may be reused by another
-// decode. Callers that retain any part of a message (tests, journals)
-// must use plain Unmarshal instead.
+// because nothing downstream retains the struct: its attribute maps are
+// lent to the apply, the engine copies in what it stores, and neither
+// outlives the delivery (see DESIGN.md, "Pooling lifecycle").
+// UnmarshalPooled hands out a reset pooled message; the caller owns it
+// until ReleaseMessage, after which every map, slice, and byte of it may
+// be reused by another decode. Callers that retain any part of a message
+// (tests, journals) must use plain Unmarshal instead.
 
 var msgPool = sync.Pool{
 	New: func() any { return new(Message) },
@@ -35,9 +35,40 @@ func getDepMap() map[string]uint64 { return depMapPool.Get().(map[string]uint64)
 // reusing its maps and slices. On a fast-path decode failure the pooled
 // struct goes back to the pool and the stdlib fallback allocates a
 // fresh message — callers release either kind with ReleaseMessage.
-func UnmarshalPooled(b []byte) (*Message, error) {
+func UnmarshalPooled(b []byte) (*Message, error) { return UnmarshalProjected(b, nil) }
+
+// Sink is a compiled subscription as the decoder sees it: which of an
+// operation's attributes to materialise, and under which string.
+type Sink interface {
+	// Wants reports whether an operation with this verb needs its
+	// attributes at all (a persisted model's destroy does not).
+	Wants(verb OpKind) bool
+	// Key returns the subscriber's own string for a subscribed attribute
+	// key, so a decode copies no key; false for an attribute to skip.
+	Key(raw []byte) (string, bool)
+}
+
+// Resolver picks the sink for an operation published by app with the
+// given type chain; nil when nobody subscribed to it.
+type Resolver func(app string, types []string) Sink
+
+// UnmarshalProjected is UnmarshalPooled for a subscriber that knows what
+// it wants: each operation's attributes go through the sink resolve
+// picks for it — unsubscribed attributes, and every attribute of an
+// operation without a sink, are scanned past and never built (Operation.
+// Sink says which sink decided) — and decimal dependency tokens are
+// parsed in place: they are in Deps and Operation.ObjectKey, not in
+// Dependencies and ObjectDep. A payload whose keys arrive in an order
+// that hides the app, verb or type chain from the attributes, and a nil
+// resolve, decode in full like UnmarshalPooled.
+func UnmarshalProjected(b []byte, resolve Resolver) (*Message, error) {
 	m := msgPool.Get().(*Message)
-	if err := decodeFast(b, m); err != nil {
+	err := decodeFast(b, m, resolve)
+	if err == errReordered {
+		m.reset()
+		err = decodeFast(b, m, nil)
+	}
+	if err != nil {
 		m.reset()
 		msgPool.Put(m)
 		return unmarshalStd(b)
@@ -109,4 +140,6 @@ func (o *Operation) resetKeepAlloc() {
 		o.Attributes = nil
 	}
 	o.ObjectDep = ""
+	o.sink, o.projected = nil, false
+	o.depKey, o.hasKey = 0, false
 }

@@ -83,9 +83,30 @@ type Operation struct {
 	// destroys).
 	Attributes map[string]any `json:"attributes,omitempty"`
 	// ObjectDep is the hashed dependency key of the object itself —
-	// what a weak-mode subscriber consults for last-writer-wins.
+	// what a weak-mode subscriber consults for last-writer-wins. A
+	// projected decode (UnmarshalProjected) parses a decimal token in
+	// place instead: ObjectKey has it, and this field stays empty.
 	ObjectDep string `json:"object_dep"`
+
+	// Set by a projected decode only. projected: Attributes holds exactly
+	// what sink asked for, under sink's own key strings — nothing at all
+	// when sink is nil or did not want this verb's attributes.
+	sink      Sink
+	projected bool
+	depKey    uint64
+	hasKey    bool
 }
+
+// Sink reports which sink chose this operation's attributes, and whether
+// one did: false for an operation decoded in full (Unmarshal, a message
+// built by hand), whose Attributes are still everything the publisher
+// sent.
+func (o *Operation) Sink() (Sink, bool) { return o.sink, o.projected }
+
+// ObjectKey returns the object's dependency token as a hashed key when a
+// projected decode parsed it in place; otherwise the token, decimal or
+// name, is in ObjectDep.
+func (o *Operation) ObjectKey() (uint64, bool) { return o.depKey, o.hasKey }
 
 // Model returns the most-derived type name.
 func (o *Operation) Model() string {
@@ -135,38 +156,58 @@ type Message struct {
 	// rely on the per-object version guard to make them idempotent.
 	Recovered bool `json:"recovered,omitempty"`
 
-	// parsedDeps caches the Dependencies map with its keys parsed back to
-	// hashed dependency keys. Populated lazily by Deps; not concurrency
-	// safe (a message is owned by one worker at a time). depsParsed marks
-	// the cache valid — a pooled message keeps the cleared map between
-	// uses, so a nil check alone cannot distinguish "cached empty" from
-	// "not yet parsed".
+	// parsedDeps holds the hashed dependencies under their numeric keys.
+	// A projected decode parses them straight into it (a key that is not
+	// a number stays in Dependencies, for Deps to report); otherwise Deps
+	// fills it from Dependencies, once. Not concurrency safe (a message
+	// is owned by one worker at a time). depsParsed marks it complete — a
+	// pooled message keeps the cleared map between uses, so a nil check
+	// alone cannot distinguish "complete and empty" from "not yet parsed".
 	parsedDeps map[uint64]uint64
 	depsParsed bool
 }
 
-// Deps returns the Dependencies map with keys parsed to hashed
-// dependency keys, caching the result so the subscriber pipeline parses
-// each message's map once rather than once per stage.
+// Deps returns the hashed dependencies keyed by hashed dependency key,
+// parsing the Dependencies map once rather than once per pipeline stage.
 func (m *Message) Deps() (map[uint64]uint64, error) {
 	if m.depsParsed {
 		return m.parsedDeps, nil
 	}
-	out := m.parsedDeps
-	if out == nil {
-		out = make(map[uint64]uint64, len(m.Dependencies))
+	if m.parsedDeps == nil {
+		m.parsedDeps = make(map[uint64]uint64, len(m.Dependencies))
 	}
 	for s, v := range m.Dependencies {
 		k, err := ParseDepKey(s)
 		if err != nil {
-			clear(out)
 			return nil, err
 		}
-		out[k] = v
+		m.parsedDeps[k] = v
 	}
-	m.parsedDeps = out
 	m.depsParsed = true
-	return out, nil
+	return m.parsedDeps, nil
+}
+
+// ObjectVersion computes the post-write version of op's object from the
+// message's dependencies (the embedded value is version−1 for writes):
+// its token lives in Dependencies (hash publisher) or Dots (DVV
+// publisher). False when the message carries no version for it.
+func (m *Message) ObjectVersion(op *Operation) (uint64, bool) {
+	tok := op.ObjectDep
+	if op.hasKey {
+		if v, ok := m.parsedDeps[op.depKey]; ok {
+			return v + 1, true
+		}
+		if len(m.Dots) == 0 {
+			return 0, false
+		}
+		tok = DepKey(op.depKey) // a decimal among the dots: no publisher sends one
+	} else if v, ok := m.Dependencies[tok]; ok {
+		return v + 1, true
+	}
+	if v, ok := m.Dots[tok]; ok {
+		return v + 1, true
+	}
+	return 0, false
 }
 
 // DepKey renders a hashed dependency key for the maps above.
@@ -209,7 +250,7 @@ func marshalStd(m *Message) ([]byte, error) {
 // both results and errors stay exactly the stdlib's.
 func Unmarshal(b []byte) (*Message, error) {
 	m := new(Message)
-	if err := decodeFast(b, m); err != nil {
+	if err := decodeFast(b, m, nil); err != nil {
 		return unmarshalStd(b)
 	}
 	return m, nil

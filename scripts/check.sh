@@ -18,9 +18,10 @@ echo "== go build =="
 go build ./...
 
 echo "== go vet (hot path) =="
-# Vet the alloc-sensitive hot-path packages first so codec/broker
-# regressions fail fast, before the full-suite vet and race build.
-go vet ./internal/wire/ ./internal/broker/
+# Vet the alloc-sensitive hot-path packages first so codec, broker and
+# projection regressions fail fast, before the full-suite vet and race
+# build.
+go vet ./internal/wire/ ./internal/broker/ ./internal/model/ ./internal/core/
 
 echo "== go vet =="
 go vet ./...
