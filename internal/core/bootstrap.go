@@ -112,7 +112,8 @@ func (a *App) touchWindow(msg *wire.Message) {
 		for i := range msg.Operations {
 			op := &msg.Operations[i]
 			if v, ok := msg.ObjectVersion(op); ok {
-				w.touched[a.objectKey(op)] = max(v, w.touched[a.objectKey(op)])
+				k := a.objectKey(op)
+				w.touched[k] = max(v, w.touched[k])
 			}
 		}
 	}

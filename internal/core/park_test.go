@@ -134,7 +134,7 @@ func fetchJobs(t *testing.T, a *App, n int) []*job {
 	}
 	jobs := make([]*job, n)
 	for i, d := range ds {
-		msg, err := wire.UnmarshalPooled(d.Payload)
+		msg, err := wire.UnmarshalProjected(d.Payload, a.resolve)
 		if err != nil {
 			t.Fatal(err)
 		}

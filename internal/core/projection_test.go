@@ -176,7 +176,7 @@ func TestApplyAllocBudget(t *testing.T) {
 		t.Fatalf("%d of %d deliveries reached a callback", applied, want)
 	}
 	n := float64(after.Mallocs-before.Mallocs) / float64(len(stream))
-	const budget = 10 // measured 8.8: decode 4.0, the engine's copy-in 2, the synchronous job 1, the version store's windows the rest
+	const budget = 11 // measured 9.8: decode 4.0, the engine's copy-in 2, the synchronous job and its channel 2, the version store's windows the rest
 	if n > budget {
 		t.Errorf("decode + apply of the live stream = %.1f allocs/delivery, want <= %d", n, budget)
 	}
@@ -474,5 +474,79 @@ func TestSchemaChangeAfterSubscribeTakesEffect(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return stored().String("display") == "GRACE" })
 	if got := stored(); got.String("email") != "u1@contacts" || got.String("name") != "ada" {
 		t.Errorf("after the schema change the subscriber stores %v; want the getter's email, the name left to the setter", got.Attrs)
+	}
+}
+
+// TestSubscribeWhileDecodedJobsWait: Subscribe and AddField with
+// workers running are a supported flow (examples/migration), and they
+// recompile every projection while deliveries already decoded sit parked
+// or in a batch. Those still apply when what they kept is all the current
+// projection names — no failed delivery, no attempt counted towards the
+// dead-letter set — and only a Subscribe for more of the same model sends
+// one back, to be decoded again with the new attribute.
+func TestSubscribeWhileDecodedJobsWait(t *testing.T) {
+	f := NewFabric()
+	pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
+	mustPublish(t, pub, userDesc(), "name", "email")
+	mustPublish(t, pub, postDesc(), "body")
+	sub, subMapper := newDocApp(t, f, "sub", Config{})
+	subUser := userDesc()
+	mustSubscribe(t, sub, subUser, SubSpec{From: "pub", Attrs: []string{"name"}})
+
+	ctl := pub.NewController(nil)
+	u := model.NewRecord("User", "u1")
+	u.Set("name", "v1")
+	u.Set("email", "u1@pub")
+	if _, err := ctl.Create(u); err != nil {
+		t.Fatal(err)
+	}
+	updateUser(t, ctl, "u1", "v2")
+	u.Set("name", "v3")
+	u.Set("email", "u1@v3")
+	if _, err := ctl.Update(u); err != nil {
+		t.Fatal(err)
+	}
+	jobs := fetchJobs(t, sub, 3)
+	create, second, third := jobs[0], jobs[1], jobs[2]
+	if _, parked, err := sub.consumeDecoded(second); !parked || err != nil {
+		t.Fatalf("update ahead of its create: parked=%v err=%v, want parked", parked, err)
+	}
+
+	// Nothing the User subscription names changes: another model, a field.
+	mustSubscribe(t, sub, postDesc(), SubSpec{From: "pub", Attrs: []string{"body"}})
+	subUser.AddField(model.Field{Name: "display", Type: model.String})
+	incr, parked, err := sub.consumeDecoded(create)
+	if parked || err != nil {
+		t.Fatalf("create decoded before an unrelated Subscribe: parked=%v err=%v", parked, err)
+	}
+	sub.commits.Add(flushEntry{q: create.q, tag: create.d.Tag, incr: incr})
+	sub.commits.Flush()
+	if batch := sub.takeReady(4); len(batch) != 1 || batch[0] != second {
+		t.Fatalf("takeReady = %v, want the parked update", batch)
+	}
+	if incr, parked, err = sub.consumeDecoded(second); parked || err != nil {
+		t.Fatalf("parked update decoded before an unrelated Subscribe: parked=%v err=%v", parked, err)
+	}
+	sub.commits.Add(flushEntry{q: second.q, tag: second.d.Tag, incr: incr})
+	sub.commits.Flush()
+	if got, err := subMapper.Find("User", "u1"); err != nil || got.String("name") != "v2" || got.Has("email") {
+		t.Fatalf("u1 = %v, %v; want name v2 and no email", got, err)
+	}
+
+	// More of the same model: the decode skipped what is now wanted.
+	mustSubscribe(t, sub, subUser, SubSpec{From: "pub", Attrs: []string{"email"}})
+	payload := third.d.Payload
+	if _, _, err := sub.consumeDecoded(third); err != errStaleProjection {
+		t.Fatalf("update decoded before a Subscribe for more of its model: err=%v, want errStaleProjection", err)
+	}
+	again, err := wire.UnmarshalProjected(payload, sub.resolve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, parked, err := sub.consumeDecoded(&job{app: sub, q: third.q, d: third.d, msg: again, mask: sub.applyMask(again)}); parked || err != nil {
+		t.Fatalf("the same update decoded again: parked=%v err=%v", parked, err)
+	}
+	if got, _ := subMapper.Find("User", "u1"); got.String("name") != "v3" || got.String("email") != "u1@v3" {
+		t.Errorf("u1 = %v; want name v3 and the email the first decode skipped", got.Attrs)
 	}
 }

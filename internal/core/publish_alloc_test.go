@@ -7,13 +7,6 @@ import (
 	"synapse/internal/model"
 )
 
-// TestPublishAllocBudget pins what one journaled publish allocates on
-// the path the benchmark's social_causal workload takes: a PostgreSQL
-// publisher (2PC, transactional outbox), causal mode, one Update with
-// one read dependency. The journal's share of it is the append alone —
-// confirming an entry allocates nothing and truncation is amortised
-// over 256 messages. The race detector makes sync.Pool drop items on
-// purpose, so the steady state is only observable without it.
 // skipUnderRace skips an allocation budget: the race detector makes
 // sync.Pool drop items on purpose and allocates on its own account.
 func skipUnderRace(t *testing.T) {
@@ -27,6 +20,13 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
+// TestPublishAllocBudget pins what one journaled publish allocates on
+// the path the benchmark's social_causal workload takes: a PostgreSQL
+// publisher (2PC, transactional outbox), causal mode, one Update with
+// one read dependency. The journal's share of it is the append alone —
+// confirming an entry allocates nothing and truncation is amortised
+// over 256 messages. The race detector makes sync.Pool drop items on
+// purpose, so the steady state is only observable without it.
 func TestPublishAllocBudget(t *testing.T) {
 	skipUnderRace(t)
 	f := NewFabric()

@@ -122,8 +122,8 @@ type job struct {
 	wait  *vstore.Parked
 	timer *time.Timer
 
-	woken  bool          // released before park or awaitRelease recorded it (under parkMu)
-	wakeup chan struct{} // a synchronous job that parked: what release signals
+	woken  bool          // released before park recorded it (under parkMu)
+	wakeup chan struct{} // synchronous jobs: what release signals
 
 	scratch applyScratch
 }
@@ -165,15 +165,9 @@ func (a *App) park(j *job) {
 // release is a reason to look, not a promise).
 func (a *App) release(j *job) {
 	if j.q == nil {
-		a.parkMu.Lock()
-		ch := j.wakeup
-		j.woken = ch == nil // before its caller got to wait: see awaitRelease
-		a.parkMu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- struct{}{}:
-			default:
-			}
+		select {
+		case j.wakeup <- struct{}{}:
+		default:
 		}
 		return
 	}
@@ -801,15 +795,11 @@ func (a *App) consumeDecodedGuarded(j *job) ([]vstore.Key, bool, error) {
 // or on an unmet dependency blocks its caller until a release — a
 // counter reaching its threshold, the DepTimeout timer — lets it try
 // again.
-//
-// The message is lent to the apply, not copied: its attribute values
-// must be in the set a decode produces (model.Coerce's), and a callback
-// that modifies its record modifies the message.
 func (a *App) ProcessMessage(msg *wire.Message) error {
-	j := &job{app: a, msg: msg}
+	j := &job{app: a, msg: msg, wakeup: make(chan struct{}, 1)}
 	_, parked, err := a.process(j)
 	for parked {
-		a.awaitRelease(j)
+		<-j.wakeup
 		_, parked, err = a.process(j)
 	}
 	j.stopWaiting()
@@ -817,21 +807,6 @@ func (a *App) ProcessMessage(msg *wire.Message) error {
 		a.exitGeneration(msg.App, msg.Generation)
 	}
 	return err
-}
-
-// awaitRelease blocks a synchronous job's caller until a release. The
-// channel it waits on is made here, by the few that do park.
-func (a *App) awaitRelease(j *job) {
-	a.parkMu.Lock()
-	if j.wakeup == nil {
-		j.wakeup = make(chan struct{}, 1)
-	}
-	woken := j.woken
-	j.woken = false
-	a.parkMu.Unlock()
-	if !woken {
-		<-j.wakeup
-	}
 }
 
 // consume decodes and processes one message payload synchronously,
@@ -1281,9 +1256,9 @@ func (a *App) recordDepWriters(msg *wire.Message) {
 }
 
 // errStaleProjection fails a delivery whose attributes were decoded for
-// a projection that is not the subscription's current one (a Subscribe
-// or a schema change came between decode and apply): what the current
-// one wants may have been skipped, so the redelivery decodes it again.
+// a projection that skipped some of what the subscription's current one
+// names (a Subscribe for more of the model came between decode and
+// apply): the redelivery decodes it again.
 var errStaleProjection = errors.New("synapse: subscription changed since the message was decoded")
 
 // applyOp persists (or observes) a single operation if this app
@@ -1292,12 +1267,13 @@ var errStaleProjection = errors.New("synapse: subscription changed since the mes
 // still maintained by the caller, since later messages may depend on
 // them.
 //
-// The received attributes are lent, not copied, whenever they can be the
+// The received attributes are lent, not copied, when they can be the
 // record's own as they are: decoded through the subscription's current
-// projection, or all of them subscribed, and no virtual setter to run.
-// The engine's copy-in is then the only copy (package storage's row-
-// ownership rule). Otherwise the projection lands the subscribed ones on
-// a map of the record's own — for create, update and destroy alike.
+// projection, and no virtual setter to run. The engine's copy-in is then
+// the only copy (package storage's row-ownership rule). Otherwise — a
+// message decoded in full or built by hand — the projection lands the
+// subscribed ones, coerced, on a map of the record's own; for create,
+// update and destroy alike.
 func (a *App) applyOp(origin string, op *wire.Operation, sc *applyScratch) error {
 	if err := a.faults.Fire(FaultApply); err != nil {
 		return err
@@ -1322,11 +1298,17 @@ func (a *App) applyOp(origin string, op *wire.Operation, sc *applyScratch) error
 	}
 	sink, projected := op.Sink()
 	if projected && sink != wire.Sink(p) {
-		return errStaleProjection
+		// Decoded for an earlier compile of the subscriptions. What it kept
+		// still serves if it kept everything p names: p then filters it
+		// like a message decoded in full.
+		if was, _ := sink.(*projection); was == nil || !was.Wants(op.Operation) || !p.Within(was.Projection) {
+			return errStaleProjection
+		}
+		projected = false
 	}
 	rec := &sc.rec
 	*rec = model.Record{Model: p.Desc.Name, ID: op.ID, Attrs: op.Attributes}
-	if p.Virtual() || !(projected || p.Covers(op.Attributes)) {
+	if p.Virtual() || !projected {
 		rec.Attrs = make(map[string]any, len(op.Attributes))
 		if err := p.Apply(rec, op.Attributes); err != nil {
 			return err

@@ -223,8 +223,11 @@ func TestVirtualReadWrite(t *testing.T) {
 	if k, ok := p.Key([]byte("last")); !ok || k != "last" {
 		t.Errorf("Key(last) = %q, %v", k, ok)
 	}
-	if _, ok := p.Key([]byte("unnamed")); ok || p.Covers(map[string]any{"unnamed": 1}) || !p.Covers(map[string]any{"last": 1}) {
-		t.Error("an unnamed key is named or covered, or a named one is not")
+	if _, ok := p.Key([]byte("unnamed")); ok {
+		t.Error("an unnamed key is named")
+	}
+	if part := d.Project([]string{"last"}); !part.Within(p) || p.Within(part) {
+		t.Error("Within: a part must be within the whole, not the whole within a part")
 	}
 	d.AddField(Field{Name: "nickname", Type: String})
 	if !p.Stale() {

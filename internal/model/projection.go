@@ -64,11 +64,11 @@ func (p *Projection) Key(raw []byte) (string, bool) {
 // received attributes are then not the record's own (see Apply).
 func (p *Projection) Virtual() bool { return p.virtual }
 
-// Covers reports whether every received attribute is named, so that the
-// received map can serve as a record's attributes as it is.
-func (p *Projection) Covers(attrs map[string]any) bool {
-	for k := range attrs {
-		if _, ok := p.attrs[k]; !ok {
+// Within reports whether q names every attribute p names, so that what
+// was received through q is enough for p.
+func (p *Projection) Within(q *Projection) bool {
+	for k := range p.attrs {
+		if _, ok := q.attrs[k]; !ok {
 			return false
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -163,38 +164,36 @@ func checkProjectedMatchesFull(t *testing.T, payload []byte, resolve Resolver) {
 	}
 }
 
-// projectionCases are payloads the encoder never produces but the
-// decoder has to treat like encoding/json does: keys out of order,
-// duplicate keys, nulls, unknown keys, tokens that are not canonical.
-var projectionCases = map[string]string{
-	"attributes-before-types": `{"app":"pub","operations":[{"attributes":{"body":"b","junk":1},"operation":"update","types":["Post"],"id":"p1","object_dep":"7"}],"dependencies":{"7":1}}`,
-	"attributes-before-verb":  `{"app":"pub","operations":[{"types":["Comment"],"attributes":{"post_id":"p1","body":"x"},"operation":"destroy","id":"c1","object_dep":"8"}],"dependencies":{"8":1}}`,
-	"app-after-operations":    `{"operations":[{"operation":"update","types":["Post"],"id":"p1","attributes":{"body":"b","junk":1},"object_dep":"7"}],"app":"pub","dependencies":{"7":1}}`,
-	"app-twice":               `{"app":"other","operations":[{"operation":"update","types":["Post"],"id":"p1","attributes":{"body":"b","title":"t"},"object_dep":"7"}],"app":"pub","dependencies":{"7":1}}`,
-	"types-twice":             `{"app":"pub","operations":[{"operation":"create","types":["Post"],"id":"x","attributes":{"body":"b","post_id":"p"},"types":["Comment"],"object_dep":"7"}],"dependencies":{"7":1}}`,
-	"verb-after-attributes":   `{"app":"pub","operations":[{"operation":"destroy","types":["Post"],"id":"x","attributes":{"body":"b"},"operation":"update","object_dep":"7"}],"dependencies":{"7":1}}`,
-	"operations-twice":        `{"app":"pub","operations":[{"operation":"update","types":["Post"],"id":"x","attributes":{"body":"b"}}],"operations":[{"operation":"create","types":["Comment"],"id":"y","attributes":{"t":1,"body":"c"}}]}`,
-	"operations-twice-mixed":  `{"App":"","operAtions":[{"AttriButes":{"":""}}],"operAtions":[{"operAtion":"","tYpes":[],"AttriButes":{}}]}`,
-	"duplicate-attributes":    `{"app":"pub","operations":[{"operation":"update","types":["Post"],"id":"p1","attributes":{"body":"b","rev":1,"junk":[1]},"attributes":{"rev":2,"junk":{}},"object_dep":"7"}],"dependencies":{"7":1,"7":4}}`,
-	"null-attributes":         `{"app":"pub","operations":[{"operation":"update","types":["Post"],"id":"p1","attributes":{"body":"b"},"attributes":null,"object_dep":"7"},{"operation":"create","types":["Post"],"id":"p2","attributes":null}],"dependencies":null}`,
-	"unknown-keys":            `{"app":"pub","zzz":{"a":[1,2,{"b":null}]},"operations":[{"operation":"update","extra":"x","types":["Post"],"id":"p1","attributes":{"body":"b","nested":{"deep":[{"er":1e300}]}},"object_dep":"7"}],"dependencies":{"7":1}}`,
-	"ancestor-only":           `{"app":"pub4","operations":[{"operation":"update","types":["Post","Base"],"id":"7","attributes":{"body":"b","title":"t"},"object_dep":"pub4/posts/id/7"}],"dependencies":{},"dots":{"pub4/posts/id/7":3,"pub4/users/id/1":1}}`,
-	"unsubscribed-model":      `{"app":"pub","operations":[{"operation":"create","types":["User"],"id":"u","attributes":{"name":"n","blob":{"k":[1,2,3]}},"object_dep":"9"}],"dependencies":{"9":0}}`,
-	"unsubscribed-origin":     `{"app":"stranger","operations":[{"operation":"create","types":["Post"],"id":"u","attributes":{"body":"n"},"object_dep":"9"}],"dependencies":{"9":0}}`,
-	"same-name-two-origins":   `{"app":"other","operations":[{"operation":"destroy","types":["Post"],"id":"p1","attributes":{"body":"b","title":"t"},"object_dep":"7"}],"dependencies":{"7":1}}`,
-	"observer-destroy":        `{"app":"pub","operations":[{"operation":"destroy","types":["Comment"],"id":"c1","attributes":{"post_id":"p1","body":"x","t":5},"object_dep":"8"},{"operation":"destroy","types":["Post"],"id":"p1","attributes":{"body":"x"},"object_dep":"9"}],"dependencies":{"8":1,"9":2}}`,
-	"watermark":               `{"app":"pub","operations":[{"operation":"watermark","types":["SynapseWatermark"],"id":"sub/3","attributes":{"kind":"high"},"object_dep":""}],"dependencies":{}}`,
-	"leading-zero-tokens":     `{"app":"pub","operations":[{"operation":"update","types":["Post"],"id":"p1","attributes":{"body":"b"},"object_dep":"007"},{"operation":"update","types":["Post"],"id":"p2","attributes":{"rev":2},"object_dep":"7"}],"dependencies":{"007":3,"7":5,"18446744073709551616":1}}`,
-	"bad-dependency-key":      `{"app":"pub","operations":[{"operation":"update","types":["Post"],"id":"p1","attributes":{"body":"b"},"object_dep":"seven"}],"dependencies":{"seven":3,"7":5}}`,
-	"decimal-among-dots":      `{"app":"pub","operations":[{"operation":"update","types":["Post"],"id":"p1","attributes":{"body":"b"},"object_dep":"7"}],"dependencies":{},"dots":{"7":3}}`,
-	"null-tokens":             `{"app":null,"operations":[{"operation":null,"types":null,"id":null,"attributes":{"body":"b"},"object_dep":null}],"dependencies":{"7":null}}`,
-	"attributes-not-object":   `{"app":"stranger","operations":[{"operation":"update","types":["Post"],"id":"p1","attributes":[1,2],"object_dep":"7"}],"dependencies":{}}`,
-	"skipped-number-range":    `{"app":"pub","operations":[{"operation":"update","types":["Post"],"id":"p1","attributes":{"body":"b","junk":1e999},"object_dep":"7"}],"dependencies":{}}`,
-	"skipped-bad-string":      `{"app":"pub","operations":[{"operation":"update","types":["Post"],"id":"p1","attributes":{"body":"b","junk":"a\qb"},"object_dep":"7"}],"dependencies":{}}`,
-	"case-folded":             `{"APP":"pub","Operations":[{"OPERATION":"update","Types":["Post"],"ID":"p1","Attributes":{"body":"b","Body":"B"},"Object_Dep":"7"}],"Dependencies":{"7":1}}`,
-	"external":                `{"app":"pub","operations":[{"operation":"update","types":["Post"],"id":"p1","attributes":{"body":"b"},"object_dep":"7"}],"dependencies":{"7":1},"external_dependencies":{"77":12,"pub9/users/id/2":4}}`,
+// projectionCases reads the committed seed corpus of FuzzProjectedDecode
+// by file name: payloads the encoder never produces but the decoder has
+// to treat like encoding/json does — keys out of order, duplicate keys,
+// nulls, unknown keys, tokens that are not canonical.
+func projectionCases(t testing.TB) map[string]string {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", "FuzzProjectedDecode")
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("no seed corpus in %s: %v", dir, err)
+	}
+	cases := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// "go test fuzz v1\n[]byte(<quoted>)\n"
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(b)), "\n")
+		payload, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: not a []byte corpus entry: %v", e.Name(), err)
+		}
+		cases[e.Name()] = payload
+	}
+	return cases
 }
 
+// projectionSeeds are the well-formed payloads of the property: the
+// golden corpus and the benchmark's shapes.
 func projectionSeeds(t testing.TB) [][]byte {
 	var out [][]byte
 	for _, m := range goldenMessages() {
@@ -204,24 +203,24 @@ func projectionSeeds(t testing.TB) [][]byte {
 		}
 		out = append(out, b)
 	}
-	for _, p := range projectionCases {
-		out = append(out, []byte(p))
-	}
 	return append(out, liveStream(6)...)
 }
 
 // TestProjectedDecodeMatchesFull runs the differential property over the
-// golden corpus, the hostile cases above and the benchmark's shapes.
+// well-formed seeds and the hostile cases, for both sets of subscribers.
 func TestProjectedDecodeMatchesFull(t *testing.T) {
-	for _, payload := range projectionSeeds(t) {
+	payloads := projectionSeeds(t)
+	for _, p := range projectionCases(t) {
+		payloads = append(payloads, []byte(p))
+	}
+	for _, payload := range payloads {
 		checkProjectedMatchesFull(t, payload, mixedSinks())
 		checkProjectedMatchesFull(t, payload, benchSinks())
 	}
 }
 
-// FuzzProjectedDecode is the same property on arbitrary input. The seed
-// corpus under testdata/fuzz is projectionCases, committed so that a
-// plain `go test` replays them by name.
+// FuzzProjectedDecode is the same property on arbitrary input; go test
+// adds the committed corpus under testdata/fuzz to the seeds by itself.
 func FuzzProjectedDecode(f *testing.F) {
 	for _, payload := range projectionSeeds(f) {
 		f.Add(payload)
@@ -230,35 +229,14 @@ func FuzzProjectedDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkProjectedMatchesFull(t, data, resolve) })
 }
 
-// TestFuzzCorpusCommitted keeps testdata/fuzz/FuzzProjectedDecode equal
-// to projectionCases (regenerate with WIRE_WRITE_CORPUS=1).
-func TestFuzzCorpusCommitted(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzProjectedDecode")
-	for name, payload := range projectionCases {
-		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", payload)
-		path := filepath.Join(dir, name)
-		if os.Getenv("WIRE_WRITE_CORPUS") != "" {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got, err := os.ReadFile(path); err != nil || string(got) != want {
-			t.Errorf("%s is not the committed form of projectionCases[%q] (%v)", path, name, err)
-		}
-	}
-}
-
 // TestProjectedDecodeWhatItKeeps pins the contract core relies on: which
 // sink an operation reports, which attributes are there, under whose
 // strings, and where the dependency tokens went.
 func TestProjectedDecodeWhatItKeeps(t *testing.T) {
-	resolve := mixedSinks()
+	resolve, cases := mixedSinks(), projectionCases(t)
 	decode := func(name string) *Message {
 		t.Helper()
-		m, err := UnmarshalProjected([]byte(projectionCases[name]), resolve)
+		m, err := UnmarshalProjected([]byte(cases[name]), resolve)
 		if err != nil {
 			t.Fatal(err)
 		}
