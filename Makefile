@@ -32,8 +32,8 @@ check-bench:
 	go run ./cmd/synapse-bench -gate
 
 # The CI scenario suite (check/chaos/overload/causality/tail/cluster/
-# bootstrap/benchmark/liveness/journal/orm/windows/projection), quick sweeps — the same commands the
-# workflow matrix runs.
+# bootstrap/benchmark/liveness/journal/orm/windows/projection/publish),
+# quick sweeps — the same commands the workflow matrix runs.
 scenarios:
 	./scripts/scenarios.sh -quick
 

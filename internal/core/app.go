@@ -874,20 +874,6 @@ func (a *App) publication(modelName string) *pubSpec {
 	return ps
 }
 
-// subscribedAttrSet returns the union of attributes this app subscribes
-// to for a model (used for decorator write restrictions).
-func (a *App) subscribedAttrSet(modelName string) map[string]struct{} {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	out := make(map[string]struct{})
-	for _, ss := range a.subs[modelName] {
-		for attr := range ss.attrs {
-			out[attr] = struct{}{}
-		}
-	}
-	return out
-}
-
 // subscription returns the subscription spec for (model, origin).
 func (a *App) subscription(modelName, origin string) (*subSpec, bool) {
 	a.mu.RLock()

@@ -186,11 +186,15 @@ func (c *Controller) checkWriteAllowed(verb wire.OpKind, rec *model.Record) erro
 	case wire.OpUpdate:
 		// No service may update attributes it imports from another
 		// service (§3.1) — not decorators, and not even the owner when
-		// it subscribes back to decorations of its own model.
-		subscribed := app.subscribedAttrSet(rec.Model)
-		for attr := range rec.Attrs {
-			if _, ok := subscribed[attr]; ok {
-				return fmt.Errorf("%w: %s.%s", ErrDecoratorAttr, rec.Model, attr)
+		// it subscribes back to decorations of its own model. The
+		// compiled subscriptions answer without a lock.
+		for _, o := range *app.compiled.Load() {
+			if p := o.models[rec.Model]; p != nil {
+				for attr := range rec.Attrs {
+					if p.Has(attr) {
+						return fmt.Errorf("%w: %s.%s", ErrDecoratorAttr, rec.Model, attr)
+					}
+				}
 			}
 		}
 	}
@@ -205,12 +209,7 @@ func (c *Controller) write(verb wire.OpKind, rec *model.Record) (*model.Record, 
 	if err := c.checkWriteAllowed(verb, rec); err != nil {
 		return nil, err
 	}
-	ops := []stagedWrite{{verb: verb, rec: rec}}
-	written, err := c.app.performWrites(c, ops)
-	if err != nil {
-		return nil, err
-	}
-	return written[0], nil
+	return c.app.performWrites(c, []stagedWrite{{verb: verb, rec: rec}})
 }
 
 // Txn stages multiple writes that commit atomically and are delivered

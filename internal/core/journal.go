@@ -252,13 +252,16 @@ func appendPadded(b []byte, v uint64, width int) []byte {
 	return append(b, digits...)
 }
 
-// journalRecord wraps a marshalled message as a journal entry.
-func (a *App) journalRecord(payload []byte, seq uint64) *model.Record {
-	return &model.Record{
+// journalRecord makes rec, a publish's scratch record, the journal entry
+// of a marshalled message: the id and the payload copy are the entry's
+// own, the record itself is not kept by the mapper.
+func (a *App) journalRecord(rec *model.Record, payload []byte, seq uint64) *model.Record {
+	*rec = model.Record{
 		Model: journalModel,
 		ID:    journalID(a.journalEpoch, seq),
 		Attrs: map[string]any{"payload": string(payload)},
 	}
+	return rec
 }
 
 // journalAck confirms an entry whose message was sent (or shed) — the
@@ -549,12 +552,12 @@ func (a *App) regenerateStaleEntry(msg *wire.Message) error {
 // stageJournalTx stages the entry into the prepared data transaction
 // (transactional-outbox). Reports false when the engine cannot, in
 // which case the caller journals post-commit like the non-tx path.
-func (a *App) stageJournalTx(tx orm.MapperTx, payload []byte, seq uint64) (bool, error) {
+func (a *App) stageJournalTx(tx orm.MapperTx, entry *model.Record) (bool, error) {
 	jtx, ok := tx.(orm.TxJournaler)
 	if !ok {
 		return false, nil
 	}
-	if err := jtx.StageJournal(a.journalRecord(payload, seq)); err != nil {
+	if err := jtx.StageJournal(entry); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -562,8 +565,8 @@ func (a *App) stageJournalTx(tx orm.MapperTx, payload []byte, seq uint64) (bool,
 
 // journalDirect writes the entry as a plain insert (non-transactional
 // engines, post-apply; transactional engines whose tx cannot journal).
-func (a *App) journalDirect(payload []byte, seq uint64) error {
-	_, err := a.mapper.Create(a.journalRecord(payload, seq))
+func (a *App) journalDirect(entry *model.Record) error {
+	_, err := a.mapper.Create(entry)
 	return err
 }
 

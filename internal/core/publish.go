@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
+	"synapse/internal/deptrack"
 	"synapse/internal/model"
 	"synapse/internal/orm"
 	"synapse/internal/wire"
@@ -29,12 +31,14 @@ import (
 // The Synapse-specific time (everything except step 4) is recorded in
 // the app's PublishLatency recorder — the "Synapse time" column of
 // Fig 12(a).
-func (a *App) performWrites(c *Controller, staged []stagedWrite) ([]*model.Record, error) {
+func (a *App) performWrites(c *Controller, staged []stagedWrite) (*model.Record, error) {
 	if a.draining.Load() {
 		return nil, ErrDraining
 	}
 	start := time.Now()
 	var dbTime time.Duration
+	s := scratchPool.Get().(*publishScratch)
+	defer s.release()
 
 	mode := a.cfg.Mode
 
@@ -52,34 +56,30 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite) ([]*model.Recor
 		}
 	}
 
-	// --- Step 1: dependencies.
-	writeNames := make([]string, 0, len(staged)+2)
-	objectDeps := make([]string, len(staged)) // per-op own-object dep name
-	for i, op := range staged {
-		name := depName(a.name, op.rec.Model, op.rec.ID)
-		objectDeps[i] = name
-		writeNames = append(writeNames, name)
+	// --- Step 1: dependencies. The first write dependencies are the
+	// staged objects', in operation order.
+	for _, op := range staged {
+		s.writeNames = append(s.writeNames, depName(a.name, op.rec.Model, op.rec.ID))
 	}
-	var readNames []string
 	var external []depRef
 	if mode >= Causal {
 		if c.session != nil && c.session.userDep != "" {
-			writeNames = append(writeNames, c.session.userDep)
+			s.writeNames = append(s.writeNames, c.session.userDep)
 		}
-		writeNames = append(writeNames, c.pendingWriteDeps...)
+		s.writeNames = append(s.writeNames, c.pendingWriteDeps...)
 		for _, rd := range c.readDeps {
 			if rd.external {
 				external = append(external, rd)
 			} else {
-				readNames = append(readNames, rd.name)
+				s.readNames = append(s.readNames, rd.name)
 			}
 		}
 		if c.prevWriteDep != "" {
-			readNames = append(readNames, c.prevWriteDep)
+			s.readNames = append(s.readNames, c.prevWriteDep)
 		}
 	}
 	if mode == Global {
-		writeNames = append(writeNames, globalDepName(a.name))
+		s.writeNames = append(s.writeNames, globalDepName(a.name))
 	}
 
 	// Decide the apply strategy: a transactional engine takes the 2PC
@@ -97,7 +97,6 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite) ([]*model.Recor
 	useTx := !allEphemeral && transactional
 
 	var written []*model.Record
-
 	var tx orm.MapperTx
 	if useTx {
 		// --- 2PC path: stage + Prepare (engine row locks) first. The
@@ -146,12 +145,11 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite) ([]*model.Recor
 	// single-worker causal subscriber never deadlocks. Release drops the
 	// locks where it is called and hands the unlock window to the store's
 	// release flusher: the controller does not sleep for its reply.
-	plan, err := a.tracker.Plan(readNames, writeNames)
+	plan, err := a.tracker.Plan(s.readNames, s.writeNames)
 	if err != nil {
 		return nil, err
 	}
 	defer plan.Release()
-	deps := plan.Versions
 
 	journaling := !allEphemeral && a.journaling()
 	var seq uint64
@@ -186,16 +184,16 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite) ([]*model.Recor
 			// ONCE here — it carries the REAL dependency versions, which a
 			// replay cannot reconstruct, plus the staged attributes — and
 			// after the commit only the attributes and timestamp are
-			// patched for the final payload, instead of re-running
-			// buildMessage+Marshal. The journal copy is encoded through a
-			// pooled scratch buffer (journalRecord copies it to a string).
-			msg, err = a.buildMessage(staged, stagedRecords(staged), objectDeps, deps, external, mode, seq)
+			// patched for the final payload. The journal copy is encoded
+			// through a pooled scratch buffer (journalRecord copies it to
+			// a string).
+			msg, err = a.buildMessage(s, staged, &plan, external, mode, seq)
 			if err != nil {
 				return nil, err
 			}
 			if err := wire.WithEncoded(msg, func(skelPayload []byte) error {
 				var jerr error
-				inTx, jerr = a.stageJournalTx(tx, skelPayload, seq)
+				inTx, jerr = a.stageJournalTx(tx, a.journalRecord(&s.journal, skelPayload, seq))
 				return jerr
 			}); err != nil {
 				return nil, err
@@ -210,28 +208,27 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite) ([]*model.Recor
 		}
 		tx = nil
 		journaled = inTx
-		written = a.mergeWritten(staged, committed)
+		written = a.mergeWritten(s, staged, committed)
 	} else {
-		written = make([]*model.Record, len(staged))
-		for i, op := range staged {
+		for _, op := range staged {
 			w, err := a.applyOne(op)
 			if err != nil {
 				return nil, err
 			}
-			written[i] = w
+			s.written = append(s.written, w)
 		}
+		written = s.written
 	}
 	dbTime += time.Since(dbStart)
 
-	// --- Step 6: build (or patch) and send the message.
+	// --- Step 6: build the message (unless the journal's skeleton is
+	// it), give it the written objects' attributes and send it.
 	if msg == nil {
-		msg, err = a.buildMessage(staged, written, objectDeps, deps, external, mode, seq)
-		if err != nil {
+		if msg, err = a.buildMessage(s, staged, &plan, external, mode, seq); err != nil {
 			return nil, err
 		}
-	} else {
-		a.patchCommitted(msg, staged, written)
 	}
+	a.patchCommitted(msg, staged, written)
 	payload, err := wire.Marshal(msg)
 	if err != nil {
 		return nil, err
@@ -239,7 +236,7 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite) ([]*model.Recor
 	if journaling && !journaled {
 		// Non-transactional engine (or a tx that cannot journal): write
 		// the entry — final payload this time — right after the apply.
-		if err := a.journalDirect(payload, seq); err != nil {
+		if err := a.journalDirect(a.journalRecord(&s.journal, payload, seq)); err != nil {
 			return nil, err
 		}
 		journaled = true
@@ -289,7 +286,7 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite) ([]*model.Recor
 
 	// --- Controller scope bookkeeping for causal chaining.
 	if mode >= Causal {
-		c.prevWriteDep = objectDeps[0]
+		c.prevWriteDep = s.writeNames[0]
 		c.readDeps = c.readDeps[:0]
 		c.pendingWriteDeps = c.pendingWriteDeps[:0]
 	}
@@ -298,25 +295,54 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite) ([]*model.Recor
 	if a.Timeline != nil {
 		a.Timeline.Record(a.name, "synapse-pub", fmt.Sprintf("seq=%d ops=%d", msg.Seq, len(msg.Operations)))
 	}
-	return written, nil
+	return written[0], nil
+}
+
+// publishScratch is one publish's working set, pooled: the write group's
+// dependency names, its written records, the plan's dependencies, and
+// the message with its operation for a one-operation write. Nothing in it
+// outlives the publish: release clears it.
+type publishScratch struct {
+	writeNames, readNames []string
+	written               []*model.Record
+	deps                  []wire.Dep
+	msg                   wire.Message
+	op                    [1]wire.Operation
+	journal               model.Record
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(publishScratch) }}
+
+func (s *publishScratch) release() {
+	clear(s.writeNames)
+	clear(s.readNames)
+	clear(s.written)
+	clear(s.deps)
+	s.writeNames, s.readNames, s.written, s.deps = s.writeNames[:0], s.readNames[:0], s.written[:0], s.deps[:0]
+	s.msg, s.op, s.journal = wire.Message{}, [1]wire.Operation{}, model.Record{}
+	scratchPool.Put(s)
 }
 
 // buildMessage assembles the wire message for one write group (§4.2
-// step 6). recs[i] supplies the published attributes for staged[i]: the
-// committed read-back on the final message, or the staged record on the
-// journal skeleton (whose attributes the replay refreshes from the
-// database, see refreshJournalAttrs).
-func (a *App) buildMessage(staged []stagedWrite, recs []*model.Record, objectDeps []string, deps map[string]uint64, external []depRef, mode DeliveryMode, seq uint64) (*wire.Message, error) {
-	msg := &wire.Message{
+// step 6) in the scratch, each operation's attributes read from its
+// staged record: the journal skeleton, whose attributes the replay
+// refreshes from the database (see refreshJournalAttrs), and what
+// patchCommitted turns into the final message. The dependencies travel
+// as the plan's numbers; the encoder renders them.
+func (a *App) buildMessage(s *publishScratch, staged []stagedWrite, plan *deptrack.Plan, external []depRef, mode DeliveryMode, seq uint64) (*wire.Message, error) {
+	msg := &s.msg
+	*msg = wire.Message{
 		App:         a.name,
-		Operations:  make([]wire.Operation, len(staged)),
+		Operations:  s.op[:],
 		PublishedAt: time.Now().UTC(),
 		Generation:  a.generation.Load(),
 		Seq:         seq,
 	}
-	// The tracker owns the wire form of the plan's versions: hashed keys
-	// land in Dependencies, exact dots in Dots.
-	a.tracker.EncodeDeps(msg, deps)
+	if len(staged) > len(s.op) {
+		msg.Operations = make([]wire.Operation, len(staged))
+	}
+	s.deps = plan.AppendDeps(s.deps[:0])
+	msg.SetDeps(s.deps)
 	if len(external) > 0 {
 		msg.External = make(map[string]uint64, len(external))
 		for _, e := range external {
@@ -328,19 +354,18 @@ func (a *App) buildMessage(staged []stagedWrite, recs []*model.Record, objectDep
 	}
 	for i, op := range staged {
 		ps := a.publication(op.rec.Model)
-		wireOp := wire.Operation{
+		wireOp := &msg.Operations[i]
+		*wireOp = wire.Operation{
 			Operation: op.verb,
 			Types:     ps.chain, // shared by every message of the model: read-only
 			ID:        op.rec.ID,
-			ObjectDep: a.tracker.Token(objectDeps[i]),
 		}
-		if op.verb != wire.OpDestroy {
-			wireOp.Attributes = ps.lens.Read(recs[i])
-		} else if len(op.rec.Attrs) > 0 {
-			// Final attributes for DB-less observers (see performWrites).
-			wireOp.Attributes = ps.lens.Read(op.rec)
+		wireOp.SetObjectDep(a.tracker.Dep(s.writeNames[i]))
+		if op.verb != wire.OpDestroy || len(op.rec.Attrs) > 0 {
+			// A destroy's are its final attributes, for DB-less observers
+			// (see performWrites).
+			wireOp.Project(ps.lens, op.rec)
 		}
-		msg.Operations[i] = wireOp
 	}
 	if err := wire.Validate(msg); err != nil {
 		return nil, err
@@ -348,32 +373,18 @@ func (a *App) buildMessage(staged []stagedWrite, recs []*model.Record, objectDep
 	return msg, nil
 }
 
-// patchCommitted turns a journal-skeleton message into the final
-// payload in place: committed read-back attributes replace the staged
-// ones and the publish timestamp is refreshed. Dependencies, versions,
-// seq, and generation are identical by construction (the skeleton was
-// built from the same plan), and destroy operations keep their
-// skeleton attributes — buildMessage sources those from the staged
-// record either way — so a second buildMessage+Validate pass would
-// reproduce everything else bit for bit.
+// patchCommitted turns a message built from the staged records into the
+// final payload in place: the written objects' attributes replace the
+// staged ones and the publish timestamp is refreshed. Dependencies,
+// versions, seq, and generation are identical by construction, and a
+// destroy keeps the attributes it was built with.
 func (a *App) patchCommitted(msg *wire.Message, staged []stagedWrite, written []*model.Record) {
 	for i, op := range staged {
-		if op.verb == wire.OpDestroy {
-			continue
+		if op.verb != wire.OpDestroy {
+			msg.Operations[i].Project(a.publication(op.rec.Model).lens, written[i])
 		}
-		msg.Operations[i].Attributes = a.projectPublished(op.rec.Model, written[i])
 	}
 	msg.PublishedAt = time.Now().UTC()
-}
-
-// stagedRecords projects the staged records out of a write group (the
-// attribute source for journal skeleton messages).
-func stagedRecords(staged []stagedWrite) []*model.Record {
-	out := make([]*model.Record, len(staged))
-	for i, op := range staged {
-		out[i] = op.rec
-	}
-	return out
 }
 
 // applyOne performs a single non-transactional operation through the
@@ -397,23 +408,22 @@ func (a *App) applyOne(op stagedWrite) (*model.Record, error) {
 }
 
 // mergeWritten lines up the transaction's committed records with the
-// staged operations, substituting staged records for ephemerals.
-func (a *App) mergeWritten(staged []stagedWrite, committed []*model.Record) []*model.Record {
-	out := make([]*model.Record, len(staged))
-	ci := 0
-	for i, op := range staged {
-		if a.isEphemeral(op.rec.Model) {
-			out[i] = op.rec
-			continue
-		}
-		if ci < len(committed) {
-			out[i] = committed[ci]
-			ci++
-		} else {
-			out[i] = op.rec
-		}
+// staged operations, substituting staged records for ephemerals; with
+// none among them the committed records are that already.
+func (a *App) mergeWritten(s *publishScratch, staged []stagedWrite, committed []*model.Record) []*model.Record {
+	if len(committed) == len(staged) {
+		return committed
 	}
-	return out
+	ci := 0
+	for _, op := range staged {
+		w := op.rec
+		if !a.isEphemeral(op.rec.Model) && ci < len(committed) {
+			w = committed[ci]
+			ci++
+		}
+		s.written = append(s.written, w)
+	}
+	return s.written
 }
 
 // projectPublished extracts the app's published attributes from the

@@ -1,0 +1,185 @@
+package core
+
+import (
+	"bytes"
+	"cmp"
+	"encoding/json"
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"strconv"
+	"testing"
+
+	"synapse/internal/model"
+	"synapse/internal/orm"
+	"synapse/internal/orm/activerecord"
+	"synapse/internal/storage/reldb"
+	"synapse/internal/wire"
+)
+
+// skeletonTap is a PostgreSQL mapper that keeps every journal skeleton
+// its transactions stage.
+type skeletonTap struct {
+	*activerecord.Mapper
+	skeletons *[]string
+}
+
+func (m skeletonTap) Begin() orm.MapperTx {
+	return skeletonTx{m.Mapper.Begin().(*activerecord.Tx), m.skeletons}
+}
+
+type skeletonTx struct {
+	*activerecord.Tx
+	skeletons *[]string
+}
+
+func (tx skeletonTx) StageJournal(rec *model.Record) error {
+	*tx.skeletons = append(*tx.skeletons, rec.String("payload"))
+	return tx.Tx.StageJournal(rec)
+}
+
+// TestPublishPayloadsMatchEncodingJSON is the differential check of the
+// numeric dependency path and the projected attributes: for a fixed
+// 256-message stream of creates, updates and destroys from a hash and
+// from a DVV publisher, the journal skeleton and the final payload of
+// every publish are byte for byte what encoding/json makes of the
+// message built the old way — dependency maps keyed by token strings,
+// version for reads and version−1 for writes kept by a shadow of the
+// version store, attributes as maps read from the staged record and from
+// the read-back. Under hash, cardinality 16 puts keys like 9 and 10 in
+// one message, whose decimal order is not their numeric order.
+func TestPublishPayloadsMatchEncodingJSON(t *testing.T) {
+	for _, cfg := range []Config{{Mode: Causal, DepCardinality: 16}, {Mode: Causal, DepTracker: TrackerDVV}} {
+		t.Run("tracker="+cfg.DepTracker, func(t *testing.T) {
+			f := NewFabric()
+			var skeletons []string
+			pub, err := NewApp(f, "pub", skeletonTap{activerecord.New(reldb.New(reldb.Postgres)), &skeletons}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustPublish(t, pub, userDesc(), "name")
+			mustPublish(t, pub, postDesc(), "author", "body")
+			payloads := payloadTap(t, f, "pub")
+
+			// The shadow version store: ops and version per token, bumped
+			// once per distinct token of a publish.
+			type counters struct{ ops, version uint64 }
+			shadow := map[string]*counters{}
+			plan := func(reads, writes []string) map[string]uint64 {
+				written := map[string]bool{}
+				for _, n := range reads {
+					written[pub.tracker.Token(n)] = false
+				}
+				for _, n := range writes {
+					written[pub.tracker.Token(n)] = true
+				}
+				out := map[string]uint64{}
+				for tok, w := range written {
+					c := shadow[tok]
+					if c == nil {
+						c = &counters{}
+						shadow[tok] = c
+					}
+					c.ops++
+					if out[tok] = c.version; w {
+						c.version = c.ops
+						out[tok] = c.version - 1
+					}
+				}
+				return out
+			}
+			lens := func(modelName string) *model.Projection { return pub.publication(modelName).lens }
+
+			rng := rand.New(rand.NewSource(1))
+			var live []string
+			crossed := false // a message whose decimal key order is not its numeric order
+			for i := range 256 {
+				user := fmt.Sprintf("u%d", rng.Intn(8))
+				ctl := pub.NewController(pub.NewSession("User", user))
+				var reads []string
+				if rng.Intn(2) == 0 {
+					reader := fmt.Sprintf("u%d", rng.Intn(8))
+					ctl.AddReadDeps("User", reader)
+					reads = append(reads, depName("pub", "User", reader))
+				}
+				var verb wire.OpKind
+				var id string
+				var staged, written *model.Record
+				switch k := rng.Intn(4); {
+				case len(live) == 0 || k < 2:
+					verb, id = wire.OpCreate, fmt.Sprintf("p%d", i)
+					staged = model.NewRecord("Post", id)
+					staged.Set("author", user)
+					staged.Set("body", fmt.Sprintf("body %d", i))
+					written, err = ctl.Create(staged)
+					live = append(live, id)
+				case k == 2:
+					verb, id = wire.OpUpdate, live[rng.Intn(len(live))]
+					staged = model.NewRecord("Post", id)
+					staged.Set("body", fmt.Sprintf("edit %d", i))
+					written, err = ctl.Update(staged)
+				default:
+					j := rng.Intn(len(live))
+					verb, id = wire.OpDestroy, live[j]
+					live = slices.Delete(live, j, j+1)
+					if staged, err = pub.mapper.Find("Post", id); err != nil {
+						t.Fatal(err)
+					}
+					written = staged
+					err = ctl.Destroy("Post", id)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				object := depName("pub", "Post", id)
+				versions := plan(reads, []string{object, depName("pub", "User", user)})
+				numeric := func(a, b string) int {
+					x, _ := strconv.ParseUint(a, 10, 64)
+					y, _ := strconv.ParseUint(b, 10, 64)
+					return cmp.Compare(x, y)
+				}
+				crossed = crossed || cfg.DepTracker == "" && !slices.IsSortedFunc(slices.Sorted(maps.Keys(versions)), numeric)
+
+				got := payloads()
+				if len(got) != 1 || len(skeletons) != i+1 {
+					t.Fatalf("message %d: %d payloads, %d skeletons", i, len(got), len(skeletons))
+				}
+				for _, c := range []struct {
+					what    string
+					payload []byte
+					attrs   *model.Record
+				}{{"skeleton", []byte(skeletons[i]), staged}, {"final", got[0], written}} {
+					sent, err := wire.Unmarshal(c.payload)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := &wire.Message{
+						App: "pub",
+						Operations: []wire.Operation{{
+							Operation: verb, Types: []string{"Post"}, ID: id,
+							Attributes: lens("Post").Read(c.attrs),
+							ObjectDep:  pub.tracker.Token(object),
+						}},
+						Dependencies: versions,
+						PublishedAt:  sent.PublishedAt,
+						Seq:          uint64(i + 1),
+					}
+					if cfg.DepTracker == TrackerDVV {
+						want.Dependencies, want.Dots = map[string]uint64{}, versions
+					}
+					b, err := json.Marshal(want)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(c.payload, b) {
+						t.Fatalf("message %d, %s:\n got %s\nwant %s", i, c.what, c.payload, b)
+					}
+				}
+			}
+			if cfg.DepTracker == "" && !crossed {
+				t.Fatal("no message carried keys whose decimal order differs from their numeric order")
+			}
+		})
+	}
+}

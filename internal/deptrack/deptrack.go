@@ -42,24 +42,40 @@ const (
 	PolicyDVV Policy = "dvv"
 )
 
-// Plan is one publish's dependency plan in flight: the versions to
-// embed in the message, keyed by wire token, with the version-store
-// locks held until Release (they cover the broker send, keeping queue
-// order consistent with dependency order — see core's publisher). It is
-// a value holding its vstore.Batch; keep it in one variable.
+// Plan is one publish's dependency plan in flight: the (key, version)
+// pairs its vstore.Batch holds — version for read dependencies, version−1
+// for writes (§4.2) — with the version-store locks held until Release
+// (they cover the broker send, keeping queue order consistent with
+// dependency order — see core's publisher). It is a value holding its
+// Batch; keep it in one variable.
 type Plan struct {
-	// Versions maps each dependency's wire token to the version to embed
-	// in the message: version for read dependencies, version−1 for
-	// writes (§4.2). It is built once and is the map the message carries
-	// (EncodeDeps installs it as it is).
-	Versions map[string]uint64
-
 	batch vstore.Batch
+	// dvv names the plan's keys under the DVV tracker (they are interned
+	// names); nil under hash, whose keys are their own tokens.
+	dvv *dvvTracker
 }
 
 // Release unlocks the plan's dependency keys without waiting for the
 // unlock round trip (vstore.Batch.Release). Idempotent.
 func (p *Plan) Release() { p.batch.Release() }
+
+// AppendDeps appends the plan's dependencies as a message carries them
+// (wire.Message.SetDeps): hashed keys as numbers, DVV keys by name.
+func (p *Plan) AppendDeps(dst []wire.Dep) []wire.Dep {
+	if p.dvv != nil {
+		p.dvv.mu.RLock()
+		defer p.dvv.mu.RUnlock()
+	}
+	for i := range p.batch.Len() {
+		k, v := p.batch.At(i)
+		d := wire.Dep{Key: uint64(k), Version: v}
+		if p.dvv != nil {
+			d.Name = p.dvv.byKey[k]
+		}
+		dst = append(dst, d)
+	}
+	return dst
+}
 
 // Tracker is one dependency-tracking policy bound to an app's version
 // store. It owns every translation between dependency names, wire
@@ -73,6 +89,8 @@ type Tracker interface {
 	// Token renders the wire token for a dependency name: the decimal
 	// hashed key (hash) or the name itself (dvv).
 	Token(name string) string
+	// Dep is Token before rendering: the hashed key, or the name.
+	Dep(name string) wire.Dep
 	// Resolve maps a wire token — either form, regardless of this
 	// tracker's own policy — to a version-store key. Name tokens go
 	// through KeyFor; decimal tokens are adopted verbatim, like the
@@ -81,13 +99,9 @@ type Tracker interface {
 	Resolve(token string) vstore.Key
 	// Plan locks the union of the dependency names and bumps their
 	// counters in one batched round trip per shard (§4.2 step 2+3),
-	// returning the versions to embed keyed by wire token. The locks
-	// stay held until Plan.Release.
+	// returning the versions to embed. The locks stay held until
+	// Plan.Release.
 	Plan(readNames, writeNames []string) (Plan, error)
-	// EncodeDeps installs a plan's versions on an outgoing message in
-	// this tracker's wire form: Dependencies for hashed keys, Dots (plus
-	// an empty Dependencies map, which the format requires) for names.
-	EncodeDeps(msg *wire.Message, versions map[string]uint64)
 	// ExportVersions snapshots every counter pair keyed by wire token —
 	// the bulk version send of a §4.4 bootstrap. Token keying (rather
 	// than raw vstore keys) is what lets a subscriber with a different
@@ -119,11 +133,10 @@ func New(policy string, store *vstore.Store, _ bool) (Tracker, error) {
 // planKeys is the fixed capacity a plan's key lists keep on the stack.
 const planKeys = 8
 
-// plan is both trackers' Plan, a slot fill: the names' keys go into
-// fixed arrays, one BumpBatch locks and bumps them, and the one map the
-// message will carry is filled with each name's token and the version
-// the batch holds for its key.
-func plan(store *vstore.Store, readNames, writeNames []string, keyFor func(string) vstore.Key, token func(string, vstore.Key) string) (Plan, error) {
+// plan is both trackers' Plan: the names' keys go into fixed arrays and
+// one BumpBatch locks and bumps them. The batch keeps each distinct key
+// with its version; nothing else is built.
+func plan(store *vstore.Store, readNames, writeNames []string, keyFor func(string) vstore.Key) (Plan, error) {
 	var rbuf, wbuf [planKeys]vstore.Key
 	reads, writes := rbuf[:0], wbuf[:0]
 	for _, n := range readNames {
@@ -132,19 +145,8 @@ func plan(store *vstore.Store, readNames, writeNames []string, keyFor func(strin
 	for _, n := range writeNames {
 		writes = append(writes, keyFor(n))
 	}
-	p := Plan{}
-	var err error
-	if p.batch, err = store.BumpBatch(reads, writes); err != nil {
-		return Plan{}, err
-	}
-	p.Versions = make(map[string]uint64, p.batch.Len())
-	for i, n := range writeNames {
-		p.Versions[token(n, writes[i])] = p.batch.Version(writes[i])
-	}
-	for i, n := range readNames {
-		p.Versions[token(n, reads[i])] = p.batch.Version(reads[i])
-	}
-	return p, nil
+	batch, err := store.BumpBatch(reads, writes)
+	return Plan{batch: batch}, err
 }
 
 // hashTracker is the paper's fixed-cardinality dependency hashing: the
@@ -171,17 +173,13 @@ func (t *hashTracker) Resolve(token string) vstore.Key {
 	return vstore.Key(k)
 }
 
-func (t *hashTracker) Plan(readNames, writeNames []string) (Plan, error) {
-	// Colliding names share a key and so a token.
-	return plan(t.store, readNames, writeNames, t.store.KeyFor,
-		func(_ string, k vstore.Key) string { return wire.DepKey(uint64(k)) })
+func (t *hashTracker) Dep(name string) wire.Dep {
+	return wire.Dep{Key: uint64(t.store.KeyFor(name))}
 }
 
-func (t *hashTracker) EncodeDeps(msg *wire.Message, versions map[string]uint64) {
-	if versions == nil {
-		versions = make(map[string]uint64)
-	}
-	msg.Dependencies = versions
+func (t *hashTracker) Plan(readNames, writeNames []string) (Plan, error) {
+	// Colliding names share a key and so a token.
+	return plan(t.store, readNames, writeNames, t.store.KeyFor)
 }
 
 func (t *hashTracker) ExportVersions() (map[string]vstore.Counters, error) {
@@ -253,18 +251,12 @@ func (t *dvvTracker) Resolve(token string) vstore.Key {
 	return vstore.Key(k)
 }
 
-func (t *dvvTracker) Plan(readNames, writeNames []string) (Plan, error) {
-	return plan(t.store, readNames, writeNames, t.intern,
-		func(name string, _ vstore.Key) string { return name })
-}
+func (t *dvvTracker) Dep(name string) wire.Dep { return wire.Dep{Name: name} }
 
-func (t *dvvTracker) EncodeDeps(msg *wire.Message, versions map[string]uint64) {
-	// The wire format requires a Dependencies map even when all
-	// dependencies travel as dots (old decoders expect the field).
-	msg.Dependencies = make(map[string]uint64)
-	if len(versions) > 0 {
-		msg.Dots = versions
-	}
+func (t *dvvTracker) Plan(readNames, writeNames []string) (Plan, error) {
+	p, err := plan(t.store, readNames, writeNames, t.intern)
+	p.dvv = t
+	return p, err
 }
 
 func (t *dvvTracker) ExportVersions() (map[string]vstore.Counters, error) {

@@ -80,6 +80,20 @@ func TestDVVTokensAreNames(t *testing.T) {
 	}
 }
 
+// versions renders a plan's dependencies keyed by wire token, the way
+// the message's maps carry them.
+func versions(p *Plan) map[string]uint64 {
+	out := map[string]uint64{}
+	for _, d := range p.AppendDeps(nil) {
+		tok := d.Name
+		if tok == "" {
+			tok = wire.DepKey(d.Key)
+		}
+		out[tok] = d.Version
+	}
+	return out
+}
+
 // Plan must embed version for reads and version−1 for writes (§4.2),
 // keyed by wire token, for both policies.
 func TestPlanVersions(t *testing.T) {
@@ -94,10 +108,13 @@ func TestPlanVersions(t *testing.T) {
 			t.Fatalf("%s: %v", policy, err)
 		}
 		wTok, rTok := tr.Token(write), tr.Token(read)
-		if got := p1.Versions[wTok]; got != 0 {
+		if len(versions(&p1)) != 2 {
+			t.Fatalf("%s: plan = %v, want the two tokens", policy, versions(&p1))
+		}
+		if got := versions(&p1)[wTok]; got != 0 {
 			t.Fatalf("%s: first write version = %d, want 0 (version-1)", policy, got)
 		}
-		if got := p1.Versions[rTok]; got != 0 {
+		if got := versions(&p1)[rTok]; got != 0 {
 			t.Fatalf("%s: read-only version = %d, want 0", policy, got)
 		}
 		p1.Release()
@@ -107,37 +124,54 @@ func TestPlanVersions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p2.Versions[wTok]; got != 1 {
+		if got := versions(&p2)[wTok]; got != 1 {
 			t.Fatalf("%s: second write version = %d, want 1", policy, got)
 		}
 		p2.Release()
 	}
 }
 
+// TestEncodeDeps: a plan's dependencies reach the wire in the tracker's
+// form — hashed keys in "dependencies", exact names in "dots" beside an
+// empty "dependencies" map, which the format requires — and the object's
+// own token in "object_dep".
 func TestEncodeDeps(t *testing.T) {
 	s := newStore(t, 16)
 	hash, _ := New("hash", s, false)
 	dvv, _ := New("dvv", s, false)
-
-	var m wire.Message
-	hash.EncodeDeps(&m, map[string]uint64{"5": 3})
-	if m.Dependencies["5"] != 3 || m.Dots != nil {
-		t.Fatalf("hash encode: deps=%v dots=%v", m.Dependencies, m.Dots)
+	name := "app/posts/id/1"
+	encode := func(tr Tracker) *wire.Message {
+		t.Helper()
+		p, err := tr.Plan(nil, []string{name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Release()
+		m := &wire.Message{App: "app", Operations: []wire.Operation{{Operation: wire.OpCreate, Types: []string{"Post"}, ID: "1"}}}
+		m.SetDeps(p.AppendDeps(nil))
+		m.Operations[0].SetObjectDep(tr.Dep(name))
+		payload, err := wire.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := wire.Unmarshal(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
 
-	m = wire.Message{}
-	dvv.EncodeDeps(&m, map[string]uint64{"app/posts/id/1": 3})
-	if m.Dots["app/posts/id/1"] != 3 {
-		t.Fatalf("dvv encode: dots=%v", m.Dots)
+	tok := hash.Token(name)
+	m := encode(hash)
+	if len(m.Dependencies) != 1 || m.Dependencies[tok] != 0 || m.Dots != nil || m.Operations[0].ObjectDep != tok {
+		t.Fatalf("hash encode: deps=%v dots=%v object_dep=%q", m.Dependencies, m.Dots, m.Operations[0].ObjectDep)
+	}
+	m = encode(dvv)
+	if m.Dots[name] != 0 || len(m.Dots) != 1 || m.Operations[0].ObjectDep != name {
+		t.Fatalf("dvv encode: dots=%v object_dep=%q", m.Dots, m.Operations[0].ObjectDep)
 	}
 	if m.Dependencies == nil || len(m.Dependencies) != 0 {
 		t.Fatalf("dvv encode must leave an empty Dependencies map, got %v", m.Dependencies)
-	}
-
-	m = wire.Message{}
-	dvv.EncodeDeps(&m, nil)
-	if m.Dots != nil {
-		t.Fatalf("dvv encode of no deps set Dots = %v", m.Dots)
 	}
 }
 
@@ -230,14 +264,13 @@ func TestDVVInternConcurrent(t *testing.T) {
 }
 
 // TestPlanAllocBudget pins the publisher's plan as a slot fill: for a
-// publish's usual three names the hash tracker allocates the token
-// strings and the one map the message then carries, the DVV tracker
-// (whose tokens are the names) only the map — no key lists, no grouping
-// maps, no Batch, no Plan.
+// publish's usual three names neither tracker builds a token string or a
+// map — the batch's (key, version) pairs are the plan — so there is no
+// key list, no grouping map, no Batch and no Plan on the heap either.
 func TestPlanAllocBudget(t *testing.T) {
 	reads := []string{"app/posts/id/7"}
 	writes := []string{"app/comments/id/1", "app/users/id/9"}
-	for policy, budget := range map[string]float64{"hash": 5, "dvv": 2} {
+	for policy, budget := range map[string]float64{"hash": 0, "dvv": 0} {
 		tr, _ := New(policy, newStore(t, 0), false)
 		got := testing.AllocsPerRun(200, func() {
 			p, err := tr.Plan(reads, writes)
@@ -285,7 +318,7 @@ func TestOneWindowScriptServesBothTrackers(t *testing.T) {
 					t.Fatal(err)
 				}
 				plan.Release()
-				stream = append(stream, message{deps: plan.Versions, object: pub.Token(write)})
+				stream = append(stream, message{deps: versions(&plan), object: pub.Token(write)})
 			}
 			// Deliver in a shuffled order so dependants run ahead of what
 			// they depend on.

@@ -1,5 +1,11 @@
 package model
 
+import (
+	"maps"
+	"slices"
+	"strings"
+)
+
 // Projection is a list of attribute names compiled once against a
 // descriptor — a lens between a model and the wire in the sense of the
 // co-existing-schemas work (PAPERS.md), both directions: which keys a
@@ -12,7 +18,8 @@ type Projection struct {
 
 	rev     uint64
 	attrs   map[string]projected
-	virtual bool // some attribute lands through a setter
+	sorted  []projected // attrs in name order: the order a message carries them in
+	virtual bool        // some attribute lands through a setter
 }
 
 type projected struct {
@@ -32,6 +39,7 @@ func (d *Descriptor) Project(names []string) *Projection {
 		}
 		p.attrs[name] = a
 	}
+	p.sorted = slices.SortedFunc(maps.Values(p.attrs), func(a, b projected) int { return strings.Compare(a.name, b.name) })
 	return p
 }
 
@@ -43,14 +51,36 @@ func (p *Projection) Stale() bool { return p.rev != p.Desc.Revision() }
 // attributes as they are, absent ones left out.
 func (p *Projection) Read(rec *Record) map[string]any {
 	out := make(map[string]any, len(p.attrs))
-	for name, a := range p.attrs {
+	p.Each(rec, func(name string, v any) error {
+		out[name] = v
+		return nil
+	})
+	return out
+}
+
+// Each is Read without the map: it hands fn the attributes Read would
+// put in it, in name order, and stops at fn's first error. A publisher's
+// encoder reads a record through it.
+func (p *Projection) Each(rec *Record, fn func(name string, v any) error) error {
+	for _, a := range p.sorted {
+		v, ok := rec.Attrs[a.name]
 		if a.get != nil {
-			out[name] = Coerce(a.get(rec))
-		} else if v, ok := rec.Attrs[name]; ok {
-			out[name] = v
+			v, ok = Coerce(a.get(rec)), true
+		}
+		if !ok {
+			continue
+		}
+		if err := fn(a.name, v); err != nil {
+			return err
 		}
 	}
-	return out
+	return nil
+}
+
+// Has reports whether the projection names the attribute.
+func (p *Projection) Has(name string) bool {
+	_, ok := p.attrs[name]
+	return ok
 }
 
 // Key returns the projection's own string for a wire key it names, so

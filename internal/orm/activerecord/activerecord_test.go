@@ -268,7 +268,8 @@ func TestStageJournalIsNotReadBack(t *testing.T) {
 
 // What a transaction stores shares nothing with the records staged into
 // it or the records its Commit returns, nested values included (outside
-// a transaction: ormtest's StoredStateIsIsolated).
+// a transaction: ormtest's StoredStateIsIsolated). An update's
+// attributes are borrowed until Commit, which copies them in.
 func TestStoredStateIsIsolated(t *testing.T) {
 	m := New(reldb.New(reldb.Postgres))
 	if err := m.Register(ormtest.NewUserDescriptor()); err != nil {
@@ -307,11 +308,11 @@ func TestStoredStateIsIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	scribble(created) // between staging and commit
-	scribble(patched)
 	out, err := tx.Commit()
 	if err != nil {
 		t.Fatal(err)
 	}
+	scribble(patched) // an update's attributes are borrowed until Commit
 	for _, r := range out {
 		scribble(r)
 	}

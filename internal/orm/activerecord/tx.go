@@ -12,13 +12,21 @@ import (
 // Tx is a buffered multi-object transaction over the relational engine.
 // Before-callbacks run when operations are staged (matching ActiveRecord,
 // where they run inside the transaction); after-callbacks run once the
-// commit succeeds.
+// commit succeeds. It embeds its engine transaction and keeps a publish's
+// worth of operations and returned records inline, so it is one
+// allocation; like the engine's, it is single-use, and the records Commit
+// returns are a view of its own storage.
 type Tx struct {
 	m      *Mapper
-	tx     *reldb.Tx
+	tx     reldb.Tx
 	ops    []txRecOp
 	closed bool
+
+	opBuf  [txInline]txRecOp
+	recBuf [txInline]*model.Record
 }
+
+const txInline = 2
 
 type txRecOp struct {
 	modelName string
@@ -28,7 +36,10 @@ type txRecOp struct {
 
 // Begin starts a transaction (orm.Transactional).
 func (m *Mapper) Begin() orm.MapperTx {
-	return &Tx{m: m, tx: m.db.Begin()}
+	tx := &Tx{m: m}
+	m.db.BeginIn(&tx.tx)
+	tx.ops = tx.opBuf[:0]
+	return tx
 }
 
 // stage runs the skeleton's validate → before-hook → count step, hands
@@ -104,7 +115,7 @@ func (tx *Tx) Commit() ([]*model.Record, error) {
 	if len(rows) != len(tx.ops) {
 		return nil, fmt.Errorf("activerecord: commit returned %d rows for %d ops", len(rows), len(tx.ops))
 	}
-	out := make([]*model.Record, 0, len(rows))
+	out := tx.recBuf[:0]
 	for i, op := range tx.ops {
 		if op.journal {
 			continue

@@ -103,7 +103,11 @@ type Transactional interface {
 	Begin() MapperTx
 }
 
-// MapperTx is a buffered multi-object transaction.
+// MapperTx is a buffered multi-object transaction. Create copies the
+// record's attributes when it stages them; Update borrows them until
+// Commit or Abort returns — Commit copies them into the stored object,
+// the one copy the row-ownership rule makes — so the caller leaves them
+// alone until then.
 type MapperTx interface {
 	Create(rec *model.Record) error
 	Update(rec *model.Record) error

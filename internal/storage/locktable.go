@@ -1,90 +1,115 @@
 package storage
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 )
 
-// LockTable provides per-key blocking mutual exclusion with on-demand
-// entries. Engines use it for row-level locks held across two-phase
-// commit; deadlock is avoided by acquiring keys in sorted order
-// (AcquireAll sorts for you).
-type LockTable struct {
-	mu    sync.Mutex
-	locks map[string]*keyLock
+// LockKey names one row lock: a table and a primary key.
+type LockKey struct{ Table, ID string }
+
+// Compare orders row locks by table, then id.
+func (a LockKey) Compare(b LockKey) int {
+	return cmp.Or(strings.Compare(a.Table, b.Table), strings.Compare(a.ID, b.ID))
 }
 
+// LockTable provides per-key blocking mutual exclusion with on-demand
+// entries. Engines use it for row-level locks held across two-phase
+// commit (K is LockKey), the version store for its dependency-key locks;
+// deadlock is avoided by acquiring keys in one sorted order (AcquireAll
+// sorts for you).
+//
+// An entry exists while its key is held or waited for. Entries nobody
+// needs any more go to a bounded free list and come back for the next
+// key, so a lock taken in the steady state allocates nothing; a free
+// entry names no key, so it keeps no row alive.
+type LockTable[K comparable] struct {
+	mu    sync.Mutex
+	locks map[K]*keyLock
+	free  []*keyLock
+}
+
+// maxFreeLocks bounds the recycled entries: as many as there are locks
+// held at once in a busy engine or version-store shard, no more.
+const maxFreeLocks = 64
+
 type keyLock struct {
-	ch   chan struct{} // capacity 1; holding the token = holding the lock
-	refs int
+	held  bool
+	refs  int       // the holder and its waiters
+	ready sync.Cond // L is the table's mu; signalled when held drops
 }
 
 // NewLockTable returns an empty lock table.
-func NewLockTable() *LockTable {
-	return &LockTable{locks: make(map[string]*keyLock)}
+func NewLockTable[K comparable]() *LockTable[K] {
+	return &LockTable[K]{locks: make(map[K]*keyLock)}
 }
 
 // Acquire blocks until the key's lock is held by the caller.
-func (lt *LockTable) Acquire(key string) {
+func (lt *LockTable[K]) Acquire(key K) {
 	lt.mu.Lock()
 	kl := lt.locks[key]
 	if kl == nil {
-		kl = &keyLock{ch: make(chan struct{}, 1)}
+		if n := len(lt.free); n > 0 {
+			kl, lt.free = lt.free[n-1], lt.free[:n-1]
+		} else {
+			kl = &keyLock{}
+			kl.ready.L = &lt.mu
+		}
 		lt.locks[key] = kl
 	}
 	kl.refs++
+	for kl.held {
+		kl.ready.Wait()
+	}
+	kl.held = true
 	lt.mu.Unlock()
-	kl.ch <- struct{}{}
 }
 
 // Release frees the key's lock. Releasing an unheld key panics, as that
 // is always a programming error.
-func (lt *LockTable) Release(key string) {
+func (lt *LockTable[K]) Release(key K) {
 	lt.mu.Lock()
 	kl := lt.locks[key]
-	if kl == nil {
+	if kl == nil || !kl.held {
 		lt.mu.Unlock()
-		panic("storage: release of unheld lock " + key)
+		panic(fmt.Sprintf("storage: release of unheld lock %v", key))
 	}
-	kl.refs--
-	if kl.refs == 0 {
+	kl.held = false
+	if kl.refs--; kl.refs > 0 {
+		kl.ready.Signal()
+	} else {
 		delete(lt.locks, key)
-	}
-	lt.mu.Unlock()
-	select {
-	case <-kl.ch:
-	default:
-		panic("storage: release of unheld lock " + key)
-	}
-}
-
-// AcquireAll acquires all keys in sorted order (deduplicated), returning
-// the ordered list to pass to ReleaseAll.
-func (lt *LockTable) AcquireAll(keys []string) []string {
-	uniq := make([]string, 0, len(keys))
-	seen := make(map[string]struct{}, len(keys))
-	for _, k := range keys {
-		if _, ok := seen[k]; !ok {
-			seen[k] = struct{}{}
-			uniq = append(uniq, k)
+		if len(lt.free) < maxFreeLocks {
+			lt.free = append(lt.free, kl)
 		}
 	}
-	sort.Strings(uniq)
-	for _, k := range uniq {
+	lt.mu.Unlock()
+}
+
+// AcquireAll sorts keys by cmp and deduplicates them in place, acquires
+// them in that order and returns the deduplicated prefix to pass to
+// ReleaseAll.
+func (lt *LockTable[K]) AcquireAll(keys []K, cmp func(a, b K) int) []K {
+	slices.SortFunc(keys, cmp)
+	keys = slices.Compact(keys)
+	for _, k := range keys {
 		lt.Acquire(k)
 	}
-	return uniq
+	return keys
 }
 
 // ReleaseAll releases keys previously returned by AcquireAll.
-func (lt *LockTable) ReleaseAll(keys []string) {
+func (lt *LockTable[K]) ReleaseAll(keys []K) {
 	for i := len(keys) - 1; i >= 0; i-- {
 		lt.Release(keys[i])
 	}
 }
 
 // Held reports the number of currently tracked keys (test helper).
-func (lt *LockTable) Held() int {
+func (lt *LockTable[K]) Held() int {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	return len(lt.locks)

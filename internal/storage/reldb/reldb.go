@@ -101,7 +101,7 @@ func (t *table) indexRemove(row storage.Row) {
 type DB struct {
 	flavor   Flavor
 	gate     *storage.Gate
-	rowLocks *storage.LockTable // held by prepared transactions
+	rowLocks *storage.LockTable[storage.LockKey] // held by prepared transactions
 
 	mu     sync.RWMutex
 	tables map[string]*table
@@ -117,7 +117,7 @@ func NewWithProfile(f Flavor, p storage.Profile) *DB {
 	return &DB{
 		flavor:   f,
 		gate:     storage.NewGate(p),
-		rowLocks: storage.NewLockTable(),
+		rowLocks: storage.NewLockTable[storage.LockKey](),
 		tables:   make(map[string]*table),
 	}
 }
@@ -252,8 +252,9 @@ func (db *DB) Exists(tableName, id string) (bool, error) {
 func (db *DB) Insert(tableName string, row storage.Row) (storage.Row, error) {
 	var out storage.Row
 	var err error
-	db.rowLocks.Acquire(lockKey(tableName, row.ID))
-	defer db.rowLocks.Release(lockKey(tableName, row.ID))
+	key := storage.LockKey{Table: tableName, ID: row.ID}
+	db.rowLocks.Acquire(key)
+	defer db.rowLocks.Release(key)
 	stored := row.Clone()
 	db.gate.Write(func() {
 		db.mu.Lock()
@@ -291,8 +292,9 @@ func (db *DB) insertLocked(tableName string, row storage.Row) error {
 func (db *DB) Update(tableName, id string, cols map[string]any) (storage.Row, error) {
 	var out storage.Row
 	var err error
-	db.rowLocks.Acquire(lockKey(tableName, id))
-	defer db.rowLocks.Release(lockKey(tableName, id))
+	key := storage.LockKey{Table: tableName, ID: id}
+	db.rowLocks.Acquire(key)
+	defer db.rowLocks.Release(key)
 	db.gate.Write(func() {
 		db.mu.Lock()
 		defer db.mu.Unlock()
@@ -336,8 +338,9 @@ func (db *DB) updateLocked(tableName, id string, cols map[string]any) (storage.R
 // row returns ErrNotFound.
 func (db *DB) Delete(tableName, id string) error {
 	var err error
-	db.rowLocks.Acquire(lockKey(tableName, id))
-	defer db.rowLocks.Release(lockKey(tableName, id))
+	key := storage.LockKey{Table: tableName, ID: id}
+	db.rowLocks.Acquire(key)
+	defer db.rowLocks.Release(key)
 	db.gate.Write(func() {
 		db.mu.Lock()
 		defer db.mu.Unlock()

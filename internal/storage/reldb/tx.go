@@ -2,7 +2,6 @@ package reldb
 
 import (
 	"fmt"
-	"sync"
 
 	"synapse/internal/storage"
 )
@@ -36,32 +35,54 @@ type txOp struct {
 	table string
 	id    string
 	row   storage.Row    // insert; owned by the transaction
-	cols  map[string]any // update; owned by the transaction
+	cols  map[string]any // update; borrowed from the caller until Commit
 	bare  bool           // Commit reports only the id (InsertPrepared)
 }
 
-// Tx is a buffered transaction over a DB.
+// Tx is a buffered transaction over a DB, used by one goroutine and
+// once. What it collects lives in the transaction itself: the usual
+// publish — one data write and its journal row — fits in the inline
+// arrays, so a transaction is one allocation, and the rows Commit
+// returns are a view of its own storage.
 type Tx struct {
 	db    *DB
-	mu    sync.Mutex
 	state txState
 	ops   []txOp
-	held  []string // row-lock keys held between Prepare and Commit/Abort
+	held  []storage.LockKey // row locks held between Prepare and Commit/Abort
+
+	opBuf   [txInline]txOp
+	heldBuf [txInline]storage.LockKey
+	rowBuf  [txInline]storage.Row // what Commit returns
 }
 
+const txInline = 2
+
 // Begin starts a transaction.
-func (db *DB) Begin() *Tx { return &Tx{db: db} }
+func (db *DB) Begin() *Tx {
+	tx := new(Tx)
+	db.BeginIn(tx)
+	return tx
+}
 
-func lockKey(table, id string) string { return table + "\x00" + id }
+// BeginIn starts a transaction in storage the caller provides (an
+// adapter's transaction embeds its engine's), so that beginning one
+// allocates nothing of its own.
+func (db *DB) BeginIn(tx *Tx) {
+	*tx = Tx{db: db}
+	tx.ops, tx.held = tx.opBuf[:0], tx.heldBuf[:0]
+}
 
-// Insert stages an insert.
+// Insert stages an insert of a copy of the row.
 func (tx *Tx) Insert(table string, row storage.Row) error {
 	return tx.stage(txOp{kind: opInsert, table: table, id: row.ID, row: row.Clone()})
 }
 
-// Update stages a column merge into an existing row.
+// Update stages a column merge into an existing row. The transaction
+// borrows cols until it ends: Commit copies the values into the stored
+// row — the one copy the row-ownership rule makes — so the caller must
+// not change them before Commit or Abort returns.
 func (tx *Tx) Update(table, id string, cols map[string]any) error {
-	return tx.stage(txOp{kind: opUpdate, table: table, id: id, cols: storage.Row{Cols: cols}.Clone().Cols})
+	return tx.stage(txOp{kind: opUpdate, table: table, id: id, cols: cols})
 }
 
 // Delete stages a row deletion.
@@ -70,8 +91,6 @@ func (tx *Tx) Delete(table, id string) error {
 }
 
 func (tx *Tx) stage(op txOp) error {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
 	if tx.state != txActive {
 		return storage.ErrTxClosed
 	}
@@ -79,65 +98,21 @@ func (tx *Tx) stage(op txOp) error {
 	return nil
 }
 
-// Get reads a row as the transaction would see it: committed state with
-// the transaction's buffered operations overlaid.
-func (tx *Tx) Get(table, id string) (storage.Row, error) {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if tx.state == txDone {
-		return storage.Row{}, storage.ErrTxClosed
-	}
-	row, err := tx.db.Get(table, id)
-	found := err == nil
-	for _, op := range tx.ops {
-		if op.table != table || op.id != id {
-			continue
-		}
-		switch op.kind {
-		case opInsert:
-			row = op.row.Clone()
-			found = true
-		case opUpdate:
-			if found {
-				for k, v := range op.cols {
-					row.Cols[k] = storage.CloneValue(v)
-				}
-			}
-		case opDelete:
-			found = false
-		}
-	}
-	if !found {
-		return storage.Row{}, storage.ErrNotFound
-	}
-	return row, nil
-}
-
-// Ops reports the number of staged operations.
-func (tx *Tx) Ops() int {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	return len(tx.ops)
-}
-
 // Prepare acquires row locks for every staged write and validates the
 // operations against current state. After a successful Prepare the
 // transaction is guaranteed to commit.
 func (tx *Tx) Prepare() error {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
 	if tx.state != txActive {
 		return storage.ErrTxClosed
 	}
-	keys := make([]string, 0, len(tx.ops))
 	for _, op := range tx.ops {
-		keys = append(keys, lockKey(op.table, op.id))
+		tx.held = append(tx.held, storage.LockKey{Table: op.table, ID: op.id})
 	}
-	tx.held = tx.db.rowLocks.AcquireAll(keys)
+	tx.held = tx.db.rowLocks.AcquireAll(tx.held, storage.LockKey.Compare)
 
 	if err := tx.validateLocked(); err != nil {
 		tx.db.rowLocks.ReleaseAll(tx.held)
-		tx.held = nil
+		tx.held = tx.held[:0]
 		return err
 	}
 	tx.state = txPrepared
@@ -147,40 +122,34 @@ func (tx *Tx) Prepare() error {
 // validateLocked checks inserts/updates/deletes against committed state,
 // accounting for earlier staged ops in the same transaction.
 func (tx *Tx) validateLocked() error {
-	// exists tracks the effective existence of each (table,id) as the
-	// staged ops would leave it.
-	exists := make(map[string]bool)
-	effective := func(table, id string) (bool, error) {
-		key := lockKey(table, id)
-		if e, ok := exists[key]; ok {
-			return e, nil
-		}
-		return tx.db.Exists(table, id)
-	}
-	for _, op := range tx.ops {
-		key := lockKey(op.table, op.id)
-		e, err := effective(op.table, op.id)
+	for i, op := range tx.ops {
+		e, err := tx.existsBefore(i)
 		if err != nil {
 			return err
 		}
-		switch op.kind {
-		case opInsert:
-			if e {
-				return fmt.Errorf("%w: %s/%s", storage.ErrExists, op.table, op.id)
-			}
-			exists[key] = true
-		case opUpdate:
-			if !e {
-				return fmt.Errorf("reldb: update missing row %s/%s: %w", op.table, op.id, storage.ErrNotFound)
-			}
-		case opDelete:
-			if !e {
-				return fmt.Errorf("reldb: delete missing row %s/%s: %w", op.table, op.id, storage.ErrNotFound)
-			}
-			exists[key] = false
+		switch {
+		case op.kind == opInsert && e:
+			return fmt.Errorf("%w: %s/%s", storage.ErrExists, op.table, op.id)
+		case op.kind == opUpdate && !e:
+			return fmt.Errorf("reldb: update missing row %s/%s: %w", op.table, op.id, storage.ErrNotFound)
+		case op.kind == opDelete && !e:
+			return fmt.Errorf("reldb: delete missing row %s/%s: %w", op.table, op.id, storage.ErrNotFound)
 		}
 	}
 	return nil
+}
+
+// existsBefore reports whether ops[i]'s row exists as the staged ops
+// before it leave it: the last earlier insert or delete of the row
+// decides, and without one the committed state does.
+func (tx *Tx) existsBefore(i int) (bool, error) {
+	op := tx.ops[i]
+	for j := i - 1; j >= 0; j-- {
+		if p := &tx.ops[j]; p.kind != opUpdate && p.table == op.table && p.id == op.id {
+			return p.kind == opInsert, nil
+		}
+	}
+	return tx.db.Exists(op.table, op.id)
 }
 
 // InsertPrepared stages one additional insert into an already-prepared
@@ -194,12 +163,10 @@ func (tx *Tx) validateLocked() error {
 // so the caller must not touch it afterwards — and Commit reports only
 // its id: the caller built the row and needs no copy of it back.
 func (tx *Tx) InsertPrepared(table string, row storage.Row) error {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
 	if tx.state != txPrepared {
 		return storage.ErrTxClosed
 	}
-	key := lockKey(table, row.ID)
+	key := storage.LockKey{Table: table, ID: row.ID}
 	tx.db.rowLocks.Acquire(key)
 	found, err := tx.db.Exists(table, row.ID)
 	if err == nil && found {
@@ -218,20 +185,16 @@ func (tx *Tx) InsertPrepared(table string, row storage.Row) error {
 // written rows in operation order (deletes yield a row with only the ID
 // set). Commit without a successful Prepare performs Prepare first.
 func (tx *Tx) Commit() ([]storage.Row, error) {
-	tx.mu.Lock()
 	if tx.state == txActive {
-		tx.mu.Unlock()
 		if err := tx.Prepare(); err != nil {
 			return nil, err
 		}
-		tx.mu.Lock()
 	}
-	defer tx.mu.Unlock()
 	if tx.state != txPrepared {
 		return nil, storage.ErrTxClosed
 	}
 
-	written := make([]storage.Row, 0, len(tx.ops))
+	written := tx.rowBuf[:0]
 	var applyErr error
 	tx.db.gate.Write(func() {
 		tx.db.mu.Lock()
@@ -269,7 +232,7 @@ func (tx *Tx) Commit() ([]storage.Row, error) {
 	})
 
 	tx.db.rowLocks.ReleaseAll(tx.held)
-	tx.held = nil
+	tx.held = tx.held[:0]
 	tx.state = txDone
 	if applyErr != nil {
 		// Validation at Prepare makes this unreachable absent engine
@@ -281,14 +244,9 @@ func (tx *Tx) Commit() ([]storage.Row, error) {
 
 // Abort discards the transaction, releasing any locks held by Prepare.
 func (tx *Tx) Abort() {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if tx.state == txDone {
-		return
-	}
 	if tx.state == txPrepared {
 		tx.db.rowLocks.ReleaseAll(tx.held)
-		tx.held = nil
+		tx.held = tx.held[:0]
 	}
 	tx.state = txDone
 }

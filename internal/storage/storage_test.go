@@ -1,7 +1,11 @@
 package storage
 
 import (
+	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -83,7 +87,7 @@ func TestRowCloneIsDeep(t *testing.T) {
 }
 
 func TestLockTableMutualExclusion(t *testing.T) {
-	lt := NewLockTable()
+	lt := NewLockTable[LockKey]()
 	var counter, max int
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -92,7 +96,7 @@ func TestLockTableMutualExclusion(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				lt.Acquire("k")
+				lt.Acquire(LockKey{"t", "k"})
 				mu.Lock()
 				counter++
 				if counter > max {
@@ -102,7 +106,7 @@ func TestLockTableMutualExclusion(t *testing.T) {
 				mu.Lock()
 				counter--
 				mu.Unlock()
-				lt.Release("k")
+				lt.Release(LockKey{"t", "k"})
 			}
 		}()
 	}
@@ -116,7 +120,7 @@ func TestLockTableMutualExclusion(t *testing.T) {
 }
 
 func TestLockTableAcquireAllSortedNoDeadlock(t *testing.T) {
-	lt := NewLockTable()
+	lt := NewLockTable[LockKey]()
 	var wg sync.WaitGroup
 	// Opposite-order key sets would deadlock without sorted acquisition.
 	for i := 0; i < 16; i++ {
@@ -124,14 +128,14 @@ func TestLockTableAcquireAllSortedNoDeadlock(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				held := lt.AcquireAll([]string{"a", "b", "c"})
+				held := lt.AcquireAll([]LockKey{{"t", "a"}, {"t", "b"}, {"u", "a"}}, LockKey.Compare)
 				lt.ReleaseAll(held)
 			}
 		}()
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				held := lt.AcquireAll([]string{"c", "b", "a"})
+				held := lt.AcquireAll([]LockKey{{"u", "a"}, {"t", "b"}, {"t", "a"}}, LockKey.Compare)
 				lt.ReleaseAll(held)
 			}
 		}()
@@ -146,10 +150,10 @@ func TestLockTableAcquireAllSortedNoDeadlock(t *testing.T) {
 }
 
 func TestLockTableDeduplicates(t *testing.T) {
-	lt := NewLockTable()
-	held := lt.AcquireAll([]string{"x", "x", "y"})
-	if len(held) != 2 {
-		t.Fatalf("AcquireAll kept duplicates: %v", held)
+	lt := NewLockTable[LockKey]()
+	held := lt.AcquireAll([]LockKey{{"t", "y"}, {"t", "x"}, {"t", "y"}}, LockKey.Compare)
+	if len(held) != 2 || held[0].ID != "x" || held[1].ID != "y" {
+		t.Fatalf("AcquireAll = %v, want the two keys, sorted", held)
 	}
 	lt.ReleaseAll(held)
 	if lt.Held() != 0 {
@@ -163,7 +167,7 @@ func TestLockTableReleaseUnheldPanics(t *testing.T) {
 			t.Fatal("Release of unheld lock did not panic")
 		}
 	}()
-	NewLockTable().Release("nope")
+	NewLockTable[LockKey]().Release(LockKey{"t", "nope"})
 }
 
 func TestGateZeroProfileIsUnconstrained(t *testing.T) {
@@ -241,5 +245,109 @@ func TestQuickEqNeComplementary(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(check, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLockTableSteadyStateAllocs: a key whose entry comes back from the
+// free list costs nothing to lock, alone or in a sorted set.
+func TestLockTableSteadyStateAllocs(t *testing.T) {
+	lt := NewLockTable[LockKey]()
+	one := LockKey{"users", "u1"}
+	set := [3]LockKey{{"users", "u2"}, {"journal", "j1"}, {"users", "u2"}}
+	lock := func() {
+		keys := set // AcquireAll sorts and compacts its argument
+		lt.ReleaseAll(lt.AcquireAll(keys[:], LockKey.Compare))
+	}
+	lock() // entries made, map sized
+	n := testing.AllocsPerRun(100, func() {
+		lt.Acquire(one)
+		lt.Release(one)
+		lock()
+	})
+	if n != 0 {
+		t.Errorf("recycled Acquire/Release/AcquireAll = %v allocs, want 0", n)
+	}
+	if lt.Held() != 0 || len(lt.free) != 2 {
+		t.Errorf("held %d, free %d after the runs; want 0 and 2", lt.Held(), len(lt.free))
+	}
+}
+
+// TestLockTableRandomizedMutualExclusion: goroutines lock overlapping
+// random sets of one to four keys (duplicates included) over a small key
+// space, so entries keep going to the free list and coming back for
+// other keys while waiters queue; every key must have at most one holder
+// at a time, and the table must end empty with a bounded free list.
+func TestLockTableRandomizedMutualExclusion(t *testing.T) {
+	lt := NewLockTable[LockKey]()
+	space := []LockKey{{"a", "1"}, {"a", "2"}, {"a", "3"}, {"b", "1"}, {"b", "2"}, {"c", "1"}}
+	holders := make([]atomic.Int32, len(space))
+	index := func(k LockKey) int { return slices.Index(space, k) }
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			var buf [4]LockKey
+			for range 400 {
+				keys := buf[:1+rng.Intn(4)]
+				for i := range keys {
+					keys[i] = space[rng.Intn(len(space))]
+				}
+				held := lt.AcquireAll(keys, LockKey.Compare)
+				for _, k := range held {
+					if n := holders[index(k)].Add(1); n != 1 {
+						t.Errorf("%v has %d holders", k, n)
+					}
+				}
+				runtime.Gosched()
+				for _, k := range held {
+					holders[index(k)].Add(-1)
+				}
+				lt.ReleaseAll(held)
+			}
+		}()
+	}
+	wg.Wait()
+	if lt.Held() != 0 || len(lt.free) > maxFreeLocks {
+		t.Fatalf("held %d, free %d after the run", lt.Held(), len(lt.free))
+	}
+
+	// Deterministically: a recycled entry, a waiter queued on its key, and
+	// other keys cycling through the free list meanwhile.
+	a, b, c := LockKey{"t", "a"}, LockKey{"t", "b"}, LockKey{"t", "c"}
+	lt = NewLockTable[LockKey]()
+	lt.Acquire(a)
+	lt.Release(a)
+	recycled := lt.free[0]
+	lt.Acquire(b)
+	if lt.locks[b] != recycled {
+		t.Fatal("b did not reuse a's entry")
+	}
+	var waiterHolds atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		lt.Acquire(b)
+		waiterHolds.Store(true)
+		lt.Release(b)
+		close(done)
+	}()
+	for queued := false; !queued; {
+		runtime.Gosched()
+		lt.mu.Lock()
+		queued = recycled.refs == 2
+		lt.mu.Unlock()
+	}
+	lt.Acquire(c)
+	lt.Release(c)
+	lt.Acquire(a)
+	lt.Release(a)
+	if waiterHolds.Load() || lt.locks[b] != recycled {
+		t.Fatal("the queued waiter got b while it was held, or b's entry moved")
+	}
+	lt.Release(b)
+	<-done
+	if lt.Held() != 0 {
+		t.Fatalf("%d entries left", lt.Held())
 	}
 }

@@ -235,11 +235,16 @@ func TestClaimIfMetNoLostWakeUnderConcurrentIncrements(t *testing.T) {
 func TestReleaseDoesNotWait(t *testing.T) {
 	const rtt = 20 * time.Millisecond
 	s := New(Config{Shards: 2, RTT: rtt})
-	free := func(k Key) bool {
-		sh := s.shardFor(k)
-		sh.lockMu.Lock()
-		defer sh.lockMu.Unlock()
-		return len(sh.locks[k]) == 0
+	// Plan i's lock is free when its shard's table tracks only the keys of
+	// the plans still unreleased.
+	free := func(i int) bool {
+		sh, held := s.shardFor(Key(i)), 0
+		for j := i + 1; j < 8; j++ {
+			if s.shardFor(Key(j)) == sh {
+				held++
+			}
+		}
+		return sh.locks.Held() == held
 	}
 	var plans [8]Batch
 	for i := range plans {
@@ -254,7 +259,7 @@ func TestReleaseDoesNotWait(t *testing.T) {
 		if took := time.Since(start); took > rtt/2 {
 			t.Fatalf("Release took %v with a %v round trip: it waited for the unlock reply", took, rtt)
 		}
-		if !free(Key(i)) {
+		if !free(i) {
 			t.Fatal("a key was still locked when Release returned")
 		}
 		plans[i].Release() // idempotent

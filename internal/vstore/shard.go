@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"synapse/internal/storage"
 	"synapse/internal/timeutil"
 )
 
@@ -24,8 +25,7 @@ type shard struct {
 	mu   sync.RWMutex
 	data map[Key]*entry
 
-	lockMu sync.Mutex
-	locks  map[Key]chan struct{}
+	locks *storage.LockTable[Key]
 
 	waitMu  sync.Mutex
 	waiters map[Key][]waiter
@@ -45,7 +45,7 @@ type waiter struct {
 func newShard() *shard {
 	return &shard{
 		data:    make(map[Key]*entry),
-		locks:   make(map[Key]chan struct{}),
+		locks:   storage.NewLockTable[Key](),
 		waiters: make(map[Key][]waiter),
 	}
 }
@@ -92,33 +92,6 @@ func (sh *shard) flush() {
 	sh.data = make(map[Key]*entry)
 	sh.mu.Unlock()
 	sh.wakeAll()
-}
-
-// lock acquires the cooperative key lock (blocking).
-func (sh *shard) lock(k Key) {
-	sh.lockMu.Lock()
-	ch, ok := sh.locks[k]
-	if !ok {
-		ch = make(chan struct{}, 1)
-		sh.locks[k] = ch
-	}
-	sh.lockMu.Unlock()
-	ch <- struct{}{}
-}
-
-// unlock releases the cooperative key lock.
-func (sh *shard) unlock(k Key) {
-	sh.lockMu.Lock()
-	ch := sh.locks[k]
-	sh.lockMu.Unlock()
-	if ch == nil {
-		panic("vstore: unlock of unheld key")
-	}
-	select {
-	case <-ch:
-	default:
-		panic("vstore: unlock of unheld key")
-	}
 }
 
 // register adds a waiter for the key, needing ops >= min. The caller

@@ -149,6 +149,7 @@ type Store struct {
 	mu        sync.RWMutex
 	dead      bool
 	transport Transport
+	onWait    func() // see OnWait
 }
 
 // Transport models the network hop between a client and the store:
@@ -187,9 +188,17 @@ func (s *Store) Config() Config { return s.cfg }
 // per message.
 func (s *Store) RoundTrips() uint64 { return s.rt.Load() }
 
+// OnWait installs a test hook run on the waiting goroutine at every
+// round-trip window a caller waits for — not at the unlock windows
+// charged behind its back. Install it before the store sees traffic.
+func (s *Store) OnWait(fn func()) { s.onWait = fn }
+
 // charge accounts one round-trip window and injects its latency.
 func (s *Store) charge(cost time.Duration) {
 	s.rt.Add(1)
+	if s.onWait != nil {
+		s.onWait()
+	}
 	timeutil.Wait(cost, s.cfg.Precise)
 }
 
@@ -274,7 +283,7 @@ func (s *Store) LockWrites(keys []Key) ([]Key, error) {
 	s.charge(s.cfg.scriptCost(len(ops)))
 	held := make([]Key, len(ops))
 	for i := range ops {
-		ops[i].sh.lock(ops[i].key)
+		ops[i].sh.locks.Acquire(ops[i].key)
 		held[i] = ops[i].key
 	}
 	return held, nil
@@ -296,7 +305,7 @@ func (s *Store) UnlockWrites(keys []Key) {
 // the caller never sleeps for its reply (settle).
 func (s *Store) unlock(held []op) {
 	for i := len(held) - 1; i >= 0; i-- {
-		held[i].sh.unlock(held[i].key)
+		held[i].sh.locks.Release(held[i].key)
 	}
 	s.settle(s.cfg.scriptCost(len(held)))
 }
@@ -385,6 +394,13 @@ func (b *Batch) ops() []op {
 // Len is the number of distinct dependency keys in the plan.
 func (b *Batch) Len() int { return len(b.ops()) }
 
+// At returns the plan's i-th key, in ascending key order, and its
+// version to embed (see Version).
+func (b *Batch) At(i int) (Key, uint64) {
+	o := b.ops()[i]
+	return o.key, o.out
+}
+
 // Version returns the version to embed in the message for one of the
 // plan's keys: version for reads, version−1 for writes (§4.2).
 func (b *Batch) Version(k Key) uint64 {
@@ -439,7 +455,7 @@ func (s *Store) lockAndBump(ops []op, readDeps, writeDeps []Key) ([]op, error) {
 	// publish path under zipf-skewed traffic.
 	s.charge(s.windowCost(ops, nil))
 	for i := range ops {
-		ops[i].sh.lock(ops[i].key)
+		ops[i].sh.locks.Acquire(ops[i].key)
 	}
 	if err := s.checkAlive(); err != nil {
 		// The store died while we waited for a lock holder; hand back

@@ -144,19 +144,12 @@ func TestMarshalGoldenEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := marshalFast(m)
+			got, err := Marshal(m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("fast encoder diverges\n got: %s\nwant: %s", got, want)
-			}
-			appended, err := AppendMessage([]byte("prefix"), m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(appended, append([]byte("prefix"), want...)) {
-				t.Fatalf("AppendMessage diverges: %s", appended)
 			}
 		})
 	}
@@ -375,7 +368,7 @@ func TestQuickCodecEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := marshalFast(m)
+		got, err := Marshal(m)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Logf("encode diverges:\n got %s\nwant %s", got, want)
 			return false
@@ -488,7 +481,7 @@ func TestWithEncodedMatchesMarshal(t *testing.T) {
 }
 
 // TestMarshalErrorParity checks the encoder rejects what encoding/json
-// rejects (and falls back so the error is the stdlib's).
+// rejects.
 func TestMarshalErrorParity(t *testing.T) {
 	bad := map[string]*Message{
 		"inf-attr": {App: "a", Operations: []Operation{{Operation: OpUpdate, Types: []string{"T"}, ID: "1",
@@ -538,7 +531,7 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("decoders diverge on %q\n fast: %#v\n  std: %#v", data, fast, std)
 		}
 		want, wantErr := json.Marshal(std)
-		got, gotErr := marshalFast(fast)
+		got, gotErr := Marshal(fast)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("re-encode error mismatch: fast=%v std=%v", gotErr, wantErr)
 		}
@@ -553,7 +546,7 @@ func BenchmarkMarshal(b *testing.B) {
 	b.Run("fast", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := marshalFast(m); err != nil {
+			if _, err := Marshal(m); err != nil {
 				b.Fatal(err)
 			}
 		}

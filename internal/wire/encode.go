@@ -9,6 +9,8 @@ import (
 	"sync"
 	"time"
 	"unicode/utf8"
+
+	"synapse/internal/model"
 )
 
 // The hand-rolled encoder. The output is byte-for-byte identical to
@@ -33,37 +35,19 @@ var encPool = sync.Pool{
 	New: func() any { return &encoder{buf: make([]byte, 0, 1024)} },
 }
 
-// marshalFast encodes the message into a pooled buffer and returns an
-// exact-size copy — the single allocation of the encode path.
-func marshalFast(m *Message) ([]byte, error) {
-	e := encPool.Get().(*encoder)
-	e.buf = e.buf[:0]
-	e.keys = e.keys[:0]
-	err := e.message(m)
+// Marshal encodes the message as JSON and returns an exact-size copy of
+// the pooled buffer's bytes — the single allocation of the encode path.
+// It fails exactly where encoding/json would (a non-finite float, a year
+// outside [0, 9999]).
+func Marshal(m *Message) ([]byte, error) {
+	var out []byte
+	err := WithEncoded(m, func(b []byte) error {
+		out = make([]byte, len(b))
+		copy(out, b)
+		return nil
+	})
 	if err != nil {
-		encPool.Put(e)
-		return nil, err
-	}
-	out := make([]byte, len(e.buf))
-	copy(out, e.buf)
-	encPool.Put(e)
-	return out, nil
-}
-
-// AppendMessage appends the JSON encoding of m to dst and returns the
-// extended buffer. This is the zero-allocation entry point: callers that
-// own a scratch buffer (see WithEncoded) pay no per-message heap cost.
-// On error dst is returned truncated to its original length.
-func AppendMessage(dst []byte, m *Message) ([]byte, error) {
-	e := encPool.Get().(*encoder)
-	n := len(dst)
-	e.buf = dst
-	err := e.message(m)
-	out := e.buf
-	e.buf = nil
-	encPool.Put(e)
-	if err != nil {
-		return out[:n], err
+		return nil, fmt.Errorf("wire: marshal: %w", err)
 	}
 	return out, nil
 }
@@ -104,12 +88,20 @@ func (e *encoder) message(m *Message) error {
 		e.buf = append(e.buf, ']')
 	}
 	e.buf = append(e.buf, `,"dependencies":`...)
-	e.depMap(m.Dependencies)
+	hashed, names := m.splitDeps()
+	if m.deps != nil {
+		e.deps(hashed)
+	} else {
+		e.depMap(m.Dependencies)
+	}
 	if len(m.External) > 0 {
 		e.buf = append(e.buf, `,"external_dependencies":`...)
 		e.depMap(m.External)
 	}
-	if len(m.Dots) > 0 {
+	if len(names) > 0 {
+		e.buf = append(e.buf, `,"dots":`...)
+		e.deps(names)
+	} else if m.deps == nil && len(m.Dots) > 0 {
 		e.buf = append(e.buf, `,"dots":`...)
 		e.depMap(m.Dots)
 	}
@@ -150,16 +142,74 @@ func (e *encoder) operation(o *Operation) error {
 	}
 	e.buf = append(e.buf, `,"id":`...)
 	e.str(o.ID)
-	if len(o.Attributes) > 0 {
+	if o.lens != nil {
+		if err := e.projected(o.lens, o.rec); err != nil {
+			return err
+		}
+	} else if len(o.Attributes) > 0 {
 		e.buf = append(e.buf, `,"attributes":`...)
 		if err := e.anyMap(o.Attributes); err != nil {
 			return err
 		}
 	}
 	e.buf = append(e.buf, `,"object_dep":`...)
-	e.str(o.ObjectDep)
+	if o.ObjectDep == "" && o.hasKey {
+		e.key(o.depKey)
+	} else {
+		e.str(o.ObjectDep)
+	}
 	e.buf = append(e.buf, '}')
 	return nil
+}
+
+// projected encodes what lens reads from rec as the map lens.Read would
+// build encodes: in name order, and no "attributes" key when it is empty.
+func (e *encoder) projected(lens *model.Projection, rec *model.Record) error {
+	start := len(e.buf)
+	e.buf = append(e.buf, `,"attributes":{`...)
+	open := len(e.buf)
+	err := lens.Each(rec, func(name string, v any) error {
+		if len(e.buf) > open {
+			e.buf = append(e.buf, ',')
+		}
+		e.str(name)
+		e.buf = append(e.buf, ':')
+		return e.value(v)
+	})
+	switch {
+	case err != nil:
+		return err
+	case len(e.buf) == open:
+		e.buf = e.buf[:start]
+	default:
+		e.buf = append(e.buf, '}')
+	}
+	return nil
+}
+
+// deps encodes a sorted list of dependencies as the map it stands for.
+func (e *encoder) deps(deps []Dep) {
+	e.buf = append(e.buf, '{')
+	for i, d := range deps {
+		if i > 0 {
+			e.buf = append(e.buf, ',')
+		}
+		if d.Name != "" {
+			e.str(d.Name)
+		} else {
+			e.key(d.Key)
+		}
+		e.buf = append(e.buf, ':')
+		e.buf = strconv.AppendUint(e.buf, d.Version, 10)
+	}
+	e.buf = append(e.buf, '}')
+}
+
+// key encodes a hashed key as its decimal token.
+func (e *encoder) key(k uint64) {
+	e.buf = append(e.buf, '"')
+	e.buf = strconv.AppendUint(e.buf, k, 10)
+	e.buf = append(e.buf, '"')
 }
 
 // depMap encodes a dependency map with its keys in sorted order —

@@ -8,9 +8,12 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"synapse/internal/model"
@@ -93,8 +96,30 @@ type Operation struct {
 	// when sink is nil or did not want this verb's attributes.
 	sink      Sink
 	projected bool
-	depKey    uint64
-	hasKey    bool
+	// The object's hashed key: parsed in place by a projected decode, or
+	// set by a publisher (SetObjectDep) and rendered by the encoder.
+	depKey uint64
+	hasKey bool
+	// Set by a publisher (Project): the attributes are what lens reads
+	// from rec when the message is encoded.
+	lens *model.Projection
+	rec  *model.Record
+}
+
+// Project makes the operation's attributes what lens reads from rec at
+// encode time, in place of an Attributes map: a publisher builds none.
+func (o *Operation) Project(lens *model.Projection, rec *model.Record) {
+	o.Attributes, o.lens, o.rec = nil, lens, rec
+}
+
+// SetObjectDep sets the object's own dependency token: a name is the
+// token, a hashed key is rendered in decimal by the encoder.
+func (o *Operation) SetObjectDep(d Dep) {
+	if d.Name != "" {
+		o.ObjectDep = d.Name
+		return
+	}
+	o.ObjectDep, o.depKey, o.hasKey = "", d.Key, true
 }
 
 // Sink reports which sink chose this operation's attributes, and whether
@@ -156,6 +181,10 @@ type Message struct {
 	// rely on the per-object version guard to make them idempotent.
 	Recovered bool `json:"recovered,omitempty"`
 
+	// deps, set by SetDeps, stands for Dependencies and Dots: hashed keys
+	// first, in the order their decimal tokens sort, then names, sorted.
+	deps []Dep
+
 	// parsedDeps holds the hashed dependencies under their numeric keys.
 	// A projected decode parses them straight into it (a key that is not
 	// a number stays in Dependencies, for Deps to report); otherwise Deps
@@ -165,6 +194,42 @@ type Message struct {
 	// alone cannot distinguish "complete and empty" from "not yet parsed".
 	parsedDeps map[uint64]uint64
 	depsParsed bool
+}
+
+// Dep is one dependency as a publisher embeds it: a hashed key, or under
+// the DVV tracker an exact name, and the version to have seen.
+type Dep struct {
+	Key     uint64
+	Name    string // an exact name (a dot); "" for a hashed key
+	Version uint64
+}
+
+// SetDeps gives a publisher's message its dependencies in numeric form,
+// in place of the Dependencies and Dots maps: the encoder renders hashed
+// keys into "dependencies" and names into "dots" exactly as encoding/json
+// renders the maps. It sorts deps in place and keeps it; nil gives the
+// maps back their say.
+func (m *Message) SetDeps(deps []Dep) {
+	slices.SortFunc(deps, compareDeps)
+	m.deps = deps
+}
+
+// compareDeps orders hashed keys before names, and each by its token.
+func compareDeps(a, b Dep) int {
+	if a.Name != "" || b.Name != "" {
+		return strings.Compare(a.Name, b.Name) // "" first: hashed keys
+	}
+	var x, y [20]byte
+	return bytes.Compare(strconv.AppendUint(x[:0], a.Key, 10), strconv.AppendUint(y[:0], b.Key, 10))
+}
+
+// splitDeps returns SetDeps' hashed keys and names.
+func (m *Message) splitDeps() (hashed, names []Dep) {
+	n := len(m.deps)
+	for n > 0 && m.deps[n-1].Name != "" {
+		n--
+	}
+	return m.deps[:n], m.deps[n:]
 }
 
 // Deps returns the hashed dependencies keyed by hashed dependency key,
@@ -222,26 +287,6 @@ func ParseDepKey(s string) (uint64, error) {
 	return v, nil
 }
 
-// Marshal encodes the message as JSON. The hand-rolled encoder produces
-// byte-for-byte the same payload encoding/json would; if it rejects the
-// message (non-finite float, out-of-range year) the stdlib path runs so
-// the returned error is the canonical one.
-func Marshal(m *Message) ([]byte, error) {
-	b, err := marshalFast(m)
-	if err != nil {
-		return marshalStd(m)
-	}
-	return b, nil
-}
-
-func marshalStd(m *Message) ([]byte, error) {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("wire: marshal: %w", err)
-	}
-	return b, nil
-}
-
 // Unmarshal decodes a message, normalizing attribute values into the
 // model value set (JSON numbers arrive as float64 and stay that way;
 // record accessors accept both widths). The fast decoder handles the
@@ -294,6 +339,12 @@ func Validate(m *Message) error {
 	for k := range m.Dependencies {
 		if _, err := ParseDepKey(k); err != nil {
 			return err
+		}
+	}
+	_, names := m.splitDeps()
+	for _, d := range names {
+		if !IsNameToken(d.Name) {
+			return fmt.Errorf("wire: dot key %q is not a dependency name", d.Name)
 		}
 	}
 	for k := range m.Dots {

@@ -18,10 +18,10 @@ echo "== go build =="
 go build ./...
 
 echo "== go vet (hot path) =="
-# Vet the alloc-sensitive hot-path packages first so codec, broker and
-# projection regressions fail fast, before the full-suite vet and race
-# build.
-go vet ./internal/wire/ ./internal/broker/ ./internal/model/ ./internal/core/
+# Vet the alloc-sensitive hot-path packages first so codec, broker,
+# projection, engine and plan regressions fail fast, before the
+# full-suite vet and race build.
+go vet ./internal/wire/ ./internal/broker/ ./internal/model/ ./internal/core/ ./internal/storage/... ./internal/deptrack/
 
 echo "== go vet =="
 go vet ./...

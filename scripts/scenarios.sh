@@ -201,7 +201,23 @@ scenario_projection() {
         bash benchmark/run.sh --workload fanout_hetero --seconds 5
 }
 
-ALL="check chaos overload causality tail cluster bootstrap benchmark liveness journal orm windows projection"
+# The publisher's commit: the allocation budgets of the row-lock table,
+# the engine transaction, the dependency plan and a journaled publish
+# (plain runs: the budgets skip under the race detector) with the
+# differential check of the payloads against encoding/json; the
+# lock-table property test twenty times and the global-order test a
+# hundred times under the race detector; then the workload whose every
+# message is a journaled PostgreSQL publish, which exits non-zero on any
+# failed operation or oracle mismatch.
+scenario_publish() {
+    gotest -run 'TestLockTableSteadyStateAllocs|TestTxAllocBudget|TestPlanAllocBudget|TestPublishAllocBudget|TestPublishPayloadsMatchEncodingJSON' \
+        ./internal/storage/ ./internal/storage/reldb/ ./internal/deptrack/ ./internal/core/ &&
+        gotest -race -count=20 -run 'TestLockTable' ./internal/storage/ &&
+        gotest -race -count=100 -run 'TestGlobalModeTotalOrder' ./internal/core/ &&
+        bash benchmark/run.sh --workload social_causal --seconds 5
+}
+
+ALL="check chaos overload causality tail cluster bootstrap benchmark liveness journal orm windows projection publish"
 run_list="$*"
 if [ -z "$run_list" ]; then
     run_list="$ALL"
