@@ -190,8 +190,11 @@ type App struct {
 	// depWriters records, per resolved object key, a fingerprint of the
 	// last (origin, model, id) applied under it — the evidence the
 	// false-dependency estimate compares against. Striped to keep the
-	// hot-path record cheap under concurrent workers.
+	// hot-path record cheap under concurrent workers. Kept only when
+	// collisions can happen (hashedDeps): a hash tracker with a bounded
+	// DepCardinality.
 	depWriters [16]depWriterStripe
+	hashedDeps bool
 
 	// Overload-control state: the last subscriber pressure observed over
 	// the network (served from cache while the probe's link is faulty),
@@ -320,6 +323,7 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 		PipelineFill:     hdr.New(),
 		FlushBatchSize:   hdr.New(),
 	}
+	a.hashedDeps = tracker.Policy() == deptrack.PolicyHash && cfg.DepCardinality > 0
 	a.compiled.Store(&subTable{})
 	a.resolve = a.resolveSink
 	a.outbox = newOutbox(&a.seq)
@@ -430,7 +434,8 @@ type Stats struct {
 	// FalseDepsSuspected estimates the blocked waits released by a write
 	// to a DIFFERENT name hashing onto the same dependency key — the
 	// false-dependency cost of the fixed-cardinality hash tracker
-	// (§4.2). Structurally zero under the DVV tracker.
+	// (§4.2). Zero under the DVV tracker and under unhashed keys
+	// (DepCardinality 0), which record no evidence.
 	FalseDepsSuspected int64
 	// DepTimeouts counts dependency waits that gave up (§6.5 degraded
 	// processing); LastDepTimeout renders the most recent one, naming

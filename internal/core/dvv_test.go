@@ -180,6 +180,40 @@ func TestFalseDependencyEstimateUnderHashCollisions(t *testing.T) {
 	if st.DepWaitBlockedMax <= 0 {
 		t.Errorf("DepWaitBlockedMax = %v, want > 0", st.DepWaitBlockedMax)
 	}
+	if n := depEvidence(sub); n != 1 {
+		t.Errorf("last-writer evidence for %d keys, want the one key", n)
+	}
+}
+
+// depEvidence counts the keys the false-dependency estimate keeps a last
+// writer for.
+func depEvidence(a *App) (n int) {
+	for i := range a.depWriters {
+		n += len(a.depWriters[i].m)
+	}
+	return n
+}
+
+// Unhashed keys, like DVV dots, cannot collide: the subscriber keeps no
+// last-writer evidence for them, whatever it applies.
+func TestNoDepEvidenceWithoutCollisions(t *testing.T) {
+	for _, cfg := range []Config{{}, {DepTracker: TrackerDVV}} {
+		f := NewFabric()
+		pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal, DepTracker: cfg.DepTracker})
+		mustPublish(t, pub, userDesc(), "name")
+		got := publishTwoUsers(t, pub)
+		sub, _ := newDocApp(t, f, "sub", cfg)
+		mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}, Mode: Causal})
+		drainQueue(t, sub)
+		for _, m := range got {
+			if err := sub.ProcessMessage(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n, st := depEvidence(sub), sub.Stats(); n != 0 || st.FalseDepsSuspected != 0 {
+			t.Errorf("%+v: evidence for %d keys, %d false deps; want 0, 0", cfg, n, st.FalseDepsSuspected)
+		}
+	}
 }
 
 func TestDVVHasNoFalseDependencies(t *testing.T) {

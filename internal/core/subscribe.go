@@ -953,11 +953,13 @@ func (a *App) processCausal(j *job, mode DeliveryMode) ([]vstore.Key, bool, erro
 	a.Stages.Observe(StageDepWait, admitted.Sub(j.probedAt))
 	if !j.parkedAt.IsZero() {
 		a.DepWaitBlocked.Record(int64(admitted.Sub(j.parkedAt)))
-		if w == nil {
+		if w == nil && a.hashedDeps {
 			a.noteFalseDeps(msg, j.reqs)
 		}
 	}
-	a.recordDepWriters(msg)
+	if a.hashedDeps {
+		a.recordDepWriters(msg)
+	}
 	// The bootstrap Seq boundary outlives Bootstrapping(): a message
 	// published before the version snapshot has its bumps bulk-loaded
 	// already, and re-incrementing (e.g. backlog fetched during the
@@ -1231,7 +1233,8 @@ func (a *App) noteDepTimeout(err error) {
 // waited on, if the last write recorded under that key came from a
 // DIFFERENT (origin, model, id), the block was at least partly a false
 // dependency — an unrelated name hashing onto the same key. Under the
-// DVV tracker keys are per-name, so the estimate is structurally zero.
+// DVV tracker and on unhashed keys names do not share a key, so neither
+// this nor recordDepWriters runs there.
 func (a *App) noteFalseDeps(msg *wire.Message, reqs []vstore.WaitReq) {
 	for i := range msg.Operations {
 		op := &msg.Operations[i]

@@ -376,9 +376,10 @@ func runQueries(t *testing.T, m orm.Mapper) {
 // saveAllocCeiling is what Save may allocate when it updates a stored
 // object of four attributes: the measured count (9, 11, 13, 25 and 8
 // when each adapter copied records into its engine's row shape). Left are
-// the row a RETURNING write returns, row-lock keys and token slices.
+// the row a RETURNING write returns, row-lock keys and the new value's
+// token slices.
 var saveAllocCeiling = map[string]float64{
-	"activerecord": 5, "documentorm": 2, "columnorm": 1, "searchorm": 16, "graphorm": 1,
+	"activerecord": 5, "documentorm": 2, "columnorm": 0, "searchorm": 6, "graphorm": 1,
 }
 
 func runSaveAllocBudget(t *testing.T, m orm.Mapper) {

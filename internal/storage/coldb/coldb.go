@@ -1,10 +1,10 @@
 // Package coldb implements the column-family storage engine, the
 // Cassandra stand-in: rows live in partitions keyed by primary key, each
-// cell carries a write timestamp, writes land in a memtable that is
-// flushed to immutable sstables, and reads merge memtable and sstables
-// by latest timestamp. Logged batches apply a group of mutations
-// atomically — the strongest isolation Cassandra offers and the one the
-// paper says subscribers use for transactional messages (§4.2).
+// cell carries a write timestamp, writes land in a memtable, and every
+// flush merges the memtable into the one base table. Reads look at those
+// two maps. Logged batches apply a group of mutations atomically — the
+// strongest isolation Cassandra offers and the one the paper says
+// subscribers use for transactional messages (§4.2).
 //
 // Like real Cassandra, the engine cannot return the rows written by a
 // mutation, so the publisher adapter performs an additional read query —
@@ -12,7 +12,8 @@
 package coldb
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"synapse/internal/storage"
@@ -22,32 +23,35 @@ import (
 type cell struct {
 	value any
 	ts    uint64
-	dead  bool // tombstone
 }
 
-// partition is all cells for one row key within one memtable or sstable.
+// partition is all cells for one row key within the memtable or the base.
 type partition map[string]cell // column -> cell
 
-// sstable is an immutable flushed memtable.
-type sstable struct {
-	data map[string]partition // family\x00id -> partition
-}
+// rowKey addresses one partition.
+type rowKey struct{ family, id string }
 
 // DB is one column-family database instance.
+//
+// The base holds only live rows, each with only its newest cell per
+// column: no tombstones, nothing shadowed. Every memtable cell is newer
+// than every base cell, since a flush empties the memtable into the base.
+// So a read takes a memtable cell over the base's, and a memtable row
+// tombstone shadows the whole base row.
 type DB struct {
 	gate *storage.Gate
 
 	mu        sync.RWMutex
 	clock     uint64
-	memtable  map[string]partition
+	memtable  map[rowKey]partition
 	memSize   int
 	flushSize int
-	sstables  []*sstable // oldest first
+	base      map[rowKey]partition
 	closed    bool
 }
 
 // DefaultFlushSize is the number of cells after which the memtable is
-// flushed to a new sstable.
+// merged into the base: it bounds the merge's pause.
 const DefaultFlushSize = 4096
 
 // New creates a database with an unconstrained performance profile.
@@ -57,12 +61,11 @@ func New() *DB { return NewWithProfile(storage.Profile{}) }
 func NewWithProfile(p storage.Profile) *DB {
 	return &DB{
 		gate:      storage.NewGate(p),
-		memtable:  make(map[string]partition),
+		memtable:  make(map[rowKey]partition),
 		flushSize: DefaultFlushSize,
+		base:      make(map[rowKey]partition),
 	}
 }
-
-func key(family, id string) string { return family + "\x00" + id }
 
 // Mutation is one cell write or deletion within a batch.
 type Mutation struct {
@@ -88,7 +91,7 @@ func (db *DB) ApplyBatch(ms []Mutation) error {
 }
 
 // write runs fn, which applies one batch at the timestamp it is given,
-// and only then flushes a full memtable: no batch straddles two sstables.
+// and only then flushes a full memtable: no batch straddles a flush.
 func (db *DB) write(fn func(ts uint64)) error {
 	var err error
 	db.gate.Write(func() {
@@ -109,7 +112,7 @@ func (db *DB) write(fn func(ts uint64)) error {
 
 // applyLocked writes one mutation into the memtable at timestamp ts.
 func (db *DB) applyLocked(ts uint64, m Mutation) {
-	k := key(m.Family, m.ID)
+	k := rowKey{m.Family, m.ID}
 	p := db.memtable[k]
 	if p == nil {
 		p = make(partition)
@@ -120,7 +123,7 @@ func (db *DB) applyLocked(ts uint64, m Mutation) {
 		// read time. Only ever advances, so a re-insert in the same
 		// memtable cannot erase it.
 		if prev, ok := p[tombCol]; !ok || ts > prev.ts {
-			p[tombCol] = cell{ts: ts, dead: true}
+			p[tombCol] = cell{ts: ts}
 			db.memSize++
 		}
 		return
@@ -150,117 +153,77 @@ func (db *DB) DeleteRange(family, from, to string) (int, error) {
 
 // presenceCol marks row existence so that reads can distinguish "row
 // deleted" from "row never written"; tombCol records the latest row
-// tombstone timestamp and is never overwritten by inserts.
+// tombstone timestamp and is never overwritten by inserts. Only the
+// memtable holds a tombCol cell.
 const (
 	presenceCol = "\x00present"
 	tombCol     = "\x00tomb"
 )
 
+// flushLocked merges the memtable into the base in place. Its cost is
+// the memtable's size, whatever the base's.
 func (db *DB) flushLocked() {
-	if len(db.memtable) == 0 {
-		return
+	for k, p := range db.memtable {
+		if t, ok := p[tombCol]; ok {
+			// The tombstone shadows the whole base row and this
+			// partition's older cells, and then has nothing older left to
+			// shadow: what outlives it is a re-insert, or nothing.
+			for col, c := range p {
+				if c.ts <= t.ts {
+					delete(p, col)
+				}
+			}
+			if _, live := p[presenceCol]; !live {
+				delete(db.base, k)
+				continue
+			}
+		} else if b := db.base[k]; b != nil {
+			maps.Copy(b, p)
+			continue
+		}
+		db.base[k] = p
 	}
-	ss := &sstable{data: db.memtable}
-	db.sstables = append(db.sstables, ss)
-	db.memtable = make(map[string]partition)
+	clear(db.memtable)
 	db.memSize = 0
 }
 
-// Flush forces the memtable into a new sstable (test/benchmark control).
+// Flush forces the memtable into the base (test/benchmark control).
 func (db *DB) Flush() {
 	db.mu.Lock()
 	db.flushLocked()
 	db.mu.Unlock()
 }
 
-// Compact merges all sstables into one, dropping shadowed cells and
-// fully-tombstoned rows.
-func (db *DB) Compact() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	merged := make(map[string]partition)
-	for _, ss := range db.sstables {
-		for k, p := range ss.data {
-			mp := merged[k]
-			if mp == nil {
-				mp = make(partition)
-				merged[k] = mp
-			}
-			for col, c := range p {
-				if prev, ok := mp[col]; !ok || c.ts > prev.ts {
-					mp[col] = c
-				}
-			}
-		}
-	}
-	for k, p := range merged {
-		// Drop everything the newest row tombstone shadows; a newer
-		// re-insert (live presence with a later timestamp) survives with
-		// only its post-tombstone cells.
-		var tombTs uint64
-		if c, ok := p[tombCol]; ok {
-			tombTs = c.ts
-		}
-		delete(p, tombCol)
-		for col, c := range p {
-			if c.ts <= tombTs || c.dead {
-				delete(p, col)
-			}
-		}
-		if pc, ok := p[presenceCol]; !ok || pc.dead {
-			delete(merged, k)
-		}
-	}
-	if len(merged) == 0 {
-		db.sstables = nil
-		return
-	}
-	db.sstables = []*sstable{{data: merged}}
-}
-
-// SSTables reports the current number of sstables (test helper).
+// SSTables reports how many flushed tables the engine holds: 1 once a
+// flush has left a live row, else 0 (test helper).
 func (db *DB) SSTables() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.sstables)
+	return min(len(db.base), 1)
 }
 
-// readPartition merges the row's cells across memtable and sstables by
-// latest timestamp, honouring row tombstones: a dead presence cell
-// shadows every cell written at or before its timestamp, so deleting and
-// re-inserting a row cannot resurrect stale sstable cells. Returns nil
-// when the row does not exist.
-func (db *DB) readPartition(family, id string) partition {
-	k := key(family, id)
-	merged := make(partition)
-	var tombTs uint64
-	scan := func(p partition) {
+// liveLocked reports whether the row exists: its newest presence cell is
+// newer than its newest row tombstone (a missing cell reads as
+// timestamp 0).
+func (db *DB) liveLocked(k rowKey) bool {
+	m := db.memtable[k]
+	return max(db.base[k][presenceCol].ts, m[presenceCol].ts) > m[tombCol].ts
+}
+
+// rowLocked is the copy out of a live row: its newest cells above the
+// row tombstone, cloned once.
+func (db *DB) rowLocked(k rowKey) storage.Row {
+	b, m := db.base[k], db.memtable[k]
+	tomb := m[tombCol].ts
+	row := storage.Row{ID: k.id, Cols: make(map[string]any, max(len(b), len(m)))}
+	for _, p := range [2]partition{b, m} { // the memtable's cells win
 		for col, c := range p {
-			if col == tombCol {
-				if c.ts > tombTs {
-					tombTs = c.ts
-				}
-				continue
-			}
-			if prev, ok := merged[col]; !ok || c.ts > prev.ts {
-				merged[col] = c
+			if c.ts > tomb && col != presenceCol && col != tombCol {
+				row.Cols[col] = storage.CloneValue(c.value)
 			}
 		}
 	}
-	for _, ss := range db.sstables {
-		scan(ss.data[k])
-	}
-	scan(db.memtable[k])
-	for col, c := range merged {
-		if c.ts <= tombTs {
-			delete(merged, col)
-		}
-	}
-	pc, ok := merged[presenceCol]
-	if !ok || pc.dead {
-		return nil
-	}
-	return merged
+	return row
 }
 
 // Get returns the row with the given id in the family.
@@ -270,74 +233,37 @@ func (db *DB) Get(family, id string) (storage.Row, error) {
 	db.gate.Read(func() {
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		p := db.readPartition(family, id)
-		if p == nil {
-			return
+		if k := (rowKey{family, id}); db.liveLocked(k) {
+			row, err = db.rowLocked(k), nil
 		}
-		row = partitionToRow(id, p)
-		err = nil
 	})
 	return row, err
 }
 
-// Exists reports whether the row is live, without building it: the
-// newest presence cell against the newest row tombstone.
+// Exists reports whether the row is live, without building it.
 func (db *DB) Exists(family, id string) bool {
 	var live bool
 	db.gate.Read(func() {
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		k := key(family, id)
-		var present, tomb uint64
-		look := func(p partition) { // a missing cell reads as timestamp 0
-			present, tomb = max(present, p[presenceCol].ts), max(tomb, p[tombCol].ts)
-		}
-		for _, ss := range db.sstables {
-			look(ss.data[k])
-		}
-		look(db.memtable[k])
-		live = present > tomb
+		live = db.liveLocked(rowKey{family, id})
 	})
 	return live
-}
-
-// partitionToRow is the copy out: the merged cells, cloned once.
-func partitionToRow(id string, p partition) storage.Row {
-	row := storage.Row{ID: id, Cols: make(map[string]any, len(p))}
-	for col, c := range p {
-		if col == presenceCol || c.dead {
-			continue
-		}
-		row.Cols[col] = storage.CloneValue(c.value)
-	}
-	return row
 }
 
 // rowIDs returns the live row ids of the family with from <= id < to,
 // sorted; an empty to leaves the range open above.
 func (db *DB) rowIDs(family, from, to string) []string {
-	seen := make(map[string]struct{})
-	collect := func(data map[string]partition) {
-		for k := range data {
-			if len(k) > len(family) && k[:len(family)] == family && k[len(family)] == 0 {
-				if id := k[len(family)+1:]; id >= from && (to == "" || id < to) {
-					seen[id] = struct{}{}
-				}
+	var ids []string
+	for _, t := range [2]map[rowKey]partition{db.base, db.memtable} {
+		for k := range t {
+			if k.family == family && k.id >= from && (to == "" || k.id < to) && db.liveLocked(k) {
+				ids = append(ids, k.id)
 			}
 		}
 	}
-	for _, ss := range db.sstables {
-		collect(ss.data)
-	}
-	collect(db.memtable)
-	ids := make([]string, 0, len(seen))
-	for id := range seen {
-		if db.readPartition(family, id) != nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids
+	slices.Sort(ids)
+	return slices.Compact(ids) // a row in both maps
 }
 
 // Scan returns all live rows in the family matching the predicates, in
@@ -350,7 +276,7 @@ func (db *DB) Scan(family string, preds ...storage.Predicate) ([]storage.Row, er
 		db.mu.RLock()
 		defer db.mu.RUnlock()
 		for _, id := range db.rowIDs(family, "", "") {
-			row := partitionToRow(id, db.readPartition(family, id))
+			row := db.rowLocked(rowKey{family, id})
 			if storage.MatchAll(row, preds) {
 				out = append(out, row)
 			}
@@ -367,7 +293,7 @@ func (db *DB) ScanFrom(family, start string, fn func(storage.Row) bool) error {
 		db.mu.RLock()
 		defer db.mu.RUnlock()
 		for _, id := range db.rowIDs(family, start, "") {
-			rows = append(rows, partitionToRow(id, db.readPartition(family, id)))
+			rows = append(rows, db.rowLocked(rowKey{family, id}))
 		}
 	})
 	for _, row := range rows {

@@ -8,6 +8,7 @@
 package searchdb
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -39,15 +40,38 @@ func KeywordAnalyzer(s string) []string {
 // index is one named document index with per-field analyzers.
 type index struct {
 	analyzers map[string]Analyzer
-	docs      map[string]storage.Row
+	docs      map[string]document
 	// inverted: field -> token -> doc id set
 	inverted map[string]map[string]map[string]struct{}
+}
+
+// document is one stored document with the tokens each of its fields is
+// indexed under: unindexing removes those, with no re-analysis, so it is
+// right whatever analyzer the field has now.
+type document struct {
+	storage.Row
+	tokens []fieldTokens
+}
+
+type fieldTokens struct {
+	field string
+	toks  []string
+}
+
+// tokensOf returns the tokens field is indexed under.
+func (d *document) tokensOf(field string) []string {
+	for _, ft := range d.tokens {
+		if ft.field == field {
+			return ft.toks
+		}
+	}
+	return nil
 }
 
 func newIndex() *index {
 	return &index{
 		analyzers: make(map[string]Analyzer),
-		docs:      make(map[string]storage.Row),
+		docs:      make(map[string]document),
 		inverted:  make(map[string]map[string]map[string]struct{}),
 	}
 }
@@ -156,50 +180,65 @@ func floatToString(v float64) string {
 	return intToString(int64(v*1000)) + "e-3"
 }
 
-func (ix *index) indexField(id, field string, v any) {
-	for _, tok := range ix.analyze(field, v) {
-		m := ix.inverted[field]
-		if m == nil {
-			m = make(map[string]map[string]struct{})
-			ix.inverted[field] = m
+func (ix *index) post(id, field, tok string) {
+	m := ix.inverted[field]
+	if m == nil {
+		m = make(map[string]map[string]struct{})
+		ix.inverted[field] = m
+	}
+	set := m[tok]
+	if set == nil {
+		set = make(map[string]struct{})
+		m[tok] = set
+	}
+	set[id] = struct{}{}
+}
+
+func (ix *index) unpost(id, field, tok string) {
+	if set := ix.inverted[field][tok]; set != nil {
+		delete(set, id)
+		if len(set) == 0 {
+			delete(ix.inverted[field], tok)
 		}
-		set := m[tok]
-		if set == nil {
-			set = make(map[string]struct{})
-			m[tok] = set
-		}
-		set[id] = struct{}{}
 	}
 }
 
-func (ix *index) unindexField(id, field string, v any) {
-	for _, tok := range ix.analyze(field, v) {
-		if set := ix.inverted[field][tok]; set != nil {
-			delete(set, id)
-			if len(set) == 0 {
-				delete(ix.inverted[field], tok)
+func (ix *index) unindexDoc(doc document) {
+	for _, ft := range doc.tokens {
+		for _, tok := range ft.toks {
+			ix.unpost(doc.ID, ft.field, tok)
+		}
+	}
+}
+
+// merge copies the columns into the stored document, in place, and
+// returns it. It analyzes only the new values and moves only the postings
+// whose token changed.
+func (ix *index) merge(doc document, cols map[string]any) document {
+	for field, v := range cols {
+		v = storage.CloneValue(v)
+		doc.Cols[field] = v
+		old, toks := doc.tokensOf(field), ix.analyze(field, v)
+		if slices.Equal(old, toks) {
+			continue
+		}
+		for _, tok := range old {
+			if !slices.Contains(toks, tok) {
+				ix.unpost(doc.ID, field, tok)
 			}
 		}
-	}
-}
-
-func (ix *index) unindexDoc(doc storage.Row) {
-	for field, v := range doc.Cols {
-		ix.unindexField(doc.ID, field, v)
-	}
-}
-
-// merge copies the columns into the stored document, in place,
-// re-analyzing only the fields they name.
-func (ix *index) merge(stored storage.Row, cols map[string]any) {
-	for field, v := range cols {
-		if old, ok := stored.Cols[field]; ok {
-			ix.unindexField(stored.ID, field, old)
+		for _, tok := range toks {
+			if !slices.Contains(old, tok) {
+				ix.post(doc.ID, field, tok)
+			}
 		}
-		v = storage.CloneValue(v)
-		stored.Cols[field] = v
-		ix.indexField(stored.ID, field, v)
+		if i := slices.IndexFunc(doc.tokens, func(ft fieldTokens) bool { return ft.field == field }); i >= 0 {
+			doc.tokens[i].toks = toks
+		} else {
+			doc.tokens = append(doc.tokens, fieldTokens{field, toks})
+		}
 	}
+	return doc
 }
 
 // Index inserts or replaces a document.
@@ -216,9 +255,11 @@ func (db *DB) Index(indexName string, doc storage.Row) error {
 		if old, ok := ix.docs[doc.ID]; ok {
 			ix.unindexDoc(old)
 		}
-		stored := storage.Row{ID: doc.ID, Cols: make(map[string]any, len(doc.Cols))}
-		ix.docs[doc.ID] = stored
-		ix.merge(stored, doc.Cols)
+		stored := document{
+			Row:    storage.Row{ID: doc.ID, Cols: make(map[string]any, len(doc.Cols))},
+			tokens: make([]fieldTokens, 0, len(doc.Cols)),
+		}
+		ix.docs[doc.ID] = ix.merge(stored, doc.Cols)
 	})
 	return err
 }
@@ -235,7 +276,7 @@ func (db *DB) Update(indexName string, doc storage.Row) error {
 		}
 		ix := db.index(indexName)
 		if stored, ok := ix.docs[doc.ID]; ok {
-			ix.merge(stored, doc.Cols)
+			ix.docs[doc.ID] = ix.merge(stored, doc.Cols)
 			err = nil
 		}
 	})
@@ -469,7 +510,7 @@ func (db *DB) Aggregate(indexName, field string, q Query) ([]Bucket, error) {
 		counts := make(map[string]int)
 		for id := range match {
 			doc := ix.docs[id]
-			for _, tok := range ix.analyze(field, doc.Cols[field]) {
+			for _, tok := range doc.tokensOf(field) {
 				counts[tok]++
 			}
 		}

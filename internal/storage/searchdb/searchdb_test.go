@@ -3,6 +3,12 @@ package searchdb
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"synapse/internal/storage"
@@ -226,5 +232,144 @@ func TestDeleteRangeUnindexes(t *testing.T) {
 	}
 	if n, err := db.DeleteRange("never", "a", "z"); n != 0 || err != nil {
 		t.Errorf("DeleteRange on a missing index = %d, %v", n, err)
+	}
+}
+
+// A field's analyzer may change on a populated index: an update then
+// removes the tokens the old value was indexed under, not the ones the new
+// analyzer would make of it.
+func TestAnalyzerChangeLeavesNoStalePostings(t *testing.T) {
+	db := New()
+	_ = db.Index("posts", doc("p1", map[string]any{"body": "Old Words"}))
+	db.SetAnalyzer("posts", "body", SimpleAnalyzer)
+	if err := db.Update("posts", doc("p1", map[string]any{"body": "new words"})); err != nil {
+		t.Fatal(err)
+	}
+	if ids, _ := db.Search("posts", Query{Term: &TermQuery{Field: "body", Token: "Old Words"}}); len(ids) != 0 {
+		t.Errorf("Term on the replaced keyword token = %v, want none", ids)
+	}
+	if ids, _ := db.Search("posts", Query{Term: &TermQuery{Field: "body", Token: "new"}}); len(ids) != 1 {
+		t.Errorf("Term on a new token = %v, want [p1]", ids)
+	}
+	if b, _ := db.Aggregate("posts", "body", Query{}); len(b) != 2 {
+		t.Errorf("Aggregate = %+v, want the two new tokens", b)
+	}
+}
+
+// TestModelAgainstScan checks term and match searches and aggregations
+// after random indexes, updates, deletes and range deletes against a
+// brute-force scan of the documents a map holds.
+func TestModelAgainstScan(t *testing.T) {
+	words := []string{"red", "green", "blue", "Red Fox", "fox"}
+	analyzers := map[string]Analyzer{"body": SimpleAnalyzer, "tag": KeywordAnalyzer, "tags": KeywordAnalyzer}
+	value := func(rng *rand.Rand, field string) any {
+		if field == "tags" {
+			return []any{words[rng.Intn(len(words))], words[rng.Intn(len(words))], ""}
+		}
+		ws := make([]string, rng.Intn(4)) // "" indexes no token
+
+		for i := range ws {
+			ws[i] = words[rng.Intn(len(words))]
+		}
+		return strings.Join(ws, " ")
+	}
+	tokens := func(field string, v any) []string {
+		var out []string
+		switch v := v.(type) {
+		case string:
+			out = analyzers[field](v)
+		case []any:
+			for _, e := range v {
+				out = append(out, analyzers[field](e.(string))...)
+			}
+		}
+		return out
+	}
+	ids := []string{"d0", "d1", "d2", "d3", "d4", "d5"}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := New()
+		for f, a := range analyzers {
+			db.SetAnalyzer("x", f, a)
+		}
+		ref := make(map[string]map[string]any)
+		for step := 0; step < 40; step++ {
+			id := ids[rng.Intn(len(ids))]
+			cols := make(map[string]any)
+			for f := range analyzers {
+				if rng.Intn(2) == 0 {
+					cols[f] = value(rng, f)
+				}
+			}
+			var op string
+			switch r := rng.Intn(10); {
+			case r < 4:
+				op = fmt.Sprintf("Index %s %v", id, cols)
+				_ = db.Index("x", doc(id, cols))
+				ref[id] = maps.Clone(cols)
+			case r < 7:
+				op = fmt.Sprintf("Update %s %v", id, cols)
+				err := db.Update("x", doc(id, cols))
+				if stored, ok := ref[id]; ok {
+					maps.Copy(stored, cols)
+				} else if !errors.Is(err, storage.ErrNotFound) {
+					t.Fatalf("seed %d step %d: %s of a missing doc = %v", seed, step, op, err)
+				}
+			case r < 9:
+				op = "Delete " + id
+				_ = db.Delete("x", id)
+				delete(ref, id)
+			default:
+				from, to := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+				op = fmt.Sprintf("DeleteRange [%s, %s)", from, to)
+				for id := range ref {
+					if id >= from && id < to {
+						delete(ref, id)
+					}
+				}
+				_, _ = db.DeleteRange("x", from, to)
+			}
+			fail := func(format string, args ...any) {
+				t.Fatalf("seed %d step %d after %s: %s", seed, step, op, fmt.Sprintf(format, args...))
+			}
+			for field := range analyzers {
+				for _, w := range words {
+					for _, q := range []Query{
+						{Term: &TermQuery{Field: field, Token: w}},
+						{Match: &MatchQuery{Field: field, Text: w}},
+					} {
+						var want []string
+						needed := analyzers[field](w)
+						if q.Term != nil {
+							needed = []string{w}
+						}
+						for id, cols := range ref {
+							has := tokens(field, cols[field])
+							if len(needed) > 0 && !slices.ContainsFunc(needed, func(tok string) bool { return !slices.Contains(has, tok) }) {
+								want = append(want, id)
+							}
+						}
+						sort.Strings(want)
+						if got, _ := db.Search("x", q); fmt.Sprint(got) != fmt.Sprint(want) {
+							fail("Search %s %q = %v, want %v", field, w, got, want)
+						}
+					}
+				}
+				counts := make(map[string]int)
+				for _, cols := range ref {
+					for _, tok := range tokens(field, cols[field]) {
+						counts[tok]++
+					}
+				}
+				got, _ := db.Aggregate("x", field, Query{})
+				gotCounts := make(map[string]int)
+				for _, b := range got {
+					gotCounts[b.Token] = b.Count
+				}
+				if !reflect.DeepEqual(gotCounts, counts) && (len(gotCounts) > 0 || len(counts) > 0) {
+					fail("Aggregate %s = %v, want %v", field, gotCounts, counts)
+				}
+			}
+		}
 	}
 }

@@ -155,15 +155,19 @@ scenario_journal() {
 }
 
 # Persistence: one ORM skeleton over five bindings, and one
-# row-ownership rule for five engines. The conformance suite (isolation,
-# queries per operation, the Save allocation budget — which only runs
-# without the race detector, so vet and a plain run come first) and the
-# engine isolation table, five times under the race detector; then the
+# row-ownership rule for five engines. The Save allocation budgets (which
+# only run without the race detector, so they come first), the
+# conformance suite and the engine isolation table five times under the
+# race detector, and the coldb and searchdb model tests, coldb's readers
+# beside its flushes and its bounded-state test twenty times; then the
 # workload that applies every message through all five adapters.
 scenario_orm() {
     go vet ./internal/orm/... ./internal/storage/... &&
-        go test ./internal/orm/... &&
+        gotest -run 'TestConformance.*/SaveAllocBudget' ./internal/orm/activerecord ./internal/orm/columnorm \
+            ./internal/orm/documentorm ./internal/orm/graphorm ./internal/orm/searchorm &&
         go test -race -count=5 ./internal/orm/... ./internal/storage/... &&
+        gotest -race -count=20 -run 'TestModelAgainst|TestReadersDuringFlushes|TestStateBounded' \
+            ./internal/storage/coldb ./internal/storage/searchdb &&
         bash benchmark/run.sh --workload fanout_hetero --seconds 5
 }
 
