@@ -243,11 +243,7 @@ func (a *App) Bootstrap(from string, models ...string) error {
 		if !got {
 			break
 		}
-		if perr := a.consume(d.Payload); perr != nil {
-			_ = q.Nack(d.Tag, true)
-			continue
-		}
-		_ = q.Ack(d.Tag)
+		a.runFetched(q, d)
 	}
 	// Converged: the resume cursors have served their purpose.
 	for _, m := range models {
@@ -440,128 +436,48 @@ func (a *App) awaitHighWatermark(w *chunkWindow) error {
 			time.Sleep(time.Millisecond)
 			continue
 		}
-		if perr := a.consume(d.Payload); perr != nil {
-			_ = q.Nack(d.Tag, true)
-			continue
-		}
-		_ = q.Ack(d.Tag)
+		a.runFetched(q, d)
 	}
 	return nil
 }
 
-// applyChunk applies one chunk's rows with weak semantics: rows whose
-// version was touched by a live message inside the watermark window are
-// skipped outright (the live apply already moved the guard at least
-// that far); the rest claim their versions in one ApplyBatch round trip
-// under the apply stripes, exactly like the live path, and
-// roll their claims back if a DB apply fails so a resumed chunk
-// re-applies exactly the unapplied rows.
+// runFetched takes one delivery the drain fetched itself through a
+// worker's steps — decode, apply, dead-letter, back off, group-commit,
+// ack — as a blocking job: no worker loop comes back to a parked one.
+func (a *App) runFetched(q *broker.Queue, d broker.Delivery) {
+	a.processBatch([]*job{{app: a, q: q, d: d, wakeup: make(chan struct{}, 1)}}, nil)
+}
+
+// applyChunk applies one chunk's rows as a message that waits for
+// nothing: rows whose version a live message inside the watermark
+// window reached are skipped outright (the live apply already moved the
+// guard at least that far); the rest claim their versions and apply
+// through claimAndApply, exactly like a live message, so a failed row
+// rolls back the claims from it onward and a resumed chunk re-applies
+// exactly the unapplied rows.
 func (a *App) applyChunk(pub *App, modelName string, rows []chunkRow, touched map[vKey]uint64) error {
-	kept := make([]chunkRow, 0, len(rows))
+	types := pub.publication(modelName).chain
+	ops := make([]wire.Operation, 0, len(rows))
+	var (
+		claims  []vstore.Claim
+		claimOp []int
+	)
 	for _, r := range rows {
 		if tv, ok := touched[r.subKey]; ok && tv >= r.version {
 			a.chunkRowsDeduped.Inc()
 			continue
 		}
-		kept = append(kept, r)
+		if r.version > 0 { // a row never published has no guard counter
+			claims = append(claims, vstore.Claim{Key: r.subKey, Version: r.version})
+			claimOp = append(claimOp, len(ops))
+		}
+		ops = append(ops, wire.Operation{Operation: wire.OpUpdate, Types: types, ID: r.id, Attributes: r.attrs, ObjectDep: r.token})
 	}
-	if len(kept) == 0 {
+	if len(ops) == 0 {
 		return nil
 	}
-	claims := make([]vstore.Claim, 0, len(kept))
-	claimIdx := make([]int, 0, len(kept))
-	var stripes uint64
-	for ki, r := range kept {
-		if r.version == 0 {
-			continue // never published: no guard counter to claim
-		}
-		claims = append(claims, vstore.Claim{Key: r.subKey, Version: r.version})
-		claimIdx = append(claimIdx, ki)
-		stripes |= 1 << uint(a.applyStripe(r.subKey))
-	}
-	a.lockStripes(stripes)
-	defer a.unlockStripes(stripes)
-	results, err := a.store.ApplyBatch(claims)
-	if err != nil {
-		return err
-	}
-	claimed := make(map[int]vstore.ClaimResult, len(claims))
-	for ci := range claims {
-		claimed[claimIdx[ci]] = results[ci]
-	}
-	types, scratch := pub.publication(modelName).chain, new(applyScratch)
-	for ki, r := range kept {
-		if res, guarded := claimed[ki]; guarded && !res.Applied {
-			continue // a newer live update already landed
-		}
-		op := wire.Operation{
-			Operation:  wire.OpUpdate,
-			Types:      types,
-			ID:         r.id,
-			Attributes: r.attrs,
-			ObjectDep:  r.token,
-		}
-		if aerr := a.applyOp(pub.name, &op, scratch); aerr != nil {
-			// Roll back the fresh claims from the failed row onward so the
-			// resumed chunk re-applies exactly the unapplied rows.
-			for kj := ki; kj < len(kept); kj++ {
-				if res, ok := claimed[kj]; ok && res.Applied {
-					_ = a.store.RestoreVersion(kept[kj].subKey, kept[kj].version, res.Prev)
-				}
-			}
-			return aerr
-		}
-	}
-	return nil
-}
-
-// processBootstrapMessage handles live messages while bootstrapping:
-// weak per-object application, with counter increments only for
-// messages published after the snapshot boundary (so the bulk-loaded
-// counters are not double-counted). With deferIncr set the due keys are
-// returned for the caller's group-commit flusher instead of being
-// applied inline — bootstrap-concurrent live traffic batches its
-// increments exactly like steady-state causal traffic.
-func (a *App) processBootstrapMessage(j *job, deferIncr bool) ([]vKey, error) {
-	msg := j.msg
-	if _, _, err := a.applyOps(j, nil, nil); err != nil {
-		return nil, err
-	}
-	// Only after every operation applied: a failed message is redelivered
-	// whole, and recording its versions early could dedup a chunk row
-	// against an apply that never happened.
-	a.touchWindow(msg)
-	var incr []vKey
-	if msg.Seq > a.bootSeqFor(msg.App) && a.originMode(msg.App) >= Causal {
-		keys, err := a.depKeys(msg)
-		if err != nil {
-			return nil, err
-		}
-		if deferIncr {
-			incr = dedupKeys(keys)
-		} else if err := a.store.IncrOps(keys); err != nil {
-			return nil, err
-		}
-	}
-	a.Processed.Add(1)
-	return incr, nil
-}
-
-// depKeys resolves every dependency token a message carries — hashed
-// keys and exact dots alike — into this app's version-store key space.
-func (a *App) depKeys(msg *wire.Message) ([]vKey, error) {
-	deps, err := msg.Deps()
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]vKey, 0, len(deps)+len(msg.Dots))
-	for k := range deps {
-		keys = append(keys, vKey(k))
-	}
-	for name := range msg.Dots {
-		keys = append(keys, a.tracker.Resolve(name))
-	}
-	return keys, nil
+	_, _, err := a.claimAndApply(&wire.Message{App: pub.name, Operations: ops}, claims, claimOp, nil, nil, new(applyScratch))
+	return err
 }
 
 func (a *App) setBootSeq(origin string, seq uint64) {

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"synapse/internal/faultinject"
 	"synapse/internal/model"
 )
 
@@ -388,6 +390,44 @@ func TestRecoverQueueRestartsJournaledScan(t *testing.T) {
 	}
 	if got, err := subMapper.Find("User", "u1"); err != nil || got.String("name") != "v6" {
 		t.Fatalf("after recovery u1 = %v, %v; want v6", got, err)
+	}
+}
+
+// TestBootstrapDrainDeadLettersFailingDelivery: bootstrap's drain runs a
+// delivery the way a worker does, so a failed apply is a counted attempt
+// and a delivery that keeps failing is set aside after
+// MaxDeliveryAttempts. Handed back uncounted, it came straight back to
+// the drain and Bootstrap never returned.
+func TestBootstrapDrainDeadLettersFailingDelivery(t *testing.T) {
+	f := NewFabric()
+	pub, _ := newDocApp(t, f, "pub", Config{})
+	mustPublish(t, pub, userDesc(), "name")
+	mustPublish(t, pub, postDesc(), "body")
+	sub, _ := newDocApp(t, f, "sub", Config{MaxDeliveryAttempts: 3})
+	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
+	mustSubscribe(t, sub, postDesc(), SubSpec{From: "pub", Attrs: []string{"body"}})
+
+	p := model.NewRecord("Post", "p1")
+	p.Set("body", "b")
+	if _, err := pub.NewController(nil).Create(p); err != nil {
+		t.Fatal(err)
+	}
+	sub.Faults().ArmN(FaultApply, 0, -1, faultinject.Fail(errors.New("injected apply error")))
+
+	done := make(chan error, 1)
+	go func() { done <- sub.Bootstrap("pub", "User") }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		sub.Faults().Disarm(FaultApply) // let the drain finish
+		<-done
+		t.Fatal("Bootstrap did not return within 2s: the drain kept retrying the failing delivery")
+	}
+	if n := sub.Stats().DeadLetters; n != 1 {
+		t.Fatalf("DeadLetters = %d, want the failing delivery set aside", n)
 	}
 }
 

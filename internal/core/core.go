@@ -59,10 +59,10 @@ var (
 	ErrDraining = errors.New("synapse: app is draining")
 )
 
-// WaitForever is the dependency-wait timeout for pure causal mode; a
-// zero timeout degrades to weak-like processing, exactly the §6.5
-// spectrum ("weak and causal modes are achieved with the timeout set to
-// 0s and ∞, respectively").
+// WaitForever is the dependency-wait timeout for pure causal mode, the ∞
+// end of the §6.5 spectrum ("weak and causal modes are achieved with the
+// timeout set to 0s and ∞, respectively"). Its 0 s end is a Weak
+// subscription: Config.DepTimeout zero means the default, WaitForever.
 const WaitForever time.Duration = -1
 
 // Dependency-tracker policies for Config.DepTracker (they mirror the
@@ -107,8 +107,8 @@ type Config struct {
 	QueueMaxLen int
 	// DepTimeout bounds how long a causal subscriber waits for a missing
 	// dependency before processing anyway (§6.5). WaitForever (the
-	// default, set when zero and mode is causal at subscribe time) never
-	// gives up.
+	// default, whenever zero) never gives up; to give up at once,
+	// subscribe Weak.
 	DepTimeout time.Duration
 	// Workers is the default worker-pool size for StartWorkers(0).
 	Workers int

@@ -114,6 +114,21 @@ func tap(t *testing.T, f *Fabric, exchange string) func() []*wire.Message {
 	}
 }
 
+// consume decodes one payload the way a worker does and applies it
+// through ProcessMessage; a poison payload is dropped.
+func (a *App) consume(payload []byte) error {
+	msg, err := wire.UnmarshalProjected(payload, a.resolve)
+	if err != nil {
+		return nil
+	}
+	err = a.ProcessMessage(msg)
+	wire.ReleaseMessage(msg)
+	if errors.Is(err, errStaleGeneration) {
+		return nil
+	}
+	return err
+}
+
 // drain synchronously processes everything in the app's queue.
 func drain(t *testing.T, a *App) {
 	t.Helper()

@@ -96,7 +96,9 @@ func (a *App) releaseWaiting(gs *genState) {
 // a message that is not ready must keep while parked — the decoded
 // message, its generation count, its dependency plan — so that parking
 // frees everything else: window slot, stripe mask, goroutine. A job with
-// no queue is a synchronous caller's message (see ProcessMessage).
+// a wake-up channel blocks instead: no worker loop comes back to it, so
+// its caller waits out each release (run). A job with no queue is
+// ProcessMessage's.
 type job struct {
 	app  *App
 	q    *broker.Queue
@@ -123,7 +125,7 @@ type job struct {
 	timer *time.Timer
 
 	woken  bool          // released before park recorded it (under parkMu)
-	wakeup chan struct{} // synchronous jobs: what release signals
+	wakeup chan struct{} // blocking jobs: what release signals
 
 	scratch applyScratch
 }
@@ -147,8 +149,12 @@ func (j *job) Wake() { j.app.release(j) }
 const jobKeys = 6
 
 // park records j as parked — unless the release it waits for already
-// happened, in which case j goes straight on to the ready list.
+// happened, in which case j goes straight on to the ready list. A
+// blocking job is not parked: its caller waits for the release.
 func (a *App) park(j *job) {
+	if j.wakeup != nil {
+		return
+	}
 	a.parkMu.Lock()
 	a.parked[j] = struct{}{}
 	woken := j.woken
@@ -162,9 +168,10 @@ func (a *App) park(j *job) {
 // release is every parked job's wake action — a counter reached its
 // threshold, the deadline passed, a generation emptied: it moves to the
 // ready list and an idle worker is woken to take it and probe again (a
-// release is a reason to look, not a promise).
+// release is a reason to look, not a promise). A blocking job's caller
+// is woken instead.
 func (a *App) release(j *job) {
-	if j.q == nil {
+	if j.wakeup != nil {
 		select {
 		case j.wakeup <- struct{}{}:
 		default:
@@ -735,12 +742,12 @@ func (a *App) stallBudget(attempts int) time.Duration {
 	return min(budget, max)
 }
 
-// consumeDecoded runs one decoded job as far as it goes without
-// blocking. Either it parks — the parked set owns it now, hands off —
-// or this delivery is over: the job is retired, and its deferred
-// counter-increment keys are returned for the group-commit flusher.
+// consumeDecoded runs one decoded job as far as it goes. Either it
+// parks — the parked set owns it now, hands off — or this delivery is
+// over: the job is retired, and its deferred counter-increment keys are
+// returned for the group-commit flusher.
 func (a *App) consumeDecoded(j *job) (incr []vstore.Key, parked bool, err error) {
-	incr, parked, err = a.process(j)
+	incr, parked, err = a.run(j)
 	if !parked {
 		a.retire(j)
 	}
@@ -768,6 +775,14 @@ func (a *App) consumeDecodedGuarded(j *job) ([]vstore.Key, bool, error) {
 	if a.cfg.ApplyTimeout <= 0 {
 		return a.consumeDecoded(j)
 	}
+	return a.consumeWatched(j)
+}
+
+// consumeWatched is consumeDecodedGuarded with the watchdog armed. It is
+// a function of its own so that the watchdog's locals stay out of the
+// unwatched path's frame: that path runs on every delivery's goroutine,
+// whose stack starts small and is copied each time it has to grow.
+func (a *App) consumeWatched(j *job) ([]vstore.Key, bool, error) {
 	var (
 		incr   []vstore.Key
 		parked bool
@@ -790,18 +805,14 @@ func (a *App) consumeDecodedGuarded(j *job) ([]vstore.Key, bool, error) {
 }
 
 // ProcessMessage applies one write message with the delivery semantics
-// configured for its origin, synchronously (bootstrap's drain, tests):
-// with no queue to park on, a message stopped at the generation barrier
+// configured for its origin, on its caller's goroutine (tests, the
+// benchmark's layer replay): a message stopped at the generation barrier
 // or on an unmet dependency blocks its caller until a release — a
 // counter reaching its threshold, the DepTimeout timer — lets it try
-// again.
+// again. Its increments apply inline.
 func (a *App) ProcessMessage(msg *wire.Message) error {
 	j := &job{app: a, msg: msg, wakeup: make(chan struct{}, 1)}
-	_, parked, err := a.process(j)
-	for parked {
-		<-j.wakeup
-		_, parked, err = a.process(j)
-	}
+	_, _, err := a.run(j)
 	j.stopWaiting()
 	if j.entered {
 		a.exitGeneration(msg.App, msg.Generation)
@@ -809,34 +820,42 @@ func (a *App) ProcessMessage(msg *wire.Message) error {
 	return err
 }
 
-// consume decodes and processes one message payload synchronously,
-// increments inline — bootstrap's live-queue drain, outside the
-// workers' windowed loop.
-func (a *App) consume(payload []byte) error {
-	decodeStart := time.Now()
-	msg, err := wire.UnmarshalProjected(payload, a.resolve)
-	a.Stages.Observe(StageDecode, time.Since(decodeStart))
-	if err != nil {
-		// Poison message: drop it loudly rather than loop forever.
-		return nil
+// run takes j through process as far as it goes: a queue job that is not
+// ready parks, and a blocking job waits out each release and tries again.
+func (a *App) run(j *job) (incr []vstore.Key, parked bool, err error) {
+	for {
+		incr, parked, err = a.process(j)
+		if !parked || j.wakeup == nil {
+			return incr, parked, err
+		}
+		<-j.wakeup
 	}
-	err = a.ProcessMessage(msg)
-	// The engine copied in what it stored and nothing else retains the
-	// message, so it can go back to the decode pool.
-	wire.ReleaseMessage(msg)
-	if errors.Is(err, errStaleGeneration) {
-		return nil
-	}
-	return err
 }
 
-// process applies j's message with the delivery semantics configured
-// for its origin, or parks it (true) at the first thing it would have
-// to wait for. A queue job's causal counter increments are deferred:
-// the due keys are returned for the per-queue flusher, which merges
-// them across messages into one IncrOpsMulti round trip (resolved
-// values with no reference into the message, so they outlive
-// ReleaseMessage). A synchronous job's increments apply inline.
+// process is the subscriber algorithm of §4.2, one step for every mode
+// and every entry: wait until every dependency's ops counter reaches the
+// version in the message, apply the operations, then increment the ops
+// counters — or park j (true) at the first thing it would have to wait
+// for. The modes differ only in the plan (planDeps): global mode also
+// waits on the global-object dependency, causal mode skips it, and weak
+// mode plans nothing (§6.5: "weak and causal … timeout set to 0 s and
+// ∞"). While bootstrapping, delivery degrades to weak (§4.4): the message
+// waits for nothing but keeps its increments, and once applied it
+// records its versions in the open chunk window.
+//
+// A message waits for ONE version-store window: under its apply stripes
+// the store probes the plan and, if it is met, claims the object
+// versions in the same script (claimAndApply). A job whose plan is unmet
+// parks — on the parked set, or a blocking job on its caller's goroutine
+// — until a counter it needs moves, and once a finite DepTimeout has run
+// out it is processed anyway, which costs it a second window for the
+// claims.
+//
+// A queue job's counter increments are deferred: the due keys are
+// returned (deduped) for the group-commit flusher, which merges them
+// across messages into one IncrOpsMulti round trip (resolved values with
+// no reference into the message, so they outlive ReleaseMessage).
+// ProcessMessage's increments apply inline, a second window.
 func (a *App) process(j *job) ([]vstore.Key, bool, error) {
 	msg := j.msg
 	// Bootstrap watermark control messages carry no object state: they
@@ -855,9 +874,7 @@ func (a *App) process(j *job) ([]vstore.Key, bool, error) {
 		}
 		entered, err := a.enterGeneration(j)
 		if !entered && err == nil {
-			if j.q != nil {
-				a.park(j)
-			}
+			a.park(j)
 			return nil, true, nil
 		}
 		a.Stages.Observe(StageBarrier, time.Since(j.barrierAt))
@@ -866,54 +883,18 @@ func (a *App) process(j *job) ([]vstore.Key, bool, error) {
 		}
 		j.entered = true
 	}
-	if a.Bootstrapping() {
-		incr, err := a.processBootstrapMessage(j, j.q != nil)
-		return incr, false, err
-	}
-	if mode := a.originMode(msg.App); mode != Weak {
-		return a.processCausal(j, mode)
-	}
-	return nil, false, a.processWeak(j)
-}
-
-// originMode returns the strongest delivery mode among this app's
-// subscriptions from the origin.
-func (a *App) originMode(origin string) DeliveryMode {
-	if o := (*a.compiled.Load())[origin]; o != nil {
-		return o.mode
-	}
-	return Weak
-}
-
-// processCausal implements the subscriber algorithm of §4.2: wait until
-// every dependency's ops counter reaches the version in the message,
-// apply the operations, then increment the ops counters. Global mode
-// additionally respects the global-object dependency, which causal mode
-// ignores (it only appears when the publisher runs in global mode).
-//
-// A message waits for ONE version-store window: under its apply stripes
-// the store probes the whole dependency plan and, if it is met, claims
-// the object versions in the same script (applyOps); the increments are
-// a second window only for a synchronous job — a queue job's due keys
-// are returned (deduped) for the group-commit flusher, which merges
-// them across messages.
-//
-// The wait is one mechanism with a parameter (§6.5: "weak and causal …
-// timeout set to 0 s and ∞"): a job whose plan is unmet parks — on the
-// parked set, or for a synchronous job on its caller's goroutine — until
-// a counter it needs moves, and once DepTimeout has run out (at once for
-// 0, never for WaitForever) it is processed anyway, which costs it a
-// second window for the claims.
-func (a *App) processCausal(j *job, mode DeliveryMode) ([]vstore.Key, bool, error) {
-	msg := j.msg
 	timeout := a.cfg.DepTimeout
 	if j.reqs == nil {
-		if err := a.planDeps(j, mode); err != nil {
+		if err := a.planDeps(j, a.originMode(msg.App)); err != nil {
 			return nil, false, err
 		}
 		j.probedAt = time.Now()
 	} else {
 		j.wait.Cancel() // released; the timer may have done it
+	}
+	reqs, booting := j.reqs, a.Bootstrapping()
+	if booting {
+		reqs = nil
 	}
 
 	deadline := j.probedAt.Add(timeout)
@@ -921,11 +902,16 @@ func (a *App) processCausal(j *job, mode DeliveryMode) ([]vstore.Key, bool, erro
 	if timeout < 0 || time.Now().Before(deadline) {
 		wake = j
 	}
-	w, admitted, err := a.applyOps(j, j.reqs, wake)
+	var (
+		cbuf [guardWidth]vstore.Claim
+		obuf [guardWidth]int
+	)
+	claims, claimOp := a.messageClaims(msg, cbuf[:0], obuf[:0])
+	w, admitted, err := a.claimAndApply(msg, claims, claimOp, reqs, wake, &j.scratch)
 	if err != nil {
 		return nil, false, err
 	}
-	if w != nil && timeout != 0 && j.parkedAt.IsZero() {
+	if w != nil && j.parkedAt.IsZero() {
 		// Counted when found, not when resolved: a subscriber stuck on a
 		// dependency that never arrives must not report 0.
 		j.parkedAt = time.Now()
@@ -936,9 +922,7 @@ func (a *App) processCausal(j *job, mode DeliveryMode) ([]vstore.Key, bool, erro
 		if timeout > 0 && j.timer == nil {
 			j.timer = time.AfterFunc(time.Until(deadline), j.Wake)
 		}
-		if j.q != nil {
-			a.park(j)
-		}
+		a.park(j)
 		return nil, true, nil
 	}
 	if w != nil {
@@ -946,19 +930,27 @@ func (a *App) processCausal(j *job, mode DeliveryMode) ([]vstore.Key, bool, erro
 		// anyway, trading consistency for availability; the per-object
 		// guard in the apply discards stale versions, weak-style.
 		a.noteDepTimeout(a.describeDepTimeout(&vstore.WaitError{Unmet: w.Unmet}))
-		if _, admitted, err = a.applyOps(j, nil, nil); err != nil {
+		if _, admitted, err = a.claimAndApply(msg, claims, claimOp, nil, nil, &j.scratch); err != nil {
 			return nil, false, err
 		}
 	}
-	a.Stages.Observe(StageDepWait, admitted.Sub(j.probedAt))
-	if !j.parkedAt.IsZero() {
-		a.DepWaitBlocked.Record(int64(admitted.Sub(j.parkedAt)))
-		if w == nil && a.hashedDeps {
-			a.noteFalseDeps(msg, j.reqs)
+	if len(reqs) > 0 {
+		a.Stages.Observe(StageDepWait, admitted.Sub(j.probedAt))
+		if !j.parkedAt.IsZero() {
+			a.DepWaitBlocked.Record(int64(admitted.Sub(j.parkedAt)))
+			if w == nil && a.hashedDeps {
+				a.noteFalseDeps(msg, reqs)
+			}
+		}
+		if a.hashedDeps {
+			a.recordDepWriters(msg)
 		}
 	}
-	if a.hashedDeps {
-		a.recordDepWriters(msg)
+	if booting {
+		// Only after every operation applied: a failed message is
+		// redelivered whole, and recording its versions early could dedup
+		// a chunk row against an apply that never happened.
+		a.touchWindow(msg)
 	}
 	// The bootstrap Seq boundary outlives Bootstrapping(): a message
 	// published before the version snapshot has its bumps bulk-loaded
@@ -966,7 +958,7 @@ func (a *App) processCausal(j *job, mode DeliveryMode) ([]vstore.Key, bool, erro
 	// bootstrap but processed after it) would push this store's counters
 	// past the publisher's, making every later guarded apply look stale.
 	var deferred []vstore.Key
-	if msg.Seq > a.bootSeqFor(msg.App) {
+	if len(j.incr) > 0 && msg.Seq > a.bootSeqFor(msg.App) {
 		if j.q != nil {
 			// Group commit: the flusher counts each message's DISTINCT
 			// keys once (IncrOps semantics), so dedup here, where the
@@ -982,6 +974,15 @@ func (a *App) processCausal(j *job, mode DeliveryMode) ([]vstore.Key, bool, erro
 	return deferred, false, nil
 }
 
+// originMode returns the strongest delivery mode among this app's
+// subscriptions from the origin.
+func (a *App) originMode(origin string) DeliveryMode {
+	if o := (*a.compiled.Load())[origin]; o != nil {
+		return o.mode
+	}
+	return Weak
+}
+
 // planDeps builds j's dependency plan from its message: one requirement
 // list for the whole message — hashed dependency versions, exact dots
 // (resolved through this app's tracker — a hash subscriber folds a DVV
@@ -989,9 +990,14 @@ func (a *App) processCausal(j *job, mode DeliveryMode) ([]vstore.Key, bool, erro
 // them), and external dependency minimums (decorator cross-app
 // causality — waited, never incremented). Requirements landing on the
 // same key are max-merged by the store, which is equivalent to waiting
-// on each entry in turn.
+// on each entry in turn. A weak subscriber's plan is empty: it waits for
+// nothing and maintains no counters.
 func (a *App) planDeps(j *job, mode DeliveryMode) error {
 	msg := j.msg
+	j.reqs, j.incr = j.reqBuf[:0], j.incrBuf[:0]
+	if mode == Weak {
+		return nil
+	}
 	deps, err := msg.Deps()
 	if err != nil {
 		return err
@@ -1001,7 +1007,6 @@ func (a *App) planDeps(j *job, mode DeliveryMode) error {
 	if skipGlobal {
 		globalKey = a.tracker.Resolve(msg.GlobalDep)
 	}
-	j.reqs, j.incr = j.reqBuf[:0], j.incrBuf[:0]
 	for k, minVersion := range deps {
 		if key := vstore.Key(k); !skipGlobal || key != globalKey {
 			j.reqs = append(j.reqs, vstore.WaitReq{Key: key, Need: minVersion})
@@ -1085,42 +1090,44 @@ func (a *App) unlockStripes(mask uint64) {
 }
 
 // guardWidth is how many guarded operations a message can carry before
-// applyOps' claim lists leave the stack.
+// its claim lists leave the stack.
 const guardWidth = 4
 
-// applyOps is the subscriber's one version-store window per message.
-// Under the apply stripes of every guarded object (held from the claim
-// through the last DB write, see applyStripe) it asks the store to claim
-// the object versions — one claim per operation whose object version the
-// message carries — if every requirement in reqs is met, and then
-// applies the operations in order. A claim that loses (stale version)
-// skips its operation: weak-mode last-writer-wins and duplicate
-// redelivery. If the requirements are unmet nothing is claimed or
-// applied and the store's wait comes back (registered for wake, if one
-// is given) with the stripes released. admitted is when the window
-// returned.
-//
-// If a DB apply fails mid-message, every fresh claim from the failed
-// operation onward is rolled back so the redelivered message re-applies
-// exactly the unapplied operations — operations already persisted keep
-// their claims and are skipped as stale on redelivery (no double-apply).
-func (a *App) applyOps(j *job, reqs []vstore.WaitReq, wake vstore.Waker) (w *vstore.Parked, admitted time.Time, err error) {
-	msg := j.msg
-	var (
-		cbuf    [guardWidth]vstore.Claim
-		rbuf    [guardWidth]vstore.ClaimResult
-		obuf    [guardWidth]int
-		stripes uint64
-	)
-	claims, claimOp := cbuf[:0], obuf[:0] // claimOp[c] is the operation claims[c] guards
+// messageClaims appends one claim per operation whose object version the
+// message carries, and the index of the operation it guards.
+func (a *App) messageClaims(msg *wire.Message, claims []vstore.Claim, claimOp []int) ([]vstore.Claim, []int) {
 	for i := range msg.Operations {
 		op := &msg.Operations[i]
 		if v, guarded := msg.ObjectVersion(op); guarded {
-			key := a.objectKey(op)
-			claims = append(claims, vstore.Claim{Key: key, Version: v})
+			claims = append(claims, vstore.Claim{Key: a.objectKey(op), Version: v})
 			claimOp = append(claimOp, i)
-			stripes |= 1 << uint(a.applyStripe(key))
 		}
+	}
+	return claims, claimOp
+}
+
+// claimAndApply is the one way an operation reaches applyOp, for a live
+// message and a bootstrap chunk alike. Under the apply stripes of every
+// claimed object (held from the claim through the last DB write, see
+// applyStripe) it asks the store to take the claims — claims[c] guards
+// msg.Operations[claimOp[c]] — if every requirement in reqs is met, and
+// then applies the operations in order. A claim that loses (stale version) skips its
+// operation: weak-mode last-writer-wins and duplicate redelivery. If the
+// requirements are unmet nothing is claimed or applied and the store's
+// wait comes back (registered for wake, if one is given) with the
+// stripes released. admitted is when the window returned.
+//
+// If a DB apply fails midway, every fresh claim from the failed
+// operation onward is rolled back so a retry re-applies exactly the
+// unapplied operations — operations already persisted keep their claims
+// and are skipped as stale on redelivery (no double-apply).
+func (a *App) claimAndApply(msg *wire.Message, claims []vstore.Claim, claimOp []int, reqs []vstore.WaitReq, wake vstore.Waker, sc *applyScratch) (w *vstore.Parked, admitted time.Time, err error) {
+	var (
+		rbuf    [guardWidth]vstore.ClaimResult
+		stripes uint64
+	)
+	for _, c := range claims {
+		stripes |= 1 << uint(a.applyStripe(c.Key))
 	}
 	results := rbuf[:]
 	if len(claims) > guardWidth {
@@ -1144,7 +1151,7 @@ func (a *App) applyOps(j *job, reqs []vstore.WaitReq, wake vstore.Waker) (w *vst
 				continue // stale update: skip to the latest version
 			}
 		}
-		if err := a.applyOp(msg.App, &msg.Operations[i], &j.scratch); err != nil {
+		if err := a.applyOp(msg.App, &msg.Operations[i], sc); err != nil {
 			for ; mine < len(claims); mine++ {
 				if results[mine].Applied {
 					_ = a.store.RestoreVersion(claims[mine].Key, claims[mine].Version, results[mine].Prev)
@@ -1167,20 +1174,6 @@ func (a *App) recordApplied(msg *wire.Message) {
 		label = fmt.Sprintf("from=%s %s %s/%s", msg.App, op.Operation, op.Model(), op.ID)
 	}
 	a.Timeline.Record(a.name, "synapse-sub", label)
-}
-
-// processWeak implements weak delivery: per-object last-writer-wins,
-// discarding messages older than what the store has seen (§4.2).
-func (a *App) processWeak(j *job) error {
-	msg := j.msg
-	applyStart := time.Now()
-	if _, _, err := a.applyOps(j, nil, nil); err != nil {
-		return err
-	}
-	a.Stages.Observe(StageApply, time.Since(applyStart))
-	a.Processed.Add(1)
-	a.recordApplied(msg)
-	return nil
 }
 
 // describeDepTimeout decorates a dependency-wait timeout with the

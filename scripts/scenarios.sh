@@ -107,12 +107,13 @@ scenario_cluster() {
         go run ./cmd/synapse-bench -exp cluster $QUICK
 }
 
-# Chunked live bootstrap: the watermark/cursor unit tests, the
-# decommission-recovery path, the seeded bootstrap-race chaos scripts
-# (crashes mid-walk, partitions, broker bounces), then the join-time /
-# publish-stall / crash-resume bench.
+# Chunked live bootstrap: the watermark/cursor unit tests (with the
+# drain's dead-letter test), the decommission-recovery path, the drain
+# against the worker and synchronous entries, the seeded bootstrap-race
+# chaos scripts (crashes mid-walk, partitions, broker bounces), then the
+# join-time / publish-stall / crash-resume bench.
 scenario_bootstrap() {
-    gotest -race $SHORT -run 'TestBootstrap|TestRecoverQueue' ./internal/core/ &&
+    gotest -race $SHORT -run 'TestBootstrap|TestRecoverQueue|TestEveryEntryAppliesAlike' ./internal/core/ &&
         gotest -race $SHORT -run 'TestBootstrapRace' ./internal/chaos/ &&
         go run ./cmd/synapse-bench -exp bootstrap $QUICK
 }
@@ -132,11 +133,12 @@ scenario_benchmark() {
 # blocks behind it. The two regression tests wedge a blocking worker
 # deterministically (dependant ahead of its satisfier, new generation
 # ahead of the last old message, one worker); the park/ready/release unit
-# tests and the random-ops convergence property run under the race
-# detector — a failing seed is a bug report, never a rerun.
+# tests, the bootstrap drain's dead-letter test, the three entries'
+# differential test and the random-ops convergence property run under the
+# race detector — a failing seed is a bug report, never a rerun.
 scenario_liveness() {
     gotest -race -run 'TestPark' ./internal/vstore/ &&
-        gotest -race -run 'TestDependantAhead|TestNewGeneration|TestParked|TestStopWorkersHands' \
+        gotest -race -run 'TestDependantAhead|TestNewGeneration|TestParked|TestStopWorkersHands|TestBootstrapDrainDeadLetters|TestEveryEntryAppliesAlike' \
             ./internal/core/ &&
         gotest -race -count=20 -run 'TestQuickConvergenceRandomOps' ./internal/core/
 }
