@@ -154,26 +154,59 @@ func TestFig12bSmall(t *testing.T) {
 	}
 }
 
+// TestFig9aTimeline: every subscriber of the ecosystem records its
+// receipt, the mailer emails, and the analyzer's decoration is published
+// after the post it was extracted from.
 func TestFig9aTimeline(t *testing.T) {
 	tl, err := RunFig9a()
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := tl.Events()
-	var sawPost, sawMail, sawSub bool
-	for _, e := range events {
+	sub := map[string]bool{}
+	var postAt, decoAt time.Duration
+	var sawMail bool
+	for _, e := range tl.Events() {
 		switch {
-		case e.Actor == "diaspora" && e.Phase == "synapse-pub":
-			sawPost = true
+		case e.Phase == "synapse-sub":
+			sub[e.Actor] = true
+		case e.Actor == "diaspora" && e.Phase == "synapse-pub" && strings.Contains(e.Label, "Post/"):
+			postAt = e.At
+		case e.Actor == "analyzer" && e.Phase == "synapse-pub":
+			decoAt = e.At
 		case e.Actor == "mailer" && strings.Contains(e.Label, "emailed"):
 			sawMail = true
-		case e.Actor == "spree" && e.Phase == "synapse-sub":
-			sawSub = true
 		}
 	}
-	if !sawPost || !sawMail || !sawSub {
-		t.Errorf("timeline missing stages (post=%v mail=%v spree=%v):\n%s",
-			sawPost, sawMail, sawSub, tl.String())
+	for _, actor := range []string{"diaspora", "analyzer", "spree", "mailer"} {
+		if !sub[actor] {
+			t.Errorf("no synapse-sub row for %s", actor)
+		}
+	}
+	if postAt == 0 || decoAt == 0 || decoAt < postAt {
+		t.Errorf("post published at %v, decoration at %v: want both, post first", postAt, decoAt)
+	}
+	if !sawMail {
+		t.Error("the mailer emailed nobody")
+	}
+	if t.Failed() {
+		t.Logf("timeline:\n%s", tl)
+	}
+}
+
+func TestTimelineOrderingAndFormat(t *testing.T) {
+	tl := &Timeline{origin: time.Now()}
+	tl.Record("Diaspora", "app", "post created")
+	tl.Record("Mailer", "synapse-sub", "received post")
+	events := tl.Events()
+	if len(events) != 2 {
+		t.Fatalf("events = %d", len(events))
+	}
+	if events[0].At > events[1].At {
+		t.Error("events out of order")
+	}
+	s := tl.String()
+	if !strings.Contains(s, "Diaspora") || !strings.Contains(s, "synapse-sub") {
+		t.Errorf("String() = %q", s)
 	}
 }
 

@@ -63,7 +63,7 @@ func newReplayer(name, engine string, timeScale float64) *replayer {
 // dependencies each — and returns the controller's wall time and the
 // Synapse share of it.
 func (r *replayer) call(profile workload.ControllerProfile, user string, msgs int, deps func() int) (ctrl, syn int64) {
-	synBefore := r.app.PublishLatency.Sum()
+	synBefore := r.app.Stats().PublishTime
 	start := time.Now()
 	time.Sleep(time.Duration(float64(profile.AppTime) * r.timeScale))
 	ctl := r.app.NewController(r.app.NewSession("User", user))
@@ -78,7 +78,7 @@ func (r *replayer) call(profile workload.ControllerProfile, user string, msgs in
 		_, err := ctl.Create(rec)
 		must(err)
 	}
-	return int64(time.Since(start)), r.app.PublishLatency.Sum() - synBefore
+	return int64(time.Since(start)), int64(r.app.Stats().PublishTime - synBefore)
 }
 
 // Fig12aRow is one controller's measured line of the table.
@@ -112,12 +112,12 @@ func RunFig12a(cfg Fig12Config) (Fig12aResult, error) {
 	sampler := workload.NewSampler(1, mix)
 
 	type stats struct {
-		ctrl, syn, msgs, deps *hdr.Recorder
+		ctrl, syn, msgs, deps hdr.Recorder
 		calls                 int
 	}
 	byCtrl := make(map[string]*stats)
 	for _, c := range mix {
-		byCtrl[c.Name] = &stats{ctrl: hdr.New(), syn: hdr.New(), msgs: hdr.New(), deps: hdr.New()}
+		byCtrl[c.Name] = new(stats)
 	}
 
 	for i := 0; i < cfg.Calls; i++ {
@@ -211,8 +211,7 @@ func RunFig12b(cfg Fig12Config) ([]Fig12bRow, error) {
 		rng := rand.New(rand.NewSource(8))
 		for _, profile := range profiles {
 			const calls = 40
-			ctrl := hdr.New()
-			syn := hdr.New()
+			var ctrl, syn hdr.Recorder
 			for i := 0; i < calls; i++ {
 				msgs := int(profile.MsgsPerCall)
 				if rng.Float64() < profile.MsgsPerCall-float64(msgs) {

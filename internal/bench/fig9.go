@@ -2,11 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"synapse/internal/core"
-	"synapse/internal/metrics"
 	"synapse/internal/model"
 	"synapse/internal/storage"
 )
@@ -22,7 +23,69 @@ type ecosystem struct {
 	mailer   *core.App
 	analyzer *core.App
 	spree    *core.App
-	timeline *metrics.Timeline
+	timeline *Timeline
+}
+
+// Timeline is a Fig 9 execution sample: rows stamped with their offset
+// from the run's start, in the order they happened.
+type Timeline struct {
+	mu     sync.Mutex
+	origin time.Time
+	events []Event
+}
+
+// Event is one row of a Timeline.
+type Event struct {
+	At    time.Duration
+	Actor string // "diaspora", "mailer", ...
+	Phase string // "app", "synapse-pub" or "synapse-sub"
+	Label string
+}
+
+// Record appends a row stamped now. The stamp is taken under the lock,
+// so rows are appended in time order.
+func (t *Timeline) Record(actor, phase, label string) {
+	t.mu.Lock()
+	t.events = append(t.events, Event{time.Since(t.origin), actor, phase, label})
+	t.mu.Unlock()
+}
+
+// Events returns a copy of the rows.
+func (t *Timeline) Events() []Event {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return slices.Clone(t.events)
+}
+
+// String renders one line per row.
+func (t *Timeline) String() string {
+	var b strings.Builder
+	for _, e := range t.Events() {
+		fmt.Fprintf(&b, "%8.2fms  %-18s %-12s %s\n", float64(e.At.Microseconds())/1000, e.Actor, e.Phase, e.Label)
+	}
+	return b.String()
+}
+
+// received returns a callback recording actor's synapse-sub row for the
+// record a subscriber callback sees.
+func (e *ecosystem) received(actor, verb string) model.Callback {
+	return func(ctx *model.CallbackCtx) error {
+		e.timeline.Record(actor, "synapse-sub", verb+" "+ctx.Record.Model+"/"+ctx.Record.ID)
+		return nil
+	}
+}
+
+// published records actor's synapse-pub row for a write that returned.
+func (e *ecosystem) published(actor, verb string, rec *model.Record) {
+	e.timeline.Record(actor, "synapse-pub", verb+" "+rec.Model+"/"+rec.ID)
+}
+
+// create is one of Diaspora's writes, with its synapse-pub row.
+func (e *ecosystem) create(ctl *core.Controller, rec *model.Record) {
+	if _, err := ctl.Create(rec); err != nil {
+		panic(err)
+	}
+	e.published("diaspora", "create", rec)
 }
 
 // mailDelay is the simulated email-send cost in the mailer callbacks.
@@ -39,19 +102,20 @@ func fig9User() *model.Descriptor {
 }
 
 func buildEcosystem(mailerWorkers, analyzerWorkers int) *ecosystem {
-	e := &ecosystem{fabric: core.NewFabric(), timeline: metrics.NewTimeline()}
+	e := &ecosystem{fabric: core.NewFabric(), timeline: &Timeline{origin: time.Now()}}
 
-	// Diaspora: the social network, owner of User and Post.
+	// Diaspora: the social network, owner of User and Post. Its own User
+	// writes are creates: an update is the analyzer's decoration arriving.
 	e.diaspora = mustApp(e.fabric, "diaspora", NewMapper(PostgreSQL, storage.Profile{}), core.Config{Mode: core.Causal})
-	e.diaspora.Timeline = e.timeline
 	user, post := fig9User(), socialModels()[0]
+	user.Callbacks.On(model.AfterUpdate, e.received("diaspora", "update"))
 	must(e.diaspora.Publish(user, core.PubSpec{Attrs: []string{"name"}}))
 	must(e.diaspora.Publish(post, core.PubSpec{Attrs: []string{"author", "body"}}))
 
 	// Mailer: DB-less observer notifying friends of new posts (Fig 2).
 	e.mailer = mustApp(e.fabric, "mailer", nil, core.Config{Mode: core.Causal})
-	e.mailer.Timeline = e.timeline
 	mailerPost := socialModels()[0]
+	mailerPost.Callbacks.On(model.AfterCreate, e.received("mailer", "create"))
 	mailerPost.Callbacks.On(model.AfterCreate, func(ctx *model.CallbackCtx) error {
 		if ctx.Bootstrapping {
 			return nil
@@ -67,10 +131,12 @@ func buildEcosystem(mailerWorkers, analyzerWorkers int) *ecosystem {
 	}
 
 	// Semantic analyzer: decorates User with interests extracted from
-	// post bodies (the Textalytics stand-in).
+	// post bodies (the Textalytics stand-in). Its own User writes are
+	// updates: a create is a user arriving.
 	e.analyzer = mustApp(e.fabric, "analyzer", NewMapper(MySQL, storage.Profile{}), core.Config{Mode: core.Causal})
-	e.analyzer.Timeline = e.timeline
 	anUser, anPost := fig9User(), socialModels()[0]
+	anUser.Callbacks.On(model.AfterCreate, e.received("analyzer", "create"))
+	anPost.Callbacks.On(model.AfterCreate, e.received("analyzer", "create"))
 	anPost.Callbacks.On(model.AfterCreate, func(ctx *model.CallbackCtx) error {
 		if ctx.Bootstrapping {
 			return nil
@@ -86,8 +152,11 @@ func buildEcosystem(mailerWorkers, analyzerWorkers int) *ecosystem {
 		}
 		deco := model.NewRecord("User", ctx.Record.String("author"))
 		deco.Set("interests", interests)
-		_, err := ctl.Update(deco)
-		return err
+		if _, err := ctl.Update(deco); err != nil {
+			return err
+		}
+		e.published("analyzer", "update", deco)
+		return nil
 	})
 	must(e.analyzer.Subscribe(anUser, core.SubSpec{From: "diaspora", Attrs: []string{"name"}}))
 	must(e.analyzer.Subscribe(anPost, core.SubSpec{From: "diaspora", Attrs: []string{"author", "body"}}))
@@ -101,8 +170,9 @@ func buildEcosystem(mailerWorkers, analyzerWorkers int) *ecosystem {
 	// Spree: the e-commerce recommender, subscribing to the decorated
 	// User from both origins.
 	e.spree = mustApp(e.fabric, "spree", NewMapper(MySQL, storage.Profile{}), core.Config{Mode: core.Causal})
-	e.spree.Timeline = e.timeline
 	spreeUser := fig9User()
+	spreeUser.Callbacks.On(model.AfterCreate, e.received("spree", "create"))
+	spreeUser.Callbacks.On(model.AfterUpdate, e.received("spree", "update"))
 	must(e.spree.Subscribe(spreeUser, core.SubSpec{From: "diaspora", Attrs: []string{"name"}}))
 	must(e.spree.Subscribe(spreeUser, core.SubSpec{From: "analyzer", Attrs: []string{"interests"}}))
 	e.spree.StartWorkers(2)
@@ -135,7 +205,7 @@ func extractTopics(body string) []string {
 // Diaspora; the mailer and the semantic analyzer receive the post in
 // parallel; the analyzer publishes the decorated User; Diaspora and
 // Spree each receive the decoration. Returns the unified timeline.
-func RunFig9a() (*metrics.Timeline, error) {
+func RunFig9a() (*Timeline, error) {
 	e := buildEcosystem(2, 2)
 	defer e.stop()
 	settled := func(pub *core.App, subs ...*core.App) error {
@@ -145,9 +215,7 @@ func RunFig9a() (*metrics.Timeline, error) {
 	ctl := e.diaspora.NewController(e.diaspora.NewSession("User", "1"))
 	u := model.NewRecord("User", "1")
 	u.Set("name", "alice")
-	if _, err := ctl.Create(u); err != nil {
-		panic(err)
-	}
+	e.create(ctl, u)
 	// Let the user propagate before the post references it.
 	if err := settled(e.diaspora, e.analyzer); err != nil {
 		return nil, err
@@ -157,9 +225,7 @@ func RunFig9a() (*metrics.Timeline, error) {
 	p := model.NewRecord("Post", "p1")
 	p.Set("author", "1")
 	p.Set("body", "I love cats and hiking")
-	if _, err := ctl.Create(p); err != nil {
-		panic(err)
-	}
+	e.create(ctl, p)
 
 	// Wait for the post to reach the mailer and the analyzer — whose
 	// callback publishes the decoration before the post is acked — and
@@ -174,7 +240,7 @@ func RunFig9a() (*metrics.Timeline, error) {
 // messages each while the mailer is disconnected; when the mailer comes
 // back online, it processes the two users' messages in parallel but
 // each user's posts in serial order, enforcing causality.
-func RunFig9b() (*metrics.Timeline, error) {
+func RunFig9b() (*Timeline, error) {
 	e := buildEcosystem(0, 2) // mailer starts with no workers: offline
 	defer e.stop()
 
@@ -182,9 +248,7 @@ func RunFig9b() (*metrics.Timeline, error) {
 	for _, id := range []string{"1", "2"} {
 		u := model.NewRecord("User", id)
 		u.Set("name", "user"+id)
-		if _, err := seed.Create(u); err != nil {
-			panic(err)
-		}
+		e.create(seed, u)
 	}
 
 	// Both users post twice while the mailer is offline.
@@ -195,9 +259,7 @@ func RunFig9b() (*metrics.Timeline, error) {
 			p.Set("author", id)
 			p.Set("body", "dogs")
 			e.timeline.Record("diaspora", "app", fmt.Sprintf("user %s posts #%d", id, round))
-			if _, err := ctl.Create(p); err != nil {
-				panic(err)
-			}
+			e.create(ctl, p)
 		}
 	}
 
@@ -221,5 +283,5 @@ in parallel but each user's posts in serial (causal) order.
 
 // timeline renders a Fig 9 execution sample under its caption.
 func timeline(header string) func(doc any) string {
-	return func(doc any) string { return header + doc.(*metrics.Timeline).String() }
+	return func(doc any) string { return header + doc.(*Timeline).String() }
 }

@@ -113,9 +113,9 @@ func backlog(window, callback time.Duration, workers int) int {
 // applyRate returns the messages per second sub applies over window.
 func applyRate(sub *core.App, window time.Duration) float64 {
 	start := time.Now()
-	before := sub.Processed.Count()
+	before := sub.Stats().Processed
 	time.Sleep(window)
-	applied := sub.Processed.Count() - before
+	applied := sub.Stats().Processed - before
 	return float64(applied) / time.Since(start).Seconds()
 }
 

@@ -199,7 +199,7 @@ func RunTail(cfg TailConfig) (TailDoc, error) {
 // runTailPoint measures one rate; depth is the subscriber's per-worker
 // in-flight pipeline bound (0 = the core default).
 func runTailPoint(cfg TailConfig, rate float64, depth int) (TailPoint, error) {
-	rec := hdr.New()
+	rec := new(hdr.Recorder)
 	var start time.Time // set right before the publishers launch
 	warmupNs := cfg.Warmup.Nanoseconds()
 	measure := func(ctx *model.CallbackCtx) error {
@@ -264,8 +264,8 @@ func runTailPoint(cfg TailConfig, rate float64, depth int) (TailPoint, error) {
 		return TailPoint{}, err
 	}
 	elapsed := time.Since(start)
-	delivered := sub.Processed.Count()
 	st := sub.Stats()
+	delivered := st.Processed
 
 	if depth == 0 {
 		depth = 4 // echo the core default (see core.Config.withDefaults)

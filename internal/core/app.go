@@ -15,7 +15,6 @@ import (
 	"synapse/internal/faultinject"
 	"synapse/internal/groupcommit"
 	"synapse/internal/hdr"
-	"synapse/internal/metrics"
 	"synapse/internal/model"
 	"synapse/internal/netsim"
 	"synapse/internal/orm"
@@ -159,34 +158,10 @@ type App struct {
 	// this instance's entries (see journal.go).
 	journalEpoch int64
 	outbox       *outbox
-	republished  *metrics.Counter // journal entries republished
-	retries      *metrics.Counter // failed deliveries requeued
-	redelivered  *metrics.Counter // deliveries received with the redelivered flag
-	deferred     *metrics.Counter // sends degraded to journal-and-defer
-	shed         *metrics.Counter // low-priority publishes dropped under pressure
-	throttled    *metrics.Counter // publishes that entered the bounded-block wait
-	stalled      *metrics.Counter // deliveries abandoned by the stall watchdog
 
-	// Chunked-bootstrap observability (see bootstrap.go): chunks fully
-	// applied, high-watermark waits that timed out (chunk applied without
-	// live dedup), bootstraps that resumed from a journaled cursor, and
-	// rows skipped because a live message in the watermark window already
-	// superseded them.
-	bootstrapChunks  *metrics.Counter
-	chunkRetries     *metrics.Counter
-	bootstrapResumes *metrics.Counter
-	chunkRowsDeduped *metrics.Counter
+	// tel is every number Stats reports that the app counts itself.
+	tel telemetry
 
-	// Dependency-wait observability (see subscribe.go): waits that found
-	// a dependency unmet on the first check, waits that gave up (§6.5),
-	// and the false-dependency estimate — blocked waits whose blocking
-	// key was last written by a DIFFERENT name (a hash collision;
-	// structurally zero under the DVV tracker).
-	depWaitsBlocked  *metrics.Counter
-	depTimeouts      *metrics.Counter
-	falseDeps        *metrics.Counter
-	lastDepTimeoutMu sync.Mutex
-	lastDepTimeout   string
 	// depWriters records, per resolved object key, a fingerprint of the
 	// last (origin, model, id) applied under it — the evidence the
 	// false-dependency estimate compares against. Striped to keep the
@@ -237,31 +212,53 @@ type App struct {
 	// applyLocks are striped per-object locks making a version claim and
 	// its DB write atomic (see applyStripe in subscribe.go).
 	applyLocks [64]sync.Mutex
-
-	// Metrics consumed by the benchmarks.
-	PublishLatency *hdr.Recorder
-	Processed      *metrics.Meter
-	Timeline       *metrics.Timeline
-	// Stages times the subscriber pipeline per message (see the Stage*
-	// constants); surfaced in Stats.
-	Stages *metrics.StageSet
-	// DepWaitBlocked times only the dependency waits that found a
-	// dependency unmet, from then to the probe that resolved them (the
-	// StageDepWait timer averages over every message, most of which wait 0).
-	DepWaitBlocked *hdr.Recorder
-	// BootstrapStall times each bounded publisher-lock hold taken by a
-	// chunked bootstrap's chunk read — the only instants a bootstrap can
-	// stall the publisher's live writes. Its max is the worst-case
-	// publish stall the join inflicted.
-	BootstrapStall *hdr.Recorder
-	// PipelineFill samples the number of in-flight pipeline slots each
-	// time a worker dispatches a delivery (occupancy; samples are counts,
-	// not durations). FlushBatchSize samples the entries merged per
-	// group-commit flush — together they show where the per-message
-	// round trips went once the apply stage overlapped.
-	PipelineFill   *hdr.Recorder
-	FlushBatchSize *hdr.Recorder
 }
+
+// telemetry is an app's instruments, written lock-free where things
+// happen and read only by Stats. Each feeds the Stats field named after
+// it, whose comment says what it counts.
+type telemetry struct {
+	processed, retries, redelivered, stalled atomic.Int64
+	republished, deferred, shed, throttled   atomic.Int64
+	publishTime                              atomic.Int64 // ns
+
+	bootstrapChunks, chunkRetries, bootstrapResumes, chunkRowsDeduped atomic.Int64
+
+	depWaitsBlocked, depTimeouts, falseDeps atomic.Int64
+	lastDepTimeoutMu                        sync.Mutex
+	lastDepTimeout                          string
+
+	stages                   [numStages]hdr.Recorder
+	depWaitBlocked           hdr.Recorder // from the first unmet probe to the one that admitted
+	bootstrapStall           hdr.Recorder // MaxPublishStall: one sample per chunk read's lock hold
+	pipelineFill, flushBatch hdr.Recorder // counts, not durations
+}
+
+// stage indexes the subscriber pipeline timers: payload decode,
+// generation barrier (§4.4), dependency wait (§4.2), version claim + DB
+// apply (§4.2), group-commit flush, and broker ack. Decode is observed
+// once per delivery fetched from the queue; barrier and apply once per
+// delivery from any entry; dep-wait once per delivery with a non-empty
+// plan (weak and bootstrapping deliveries have none); flush and ack once
+// per group commit. Deliveries overlap, so the totals can exceed wall
+// clock.
+type stage uint8
+
+const (
+	stageDecode stage = iota
+	stageBarrier
+	stageDepWait
+	stageApply
+	stageFlush
+	stageAck
+	numStages
+)
+
+// stageNames are the Stats.Stages keys.
+var stageNames = [numStages]string{"decode", "barrier", "dep-wait", "apply", "flush", "ack"}
+
+// observe records one sample of a stage.
+func (t *telemetry) observe(s stage, d time.Duration) { t.stages[s].Record(int64(d)) }
 
 // depWriterStripe is one stripe of the last-writer fingerprint table.
 type depWriterStripe struct {
@@ -285,43 +282,22 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 		return nil, err
 	}
 	a := &App{
-		fabric:           f,
-		name:             name,
-		mapper:           mapper,
-		cfg:              cfg,
-		store:            store,
-		tracker:          tracker,
-		pubs:             make(map[string]*pubSpec),
-		subs:             make(map[string]map[string]*subSpec),
-		descs:            make(map[string]*model.Descriptor),
-		gens:             make(map[string]*genState),
-		env:              make(map[string]any),
-		faults:           faultinject.New(),
-		journalEpoch:     time.Now().UnixNano(),
-		republished:      metrics.NewCounter(),
-		retries:          metrics.NewCounter(),
-		redelivered:      metrics.NewCounter(),
-		deferred:         metrics.NewCounter(),
-		shed:             metrics.NewCounter(),
-		throttled:        metrics.NewCounter(),
-		stalled:          metrics.NewCounter(),
-		bootstrapChunks:  metrics.NewCounter(),
-		chunkRetries:     metrics.NewCounter(),
-		bootstrapResumes: metrics.NewCounter(),
-		chunkRowsDeduped: metrics.NewCounter(),
-		bootWindows:      make(map[string]*chunkWindow),
-		parked:           make(map[*job]struct{}),
-		depWaitsBlocked:  metrics.NewCounter(),
-		depTimeouts:      metrics.NewCounter(),
-		falseDeps:        metrics.NewCounter(),
-		rng:              rand.New(rand.NewSource(seedFor(name, "overload"))),
-		BootstrapStall:   hdr.New(),
-		PublishLatency:   hdr.New(),
-		Processed:        metrics.NewMeter(),
-		Stages:           metrics.NewStageSet(StageDecode, StageBarrier, StageDepWait, StageApply, StageFlush, StageAck),
-		DepWaitBlocked:   hdr.New(),
-		PipelineFill:     hdr.New(),
-		FlushBatchSize:   hdr.New(),
+		fabric:       f,
+		name:         name,
+		mapper:       mapper,
+		cfg:          cfg,
+		store:        store,
+		tracker:      tracker,
+		pubs:         make(map[string]*pubSpec),
+		subs:         make(map[string]map[string]*subSpec),
+		descs:        make(map[string]*model.Descriptor),
+		gens:         make(map[string]*genState),
+		env:          make(map[string]any),
+		faults:       faultinject.New(),
+		journalEpoch: time.Now().UnixNano(),
+		bootWindows:  make(map[string]*chunkWindow),
+		parked:       make(map[*job]struct{}),
+		rng:          rand.New(rand.NewSource(seedFor(name, "overload"))),
 	}
 	a.hashedDeps = tracker.Policy() == deptrack.PolicyHash && cfg.DepCardinality > 0
 	a.compiled.Store(&subTable{})
@@ -353,30 +329,15 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 
 func genCounterName(app string) string { return "generation/" + app }
 
-// Stage names for App.Stages, the subscriber pipeline timers: payload
-// decode, generation barrier (§4.4), dependency wait (§4.2), version
-// claim + DB apply (§4.2), group-commit flush, and broker ack. The
-// stages overlap across the messages in a worker's window:
-// decode/barrier/dep-wait/apply are observed once per message
-// (concurrently, so their totals can exceed wall clock), while flush
-// and ack are observed once per group-commit flush — the counter
-// increments and acks of every message completing in a flush window
-// share one IncrOpsMulti and one AckMulti round trip.
-const (
-	StageDecode  = "decode"
-	StageBarrier = "barrier"
-	StageDepWait = "dep-wait"
-	StageApply   = "apply"
-	StageFlush   = "flush"
-	StageAck     = "ack"
-)
-
 // Stats is a point-in-time summary of an app's hot-path activity:
 // message counts, version-store round-trip windows, and the subscriber
 // stage timers.
 type Stats struct {
 	// Published is the number of messages this app has published.
 	Published uint64
+	// PublishTime is the time its publishes spent outside the database,
+	// summed: the "Synapse time" of Fig 12(a).
+	PublishTime time.Duration
 	// Processed is the number of subscribed messages fully applied.
 	Processed int64
 	// VStoreRoundTrips counts version-store round-trip windows (pipelined
@@ -474,48 +435,69 @@ type Stats struct {
 	// stall a subscriber join caused (zero when nothing bootstrapped
 	// from this app).
 	MaxPublishStall time.Duration
-	// Stages summarizes the subscriber pipeline timers by stage name.
-	Stages map[string]metrics.StageStat
+	// Stages summarizes the subscriber pipeline timers by stage name:
+	// decode, barrier, dep-wait, apply, flush and ack.
+	Stages map[string]StageStat
+}
+
+// StageStat is one stage's summary in Stats.Stages. Count, Mean and
+// Total are exact; P95 carries the recorder's bucketing error (at most
+// 1/32 of the value).
+type StageStat struct {
+	Count int
+	Mean  time.Duration
+	P95   time.Duration
+	Total time.Duration
 }
 
 // Stats snapshots the app's hot-path counters and stage timers.
 func (a *App) Stats() Stats {
+	t := &a.tel
 	_, _, truncated := a.outbox.counts()
 	st := Stats{
 		JournalTruncated:   truncated,
 		Published:          a.seq.Load(),
-		Processed:          a.Processed.Count(),
+		PublishTime:        time.Duration(t.publishTime.Load()),
+		Processed:          t.processed.Load(),
 		VStoreRoundTrips:   a.store.RoundTrips(),
 		JournalDepth:       a.JournalDepth(),
-		Republished:        a.republished.Count(),
-		Retries:            a.retries.Count(),
-		Redelivered:        a.redelivered.Count(),
-		Deferred:           a.deferred.Count(),
-		Shed:               a.shed.Count(),
-		Throttled:          a.throttled.Count(),
-		Stalled:            a.stalled.Count(),
-		DepWaitsBlocked:    a.depWaitsBlocked.Count(),
-		FalseDepsSuspected: a.falseDeps.Count(),
-		DepTimeouts:        a.depTimeouts.Count(),
-		BootstrapChunks:    a.bootstrapChunks.Count(),
-		ChunkRetries:       a.chunkRetries.Count(),
-		BootstrapResumes:   a.bootstrapResumes.Count(),
-		ChunkRowsDeduped:   a.chunkRowsDeduped.Count(),
+		Republished:        t.republished.Load(),
+		Retries:            t.retries.Load(),
+		Redelivered:        t.redelivered.Load(),
+		Deferred:           t.deferred.Load(),
+		Shed:               t.shed.Load(),
+		Throttled:          t.throttled.Load(),
+		Stalled:            t.stalled.Load(),
+		DepWaitsBlocked:    t.depWaitsBlocked.Load(),
+		DepWaitBlockedMean: time.Duration(t.depWaitBlocked.Mean()),
+		DepWaitBlockedMax:  time.Duration(t.depWaitBlocked.Max()),
+		FalseDepsSuspected: t.falseDeps.Load(),
+		DepTimeouts:        t.depTimeouts.Load(),
+		PipelineFillMean:   t.pipelineFill.Mean(),
+		PipelineFillMax:    t.pipelineFill.Max(),
+		Flushes:            int64(t.flushBatch.Count()),
+		FlushBatchMean:     t.flushBatch.Mean(),
+		FlushBatchMax:      t.flushBatch.Max(),
+		BootstrapChunks:    t.bootstrapChunks.Load(),
+		ChunkRetries:       t.chunkRetries.Load(),
+		BootstrapResumes:   t.bootstrapResumes.Load(),
+		ChunkRowsDeduped:   t.chunkRowsDeduped.Load(),
+		MaxPublishStall:    time.Duration(t.bootstrapStall.Max()),
 		Parked:             a.describeParked(),
-		Stages:             a.Stages.Snapshot(),
+		Stages:             make(map[string]StageStat, numStages),
 	}
-	st.MaxPublishStall = time.Duration(a.BootstrapStall.Max())
-	st.DepWaitBlockedMean = time.Duration(a.DepWaitBlocked.Mean())
-	st.DepWaitBlockedMax = time.Duration(a.DepWaitBlocked.Max())
-	// The occupancy and flush-size recorders hold counts, not durations.
-	st.PipelineFillMean = a.PipelineFill.Mean()
-	st.PipelineFillMax = a.PipelineFill.Max()
-	st.Flushes = int64(a.FlushBatchSize.Count())
-	st.FlushBatchMean = a.FlushBatchSize.Mean()
-	st.FlushBatchMax = a.FlushBatchSize.Max()
-	a.lastDepTimeoutMu.Lock()
-	st.LastDepTimeout = a.lastDepTimeout
-	a.lastDepTimeoutMu.Unlock()
+	for s, name := range stageNames {
+		r := &t.stages[s]
+		st.Stages[name] = StageStat{
+			Count: int(r.Count()),
+			Mean:  time.Duration(r.Mean()),
+			P95:   time.Duration(r.Quantile(0.95)),
+			Total: time.Duration(r.Sum()),
+		}
+	}
+	t.lastDepTimeoutMu.Lock()
+	st.LastDepTimeout = t.lastDepTimeout
+	t.lastDepTimeoutMu.Unlock()
 	if q := a.Queue(); q != nil {
 		st.DeadLetters = q.DeadLetterCount()
 		st.DeadLettered = q.DeadLettered()

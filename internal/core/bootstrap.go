@@ -178,7 +178,7 @@ func (a *App) Bootstrap(from string, models ...string) error {
 	// was interrupted: this run resumes from the journaled chunks.
 	for _, m := range models {
 		if _, _, found := a.readCursor(from, m); found {
-			a.bootstrapResumes.Inc()
+			a.tel.bootstrapResumes.Add(1)
 			break
 		}
 	}
@@ -313,7 +313,7 @@ func (a *App) bootstrapModel(pub *App, modelName string) error {
 		if err := a.writeCursor(pub.name, modelName, cursor, false); err != nil {
 			return err
 		}
-		a.bootstrapChunks.Inc()
+		a.tel.bootstrapChunks.Add(1)
 	}
 	return a.writeCursor(pub.name, modelName, cursor, true)
 }
@@ -325,7 +325,7 @@ func (a *App) bootstrapChunk(pub *App, modelName string, ids []string) error {
 	if err := a.faults.Fire(FaultBootstrapChunkLow); err != nil {
 		return err
 	}
-	windowID := fmt.Sprintf("%s/%s#%d", a.name, modelName, a.bootstrapChunks.Count())
+	windowID := fmt.Sprintf("%s/%s#%d", a.name, modelName, a.tel.bootstrapChunks.Load())
 	w := a.openWindow(pub.name, windowID)
 	defer w.close()
 	if err := a.publishWatermark(pub, windowID, wire.WatermarkLow); err != nil {
@@ -374,7 +374,7 @@ func (a *App) bootstrapChunk(pub *App, modelName string, ids []string) error {
 		})
 	}
 	pub.store.UnlockWrites(held)
-	pub.BootstrapStall.Record(int64(time.Since(start)))
+	pub.tel.bootstrapStall.Record(int64(time.Since(start)))
 
 	if err := a.faults.Fire(FaultBootstrapChunkHigh); err != nil {
 		return err
@@ -411,13 +411,13 @@ func (a *App) publishWatermark(pub *App, id, kind string) error {
 func (a *App) awaitHighWatermark(w *chunkWindow) error {
 	q := a.Queue()
 	if q == nil {
-		a.chunkRetries.Inc()
+		a.tel.chunkRetries.Add(1)
 		return nil
 	}
 	deadline := time.Now().Add(a.cfg.BootstrapChunkWait)
 	for !w.highSeen() {
 		if time.Now().After(deadline) {
-			a.chunkRetries.Inc()
+			a.tel.chunkRetries.Add(1)
 			return nil
 		}
 		d, got, err := q.TryGet()
@@ -427,7 +427,7 @@ func (a *App) awaitHighWatermark(w *chunkWindow) error {
 			}
 			// Queue closed or broker faulty: no watermark can arrive, so
 			// proceed guarded-only like the timeout path.
-			a.chunkRetries.Inc()
+			a.tel.chunkRetries.Add(1)
 			return nil
 		}
 		if !got {
@@ -464,7 +464,7 @@ func (a *App) applyChunk(pub *App, modelName string, rows []chunkRow, touched ma
 	)
 	for _, r := range rows {
 		if tv, ok := touched[r.subKey]; ok && tv >= r.version {
-			a.chunkRowsDeduped.Inc()
+			a.tel.chunkRowsDeduped.Add(1)
 			continue
 		}
 		if r.version > 0 { // a row never published has no guard counter

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"synapse/internal/model"
 	"synapse/internal/wire"
@@ -194,8 +196,8 @@ func TestAddReadDepsExplicit(t *testing.T) {
 func TestStatsMeansAreFractional(t *testing.T) {
 	app, _ := newDocApp(t, NewFabric(), "sub", Config{})
 	for _, n := range []int64{1, 2} {
-		app.PipelineFill.Record(n)
-		app.FlushBatchSize.Record(n)
+		app.tel.pipelineFill.Record(n)
+		app.tel.flushBatch.Record(n)
 	}
 	st := app.Stats()
 	if st.PipelineFillMean != 1.5 || st.FlushBatchMean != 1.5 {
@@ -203,5 +205,56 @@ func TestStatsMeansAreFractional(t *testing.T) {
 	}
 	if st.PipelineFillMax != 2 || st.FlushBatchMax != 2 || st.Flushes != 2 {
 		t.Errorf("PipelineFillMax/FlushBatchMax/Flushes = %d/%d/%d, want 2/2/2", st.PipelineFillMax, st.FlushBatchMax, st.Flushes)
+	}
+}
+
+// TestStatsStagesCountEveryDelivery: Stats.Stages holds the six
+// pipeline stages, and each counts the deliveries it should — decode
+// only what workers fetch, barrier and apply every delivery from any
+// entry, dep-wait only a non-empty plan, flush and ack once per group
+// commit.
+func TestStatsStagesCountEveryDelivery(t *testing.T) {
+	const n = 20
+	f := NewFabric()
+	causal, _ := newDocApp(t, f, "causal", Config{Mode: Causal})
+	weak, _ := newDocApp(t, f, "weak", Config{Mode: Causal})
+	sub, _ := newDocApp(t, f, "sub", Config{})
+	mustPublish(t, causal, userDesc(), "name")
+	mustPublish(t, weak, postDesc(), "body")
+	mustSubscribe(t, sub, userDesc(), SubSpec{From: "causal", Attrs: []string{"name"}})
+	mustSubscribe(t, sub, postDesc(), SubSpec{From: "weak", Attrs: []string{"body"}, Mode: Weak})
+	create := func(pub *App, modelName, attr string) {
+		for i := 0; i < n; i++ {
+			rec := model.NewRecord(modelName, fmt.Sprintf("o%d", i))
+			rec.Set(attr, "x")
+			if _, err := pub.NewController(nil).Create(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	create(causal, "User", "name")
+	sub.StartWorkers(2)
+	waitFor(t, 10*time.Second, func() bool { return sub.Stats().Processed == n })
+	sub.StopWorkers() // the last group commit has landed
+	create(weak, "Post", "body")
+	drain(t, sub) // ProcessMessage
+
+	st := sub.Stats()
+	if len(st.Stages) != len(stageNames) {
+		t.Errorf("Stages has %d keys, want %v", len(st.Stages), stageNames)
+	}
+	want := map[string]int{"decode": n, "barrier": 2 * n, "dep-wait": n, "apply": 2 * n}
+	for _, name := range stageNames {
+		s, ok := st.Stages[name]
+		if !ok {
+			t.Errorf("Stages has no %q", name)
+		} else if w, counted := want[name]; counted && s.Count != w {
+			t.Errorf("%s count = %d, want %d", name, s.Count, w)
+		}
+	}
+	flush, ack := st.Stages["flush"].Count, st.Stages["ack"].Count
+	if flush == 0 || int64(flush) != st.Flushes || ack > flush {
+		t.Errorf("flush/ack counts = %d/%d with %d flushes: want flush = flushes > 0, ack <= flush", flush, ack, st.Flushes)
 	}
 }

@@ -99,7 +99,7 @@ func TestEveryEntryAppliesAlike(t *testing.T) {
 		drainer.runFetched(q, d)
 	}
 	drainer.bootDepth.Add(-1)
-	waitFor(t, 10*time.Second, func() bool { return workers.Processed.Count() == ops })
+	waitFor(t, 10*time.Second, func() bool { return workers.Stats().Processed == ops })
 
 	rows := func(m orm.Mapper) []string {
 		var out []string

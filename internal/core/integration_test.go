@@ -304,7 +304,7 @@ func TestHighConcurrencyStress(t *testing.T) {
 	waitFor(t, 15*time.Second, func() bool {
 		return allRecordsEqual(pubMapper, subMapper, objects)
 	})
-	if got := sub.Processed.Count(); got < writers*updates {
+	if got := sub.Stats().Processed; got < writers*updates {
 		t.Errorf("processed %d messages, want >= %d", got, writers*updates)
 	}
 }

@@ -447,7 +447,7 @@ func (a *App) replay(stored string) (sent bool, err error) {
 	if err := a.sendMessage(payload); err != nil {
 		return false, err
 	}
-	a.republished.Inc()
+	a.tel.republished.Add(1)
 	return true, a.faults.Fire(FaultJournalDrain)
 }
 

@@ -45,7 +45,7 @@ func (a *App) admitPublish(c *Controller, journaled bool) admitDecision {
 		return admitShed
 	}
 	if a.cfg.PublishBlockTimeout > 0 {
-		a.throttled.Inc()
+		a.tel.throttled.Add(1)
 		if a.awaitPressureClear(a.cfg.PublishBlockTimeout) {
 			return admitSend
 		}

@@ -28,9 +28,8 @@ import (
 //     round trip: a publish waits for ONE version-store window (step
 //     2+3).
 //
-// The Synapse-specific time (everything except step 4) is recorded in
-// the app's PublishLatency recorder — the "Synapse time" column of
-// Fig 12(a).
+// The Synapse-specific time (everything except step 4) adds up in
+// Stats.PublishTime — the "Synapse time" column of Fig 12(a).
 func (a *App) performWrites(c *Controller, staged []stagedWrite) (*model.Record, error) {
 	if a.draining.Load() {
 		return nil, ErrDraining
@@ -253,7 +252,7 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite) (*model.Record,
 		// its journal entry (if any) acked, so the periodic drain cannot
 		// resurrect a message the publisher chose to drop.
 		send = false
-		a.shed.Inc()
+		a.tel.shed.Add(1)
 		acked = journaled
 	case admitDefer:
 		// Journal-and-defer without touching the broker: the pressured
@@ -261,7 +260,7 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite) (*model.Record,
 		// journal drain republishes it after pressure clears (with a
 		// jittered resume; see the ticker in StartWorkers).
 		send = false
-		a.deferred.Inc()
+		a.tel.deferred.Add(1)
 	}
 	if !send {
 		// Degraded: nothing sent now.
@@ -273,7 +272,7 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite) (*model.Record,
 		// Journal-and-defer: the write is committed and the entry is
 		// durable, so the publish succeeds now and the periodic journal
 		// drain republishes once the broker endpoint heals.
-		a.deferred.Inc()
+		a.tel.deferred.Add(1)
 	} else if journaled {
 		if err := a.faults.Fire(FaultBeforeJournalAck); err != nil {
 			// Sent but not acked: the entry survives and replays as a
@@ -291,10 +290,7 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite) (*model.Record,
 		c.pendingWriteDeps = c.pendingWriteDeps[:0]
 	}
 
-	a.PublishLatency.Record(int64(time.Since(start) - dbTime))
-	if a.Timeline != nil {
-		a.Timeline.Record(a.name, "synapse-pub", fmt.Sprintf("seq=%d ops=%d", msg.Seq, len(msg.Operations)))
-	}
+	a.tel.publishTime.Add(int64(time.Since(start) - dbTime))
 	return written[0], nil
 }
 

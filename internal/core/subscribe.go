@@ -44,9 +44,13 @@ func (a *App) genStateFor(origin string) *genState {
 var errStaleGeneration = errors.New("synapse: stale generation message")
 
 // enterGeneration counts j's message into its generation, running the
-// flush barrier if it moves the generation forward. It never blocks:
-// while older messages are in flight, j waits on the barrier's list.
+// flush barrier if it moves the generation forward, and times the barrier
+// stage from j's first try. It never blocks: while older messages are in
+// flight, j waits on the barrier's list.
 func (a *App) enterGeneration(j *job) (bool, error) {
+	if j.barrierAt.IsZero() {
+		j.barrierAt = time.Now()
+	}
 	gen := j.msg.Generation
 	gs := a.genStateFor(j.msg.App)
 	gs.mu.Lock()
@@ -65,6 +69,7 @@ func (a *App) enterGeneration(j *job) (bool, error) {
 		gs.cur = gen
 		a.releaseWaiting(gs)
 	}
+	a.tel.observe(stageBarrier, time.Since(j.barrierAt))
 	if gen < gs.cur {
 		return false, errStaleGeneration
 	}
@@ -509,11 +514,11 @@ func (a *App) processBatch(batch []*job, stop <-chan struct{}) {
 			j := batch[next]
 			if j.msg == nil {
 				if j.d.Redelivered {
-					a.redelivered.Inc()
+					a.tel.redelivered.Add(1)
 				}
 				decodeStart := time.Now()
 				msg, derr := wire.UnmarshalProjected(j.d.Payload, a.resolve)
-				a.Stages.Observe(StageDecode, time.Since(decodeStart))
+				a.tel.observe(stageDecode, time.Since(decodeStart))
 				if derr != nil {
 					// Poison message: ack (coalesced) and drop it rather
 					// than loop forever.
@@ -530,7 +535,7 @@ func (a *App) processBatch(batch []*job, stop <-chan struct{}) {
 			next++
 			inflight++
 			inflightMask |= j.mask
-			a.PipelineFill.Record(int64(inflight))
+			a.tel.pipelineFill.Record(int64(inflight))
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -576,7 +581,7 @@ func (a *App) processBatch(batch []*job, stop <-chan struct{}) {
 			maxAttempts = max(maxAttempts, j.d.Attempts)
 			if !a.nackErrorDelivery(j.q, j.d.Tag) {
 				alive = true
-				a.retries.Inc()
+				a.tel.retries.Add(1)
 			}
 		}
 		if alive {
@@ -630,7 +635,7 @@ const FaultBeforeAckFlush = "subscribe/before-ack-flush"
 // are deduped (IncrOps semantics, done at defer time).
 func (a *App) flushBatch(entries []flushEntry) {
 	flushStart := time.Now()
-	a.FlushBatchSize.Record(int64(len(entries)))
+	a.tel.flushBatch.Record(int64(len(entries)))
 	counts := a.flushCounts
 	clear(counts)
 	for _, e := range entries {
@@ -685,9 +690,9 @@ func (a *App) flushBatch(entries []flushEntry) {
 				a.ackMultiDelivery(q, tags)
 			}
 		}
-		a.Stages.Observe(StageAck, time.Since(ackStart))
+		a.tel.observe(stageAck, time.Since(ackStart))
 	}
-	a.Stages.Observe(StageFlush, time.Since(flushStart))
+	a.tel.observe(stageFlush, time.Since(flushStart))
 }
 
 // oneQueue reports whether every entry rides the same queue handle
@@ -799,7 +804,7 @@ func (a *App) consumeWatched(j *job) ([]vstore.Key, bool, error) {
 	case <-done:
 		return incr, parked, err
 	case <-t.C: // abandoned: the straggler's results are never read
-		a.stalled.Inc()
+		a.tel.stalled.Add(1)
 		return nil, false, errStalled
 	}
 }
@@ -869,15 +874,11 @@ func (a *App) process(j *job) ([]vstore.Key, bool, error) {
 		return nil, false, nil
 	}
 	if !j.entered {
-		if j.barrierAt.IsZero() {
-			j.barrierAt = time.Now()
-		}
 		entered, err := a.enterGeneration(j)
 		if !entered && err == nil {
 			a.park(j)
 			return nil, true, nil
 		}
-		a.Stages.Observe(StageBarrier, time.Since(j.barrierAt))
 		if err != nil {
 			return nil, false, err
 		}
@@ -915,7 +916,7 @@ func (a *App) process(j *job) ([]vstore.Key, bool, error) {
 		// Counted when found, not when resolved: a subscriber stuck on a
 		// dependency that never arrives must not report 0.
 		j.parkedAt = time.Now()
-		a.depWaitsBlocked.Inc()
+		a.tel.depWaitsBlocked.Add(1)
 	}
 	if w != nil && wake != nil {
 		j.wait = w
@@ -935,9 +936,9 @@ func (a *App) process(j *job) ([]vstore.Key, bool, error) {
 		}
 	}
 	if len(reqs) > 0 {
-		a.Stages.Observe(StageDepWait, admitted.Sub(j.probedAt))
+		a.tel.observe(stageDepWait, admitted.Sub(j.probedAt))
 		if !j.parkedAt.IsZero() {
-			a.DepWaitBlocked.Record(int64(admitted.Sub(j.parkedAt)))
+			a.tel.depWaitBlocked.Record(int64(admitted.Sub(j.parkedAt)))
 			if w == nil && a.hashedDeps {
 				a.noteFalseDeps(msg, reqs)
 			}
@@ -968,9 +969,8 @@ func (a *App) process(j *job) ([]vstore.Key, bool, error) {
 			return nil, false, err
 		}
 	}
-	a.Stages.Observe(StageApply, time.Since(admitted))
-	a.Processed.Add(1)
-	a.recordApplied(msg)
+	a.tel.observe(stageApply, time.Since(admitted))
+	a.tel.processed.Add(1)
 	return deferred, false, nil
 }
 
@@ -1163,19 +1163,6 @@ func (a *App) claimAndApply(msg *wire.Message, claims []vstore.Claim, claimOp []
 	return nil, admitted, nil
 }
 
-// recordApplied emits a timeline event for the execution-sample figures.
-func (a *App) recordApplied(msg *wire.Message) {
-	if a.Timeline == nil {
-		return
-	}
-	label := fmt.Sprintf("from=%s seq=%d", msg.App, msg.Seq)
-	if len(msg.Operations) > 0 {
-		op := msg.Operations[0]
-		label = fmt.Sprintf("from=%s %s %s/%s", msg.App, op.Operation, op.Model(), op.ID)
-	}
-	a.Timeline.Record(a.name, "synapse-sub", label)
-}
-
 // describeDepTimeout decorates a dependency-wait timeout with the
 // blocking dependency rendered through this app's tracker, so a log
 // line or dead-letter names the exact dot or hashed key that never
@@ -1196,17 +1183,32 @@ func (a *App) describeDepTimeout(err error) error {
 }
 
 // describeParked renders every parked message for Stats.Parked: which
-// message, and what it waits for, in describeDepTimeout's words.
+// message, and what it waits for, in describeDepTimeout's words. It
+// copies what it renders under parkMu and formats after: park and
+// release take that lock on the delivery path.
 func (a *App) describeParked() []string {
+	type parkedJob struct {
+		origin   string
+		seq, gen uint64
+		unmet    []vstore.WaitReq // nil: held at the generation barrier
+	}
 	a.parkMu.Lock()
-	defer a.parkMu.Unlock()
-	out := make([]string, 0, len(a.parked))
+	jobs := make([]parkedJob, 0, len(a.parked))
 	for j := range a.parked {
-		reason := fmt.Sprintf("generation %d is ahead of the barrier", j.msg.Generation)
+		p := parkedJob{origin: j.msg.App, seq: j.msg.Seq, gen: j.msg.Generation}
 		if j.entered {
-			reason = a.describeDepTimeout(&vstore.WaitError{Unmet: j.wait.Unmet}).Error()
+			p.unmet = j.wait.Unmet
 		}
-		out = append(out, fmt.Sprintf("%s seq=%d: %s", j.msg.App, j.msg.Seq, reason))
+		jobs = append(jobs, p)
+	}
+	a.parkMu.Unlock()
+	out := make([]string, 0, len(jobs))
+	for _, p := range jobs {
+		reason := fmt.Sprintf("generation %d is ahead of the barrier", p.gen)
+		if p.unmet != nil {
+			reason = a.describeDepTimeout(&vstore.WaitError{Unmet: p.unmet}).Error()
+		}
+		out = append(out, fmt.Sprintf("%s seq=%d: %s", p.origin, p.seq, reason))
 	}
 	sort.Strings(out)
 	return out
@@ -1215,10 +1217,10 @@ func (a *App) describeParked() []string {
 // noteDepTimeout records a dependency wait that gave up (§6.5), keeping
 // the rendered error for Stats.LastDepTimeout.
 func (a *App) noteDepTimeout(err error) {
-	a.depTimeouts.Inc()
-	a.lastDepTimeoutMu.Lock()
-	a.lastDepTimeout = err.Error()
-	a.lastDepTimeoutMu.Unlock()
+	a.tel.depTimeouts.Add(1)
+	a.tel.lastDepTimeoutMu.Lock()
+	a.tel.lastDepTimeout = err.Error()
+	a.tel.lastDepTimeoutMu.Unlock()
 }
 
 // noteFalseDeps runs after a wait that blocked and then resolved: for
@@ -1236,7 +1238,7 @@ func (a *App) noteFalseDeps(msg *wire.Message, reqs []vstore.WaitReq) {
 			continue
 		}
 		if last, ok := a.lastDepWriter(k); ok && last != opFingerprint(msg.App, op.Model(), op.ID) {
-			a.falseDeps.Inc()
+			a.tel.falseDeps.Add(1)
 		}
 	}
 }

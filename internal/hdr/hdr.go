@@ -16,6 +16,7 @@
 package hdr
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -31,8 +32,8 @@ const (
 	numBuckets = (64 - subBits) * subCount
 )
 
-// Recorder is a concurrent log-bucketed histogram. The zero value is
-// NOT ready to use; call New. Record may be called from any number of
+// Recorder is a concurrent log-bucketed histogram. The zero value is an
+// empty Recorder, ready to use. Record may be called from any number of
 // goroutines; readers (Quantile, Mean, ...) see a consistent-enough
 // view for reporting but should run after recording quiesces for exact
 // counts.
@@ -40,15 +41,19 @@ type Recorder struct {
 	counts [numBuckets]atomic.Uint64
 	count  atomic.Uint64
 	sum    atomic.Int64
-	min    atomic.Int64
 	max    atomic.Int64
+	// belowMax is math.MaxInt64 minus the smallest sample: kept that way
+	// round so that zero means "no sample yet", and raised like max.
+	belowMax atomic.Int64
 }
 
-// New builds an empty Recorder.
-func New() *Recorder {
-	r := &Recorder{}
-	r.min.Store(int64(^uint64(0) >> 1)) // MaxInt64
-	return r
+// raise lifts a to v if v is larger.
+func raise(a *atomic.Int64, v int64) {
+	for cur := a.Load(); v > cur; cur = a.Load() {
+		if a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
 }
 
 // bucketIdx maps a non-negative value to its bucket.
@@ -82,18 +87,8 @@ func (r *Recorder) Record(v int64) {
 	r.counts[bucketIdx(v)].Add(1)
 	r.count.Add(1)
 	r.sum.Add(v)
-	for {
-		cur := r.min.Load()
-		if v >= cur || r.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
-		cur := r.max.Load()
-		if v <= cur || r.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
+	raise(&r.belowMax, math.MaxInt64-v)
+	raise(&r.max, v)
 }
 
 // Count reports the number of recorded samples.
@@ -104,7 +99,7 @@ func (r *Recorder) Min() int64 {
 	if r.count.Load() == 0 {
 		return 0
 	}
-	return r.min.Load()
+	return math.MaxInt64 - r.belowMax.Load()
 }
 
 // Max reports the largest recorded sample (0 when empty).
@@ -180,18 +175,6 @@ func (r *Recorder) Merge(other *Recorder) {
 	}
 	r.count.Add(n)
 	r.sum.Add(other.sum.Load())
-	for {
-		cur := r.min.Load()
-		v := other.min.Load()
-		if v >= cur || r.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
-		cur := r.max.Load()
-		v := other.max.Load()
-		if v <= cur || r.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
+	raise(&r.belowMax, other.belowMax.Load())
+	raise(&r.max, other.max.Load())
 }

@@ -60,7 +60,7 @@ func TestBucketMapping(t *testing.T) {
 func TestQuantileVsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const n = 200000
-	r := New()
+	r := new(Recorder)
 	samples := make([]int64, 0, n)
 	for i := 0; i < n; i++ {
 		// Latency-shaped: exp(N(13, 1.5)) ns ~ hundreds of µs with a
@@ -110,7 +110,7 @@ func relErr(got, want float64) float64 {
 // TestConcurrentRecord hammers Record from many goroutines under the
 // race detector and checks the aggregate count and bounds.
 func TestConcurrentRecord(t *testing.T) {
-	r := New()
+	r := new(Recorder)
 	const workers, per = 8, 5000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -136,7 +136,7 @@ func TestConcurrentRecord(t *testing.T) {
 // union into one.
 func TestMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	a, b, both := New(), New(), New()
+	a, b, both := new(Recorder), new(Recorder), new(Recorder)
 	for i := 0; i < 10000; i++ {
 		v := rng.Int63n(1 << 40)
 		if i%2 == 0 {
@@ -159,7 +159,7 @@ func TestMerge(t *testing.T) {
 
 // TestNegativeAndZero clamps negatives and keeps zeros exact.
 func TestNegativeAndZero(t *testing.T) {
-	r := New()
+	r := new(Recorder)
 	r.Record(-5)
 	r.Record(0)
 	r.Record(3)
@@ -168,5 +168,23 @@ func TestNegativeAndZero(t *testing.T) {
 	}
 	if got := r.Quantile(1); got != 3 {
 		t.Fatalf("q1 = %d, want 3 (exact unit bucket)", got)
+	}
+}
+
+// TestZeroValueReady: a Recorder declared, not built, is empty and
+// keeps its minimum from the first sample on.
+func TestZeroValueReady(t *testing.T) {
+	var r Recorder
+	if r.Count() != 0 || r.Min() != 0 || r.Max() != 0 || r.Quantile(0.5) != 0 {
+		t.Fatalf("empty count/min/max/median = %d/%d/%d/%d", r.Count(), r.Min(), r.Max(), r.Quantile(0.5))
+	}
+	for _, v := range []int64{5, 3, 9} {
+		r.Record(v)
+	}
+	if r.Min() != 3 || r.Max() != 9 || r.Mean() != 17.0/3 {
+		t.Fatalf("min/max/mean = %d/%d/%v, want 3/9/%v", r.Min(), r.Max(), r.Mean(), 17.0/3)
+	}
+	if q0, q1 := r.Quantile(0), r.Quantile(1); q0 != r.Min() || q1 != r.Max() {
+		t.Fatalf("q0/q1 = %d/%d, want min/max 3/9", q0, q1)
 	}
 }
