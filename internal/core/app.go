@@ -204,10 +204,11 @@ type App struct {
 	// The subscriber's group commit (see flushBatch in subscribe.go):
 	// completed pipeline deliveries queue their counter increments and
 	// broker acks here, and whichever worker leads the flusher drains
-	// them in IncrOpsMulti + AckMulti batches. flushCounts is the
-	// leader's scratch map, reused from one batch to the next.
+	// them in IncrOpsMulti + AckMulti batches. flushCounts and flushTags
+	// are the leader's scratch, reused from one batch to the next.
 	commits     *groupcommit.Flusher[flushEntry]
 	flushCounts map[vstore.Key]uint64
+	flushTags   []uint64
 
 	// applyLocks are striped per-object locks making a version claim and
 	// its DB write atomic (see applyStripe in subscribe.go).

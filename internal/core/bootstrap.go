@@ -444,8 +444,9 @@ func (a *App) awaitHighWatermark(w *chunkWindow) error {
 // runFetched takes one delivery the drain fetched itself through a
 // worker's steps — decode, apply, dead-letter, back off, group-commit,
 // ack — as a blocking job: no worker loop comes back to a parked one.
+// The job runs on the drain's own goroutine: its worker has no lanes.
 func (a *App) runFetched(q *broker.Queue, d broker.Delivery) {
-	a.processBatch([]*job{{app: a, q: q, d: d, wakeup: make(chan struct{}, 1)}}, nil)
+	a.newWorker(0).processBatch([]*job{{app: a, q: q, d: d, wakeup: make(chan struct{}, 1)}}, nil)
 }
 
 // applyChunk applies one chunk's rows as a message that waits for

@@ -1,0 +1,105 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"synapse/internal/model"
+	"synapse/internal/vstore"
+)
+
+// TestWorkerPoolGoroutinesFixed: a worker's window runs on the lanes it
+// starts with, so no delivery starts a goroutine — the count taken right
+// after StartWorkers is the most any callback sees — and StopWorkers
+// returns only once every lane has exited, so start/stop cycles leak
+// none.
+func TestWorkerPoolGoroutinesFixed(t *testing.T) {
+	f := NewFabric()
+	pub, _ := newDocApp(t, f, "pub", Config{})
+	sub, _ := newSQLApp(t, f, "sub", Config{PipelineDepth: 4})
+	mustPublish(t, pub, userDesc(), "name")
+
+	var (
+		mu           sync.Mutex
+		peak, called int
+	)
+	d := userDesc()
+	d.Callbacks.On(model.AfterCreate, func(*model.CallbackCtx) error {
+		n := runtime.NumGoroutine()
+		mu.Lock()
+		peak, called = max(peak, n), called+1
+		mu.Unlock()
+		return nil
+	})
+	mustSubscribe(t, sub, d, SubSpec{From: "pub", Attrs: []string{"name"}})
+
+	const messages = 2000
+	ctl := pub.NewController(nil)
+	for i := range messages {
+		createUser(t, ctl, fmt.Sprintf("u%d", i), "n")
+	}
+	pub.store.WaitReleases() // the publisher's release flusher is idle
+
+	base := runtime.NumGoroutine()
+	sub.StartWorkers(2)
+	started := runtime.NumGoroutine()
+	waitFor(t, 10*time.Second, func() bool { return sub.Stats().Processed >= messages })
+	sub.StopWorkers()
+	mu.Lock()
+	if called < messages || peak > started {
+		t.Errorf("%d callbacks saw up to %d goroutines; %d right after StartWorkers(2)", called, peak, started)
+	}
+	mu.Unlock()
+
+	for range 10 {
+		sub.StartWorkers(2)
+		sub.StopWorkers()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond) // StopWorkers' waiter exits just after it returns
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after 11 start/stop cycles, %d before the first", n, base)
+	}
+}
+
+// TestFlushBatchAllocBudget: a message completing alone — one entry per
+// group commit, the common case — costs the flush no allocation: the
+// counts map and the ack tags are the leader's, reused.
+func TestFlushBatchAllocBudget(t *testing.T) {
+	skipUnderRace(t)
+	const runs = 100
+	f := NewFabric()
+	pub, _ := newDocApp(t, f, "pub", Config{})
+	sub, _ := newSQLApp(t, f, "sub", Config{CreditWindow: 2 * runs})
+	mustPublish(t, pub, userDesc(), "name")
+	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
+	ctl := pub.NewController(nil)
+	for i := range runs + 1 { // AllocsPerRun's warm-up call takes one
+		createUser(t, ctl, fmt.Sprintf("u%d", i), "n")
+	}
+	q := sub.Queue()
+	ds, err := q.GetBatch(runs + 1)
+	if err != nil || len(ds) != runs+1 {
+		t.Fatalf("GetBatch(%d) = %d deliveries, %v", runs+1, len(ds), err)
+	}
+
+	entries := make([]flushEntry, 1)
+	incr := []vstore.Key{1, 2}
+	next := 0
+	n := testing.AllocsPerRun(runs, func() {
+		entries[0] = flushEntry{q: q, tag: ds[next].Tag, incr: incr}
+		next++
+		sub.flushBatch(entries)
+	})
+	if n != 0 {
+		t.Errorf("one-entry flushBatch = %v allocs, want 0", n)
+	}
+	if got := q.Unacked(); got != 0 {
+		t.Errorf("Unacked = %d after the flushes, want 0", got)
+	}
+}

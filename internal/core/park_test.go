@@ -193,7 +193,7 @@ func TestParkedReleasedOnlyAtThreshold(t *testing.T) {
 	if p, r := parkedAndReady(sub); p != 0 || r != 1 {
 		t.Fatalf("at the threshold: parked=%d ready=%d, want 0, 1", p, r)
 	}
-	batch := sub.takeReady(4)
+	batch := sub.takeReady(nil, 4)
 	if len(batch) != 1 || batch[0] != third {
 		t.Fatalf("takeReady = %v, want the parked update", batch)
 	}
@@ -231,7 +231,7 @@ func TestParkedDepTimeoutReadiesAndAppliesAnyway(t *testing.T) {
 	if waited := time.Since(update.parkedAt); waited < 20*time.Millisecond {
 		t.Fatalf("readied after %v, before its 20ms DepTimeout", waited)
 	}
-	if _, parked, err := sub.consumeDecoded(sub.takeReady(1)[0]); parked || err != nil {
+	if _, parked, err := sub.consumeDecoded(sub.takeReady(nil, 1)[0]); parked || err != nil {
 		t.Fatalf("timed-out update: parked=%v err=%v, want applied", parked, err)
 	}
 	st := sub.Stats()

@@ -521,7 +521,7 @@ func TestSubscribeWhileDecodedJobsWait(t *testing.T) {
 	}
 	sub.commits.Add(flushEntry{q: create.q, tag: create.d.Tag, incr: incr})
 	sub.commits.Flush()
-	if batch := sub.takeReady(4); len(batch) != 1 || batch[0] != second {
+	if batch := sub.takeReady(nil, 4); len(batch) != 1 || batch[0] != second {
 		t.Fatalf("takeReady = %v, want the parked update", batch)
 	}
 	if incr, parked, err = sub.consumeDecoded(second); parked || err != nil {

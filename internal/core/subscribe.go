@@ -100,7 +100,7 @@ func (a *App) releaseWaiting(gs *genState) {
 // job is one delivery on its way through the subscriber. It holds what
 // a message that is not ready must keep while parked — the decoded
 // message, its generation count, its dependency plan — so that parking
-// frees everything else: window slot, stripe mask, goroutine. A job with
+// frees everything else: window slot, stripe mask, lane. A job with
 // a wake-up channel blocks instead: no worker loop comes back to it, so
 // its caller waits out each release (run). A job with no queue is
 // ProcessMessage's.
@@ -197,12 +197,14 @@ func (a *App) release(j *job) {
 	}
 }
 
-// takeReady removes up to max jobs from the head of the ready list.
-func (a *App) takeReady(max int) []*job {
+// takeReady moves up to max jobs from the head of the ready list onto
+// batch.
+func (a *App) takeReady(batch []*job, max int) []*job {
 	a.parkMu.Lock()
 	defer a.parkMu.Unlock()
-	batch := slices.Clone(a.ready[:min(len(a.ready), max)])
-	a.ready = slices.Delete(a.ready, 0, len(batch))
+	n := min(len(a.ready), max)
+	batch = append(batch, a.ready[:n]...)
+	a.ready = slices.Delete(a.ready, 0, n)
 	return batch
 }
 
@@ -276,8 +278,9 @@ func (a *App) StartWorkers(n int) {
 		a.tuneQueue(q)
 	}
 	for i := 0; i < n; i++ {
+		w := a.newWorker(a.cfg.PipelineDepth)
 		a.workersWG.Add(1)
-		go a.workerLoop(stop)
+		go a.workerLoop(w, stop)
 	}
 	// A restarting app may have inherited journal entries from a crashed
 	// predecessor; drain them before (well, concurrently with) serving
@@ -381,8 +384,71 @@ func (a *App) StopWorkers() {
 	a.cutJournal()
 }
 
-func (a *App) workerLoop(stop <-chan struct{}) {
+// worker is one subscriber worker's apply window (see processBatch) and
+// what its batches reuse. Its lanes are long-lived goroutines, started
+// with the worker, that each run one dispatched job at a time through
+// step: a delivery pays for no goroutine start, and the lanes keep the
+// stacks they grew. A worker with no lanes runs each job inline on the
+// goroutine that called processBatch (bootstrap's drain).
+type worker struct {
+	app     *App
+	lanes   chan *job       // dispatch to an idle lane; nil: inline
+	results chan laneResult // one per dispatched job
+	running sync.WaitGroup  // dispatched jobs whose step, flush included, has not returned
+}
+
+// laneResult is a dispatched job coming back to processBatch: done or
+// parked (err nil), or failed.
+type laneResult struct {
+	j   *job
+	err error
+}
+
+// newWorker builds a worker and starts its lanes, counted in workersWG:
+// they exit once the dispatch channel closes.
+func (a *App) newWorker(lanes int) *worker {
+	// Sized to the window: at most PipelineDepth jobs are dispatched and
+	// not yet read back, so neither a dispatch nor a result ever blocks.
+	w := &worker{app: a, results: make(chan laneResult, a.cfg.PipelineDepth)}
+	if lanes > 0 {
+		w.lanes = make(chan *job, a.cfg.PipelineDepth)
+		a.workersWG.Add(lanes)
+		for range lanes {
+			go w.lane()
+		}
+	}
+	return w
+}
+
+// lane runs dispatched jobs until the worker closes its dispatch channel.
+func (w *worker) lane() {
+	defer w.app.workersWG.Done()
+	for j := range w.lanes {
+		w.step(j)
+	}
+}
+
+// step runs one dispatched job: the delivery as far as it goes, its
+// completion queued for group commit, its result — the window slot frees
+// here — and then the flush.
+func (w *worker) step(j *job) {
+	defer w.running.Done()
+	a := w.app
+	incr, parked, err := a.consumeDecodedGuarded(j)
+	done := err == nil && !parked
+	if done {
+		a.commits.Add(flushEntry{q: j.q, tag: j.d.Tag, incr: incr})
+	}
+	w.results <- laneResult{j, err}
+	if done {
+		a.commits.Flush()
+	}
+}
+
+func (a *App) workerLoop(w *worker, stop <-chan struct{}) {
 	defer a.workersWG.Done()
+	defer close(w.lanes)
+	batch := make([]*job, 0, a.cfg.PipelineDepth)
 	for {
 		select {
 		case <-stop:
@@ -407,7 +473,7 @@ func (a *App) workerLoop(stop <-chan struct{}) {
 		// older than anything in the queue, and what is parked behind
 		// them waits for exactly these. Either way a worker takes what
 		// its window can start.
-		batch := a.takeReady(a.cfg.PipelineDepth)
+		batch = a.takeReady(batch[:0], a.cfg.PipelineDepth)
 		if len(batch) == 0 {
 			ds, err := q.GetBatch(a.cfg.PipelineDepth)
 			switch {
@@ -434,26 +500,27 @@ func (a *App) workerLoop(stop <-chan struct{}) {
 				return
 			}
 			jobs := make([]job, len(ds)) // one allocation per batch, not per message
-			batch = make([]*job, len(ds))
 			for i, d := range ds {
 				jobs[i] = job{app: a, q: q, d: d}
-				batch[i] = &jobs[i]
+				batch = append(batch, &jobs[i])
 			}
 		}
-		a.processBatch(batch, stop)
+		w.processBatch(batch, stop)
+		clear(batch) // what parked is the parked set's, not this buffer's
 	}
 }
 
 // processBatch works through one batch of deliveries — released from
 // the ready list or freshly fetched — with a bounded in-flight window:
-// up to Config.PipelineDepth run concurrently in this worker, so the
-// decode, dependency probe, version claims, and callback of messages
-// N+1..N+k overlap message N's 2ms-class callback instead of queueing
-// behind it. A depth of 1 is the same loop with a window of one.
+// up to Config.PipelineDepth run concurrently in this worker, each on
+// one of its lanes, so the decode, dependency probe, version claims, and
+// callback of messages N+1..N+k overlap message N's 2ms-class callback
+// instead of queueing behind it. A depth of 1 is the same loop with a
+// window of one.
 //
 //   - Park, don't block: a message whose dependencies are unmet, or
 //     whose generation is ahead of the barrier, parks (see job): its
-//     goroutine returns and its slot and stripe mask are free at once.
+//     lane moves on and its slot and stripe mask are free at once.
 //     The delivery stays unacked, so the credit window bounds the parked
 //     set. Whatever moves the counter it needs (a group-commit flush, a
 //     bootstrap bulk load, an inline increment), empties the generation
@@ -485,14 +552,9 @@ func (a *App) workerLoop(stop <-chan struct{}) {
 //     (dead-letter) so a poison message cannot wedge the pool; until
 //     then the worker backs off exponentially before it looks at the
 //     queue again, so redelivery does not spin on a persistent fault.
-func (a *App) processBatch(batch []*job, stop <-chan struct{}) {
+func (w *worker) processBatch(batch []*job, stop <-chan struct{}) {
+	a := w.app
 	depth := a.cfg.PipelineDepth
-	type result struct {
-		j   *job
-		err error
-	}
-	results := make(chan result, len(batch))
-	var wg sync.WaitGroup
 	var (
 		next         int
 		inflight     int
@@ -536,25 +598,18 @@ func (a *App) processBatch(batch []*job, stop <-chan struct{}) {
 			inflight++
 			inflightMask |= j.mask
 			a.tel.pipelineFill.Record(int64(inflight))
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				incr, parked, err := a.consumeDecodedGuarded(j)
-				done := err == nil && !parked
-				if done {
-					a.commits.Add(flushEntry{q: j.q, tag: j.d.Tag, incr: incr})
-				}
-				results <- result{j, err}
-				if done {
-					a.commits.Flush()
-				}
-			}()
+			w.running.Add(1)
+			if w.lanes != nil {
+				w.lanes <- j
+			} else {
+				w.step(j)
+			}
 		}
 		if inflight == 0 {
 			break
 		}
 		select {
-		case r := <-results:
+		case r := <-w.results:
 			// A job that parked may be running in another worker by now;
 			// its mask was fixed before dispatch.
 			inflight--
@@ -566,7 +621,7 @@ func (a *App) processBatch(batch []*job, stop <-chan struct{}) {
 			stopping = true
 		}
 	}
-	wg.Wait() // group commits of completed messages have landed
+	w.running.Wait() // group commits of completed messages have landed
 	// A stop or a failure leaves an undispatched tail. Nack pushes front,
 	// so handing it back newest first restores queue order.
 	for i := len(batch) - 1; i >= next; i-- {
@@ -624,11 +679,12 @@ const flushBatchCap = 256
 const FaultBeforeAckFlush = "subscribe/before-ack-flush"
 
 // flushBatch is the commit flusher's drain — it runs on whichever
-// worker leads, one batch at a time, inline: a message completing alone
-// pays no goroutine hop — and lands one group commit: every entry's
-// counter increments in ONE IncrOpsMulti round trip, then every entry's
-// broker ack in ONE AckMulti call. The order is the invariant: acks flush only after
-// their increments land, so a crash between the two leaves the
+// caller of Flush leads, one batch at a time, inline: a message
+// completing alone pays no goroutine hop and no allocation — and lands
+// one group commit: every entry's counter increments in ONE IncrOpsMulti
+// round trip, then every entry's broker ack in ONE AckMulti call. The
+// order is the invariant: acks flush only after their increments land,
+// so a crash between the two leaves the
 // messages unacked, the broker redelivers them, and the per-object
 // version guard discards the duplicate applies as stale. A key bumped
 // by k messages in the window advances by k — within one message keys
@@ -673,37 +729,21 @@ func (a *App) flushBatch(entries []flushEntry) {
 			// goroutine, where a panic would be unrecoverable.)
 			return
 		}
+		// One AckMulti per run of entries on one queue handle: the whole
+		// batch, unless it straddles a queue reattach.
 		ackStart := time.Now()
-		if oneQueue(entries) {
-			tags := make([]uint64, len(entries))
-			for i, e := range entries {
-				tags[i] = e.tag
-			}
-			a.ackMultiDelivery(entries[0].q, tags)
-		} else {
-			// A batch straddling a queue reattach: one AckMulti per handle.
-			byQ := make(map[*broker.Queue][]uint64)
-			for _, e := range entries {
-				byQ[e.q] = append(byQ[e.q], e.tag)
-			}
-			for q, tags := range byQ {
-				a.ackMultiDelivery(q, tags)
+		tags := a.flushTags[:0]
+		for i, e := range entries {
+			tags = append(tags, e.tag)
+			if i+1 == len(entries) || entries[i+1].q != e.q {
+				a.ackMultiDelivery(e.q, tags)
+				tags = tags[:0]
 			}
 		}
+		a.flushTags = tags
 		a.tel.observe(stageAck, time.Since(ackStart))
 	}
 	a.tel.observe(stageFlush, time.Since(flushStart))
-}
-
-// oneQueue reports whether every entry rides the same queue handle
-// (the overwhelmingly common case — avoids a map allocation per flush).
-func oneQueue(entries []flushEntry) bool {
-	for i := 1; i < len(entries); i++ {
-		if entries[i].q != entries[0].q {
-			return false
-		}
-	}
-	return true
 }
 
 // retryBackoff sleeps before a failed message's redelivery attempt:
@@ -784,9 +824,9 @@ func (a *App) consumeDecodedGuarded(j *job) ([]vstore.Key, bool, error) {
 }
 
 // consumeWatched is consumeDecodedGuarded with the watchdog armed. It is
-// a function of its own so that the watchdog's locals stay out of the
-// unwatched path's frame: that path runs on every delivery's goroutine,
-// whose stack starts small and is copied each time it has to grow.
+// a function of its own so that what the watchdog costs — results the
+// abandoned goroutine may still write, hence on the heap, its channel
+// and timer — stays off the unwatched path.
 func (a *App) consumeWatched(j *job) ([]vstore.Key, bool, error) {
 	var (
 		incr   []vstore.Key

@@ -117,7 +117,7 @@ func TestApplyWaitsOneWindow(t *testing.T) {
 		}
 	})
 	windows("its group commit", 1, func() { commit(create, incr) })
-	if batch := sub.takeReady(1); len(batch) != 1 || batch[0] != update {
+	if batch := sub.takeReady(nil, 1); len(batch) != 1 || batch[0] != update {
 		t.Fatalf("takeReady = %v, want the update released by the create's increment", batch)
 	}
 	windows("the released update", 1, func() {

@@ -7,8 +7,8 @@
 // (DBLog's high-water shape, PAPERS.md).
 //
 // The caller decides where the drain runs. The subscriber adds a
-// completed delivery and calls Flush: the leader is one of its workers,
-// inline. The version store hands in a lock release's unlock window and
+// completed delivery and calls Flush: the leader is one of its workers'
+// lanes, inline. The version store hands in a lock release's unlock window and
 // calls Kick: the leader is a spawned goroutine, so the controller that
 // released never waits for the window.
 package groupcommit

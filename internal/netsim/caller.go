@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -61,22 +62,28 @@ func (c CallerConfig) withDefaults() CallerConfig {
 // blocking. closed → open after BreakerThreshold consecutive Do
 // failures; open → half-open after the cooldown (one probe Do is
 // admitted); a successful probe closes it, a failed one re-opens it.
+//
+// A Do that finds the breaker closed and succeeds reads the clock once
+// and takes no lock: the breaker state it checks is one atomic, and the
+// lock is taken only when the failure streak changes.
 type Caller struct {
-	cfg CallerConfig
+	cfg   CallerConfig
+	epoch time.Time // the monotonic origin openUntil counts from
 
-	mu        sync.Mutex
-	rng       *rand.Rand
-	failures  int       // consecutive failed Dos
-	openUntil time.Time // breaker open before this instant
-	trips     int64
-	fastFails int64
+	openUntil atomic.Int64 // breaker open before epoch + this many ns
+	failures  atomic.Int32 // consecutive failed Dos; written under mu
+	fastFails atomic.Int64
+
+	mu    sync.Mutex
+	rng   *rand.Rand
+	trips int64
 }
 
 // NewCaller builds a Caller with the given policy (zero fields get
 // defaults).
 func NewCaller(cfg CallerConfig) *Caller {
 	cfg = cfg.withDefaults()
-	return &Caller{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &Caller{cfg: cfg, epoch: time.Now(), rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 // Do runs fn under the resilience policy: up to Attempts tries within
@@ -84,39 +91,38 @@ func NewCaller(cfg CallerConfig) *Caller {
 // ErrBreakerOpen while the breaker is open. Returns nil on the first
 // success, the last attempt's error otherwise.
 func (c *Caller) Do(fn func() error) error {
-	c.mu.Lock()
-	if time.Now().Before(c.openUntil) {
-		c.fastFails++
-		c.mu.Unlock()
+	now := time.Since(c.epoch)
+	if int64(now) < c.openUntil.Load() {
+		c.fastFails.Add(1)
 		return ErrBreakerOpen
 	}
-	c.mu.Unlock()
 
-	deadline := time.Now().Add(c.cfg.Deadline)
+	deadline := now + c.cfg.Deadline
 	var err error
 	for attempt := 0; attempt < c.cfg.Attempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(c.backoff(attempt))
-			if time.Now().After(deadline) {
+			if time.Since(c.epoch) > deadline {
 				break
 			}
 		}
 		if err = fn(); err == nil {
-			c.mu.Lock()
-			c.failures = 0
-			c.mu.Unlock()
+			if c.failures.Load() != 0 {
+				c.mu.Lock()
+				c.failures.Store(0)
+				c.mu.Unlock()
+			}
 			return nil
 		}
 	}
 
 	c.mu.Lock()
-	c.failures++
-	if c.failures >= c.cfg.BreakerThreshold {
+	if n := c.failures.Add(1); int(n) >= c.cfg.BreakerThreshold {
 		// Open (or re-open after a failed half-open probe). The
 		// failure count stays at the threshold so one more failed
 		// probe re-opens immediately.
-		c.openUntil = time.Now().Add(c.cfg.BreakerCooldown)
-		c.failures = c.cfg.BreakerThreshold
+		c.openUntil.Store(int64(time.Since(c.epoch) + c.cfg.BreakerCooldown))
+		c.failures.Store(int32(c.cfg.BreakerThreshold))
 		c.trips++
 	}
 	c.mu.Unlock()
@@ -138,9 +144,7 @@ func (c *Caller) backoff(attempt int) time.Duration {
 
 // Open reports whether the breaker is currently rejecting calls.
 func (c *Caller) Open() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return time.Now().Before(c.openUntil)
+	return int64(time.Since(c.epoch)) < c.openUntil.Load()
 }
 
 // Trips returns how many times the breaker has opened.
@@ -151,18 +155,14 @@ func (c *Caller) Trips() int64 {
 }
 
 // FastFails returns how many Dos were rejected without an attempt.
-func (c *Caller) FastFails() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fastFails
-}
+func (c *Caller) FastFails() int64 { return c.fastFails.Load() }
 
 // Reset force-closes the breaker and clears the failure streak (used
 // when the caller knows the endpoint recovered, e.g. after an explicit
 // restart in tests).
 func (c *Caller) Reset() {
 	c.mu.Lock()
-	c.failures = 0
-	c.openUntil = time.Time{}
+	c.failures.Store(0)
+	c.openUntil.Store(0)
 	c.mu.Unlock()
 }
