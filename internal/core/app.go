@@ -201,6 +201,12 @@ type App struct {
 	parked map[*job]struct{}
 	ready  []*job
 
+	// blocking recycles ProcessMessage's and bootstrap's drain's jobs with
+	// their wake-up channels. onMove, nil outside tests, sees every move
+	// of every job (App.to).
+	blocking sync.Pool
+	onMove   func(j *job, from, to jobState)
+
 	// The subscriber's group commit (see flushBatch in subscribe.go):
 	// completed pipeline deliveries queue their counter increments and
 	// broker acks here, and whichever worker leads the flusher drains
@@ -303,6 +309,7 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 	a.hashedDeps = tracker.Policy() == deptrack.PolicyHash && cfg.DepCardinality > 0
 	a.compiled.Store(&subTable{})
 	a.resolve = a.resolveSink
+	a.blocking.New = func() any { return &job{app: a, wakeup: make(chan struct{}, 1)} }
 	a.outbox = newOutbox(&a.seq)
 	a.commits = groupcommit.New(flushBatchCap, 0, a.flushBatch)
 	a.flushCounts = make(map[vstore.Key]uint64)

@@ -168,6 +168,8 @@ func (a *App) Bootstrap(from string, models ...string) error {
 
 	a.bootDepth.Add(1)
 	defer a.bootDepth.Add(-1)
+	drain := a.newWorker(1)
+	defer drain.close()
 	defer func() {
 		a.windowMu.Lock()
 		delete(a.bootWindows, from)
@@ -222,7 +224,7 @@ func (a *App) Bootstrap(from string, models ...string) error {
 	// Step 2: chunked object snapshot, applied with weak semantics so
 	// replays and races with live messages resolve to the newest version.
 	for _, modelName := range models {
-		if err := a.bootstrapModel(pub, modelName); err != nil {
+		if err := a.bootstrapModel(drain, pub, modelName); err != nil {
 			return err
 		}
 	}
@@ -243,7 +245,7 @@ func (a *App) Bootstrap(from string, models ...string) error {
 		if !got {
 			break
 		}
-		a.runFetched(q, d)
+		drain.runFetched(q, d)
 	}
 	// Converged: the resume cursors have served their purpose.
 	for _, m := range models {
@@ -266,7 +268,7 @@ type chunkRow struct {
 
 // bootstrapModel walks one model's objects in keyed chunks, resuming
 // from the journaled cursor when an earlier bootstrap was interrupted.
-func (a *App) bootstrapModel(pub *App, modelName string) error {
+func (a *App) bootstrapModel(drain *worker, pub *App, modelName string) error {
 	if _, ok := a.subscription(modelName, pub.name); !ok {
 		return fmt.Errorf("%w: %s/%s from %s", ErrNotSubscribed, a.name, modelName, pub.name)
 	}
@@ -306,7 +308,7 @@ func (a *App) bootstrapModel(pub *App, modelName string) error {
 		if end > len(ids) {
 			end = len(ids)
 		}
-		if err := a.bootstrapChunk(pub, modelName, ids[start:end]); err != nil {
+		if err := a.bootstrapChunk(drain, pub, modelName, ids[start:end]); err != nil {
 			return err
 		}
 		cursor = ids[end-1]
@@ -321,7 +323,7 @@ func (a *App) bootstrapModel(pub *App, modelName string) error {
 // bootstrapChunk syncs one chunk: low watermark, bounded locked read of
 // the chunk's (version, record) pairs, high watermark, live drain until
 // the high watermark returns, then the deduplicated batched apply.
-func (a *App) bootstrapChunk(pub *App, modelName string, ids []string) error {
+func (a *App) bootstrapChunk(drain *worker, pub *App, modelName string, ids []string) error {
 	if err := a.faults.Fire(FaultBootstrapChunkLow); err != nil {
 		return err
 	}
@@ -382,7 +384,7 @@ func (a *App) bootstrapChunk(pub *App, modelName string, ids []string) error {
 	if err := a.publishWatermark(pub, windowID, wire.WatermarkHigh); err != nil {
 		return err
 	}
-	if err := a.awaitHighWatermark(w); err != nil {
+	if err := a.awaitHighWatermark(drain, w); err != nil {
 		return err
 	}
 	touched := w.close()
@@ -408,7 +410,7 @@ func (a *App) publishWatermark(pub *App, id, kind string) error {
 // wait with BootstrapChunkWait: past the deadline the chunk applies
 // without live dedup — the per-object version guard alone still makes
 // that correct — and the timeout is counted in ChunkRetries.
-func (a *App) awaitHighWatermark(w *chunkWindow) error {
+func (a *App) awaitHighWatermark(drain *worker, w *chunkWindow) error {
 	q := a.Queue()
 	if q == nil {
 		a.tel.chunkRetries.Add(1)
@@ -436,17 +438,25 @@ func (a *App) awaitHighWatermark(w *chunkWindow) error {
 			time.Sleep(time.Millisecond)
 			continue
 		}
-		a.runFetched(q, d)
+		drain.runFetched(q, d)
 	}
 	return nil
 }
 
 // runFetched takes one delivery the drain fetched itself through a
-// worker's steps — decode, apply, dead-letter, back off, group-commit,
-// ack — as a blocking job: no worker loop comes back to a parked one.
-// The job runs on the drain's own goroutine: its worker has no lanes.
-func (a *App) runFetched(q *broker.Queue, d broker.Delivery) {
-	a.newWorker(0).processBatch([]*job{{app: a, q: q, d: d, wakeup: make(chan struct{}, 1)}}, nil)
+// worker's steps — decode, apply, dead-letter, back off, ack — as a
+// blocking job on the drain's one lane: no worker loop comes back to a
+// parked one. The job is recycled unless the watchdog left it to a
+// straggler.
+func (w *worker) runFetched(q *broker.Queue, d broker.Delivery) {
+	j := w.app.blocking.Get().(*job)
+	j.q, j.d = q, d
+	j.state.Store(uint32(stateFetched))
+	w.processBatch(append(w.batch[:0], j), nil)
+	if j.load() != stateStalled {
+		j.trip = trip{}
+		w.app.blocking.Put(j)
+	}
 }
 
 // applyChunk applies one chunk's rows as a message that waits for
@@ -477,7 +487,7 @@ func (a *App) applyChunk(pub *App, modelName string, rows []chunkRow, touched ma
 	if len(ops) == 0 {
 		return nil
 	}
-	_, _, err := a.claimAndApply(&wire.Message{App: pub.name, Operations: ops}, claims, claimOp, nil, nil, new(applyScratch))
+	_, err := a.claimAndApply(&wire.Message{App: pub.name, Operations: ops}, claims, claimOp, nil, nil, nil)
 	return err
 }
 

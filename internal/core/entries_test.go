@@ -88,6 +88,8 @@ func TestEveryEntryAppliesAlike(t *testing.T) {
 	drain(t, process)
 	q := drainer.Queue()
 	drainer.bootDepth.Add(1)
+	w := drainer.newWorker(1)
+	defer w.close()
 	for {
 		d, ok, err := q.TryGet()
 		if err != nil {
@@ -96,7 +98,7 @@ func TestEveryEntryAppliesAlike(t *testing.T) {
 		if !ok {
 			break
 		}
-		drainer.runFetched(q, d)
+		w.runFetched(q, d)
 	}
 	drainer.bootDepth.Add(-1)
 	waitFor(t, 10*time.Second, func() bool { return workers.Stats().Processed == ops })

@@ -13,13 +13,19 @@ import (
 
 // TestWorkerPoolGoroutinesFixed: a worker's window runs on the lanes it
 // starts with, so no delivery starts a goroutine — the count taken right
-// after StartWorkers is the most any callback sees — and StopWorkers
-// returns only once every lane has exited, so start/stop cycles leak
-// none.
+// after StartWorkers is the most any callback sees, the stall watchdog
+// armed or not — and StopWorkers returns only once every lane has
+// exited, so start/stop cycles leak none.
 func TestWorkerPoolGoroutinesFixed(t *testing.T) {
+	for _, timeout := range []time.Duration{0, time.Second} {
+		t.Run(fmt.Sprintf("ApplyTimeout=%v", timeout), func(t *testing.T) { testWorkerPoolGoroutinesFixed(t, timeout) })
+	}
+}
+
+func testWorkerPoolGoroutinesFixed(t *testing.T, timeout time.Duration) {
 	f := NewFabric()
 	pub, _ := newDocApp(t, f, "pub", Config{})
-	sub, _ := newSQLApp(t, f, "sub", Config{PipelineDepth: 4})
+	sub, _ := newSQLApp(t, f, "sub", Config{PipelineDepth: 4, ApplyTimeout: timeout})
 	mustPublish(t, pub, userDesc(), "name")
 
 	var (

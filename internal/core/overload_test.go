@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -229,6 +231,7 @@ func TestStallWatchdogQuarantinesHungCallback(t *testing.T) {
 			mustSubscribe(t, sub, d, SubSpec{From: "pub", Attrs: []string{"name"}})
 			sub.StartWorkers(0)
 			defer sub.StopWorkers()
+			started := runtime.NumGoroutine()
 
 			ctl := pub.NewController(nil)
 			poison := model.NewRecord("User", "poison")
@@ -276,7 +279,51 @@ func TestStallWatchdogQuarantinesHungCallback(t *testing.T) {
 				_, err := subMapper.Find("User", "poison")
 				return err == nil && sub.Stats().DeadLetters == 0
 			})
+			// Each straggler exits once its callback returns; the lanes that
+			// replaced them are all that is left.
+			waitFor(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= started })
 		})
+	}
+}
+
+// TestStallClockStartsAtClaim: the watchdog times the apply from its
+// claim, not the version-store window before it nor a parked wait, so a
+// 20ms budget against a 50ms window stalls nothing. (A 2ms budget shows
+// the same, but a descheduled apply under -race can outlast it.) A clock
+// that counted the window stalled and nacked every delivery while the
+// straggler went on to apply and increment, and the redelivery
+// incremented again.
+func TestStallClockStartsAtClaim(t *testing.T) {
+	f := NewFabric()
+	pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
+	sub, _ := newSQLApp(t, f, "sub", Config{Workers: 1, ApplyTimeout: 20 * time.Millisecond, VStoreRTT: 50 * time.Millisecond})
+	mustPublish(t, pub, userDesc(), "name")
+	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
+
+	ctl := pub.NewController(nil)
+	createUser(t, ctl, "u1", "v1")
+	updateUser(t, ctl, "u1", "v2")
+	reorderFront(t, sub, 1, 0)
+
+	sub.StartWorkers(1)
+	defer sub.StopWorkers()
+	waitConverged(t, 5*time.Second, pub, sub)
+	waitFor(t, 5*time.Second, func() bool {
+		return len(sub.Stats().Parked) == 0 && sub.Queue().Unacked() == 0
+	})
+	if st := sub.Stats(); st.Stalled != 0 {
+		t.Fatalf("Stalled = %d, want 0: no callback is slow", st.Stalled)
+	}
+	want, err := pub.Store().Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sub.Store().Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("subscriber counters %v, publisher's %v", got, want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"synapse/internal/broker"
 	"synapse/internal/model"
 	"synapse/internal/wire"
 )
@@ -138,9 +139,16 @@ func fetchJobs(t *testing.T, a *App, n int) []*job {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs[i] = &job{app: a, q: q, d: d, msg: msg, mask: a.applyMask(msg)}
+		jobs[i] = decodedJob(a, q, d, msg)
 	}
 	return jobs
+}
+
+// decodedJob is a queue job as a worker's dispatch leaves it for a lane.
+func decodedJob(a *App, q *broker.Queue, d broker.Delivery, msg *wire.Message) *job {
+	j := &job{app: a, trip: trip{q: q, d: d, msg: msg, mask: a.applyMask(msg), at: time.Now()}}
+	j.state.Store(uint32(stateDecoded))
+	return j
 }
 
 func parkedAndReady(a *App) (parked, ready int) {
@@ -168,8 +176,8 @@ func TestParkedReleasedOnlyAtThreshold(t *testing.T) {
 	jobs := fetchJobs(t, sub, 3)
 	create, second, third := jobs[0], jobs[1], jobs[2]
 
-	if _, parked, err := sub.consumeDecoded(third); !parked || err != nil {
-		t.Fatalf("update ahead of its dependencies: parked=%v err=%v, want parked", parked, err)
+	if st, err := sub.drive(third); st != stateParked || err != nil {
+		t.Fatalf("update ahead of its dependencies: %v, %v; want parked", st, err)
 	}
 	st := sub.Stats()
 	if st.DepWaitsBlocked != 1 || len(st.Parked) != 1 {
@@ -183,11 +191,10 @@ func TestParkedReleasedOnlyAtThreshold(t *testing.T) {
 		if p, r := parkedAndReady(sub); p != 1 || r != 0 {
 			t.Fatalf("below the threshold: parked=%d ready=%d, want 1, 0", p, r)
 		}
-		incr, parked, err := sub.consumeDecoded(j)
-		if parked || err != nil {
-			t.Fatalf("satisfier: parked=%v err=%v", parked, err)
+		if st, err := sub.drive(j); st != stateDone || err != nil {
+			t.Fatalf("satisfier: %v, %v; want done", st, err)
 		}
-		sub.commits.Add(flushEntry{q: j.q, tag: j.d.Tag, incr: incr})
+		sub.commits.Add(flushEntry{q: j.q, tag: j.d.Tag, incr: j.incr})
 		sub.commits.Flush()
 	}
 	if p, r := parkedAndReady(sub); p != 0 || r != 1 {
@@ -197,8 +204,8 @@ func TestParkedReleasedOnlyAtThreshold(t *testing.T) {
 	if len(batch) != 1 || batch[0] != third {
 		t.Fatalf("takeReady = %v, want the parked update", batch)
 	}
-	if _, parked, err := sub.consumeDecoded(third); parked || err != nil {
-		t.Fatalf("released update: parked=%v err=%v", parked, err)
+	if st, err := sub.drive(third); st != stateDone || err != nil {
+		t.Fatalf("released update: %v, %v; want done", st, err)
 	}
 	if got, err := subMapper.Find("User", "u1"); err != nil || got.String("name") != "v3" {
 		t.Fatalf("u1 = %v, %v; want v3", got, err)
@@ -224,15 +231,15 @@ func TestParkedDepTimeoutReadiesAndAppliesAnyway(t *testing.T) {
 	updateUser(t, ctl, "u1", "v2")
 	update := fetchJobs(t, sub, 2)[1]
 
-	if _, parked, err := sub.consumeDecoded(update); !parked || err != nil {
-		t.Fatalf("parked=%v err=%v, want parked", parked, err)
+	if st, err := sub.drive(update); st != stateParked || err != nil {
+		t.Fatalf("%v, %v; want parked", st, err)
 	}
 	waitFor(t, 2*time.Second, func() bool { _, r := parkedAndReady(sub); return r == 1 })
-	if waited := time.Since(update.parkedAt); waited < 20*time.Millisecond {
+	if waited := time.Since(update.blockedAt); waited < 20*time.Millisecond {
 		t.Fatalf("readied after %v, before its 20ms DepTimeout", waited)
 	}
-	if _, parked, err := sub.consumeDecoded(sub.takeReady(nil, 1)[0]); parked || err != nil {
-		t.Fatalf("timed-out update: parked=%v err=%v, want applied", parked, err)
+	if st, err := sub.drive(sub.takeReady(nil, 1)[0]); st != stateDone || err != nil {
+		t.Fatalf("timed-out update: %v, %v; want done", st, err)
 	}
 	st := sub.Stats()
 	if st.DepTimeouts != 1 || !strings.Contains(st.LastDepTimeout, "blocked on") || !strings.Contains(st.LastDepTimeout, "timed out") {

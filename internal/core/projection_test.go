@@ -176,7 +176,7 @@ func TestApplyAllocBudget(t *testing.T) {
 		t.Fatalf("%d of %d deliveries reached a callback", applied, want)
 	}
 	n := float64(after.Mallocs-before.Mallocs) / float64(len(stream))
-	const budget = 11 // measured 9.8: decode 4.0, the engine's copy-in 2, the synchronous job and its channel 2, the version store's windows the rest
+	const budget = 9 // measured 7.7: decode 4.0, the engine's copy-in 2, the version store's windows the rest
 	if n > budget {
 		t.Errorf("decode + apply of the live stream = %.1f allocs/delivery, want <= %d", n, budget)
 	}
@@ -508,26 +508,25 @@ func TestSubscribeWhileDecodedJobsWait(t *testing.T) {
 	}
 	jobs := fetchJobs(t, sub, 3)
 	create, second, third := jobs[0], jobs[1], jobs[2]
-	if _, parked, err := sub.consumeDecoded(second); !parked || err != nil {
-		t.Fatalf("update ahead of its create: parked=%v err=%v, want parked", parked, err)
+	if st, err := sub.drive(second); st != stateParked || err != nil {
+		t.Fatalf("update ahead of its create: %v, %v; want parked", st, err)
 	}
 
 	// Nothing the User subscription names changes: another model, a field.
 	mustSubscribe(t, sub, postDesc(), SubSpec{From: "pub", Attrs: []string{"body"}})
 	subUser.AddField(model.Field{Name: "display", Type: model.String})
-	incr, parked, err := sub.consumeDecoded(create)
-	if parked || err != nil {
-		t.Fatalf("create decoded before an unrelated Subscribe: parked=%v err=%v", parked, err)
+	if st, err := sub.drive(create); st != stateDone || err != nil {
+		t.Fatalf("create decoded before an unrelated Subscribe: %v, %v; want done", st, err)
 	}
-	sub.commits.Add(flushEntry{q: create.q, tag: create.d.Tag, incr: incr})
+	sub.commits.Add(flushEntry{q: create.q, tag: create.d.Tag, incr: create.incr})
 	sub.commits.Flush()
 	if batch := sub.takeReady(nil, 4); len(batch) != 1 || batch[0] != second {
 		t.Fatalf("takeReady = %v, want the parked update", batch)
 	}
-	if incr, parked, err = sub.consumeDecoded(second); parked || err != nil {
-		t.Fatalf("parked update decoded before an unrelated Subscribe: parked=%v err=%v", parked, err)
+	if st, err := sub.drive(second); st != stateDone || err != nil {
+		t.Fatalf("parked update decoded before an unrelated Subscribe: %v, %v; want done", st, err)
 	}
-	sub.commits.Add(flushEntry{q: second.q, tag: second.d.Tag, incr: incr})
+	sub.commits.Add(flushEntry{q: second.q, tag: second.d.Tag, incr: second.incr})
 	sub.commits.Flush()
 	if got, err := subMapper.Find("User", "u1"); err != nil || got.String("name") != "v2" || got.Has("email") {
 		t.Fatalf("u1 = %v, %v; want name v2 and no email", got, err)
@@ -536,15 +535,15 @@ func TestSubscribeWhileDecodedJobsWait(t *testing.T) {
 	// More of the same model: the decode skipped what is now wanted.
 	mustSubscribe(t, sub, subUser, SubSpec{From: "pub", Attrs: []string{"email"}})
 	payload := third.d.Payload
-	if _, _, err := sub.consumeDecoded(third); err != errStaleProjection {
-		t.Fatalf("update decoded before a Subscribe for more of its model: err=%v, want errStaleProjection", err)
+	if st, err := sub.drive(third); st != stateFailed || err != errStaleProjection {
+		t.Fatalf("update decoded before a Subscribe for more of its model: %v, %v; want failed with errStaleProjection", st, err)
 	}
 	again, err := wire.UnmarshalProjected(payload, sub.resolve)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, parked, err := sub.consumeDecoded(&job{app: sub, q: third.q, d: third.d, msg: again, mask: sub.applyMask(again)}); parked || err != nil {
-		t.Fatalf("the same update decoded again: parked=%v err=%v", parked, err)
+	if st, err := sub.drive(decodedJob(sub, third.q, third.d, again)); st != stateDone || err != nil {
+		t.Fatalf("the same update decoded again: %v, %v; want done", st, err)
 	}
 	if got, _ := subMapper.Find("User", "u1"); got.String("name") != "v3" || got.String("email") != "u1@v3" {
 		t.Errorf("u1 = %v; want name v3 and the email the first decode skipped", got.Attrs)

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"synapse/internal/broker"
@@ -43,14 +44,12 @@ func (a *App) genStateFor(origin string) *genState {
 // they are acked and dropped (their state was resynced by bootstrap).
 var errStaleGeneration = errors.New("synapse: stale generation message")
 
-// enterGeneration counts j's message into its generation, running the
-// flush barrier if it moves the generation forward, and times the barrier
-// stage from j's first try. It never blocks: while older messages are in
-// flight, j waits on the barrier's list.
-func (a *App) enterGeneration(j *job) (bool, error) {
-	if j.barrierAt.IsZero() {
-		j.barrierAt = time.Now()
-	}
+// enterGeneration counts a decoded job's message into its generation
+// (planned), running the flush barrier if it moves the generation
+// forward. It never blocks: while older messages are in flight, j is held
+// on the barrier's list (barrier). A message from an older generation
+// comes back done, for its caller to end.
+func (a *App) enterGeneration(j *job) jobState {
 	gen := j.msg.Generation
 	gs := a.genStateFor(j.msg.App)
 	gs.mu.Lock()
@@ -58,8 +57,9 @@ func (a *App) enterGeneration(j *job) (bool, error) {
 	if gen > gs.cur {
 		for g := range gs.inflight {
 			if g < gen {
+				a.to(j, stateDecoded, stateBarrier) // under gs.mu: a release finds it held
 				gs.waiting = append(gs.waiting, j)
-				return false, nil
+				return stateBarrier
 			}
 		}
 		// Barrier reached: flush and advance (§4.4). The flush clears
@@ -69,12 +69,12 @@ func (a *App) enterGeneration(j *job) (bool, error) {
 		gs.cur = gen
 		a.releaseWaiting(gs)
 	}
-	a.tel.observe(stageBarrier, time.Since(j.barrierAt))
 	if gen < gs.cur {
-		return false, errStaleGeneration
+		return stateDone
 	}
 	gs.inflight[gen]++
-	return true, nil
+	a.to(j, stateDecoded, statePlanned)
+	return statePlanned
 }
 
 func (a *App) exitGeneration(origin string, gen uint64) {
@@ -97,42 +97,162 @@ func (a *App) releaseWaiting(gs *genState) {
 	gs.waiting = nil
 }
 
-// job is one delivery on its way through the subscriber. It holds what
-// a message that is not ready must keep while parked — the decoded
-// message, its generation count, its dependency plan — so that parking
-// frees everything else: window slot, stripe mask, lane. A job with
-// a wake-up channel blocks instead: no worker loop comes back to it, so
-// its caller waits out each release (run). A job with no queue is
-// ProcessMessage's.
+// job is one delivery on its way through the subscriber: where it stands
+// (its state, DESIGN §2j), and what a message that is not ready keeps
+// while parked — the decoded message, its dependency plan — so that
+// parking frees its window slot, stripe mask and lane. A job with a
+// wake-up channel blocks instead: its own goroutine waits out each
+// release. A job with no queue is ProcessMessage's.
 type job struct {
-	app  *App
+	app    *App
+	wakeup chan struct{} // blocking jobs: what release signals
+	state  atomic.Uint32 // a jobState, moved only by App.to
+	trip
+}
+
+// trip is one delivery's pass through a job, what a recycled blocking job
+// resets: a release still on its way from the last pass reads none of it.
+type trip struct {
 	q    *broker.Queue
 	d    broker.Delivery
 	msg  *wire.Message
 	mask uint64
+	lane *lane // the lane running it; nil for ProcessMessage
 
-	barrierAt time.Time // first try at the generation barrier
-	entered   bool      // counted in its generation
+	// at is when its stage began: decode, barrier (the first try), dep-wait
+	// (the plan; DepTimeout counts from it too) or apply (the claim).
+	// blockedAt is its first unmet probe.
+	at, blockedAt time.Time
 
-	// The causal dependency plan, built at the first probe: what must be
-	// reached before the message applies, and what it increments after.
-	// The usual handful of keys lives in the job itself.
-	reqs     []vstore.WaitReq
-	incr     []vstore.Key
-	reqBuf   [jobKeys]vstore.WaitReq
-	incrBuf  [jobKeys]vstore.Key
-	probedAt time.Time
-	parkedAt time.Time // first probe that found a dependency unmet
+	// The dependency plan: what must be reached before the message
+	// applies, and what it increments after; the usual handful inline.
+	reqs    []vstore.WaitReq
+	incr    []vstore.Key
+	reqBuf  [jobKeys]vstore.WaitReq
+	incrBuf [jobKeys]vstore.Key
 
-	// Either releases it while parked on dependencies: the registration
-	// of the latest probe, or the job's one DepTimeout timer.
+	// What releases it while parked on dependencies: the latest probe's
+	// registration, or its one DepTimeout timer.
 	wait  *vstore.Parked
 	timer *time.Timer
 
-	woken  bool          // released before park recorded it (under parkMu)
-	wakeup chan struct{} // blocking jobs: what release signals
-
 	scratch applyScratch
+}
+
+// jobState is the step of the subscriber algorithm a job stands at. Those
+// from planned through applied count it in its generation.
+type jobState uint32
+
+const (
+	stateFetched jobState = iota // off the queue
+	stateDecoded                 // next: the generation barrier
+	stateBarrier                 // held there: an older generation is in flight
+	statePlanned                 // in its generation, plan built: next, probe and claim
+	stateParked                  // a requirement unmet: waits for a release
+	stateReady                   // released: probes again
+	stateClaimed                 // its claims taken under its stripes: applying
+	stateApplied                 // next: its increments
+	stateDone                    // over: acked or queued to be, increments with it
+	stateFailed                  // over: returned, nacked as a failed attempt, or handed back
+	stateStalled                 // over: taken by the watchdog (see lane)
+	numJobStates
+)
+
+var jobStateNames = [numJobStates]string{"fetched", "decoded", "barrier", "planned", "parked", "ready", "claimed", "applied", "done", "failed", "stalled"}
+
+func (s jobState) String() string { return jobStateNames[s] }
+
+func (s jobState) entered() bool { return s >= statePlanned && s <= stateApplied }
+
+// jobEdges is DESIGN §2j's table: bit t of jobEdges[s] allows s -> t.
+var jobEdges = [numJobStates]uint16{
+	stateFetched: edges(stateDecoded, stateDone, stateFailed),
+	stateDecoded: edges(stateBarrier, statePlanned, stateDone, stateFailed),
+	stateBarrier: edges(stateDecoded, stateFailed),
+	statePlanned: edges(stateParked, stateReady, stateClaimed, stateFailed, stateStalled),
+	stateParked:  edges(stateReady, stateFailed),
+	stateReady:   edges(statePlanned, stateClaimed, stateFailed, stateStalled),
+	stateClaimed: edges(stateApplied, stateFailed, stateStalled),
+	stateApplied: edges(stateDone, stateFailed),
+}
+
+func edges(to ...jobState) (set uint16) {
+	for _, s := range to {
+		set |= 1 << s
+	}
+	return set
+}
+
+func (j *job) load() jobState { return jobState(j.state.Load()) }
+
+// to moves j from one state to the next: the one place a job changes
+// state, and where the stage timers are observed. A move outside the
+// table panics, like releasing a storage.LockTable key nobody holds. The
+// move is a compare-and-swap: false, and nothing moved, when j is no
+// longer in from. A job that is over is retired: what could still
+// release it goes, its generation count returns, and so does its
+// message, unless ProcessMessage lent it (the watchdog's stalled job is
+// its straggler's to retire).
+func (a *App) to(j *job, from, next jobState) bool {
+	if jobEdges[from]&(1<<next) == 0 {
+		panic(fmt.Sprintf("synapse: subscriber job moved %v -> %v", from, next))
+	}
+	if !j.state.CompareAndSwap(uint32(from), uint32(next)) {
+		return false
+	}
+	switch {
+	case from == stateFetched && next != stateFailed:
+		j.at = a.observeSince(stageDecode, j.at)
+	case from == stateDecoded && next == statePlanned:
+		j.at = a.observeSince(stageBarrier, j.at)
+	case next == stateClaimed:
+		now := time.Now()
+		if !j.blockedAt.IsZero() {
+			a.tel.depWaitBlocked.Record(int64(now.Sub(j.blockedAt)))
+		}
+		if len(j.reqs) > 0 {
+			a.tel.observe(stageDepWait, now.Sub(j.at))
+		}
+		j.at = now
+	case from == stateApplied && next == stateDone:
+		a.observeSince(stageApply, j.at)
+	}
+	if next == stateDone || next == stateFailed {
+		a.retire(j, from.entered())
+	}
+	if a.onMove != nil {
+		a.onMove(j, from, next)
+	}
+	return true
+}
+
+// move takes j to next from whatever state it stands in — again, if a
+// release moved it first.
+func (a *App) move(j *job, next jobState) {
+	for !a.to(j, j.load(), next) {
+	}
+}
+
+// observeSince records the stage that began at start and returns now.
+func (a *App) observeSince(s stage, start time.Time) time.Time {
+	now := time.Now()
+	a.tel.observe(s, now.Sub(start))
+	return now
+}
+
+func (a *App) retire(j *job, entered bool) {
+	if j.wait != nil {
+		j.wait.Cancel()
+	}
+	if j.timer != nil {
+		j.timer.Stop()
+	}
+	if entered {
+		a.exitGeneration(j.msg.App, j.msg.Generation)
+	}
+	if j.q != nil {
+		wire.ReleaseMessage(j.msg)
+	}
 }
 
 // applyScratch is what applying one operation needs and nothing keeps:
@@ -153,46 +273,55 @@ func (j *job) Wake() { j.app.release(j) }
 // jobKeys is the fixed capacity of a job's inline dependency plan.
 const jobKeys = 6
 
-// park records j as parked — unless the release it waits for already
-// happened, in which case j goes straight on to the ready list. A
-// blocking job is not parked: its caller waits for the release.
-func (a *App) park(j *job) {
+// park leaves j — held at the barrier, or probed with a requirement
+// unmet — to wait for a release: a queue job on the parked set, unless
+// its release already came and it goes straight on to the ready list; a
+// blocking job on its own goroutine. It reports whether j was a blocking
+// job, released by now.
+func (a *App) park(j *job) bool {
 	if j.wakeup != nil {
-		return
+		a.to(j, statePlanned, stateParked)
+		for st := j.load(); st == stateBarrier || st == stateParked; st = j.load() {
+			<-j.wakeup
+		}
+		return true
 	}
 	a.parkMu.Lock()
-	a.parked[j] = struct{}{}
-	woken := j.woken
-	j.woken = false
-	a.parkMu.Unlock()
-	if woken {
-		a.release(j)
+	held := j.load() == stateBarrier || a.to(j, statePlanned, stateParked)
+	if held {
+		a.parked[j] = struct{}{}
+	} else {
+		a.ready = append(a.ready, j)
 	}
+	a.parkMu.Unlock()
+	if !held {
+		j.q.CancelWaiters()
+	}
+	return false
 }
 
-// release is every parked job's wake action — a counter reached its
-// threshold, the deadline passed, a generation emptied: it moves to the
-// ready list and an idle worker is woken to take it and probe again (a
-// release is a reason to look, not a promise). A blocking job's caller
-// is woken instead.
+// release is every waiting job's wake action — a counter reached its
+// threshold, the deadline passed, a generation emptied: a job held at the
+// barrier goes back to try it, a parked one is ready, and one still
+// probing is ready for its park to find. A parked queue job moves to the
+// ready list and an idle worker is woken to take it and look again (a
+// release is a reason to look, not a promise); a blocking job's goroutine
+// is woken. To a job in any other state the release came late.
 func (a *App) release(j *job) {
+	a.parkMu.Lock()
+	_ = a.to(j, stateBarrier, stateDecoded) || a.to(j, stateParked, stateReady) || a.to(j, statePlanned, stateReady)
+	_, held := a.parked[j]
+	if held {
+		delete(a.parked, j)
+		a.ready = append(a.ready, j)
+	}
+	a.parkMu.Unlock()
 	if j.wakeup != nil {
 		select {
 		case j.wakeup <- struct{}{}:
 		default:
 		}
-		return
-	}
-	a.parkMu.Lock()
-	_, parked := a.parked[j]
-	if parked {
-		delete(a.parked, j)
-		a.ready = append(a.ready, j)
-	} else {
-		j.woken = true
-	}
-	a.parkMu.Unlock()
-	if parked {
+	} else if held {
 		j.q.CancelWaiters()
 	}
 }
@@ -208,54 +337,31 @@ func (a *App) takeReady(batch []*job, max int) []*job {
 	return batch
 }
 
-// stopWaiting drops what could still release a job parked on
-// dependencies: its store registration and its DepTimeout timer.
-func (j *job) stopWaiting() {
-	if j.wait != nil {
-		j.wait.Cancel()
-	}
-	if j.timer != nil {
-		j.timer.Stop()
-	}
-}
-
-// retire ends this delivery of a job — applied, failed or handed back:
-// its registrations go, its generation count and its message return.
-func (a *App) retire(j *job) {
-	j.stopWaiting()
-	if j.entered {
-		a.exitGeneration(j.msg.App, j.msg.Generation)
-	}
-	if j.msg != nil {
-		wire.ReleaseMessage(j.msg)
-	}
-}
-
-// retireParked removes and retires every parked and ready job delivered
-// on q (any queue handle when nil), oldest first. A stop then nacks them
-// back; those of a dead handle are just forgotten — their tags died with
-// it: a restarted broker redelivers them, RecoverQueue resyncs a
+// retireParked hands back every parked and ready job delivered on q (any
+// queue handle when nil), oldest first: each fails. A stop then nacks
+// them back; those of a dead handle are just forgotten — their tags died
+// with it: a restarted broker redelivers them, RecoverQueue resyncs a
 // decommissioned queue's content.
 func (a *App) retireParked(q *broker.Queue) []*job {
-	a.parkMu.Lock()
 	var out []*job
-	for j := range a.parked {
-		if q == nil || j.q == q {
-			out = append(out, j)
-			delete(a.parked, j)
-		}
-	}
-	a.ready = slices.DeleteFunc(a.ready, func(j *job) bool {
+	take := func(j *job) bool {
 		if q == nil || j.q == q {
 			out = append(out, j)
 			return true
 		}
 		return false
-	})
+	}
+	a.parkMu.Lock()
+	for j := range a.parked {
+		if take(j) {
+			delete(a.parked, j)
+		}
+	}
+	a.ready = slices.DeleteFunc(a.ready, take)
 	a.parkMu.Unlock()
 	sort.Slice(out, func(i, k int) bool { return out[i].d.Tag < out[k].d.Tag })
 	for _, j := range out {
-		a.retire(j)
+		a.move(j, stateFailed)
 	}
 	return out
 }
@@ -388,67 +494,138 @@ func (a *App) StopWorkers() {
 // what its batches reuse. Its lanes are long-lived goroutines, started
 // with the worker, that each run one dispatched job at a time through
 // step: a delivery pays for no goroutine start, and the lanes keep the
-// stacks they grew. A worker with no lanes runs each job inline on the
-// goroutine that called processBatch (bootstrap's drain).
+// stacks they grew. Bootstrap's drain is a worker with one lane.
 type worker struct {
 	app     *App
-	lanes   chan *job       // dispatch to an idle lane; nil: inline
+	lanes   chan *job       // dispatch to an idle lane
 	results chan laneResult // one per dispatched job
 	running sync.WaitGroup  // dispatched jobs whose step, flush included, has not returned
+	exited  sync.WaitGroup  // lanes still running; an abandoned one hands its count on
+	batch   []*job
 }
 
-// laneResult is a dispatched job coming back to processBatch: done or
-// parked (err nil), or failed.
+// laneResult is a dispatched job coming back to processBatch: done,
+// parked, or failed.
 type laneResult struct {
-	j   *job
-	err error
+	j      *job
+	failed bool
 }
 
-// newWorker builds a worker and starts its lanes, counted in workersWG:
-// they exit once the dispatch channel closes.
+// newWorker builds a worker and starts its lanes.
 func (a *App) newWorker(lanes int) *worker {
 	// Sized to the window: at most PipelineDepth jobs are dispatched and
 	// not yet read back, so neither a dispatch nor a result ever blocks.
-	w := &worker{app: a, results: make(chan laneResult, a.cfg.PipelineDepth)}
-	if lanes > 0 {
-		w.lanes = make(chan *job, a.cfg.PipelineDepth)
-		a.workersWG.Add(lanes)
-		for range lanes {
-			go w.lane()
-		}
+	depth := a.cfg.PipelineDepth
+	w := &worker{app: a, lanes: make(chan *job, depth), results: make(chan laneResult, depth), batch: make([]*job, 0, depth)}
+	w.exited.Add(lanes)
+	for range lanes {
+		go w.runLane()
 	}
 	return w
 }
 
-// lane runs dispatched jobs until the worker closes its dispatch channel.
-func (w *worker) lane() {
-	defer w.app.workersWG.Done()
-	for j := range w.lanes {
-		w.step(j)
-	}
+// close stops the worker's lanes and waits for them — not for a
+// straggler the watchdog abandoned: a replacement took its place.
+func (w *worker) close() {
+	close(w.lanes)
+	w.exited.Wait()
 }
 
-// step runs one dispatched job: the delivery as far as it goes, its
-// completion queued for group commit, its result — the window slot frees
-// here — and then the flush.
-func (w *worker) step(j *job) {
-	defer w.running.Done()
-	a := w.app
-	incr, parked, err := a.consumeDecodedGuarded(j)
-	done := err == nil && !parked
-	if done {
-		a.commits.Add(flushEntry{q: j.q, tag: j.d.Tag, incr: incr})
+// lane is one of a worker's goroutines, and its stall watchdog
+// (Config.ApplyTimeout; none at 0): one reusable timer, armed while the
+// lane's job waits for its apply stripes and again from its claim to the
+// end of its apply, never across the version-store window or a release.
+// If the budget (stallBudget) runs out first, the watchdog takes the job:
+// stalled, its window slot and mask free, nacked as a failed attempt, a
+// replacement lane in its lane's place. The lane goes on as its straggler
+// until the callback returns, then drops the result, increments and ack
+// with it, and exits; the apply stripes and the per-object version guard
+// absorb a straggler's late write like a redelivered duplicate.
+type lane struct {
+	w     *worker
+	timer *time.Timer
+	armed atomic.Pointer[job] // what the watchdog times; whoever disarms it takes it
+	due   atomic.Int64        // when its budget runs out, in UnixNano
+}
+
+// runLane runs dispatched jobs until the worker closes its dispatch
+// channel, or the watchdog takes the one it runs.
+func (w *worker) runLane() {
+	l := &lane{w: w}
+	if w.app.cfg.ApplyTimeout > 0 {
+		l.timer = time.AfterFunc(time.Hour, l.expire)
+		l.timer.Stop()
 	}
-	w.results <- laneResult{j, err}
-	if done {
+	for j := range w.lanes {
+		if !l.step(j) {
+			return
+		}
+	}
+	w.exited.Done()
+}
+
+// step runs one dispatched job through the driver: the delivery as far
+// as it goes, a done job's group-commit entry, its result — the window
+// slot frees here — and then the flush. It reports false when the
+// watchdog took the job, and with it the result.
+func (l *lane) step(j *job) bool {
+	w, a := l.w, l.w.app
+	j.lane = l
+	st, _ := a.drive(j)
+	if st == stateStalled {
+		a.retire(j, true)
+		return false
+	}
+	if st == stateDone {
+		a.commits.Add(flushEntry{q: j.q, tag: j.d.Tag, incr: j.incr})
+	}
+	w.results <- laneResult{j, st == stateFailed}
+	if st == stateDone {
 		a.commits.Flush()
 	}
+	w.running.Done()
+	return true
+}
+
+func (l *lane) arm(j *job) {
+	if l == nil || l.timer == nil {
+		return
+	}
+	budget := l.w.app.stallBudget(j.d.Attempts)
+	l.due.Store(time.Now().Add(budget).UnixNano())
+	l.armed.Store(j)
+	l.timer.Reset(budget)
+}
+
+// disarm reports false when the watchdog took j first.
+func (l *lane) disarm(j *job) bool {
+	if l == nil || l.timer == nil {
+		return true
+	}
+	if !l.armed.CompareAndSwap(j, nil) {
+		return false
+	}
+	l.timer.Stop()
+	return true
+}
+
+// expire is the watchdog firing; one meant for an earlier arm finds the
+// budget not yet spent, or nothing armed.
+func (l *lane) expire() {
+	j, w := l.armed.Load(), l.w
+	if j == nil || time.Now().UnixNano() < l.due.Load() || !l.armed.CompareAndSwap(j, nil) {
+		return
+	}
+	w.app.move(j, stateStalled)
+	w.app.tel.stalled.Add(1)
+	go w.runLane()
+	w.results <- laneResult{j, true}
+	w.running.Done()
 }
 
 func (a *App) workerLoop(w *worker, stop <-chan struct{}) {
 	defer a.workersWG.Done()
-	defer close(w.lanes)
-	batch := make([]*job, 0, a.cfg.PipelineDepth)
+	defer w.close()
 	for {
 		select {
 		case <-stop:
@@ -473,8 +650,8 @@ func (a *App) workerLoop(w *worker, stop <-chan struct{}) {
 		// older than anything in the queue, and what is parked behind
 		// them waits for exactly these. Either way a worker takes what
 		// its window can start.
-		batch = a.takeReady(batch[:0], a.cfg.PipelineDepth)
-		if len(batch) == 0 {
+		w.batch = a.takeReady(w.batch[:0], a.cfg.PipelineDepth)
+		if len(w.batch) == 0 {
 			ds, err := q.GetBatch(a.cfg.PipelineDepth)
 			switch {
 			case err == nil:
@@ -501,12 +678,12 @@ func (a *App) workerLoop(w *worker, stop <-chan struct{}) {
 			}
 			jobs := make([]job, len(ds)) // one allocation per batch, not per message
 			for i, d := range ds {
-				jobs[i] = job{app: a, q: q, d: d}
-				batch = append(batch, &jobs[i])
+				jobs[i] = job{app: a, trip: trip{q: q, d: d}}
+				w.batch = append(w.batch, &jobs[i])
 			}
 		}
-		w.processBatch(batch, stop)
-		clear(batch) // what parked is the parked set's, not this buffer's
+		w.processBatch(w.batch, stop)
+		clear(w.batch) // what parked is the parked set's, not this buffer's
 	}
 }
 
@@ -574,22 +751,23 @@ func (w *worker) processBatch(batch []*job, stop <-chan struct{}) {
 				break
 			}
 			j := batch[next]
-			if j.msg == nil {
+			if j.load() == stateFetched {
 				if j.d.Redelivered {
 					a.tel.redelivered.Add(1)
 				}
-				decodeStart := time.Now()
+				j.at = time.Now()
 				msg, derr := wire.UnmarshalProjected(j.d.Payload, a.resolve)
-				a.tel.observe(stageDecode, time.Since(decodeStart))
 				if derr != nil {
 					// Poison message: ack (coalesced) and drop it rather
 					// than loop forever.
+					a.to(j, stateFetched, stateDone)
 					a.commits.Add(flushEntry{q: j.q, tag: j.d.Tag})
 					a.commits.Flush()
 					next++
 					continue
 				}
 				j.msg, j.mask = msg, a.applyMask(msg)
+				a.to(j, stateFetched, stateDecoded)
 			}
 			if j.mask&inflightMask != 0 {
 				break // shared apply stripe: wait for the earlier message
@@ -599,11 +777,7 @@ func (w *worker) processBatch(batch []*job, stop <-chan struct{}) {
 			inflightMask |= j.mask
 			a.tel.pipelineFill.Record(int64(inflight))
 			w.running.Add(1)
-			if w.lanes != nil {
-				w.lanes <- j
-			} else {
-				w.step(j)
-			}
+			w.lanes <- j
 		}
 		if inflight == 0 {
 			break
@@ -614,7 +788,7 @@ func (w *worker) processBatch(batch []*job, stop <-chan struct{}) {
 			// its mask was fixed before dispatch.
 			inflight--
 			inflightMask &^= r.j.mask
-			if r.err != nil {
+			if r.failed {
 				failures = append(failures, r.j)
 			}
 		case <-stop:
@@ -625,7 +799,7 @@ func (w *worker) processBatch(batch []*job, stop <-chan struct{}) {
 	// A stop or a failure leaves an undispatched tail. Nack pushes front,
 	// so handing it back newest first restores queue order.
 	for i := len(batch) - 1; i >= next; i-- {
-		a.retire(batch[i])
+		a.move(batch[i], stateFailed)
 		a.nackDelivery(batch[i].q, batch[i].d.Tag)
 	}
 	if len(failures) > 0 {
@@ -767,9 +941,8 @@ func (a *App) retryBackoff(attempts int, stop <-chan struct{}) {
 	}
 }
 
-// errStalled marks a delivery abandoned by the apply watchdog: the
-// subscriber callback was still running when its escalating time budget
-// expired.
+// errStalled is what claimAndApply returns to a lane whose job the
+// watchdog took: the lane is the job's straggler.
 var errStalled = errors.New("synapse: subscriber apply stalled past watchdog budget")
 
 // stallBudgetCap bounds the stall budget, in multiples of ApplyTimeout.
@@ -777,8 +950,9 @@ const stallBudgetCap = 8
 
 // stallBudget is the watchdog time budget for a delivery with the given
 // prior failed attempts: ApplyTimeout doubled per attempt, up to
-// stallBudgetCap times it. It covers the version claim and the callback
-// only — a message that is not ready parks, and its run returns.
+// stallBudgetCap times it. It times the wait for the apply stripes, and
+// the apply from the claim on — not the version-store window, and not a
+// wait for a release.
 func (a *App) stallBudget(attempts int) time.Duration {
 	budget, max := a.cfg.ApplyTimeout, stallBudgetCap*a.cfg.ApplyTimeout
 	for i := 0; i < attempts && budget < max; i++ {
@@ -787,158 +961,105 @@ func (a *App) stallBudget(attempts int) time.Duration {
 	return min(budget, max)
 }
 
-// consumeDecoded runs one decoded job as far as it goes. Either it
-// parks — the parked set owns it now, hands off — or this delivery is
-// over: the job is retired, and its deferred counter-increment keys are
-// returned for the group-commit flusher.
-func (a *App) consumeDecoded(j *job) (incr []vstore.Key, parked bool, err error) {
-	incr, parked, err = a.run(j)
-	if !parked {
-		a.retire(j)
-	}
-	if errors.Is(err, errStaleGeneration) {
-		err = nil
-	}
-	return incr, parked, err
-}
-
-// consumeDecodedGuarded runs consumeDecoded under the per-delivery stall
-// watchdog (Config.ApplyTimeout; disabled at 0, where it falls through
-// with no extra goroutine). The budget escalates with the message's
-// prior failed attempts — doubling each time, up to stallBudgetCap
-// times — so transiently slow applies get a longer second chance while a
-// truly hung callback still exhausts MaxDeliveryAttempts and
-// quarantines to the dead-letter set-aside. A timed-out apply is
-// abandoned and the delivery failed so the worker moves on. The
-// abandoned goroutine may straggle and eventually write; the apply
-// stripes plus the per-object version guard absorb that exactly as they
-// absorb redelivered duplicates. A straggler's increments are dropped
-// along with its ack — the redelivered attempt re-applies and
-// re-increments, which the version guard and at-least-once counting
-// semantics absorb.
-func (a *App) consumeDecodedGuarded(j *job) ([]vstore.Key, bool, error) {
-	if a.cfg.ApplyTimeout <= 0 {
-		return a.consumeDecoded(j)
-	}
-	return a.consumeWatched(j)
-}
-
-// consumeWatched is consumeDecodedGuarded with the watchdog armed. It is
-// a function of its own so that what the watchdog costs — results the
-// abandoned goroutine may still write, hence on the heap, its channel
-// and timer — stays off the unwatched path.
-func (a *App) consumeWatched(j *job) ([]vstore.Key, bool, error) {
-	var (
-		incr   []vstore.Key
-		parked bool
-		err    error
-	)
-	done := make(chan struct{})
-	t := time.NewTimer(a.stallBudget(j.d.Attempts))
-	defer t.Stop()
-	go func() {
-		incr, parked, err = a.consumeDecoded(j)
-		close(done)
-	}()
-	select {
-	case <-done:
-		return incr, parked, err
-	case <-t.C: // abandoned: the straggler's results are never read
-		a.tel.stalled.Add(1)
-		return nil, false, errStalled
-	}
-}
-
 // ProcessMessage applies one write message with the delivery semantics
 // configured for its origin, on its caller's goroutine (tests, the
 // benchmark's layer replay): a message stopped at the generation barrier
 // or on an unmet dependency blocks its caller until a release — a
 // counter reaching its threshold, the DepTimeout timer — lets it try
-// again. Its increments apply inline.
+// again. Its increments apply inline. msg stays the caller's.
 func (a *App) ProcessMessage(msg *wire.Message) error {
-	j := &job{app: a, msg: msg, wakeup: make(chan struct{}, 1)}
-	_, _, err := a.run(j)
-	j.stopWaiting()
-	if j.entered {
-		a.exitGeneration(msg.App, msg.Generation)
-	}
+	j := a.blocking.Get().(*job)
+	j.msg, j.at = msg, time.Now()
+	j.state.Store(uint32(stateDecoded))
+	_, err := a.drive(j)
+	j.trip = trip{}
+	a.blocking.Put(j)
 	return err
 }
 
-// run takes j through process as far as it goes: a queue job that is not
-// ready parks, and a blocking job waits out each release and tries again.
-func (a *App) run(j *job) (incr []vstore.Key, parked bool, err error) {
-	for {
-		incr, parked, err = a.process(j)
-		if !parked || j.wakeup == nil {
-			return incr, parked, err
+// drive is the subscriber algorithm of §4.2 — wait for the dependencies,
+// claim, apply, increment — for every mode and every entry: it runs the
+// step of the state j stands in until j is parked — a queue job, which
+// the parked set owns from then on — or over. A blocking job waits out
+// each release on its own goroutine and goes on. drive returns the state
+// it left j in, and a failed job's error (or errStaleGeneration).
+func (a *App) drive(j *job) (st jobState, err error) {
+	for st = j.load(); ; {
+		switch st {
+		case stateDecoded:
+			st, err = a.enter(j)
+		case statePlanned, stateReady:
+			st, err = a.probe(j)
+		case stateApplied:
+			st, err = a.commit(j)
+		case stateBarrier, stateParked:
+			if !a.park(j) {
+				return st, nil
+			}
+			st = j.load()
+		default:
+			return st, err
 		}
-		<-j.wakeup
 	}
 }
 
-// process is the subscriber algorithm of §4.2, one step for every mode
-// and every entry: wait until every dependency's ops counter reaches the
-// version in the message, apply the operations, then increment the ops
-// counters — or park j (true) at the first thing it would have to wait
-// for. The modes differ only in the plan (planDeps): global mode also
-// waits on the global-object dependency, causal mode skips it, and weak
-// mode plans nothing (§6.5: "weak and causal … timeout set to 0 s and
-// ∞"). While bootstrapping, delivery degrades to weak (§4.4): the message
-// waits for nothing but keeps its increments, and once applied it
-// records its versions in the open chunk window.
-//
-// A message waits for ONE version-store window: under its apply stripes
-// the store probes the plan and, if it is met, claims the object
-// versions in the same script (claimAndApply). A job whose plan is unmet
-// parks — on the parked set, or a blocking job on its caller's goroutine
-// — until a counter it needs moves, and once a finite DepTimeout has run
-// out it is processed anyway, which costs it a second window for the
-// claims.
-//
-// A queue job's counter increments are deferred: the due keys are
-// returned (deduped) for the group-commit flusher, which merges them
-// across messages into one IncrOpsMulti round trip (resolved values with
-// no reference into the message, so they outlive ReleaseMessage).
-// ProcessMessage's increments apply inline, a second window.
-func (a *App) process(j *job) ([]vstore.Key, bool, error) {
+// enter is a decoded job's step. A bootstrap watermark control message
+// carries no object state: it only flips the in-flight chunk window's
+// state (and is ignored entirely when no chunked bootstrap from this
+// origin is running — other subscribers' watermarks fan out to every
+// queue bound to the origin's exchange), and is taken before the
+// generation barrier so a publisher recovery mid-bootstrap cannot strand
+// the window wait. A message from an older generation is done too; one
+// whose generation is ahead waits at the barrier; the rest are counted
+// in their generation and planned.
+func (a *App) enter(j *job) (jobState, error) {
 	msg := j.msg
-	// Bootstrap watermark control messages carry no object state: they
-	// only flip the in-flight chunk window's state (and are ignored
-	// entirely when no chunked bootstrap from this origin is running —
-	// other subscribers' watermarks fan out to every queue bound to the
-	// origin's exchange). Intercepted before the generation barrier so a
-	// publisher recovery mid-bootstrap cannot strand the window wait.
 	if id, kind, ok := wire.WatermarkOf(msg); ok {
 		a.noteWatermark(msg.App, id, kind)
-		return nil, false, nil
+		a.to(j, stateDecoded, stateDone)
+		return stateDone, nil
 	}
-	if !j.entered {
-		entered, err := a.enterGeneration(j)
-		if !entered && err == nil {
-			a.park(j)
-			return nil, true, nil
+	switch st := a.enterGeneration(j); st {
+	case stateDone:
+		a.to(j, stateDecoded, stateDone)
+		return st, errStaleGeneration
+	case stateBarrier:
+		return st, nil
+	}
+	if err := a.planDeps(j, a.originMode(msg.App)); err != nil {
+		a.to(j, statePlanned, stateFailed)
+		return stateFailed, err
+	}
+	return statePlanned, nil
+}
+
+// probe is a planned or released job's step, ONE version-store window:
+// under its apply stripes the store probes the plan and, if it is met,
+// claims the object versions in the same script, and the operations
+// apply (claimAndApply). The modes differ only in the plan (planDeps):
+// global mode also waits on the global-object dependency, causal mode
+// skips it, and weak mode plans nothing (§6.5: "weak and causal …
+// timeout set to 0 s and ∞"). While bootstrapping, delivery degrades to
+// weak (§4.4): the message waits for nothing but keeps its increments,
+// and once applied it records its versions in the open chunk window.
+//
+// A job whose plan is unmet comes back parked — the driver parks it —
+// until a counter it needs moves, and once a finite DepTimeout has run
+// out it is processed anyway, which costs it a second window for the
+// claims.
+func (a *App) probe(j *job) (jobState, error) {
+	if j.load() == stateReady {
+		a.to(j, stateReady, statePlanned)
+		if j.wait != nil {
+			j.wait.Cancel() // released; the timer may have done it
 		}
-		if err != nil {
-			return nil, false, err
-		}
-		j.entered = true
+	}
+	msg, booting := j.msg, a.Bootstrapping()
+	if booting {
+		j.reqs = nil
 	}
 	timeout := a.cfg.DepTimeout
-	if j.reqs == nil {
-		if err := a.planDeps(j, a.originMode(msg.App)); err != nil {
-			return nil, false, err
-		}
-		j.probedAt = time.Now()
-	} else {
-		j.wait.Cancel() // released; the timer may have done it
-	}
-	reqs, booting := j.reqs, a.Bootstrapping()
-	if booting {
-		reqs = nil
-	}
-
-	deadline := j.probedAt.Add(timeout)
+	deadline := j.at.Add(timeout)
 	var wake vstore.Waker
 	if timeout < 0 || time.Now().Before(deadline) {
 		wake = j
@@ -948,44 +1069,40 @@ func (a *App) process(j *job) ([]vstore.Key, bool, error) {
 		obuf [guardWidth]int
 	)
 	claims, claimOp := a.messageClaims(msg, cbuf[:0], obuf[:0])
-	w, admitted, err := a.claimAndApply(msg, claims, claimOp, reqs, wake, &j.scratch)
-	if err != nil {
-		return nil, false, err
-	}
-	if w != nil && j.parkedAt.IsZero() {
-		// Counted when found, not when resolved: a subscriber stuck on a
-		// dependency that never arrives must not report 0.
-		j.parkedAt = time.Now()
-		a.tel.depWaitsBlocked.Add(1)
-	}
-	if w != nil && wake != nil {
-		j.wait = w
-		if timeout > 0 && j.timer == nil {
-			j.timer = time.AfterFunc(time.Until(deadline), j.Wake)
+	w, err := a.claimAndApply(msg, claims, claimOp, j.reqs, j, wake)
+	if err == nil && w != nil {
+		if j.blockedAt.IsZero() {
+			// Counted when found, not when resolved: a subscriber stuck on a
+			// dependency that never arrives must not report 0.
+			j.blockedAt = time.Now()
+			a.tel.depWaitsBlocked.Add(1)
 		}
-		a.park(j)
-		return nil, true, nil
-	}
-	if w != nil {
+		if wake != nil {
+			j.wait = w
+			if timeout > 0 && j.timer == nil {
+				j.timer = time.AfterFunc(time.Until(deadline), j.Wake)
+			}
+			return stateParked, nil
+		}
 		// §6.5 — give up waiting for late or lost messages and process
 		// anyway, trading consistency for availability; the per-object
 		// guard in the apply discards stale versions, weak-style.
 		a.noteDepTimeout(a.describeDepTimeout(&vstore.WaitError{Unmet: w.Unmet}))
-		if _, admitted, err = a.claimAndApply(msg, claims, claimOp, nil, nil, &j.scratch); err != nil {
-			return nil, false, err
-		}
+		_, err = a.claimAndApply(msg, claims, claimOp, nil, j, nil)
 	}
-	if len(reqs) > 0 {
-		a.tel.observe(stageDepWait, admitted.Sub(j.probedAt))
-		if !j.parkedAt.IsZero() {
-			a.tel.depWaitBlocked.Record(int64(admitted.Sub(j.parkedAt)))
-			if w == nil && a.hashedDeps {
-				a.noteFalseDeps(msg, reqs)
-			}
+	switch {
+	case err == errStalled:
+		return stateStalled, nil
+	case err != nil:
+		a.move(j, stateFailed)
+		return stateFailed, err
+	}
+	a.to(j, stateClaimed, stateApplied)
+	if len(j.reqs) > 0 && a.hashedDeps {
+		if w == nil && !j.blockedAt.IsZero() {
+			a.noteFalseDeps(msg, j.reqs)
 		}
-		if a.hashedDeps {
-			a.recordDepWriters(msg)
-		}
+		a.recordDepWriters(msg)
 	}
 	if booting {
 		// Only after every operation applied: a failed message is
@@ -993,25 +1110,40 @@ func (a *App) process(j *job) ([]vstore.Key, bool, error) {
 		// a chunk row against an apply that never happened.
 		a.touchWindow(msg)
 	}
-	// The bootstrap Seq boundary outlives Bootstrapping(): a message
-	// published before the version snapshot has its bumps bulk-loaded
-	// already, and re-incrementing (e.g. backlog fetched during the
-	// bootstrap but processed after it) would push this store's counters
-	// past the publisher's, making every later guarded apply look stale.
-	var deferred []vstore.Key
-	if len(j.incr) > 0 && msg.Seq > a.bootSeqFor(msg.App) {
-		if j.q != nil {
-			// Group commit: the flusher counts each message's DISTINCT
-			// keys once (IncrOps semantics), so dedup here, where the
-			// per-message set is small and hot in cache.
-			deferred = dedupKeys(j.incr)
-		} else if err := a.store.IncrOps(j.incr); err != nil {
-			return nil, false, err
+	return stateApplied, nil
+}
+
+// commit is an applied job's step: the increments its message owes. The
+// bootstrap Seq boundary outlives Bootstrapping(): a message published
+// before the version snapshot has its bumps bulk-loaded already, and
+// re-incrementing (e.g. backlog fetched during the bootstrap but
+// processed after it) would push this store's counters past the
+// publisher's, making every later guarded apply look stale. A blocking
+// job's increments apply inline, a second window. A queue job leaves its
+// keys in j.incr — resolved values with no reference into the message —
+// for the group-commit flusher, which merges them across messages into
+// one IncrOpsMulti round trip and acks after.
+func (a *App) commit(j *job) (jobState, error) {
+	msg := j.msg
+	switch {
+	case len(j.incr) == 0 || msg.Seq <= a.bootSeqFor(msg.App):
+		j.incr = nil
+	case j.wakeup == nil:
+		// The flusher counts each message's DISTINCT keys once (IncrOps
+		// semantics), so dedup here, where the set is small and hot in
+		// cache.
+		j.incr = dedupKeys(j.incr)
+	default:
+		err := a.store.IncrOps(j.incr)
+		j.incr = nil
+		if err != nil {
+			a.to(j, stateApplied, stateFailed)
+			return stateFailed, err
 		}
 	}
-	a.tel.observe(stageApply, time.Since(admitted))
+	a.to(j, stateApplied, stateDone)
 	a.tel.processed.Add(1)
-	return deferred, false, nil
+	return stateDone, nil
 }
 
 // originMode returns the strongest delivery mode among this app's
@@ -1151,21 +1283,32 @@ func (a *App) messageClaims(msg *wire.Message, claims []vstore.Claim, claimOp []
 // claimed object (held from the claim through the last DB write, see
 // applyStripe) it asks the store to take the claims — claims[c] guards
 // msg.Operations[claimOp[c]] — if every requirement in reqs is met, and
-// then applies the operations in order. A claim that loses (stale version) skips its
-// operation: weak-mode last-writer-wins and duplicate redelivery. If the
-// requirements are unmet nothing is claimed or applied and the store's
-// wait comes back (registered for wake, if one is given) with the
-// stripes released. admitted is when the window returned.
+// then applies the operations in order. A claim that loses (stale
+// version) skips its operation: weak-mode last-writer-wins and duplicate
+// redelivery. If the requirements are unmet nothing is claimed or
+// applied and the store's wait comes back (registered for wake, if one
+// is given) with the stripes released.
+//
+// A live message's job is claimed once the window took its claims. The
+// watchdog of the lane running it (see lane) times the wait for the
+// stripes and the apply, and errStalled means it took the job.
 //
 // If a DB apply fails midway, every fresh claim from the failed
 // operation onward is rolled back so a retry re-applies exactly the
 // unapplied operations — operations already persisted keep their claims
 // and are skipped as stale on redelivery (no double-apply).
-func (a *App) claimAndApply(msg *wire.Message, claims []vstore.Claim, claimOp []int, reqs []vstore.WaitReq, wake vstore.Waker, sc *applyScratch) (w *vstore.Parked, admitted time.Time, err error) {
+func (a *App) claimAndApply(msg *wire.Message, claims []vstore.Claim, claimOp []int, reqs []vstore.WaitReq, j *job, wake vstore.Waker) (w *vstore.Parked, err error) {
 	var (
 		rbuf    [guardWidth]vstore.ClaimResult
 		stripes uint64
+		l       *lane
+		sc      *applyScratch
 	)
+	if j != nil {
+		l, sc = j.lane, &j.scratch
+	} else {
+		sc = new(applyScratch)
+	}
 	for _, c := range claims {
 		stripes |= 1 << uint(a.applyStripe(c.Key))
 	}
@@ -1175,12 +1318,18 @@ func (a *App) claimAndApply(msg *wire.Message, claims []vstore.Claim, claimOp []
 	}
 	results = results[:len(claims)]
 
+	l.arm(j)
 	a.lockStripes(stripes)
 	defer a.unlockStripes(stripes)
-	w, err = a.store.ClaimIfMet(reqs, claims, results, wake)
-	admitted = time.Now()
-	if err != nil || w != nil {
-		return w, admitted, err
+	if !l.disarm(j) {
+		return nil, errStalled
+	}
+	if w, err = a.store.ClaimIfMet(reqs, claims, results, wake); err != nil || w != nil {
+		return w, err
+	}
+	if j != nil {
+		a.move(j, stateClaimed) // from ready if a release came mid-probe
+		l.arm(j)
 	}
 	c := 0 // the first claim not yet passed
 	for i := range msg.Operations {
@@ -1191,16 +1340,19 @@ func (a *App) claimAndApply(msg *wire.Message, claims []vstore.Claim, claimOp []
 				continue // stale update: skip to the latest version
 			}
 		}
-		if err := a.applyOp(msg.App, &msg.Operations[i], sc); err != nil {
+		if err = a.applyOp(msg.App, &msg.Operations[i], sc); err != nil {
 			for ; mine < len(claims); mine++ {
 				if results[mine].Applied {
 					_ = a.store.RestoreVersion(claims[mine].Key, claims[mine].Version, results[mine].Prev)
 				}
 			}
-			return nil, admitted, err
+			break
 		}
 	}
-	return nil, admitted, nil
+	if !l.disarm(j) {
+		return nil, errStalled
+	}
+	return nil, err
 }
 
 // describeDepTimeout decorates a dependency-wait timeout with the
@@ -1236,7 +1388,7 @@ func (a *App) describeParked() []string {
 	jobs := make([]parkedJob, 0, len(a.parked))
 	for j := range a.parked {
 		p := parkedJob{origin: j.msg.App, seq: j.msg.Seq, gen: j.msg.Generation}
-		if j.entered {
+		if j.load() == stateParked {
 			p.unmet = j.wait.Unmet
 		}
 		jobs = append(jobs, p)

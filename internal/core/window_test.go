@@ -95,39 +95,28 @@ func TestApplyWaitsOneWindow(t *testing.T) {
 			t.Fatalf("%s cost %d version-store windows, want %d", what, got, want)
 		}
 	}
-	commit := func(j *job, incr []vstore.Key) {
-		sub.commits.Add(flushEntry{q: j.q, tag: j.d.Tag, incr: incr})
+	drive := func(j *job, want jobState) {
+		t.Helper()
+		if st, err := sub.drive(j); st != want || err != nil {
+			t.Fatalf("%v, %v; want %v", st, err, want)
+		}
+	}
+	commit := func(j *job) {
+		sub.commits.Add(flushEntry{q: j.q, tag: j.d.Tag, incr: j.incr})
 		sub.commits.Flush()
 	}
 
-	windows("an update ahead of its create (parks)", 1, func() {
-		if _, parked, err := sub.consumeDecoded(update); !parked || err != nil {
-			t.Fatalf("parked=%v err=%v, want parked", parked, err)
-		}
-	})
+	windows("an update ahead of its create (parks)", 1, func() { drive(update, stateParked) })
 	if _, err := subMapper.Find("User", "u1"); err == nil {
 		t.Fatal("the parked update's claim or write went through")
 	}
-	var incr []vstore.Key
-	windows("a ready create", 1, func() {
-		var parked bool
-		var err error
-		if incr, parked, err = sub.consumeDecoded(create); parked || err != nil {
-			t.Fatalf("parked=%v err=%v", parked, err)
-		}
-	})
-	windows("its group commit", 1, func() { commit(create, incr) })
+	windows("a ready create", 1, func() { drive(create, stateDone) })
+	windows("its group commit", 1, func() { commit(create) })
 	if batch := sub.takeReady(nil, 1); len(batch) != 1 || batch[0] != update {
 		t.Fatalf("takeReady = %v, want the update released by the create's increment", batch)
 	}
-	windows("the released update", 1, func() {
-		var parked bool
-		var err error
-		if incr, parked, err = sub.consumeDecoded(update); parked || err != nil {
-			t.Fatalf("parked=%v err=%v", parked, err)
-		}
-	})
-	windows("its group commit", 1, func() { commit(update, incr) })
+	windows("the released update", 1, func() { drive(update, stateDone) })
+	windows("its group commit", 1, func() { commit(update) })
 	if got, err := subMapper.Find("User", "u1"); err != nil || got.String("name") != "v2" {
 		t.Fatalf("u1 = %v, %v; want v2", got, err)
 	}

@@ -134,12 +134,12 @@ scenario_benchmark() {
 # deterministically (dependant ahead of its satisfier, new generation
 # ahead of the last old message, one worker); the park/ready/release unit
 # tests, the bootstrap drain's dead-letter test, the three entries'
-# differential test, the fixed lane count and the random-ops convergence
-# property run under the race detector — a failing seed is a bug report,
+# differential test, the fixed lane count, the job state table and the
+# random-ops convergence property run under the race detector — a failing seed is a bug report,
 # never a rerun.
 scenario_liveness() {
     gotest -race -run 'TestPark' ./internal/vstore/ &&
-        gotest -race -run 'TestDependantAhead|TestNewGeneration|TestParked|TestStopWorkersHands|TestBootstrapDrainDeadLetters|TestEveryEntryAppliesAlike|TestWorkerPoolGoroutinesFixed' \
+        gotest -race -run 'TestDependantAhead|TestNewGeneration|TestParked|TestStopWorkersHands|TestBootstrapDrainDeadLetters|TestEveryEntryAppliesAlike|TestWorkerPoolGoroutinesFixed|TestJobStateTable' \
             ./internal/core/ &&
         gotest -race -count=20 -run 'TestQuickConvergenceRandomOps' ./internal/core/
 }
