@@ -202,10 +202,11 @@ type App struct {
 	ready  []*job
 
 	// blocking recycles ProcessMessage's and bootstrap's drain's jobs with
-	// their wake-up channels. onMove, nil outside tests, sees every move
-	// of every job (App.to).
-	blocking sync.Pool
-	onMove   func(j *job, from, to jobState)
+	// their wake-up channels. onMove and onPubMove, nil outside tests, see
+	// every move of every job (App.to) and publication (App.advance).
+	blocking  sync.Pool
+	onMove    func(j *job, from, to jobState)
+	onPubMove func(p *publication, from, to pubState)
 
 	// The subscriber's group commit (see flushBatch in subscribe.go):
 	// completed pipeline deliveries queue their counter increments and

@@ -8,51 +8,30 @@ import (
 	"sync/atomic"
 
 	"synapse/internal/model"
-	"synapse/internal/orm"
 	"synapse/internal/storage"
 	"synapse/internal/vstore"
 	"synapse/internal/wire"
 )
 
 // The durable publish journal closes the paper's crash window between
-// the publisher's local commit and the broker send (§4.2 discusses the
-// 2PC; the original system heals the window with a subscriber
-// bootstrap). Every message is appended to a log in the publisher's OWN
-// storage engine before the broker send:
+// the publisher's local commit and the broker send (§4.2; the original
+// system heals it with a subscriber bootstrap): every message is
+// appended to a log in the publisher's OWN storage engine before the
+// send — inside the 2PC transaction where the engine can stage it after
+// Prepare (the transactional outbox, orm.TxJournaler: data and entry
+// commit atomically), right after the apply elsewhere. The log has a
+// high-water acknowledgement (the shape DBLog assumes of a source): the
+// outbox indexes the entries, a confirmation is a mutex and a counter,
+// and rows leave the engine by truncation — one range delete per
+// outboxCutEvery confirmations, and at every drain and graceful stop.
 //
-//   - On transactional engines the journal row rides in the same engine
-//     transaction as the data writes (the transactional-outbox pattern),
-//     staged after Prepare via orm.TxJournaler because its payload — the
-//     bumped dependency versions — only exists then. Commit therefore
-//     persists data and journal atomically: there is no state in which
-//     the data committed but no record of the unsent message survives.
-//   - On non-transactional engines the journal entry is written between
-//     the data apply and the broker send. A crash between the two leaves
-//     the paper's original (now much smaller) window; a crash after
-//     leaves an entry to replay.
-//
-// The log is append-only with a high-water acknowledgement (the shape
-// DBLog assumes of a source): an entry is registered in the in-memory
-// outbox before it can commit, confirmed there once its message was sent
-// (or shed) — a mutex and a counter, no engine call — and its row leaves
-// the engine later, by truncation: one range delete below the lowest
-// unconfirmed entry per outboxCutEvery confirmations, and at every
-// drain and graceful stop. What a crash can replay is therefore the
-// entries in flight plus up to outboxCutEvery confirmed ones (and a
-// shed entry may resurface); both are duplicates or late messages the
-// subscriber-side guard below makes harmless.
-//
-// RecoverJournal republishes entries VERBATIM with respect to
-// dependency versions: the crashed publish already bumped the
-// version-store counters, and a message carrying those exact versions is
-// the only thing that can fill the resulting gap in subscriber ops
-// counters — re-running the publisher algorithm would burn fresh
-// versions and wedge strict-causal subscribers forever. Replays may
-// duplicate a send that did reach the broker; the subscriber side is
-// idempotent for liveness — the per-object version guard discards the
-// duplicate apply, and the duplicate ops increments only run subscriber
-// counters ahead, which weakens ordering for already-delivered messages
-// but never blocks.
+// RecoverJournal republishes entries VERBATIM with respect to dependency
+// versions: the crashed publish already bumped the counters, and only a
+// message carrying those exact versions fills the gap in subscriber ops
+// counters — fresh versions would wedge strict-causal subscribers. A
+// replay may duplicate a send that reached the broker, or resurface a
+// shed entry: the per-object version guard discards the apply, and the
+// duplicate increments only run subscriber counters ahead.
 
 // journalModel is the reserved model backing the publish journal, one
 // instance ("synapse_journals" row/document) per entry not yet
@@ -84,15 +63,10 @@ const outboxCutEvery = 256
 
 // outbox is the in-memory index of this instance's journal entries.
 // The engine holds the payloads; the outbox knows which of them still
-// matter. An entry is
-//
-//	registered — its seq is drawn and recorded before the entry can
-//	             commit, so no committed row is ever unknown here;
-//	deferred   — committed, and the publish gave the send up (broker
-//	             unreachable, backpressure, a crash fault): the drain
-//	             owns it now;
-//	confirmed  — sent or shed: forgotten here, its row awaits the cut;
-//	withdrawn  — its transaction aborted: forgotten, there is no row.
+// matter. An entry is open from pubRegistered — its seq drawn and
+// recorded before the entry can commit, so no committed row is ever
+// unknown here — until its publication's end (App.advance): pubDeferred
+// leaves it to the drain, pubConfirmed and pubWithdrawn forget it.
 //
 // Invariant (what makes the lagging cut safe): every committed row of
 // this epoch whose seq is below the watermark is confirmed.
@@ -205,29 +179,19 @@ func (o *outbox) counts() (unconfirmed, inherited int, truncated int64) {
 	return len(o.open), o.inherited, o.truncated
 }
 
-func journalDescriptor() *model.Descriptor {
-	return model.NewDescriptor(journalModel,
-		model.Field{Name: "payload", Type: model.String},
-	)
-}
-
 // registerJournal binds the journal model to the app's own storage
 // engine (NewApp, when the app has a database and journaling is on) and
 // counts the rows predecessor instances left in it: at this point every
 // row is someone else's.
 func (a *App) registerJournal() error {
 	if _, ok := a.mapper.Descriptor(journalModel); !ok {
-		if err := a.mapper.Register(journalDescriptor()); err != nil {
+		d := model.NewDescriptor(journalModel, model.Field{Name: "payload", Type: model.String})
+		if err := a.mapper.Register(d); err != nil {
 			return err
 		}
 	}
 	a.outbox.inherited = a.mapper.Len(journalModel)
 	return nil
-}
-
-// journaling reports whether publishes go through the durable journal.
-func (a *App) journaling() bool {
-	return a.mapper != nil
 }
 
 // journalID builds the entry's primary key: instance epoch then message
@@ -295,7 +259,7 @@ func (a *App) truncateJournal() {
 // cutJournal truncates outside a drain: the graceful stops call it so
 // that they leave no rows behind.
 func (a *App) cutJournal() {
-	if !a.journaling() {
+	if a.mapper == nil {
 		return
 	}
 	a.journalMu.Lock()
@@ -308,7 +272,7 @@ func (a *App) cutJournal() {
 // plus the rows a crashed predecessor left that have not been replayed.
 // Confirmed rows waiting for the next cut do not count.
 func (a *App) JournalDepth() int {
-	if !a.journaling() {
+	if a.mapper == nil {
 		return 0
 	}
 	unconfirmed, inherited, _ := a.outbox.counts()
@@ -316,35 +280,36 @@ func (a *App) JournalDepth() int {
 }
 
 // RecoverJournal republishes the journal entries that still owe a send
-// and reports how many it drained: rows inherited from a predecessor
-// instance, then this instance's deferred entries, in (epoch, seq)
-// order. A restarted publisher calls it before serving traffic
-// (StartWorkers also kicks it for apps that consume). It is safe at any
-// time, next to live publishes too: an entry whose publish is still in
-// flight is not deferred and is left alone. Drains are serialized
-// against each other, and each ends by truncating the confirmed rows.
+// and reports how many it drained (republished, or dropped as
+// unreplayable): rows inherited from a predecessor instance, then this
+// instance's deferred entries, in (epoch, seq) order. A restarted
+// publisher calls it before serving traffic (StartWorkers also kicks it
+// for apps that consume). It is safe next to live publishes too: an
+// entry whose publish is still in flight is not deferred and is left
+// alone. Drains are serialized, and each ends by truncating.
 func (a *App) RecoverJournal() (int, error) {
 	return a.recoverJournal(nil)
 }
 
 // recoverJournal is RecoverJournal with an optional pacing gate: when
-// admit is non-nil it is consulted before every republish, and a false
-// return stops the drain early, leaving the remaining entries for the
-// next pass. The periodic drain (StartWorkers) paces against the
-// backpressure signal this way so a cleared low watermark is answered
-// entry by entry, not with the whole deferred backlog in one burst that
-// would punch straight past the high watermark again. App.Drain and
-// explicit RecoverJournal calls pass nil: they flush unconditionally.
-func (a *App) recoverJournal(admit func() bool) (int, error) {
-	if !a.journaling() {
+// pace is non-nil it is consulted before every republish (it is a
+// replay's admission, see admit), and a false return stops the drain
+// early, leaving the remaining entries for the next pass. The periodic
+// drain (StartWorkers) paces against the backpressure signal this way so
+// a cleared low watermark is answered entry by entry, not with the whole
+// deferred backlog in one burst that would punch straight past the high
+// watermark again. App.Drain and explicit RecoverJournal calls pass nil:
+// they flush unconditionally.
+func (a *App) recoverJournal(pace func() bool) (int, error) {
+	if a.mapper == nil {
 		return 0, nil
 	}
 	a.journalMu.Lock()
 	defer a.journalMu.Unlock()
-	drained, more, err := a.replayInherited(admit)
+	drained, more, err := a.replayInherited(pace)
 	if more && err == nil {
 		var n int
-		n, err = a.replayDeferred(admit)
+		n, err = a.replayDeferred(pace)
 		drained += n
 	}
 	a.truncateJournal()
@@ -355,7 +320,7 @@ func (a *App) recoverJournal(admit func() bool) (int, error) {
 // id order, and removes the replayed prefix in one range delete. more
 // reports that none is left and the drain may go on to this instance's
 // own entries.
-func (a *App) replayInherited(admit func() bool) (drained int, more bool, err error) {
+func (a *App) replayInherited(pace func() bool) (drained int, more bool, err error) {
 	if _, inherited, _ := a.outbox.counts(); inherited == 0 {
 		return 0, true, nil
 	}
@@ -370,144 +335,121 @@ func (a *App) replayInherited(admit func() bool) (drained int, more bool, err er
 	}); err != nil {
 		return 0, false, err
 	}
-	done := 0 // rows[:done] need no further replay
 	for _, e := range rows {
-		if admit != nil && !admit() {
+		var ok bool
+		if ok, err = a.replay(0, e.String("payload"), pace); !ok {
 			break
 		}
-		var sent bool
-		sent, err = a.replay(e.String("payload"))
-		if sent {
-			drained++
-		}
-		if err != nil {
-			break
-		}
-		done++
+		drained++ // rows[:drained] need no further replay
 	}
-	removed, all := 0, done == len(rows)
-	if done > 0 {
+	removed, all := 0, drained == len(rows)
+	if drained > 0 {
 		// "\x00" makes the half-open bound include the last replayed id.
 		var derr error
-		if removed, derr = a.mapper.DeleteRange(journalModel, "", rows[done-1].ID+"\x00"); derr != nil {
+		if removed, derr = a.mapper.DeleteRange(journalModel, "", rows[drained-1].ID+"\x00"); derr != nil {
 			all = false // the rows are still there: they replay again
 		}
 	}
 	a.outbox.replayedInherited(removed, all)
-	return drained, done == len(rows), err
+	return drained, drained == len(rows), err
 }
 
 // replayDeferred republishes this instance's deferred entries in seq
-// order, confirming each as it goes.
-func (a *App) replayDeferred(admit func() bool) (drained int, err error) {
+// order, each confirmed as it goes.
+func (a *App) replayDeferred(pace func() bool) (drained int, err error) {
 	for _, seq := range a.outbox.deferred() {
-		if admit != nil && !admit() {
-			return drained, nil
-		}
 		e, err := a.mapper.Find(journalModel, journalID(a.journalEpoch, seq))
 		if err != nil && !errors.Is(err, storage.ErrNotFound) {
 			return drained, err
 		}
+		var stored string // a row that is gone cannot replay
 		if err == nil {
-			sent, err := a.replay(e.String("payload"))
-			if sent {
-				drained++
-			}
-			if err != nil {
-				return drained, err
-			}
+			stored = e.String("payload")
 		}
-		// Sent, or unreplayable (corrupt, or its row is gone): either way
-		// it must not wedge every future drain.
-		a.journalAck(seq)
+		if ok, err := a.replay(seq, stored, pace); !ok {
+			return drained, err
+		}
+		drained++
 	}
 	return drained, nil
 }
 
-// replay republishes one journal payload. sent is false (and err nil)
-// for a corrupt entry, which can never replay and is dropped rather
-// than wedge every future recovery. An error means the entry stays for
-// the next drain: the store or the broker endpoint is still
-// unreachable, or — with sent true — the journal/drain fault fired
-// between the republish and the caller's confirmation.
-func (a *App) replay(stored string) (sent bool, err error) {
-	msg, err := wire.Unmarshal([]byte(stored))
+// replay runs one stored entry through the publication driver: the drain
+// takes it back (deferred → committed), and dispatch and confirm do the
+// rest — pacing, the rebuild, the send, the confirmation. ok reports that
+// it needs no further replay; otherwise it is deferred again, and err
+// says why unless pacing held it.
+func (a *App) replay(seq uint64, stored string, pace func() bool) (ok bool, err error) {
+	p := pubPool.Get().(*publication)
+	defer p.release()
+	p.state, p.seq, p.pace, p.journaling, p.payload = pubDeferred, seq, pace, true, []byte(stored)
+	a.advance(p, pubCommitted)
+	err = a.drivePublication(p, nil)
+	return p.state == pubConfirmed, err
+}
+
+// rebuild is an admitted replay's message: the stored one with its
+// attributes refreshed and flagged Recovered, or — stale generation —
+// regenerated, which claims fresh versions and so must wait for
+// admission. An entry that cannot replay (corrupt, or its row is gone) is
+// dropped, confirmed without a send: it must not wedge every future drain.
+func (a *App) rebuild(p *publication) (pubState, error) {
+	msg, err := wire.Unmarshal(p.payload)
 	if err != nil {
-		return false, nil
+		return pubConfirmed, nil
 	}
 	a.refreshJournalAttrs(msg, false)
 	msg.Recovered = true
 	if err := a.regenerateStaleEntry(msg); err != nil {
-		return false, err
+		return 0, err
 	}
-	payload, err := wire.Marshal(msg)
-	if err != nil {
-		return false, err
-	}
-	if err := a.sendMessage(payload); err != nil {
-		return false, err
-	}
-	a.tel.republished.Add(1)
-	return true, a.faults.Fire(FaultJournalDrain)
+	p.payload, err = wire.Marshal(msg)
+	return pubSent, err
 }
 
 // refreshJournalAttrs fills each operation's published attributes from
-// the current database state. Transactional journal entries carry the
-// attributes as staged pre-commit (the read-back — defaults,
-// engine-computed columns — only exists after Commit, too late to ride
-// in the transaction), so the replay fills in what the staged record
-// lacks from the committed row. Attributes the write itself carried are
-// NEVER overwritten (overwrite=false): a live journal drain races later
-// in-flight messages of the same generation, and shipping the current
-// value under the entry's original version would let the later-version
-// original regress it on subscribers. The overwrite=true mode is for
-// regenerated stale-generation entries only (regenerateStaleEntry),
-// which claim a fresh version and must carry the state as of that
-// claim. An object missing or unprojectable keeps its journaled
-// attributes: it was deleted after the crashed publish, and the
-// delete's own message supersedes this one under the version guard.
+// the current database state. A transactional entry carries them as
+// staged (the read-back — defaults, engine-computed columns — exists
+// only after Commit), so the replay fills in what the staged record
+// lacks. Attributes the write carried are NEVER overwritten: a live
+// drain races later messages of the same generation, and the current
+// value under the entry's older version would let the later original
+// regress it on subscribers. overwrite is for regenerated entries only
+// (regenerateStaleEntry), which claim a fresh version. A missing object
+// keeps its journaled attributes: its delete's message supersedes this.
 func (a *App) refreshJournalAttrs(msg *wire.Message, overwrite bool) {
 	for i := range msg.Operations {
 		op := &msg.Operations[i]
-		if op.Operation == wire.OpDestroy {
-			continue
-		}
-		if a.isEphemeral(op.Model()) {
+		if op.Operation == wire.OpDestroy || a.isEphemeral(op.Model()) {
 			continue
 		}
 		rec, err := a.mapper.Find(op.Model(), op.ID)
 		if err != nil {
 			continue
 		}
-		attrs := a.projectPublished(op.Model(), rec)
-		if attrs == nil {
-			continue
-		}
-		if overwrite || op.Attributes == nil {
+		switch attrs := a.projectPublished(op.Model(), rec); {
+		case attrs == nil:
+		case overwrite || op.Attributes == nil:
 			op.Attributes = attrs
-			continue
-		}
-		for k, v := range attrs {
-			if _, ok := op.Attributes[k]; !ok {
-				op.Attributes[k] = v
+		default:
+			for k, v := range attrs {
+				if _, ok := op.Attributes[k]; !ok {
+					op.Attributes[k] = v
+				}
 			}
 		}
 	}
 }
 
-// regenerateStaleEntry rebuilds a journal entry that predates the
-// current generation. Its version-store context died with the old
-// generation: replayed verbatim it would be dropped as stale by
-// subscribers past the barrier, losing the update. Instead the replay
-// becomes a fresh current-generation write of the objects' CURRENT
-// state: new versions are claimed from the revived store, the dead
-// cross-object dependencies are stripped (their counters no longer
-// exist on either side; per-object ordering is all the new generation
-// can promise about the old one, exactly the §4.4 bootstrap-free
-// contract), and — inside the write locks, after the claim, so no
-// concurrent publish can commit newer state under a lower version —
-// the attributes are re-projected from the committed rows. A no-op for
-// entries already in the current generation.
+// regenerateStaleEntry rebuilds an entry that predates the current
+// generation: its version-store context died with the old one, and
+// subscribers past the barrier would drop it as stale. It becomes a fresh
+// write of the objects' CURRENT state: new versions from the revived
+// store, the dead cross-object dependencies stripped (per-object order is
+// all a new generation can promise about the old, the §4.4
+// bootstrap-free contract), and — inside the write locks, after the
+// claim, so no publish commits newer state under a lower version — the
+// attributes re-projected from the committed rows.
 func (a *App) regenerateStaleEntry(msg *wire.Message) error {
 	gen := a.generation.Load()
 	if msg.Generation >= gen {
@@ -524,50 +466,19 @@ func (a *App) regenerateStaleEntry(msg *wire.Message) error {
 		return err
 	}
 	defer bumped.Release()
-	// Rebuild the dependency maps in the tokens' own forms: exact names
-	// (DVV dots) back into Dots, decimal hashed keys into Dependencies.
-	deps := make(map[string]uint64, len(msg.Operations))
-	var dots map[string]uint64
-	for i := range msg.Operations {
-		tok := msg.Operations[i].ObjectDep
-		v := bumped.Version(a.tracker.Resolve(tok))
+	// The tokens keep their own forms: exact names (DVV dots) in Dots,
+	// decimal hashed keys in Dependencies.
+	msg.Dependencies, msg.Dots = map[string]uint64{}, map[string]uint64{}
+	for i, k := range keys {
+		tok, deps := msg.Operations[i].ObjectDep, msg.Dependencies
 		if wire.IsNameToken(tok) {
-			if dots == nil {
-				dots = make(map[string]uint64, len(msg.Operations))
-			}
-			dots[tok] = v
-		} else {
-			deps[tok] = v
+			deps = msg.Dots
 		}
+		deps[tok] = bumped.Version(k)
 	}
-	msg.Dependencies = deps
-	msg.Dots = dots
-	msg.External = nil
-	msg.GlobalDep = ""
-	msg.Generation = gen
+	msg.External, msg.GlobalDep, msg.Generation = nil, "", gen
 	a.refreshJournalAttrs(msg, true)
 	return nil
-}
-
-// stageJournalTx stages the entry into the prepared data transaction
-// (transactional-outbox). Reports false when the engine cannot, in
-// which case the caller journals post-commit like the non-tx path.
-func (a *App) stageJournalTx(tx orm.MapperTx, entry *model.Record) (bool, error) {
-	jtx, ok := tx.(orm.TxJournaler)
-	if !ok {
-		return false, nil
-	}
-	if err := jtx.StageJournal(entry); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// journalDirect writes the entry as a plain insert (non-transactional
-// engines, post-apply; transactional engines whose tx cannot journal).
-func (a *App) journalDirect(entry *model.Record) error {
-	_, err := a.mapper.Create(entry)
-	return err
 }
 
 // ---------------------------------------------------------------------
@@ -589,14 +500,6 @@ const cursorModel = "SynapseBootstrapCursor"
 // which the per-object version guard makes idempotent.
 const FaultBootstrapCursor = "bootstrap/cursor-journal"
 
-func cursorDescriptor() *model.Descriptor {
-	return model.NewDescriptor(cursorModel,
-		model.Field{Name: "model", Type: model.String},
-		model.Field{Name: "cursor", Type: model.String},
-		model.Field{Name: "done", Type: model.Int},
-	)
-}
-
 // registerCursorJournal binds the cursor model to the app's own storage
 // engine (NewApp, for every app with a database — the cursor journal is
 // useful even when the publish journal is disabled).
@@ -604,7 +507,11 @@ func (a *App) registerCursorJournal() error {
 	if _, ok := a.mapper.Descriptor(cursorModel); ok {
 		return nil
 	}
-	return a.mapper.Register(cursorDescriptor())
+	return a.mapper.Register(model.NewDescriptor(cursorModel,
+		model.Field{Name: "model", Type: model.String},
+		model.Field{Name: "cursor", Type: model.String},
+		model.Field{Name: "done", Type: model.Int},
+	))
 }
 
 // cursorJournaling reports whether bootstrap progress is durable. Apps
@@ -649,10 +556,9 @@ func (a *App) writeCursor(origin, modelName, cursor string, done bool) error {
 	rec := model.NewRecord(cursorModel, cursorID(origin, modelName))
 	rec.Set("model", modelName)
 	rec.Set("cursor", cursor)
+	rec.Set("done", int64(0))
 	if done {
 		rec.Set("done", int64(1))
-	} else {
-		rec.Set("done", int64(0))
 	}
 	return a.mapper.Save(rec)
 }

@@ -23,37 +23,42 @@ import (
 // (§4.4) fire — the cliff becomes the last resort, not the first
 // response.
 
-// admitDecision is the outcome of publish admission control.
-type admitDecision int
-
-const (
-	admitSend admitDecision = iota
-	admitDefer
-	admitShed
-)
-
-// admitPublish decides how this publish degrades (or not) under
-// subscriber backpressure. journaled reports whether a durable journal
-// entry exists for the message — without one, deferring would lose the
-// update, so the publish sends regardless (growing the queue beats
-// dropping data the caller did not mark droppable).
-func (a *App) admitPublish(c *Controller, journaled bool) admitDecision {
-	if a.exchangePressure() != broker.PressureHigh {
-		return admitSend
+// admit is dispatch's decision: pubSent, or the end a committed
+// publication takes without a send. A replay asks its drain's pacing
+// gate. A live publish passes the before-send fault site, then degrades
+// (or not) under subscriber backpressure: shed — its entry confirmed, so
+// the drain cannot resurrect a message the publisher chose to drop —
+// throttle, or defer. Without an entry deferring would lose the update,
+// so it sends regardless (growing the queue beats dropping data the
+// caller did not mark droppable).
+func (a *App) admit(p *publication, c *Controller) (pubState, error) {
+	if c == nil {
+		if p.pace != nil && !p.pace() {
+			return pubDeferred, nil
+		}
+		return pubSent, nil
 	}
-	if a.cfg.ShedLowPriority && c != nil && c.lowPriority {
-		return admitShed
+	if err := a.faults.Fire(FaultBeforePublish); err != nil {
+		return 0, err
+	}
+	if a.exchangePressure() != broker.PressureHigh {
+		return pubSent, nil
+	}
+	if a.cfg.ShedLowPriority && c.lowPriority {
+		a.tel.shed.Add(1)
+		return pubConfirmed, nil
 	}
 	if a.cfg.PublishBlockTimeout > 0 {
 		a.tel.throttled.Add(1)
 		if a.awaitPressureClear(a.cfg.PublishBlockTimeout) {
-			return admitSend
+			return pubSent, nil
 		}
 	}
-	if journaled {
-		return admitDefer
+	if p.journaling {
+		a.tel.deferred.Add(1)
+		return pubDeferred, nil
 	}
-	return admitSend
+	return pubSent, nil
 }
 
 // exchangePressure probes the backpressure signal for this app's
@@ -82,13 +87,7 @@ func (a *App) exchangePressure() broker.Pressure {
 // does not release them as one synchronized stampede.
 func (a *App) awaitPressureClear(budget time.Duration) bool {
 	deadline := time.Now().Add(budget)
-	step := budget / 16
-	if step < 50*time.Microsecond {
-		step = 50 * time.Microsecond
-	}
-	if step > 2*time.Millisecond {
-		step = 2 * time.Millisecond
-	}
+	step := min(max(budget/16, 50*time.Microsecond), 2*time.Millisecond)
 	for {
 		if !time.Now().Before(deadline) {
 			return false

@@ -11,344 +11,418 @@ import (
 	"synapse/internal/wire"
 )
 
-// performWrites runs the publisher algorithm of §4.2 for a group of
-// staged writes (one operation, or a transaction's worth):
-//
-//  1. derive read and write dependencies from the controller scope and
-//     the app's delivery mode;
-//  2. acquire locks on the write dependencies (version-store locks on
-//     non-transactional engines; the engine's own prepared row locks on
-//     transactional ones, per the §4.2 optimization);
-//  3. atomically increment ops, set version for write deps, and collect
-//     the versions to embed in the message (version for reads,
-//     version−1 for writes);
-//  4. perform the operations and read back the written objects;
-//  5. marshal the published attributes and send one message;
-//  6. release locks — after the send, and without waiting for the unlock
-//     round trip: a publish waits for ONE version-store window (step
-//     2+3).
-//
-// The Synapse-specific time (everything except step 4) adds up in
+// A publication is one message on its way out of the publisher: §4.2's
+// publisher algorithm for a group of staged writes (one operation, or a
+// transaction's worth), or the replay of a journal entry, which enters at
+// committed (see replay). Its state is a row of DESIGN §2c's outbox
+// table, and each state but the ends has one step that moves it on.
+// Locks are released after the send, without waiting for the unlock
+// round trip: a publish waits for ONE version-store window.
+type pubState uint32
+
+const (
+	pubStaged     pubState = iota // the write group; next, stageWrites
+	pubPrepared                   // dependency names known, the 2PC prepared; next, bumpDeps
+	pubRegistered                 // counters bumped under the locks, seq drawn, message built; next, commitWrites
+	pubWritten                    // the data written, the entry (if it keeps one) not yet; next, journalDirect
+	pubCommitted                  // the data written, the entry durable: a crash leaves it to replay; next, dispatch
+	pubSent                       // the broker took the message; next, confirm
+	pubConfirmed                  // over: sent or shed, the entry confirmed
+	pubDeferred                   // over: committed, not sent; the journal drain owns it
+	pubWithdrawn                  // over: nothing committed or sent; the plan's bump undone
+	pubFailed                     // over: committed with no entry, and the send failed
+	numPubStates
+)
+
+var pubStateNames = [numPubStates]string{"staged", "prepared", "registered", "written", "committed", "sent", "confirmed", "deferred", "withdrawn", "failed"}
+
+func (s pubState) String() string { return pubStateNames[s] }
+
+func (s pubState) over() bool { return s >= pubConfirmed }
+
+// pubEdges is DESIGN §2c's edge table: bit t of pubEdges[s] allows s -> t.
+var pubEdges = [numPubStates]uint16{
+	pubStaged:     edges(pubPrepared, pubWithdrawn),
+	pubPrepared:   edges(pubRegistered, pubWithdrawn),
+	pubRegistered: edges(pubWritten, pubCommitted, pubWithdrawn),
+	pubWritten:    edges(pubCommitted, pubWithdrawn),
+	pubCommitted:  edges(pubSent, pubConfirmed, pubDeferred, pubFailed),
+	pubSent:       edges(pubConfirmed, pubDeferred),
+	pubDeferred:   edges(pubCommitted),
+}
+
+// publication is pooled: nothing in it outlives its publish, and release
+// clears it.
+type publication struct {
+	state pubState    // moved only by App.advance
+	pace  func() bool // a drain's pacing gate; nil for a live publish or an unpaced drain
+	// journaling: it keeps a journal entry — a live publish with database
+	// work on an app with a database, and every replay. The outbox indexes
+	// the entry by seq, unless seq is 0: a predecessor's row.
+	journaling bool
+	seq        uint64
+	start      time.Time
+	db         time.Duration // spent in the engine: not Synapse time
+
+	staged                []stagedWrite
+	writeNames, readNames []string
+	external              []depRef
+	tx                    orm.MapperTx
+	plan                  deptrack.Plan
+	deps                  []wire.Dep
+	msg                   wire.Message
+	op                    [1]wire.Operation
+	written               []*model.Record
+	journal               model.Record
+	payload               []byte
+}
+
+var pubPool = sync.Pool{New: func() any { return new(publication) }}
+
+func (p *publication) release() {
+	clear(p.staged)
+	clear(p.writeNames)
+	clear(p.readNames)
+	clear(p.external)
+	clear(p.deps)
+	clear(p.written)
+	*p = publication{staged: p.staged[:0], writeNames: p.writeNames[:0], readNames: p.readNames[:0],
+		external: p.external[:0], deps: p.deps[:0], written: p.written[:0]}
+	pubPool.Put(p)
+}
+
+// performWrites publishes a group of staged writes for a controller. The
+// Synapse-specific time (everything but the engine's) adds up in
 // Stats.PublishTime — the "Synapse time" column of Fig 12(a).
 func (a *App) performWrites(c *Controller, staged []stagedWrite) (*model.Record, error) {
 	if a.draining.Load() {
 		return nil, ErrDraining
 	}
-	start := time.Now()
-	var dbTime time.Duration
-	s := scratchPool.Get().(*publishScratch)
-	defer s.release()
-
-	mode := a.cfg.Mode
-
-	// Load the final state of objects being destroyed so their published
-	// attributes can ride along in the message. The paper only ships
-	// deleted object IDs (§4), relying on the subscriber's local copy;
-	// DB-less observers have no local copy, so we extend the format to
-	// keep the Fig 5 edge-removal pattern working for them.
-	for _, op := range staged {
-		if op.verb != wire.OpDestroy || a.isEphemeral(op.rec.Model) || a.mapper == nil {
-			continue
-		}
-		if last, err := a.mapper.Find(op.rec.Model, op.rec.ID); err == nil {
-			op.rec.Merge(last.Attrs)
-		}
-	}
-
-	// --- Step 1: dependencies. The first write dependencies are the
-	// staged objects', in operation order.
-	for _, op := range staged {
-		s.writeNames = append(s.writeNames, depName(a.name, op.rec.Model, op.rec.ID))
-	}
-	var external []depRef
-	if mode >= Causal {
-		if c.session != nil && c.session.userDep != "" {
-			s.writeNames = append(s.writeNames, c.session.userDep)
-		}
-		s.writeNames = append(s.writeNames, c.pendingWriteDeps...)
-		for _, rd := range c.readDeps {
-			if rd.external {
-				external = append(external, rd)
-			} else {
-				s.readNames = append(s.readNames, rd.name)
-			}
-		}
-		if c.prevWriteDep != "" {
-			s.readNames = append(s.readNames, c.prevWriteDep)
-		}
-	}
-	if mode == Global {
-		s.writeNames = append(s.writeNames, globalDepName(a.name))
-	}
-
-	// Decide the apply strategy: a transactional engine takes the 2PC
-	// path (the engine's prepared row locks validate the write set);
-	// everything else applies operations one by one. Ephemeral-only
-	// groups have no DB work at all.
-	allEphemeral := true
-	for _, op := range staged {
-		if !a.isEphemeral(op.rec.Model) {
-			allEphemeral = false
-			break
-		}
-	}
-	txm, transactional := a.mapper.(orm.Transactional)
-	useTx := !allEphemeral && transactional
-
-	var written []*model.Record
-	var tx orm.MapperTx
-	if useTx {
-		// --- 2PC path: stage + Prepare (engine row locks) first. The
-		// deferred abort is disarmed by setting tx to nil after commit.
-		tx = txm.Begin()
-		defer func() {
-			if tx != nil {
-				tx.Abort()
-			}
-		}()
-		dbStart := time.Now()
-		for _, op := range staged {
-			if a.isEphemeral(op.rec.Model) {
-				continue
-			}
-			var err error
-			switch op.verb {
-			case wire.OpCreate:
-				err = tx.Create(op.rec)
-			case wire.OpUpdate:
-				err = tx.Update(op.rec)
-			case wire.OpDestroy:
-				err = tx.Delete(op.rec.Model, op.rec.ID)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		if err := tx.Prepare(); err != nil {
-			return nil, err
-		}
-		dbTime += time.Since(dbStart)
-	}
-
-	// Steps 2+3 run through the app's dependency tracker (hash or DVV;
-	// see deptrack): lock the union of the dependency names and bump
-	// their counters in one batched round trip per shard, collecting the
-	// versions to embed keyed by wire token. The locks are held over ALL
-	// dependency keys (reads and writes) from the counter bump through
-	// the broker publish. This is stronger than the paper, which locks
-	// only write dependencies and releases before sending: that leaves a
-	// window where a message can be enqueued ahead of the message
-	// carrying its dependency, which a subscriber can only escape with
-	// spare workers or timeouts. Holding the locks across the publish
-	// makes queue order consistent with dependency order, so even a
-	// single-worker causal subscriber never deadlocks. Release drops the
-	// locks where it is called and hands the unlock window to the store's
-	// release flusher: the controller does not sleep for its reply.
-	plan, err := a.tracker.Plan(s.readNames, s.writeNames)
-	if err != nil {
+	p := pubPool.Get().(*publication)
+	defer p.release()
+	p.staged, p.start = append(p.staged, staged...), time.Now()
+	if err := a.drivePublication(p, c); err != nil {
 		return nil, err
 	}
-	defer plan.Release()
-
-	journaling := !allEphemeral && a.journaling()
-	var seq uint64
-	// journaled: the entry is durable. acked: its message needs no
-	// replay (sent, or shed). Whatever way this function is left —
-	// return, error, or a crash fault's panic — the deferred call settles
-	// the entry in the outbox: confirmed, deferred to the journal drain,
-	// or withdrawn because nothing committed. On the way out it runs
-	// after the explicit plan.Release below: a cut is never made under
-	// the dependency locks.
-	journaled, acked := false, false
-	if journaling {
-		seq = a.outbox.register()
-		defer func() {
-			if acked {
-				a.journalAck(seq)
-			} else {
-				a.outbox.abandon(seq, journaled)
-			}
-		}()
-	} else {
-		seq = a.seq.Add(1)
-	}
-
-	dbStart := time.Now()
-	var msg *wire.Message
-	if useTx {
-		inTx := false // the entry rides in the transaction
-		if journaling {
-			// Stage the journal entry into the prepared transaction (the
-			// transactional outbox; see journal.go). The message is built
-			// ONCE here — it carries the REAL dependency versions, which a
-			// replay cannot reconstruct, plus the staged attributes — and
-			// after the commit only the attributes and timestamp are
-			// patched for the final payload. The journal copy is encoded
-			// through a pooled scratch buffer (journalRecord copies it to
-			// a string).
-			msg, err = a.buildMessage(s, staged, &plan, external, mode, seq)
-			if err != nil {
-				return nil, err
-			}
-			if err := wire.WithEncoded(msg, func(skelPayload []byte) error {
-				var jerr error
-				inTx, jerr = a.stageJournalTx(tx, a.journalRecord(&s.journal, skelPayload, seq))
-				return jerr
-			}); err != nil {
-				return nil, err
-			}
-		}
-		committed, err := tx.Commit()
-		if err != nil {
-			// The version store advanced but the commit failed after a
-			// successful prepare — engine corruption; surface loudly.
-			tx = nil
-			return nil, fmt.Errorf("synapse: commit after prepare failed: %w", err)
-		}
-		tx = nil
-		journaled = inTx
-		written = a.mergeWritten(s, staged, committed)
-	} else {
-		for _, op := range staged {
-			w, err := a.applyOne(op)
-			if err != nil {
-				return nil, err
-			}
-			s.written = append(s.written, w)
-		}
-		written = s.written
-	}
-	dbTime += time.Since(dbStart)
-
-	// --- Step 6: build the message (unless the journal's skeleton is
-	// it), give it the written objects' attributes and send it.
-	if msg == nil {
-		if msg, err = a.buildMessage(s, staged, &plan, external, mode, seq); err != nil {
-			return nil, err
-		}
-	}
-	a.patchCommitted(msg, staged, written)
-	payload, err := wire.Marshal(msg)
-	if err != nil {
-		return nil, err
-	}
-	if journaling && !journaled {
-		// Non-transactional engine (or a tx that cannot journal): write
-		// the entry — final payload this time — right after the apply.
-		if err := a.journalDirect(a.journalRecord(&s.journal, payload, seq)); err != nil {
-			return nil, err
-		}
-		journaled = true
-	}
-	if err := a.faults.Fire(FaultBeforePublish); err != nil {
-		// The write is committed (and journaled); only the send failed.
-		// RecoverJournal replays it.
-		return nil, err
-	}
-	send := true
-	switch a.admitPublish(c, journaled) {
-	case admitShed:
-		// Load shed: the local write stands; the message is dropped and
-		// its journal entry (if any) acked, so the periodic drain cannot
-		// resurrect a message the publisher chose to drop.
-		send = false
-		a.tel.shed.Add(1)
-		acked = journaled
-	case admitDefer:
-		// Journal-and-defer without touching the broker: the pressured
-		// queue must not grow, and the entry is already durable — the
-		// journal drain republishes it after pressure clears (with a
-		// jittered resume; see the ticker in StartWorkers).
-		send = false
-		a.tel.deferred.Add(1)
-	}
-	if !send {
-		// Degraded: nothing sent now.
-	} else if serr := a.sendMessage(payload); serr != nil {
-		if !journaled {
-			// No durable copy exists: surface the send failure.
-			return nil, serr
-		}
-		// Journal-and-defer: the write is committed and the entry is
-		// durable, so the publish succeeds now and the periodic journal
-		// drain republishes once the broker endpoint heals.
-		a.tel.deferred.Add(1)
-	} else if journaled {
-		if err := a.faults.Fire(FaultBeforeJournalAck); err != nil {
-			// Sent but not acked: the entry survives and replays as a
-			// duplicate, which the subscriber version guard absorbs.
-			return nil, err
-		}
-		acked = true
-	}
-	plan.Release()
-
-	// --- Controller scope bookkeeping for causal chaining.
-	if mode >= Causal {
-		c.prevWriteDep = s.writeNames[0]
+	// Controller scope bookkeeping for causal chaining.
+	if a.cfg.Mode >= Causal {
+		c.prevWriteDep = p.writeNames[0]
 		c.readDeps = c.readDeps[:0]
 		c.pendingWriteDeps = c.pendingWriteDeps[:0]
 	}
-
-	a.tel.publishTime.Add(int64(time.Since(start) - dbTime))
-	return written[0], nil
+	a.tel.publishTime.Add(int64(time.Since(p.start) - p.db))
+	return p.written[0], nil
 }
 
-// publishScratch is one publish's working set, pooled: the write group's
-// dependency names, its written records, the plan's dependencies, and
-// the message with its operation for a one-operation write. Nothing in it
-// outlives the publish: release clears it.
-type publishScratch struct {
-	writeNames, readNames []string
-	written               []*model.Record
-	deps                  []wire.Dep
-	msg                   wire.Message
-	op                    [1]wire.Operation
-	journal               model.Record
+// drivePublication runs a publication from where it stands to an end,
+// one step per state; c is the controller a live publish writes for, nil
+// for a replay. A step that fails — or a crash fault's panic — leaves it
+// where the failure found it, and the deferred exit takes it to the end
+// that state implies: before committed nothing durable exists and nothing
+// was sent, so withdrawn; after, its entry is the journal drain's — or,
+// with none, the publish failed.
+func (a *App) drivePublication(p *publication, c *Controller) error {
+	defer func() {
+		switch {
+		case p.state.over():
+		case p.state < pubCommitted:
+			a.advance(p, pubWithdrawn)
+		case p.journaling:
+			a.advance(p, pubDeferred)
+		default:
+			a.advance(p, pubFailed)
+		}
+	}()
+	for !p.state.over() {
+		var err error
+		switch p.state {
+		case pubStaged:
+			err = a.stageWrites(p, c)
+		case pubPrepared:
+			err = a.bumpDeps(p)
+		case pubRegistered:
+			err = a.commitWrites(p)
+		case pubWritten:
+			err = a.journalDirect(p)
+		case pubCommitted:
+			err = a.dispatch(p, c)
+		case pubSent:
+			err = a.confirm(p, c)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(publishScratch) }}
-
-func (s *publishScratch) release() {
-	clear(s.writeNames)
-	clear(s.readNames)
-	clear(s.written)
-	clear(s.deps)
-	s.writeNames, s.readNames, s.written, s.deps = s.writeNames[:0], s.readNames[:0], s.written[:0], s.deps[:0]
-	s.msg, s.op, s.journal = wire.Message{}, [1]wire.Operation{}, model.Record{}
-	scratchPool.Put(s)
+// advance moves p to next: the one place a publication changes state. A
+// move outside pubEdges panics. An end settles what p holds, in order:
+// withdrawn aborts an uncommitted transaction and undoes the plan's bump
+// while the locks are held — nothing was sent, so no message carries
+// those versions, and the gap would wedge causal subscribers; every end
+// releases the locks; then the outbox learns the end, so a cut is never
+// made under the locks.
+func (a *App) advance(p *publication, next pubState) {
+	from := p.state
+	if pubEdges[from]&(1<<next) == 0 {
+		panic(fmt.Sprintf("synapse: publication moved %v -> %v", from, next))
+	}
+	p.state = next
+	if next.over() {
+		if next == pubWithdrawn {
+			if from < pubWritten && p.tx != nil {
+				p.tx.Abort()
+			}
+			_ = p.plan.Undo() // a dead store's counters go with its generation
+		}
+		p.plan.Release()
+		switch {
+		case !p.journaling || p.seq == 0:
+		case next == pubConfirmed:
+			a.journalAck(p.seq)
+		default:
+			a.outbox.abandon(p.seq, next == pubDeferred)
+		}
+	}
+	if a.onPubMove != nil {
+		a.onPubMove(p, from, next)
+	}
 }
 
-// buildMessage assembles the wire message for one write group (§4.2
-// step 6) in the scratch, each operation's attributes read from its
-// staged record: the journal skeleton, whose attributes the replay
-// refreshes from the database (see refreshJournalAttrs), and what
-// patchCommitted turns into the final message. The dependencies travel
-// as the plan's numbers; the encoder renders them.
-func (a *App) buildMessage(s *publishScratch, staged []stagedWrite, plan *deptrack.Plan, external []depRef, mode DeliveryMode, seq uint64) (*wire.Message, error) {
-	msg := &s.msg
+// stageWrites is staged's step: the dependency names — the staged
+// objects' first, in operation order, then what the delivery mode adds —
+// and, on a transactional engine, the writes staged and prepared (2PC):
+// the engine's row locks validate the write set (§4.2's optimization). A
+// destroy loads the object's final state so its published attributes
+// ride along: the paper ships only deleted IDs (§4), relying on the
+// subscriber's local copy, and DB-less observers have none.
+func (a *App) stageWrites(p *publication, c *Controller) error {
+	for _, op := range p.staged {
+		p.writeNames = append(p.writeNames, depName(a.name, op.rec.Model, op.rec.ID))
+		if a.isEphemeral(op.rec.Model) || a.mapper == nil {
+			continue
+		}
+		p.journaling = true
+		if op.verb == wire.OpDestroy {
+			if last, err := a.mapper.Find(op.rec.Model, op.rec.ID); err == nil {
+				op.rec.Merge(last.Attrs)
+			}
+		}
+	}
+	if a.cfg.Mode >= Causal {
+		if c.session != nil && c.session.userDep != "" {
+			p.writeNames = append(p.writeNames, c.session.userDep)
+		}
+		p.writeNames = append(p.writeNames, c.pendingWriteDeps...)
+		for _, rd := range c.readDeps {
+			if rd.external {
+				p.external = append(p.external, rd)
+			} else {
+				p.readNames = append(p.readNames, rd.name)
+			}
+		}
+		if c.prevWriteDep != "" {
+			p.readNames = append(p.readNames, c.prevWriteDep)
+		}
+	}
+	if a.cfg.Mode == Global {
+		p.writeNames = append(p.writeNames, globalDepName(a.name))
+	}
+	if txm, ok := a.mapper.(orm.Transactional); ok && p.journaling {
+		start := time.Now()
+		p.tx = txm.Begin()
+		for _, op := range p.staged {
+			var err error
+			switch {
+			case a.isEphemeral(op.rec.Model):
+			case op.verb == wire.OpCreate:
+				err = p.tx.Create(op.rec)
+			case op.verb == wire.OpUpdate:
+				err = p.tx.Update(op.rec)
+			default:
+				err = p.tx.Delete(op.rec.Model, op.rec.ID)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		if err := p.tx.Prepare(); err != nil {
+			return err
+		}
+		p.db += time.Since(start)
+	}
+	a.advance(p, pubPrepared)
+	return nil
+}
+
+// bumpDeps is prepared's step, through the app's dependency tracker
+// (hash or DVV): lock the union of the dependency names and bump their
+// counters, one batched round trip per shard. The locks cover reads and
+// writes and are held through the broker send — stronger than the paper,
+// which locks writes only and releases before sending, leaving a window
+// where a message is enqueued ahead of the one carrying its dependency.
+// Held, queue order is dependency order, and even a single-worker causal
+// subscriber never deadlocks. Then the seq is drawn (registered before
+// the entry can commit) and the message built with the plan's versions.
+func (a *App) bumpDeps(p *publication) (err error) {
+	if p.plan, err = a.tracker.Plan(p.readNames, p.writeNames); err != nil {
+		return err
+	}
+	if p.journaling {
+		p.seq = a.outbox.register()
+	} else {
+		p.seq = a.seq.Add(1)
+	}
+	a.advance(p, pubRegistered)
+	return a.buildMessage(p)
+}
+
+// commitWrites is registered's step. The 2PC path stages the journal
+// entry — the skeleton, encoded through a pooled buffer — into the
+// prepared transaction (the transactional outbox; see journal.go), so
+// the commit makes data and entry durable at once; other engines apply
+// the writes one by one. Either way the written objects' attributes then
+// replace the staged ones in the final payload.
+func (a *App) commitWrites(p *publication) error {
+	start := time.Now()
+	if p.tx == nil {
+		for _, op := range p.staged {
+			w, err := a.applyOne(op)
+			if err != nil {
+				return err
+			}
+			p.written = append(p.written, w)
+		}
+		a.advance(p, pubWritten)
+	} else {
+		next := pubWritten // unless the entry rides in the transaction
+		if jtx, ok := p.tx.(orm.TxJournaler); ok {
+			if err := wire.WithEncoded(&p.msg, func(skeleton []byte) error {
+				return jtx.StageJournal(a.journalRecord(&p.journal, skeleton, p.seq))
+			}); err != nil {
+				return err
+			}
+			next = pubCommitted
+		}
+		committed, err := p.tx.Commit()
+		// After a successful prepare only an after-callback fails a commit,
+		// and the engine has committed by then: the move stands, the error
+		// is the caller's.
+		a.advance(p, next)
+		if err != nil {
+			return fmt.Errorf("synapse: commit after prepare failed: %w", err)
+		}
+		// Ephemerals are the staged records.
+		for _, op := range p.staged {
+			w := op.rec
+			if !a.isEphemeral(op.rec.Model) && len(committed) > 0 {
+				w, committed = committed[0], committed[1:]
+			}
+			p.written = append(p.written, w)
+		}
+	}
+	p.db += time.Since(start)
+	for i, op := range p.staged {
+		if op.verb != wire.OpDestroy { // a destroy keeps its final attributes
+			p.msg.Operations[i].Project(a.publication(op.rec.Model).lens, p.written[i])
+		}
+	}
+	p.msg.PublishedAt = time.Now().UTC()
+	var err error
+	p.payload, err = wire.Marshal(&p.msg)
+	return err
+}
+
+// journalDirect is written's step: the entry, final payload this time, as
+// a plain insert — non-transactional engines, and transactions that
+// cannot stage it. A publish that keeps no entry has nothing to persist.
+func (a *App) journalDirect(p *publication) error {
+	if p.journaling {
+		if _, err := a.mapper.Create(a.journalRecord(&p.journal, p.payload, p.seq)); err != nil {
+			return err
+		}
+	}
+	a.advance(p, pubCommitted)
+	return nil
+}
+
+// dispatch is committed's step, the one send for live publishes and
+// replays alike: admission decides whether the message goes now (see
+// admit; a replay is rebuilt from its row only once admitted). A send
+// that fails defers a live publish's durable entry — the write is
+// committed, so the publish succeeds and the drain republishes once the
+// broker endpoint heals; any other failed send is the caller's error.
+func (a *App) dispatch(p *publication, c *Controller) error {
+	next, err := a.admit(p, c)
+	if err == nil && next == pubSent && c == nil {
+		next, err = a.rebuild(p)
+	}
+	if err != nil {
+		return err
+	}
+	if next == pubSent {
+		if err := a.sendMessage(p.payload); err != nil {
+			if c == nil || !p.journaling {
+				return err
+			}
+			a.tel.deferred.Add(1)
+			next = pubDeferred
+		} else if c == nil {
+			a.tel.republished.Add(1)
+		}
+	}
+	a.advance(p, next)
+	return nil
+}
+
+// confirm is sent's step. A crash fault between the send and the
+// confirmation leaves the entry to replay as a duplicate, which the
+// subscriber's version guard absorbs.
+func (a *App) confirm(p *publication, c *Controller) error {
+	if p.journaling {
+		site := FaultBeforeJournalAck
+		if c == nil {
+			site = FaultJournalDrain
+		}
+		if err := a.faults.Fire(site); err != nil {
+			return err
+		}
+	}
+	a.advance(p, pubConfirmed)
+	return nil
+}
+
+// buildMessage assembles the wire message for the write group, each
+// operation's attributes read from its staged record: the journal
+// skeleton, whose attributes a replay refreshes from the database (see
+// refreshJournalAttrs), and what commitWrites turns into the final
+// message. The dependencies travel as the plan's numbers; the encoder
+// renders them.
+func (a *App) buildMessage(p *publication) error {
+	msg := &p.msg
 	*msg = wire.Message{
 		App:         a.name,
-		Operations:  s.op[:],
+		Operations:  p.op[:],
 		PublishedAt: time.Now().UTC(),
 		Generation:  a.generation.Load(),
-		Seq:         seq,
+		Seq:         p.seq,
 	}
-	if len(staged) > len(s.op) {
-		msg.Operations = make([]wire.Operation, len(staged))
+	if len(p.staged) > len(p.op) {
+		msg.Operations = make([]wire.Operation, len(p.staged))
 	}
-	s.deps = plan.AppendDeps(s.deps[:0])
-	msg.SetDeps(s.deps)
-	if len(external) > 0 {
-		msg.External = make(map[string]uint64, len(external))
-		for _, e := range external {
+	p.deps = p.plan.AppendDeps(p.deps[:0])
+	msg.SetDeps(p.deps)
+	if len(p.external) > 0 {
+		msg.External = make(map[string]uint64, len(p.external))
+		for _, e := range p.external {
 			msg.External[e.extToken] = e.extOps
 		}
 	}
-	if mode == Global {
+	if a.cfg.Mode == Global {
 		msg.GlobalDep = a.tracker.Token(globalDepName(a.name))
 	}
-	for i, op := range staged {
+	for i, op := range p.staged {
 		ps := a.publication(op.rec.Model)
 		wireOp := &msg.Operations[i]
 		*wireOp = wire.Operation{
@@ -356,70 +430,26 @@ func (a *App) buildMessage(s *publishScratch, staged []stagedWrite, plan *deptra
 			Types:     ps.chain, // shared by every message of the model: read-only
 			ID:        op.rec.ID,
 		}
-		wireOp.SetObjectDep(a.tracker.Dep(s.writeNames[i]))
+		wireOp.SetObjectDep(a.tracker.Dep(p.writeNames[i]))
 		if op.verb != wire.OpDestroy || len(op.rec.Attrs) > 0 {
-			// A destroy's are its final attributes, for DB-less observers
-			// (see performWrites).
 			wireOp.Project(ps.lens, op.rec)
 		}
 	}
-	if err := wire.Validate(msg); err != nil {
-		return nil, err
-	}
-	return msg, nil
-}
-
-// patchCommitted turns a message built from the staged records into the
-// final payload in place: the written objects' attributes replace the
-// staged ones and the publish timestamp is refreshed. Dependencies,
-// versions, seq, and generation are identical by construction, and a
-// destroy keeps the attributes it was built with.
-func (a *App) patchCommitted(msg *wire.Message, staged []stagedWrite, written []*model.Record) {
-	for i, op := range staged {
-		if op.verb != wire.OpDestroy {
-			msg.Operations[i].Project(a.publication(op.rec.Model).lens, written[i])
-		}
-	}
-	msg.PublishedAt = time.Now().UTC()
+	return wire.Validate(msg)
 }
 
 // applyOne performs a single non-transactional operation through the
 // ORM, returning the written object (read back).
 func (a *App) applyOne(op stagedWrite) (*model.Record, error) {
-	if a.isEphemeral(op.rec.Model) {
+	switch {
+	case a.isEphemeral(op.rec.Model):
 		return op.rec, nil
-	}
-	switch op.verb {
-	case wire.OpCreate:
+	case op.verb == wire.OpCreate:
 		return a.mapper.Create(op.rec)
-	case wire.OpUpdate:
+	case op.verb == wire.OpUpdate:
 		return a.mapper.Update(op.rec)
-	case wire.OpDestroy:
-		if err := a.mapper.Delete(op.rec.Model, op.rec.ID); err != nil {
-			return nil, err
-		}
-		return op.rec, nil
 	}
-	return nil, fmt.Errorf("synapse: unknown verb %q", op.verb)
-}
-
-// mergeWritten lines up the transaction's committed records with the
-// staged operations, substituting staged records for ephemerals; with
-// none among them the committed records are that already.
-func (a *App) mergeWritten(s *publishScratch, staged []stagedWrite, committed []*model.Record) []*model.Record {
-	if len(committed) == len(staged) {
-		return committed
-	}
-	ci := 0
-	for _, op := range staged {
-		w := op.rec
-		if !a.isEphemeral(op.rec.Model) && ci < len(committed) {
-			w = committed[ci]
-			ci++
-		}
-		s.written = append(s.written, w)
-	}
-	return s.written
+	return op.rec, a.mapper.Delete(op.rec.Model, op.rec.ID)
 }
 
 // projectPublished extracts the app's published attributes from the

@@ -21,58 +21,76 @@ func skipUnderRace(t *testing.T) {
 }
 
 // TestPublishAllocBudget pins what one journaled publish allocates on
-// the path the benchmark's social_causal workload takes: a PostgreSQL
-// publisher (2PC, transactional outbox), causal mode, one Update with
-// one read dependency. The journal's share of it is the append alone —
-// confirming an entry allocates nothing and truncation is amortised
-// over 256 messages. The race detector makes sync.Pool drop items on
-// purpose, so the steady state is only observable without it.
+// the benchmark's two publisher paths, causal mode, one Update with one
+// read dependency: social_causal's PostgreSQL publisher (2PC, the entry
+// staged in the transaction) and fanout_hetero's MongoDB publisher (the
+// entry inserted after the apply). The journal's share of it is the
+// append alone — confirming an entry allocates nothing and truncation is
+// amortised over 256 messages. The race detector makes sync.Pool drop
+// items on purpose, so the steady state is only observable without it.
 func TestPublishAllocBudget(t *testing.T) {
 	skipUnderRace(t)
-	f := NewFabric()
-	pub, _ := newSQLApp(t, f, "pub", Config{Mode: Causal})
-	mustPublish(t, pub, userDesc(), "name")
-	mustPublish(t, pub, postDesc(), "author", "body")
-	tap(t, f, "pub") // a bound queue, so the broker does its enqueue work
+	for _, c := range []struct {
+		name   string
+		app    func(*testing.T, *Fabric) *App
+		budget float64
+	}{
+		// 17 measured, 4 of them the loop's own record and read dependency:
+		// the rest is what outlives the publish — the engine's journal row
+		// (its id, map, payload copy) and row slot, the record Update
+		// returns (a copy of the stored row), the payload, the transaction
+		// — and the two dependency names. 54 before the lock table, the
+		// transaction, the plan and the message stopped building what they
+		// throw away; 72 as of the outbox rebuild, 131 before it.
+		{"postgresql 2PC", func(t *testing.T, f *Fabric) *App {
+			pub, _ := newSQLApp(t, f, "pub", Config{Mode: Causal})
+			return pub
+		}, 18},
+		// 20 measured: no transaction, but the engine clones the row it
+		// stores and the one Update returns, and the entry is a plain insert.
+		{"mongodb direct journal", func(t *testing.T, f *Fabric) *App {
+			pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
+			return pub
+		}, 21},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := NewFabric()
+			pub := c.app(t, f)
+			mustPublish(t, pub, userDesc(), "name")
+			mustPublish(t, pub, postDesc(), "author", "body")
+			tap(t, f, "pub") // a bound queue, so the broker does its enqueue work
 
-	seed := pub.NewController(nil)
-	u := model.NewRecord("User", "u1")
-	u.Set("name", "alice")
-	if _, err := seed.Create(u); err != nil {
-		t.Fatal(err)
-	}
-	p := model.NewRecord("Post", "p1")
-	p.Set("author", "u1")
-	p.Set("body", "v0")
-	if _, err := seed.Create(p); err != nil {
-		t.Fatal(err)
-	}
+			seed := pub.NewController(nil)
+			u := model.NewRecord("User", "u1")
+			u.Set("name", "alice")
+			if _, err := seed.Create(u); err != nil {
+				t.Fatal(err)
+			}
+			p := model.NewRecord("Post", "p1")
+			p.Set("author", "u1")
+			p.Set("body", "v0")
+			if _, err := seed.Create(p); err != nil {
+				t.Fatal(err)
+			}
 
-	publish := func() {
-		ctl := pub.NewController(nil)
-		ctl.AddReadDeps("User", "u1")
-		patch := model.NewRecord("Post", "p1")
-		patch.Set("body", "v1")
-		if _, err := ctl.Update(patch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 2*outboxCutEvery; i++ { // warm pools, maps and the first cuts
-		publish()
-	}
-	n := testing.AllocsPerRun(4*outboxCutEvery, publish)
-	// 17 measured, 4 of them the loop's own record and read dependency: the
-	// rest is what outlives the publish — the engine's journal row (its
-	// id, map, payload copy) and row slot, the record Update returns (a
-	// copy of the stored row), the payload, the transaction — and the two
-	// dependency names. 54 before the lock table, the transaction, the
-	// plan and the message stopped building what they throw away; 72 as of
-	// the outbox rebuild, 131 before it.
-	const budget = 19
-	if n > budget {
-		t.Errorf("journaled causal Update = %v allocs/op, want <= %d", n, budget)
-	}
-	if d := pub.JournalDepth(); d != 0 {
-		t.Errorf("JournalDepth = %d after confirmed publishes, want 0", d)
+			publish := func() {
+				ctl := pub.NewController(nil)
+				ctl.AddReadDeps("User", "u1")
+				patch := model.NewRecord("Post", "p1")
+				patch.Set("body", "v1")
+				if _, err := ctl.Update(patch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 2*outboxCutEvery; i++ { // warm pools, maps and the first cuts
+				publish()
+			}
+			if n := testing.AllocsPerRun(4*outboxCutEvery, publish); n > c.budget {
+				t.Errorf("journaled causal Update = %v allocs/op, want <= %v", n, c.budget)
+			}
+			if d := pub.JournalDepth(); d != 0 {
+				t.Errorf("JournalDepth = %d after confirmed publishes, want 0", d)
+			}
+		})
 	}
 }

@@ -176,7 +176,7 @@ var jobEdges = [numJobStates]uint16{
 	stateApplied: edges(stateDone, stateFailed),
 }
 
-func edges(to ...jobState) (set uint16) {
+func edges[S jobState | pubState](to ...S) (set uint16) {
 	for _, s := range to {
 		set |= 1 << s
 	}

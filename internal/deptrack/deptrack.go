@@ -59,6 +59,10 @@ type Plan struct {
 // unlock round trip (vstore.Batch.Release). Idempotent.
 func (p *Plan) Release() { p.batch.Release() }
 
+// Undo takes the plan's bump back before Release, for a message that
+// will never be sent (vstore.Batch.Undo).
+func (p *Plan) Undo() error { return p.batch.Undo() }
+
 // AppendDeps appends the plan's dependencies as a message carries them
 // (wire.Message.SetDeps): hashed keys as numbers, DVV keys by name.
 func (p *Plan) AppendDeps(dst []wire.Dep) []wire.Dep {

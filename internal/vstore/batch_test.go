@@ -120,6 +120,41 @@ func TestQuickApplyBatchParity(t *testing.T) {
 	}
 }
 
+// TestQuickBumpBatchUndo: an undone bump leaves every counter it touched
+// as it found it, whatever the history before — and undoes nothing once
+// released, since the keys are no longer the batch's.
+func TestQuickBumpBatchUndo(t *testing.T) {
+	s := New(Config{Shards: 4})
+	prop := func(g depGroup, keep bool) bool {
+		reads, writes := g.keys()
+		before := map[Key]Counters{}
+		for _, k := range append(reads, writes...) {
+			before[k] = s.Counters(k)
+		}
+		b, err := s.BumpBatch(reads, writes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keep { // history for the next round
+			b.Release()
+			return b.Undo() == nil && s.Counters(writes[0]) != before[writes[0]]
+		}
+		if err := b.Undo(); err != nil {
+			t.Fatal(err)
+		}
+		b.Release()
+		for k, c := range before {
+			if s.Counters(k) != c {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBumpBatchHoldsLocksUntilRelease(t *testing.T) {
 	s := newStore()
 	k := s.KeyFor("app/items/id/1")

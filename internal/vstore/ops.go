@@ -15,7 +15,8 @@ type op struct {
 	key Key
 	sh  *shard
 	// arg is the script's input: the minimum a probe needs, the version
-	// a claim carries, the amount a counter moves by.
+	// a claim carries, the amount a counter moves by — and, once a bump
+	// ran, the version a write replaced.
 	arg uint64
 	// out is the script's result: the version to embed (bump), the
 	// version found (claim), the counter after the move.

@@ -347,8 +347,9 @@ func (s *Store) WaitReleases() { s.releases.Wait() }
 // per shard: for every dependency ops is incremented; for write
 // dependencies (a key listed as both read and write is a write) version
 // is set to ops. The version to embed in the message is left in each
-// op's out: version for reads, version−1 for writes.
-func (s *Store) bump(ops []op) {
+// op's out: version for reads, version−1 for writes; a write's arg keeps
+// the version it replaced, for Undo. With undo set it takes a bump back.
+func (s *Store) bump(ops []op, undo bool) {
 	for _, sh := range s.shards {
 		if on(ops, sh) == 0 {
 			continue
@@ -360,11 +361,18 @@ func (s *Store) bump(ops []op) {
 				continue
 			}
 			e := sh.entry(o.key)
-			e.ops++
-			if o.ok {
-				e.version = e.ops
+			switch {
+			case undo:
+				e.ops -= min(e.ops, 1) // a revived store may have lost it
+				if o.ok && e.version == o.out+1 {
+					e.version = o.arg
+				}
+			case o.ok:
+				e.ops++
+				o.arg, e.version = e.version, e.ops
 				o.out = e.version - 1
-			} else {
+			default:
+				e.ops++
 				o.out = e.version
 			}
 		}
@@ -463,8 +471,25 @@ func (s *Store) lockAndBump(ops []op, readDeps, writeDeps []Key) ([]op, error) {
 		s.unlock(ops)
 		return nil, err
 	}
-	s.bump(ops)
+	s.bump(ops, false)
 	return ops, nil
+}
+
+// Undo takes the batch's bump back while its locks are still held, in
+// one more window: each key's ops returns by one and a write's version to
+// the one it replaced. Only for a message that will never be sent — one
+// that may have reached the broker keeps its versions, or a later message
+// reusing them would be discarded as stale.
+func (b *Batch) Undo() error {
+	if b.released || b.store == nil {
+		return nil
+	}
+	if err := b.store.checkAlive(); err != nil {
+		return err
+	}
+	b.store.charge(b.store.windowCost(b.ops(), nil))
+	b.store.bump(b.ops(), true)
+	return nil
 }
 
 // Release drops the batch's locks where it is called — after the broker

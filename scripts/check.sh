@@ -27,9 +27,26 @@ echo "== go vet =="
 go vet ./...
 
 echo "== go test -race (with coverage) =="
+# The full output goes to a fixed log (gitignored) so that a failure
+# never loses it; a failing run prints the log's path and every failed
+# test, panic and data race block from it.
+log=check-race.log
 profile=$(mktemp)
 trap 'rm -f "$profile"' EXIT
-go test -race -covermode=atomic -coverprofile="$profile" ./...
+if ! go test -race -covermode=atomic -coverprofile="$profile" ./... >"$log" 2>&1; then
+    grep -E '^(ok|FAIL|---)' "$log" || true
+    echo "go test -race failed; the full output is in $(pwd)/$log. Failures:" >&2
+    awk '
+        /^WARNING: DATA RACE/ { block = "race" }
+        /^panic: / { block = "panic" }
+        /^[[:space:]]*--- FAIL/ { block = "fail"; print; next }
+        block == "race" { print; if (/^==================/) block = ""; next }
+        block == "panic" { if (/^(FAIL|ok)[[:space:]]/) block = ""; else print; next }
+        block == "fail" { if (/^[[:space:]]/) { print; next }; block = "" }
+    ' "$log" >&2
+    exit 1
+fi
+grep -E '^(ok|FAIL)' "$log"
 
 echo "== coverage floor =="
 floor=$(cat scripts/coverage_floor.txt)

@@ -145,14 +145,15 @@ scenario_liveness() {
 }
 
 # Publisher outbox: the journal is a log with a high-water ack, so what
-# guards it is schedules, not states — the crash windows, the seeded
-# crash/restart property, the overload ladder's defer/shed/drain paths
-# and the outbox, truncation and restart tests, twenty times under the
-# race detector; then the workload that journals every publish, which
-# exits non-zero on any failed operation or oracle mismatch.
+# guards it is schedules as well as states — the crash windows, the
+# seeded crash/restart property, the overload ladder's defer/shed/drain
+# paths, the outbox, truncation and restart tests, the publication state
+# table and the failed-write gap test, twenty times under the race
+# detector; then the workload that journals every publish, which exits
+# non-zero on any failed operation or oracle mismatch.
 scenario_journal() {
     gotest -race -count=20 \
-        -run 'TestCrash|TestPublish|TestDrain|TestOutbox|TestJournal|TestLiveDrain|TestRestart|TestInherited|TestAbortedPublish' \
+        -run 'TestCrash|TestPublish|TestDrain|TestOutbox|TestJournal|TestLiveDrain|TestRestart|TestInherited|TestAbortedPublish|TestPublicationStateTable|TestFailedWriteLeavesNoGap' \
         ./internal/core/ &&
         bash benchmark/run.sh --workload social_causal --seconds 5
 }
