@@ -20,6 +20,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -559,7 +560,11 @@ func (q *Queue) usableLocked() error {
 // currently blocked waiting, so one worker cannot starve an idle pool
 // by grabbing the whole queue. Every returned delivery must be Acked or
 // Nacked individually.
-func (q *Queue) GetBatch(max int) ([]Delivery, error) {
+func (q *Queue) GetBatch(max int) ([]Delivery, error) { return q.AppendBatch(nil, max) }
+
+// AppendBatch is GetBatch appending to dst, a consumer's reused buffer
+// (nil: a new slice sized to the batch); on an error it returns dst.
+func (q *Queue) AppendBatch(dst []Delivery, max int) ([]Delivery, error) {
 	if max < 1 {
 		max = 1
 	}
@@ -568,7 +573,7 @@ func (q *Queue) GetBatch(max int) ([]Delivery, error) {
 	seq := q.cancelSeq
 	for {
 		if err := q.usableLocked(); err != nil {
-			return nil, err
+			return dst, err
 		}
 		if ready := q.readyLocked(); ready > 0 && q.creditLocked() != 0 {
 			// Fair share: leave enough behind for every consumer still
@@ -582,11 +587,11 @@ func (q *Queue) GetBatch(max int) ([]Delivery, error) {
 			if c := q.creditLocked(); c > 0 && n > c {
 				n = c
 			}
-			return q.takeLocked(make([]Delivery, 0, n), n), nil
+			return q.takeLocked(slices.Grow(dst, n), len(dst)+n), nil
 		}
 		if q.cancelSeq != seq || q.canceled {
 			q.canceled = false
-			return nil, ErrCanceled
+			return dst, ErrCanceled
 		}
 		q.waiters++
 		q.cond.Wait()

@@ -216,15 +216,15 @@ func appendPadded(b []byte, v uint64, width int) []byte {
 	return append(b, digits...)
 }
 
-// journalRecord makes rec, a publish's scratch record, the journal entry
-// of a marshalled message: the id and the payload copy are the entry's
-// own, the record itself is not kept by the mapper.
+// journalRecord makes rec, a publication's scratch record, the journal
+// entry of a marshalled message. The engine copies what it is written, so
+// rec and its one-entry attribute map stay the publication's, refilled by
+// every use.
 func (a *App) journalRecord(rec *model.Record, payload []byte, seq uint64) *model.Record {
-	*rec = model.Record{
-		Model: journalModel,
-		ID:    journalID(a.journalEpoch, seq),
-		Attrs: map[string]any{"payload": string(payload)},
+	if rec.Attrs == nil {
+		rec.Attrs = make(map[string]any, 1)
 	}
+	rec.Model, rec.ID, rec.Attrs["payload"] = journalModel, journalID(a.journalEpoch, seq), string(payload)
 	return rec
 }
 

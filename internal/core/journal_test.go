@@ -10,7 +10,9 @@ import (
 
 	"synapse/internal/faultinject"
 	"synapse/internal/model"
+	"synapse/internal/netsim"
 	"synapse/internal/orm"
+	"synapse/internal/wire"
 )
 
 // --- outbox ------------------------------------------------------------
@@ -259,6 +261,68 @@ func TestJournalTruncatesEvery256(t *testing.T) {
 			}
 			if rows := journalRows(t, pub.Mapper()); len(rows) != 0 {
 				t.Errorf("a graceful stop left %d journal rows", len(rows))
+			}
+		})
+	}
+}
+
+// Every journal row owns its payload. A publication refills one pooled
+// record for its entry, so the engine must copy it — the direct insert
+// (MongoDB) and the row staged into the 2PC (PostgreSQL) alike. Entries
+// deferred behind a partitioned broker link each decode to their own seq,
+// and one drain sends them all.
+func TestEntryRowsOwnTheirPayload(t *testing.T) {
+	for _, engine := range []string{"mongodb", "postgresql"} {
+		t.Run(engine, func(t *testing.T) {
+			f := NewFabric()
+			f.Net = netsim.New(1)
+			var pub *App
+			if engine == "postgresql" {
+				pub, _ = newSQLApp(t, f, "pub", netFaultConfig())
+			} else {
+				pub, _ = newDocApp(t, f, "pub", netFaultConfig())
+			}
+			mustPublish(t, pub, userDesc(), "likes")
+			sent := payloadTap(t, f, "pub")
+			f.Net.Partition("pub", EndpointBroker)
+			const n = 8
+			ctl := pub.NewController(nil)
+			for i := range n {
+				rec := model.NewRecord("User", fmt.Sprintf("u%d", i))
+				rec.Set("likes", i)
+				if _, err := ctl.Create(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if d := pub.JournalDepth(); d != n {
+				t.Fatalf("JournalDepth = %d behind a partitioned link, want %d deferred", d, n)
+			}
+			rows := 0
+			if err := pub.Mapper().Each(journalModel, "", func(r *model.Record) bool {
+				rows++
+				msg, err := wire.Unmarshal([]byte(r.String("payload")))
+				if err != nil {
+					t.Fatalf("row %s: %v", r.ID, err)
+				}
+				if want := journalID(pub.journalEpoch, msg.Seq); r.ID != want {
+					t.Errorf("row %s holds the payload of seq %d", r.ID, msg.Seq)
+				}
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if rows != n {
+				t.Errorf("%d journal rows, want %d", rows, n)
+			}
+			f.Net.Heal("pub", EndpointBroker)
+			drained := 0
+			waitFor(t, 10*time.Second, func() bool { // until the breaker's cooldown lets a send through
+				d, _ := pub.RecoverJournal()
+				drained += d
+				return pub.JournalDepth() == 0
+			})
+			if got := len(sent()); drained != n || got != n {
+				t.Errorf("RecoverJournal drained %d entries and sent %d messages, want %d", drained, got, n)
 			}
 		})
 	}

@@ -176,7 +176,10 @@ func TestApplyAllocBudget(t *testing.T) {
 		t.Fatalf("%d of %d deliveries reached a callback", applied, want)
 	}
 	n := float64(after.Mallocs-before.Mallocs) / float64(len(stream))
-	const budget = 9 // measured 7.7: decode 4.0, the engine's copy-in 2, the version store's windows the rest
+	// Measured 6.38 (7.72 while Save copied the written row out): decode
+	// 4.0, the engine's copy-in 2, the job and the version store's windows
+	// the rest.
+	const budget = 7
 	if n > budget {
 		t.Errorf("decode + apply of the live stream = %.1f allocs/delivery, want <= %d", n, budget)
 	}

@@ -52,7 +52,7 @@ var pubEdges = [numPubStates]uint16{
 }
 
 // publication is pooled: nothing in it outlives its publish, and release
-// clears it.
+// clears it, keeping its buffers and the journal record's map.
 type publication struct {
 	state pubState    // moved only by App.advance
 	pace  func() bool // a drain's pacing gate; nil for a live publish or an unpaced drain
@@ -86,8 +86,9 @@ func (p *publication) release() {
 	clear(p.external)
 	clear(p.deps)
 	clear(p.written)
+	clear(p.journal.Attrs)
 	*p = publication{staged: p.staged[:0], writeNames: p.writeNames[:0], readNames: p.readNames[:0],
-		external: p.external[:0], deps: p.deps[:0], written: p.written[:0]}
+		external: p.external[:0], deps: p.deps[:0], written: p.written[:0], journal: model.Record{Attrs: p.journal.Attrs}}
 	pubPool.Put(p)
 }
 

@@ -626,6 +626,7 @@ func (l *lane) expire() {
 func (a *App) workerLoop(w *worker, stop <-chan struct{}) {
 	defer a.workersWG.Done()
 	defer w.close()
+	ds := make([]broker.Delivery, 0, a.cfg.PipelineDepth) // the fetch buffer: jobs copy what they need
 	for {
 		select {
 		case <-stop:
@@ -652,7 +653,8 @@ func (a *App) workerLoop(w *worker, stop <-chan struct{}) {
 		// its window can start.
 		w.batch = a.takeReady(w.batch[:0], a.cfg.PipelineDepth)
 		if len(w.batch) == 0 {
-			ds, err := q.GetBatch(a.cfg.PipelineDepth)
+			var err error
+			ds, err = q.AppendBatch(ds[:0], a.cfg.PipelineDepth)
 			switch {
 			case err == nil:
 			case errors.Is(err, broker.ErrCanceled):
@@ -681,6 +683,7 @@ func (a *App) workerLoop(w *worker, stop <-chan struct{}) {
 				jobs[i] = job{app: a, trip: trip{q: q, d: d}}
 				w.batch = append(w.batch, &jobs[i])
 			}
+			clear(ds)
 		}
 		w.processBatch(w.batch, stop)
 		clear(w.batch) // what parked is the parked set's, not this buffer's
@@ -1202,14 +1205,7 @@ func (a *App) planDeps(j *job, mode DeliveryMode) error {
 func dedupKeys(keys []vstore.Key) []vstore.Key {
 	out := keys[:0:len(keys)]
 	for _, k := range keys {
-		dup := false
-		for _, seen := range out {
-			if seen == k {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(out, k) {
 			out = append(out, k)
 		}
 	}

@@ -72,8 +72,8 @@ func allFields(d *model.Descriptor) []model.Field {
 // have the binding's shape.
 type binding struct{ *reldb.DB }
 
-func (b binding) Update(table string, row storage.Row) (storage.Row, error) {
-	return b.DB.Update(table, row.ID, row.Cols)
+func (b binding) Update(table string, row storage.Row, returning bool) (storage.Row, error) {
+	return b.DB.Update(table, row.ID, row.Cols, returning)
 }
 
 func (b binding) Len(table string) int {

@@ -85,8 +85,8 @@ func (tx *Tx) Prepare() error { return tx.tx.Prepare() }
 // Prepare (when its payload — the bumped dependency versions — exists).
 // Journal rows have app-unique IDs, so the extra row lock cannot
 // deadlock with concurrent transactions, and the fresh-ID validation in
-// InsertPrepared keeps the Commit-cannot-fail guarantee. The record's
-// attribute map goes to the engine as is (InsertPrepared consumes it).
+// InsertPrepared keeps the Commit-cannot-fail guarantee. The engine
+// copies the record's attributes, as it does every write's.
 func (tx *Tx) StageJournal(rec *model.Record) error {
 	d, ok := tx.m.Descriptor(rec.Model)
 	if !ok {

@@ -34,11 +34,13 @@ type binding struct{ *coldb.DB }
 
 func (b binding) Exists(fam, id string) (bool, error) { return b.DB.Exists(fam, id), nil }
 
-func (b binding) Insert(fam string, row storage.Row) (storage.Row, error) {
+func (b binding) Insert(fam string, row storage.Row, _ bool) (storage.Row, error) {
 	return storage.Row{}, b.Apply(coldb.Mutation{Family: fam, ID: row.ID, Cols: row.Cols})
 }
 
-func (b binding) Update(fam string, row storage.Row) (storage.Row, error) { return b.Insert(fam, row) }
+func (b binding) Update(fam string, row storage.Row, _ bool) (storage.Row, error) {
+	return b.Insert(fam, row, false)
+}
 
 func (b binding) Delete(fam, id string) error {
 	return b.Apply(coldb.Mutation{Family: fam, ID: id, Delete: true})

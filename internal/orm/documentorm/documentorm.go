@@ -33,8 +33,8 @@ type binding struct{ *docdb.DB }
 
 func (b binding) Exists(coll, id string) (bool, error) { return b.DB.Exists(coll, id), nil }
 
-func (b binding) Update(coll string, doc storage.Row) (storage.Row, error) {
-	return b.DB.Update(coll, doc.ID, doc.Cols)
+func (b binding) Update(coll string, doc storage.Row, returning bool) (storage.Row, error) {
+	return b.DB.Update(coll, doc.ID, doc.Cols, returning)
 }
 
 var _ orm.Mapper = (*Mapper)(nil)

@@ -60,12 +60,12 @@ func (b binding) Exists(label, id string) (bool, error) {
 }
 
 // Insert merges the node: MERGE creates it or updates it alike.
-func (b binding) Insert(label string, row storage.Row) (storage.Row, error) {
+func (b binding) Insert(label string, row storage.Row, _ bool) (storage.Row, error) {
 	return storage.Row{}, b.db.MergeNode(label, nodeID(label, row.ID), row.Cols)
 }
 
-func (b binding) Update(label string, row storage.Row) (storage.Row, error) {
-	return b.Insert(label, row)
+func (b binding) Update(label string, row storage.Row, _ bool) (storage.Row, error) {
+	return b.Insert(label, row, false)
 }
 
 func (b binding) Delete(label, id string) error { return b.db.DeleteNode(nodeID(label, id)) }

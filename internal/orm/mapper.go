@@ -1,6 +1,7 @@
 package orm
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -12,17 +13,21 @@ import (
 // storage.Row terms, the adapter's native format (mutations, node ids,
 // analyzed fields) behind them. Rows cross it under package storage's
 // row-ownership rule: the engine copies what it is given and hands out
-// copies, so neither side of a Binding ever clones.
+// copies only to a caller that reads them, so neither side of a Binding
+// ever clones.
 type Binding interface {
 	// Get returns a copy of the row, or storage.ErrNotFound.
 	Get(table, id string) (storage.Row, error)
 	// Exists is Get's query without the row: nothing is copied out.
 	Exists(table, id string) (bool, error)
 	// Insert stores a new row and Update merges the row's columns into
-	// the stored one, keeping those it does not name. Where
-	// Traits.Written is WrittenRow they return the row as written.
-	Insert(table string, row storage.Row) (storage.Row, error)
-	Update(table string, row storage.Row) (storage.Row, error)
+	// the stored one, keeping those it does not name. With returning,
+	// where Traits.Written is WrittenRow, they return the row as written;
+	// otherwise they return a zero row and copy nothing out.
+	Insert(table string, row storage.Row, returning bool) (storage.Row, error)
+	Update(table string, row storage.Row, returning bool) (storage.Row, error)
+	// Delete removes the row, or reports storage.ErrNotFound — except
+	// where Traits.Written is WrittenNothing, which cannot tell.
 	Delete(table, id string) error
 	// DeleteRange removes the rows with from <= id < to in one
 	// statement and reports how many went.
@@ -230,8 +235,8 @@ func (r *Registry) Find(modelName, id string) (*model.Record, error) {
 }
 
 // write runs the before-hook, counts the query and lends the record's
-// attributes to the engine.
-func (r *Registry) write(o *op, rec *model.Record, update bool) (storage.Row, error) {
+// attributes to the engine; returning asks for the row as written.
+func (r *Registry) write(o *op, rec *model.Record, update, returning bool) (storage.Row, error) {
 	before := model.BeforeCreate
 	if update {
 		before = model.BeforeUpdate
@@ -242,9 +247,9 @@ func (r *Registry) write(o *op, rec *model.Record, update bool) (storage.Row, er
 	r.stats.Writes.Add(1)
 	row := storage.Row{ID: rec.ID, Cols: rec.Attrs}
 	if update {
-		return r.b.Update(o.name, row)
+		return r.b.Update(o.name, row, returning)
 	}
-	return r.b.Insert(o.name, row)
+	return r.b.Insert(o.name, row, returning)
 }
 
 // Create persists a new object and returns it as written.
@@ -276,7 +281,7 @@ func (r *Registry) publish(rec *model.Record, update bool) (*model.Record, error
 			return nil, storage.ErrNotFound
 		}
 	}
-	row, err := r.write(&o, rec, update)
+	row, err := r.write(&o, rec, update, true)
 	if err != nil {
 		return nil, err
 	}
@@ -300,6 +305,7 @@ func (r *Registry) publish(rec *model.Record, update bool) (*model.Record, error
 // Save upserts: update callbacks and an attribute merge when the object
 // exists, create callbacks and an insert otherwise. Merging (rather than
 // replacing) preserves decoration attributes owned by other publishers.
+// Nothing reads the row as written: the callbacks get rec.
 func (r *Registry) Save(rec *model.Record) error {
 	o, err := r.begin(rec)
 	if err != nil {
@@ -311,7 +317,7 @@ func (r *Registry) Save(rec *model.Record) error {
 	if err != nil {
 		return err
 	}
-	if _, err := r.write(&o, rec, exists); err != nil {
+	if _, err := r.write(&o, rec, exists, false); err != nil {
 		return err
 	}
 	if exists {
@@ -320,20 +326,31 @@ func (r *Registry) Save(rec *model.Record) error {
 	return o.run(model.AfterCreate, rec)
 }
 
-// Delete removes an object, running destroy callbacks with the object's
-// last state when it can be loaded.
+// Delete removes an object. Only a destroy callback reads the object, so
+// only a model with one loads its last state first; otherwise an engine
+// whose delete cannot tell a missing row probes for it, and the others
+// just delete.
 func (r *Registry) Delete(modelName, id string) error {
 	o, err := r.op(modelName)
 	if err != nil {
 		return err
 	}
 	defer o.done()
-	r.stats.Reads.Add(1)
-	row, err := r.b.Get(o.name, id)
-	if err != nil && r.traits.Written == WrittenNothing {
-		return err // the tombstone would not say
+	var rec *model.Record
+	switch {
+	case o.desc.Callbacks.Count(model.BeforeDestroy)+o.desc.Callbacks.Count(model.AfterDestroy) > 0:
+		r.stats.Reads.Add(1)
+		row, err := r.b.Get(o.name, id)
+		if err != nil && r.traits.Written == WrittenNothing {
+			return err // the tombstone would not say
+		}
+		rec = Adopt(modelName, storage.Row{ID: id, Cols: row.Cols}) // bare, if it could not be loaded
+	case r.traits.Written == WrittenNothing:
+		r.stats.Reads.Add(1)
+		if exists, err := r.b.Exists(o.name, id); err != nil || !exists {
+			return cmp.Or(err, storage.ErrNotFound)
+		}
 	}
-	rec := Adopt(modelName, storage.Row{ID: id, Cols: row.Cols}) // bare, if it could not be loaded
 	if err := o.run(model.BeforeDestroy, rec); err != nil {
 		return err
 	}

@@ -131,9 +131,8 @@ type TxJournaler interface {
 	// StageJournal adds the journal record to the prepared transaction.
 	// The record's model must already be registered. After a nil return,
 	// Commit persists the journal row atomically with the data writes.
-	// The record is consumed: the transaction stores its attribute map
-	// as is, so the caller must not touch it again, and Commit neither
-	// returns it nor runs callbacks for it.
+	// The transaction stages a copy, so the record stays the caller's;
+	// Commit neither returns it nor runs callbacks for it.
 	StageJournal(rec *model.Record) error
 }
 

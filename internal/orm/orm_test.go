@@ -155,7 +155,7 @@ func (b *memBinding) Exists(_, id string) (bool, error) {
 	return ok, nil
 }
 
-func (b *memBinding) write(row storage.Row, update bool) (storage.Row, error) {
+func (b *memBinding) write(row storage.Row, update, returning bool) (storage.Row, error) {
 	stored, ok := b.rows[row.ID]
 	switch {
 	case b.strict && ok && !update:
@@ -169,18 +169,18 @@ func (b *memBinding) write(row storage.Row, update bool) (storage.Row, error) {
 	for k, v := range row.Cols {
 		stored.Cols[k] = storage.CloneValue(v)
 	}
-	if b.returning {
+	if b.returning && returning {
 		return stored.Clone(), nil
 	}
 	return storage.Row{}, nil
 }
 
-func (b *memBinding) Insert(_ string, row storage.Row) (storage.Row, error) {
-	return b.write(row, false)
+func (b *memBinding) Insert(_ string, row storage.Row, returning bool) (storage.Row, error) {
+	return b.write(row, false, returning)
 }
 
-func (b *memBinding) Update(_ string, row storage.Row) (storage.Row, error) {
-	return b.write(row, true)
+func (b *memBinding) Update(_ string, row storage.Row, returning bool) (storage.Row, error) {
+	return b.write(row, true, returning)
 }
 
 func (b *memBinding) Delete(_, id string) error {

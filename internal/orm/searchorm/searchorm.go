@@ -38,11 +38,11 @@ type binding struct{ *searchdb.DB }
 
 func (b binding) Exists(idx, id string) (bool, error) { return b.DB.Exists(idx, id), nil }
 
-func (b binding) Insert(idx string, doc storage.Row) (storage.Row, error) {
+func (b binding) Insert(idx string, doc storage.Row, _ bool) (storage.Row, error) {
 	return storage.Row{}, b.Index(idx, doc)
 }
 
-func (b binding) Update(idx string, doc storage.Row) (storage.Row, error) {
+func (b binding) Update(idx string, doc storage.Row, _ bool) (storage.Row, error) {
 	return storage.Row{}, b.DB.Update(idx, doc)
 }
 

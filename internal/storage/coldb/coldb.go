@@ -231,13 +231,21 @@ func (db *DB) Get(family, id string) (storage.Row, error) {
 	var row storage.Row
 	err := storage.ErrNotFound
 	db.gate.Read(func() {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		if k := (rowKey{family, id}); db.liveLocked(k) {
-			row, err = db.rowLocked(k), nil
+		if r, ok := db.copyOut(rowKey{family, id}); ok {
+			row, err = r, nil
 		}
 	})
 	return row, err
+}
+
+// copyOut is rowLocked under the read lock, for a live row.
+func (db *DB) copyOut(k rowKey) (storage.Row, bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if !db.liveLocked(k) {
+		return storage.Row{}, false
+	}
+	return db.rowLocked(k), true
 }
 
 // Exists reports whether the row is live, without building it.
@@ -252,9 +260,10 @@ func (db *DB) Exists(family, id string) bool {
 }
 
 // rowIDs returns the live row ids of the family with from <= id < to,
-// sorted; an empty to leaves the range open above.
+// sorted; an empty to leaves the range open above. Sized to the keys the
+// walk visits, they take one allocation however many there are.
 func (db *DB) rowIDs(family, from, to string) []string {
-	var ids []string
+	ids := make([]string, 0, len(db.base)+len(db.memtable))
 	for _, t := range [2]map[rowKey]partition{db.base, db.memtable} {
 		for k := range t {
 			if k.family == family && k.id >= from && (to == "" || k.id < to) && db.liveLocked(k) {
@@ -286,18 +295,17 @@ func (db *DB) Scan(family string, preds ...storage.Predicate) ([]storage.Row, er
 }
 
 // ScanFrom streams rows with id >= start in id order until fn returns
-// false.
+// false. A row is copied out as fn gets it, and fn runs outside the
+// lock: one deleted in the meantime is skipped.
 func (db *DB) ScanFrom(family, start string, fn func(storage.Row) bool) error {
-	var rows []storage.Row
+	var ids []string
 	db.gate.Read(func() {
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		for _, id := range db.rowIDs(family, start, "") {
-			rows = append(rows, db.rowLocked(rowKey{family, id}))
-		}
+		ids = db.rowIDs(family, start, "")
 	})
-	for _, row := range rows {
-		if !fn(row) {
+	for _, id := range ids {
+		if row, ok := db.copyOut(rowKey{family, id}); ok && !fn(row) {
 			break
 		}
 	}

@@ -67,14 +67,22 @@ func (db *DB) Get(collection, id string) (storage.Row, error) {
 	var row storage.Row
 	err := storage.ErrNotFound
 	db.gate.Read(func() {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		if doc, ok := db.collections[collection][id]; ok {
-			row = doc.Clone()
-			err = nil
+		if doc, ok := db.copyOut(collection, id); ok {
+			row, err = doc, nil
 		}
 	})
 	return row, err
+}
+
+// copyOut is one document's copy out, under the read lock.
+func (db *DB) copyOut(collection, id string) (storage.Row, bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	doc, ok := db.collections[collection][id]
+	if ok {
+		doc = doc.Clone()
+	}
+	return doc, ok
 }
 
 // Exists reports whether the document is present, copying nothing out.
@@ -88,9 +96,10 @@ func (db *DB) Exists(collection, id string) bool {
 	return found
 }
 
-// Insert adds a document; duplicate ids are rejected. The written
-// document is returned (document stores report written rows, Table 3).
-func (db *DB) Insert(collection string, doc storage.Row) (storage.Row, error) {
+// Insert adds a document; duplicate ids are rejected. With returning,
+// the written document is returned (document stores report written
+// rows, Table 3); without, nothing is copied out.
+func (db *DB) Insert(collection string, doc storage.Row, returning bool) (storage.Row, error) {
 	var out storage.Row
 	var err error
 	db.gate.Write(func() {
@@ -107,14 +116,16 @@ func (db *DB) Insert(collection string, doc storage.Row) (storage.Row, error) {
 		}
 		stored := doc.Clone()
 		c[doc.ID] = stored
-		out = stored.Clone()
+		if returning {
+			out = stored.Clone()
+		}
 	})
 	return out, err
 }
 
-// Update merges fields into an existing document, in place, and returns
-// the result.
-func (db *DB) Update(collection, id string, fields map[string]any) (storage.Row, error) {
+// Update merges fields into an existing document, in place, and with
+// returning returns the result.
+func (db *DB) Update(collection, id string, fields map[string]any, returning bool) (storage.Row, error) {
 	var out storage.Row
 	var err error
 	db.gate.Write(func() {
@@ -133,7 +144,9 @@ func (db *DB) Update(collection, id string, fields map[string]any) (storage.Row,
 		for k, v := range fields {
 			doc.Cols[k] = storage.CloneValue(v)
 		}
-		out = doc.Clone()
+		if returning {
+			out = doc.Clone()
+		}
 	})
 	return out, err
 }
@@ -215,7 +228,8 @@ func (db *DB) Count(collection string, example map[string]any) (int, error) {
 }
 
 // ScanFrom streams documents with id >= start in id order until fn
-// returns false.
+// returns false. A document is copied out as fn gets it, and fn runs
+// outside the lock: one deleted in the meantime is skipped.
 func (db *DB) ScanFrom(collection, start string, fn func(storage.Row) bool) error {
 	db.gate.Read(func() {
 		db.mu.RLock()
@@ -226,14 +240,10 @@ func (db *DB) ScanFrom(collection, start string, fn func(storage.Row) bool) erro
 				ids = append(ids, id)
 			}
 		}
-		sort.Strings(ids)
-		docs := make([]storage.Row, len(ids))
-		for i, id := range ids {
-			docs[i] = c[id].Clone()
-		}
 		db.mu.RUnlock()
-		for _, doc := range docs {
-			if !fn(doc) {
+		sort.Strings(ids)
+		for _, id := range ids {
+			if doc, ok := db.copyOut(collection, id); ok && !fn(doc) {
 				return
 			}
 		}

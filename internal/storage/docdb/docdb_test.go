@@ -14,7 +14,7 @@ func doc(id string, cols map[string]any) storage.Row {
 
 func TestInsertGetDelete(t *testing.T) {
 	db := New(MongoDB)
-	ret, err := db.Insert("users", doc("u1", map[string]any{"name": "alice"}))
+	ret, err := db.Insert("users", doc("u1", map[string]any{"name": "alice"}), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestInsertGetDelete(t *testing.T) {
 	if err != nil || got.Cols["name"] != "alice" {
 		t.Fatalf("Get = %+v, %v", got, err)
 	}
-	if _, err := db.Insert("users", doc("u1", nil)); !errors.Is(err, storage.ErrExists) {
+	if _, err := db.Insert("users", doc("u1", nil), true); !errors.Is(err, storage.ErrExists) {
 		t.Errorf("duplicate insert = %v", err)
 	}
 	if err := db.Delete("users", "u1"); err != nil {
@@ -42,10 +42,10 @@ func TestInsertGetDelete(t *testing.T) {
 func TestSchemaless(t *testing.T) {
 	db := New(MongoDB)
 	// Different documents in the same collection can have different shapes.
-	if _, err := db.Insert("stuff", doc("a", map[string]any{"x": int64(1)})); err != nil {
+	if _, err := db.Insert("stuff", doc("a", map[string]any{"x": int64(1)}), true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Insert("stuff", doc("b", map[string]any{"nested": map[string]any{"k": "v"}, "tags": []any{"t1"}})); err != nil {
+	if _, err := db.Insert("stuff", doc("b", map[string]any{"nested": map[string]any{"k": "v"}, "tags": []any{"t1"}}), true); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := db.Get("stuff", "b")
@@ -56,17 +56,17 @@ func TestSchemaless(t *testing.T) {
 
 func TestUpdateMerges(t *testing.T) {
 	db := New(MongoDB)
-	if _, err := db.Insert("users", doc("u1", map[string]any{"name": "a", "age": int64(1)})); err != nil {
+	if _, err := db.Insert("users", doc("u1", map[string]any{"name": "a", "age": int64(1)}), true); err != nil {
 		t.Fatal(err)
 	}
-	ret, err := db.Update("users", "u1", map[string]any{"age": int64(2)})
+	ret, err := db.Update("users", "u1", map[string]any{"age": int64(2)}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ret.Cols["name"] != "a" || ret.Cols["age"] != int64(2) {
 		t.Errorf("update returned %+v", ret)
 	}
-	if _, err := db.Update("users", "missing", nil); !errors.Is(err, storage.ErrNotFound) {
+	if _, err := db.Update("users", "missing", nil, true); !errors.Is(err, storage.ErrNotFound) {
 		t.Errorf("update missing = %v", err)
 	}
 }
@@ -78,7 +78,7 @@ func TestFindByExample(t *testing.T) {
 			"group":   fmt.Sprintf("g%d", i%2),
 			"profile": map[string]any{"city": fmt.Sprintf("c%d", i%3)},
 			"tags":    []any{fmt.Sprintf("t%d", i), "common"},
-		})); err != nil {
+		}), true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,7 +117,7 @@ func TestFindByExample(t *testing.T) {
 func TestCount(t *testing.T) {
 	db := New(MongoDB)
 	for i := 0; i < 6; i++ {
-		_, _ = db.Insert("u", doc(fmt.Sprintf("u%d", i), map[string]any{"even": i%2 == 0}))
+		_, _ = db.Insert("u", doc(fmt.Sprintf("u%d", i), map[string]any{"even": i%2 == 0}), true)
 	}
 	n, _ := db.Count("u", map[string]any{"even": true})
 	if n != 3 {
@@ -128,7 +128,7 @@ func TestCount(t *testing.T) {
 func TestScanFromOrdered(t *testing.T) {
 	db := New(RethinkDB)
 	for i := 0; i < 10; i++ {
-		_, _ = db.Insert("c", doc(fmt.Sprintf("d%02d", i), map[string]any{"i": int64(i)}))
+		_, _ = db.Insert("c", doc(fmt.Sprintf("d%02d", i), map[string]any{"i": int64(i)}), true)
 	}
 	var ids []string
 	_ = db.ScanFrom("c", "d05", func(r storage.Row) bool {
@@ -142,8 +142,8 @@ func TestScanFromOrdered(t *testing.T) {
 
 func TestCollectionsAndLen(t *testing.T) {
 	db := New(MongoDB)
-	_, _ = db.Insert("b", doc("1", nil))
-	_, _ = db.Insert("a", doc("1", nil))
+	_, _ = db.Insert("b", doc("1", nil), true)
+	_, _ = db.Insert("a", doc("1", nil), true)
 	cols := db.Collections()
 	if len(cols) != 2 || cols[0] != "a" {
 		t.Errorf("Collections = %v", cols)
@@ -156,17 +156,17 @@ func TestCollectionsAndLen(t *testing.T) {
 func TestClosedRejectsWrites(t *testing.T) {
 	db := New(MongoDB)
 	db.Close()
-	if _, err := db.Insert("c", doc("1", nil)); !errors.Is(err, storage.ErrClosed) {
+	if _, err := db.Insert("c", doc("1", nil), true); !errors.Is(err, storage.ErrClosed) {
 		t.Errorf("insert after close = %v", err)
 	}
-	if _, err := db.Update("c", "1", nil); !errors.Is(err, storage.ErrClosed) {
+	if _, err := db.Update("c", "1", nil, true); !errors.Is(err, storage.ErrClosed) {
 		t.Errorf("update after close = %v", err)
 	}
 }
 
 func TestReturnedDocIsIsolated(t *testing.T) {
 	db := New(MongoDB)
-	ret, _ := db.Insert("c", doc("1", map[string]any{"tags": []any{"a"}}))
+	ret, _ := db.Insert("c", doc("1", map[string]any{"tags": []any{"a"}}), true)
 	ret.Cols["tags"].([]any)[0] = "mutated"
 	got, _ := db.Get("c", "1")
 	if got.Cols["tags"].([]any)[0] != "a" {
@@ -177,11 +177,11 @@ func TestReturnedDocIsIsolated(t *testing.T) {
 func TestDeleteRange(t *testing.T) {
 	db := New(MongoDB)
 	for _, id := range []string{"a1", "a2", "a3", "b1"} {
-		if _, err := db.Insert("c", storage.Row{ID: id, Cols: map[string]any{"k": "v"}}); err != nil {
+		if _, err := db.Insert("c", storage.Row{ID: id, Cols: map[string]any{"k": "v"}}, true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, _ = db.Insert("other", storage.Row{ID: "a2"})
+	_, _ = db.Insert("other", storage.Row{ID: "a2"}, true)
 	if n, err := db.DeleteRange("c", "a2", "b1"); n != 2 || err != nil {
 		t.Fatalf("DeleteRange = %d, %v; want 2, nil", n, err)
 	}

@@ -18,7 +18,7 @@ import (
 type node struct {
 	label string
 	props map[string]any
-	// out/in: relationship type -> neighbour id set
+	// out/in: relationship type -> neighbour id set, made by the first edge
 	out map[string]map[string]struct{}
 	in  map[string]map[string]struct{}
 }
@@ -53,12 +53,7 @@ func (db *DB) MergeNode(label, id string, props map[string]any) error {
 		}
 		n, ok := db.nodes[id]
 		if !ok {
-			n = &node{
-				label: label,
-				props: make(map[string]any),
-				out:   make(map[string]map[string]struct{}),
-				in:    make(map[string]map[string]struct{}),
-			}
+			n = &node{label: label, props: make(map[string]any, len(props))}
 			db.nodes[id] = n
 		}
 		n.label = label
@@ -86,20 +81,28 @@ func (db *DB) Node(id string) (string, map[string]any, error) {
 	var props map[string]any
 	err := storage.ErrNotFound
 	db.gate.Read(func() {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		n, ok := db.nodes[id]
-		if !ok {
-			return
+		var ok bool
+		if label, props, ok = db.copyOut(id); ok {
+			err = nil
 		}
-		label = n.label
-		props = make(map[string]any, len(n.props))
-		for k, v := range n.props {
-			props[k] = storage.CloneValue(v)
-		}
-		err = nil
 	})
 	return label, props, err
+}
+
+// copyOut is a node's label and a copy of its properties, under the read
+// lock, in a map with room for one more (ScanFrom's label).
+func (db *DB) copyOut(id string) (string, map[string]any, bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	n, ok := db.nodes[id]
+	if !ok {
+		return "", nil, false
+	}
+	props := make(map[string]any, len(n.props)+1)
+	for k, v := range n.props {
+		props[k] = storage.CloneValue(v)
+	}
+	return n.label, props, true
 }
 
 // DeleteNode removes a node and all its relationships (DETACH DELETE).
@@ -185,8 +188,8 @@ func (db *DB) Relate(from, rel, to string) error {
 			err = storage.ErrNotFound
 			return
 		}
-		addEdge(fn.out, rel, to)
-		addEdge(tn.in, rel, from)
+		addEdge(&fn.out, rel, to)
+		addEdge(&tn.in, rel, from)
 	})
 	return err
 }
@@ -228,11 +231,14 @@ func (db *DB) UnrelateBoth(a, rel, b string) error {
 	return db.Unrelate(b, rel, a)
 }
 
-func addEdge(adj map[string]map[string]struct{}, rel, id string) {
-	set := adj[rel]
+func addEdge(adj *map[string]map[string]struct{}, rel, id string) {
+	if *adj == nil {
+		*adj = make(map[string]map[string]struct{})
+	}
+	set := (*adj)[rel]
 	if set == nil {
 		set = make(map[string]struct{})
-		adj[rel] = set
+		(*adj)[rel] = set
 	}
 	set[id] = struct{}{}
 }
@@ -331,31 +337,29 @@ func (db *DB) Len() int {
 }
 
 // ScanFrom streams nodes with id >= start in id order as rows (props as
-// columns, label under "_label") until fn returns false.
+// columns, label under "_label") until fn returns false. A node is copied
+// out as fn gets it, and fn runs outside the lock: one deleted in the
+// meantime is skipped.
 func (db *DB) ScanFrom(start string, fn func(storage.Row) bool) error {
-	var rows []storage.Row
+	var ids []string
 	db.gate.Read(func() {
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		ids := make([]string, 0, len(db.nodes))
+		ids = make([]string, 0, len(db.nodes))
 		for id := range db.nodes {
 			if id >= start {
 				ids = append(ids, id)
 			}
 		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			n := db.nodes[id]
-			row := storage.Row{ID: id, Cols: make(map[string]any, len(n.props)+1)}
-			for k, v := range n.props {
-				row.Cols[k] = storage.CloneValue(v)
-			}
-			row.Cols["_label"] = n.label
-			rows = append(rows, row)
-		}
 	})
-	for _, row := range rows {
-		if !fn(row) {
+	sort.Strings(ids)
+	for _, id := range ids {
+		label, props, ok := db.copyOut(id)
+		if !ok {
+			continue
+		}
+		props["_label"] = label
+		if !fn(storage.Row{ID: id, Cols: props}) {
 			break
 		}
 	}

@@ -33,11 +33,11 @@ func engines(t *testing.T) []engine {
 		{
 			name: "reldb",
 			insert: func(id string, cols map[string]any) error {
-				_, err := rel.Insert("t", storage.Row{ID: id, Cols: cols})
+				_, err := rel.Insert("t", storage.Row{ID: id, Cols: cols}, true)
 				return err
 			},
 			merge: func(id string, cols map[string]any) error {
-				_, err := rel.Update("t", id, cols)
+				_, err := rel.Update("t", id, cols, true)
 				return err
 			},
 			get:  func(id string) (storage.Row, error) { return rel.Get("t", id) },
@@ -46,11 +46,11 @@ func engines(t *testing.T) []engine {
 		{
 			name: "docdb",
 			insert: func(id string, cols map[string]any) error {
-				_, err := doc.Insert("t", storage.Row{ID: id, Cols: cols})
+				_, err := doc.Insert("t", storage.Row{ID: id, Cols: cols}, true)
 				return err
 			},
 			merge: func(id string, cols map[string]any) error {
-				_, err := doc.Update("t", id, cols)
+				_, err := doc.Update("t", id, cols, true)
 				return err
 			},
 			get:  func(id string) (storage.Row, error) { return doc.Get("t", id) },

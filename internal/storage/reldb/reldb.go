@@ -245,11 +245,12 @@ func (db *DB) Exists(tableName, id string) (bool, error) {
 	return found, err
 }
 
-// Insert adds a new row. Duplicate primary keys are rejected. When the
-// flavor supports RETURNING, the written row is returned; otherwise the
-// returned row is zero and callers must issue a separate Get (the
-// adapters do this, reproducing the paper's MySQL intercept protocol).
-func (db *DB) Insert(tableName string, row storage.Row) (storage.Row, error) {
+// Insert adds a new row. Duplicate primary keys are rejected. With
+// returning, when the flavor supports RETURNING, the written row is
+// returned; otherwise the returned row is zero, and a caller that reads
+// it issues a separate Get (the adapters do this, reproducing the
+// paper's MySQL intercept protocol).
+func (db *DB) Insert(tableName string, row storage.Row, returning bool) (storage.Row, error) {
 	var out storage.Row
 	var err error
 	key := storage.LockKey{Table: tableName, ID: row.ID}
@@ -259,7 +260,7 @@ func (db *DB) Insert(tableName string, row storage.Row) (storage.Row, error) {
 	db.gate.Write(func() {
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		if err = db.insertLocked(tableName, stored); err == nil && db.flavor.Returning {
+		if err = db.insertLocked(tableName, stored); err == nil && returning && db.flavor.Returning {
 			out = stored.Clone()
 		}
 	})
@@ -287,9 +288,9 @@ func (db *DB) insertLocked(tableName string, row storage.Row) error {
 	return nil
 }
 
-// Update merges the given columns into an existing row, returning the
-// full written row when the flavor supports RETURNING.
-func (db *DB) Update(tableName, id string, cols map[string]any) (storage.Row, error) {
+// Update merges the given columns into an existing row. With returning,
+// it returns the full written row when the flavor supports RETURNING.
+func (db *DB) Update(tableName, id string, cols map[string]any, returning bool) (storage.Row, error) {
 	var out storage.Row
 	var err error
 	key := storage.LockKey{Table: tableName, ID: id}
@@ -299,7 +300,7 @@ func (db *DB) Update(tableName, id string, cols map[string]any) (storage.Row, er
 		db.mu.Lock()
 		defer db.mu.Unlock()
 		var stored storage.Row
-		if stored, err = db.updateLocked(tableName, id, cols); err == nil && db.flavor.Returning {
+		if stored, err = db.updateLocked(tableName, id, cols); err == nil && returning && db.flavor.Returning {
 			out = stored.Clone()
 		}
 	})

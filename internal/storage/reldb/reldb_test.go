@@ -28,7 +28,7 @@ func row(id string, cols map[string]any) storage.Row {
 
 func TestInsertGet(t *testing.T) {
 	db := newUserDB(t, Postgres)
-	ret, err := db.Insert("users", row("u1", map[string]any{"name": "alice", "age": int64(30)}))
+	ret, err := db.Insert("users", row("u1", map[string]any{"name": "alice", "age": int64(30)}), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestInsertGet(t *testing.T) {
 
 func TestMySQLNoReturning(t *testing.T) {
 	db := newUserDB(t, MySQL)
-	ret, err := db.Insert("users", row("u1", map[string]any{"name": "alice"}))
+	ret, err := db.Insert("users", row("u1", map[string]any{"name": "alice"}), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestMySQLNoReturning(t *testing.T) {
 func TestInsertDuplicate(t *testing.T) {
 	db := newUserDB(t, Postgres)
 	mustInsert(t, db, "u1", map[string]any{"name": "a"})
-	_, err := db.Insert("users", row("u1", map[string]any{"name": "b"}))
+	_, err := db.Insert("users", row("u1", map[string]any{"name": "b"}), true)
 	if !errors.Is(err, storage.ErrExists) {
 		t.Fatalf("duplicate insert error = %v", err)
 	}
@@ -70,14 +70,14 @@ func TestInsertDuplicate(t *testing.T) {
 
 func mustInsert(t *testing.T, db *DB, id string, cols map[string]any) {
 	t.Helper()
-	if _, err := db.Insert("users", row(id, cols)); err != nil {
+	if _, err := db.Insert("users", row(id, cols), true); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestUnknownColumnRejected(t *testing.T) {
 	db := newUserDB(t, Postgres)
-	_, err := db.Insert("users", row("u1", map[string]any{"nope": 1}))
+	_, err := db.Insert("users", row("u1", map[string]any{"nope": 1}), true)
 	if err == nil {
 		t.Fatal("insert with unknown column succeeded")
 	}
@@ -86,14 +86,14 @@ func TestUnknownColumnRejected(t *testing.T) {
 func TestUpdate(t *testing.T) {
 	db := newUserDB(t, Postgres)
 	mustInsert(t, db, "u1", map[string]any{"name": "alice", "age": int64(30)})
-	ret, err := db.Update("users", "u1", map[string]any{"age": int64(31)})
+	ret, err := db.Update("users", "u1", map[string]any{"age": int64(31)}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ret.Cols["age"] != int64(31) || ret.Cols["name"] != "alice" {
 		t.Errorf("update RETURNING = %+v", ret)
 	}
-	if _, err := db.Update("users", "missing", map[string]any{"age": int64(1)}); !errors.Is(err, storage.ErrNotFound) {
+	if _, err := db.Update("users", "missing", map[string]any{"age": int64(1)}, true); !errors.Is(err, storage.ErrNotFound) {
 		t.Errorf("update missing = %v", err)
 	}
 }
@@ -147,7 +147,7 @@ func TestSelectWithIndex(t *testing.T) {
 func TestIndexMaintainedAcrossUpdateDelete(t *testing.T) {
 	db := newUserDB(t, Postgres)
 	mustInsert(t, db, "u1", map[string]any{"email": "old@example.com"})
-	if _, err := db.Update("users", "u1", map[string]any{"email": "new@example.com"}); err != nil {
+	if _, err := db.Update("users", "u1", map[string]any{"email": "new@example.com"}, true); err != nil {
 		t.Fatal(err)
 	}
 	rows, _ := db.Select("users", storage.Predicate{Field: "email", Op: storage.Eq, Value: "old@example.com"})
@@ -190,7 +190,7 @@ func TestSchemaMigrationColumns(t *testing.T) {
 	if err := db.AddColumn("users", Column{Name: "bio"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Update("users", "u1", map[string]any{"bio": "hello"}); err != nil {
+	if _, err := db.Update("users", "u1", map[string]any{"bio": "hello"}, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.DropColumn("users", "bio"); err != nil {
@@ -200,7 +200,7 @@ func TestSchemaMigrationColumns(t *testing.T) {
 	if _, ok := got.Cols["bio"]; ok {
 		t.Error("dropped column survived on row")
 	}
-	if _, err := db.Update("users", "u1", map[string]any{"bio": "x"}); err == nil {
+	if _, err := db.Update("users", "u1", map[string]any{"bio": "x"}, true); err == nil {
 		t.Error("write to dropped column succeeded")
 	}
 }
@@ -296,7 +296,7 @@ func TestTxAbortAfterPrepareReleasesLocks(t *testing.T) {
 		t.Error("abort applied changes")
 	}
 	// Lock must be free: a direct write should not block.
-	if _, err := db.Update("users", "u1", map[string]any{"name": "c"}); err != nil {
+	if _, err := db.Update("users", "u1", map[string]any{"name": "c"}, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -418,7 +418,7 @@ func TestConcurrentTxIncrementsUnderLock(t *testing.T) {
 func TestClosedDBRejectsWrites(t *testing.T) {
 	db := newUserDB(t, Postgres)
 	db.Close()
-	if _, err := db.Insert("users", row("u1", nil)); !errors.Is(err, storage.ErrClosed) {
+	if _, err := db.Insert("users", row("u1", nil), true); !errors.Is(err, storage.ErrClosed) {
 		t.Errorf("insert after close = %v", err)
 	}
 }
@@ -459,7 +459,7 @@ func TestCount(t *testing.T) {
 func TestDeleteRange(t *testing.T) {
 	db := newUserDB(t, Postgres)
 	for i := 0; i < 6; i++ {
-		if _, err := db.Insert("users", row(fmt.Sprintf("u%d", i), map[string]any{"email": "x@example.com"})); err != nil {
+		if _, err := db.Insert("users", row(fmt.Sprintf("u%d", i), map[string]any{"email": "x@example.com"}), true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -523,7 +523,7 @@ func TestStoredRowsAreIsolated(t *testing.T) {
 	}
 
 	in := fresh("i1")
-	out, err := db.Insert("t", in)
+	out, err := db.Insert("t", in, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestStoredRowsAreIsolated(t *testing.T) {
 	check("Insert", "i1", "a")
 
 	cols := map[string]any{"tags": []any{"b"}}
-	out, err = db.Update("t", "i1", cols)
+	out, err = db.Update("t", "i1", cols, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,8 +606,8 @@ func TestInsertPreparedIsBare(t *testing.T) {
 // TestTxAllocBudget pins a publish's transaction on a warm table: Begin,
 // a staged update, Prepare, the journal row, Commit. What it allocates
 // is what outlives it — the transaction, the copy of the updated row
-// Commit hands back, the stored journal row's slot — and no lock, key
-// or list of its own.
+// Commit hands back, the stored copy of the journal row and its slot —
+// and no lock, key or list of its own.
 func TestTxAllocBudget(t *testing.T) {
 	db := newUserDB(t, Postgres)
 	mustInsert(t, db, "u1", map[string]any{"name": "a", "age": int64(1)})
@@ -633,10 +633,11 @@ func TestTxAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// 4 measured: the transaction, the copy of the updated row (its map
-	// and a group), and the stored journal row boxed into the row tree.
-	if allocs > 5 {
-		t.Errorf("Begin → Update → Prepare → InsertPrepared → Commit = %v allocs, want <= 5", allocs)
+	// 6 measured: the transaction, the copy of the updated row (its map
+	// and a group), the copy of the journal row (the same two), and that
+	// copy boxed into the row tree.
+	if allocs > 7 {
+		t.Errorf("Begin → Update → Prepare → InsertPrepared → Commit = %v allocs, want <= 7", allocs)
 	}
 	if db.rowLocks.Held() != 0 {
 		t.Errorf("%d row locks left held", db.rowLocks.Held())

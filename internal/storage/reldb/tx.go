@@ -34,7 +34,7 @@ type txOp struct {
 	kind  opKind
 	table string
 	id    string
-	row   storage.Row    // insert; owned by the transaction
+	row   storage.Row    // insert; the transaction's own copy
 	cols  map[string]any // update; borrowed from the caller until Commit
 	bare  bool           // Commit reports only the id (InsertPrepared)
 }
@@ -159,9 +159,9 @@ func (tx *Tx) existsBefore(i int) (bool, error) {
 // when the version-store counters have been bumped. To preserve the
 // after-Prepare guarantee that Commit cannot fail, the row is validated
 // here: its lock is acquired and the insert is rejected if the row
-// already exists. The row is CONSUMED — the transaction stores it as is,
-// so the caller must not touch it afterwards — and Commit reports only
-// its id: the caller built the row and needs no copy of it back.
+// already exists. Like Insert, it stages a copy of the row, so the caller
+// keeps its own; Commit reports only the id: the caller built the row and
+// needs no copy of it back.
 func (tx *Tx) InsertPrepared(table string, row storage.Row) error {
 	if tx.state != txPrepared {
 		return storage.ErrTxClosed
@@ -177,7 +177,7 @@ func (tx *Tx) InsertPrepared(table string, row storage.Row) error {
 		return err
 	}
 	tx.held = append(tx.held, key)
-	tx.ops = append(tx.ops, txOp{kind: opInsert, table: table, id: row.ID, row: row, bare: true})
+	tx.ops = append(tx.ops, txOp{kind: opInsert, table: table, id: row.ID, row: row.Clone(), bare: true})
 	return nil
 }
 
@@ -202,9 +202,8 @@ func (tx *Tx) Commit() ([]storage.Row, error) {
 		for _, op := range tx.ops {
 			switch op.kind {
 			case opInsert:
-				// op.row is the transaction's own copy (or a consumed
-				// row): the engine adopts it, and the copy out is the
-				// only one made here.
+				// op.row is the transaction's own copy: the engine adopts
+				// it, and the copy out is the only one made here.
 				if err := tx.db.insertLocked(op.table, op.row); err != nil {
 					applyErr = err
 					return

@@ -10,6 +10,7 @@ package searchdb
 import (
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"unicode"
@@ -23,10 +24,9 @@ type Analyzer func(string) []string
 // SimpleAnalyzer lowercases and splits on non-alphanumeric runs — the
 // "simple" analyzer the paper's Fig 4 subscriber requests.
 func SimpleAnalyzer(s string) []string {
-	fields := strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
+	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 	})
-	return fields
 }
 
 // KeywordAnalyzer indexes the whole value as a single token.
@@ -142,42 +142,16 @@ func flatten(v any) string {
 		}
 		return "false"
 	case int64:
-		return intToString(t)
+		return strconv.FormatInt(t, 10)
 	case float64:
-		return floatToString(t)
+		if t == float64(int64(t)) {
+			return strconv.FormatInt(int64(t), 10)
+		}
+		// Searchable floats beyond integers are not needed by the
+		// workloads; a coarse representation suffices.
+		return strconv.FormatInt(int64(t*1000), 10) + "e-3"
 	}
 	return ""
-}
-
-func intToString(v int64) string {
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [24]byte
-	i := len(buf)
-	for {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
-func floatToString(v float64) string {
-	if v == float64(int64(v)) {
-		return intToString(int64(v))
-	}
-	// Searchable floats beyond integers are not needed by the workloads;
-	// a coarse representation suffices.
-	return intToString(int64(v*1000)) + "e-3"
 }
 
 func (ix *index) post(id, field, tok string) {
@@ -301,16 +275,23 @@ func (db *DB) Get(indexName, id string) (storage.Row, error) {
 	var row storage.Row
 	err := storage.ErrNotFound
 	db.gate.Read(func() {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		if ix, ok := db.indexes[indexName]; ok {
-			if doc, ok := ix.docs[id]; ok {
-				row = doc.Clone()
-				err = nil
-			}
+		if doc, ok := db.copyOut(indexName, id); ok {
+			row, err = doc, nil
 		}
 	})
 	return row, err
+}
+
+// copyOut is one document's copy out, under the read lock.
+func (db *DB) copyOut(indexName, id string) (storage.Row, bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if ix, ok := db.indexes[indexName]; ok {
+		if doc, ok := ix.docs[id]; ok {
+			return doc.Clone(), true
+		}
+	}
+	return storage.Row{}, false
 }
 
 // Delete removes a document by id.
@@ -528,29 +509,25 @@ func (db *DB) Aggregate(indexName, field string, q Query) ([]Bucket, error) {
 }
 
 // ScanFrom streams documents with id >= start in id order until fn
-// returns false.
+// returns false. A document is copied out as fn gets it, and fn runs
+// outside the lock: one deleted in the meantime is skipped.
 func (db *DB) ScanFrom(indexName, start string, fn func(storage.Row) bool) error {
-	var docs []storage.Row
+	var ids []string
 	db.gate.Read(func() {
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		ix, ok := db.indexes[indexName]
-		if !ok {
-			return
-		}
-		ids := make([]string, 0, len(ix.docs))
-		for id := range ix.docs {
-			if id >= start {
-				ids = append(ids, id)
+		if ix, ok := db.indexes[indexName]; ok {
+			ids = make([]string, 0, len(ix.docs))
+			for id := range ix.docs {
+				if id >= start {
+					ids = append(ids, id)
+				}
 			}
 		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			docs = append(docs, ix.docs[id].Clone())
-		}
 	})
-	for _, doc := range docs {
-		if !fn(doc) {
+	sort.Strings(ids)
+	for _, id := range ids {
+		if doc, ok := db.copyOut(indexName, id); ok && !fn(doc) {
 			break
 		}
 	}

@@ -22,13 +22,20 @@
 //     value into the stored row in place — safe, because every reader
 //     copies out under the engine's read lock.
 //   - Out: an engine copies a row exactly once for a caller that gets to
-//     read it — a point read, each row of a scan, the row a write query
-//     returns — and the caller owns that copy outright.
+//     read it — a point read, each row of a scan as it is handed over
+//     (not the rows past where the caller stops), the row a write query
+//     returns when its caller asks for it (returning) — and the caller
+//     owns that copy outright.
 //   - A call that hands no row back copies nothing out: the existence
-//     probe (Exists), and a write whose query returns no row.
+//     probe (Exists), and a write whose caller does not ask for the row
+//     or whose query cannot return one.
 package storage
 
-import "errors"
+import (
+	"cmp"
+	"errors"
+	"strings"
+)
 
 // Errors shared by all engines.
 var (
@@ -106,9 +113,9 @@ func (p Predicate) Match(r Row) bool {
 	}
 	switch p.Op {
 	case Eq:
-		return scalarEqual(v, p.Value)
+		return DeepEqual(v, p.Value)
 	case Ne:
-		return !scalarEqual(v, p.Value)
+		return !DeepEqual(v, p.Value)
 	case Lt, Le, Gt, Ge:
 		c, ok := compare(v, p.Value)
 		if !ok {
@@ -128,14 +135,14 @@ func (p Predicate) Match(r Row) bool {
 		switch hay := v.(type) {
 		case []any:
 			for _, e := range hay {
-				if scalarEqual(e, p.Value) {
+				if DeepEqual(e, p.Value) {
 					return true
 				}
 			}
 			return false
 		case string:
 			needle, ok := p.Value.(string)
-			return ok && containsString(hay, needle)
+			return ok && strings.Contains(hay, needle)
 		}
 		return false
 	}
@@ -152,19 +159,9 @@ func MatchAll(r Row, preds []Predicate) bool {
 	return true
 }
 
-func containsString(hay, needle string) bool {
-	if len(needle) == 0 {
-		return true
-	}
-	for i := 0; i+len(needle) <= len(hay); i++ {
-		if hay[i:i+len(needle)] == needle {
-			return true
-		}
-	}
-	return false
-}
-
-func scalarEqual(a, b any) bool {
+// DeepEqual compares two engine values over the JSON-safe value set,
+// treating int64 and float64 representing the same number as equal.
+func DeepEqual(a, b any) bool {
 	af, aok := toFloat(a)
 	bf, bok := toFloat(b)
 	if aok && bok {
@@ -177,7 +174,7 @@ func scalarEqual(a, b any) bool {
 			return false
 		}
 		for i := range av {
-			if !scalarEqual(av[i], bv[i]) {
+			if !DeepEqual(av[i], bv[i]) {
 				return false
 			}
 		}
@@ -189,7 +186,7 @@ func scalarEqual(a, b any) bool {
 		}
 		for k, v := range av {
 			ov, ok := bv[k]
-			if !ok || !scalarEqual(v, ov) {
+			if !ok || !DeepEqual(v, ov) {
 				return false
 			}
 		}
@@ -202,39 +199,16 @@ func scalarEqual(a, b any) bool {
 	return a == b
 }
 
-// DeepEqual compares two engine values over the JSON-safe value set,
-// treating int64 and float64 representing the same number as equal.
-func DeepEqual(a, b any) bool { return scalarEqual(a, b) }
-
+// compare orders two numbers or two strings; ok is false for any other
+// pair.
 func compare(a, b any) (int, bool) {
 	if af, ok := toFloat(a); ok {
 		bf, ok := toFloat(b)
-		if !ok {
-			return 0, false
-		}
-		switch {
-		case af < bf:
-			return -1, true
-		case af > bf:
-			return 1, true
-		}
-		return 0, true
+		return cmp.Compare(af, bf), ok
 	}
-	as, ok := a.(string)
-	if !ok {
-		return 0, false
-	}
-	bs, ok := b.(string)
-	if !ok {
-		return 0, false
-	}
-	switch {
-	case as < bs:
-		return -1, true
-	case as > bs:
-		return 1, true
-	}
-	return 0, true
+	as, aok := a.(string)
+	bs, bok := b.(string)
+	return cmp.Compare(as, bs), aok && bok
 }
 
 func toFloat(v any) (float64, bool) {

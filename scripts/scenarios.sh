@@ -148,26 +148,28 @@ scenario_liveness() {
 # guards it is schedules as well as states — the crash windows, the
 # seeded crash/restart property, the overload ladder's defer/shed/drain
 # paths, the outbox, truncation and restart tests, the publication state
-# table and the failed-write gap test, twenty times under the race
-# detector; then the workload that journals every publish, which exits
-# non-zero on any failed operation or oracle mismatch.
+# table, the failed-write gap test and the entry rows' own payloads,
+# twenty times under the race detector; then the workload that journals
+# every publish, which exits non-zero on any failed operation or oracle
+# mismatch.
 scenario_journal() {
     gotest -race -count=20 \
-        -run 'TestCrash|TestPublish|TestDrain|TestOutbox|TestJournal|TestLiveDrain|TestRestart|TestInherited|TestAbortedPublish|TestPublicationStateTable|TestFailedWriteLeavesNoGap' \
+        -run 'TestCrash|TestPublish|TestDrain|TestOutbox|TestJournal|TestLiveDrain|TestRestart|TestInherited|TestAbortedPublish|TestPublicationStateTable|TestFailedWriteLeavesNoGap|TestEntryRowsOwnTheirPayload' \
         ./internal/core/ &&
         bash benchmark/run.sh --workload social_causal --seconds 5
 }
 
 # Persistence: one ORM skeleton over five bindings, and one
-# row-ownership rule for five engines. The Save allocation budgets (which
-# only run without the race detector, so they come first), the
+# row-ownership rule for five engines. The allocation budgets of Save and
+# of an Each that stops early (which only run without the race detector,
+# so they come first), the
 # conformance suite and the engine isolation table five times under the
 # race detector, and the coldb and searchdb model tests, coldb's readers
 # beside its flushes and its bounded-state test twenty times; then the
 # workload that applies every message through all five adapters.
 scenario_orm() {
     go vet ./internal/orm/... ./internal/storage/... &&
-        gotest -run 'TestConformance.*/SaveAllocBudget' ./internal/orm/activerecord ./internal/orm/columnorm \
+        gotest -run 'TestConformance.*/(SaveAllocBudget|EachStopsEarly)' ./internal/orm/activerecord ./internal/orm/columnorm \
             ./internal/orm/documentorm ./internal/orm/graphorm ./internal/orm/searchorm &&
         go test -race -count=5 ./internal/orm/... ./internal/storage/... &&
         gotest -race -count=20 -run 'TestModelAgainst|TestReadersDuringFlushes|TestStateBounded' \
