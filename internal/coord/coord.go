@@ -175,14 +175,3 @@ func (c *Coordinator) Release(name, owner string) {
 		l.expires = time.Time{}
 	}
 }
-
-// LeaseHolder reports the current unexpired holder and its epoch.
-func (c *Coordinator) LeaseHolder(name string) (owner string, epoch uint64, held bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	l := c.leases[name]
-	if l == nil || l.owner == "" || c.now().After(l.expires) {
-		return "", 0, false
-	}
-	return l.owner, l.epoch, true
-}

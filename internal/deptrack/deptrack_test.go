@@ -200,7 +200,7 @@ func TestExportVersionsCrossStore(t *testing.T) {
 			subStore := newStore(t, 0)
 			sub, _ := New(subPolicy, subStore, false)
 			for tok, c := range exported {
-				if err := subStore.SetOps(sub.Resolve(tok), c.Ops); err != nil {
+				if err := subStore.SetOpsMulti(map[vstore.Key]uint64{sub.Resolve(tok): c.Ops}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -42,8 +42,9 @@ func (b binding) Update(fam string, row storage.Row, _ bool) (storage.Row, error
 	return b.Insert(fam, row, false)
 }
 
-func (b binding) Delete(fam, id string) error {
-	return b.Apply(coldb.Mutation{Family: fam, ID: id, Delete: true})
+// Delete writes a tombstone, which returns nothing.
+func (b binding) Delete(fam, id string) (storage.Row, error) {
+	return storage.Row{}, b.Apply(coldb.Mutation{Family: fam, ID: id, Delete: true})
 }
 
 var _ orm.Mapper = (*Mapper)(nil)

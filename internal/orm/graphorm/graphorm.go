@@ -68,7 +68,10 @@ func (b binding) Update(label string, row storage.Row, _ bool) (storage.Row, err
 	return b.Insert(label, row, false)
 }
 
-func (b binding) Delete(label, id string) error { return b.db.DeleteNode(nodeID(label, id)) }
+func (b binding) Delete(label, id string) (storage.Row, error) {
+	props, err := b.db.DeleteNode(nodeID(label, id))
+	return storage.Row{ID: id, Cols: props}, err
+}
 
 func (b binding) DeleteRange(label, from, to string) (int, error) {
 	return b.db.DeleteNodeRange(nodeID(label, from), nodeID(label, to))

@@ -12,9 +12,9 @@ import (
 // Binding is what an engine offers the skeleton: its row-level calls, in
 // storage.Row terms, the adapter's native format (mutations, node ids,
 // analyzed fields) behind them. Rows cross it under package storage's
-// row-ownership rule: the engine copies what it is given and hands out
-// copies only to a caller that reads them, so neither side of a Binding
-// ever clones.
+// row-ownership rule: the engine copies what it is given, hands out
+// copies only to a caller that reads them and hands over the row a delete
+// removes, so neither side of a Binding ever clones.
 type Binding interface {
 	// Get returns a copy of the row, or storage.ErrNotFound.
 	Get(table, id string) (storage.Row, error)
@@ -27,8 +27,11 @@ type Binding interface {
 	Insert(table string, row storage.Row, returning bool) (storage.Row, error)
 	Update(table string, row storage.Row, returning bool) (storage.Row, error)
 	// Delete removes the row, or reports storage.ErrNotFound — except
-	// where Traits.Written is WrittenNothing, which cannot tell.
-	Delete(table, id string) error
+	// where Traits.Written is WrittenNothing, which cannot tell. Where
+	// Traits.Written is WrittenRow it returns the row it removed (DELETE
+	// ... RETURNING *, findOneAndDelete), handed over rather than copied:
+	// the engine no longer holds it. Otherwise it returns a zero row.
+	Delete(table, id string) (storage.Row, error)
 	// DeleteRange removes the rows with from <= id < to in one
 	// statement and reports how many went.
 	DeleteRange(table, from, to string) (int, error)
@@ -129,24 +132,51 @@ func (r *Registry) SetHost(h Host) {
 // Stats exposes the adapter's query counters.
 func (r *Registry) Stats() *Stats { return &r.stats }
 
-// op is one mapper operation: its table, and the callback context both
-// of its hooks run in, taken from ctxPool when a hook first has a
-// callback to run and given back by done — a CallbackCtx is valid for
-// the duration of the callback.
+// op is one mapper operation: its table, and the scratch its callbacks
+// run in, taken from scratchPool when a hook first has a callback to run
+// and given back by done — a CallbackCtx, and a record the operation
+// made for its callbacks, are valid for the duration of the callback.
 type op struct {
 	table
 	host Host
-	ctx  *model.CallbackCtx
+	sc   *callbackScratch
 }
 
-var ctxPool = sync.Pool{New: func() any { return new(model.CallbackCtx) }}
+// callbackScratch is what an operation's callbacks need and nothing
+// keeps: their context, and the record a destroy shows them.
+type callbackScratch struct {
+	ctx model.CallbackCtx
+	rec model.Record
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(callbackScratch) }}
 
 // done ends the operation.
 func (o *op) done() {
-	if o.ctx != nil {
-		*o.ctx = model.CallbackCtx{}
-		ctxPool.Put(o.ctx)
+	if o.sc != nil {
+		*o.sc = callbackScratch{}
+		scratchPool.Put(o.sc)
 	}
+}
+
+// scratch is the operation's callback scratch, taken on first use.
+func (o *op) scratch() *callbackScratch {
+	if o.sc == nil {
+		o.sc = scratchPool.Get().(*callbackScratch)
+		if o.host != nil {
+			o.sc.ctx.Bootstrapping = o.host.Bootstrapping()
+			o.sc.ctx.Env = o.host.Env()
+		}
+	}
+	return o.sc
+}
+
+// record is the operation's scratch record of a row it owns: one the
+// engine copied out or handed over.
+func (o *op) record(id string, cols map[string]any) *model.Record {
+	rec := &o.scratch().rec
+	*rec = model.Record{Model: o.desc.Name, ID: id, Attrs: cols}
+	return rec
 }
 
 func (r *Registry) op(modelName string) (op, error) {
@@ -174,15 +204,9 @@ func (o *op) run(h model.Hook, rec *model.Record) error {
 	if o.desc.Callbacks.Count(h) == 0 {
 		return nil
 	}
-	if o.ctx == nil {
-		o.ctx = ctxPool.Get().(*model.CallbackCtx)
-		if o.host != nil {
-			o.ctx.Bootstrapping = o.host.Bootstrapping()
-			o.ctx.Env = o.host.Env()
-		}
-	}
-	o.ctx.Record = rec
-	return o.desc.Callbacks.Run(h, o.ctx)
+	sc := o.scratch()
+	sc.ctx.Record = rec
+	return o.desc.Callbacks.Run(h, &sc.ctx)
 }
 
 // RunCallbacks dispatches a hook for the record in the host's context.
@@ -326,25 +350,30 @@ func (r *Registry) Save(rec *model.Record) error {
 	return o.run(model.AfterCreate, rec)
 }
 
-// Delete removes an object. Only a destroy callback reads the object, so
-// only a model with one loads its last state first; otherwise an engine
-// whose delete cannot tell a missing row probes for it, and the others
-// just delete.
+// Delete removes an object. Only a destroy callback reads the object.
+// A before-destroy callback, or an after-destroy one over an engine whose
+// delete does not return the row, has it loaded first, and a failed load
+// ends the delete with no callback run. An after-destroy callback alone
+// gets the row the delete hands over. Without a callback, an engine whose
+// delete cannot tell a missing row probes for it, and the others just
+// delete. The record a callback gets is the operation's scratch.
 func (r *Registry) Delete(modelName, id string) error {
 	o, err := r.op(modelName)
 	if err != nil {
 		return err
 	}
 	defer o.done()
+	before := o.desc.Callbacks.Count(model.BeforeDestroy) > 0
+	after := o.desc.Callbacks.Count(model.AfterDestroy) > 0
 	var rec *model.Record
 	switch {
-	case o.desc.Callbacks.Count(model.BeforeDestroy)+o.desc.Callbacks.Count(model.AfterDestroy) > 0:
+	case before || after && r.traits.Written != WrittenRow:
 		r.stats.Reads.Add(1)
 		row, err := r.b.Get(o.name, id)
-		if err != nil && r.traits.Written == WrittenNothing {
-			return err // the tombstone would not say
+		if err != nil {
+			return err
 		}
-		rec = Adopt(modelName, storage.Row{ID: id, Cols: row.Cols}) // bare, if it could not be loaded
+		rec = o.record(id, row.Cols)
 	case r.traits.Written == WrittenNothing:
 		r.stats.Reads.Add(1)
 		if exists, err := r.b.Exists(o.name, id); err != nil || !exists {
@@ -355,8 +384,12 @@ func (r *Registry) Delete(modelName, id string) error {
 		return err
 	}
 	r.stats.Writes.Add(1)
-	if err := r.b.Delete(o.name, id); err != nil {
+	row, err := r.b.Delete(o.name, id)
+	if err != nil {
 		return err
+	}
+	if rec == nil && after {
+		rec = o.record(id, row.Cols)
 	}
 	return o.run(model.AfterDestroy, rec)
 }

@@ -183,12 +183,16 @@ func (b *memBinding) Update(_ string, row storage.Row, returning bool) (storage.
 	return b.write(row, true, returning)
 }
 
-func (b *memBinding) Delete(_, id string) error {
-	if _, ok := b.rows[id]; !ok && b.strict {
-		return storage.ErrNotFound
+func (b *memBinding) Delete(_, id string) (storage.Row, error) {
+	row, ok := b.rows[id]
+	if !ok && b.strict {
+		return storage.Row{}, storage.ErrNotFound
 	}
 	delete(b.rows, id)
-	return nil
+	if !b.returning {
+		row = storage.Row{}
+	}
+	return row, nil
 }
 
 func (b *memBinding) DeleteRange(_, from, to string) (int, error) { return 0, nil }

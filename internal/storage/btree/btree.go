@@ -262,13 +262,3 @@ func (n *node) ascend(start string, bounded bool, fn func(string, any) bool) boo
 	}
 	return true
 }
-
-// Keys returns all keys in order (test helper / snapshots).
-func (t *Tree) Keys() []string {
-	out := make([]string, 0, t.size)
-	t.Ascend(func(k string, _ any) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
-}

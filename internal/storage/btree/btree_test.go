@@ -48,9 +48,8 @@ func TestManyKeysOrdered(t *testing.T) {
 	if tr.Len() != n {
 		t.Fatalf("Len() = %d, want %d", tr.Len(), n)
 	}
-	keys := tr.Keys()
-	if !sort.StringsAreSorted(keys) {
-		t.Fatal("Keys() not sorted")
+	if !sort.StringsAreSorted(keys(tr)) {
+		t.Fatal("keys not in order")
 	}
 	for i := 0; i < n; i++ {
 		v, ok := tr.Get(fmt.Sprintf("key-%06d", i))
@@ -169,7 +168,7 @@ func TestQuickAgainstMap(t *testing.T) {
 			want = append(want, k)
 		}
 		sort.Strings(want)
-		got := tr.Keys()
+		got := keys(tr)
 		if len(got) != len(want) {
 			return false
 		}
@@ -211,4 +210,14 @@ func BenchmarkGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.Get(fmt.Sprintf("key-%09d", i%n))
 	}
+}
+
+// keys returns all of t's keys in order.
+func keys(t *Tree) []string {
+	var out []string
+	t.Ascend(func(k string, _ any) bool {
+		out = append(out, k)
+		return true
+	})
+	return out
 }

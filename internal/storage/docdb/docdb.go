@@ -151,8 +151,10 @@ func (db *DB) Update(collection, id string, fields map[string]any, returning boo
 	return out, err
 }
 
-// Delete removes a document.
-func (db *DB) Delete(collection, id string) error {
+// Delete removes a document and returns it (findOneAndDelete): the
+// engine no longer holds it, so it is handed over, not copied.
+func (db *DB) Delete(collection, id string) (storage.Row, error) {
+	var doc storage.Row
 	err := storage.ErrNotFound
 	db.gate.Write(func() {
 		db.mu.Lock()
@@ -162,12 +164,13 @@ func (db *DB) Delete(collection, id string) error {
 			return
 		}
 		c := db.collection(collection)
-		if _, ok := c[id]; ok {
+		var ok bool
+		if doc, ok = c[id]; ok {
 			delete(c, id)
 			err = nil
 		}
 	})
-	return err
+	return doc, err
 }
 
 // DeleteRange removes every document with from <= id < to in one
@@ -256,18 +259,6 @@ func (db *DB) Len(collection string) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return len(db.collections[collection])
-}
-
-// Collections lists collection names, sorted.
-func (db *DB) Collections() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.collections))
-	for n := range db.collections {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Close marks the database closed; subsequent writes fail.

@@ -105,8 +105,11 @@ func (db *DB) copyOut(id string) (string, map[string]any, bool) {
 	return n.label, props, true
 }
 
-// DeleteNode removes a node and all its relationships (DETACH DELETE).
-func (db *DB) DeleteNode(id string) error {
+// DeleteNode removes a node and all its relationships (DETACH DELETE)
+// and returns its properties: the engine no longer holds them, so they
+// are handed over, not copied.
+func (db *DB) DeleteNode(id string) (map[string]any, error) {
+	var props map[string]any
 	err := storage.ErrNotFound
 	db.gate.Write(func() {
 		db.mu.Lock()
@@ -115,13 +118,14 @@ func (db *DB) DeleteNode(id string) error {
 			err = storage.ErrClosed
 			return
 		}
-		if _, ok := db.nodes[id]; !ok {
+		n, ok := db.nodes[id]
+		if !ok {
 			return
 		}
 		db.detachDeleteLocked(id)
-		err = nil
+		props, err = n.props, nil
 	})
-	return err
+	return props, err
 }
 
 // detachDeleteLocked removes an existing node and its relationships.

@@ -100,15 +100,15 @@ func TestTraverseDepth(t *testing.T) {
 func TestDeleteNodeDetaches(t *testing.T) {
 	db := New()
 	_ = db.MergeNode("User", "a", nil)
-	_ = db.MergeNode("User", "b", nil)
+	_ = db.MergeNode("User", "b", map[string]any{"name": "bea"})
 	_ = db.RelateBoth("a", "F", "b")
-	if err := db.DeleteNode("b"); err != nil {
-		t.Fatal(err)
+	if props, err := db.DeleteNode("b"); err != nil || props["name"] != "bea" {
+		t.Fatalf("DeleteNode = %v, %v; want the removed node's properties", props, err)
 	}
 	if db.Degree("a", "F") != 0 {
 		t.Fatal("dangling edge after DeleteNode")
 	}
-	if err := db.DeleteNode("b"); !errors.Is(err, storage.ErrNotFound) {
+	if _, err := db.DeleteNode("b"); !errors.Is(err, storage.ErrNotFound) {
 		t.Errorf("double delete = %v", err)
 	}
 	if db.Len() != 1 {

@@ -22,7 +22,7 @@ import (
 // Flavor selects a SQL vendor personality.
 type Flavor struct {
 	Name      string
-	Returning bool // supports INSERT/UPDATE ... RETURNING *
+	Returning bool // supports INSERT/UPDATE/DELETE ... RETURNING *
 }
 
 // Vendor personalities from Table 1.
@@ -137,58 +137,6 @@ func (db *DB) CreateTable(name string, cols ...Column) error {
 	}
 	db.tables[name] = newTable(name, cols)
 	return nil
-}
-
-// AddColumn extends a table's schema (live schema migration support).
-func (db *DB) AddColumn(tableName string, col Column) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[tableName]
-	if !ok {
-		return fmt.Errorf("%w: %s", storage.ErrNoTable, tableName)
-	}
-	t.columns[col.Name] = col
-	if col.Indexed {
-		if _, ok := t.indexes[col.Name]; !ok {
-			idx := make(map[string]map[string]struct{})
-			t.indexes[col.Name] = idx
-			t.rows.Ascend(func(_ string, v any) bool {
-				t.indexAdd(v.(storage.Row))
-				return true
-			})
-		}
-	}
-	return nil
-}
-
-// DropColumn removes a column from the schema and from all rows.
-func (db *DB) DropColumn(tableName, colName string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[tableName]
-	if !ok {
-		return fmt.Errorf("%w: %s", storage.ErrNoTable, tableName)
-	}
-	delete(t.columns, colName)
-	delete(t.indexes, colName)
-	t.rows.Ascend(func(_ string, v any) bool {
-		row := v.(storage.Row)
-		delete(row.Cols, colName)
-		return true
-	})
-	return nil
-}
-
-// Tables lists table names, sorted.
-func (db *DB) Tables() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (db *DB) table(name string) (*table, error) {
@@ -336,8 +284,11 @@ func (db *DB) updateLocked(tableName, id string, cols map[string]any) (storage.R
 }
 
 // Delete removes the row with the given primary key. Deleting a missing
-// row returns ErrNotFound.
-func (db *DB) Delete(tableName, id string) error {
+// row returns ErrNotFound. When the flavor supports RETURNING, it returns
+// the removed row (DELETE ... RETURNING *): the engine no longer holds
+// it, so it is handed over, not copied. Otherwise the row is zero.
+func (db *DB) Delete(tableName, id string) (storage.Row, error) {
+	var out storage.Row
 	var err error
 	key := storage.LockKey{Table: tableName, ID: id}
 	db.rowLocks.Acquire(key)
@@ -345,25 +296,31 @@ func (db *DB) Delete(tableName, id string) error {
 	db.gate.Write(func() {
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		err = db.deleteLocked(tableName, id)
+		var gone storage.Row
+		if gone, err = db.deleteLocked(tableName, id); err == nil && db.flavor.Returning {
+			out = gone
+		}
 	})
-	return err
+	return out, err
 }
 
-func (db *DB) deleteLocked(tableName, id string) error {
+// deleteLocked unlinks the row and returns it: nothing in the engine
+// refers to it any more.
+func (db *DB) deleteLocked(tableName, id string) (storage.Row, error) {
 	if db.closed {
-		return storage.ErrClosed
+		return storage.Row{}, storage.ErrClosed
 	}
 	t, err := db.table(tableName)
 	if err != nil {
-		return err
+		return storage.Row{}, err
 	}
 	v, ok := t.rows.Delete(id)
 	if !ok {
-		return storage.ErrNotFound
+		return storage.Row{}, storage.ErrNotFound
 	}
-	t.indexRemove(v.(storage.Row))
-	return nil
+	row := v.(storage.Row)
+	t.indexRemove(row)
+	return row, nil
 }
 
 // DeleteRange removes every row with from <= id < to in one statement

@@ -221,7 +221,7 @@ func (tx *Tx) Commit() ([]storage.Row, error) {
 				}
 				written = append(written, stored.Clone())
 			case opDelete:
-				if err := tx.db.deleteLocked(op.table, op.id); err != nil {
+				if _, err := tx.db.deleteLocked(op.table, op.id); err != nil {
 					applyErr = err
 					return
 				}

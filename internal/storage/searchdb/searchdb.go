@@ -294,8 +294,10 @@ func (db *DB) copyOut(indexName, id string) (storage.Row, bool) {
 	return storage.Row{}, false
 }
 
-// Delete removes a document by id.
-func (db *DB) Delete(indexName, id string) error {
+// Delete removes a document by id and returns it: the engine no longer
+// holds it, so it is handed over, not copied.
+func (db *DB) Delete(indexName, id string) (storage.Row, error) {
+	var gone storage.Row
 	err := storage.ErrNotFound
 	db.gate.Write(func() {
 		db.mu.Lock()
@@ -314,9 +316,9 @@ func (db *DB) Delete(indexName, id string) error {
 		}
 		ix.unindexDoc(doc)
 		delete(ix.docs, id)
-		err = nil
+		gone, err = doc.Row, nil
 	})
-	return err
+	return gone, err
 }
 
 // DeleteRange removes every document with from <= id < to in one

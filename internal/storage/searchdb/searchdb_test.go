@@ -126,14 +126,14 @@ func TestDeleteUnindexes(t *testing.T) {
 	db := New()
 	db.SetAnalyzer("posts", "body", SimpleAnalyzer)
 	_ = db.Index("posts", doc("p1", map[string]any{"body": "hello"}))
-	if err := db.Delete("posts", "p1"); err != nil {
-		t.Fatal(err)
+	if gone, err := db.Delete("posts", "p1"); err != nil || gone.ID != "p1" || gone.Cols["body"] != "hello" {
+		t.Fatalf("Delete = %+v, %v; want the removed document", gone, err)
 	}
 	ids, _ := db.Search("posts", Query{Term: &TermQuery{Field: "body", Token: "hello"}})
 	if len(ids) != 0 {
 		t.Fatal("token survived delete")
 	}
-	if err := db.Delete("posts", "p1"); !errors.Is(err, storage.ErrNotFound) {
+	if _, err := db.Delete("posts", "p1"); !errors.Is(err, storage.ErrNotFound) {
 		t.Errorf("double delete = %v", err)
 	}
 }
@@ -317,7 +317,7 @@ func TestModelAgainstScan(t *testing.T) {
 				}
 			case r < 9:
 				op = "Delete " + id
-				_ = db.Delete("x", id)
+				_, _ = db.Delete("x", id)
 				delete(ref, id)
 			default:
 				from, to := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]

@@ -29,6 +29,10 @@
 //   - A call that hands no row back copies nothing out: the existence
 //     probe (Exists), and a write whose caller does not ask for the row
 //     or whose query cannot return one.
+//   - A delete hands over the row it removes (DELETE ... RETURNING *,
+//     findOneAndDelete), uncopied: the engine holds it no more, so the
+//     caller owns it outright. One that cannot return it (MySQL, a
+//     Cassandra tombstone) returns a zero row.
 package storage
 
 import (

@@ -22,18 +22,15 @@ func (s *Store) Bump(readDeps, writeDeps []Key) (map[Key]uint64, error) {
 		if _, done := out[k]; done {
 			return
 		}
-		s.shardFor(k).script(0, func(m map[Key]*entry) {
+		s.shardFor(k).script(0, func(m map[Key]entry) {
 			e := m[k]
-			if e == nil {
-				e = &entry{}
-				m[k] = e
-			}
 			e.ops++
 			out[k] = e.version
 			if write {
 				e.version = e.ops
 				out[k] = e.version - 1
 			}
+			m[k] = e
 		})
 	}
 	for _, k := range writeDeps {
@@ -53,17 +50,14 @@ func (s *Store) ApplyIfNewer(k Key, version uint64) (applied bool, prev uint64, 
 		return false, 0, err
 	}
 	s.charge(s.cfg.scriptCost(1))
-	s.shardFor(k).script(0, func(m map[Key]*entry) {
+	s.shardFor(k).script(0, func(m map[Key]entry) {
 		e := m[k]
-		if e == nil {
-			e = &entry{}
-			m[k] = e
-		}
 		prev = e.version
 		if version > e.version {
 			e.version = version
 			applied = true
 		}
+		m[k] = e
 	})
 	return applied, prev, nil
 }

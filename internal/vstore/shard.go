@@ -10,7 +10,9 @@ import (
 
 // entry is the per-key counter pair. On publisher stores both fields are
 // used; subscriber stores use ops (dependency counters) and version
-// (weak-mode object versions) independently.
+// (weak-mode object versions) independently. A shard stores entries by
+// value: a key costs no allocation of its own, and holding no pointer,
+// the map is not scanned by the garbage collector.
 type entry struct {
 	ops     uint64
 	version uint64
@@ -23,7 +25,7 @@ type entry struct {
 // script mutex.
 type shard struct {
 	mu   sync.RWMutex
-	data map[Key]*entry
+	data map[Key]entry
 
 	locks *storage.LockTable[Key]
 
@@ -44,7 +46,7 @@ type waiter struct {
 
 func newShard() *shard {
 	return &shard{
-		data:    make(map[Key]*entry),
+		data:    make(map[Key]entry),
 		locks:   storage.NewLockTable[Key](),
 		waiters: make(map[Key][]waiter),
 	}
@@ -53,7 +55,7 @@ func newShard() *shard {
 // script runs fn atomically over the shard data. Injected latency is
 // charged by callers through timeutil.Wait so that precise waiting is
 // honoured uniformly.
-func (sh *shard) script(cost time.Duration, fn func(map[Key]*entry)) {
+func (sh *shard) script(cost time.Duration, fn func(map[Key]entry)) {
 	if cost > 0 {
 		timeutil.Wait(cost, false)
 	}
@@ -65,9 +67,8 @@ func (sh *shard) script(cost time.Duration, fn func(map[Key]*entry)) {
 // rscript runs a READ-ONLY fn over the shard data under the read lock,
 // so concurrent dependency checks (the hottest subscriber path under
 // zipf skew: many workers probing the same hot keys) never serialize
-// against each other — only against writers. fn must not mutate the
-// map or any entry.
-func (sh *shard) rscript(cost time.Duration, fn func(map[Key]*entry)) {
+// against each other — only against writers. fn must not mutate the map.
+func (sh *shard) rscript(cost time.Duration, fn func(map[Key]entry)) {
 	if cost > 0 {
 		timeutil.Wait(cost, false)
 	}
@@ -76,20 +77,9 @@ func (sh *shard) rscript(cost time.Duration, fn func(map[Key]*entry)) {
 	sh.mu.RUnlock()
 }
 
-// entry returns the key's counters, created on demand; the caller holds
-// the shard's write lock.
-func (sh *shard) entry(k Key) *entry {
-	e := sh.data[k]
-	if e == nil {
-		e = &entry{}
-		sh.data[k] = e
-	}
-	return e
-}
-
 func (sh *shard) flush() {
 	sh.mu.Lock()
-	sh.data = make(map[Key]*entry)
+	sh.data = make(map[Key]entry)
 	sh.mu.Unlock()
 	sh.wakeAll()
 }

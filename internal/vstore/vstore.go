@@ -360,7 +360,7 @@ func (s *Store) bump(ops []op, undo bool) {
 			if o.sh != sh {
 				continue
 			}
-			e := sh.entry(o.key)
+			e := sh.data[o.key]
 			switch {
 			case undo:
 				e.ops -= min(e.ops, 1) // a revived store may have lost it
@@ -375,6 +375,7 @@ func (s *Store) bump(ops []op, undo bool) {
 				e.ops++
 				o.out = e.version
 			}
+			sh.data[o.key] = e
 		}
 		sh.mu.Unlock()
 	}
@@ -508,10 +509,9 @@ func (b *Batch) Release() {
 func (s *Store) Counters(k Key) Counters {
 	var out Counters
 	s.rt.Add(1)
-	s.shardFor(k).rscript(0, func(m map[Key]*entry) {
-		if e := m[k]; e != nil {
-			out = Counters{Ops: e.ops, Version: e.version}
-		}
+	s.shardFor(k).rscript(0, func(m map[Key]entry) {
+		e := m[k]
+		out = Counters{Ops: e.ops, Version: e.version}
 	})
 	return out
 }
@@ -520,19 +520,16 @@ func (s *Store) Counters(k Key) Counters {
 func (s *Store) Ops(k Key) uint64 {
 	var out uint64
 	s.rt.Add(1)
-	s.shardFor(k).rscript(0, func(m map[Key]*entry) {
-		if e := m[k]; e != nil {
-			out = e.ops
-		}
-	})
+	s.shardFor(k).rscript(0, func(m map[Key]entry) { out = m[k].ops })
 	return out
 }
 
-// moveOps is the one way a subscriber ops counter moves: move runs on
-// every key's entry (created on demand), one atomic script per shard in
-// one window, then the waiters whose threshold a key's new value reaches
-// are woken — nothing that moves a counter can forget the waiter table.
-func (s *Store) moveOps(ops []op, move func(*entry, uint64)) error {
+// moveOps is the one way a subscriber ops counter moves: move takes every
+// key's counter (created on demand) to its new value, one atomic script
+// per shard in one window, then the waiters whose threshold a key's new
+// value reaches are woken — nothing that moves a counter can forget the
+// waiter table.
+func (s *Store) moveOps(ops []op, move func(cur, arg uint64) uint64) error {
 	if len(ops) == 0 {
 		return nil
 	}
@@ -548,8 +545,9 @@ func (s *Store) moveOps(ops []op, move func(*entry, uint64)) error {
 		sh.mu.Lock()
 		for i := range ops {
 			if o := &ops[i]; o.sh == sh {
-				e := sh.entry(o.key)
-				move(e, o.arg)
+				e := sh.data[o.key]
+				e.ops = move(e.ops, o.arg)
+				sh.data[o.key] = e
 				o.out = e.ops
 			}
 		}
@@ -559,8 +557,8 @@ func (s *Store) moveOps(ops []op, move func(*entry, uint64)) error {
 	return nil
 }
 
-func addOps(e *entry, n uint64)   { e.ops += n }
-func raiseOps(e *entry, v uint64) { e.ops = max(e.ops, v) }
+func addOps(cur, n uint64) uint64   { return cur + n }
+func raiseOps(cur, v uint64) uint64 { return max(cur, v) }
 
 // IncrOps increments the subscriber ops counter for every key (after a
 // message is processed) and wakes waiters. Duplicate keys count once.
@@ -587,12 +585,6 @@ func (s *Store) IncrOpsMulti(counts map[Key]uint64) error {
 		}
 	}
 	return s.moveOps(ops, addOps)
-}
-
-// SetOps raises the ops counter for a key to at least val (bulk version
-// load during bootstrap; max-merge so late loads cannot regress).
-func (s *Store) SetOps(k Key, val uint64) error {
-	return s.moveOps([]op{{key: k, arg: val}}, raiseOps)
 }
 
 // SetOpsMulti raises many keys' ops counters to at least their mapped
@@ -740,10 +732,7 @@ func (s *Store) ClaimIfMet(reqs []WaitReq, claims []Claim, results []ClaimResult
 			if o.sh != sh {
 				continue
 			}
-			var cur uint64
-			if e := sh.data[o.key]; e != nil {
-				cur = e.ops
-			}
+			cur := sh.data[o.key].ops
 			if cur >= o.arg {
 				continue
 			}
@@ -765,12 +754,13 @@ func (s *Store) ClaimIfMet(reqs []WaitReq, claims []Claim, results []ClaimResult
 		}
 		for i := range cl {
 			if o := &cl[i]; met && o.sh == sh {
-				e := sh.entry(o.key)
+				e := sh.data[o.key]
 				o.out = e.version
 				if o.arg > e.version {
 					e.version = o.arg
 					o.ok, claimed = true, true
 				}
+				sh.data[o.key] = e
 			}
 		}
 		sh.mu.Unlock()
@@ -801,8 +791,9 @@ func (s *Store) takeBack(cl []op) {
 		sh.mu.Lock()
 		for i := len(cl) - 1; i >= 0; i-- {
 			if o := &cl[i]; o.ok && o.sh == sh {
-				if e := sh.data[o.key]; e != nil && e.version == o.arg {
+				if e, ok := sh.data[o.key]; ok && e.version == o.arg {
 					e.version = o.out
+					sh.data[o.key] = e
 				}
 			}
 		}
@@ -867,9 +858,10 @@ func (s *Store) RestoreVersion(k Key, expect, prev uint64) error {
 		return err
 	}
 	s.rt.Add(1)
-	s.shardFor(k).script(0, func(m map[Key]*entry) {
-		if e := m[k]; e != nil && e.version == expect {
+	s.shardFor(k).script(0, func(m map[Key]entry) {
+		if e, ok := m[k]; ok && e.version == expect {
 			e.version = prev
+			m[k] = e
 		}
 	})
 	return nil
@@ -899,20 +891,11 @@ func (s *Store) Snapshot() (map[Key]Counters, error) {
 	out := make(map[Key]Counters)
 	for _, sh := range s.shards {
 		s.rt.Add(1)
-		sh.rscript(s.cfg.scriptCost(1), func(m map[Key]*entry) {
+		sh.rscript(s.cfg.scriptCost(1), func(m map[Key]entry) {
 			for k, e := range m {
 				out[k] = Counters{Ops: e.ops, Version: e.version}
 			}
 		})
 	}
 	return out, nil
-}
-
-// Entries reports the number of tracked keys across shards.
-func (s *Store) Entries() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.rscript(0, func(m map[Key]*entry) { n += len(m) })
-	}
-	return n
 }

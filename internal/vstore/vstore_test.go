@@ -257,27 +257,27 @@ func TestApplyIfNewer(t *testing.T) {
 func TestSetOpsMaxMerge(t *testing.T) {
 	s := newStore()
 	k := s.KeyFor("dep")
-	if err := s.SetOps(k, 5); err != nil {
+	if err := s.SetOpsMulti(map[Key]uint64{k: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetOps(k, 3); err != nil {
+	if err := s.SetOpsMulti(map[Key]uint64{k: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Ops(k) != 5 {
 		t.Errorf("Ops = %d, want 5 (max-merge)", s.Ops(k))
 	}
-	// SetOps wakes waiters.
+	// SetOpsMulti wakes waiters.
 	done := make(chan error, 1)
 	go func() { done <- s.WaitAtLeast(k, 10, -1) }()
 	time.Sleep(5 * time.Millisecond)
-	_ = s.SetOps(k, 10)
+	_ = s.SetOpsMulti(map[Key]uint64{k: 10})
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("SetOps did not wake waiter")
+		t.Fatal("SetOpsMulti did not wake waiter")
 	}
 }
 
@@ -342,7 +342,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, c := range snap {
-		if err := sub.SetOps(k, c.Ops); err != nil {
+		if err := sub.SetOpsMulti(map[Key]uint64{k: c.Ops}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -364,8 +364,12 @@ func TestCardinalityBoundsEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Entries() > 8 {
-		t.Fatalf("Entries = %d, want <= 8", s.Entries())
+	n := 0
+	for _, sh := range s.shards {
+		n += len(sh.data)
+	}
+	if n > 8 {
+		t.Fatalf("%d entries, want <= 8", n)
 	}
 }
 
@@ -406,7 +410,7 @@ func TestRingBalance(t *testing.T) {
 }
 
 // Property: ops counters are monotonically non-decreasing under any
-// interleaving of IncrOps and SetOps.
+// interleaving of IncrOps and SetOpsMulti.
 func TestQuickOpsMonotonic(t *testing.T) {
 	check := func(incrs []bool, sets []uint16) bool {
 		s := New(Config{Shards: 2})
@@ -417,7 +421,7 @@ func TestQuickOpsMonotonic(t *testing.T) {
 				_ = s.IncrOps([]Key{k})
 			}
 			if i < len(sets) {
-				_ = s.SetOps(k, uint64(sets[i]))
+				_ = s.SetOpsMulti(map[Key]uint64{k: uint64(sets[i])})
 			}
 			cur := s.Ops(k)
 			if cur < last {

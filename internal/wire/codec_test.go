@@ -224,6 +224,27 @@ func TestUnmarshalOldFormats(t *testing.T) {
 	}
 }
 
+// TestSmallNumberBoxes checks the numbers on either side of the decoder's
+// shared boxes (non-negative integers below 256) against encoding/json:
+// the same type, value and sign, whichever way the number is written.
+func TestSmallNumberBoxes(t *testing.T) {
+	for _, num := range []string{"0", "255", "256", "-0", "1e2", "0.5", "300.0", "-1", "255.5", "2.55e2", "0.0"} {
+		payload := `{"app":"a","operations":[{"operation":"update","types":["T"],"id":"1","attributes":{"n":` + num +
+			`},"object_dep":"0"}],"dependencies":{},"published_at":"2026-01-01T00:00:00Z","generation":1,"seq":1}`
+		fast, std := decodeBothWays(t, []byte(payload))
+		var want any
+		if err := json.Unmarshal([]byte(num), &want); err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []any{fast.Operations[0].Attributes["n"], std.Operations[0].Attributes["n"]} {
+			g, ok := got.(float64)
+			if w := want.(float64); !ok || g != w || math.Signbit(g) != math.Signbit(w) {
+				t.Errorf("%s decodes to %#v, encoding/json gives %#v", num, got, want)
+			}
+		}
+	}
+}
+
 // TestCrossFormatDecode pins wire compatibility across the tracker
 // refactor in both directions: a pre-DVV hash-only frame (no "dots"
 // key) must decode under the current codec with Dots nil, and a DVV

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -986,9 +987,24 @@ func (d *decoder) anyValue(depth int) (any, error) {
 		if err != nil {
 			return nil, d.errf("number %q out of range", tok)
 		}
+		if !math.Signbit(v) && v < float64(len(smallNumbers)) && v == math.Trunc(v) {
+			return smallNumbers[int(v)], nil
+		}
 		return v, nil
 	}
 }
+
+// smallNumbers are the values of the JSON numbers that are non-negative
+// integers below 256, boxed once (the runtime's staticuint64s, for
+// float64): revisions, counts and flags decode without a box of their
+// own. A box is immutable, so every decoded message may share it; -0 and
+// every other number still get their own.
+var smallNumbers = func() (t [256]any) {
+	for i := range t {
+		t[i] = float64(i)
+	}
+	return t
+}()
 
 // anyObjectInto fills an object's members into m (which may be a reused
 // pooled map, already cleared): all of them under interned keys — key

@@ -85,7 +85,8 @@ func benchSinks() Resolver {
 // TestUnmarshalPooledAllocBudget is the decode alloc regression gate, on
 // the stream the benchmark carries (liveStream) rather than on one warm
 // payload: what is left per message is the copy of each id, token and
-// string value, made exactly once, and the box of each value. The
+// string value, made exactly once, and the box of each value but the
+// small integers (9.00 and 4.00 while those had boxes of their own). The
 // projected decode — what a subscriber's worker runs — parses the
 // dependency tokens in place and skips a persisted model's destroy
 // attributes; the full decode is the journal's and the tests'.
@@ -97,8 +98,8 @@ func TestUnmarshalPooledAllocBudget(t *testing.T) {
 		resolve Resolver
 		budget  float64
 	}{
-		{"full", nil, 9.5},
-		{"projected", benchSinks(), 4.5},
+		{"full", nil, 8.7},
+		{"projected", benchSinks(), 3.7},
 	} {
 		decodeAll := func() {
 			for _, payload := range stream {

@@ -141,13 +141,6 @@ func (o *Operation) Model() string {
 	return o.Types[0]
 }
 
-// Record converts the operation payload into a model record.
-func (o *Operation) Record() *model.Record {
-	rec := model.NewRecord(o.Model(), o.ID)
-	rec.Merge(o.Attributes)
-	return rec
-}
-
 // Message is one published write message.
 type Message struct {
 	App        string      `json:"app"`

@@ -6,7 +6,16 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"synapse/internal/model"
 )
+
+// record is the operation's payload as a model record.
+func record(o Operation) *model.Record {
+	rec := model.NewRecord(o.Model(), o.ID)
+	rec.Merge(o.Attributes)
+	return rec
+}
 
 func sampleMessage() *Message {
 	return &Message{
@@ -78,7 +87,7 @@ func TestRoundTrip(t *testing.T) {
 	if op.Model() != "User" || op.ObjectDep != "7341" {
 		t.Errorf("op = %+v", op)
 	}
-	rec := op.Record()
+	rec := record(op)
 	if rec.Model != "User" || rec.ID != "100" {
 		t.Errorf("record = %+v", rec)
 	}
@@ -98,7 +107,7 @@ func TestNumericAttributesSurviveTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := got.Operations[0].Record()
+	rec := record(got.Operations[0])
 	if rec.Int("likes") != 7 {
 		t.Errorf("likes = %v (%T)", rec.Get("likes"), rec.Get("likes"))
 	}

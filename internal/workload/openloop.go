@@ -378,39 +378,3 @@ func (g *OpenLoopGen) Emitted() int {
 	defer g.mu.Unlock()
 	return g.index
 }
-
-// SessionsEnded reports how many user sessions have completed their
-// lifetime so far (0 unless ActiveSessions churn is enabled).
-func (g *OpenLoopGen) SessionsEnded() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.sessionsEnded
-}
-
-// ActiveUsers returns the distinct users with a live session at the
-// time of the last drawn op (nil unless ActiveSessions churn is on).
-func (g *OpenLoopGen) ActiveUsers() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.sessions) == 0 {
-		return nil
-	}
-	seen := make(map[string]struct{}, len(g.sessions))
-	out := make([]string, 0, len(g.sessions))
-	for _, s := range g.sessions {
-		if _, dup := seen[s.user]; !dup {
-			seen[s.user] = struct{}{}
-			out = append(out, s.user)
-		}
-	}
-	return out
-}
-
-// HotSet returns a copy of the pinned hot post ids (for reports).
-func (g *OpenLoopGen) HotSet() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]string, len(g.hot))
-	copy(out, g.hot)
-	return out
-}

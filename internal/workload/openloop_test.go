@@ -259,12 +259,12 @@ func TestOpenLoopSessionChurn(t *testing.T) {
 		t.Fatalf("only %d distinct users issued ops; churn never replaced the initial %d sessions",
 			len(users), cfg.ActiveSessions)
 	}
-	if g.SessionsEnded() < 10*cfg.ActiveSessions {
-		t.Errorf("SessionsEnded = %d, want >= %d (mean lifetime is 1/40th of the horizon)",
-			g.SessionsEnded(), 10*cfg.ActiveSessions)
+	if g.sessionsEnded < 10*cfg.ActiveSessions {
+		t.Errorf("%d sessions ended, want >= %d (mean lifetime is 1/40th of the horizon)",
+			g.sessionsEnded, 10*cfg.ActiveSessions)
 	}
-	if got := len(g.ActiveUsers()); got == 0 || got > cfg.ActiveSessions {
-		t.Errorf("ActiveUsers at end = %d, want in (0, %d]", got, cfg.ActiveSessions)
+	if got := activeUsers(g); got == 0 || got > cfg.ActiveSessions {
+		t.Errorf("%d users with a live session at the end, want in (0, %d]", got, cfg.ActiveSessions)
 	}
 
 	// Sessions concentrate ops: with 16 of 500 users live at a time, the
@@ -310,7 +310,17 @@ func TestOpenLoopSessionChurnDisabled(t *testing.T) {
 	if len(users) < cfg.Users*9/10 {
 		t.Errorf("uniform draw covered %d/%d users", len(users), cfg.Users)
 	}
-	if g.SessionsEnded() != 0 || g.ActiveUsers() != nil {
-		t.Errorf("churn state active while disabled: ended=%d active=%v", g.SessionsEnded(), g.ActiveUsers())
+	if g.sessionsEnded != 0 || len(g.sessions) != 0 {
+		t.Errorf("churn state active while disabled: ended=%d active=%d", g.sessionsEnded, len(g.sessions))
 	}
+}
+
+// activeUsers counts the distinct users with a live session as of g's
+// last drawn op.
+func activeUsers(g *OpenLoopGen) int {
+	seen := make(map[string]bool)
+	for _, s := range g.sessions {
+		seen[s.user] = true
+	}
+	return len(seen)
 }

@@ -160,16 +160,17 @@ scenario_journal() {
 }
 
 # Persistence: one ORM skeleton over five bindings, and one
-# row-ownership rule for five engines. The allocation budgets of Save and
-# of an Each that stops early (which only run without the race detector,
-# so they come first), the
+# row-ownership rule for five engines. The allocation budgets of Save, of
+# an Each that stops early and of a Delete that takes the row its engine
+# hands over (which only run without the race detector, so they come
+# first), the
 # conformance suite and the engine isolation table five times under the
 # race detector, and the coldb and searchdb model tests, coldb's readers
 # beside its flushes and its bounded-state test twenty times; then the
 # workload that applies every message through all five adapters.
 scenario_orm() {
     go vet ./internal/orm/... ./internal/storage/... &&
-        gotest -run 'TestConformance.*/(SaveAllocBudget|EachStopsEarly)' ./internal/orm/activerecord ./internal/orm/columnorm \
+        gotest -run 'TestConformance.*/(SaveAllocBudget|EachStopsEarly|DeleteHandsOverRow)' ./internal/orm/activerecord ./internal/orm/columnorm \
             ./internal/orm/documentorm ./internal/orm/graphorm ./internal/orm/searchorm &&
         go test -race -count=5 ./internal/orm/... ./internal/storage/... &&
         gotest -race -count=20 -run 'TestModelAgainst|TestReadersDuringFlushes|TestStateBounded' \
