@@ -160,13 +160,15 @@ func TestCoordIsolationFencesLivePrimary(t *testing.T) {
 	_ = c.Bind(name, "ex")
 	_ = c.Publish("ex", []byte("pre"))
 	waitFor(t, "follower catch-up", func() bool { return c.CaughtUp(0) })
-	old := c.shards[0].broker()
+	// A starved agent can miss the 4 ms lease before this point; a
+	// failover counted then promoted the primary captured here.
+	old, before := c.shards[0].broker(), c.Failovers()
 
 	// The primary loses sight of the coordinator while staying alive:
 	// its lease lapses, the follower takes it, and the split brain is
 	// resolved by fencing — the old primary must never serve again.
 	net.Partition(EndpointShard(0), "coord")
-	waitFor(t, "forced promotion", func() bool { return c.Failovers() == 1 })
+	waitFor(t, "forced promotion", func() bool { return c.Failovers() > before })
 	if !old.Fenced() {
 		t.Fatal("superseded primary not fenced")
 	}

@@ -45,6 +45,7 @@ type Controller struct {
 	session *Session
 
 	readDeps []depRef
+	readBuf  [1]depRef // readDeps' first element: a write's one read
 	// pendingWriteDeps are explicit write dependencies staged by
 	// AddWriteDeps, consumed by the next write operation.
 	pendingWriteDeps []string
@@ -70,7 +71,9 @@ func (c *Controller) SetLowPriority(low bool) { c.lowPriority = low }
 // NewController opens a controller scope within a session. A nil
 // session models a background job.
 func (a *App) NewController(s *Session) *Controller {
-	return &Controller{app: a, session: s}
+	c := &Controller{app: a, session: s}
+	c.readDeps = c.readBuf[:0]
+	return c
 }
 
 // Find loads an object through the ORM and transparently registers the
@@ -165,10 +168,10 @@ func (c *Controller) Update(rec *model.Record) (*model.Record, error) {
 }
 
 // Destroy deletes and publishes the deletion of an object. Only the
-// owner may destroy instances.
+// owner may destroy instances. It stages the model and id alone: the
+// publish loads the final state under its locks (see bumpDeps).
 func (c *Controller) Destroy(modelName, id string) error {
-	rec := model.NewRecord(modelName, id)
-	_, err := c.write(wire.OpDestroy, rec)
+	_, err := c.write(wire.OpDestroy, &model.Record{Model: modelName, ID: id})
 	return err
 }
 
@@ -224,32 +227,24 @@ type stagedWrite struct {
 	rec  *model.Record
 }
 
-// Create stages an insert.
-func (t *Txn) Create(rec *model.Record) error {
-	if err := t.ctl.checkWriteAllowed(wire.OpCreate, rec); err != nil {
+// stage adds a write the controller may make.
+func (t *Txn) stage(verb wire.OpKind, rec *model.Record) error {
+	if err := t.ctl.checkWriteAllowed(verb, rec); err != nil {
 		return err
 	}
-	t.staged = append(t.staged, stagedWrite{verb: wire.OpCreate, rec: rec})
+	t.staged = append(t.staged, stagedWrite{verb: verb, rec: rec})
 	return nil
 }
+
+// Create stages an insert.
+func (t *Txn) Create(rec *model.Record) error { return t.stage(wire.OpCreate, rec) }
 
 // Update stages an attribute merge.
-func (t *Txn) Update(rec *model.Record) error {
-	if err := t.ctl.checkWriteAllowed(wire.OpUpdate, rec); err != nil {
-		return err
-	}
-	t.staged = append(t.staged, stagedWrite{verb: wire.OpUpdate, rec: rec})
-	return nil
-}
+func (t *Txn) Update(rec *model.Record) error { return t.stage(wire.OpUpdate, rec) }
 
-// Destroy stages a deletion.
+// Destroy stages a deletion, of the model and id alone.
 func (t *Txn) Destroy(modelName, id string) error {
-	rec := model.NewRecord(modelName, id)
-	if err := t.ctl.checkWriteAllowed(wire.OpDestroy, rec); err != nil {
-		return err
-	}
-	t.staged = append(t.staged, stagedWrite{verb: wire.OpDestroy, rec: rec})
-	return nil
+	return t.stage(wire.OpDestroy, &model.Record{Model: modelName, ID: id})
 }
 
 // Transaction runs fn over a staged transaction; on success all staged

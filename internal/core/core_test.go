@@ -227,6 +227,88 @@ func TestUpdateAndDestroyReplicate(t *testing.T) {
 	}
 }
 
+// destroyAfterRacingUpdate creates User u1, then destroys it while race
+// (installed by the caller on the publisher's write path) runs an update
+// of u1 from another controller, and returns the name the destroy
+// message published. The update commits and is published first, so a
+// DB-less observer ends on the destroy's attributes: they must be the
+// updated ones.
+func destroyAfterRacingUpdate(t *testing.T, pub *App, f *Fabric, install func(race func())) any {
+	t.Helper()
+	msgs := tap(t, f, "pub")
+	ctl := pub.NewController(nil)
+	rec := model.NewRecord("User", "u1")
+	rec.Set("name", "before")
+	if _, err := ctl.Create(rec); err != nil {
+		t.Fatal(err)
+	}
+	raced := false
+	install(func() {
+		if raced {
+			return
+		}
+		raced = true
+		patch := model.NewRecord("User", "u1")
+		patch.Set("name", "after")
+		if _, err := pub.NewController(nil).Update(patch); err != nil {
+			t.Errorf("racing update: %v", err)
+		}
+	})
+	if err := ctl.Destroy("User", "u1"); err != nil {
+		t.Fatal(err)
+	}
+	if !raced {
+		t.Fatal("the racing update never ran")
+	}
+	var verbs []wire.OpKind
+	var last any
+	for _, m := range msgs() {
+		verbs = append(verbs, m.Operations[0].Operation)
+		last = m.Operations[0].Attributes["name"]
+	}
+	if want := []wire.OpKind{wire.OpCreate, wire.OpUpdate, wire.OpDestroy}; fmt.Sprint(verbs) != fmt.Sprint(want) {
+		t.Fatalf("published %v, want %v", verbs, want)
+	}
+	return last
+}
+
+// TestDestroyPublishesStateAfterRacingUpdate2PC: on the 2PC path, a
+// before-destroy callback runs after the destroy is staged and before its
+// row lock is taken; an update it runs commits first, and the destroy
+// publishes the updated attributes.
+func TestDestroyPublishesStateAfterRacingUpdate2PC(t *testing.T) {
+	f := NewFabric()
+	pub, _ := newSQLApp(t, f, "pub", Config{Mode: Causal})
+	d := userDesc()
+	mustPublish(t, pub, d, "name")
+	got := destroyAfterRacingUpdate(t, pub, f, func(race func()) {
+		d.Callbacks.On(model.BeforeDestroy, func(*model.CallbackCtx) error { race(); return nil })
+	})
+	if got != "after" {
+		t.Errorf("destroy published name %v, want the racing update's %q", got, "after")
+	}
+}
+
+// TestDestroyPublishesStateAfterRacingUpdateDirect: on the direct path
+// (MongoDB), an update that runs as the destroy moves from staged to
+// prepared, before its plan locks the object, commits first, and the
+// destroy publishes the updated attributes.
+func TestDestroyPublishesStateAfterRacingUpdateDirect(t *testing.T) {
+	f := NewFabric()
+	pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
+	mustPublish(t, pub, userDesc(), "name")
+	got := destroyAfterRacingUpdate(t, pub, f, func(race func()) {
+		pub.onPubMove = func(p *publication, from, to pubState) {
+			if from == pubStaged && to == pubPrepared && p.staged[0].verb == wire.OpDestroy {
+				race()
+			}
+		}
+	})
+	if got != "after" {
+		t.Errorf("destroy published name %v, want the racing update's %q", got, "after")
+	}
+}
+
 func TestMultipleSubscribersOneOfEachEngine(t *testing.T) {
 	f := NewFabric()
 	pub, _ := newDocApp(t, f, "pub1", Config{})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"time"
@@ -194,21 +195,12 @@ func (a *App) advance(p *publication, next pubState) {
 // stageWrites is staged's step: the dependency names — the staged
 // objects' first, in operation order, then what the delivery mode adds —
 // and, on a transactional engine, the writes staged and prepared (2PC):
-// the engine's row locks validate the write set (§4.2's optimization). A
-// destroy loads the object's final state so its published attributes
-// ride along: the paper ships only deleted IDs (§4), relying on the
-// subscriber's local copy, and DB-less observers have none.
+// the engine's row locks validate the write set (§4.2's optimization).
 func (a *App) stageWrites(p *publication, c *Controller) error {
 	for _, op := range p.staged {
 		p.writeNames = append(p.writeNames, depName(a.name, op.rec.Model, op.rec.ID))
-		if a.isEphemeral(op.rec.Model) || a.mapper == nil {
-			continue
-		}
-		p.journaling = true
-		if op.verb == wire.OpDestroy {
-			if last, err := a.mapper.Find(op.rec.Model, op.rec.ID); err == nil {
-				op.rec.Merge(last.Attrs)
-			}
+		if !a.isEphemeral(op.rec.Model) && a.mapper != nil {
+			p.journaling = true
 		}
 	}
 	if a.cfg.Mode >= Causal {
@@ -264,11 +256,25 @@ func (a *App) stageWrites(p *publication, c *Controller) error {
 // which locks writes only and releases before sending, leaving a window
 // where a message is enqueued ahead of the one carrying its dependency.
 // Held, queue order is dependency order, and even a single-worker causal
-// subscriber never deadlocks. Then the seq is drawn (registered before
-// the entry can commit) and the message built with the plan's versions.
+// subscriber never deadlocks. Under them a destroy loads the object's
+// final state, its staged record from then on, so its attributes ride
+// along: the paper ships only deleted IDs (§4), relying on the
+// subscriber's local copy, and DB-less observers have none. The object's
+// lock, and on the 2PC path the row lock Prepare took, keep an update
+// from committing between the load and the delete: one that committed
+// before is published first, and the destroy carries its attributes.
+// Then the seq is drawn (registered before the entry can commit) and the
+// message built with the plan's versions.
 func (a *App) bumpDeps(p *publication) (err error) {
 	if p.plan, err = a.tracker.Plan(p.readNames, p.writeNames); err != nil {
 		return err
+	}
+	for i, op := range p.staged {
+		if op.verb == wire.OpDestroy && a.mapper != nil && !a.isEphemeral(op.rec.Model) {
+			if last, err := a.mapper.Find(op.rec.Model, op.rec.ID); err == nil {
+				p.staged[i].rec = last // a missing object's delete fails
+			}
+		}
 	}
 	if p.journaling {
 		p.seq = a.outbox.register()
@@ -314,11 +320,12 @@ func (a *App) commitWrites(p *publication) error {
 		if err != nil {
 			return fmt.Errorf("synapse: commit after prepare failed: %w", err)
 		}
-		// Ephemerals are the staged records.
+		// Ephemerals are the staged records, and so is a destroy's final
+		// state: its slot is nil.
 		for _, op := range p.staged {
 			w := op.rec
 			if !a.isEphemeral(op.rec.Model) && len(committed) > 0 {
-				w, committed = committed[0], committed[1:]
+				w, committed = cmp.Or(committed[0], w), committed[1:]
 			}
 			p.written = append(p.written, w)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime/debug"
 	"testing"
 
@@ -21,40 +22,45 @@ func skipUnderRace(t *testing.T) {
 }
 
 // TestPublishAllocBudget pins what one journaled publish allocates on
-// the benchmark's two publisher paths, causal mode, one Update with one
-// read dependency: social_causal's PostgreSQL publisher (2PC, the entry
-// staged in the transaction) and fanout_hetero's MongoDB publisher (the
-// entry inserted after the apply). The journal's share of it is the
-// append alone — confirming an entry allocates nothing and truncation is
-// amortised over 256 messages. The race detector makes sync.Pool drop
-// items on purpose, so the steady state is only observable without it.
+// the benchmark's two publisher paths, causal mode, one write with one
+// read dependency, for each verb: social_causal's PostgreSQL publisher
+// (2PC, the entry staged in the transaction) and fanout_hetero's MongoDB
+// publisher (the entry inserted after the apply). The journal's share of
+// it is the append alone — confirming an entry allocates nothing and
+// truncation is amortised over 256 messages. The race detector makes
+// sync.Pool drop items on purpose, so the steady state is only
+// observable without it.
 func TestPublishAllocBudget(t *testing.T) {
 	skipUnderRace(t)
 	for _, c := range []struct {
-		name   string
-		app    func(*testing.T, *Fabric) *App
-		budget float64
+		name                    string
+		app                     func(*testing.T, *Fabric) *App
+		update, create, destroy float64
 	}{
-		// 17 measured, 4 of them the loop's own record and read dependency:
-		// the rest is what outlives the publish — the engine's journal row
-		// (its id, its copy of the publication's map, the payload string)
-		// and row slot, the record Update returns (a copy of the stored
-		// row), the payload, the transaction — and the two dependency
-		// names. 54 before the lock table, the transaction, the plan and
-		// the message stopped building what they throw away; 72 as of the
-		// outbox rebuild, 131 before it.
+		// Update 16, Create 18, Destroy 14 measured; 18, 21 and 22 while a
+		// destroy merged a load taken before its locks into a record of its
+		// own, the transaction built records of the delete, and the row
+		// tree boxed every row it stored. Of each, the loop's controller and
+		// record are 2 to 4. The rest is what outlives the publish: the
+		// engine's journal row (its id, its copy of the publication's map,
+		// the payload string), the row a create stores, the record Update
+		// or Create returns (a copy of the stored row), a destroy's load of
+		// the final state, the payload, the transaction — and the two
+		// dependency names.
 		{"postgresql 2PC", func(t *testing.T, f *Fabric) *App {
 			pub, _ := newSQLApp(t, f, "pub", Config{Mode: Causal})
 			return pub
-		}, 18},
-		// 18 measured (20 while every journal entry built its own map): no
-		// transaction, but the engine clones the row it stores and the one
-		// Update returns, and the entry is a plain insert, whose written row
-		// Create still copies out.
+		}, 16, 18, 14},
+		// Update 18, Create 20, Destroy 16 measured; 19, 21 and 19 while
+		// the destroy's load was merged into its staged record and the read
+		// dependency had no room in the controller. No transaction, but the
+		// engine clones the row it stores and the one a write returns, and
+		// the entry is a plain insert, whose written row Create still
+		// copies out.
 		{"mongodb direct journal", func(t *testing.T, f *Fabric) *App {
 			pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
 			return pub
-		}, 19},
+		}, 18, 20, 16},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			f := NewFabric()
@@ -76,23 +82,57 @@ func TestPublishAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			publish := func() {
-				ctl := pub.NewController(nil)
-				ctl.AddReadDeps("User", "u1")
-				patch := model.NewRecord("Post", "p1")
-				patch.Set("body", "v1")
-				if _, err := ctl.Update(patch); err != nil {
+			// Each verb's loop: 2 cut intervals to warm pools, maps and the
+			// first cuts, then AllocsPerRun's warm-up run and 4 intervals.
+			const warm, runs = 2 * outboxCutEvery, 4 * outboxCutEvery
+			ids := make([]string, warm+runs+1) // the Posts created, then destroyed
+			for i := range ids {
+				ids[i] = fmt.Sprintf("c%05d", i)
+			}
+			var created, destroyed int
+			must := func(err error) {
+				if err != nil {
 					t.Fatal(err)
 				}
 			}
-			for i := 0; i < 2*outboxCutEvery; i++ { // warm pools, maps and the first cuts
-				publish()
+			for _, l := range []struct {
+				verb    string
+				budget  float64
+				publish func(*Controller)
+			}{
+				{"Update", c.update, func(ctl *Controller) {
+					patch := model.NewRecord("Post", "p1")
+					patch.Set("body", "v1")
+					_, err := ctl.Update(patch)
+					must(err)
+				}},
+				{"Create", c.create, func(ctl *Controller) {
+					rec := model.NewRecord("Post", ids[created])
+					rec.Set("author", "u1")
+					rec.Set("body", "v0")
+					created++
+					_, err := ctl.Create(rec)
+					must(err)
+				}},
+				{"Destroy", c.destroy, func(ctl *Controller) {
+					destroyed++
+					must(ctl.Destroy("Post", ids[destroyed-1]))
+				}},
+			} {
+				publish := func() {
+					ctl := pub.NewController(nil)
+					ctl.AddReadDeps("User", "u1")
+					l.publish(ctl)
+				}
+				for i := 0; i < warm; i++ {
+					publish()
+				}
+				n := testing.AllocsPerRun(runs, publish)
+				if n > l.budget {
+					t.Errorf("journaled causal %s = %v allocs/op, want <= %v", l.verb, n, l.budget)
+				}
+				t.Logf("journaled causal %s = %v allocs/op", l.verb, n)
 			}
-			n := testing.AllocsPerRun(4*outboxCutEvery, publish)
-			if n > c.budget {
-				t.Errorf("journaled causal Update = %v allocs/op, want <= %v", n, c.budget)
-			}
-			t.Logf("journaled causal Update = %v allocs/op", n)
 			if d := pub.JournalDepth(); d != 0 {
 				t.Errorf("JournalDepth = %d after confirmed publishes, want 0", d)
 			}

@@ -129,11 +129,60 @@ func TestTxCommitReturnsWrittenRecords(t *testing.T) {
 	if written[1].String("name") != "seed" || written[1].Int("likes") != 9 {
 		t.Errorf("written[1] = %+v", written[1].Attrs)
 	}
-	if written[2].ID != "u0" || len(written[2].Attrs) != 0 {
-		t.Errorf("written[2] = %+v", written[2])
+	if written[2] != nil { // a deleted object's slot
+		t.Errorf("written[2] = %+v, want nil", written[2])
 	}
 	if _, err := m.Find("User", "u0"); !errors.Is(err, storage.ErrNotFound) {
 		t.Error("tx delete not applied")
+	}
+}
+
+// TestTxDestroyLoadsNothing: a transaction's delete loads nothing, so
+// its destroy callbacks get an id-only record; the deleted object's slot
+// in Commit's result is nil, with callbacks or without; and the delete is
+// one write query and no read, on every flavour.
+func TestTxDestroyLoadsNothing(t *testing.T) {
+	for _, f := range []reldb.Flavor{reldb.Postgres, reldb.MySQL, reldb.Oracle} {
+		m := New(reldb.New(f))
+		var seen []string
+		withCallbacks := model.NewDescriptor("Doomed", model.Field{Name: "name", Type: model.String})
+		for _, h := range []model.Hook{model.BeforeDestroy, model.AfterDestroy} {
+			withCallbacks.Callbacks.On(h, func(ctx *model.CallbackCtx) error {
+				seen = append(seen, fmt.Sprintf("%s %s attrs=%d", h, ctx.Record.ID, len(ctx.Record.Attrs)))
+				return nil
+			})
+		}
+		for _, d := range []*model.Descriptor{withCallbacks, model.NewDescriptor("Plain", model.Field{Name: "name", Type: model.String})} {
+			if err := m.Register(d); err != nil {
+				t.Fatal(err)
+			}
+			rec := model.NewRecord(d.Name, "x1")
+			rec.Set("name", "final")
+			if err := m.Save(rec); err != nil {
+				t.Fatal(err)
+			}
+			r0, w0, x0 := m.Stats().Snapshot()
+			tx := m.Begin()
+			if err := tx.Delete(d.Name, "x1"); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Prepare(); err != nil {
+				t.Fatal(err)
+			}
+			out, err := tx.Commit()
+			if err != nil || len(out) != 1 || out[0] != nil {
+				t.Errorf("%s: Commit of a %s delete = %v, %v; want one nil slot", f.Name, d.Name, out, err)
+			}
+			if r, w, x := m.Stats().Snapshot(); [3]int64{r - r0, w - w0, x - x0} != [3]int64{0, 1, 0} {
+				t.Errorf("%s: a %s delete issued (reads, writes, extra reads) = %v, want [0 1 0]", f.Name, d.Name, [3]int64{r - r0, w - w0, x - x0})
+			}
+			if _, err := m.Find(d.Name, "x1"); !errors.Is(err, storage.ErrNotFound) {
+				t.Errorf("%s: Find after a committed %s delete = %v", f.Name, d.Name, err)
+			}
+		}
+		if want := []string{"before_destroy x1 attrs=0", "after_destroy x1 attrs=0"}; fmt.Sprint(seen) != fmt.Sprint(want) {
+			t.Errorf("%s: destroy callbacks saw %q, want %q", f.Name, seen, want)
+		}
 	}
 }
 

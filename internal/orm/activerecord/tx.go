@@ -24,6 +24,7 @@ type Tx struct {
 
 	opBuf  [txInline]txRecOp
 	recBuf [txInline]*model.Record
+	del    model.Record // see idOnly
 }
 
 const txInline = 2
@@ -70,11 +71,19 @@ func (tx *Tx) Update(rec *model.Record) error {
 	})
 }
 
-// Delete stages a deletion.
+// Delete stages a deletion. It loads nothing: its destroy callbacks get
+// an id-only record.
 func (tx *Tx) Delete(modelName, id string) error {
-	return tx.stage(model.NewRecord(modelName, id), model.BeforeDestroy, model.AfterDestroy, func(table string) error {
+	return tx.stage(tx.idOnly(modelName, id), model.BeforeDestroy, model.AfterDestroy, func(table string) error {
 		return tx.tx.Delete(table, id)
 	})
+}
+
+// idOnly is the record a destroy callback gets: the transaction's own,
+// valid for the duration of the callback, so a delete builds no record.
+func (tx *Tx) idOnly(modelName, id string) *model.Record {
+	tx.del = model.Record{Model: modelName, ID: id}
+	return &tx.del
 }
 
 // Prepare locks and validates the staged writes.
@@ -105,7 +114,9 @@ func (tx *Tx) StageJournal(rec *model.Record) error {
 
 // Commit applies the staged writes, returning the written objects (the
 // engine-level read-back) in operation order, and runs after-callbacks.
-// A staged journal record is neither read back nor returned.
+// A deleted object's slot is nil, and only an after-destroy callback gets
+// a record of it, id-only. A staged journal record is neither read back
+// nor returned.
 func (tx *Tx) Commit() ([]*model.Record, error) {
 	rows, err := tx.tx.Commit()
 	if err != nil {
@@ -120,8 +131,14 @@ func (tx *Tx) Commit() ([]*model.Record, error) {
 		if op.journal {
 			continue
 		}
-		rec := orm.Adopt(op.modelName, rows[i]) // a deleted row carries only its id
-		if err := tx.m.RunCallbacks(op.hook, rec); err != nil {
+		var rec *model.Record // a deleted object's slot
+		if op.hook == model.AfterDestroy {
+			err = tx.m.RunCallbacks(op.hook, tx.idOnly(op.modelName, rows[i].ID))
+		} else {
+			rec = orm.Adopt(op.modelName, rows[i])
+			err = tx.m.RunCallbacks(op.hook, rec)
+		}
+		if err != nil {
 			return nil, err
 		}
 		out = append(out, rec)

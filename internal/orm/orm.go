@@ -115,7 +115,9 @@ type MapperTx interface {
 	// Prepare locks and validates; after success Commit cannot fail.
 	Prepare() error
 	// Commit applies the staged writes and returns the written objects
-	// in operation order (deleted objects carry only model and id).
+	// in operation order. A deleted object's slot is nil: the object is
+	// gone, and a caller that needs its final state reads it while the
+	// row lock Prepare took still holds.
 	Commit() ([]*model.Record, error)
 	Abort()
 }

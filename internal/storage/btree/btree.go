@@ -1,7 +1,7 @@
 // Package btree implements an in-memory B-tree with string keys and
-// arbitrary values. It backs the ordered primary indexes of the
-// relational and column-family engines, providing O(log n) point access
-// and ordered iteration for scans and bootstrap snapshots.
+// values of one type, stored unboxed. It backs the relational engine's
+// ordered primary indexes, providing O(log n) point access and ordered
+// iteration for scans and bootstrap snapshots.
 //
 // The tree is not safe for concurrent use; callers synchronize.
 package btree
@@ -17,21 +17,21 @@ const (
 	maxKeys = 2*degree - 1
 )
 
-type item struct {
+type item[V any] struct {
 	key string
-	val any
+	val V
 }
 
-type node struct {
-	items    []item
-	children []*node // nil for leaves
+type node[V any] struct {
+	items    []item[V]
+	children []*node[V] // nil for leaves
 }
 
-func (n *node) leaf() bool { return len(n.children) == 0 }
+func (n *node[V]) leaf() bool { return len(n.children) == 0 }
 
 // find returns the index of the first item >= key and whether it is an
 // exact match.
-func (n *node) find(key string) (int, bool) {
+func (n *node[V]) find(key string) (int, bool) {
 	i := sort.Search(len(n.items), func(i int) bool { return n.items[i].key >= key })
 	if i < len(n.items) && n.items[i].key == key {
 		return i, true
@@ -39,20 +39,22 @@ func (n *node) find(key string) (int, bool) {
 	return i, false
 }
 
-// Tree is a B-tree mapping string keys to values.
-type Tree struct {
-	root *node
+// Tree is a B-tree mapping string keys to values of type V. A value is
+// stored in its node as it is: a Set of a new key into a leaf with room
+// allocates nothing.
+type Tree[V any] struct {
+	root *node[V]
 	size int
 }
 
 // New returns an empty tree.
-func New() *Tree { return &Tree{root: &node{}} }
+func New[V any]() *Tree[V] { return &Tree[V]{root: &node[V]{}} }
 
 // Len reports the number of keys stored.
-func (t *Tree) Len() int { return t.size }
+func (t *Tree[V]) Len() int { return t.size }
 
 // Get returns the value for key, if present.
-func (t *Tree) Get(key string) (any, bool) {
+func (t *Tree[V]) Get(key string) (val V, found bool) {
 	n := t.root
 	for {
 		i, ok := n.find(key)
@@ -60,7 +62,7 @@ func (t *Tree) Get(key string) (any, bool) {
 			return n.items[i].val, true
 		}
 		if n.leaf() {
-			return nil, false
+			return val, false
 		}
 		n = n.children[i]
 	}
@@ -68,10 +70,10 @@ func (t *Tree) Get(key string) (any, bool) {
 
 // Set inserts or replaces the value for key, returning the previous value
 // if one existed.
-func (t *Tree) Set(key string, val any) (any, bool) {
+func (t *Tree[V]) Set(key string, val V) (V, bool) {
 	if len(t.root.items) == maxKeys {
 		old := t.root
-		t.root = &node{children: []*node{old}}
+		t.root = &node[V]{children: []*node[V]{old}}
 		t.root.splitChild(0)
 	}
 	prev, had := t.root.insert(key, val)
@@ -82,19 +84,19 @@ func (t *Tree) Set(key string, val any) (any, bool) {
 }
 
 // splitChild splits the full child at index i, hoisting its median key.
-func (n *node) splitChild(i int) {
+func (n *node[V]) splitChild(i int) {
 	child := n.children[i]
 	mid := child.items[minKeys]
-	right := &node{
-		items: append([]item(nil), child.items[minKeys+1:]...),
+	right := &node[V]{
+		items: append([]item[V](nil), child.items[minKeys+1:]...),
 	}
 	if !child.leaf() {
-		right.children = append([]*node(nil), child.children[minKeys+1:]...)
+		right.children = append([]*node[V](nil), child.children[minKeys+1:]...)
 		child.children = child.children[:minKeys+1]
 	}
 	child.items = child.items[:minKeys]
 
-	n.items = append(n.items, item{})
+	n.items = append(n.items, item[V]{})
 	copy(n.items[i+1:], n.items[i:])
 	n.items[i] = mid
 
@@ -103,24 +105,24 @@ func (n *node) splitChild(i int) {
 	n.children[i+1] = right
 }
 
-func (n *node) insert(key string, val any) (any, bool) {
+func (n *node[V]) insert(key string, val V) (prev V, had bool) {
 	i, ok := n.find(key)
 	if ok {
-		prev := n.items[i].val
+		prev = n.items[i].val
 		n.items[i].val = val
 		return prev, true
 	}
 	if n.leaf() {
-		n.items = append(n.items, item{})
+		n.items = append(n.items, item[V]{})
 		copy(n.items[i+1:], n.items[i:])
-		n.items[i] = item{key: key, val: val}
-		return nil, false
+		n.items[i] = item[V]{key: key, val: val}
+		return prev, false
 	}
 	if len(n.children[i].items) == maxKeys {
 		n.splitChild(i)
 		switch {
 		case key == n.items[i].key:
-			prev := n.items[i].val
+			prev = n.items[i].val
 			n.items[i].val = val
 			return prev, true
 		case key > n.items[i].key:
@@ -131,7 +133,7 @@ func (n *node) insert(key string, val any) (any, bool) {
 }
 
 // Delete removes key, returning its value if it was present.
-func (t *Tree) Delete(key string) (any, bool) {
+func (t *Tree[V]) Delete(key string) (V, bool) {
 	val, had := t.root.remove(key)
 	if had {
 		t.size--
@@ -142,13 +144,13 @@ func (t *Tree) Delete(key string) (any, bool) {
 	return val, had
 }
 
-func (n *node) remove(key string) (any, bool) {
+func (n *node[V]) remove(key string) (val V, had bool) {
 	i, ok := n.find(key)
 	if n.leaf() {
 		if !ok {
-			return nil, false
+			return val, false
 		}
-		val := n.items[i].val
+		val = n.items[i].val
 		n.items = append(n.items[:i], n.items[i+1:]...)
 		return val, true
 	}
@@ -161,7 +163,7 @@ func (n *node) remove(key string) (any, bool) {
 		if !stillHere {
 			return n.children[j].remove(key)
 		}
-		val := n.items[j].val
+		val = n.items[j].val
 		pred := n.children[j].max()
 		n.items[j] = pred
 		_, _ = n.children[j].remove(pred.key)
@@ -171,7 +173,7 @@ func (n *node) remove(key string) (any, bool) {
 	j, nowHere := n.find(key)
 	if nowHere {
 		// A rotation pulled the key up into this node.
-		val := n.items[j].val
+		val = n.items[j].val
 		pred := n.children[j].max()
 		n.items[j] = pred
 		_, _ = n.children[j].remove(pred.key)
@@ -182,7 +184,7 @@ func (n *node) remove(key string) (any, bool) {
 
 // ensureChild guarantees children[i] has more than minKeys items, by
 // borrowing from a sibling or merging.
-func (n *node) ensureChild(i int) {
+func (n *node[V]) ensureChild(i int) {
 	if len(n.children[i].items) > minKeys {
 		return
 	}
@@ -190,11 +192,11 @@ func (n *node) ensureChild(i int) {
 	case i > 0 && len(n.children[i-1].items) > minKeys:
 		// Borrow from left sibling.
 		child, left := n.children[i], n.children[i-1]
-		child.items = append([]item{n.items[i-1]}, child.items...)
+		child.items = append([]item[V]{n.items[i-1]}, child.items...)
 		n.items[i-1] = left.items[len(left.items)-1]
 		left.items = left.items[:len(left.items)-1]
 		if !left.leaf() {
-			child.children = append([]*node{left.children[len(left.children)-1]}, child.children...)
+			child.children = append([]*node[V]{left.children[len(left.children)-1]}, child.children...)
 			left.children = left.children[:len(left.children)-1]
 		}
 	case i < len(n.children)-1 && len(n.children[i+1].items) > minKeys:
@@ -202,10 +204,10 @@ func (n *node) ensureChild(i int) {
 		child, right := n.children[i], n.children[i+1]
 		child.items = append(child.items, n.items[i])
 		n.items[i] = right.items[0]
-		right.items = append([]item(nil), right.items[1:]...)
+		right.items = append([]item[V](nil), right.items[1:]...)
 		if !right.leaf() {
 			child.children = append(child.children, right.children[0])
-			right.children = append([]*node(nil), right.children[1:]...)
+			right.children = append([]*node[V](nil), right.children[1:]...)
 		}
 	default:
 		// Merge with a sibling.
@@ -221,7 +223,7 @@ func (n *node) ensureChild(i int) {
 	}
 }
 
-func (n *node) max() item {
+func (n *node[V]) max() item[V] {
 	for !n.leaf() {
 		n = n.children[len(n.children)-1]
 	}
@@ -229,16 +231,16 @@ func (n *node) max() item {
 }
 
 // Ascend visits all keys in order until fn returns false.
-func (t *Tree) Ascend(fn func(key string, val any) bool) {
+func (t *Tree[V]) Ascend(fn func(key string, val V) bool) {
 	t.root.ascend("", false, fn)
 }
 
 // AscendFrom visits keys >= start in order until fn returns false.
-func (t *Tree) AscendFrom(start string, fn func(key string, val any) bool) {
+func (t *Tree[V]) AscendFrom(start string, fn func(key string, val V) bool) {
 	t.root.ascend(start, true, fn)
 }
 
-func (n *node) ascend(start string, bounded bool, fn func(string, any) bool) bool {
+func (n *node[V]) ascend(start string, bounded bool, fn func(string, V) bool) bool {
 	i := 0
 	if bounded {
 		i, _ = n.find(start)

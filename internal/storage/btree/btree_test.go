@@ -9,7 +9,7 @@ import (
 )
 
 func TestEmpty(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	if tr.Len() != 0 {
 		t.Fatalf("Len() = %d, want 0", tr.Len())
 	}
@@ -22,7 +22,7 @@ func TestEmpty(t *testing.T) {
 }
 
 func TestSetGet(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	if _, had := tr.Set("a", 1); had {
 		t.Fatal("first Set reported existing key")
 	}
@@ -39,7 +39,7 @@ func TestSetGet(t *testing.T) {
 }
 
 func TestManyKeysOrdered(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	const n = 10000
 	perm := rand.New(rand.NewSource(1)).Perm(n)
 	for _, i := range perm {
@@ -60,7 +60,7 @@ func TestManyKeysOrdered(t *testing.T) {
 }
 
 func TestDeleteAll(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	const n = 5000
 	rng := rand.New(rand.NewSource(2))
 	keys := make([]string, n)
@@ -82,7 +82,7 @@ func TestDeleteAll(t *testing.T) {
 }
 
 func TestDeleteMissing(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	for i := 0; i < 200; i++ {
 		tr.Set(fmt.Sprintf("k%03d", i), i)
 	}
@@ -95,12 +95,12 @@ func TestDeleteMissing(t *testing.T) {
 }
 
 func TestAscendFrom(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	for i := 0; i < 100; i++ {
 		tr.Set(fmt.Sprintf("k%03d", i), i)
 	}
 	var got []string
-	tr.AscendFrom("k050", func(k string, _ any) bool {
+	tr.AscendFrom("k050", func(k string, _ int) bool {
 		got = append(got, k)
 		return true
 	})
@@ -109,7 +109,7 @@ func TestAscendFrom(t *testing.T) {
 	}
 	// Start between keys.
 	got = got[:0]
-	tr.AscendFrom("k0505", func(k string, _ any) bool {
+	tr.AscendFrom("k0505", func(k string, _ int) bool {
 		got = append(got, k)
 		return true
 	})
@@ -119,12 +119,12 @@ func TestAscendFrom(t *testing.T) {
 }
 
 func TestAscendEarlyStop(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	for i := 0; i < 100; i++ {
 		tr.Set(fmt.Sprintf("k%03d", i), i)
 	}
 	count := 0
-	tr.Ascend(func(string, any) bool {
+	tr.Ascend(func(string, int) bool {
 		count++
 		return count < 10
 	})
@@ -133,12 +133,88 @@ func TestAscendEarlyStop(t *testing.T) {
 	}
 }
 
+// row is a value the way the relational engine stores one: a struct
+// that holds pointers.
+type row struct {
+	id   string
+	cols map[string]any
+}
+
+// TestTypedRoundTrip stores struct values and gets back the very values
+// stored, through splits, replacement and deletion.
+func TestTypedRoundTrip(t *testing.T) {
+	tr := New[row]()
+	const n = 500
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("r%04d", i)
+		tr.Set(id, row{id: id, cols: map[string]any{"n": i}})
+	}
+	prev, had := tr.Set("r0007", row{id: "r0007", cols: map[string]any{"n": -7}})
+	if !had || prev.cols["n"] != 7 {
+		t.Fatalf("replace returned (%+v, %v), want r0007's first value", prev, had)
+	}
+	for i := 0; i < n; i++ {
+		id, want := fmt.Sprintf("r%04d", i), i
+		if i == 7 {
+			want = -7
+		}
+		got, ok := tr.Get(id)
+		if !ok || got.id != id || got.cols["n"] != want {
+			t.Fatalf("Get(%s) = (%+v, %v), want n=%d", id, got, ok, want)
+		}
+	}
+	gone, ok := tr.Delete("r0100")
+	if !ok || gone.id != "r0100" || gone.cols["n"] != 100 {
+		t.Fatalf("Delete(r0100) = (%+v, %v)", gone, ok)
+	}
+	if got, ok := tr.Get("r0100"); ok || got.cols != nil {
+		t.Fatalf("Get after Delete = (%+v, %v), want the zero row", got, ok)
+	}
+}
+
+// TestTypedOrderedScan checks AscendFrom hands over the stored values in
+// key order, whatever order they were set in.
+func TestTypedOrderedScan(t *testing.T) {
+	tr := New[row]()
+	for _, i := range rand.New(rand.NewSource(3)).Perm(300) {
+		id := fmt.Sprintf("r%03d", i)
+		tr.Set(id, row{id: id})
+	}
+	var got []string
+	tr.AscendFrom("r150", func(k string, v row) bool {
+		if v.id != k {
+			t.Fatalf("key %s holds %s's row", k, v.id)
+		}
+		got = append(got, k)
+		return true
+	})
+	if len(got) != 150 || got[0] != "r150" || got[149] != "r299" || !sort.StringsAreSorted(got) {
+		t.Fatalf("AscendFrom(r150): %d keys from %v to %v", len(got), got[0], got[len(got)-1])
+	}
+}
+
+// TestSetStoresUnboxed checks a value is not boxed on its way in: a Set
+// of a new key into a leaf with room, and its Delete, allocate nothing.
+func TestSetStoresUnboxed(t *testing.T) {
+	tr := New[row]()
+	for i := 0; i < 10; i++ {
+		tr.Set(fmt.Sprintf("r%02d", i), row{id: "x"})
+	}
+	v := row{id: "new", cols: map[string]any{}}
+	if n := testing.AllocsPerRun(100, func() {
+		tr.Set("r05a", v)
+		tr.Delete("r05a")
+	}); n != 0 {
+		t.Errorf("Set of a new key into a non-full leaf = %v allocs, want 0", n)
+	}
+}
+
 // TestQuickAgainstMap drives random operations against a reference map
 // and checks full agreement including ordered iteration.
 func TestQuickAgainstMap(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := New()
+		tr := New[int]()
 		ref := make(map[string]int)
 		for op := 0; op < 3000; op++ {
 			k := fmt.Sprintf("k%03d", rng.Intn(400))
@@ -189,7 +265,7 @@ func TestQuickAgainstMap(t *testing.T) {
 }
 
 func BenchmarkSet(b *testing.B) {
-	tr := New()
+	tr := New[int]()
 	keys := make([]string, b.N)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%09d", i)
@@ -201,7 +277,7 @@ func BenchmarkSet(b *testing.B) {
 }
 
 func BenchmarkGet(b *testing.B) {
-	tr := New()
+	tr := New[int]()
 	const n = 100000
 	for i := 0; i < n; i++ {
 		tr.Set(fmt.Sprintf("key-%09d", i), i)
@@ -213,9 +289,9 @@ func BenchmarkGet(b *testing.B) {
 }
 
 // keys returns all of t's keys in order.
-func keys(t *Tree) []string {
+func keys(t *Tree[int]) []string {
 	var out []string
-	t.Ascend(func(k string, _ any) bool {
+	t.Ascend(func(k string, _ int) bool {
 		out = append(out, k)
 		return true
 	})

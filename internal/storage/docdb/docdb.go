@@ -221,15 +221,6 @@ func (db *DB) Find(collection string, example map[string]any) ([]storage.Row, er
 	return out, nil
 }
 
-// Count returns the number of matching documents (an aggregation).
-func (db *DB) Count(collection string, example map[string]any) (int, error) {
-	rows, err := db.Find(collection, example)
-	if err != nil {
-		return 0, err
-	}
-	return len(rows), nil
-}
-
 // ScanFrom streams documents with id >= start in id order until fn
 // returns false. A document is copied out as fn gets it, and fn runs
 // outside the lock: one deleted in the meantime is skipped.

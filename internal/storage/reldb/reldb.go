@@ -42,7 +42,7 @@ type Column struct {
 type table struct {
 	name    string
 	columns map[string]Column
-	rows    *btree.Tree // id -> storage.Row
+	rows    *btree.Tree[storage.Row]
 	// indexes: column -> encoded value -> set of row ids
 	indexes map[string]map[string]map[string]struct{}
 }
@@ -51,7 +51,7 @@ func newTable(name string, cols []Column) *table {
 	t := &table{
 		name:    name,
 		columns: make(map[string]Column, len(cols)),
-		rows:    btree.New(),
+		rows:    btree.New[storage.Row](),
 		indexes: make(map[string]map[string]map[string]struct{}),
 	}
 	for _, c := range cols {
@@ -173,7 +173,7 @@ func (db *DB) Get(tableName, id string) (storage.Row, error) {
 			err = storage.ErrNotFound
 			return
 		}
-		row = v.(storage.Row).Clone()
+		row = v.Clone()
 	})
 	return row, err
 }
@@ -267,14 +267,13 @@ func (db *DB) updateLocked(tableName, id string, cols map[string]any) (storage.R
 	if err != nil {
 		return storage.Row{}, err
 	}
-	v, ok := t.rows.Get(id)
+	row, ok := t.rows.Get(id)
 	if !ok {
 		return storage.Row{}, storage.ErrNotFound
 	}
 	if err := t.checkColumns(storage.Row{ID: id, Cols: cols}); err != nil {
 		return storage.Row{}, err
 	}
-	row := v.(storage.Row)
 	t.indexRemove(row)
 	for k, val := range cols {
 		row.Cols[k] = storage.CloneValue(val)
@@ -314,11 +313,10 @@ func (db *DB) deleteLocked(tableName, id string) (storage.Row, error) {
 	if err != nil {
 		return storage.Row{}, err
 	}
-	v, ok := t.rows.Delete(id)
+	row, ok := t.rows.Delete(id)
 	if !ok {
 		return storage.Row{}, storage.ErrNotFound
 	}
-	row := v.(storage.Row)
 	t.indexRemove(row)
 	return row, nil
 }
@@ -344,11 +342,11 @@ func (db *DB) DeleteRange(tableName, from, to string) (int, error) {
 		}
 		// The tree cannot be changed under its own iteration.
 		var doomed []storage.Row
-		t.rows.AscendFrom(from, func(id string, v any) bool {
+		t.rows.AscendFrom(from, func(id string, row storage.Row) bool {
 			if id >= to {
 				return false
 			}
-			doomed = append(doomed, v.(storage.Row))
+			doomed = append(doomed, row)
 			return true
 		})
 		for _, row := range doomed {
@@ -382,8 +380,7 @@ func (db *DB) Select(tableName string, preds ...storage.Predicate) ([]storage.Ro
 				}
 				sort.Strings(ids)
 				for _, id := range ids {
-					v, _ := t.rows.Get(id)
-					row := v.(storage.Row)
+					row, _ := t.rows.Get(id)
 					if storage.MatchAll(row, preds[1:]) {
 						out = append(out, row.Clone())
 					}
@@ -391,8 +388,7 @@ func (db *DB) Select(tableName string, preds ...storage.Predicate) ([]storage.Ro
 				return
 			}
 		}
-		t.rows.Ascend(func(_ string, v any) bool {
-			row := v.(storage.Row)
+		t.rows.Ascend(func(_ string, row storage.Row) bool {
 			if storage.MatchAll(row, preds) {
 				out = append(out, row.Clone())
 			}
@@ -400,16 +396,6 @@ func (db *DB) Select(tableName string, preds ...storage.Predicate) ([]storage.Ro
 		})
 	})
 	return out, err
-}
-
-// Count returns the number of rows matching the predicates (an
-// aggregation — by design not a true dependency in Synapse, §4.2).
-func (db *DB) Count(tableName string, preds ...storage.Predicate) (int, error) {
-	rows, err := db.Select(tableName, preds...)
-	if err != nil {
-		return 0, err
-	}
-	return len(rows), nil
 }
 
 // ScanFrom streams rows with id >= start in primary-key order until fn
@@ -424,8 +410,8 @@ func (db *DB) ScanFrom(tableName, start string, fn func(storage.Row) bool) error
 		if err != nil {
 			return
 		}
-		t.rows.AscendFrom(start, func(_ string, v any) bool {
-			return fn(v.(storage.Row).Clone())
+		t.rows.AscendFrom(start, func(_ string, row storage.Row) bool {
+			return fn(row.Clone())
 		})
 	})
 	return err

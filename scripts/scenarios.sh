@@ -213,16 +213,19 @@ scenario_projection() {
 }
 
 # The publisher's commit: the allocation budgets of the row-lock table,
-# the engine transaction, the dependency plan and a journaled publish
-# (plain runs: the budgets skip under the race detector) with the
-# differential check of the payloads against encoding/json; the
-# lock-table property test twenty times and the global-order test a
-# hundred times under the race detector; then the workload whose every
-# message is a journaled PostgreSQL publish, which exits non-zero on any
-# failed operation or oracle mismatch.
+# the row tree, the engine transaction, the dependency plan and a
+# journaled publish of each verb (plain runs: the budgets skip under the
+# race detector) with the differential check of the payloads against
+# encoding/json, the row tree's typed round trips, the adapter
+# transaction's delete that loads nothing and the destroy that must
+# publish the state an update racing it left; the lock-table property
+# test twenty times and the global-order test a hundred times under the
+# race detector; then the workload whose every message is a journaled
+# PostgreSQL publish, which exits non-zero on any failed operation or
+# oracle mismatch.
 scenario_publish() {
-    gotest -run 'TestLockTableSteadyStateAllocs|TestTxAllocBudget|TestPlanAllocBudget|TestPublishAllocBudget|TestPublishPayloadsMatchEncodingJSON' \
-        ./internal/storage/ ./internal/storage/reldb/ ./internal/deptrack/ ./internal/core/ &&
+    gotest -run 'TestLockTableSteadyStateAllocs|TestSetStoresUnboxed|TestTypedRoundTrip|TestTypedOrderedScan|TestTxAllocBudget|TestTxDestroyLoadsNothing|TestPlanAllocBudget|TestPublishAllocBudget|TestPublishPayloadsMatchEncodingJSON|TestDestroyPublishesStateAfterRacingUpdate' \
+        ./internal/storage/ ./internal/storage/btree/ ./internal/storage/reldb/ ./internal/orm/activerecord/ ./internal/deptrack/ ./internal/core/ &&
         gotest -race -count=20 -run 'TestLockTable' ./internal/storage/ &&
         gotest -race -count=100 -run 'TestGlobalModeTotalOrder' ./internal/core/ &&
         bash benchmark/run.sh --workload social_causal --seconds 5
