@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -46,7 +47,7 @@ type Fig13aPoint struct {
 
 // RunFig13a measures publisher overhead (total controller write latency
 // minus the engine's intrinsic write latency) as the number of
-// dependencies per message grows.
+// dependencies per message grows, as the fastest of each point's samples.
 func RunFig13a(cfg Fig13aConfig) ([]Fig13aPoint, error) {
 	var out []Fig13aPoint
 	for _, engine := range cfg.Engines {
@@ -67,18 +68,23 @@ func RunFig13a(cfg Fig13aConfig) ([]Fig13aPoint, error) {
 		item := itemModel("payload", model.String)()[0]
 		must(app.Publish(item, core.PubSpec{Attrs: item.FieldNames(), Ephemeral: engine == Ephemeral}))
 
+		// Each point is its fastest sample: the cost is a fixed spin-wait,
+		// and a write preempted on a busy host only ever adds to its own
+		// sample. The points take their samples in turns, so a busy spell
+		// slows one sample of several points, not every sample of one.
+		fastest := make([]time.Duration, len(cfg.Deps))
+		for i := range fastest {
+			fastest[i] = math.MaxInt64
+		}
 		next := 0
-		for _, deps := range cfg.Deps {
-			var total time.Duration
-			for s := 0; s < cfg.Samples; s++ {
-				total += createItem(app, fmt.Sprintf("it-%d", next), deps)
+		for range cfg.Samples {
+			for i, deps := range cfg.Deps {
+				fastest[i] = min(fastest[i], createItem(app, fmt.Sprintf("it-%d", next), deps))
 				next++
 			}
-			overhead := total/time.Duration(cfg.Samples) - baseline
-			if overhead < 0 {
-				overhead = 0
-			}
-			out = append(out, Fig13aPoint{Engine: engine, Deps: deps, Overhead: overhead})
+		}
+		for i, deps := range cfg.Deps {
+			out = append(out, Fig13aPoint{Engine: engine, Deps: deps, Overhead: max(fastest[i]-baseline, 0)})
 		}
 	}
 	return out, nil

@@ -48,7 +48,9 @@ func (tx skeletonTx) StageJournal(rec *model.Record) error {
 // version for reads and version−1 for writes kept by a shadow of the
 // version store, attributes as maps read from the staged record and from
 // the read-back. Under hash, cardinality 16 puts keys like 9 and 10 in
-// one message, whose decimal order is not their numeric order.
+// one message, whose decimal order is not their numeric order. Every
+// payload also decodes projected: the decoder's fast path takes all of
+// them.
 func TestPublishPayloadsMatchEncodingJSON(t *testing.T) {
 	for _, cfg := range []Config{{Mode: Causal, DepCardinality: 16}, {Mode: Causal, DepTracker: TrackerDVV}} {
 		t.Run("tracker="+cfg.DepTracker, func(t *testing.T) {
@@ -90,6 +92,15 @@ func TestPublishPayloadsMatchEncodingJSON(t *testing.T) {
 				return out
 			}
 			lens := func(modelName string) *model.Projection { return pub.publication(modelName).lens }
+			// A subscriber's compiled Post subscription, as its decoder's sink.
+			post := &projection{Projection: lens("Post")}
+			resolve := func(origin string, types []string) wire.Sink {
+				if origin == "pub" && slices.Contains(types, "Post") {
+					return post
+				}
+				return nil
+			}
+			withAttrs, projected := 0, 0 // operations that carry attributes; of those, decoded projected
 
 			rng := rand.New(rand.NewSource(1))
 			var live []string
@@ -154,6 +165,19 @@ func TestPublishPayloadsMatchEncodingJSON(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					proj, err := wire.UnmarshalProjected(c.payload, resolve)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k := range sent.Operations {
+						if len(sent.Operations[k].Attributes) > 0 {
+							withAttrs++
+							if _, ok := proj.Operations[k].Sink(); ok {
+								projected++
+							}
+						}
+					}
+					wire.ReleaseMessage(proj)
 					want := &wire.Message{
 						App: "pub",
 						Operations: []wire.Operation{{
@@ -176,6 +200,12 @@ func TestPublishPayloadsMatchEncodingJSON(t *testing.T) {
 						t.Fatalf("message %d, %s:\n got %s\nwant %s", i, c.what, c.payload, b)
 					}
 				}
+			}
+			// The fast path takes every payload the publisher writes: the
+			// share of operations with attributes a projected decode chose
+			// a sink for is 100 %.
+			if withAttrs == 0 || projected != withAttrs {
+				t.Fatalf("%d of %d operations with attributes decoded projected", projected, withAttrs)
 			}
 			if cfg.DepTracker == "" && !crossed {
 				t.Fatal("no message carried keys whose decimal order differs from their numeric order")

@@ -198,27 +198,49 @@ func TestUnmarshalGoldenEquivalence(t *testing.T) {
 // TestUnmarshalOldFormats feeds hand-written payloads a previous version
 // of the system could have produced — different key order, unknown
 // fields, case-folded keys, duplicate keys, nulls, whitespace, escapes —
-// and checks the fast decoder matches encoding/json on each.
+// and checks that Unmarshal and UnmarshalProjected match encoding/json on
+// each. fast records whether the fast path takes the payload: only the
+// canonical ones.
 func TestUnmarshalOldFormats(t *testing.T) {
-	payloads := map[string]string{
-		"reordered":     `{"seq":9,"generation":1,"published_at":"2014-10-11T07:59:00Z","dependencies":{"7341":42},"operations":[{"object_dep":"7341","id":"100","types":["User"],"operation":"update"}],"app":"pub3"}`,
-		"unknown-keys":  `{"app":"a","version":2,"extra":{"deep":[1,2,{"x":null}]},"operations":[{"operation":"create","types":["T"],"id":"1","object_dep":"0","meta":"skip"}],"dependencies":{},"published_at":"2026-01-01T00:00:00Z","generation":1,"seq":1}`,
-		"case-folded":   `{"APP":"a","Operations":[{"OPERATION":"update","Types":["T"],"Id":"1","ATTRIBUTES":{"k":1},"Object_Dep":"0"}],"DEPENDENCIES":{"1":2},"Published_At":"2026-01-01T00:00:00Z","GENERATION":3,"SEQ":4,"RECOVERED":true}`,
-		"kelvin-fold":   `{"app":"a","seK":7,"ſeq":8}`,
-		"duplicates":    `{"app":"first","app":"second","dependencies":{"1":1},"dependencies":{"2":2},"operations":[{"operation":"create","types":["A","B"],"id":"x","object_dep":"1"}],"operations":[{"id":"y"}],"seq":1,"seq":2}`,
-		"nulls":         `{"app":null,"operations":[{"operation":null,"types":null,"id":null,"attributes":null,"object_dep":null},null],"dependencies":null,"external_dependencies":null,"published_at":null,"generation":null,"global_dep":null,"seq":null,"recovered":null}`,
-		"null-dep-vals": `{"app":"a","operations":[],"dependencies":{"1":null,"2":3},"published_at":"2026-01-01T00:00:00Z","generation":1,"seq":1}`,
-		"null-types":    `{"app":"a","operations":[{"operation":"update","types":["A",null,"C"],"id":"1","object_dep":"0"}],"dependencies":{},"published_at":"2026-01-01T00:00:00Z","generation":1,"seq":1}`,
-		"whitespace":    "{\n  \"app\" : \"a\" ,\r\n\t\"operations\" : [ ] ,\n \"dependencies\" : { } , \"published_at\" : \"2026-01-01T00:00:00Z\" , \"generation\" : 1 , \"seq\" : 1 }",
-		"escapes":       `{"app":"Aé😀\n\t\"\\\/","operations":[{"operation":"update","types":["  "],"id":"\ud800","attributes":{"kK":"\udfff\ud83d"},"object_dep":"0"}],"dependencies":{"1":1},"published_at":"2026-01-01T00:00:00Z","generation":1,"seq":1}`,
-		"empty-object":  `{}`,
-		"attr-shapes":   `{"app":"a","operations":[{"operation":"update","types":["T"],"id":"1","attributes":{"n":-12.5e2,"z":0,"neg":-0,"exp":1E+3,"arr":[[]],"o":{"a":{"b":[true,null]}},"s":"<&>"},"object_dep":"0"}],"dependencies":{"18446744073709551615":18446744073709551615},"published_at":"2026-01-01T00:00:00.123456789+05:30","generation":18446744073709551615,"seq":1}`,
+	payloads := map[string]struct {
+		p    string
+		fast bool
+	}{
+		"reordered":     {`{"seq":9,"generation":1,"published_at":"2014-10-11T07:59:00Z","dependencies":{"7341":42},"operations":[{"object_dep":"7341","id":"100","types":["User"],"operation":"update"}],"app":"pub3"}`, false},
+		"unknown-keys":  {`{"app":"a","version":2,"extra":{"deep":[1,2,{"x":null}]},"operations":[{"operation":"create","types":["T"],"id":"1","object_dep":"0","meta":"skip"}],"dependencies":{},"published_at":"2026-01-01T00:00:00Z","generation":1,"seq":1}`, false},
+		"case-folded":   {`{"APP":"a","Operations":[{"OPERATION":"update","Types":["T"],"Id":"1","ATTRIBUTES":{"k":1},"Object_Dep":"0"}],"DEPENDENCIES":{"1":2},"Published_At":"2026-01-01T00:00:00Z","GENERATION":3,"SEQ":4,"RECOVERED":true}`, false},
+		"kelvin-fold":   {`{"app":"a","seK":7,"ſeq":8}`, false},
+		"duplicates":    {`{"app":"first","app":"second","dependencies":{"1":1},"dependencies":{"2":2},"operations":[{"operation":"create","types":["A","B"],"id":"x","object_dep":"1"}],"operations":[{"id":"y"}],"seq":1,"seq":2}`, false},
+		"nulls":         {`{"app":null,"operations":[{"operation":null,"types":null,"id":null,"attributes":null,"object_dep":null},null],"dependencies":null,"external_dependencies":null,"published_at":null,"generation":null,"global_dep":null,"seq":null,"recovered":null}`, false},
+		"null-dep-vals": {`{"app":"a","operations":[],"dependencies":{"1":null,"2":3},"published_at":"2026-01-01T00:00:00Z","generation":1,"seq":1}`, false},
+		"null-types":    {`{"app":"a","operations":[{"operation":"update","types":["A",null,"C"],"id":"1","object_dep":"0"}],"dependencies":{},"published_at":"2026-01-01T00:00:00Z","generation":1,"seq":1}`, false},
+		"whitespace":    {"{\n  \"app\" : \"a\" ,\r\n\t\"operations\" : [ ] ,\n \"dependencies\" : { } , \"published_at\" : \"2026-01-01T00:00:00Z\" , \"generation\" : 1 , \"seq\" : 1 }", false},
+		"escapes":       {`{"app":"Aé😀\n\t\"\\\/","operations":[{"operation":"update","types":["  "],"id":"\ud800","attributes":{"kK":"\udfff\ud83d"},"object_dep":"0"}],"dependencies":{"1":1},"published_at":"2026-01-01T00:00:00Z","generation":1,"seq":1}`, false},
+		"empty-object":  {`{}`, true},
+		"attr-shapes":   {`{"app":"a","operations":[{"operation":"update","types":["T"],"id":"1","attributes":{"n":-12.5e2,"z":0,"neg":-0,"exp":1E+3,"arr":[[]],"o":{"a":{"b":[true,null]}},"s":"<&>"},"object_dep":"0"}],"dependencies":{"18446744073709551615":18446744073709551615},"published_at":"2026-01-01T00:00:00.123456789+05:30","generation":18446744073709551615,"seq":1}`, true},
 	}
-	for name, p := range payloads {
+	resolve := mixedSinks()
+	for name, c := range payloads {
 		t.Run(name, func(t *testing.T) {
-			fast, std := decodeBothWays(t, []byte(p))
-			if !reflect.DeepEqual(fast, std) {
-				t.Fatalf("decoders diverge on %s\n fast: %#v\n  std: %#v", p, fast, std)
+			payload := []byte(c.p)
+			if err := decodeFast(payload, new(Message), nil); (err == nil) != c.fast {
+				t.Errorf("fast path took it: %v, want %v (%v)", err == nil, c.fast, err)
+			}
+			std, err := unmarshalStd(payload)
+			if err != nil {
+				t.Fatalf("stdlib decode rejected %s: %v", payload, err)
+			}
+			got, err := Unmarshal(payload)
+			if err != nil || !reflect.DeepEqual(stripCache(got), stripCache(std)) {
+				t.Fatalf("Unmarshal diverges on %s (%v)\n  got: %#v\n  std: %#v", payload, err, got, std)
+			}
+			proj, err := UnmarshalProjected(payload, resolve)
+			if err != nil {
+				t.Fatalf("UnmarshalProjected rejected %s: %v", payload, err)
+			}
+			defer ReleaseMessage(proj)
+			if got, want := apply(proj, resolve), apply(std, resolve); !reflect.DeepEqual(got, want) {
+				t.Fatalf("UnmarshalProjected diverges on %s\n  got: %+v\n  std: %+v", payload, got, want)
 			}
 		})
 	}
@@ -434,7 +456,10 @@ func TestPooledDecodeNoStaleState(t *testing.T) {
 		Recovered:    true,
 	}
 	payloadBig, _ := json.Marshal(big)
-	small := `{"app":"small","operations":[{"operation":"update","types":["T",null],"id":"9","object_dep":"5"}],"dependencies":{"5":1},"published_at":"2026-01-01T00:00:00Z","generation":1,"seq":1}`
+	small := `{"app":"small","operations":[{"operation":"update","types":["T","U"],"id":"9","object_dep":"5"}],"dependencies":{"5":1},"published_at":"2026-01-01T00:00:00Z","generation":1,"seq":1}`
+	if err := decodeFast([]byte(small), new(Message), nil); err != nil {
+		t.Fatalf("the small message does not take the fast path: %v", err)
+	}
 
 	for i := 0; i < 8; i++ {
 		m, err := UnmarshalPooled(payloadBig)

@@ -32,9 +32,10 @@ func getAttrMap() map[string]any   { return attrMapPool.Get().(map[string]any) }
 func getDepMap() map[string]uint64 { return depMapPool.Get().(map[string]uint64) }
 
 // UnmarshalPooled decodes a message into a pooled scratch struct,
-// reusing its maps and slices. On a fast-path decode failure the pooled
-// struct goes back to the pool and the stdlib fallback allocates a
-// fresh message — callers release either kind with ReleaseMessage.
+// reusing its maps and slices. A payload outside the canonical form the
+// encoder writes (see Unmarshal) sends the pooled struct back to the
+// pool, and encoding/json decodes it into a fresh message — callers
+// release either kind with ReleaseMessage.
 func UnmarshalPooled(b []byte) (*Message, error) { return UnmarshalProjected(b, nil) }
 
 // Sink is a compiled subscription as the decoder sees it: which of an
@@ -54,21 +55,16 @@ type Resolver func(app string, types []string) Sink
 
 // UnmarshalProjected is UnmarshalPooled for a subscriber that knows what
 // it wants: each operation's attributes go through the sink resolve
-// picks for it — unsubscribed attributes, and every attribute of an
-// operation without a sink, are scanned past and never built (Operation.
-// Sink says which sink decided) — and decimal dependency tokens are
-// parsed in place: they are in Deps and Operation.ObjectKey, not in
-// Dependencies and ObjectDep. A payload whose keys arrive in an order
-// that hides the app, verb or type chain from the attributes, and a nil
-// resolve, decode in full like UnmarshalPooled.
+// picks for the message's origin and the operation's type chain —
+// unsubscribed attributes, and every attribute of an operation without a
+// sink, are scanned past and never built (Operation.Sink says which sink
+// decided) — and decimal dependency tokens are parsed in place: they are
+// in Deps and Operation.ObjectKey, not in Dependencies and ObjectDep.
+// Only the canonical form the encoder writes is decoded this way; any
+// other payload, and a nil resolve, decode in full like UnmarshalPooled.
 func UnmarshalProjected(b []byte, resolve Resolver) (*Message, error) {
 	m := msgPool.Get().(*Message)
-	err := decodeFast(b, m, resolve)
-	if err == errReordered {
-		m.reset()
-		err = decodeFast(b, m, nil)
-	}
-	if err != nil {
+	if err := decodeFast(b, m, resolve); err != nil {
 		m.reset()
 		msgPool.Put(m)
 		return unmarshalStd(b)

@@ -282,10 +282,11 @@ func ParseDepKey(s string) (uint64, error) {
 
 // Unmarshal decodes a message, normalizing attribute values into the
 // model value set (JSON numbers arrive as float64 and stay that way;
-// record accessors accept both widths). The fast decoder handles the
-// whole format; any input it cannot take — malformed JSON, numbers out
-// of range, pathological nesting — is re-decoded by encoding/json so
-// both results and errors stay exactly the stdlib's.
+// record accessors accept both widths). The fast decoder takes the
+// canonical form Marshal writes; any other input — another key order,
+// whitespace, malformed JSON, numbers out of range, pathological nesting
+// — is decoded by encoding/json, so results and errors are always the
+// stdlib's.
 func Unmarshal(b []byte) (*Message, error) {
 	m := new(Message)
 	if err := decodeFast(b, m, nil); err != nil {
