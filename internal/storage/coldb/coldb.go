@@ -47,7 +47,11 @@ type DB struct {
 	memSize   int
 	flushSize int
 	base      map[rowKey]partition
-	closed    bool
+	// spare holds partitions a flush emptied, for the next memtable: at
+	// most flushSize, what a memtable of single-row writes can hold, so
+	// the engine keeps only live data and one memtable's worth.
+	spare  []partition
+	closed bool
 }
 
 // DefaultFlushSize is the number of cells after which the memtable is
@@ -115,7 +119,7 @@ func (db *DB) applyLocked(ts uint64, m Mutation) {
 	k := rowKey{m.Family, m.ID}
 	p := db.memtable[k]
 	if p == nil {
-		p = make(partition)
+		p = db.newPartition()
 		db.memtable[k] = p
 	}
 	if m.Delete {
@@ -173,18 +177,40 @@ func (db *DB) flushLocked() {
 					delete(p, col)
 				}
 			}
+			db.free(db.base[k])
 			if _, live := p[presenceCol]; !live {
 				delete(db.base, k)
+				db.free(p)
 				continue
 			}
 		} else if b := db.base[k]; b != nil {
 			maps.Copy(b, p)
+			db.free(p)
 			continue
 		}
 		db.base[k] = p
 	}
 	clear(db.memtable)
 	db.memSize = 0
+}
+
+// newPartition takes a partition a flush emptied, or makes one.
+func (db *DB) newPartition() partition {
+	if n := len(db.spare) - 1; n >= 0 {
+		p := db.spare[n]
+		db.spare = slices.Delete(db.spare, n, n+1) // and drops its reference
+		return p
+	}
+	return make(partition)
+}
+
+// free empties p, which neither table holds any longer, and keeps it for
+// newPartition unless flushSize are kept already.
+func (db *DB) free(p partition) {
+	if p != nil && len(db.spare) < db.flushSize {
+		clear(p)
+		db.spare = append(db.spare, p)
+	}
 }
 
 // Flush forces the memtable into the base (test/benchmark control).
@@ -265,25 +291,6 @@ func (db *DB) rowIDs(family, from, to string) []string {
 	}
 	slices.Sort(ids)
 	return slices.Compact(ids) // a row in both maps
-}
-
-// Scan returns all live rows in the family matching the predicates, in
-// id order. Column stores have no secondary indexes here; scans are
-// full-partition walks (matching how the paper's workloads use
-// Cassandra: write-heavy, key-addressed).
-func (db *DB) Scan(family string, preds ...storage.Predicate) ([]storage.Row, error) {
-	var out []storage.Row
-	db.gate.Read(func() {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		for _, id := range db.rowIDs(family, "", "") {
-			row := db.rowLocked(rowKey{family, id})
-			if storage.MatchAll(row, preds) {
-				out = append(out, row)
-			}
-		}
-	})
-	return out, nil
 }
 
 // ScanFrom streams rows with id >= start in id order until fn returns

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -173,11 +174,16 @@ func TestScanAndScanFrom(t *testing.T) {
 		_ = db.Apply(Mutation{Family: "u", ID: fmt.Sprintf("r%02d", i), Cols: map[string]any{"v": int64(i)}})
 	}
 	_ = db.Apply(Mutation{Family: "other", ID: "x", Cols: map[string]any{"v": int64(99)}})
-	rows, _ := db.Scan("u", storage.Predicate{Field: "v", Op: storage.Ge, Value: 8})
-	if len(rows) != 2 {
-		t.Fatalf("Scan = %d rows", len(rows))
+	var big, ids []string
+	_ = db.ScanFrom("u", "", func(r storage.Row) bool {
+		if storage.MatchAll(r, []storage.Predicate{{Field: "v", Op: storage.Ge, Value: 8}}) {
+			big = append(big, r.ID)
+		}
+		return true
+	})
+	if fmt.Sprint(big) != "[r08 r09]" {
+		t.Fatalf("ScanFrom filtered on v >= 8 = %v", big)
 	}
-	var ids []string
 	_ = db.ScanFrom("u", "r05", func(r storage.Row) bool {
 		ids = append(ids, r.ID)
 		return true
@@ -401,34 +407,71 @@ func TestReadersDuringFlushes(t *testing.T) {
 }
 
 // Rewriting a fixed population keeps only the live cells and one
-// memtable's worth: the engine's state does not grow with its writes.
+// memtable's worth: the engine's state does not grow with its writes. An
+// emptied partition kept for the next memtable counts as retained state.
 func TestStateBoundedByLiveData(t *testing.T) {
 	db := New()
-	cells := func() (retained, live int) {
+	db.flushSize = 256
+	state := func() (cells, kept, live int) {
 		for _, t := range [2]map[rowKey]partition{db.base, db.memtable} {
 			for _, p := range t {
-				retained += len(p)
+				cells += len(p)
 			}
 		}
-		rows, _ := db.Scan("u")
-		for _, r := range rows {
+		_ = db.ScanFrom("u", "", func(r storage.Row) bool {
 			live += len(r.Cols) + 1 // and its presence cell
-		}
-		return retained, live
+			return true
+		})
+		return cells, len(db.spare), live
 	}
 	for pass := 0; pass <= 10; pass++ {
 		for i := 0; i < 1000; i++ {
 			_ = db.Apply(Mutation{Family: "u", ID: fmt.Sprintf("r%04d", i), Cols: map[string]any{"a": int64(pass), "b": "x", "c": int64(i)}})
 		}
-		if retained, live := cells(); retained > live+db.flushSize || sstables(db) > 1 {
-			t.Fatalf("pass %d: %d cells retained for %d live, %d tables", pass, retained, live, sstables(db))
+		if cells, kept, live := state(); cells+kept > live+db.flushSize || sstables(db) > 1 {
+			t.Fatalf("pass %d: %d cells and %d kept partitions retained for %d live cells, %d tables", pass, cells, kept, live, sstables(db))
 		}
 	}
 	if n, _ := db.DeleteRange("u", "r0500", ""); n != 500 {
 		t.Fatalf("DeleteRange = %d", n)
 	}
 	db.Flush()
-	if retained, live := cells(); retained != live || live != 500*4 {
-		t.Fatalf("after a flush: %d cells retained, %d live; want both %d", retained, live, 500*4)
+	if cells, kept, live := state(); cells != live || live != 500*4 || cells+kept > live+db.flushSize {
+		t.Fatalf("after a flush: %d cells and %d kept partitions retained, %d live cells; want %d cells and at most %d partitions",
+			cells, kept, live, 500*4, db.flushSize)
+	}
+}
+
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector allocates on its own account")
+			}
+		}
+	}
+}
+
+// Once flushes run, a steady stream of updates to rows already in the
+// base allocates no partition: each takes one a flush emptied.
+func TestUpdateAllocBudget(t *testing.T) {
+	skipUnderRace(t)
+	db := New()
+	db.flushSize = 64
+	ms := make([]Mutation, 100)
+	for i := range ms {
+		ms[i] = Mutation{Family: "u", ID: fmt.Sprintf("r%03d", i), Cols: map[string]any{"a": int64(i), "b": "x"}}
+		_ = db.Apply(ms[i])
+	}
+	db.Flush()
+	i := 0
+	if got := testing.AllocsPerRun(1000, func() {
+		if err := db.Apply(ms[i%len(ms)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); got != 0 {
+		t.Errorf("Apply of an update = %v allocs, want 0", got)
 	}
 }

@@ -8,6 +8,8 @@
 package searchdb
 
 import (
+	"maps"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -41,8 +43,14 @@ func KeywordAnalyzer(s string) []string {
 type index struct {
 	analyzers map[string]Analyzer
 	docs      map[string]document
-	// inverted: field -> token -> doc id set
-	inverted map[string]map[string]map[string]struct{}
+	inverted  map[string]map[string]posting // field -> token -> documents
+}
+
+// posting is the documents one token is indexed for: the first inline,
+// and a set only once a second joins. A token with none has no posting.
+type posting struct {
+	id  string
+	set map[string]struct{}
 }
 
 // document is one stored document with the tokens each of its fields is
@@ -53,16 +61,33 @@ type document struct {
 	tokens []fieldTokens
 }
 
+// fieldTokens is what one field's value is indexed under: a single token
+// inline, none or several in many.
 type fieldTokens struct {
 	field string
-	toks  []string
+	one   [1]string
+	many  []string
+}
+
+func (ft *fieldTokens) keep(toks []string) {
+	ft.many = toks
+	if len(toks) == 1 && toks[0] != "" {
+		ft.one[0], ft.many = toks[0], nil
+	}
+}
+
+func (ft *fieldTokens) list() []string {
+	if ft.one[0] != "" {
+		return ft.one[:]
+	}
+	return ft.many
 }
 
 // tokensOf returns the tokens field is indexed under.
 func (d *document) tokensOf(field string) []string {
-	for _, ft := range d.tokens {
-		if ft.field == field {
-			return ft.toks
+	for i := range d.tokens {
+		if d.tokens[i].field == field {
+			return d.tokens[i].list()
 		}
 	}
 	return nil
@@ -72,7 +97,7 @@ func newIndex() *index {
 	return &index{
 		analyzers: make(map[string]Analyzer),
 		docs:      make(map[string]document),
-		inverted:  make(map[string]map[string]map[string]struct{}),
+		inverted:  make(map[string]map[string]posting),
 	}
 }
 
@@ -111,27 +136,37 @@ func (db *DB) index(name string) *index {
 	return ix
 }
 
-func (ix *index) analyze(field string, v any) []string {
-	a := ix.analyzers[field]
-	if a == nil {
-		a = KeywordAnalyzer
-	}
+// analyze returns the tokens v is indexed under in field. A field with no
+// declared analyzer is KeywordAnalyzer's, done here without its slice.
+func (ix *index) analyze(field string, v any) fieldTokens {
+	a, ft := ix.analyzers[field], fieldTokens{field: field}
+	var s string
 	switch t := v.(type) {
 	case string:
-		return a(t)
+		s = t
 	case []any:
+		if a == nil {
+			a = KeywordAnalyzer
+		}
 		var out []string
 		for _, e := range t {
 			if s, ok := e.(string); ok {
 				out = append(out, a(s)...)
 			}
 		}
-		return out
+		ft.keep(out)
+		return ft
 	case nil:
-		return nil
+		return ft
 	default:
-		return a(strings.TrimSpace(strings.ToLower(flatten(t))))
+		s = strings.TrimSpace(strings.ToLower(flatten(t)))
 	}
+	if a == nil {
+		ft.one[0] = s
+	} else {
+		ft.keep(a(s))
+	}
+	return ft
 }
 
 func flatten(v any) string {
@@ -144,7 +179,13 @@ func flatten(v any) string {
 	case int64:
 		return strconv.FormatInt(t, 10)
 	case float64:
-		if t == float64(int64(t)) {
+		// The conversions below are implementation-defined beyond
+		// int64's range and for NaN: such a value keeps its own shortest
+		// representation.
+		if t < -(1<<63) || t >= 1<<63 || math.IsNaN(t) {
+			return strconv.FormatFloat(t, 'g', -1, 64)
+		}
+		if t == math.Trunc(t) {
 			return strconv.FormatInt(int64(t), 10)
 		}
 		// Searchable floats beyond integers are not needed by the
@@ -157,29 +198,36 @@ func flatten(v any) string {
 func (ix *index) post(id, field, tok string) {
 	m := ix.inverted[field]
 	if m == nil {
-		m = make(map[string]map[string]struct{})
+		m = make(map[string]posting)
 		ix.inverted[field] = m
 	}
-	set := m[tok]
-	if set == nil {
-		set = make(map[string]struct{})
-		m[tok] = set
+	p, ok := m[tok]
+	switch {
+	case !ok:
+		m[tok] = posting{id: id}
+	case p.set != nil:
+		p.set[id] = struct{}{}
+	case p.id != id:
+		m[tok] = posting{set: map[string]struct{}{p.id: {}, id: {}}}
 	}
-	set[id] = struct{}{}
 }
 
+// unpost drops id from tok's posting. It is called only for a token the
+// document is indexed under, so an inline posting is the document's own.
 func (ix *index) unpost(id, field, tok string) {
-	if set := ix.inverted[field][tok]; set != nil {
-		delete(set, id)
-		if len(set) == 0 {
-			delete(ix.inverted[field], tok)
+	m := ix.inverted[field]
+	if p := m[tok]; p.set != nil {
+		delete(p.set, id)
+		if len(p.set) > 0 {
+			return
 		}
 	}
+	delete(m, tok)
 }
 
 func (ix *index) unindexDoc(doc document) {
 	for _, ft := range doc.tokens {
-		for _, tok := range ft.toks {
+		for _, tok := range ft.list() {
 			ix.unpost(doc.ID, ft.field, tok)
 		}
 	}
@@ -192,24 +240,25 @@ func (ix *index) merge(doc document, cols map[string]any) document {
 	for field, v := range cols {
 		v = storage.CloneValue(v)
 		doc.Cols[field] = v
-		old, toks := doc.tokensOf(field), ix.analyze(field, v)
-		if slices.Equal(old, toks) {
+		toks := ix.analyze(field, v)
+		old, now := doc.tokensOf(field), toks.list()
+		if slices.Equal(old, now) {
 			continue
 		}
 		for _, tok := range old {
-			if !slices.Contains(toks, tok) {
+			if !slices.Contains(now, tok) {
 				ix.unpost(doc.ID, field, tok)
 			}
 		}
-		for _, tok := range toks {
+		for _, tok := range now {
 			if !slices.Contains(old, tok) {
 				ix.post(doc.ID, field, tok)
 			}
 		}
 		if i := slices.IndexFunc(doc.tokens, func(ft fieldTokens) bool { return ft.field == field }); i >= 0 {
-			doc.tokens[i].toks = toks
+			doc.tokens[i] = toks
 		} else {
-			doc.tokens = append(doc.tokens, fieldTokens{field, toks})
+			doc.tokens = append(doc.tokens, toks)
 		}
 	}
 	return doc
@@ -398,17 +447,14 @@ func (db *DB) Search(indexName string, q Query) ([]string, error) {
 func (ix *index) eval(q Query) map[string]struct{} {
 	switch {
 	case q.Term != nil:
-		return copySet(ix.inverted[q.Term.Field][q.Term.Token])
+		return ix.postings(q.Term.Field, q.Term.Token)
 	case q.Match != nil:
 		var acc map[string]struct{}
 		toks := ix.analyze(q.Match.Field, q.Match.Text)
-		if len(toks) == 0 {
-			return nil
-		}
-		for _, tok := range toks {
-			s := ix.inverted[q.Match.Field][tok]
+		for _, tok := range toks.list() {
+			s := ix.postings(q.Match.Field, tok)
 			if acc == nil {
-				acc = copySet(s)
+				acc = s
 			} else {
 				acc = intersect(acc, s)
 			}
@@ -454,12 +500,17 @@ func (ix *index) eval(q Query) map[string]struct{} {
 	}
 }
 
-func copySet(s map[string]struct{}) map[string]struct{} {
-	out := make(map[string]struct{}, len(s))
-	for k := range s {
-		out[k] = struct{}{}
+// postings returns the documents tok is indexed for in field, as a set
+// the caller owns.
+func (ix *index) postings(field, tok string) map[string]struct{} {
+	p, ok := ix.inverted[field][tok]
+	switch {
+	case !ok:
+		return nil
+	case p.set == nil:
+		return map[string]struct{}{p.id: {}}
 	}
-	return out
+	return maps.Clone(p.set)
 }
 
 func intersect(a, b map[string]struct{}) map[string]struct{} {

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
@@ -179,6 +181,19 @@ func TestNumericTokens(t *testing.T) {
 	if len(ids) != 1 {
 		t.Fatalf("float token search = %v", ids)
 	}
+	// Values int64 cannot hold each keep a token of their own.
+	for i, v := range []float64{1e19, 2e19, math.NaN(), math.Inf(1), -1e300} {
+		_ = db.Index("big", doc(fmt.Sprint(i), map[string]any{"v": v}))
+	}
+	buckets, _ := db.Aggregate("big", "v", Query{})
+	if len(buckets) != 5 {
+		t.Fatalf("Aggregate over five distinct values = %+v, want five buckets", buckets)
+	}
+	for _, b := range buckets {
+		if ids, _ := db.Search("big", Query{Term: &TermQuery{Field: "v", Token: b.Token}}); len(ids) != 1 {
+			t.Errorf("Term %q = %v, want one document", b.Token, ids)
+		}
+	}
 }
 
 func TestGetAndScanFrom(t *testing.T) {
@@ -258,13 +273,21 @@ func TestAnalyzerChangeLeavesNoStalePostings(t *testing.T) {
 
 // TestModelAgainstScan checks term and match searches and aggregations
 // after random indexes, updates, deletes and range deletes against a
-// brute-force scan of the documents a map holds.
+// brute-force scan of the documents a map holds. Field n declares no
+// analyzer and takes few values over few documents, so its postings keep
+// moving between none, one inline document and a set.
 func TestModelAgainstScan(t *testing.T) {
 	words := []string{"red", "green", "blue", "Red Fox", "fox"}
-	analyzers := map[string]Analyzer{"body": SimpleAnalyzer, "tag": KeywordAnalyzer, "tags": KeywordAnalyzer}
+	analyzers := map[string]Analyzer{"body": SimpleAnalyzer, "tag": KeywordAnalyzer, "tags": KeywordAnalyzer, "n": KeywordAnalyzer}
+	// numbers[i] is indexed under numberTokens[i].
+	numbers := []any{int64(1), int64(2), float64(2), 2.5, 1e19}
+	numberTokens := []string{"1", "2", "2", "2500e-3", "1e+19"}
 	value := func(rng *rand.Rand, field string) any {
-		if field == "tags" {
+		switch field {
+		case "tags":
 			return []any{words[rng.Intn(len(words))], words[rng.Intn(len(words))], ""}
+		case "n":
+			return numbers[rng.Intn(len(numbers))]
 		}
 		ws := make([]string, rng.Intn(4)) // "" indexes no token
 
@@ -282,21 +305,26 @@ func TestModelAgainstScan(t *testing.T) {
 			for _, e := range v {
 				out = append(out, analyzers[field](e.(string))...)
 			}
+		case int64, float64:
+			out = []string{numberTokens[slices.Index(numbers, v)]}
 		}
 		return out
 	}
+	fields := slices.Sorted(maps.Keys(analyzers)) // a seed draws the same values every run
 	ids := []string{"d0", "d1", "d2", "d3", "d4", "d5"}
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		db := New()
 		for f, a := range analyzers {
-			db.SetAnalyzer("x", f, a)
+			if f != "n" {
+				db.SetAnalyzer("x", f, a)
+			}
 		}
 		ref := make(map[string]map[string]any)
 		for step := 0; step < 40; step++ {
 			id := ids[rng.Intn(len(ids))]
 			cols := make(map[string]any)
-			for f := range analyzers {
+			for _, f := range fields {
 				if rng.Intn(2) == 0 {
 					cols[f] = value(rng, f)
 				}
@@ -333,7 +361,11 @@ func TestModelAgainstScan(t *testing.T) {
 				t.Fatalf("seed %d step %d after %s: %s", seed, step, op, fmt.Sprintf(format, args...))
 			}
 			for field := range analyzers {
-				for _, w := range words {
+				queried := words
+				if field == "n" {
+					queried = numberTokens
+				}
+				for _, w := range queried {
 					for _, q := range []Query{
 						{Term: &TermQuery{Field: field, Token: w}},
 						{Match: &MatchQuery{Field: field, Text: w}},
@@ -371,5 +403,44 @@ func TestModelAgainstScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector allocates on its own account")
+			}
+		}
+	}
+}
+
+// An update that moves a keyword field to a value no other document holds
+// allocates nothing: the token is kept inline in the document and in its
+// posting.
+func TestUpdateAllocBudget(t *testing.T) {
+	skipUnderRace(t)
+	db := New()
+	const n = 1000
+	for _, id := range []string{"a", "b", "c"} {
+		_ = db.Index("x", doc(id, map[string]any{"t": "first " + id, "kind": "post"}))
+	}
+	updates := make([]storage.Row, n)
+	for i := range updates {
+		updates[i] = doc("b", map[string]any{"t": fmt.Sprintf("t%05d", i)})
+	}
+	i := 0
+	if got := testing.AllocsPerRun(n-1, func() {
+		if err := db.Update("x", updates[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); got != 0 {
+		t.Errorf("Update to a unique keyword value = %v allocs, want 0", got)
+	}
+	if ids, _ := db.Search("x", Query{Term: &TermQuery{Field: "t", Token: fmt.Sprintf("t%05d", n-1)}}); fmt.Sprint(ids) != "[b]" {
+		t.Errorf("Term on the last value = %v, want [b]", ids)
 	}
 }

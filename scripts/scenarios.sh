@@ -49,6 +49,19 @@ gotest() {
     fi
 }
 
+# example_ok runs one program under examples/ and fails unless it exits
+# zero and prints its "<name>: OK" line.
+example_ok() {
+    out=$(go run "./examples/$1" 2>&1)
+    status=$?
+    printf '%s\n' "$out"
+    [ "$status" -eq 0 ] || return "$status"
+    printf '%s\n' "$out" | grep -qx "$1: OK" || {
+        echo "examples/$1 did not print \"$1: OK\"" >&2
+        return 1
+    }
+}
+
 # Build + vet + gofmt + full race suite with the coverage floor, then
 # the round-trip/reliability bench smokes and the alloc microbenches.
 # This is the "does the repo hold together" scenario.
@@ -161,20 +174,24 @@ scenario_journal() {
 
 # Persistence: one ORM skeleton over five bindings, and one
 # row-ownership rule for five engines. The allocation budgets of Save, of
-# an Each that stops early and of a Delete that takes the row its engine
-# hands over (which only run without the race detector, so they come
-# first), the
+# an Each that stops early, of a Delete that takes the row its engine
+# hands over, and of searchdb's and coldb's updates (which only run
+# without the race detector, so they come first), the
 # conformance suite and the engine isolation table five times under the
 # race detector, and the coldb and searchdb model tests, coldb's readers
 # beside its flushes and its bounded-state test twenty times; then the
+# two examples that search and aggregate through searchdb, and the
 # workload that applies every message through all five adapters.
 scenario_orm() {
     go vet ./internal/orm/... ./internal/storage/... &&
         gotest -run 'TestConformance.*/(SaveAllocBudget|EachStopsEarly|DeleteHandsOverRow)' ./internal/orm/activerecord ./internal/orm/columnorm \
             ./internal/orm/documentorm ./internal/orm/graphorm ./internal/orm/searchorm &&
+        gotest -run 'TestUpdateAllocBudget' ./internal/storage/coldb ./internal/storage/searchdb &&
         go test -race -count=5 ./internal/orm/... ./internal/storage/... &&
         gotest -race -count=20 -run 'TestModelAgainst|TestReadersDuringFlushes|TestStateBounded' \
             ./internal/storage/coldb ./internal/storage/searchdb &&
+        example_ok quickstart &&
+        example_ok crowdtap &&
         bash benchmark/run.sh --workload fanout_hetero --seconds 5
 }
 
