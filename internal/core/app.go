@@ -193,18 +193,17 @@ type App struct {
 	workersWG sync.WaitGroup
 	poolSize  atomic.Int32 // workers started and not yet stopped
 
-	// Park/ready state (see job in subscribe.go): the deliveries whose
-	// message is not ready, and the FIFO of released ones that workers
-	// drain before fetching. Who waits on which counter is the version
-	// store's table alone; this set is for hand-back, drop and Stats.
-	parkMu sync.Mutex
-	parked map[*job]struct{}
-	ready  []*job
+	// Park/ready state (see job in subscribe.go): the parked deliveries
+	// (for hand-back, drop and Stats; the version store's table alone says
+	// who waits on which counter), the FIFO of released ones that workers
+	// drain before fetching, and what wakes ProcessMessage's callers in park.
+	parkMu   sync.Mutex
+	parked   map[*job]struct{}
+	ready    []*job
+	released sync.Cond // on parkMu, broadcast by every release
+	blocking sync.Pool // ProcessMessage's jobs (see trip)
 
-	// blocking recycles ProcessMessage's and bootstrap's drain's jobs with
-	// their wake-up channels. onMove and onPubMove, nil outside tests, see
-	// every move of every job (App.to) and publication (App.advance).
-	blocking  sync.Pool
+	// onMove and onPubMove, nil outside tests, see every App.to and App.advance.
 	onMove    func(j *job, from, to jobState)
 	onPubMove func(p *publication, from, to pubState)
 
@@ -310,7 +309,8 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 	a.hashedDeps = tracker.Policy() == deptrack.PolicyHash && cfg.DepCardinality > 0
 	a.compiled.Store(&subTable{})
 	a.resolve = a.resolveSink
-	a.blocking.New = func() any { return &job{app: a, wakeup: make(chan struct{}, 1)} }
+	a.released.L = &a.parkMu
+	a.blocking.New = func() any { return &job{app: a} }
 	a.outbox = newOutbox(&a.seq)
 	a.commits = groupcommit.New(flushBatchCap, 0, a.flushBatch)
 	a.flushCounts = make(map[vstore.Key]uint64)

@@ -444,19 +444,16 @@ func (a *App) awaitHighWatermark(drain *worker, w *chunkWindow) error {
 }
 
 // runFetched takes one delivery the drain fetched itself through a
-// worker's steps — decode, apply, dead-letter, back off, ack — as a
-// blocking job on the drain's one lane: no worker loop comes back to a
-// parked one. The job is recycled unless the watchdog left it to a
-// straggler.
+// worker's steps — decode, apply, dead-letter, back off, ack — after
+// whatever the ready list holds, as workerLoop orders them. A job that
+// is not ready parks like a worker's: a later runFetched, or any worker,
+// resumes it.
 func (w *worker) runFetched(q *broker.Queue, d broker.Delivery) {
-	j := w.app.blocking.Get().(*job)
-	j.q, j.d = q, d
-	j.state.Store(uint32(stateFetched))
-	w.processBatch(append(w.batch[:0], j), nil)
-	if j.load() != stateStalled {
-		j.trip = trip{}
-		w.app.blocking.Put(j)
-	}
+	a := w.app
+	w.batch = a.takeReady(w.batch[:0], a.cfg.PipelineDepth)
+	w.batch = append(w.batch, &job{app: a, trip: trip{q: q, d: d}})
+	w.processBatch(w.batch, nil)
+	clear(w.batch)
 }
 
 // applyChunk applies one chunk's rows as a message that waits for

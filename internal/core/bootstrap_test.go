@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -428,6 +429,49 @@ func TestBootstrapDrainDeadLettersFailingDelivery(t *testing.T) {
 	}
 	if n := sub.Stats().DeadLetters; n != 1 {
 		t.Fatalf("DeadLetters = %d, want the failing delivery set aside", n)
+	}
+}
+
+// TestBootstrapDrainParkedJobResumesOnWorker: a drain job that is not
+// ready parks like a worker's, and its runFetched returns. A worker
+// started later on the same app applies the create it waits for, takes
+// it off the ready list and finishes it: the rows converge and nothing
+// stays unacked.
+func TestBootstrapDrainParkedJobResumesOnWorker(t *testing.T) {
+	f := NewFabric()
+	pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
+	sub, _ := newSQLApp(t, f, "sub", Config{})
+	mustPublish(t, pub, userDesc(), "name")
+	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
+	ctl := pub.NewController(nil)
+	createUser(t, ctl, "u1", "v1")
+	updateUser(t, ctl, "u1", "v2")
+	reorderFront(t, sub, 1, 0) // the update, ahead of its create
+
+	q := sub.Queue()
+	d, ok, err := q.TryGet()
+	if err != nil || !ok {
+		t.Fatalf("TryGet: %v, %v", ok, err)
+	}
+	var resumedBy atomic.Pointer[worker]
+	sub.onMove = func(j *job, from, to jobState) {
+		if j.d.Tag == d.Tag && from == stateReady {
+			resumedBy.Store(j.lane.w)
+		}
+	}
+	drain := sub.newWorker(1)
+	defer drain.close()
+	drain.runFetched(q, d)
+	if p, r := parkedAndReady(sub); p != 1 || r != 0 {
+		t.Fatalf("parked=%d ready=%d after the drain ran the update, want it parked", p, r)
+	}
+
+	sub.StartWorkers(1)
+	defer sub.StopWorkers()
+	waitConverged(t, 2*time.Second, pub, sub)
+	waitFor(t, 2*time.Second, func() bool { return q.Len() == 0 && q.Unacked() == 0 })
+	if w := resumedBy.Load(); w == nil || w == drain {
+		t.Fatalf("the update was resumed by %p, want a worker's lane, not the drain's %p", w, drain)
 	}
 }
 

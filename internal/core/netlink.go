@@ -220,28 +220,36 @@ func (a *App) ackMultiDelivery(q *broker.Queue, tags []uint64) {
 	}
 }
 
-// nackDelivery hands one delivery back (fail-to-front tail, shutdown)
-// through the network, parking the nack on transport failure.
-func (a *App) nackDelivery(q *broker.Queue, tag uint64) {
-	if err := a.brokerOp(func() error { return q.Nack(tag, true) }); err != nil && isTransportErr(err) {
-		a.parkAck(pendingAck{q: q, tag: tag, kind: ackNack})
-	}
-}
-
-// nackErrorDelivery reports a failed processing attempt through the
-// network; reports whether the message was dead-lettered. A transport
-// failure parks the nack — the broker still holds the message unacked,
-// so nothing is lost either way.
-func (a *App) nackErrorDelivery(q *broker.Queue, tag uint64) (deadLettered bool) {
-	err := a.brokerOp(func() error {
-		d, e := q.NackError(tag)
-		deadLettered = d
-		return e
-	})
-	if err != nil && isTransportErr(err) {
-		a.parkAck(pendingAck{q: q, tag: tag, kind: ackNackError})
+// nack hands one delivery back through the network: ackNack to the
+// queue front (fail-to-front tail, shutdown), ackNackError as a failed
+// processing attempt, reporting whether the message was dead-lettered.
+// A transport failure parks the nack — the broker still holds the
+// message unacked, so nothing is lost either way.
+func (a *App) nack(q *broker.Queue, tag uint64, kind ackKind) (deadLettered bool) {
+	p := pendingAck{q: q, tag: tag, kind: kind}
+	deadLettered, err := a.sendAck(p)
+	if isTransportErr(err) {
+		a.parkAck(p)
 	}
 	return deadLettered
+}
+
+// sendAck issues one acknowledgement by its kind, a first try or a
+// parked one's retry, and reports whether a failure-counting nack
+// dead-lettered the message.
+func (a *App) sendAck(p pendingAck) (deadLettered bool, err error) {
+	err = a.brokerOp(func() (e error) {
+		switch p.kind {
+		case ackAck:
+			e = p.q.Ack(p.tag)
+		case ackNack:
+			e = p.q.Nack(p.tag, true)
+		case ackNackError:
+			deadLettered, e = p.q.NackError(p.tag)
+		}
+		return e
+	})
+	return deadLettered, err
 }
 
 func (a *App) parkAck(p pendingAck) {
@@ -259,21 +267,8 @@ func (a *App) flushPendingAcks() {
 	pend := a.pendingAcks
 	a.pendingAcks = nil
 	a.ackMu.Unlock()
-	for i := range pend {
-		p := pend[i]
-		var err error
-		switch p.kind {
-		case ackAck:
-			err = a.brokerOp(func() error { return p.q.Ack(p.tag) })
-		case ackNack:
-			err = a.brokerOp(func() error { return p.q.Nack(p.tag, true) })
-		case ackNackError:
-			err = a.brokerOp(func() error {
-				_, e := p.q.NackError(p.tag)
-				return e
-			})
-		}
-		if err != nil && isTransportErr(err) {
+	for i, p := range pend {
+		if _, err := a.sendAck(p); isTransportErr(err) {
 			if errors.Is(err, broker.ErrBrokerDown) && !a.fabric.bus().Down() {
 				// The broker is back but this queue handle died with the
 				// crash — its tags are gone for good. Drop the ack: the

@@ -3,12 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"synapse/internal/broker"
 	"synapse/internal/faultinject"
 	"synapse/internal/model"
 	"synapse/internal/wire"
@@ -40,8 +42,9 @@ func TestJobStateTable(t *testing.T) {
 	}
 
 	var (
-		mu    sync.Mutex
-		taken = map[string]int{} // "W planned->parked": times
+		mu      sync.Mutex
+		taken   = map[string]int{}             // "W planned->parked": times
+		drained = map[*broker.Queue][]uint64{} // the tags handed to bootstrap's drain
 	)
 	count := func(key string) int {
 		mu.Lock()
@@ -61,12 +64,12 @@ func TestJobStateTable(t *testing.T) {
 		mustSubscribe(t, sub, d, SubSpec{From: "pub", Attrs: []string{"name"}})
 		sub.onMove = func(j *job, from, to jobState) {
 			entry := "W"
+			mu.Lock()
 			if j.q == nil {
 				entry = "P"
-			} else if j.wakeup != nil {
+			} else if slices.Contains(drained[j.q], j.d.Tag) {
 				entry = "B"
 			}
-			mu.Lock()
 			taken[fmt.Sprintf("%s %v->%v", entry, from, to)]++
 			mu.Unlock()
 		}
@@ -282,7 +285,7 @@ func TestJobStateTable(t *testing.T) {
 		}
 	})
 
-	t.Run("B poison, and a job that waits on its lane", func(t *testing.T) {
+	t.Run("B poison, and a job that parks and is resumed", func(t *testing.T) {
 		f, _, sub, ctl := pair(t, Config{}, nil)
 		createUser(t, ctl, "u1", "v1")
 		updateUser(t, ctl, "u1", "v2")
@@ -297,19 +300,29 @@ func TestJobStateTable(t *testing.T) {
 				t.Fatalf("TryGet: %v, %v", ok, err)
 			}
 			fetched[i] = func(w *worker) { w.runFetched(q, d) }
+			mu.Lock()
+			drained[q] = append(drained[q], d.Tag)
+			mu.Unlock()
 		}
 		drains := [2]*worker{sub.newWorker(1), sub.newWorker(1)}
 		defer drains[0].close()
 		defer drains[1].close()
-		done := make(chan struct{})
+		returned := make(chan struct{})
 		go func() {
-			defer close(done)
+			defer close(returned)
 			fetched[1](drains[0]) // the update, ahead of its create
 		}()
-		waitFor(t, 2*time.Second, func() bool { return count("B planned->parked") == 1 })
-		fetched[0](drains[1])
-		<-done
-		fetched[2](drains[1])
+		select {
+		case <-returned:
+		case <-time.After(2 * time.Second):
+			t.Error("runFetched waited for the update it parked")
+		}
+		if p, r := parkedAndReady(sub); p != 1 || r != 0 || count("B planned->parked") != 1 {
+			t.Errorf("parked=%d ready=%d after the update's runFetched, want it parked", p, r)
+		}
+		fetched[0](drains[1]) // its create releases it
+		<-returned
+		fetched[2](drains[0]) // resumes the update, then the poison
 		waitFor(t, 2*time.Second, func() bool { return q.Unacked() == 0 && q.Len() == 0 && sub.Stats().Processed == 2 })
 	})
 

@@ -100,18 +100,18 @@ func (a *App) releaseWaiting(gs *genState) {
 // job is one delivery on its way through the subscriber: where it stands
 // (its state, DESIGN §2j), and what a message that is not ready keeps
 // while parked — the decoded message, its dependency plan — so that
-// parking frees its window slot, stripe mask and lane. A job with a
-// wake-up channel blocks instead: its own goroutine waits out each
-// release. A job with no queue is ProcessMessage's.
+// parking frees its window slot, stripe mask and lane. A job with no
+// queue is ProcessMessage's: its caller waits out each release.
 type job struct {
-	app    *App
-	wakeup chan struct{} // blocking jobs: what release signals
-	state  atomic.Uint32 // a jobState, moved only by App.to
+	app   *App
+	state atomic.Uint32 // a jobState, moved only by App.to
 	trip
 }
 
-// trip is one delivery's pass through a job, what a recycled blocking job
-// resets: a release still on its way from the last pass reads none of it.
+// trip is one delivery's pass through a job, what ProcessMessage's pooled
+// job resets — a fresh job per call would cost its allocation budget. The
+// state stays out: a release still on its way from the last pass may
+// compare-and-swap it, but reads nothing here.
 type trip struct {
 	q    *broker.Queue
 	d    broker.Delivery
@@ -275,19 +275,20 @@ const jobKeys = 6
 
 // park leaves j — held at the barrier, or probed with a requirement
 // unmet — to wait for a release: a queue job on the parked set, unless
-// its release already came and it goes straight on to the ready list; a
-// blocking job on its own goroutine. It reports whether j was a blocking
-// job, released by now.
+// its release already came and it goes straight on to the ready list.
+// ProcessMessage's job never enters the parked set, where a worker could
+// take it: its caller waits under parkMu for a release to move it, and
+// park reports true once one has.
 func (a *App) park(j *job) bool {
-	if j.wakeup != nil {
-		a.to(j, statePlanned, stateParked)
-		for st := j.load(); st == stateBarrier || st == stateParked; st = j.load() {
-			<-j.wakeup
-		}
-		return true
-	}
 	a.parkMu.Lock()
 	held := j.load() == stateBarrier || a.to(j, statePlanned, stateParked)
+	if j.q == nil {
+		for st := j.load(); st == stateBarrier || st == stateParked; st = j.load() {
+			a.released.Wait()
+		}
+		a.parkMu.Unlock()
+		return true
+	}
 	if held {
 		a.parked[j] = struct{}{}
 	} else {
@@ -303,10 +304,10 @@ func (a *App) park(j *job) bool {
 // release is every waiting job's wake action — a counter reached its
 // threshold, the deadline passed, a generation emptied: a job held at the
 // barrier goes back to try it, a parked one is ready, and one still
-// probing is ready for its park to find. A parked queue job moves to the
-// ready list and an idle worker is woken to take it and look again (a
-// release is a reason to look, not a promise); a blocking job's goroutine
-// is woken. To a job in any other state the release came late.
+// probing is ready for its park to find. A parked job moves to the ready
+// list and an idle worker is woken to take it and look again (a release
+// is a reason to look, not a promise); a caller waiting in park looks at
+// its own job. To a job in any other state the release came late.
 func (a *App) release(j *job) {
 	a.parkMu.Lock()
 	_ = a.to(j, stateBarrier, stateDecoded) || a.to(j, stateParked, stateReady) || a.to(j, statePlanned, stateReady)
@@ -316,12 +317,8 @@ func (a *App) release(j *job) {
 		a.ready = append(a.ready, j)
 	}
 	a.parkMu.Unlock()
-	if j.wakeup != nil {
-		select {
-		case j.wakeup <- struct{}{}:
-		default:
-		}
-	} else if held {
+	a.released.Broadcast()
+	if held {
 		j.q.CancelWaiters()
 	}
 }
@@ -485,7 +482,7 @@ func (a *App) StopWorkers() {
 	a.poolSize.Store(0)
 	jobs := a.retireParked(nil)
 	for i := len(jobs) - 1; i >= 0; i-- { // Nack pushes front: newest first
-		a.nackDelivery(jobs[i].q, jobs[i].d.Tag)
+		a.nack(jobs[i].q, jobs[i].d.Tag, ackNack)
 	}
 	a.cutJournal()
 }
@@ -803,7 +800,7 @@ func (w *worker) processBatch(batch []*job, stop <-chan struct{}) {
 	// so handing it back newest first restores queue order.
 	for i := len(batch) - 1; i >= next; i-- {
 		a.move(batch[i], stateFailed)
-		a.nackDelivery(batch[i].q, batch[i].d.Tag)
+		a.nack(batch[i].q, batch[i].d.Tag, ackNack)
 	}
 	if len(failures) > 0 {
 		// Fail to the front, after the tail: the failure-counting nacks
@@ -811,7 +808,7 @@ func (w *worker) processBatch(batch []*job, stop <-chan struct{}) {
 		alive, maxAttempts := false, 0
 		for _, j := range failures {
 			maxAttempts = max(maxAttempts, j.d.Attempts)
-			if !a.nackErrorDelivery(j.q, j.d.Tag) {
+			if !a.nack(j.q, j.d.Tag, ackNackError) {
 				alive = true
 				a.tel.retries.Add(1)
 			}
@@ -887,7 +884,7 @@ func (a *App) flushBatch(entries []flushEntry) {
 			kept := entries[:0]
 			for _, e := range entries {
 				if len(e.incr) > 0 {
-					a.nackErrorDelivery(e.q, e.tag)
+					a.nack(e.q, e.tag, ackNackError)
 					continue
 				}
 				kept = append(kept, e)
@@ -933,14 +930,8 @@ func (a *App) retryBackoff(attempts int, stop <-chan struct{}) {
 			delay = d
 		}
 	}
-	if delay <= 0 {
-		return
-	}
-	t := time.NewTimer(delay)
-	defer t.Stop()
-	select {
-	case <-stop:
-	case <-t.C:
+	if delay > 0 {
+		a.pauseRetry(stop, delay)
 	}
 }
 
@@ -969,7 +960,8 @@ func (a *App) stallBudget(attempts int) time.Duration {
 // benchmark's layer replay): a message stopped at the generation barrier
 // or on an unmet dependency blocks its caller until a release — a
 // counter reaching its threshold, the DepTimeout timer — lets it try
-// again. Its increments apply inline. msg stays the caller's.
+// again. Its increments apply inline (see commit). msg stays the
+// caller's; the job is pooled (see trip).
 func (a *App) ProcessMessage(msg *wire.Message) error {
 	j := a.blocking.Get().(*job)
 	j.msg, j.at = msg, time.Now()
@@ -983,9 +975,9 @@ func (a *App) ProcessMessage(msg *wire.Message) error {
 // drive is the subscriber algorithm of §4.2 — wait for the dependencies,
 // claim, apply, increment — for every mode and every entry: it runs the
 // step of the state j stands in until j is parked — a queue job, which
-// the parked set owns from then on — or over. A blocking job waits out
-// each release on its own goroutine and goes on. drive returns the state
-// it left j in, and a failed job's error (or errStaleGeneration).
+// the parked set owns from then on — or over. ProcessMessage's job waits
+// out each release in park and goes on. drive returns the state it left
+// j in, and a failed job's error (or errStaleGeneration).
 func (a *App) drive(j *job) (st jobState, err error) {
 	for st = j.load(); ; {
 		switch st {
@@ -1121,17 +1113,19 @@ func (a *App) probe(j *job) (jobState, error) {
 // before the version snapshot has its bumps bulk-loaded already, and
 // re-incrementing (e.g. backlog fetched during the bootstrap but
 // processed after it) would push this store's counters past the
-// publisher's, making every later guarded apply look stale. A blocking
-// job's increments apply inline, a second window. A queue job leaves its
-// keys in j.incr — resolved values with no reference into the message —
-// for the group-commit flusher, which merges them across messages into
-// one IncrOpsMulti round trip and acks after.
+// publisher's, making every later guarded apply look stale. A queue job
+// leaves its keys in j.incr — resolved values with no reference into the
+// message — for the group-commit flusher, which merges them across
+// messages into one IncrOpsMulti round trip and acks after. A job with
+// no queue has nothing to redeliver it and returns its error to its
+// caller, so its increments apply inline, a second window: the one way
+// an applied job fails.
 func (a *App) commit(j *job) (jobState, error) {
 	msg := j.msg
 	switch {
 	case len(j.incr) == 0 || msg.Seq <= a.bootSeqFor(msg.App):
 		j.incr = nil
-	case j.wakeup == nil:
+	case j.q != nil:
 		// The flusher counts each message's DISTINCT keys once (IncrOps
 		// semantics), so dedup here, where the set is small and hot in
 		// cache.

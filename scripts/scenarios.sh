@@ -121,8 +121,9 @@ scenario_cluster() {
 }
 
 # Chunked live bootstrap: the watermark/cursor unit tests (with the
-# drain's dead-letter test), the decommission-recovery path, the drain
-# against the worker and synchronous entries, the seeded bootstrap-race
+# drain's dead-letter test, and a parked drain job a worker resumes), the
+# decommission-recovery path, the drain against the worker and
+# synchronous entries, the seeded bootstrap-race
 # chaos scripts (crashes mid-walk, partitions, broker bounces), then the
 # join-time / publish-stall / crash-resume bench.
 scenario_bootstrap() {
@@ -146,15 +147,15 @@ scenario_benchmark() {
 # blocks behind it. The two regression tests wedge a blocking worker
 # deterministically (dependant ahead of its satisfier, new generation
 # ahead of the last old message, one worker); the park/ready/release unit
-# tests, the bootstrap drain's dead-letter test, the three entries'
-# differential test, the fixed lane count, the job state table and the
-# random-ops convergence property run under the race detector — a failing seed is a bug report,
-# never a rerun.
+# tests, the bootstrap drain's dead-letter test and the fixed lane count
+# run under the race detector; the three entries' differential test, the
+# job state table and the random-ops convergence property run twenty
+# times under it — a failing seed is a bug report, never a rerun.
 scenario_liveness() {
     gotest -race -run 'TestPark' ./internal/vstore/ &&
-        gotest -race -run 'TestDependantAhead|TestNewGeneration|TestParked|TestStopWorkersHands|TestBootstrapDrainDeadLetters|TestEveryEntryAppliesAlike|TestWorkerPoolGoroutinesFixed|TestJobStateTable' \
+        gotest -race -run 'TestDependantAhead|TestNewGeneration|TestParked|TestStopWorkersHands|TestBootstrapDrainDeadLetters|TestWorkerPoolGoroutinesFixed' \
             ./internal/core/ &&
-        gotest -race -count=20 -run 'TestQuickConvergenceRandomOps' ./internal/core/
+        gotest -race -count=20 -run 'TestJobStateTable|TestEveryEntryAppliesAlike|TestQuickConvergenceRandomOps' ./internal/core/
 }
 
 # Publisher outbox: the journal is a log with a high-water ack, so what
