@@ -15,7 +15,7 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # `make bench-NAME` runs one synapse-bench experiment at full size
-# (bench-tail, bench-cluster, bench-chaos, ...), rewriting its committed
+# (bench-tail, bench-cluster, bench-bootstrap, ...), rewriting its committed
 # BENCH_*.json baseline when it has one; `make bench` is the Fig 13
 # round-trip sweep (BENCH_fig13.json).
 bench: bench-fig13rt

@@ -10,7 +10,7 @@
 //
 // The experiments are the entries of bench.Experiments (an unknown NAME
 // lists them). One that has a committed baseline also writes it:
-// fig13rt BENCH_fig13.json, chaos BENCH_chaos.json, and so on, so future
+// fig13rt BENCH_fig13.json, tail BENCH_tail.json, and so on, so future
 // changes have perf and robustness trajectories. -quick shrinks every
 // sweep for a fast end-to-end pass. -cpuprofile and -memprofile capture
 // pprof profiles of the run into -profiledir (default ./profiles).

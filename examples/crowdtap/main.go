@@ -18,11 +18,12 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
-	"time"
+	"io"
 
 	"synapse"
+	"synapse/examples/internal/example"
 	"synapse/internal/storage/searchdb"
 )
 
@@ -42,7 +43,10 @@ func actionModel() *synapse.Model {
 	)
 }
 
-func main() {
+func main() { example.Main(run) }
+
+func run(w io.Writer) (err error) {
+	defer example.Recover(&err)
 	fabric := synapse.NewFabric()
 
 	// ------------------------------------------------------------------
@@ -50,21 +54,22 @@ func main() {
 	// ------------------------------------------------------------------
 	mainMapper := synapse.NewDocumentMapper(synapse.MongoDB)
 	mainApp, err := synapse.NewApp(fabric, "main", mainMapper, synapse.Config{Mode: synapse.Causal})
-	check(err)
-	check(mainApp.Publish(userModel(), synapse.PubSpec{Attrs: []string{"name", "email", "points"}}))
-	check(mainApp.Publish(actionModel(), synapse.PubSpec{Attrs: []string{"user", "kind", "brand"}}))
+	example.Check(err)
+	example.Check(mainApp.Publish(userModel(), synapse.PubSpec{Attrs: []string{"name", "email", "points"}}))
+	example.Check(mainApp.Publish(actionModel(), synapse.PubSpec{Attrs: []string{"user", "kind", "brand"}}))
 
 	// ------------------------------------------------------------------
 	// FB crawler: a second publisher decorating User with social data.
 	// ------------------------------------------------------------------
 	crawlerMapper := synapse.NewDocumentMapper(synapse.MongoDB)
 	crawler, err := synapse.NewApp(fabric, "fb-crawler", crawlerMapper, synapse.Config{Mode: synapse.Causal})
-	check(err)
+	example.Check(err)
 	crawlerUser := userModel()
 	crawlerUser.AddField(synapse.F("social_reach", synapse.Int))
-	check(crawler.Subscribe(crawlerUser, synapse.SubSpec{From: "main", Attrs: []string{"name"}}))
-	check(crawler.Publish(crawlerUser, synapse.PubSpec{Attrs: []string{"social_reach"}}))
+	example.Check(crawler.Subscribe(crawlerUser, synapse.SubSpec{From: "main", Attrs: []string{"name"}}))
+	example.Check(crawler.Publish(crawlerUser, synapse.PubSpec{Attrs: []string{"social_reach"}}))
 	crawler.StartWorkers(2)
+	defer crawler.StopWorkers()
 
 	type svc struct {
 		name   string
@@ -85,7 +90,7 @@ func main() {
 	mappers := map[string]synapse.Mapper{}
 	for _, s := range services {
 		app, err := synapse.NewApp(fabric, s.name, s.mapper, synapse.Config{})
-		check(err)
+		example.Check(err)
 		for _, m := range s.models {
 			var desc *synapse.Model
 			var attrs []string
@@ -96,9 +101,10 @@ func main() {
 				desc = actionModel()
 				attrs = []string{"user", "kind", "brand"}
 			}
-			check(app.Subscribe(desc, synapse.SubSpec{From: "main", Attrs: attrs, Mode: s.mode}))
+			example.Check(app.Subscribe(desc, synapse.SubSpec{From: "main", Attrs: attrs, Mode: s.mode}))
 		}
 		app.StartWorkers(2)
+		defer app.StopWorkers()
 		apps[s.name] = app
 		mappers[s.name] = s.mapper
 	}
@@ -106,17 +112,17 @@ func main() {
 	// onto the same User descriptor it already subscribes to.
 	targetingUser, ok := apps["targeting"].Descriptor("User")
 	if !ok {
-		log.Fatal("targeting lost its User model")
+		return errors.New("targeting lost its User model")
 	}
 	targetingUser.AddField(synapse.F("social_reach", synapse.Int))
-	check(apps["targeting"].Subscribe(targetingUser, synapse.SubSpec{
+	example.Check(apps["targeting"].Subscribe(targetingUser, synapse.SubSpec{
 		From: "fb-crawler", Attrs: []string{"social_reach"},
 	}))
 
 	// ------------------------------------------------------------------
 	// Production traffic.
 	// ------------------------------------------------------------------
-	fmt.Printf("ecosystem: %d services on the fabric: %v\n", len(fabric.Apps()), fabric.Apps())
+	fmt.Fprintf(w, "crowdtap: %d services on the fabric: %v\n", len(fabric.Apps()), fabric.Apps())
 	brands := []string{"verizon", "sony", "mastercard"}
 	for i := 0; i < 30; i++ {
 		uid := fmt.Sprintf("u%02d", i%10)
@@ -128,7 +134,7 @@ func main() {
 			u.Set("email", uid+"@example.com")
 			u.Set("points", 0)
 			_, err := ctl.Create(u)
-			check(err)
+			example.Check(err)
 			continue
 		}
 		act := synapse.NewRecord("Action", fmt.Sprintf("a%02d", i))
@@ -136,15 +142,15 @@ func main() {
 		act.Set("kind", "share")
 		act.Set("brand", brands[i%len(brands)])
 		_, err := ctl.Create(act)
-		check(err)
+		example.Check(err)
 		patch := synapse.NewRecord("User", uid)
 		patch.Set("points", int64(i))
 		_, err = ctl.Update(patch)
-		check(err)
+		example.Check(err)
 	}
 
 	// Crawler decorates users it has seen.
-	waitUntil(func() bool { return crawlerMapper.Len("User") == 10 })
+	example.WaitUntil(func() bool { return crawlerMapper.Len("User") == 10 })
 	cctl := crawler.NewController(nil)
 	for i := 0; i < 10; i++ {
 		uid := fmt.Sprintf("u%02d", i)
@@ -154,23 +160,23 @@ func main() {
 		deco := synapse.NewRecord("User", uid)
 		deco.Set("social_reach", int64(100*i))
 		_, err := cctl.Update(deco)
-		check(err)
+		example.Check(err)
 	}
 
 	// ------------------------------------------------------------------
 	// Every service sees its slice of the data in its own engine.
 	// ------------------------------------------------------------------
-	waitUntil(func() bool { return mappers["reporting"].Len("Action") == 20 })
-	waitUntil(func() bool { return mappers["spree"].Len("User") == 10 })
-	waitUntil(func() bool {
+	example.WaitUntil(func() bool { return mappers["reporting"].Len("Action") == 20 })
+	example.WaitUntil(func() bool { return mappers["spree"].Len("User") == 10 })
+	example.WaitUntil(func() bool {
 		rec, err := mappers["targeting"].Find("User", "u09")
-		return err == nil && rec.Int("social_reach") == 900
+		return err == nil && rec.Int("social_reach") == 900 && rec.Int("points") == 29
 	})
 
 	es := mappers["analytics"].(interface {
 		Aggregate(modelName, field string, q searchdb.Query) ([]searchdb.Bucket, error)
 	})
-	waitUntil(func() bool {
+	example.WaitUntil(func() bool {
 		buckets, err := es.Aggregate("Action", "brand", searchdb.Query{})
 		if err != nil {
 			return false
@@ -182,37 +188,17 @@ func main() {
 		return total == 20
 	})
 	buckets, err := es.Aggregate("Action", "brand", searchdb.Query{})
-	check(err)
-	fmt.Println("[analytics] actions per brand (Elasticsearch aggregation):")
+	example.Check(err)
+	fmt.Fprintln(w, "[analytics] actions per brand (Elasticsearch aggregation):")
 	for _, b := range buckets {
-		fmt.Printf("             %-12s %d\n", b.Token, b.Count)
+		fmt.Fprintf(w, "             %-12s %d\n", b.Token, b.Count)
 	}
 
 	tRec, err := mappers["targeting"].Find("User", "u09")
-	check(err)
-	fmt.Printf("[targeting] u09: points=%d social_reach=%d (merged from 2 publishers)\n",
+	example.Check(err)
+	fmt.Fprintf(w, "[targeting] u09: points=%d social_reach=%d (merged from 2 publishers)\n",
 		tRec.Int("points"), tRec.Int("social_reach"))
 
-	fmt.Println("crowdtap: OK")
-	crawler.StopWorkers()
-	for _, app := range apps {
-		app.StopWorkers()
-	}
-}
-
-func check(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-func waitUntil(cond func() bool) {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	log.Fatal("timed out waiting for replication")
+	fmt.Fprintln(w, "crowdtap: OK")
+	return nil
 }

@@ -12,12 +12,14 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"maps"
+	"slices"
 	"strings"
-	"time"
+	"sync"
 
 	"synapse"
-	"synapse/internal/storage"
+	"synapse/examples/internal/example"
 )
 
 // extractTopics is the stand-in for the paper's Textalytics service.
@@ -32,7 +34,10 @@ func extractTopics(body string) []string {
 	return out
 }
 
-func main() {
+func main() { example.Main(run) }
+
+func run(w io.Writer) (err error) {
+	defer example.Recover(&err)
 	fabric := synapse.NewFabric()
 
 	// ------------------------------------------------------------------
@@ -40,26 +45,26 @@ func main() {
 	// ------------------------------------------------------------------
 	diasporaMapper := synapse.NewSQLMapper(synapse.Postgres)
 	diaspora, err := synapse.NewApp(fabric, "diaspora", diasporaMapper, synapse.Config{Mode: synapse.Causal})
-	check(err)
+	example.Check(err)
 	dUser := synapse.NewModel("User", synapse.F("name", synapse.String))
 	dPost := synapse.NewModel("Post",
 		synapse.F("author", synapse.Ref),
 		synapse.F("body", synapse.String),
 	)
-	check(diaspora.Publish(dUser, synapse.PubSpec{Attrs: []string{"name"}}))
-	check(diaspora.Publish(dPost, synapse.PubSpec{Attrs: []string{"author", "body"}}))
+	example.Check(diaspora.Publish(dUser, synapse.PubSpec{Attrs: []string{"name"}}))
+	example.Check(diaspora.Publish(dPost, synapse.PubSpec{Attrs: []string{"author", "body"}}))
 
 	// ------------------------------------------------------------------
 	// Discourse: owns Topic.
 	// ------------------------------------------------------------------
 	discourseMapper := synapse.NewSQLMapper(synapse.Postgres)
 	discourse, err := synapse.NewApp(fabric, "discourse", discourseMapper, synapse.Config{Mode: synapse.Causal})
-	check(err)
+	example.Check(err)
 	topic := synapse.NewModel("Topic",
 		synapse.F("author", synapse.Ref),
 		synapse.F("title", synapse.String),
 	)
-	check(discourse.Publish(topic, synapse.PubSpec{Attrs: []string{"author", "title"}}))
+	example.Check(discourse.Publish(topic, synapse.PubSpec{Attrs: []string{"author", "title"}}))
 
 	// ------------------------------------------------------------------
 	// Semantic analyzer: subscribes to posts and topics from both apps,
@@ -67,16 +72,23 @@ func main() {
 	// ------------------------------------------------------------------
 	analyzerMapper := synapse.NewSQLMapper(synapse.MySQL)
 	analyzer, err := synapse.NewApp(fabric, "analyzer", analyzerMapper, synapse.Config{Mode: synapse.Causal})
-	check(err)
+	example.Check(err)
 	aUser := synapse.NewModel("User",
 		synapse.F("name", synapse.String),
 		synapse.F("interests", synapse.StringList),
 	)
+	// decorate is a read-merge-write of the user's interests. The
+	// analyzer's two workers can run the Post and the Topic callback at
+	// once, and two merges that read the same interests would each write
+	// back only their own topics, so decorating serializes them.
+	var decorating sync.Mutex
 	decorate := func(author, text string) error {
 		topics := extractTopics(text)
 		if len(topics) == 0 {
 			return nil
 		}
+		decorating.Lock()
+		defer decorating.Unlock()
 		ctl := analyzer.NewController(nil)
 		cur, err := ctl.Find("User", author)
 		if err != nil {
@@ -89,12 +101,8 @@ func main() {
 		for _, t := range topics {
 			merged[t] = true
 		}
-		var all []string
-		for t := range merged {
-			all = append(all, t)
-		}
 		deco := synapse.NewRecord("User", author)
-		deco.Set("interests", all)
+		deco.Set("interests", slices.Sorted(maps.Keys(merged)))
 		_, err = ctl.Update(deco)
 		return err
 	}
@@ -118,32 +126,34 @@ func main() {
 		}
 		return decorate(ctx.Record.String("author"), ctx.Record.String("title"))
 	})
-	check(analyzer.Subscribe(aUser, synapse.SubSpec{From: "diaspora", Attrs: []string{"name"}}))
-	check(analyzer.Subscribe(aPost, synapse.SubSpec{From: "diaspora", Attrs: []string{"author", "body"}}))
-	check(analyzer.Subscribe(aTopic, synapse.SubSpec{From: "discourse", Attrs: []string{"author", "title"}}))
-	check(analyzer.Publish(aUser, synapse.PubSpec{Attrs: []string{"interests"}}))
+	example.Check(analyzer.Subscribe(aUser, synapse.SubSpec{From: "diaspora", Attrs: []string{"name"}}))
+	example.Check(analyzer.Subscribe(aPost, synapse.SubSpec{From: "diaspora", Attrs: []string{"author", "body"}}))
+	example.Check(analyzer.Subscribe(aTopic, synapse.SubSpec{From: "discourse", Attrs: []string{"author", "title"}}))
+	example.Check(analyzer.Publish(aUser, synapse.PubSpec{Attrs: []string{"interests"}}))
 	analyzer.StartWorkers(2)
+	defer analyzer.StopWorkers()
 
 	// ------------------------------------------------------------------
 	// Mailer: DB-less observer of Diaspora posts (causal mode: no
 	// inconsistent notifications).
 	// ------------------------------------------------------------------
 	mailer, err := synapse.NewApp(fabric, "mailer", nil, synapse.Config{})
-	check(err)
+	example.Check(err)
 	mPost := synapse.NewModel("Post",
 		synapse.F("author", synapse.Ref),
 		synapse.F("body", synapse.String),
 	)
 	mPost.Callbacks.On(synapse.AfterCreate, func(ctx *synapse.CallbackCtx) error {
 		if !ctx.Bootstrapping {
-			fmt.Printf("[mailer]    notifying friends of %s\n", ctx.Record.String("author"))
+			fmt.Fprintf(w, "[mailer]    notifying friends of %s\n", ctx.Record.String("author"))
 		}
 		return nil
 	})
-	check(mailer.Subscribe(mPost, synapse.SubSpec{
+	example.Check(mailer.Subscribe(mPost, synapse.SubSpec{
 		From: "diaspora", Attrs: []string{"author", "body"}, Observer: true,
 	}))
 	mailer.StartWorkers(1)
+	defer mailer.StopWorkers()
 
 	// ------------------------------------------------------------------
 	// Spree: subscribes to the decorated User (both origins) and runs a
@@ -151,19 +161,20 @@ func main() {
 	// ------------------------------------------------------------------
 	spreeMapper := synapse.NewSQLMapper(synapse.MySQL)
 	spree, err := synapse.NewApp(fabric, "spree", spreeMapper, synapse.Config{})
-	check(err)
+	example.Check(err)
 	sUser := synapse.NewModel("User",
 		synapse.F("name", synapse.String),
 		synapse.F("interests", synapse.StringList),
 	)
-	check(spree.Subscribe(sUser, synapse.SubSpec{From: "diaspora", Attrs: []string{"name"}}))
-	check(spree.Subscribe(sUser, synapse.SubSpec{From: "analyzer", Attrs: []string{"interests"}}))
+	example.Check(spree.Subscribe(sUser, synapse.SubSpec{From: "diaspora", Attrs: []string{"name"}}))
+	example.Check(spree.Subscribe(sUser, synapse.SubSpec{From: "analyzer", Attrs: []string{"interests"}}))
 	product := synapse.NewModel("Product",
 		synapse.F("title", synapse.String),
 		synapse.F("description", synapse.String),
 	)
-	check(spreeMapper.Register(product))
+	example.Check(spreeMapper.Register(product))
 	spree.StartWorkers(2)
+	defer spree.StopWorkers()
 
 	// Spree's local product catalog.
 	catalog := map[string][2]string{
@@ -176,7 +187,7 @@ func main() {
 		rec := synapse.NewRecord("Product", id)
 		rec.Set("title", p[0])
 		rec.Set("description", p[1])
-		check(spreeMapper.Save(rec))
+		example.Check(spreeMapper.Save(rec))
 	}
 
 	// ------------------------------------------------------------------
@@ -186,10 +197,10 @@ func main() {
 	u := synapse.NewRecord("User", "alice")
 	u.Set("name", "Alice")
 	_, err = dctl.Create(u)
-	check(err)
+	example.Check(err)
 
 	// Wait for the user to reach the analyzer before posts reference it.
-	waitUntil(func() bool {
+	example.WaitUntil(func() bool {
 		_, err := analyzerMapper.Find("User", "alice")
 		return err == nil
 	})
@@ -198,19 +209,19 @@ func main() {
 	post.Set("author", "alice")
 	post.Set("body", "Nothing beats fresh coffee before a hiking trip!")
 	_, err = dctl.Create(post)
-	check(err)
-	fmt.Println("[diaspora]  alice posted about coffee and hiking")
+	example.Check(err)
+	fmt.Fprintln(w, "[diaspora]  alice posted about coffee and hiking")
 
 	tctl := discourse.NewController(discourse.NewSession("User", "alice"))
 	tp := synapse.NewRecord("Topic", "t1")
 	tp.Set("author", "alice")
 	tp.Set("title", "Which mechanical keyboards do you recommend?")
 	_, err = tctl.Create(tp)
-	check(err)
-	fmt.Println("[discourse] alice asked about keyboards")
+	example.Check(err)
+	fmt.Fprintln(w, "[discourse] alice asked about keyboards")
 
 	// Wait until the decoration reaches Spree with all three interests.
-	waitUntil(func() bool {
+	example.WaitUntil(func() bool {
 		rec, err := spreeMapper.Find("User", "alice")
 		return err == nil && len(rec.Strings("interests")) >= 3
 	})
@@ -219,11 +230,11 @@ func main() {
 	// Spree's recommender: keyword match interests against descriptions.
 	// ------------------------------------------------------------------
 	alice, err := spreeMapper.Find("User", "alice")
-	check(err)
-	fmt.Printf("[spree]     alice's interests: %v\n", alice.Strings("interests"))
+	example.Check(err)
+	fmt.Fprintf(w, "[spree]     alice's interests: %v\n", alice.Strings("interests"))
 	var recommendations []string
 	products, err := spreeMapper.DB().Select("products")
-	check(err)
+	example.Check(err)
 	for _, row := range products {
 		desc, _ := row.Cols["description"].(string)
 		for _, interest := range alice.Strings("interests") {
@@ -234,31 +245,12 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("[spree]     recommended for alice: %v\n", recommendations)
+	slices.Sort(recommendations)
+	fmt.Fprintf(w, "[spree]     recommended for alice: %v\n", recommendations)
 	if len(recommendations) != 3 {
-		log.Fatalf("expected 3 recommendations, got %v", recommendations)
+		return fmt.Errorf("expected 3 recommendations, got %v", recommendations)
 	}
-	_ = storage.Profile{}
 
-	fmt.Println("ecosystem: OK")
-	analyzer.StopWorkers()
-	mailer.StopWorkers()
-	spree.StopWorkers()
-}
-
-func check(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-func waitUntil(cond func() bool) {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	log.Fatal("timed out waiting for replication")
+	fmt.Fprintln(w, "ecosystem: OK")
+	return nil
 }

@@ -16,15 +16,19 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"slices"
 	"strings"
-	"time"
 
 	"synapse"
+	"synapse/examples/internal/example"
 	"synapse/internal/storage"
 )
 
-func main() {
+func main() { example.Main(run) }
+
+func run(w io.Writer) (err error) {
+	defer example.Recover(&err)
 	fabric := synapse.NewFabric()
 
 	// ------------------------------------------------------------------
@@ -32,19 +36,19 @@ func main() {
 	// ------------------------------------------------------------------
 	pub, err := synapse.NewApp(fabric, "pub3",
 		synapse.NewDocumentMapper(synapse.MongoDB), synapse.Config{Mode: synapse.Causal})
-	check(err)
+	example.Check(err)
 	pubUser := synapse.NewModel("User",
 		synapse.F("name", synapse.String),
 		synapse.F("interests", synapse.StringList),
 	)
-	check(pub.Publish(pubUser, synapse.PubSpec{Attrs: []string{"name", "interests"}}))
+	example.Check(pub.Publish(pubUser, synapse.PubSpec{Attrs: []string{"name", "interests"}}))
 
 	// ------------------------------------------------------------------
 	// Sub3a: flattening subscriber — interests become one text column.
 	// ------------------------------------------------------------------
 	flatMapper := synapse.NewSQLMapper(synapse.Postgres)
 	subFlat, err := synapse.NewApp(fabric, "sub3a", flatMapper, synapse.Config{})
-	check(err)
+	example.Check(err)
 	flatUser := synapse.NewModel("User",
 		synapse.F("name", synapse.String),
 		synapse.F("interests_text", synapse.String),
@@ -58,20 +62,21 @@ func main() {
 			return nil
 		},
 	})
-	check(subFlat.Subscribe(flatUser, synapse.SubSpec{From: "pub3", Attrs: []string{"name", "interests"}}))
+	example.Check(subFlat.Subscribe(flatUser, synapse.SubSpec{From: "pub3", Attrs: []string{"name", "interests"}}))
 	subFlat.StartWorkers(1)
+	defer subFlat.StopWorkers()
 
 	// ------------------------------------------------------------------
 	// Sub3b: join-table subscriber — the Fig 7 virtual attribute.
 	// ------------------------------------------------------------------
 	joinMapper := synapse.NewSQLMapper(synapse.Postgres)
 	subJoin, err := synapse.NewApp(fabric, "sub3b", joinMapper, synapse.Config{})
-	check(err)
+	example.Check(err)
 	interest := synapse.NewModel("Interest",
 		synapse.FIndexed("user", synapse.Ref),
 		synapse.FIndexed("tag", synapse.String),
 	)
-	check(joinMapper.Register(interest))
+	example.Check(joinMapper.Register(interest))
 	joinUser := synapse.NewModel("User", synapse.F("name", synapse.String))
 	joinUser.DefineVirtual(&synapse.VirtualAttr{
 		Name: "interests",
@@ -111,8 +116,9 @@ func main() {
 			return nil
 		},
 	})
-	check(subJoin.Subscribe(joinUser, synapse.SubSpec{From: "pub3", Attrs: []string{"name", "interests"}}))
+	example.Check(subJoin.Subscribe(joinUser, synapse.SubSpec{From: "pub3", Attrs: []string{"name", "interests"}}))
 	subJoin.StartWorkers(1)
+	defer subJoin.StopWorkers()
 
 	// ------------------------------------------------------------------
 	// Publish users with array interests; update one later.
@@ -128,35 +134,36 @@ func main() {
 		rec.Set("name", "user-"+id)
 		rec.Set("interests", tags)
 		_, err := ctl.Create(rec)
-		check(err)
+		example.Check(err)
 	}
-	fmt.Println("[pub3]  published 3 users with array interests")
+	fmt.Fprintln(w, "[pub3]  published 3 users with array interests")
 
-	waitUntil(func() bool { return joinMapper.Len("Interest") == 5 && flatMapper.Len("User") == 3 })
+	example.WaitUntil(func() bool { return joinMapper.Len("Interest") == 5 && flatMapper.Len("User") == 3 })
 
 	// Sub3a: the flattened column round-tripped, but querying needs LIKE.
 	rec, err := flatMapper.Find("User", "100")
-	check(err)
-	fmt.Printf("[sub3a] User/100 interests_text = %q (no efficient queries)\n",
+	example.Check(err)
+	fmt.Fprintf(w, "[sub3a] User/100 interests_text = %q (no efficient queries)\n",
 		rec.String("interests_text"))
 
 	// Sub3b: indexed join-table query "who likes dogs?".
 	dogLovers, err := joinMapper.DB().Select("interests",
 		storage.Predicate{Field: "tag", Op: storage.Eq, Value: "dogs"})
-	check(err)
+	example.Check(err)
 	var ids []string
 	for _, row := range dogLovers {
 		ids = append(ids, row.Cols["user"].(string))
 	}
-	fmt.Printf("[sub3b] users interested in dogs (indexed query): %v\n", ids)
+	slices.Sort(ids)
+	fmt.Fprintf(w, "[sub3b] users interested in dogs (indexed query): %v\n", ids)
 
 	// An update reshapes the join table: user 100 drops cats, picks up
 	// hiking.
 	patch := synapse.NewRecord("User", "100")
 	patch.Set("interests", []string{"dogs", "hiking"})
 	_, err = ctl.Update(patch)
-	check(err)
-	waitUntil(func() bool {
+	example.Check(err)
+	example.WaitUntil(func() bool {
 		rows, err := joinMapper.DB().Select("interests",
 			storage.Predicate{Field: "user", Op: storage.Eq, Value: "100"})
 		if err != nil || len(rows) != 2 {
@@ -168,26 +175,8 @@ func main() {
 		}
 		return tags["dogs"] && tags["hiking"]
 	})
-	fmt.Println("[sub3b] after update, User/100 rows resynced to {dogs, hiking}")
+	fmt.Fprintln(w, "[sub3b] after update, User/100 rows resynced to {dogs, hiking}")
 
-	fmt.Println("interests: OK")
-	subFlat.StopWorkers()
-	subJoin.StopWorkers()
-}
-
-func check(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-func waitUntil(cond func() bool) {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	log.Fatal("timed out waiting for replication")
+	fmt.Fprintln(w, "interests: OK")
+	return nil
 }

@@ -18,13 +18,16 @@ package main
 
 import (
 	"fmt"
-	"log"
-	"time"
+	"io"
 
 	"synapse"
+	"synapse/examples/internal/example"
 )
 
-func main() {
+func main() { example.Main(run) }
+
+func run(w io.Writer) (err error) {
+	defer example.Recover(&err)
 	fabric := synapse.NewFabric()
 
 	// ------------------------------------------------------------------
@@ -32,12 +35,12 @@ func main() {
 	// ------------------------------------------------------------------
 	oldMapper := synapse.NewDocumentMapper(synapse.MongoDB)
 	oldApp, err := synapse.NewApp(fabric, "main-v1", oldMapper, synapse.Config{Mode: synapse.Causal})
-	check(err)
+	example.Check(err)
 	user := synapse.NewModel("User",
 		synapse.F("name", synapse.String),
 		synapse.F("email", synapse.String),
 	)
-	check(oldApp.Publish(user, synapse.PubSpec{Attrs: []string{"name", "email"}}))
+	example.Check(oldApp.Publish(user, synapse.PubSpec{Attrs: []string{"name", "email"}}))
 
 	// Production has been running for a while.
 	ctl := oldApp.NewController(nil)
@@ -46,22 +49,23 @@ func main() {
 		rec.Set("name", fmt.Sprintf("member %d", i))
 		rec.Set("email", fmt.Sprintf("m%d@example.com", i))
 		_, err := ctl.Create(rec)
-		check(err)
+		example.Check(err)
 	}
-	fmt.Printf("[main-v1]  %d users on MongoDB\n", oldMapper.Len("User"))
+	fmt.Fprintf(w, "[main-v1]  %d users on MongoDB\n", oldMapper.Len("User"))
 
 	// The replacement app subscribes to ALL of the old app's data.
 	newMapper := synapse.NewDocumentMapper(synapse.TokuMX)
 	newApp, err := synapse.NewApp(fabric, "main-v2", newMapper, synapse.Config{})
-	check(err)
+	example.Check(err)
 	v2User := synapse.NewModel("User",
 		synapse.F("name", synapse.String),
 		synapse.F("email", synapse.String),
 	)
-	check(newApp.Subscribe(v2User, synapse.SubSpec{From: "main-v1", Attrs: []string{"name", "email"}}))
-	check(newApp.Bootstrap("main-v1"))
+	example.Check(newApp.Subscribe(v2User, synapse.SubSpec{From: "main-v1", Attrs: []string{"name", "email"}}))
+	example.Check(newApp.Bootstrap("main-v1"))
 	newApp.StartWorkers(2)
-	fmt.Printf("[main-v2]  bootstrapped %d users onto TokuMX\n", newMapper.Len("User"))
+	defer newApp.StopWorkers()
+	fmt.Fprintf(w, "[main-v2]  bootstrapped %d users onto TokuMX\n", newMapper.Len("User"))
 
 	// Both versions run simultaneously; live writes keep flowing to v2
 	// while QA pokes at it (the paper's no-downtime procedure).
@@ -69,9 +73,9 @@ func main() {
 	rec.Set("name", "late signup")
 	rec.Set("email", "late@example.com")
 	_, err = ctl.Create(rec)
-	check(err)
-	waitUntil(func() bool { return newMapper.Len("User") == 101 })
-	fmt.Println("[main-v2]  live writes tracked; load balancer can switch with no downtime")
+	example.Check(err)
+	example.WaitUntil(func() bool { return newMapper.Len("User") == 101 })
+	fmt.Fprintln(w, "[main-v2]  live writes tracked; load balancer can switch with no downtime")
 
 	// ------------------------------------------------------------------
 	// Part 2: live schema migration (§4.3).
@@ -79,11 +83,12 @@ func main() {
 	// A subscriber consumes the published "email" attribute.
 	audit := synapse.NewDocumentMapper(synapse.MongoDB)
 	auditApp, err := synapse.NewApp(fabric, "audit", audit, synapse.Config{})
-	check(err)
+	example.Check(err)
 	auditUser := synapse.NewModel("User", synapse.F("email", synapse.String))
-	check(auditApp.Subscribe(auditUser, synapse.SubSpec{From: "main-v1", Attrs: []string{"email"}}))
-	check(auditApp.Bootstrap("main-v1"))
+	example.Check(auditApp.Subscribe(auditUser, synapse.SubSpec{From: "main-v1", Attrs: []string{"email"}}))
+	example.Check(auditApp.Bootstrap("main-v1"))
 	auditApp.StartWorkers(1)
+	defer auditApp.StopWorkers()
 
 	// Rule 1: before removing a published attribute from the DB schema,
 	// add a virtual attribute of the same name. The publisher refactors
@@ -97,56 +102,38 @@ func main() {
 			return r.ID + "@contacts.example.com"
 		},
 	})
-	fmt.Println("[main-v1]  dropped the email column; virtual alias keeps the contract")
+	fmt.Fprintln(w, "[main-v1]  dropped the email column; virtual alias keeps the contract")
 
 	patch := synapse.NewRecord("User", "u001")
 	patch.Set("name", "renamed member")
 	_, err = ctl.Update(patch)
-	check(err)
-	waitUntil(func() bool {
+	example.Check(err)
+	example.WaitUntil(func() bool {
 		got, err := audit.Find("User", "u001")
 		return err == nil && got.String("email") == "u001@contacts.example.com"
 	})
-	fmt.Println("[audit]    still receives email via the virtual alias")
+	fmt.Fprintln(w, "[audit]    still receives email via the virtual alias")
 
 	// Rule 3: publishing a new attribute — publisher deploys first, then
 	// subscribers, then a partial bootstrap digests existing data.
 	user.AddField(synapse.F("tier", synapse.String))
-	check(oldApp.Publish(user, synapse.PubSpec{Attrs: []string{"tier"}}))
+	example.Check(oldApp.Publish(user, synapse.PubSpec{Attrs: []string{"tier"}}))
 	for _, id := range []string{"u001", "u002"} {
 		p := synapse.NewRecord("User", id)
 		p.Set("tier", "gold")
 		_, err := ctl.Update(p)
-		check(err)
+		example.Check(err)
 	}
 
 	auditUser.AddField(synapse.F("tier", synapse.String))
-	check(auditApp.Subscribe(auditUser, synapse.SubSpec{From: "main-v1", Attrs: []string{"tier"}}))
-	check(auditApp.Bootstrap("main-v1", "User")) // partial bootstrap
-	waitUntil(func() bool {
+	example.Check(auditApp.Subscribe(auditUser, synapse.SubSpec{From: "main-v1", Attrs: []string{"tier"}}))
+	example.Check(auditApp.Bootstrap("main-v1", "User")) // partial bootstrap
+	example.WaitUntil(func() bool {
 		got, err := audit.Find("User", "u002")
 		return err == nil && got.String("tier") == "gold"
 	})
-	fmt.Println("[audit]    picked up the new 'tier' attribute after a partial bootstrap")
+	fmt.Fprintln(w, "[audit]    picked up the new 'tier' attribute after a partial bootstrap")
 
-	fmt.Println("migration: OK")
-	newApp.StopWorkers()
-	auditApp.StopWorkers()
-}
-
-func check(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-func waitUntil(cond func() bool) {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	log.Fatal("timed out waiting for replication")
+	fmt.Fprintln(w, "migration: OK")
+	return nil
 }

@@ -10,15 +10,19 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
-	"time"
+	"io"
 
 	"synapse"
+	"synapse/examples/internal/example"
 	"synapse/internal/storage/searchdb"
 )
 
-func main() {
+func main() { example.Main(run) }
+
+func run(w io.Writer) (err error) {
+	defer example.Recover(&err)
 	fabric := synapse.NewFabric()
 
 	// ------------------------------------------------------------------
@@ -26,53 +30,56 @@ func main() {
 	// ------------------------------------------------------------------
 	pub, err := synapse.NewApp(fabric, "pub1",
 		synapse.NewDocumentMapper(synapse.MongoDB), synapse.Config{Mode: synapse.Causal})
-	check(err)
+	example.Check(err)
 	pubUser := synapse.NewModel("User",
 		synapse.F("name", synapse.String),
 		synapse.F("email", synapse.String),
 		synapse.F("password_hash", synapse.String), // never published
 	)
-	check(pub.Publish(pubUser, synapse.PubSpec{Attrs: []string{"name", "email"}}))
+	example.Check(pub.Publish(pubUser, synapse.PubSpec{Attrs: []string{"name", "email"}}))
 
 	// ------------------------------------------------------------------
 	// Subscriber 1a: any SQL DB (Fig 4).
 	// ------------------------------------------------------------------
 	sqlMapper := synapse.NewSQLMapper(synapse.Postgres)
 	subSQL, err := synapse.NewApp(fabric, "sub1a", sqlMapper, synapse.Config{})
-	check(err)
+	example.Check(err)
 	sqlUser := synapse.NewModel("User",
 		synapse.F("name", synapse.String),
 		synapse.F("email", synapse.String),
 	)
-	check(subSQL.Subscribe(sqlUser, synapse.SubSpec{From: "pub1", Attrs: []string{"name", "email"}}))
+	example.Check(subSQL.Subscribe(sqlUser, synapse.SubSpec{From: "pub1", Attrs: []string{"name", "email"}}))
 	subSQL.StartWorkers(2)
+	defer subSQL.StopWorkers()
 
 	// ------------------------------------------------------------------
 	// Subscriber 1b: Elasticsearch with an analyzed name field (Fig 4).
 	// ------------------------------------------------------------------
 	esMapper := synapse.NewSearchMapper()
 	subES, err := synapse.NewApp(fabric, "sub1b", esMapper, synapse.Config{})
-	check(err)
+	example.Check(err)
 	esUser := synapse.NewModel("User", synapse.F("name", synapse.String))
-	check(subES.Subscribe(esUser, synapse.SubSpec{From: "pub1", Attrs: []string{"name"}}))
+	example.Check(subES.Subscribe(esUser, synapse.SubSpec{From: "pub1", Attrs: []string{"name"}}))
 	esMapper.SetAnalyzer("User", "name", searchdb.SimpleAnalyzer)
 	subES.StartWorkers(2)
+	defer subES.StopWorkers()
 
 	// ------------------------------------------------------------------
 	// Subscriber 1c: another MongoDB (Fig 4).
 	// ------------------------------------------------------------------
 	docMapper := synapse.NewDocumentMapper(synapse.MongoDB)
 	subDoc, err := synapse.NewApp(fabric, "sub1c", docMapper, synapse.Config{})
-	check(err)
+	example.Check(err)
 	docUser := synapse.NewModel("User", synapse.F("name", synapse.String))
-	check(subDoc.Subscribe(docUser, synapse.SubSpec{From: "pub1", Attrs: []string{"name"}}))
+	example.Check(subDoc.Subscribe(docUser, synapse.SubSpec{From: "pub1", Attrs: []string{"name"}}))
 	subDoc.StartWorkers(2)
+	defer subDoc.StopWorkers()
 
 	// ------------------------------------------------------------------
 	// Mailer: DB-less observer with the Bootstrap? guard (Fig 2).
 	// ------------------------------------------------------------------
 	mailer, err := synapse.NewApp(fabric, "mailer", nil, synapse.Config{})
-	check(err)
+	example.Check(err)
 	mailUser := synapse.NewModel("User",
 		synapse.F("name", synapse.String),
 		synapse.F("email", synapse.String),
@@ -81,13 +88,14 @@ func main() {
 		if ctx.Bootstrapping {
 			return nil // don't re-welcome existing users while catching up
 		}
-		fmt.Printf("[mailer]  welcome email -> %s\n", ctx.Record.String("email"))
+		fmt.Fprintf(w, "[mailer]  welcome email -> %s\n", ctx.Record.String("email"))
 		return nil
 	})
-	check(mailer.Subscribe(mailUser, synapse.SubSpec{
+	example.Check(mailer.Subscribe(mailUser, synapse.SubSpec{
 		From: "pub1", Attrs: []string{"name", "email"}, Observer: true,
 	}))
 	mailer.StartWorkers(1)
+	defer mailer.StopWorkers()
 
 	// ------------------------------------------------------------------
 	// The publisher's controllers create and update users; Synapse
@@ -106,8 +114,8 @@ func main() {
 		rec.Set("email", p.email)
 		rec.Set("password_hash", "s3cr3t") // stays local
 		_, err := ctl.Create(rec)
-		check(err)
-		fmt.Printf("[pub1]    created User/%s (%s)\n", p.id, p.name)
+		example.Check(err)
+		fmt.Fprintf(w, "[pub1]    created User/%s (%s)\n", p.id, p.name)
 	}
 
 	// An update flows too.
@@ -115,20 +123,24 @@ func main() {
 	patch := synapse.NewRecord("User", "2")
 	patch.Set("name", "Rear Admiral Grace Hopper")
 	_, err = ctl.Update(patch)
-	check(err)
-	fmt.Println("[pub1]    updated User/2")
+	example.Check(err)
+	fmt.Fprintln(w, "[pub1]    updated User/2")
 
-	waitUntil(func() bool { return sqlMapper.Len("User") == 3 && docMapper.Len("User") == 3 })
+	example.WaitUntil(func() bool {
+		rec, err := sqlMapper.Find("User", "2")
+		return err == nil && rec.String("name") == patch.String("name") &&
+			sqlMapper.Len("User") == 3 && docMapper.Len("User") == 3
+	})
 
 	// Each subscriber now queries its own engine natively.
 	rec, err := sqlMapper.Find("User", "2")
-	check(err)
-	fmt.Printf("[sub1a]   SQL row User/2 = %q <%s>\n", rec.String("name"), rec.String("email"))
+	example.Check(err)
+	fmt.Fprintf(w, "[sub1a]   SQL row User/2 = %q <%s>\n", rec.String("name"), rec.String("email"))
 	if rec.Has("password_hash") {
-		log.Fatal("unpublished attribute leaked!")
+		return errors.New("unpublished attribute leaked")
 	}
 
-	waitUntil(func() bool {
+	example.WaitUntil(func() bool {
 		hits, err := esMapper.Search("User", searchdb.Query{
 			Match: &searchdb.MatchQuery{Field: "name", Text: "grace"},
 		})
@@ -137,30 +149,9 @@ func main() {
 	hits, err := esMapper.Search("User", searchdb.Query{
 		Match: &searchdb.MatchQuery{Field: "name", Text: "grace"},
 	})
-	check(err)
-	fmt.Printf("[sub1b]   search \"grace\" -> User/%s\n", hits[0].ID)
+	example.Check(err)
+	fmt.Fprintf(w, "[sub1b]   search \"grace\" -> User/%s\n", hits[0].ID)
 
-	fmt.Println("quickstart: OK")
-
-	subSQL.StopWorkers()
-	subES.StopWorkers()
-	subDoc.StopWorkers()
-	mailer.StopWorkers()
-}
-
-func check(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-func waitUntil(cond func() bool) {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	log.Fatal("timed out waiting for replication")
+	fmt.Fprintln(w, "quickstart: OK")
+	return nil
 }

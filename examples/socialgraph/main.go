@@ -14,13 +14,18 @@ package main
 
 import (
 	"fmt"
-	"log"
-	"time"
+	"io"
+	"maps"
+	"slices"
 
 	"synapse"
+	"synapse/examples/internal/example"
 )
 
-func main() {
+func main() { example.Main(run) }
+
+func run(w io.Writer) (err error) {
+	defer example.Recover(&err)
 	fabric := synapse.NewFabric()
 
 	// ------------------------------------------------------------------
@@ -28,7 +33,7 @@ func main() {
 	// ------------------------------------------------------------------
 	pub, err := synapse.NewApp(fabric, "pub2",
 		synapse.NewSQLMapper(synapse.MySQL), synapse.Config{Mode: synapse.Causal})
-	check(err)
+	example.Check(err)
 	user := synapse.NewModel("User",
 		synapse.F("name", synapse.String),
 		synapse.F("likes", synapse.StringList), // product ids the user liked
@@ -37,8 +42,8 @@ func main() {
 		synapse.F("user1", synapse.Ref),
 		synapse.F("user2", synapse.Ref),
 	)
-	check(pub.Publish(user, synapse.PubSpec{Attrs: []string{"name", "likes"}}))
-	check(pub.Publish(friendship, synapse.PubSpec{Attrs: []string{"user1", "user2"}}))
+	example.Check(pub.Publish(user, synapse.PubSpec{Attrs: []string{"name", "likes"}}))
+	example.Check(pub.Publish(friendship, synapse.PubSpec{Attrs: []string{"user1", "user2"}}))
 
 	// ------------------------------------------------------------------
 	// Sub2: the recommendation engine on Neo4j. Users are nodes;
@@ -46,12 +51,12 @@ func main() {
 	// ------------------------------------------------------------------
 	graph := synapse.NewGraphMapper()
 	sub, err := synapse.NewApp(fabric, "sub2", graph, synapse.Config{})
-	check(err)
+	example.Check(err)
 	gUser := synapse.NewModel("User",
 		synapse.F("name", synapse.String),
 		synapse.F("likes", synapse.StringList),
 	)
-	check(sub.Subscribe(gUser, synapse.SubSpec{From: "pub2", Attrs: []string{"name", "likes"}}))
+	example.Check(sub.Subscribe(gUser, synapse.SubSpec{From: "pub2", Attrs: []string{"name", "likes"}}))
 
 	gFriendship := synapse.NewModel("Friendship",
 		synapse.F("user1", synapse.Ref),
@@ -65,10 +70,11 @@ func main() {
 		return graph.Unrelate("User", ctx.Record.String("user1"), "FRIEND",
 			"User", ctx.Record.String("user2"))
 	})
-	check(sub.Subscribe(gFriendship, synapse.SubSpec{
+	example.Check(sub.Subscribe(gFriendship, synapse.SubSpec{
 		From: "pub2", Attrs: []string{"user1", "user2"}, Observer: true,
 	}))
 	sub.StartWorkers(2)
+	defer sub.StopWorkers()
 
 	// ------------------------------------------------------------------
 	// Seed a small social network on the publisher.
@@ -85,77 +91,55 @@ func main() {
 		rec.Set("name", id)
 		rec.Set("likes", likes)
 		_, err := ctl.Create(rec)
-		check(err)
+		example.Check(err)
 	}
 	addFriend := func(fid, a, b string) {
 		rec := synapse.NewRecord("Friendship", fid)
 		rec.Set("user1", a)
 		rec.Set("user2", b)
 		_, err := ctl.Create(rec)
-		check(err)
-		fmt.Printf("[pub2] %s <-> %s\n", a, b)
+		example.Check(err)
+		fmt.Fprintf(w, "[pub2] %s <-> %s\n", a, b)
 	}
 	addFriend("f1", "alice", "bob")
 	addFriend("f2", "bob", "carol")
 	addFriend("f3", "carol", "dave")
 
-	waitUntil(func() bool { return graph.Len("User") == 4 && graph.DB().Degree("User:carol", "FRIEND") == 2 })
+	example.WaitUntil(func() bool {
+		return graph.Len("User") == 4 && graph.DB().Degree("User:bob", "FRIEND") == 2 &&
+			graph.DB().Degree("User:carol", "FRIEND") == 2
+	})
 
 	// ------------------------------------------------------------------
 	// Graph-native recommendations: what do friends (and friends of
 	// friends) like that alice doesn't have yet?
 	// ------------------------------------------------------------------
 	network := graph.Network("User", "alice", "FRIEND", 2) // bob, carol
-	fmt.Printf("[sub2] alice's 2-hop network: %v\n", network)
+	fmt.Fprintf(w, "[sub2] alice's 2-hop network: %v\n", network)
 
 	liked := map[string]bool{}
 	for _, friend := range network {
 		rec, err := graph.Find("User", friend)
-		check(err)
+		example.Check(err)
 		for _, product := range rec.Strings("likes") {
 			liked[product] = true
 		}
 	}
 	self, err := graph.Find("User", "alice")
-	check(err)
+	example.Check(err)
 	for _, product := range self.Strings("likes") {
 		delete(liked, product)
 	}
-	fmt.Printf("[sub2] recommendations for alice: %v\n", keys(liked))
+	fmt.Fprintf(w, "[sub2] recommendations for alice: %v\n", slices.Sorted(maps.Keys(liked)))
 
 	// ------------------------------------------------------------------
 	// Unfriending removes the edge through the same observer.
 	// ------------------------------------------------------------------
-	check(ctl.Destroy("Friendship", "f2"))
-	waitUntil(func() bool { return graph.DB().Degree("User:bob", "FRIEND") == 1 })
-	fmt.Printf("[sub2] after unfriending, alice's network: %v\n",
+	example.Check(ctl.Destroy("Friendship", "f2"))
+	example.WaitUntil(func() bool { return graph.DB().Degree("User:bob", "FRIEND") == 1 })
+	fmt.Fprintf(w, "[sub2] after unfriending, alice's network: %v\n",
 		graph.Network("User", "alice", "FRIEND", 2))
 
-	fmt.Println("socialgraph: OK")
-	sub.StopWorkers()
-}
-
-func keys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-func check(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-func waitUntil(cond func() bool) {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	log.Fatal("timed out waiting for replication")
+	fmt.Fprintln(w, "socialgraph: OK")
+	return nil
 }

@@ -160,12 +160,6 @@ func diverged(pub *core.App, subs []*core.App, modelName string, ids []string) e
 			return fmt.Errorf("%s: %d deliveries queued or unacked, %d acks parked", s.Name(), q.Depth(), s.PendingAcks())
 		}
 	}
-	return rowsDiffer(pub, subs, modelName, ids)
-}
-
-// rowsDiffer reports the first id of the model whose row on some
-// subscriber is not the publisher's.
-func rowsDiffer(pub *core.App, subs []*core.App, modelName string, ids []string) error {
 	for _, id := range ids {
 		want, err := pub.Mapper().Find(modelName, id)
 		if err != nil {

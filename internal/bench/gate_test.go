@@ -71,7 +71,6 @@ func TestGatePerturbations(t *testing.T) {
 		{"fig13 batched +1 round trip", perturbed("fig13rt", func(d *Fig13RTDoc) { d.Points[0].Batched.TotalRT++ }), false},
 		{"fig13 half a round trip under a stale baseline", perturbed("fig13rt", func(d *Fig13RTDoc) { d.Points[0].Batched.TotalRT -= 0.5 }), false},
 		{"fig13 one coalesced window (a tenth low)", perturbed("fig13rt", func(d *Fig13RTDoc) { d.Points[0].Batched.TotalRT -= 0.1 }), true},
-		{"chaos seed failed to converge", perturbed("chaos", func(d *ChaosDoc) { d.Converged-- }), false},
 		{"causality dvv false dependencies", perturbed("causality", func(d *CausalityDoc) { dvv(d).FalseDepsSuspected = 7 }), false},
 		{"tail p99 10x collapse at the anchor rate", perturbed("tail", func(d *TailDoc) { tailAnchor(d).P99Ms *= 10 }), false},
 		{"tail delivered capacity 1.5x the serial ceiling", perturbed("tail", func(d *TailDoc) { d.DeliveredCapacity = 1.5 * d.SerialCapacity }), false},
@@ -79,8 +78,6 @@ func TestGatePerturbations(t *testing.T) {
 		{"cluster zero-lost invariant broken", perturbed("cluster", func(d *ClusterDoc) { d.ZeroLost = false }), false},
 		{"cluster 4-shard scaling collapse", perturbed("cluster", func(d *ClusterDoc) { d.Scaling4x = 1.1 }), false},
 		{"cluster failover window blowout", perturbed("cluster", func(d *ClusterDoc) { d.Failover.UnavailMS = 2000 }), false},
-		{"overload decommission recovery diverged", perturbed("overload", func(d *OverloadDoc) { d.Recovery.Converged = false }), false},
-		{"overload recovery rt/object over the absolute cap", perturbed("overload", func(d *OverloadDoc) { d.Recovery.RTPerObject = 1.0 }), false},
 		{"bootstrap join diverged", perturbed("bootstrap", func(d *BootstrapDoc) { d.Converged = false }), false},
 		{"bootstrap publish stall over the zero-pause ceiling", perturbed("bootstrap", func(d *BootstrapDoc) { d.MaxPublishStallMs = 5000 }), false},
 		{"bootstrap resume replayed the full walk", perturbed("bootstrap", func(d *BootstrapDoc) { d.Resume.ChunksResumed = d.Resume.ChunksTotal }), false},

@@ -48,13 +48,6 @@ var Experiments = []Experiment{
 		Baseline: "BENCH_fig13.json", Gate: gate(gateFig13RT),
 		Reads: []string{"points[].deps", "points[].batched.total_rt_per_msg"}},
 	{Name: "lostmsg", Run: sweep(lostMsgConfig, RunLostMsgSweep), Table: table(FormatLostMsg)},
-	{Name: "reliability", Run: sweep(reliabilityConfig, RunReliabilitySweep), Table: table(FormatReliability)},
-	{Name: "chaos", Run: sweep(chaosConfig, RunChaos), Table: table(FormatChaos),
-		Baseline: "BENCH_chaos.json", Gate: gate(gateChaos),
-		Reads: []string{"seeds", "converged"}},
-	{Name: "overload", Run: sweep(overloadConfig, RunOverload), Table: table(FormatOverload),
-		Baseline: "BENCH_overload.json", Gate: gate(gateOverload),
-		Reads: []string{"seeds", "converged", "bounded", "recovery.converged", "recovery.rt_per_object"}},
 	{Name: "causality", Run: sweep(causalityConfig, RunCausality), Table: table(FormatCausality),
 		Baseline: "BENCH_causality.json", Gate: gate(gateCausality),
 		Reads: []string{"points[].tracker", "points[].throughput_msgs_per_sec", "points[].false_deps_suspected"}},

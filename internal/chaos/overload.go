@@ -97,12 +97,9 @@ type OverloadResult struct {
 	Decommissions int // must be 0: soft backpressure kept us off the cliff
 
 	// Convergence.
-	Converged       bool
-	Mismatch        string // first divergence seen at timeout (debugging)
-	Regressions     int    // value regressions seen by subscriber callbacks
-	RecoveryTime    time.Duration
-	GoodputOverload float64 // messages applied per second while overloaded
-	GoodputRecovery float64 // messages applied per second during recovery
+	Converged   bool
+	Mismatch    string // first divergence seen at timeout (debugging)
+	Regressions int    // value regressions seen by subscriber callbacks
 
 	// Graceful drain.
 	DrainOK      bool
@@ -196,7 +193,6 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	var poisonTime time.Time
 	var processedAtPoison int64
 	quarantined := make(chan time.Duration, 1)
-	overloadStart := time.Now()
 	for i := 0; i < cfg.Writes; i++ {
 		if !cfg.DisableStall && i == poisonAt {
 			poisonTime = time.Now()
@@ -220,11 +216,6 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 		}
 		time.Sleep(time.Duration(500+wrng.Intn(1000)) * time.Microsecond)
 	}
-	overloadDur := time.Since(overloadStart)
-	processedOverload := sub.Stats().Processed
-	if overloadDur > 0 {
-		res.GoodputOverload = float64(processedOverload) / overloadDur.Seconds()
-	}
 
 	// Quarantine must have happened within the escalation budget (three
 	// attempts of escalating watchdog budgets plus backoffs).
@@ -243,7 +234,6 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 
 	// Settle: one normal-priority write per object supersedes anything
 	// shed, then the run must converge exactly.
-	recoveryStart := time.Now()
 	for _, id := range objs {
 		if err := w.put(id, false); err != nil {
 			return res, err
@@ -254,14 +244,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 		settleObjs = append(append([]string{}, objs...), poisonID)
 	}
 	deadline := time.Now().Add(settleTimeout)
-	if res.Converged, res.Mismatch = converge(deadline, pub, []*core.App{sub}, settleObjs); res.Converged {
-		res.RecoveryTime = time.Since(recoveryStart)
-	}
-	if res.RecoveryTime > 0 {
-		if n := sub.Stats().Processed - processedOverload; n > 0 {
-			res.GoodputRecovery = float64(n) / res.RecoveryTime.Seconds()
-		}
-	}
+	res.Converged, res.Mismatch = converge(deadline, pub, []*core.App{sub}, settleObjs)
 
 	// Queue bounds: the soft layer must have kept the run off the
 	// decommission cliff entirely.

@@ -223,3 +223,50 @@ func TestRecoverQueueResumesFromFailedOrigin(t *testing.T) {
 		t.Errorf("BootstrapChunks = %d, want 5 (3 for pub1 + 2 for pub2, pub1 not re-walked)", got)
 	}
 }
+
+// TestRecoverQueueRoundTripsPerObject: coming back over the §4.4
+// decommission cliff costs the subscriber one bulk version-snapshot
+// window plus one batched claim window per chunk, never a window per
+// row. 2,000 recovered objects cost 0.0045 round trips each; the cap is
+// an absolute 0.05, and a window per row would cost at least 1.
+func TestRecoverQueueRoundTripsPerObject(t *testing.T) {
+	const objects, rtCap = 2000, 0.05
+	f := NewFabric()
+	pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
+	mustPublish(t, pub, userDesc(), "name", "likes")
+	sub, subMapper := newDocApp(t, f, "sub", Config{Mode: Causal, QueueMaxLen: 64})
+	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name", "likes"}})
+
+	// The subscriber is not consuming; the creates overflow its queue.
+	id := func(i int) string { return fmt.Sprintf("u%04d", i) }
+	ctl := pub.NewController(nil)
+	for i := 0; i < objects; i++ {
+		rec := model.NewRecord("User", id(i))
+		rec.Set("name", "n")
+		rec.Set("likes", i)
+		if _, err := ctl.Create(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sub.Queue().Dead() {
+		t.Fatalf("queue survived %d creates at QueueMaxLen 64", objects)
+	}
+
+	rt0 := sub.Store().RoundTrips()
+	if err := sub.RecoverQueue(); err != nil {
+		t.Fatal(err)
+	}
+	perObject := float64(sub.Store().RoundTrips()-rt0) / objects
+	if n := subMapper.Len("User"); n != objects {
+		t.Fatalf("recovered %d users, want %d", n, objects)
+	}
+	for _, i := range []int{0, objects / 2, objects - 1} {
+		got, err := subMapper.Find("User", id(i))
+		if err != nil || got.Int("likes") != int64(i) {
+			t.Errorf("after recovery %s = %v, %v; want likes %d", id(i), got, err, i)
+		}
+	}
+	if perObject > rtCap {
+		t.Errorf("recovery cost %.4f version-store round trips per object, want <= %g", perObject, rtCap)
+	}
+}

@@ -2,8 +2,9 @@
 # scenarios.sh — the CI scenario suite as runnable shell functions, so
 # the workflow matrix, `make scenarios`, and a developer terminal all
 # execute the exact same commands. Each scenario bundles the race tests
-# that guard a subsystem with the bench smoke that regenerates its
-# BENCH_*.json, and fails the run (non-zero exit) on any breach.
+# that guard a subsystem with, where it has one, the bench smoke or
+# benchmark workload that exercises it, and fails the run (non-zero
+# exit) on any breach.
 #
 # Usage:
 #   scripts/scenarios.sh [-quick] [scenario ...]
@@ -49,26 +50,12 @@ gotest() {
     fi
 }
 
-# example_ok runs one program under examples/ and fails unless it exits
-# zero and prints its "<name>: OK" line.
-example_ok() {
-    out=$(go run "./examples/$1" 2>&1)
-    status=$?
-    printf '%s\n' "$out"
-    [ "$status" -eq 0 ] || return "$status"
-    printf '%s\n' "$out" | grep -qx "$1: OK" || {
-        echo "examples/$1 did not print \"$1: OK\"" >&2
-        return 1
-    }
-}
-
 # Build + vet + gofmt + full race suite with the coverage floor, then
-# the round-trip/reliability bench smokes and the alloc microbenches.
-# This is the "does the repo hold together" scenario.
+# the round-trip bench smoke and the alloc microbenches. This is the
+# "does the repo hold together" scenario.
 scenario_check() {
     make check &&
         go run ./cmd/synapse-bench -exp fig13rt $QUICK &&
-        go run ./cmd/synapse-bench -exp reliability $QUICK &&
         go test ./internal/wire/ ./internal/broker/ -run '^$' \
             -bench 'BenchmarkMarshal|BenchmarkUnmarshal|NackRequeue|PublishFanout' \
             -benchtime 10x -benchmem
@@ -79,17 +66,16 @@ scenario_check() {
 scenario_chaos() {
     go test -race $SHORT ./internal/chaos/ ./internal/netsim/ &&
         gotest -race $SHORT -run 'TestBroker|TestCrash|TestDeadLetter|TestJournal|TestConcurrentPublish' \
-            ./internal/broker/ ./internal/core/ &&
-        go run ./cmd/synapse-bench -exp chaos $QUICK
+            ./internal/broker/ ./internal/core/
 }
 
 # Sustained ~2x overload: degradation ladder, watermark backpressure,
-# stall quarantine, drain/decommission.
+# stall quarantine, drain/decommission, and the round-trip cost of
+# recovering from the decommission cliff.
 scenario_overload() {
     gotest -race $SHORT -run 'TestOverload' ./internal/chaos/ &&
-        gotest -race $SHORT -run 'TestPublish|TestStall|TestDrain|TestDecommission' \
-            ./internal/core/ &&
-        go run ./cmd/synapse-bench -exp overload $QUICK
+        gotest -race $SHORT -run 'TestPublish|TestStall|TestDrain|TestDecommission|TestRecoverQueueRoundTripsPerObject' \
+            ./internal/core/
 }
 
 # Pluggable dependency trackers: DVV end-to-end, mixed hash/DVV
@@ -181,8 +167,8 @@ scenario_journal() {
 # conformance suite and the engine isolation table five times under the
 # race detector, and the coldb and searchdb model tests, coldb's readers
 # beside its flushes and its bounded-state test twenty times; then the
-# two examples that search and aggregate through searchdb, and the
-# workload that applies every message through all five adapters.
+# paper's six example programs twenty times under the race detector, and
+# the workload that applies every message through all five adapters.
 scenario_orm() {
     go vet ./internal/orm/... ./internal/storage/... &&
         gotest -run 'TestConformance.*/(SaveAllocBudget|EachStopsEarly|DeleteHandsOverRow)' ./internal/orm/activerecord ./internal/orm/columnorm \
@@ -191,8 +177,7 @@ scenario_orm() {
         go test -race -count=5 ./internal/orm/... ./internal/storage/... &&
         gotest -race -count=20 -run 'TestModelAgainst|TestReadersDuringFlushes|TestStateBounded' \
             ./internal/storage/coldb ./internal/storage/searchdb &&
-        example_ok quickstart &&
-        example_ok crowdtap &&
+        gotest -race -count=20 ./examples/... &&
         bash benchmark/run.sh --workload fanout_hetero --seconds 5
 }
 
