@@ -201,18 +201,18 @@ type App struct {
 	parked   map[*job]struct{}
 	ready    []*job
 	released sync.Cond // on parkMu, broadcast by every release
-	blocking sync.Pool // ProcessMessage's jobs (see trip)
+	jobs     sync.Pool // every entry's jobs, each handed back once it is over (see recycle)
 
 	// onMove and onPubMove, nil outside tests, see every App.to and App.advance.
 	onMove    func(j *job, from, to jobState)
 	onPubMove func(p *publication, from, to pubState)
 
 	// The subscriber's group commit (see flushBatch in subscribe.go):
-	// completed pipeline deliveries queue their counter increments and
-	// broker acks here, and whichever worker leads the flusher drains
-	// them in IncrOpsMulti + AckMulti batches. flushCounts and flushTags
+	// completed pipeline deliveries queue their jobs here, and whichever
+	// worker leads the flusher drains their counter increments and broker
+	// acks in IncrOpsMulti + AckMulti batches. flushCounts and flushTags
 	// are the leader's scratch, reused from one batch to the next.
-	commits     *groupcommit.Flusher[flushEntry]
+	commits     *groupcommit.Flusher[*job]
 	flushCounts map[vstore.Key]uint64
 	flushTags   []uint64
 
@@ -310,7 +310,7 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 	a.compiled.Store(&subTable{})
 	a.resolve = a.resolveSink
 	a.released.L = &a.parkMu
-	a.blocking.New = func() any { return &job{app: a} }
+	a.jobs.New = func() any { return &job{app: a} }
 	a.outbox = newOutbox(&a.seq)
 	a.commits = groupcommit.New(flushBatchCap, 0, a.flushBatch)
 	a.flushCounts = make(map[vstore.Key]uint64)

@@ -451,7 +451,7 @@ func (a *App) awaitHighWatermark(drain *worker, w *chunkWindow) error {
 func (w *worker) runFetched(q *broker.Queue, d broker.Delivery) {
 	a := w.app
 	w.batch = a.takeReady(w.batch[:0], a.cfg.PipelineDepth)
-	w.batch = append(w.batch, &job{app: a, trip: trip{q: q, d: d}})
+	w.batch = append(w.batch, a.fetched(q, d))
 	w.processBatch(w.batch, nil)
 	clear(w.batch)
 }

@@ -16,8 +16,8 @@ import (
 // and destroys from a global, a causal and a weak subscription, hash and
 // DVV publishers, one global publisher subscribed only causally — to
 // three subscribers that differ only in how a delivery enters: a worker
-// pool, ProcessMessage, and bootstrap's drain (blocking jobs through a
-// worker's steps, waiting for nothing while bootstrapping). All three
+// pool, ProcessMessage, and bootstrap's drain (a one-lane worker's
+// steps, waiting for nothing while bootstrapping). All three
 // must store the same rows and hold the same version-store state.
 func TestEveryEntryAppliesAlike(t *testing.T) {
 	origins := []struct {

@@ -73,9 +73,10 @@ func testWorkerPoolGoroutinesFixed(t *testing.T, timeout time.Duration) {
 	}
 }
 
-// TestFlushBatchAllocBudget: a message completing alone — one entry per
+// TestFlushBatchAllocBudget: a message completing alone — one job per
 // group commit, the common case — costs the flush no allocation: the
-// counts map and the ack tags are the leader's, reused.
+// counts map and the ack tags are the leader's, reused, and the done job
+// goes back to the pool its successor is taken from.
 func TestFlushBatchAllocBudget(t *testing.T) {
 	skipUnderRace(t)
 	const runs = 100
@@ -94,13 +95,16 @@ func TestFlushBatchAllocBudget(t *testing.T) {
 		t.Fatalf("GetBatch(%d) = %d deliveries, %v", runs+1, len(ds), err)
 	}
 
-	entries := make([]flushEntry, 1)
+	jobs := make([]*job, 1)
 	incr := []vstore.Key{1, 2}
 	next := 0
 	n := testing.AllocsPerRun(runs, func() {
-		entries[0] = flushEntry{q: q, tag: ds[next].Tag, incr: incr}
+		j := sub.fetched(q, ds[next])
+		j.incr = incr
+		j.state.Store(uint32(stateDone))
+		jobs[0] = j
 		next++
-		sub.flushBatch(entries)
+		sub.flushBatch(jobs)
 	})
 	if n != 0 {
 		t.Errorf("one-entry flushBatch = %v allocs, want 0", n)

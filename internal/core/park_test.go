@@ -144,9 +144,11 @@ func fetchJobs(t *testing.T, a *App, n int) []*job {
 	return jobs
 }
 
-// decodedJob is a queue job as a worker's dispatch leaves it for a lane.
+// decodedJob is a queue job as a worker's dispatch leaves it for a lane,
+// taken from App.jobs as a worker's fetch takes it.
 func decodedJob(a *App, q *broker.Queue, d broker.Delivery, msg *wire.Message) *job {
-	j := &job{app: a, trip: trip{q: q, d: d, msg: msg, mask: a.applyMask(msg), at: time.Now()}}
+	j := a.fetched(q, d)
+	j.msg, j.mask, j.at = msg, a.applyMask(msg), time.Now()
 	j.state.Store(uint32(stateDecoded))
 	return j
 }
@@ -194,7 +196,7 @@ func TestParkedReleasedOnlyAtThreshold(t *testing.T) {
 		if st, err := sub.drive(j); st != stateDone || err != nil {
 			t.Fatalf("satisfier: %v, %v; want done", st, err)
 		}
-		sub.commits.Add(flushEntry{q: j.q, tag: j.d.Tag, incr: j.incr})
+		sub.commits.Add(j)
 		sub.commits.Flush()
 	}
 	if p, r := parkedAndReady(sub); p != 0 || r != 1 {

@@ -522,7 +522,7 @@ func TestSubscribeWhileDecodedJobsWait(t *testing.T) {
 	if st, err := sub.drive(create); st != stateDone || err != nil {
 		t.Fatalf("create decoded before an unrelated Subscribe: %v, %v; want done", st, err)
 	}
-	sub.commits.Add(flushEntry{q: create.q, tag: create.d.Tag, incr: create.incr})
+	sub.commits.Add(create)
 	sub.commits.Flush()
 	if batch := sub.takeReady(nil, 4); len(batch) != 1 || batch[0] != second {
 		t.Fatalf("takeReady = %v, want the parked update", batch)
@@ -530,7 +530,7 @@ func TestSubscribeWhileDecodedJobsWait(t *testing.T) {
 	if st, err := sub.drive(second); st != stateDone || err != nil {
 		t.Fatalf("parked update decoded before an unrelated Subscribe: %v, %v; want done", st, err)
 	}
-	sub.commits.Add(flushEntry{q: second.q, tag: second.d.Tag, incr: second.incr})
+	sub.commits.Add(second)
 	sub.commits.Flush()
 	if got, err := subMapper.Find("User", "u1"); err != nil || got.String("name") != "v2" || got.Has("email") {
 		t.Fatalf("u1 = %v, %v; want name v2 and no email", got, err)

@@ -82,7 +82,7 @@ func TestJobStateTable(t *testing.T) {
 		}
 	}
 	commit := func(a *App, j *job) {
-		a.commits.Add(flushEntry{q: j.q, tag: j.d.Tag, incr: j.incr})
+		a.commits.Add(j)
 		a.commits.Flush()
 	}
 

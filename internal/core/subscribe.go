@@ -108,8 +108,7 @@ type job struct {
 	trip
 }
 
-// trip is one delivery's pass through a job, what ProcessMessage's pooled
-// job resets — a fresh job per call would cost its allocation budget. The
+// trip is one delivery's pass through a job, what recycle resets. The
 // state stays out: a release still on its way from the last pass may
 // compare-and-swap it, but reads nothing here.
 type trip struct {
@@ -255,6 +254,29 @@ func (a *App) retire(j *job, entered bool) {
 	}
 }
 
+// recycle hands jobs that are over back to App.jobs, reset and at fetched
+// (a second recycle panics, like App.to off jobEdges). A late release is
+// one extra look for the next delivery. A stalled job is its straggler's.
+func (a *App) recycle(jobs ...*job) {
+	for _, j := range jobs {
+		switch st := j.load(); {
+		case st < stateDone:
+			panic(fmt.Sprintf("synapse: subscriber job recycled at %v", st))
+		case st != stateStalled:
+			j.trip = trip{}
+			j.state.Store(uint32(stateFetched))
+			a.jobs.Put(j)
+		}
+	}
+}
+
+// fetched takes a job from App.jobs for a delivery off q.
+func (a *App) fetched(q *broker.Queue, d broker.Delivery) *job {
+	j := a.jobs.Get().(*job)
+	j.q, j.d = q, d
+	return j
+}
+
 // applyScratch is what applying one operation needs and nothing keeps:
 // the record handed to Mapper.Save or to an observer's callbacks, and
 // those callbacks' context. It lives in the job, one operation after the
@@ -293,11 +315,11 @@ func (a *App) park(j *job) bool {
 		a.parked[j] = struct{}{}
 	} else {
 		a.ready = append(a.ready, j)
+		// j.q is read now, under the lock: on the ready list j is whoever
+		// takes it. The idle consumer is woken once the lock is dropped.
+		defer j.q.CancelWaiters()
 	}
 	a.parkMu.Unlock()
-	if !held {
-		j.q.CancelWaiters()
-	}
 	return false
 }
 
@@ -311,16 +333,13 @@ func (a *App) park(j *job) bool {
 func (a *App) release(j *job) {
 	a.parkMu.Lock()
 	_ = a.to(j, stateBarrier, stateDecoded) || a.to(j, stateParked, stateReady) || a.to(j, statePlanned, stateReady)
-	_, held := a.parked[j]
-	if held {
+	if _, held := a.parked[j]; held {
 		delete(a.parked, j)
 		a.ready = append(a.ready, j)
+		defer j.q.CancelWaiters() // j.q read under the lock, as in park
 	}
 	a.parkMu.Unlock()
 	a.released.Broadcast()
-	if held {
-		j.q.CancelWaiters()
-	}
 }
 
 // takeReady moves up to max jobs from the head of the ready list onto
@@ -336,7 +355,7 @@ func (a *App) takeReady(batch []*job, max int) []*job {
 
 // retireParked hands back every parked and ready job delivered on q (any
 // queue handle when nil), oldest first: each fails. A stop then nacks
-// them back; those of a dead handle are just forgotten — their tags died
+// them back; those of a dead handle are only recycled — their tags died
 // with it: a restarted broker redelivers them, RecoverQueue resyncs a
 // decommissioned queue's content.
 func (a *App) retireParked(q *broker.Queue) []*job {
@@ -484,6 +503,7 @@ func (a *App) StopWorkers() {
 	for i := len(jobs) - 1; i >= 0; i-- { // Nack pushes front: newest first
 		a.nack(jobs[i].q, jobs[i].d.Tag, ackNack)
 	}
+	a.recycle(jobs...)
 	a.cutJournal()
 }
 
@@ -501,11 +521,10 @@ type worker struct {
 	batch   []*job
 }
 
-// laneResult is a dispatched job coming back to processBatch: done,
-// parked, or failed.
+// laneResult is a dispatched job's mask, and the job if it failed.
 type laneResult struct {
-	j      *job
-	failed bool
+	mask   uint64
+	failed *job
 }
 
 // newWorker builds a worker and starts its lanes.
@@ -568,15 +587,18 @@ func (w *worker) runLane() {
 func (l *lane) step(j *job) bool {
 	w, a := l.w, l.w.app
 	j.lane = l
+	r := laneResult{mask: j.mask} // after drive, j may be another worker's, or recycled
 	st, _ := a.drive(j)
-	if st == stateStalled {
+	switch st {
+	case stateStalled:
 		a.retire(j, true)
 		return false
+	case stateDone:
+		a.commits.Add(j)
+	case stateFailed:
+		r.failed = j
 	}
-	if st == stateDone {
-		a.commits.Add(flushEntry{q: j.q, tag: j.d.Tag, incr: j.incr})
-	}
-	w.results <- laneResult{j, st == stateFailed}
+	w.results <- r
 	if st == stateDone {
 		a.commits.Flush()
 	}
@@ -616,7 +638,7 @@ func (l *lane) expire() {
 	w.app.move(j, stateStalled)
 	w.app.tel.stalled.Add(1)
 	go w.runLane()
-	w.results <- laneResult{j, true}
+	w.results <- laneResult{j.mask, j}
 	w.running.Done()
 }
 
@@ -657,7 +679,7 @@ func (a *App) workerLoop(w *worker, stop <-chan struct{}) {
 			case errors.Is(err, broker.ErrCanceled):
 				continue
 			case errors.Is(err, broker.ErrDecommissioned):
-				a.retireParked(q)
+				a.recycle(a.retireParked(q)...)
 				if rerr := a.RecoverQueue(); rerr != nil {
 					// Cannot recover (e.g. origin gone); retry after a beat.
 					time.Sleep(10 * time.Millisecond)
@@ -669,16 +691,14 @@ func (a *App) workerLoop(w *worker, stop <-chan struct{}) {
 				if !a.awaitBrokerUp(stop) {
 					return
 				}
-				a.retireParked(q)
+				a.recycle(a.retireParked(q)...)
 				a.reattachQueue()
 				continue
 			default: // closed
 				return
 			}
-			jobs := make([]job, len(ds)) // one allocation per batch, not per message
-			for i, d := range ds {
-				jobs[i] = job{app: a, trip: trip{q: q, d: d}}
-				w.batch = append(w.batch, &jobs[i])
+			for _, d := range ds {
+				w.batch = append(w.batch, a.fetched(q, d))
 			}
 			clear(ds)
 		}
@@ -761,7 +781,7 @@ func (w *worker) processBatch(batch []*job, stop <-chan struct{}) {
 					// Poison message: ack (coalesced) and drop it rather
 					// than loop forever.
 					a.to(j, stateFetched, stateDone)
-					a.commits.Add(flushEntry{q: j.q, tag: j.d.Tag})
+					a.commits.Add(j)
 					a.commits.Flush()
 					next++
 					continue
@@ -784,12 +804,10 @@ func (w *worker) processBatch(batch []*job, stop <-chan struct{}) {
 		}
 		select {
 		case r := <-w.results:
-			// A job that parked may be running in another worker by now;
-			// its mask was fixed before dispatch.
 			inflight--
-			inflightMask &^= r.j.mask
-			if r.failed {
-				failures = append(failures, r.j)
+			inflightMask &^= r.mask
+			if r.failed != nil {
+				failures = append(failures, r.failed)
 			}
 		case <-stop:
 			stopping = true
@@ -801,6 +819,7 @@ func (w *worker) processBatch(batch []*job, stop <-chan struct{}) {
 	for i := len(batch) - 1; i >= next; i-- {
 		a.move(batch[i], stateFailed)
 		a.nack(batch[i].q, batch[i].d.Tag, ackNack)
+		a.recycle(batch[i])
 	}
 	if len(failures) > 0 {
 		// Fail to the front, after the tail: the failure-counting nacks
@@ -812,6 +831,7 @@ func (w *worker) processBatch(batch []*job, stop <-chan struct{}) {
 				alive = true
 				a.tel.retries.Add(1)
 			}
+			a.recycle(j)
 		}
 		if alive {
 			a.retryBackoff(maxAttempts, stop)
@@ -832,17 +852,7 @@ func (a *App) applyMask(msg *wire.Message) uint64 {
 	return mask
 }
 
-// flushEntry is one completed delivery awaiting group commit: its
-// broker tag, the queue handle it was delivered on, and the counter
-// increments its message deferred (nil for weak-mode, stale-generation,
-// bootstrap-covered, and poison deliveries — those only coalesce acks).
-type flushEntry struct {
-	q    *broker.Queue
-	tag  uint64
-	incr []vstore.Key
-}
-
-// flushBatchCap bounds the entries merged into one group commit, so a
+// flushBatchCap bounds the jobs merged into one group commit, so a
 // deep backlog cannot grow a single IncrOpsMulti/AckMulti call without
 // bound (the flusher's leader just takes another turn).
 const flushBatchCap = 256
@@ -855,21 +865,22 @@ const FaultBeforeAckFlush = "subscribe/before-ack-flush"
 // flushBatch is the commit flusher's drain — it runs on whichever
 // caller of Flush leads, one batch at a time, inline: a message
 // completing alone pays no goroutine hop and no allocation — and lands
-// one group commit: every entry's counter increments in ONE IncrOpsMulti
-// round trip, then every entry's broker ack in ONE AckMulti call. The
-// order is the invariant: acks flush only after their increments land,
-// so a crash between the two leaves the
-// messages unacked, the broker redelivers them, and the per-object
-// version guard discards the duplicate applies as stale. A key bumped
-// by k messages in the window advances by k — within one message keys
-// are deduped (IncrOps semantics, done at defer time).
-func (a *App) flushBatch(entries []flushEntry) {
+// one group commit of done jobs: their increments (none for weak, stale,
+// bootstrap-covered or poison deliveries) in ONE IncrOpsMulti round trip,
+// then their acks in ONE AckMulti call; then each is recycled. The order
+// is the invariant: acks flush only after their increments land, so a
+// crash between the two leaves the messages unacked, the broker
+// redelivers them, and the per-object version guard discards the
+// duplicate applies as stale. A key bumped by k messages in the window
+// advances by k — within one message keys are deduped (IncrOps
+// semantics, done at defer time).
+func (a *App) flushBatch(jobs []*job) {
 	flushStart := time.Now()
-	a.tel.flushBatch.Record(int64(len(entries)))
+	a.tel.flushBatch.Record(int64(len(jobs)))
 	counts := a.flushCounts
 	clear(counts)
-	for _, e := range entries {
-		for _, k := range e.incr {
+	for _, j := range jobs {
+		for _, k := range j.incr {
 			counts[k]++
 		}
 	}
@@ -877,46 +888,47 @@ func (a *App) flushBatch(entries []flushEntry) {
 		if err := a.store.IncrOpsMulti(counts); err != nil {
 			// The store mutates nothing on a failed round trip (liveness
 			// and transport are checked before any state), so no
-			// increment landed. Entries carrying increments must NOT be
-			// acked — hand them back as failed attempts: redelivery
-			// re-applies them idempotently and retries the increments.
-			// Increment-free entries still ack below.
-			kept := entries[:0]
-			for _, e := range entries {
-				if len(e.incr) > 0 {
-					a.nack(e.q, e.tag, ackNackError)
+			// increment landed: a job carrying some must NOT be acked. It
+			// goes back as a failed attempt, for redelivery to re-apply
+			// idempotently and retry the increments. The rest ack below.
+			kept := jobs[:0]
+			for _, j := range jobs {
+				if len(j.incr) > 0 {
+					a.nack(j.q, j.d.Tag, ackNackError)
+					a.recycle(j)
 					continue
 				}
-				kept = append(kept, e)
+				kept = append(kept, j)
 			}
-			entries = kept
+			jobs = kept
 		}
 	}
-	if len(entries) > 0 {
+	if len(jobs) > 0 {
 		if err := a.faults.Fire(FaultBeforeAckFlush); err != nil {
 			// Armed crash window: the increments above landed, the acks
 			// below never flush — a subscriber dying between the two
-			// group-commit round trips. Every entry stays unacked on the
-			// broker, so a restart redelivers all of them; the per-object
-			// version guard discards the duplicate applies as stale.
-			// (Tests arm Fail here, not Crash: a flush runs on a worker
-			// goroutine, where a panic would be unrecoverable.)
+			// group-commit round trips. A restart redelivers every job's
+			// message; the per-object version guard discards the duplicate
+			// applies as stale. (Tests arm Fail here, not Crash: a flush
+			// runs on a worker goroutine, where a panic is unrecoverable.)
+			a.recycle(jobs...)
 			return
 		}
-		// One AckMulti per run of entries on one queue handle: the whole
+		// One AckMulti per run of jobs on one queue handle: the whole
 		// batch, unless it straddles a queue reattach.
 		ackStart := time.Now()
 		tags := a.flushTags[:0]
-		for i, e := range entries {
-			tags = append(tags, e.tag)
-			if i+1 == len(entries) || entries[i+1].q != e.q {
-				a.ackMultiDelivery(e.q, tags)
+		for i, j := range jobs {
+			tags = append(tags, j.d.Tag)
+			if i+1 == len(jobs) || jobs[i+1].q != j.q {
+				a.ackMultiDelivery(j.q, tags)
 				tags = tags[:0]
 			}
 		}
 		a.flushTags = tags
 		a.tel.observe(stageAck, time.Since(ackStart))
 	}
+	a.recycle(jobs...)
 	a.tel.observe(stageFlush, time.Since(flushStart))
 }
 
@@ -961,14 +973,13 @@ func (a *App) stallBudget(attempts int) time.Duration {
 // or on an unmet dependency blocks its caller until a release — a
 // counter reaching its threshold, the DepTimeout timer — lets it try
 // again. Its increments apply inline (see commit). msg stays the
-// caller's; the job is pooled (see trip).
+// caller's; the job is recycled.
 func (a *App) ProcessMessage(msg *wire.Message) error {
-	j := a.blocking.Get().(*job)
+	j := a.jobs.Get().(*job)
 	j.msg, j.at = msg, time.Now()
 	j.state.Store(uint32(stateDecoded))
 	_, err := a.drive(j)
-	j.trip = trip{}
-	a.blocking.Put(j)
+	a.recycle(j)
 	return err
 }
 

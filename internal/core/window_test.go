@@ -102,7 +102,7 @@ func TestApplyWaitsOneWindow(t *testing.T) {
 		}
 	}
 	commit := func(j *job) {
-		sub.commits.Add(flushEntry{q: j.q, tag: j.d.Tag, incr: j.incr})
+		sub.commits.Add(j)
 		sub.commits.Flush()
 	}
 
