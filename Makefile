@@ -15,7 +15,7 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # `make bench-NAME` runs one synapse-bench experiment at full size
-# (bench-tail, bench-cluster, bench-bootstrap, ...), rewriting its committed
+# (bench-tail, bench-fig13a, bench-lostmsg, ...), rewriting its committed
 # BENCH_*.json baseline when it has one; `make bench` is the Fig 13
 # round-trip sweep (BENCH_fig13.json).
 bench: bench-fig13rt
@@ -32,8 +32,9 @@ check-bench:
 	go run ./cmd/synapse-bench -gate
 
 # The CI scenario suite (check/chaos/overload/causality/tail/cluster/
-# bootstrap/benchmark/liveness/journal/orm/windows/projection/publish),
-# quick sweeps — the same commands the workflow matrix runs.
+# bootstrap/benchmark/liveness/journal/orm/windows/projection/publish):
+# race tests per subsystem plus the quick bench sweeps of check and
+# tail — the same commands the workflow matrix runs.
 scenarios:
 	./scripts/scenarios.sh -quick
 

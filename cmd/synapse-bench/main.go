@@ -10,8 +10,8 @@
 //
 // The experiments are the entries of bench.Experiments (an unknown NAME
 // lists them). One that has a committed baseline also writes it:
-// fig13rt BENCH_fig13.json, tail BENCH_tail.json, and so on, so future
-// changes have perf and robustness trajectories. -quick shrinks every
+// fig13rt BENCH_fig13.json and tail BENCH_tail.json, so future changes
+// have perf trajectories. -quick shrinks every
 // sweep for a fast end-to-end pass. -cpuprofile and -memprofile capture
 // pprof profiles of the run into -profiledir (default ./profiles).
 //

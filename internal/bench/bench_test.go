@@ -314,33 +314,6 @@ func TestLostMsgDecommissionRecovers(t *testing.T) {
 	}
 }
 
-// TestCausalitySmoke is the CI smoke for the tracker sweep: the DVV
-// tracker must out-apply the degenerate cardinality-1 hash tracker
-// (global ordering) on the same read-heavy workload, report zero false
-// dependencies, and the hash point must suspect at least some — the
-// whole reason the exact tracker exists.
-func TestCausalitySmoke(t *testing.T) {
-	doc, _ := RunCausality(CausalityConfig{Cards: []uint64{1, 256}, Workers: 8, Duration: 300 * time.Millisecond, Objects: 128})
-	points := doc.Points
-	if len(points) != 3 {
-		t.Fatalf("points = %d", len(points))
-	}
-	// Cardinality 1 (global ordering, §4.2) is the slowest point of the
-	// sweep: a wider hash space and exact dots both out-apply it.
-	hash, dvv := points[0], points[2]
-	for _, p := range points[1:] {
-		if p.Throughput <= hash.Throughput {
-			t.Errorf("%s (%f) should out-apply hash/1 (%f)", p.Label(), p.Throughput, hash.Throughput)
-		}
-	}
-	if dvv.FalseDepsSuspected != 0 {
-		t.Errorf("dvv suspected %d false deps, want 0", dvv.FalseDepsSuspected)
-	}
-	if hash.FalseDepsSuspected == 0 {
-		t.Error("cardinality-1 workload suspected no false deps")
-	}
-}
-
 func TestTable3Counts(t *testing.T) {
 	rows, err := RunTable3()
 	if err != nil {

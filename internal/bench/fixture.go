@@ -30,7 +30,6 @@ type pairSpec struct {
 }
 
 type pairApps struct {
-	spec     pairSpec
 	f        *core.Fabric
 	pub, sub *core.App
 }
@@ -44,27 +43,21 @@ func engineOr(engine string) string {
 
 // pair builds the fabric and both apps; no workers are started.
 func pair(spec pairSpec) *pairApps {
-	p := &pairApps{spec: spec, f: core.NewFabric()}
+	p := &pairApps{f: core.NewFabric()}
 	engine := engineOr(spec.PubEngine)
 	p.pub = mustApp(p.f, "pub", NewMapper(engine, spec.PubProfile), spec.Pub)
 	for _, d := range spec.Models() {
 		must(p.pub.Publish(d, core.PubSpec{Attrs: d.FieldNames(), Ephemeral: engine == Ephemeral}))
 	}
-	p.sub = p.join("sub")
-	return p
-}
-
-// join adds one more subscriber built from the pair's subscriber spec.
-func (p *pairApps) join(name string) *core.App {
-	engine := engineOr(p.spec.SubEngine)
-	sub := mustApp(p.f, name, NewMapper(engine, p.spec.SubProfile), p.spec.Sub)
-	for _, d := range p.spec.Models() {
-		if p.spec.OnSub != nil {
-			p.spec.OnSub(d)
+	engine = engineOr(spec.SubEngine)
+	p.sub = mustApp(p.f, "sub", NewMapper(engine, spec.SubProfile), spec.Sub)
+	for _, d := range spec.Models() {
+		if spec.OnSub != nil {
+			spec.OnSub(d)
 		}
-		must(sub.Subscribe(d, core.SubSpec{From: "pub", Attrs: d.FieldNames(), Mode: p.spec.Mode, Observer: engine == Ephemeral}))
+		must(p.sub.Subscribe(d, core.SubSpec{From: "pub", Attrs: d.FieldNames(), Mode: spec.Mode, Observer: engine == Ephemeral}))
 	}
-	return sub
+	return p
 }
 
 // afterWrite is the OnSub that runs cb after every applied create and

@@ -48,18 +48,9 @@ var Experiments = []Experiment{
 		Baseline: "BENCH_fig13.json", Gate: gate(gateFig13RT),
 		Reads: []string{"points[].deps", "points[].batched.total_rt_per_msg"}},
 	{Name: "lostmsg", Run: sweep(lostMsgConfig, RunLostMsgSweep), Table: table(FormatLostMsg)},
-	{Name: "causality", Run: sweep(causalityConfig, RunCausality), Table: table(FormatCausality),
-		Baseline: "BENCH_causality.json", Gate: gate(gateCausality),
-		Reads: []string{"points[].tracker", "points[].throughput_msgs_per_sec", "points[].false_deps_suspected"}},
 	{Name: "tail", Run: sweep(tailConfig, RunTail), Table: table(FormatTail),
 		Baseline: "BENCH_tail.json", Gate: gate(gateTail),
 		Reads: []string{"points[].rate_ops_per_sec", "points[].p99_ms", "serial_capacity_msgs_per_sec", "delivered_capacity_msgs_per_sec"}},
-	{Name: "cluster", Run: sweep(clusterConfig, RunCluster), Table: table(FormatCluster),
-		Baseline: "BENCH_cluster.json", Gate: gate(gateCluster),
-		Reads: []string{"zero_lost", "scaling_4x", "failover.unavail_ms", "chaos.seeds", "chaos.converged", "chaos.regressions"}},
-	{Name: "bootstrap", Run: sweep(bootstrapConfig, RunBootstrap), Table: table(FormatBootstrap),
-		Baseline: "BENCH_bootstrap.json", Gate: gate(gateBootstrap),
-		Reads: []string{"converged", "max_publish_stall_ms", "resume.converged", "resume.chunks_resumed", "resume.chunks_total"}},
 }
 
 // The adapters below put typed experiment functions into the table:

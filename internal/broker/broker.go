@@ -432,7 +432,6 @@ type Queue struct {
 	// re-applies them on every (re)attach, the same way a real AMQP
 	// consumer re-sends basic.qos after a reconnect.
 	hiWater   int  // soft depth high watermark (0 = no depth signal)
-	loWater   int  // depth that ends a high episode (hysteresis)
 	credits   int  // max outstanding unacked deliveries (0 = unbounded)
 	pressured bool // inside a high-watermark episode
 }
@@ -652,7 +651,7 @@ func (q *Queue) creditLocked() int {
 
 // notePressureLocked re-evaluates the depth watermark state machine and
 // the depth high-water mark. The episode flag is sticky: it sets at
-// hiWater and clears only once depth drains to loWater, so publishers
+// hiWater and clears only once depth drains to half of it, so publishers
 // are not flapped on/off at the boundary.
 func (q *Queue) notePressureLocked() {
 	d := q.depthLocked()
@@ -664,7 +663,7 @@ func (q *Queue) notePressureLocked() {
 		return
 	}
 	if q.pressured {
-		if d <= q.loWater {
+		if d <= q.hiWater/2 {
 			q.pressured = false
 		}
 	} else if d >= q.hiWater {
@@ -672,17 +671,13 @@ func (q *Queue) notePressureLocked() {
 	}
 }
 
-// SetWatermarks installs the soft depth watermarks: at high the queue
+// SetWatermarks installs the soft depth watermark: at high the queue
 // starts signalling PressureHigh; the signal clears once depth drains
-// to low. high <= 0 disables the depth signal; low outside (0, high)
-// defaults to high/2.
-func (q *Queue) SetWatermarks(high, low int) {
+// to high/2. high <= 0 disables the depth signal.
+func (q *Queue) SetWatermarks(high int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if low <= 0 || low > high {
-		low = high / 2
-	}
-	q.hiWater, q.loWater = high, low
+	q.hiWater = high
 	q.notePressureLocked()
 }
 

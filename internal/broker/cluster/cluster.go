@@ -70,10 +70,6 @@ type Config struct {
 	// long is superseded. Clamped to at least 4 ship intervals so a
 	// healthy primary cannot miss enough renewals to lose its lease.
 	LeaseTTL time.Duration
-	// ServiceTime, when positive, serializes publish admission per shard
-	// for this long — modelling the bounded ingest capacity of a single
-	// broker node, so aggregate throughput scales with shard count.
-	ServiceTime time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -317,17 +313,6 @@ func (c *Cluster) Publish(exchange string, payload []byte) error {
 func (c *Cluster) publishShard(s *shard, exchange string, payload []byte) error {
 	if err := c.netCall(endpointFront, EndpointShard(s.idx)); err != nil {
 		return err
-	}
-	if st := c.cfg.ServiceTime; st > 0 {
-		// One publish at a time per shard node: the modelled ingest
-		// capacity bound that sharding exists to multiply. Sleeping
-		// (not spinning) keeps concurrent shards overlapping even on a
-		// single-core host; callers should pick a ServiceTime well above
-		// the host's timer granularity so the constant wakeup overhead
-		// stays a small fraction of the modelled cost.
-		s.admit.Lock()
-		time.Sleep(st)
-		s.admit.Unlock()
 	}
 	return s.broker().Publish(exchange, payload)
 }

@@ -89,34 +89,47 @@ func TestCrashPromotesFollower(t *testing.T) {
 	// Let the follower catch up past the last publish.
 	waitFor(t, "follower catch-up", func() bool { return c.CaughtUp(0) })
 
+	// The failover window: from the crash to the first publish the
+	// promoted follower accepts. Inside it a publish fails like a down
+	// broker; the window is bounded by the lease, not by the caller.
+	crashed := time.Now()
 	c.CrashShard(0)
-	waitFor(t, "failover", func() bool { return c.Failovers() == 1 && !c.ShardDown(0) })
+	for {
+		err := c.Publish("ex", []byte("fresh"))
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, broker.ErrBrokerDown) || time.Since(crashed) > 2*time.Second {
+			t.Fatalf("publish %v after the crash: %v", time.Since(crashed), err)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	if window := time.Since(crashed); window <= 0 || window >= 500*time.Millisecond {
+		t.Fatalf("failover window %v outside (0, 500ms)", window)
+	}
+	if c.Failovers() != 1 || c.ShardDown(0) {
+		t.Fatalf("after the window: failovers=%d down=%v", c.Failovers(), c.ShardDown(0))
+	}
 
 	q2, ok := c.Queue(name)
 	if !ok {
 		t.Fatal("queue missing after promotion")
 	}
 	// m0's delivery died with the old primary: redelivered first, then
-	// the rest in publish order.
+	// the rest in publish order, then the new primary's fresh traffic.
 	d, err := q2.Get()
 	if err != nil || string(d.Payload) != "m0" || !d.Redelivered {
 		t.Fatalf("first post-failover delivery = %q (redelivered=%v, err=%v)", d.Payload, d.Redelivered, err)
 	}
 	_ = q2.Ack(d.Tag)
-	for _, want := range []string{"m1", "m2", "m3", "m4"} {
+	for _, want := range []string{"m1", "m2", "m3", "m4", "fresh"} {
 		d, err := q2.Get()
 		if err != nil || string(d.Payload) != want {
 			t.Fatalf("post-failover delivery = %q/%v, want %q", d.Payload, err, want)
 		}
 		_ = q2.Ack(d.Tag)
 	}
-	// New primary serves fresh traffic; the shard generation moved.
-	if err := c.Publish("ex", []byte("fresh")); err != nil {
-		t.Fatal(err)
-	}
-	if d, err := q2.Get(); err != nil || string(d.Payload) != "fresh" {
-		t.Fatalf("fresh delivery = %q/%v", d.Payload, err)
-	}
+	// The shard generation moved.
 	if c.Generation(0) < 2 {
 		t.Fatalf("generation = %d, want >= 2 after promotion", c.Generation(0))
 	}

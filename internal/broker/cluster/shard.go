@@ -24,9 +24,6 @@ type shard struct {
 	// last pull; replica.Next is where the next pull resumes.
 	replica broker.Replica
 
-	// admit serializes publish admission when Config.ServiceTime is set.
-	admit sync.Mutex
-
 	stop chan struct{}
 	done chan struct{}
 }

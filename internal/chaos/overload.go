@@ -149,7 +149,6 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 		c.PipelineDepth = 1
 		c.QueueMaxLen = overloadHardBound
 		c.QueueHighWatermark = overloadHighWatermark
-		c.QueueLowWatermark = overloadHighWatermark / 2
 		c.CreditWindow = overloadHighWatermark / 2
 		c.ApplyTimeout = 25 * time.Millisecond
 		c.MaxDeliveryAttempts = 3

@@ -811,7 +811,7 @@ func (a *App) ensureQueue() {
 // like re-sending basic.qos after an AMQP reconnect.
 func (a *App) tuneQueue(q *broker.Queue) {
 	q.SetMaxAttempts(a.cfg.MaxDeliveryAttempts)
-	q.SetWatermarks(a.cfg.QueueHighWatermark, a.cfg.QueueLowWatermark)
+	q.SetWatermarks(a.cfg.QueueHighWatermark)
 	// Every in-flight pipeline slot holds an unacked delivery until its
 	// group-commit flush lands, and so does every parked message — the
 	// window is what bounds the parked set. A failed delivery nacked to

@@ -103,50 +103,76 @@ func TestBootstrapPredicateInCallbacks(t *testing.T) {
 	}
 }
 
-// TestBootstrapConcurrentWithLiveTraffic: writes racing the bootstrap
+// TestBootstrapConcurrentWithLiveTraffic: writes racing a chunked join
 // are neither lost nor double-applied; the subscriber converges to the
-// publisher's state.
+// publisher's state, and no chunk holds the publisher's write locks for
+// more than the 250ms zero-pause ceiling.
 func TestBootstrapConcurrentWithLiveTraffic(t *testing.T) {
+	const n = 2000
 	f := NewFabric()
 	pub, pubMapper := newDocApp(t, f, "pub", Config{})
 	mustPublish(t, pub, userDesc(), "likes")
 
 	ctl := pub.NewController(nil)
-	for i := 0; i < 20; i++ {
-		rec := model.NewRecord("User", fmt.Sprintf("u%02d", i))
+	for i := 0; i < n; i++ {
+		rec := model.NewRecord("User", fmt.Sprintf("u%04d", i))
 		rec.Set("likes", 0)
 		if _, err := ctl.Create(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	sub, subMapper := newDocApp(t, f, "sub", Config{})
+	sub, subMapper := newDocApp(t, f, "sub", Config{BootstrapChunkSize: 256})
 	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"likes"}})
 
+	// Live writes for the whole join, one every 500µs: object w%n gets
+	// the value w, so the writes last until the walk is over, not run
+	// out before it starts.
+	var writes atomic.Int64
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		wctl := pub.NewController(nil)
-		for round := 1; round <= 10; round++ {
-			for i := 0; i < 20; i++ {
-				patch := model.NewRecord("User", fmt.Sprintf("u%02d", i))
-				patch.Set("likes", round)
-				if _, err := wctl.Update(patch); err != nil {
-					t.Error(err)
-					return
-				}
+		for w := 1; ; w++ {
+			select {
+			case <-stop:
+				return
+			default:
 			}
+			patch := model.NewRecord("User", fmt.Sprintf("u%04d", w%n))
+			patch.Set("likes", w)
+			if _, err := wctl.Update(patch); err != nil {
+				t.Error(err)
+				return
+			}
+			writes.Add(1)
+			time.Sleep(500 * time.Microsecond)
 		}
 	}()
-	if err := sub.Bootstrap("pub"); err != nil {
+	waitFor(t, time.Second, func() bool { return writes.Load() > 0 })
+	err := sub.Bootstrap("pub")
+	close(stop)
+	wg.Wait()
+	if err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
 	drain(t, sub)
 
-	for i := 0; i < 20; i++ {
-		id := fmt.Sprintf("u%02d", i)
+	t.Logf("%d live writes raced %d chunks; max publish stall %v",
+		writes.Load(), sub.Stats().BootstrapChunks, pub.Stats().MaxPublishStall)
+	if chunks := sub.Stats().BootstrapChunks; chunks < n/256 {
+		t.Fatalf("join walked %d chunks, want >= %d", chunks, n/256)
+	}
+	if stall := pub.Stats().MaxPublishStall; stall >= 250*time.Millisecond {
+		t.Fatalf("a chunk held the publisher's writes for %v, want < 250ms", stall)
+	}
+	if got := subMapper.Len("User"); got != n {
+		t.Fatalf("subscriber holds %d users, want %d", got, n)
+	}
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("u%04d", i)
 		want, _ := pubMapper.Find("User", id)
 		got, err := subMapper.Find("User", id)
 		if err != nil {

@@ -161,12 +161,10 @@ type Config struct {
 	// queue: at or past it the queue signals PressureHigh to its
 	// publishers, whose admission control degrades (block, defer, shed)
 	// instead of growing the queue toward the QueueMaxLen decommission
-	// cliff. 0 disables the depth signal.
+	// cliff. The episode ends once depth drains to half of it
+	// (hysteresis, so publishers are not flapped at the boundary). 0
+	// disables the depth signal.
 	QueueHighWatermark int
-	// QueueLowWatermark ends a high-watermark episode once depth drains
-	// to it (hysteresis, so publishers are not flapped at the boundary).
-	// 0 or an out-of-range value defaults to QueueHighWatermark/2.
-	QueueLowWatermark int
 	// CreditWindow bounds outstanding unacked deliveries across this
 	// app's worker pool — in flight, awaiting their flush, or parked on
 	// an unmet dependency: the queue hands out at most this many and acks

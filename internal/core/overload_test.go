@@ -24,7 +24,6 @@ func TestPublishDefersPastHighWatermarkAndResumes(t *testing.T) {
 	pub, _ := newDocApp(t, f, "pub", Config{JournalRetryInterval: 2 * time.Millisecond})
 	sub, subMapper := newSQLApp(t, f, "sub", Config{
 		QueueHighWatermark: 4,
-		QueueLowWatermark:  2,
 		Workers:            2,
 	})
 	mustPublish(t, pub, userDesc(), "name")
@@ -157,7 +156,6 @@ func TestPublishBoundedBlockRidesOutPressure(t *testing.T) {
 	})
 	sub, _ := newSQLApp(t, f, "sub", Config{
 		QueueHighWatermark: 2,
-		QueueLowWatermark:  1,
 		Workers:            1,
 	})
 	mustPublish(t, pub, userDesc(), "name")
@@ -514,7 +512,6 @@ func TestDecommissionLastResortUnderLiveLoad(t *testing.T) {
 		pub, sub, q0 := flood(t, Config{
 			QueueMaxLen:        12,
 			QueueHighWatermark: 4,
-			QueueLowWatermark:  2,
 			CreditWindow:       2,
 			Workers:            1,
 			DepTimeout:         10 * time.Millisecond,

@@ -12,8 +12,7 @@
 //
 // Dependency names are hashed into a fixed-cardinality key space so
 // every version store consumes O(1) memory (§4.2, "Scaling the Version
-// Store"); a cardinality of 1 degenerates to global ordering, which the
-// ablation benchmark exploits.
+// Store"); a cardinality of 1 degenerates to global ordering.
 //
 // The hot-path entry points are the batched round-trip plans, one
 // window per side: BumpBatch on the publisher (its Release drops the
