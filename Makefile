@@ -31,14 +31,15 @@ bench-%:
 check-bench:
 	go run ./cmd/synapse-bench -gate
 
-# The CI scenario suite (check/chaos/overload/causality/tail/cluster/
-# bootstrap/benchmark/liveness/journal/orm/windows/projection/publish):
+# The CI scenario suite (check/chaos/overload/causality/tail/bootstrap/
+# benchmark/liveness/journal/orm/windows/projection/publish):
 # race tests per subsystem plus the quick bench sweeps of check and
 # tail — the same commands the workflow matrix runs.
 scenarios:
 	./scripts/scenarios.sh -quick
 
 # Long-haul chaos soak: 100 seeds of long fault scripts (partitions,
-# broker crash/restarts, version-store deaths) that must all converge.
+# broker crash/restarts, version-store deaths, broker message loss) that
+# must all converge.
 chaos:
 	CHAOS_SOAK=1 go test ./internal/chaos/ -run TestChaosSoak -v -timeout 30m

@@ -75,17 +75,24 @@ func (e *ecosystem) received(actor, verb string) model.Callback {
 	}
 }
 
-// published records actor's synapse-pub row for a write that returned.
+// published records actor's synapse-pub row for a written record.
 func (e *ecosystem) published(actor, verb string, rec *model.Record) {
 	e.timeline.Record(actor, "synapse-pub", verb+" "+rec.Model+"/"+rec.ID)
 }
 
-// create is one of Diaspora's writes, with its synapse-pub row.
+// created is the after-create callback of Diaspora's own models: it
+// stamps the synapse-pub row at the commit, before the message is sent,
+// so no row a subscriber stamps on receipt can precede it.
+func (e *ecosystem) created(ctx *model.CallbackCtx) error {
+	e.published("diaspora", "create", ctx.Record)
+	return nil
+}
+
+// create is one of Diaspora's writes; created stamps its synapse-pub row.
 func (e *ecosystem) create(ctl *core.Controller, rec *model.Record) {
 	if _, err := ctl.Create(rec); err != nil {
 		panic(err)
 	}
-	e.published("diaspora", "create", rec)
 }
 
 // mailDelay is the simulated email-send cost in the mailer callbacks.
@@ -108,6 +115,8 @@ func buildEcosystem(mailerWorkers, analyzerWorkers int) *ecosystem {
 	// writes are creates: an update is the analyzer's decoration arriving.
 	e.diaspora = mustApp(e.fabric, "diaspora", NewMapper(PostgreSQL, storage.Profile{}), core.Config{Mode: core.Causal})
 	user, post := fig9User(), socialModels()[0]
+	user.Callbacks.On(model.AfterCreate, e.created)
+	post.Callbacks.On(model.AfterCreate, e.created)
 	user.Callbacks.On(model.AfterUpdate, e.received("diaspora", "update"))
 	must(e.diaspora.Publish(user, core.PubSpec{Attrs: []string{"name"}}))
 	must(e.diaspora.Publish(post, core.PubSpec{Attrs: []string{"author", "body"}}))

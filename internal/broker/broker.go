@@ -23,7 +23,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"synapse/internal/faultinject"
 )
@@ -93,14 +92,10 @@ type Broker struct {
 	faults    *faultinject.Registry
 	published int64
 	down      bool
-	fenced    bool // permanently down: a promoted replica superseded this instance
 	log       *msgLog
 	// disk holds the cursor states between Crash and Restart: with the
 	// log, everything a process death leaves behind.
 	disk map[string]*QueueState
-	// rev numbers cursor-state changes, so a follower can be shipped only
-	// the states that changed since its last pull.
-	rev atomic.Uint64
 	// truncateHook, when set, observes every truncation (tests).
 	truncateHook func(head uint64, lows map[string]uint64)
 }
@@ -110,7 +105,7 @@ func New() *Broker {
 	return &Broker{
 		bindings: make(map[string][]*Queue),
 		queues:   make(map[string]*Queue),
-		log:      newLog(0, nil),
+		log:      &msgLog{},
 	}
 }
 
@@ -145,7 +140,7 @@ func (b *Broker) Crash() {
 func (b *Broker) Restart() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.down || b.fenced {
+	if !b.down {
 		return
 	}
 	// Sorted, so the fan-out order of an exchange is the same after every
@@ -171,26 +166,6 @@ func (b *Broker) Down() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.down
-}
-
-// Fence takes the broker down permanently: every operation fails with
-// ErrBrokerDown, every queue handle is woken defunct, and Restart
-// refuses to revive it. A cluster fences a superseded primary so that,
-// after a partition heals, its stale state — messages a promoted
-// replica has since acked away — can never be served or double-
-// delivered again (the generation number its lease lost is the fence).
-func (b *Broker) Fence() {
-	b.mu.Lock()
-	b.fenced = true
-	b.mu.Unlock()
-	b.Crash()
-}
-
-// Fenced reports whether the broker has been permanently superseded.
-func (b *Broker) Fenced() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.fenced
 }
 
 // LogSegments reports how many log segments are retained. Once every
@@ -437,16 +412,14 @@ type Queue struct {
 }
 
 // restoreQueue builds a live queue over a cursor state — a fresh one at
-// DeclareQueue, a surviving one at Restart and FromReplica. Whatever
-// was unsettled comes back first, in publish order, to be flagged
-// Redelivered.
+// DeclareQueue, a surviving one at Restart. Whatever was unsettled comes
+// back first, in publish order, to be flagged Redelivered.
 func restoreQueue(b *Broker, name string, st *QueueState) *Queue {
 	q := &Queue{name: name, b: b, st: st, tags: make(map[uint64]uint64)}
 	q.cond = sync.NewCond(&q.mu)
 	for i := len(st.open) - 1; i >= 0; i-- {
 		q.redo = append(q.redo, st.open[i].seq)
 	}
-	q.touchLocked() // new to this broker's followers, whatever revision it carried
 	return q
 }
 
@@ -465,13 +438,9 @@ func (q *Queue) crash() *QueueState {
 	return q.st.clone()
 }
 
-// touchLocked stamps the cursor state as changed, for replication.
-func (q *Queue) touchLocked() { q.st.rev = q.b.rev.Add(1) }
-
 func (q *Queue) bind(exchange string, from uint64) {
 	q.mu.Lock()
 	q.st.bound = append(q.st.bound, binding{exchange, from})
-	q.touchLocked()
 	q.mu.Unlock()
 }
 
@@ -485,7 +454,6 @@ func (q *Queue) arrive(seq uint64, lost bool) bool {
 	if st.dead || q.closed {
 		return false
 	}
-	q.touchLocked()
 	if lost {
 		st.lose(seq)
 		return false
@@ -521,7 +489,6 @@ func (q *Queue) pin(tail uint64) uint64 {
 	}
 	if st.pending == 0 && st.next != tail {
 		st.next, st.skip = tail, nil
-		q.touchLocked()
 	}
 	return st.low(tail)
 }
@@ -754,7 +721,6 @@ func (q *Queue) takeLocked(out []Delivery, n int) []Delivery {
 		d.Payload, d.Exchange, d.Tag = rec.payload, rec.exchange, q.nextTag
 		out = append(out, d)
 	}
-	q.touchLocked()
 	return out
 }
 
@@ -787,7 +753,6 @@ func (q *Queue) dropLocked(i int) {
 // since it was last looked at: the caller then truncates the log, once
 // it has released the queue lock.
 func (q *Queue) doneLocked(wake bool) bool {
-	q.touchLocked()
 	q.notePressureLocked()
 	if wake || q.credits > 0 {
 		q.cond.Broadcast()
@@ -861,9 +826,8 @@ func (q *Queue) Nack(tag uint64, requeue bool) error {
 // requeue forever, the pre-dead-letter behaviour.
 func (q *Queue) SetMaxAttempts(n int) {
 	q.mu.Lock()
-	if q.downErr == nil && q.st.maxAttempts != n {
+	if q.downErr == nil {
 		q.st.maxAttempts = n
-		q.touchLocked()
 	}
 	q.mu.Unlock()
 }
@@ -947,7 +911,6 @@ func (q *Queue) ReplayDeadLetters() int {
 		q.redo = append(q.redo, f.seq)
 	}
 	st.setAside = nil
-	q.touchLocked()
 	q.notePressureLocked()
 	q.cond.Broadcast()
 	return n

@@ -32,16 +32,6 @@ type msgLog struct {
 	segs []*[segmentSize]Record
 }
 
-// newLog returns a log holding recs at seqs head, head+1, ...
-func newLog(head uint64, recs []Record) *msgLog {
-	l := &msgLog{head: head}
-	l.tail.Store(head)
-	for _, r := range recs {
-		l.append(r.exchange, r.payload)
-	}
-	return l
-}
-
 func (l *msgLog) append(exchange string, payload []byte) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -89,17 +79,6 @@ func (l *msgLog) truncate(below uint64) bool {
 	return true
 }
 
-// since copies out the records from max(seq, head) to the tail.
-func (l *msgLog) since(seq uint64) (recs []Record, head, tail uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	tail = l.tail.Load()
-	for s := max(seq, l.head); s < tail; s++ {
-		recs = append(recs, *l.at(s))
-	}
-	return recs, l.head, tail
-}
-
 // segments reports the retained segment count.
 func (l *msgLog) segments() int {
 	l.mu.Lock()
@@ -125,11 +104,11 @@ type binding struct {
 }
 
 // QueueState is the durable half of a Queue — its cursor over the log.
-// It is exactly what survives Crash() and what a follower holds:
-// Restart and FromReplica build a live queue from it directly. Every
-// record below next that the bindings select is either settled or in
-// open (delivered ⇔ below the cursor and unsettled); every selected
-// record from next on, minus skip, is pending.
+// It is exactly what survives Crash(): Restart builds a live queue from
+// it directly. Every record below next that the bindings select is
+// either settled or in open (delivered ⇔ below the cursor and
+// unsettled); every selected record from next on, minus skip, is
+// pending.
 type QueueState struct {
 	maxLen      int
 	maxAttempts int
@@ -145,11 +124,9 @@ type QueueState struct {
 	deadLettered int64
 	redelivered  int64
 	maxDepthSeen int
-
-	rev uint64 // broker revision of the last change (replication)
 }
 
-// clone deep-copies the state for shipping; payload bytes stay shared.
+// clone deep-copies the state for the disk; payload bytes stay shared.
 func (s *QueueState) clone() *QueueState {
 	c := *s
 	c.bound = append([]binding(nil), s.bound...)

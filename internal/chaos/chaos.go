@@ -3,8 +3,9 @@
 // publisher, a document subscriber, and a SQL subscriber) on a
 // simulated network (internal/netsim), drives randomized fault scripts
 // against it — bidirectional partitions, broker crash/restarts,
-// version-store deaths healed by generation bumps (§4.4) — while a
-// writer keeps publishing, and then checks exact cross-engine
+// version-store deaths healed by generation bumps (§4.4), and a broker
+// that accepts a subscriber's copies and then loses them (§6.5) — while
+// a writer keeps publishing, and then checks exact cross-engine
 // convergence once the faults heal.
 //
 // Determinism: every fault decision (which fault, when, for how long,
@@ -19,8 +20,10 @@
 //     object, every subscriber's database exactly matches the
 //     publisher's — with no Bootstrap call anywhere (queues are
 //     unbounded, so nothing decommissions; recovery is pure message
-//     flow: journal redrains, broker restart from its log, redelivery, and
-//     generation flushes).
+//     flow: journal redrains, broker restart from its log, redelivery,
+//     generation flushes, and dependency timeouts past a lost message).
+//     A copy the broker lost is superseded by a later full-state message
+//     for the same object, the settle write at the latest.
 //   - Zero double-applied updates: object values are globally
 //     monotonic across writes, so any subscriber callback observing a
 //     value regression means a stale delivery was re-applied over a
@@ -95,6 +98,7 @@ type Result struct {
 
 	// Fault script composition.
 	BrokerBounces int // broker Crash/Restart cycles
+	BrokerLost    int // subscriber copies the broker accepted and then dropped
 	Partitions    int // bidirectional partitions injected (incl. combos)
 	VStoreKills   int // publisher version-store deaths
 	GenBumps      int // generation bumps the writer healed with (§4.4)
@@ -127,7 +131,7 @@ type LogCheck struct {
 	LogSegments int
 }
 
-// logWatch observes a broker's (or every cluster shard's) truncations.
+// logWatch observes the broker's truncations.
 type logWatch struct {
 	mu        sync.Mutex
 	violation string
@@ -146,7 +150,7 @@ func (w *logWatch) hook(head uint64, lows map[string]uint64) {
 	}
 }
 
-// verdict is the LogCheck of a run whose brokers retain the given
+// verdict is the LogCheck of a run whose broker retains the given
 // number of segments.
 func (w *logWatch) verdict(segments int) LogCheck {
 	w.mu.Lock()
@@ -160,13 +164,13 @@ func (w *logWatch) verdict(segments int) LogCheck {
 // are still being acked, and an ack whose call the lossy link dropped
 // sits parked until the next retry tick: neither is a leftover, and a
 // count taken the instant the databases match would flake on them.
-func quiesce(deadline time.Time, segments func() int, apps ...*core.App) int {
+func (t *turbulent) quiesce(deadline time.Time, apps ...*core.App) int {
 	for {
 		parked := 0
 		for _, a := range apps {
 			parked += a.PendingAcks()
 		}
-		if (parked == 0 && segments() <= 1) || !time.Now().Before(deadline) {
+		if (parked == 0 && t.f.Broker.LogSegments() <= 1) || !time.Now().Before(deadline) {
 			return parked
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -251,7 +255,7 @@ func Run(cfg Config) (Result, error) {
 		res.Partitions++
 	}
 	for step := 0; step < cfg.Steps; step++ {
-		switch srng.Intn(5) {
+		switch srng.Intn(6) {
 		case 0: // publisher cut off from the broker
 			partition(pub.Name())
 			time.Sleep(hold(srng))
@@ -279,6 +283,18 @@ func Run(cfg Config) (Result, error) {
 			brk.Restart()
 			time.Sleep(hold(srng) / 2)
 			net.Heal(s.Name(), core.EndpointBroker)
+		case 5: // broker loss (§6.5): one subscriber's copies are
+			// accepted onto the log and then dropped on their way in
+			q := subs[srng.Intn(len(subs))].Name()
+			brk.SetLoss(func(queue, _ string, _ []byte) bool {
+				if queue != q {
+					return false
+				}
+				res.BrokerLost++ // under the broker lock
+				return true
+			})
+			time.Sleep(hold(srng))
+			brk.SetLoss(nil)
 		}
 		time.Sleep(stepHold / 2)
 	}
@@ -290,7 +306,7 @@ func Run(cfg Config) (Result, error) {
 	if brk.Down() {
 		brk.Restart()
 	}
-	return res, e.finish(&res, brk.LogSegments)
+	return res, e.finish(&res)
 }
 
 // diverged reports the first divergence between the publisher and the

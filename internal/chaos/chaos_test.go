@@ -9,11 +9,12 @@ import (
 
 // TestChaosConvergesAcrossSeeds is the headline robustness property:
 // for every seed, a fault script mixing bidirectional partitions,
-// broker crash/restarts, and version-store deaths (healed by
-// generation bumps) ends with the document and SQL subscribers exactly
-// matching the publisher — zero lost updates, zero value regressions —
-// without a single Bootstrap call (the harness never invokes one, and
-// unbounded queues mean nothing decommissions into one).
+// broker crash/restarts, version-store deaths (healed by generation
+// bumps) and copies the broker accepted and then lost ends with the
+// document and SQL subscribers exactly matching the publisher — zero
+// lost updates, zero value regressions — without a single Bootstrap
+// call (the harness never invokes one, and unbounded queues mean
+// nothing decommissions into one).
 func TestChaosConvergesAcrossSeeds(t *testing.T) {
 	seeds := 25
 	cfg := Config{}
@@ -130,6 +131,33 @@ func TestChaosFaultMix(t *testing.T) {
 	}
 }
 
+// TestChaosExercisesBrokerLoss keeps the §6.5 claim from being vacuous:
+// across a handful of seeds the broker must accept and then lose at
+// least one subscriber copy, and every such run must still converge
+// with no Bootstrap call.
+func TestChaosExercisesBrokerLoss(t *testing.T) {
+	if testing.Short() {
+		t.Skip("covered by the full-seed run")
+	}
+	lost := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		res, err := Run(Config{Seed: seed, Writes: 20, Steps: 6})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !res.Converged {
+			t.Fatalf("seed %d did not converge: %s", res.Seed, res.Mismatch)
+		}
+		if res.Regressions != 0 {
+			t.Fatalf("seed %d applied %d stale updates over newer state", res.Seed, res.Regressions)
+		}
+		lost += res.BrokerLost
+	}
+	if lost == 0 {
+		t.Fatal("no seed lost a copy the broker had accepted")
+	}
+}
+
 // TestChaosSoak is the long-haul run behind `make chaos`: many seeds,
 // longer scripts, heavier write load. Gated behind CHAOS_SOAK so the
 // regular suite stays fast.
@@ -148,8 +176,8 @@ func TestChaosSoak(t *testing.T) {
 		if res.Regressions != 0 {
 			t.Fatalf("seed %d applied %d stale updates", res.Seed, res.Regressions)
 		}
-		t.Logf("seed %d: recovery=%v bounces=%d partitions=%d bumps=%d deferred=%d redelivered=%d",
-			res.Seed, res.RecoveryTime, res.BrokerBounces, res.Partitions,
+		t.Logf("seed %d: recovery=%v bounces=%d lost=%d partitions=%d bumps=%d deferred=%d redelivered=%d",
+			res.Seed, res.RecoveryTime, res.BrokerBounces, res.BrokerLost, res.Partitions,
 			res.GenBumps, res.Deferred, res.Redelivered)
 	}
 }

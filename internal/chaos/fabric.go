@@ -177,9 +177,9 @@ func converge(deadline time.Time, pub *core.App, subs []*core.App, objs []string
 	}
 }
 
-// ecosystem is the three-app fabric of Run and ClusterRun: the
-// publisher with a document and a SQL subscriber, all on lossy broker
-// links, workers running.
+// ecosystem is the three-app fabric of Run: the publisher with a
+// document and a SQL subscriber, all on lossy broker links, workers
+// running.
 type ecosystem struct {
 	*turbulent
 	*writer
@@ -232,8 +232,8 @@ func (e *ecosystem) stop() {
 // object — full-state messages under the final generation, so
 // convergence never needs a Bootstrap even when a generation flush
 // dropped earlier updates — then exact convergence, then what the run
-// observed. segments reads the bus's retained log segments.
-func (e *ecosystem) finish(res *Result, segments func() int) error {
+// observed.
+func (e *ecosystem) finish(res *Result) error {
 	healed := time.Now()
 	for _, id := range e.objs {
 		if err := e.put(id, false); err != nil {
@@ -256,7 +256,7 @@ func (e *ecosystem) finish(res *Result, segments func() int) error {
 	for _, s := range e.subs {
 		res.Redelivered += s.Stats().Redelivered
 	}
-	res.PendingAcks = quiesce(deadline, segments, e.apps()...)
-	res.LogCheck = e.logs.verdict(segments())
+	res.PendingAcks = e.quiesce(deadline, e.apps()...)
+	res.LogCheck = e.logs.verdict(e.f.Broker.LogSegments())
 	return res.logErr(res.Converged)
 }

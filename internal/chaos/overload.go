@@ -51,9 +51,10 @@ const (
 	overloadObjects = 8
 	// overloadApplyDelay is the subscriber's per-apply processing time:
 	// 8ms across the pool's two workers caps drain at ~250 msg/s while
-	// the writer sustains ~500 msg/s (its ~1ms publish cost through the
-	// simulated network plus a 0.5-1.5ms jittered pause) — a sustained
-	// ~2x overload.
+	// the writer sustains ~500 msg/s or more (its ~1ms publish cost
+	// through the simulated network, plus a 0.5-1.5ms jittered pause
+	// only once the queue is past its high watermark) — a sustained
+	// overload of at least ~2x.
 	overloadApplyDelay = 8 * time.Millisecond
 	// overloadHighWatermark is the queue depth that triggers publisher
 	// degradation (the low watermark is half).
@@ -213,7 +214,13 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 		if err := w.put(objs[wrng.Intn(len(objs))], low); err != nil {
 			return res, err
 		}
-		time.Sleep(time.Duration(500+wrng.Intn(1000)) * time.Microsecond)
+		// Paced by depth, not by the host: below the high watermark the
+		// writer does not pause, so a slow host cannot hold the offered
+		// rate under the drain rate and keep the run out of overload.
+		pause := time.Duration(500+wrng.Intn(1000)) * time.Microsecond
+		if q.Depth() >= overloadHighWatermark {
+			time.Sleep(pause)
+		}
 	}
 
 	// Quarantine must have happened within the escalation budget (three
@@ -263,7 +270,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 		res.DrainOK = false
 	}
 	res.DrainUnacked = sub.Queue().Unacked()
-	quiesce(deadline, brk.LogSegments)
+	t.quiesce(deadline)
 	res.LogCheck = t.logs.verdict(brk.LogSegments())
 
 	ps := pub.Stats()

@@ -6,17 +6,6 @@ import (
 	"time"
 )
 
-// leaseHolder reports the lease's current unexpired holder and its epoch.
-func leaseHolder(c *Coordinator, name string) (owner string, epoch uint64, held bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	l := c.leases[name]
-	if l == nil || l.owner == "" || c.now().After(l.expires) {
-		return "", 0, false
-	}
-	return l.owner, l.epoch, true
-}
-
 func TestGetIncrement(t *testing.T) {
 	c := New()
 	if c.Get("gen") != 0 {
@@ -100,7 +89,7 @@ func TestUnwatch(t *testing.T) {
 }
 
 // TestUnwatchReleasesSlot proves watch registration does not leak: a
-// failover agent that watches and unwatches every cycle must leave the
+// watcher that watches and unwatches every cycle must leave the
 // watcher slice empty, not grow it per cycle.
 func TestUnwatchReleasesSlot(t *testing.T) {
 	c := New()
@@ -113,107 +102,6 @@ func TestUnwatchReleasesSlot(t *testing.T) {
 	c.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("watcher slice holds %d channels after balanced watch/unwatch", n)
-	}
-}
-
-// fakeClock is a manually advanced time source for lease expiry tests.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{now: time.Unix(1000, 0)} }
-
-func (f *fakeClock) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.now
-}
-
-func (f *fakeClock) Advance(d time.Duration) {
-	f.mu.Lock()
-	f.now = f.now.Add(d)
-	f.mu.Unlock()
-}
-
-func TestLeaseAcquireRenewRelease(t *testing.T) {
-	c := New()
-	clk := newFakeClock()
-	c.SetClock(clk.Now)
-
-	held, epoch := c.Acquire("shard0", "primary", 100*time.Millisecond)
-	if !held || epoch != 1 {
-		t.Fatalf("first Acquire = (%v, %d), want (true, 1)", held, epoch)
-	}
-	if held, _ := c.Acquire("shard0", "rival", 100*time.Millisecond); held {
-		t.Fatal("rival acquired a live lease")
-	}
-	// Holder renews within the TTL; epoch unchanged on re-acquire.
-	clk.Advance(60 * time.Millisecond)
-	if !c.Renew("shard0", "primary", 100*time.Millisecond) {
-		t.Fatal("holder could not renew a live lease")
-	}
-	if held, epoch := c.Acquire("shard0", "primary", 100*time.Millisecond); !held || epoch != 1 {
-		t.Fatalf("holder re-acquire = (%v, %d), want (true, 1)", held, epoch)
-	}
-	if owner, epoch, ok := leaseHolder(c, "shard0"); !ok || owner != "primary" || epoch != 1 {
-		t.Fatalf("LeaseHolder = (%q, %d, %v)", owner, epoch, ok)
-	}
-	// Release frees it for the next claimant under a bumped epoch.
-	c.Release("shard0", "primary")
-	if _, _, ok := leaseHolder(c, "shard0"); ok {
-		t.Fatal("released lease still reports a holder")
-	}
-	held, epoch = c.Acquire("shard0", "rival", 100*time.Millisecond)
-	if !held || epoch != 2 {
-		t.Fatalf("post-release Acquire = (%v, %d), want (true, 2)", held, epoch)
-	}
-}
-
-func TestLeaseExpiry(t *testing.T) {
-	c := New()
-	clk := newFakeClock()
-	c.SetClock(clk.Now)
-
-	c.Acquire("shard0", "primary", 50*time.Millisecond)
-	clk.Advance(51 * time.Millisecond)
-
-	// Expired: renewal fails, the holder is gone, and a rival takes the
-	// lease under a new fencing epoch.
-	if c.Renew("shard0", "primary", 50*time.Millisecond) {
-		t.Fatal("renewed an expired lease")
-	}
-	if _, _, ok := leaseHolder(c, "shard0"); ok {
-		t.Fatal("expired lease still reports a holder")
-	}
-	held, epoch := c.Acquire("shard0", "follower", 50*time.Millisecond)
-	if !held || epoch != 2 {
-		t.Fatalf("follower takeover = (%v, %d), want (true, 2)", held, epoch)
-	}
-	// The old holder cannot renew and, on re-acquiring after the rival's
-	// lease lapses too, observes yet another epoch — the fencing signal.
-	if c.Renew("shard0", "primary", 50*time.Millisecond) {
-		t.Fatal("fenced holder renewed the rival's lease")
-	}
-	clk.Advance(51 * time.Millisecond)
-	held, epoch = c.Acquire("shard0", "primary", 50*time.Millisecond)
-	if !held || epoch != 3 {
-		t.Fatalf("re-acquire after lapse = (%v, %d), want (true, 3)", held, epoch)
-	}
-}
-
-func TestLeaseOwnRelapseBumpsEpoch(t *testing.T) {
-	c := New()
-	clk := newFakeClock()
-	c.SetClock(clk.Now)
-
-	_, e1 := c.Acquire("shard0", "primary", 10*time.Millisecond)
-	clk.Advance(11 * time.Millisecond)
-	// Nobody else claimed it, but the lapse still bumps the epoch: the
-	// holder must be able to detect that it lost continuity.
-	_, e2 := c.Acquire("shard0", "primary", 10*time.Millisecond)
-	if e2 != e1+1 {
-		t.Fatalf("epoch after own lapse = %d, want %d", e2, e1+1)
 	}
 }
 

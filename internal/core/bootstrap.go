@@ -392,9 +392,9 @@ func (a *App) bootstrapChunk(drain *worker, pub *App, modelName string, ids []st
 }
 
 // publishWatermark sends a watermark control message through the
-// ORIGIN's exchange, so it fans out through the same broker (or cluster
-// shard) path as the origin's live messages and comes back to this
-// app's queue in publish order relative to them.
+// ORIGIN's exchange, so it fans out through the same broker path as the
+// origin's live messages and comes back to this app's queue in publish
+// order relative to them.
 func (a *App) publishWatermark(pub *App, id, kind string) error {
 	payload, err := wire.Marshal(wire.WatermarkMessage(pub.name, id, kind, pub.generation.Load()))
 	if err != nil {
@@ -459,10 +459,11 @@ func (w *worker) runFetched(q *broker.Queue, d broker.Delivery) {
 // applyChunk applies one chunk's rows as a message that waits for
 // nothing: rows whose version a live message inside the watermark
 // window reached are skipped outright (the live apply already moved the
-// guard at least that far); the rest claim their versions and apply
-// through claimAndApply, exactly like a live message, so a failed row
-// rolls back the claims from it onward and a resumed chunk re-applies
-// exactly the unapplied rows.
+// guard at least that far, under the current subscription); the rest
+// claim their versions and apply through claimAndApply like a live
+// message, so a failed row rolls back the claims from it onward. A row
+// also applies at the version already stored, so a resumed chunk writes
+// the rows it applied before once more, with the same state.
 func (a *App) applyChunk(pub *App, modelName string, rows []chunkRow, touched map[vKey]uint64) error {
 	types := pub.publication(modelName).chain
 	ops := make([]wire.Operation, 0, len(rows))

@@ -501,6 +501,41 @@ func TestBootstrapDrainParkedJobResumesOnWorker(t *testing.T) {
 	}
 }
 
+// TestPartialBootstrapFillsWhatTheLiveApplySkipped: a live update
+// applied under a narrower subscription leaves the object's guard at
+// the publisher's version without the attribute a later Subscribe adds.
+// The partial bootstrap that follows (§4.3) must still deliver it: its
+// row is the publisher's state at that very version.
+func TestPartialBootstrapFillsWhatTheLiveApplySkipped(t *testing.T) {
+	f := NewFabric()
+	pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
+	mustPublish(t, pub, userDesc(), "name", "email")
+	sub, subMapper := newDocApp(t, f, "sub", Config{})
+	subUser := userDesc()
+	mustSubscribe(t, sub, subUser, SubSpec{From: "pub", Attrs: []string{"name"}})
+
+	ctl := pub.NewController(nil)
+	u := model.NewRecord("User", "u1")
+	u.Set("name", "ada")
+	u.Set("email", "ada@v1")
+	if _, err := ctl.Create(u); err != nil {
+		t.Fatal(err)
+	}
+	u.Set("email", "ada@v2")
+	if _, err := ctl.Update(u); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, sub) // both versions applied, neither with an email
+
+	mustSubscribe(t, sub, subUser, SubSpec{From: "pub", Attrs: []string{"email"}})
+	if err := sub.Bootstrap("pub", "User"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := subMapper.Find("User", "u1"); err != nil || got.String("email") != "ada@v2" {
+		t.Fatalf("u1 after the partial bootstrap = %v, %v; want email ada@v2", got, err)
+	}
+}
+
 // TestPartialBootstrapSpecificModels only syncs the named models.
 func TestPartialBootstrapSpecificModels(t *testing.T) {
 	f := NewFabric()

@@ -12,11 +12,10 @@ import (
 )
 
 // Bus is the messaging surface apps publish and consume through: the
-// single in-process broker by default, or a sharded broker cluster
-// front-end (internal/broker/cluster) — anything that routes exchanges
-// to durable queues with broker semantics (ErrBrokerDown while
-// unavailable, defunct handles after a restart, at-least-once
-// redelivery).
+// fabric's broker by default, or a wrapper around it (a tracing proxy,
+// say) — anything that routes exchanges to durable queues with broker
+// semantics (ErrBrokerDown while unavailable, defunct handles after a
+// restart, at-least-once redelivery).
 type Bus interface {
 	Publish(exchange string, payload []byte) error
 	DeclareQueue(name string, maxLen int) (*broker.Queue, error)
@@ -35,9 +34,9 @@ type Fabric struct {
 	Broker *broker.Broker
 	Coord  *coord.Coordinator
 	// Bus, when non-nil, replaces Broker as the messaging surface the
-	// apps use — install a broker cluster here (before creating apps)
-	// and publishers/subscribers address it transparently; Broker stays
-	// as the default single-node bus and for tests that reach into it.
+	// apps use — install a wrapper here (before creating apps) and
+	// publishers/subscribers address it transparently; Broker stays the
+	// default bus and the handle tests reach into.
 	Bus Bus
 	// Net, when non-nil, is the simulated network every cross-service
 	// call (broker publish/consume/ack, version-store round trips,

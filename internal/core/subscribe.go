@@ -1286,9 +1286,13 @@ func (a *App) messageClaims(msg *wire.Message, claims []vstore.Claim, claimOp []
 // msg.Operations[claimOp[c]] — if every requirement in reqs is met, and
 // then applies the operations in order. A claim that loses (stale
 // version) skips its operation: weak-mode last-writer-wins and duplicate
-// redelivery. If the requirements are unmet nothing is claimed or
-// applied and the store's wait comes back (registered for wake, if one
-// is given) with the stripes released.
+// redelivery. A chunk row (the one caller without a job) also applies
+// at the version already stored: the row is the publisher's state at
+// that version, and the live message that stored it may have been
+// applied under a narrower subscription than the one the bootstrap
+// fills (a Subscribe for more of the model, §4.3). If the requirements
+// are unmet nothing is claimed or applied and the store's wait comes
+// back (registered for wake, if one is given) with the stripes released.
 //
 // A live message's job is claimed once the window took its claims. The
 // watchdog of the lane running it (see lane) times the wait for the
@@ -1337,7 +1341,7 @@ func (a *App) claimAndApply(msg *wire.Message, claims []vstore.Claim, claimOp []
 		mine := c // the claim guarding operation i, if it has one
 		if c < len(claims) && claimOp[c] == i {
 			c++
-			if !results[mine].Applied {
+			if r := results[mine]; !r.Applied && (j != nil || r.Prev != claims[mine].Version) {
 				continue // stale update: skip to the latest version
 			}
 		}

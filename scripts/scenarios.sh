@@ -62,10 +62,12 @@ scenario_check() {
 }
 
 # Seeded fault scripts (partitions, broker crash/restarts, store
-# deaths) and the crash property tests, under the race detector.
+# deaths, copies the broker accepted and lost), the generation
+# coordinator, the crash property tests, and the broker log's
+# truncation and retention, under the race detector.
 scenario_chaos() {
-    go test -race $SHORT ./internal/chaos/ ./internal/netsim/ &&
-        gotest -race $SHORT -run 'TestBroker|TestCrash|TestDeadLetter|TestJournal|TestConcurrentPublish' \
+    go test -race $SHORT ./internal/chaos/ ./internal/netsim/ ./internal/coord/ &&
+        gotest -race $SHORT -run 'TestBroker|TestCrash|TestDeadLetter|TestJournal|TestConcurrentPublish|TestStats|TestTruncationInterleaved|TestLogTruncation|TestOneRecordPerPublish|TestSlowConsumer' \
             ./internal/broker/ ./internal/core/
 }
 
@@ -93,16 +95,6 @@ scenario_causality() {
 scenario_tail() {
     go test -race ./internal/workload/ ./internal/hdr/ ./internal/vstore/ &&
         go run ./cmd/synapse-bench -exp tail $QUICK
-}
-
-# Sharded broker cluster: coord lease elections, the shipped log and
-# cursor states (and the truncation they follow), promotion/fencing with
-# its failover window, and the cluster chaos scripts (zero lost).
-scenario_cluster() {
-    go test -race $SHORT ./internal/broker/cluster/ ./internal/coord/ &&
-        gotest -race $SHORT -run 'TestReplication|TestShipLog|TestFence|TestStats|TestTruncationInterleaved|TestLogTruncation|TestOneRecordPerPublish|TestSlowConsumer' \
-            ./internal/broker/ &&
-        gotest -race $SHORT -run 'TestClusterChaos' ./internal/chaos/
 }
 
 # Chunked live bootstrap: the watermark/cursor unit tests (the publish
@@ -238,7 +230,7 @@ scenario_publish() {
         bash benchmark/run.sh --workload social_causal --seconds 5
 }
 
-ALL="check chaos overload causality tail cluster bootstrap benchmark liveness journal orm windows projection publish"
+ALL="check chaos overload causality tail bootstrap benchmark liveness journal orm windows projection publish"
 run_list="$*"
 if [ -z "$run_list" ]; then
     run_list="$ALL"
