@@ -259,7 +259,7 @@ func TestLostMsgTimeoutRecovers(t *testing.T) {
 func TestWeakNoStaleWriteLast(t *testing.T) {
 	// Hammer one object with updates under a parallel weak pool: the
 	// final mapper value must be the newest version. Without the apply
-	// stripes (claim and DB write atomic per object), a worker preempted
+	// locks (claim and DB write atomic per object), a worker preempted
 	// between winning a version claim and persisting the row writes
 	// stale data last — a divergence no later message repairs.
 	for round := 0; round < 10; round++ {

@@ -112,10 +112,11 @@ type OverloadResult struct {
 	Net netsim.Stats
 }
 
-// poisonID is the object whose subscriber callback hangs. Its apply
-// stripe must differ from every uN object's so collateral stripe
-// blocking does not contaminate the sibling-drain measurement (see
-// applyStripe in internal/core; verified for up to u15).
+// poisonID is the object whose subscriber callback hangs. Its bit of a
+// worker's dispatch mask must differ from every uN object's, so no
+// sibling waits in the hung worker's dispatch and contaminates the
+// sibling-drain measurement (see applyMask in internal/core; verified
+// for up to u15).
 const poisonID = "poison"
 
 // RunOverload executes one seeded overload script and reports what it

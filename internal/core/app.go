@@ -18,6 +18,7 @@ import (
 	"synapse/internal/model"
 	"synapse/internal/netsim"
 	"synapse/internal/orm"
+	"synapse/internal/storage"
 	"synapse/internal/vstore"
 	"synapse/internal/wire"
 )
@@ -216,9 +217,9 @@ type App struct {
 	flushCounts map[vstore.Key]uint64
 	flushTags   []uint64
 
-	// applyLocks are striped per-object locks making a version claim and
-	// its DB write atomic (see applyStripe in subscribe.go).
-	applyLocks [64]sync.Mutex
+	// applyLocks are the per-object apply locks making a version claim
+	// and its DB write atomic (see claimAndApply in subscribe.go).
+	applyLocks *storage.LockTable[vstore.Key]
 }
 
 // telemetry is an app's instruments, written lock-free where things
@@ -304,6 +305,7 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 		journalEpoch: time.Now().UnixNano(),
 		bootWindows:  make(map[string]*chunkWindow),
 		parked:       make(map[*job]struct{}),
+		applyLocks:   storage.NewLockTable[vstore.Key](),
 		rng:          rand.New(rand.NewSource(seedFor(name, "overload"))),
 	}
 	a.hashedDeps = tracker.Policy() == deptrack.PolicyHash && cfg.DepCardinality > 0

@@ -117,8 +117,8 @@ type Config struct {
 	// many it fetches at a time. With depth k, the decode, dependency
 	// probe, and version claims of messages N+1..N+k proceed while
 	// message N's callback runs; a message that is not ready parks and
-	// frees its slot;
-	// messages sharing an apply stripe are dispatched in order (never
+	// frees its slot; messages sharing a bit of the worker's dispatch
+	// mask (always so for one object) are dispatched in order (never
 	// concurrently), and completed messages group-commit their counter
 	// increments and broker acks through the per-queue flusher (one
 	// IncrOpsMulti + one AckMulti round trip per flush window).

@@ -113,3 +113,75 @@ func TestFlushBatchAllocBudget(t *testing.T) {
 		t.Errorf("Unacked = %d after the flushes, want 0", got)
 	}
 }
+
+// TestApplyLocksArePerObject: a delivery waits out another's apply lock
+// only when both claim the same object. With one object's lock held
+// (a straggler's, say), deliveries of 256 other objects all apply, and
+// a delivery of the held object does not claim until it is released.
+// With locks striped 64 ways, some of the 256 would share the held
+// object's stripe and wait for it.
+func TestApplyLocksArePerObject(t *testing.T) {
+	const others = 256
+	f := NewFabric()
+	pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
+	sub, _ := newSQLApp(t, f, "sub", Config{CreditWindow: others + 1})
+	mustPublish(t, pub, userDesc(), "name")
+	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
+	for i := range others {
+		createUser(t, pub.NewController(nil), fmt.Sprintf("o%03d", i), "v1") // depends on nothing
+	}
+	createUser(t, pub.NewController(nil), "held", "v1")
+	jobs := fetchJobs(t, sub, others+1)
+	held := jobs[others]
+	w := sub.newWorker(4)
+	var runs sync.WaitGroup
+	defer w.close()
+	defer runs.Wait() // after release: a blocked run finishes
+	key := sub.objectKey(&held.msg.Operations[0])
+	sub.applyLocks.Acquire(key)
+	release := sync.OnceFunc(func() { sub.applyLocks.Release(key) })
+	defer release()
+
+	// run works through a batch on a goroutine, so a delivery blocked for
+	// good fails the test instead of hanging it.
+	run := func(batch []*job) <-chan struct{} {
+		done := make(chan struct{})
+		runs.Add(1)
+		go func() {
+			defer runs.Done()
+			defer close(done)
+			w.processBatch(batch, nil)
+		}()
+		return done
+	}
+	applied := func(id string) bool {
+		_, err := sub.Mapper().Find("User", id)
+		return err == nil
+	}
+	select {
+	case <-run(jobs[:others]):
+	case <-time.After(10 * time.Second):
+		t.Fatal("deliveries of other objects waited for the held object's lock")
+	}
+	for i := range others {
+		if id := fmt.Sprintf("o%03d", i); !applied(id) {
+			t.Fatalf("%s was not applied", id)
+		}
+	}
+
+	done := run(jobs[others:])
+	waitFor(t, 2*time.Second, func() bool { return held.load() == statePlanned })
+	time.Sleep(20 * time.Millisecond) // room to claim, were the lock not held
+	if st := held.load(); st != statePlanned || applied("held") {
+		t.Fatalf("the held object's delivery is %v (applied: %v) while its lock is held; want planned", st, applied("held"))
+	}
+	release()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the held object's delivery did not apply once its lock was released")
+	}
+	if !applied("held") {
+		t.Fatal("held was not applied")
+	}
+}

@@ -237,10 +237,11 @@ func TestStallWatchdogQuarantinesHungCallback(t *testing.T) {
 			if _, err := ctl.Create(poison); err != nil {
 				t.Fatal(err)
 			}
-			// Sibling ids are chosen to land on apply stripes distinct from the
-			// poison object's: a message whose object shares the hung apply's
-			// stripe blocks on that mutex and is quarantined as collateral —
-			// correct isolation behaviour, but not what this test measures.
+			// Sibling ids are chosen to land on dispatch-mask bits distinct
+			// from the poison object's: a message sharing the hung apply's
+			// bit waits in that worker's dispatch until the watchdog takes
+			// the hung job — correct isolation, but not what this test
+			// measures.
 			const siblings = 6
 			for i := 0; i < siblings; i++ {
 				rec := model.NewRecord("User", fmt.Sprintf("sib%d", i))

@@ -237,7 +237,9 @@ func TestParkedDepTimeoutReadiesAndAppliesAnyway(t *testing.T) {
 		t.Fatalf("%v, %v; want parked", st, err)
 	}
 	waitFor(t, 2*time.Second, func() bool { _, r := parkedAndReady(sub); return r == 1 })
-	if waited := time.Since(update.blockedAt); waited < 20*time.Millisecond {
+	// DepTimeout counts from the plan (j.at), which precedes the first
+	// unmet probe (j.blockedAt) by that probe's window.
+	if waited := time.Since(update.at); waited < 20*time.Millisecond {
 		t.Fatalf("readied after %v, before its 20ms DepTimeout", waited)
 	}
 	if st, err := sub.drive(sub.takeReady(nil, 1)[0]); st != stateDone || err != nil {

@@ -201,7 +201,7 @@ func TestParkedJobFinishedByAnotherWorker(t *testing.T) {
 	jobs := fetchJobs(t, sub, 3)
 	create, update, hold := jobs[0], jobs[1], jobs[2]
 	if update.mask&hold.mask != 0 {
-		t.Fatal("u1 and hold share an apply stripe; pick another id")
+		t.Fatal("u1 and hold share a dispatch-mask bit; pick another id")
 	}
 
 	first := sub.newWorker(2)

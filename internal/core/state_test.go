@@ -13,6 +13,7 @@ import (
 	"synapse/internal/broker"
 	"synapse/internal/faultinject"
 	"synapse/internal/model"
+	"synapse/internal/vstore"
 	"synapse/internal/wire"
 )
 
@@ -154,7 +155,7 @@ func TestJobStateTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		createUser(t, ctl, "u1", "v1")
-		updateUser(t, ctl, "u1", "v2") // shares u1's stripe: waits behind it
+		updateUser(t, ctl, "u1", "v2") // shares u1's mask bit: waits behind it
 		createUser(t, ctl, "u2", "v1")
 		q := sub.Queue()
 		ds, err := q.GetBatch(4)
@@ -194,9 +195,7 @@ func TestJobStateTable(t *testing.T) {
 		hang, planned, create, update := jobs[0], jobs[1], jobs[2], jobs[3]
 		w := sub.newWorker(1)
 		defer w.close()
-		stripe := func(j *job) *sync.Mutex {
-			return &sub.applyLocks[sub.applyStripe(sub.objectKey(&j.msg.Operations[0]))]
-		}
+		object := func(j *job) vstore.Key { return sub.objectKey(&j.msg.Operations[0]) }
 		stalled := func(j *job, n int64) {
 			t.Helper()
 			if st := sub.Stats().Stalled; j.load() != stateStalled || st != n {
@@ -204,11 +203,11 @@ func TestJobStateTable(t *testing.T) {
 			}
 		}
 
-		held := stripe(planned) // a straggler's, say
-		held.Lock()
+		held := object(planned) // a straggler holds it, say
+		sub.applyLocks.Acquire(held)
 		w.processBatch([]*job{planned}, nil)
 		stalled(planned, 1)
-		held.Unlock()
+		sub.applyLocks.Release(held)
 
 		drive(t, sub, update, stateParked)
 		drive(t, sub, create, stateDone)
@@ -217,18 +216,18 @@ func TestJobStateTable(t *testing.T) {
 		if len(ready) != 1 {
 			t.Fatal("the update was not released")
 		}
-		held = stripe(update)
-		held.Lock()
+		held = object(update)
+		sub.applyLocks.Acquire(held)
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
 			w.processBatch(ready, nil)
 		}()
 		waitFor(t, 2*time.Second, func() bool { return update.load() != stateReady })
-		update.Wake() // while it waits for the stripe
+		update.Wake() // while it waits for the object's lock
 		<-done
 		stalled(update, 2)
-		held.Unlock()
+		sub.applyLocks.Release(held)
 
 		w.processBatch([]*job{hang}, nil)
 		stalled(hang, 3)

@@ -1,12 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,7 +99,7 @@ func (a *App) releaseWaiting(gs *genState) {
 // job is one delivery on its way through the subscriber: where it stands
 // (its state, DESIGN §2j), and what a message that is not ready keeps
 // while parked — the decoded message, its dependency plan — so that
-// parking frees its window slot, stripe mask and lane. A job with no
+// parking frees its window slot, dispatch mask and lane. A job with no
 // queue is ProcessMessage's: its caller waits out each release.
 type job struct {
 	app   *App
@@ -149,7 +148,7 @@ const (
 	statePlanned                 // in its generation, plan built: next, probe and claim
 	stateParked                  // a requirement unmet: waits for a release
 	stateReady                   // released: probes again
-	stateClaimed                 // its claims taken under its stripes: applying
+	stateClaimed                 // its claims taken under its apply locks: applying
 	stateApplied                 // next: its increments
 	stateDone                    // over: acked or queued to be, increments with it
 	stateFailed                  // over: returned, nacked as a failed attempt, or handed back
@@ -549,14 +548,15 @@ func (w *worker) close() {
 
 // lane is one of a worker's goroutines, and its stall watchdog
 // (Config.ApplyTimeout; none at 0): one reusable timer, armed while the
-// lane's job waits for its apply stripes and again from its claim to the
-// end of its apply, never across the version-store window or a release.
-// If the budget (stallBudget) runs out first, the watchdog takes the job:
-// stalled, its window slot and mask free, nacked as a failed attempt, a
-// replacement lane in its lane's place. The lane goes on as its straggler
-// until the callback returns, then drops the result, increments and ack
-// with it, and exits; the apply stripes and the per-object version guard
-// absorb a straggler's late write like a redelivered duplicate.
+// lane's job waits for its per-object apply locks and again from its
+// claim to the end of its apply, never across the version-store window
+// or a release. If the budget (stallBudget) runs out first, the watchdog
+// takes the job: stalled, its window slot and mask free, nacked as a
+// failed attempt, a replacement lane in its lane's place. The lane goes
+// on as its straggler until the callback returns, then drops the result,
+// increments and ack with it, and exits; the per-object apply locks and
+// version guard absorb a straggler's late write like a redelivered
+// duplicate.
 type lane struct {
 	w     *worker
 	timer *time.Timer
@@ -717,7 +717,7 @@ func (a *App) workerLoop(w *worker, stop <-chan struct{}) {
 //
 //   - Park, don't block: a message whose dependencies are unmet, or
 //     whose generation is ahead of the barrier, parks (see job): its
-//     lane moves on and its slot and stripe mask are free at once.
+//     lane moves on and its slot and dispatch mask are free at once.
 //     The delivery stays unacked, so the credit window bounds the parked
 //     set. Whatever moves the counter it needs (a group-commit flush, a
 //     bootstrap bulk load, an inline increment), empties the generation
@@ -725,8 +725,8 @@ func (a *App) workerLoop(w *worker, stop <-chan struct{}) {
 //     list. Queue order is never changed to get there, so every message
 //     ahead of a parked one is parked, running or done — the oldest
 //     unapplied message can always run.
-//   - Conflicts serialize: each message folds its operations' apply
-//     stripes into a 64-bit mask (applyMask); a message is dispatched
+//   - Conflicts serialize: each message folds its operations' objects
+//     into a 64-bit mask (applyMask); a message is dispatched
 //     only when its mask is disjoint from every in-flight message's,
 //     so two updates to the same guarded object never race within the
 //     worker and dispatch in queue order. Cross-worker ordering is the
@@ -790,7 +790,7 @@ func (w *worker) processBatch(batch []*job, stop <-chan struct{}) {
 				a.to(j, stateFetched, stateDecoded)
 			}
 			if j.mask&inflightMask != 0 {
-				break // shared apply stripe: wait for the earlier message
+				break // shared mask bit: wait for the earlier message
 			}
 			next++
 			inflight++
@@ -839,15 +839,16 @@ func (w *worker) processBatch(batch []*job, stop <-chan struct{}) {
 	}
 }
 
-// applyMask folds the apply stripes of every operation object in the
-// message into a 64-bit conflict mask (64 stripes, one bit each). Two
-// messages with disjoint masks cannot touch the same guarded object,
-// so they may run concurrently in the pipeline; overlapping masks
-// dispatch strictly in queue order.
+// applyMask folds every operation object in the message into a 64-bit
+// dispatch mask, one bit per object: the top six bits of a
+// multiplicative (Fibonacci) hash of its key. Two messages with
+// disjoint masks cannot touch the same guarded object, so they may run
+// concurrently in the pipeline; overlapping masks dispatch strictly in
+// queue order.
 func (a *App) applyMask(msg *wire.Message) uint64 {
 	var mask uint64
 	for i := range msg.Operations {
-		mask |= 1 << uint(a.applyStripe(a.objectKey(&msg.Operations[i])))
+		mask |= 1 << (uint64(a.objectKey(&msg.Operations[i])) * 0x9E3779B97F4A7C15 >> 58)
 	}
 	return mask
 }
@@ -956,9 +957,9 @@ const stallBudgetCap = 8
 
 // stallBudget is the watchdog time budget for a delivery with the given
 // prior failed attempts: ApplyTimeout doubled per attempt, up to
-// stallBudgetCap times it. It times the wait for the apply stripes, and
-// the apply from the claim on — not the version-store window, and not a
-// wait for a release.
+// stallBudgetCap times it. It times the wait for the per-object apply
+// locks, and the apply from the claim on — not the version-store window,
+// and not a wait for a release.
 func (a *App) stallBudget(attempts int) time.Duration {
 	budget, max := a.cfg.ApplyTimeout, stallBudgetCap*a.cfg.ApplyTimeout
 	for i := 0; i < attempts && budget < max; i++ {
@@ -1040,14 +1041,15 @@ func (a *App) enter(j *job) (jobState, error) {
 }
 
 // probe is a planned or released job's step, ONE version-store window:
-// under its apply stripes the store probes the plan and, if it is met,
-// claims the object versions in the same script, and the operations
-// apply (claimAndApply). The modes differ only in the plan (planDeps):
-// global mode also waits on the global-object dependency, causal mode
-// skips it, and weak mode plans nothing (§6.5: "weak and causal …
-// timeout set to 0 s and ∞"). While bootstrapping, delivery degrades to
-// weak (§4.4): the message waits for nothing but keeps its increments,
-// and once applied it records its versions in the open chunk window.
+// under its per-object apply locks the store probes the plan and, if it
+// is met, claims the object versions in the same script, and the
+// operations apply (claimAndApply). The modes differ only in the plan
+// (planDeps): global mode also waits on the global-object dependency,
+// causal mode skips it, and weak mode plans nothing (§6.5: "weak and
+// causal … timeout set to 0 s and ∞"). While bootstrapping, delivery
+// degrades to weak (§4.4): the message waits for nothing but keeps its
+// increments, and once applied it records its versions in the open
+// chunk window.
 //
 // A job whose plan is unmet comes back parked — the driver parks it —
 // until a counter it needs moves, and once a finite DepTimeout has run
@@ -1217,25 +1219,6 @@ func dedupKeys(keys []vstore.Key) []vstore.Key {
 	return out
 }
 
-// applyStripe returns the per-object apply lock for a dependency key.
-// A version claim and its DB write must be atomic per object: without
-// the lock, a worker preempted between winning the claim and persisting
-// the row can write stale data after a newer version already landed —
-// and since the guard has recorded the newer version, no redelivery ever
-// repairs it (permanent divergence under weak/degraded processing).
-//
-// The stripe is FNV-1a over the key's decimal digits — the wire token of
-// a hashed key, so it never had to be kept as a string to be hashed.
-func (a *App) applyStripe(k vstore.Key) int {
-	var buf [20]byte
-	h := uint32(2166136261)
-	for _, c := range strconv.AppendUint(buf[:0], uint64(k), 10) {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return int(h % uint32(len(a.applyLocks)))
-}
-
 // objectKey resolves an operation's object token into this app's
 // version-store key space: a hashed key is adopted verbatim (a projected
 // decode has it parsed already), a DVV publisher's name goes through the
@@ -1245,21 +1228,6 @@ func (a *App) objectKey(op *wire.Operation) vstore.Key {
 		return vstore.Key(k)
 	}
 	return a.tracker.Resolve(op.ObjectDep)
-}
-
-// lockStripes acquires the apply stripes in mask, lowest first — the
-// index order that makes concurrent multi-op messages deadlock-free, the
-// same protocol the version store uses for its keys.
-func (a *App) lockStripes(mask uint64) {
-	for m := mask; m != 0; m &= m - 1 {
-		a.applyLocks[bits.TrailingZeros64(m)].Lock()
-	}
-}
-
-func (a *App) unlockStripes(mask uint64) {
-	for m := mask; m != 0; m &= m - 1 {
-		a.applyLocks[bits.TrailingZeros64(m)].Unlock()
-	}
 }
 
 // guardWidth is how many guarded operations a message can carry before
@@ -1280,23 +1248,31 @@ func (a *App) messageClaims(msg *wire.Message, claims []vstore.Claim, claimOp []
 }
 
 // claimAndApply is the one way an operation reaches applyOp, for a live
-// message and a bootstrap chunk alike. Under the apply stripes of every
-// claimed object (held from the claim through the last DB write, see
-// applyStripe) it asks the store to take the claims — claims[c] guards
+// message and a bootstrap chunk alike. Under the per-object apply locks
+// of every claimed object, held from the claim through the last DB
+// write, it asks the store to take the claims — claims[c] guards
 // msg.Operations[claimOp[c]] — if every requirement in reqs is met, and
-// then applies the operations in order. A claim that loses (stale
-// version) skips its operation: weak-mode last-writer-wins and duplicate
-// redelivery. A chunk row (the one caller without a job) also applies
-// at the version already stored: the row is the publisher's state at
-// that version, and the live message that stored it may have been
-// applied under a narrower subscription than the one the bootstrap
-// fills (a Subscribe for more of the model, §4.3). If the requirements
-// are unmet nothing is claimed or applied and the store's wait comes
-// back (registered for wake, if one is given) with the stripes released.
+// then applies the operations in order. A claim and its DB write must
+// be atomic per object: a worker preempted between winning the claim
+// and persisting the row could otherwise write stale data after a newer
+// version landed, and since the guard recorded the newer version, no
+// redelivery would repair it. The locks are taken in ascending key
+// order, so concurrent multi-object messages cannot deadlock; two
+// deliveries wait on each other only when they claim the same object.
+//
+// A claim that loses (stale version) skips its operation: weak-mode
+// last-writer-wins and duplicate redelivery. A chunk row (the one
+// caller without a job) also applies at the version already stored:
+// the row is the publisher's state at that version, and the live
+// message that stored it may have been applied under a narrower
+// subscription than the one the bootstrap fills (a Subscribe for more
+// of the model, §4.3). If the requirements are unmet nothing is claimed
+// or applied and the store's wait comes back (registered for wake, if
+// one is given) with the locks released.
 //
 // A live message's job is claimed once the window took its claims. The
 // watchdog of the lane running it (see lane) times the wait for the
-// stripes and the apply, and errStalled means it took the job.
+// locks and the apply, and errStalled means it took the job.
 //
 // If a DB apply fails midway, every fresh claim from the failed
 // operation onward is rolled back so a retry re-applies exactly the
@@ -1304,28 +1280,28 @@ func (a *App) messageClaims(msg *wire.Message, claims []vstore.Claim, claimOp []
 // and are skipped as stale on redelivery (no double-apply).
 func (a *App) claimAndApply(msg *wire.Message, claims []vstore.Claim, claimOp []int, reqs []vstore.WaitReq, j *job, wake vstore.Waker) (w *vstore.Parked, err error) {
 	var (
-		rbuf    [guardWidth]vstore.ClaimResult
-		stripes uint64
-		l       *lane
-		sc      *applyScratch
+		rbuf [guardWidth]vstore.ClaimResult
+		kbuf [guardWidth]vstore.Key
+		l    *lane
+		sc   *applyScratch
 	)
 	if j != nil {
 		l, sc = j.lane, &j.scratch
 	} else {
 		sc = new(applyScratch)
 	}
-	for _, c := range claims {
-		stripes |= 1 << uint(a.applyStripe(c.Key))
-	}
-	results := rbuf[:]
+	results, keys := rbuf[:], kbuf[:0]
 	if len(claims) > guardWidth {
 		results = make([]vstore.ClaimResult, len(claims))
 	}
 	results = results[:len(claims)]
+	for _, c := range claims {
+		keys = append(keys, c.Key) // a copy: AcquireAll sorts it, claimOp follows claims' order
+	}
 
 	l.arm(j)
-	a.lockStripes(stripes)
-	defer a.unlockStripes(stripes)
+	keys = a.applyLocks.AcquireAll(keys, cmp.Compare[vstore.Key])
+	defer a.applyLocks.ReleaseAll(keys)
 	if !l.disarm(j) {
 		return nil, errStalled
 	}

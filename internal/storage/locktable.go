@@ -18,8 +18,8 @@ func (a LockKey) Compare(b LockKey) int {
 
 // LockTable provides per-key blocking mutual exclusion with on-demand
 // entries. Engines use it for row-level locks held across two-phase
-// commit (K is LockKey), the version store for its dependency-key locks;
-// deadlock is avoided by acquiring keys in one sorted order (AcquireAll
+// commit (K is LockKey), the version store for its dependency-key locks
+// and the subscriber for its per-object apply locks; deadlock is avoided by acquiring keys in one sorted order (AcquireAll
 // sorts for you).
 //
 // An entry exists while its key is held or waited for. Entries nobody

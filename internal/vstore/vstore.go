@@ -684,9 +684,9 @@ type ClaimResult struct {
 // whose own requirements are met claims even though another will report
 // unmet. Those claims are taken back in one more window with
 // RestoreVersion's compare-and-set, before ClaimIfMet returns — the
-// caller still holds its apply stripes, so no claim of its own objects
-// can have landed in between. A message whose requirements and claims
-// share a shard never pays it.
+// caller still holds its per-object apply locks, so no claim of its own
+// objects can have landed in between. A message whose requirements and
+// claims share a shard never pays it.
 //
 // The probe alone (Park, WaitAtLeastMulti) is ClaimIfMet with no claims
 // and takes only read locks, so concurrent probes of the same hot keys

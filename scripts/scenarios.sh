@@ -126,14 +126,14 @@ scenario_benchmark() {
 # tests, the bootstrap drain's dead-letter test and the fixed lane count
 # run under the race detector; the three entries' differential test, the
 # job state table, the random-ops convergence property, the recycled
-# job's lifetime tests, the lost-message timeout recovery and the paper's
-# six example programs run twenty times under it — a failing seed is a
-# bug report, never a rerun.
+# job's lifetime tests, the per-object apply locks, the lost-message
+# timeout recovery and the paper's six example programs run twenty times
+# under it — a failing seed is a bug report, never a rerun.
 scenario_liveness() {
     gotest -race -run 'TestPark' ./internal/vstore/ &&
         gotest -race -run 'TestDependantAhead|TestNewGeneration|TestParked|TestStopWorkersHands|TestBootstrapDrainDeadLetters|TestWorkerPoolGoroutinesFixed' \
             ./internal/core/ &&
-        gotest -race -count=20 -run 'TestJobStateTable|TestEveryEntryAppliesAlike|TestQuickConvergenceRandomOps|TestLateDepTimeoutWakeOnReusedJob|TestParkedJobFinishedByAnotherWorker|TestRecycleOnce' ./internal/core/ &&
+        gotest -race -count=20 -run 'TestJobStateTable|TestEveryEntryAppliesAlike|TestQuickConvergenceRandomOps|TestLateDepTimeoutWakeOnReusedJob|TestParkedJobFinishedByAnotherWorker|TestRecycleOnce|TestApplyLocksArePerObject' ./internal/core/ &&
         gotest -race -count=20 -run '^TestLostMsgTimeoutRecovers$' ./internal/bench/ &&
         gotest -race -count=20 ./examples/...
 }
