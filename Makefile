@@ -9,10 +9,14 @@ check:
 test:
 	go test ./...
 
-# ROADMAP's one line counter: non-test Go lines outside the repository
-# benchmark. Every PR reports this number before and after.
+# ROADMAP's per-PR report: non-test Go lines outside the repository
+# benchmark (the line counter), test lines, and the number of
+# core.Config fields. Every PR reports these before and after.
+GO_SRC = find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*'
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
+	@echo "$$($(GO_SRC) -not -name '*_test.go' | xargs cat | wc -l) non-test lines"
+	@echo "$$($(GO_SRC) -name '*_test.go' | xargs cat | wc -l) test lines"
+	@echo "$$(awk '/^type Config struct/,/^}/' internal/core/core.go | grep -cE '^\s+[A-Z]\w*(, *[A-Z]\w*)* +[^ /]') core.Config fields"
 
 # `make bench-NAME` runs one synapse-bench experiment at full size
 # (bench-tail, bench-fig13a, bench-lostmsg, ...), rewriting its committed

@@ -338,21 +338,3 @@ func TestTable3Counts(t *testing.T) {
 		t.Errorf("table1 output:\n%s", s)
 	}
 }
-
-// TestSettleFailsAtItsDeadline: a message that never applied is an error
-// naming what still diverged — not a silent return a measurement then
-// reads as "done" — and the same pair settles once a worker runs.
-func TestSettleFailsAtItsDeadline(t *testing.T) {
-	p := pair(pairSpec{Pub: core.Config{Mode: core.Causal}, Models: itemModel("payload", model.String)})
-	createItem(p.pub, "it-0", 1)
-	subs := []*core.App{p.sub}
-	err := settle(time.Now().Add(20*time.Millisecond), p.pub, subs, "Item", []string{"it-0"})
-	if err == nil || !strings.Contains(err.Error(), "queued or unacked") {
-		t.Fatalf("settle with no worker running = %v, want the undelivered message reported", err)
-	}
-	p.sub.StartWorkers(1)
-	defer p.sub.StopWorkers()
-	if err := settle(time.Now().Add(5*time.Second), p.pub, subs, "Item", []string{"it-0"}); err != nil {
-		t.Fatal(err)
-	}
-}

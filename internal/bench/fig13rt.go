@@ -90,12 +90,12 @@ func runRTOnce(cfg Fig13RTConfig, deps int) (Fig13RTSide, error) {
 	sub.StartWorkers(1)
 	defer sub.StopWorkers()
 
-	// applied waits until the subscriber holds the item and both stores
+	// applied waits until the subscriber holds every item and both stores
 	// have been charged everything the messages so far cost: a message's
 	// increments and ack land after it counts as processed, a publish's
 	// unlock window behind its back.
-	applied := func(ids ...string) error {
-		err := settle(time.Now().Add(10*time.Second), pub, []*core.App{sub}, "Item", ids)
+	applied := func() error {
+		err := waitConverged(10*time.Second, pub, sub)
 		pub.Store().WaitReleases()
 		return err
 	}
@@ -107,7 +107,7 @@ func runRTOnce(cfg Fig13RTConfig, deps int) (Fig13RTSide, error) {
 		seeded = append(seeded, fmt.Sprintf("dep-%d", d))
 		createItem(pub, seeded[d], 1)
 	}
-	if err := applied(seeded...); err != nil {
+	if err := applied(); err != nil {
 		return Fig13RTSide{}, err
 	}
 
@@ -122,7 +122,7 @@ func runRTOnce(cfg Fig13RTConfig, deps int) (Fig13RTSide, error) {
 		// windows and the subscriber's increments coalesce by luck. A
 		// message that never applied fails the run: it must not become a
 		// lower round-trip count.
-		if err := applied(id); err != nil {
+		if err := applied(); err != nil {
 			return Fig13RTSide{}, err
 		}
 	}

@@ -217,16 +217,13 @@ func extractTopics(body string) []string {
 func RunFig9a() (*Timeline, error) {
 	e := buildEcosystem(2, 2)
 	defer e.stop()
-	settled := func(pub *core.App, subs ...*core.App) error {
-		return settle(time.Now().Add(5*time.Second), pub, subs, "", nil)
-	}
 
 	ctl := e.diaspora.NewController(e.diaspora.NewSession("User", "1"))
 	u := model.NewRecord("User", "1")
 	u.Set("name", "alice")
 	e.create(ctl, u)
 	// Let the user propagate before the post references it.
-	if err := settled(e.diaspora, e.analyzer); err != nil {
+	if err := waitConverged(5*time.Second, e.diaspora, e.analyzer); err != nil {
 		return nil, err
 	}
 
@@ -239,10 +236,10 @@ func RunFig9a() (*Timeline, error) {
 	// Wait for the post to reach the mailer and the analyzer — whose
 	// callback publishes the decoration before the post is acked — and
 	// then for the decoration to land everywhere.
-	if err := settled(e.diaspora, e.mailer, e.analyzer); err != nil {
+	if err := waitConverged(5*time.Second, e.diaspora, e.mailer, e.analyzer); err != nil {
 		return nil, err
 	}
-	return e.timeline, settled(e.analyzer, e.diaspora, e.spree)
+	return e.timeline, waitConverged(5*time.Second, e.analyzer, e.diaspora, e.spree)
 }
 
 // RunFig9b reproduces the Fig 9(b) execution sample: two users post two
@@ -276,7 +273,7 @@ func RunFig9b() (*Timeline, error) {
 	e.mailer.StartWorkers(4)
 	// A drained mailer queue is four sent emails: the callback sends
 	// before the delivery is acked.
-	return e.timeline, settle(time.Now().Add(10*time.Second), e.diaspora, []*core.App{e.mailer}, "", nil)
+	return e.timeline, waitConverged(10*time.Second, e.diaspora, e.mailer)
 }
 
 const (

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -120,55 +121,11 @@ func drainRate(sub *core.App, workers int, window time.Duration) float64 {
 	return applyRate(sub, window)
 }
 
-// settle waits until nothing is in flight from pub to subs — its
-// journal owes no send, every subscriber queue is drained and acked —
-// and every subscriber holds pub's row for each id of the model (ids may
-// be empty). At the deadline it returns what still diverged, so a run
-// that never settled fails instead of reporting a number.
-func settle(deadline time.Time, pub *core.App, subs []*core.App, modelName string, ids []string) error {
-	for {
-		err := diverged(pub, subs, modelName, ids)
-		if err == nil {
-			return nil
-		}
-		if !time.Now().Before(deadline) {
-			// Stats renders the parked list: only on the way out, never
-			// in the poll.
-			var parked []string
-			for _, s := range subs {
-				parked = append(parked, s.Stats().Parked...)
-			}
-			return fmt.Errorf("%w; parked: %q", err, parked)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func diverged(pub *core.App, subs []*core.App, modelName string, ids []string) error {
-	if d := pub.JournalDepth(); d > 0 {
-		return fmt.Errorf("%s: journal still owes %d sends", pub.Name(), d)
-	}
-	for _, s := range subs {
-		if q := s.Queue(); q.Depth() > 0 || s.PendingAcks() > 0 {
-			return fmt.Errorf("%s: %d deliveries queued or unacked, %d acks parked", s.Name(), q.Depth(), s.PendingAcks())
-		}
-	}
-	for _, id := range ids {
-		want, err := pub.Mapper().Find(modelName, id)
-		if err != nil {
-			return fmt.Errorf("%s: %w", pub.Name(), err)
-		}
-		for _, s := range subs {
-			got, err := s.Mapper().Find(modelName, id)
-			if err != nil {
-				return fmt.Errorf("%s: %w", s.Name(), err)
-			}
-			if !got.Project(want.AttrNames()).Equal(want) {
-				return fmt.Errorf("%s has %s/%s = %v, %s has %v", s.Name(), modelName, id, got.Attrs, pub.Name(), want.Attrs)
-			}
-		}
-	}
-	return nil
+// waitConverged is core.Settle with a timeout.
+func waitConverged(timeout time.Duration, pub *core.App, subs ...*core.App) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return core.Settle(ctx, pub, subs...)
 }
 
 // createItem creates Item id on app with deps-1 read dependencies plus

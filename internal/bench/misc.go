@@ -120,7 +120,7 @@ func RunLostMsg(cfg LostMsgConfig) LostMsgResult {
 		if q := sub.Queue(); q != q0 || q.Dead() { // a recovered queue is a new handle
 			res.Decommissions = true
 		}
-		if diverged(pub, []*core.App{sub}, "Item", ids) == nil {
+		if core.Converged(pub, sub) == nil {
 			res.Converged = true
 			res.ConvergeTime = time.Since(start)
 			return res

@@ -200,16 +200,19 @@ func RunTail(cfg TailConfig) (TailDoc, error) {
 // in-flight pipeline bound (0 = the core default).
 func runTailPoint(cfg TailConfig, rate float64, depth int) (TailPoint, error) {
 	rec := new(hdr.Recorder)
-	var start time.Time // set right before the publishers launch
+	var start time.Time      // set right before the publishers launch
+	var applied atomic.Int64 // ns from start to the latest apply
 	warmupNs := cfg.Warmup.Nanoseconds()
 	measure := func(ctx *model.CallbackCtx) error {
 		time.Sleep(tailCallback)
+		now := time.Since(start).Nanoseconds()
+		applied.Store(now)
 		sendAt, ok := ctx.Record.Get("t").(float64)
 		if !ok {
 			return fmt.Errorf("tail: record %s/%s missing send stamp", ctx.Record.Model, ctx.Record.ID)
 		}
 		if int64(sendAt) >= warmupNs {
-			rec.Record(time.Since(start).Nanoseconds() - int64(sendAt))
+			rec.Record(now - int64(sendAt))
 		}
 		return nil
 	}
@@ -259,11 +262,12 @@ func runTailPoint(cfg TailConfig, rate float64, depth int) (TailPoint, error) {
 	sent := gen.Emitted()
 
 	// Drain: the tail of the backlog still counts — dropping it would
-	// be coordinated omission through the back door.
-	if err := settle(time.Now().Add(tailDrainTimeout), pub, []*core.App{sub}, "", nil); err != nil {
+	// be coordinated omission through the back door. The window ends at
+	// the last apply, so the verdict's row scan is not charged to it.
+	if err := waitConverged(tailDrainTimeout, pub, sub); err != nil {
 		return TailPoint{}, err
 	}
-	elapsed := time.Since(start)
+	elapsed := time.Duration(applied.Load())
 	st := sub.Stats()
 	delivered := st.Processed
 

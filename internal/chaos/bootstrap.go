@@ -67,20 +67,16 @@ type BootstrapResult struct {
 	Deduped      int64         // chunk rows skipped by the watermark window
 	JoinTime     time.Duration // first Bootstrap call -> success
 
-	// Convergence.
-	Converged        bool
-	RecoveryTime     time.Duration // join success -> exact convergence
-	Mismatch         string
+	Verdict          // RecoveryTime runs from the join's success
 	Regressions      int
 	RegressionDetail []string
 	MaxPublishStall  time.Duration // worst chunk-read lock hold on the publisher
 }
 
 // RunBootstrap executes one seeded bootstrap-race script: the invariants
-// are exact convergence of the subscriber's database with the
-// publisher's (zero lost objects, zero lost live writes) and zero value
-// regressions (no chunk row applied over newer live state), no matter
-// where the script crashed or partitioned the join.
+// are core.Converged (zero lost objects, zero lost live writes) and zero
+// value regressions (no chunk row applied over newer live state), no
+// matter where the script crashed or partitioned the join.
 func RunBootstrap(cfg BootstrapConfig) (BootstrapResult, error) {
 	cfg = cfg.withDefaults()
 	res := BootstrapResult{Seed: cfg.Seed, Objects: cfg.Objects, Writes: cfg.Writes, Tracker: core.TrackerHash}
@@ -202,10 +198,7 @@ func RunBootstrap(cfg BootstrapConfig) (BootstrapResult, error) {
 	sub.StartWorkers(0)
 	defer sub.StopWorkers()
 
-	deadline := time.Now().Add(settleTimeout)
-	if res.Converged, res.Mismatch = converge(deadline, pub, []*core.App{sub}, objs); res.Converged {
-		res.RecoveryTime = time.Since(joined)
-	}
+	res.judge(joined, pub, sub)
 
 	res.RegressionDetail = probe.regressions()
 	res.Regressions = len(res.RegressionDetail)

@@ -5,8 +5,8 @@
 // against it — bidirectional partitions, broker crash/restarts,
 // version-store deaths healed by generation bumps (§4.4), and a broker
 // that accepts a subscriber's copies and then loses them (§6.5) — while
-// a writer keeps publishing, and then checks exact cross-engine
-// convergence once the faults heal.
+// a writer keeps publishing, and then asks core.Settle for the verdict
+// once the faults heal.
 //
 // Determinism: every fault decision (which fault, when, for how long,
 // which link) and every network decision (latency, drop, duplicate)
@@ -17,13 +17,10 @@
 // The invariants, per Config.Seed:
 //
 //   - Zero lost updates: after the final heal and one settle write per
-//     object, every subscriber's database exactly matches the
-//     publisher's — with no Bootstrap call anywhere (queues are
-//     unbounded, so nothing decommissions; recovery is pure message
-//     flow: journal redrains, broker restart from its log, redelivery,
-//     generation flushes, and dependency timeouts past a lost message).
-//     A copy the broker lost is superseded by a later full-state message
-//     for the same object, the settle write at the latest.
+//     object, core.Converged holds with no Bootstrap call anywhere:
+//     recovery is pure message flow (journal redrains, broker restart,
+//     redelivery, generation flushes, dependency timeouts past a lost
+//     message, and a lost copy superseded by a later full-state one).
 //   - Zero double-applied updates: object values are globally
 //     monotonic across writes, so any subscriber callback observing a
 //     value regression means a stale delivery was re-applied over a
@@ -35,6 +32,7 @@
 package chaos
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -103,21 +101,36 @@ type Result struct {
 	VStoreKills   int // publisher version-store deaths
 	GenBumps      int // generation bumps the writer healed with (§4.4)
 
-	// Convergence.
-	Converged        bool
-	RecoveryTime     time.Duration // final heal -> exact convergence
-	Mismatch         string        // first divergence seen at timeout (debugging)
-	Regressions      int           // value regressions observed by subscriber callbacks
-	RegressionDetail []string      // one line per regression (debugging)
+	Verdict
+	Regressions      int      // value regressions observed by subscriber callbacks
+	RegressionDetail []string // one line per regression (debugging)
 
 	// Traffic and healing volume.
 	Net         netsim.Stats
 	Deferred    int64 // publisher sends degraded to journal-and-defer
 	Republished int64 // journal entries re-sent by the periodic drain
 	Redelivered int64 // subscriber deliveries redelivered (lost acks, restarts)
-	PendingAcks int   // parked acks left at the end (0 when converged)
 
 	LogCheck
+}
+
+// Verdict is how a run ended, as core.Settle judged it.
+type Verdict struct {
+	Converged    bool
+	RecoveryTime time.Duration // last heal -> converged
+	Mismatch     string        // core.Settle's error at the deadline
+}
+
+// judge gives subs settleTimeout to converge on pub and records the
+// verdict; since is when the run's last fault healed.
+func (v *Verdict) judge(since time.Time, pub *core.App, subs ...*core.App) {
+	ctx, cancel := context.WithTimeout(context.Background(), settleTimeout)
+	defer cancel()
+	if err := core.Settle(ctx, pub, subs...); err != nil {
+		v.Mismatch = err.Error()
+		return
+	}
+	v.Converged, v.RecoveryTime = true, time.Since(since)
 }
 
 // LogCheck is the broker-log invariant every script asserts.
@@ -158,21 +171,11 @@ func (w *logWatch) verdict(segments int) LogCheck {
 	return LogCheck{LogViolation: w.violation, LogSegments: segments}
 }
 
-// quiesce gives a run's trailing work until the deadline to finish, and
-// reports the acks still parked then. The databases can match while the
-// last deliveries — redelivered duplicates the version guard discards —
-// are still being acked, and an ack whose call the lossy link dropped
-// sits parked until the next retry tick: neither is a leftover, and a
-// count taken the instant the databases match would flake on them.
-func (t *turbulent) quiesce(deadline time.Time, apps ...*core.App) int {
-	for {
-		parked := 0
-		for _, a := range apps {
-			parked += a.PendingAcks()
-		}
-		if (parked == 0 && t.f.Broker.LogSegments() <= 1) || !time.Now().Before(deadline) {
-			return parked
-		}
+// quiesce gives the broker until the deadline to truncate its log down
+// to one segment: the truncation that follows a run's last acks can
+// land after the verdict saw them.
+func (t *turbulent) quiesce(deadline time.Time) {
+	for t.f.Broker.LogSegments() > 1 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
@@ -307,36 +310,4 @@ func Run(cfg Config) (Result, error) {
 		brk.Restart()
 	}
 	return res, e.finish(&res)
-}
-
-// diverged reports the first divergence between the publisher and the
-// subscribers, or "" when fully converged.
-func diverged(pub *core.App, subs []*core.App, objs []string) string {
-	if d := pub.JournalDepth(); d > 0 {
-		return fmt.Sprintf("publisher journal still holds %d entries", d)
-	}
-	for _, a := range append([]*core.App{pub}, subs...) {
-		if n := a.PendingAcks(); n > 0 {
-			return fmt.Sprintf("%s still has %d parked acks", a.Name(), n)
-		}
-	}
-	for _, id := range objs {
-		want, err := pub.Mapper().Find(chaosModel, id)
-		if err != nil {
-			return fmt.Sprintf("publisher missing %s: %v", id, err)
-		}
-		for _, s := range subs {
-			// What a lagging subscriber's parked messages wait for is the diagnosis.
-			got, err := s.Mapper().Find(chaosModel, id)
-			if err != nil {
-				return fmt.Sprintf("%s missing %s; parked: %q", s.Name(), id, s.Stats().Parked)
-			}
-			if got.String("name") != want.String("name") || got.Int("likes") != want.Int("likes") {
-				return fmt.Sprintf("%s has %s=(%s,%d), publisher has (%s,%d); parked: %q",
-					s.Name(), id, got.String("name"), got.Int("likes"),
-					want.String("name"), want.Int("likes"), s.Stats().Parked)
-			}
-		}
-	}
-	return ""
 }

@@ -164,19 +164,6 @@ func (w *writer) steady(seed int64, objs []string, n int) (wait func() error) {
 	return func() error { <-done; return err }
 }
 
-// converge polls until every subscriber database exactly matches the
-// publisher's with the journal drained and no acks parked, or the
-// deadline; it reports the first divergence still seen then.
-func converge(deadline time.Time, pub *core.App, subs []*core.App, objs []string) (ok bool, mismatch string) {
-	for {
-		mismatch = diverged(pub, subs, objs)
-		if mismatch == "" || time.Now().After(deadline) {
-			return mismatch == "", mismatch
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // ecosystem is the three-app fabric of Run: the publisher with a
 // document and a SQL subscriber, all on lossy broker links, workers
 // running.
@@ -231,7 +218,7 @@ func (e *ecosystem) stop() {
 // finish runs a healed script to its verdict: one settle write per
 // object — full-state messages under the final generation, so
 // convergence never needs a Bootstrap even when a generation flush
-// dropped earlier updates — then exact convergence, then what the run
+// dropped earlier updates — then core.Settle, then what the run
 // observed.
 func (e *ecosystem) finish(res *Result) error {
 	healed := time.Now()
@@ -240,10 +227,7 @@ func (e *ecosystem) finish(res *Result) error {
 			return err
 		}
 	}
-	deadline := time.Now().Add(settleTimeout)
-	if res.Converged, res.Mismatch = converge(deadline, e.pub, e.subs, e.objs); res.Converged {
-		res.RecoveryTime = time.Since(healed)
-	}
+	res.judge(healed, e.pub, e.subs...)
 	for _, p := range e.probes {
 		res.RegressionDetail = append(res.RegressionDetail, p.regressions()...)
 	}
@@ -256,7 +240,7 @@ func (e *ecosystem) finish(res *Result) error {
 	for _, s := range e.subs {
 		res.Redelivered += s.Stats().Redelivered
 	}
-	res.PendingAcks = e.quiesce(deadline, e.apps()...)
+	e.quiesce(time.Now().Add(settleTimeout))
 	res.LogCheck = e.logs.verdict(e.f.Broker.LogSegments())
 	return res.logErr(res.Converged)
 }

@@ -19,8 +19,8 @@ import (
 // Mid-run a poison write hangs its subscriber callback forever; the
 // stall watchdog must quarantine it to the dead-letter set-aside while
 // sibling messages keep draining. After the writer stops, the operator
-// "fixes" the callback, replays the dead letter, and the run checks
-// exact convergence, then performs a graceful Drain.
+// "fixes" the callback, replays the dead letter, and the run settles
+// (core.Settle), then performs a graceful Drain.
 //
 // The invariants, per OverloadConfig.Seed:
 //
@@ -28,8 +28,8 @@ import (
 //     never decommissioned — soft backpressure absorbs the overload the
 //     hard bound would otherwise answer with the §4.4 cliff.
 //   - Zero lost updates: after release + replay + one settle write per
-//     object, the subscriber database exactly matches the publisher's
-//     (shed low-priority updates are superseded by the settle writes).
+//     object, core.Converged holds (the settle writes supersede shed
+//     low-priority updates).
 //   - Slow-consumer isolation: the hung delivery quarantines within the
 //     escalation budget while sibling deliveries keep being applied.
 //   - Clean hand-off: Drain leaves no unacked deliveries and no parked
@@ -97,10 +97,8 @@ type OverloadResult struct {
 	HardBound     int
 	Decommissions int // must be 0: soft backpressure kept us off the cliff
 
-	// Convergence.
-	Converged   bool
-	Mismatch    string // first divergence seen at timeout (debugging)
-	Regressions int    // value regressions seen by subscriber callbacks
+	Verdict
+	Regressions int // value regressions seen by subscriber callbacks
 
 	// Graceful drain.
 	DrainOK      bool
@@ -246,12 +244,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 			return res, err
 		}
 	}
-	settleObjs := objs
-	if !cfg.DisableStall {
-		settleObjs = append(append([]string{}, objs...), poisonID)
-	}
-	deadline := time.Now().Add(settleTimeout)
-	res.Converged, res.Mismatch = converge(deadline, pub, []*core.App{sub}, settleObjs)
+	res.judge(time.Now(), pub, sub)
 
 	// Queue bounds: the soft layer must have kept the run off the
 	// decommission cliff entirely.
@@ -271,7 +264,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 		res.DrainOK = false
 	}
 	res.DrainUnacked = sub.Queue().Unacked()
-	t.quiesce(deadline)
+	t.quiesce(time.Now().Add(settleTimeout))
 	res.LogCheck = t.logs.verdict(brk.LogSegments())
 
 	ps := pub.Stats()

@@ -494,8 +494,7 @@ func TestBootstrapDrainParkedJobResumesOnWorker(t *testing.T) {
 
 	sub.StartWorkers(1)
 	defer sub.StopWorkers()
-	waitConverged(t, 2*time.Second, pub, sub)
-	waitFor(t, 2*time.Second, func() bool { return q.Len() == 0 && q.Unacked() == 0 })
+	mustSettle(t, 2*time.Second, pub, sub)
 	if w := resumedBy.Load(); w == nil || w == drain {
 		t.Fatalf("the update was resumed by %p, want a worker's lane, not the drain's %p", w, drain)
 	}

@@ -521,11 +521,7 @@ func TestCrashBetweenIncrFlushAndAckFlush(t *testing.T) {
 	f.Broker.Crash()
 	f.Broker.Restart()
 
-	waitFor(t, 10*time.Second, func() bool {
-		nq := sub.Queue()
-		return nq != nil && !nq.Dead() && nq.Len() == 0 && nq.Unacked() == 0 &&
-			sub.PendingAcks() == 0
-	})
+	mustSettle(t, 10*time.Second, pub, sub)
 	if got := sub.Stats().Redelivered; got < writes {
 		t.Errorf("Redelivered = %d, want >= %d (every unacked delivery replays)", got, writes)
 	}

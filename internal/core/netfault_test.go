@@ -64,13 +64,7 @@ func TestPublishDegradesToJournalAndDefer(t *testing.T) {
 	}
 
 	f.Net.Heal("pub", EndpointBroker)
-	waitFor(t, 10*time.Second, func() bool {
-		got, err := subMapper.Find("User", "u1")
-		return err == nil && got.String("name") == "stranded"
-	})
-	waitFor(t, 10*time.Second, func() bool {
-		return pub.JournalDepth() == 0
-	})
+	mustSettle(t, 10*time.Second, pub, sub)
 	if pub.Stats().Republished == 0 {
 		t.Errorf("Stats.Republished = 0, want the drain to have resent the entry")
 	}

@@ -22,7 +22,7 @@ import (
 func TestPublishDefersPastHighWatermarkAndResumes(t *testing.T) {
 	f := NewFabric()
 	pub, _ := newDocApp(t, f, "pub", Config{JournalRetryInterval: 2 * time.Millisecond})
-	sub, subMapper := newSQLApp(t, f, "sub", Config{
+	sub, _ := newSQLApp(t, f, "sub", Config{
 		QueueHighWatermark: 4,
 		Workers:            2,
 	})
@@ -61,14 +61,7 @@ func TestPublishDefersPastHighWatermarkAndResumes(t *testing.T) {
 	defer pub.StopWorkers()
 	sub.StartWorkers(0)
 	defer sub.StopWorkers()
-	waitFor(t, 10*time.Second, func() bool {
-		return pub.JournalDepth() == 0 && sub.Stats().Processed >= writes
-	})
-	for i := 0; i < writes; i++ {
-		if _, err := subMapper.Find("User", fmt.Sprintf("u%d", i)); err != nil {
-			t.Fatalf("u%d never delivered: %v", i, err)
-		}
-	}
+	mustSettle(t, 10*time.Second, pub, sub)
 	if got := sub.Queue().MaxDepthSeen(); got > 4+2 {
 		t.Fatalf("drain overshoot: depth reached %d", got)
 	}
@@ -306,10 +299,7 @@ func TestStallClockStartsAtClaim(t *testing.T) {
 
 	sub.StartWorkers(1)
 	defer sub.StopWorkers()
-	waitConverged(t, 5*time.Second, pub, sub)
-	waitFor(t, 5*time.Second, func() bool {
-		return len(sub.Stats().Parked) == 0 && sub.Queue().Unacked() == 0
-	})
+	mustSettle(t, 5*time.Second, pub, sub)
 	if st := sub.Stats(); st.Stalled != 0 {
 		t.Fatalf("Stalled = %d, want 0: no callback is slow", st.Stalled)
 	}
@@ -490,23 +480,10 @@ func TestDecommissionLastResortUnderLiveLoad(t *testing.T) {
 		// replacement, and the final state still converges.
 		waitFor(t, 20*time.Second, func() bool { return q0.Dead() })
 		waitFor(t, 20*time.Second, func() bool {
-			if pub.JournalDepth() > 0 {
-				return false
-			}
 			q := sub.Queue()
-			return q != nil && q != q0 && !q.Dead() && q.Len() == 0 && q.Unacked() == 0 && !sub.Bootstrapping()
+			return q != nil && q != q0 && !q.Dead()
 		})
-		for i := 0; i < 8; i++ {
-			id := fmt.Sprintf("u%d", i)
-			want, err := pub.Mapper().Find("User", id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			waitFor(t, 10*time.Second, func() bool {
-				got, err := sub.Mapper().Find("User", id)
-				return err == nil && got.Int("likes") == want.Int("likes")
-			})
-		}
+		mustSettle(t, 20*time.Second, pub, sub)
 	})
 
 	t.Run("soft backpressure avoids the cliff", func(t *testing.T) {
@@ -517,9 +494,7 @@ func TestDecommissionLastResortUnderLiveLoad(t *testing.T) {
 			Workers:            1,
 			DepTimeout:         10 * time.Millisecond,
 		})
-		waitFor(t, 20*time.Second, func() bool {
-			return pub.JournalDepth() == 0 && sub.Queue().Len() == 0 && sub.Queue().Unacked() == 0
-		})
+		mustSettle(t, 20*time.Second, pub, sub)
 		if q0.Dead() {
 			t.Fatal("queue decommissioned despite soft backpressure")
 		}

@@ -47,24 +47,6 @@ func updateUser(t *testing.T, ctl *Controller, id, name string) {
 	}
 }
 
-// waitConverged waits for the subscriber's u1 to carry the publisher's
-// name, dumping what is parked if it never does.
-func waitConverged(t *testing.T, timeout time.Duration, pub, sub *App) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		want, _ := pub.Mapper().Find("User", "u1")
-		if got, err := sub.Mapper().Find("User", "u1"); err == nil && got.String("name") == want.String("name") {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	st := sub.Stats()
-	q := sub.Queue()
-	t.Fatalf("never converged: processed=%d pending=%d unacked=%d blocked=%d parked=%q",
-		st.Processed, q.Len(), q.Unacked(), st.DepWaitsBlocked, st.Parked)
-}
-
 // TestDependantAheadOfSatisfierSingleWorker is ROADMAP item 1's wedge,
 // deterministic: the queue front reads [update u1, create u1] and there
 // is one worker. A worker that blocks on the update's dependency never
@@ -86,7 +68,7 @@ func TestDependantAheadOfSatisfierSingleWorker(t *testing.T) {
 
 			sub.StartWorkers(1)
 			defer sub.StopWorkers()
-			waitConverged(t, 2*time.Second, pub, sub)
+			mustSettle(t, 2*time.Second, pub, sub)
 		})
 	}
 }
@@ -115,11 +97,7 @@ func TestNewGenerationAheadOfLastOldOneSingleWorker(t *testing.T) {
 
 			sub.StartWorkers(1)
 			defer sub.StopWorkers()
-			waitConverged(t, 2*time.Second, pub, sub)
-			waitFor(t, 2*time.Second, func() bool {
-				q := sub.Queue()
-				return q.Len() == 0 && q.Unacked() == 0 && len(sub.Stats().Parked) == 0
-			})
+			mustSettle(t, 2*time.Second, pub, sub)
 		})
 	}
 }

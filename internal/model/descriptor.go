@@ -2,7 +2,8 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync/atomic"
 )
 
@@ -65,10 +66,8 @@ type Association struct {
 // attributes, associations, callbacks, and (for polymorphic models) its
 // parent. It is the explicit Go substitute for a Ruby model class.
 type Descriptor struct {
-	Name    string
-	Fields  []Field
-	Virtual map[string]*VirtualAttr
-	Assocs  []Association
+	Name   string
+	Assocs []Association
 	// Parent points at the ancestor descriptor for single-table
 	// inheritance; the wire format ships the full inheritance chain so
 	// subscribers can consume polymorphic models (§4.1).
@@ -76,28 +75,36 @@ type Descriptor struct {
 
 	Callbacks Callbacks
 
-	fieldIndex map[string]*Field
-	// rev counts AddField, RemoveField and DefineVirtual: what a value
-	// compiled from the descriptor (Projection) checks itself against.
-	rev atomic.Uint64
+	// schema is copied on write by AddField, RemoveField and
+	// DefineVirtual, so a live worker's Validate reads one consistent
+	// set without a lock while a migration (§4.3) changes it. rev counts
+	// the changes: what a Projection checks itself against.
+	schema atomic.Pointer[schema]
+	rev    atomic.Uint64
+}
+
+// schema is one version of a descriptor's attributes, never changed.
+type schema struct {
+	fields  []Field
+	index   map[string]*Field
+	virtual map[string]*VirtualAttr
 }
 
 // NewDescriptor builds a descriptor over the given fields.
 func NewDescriptor(name string, fields ...Field) *Descriptor {
-	d := &Descriptor{
-		Name:    name,
-		Fields:  fields,
-		Virtual: make(map[string]*VirtualAttr),
-	}
-	d.reindex()
+	d := &Descriptor{Name: name}
+	d.publish(slices.Clone(fields), map[string]*VirtualAttr{})
 	return d
 }
 
-func (d *Descriptor) reindex() {
-	d.fieldIndex = make(map[string]*Field, len(d.Fields))
-	for i := range d.Fields {
-		d.fieldIndex[d.Fields[i].Name] = &d.Fields[i]
+// publish stores a schema over fields and virtual, which nothing else
+// holds. Schema changes must not race each other; readers may.
+func (d *Descriptor) publish(fields []Field, virtual map[string]*VirtualAttr) {
+	s := &schema{fields: fields, index: make(map[string]*Field, len(fields)), virtual: virtual}
+	for i := range fields {
+		s.index[fields[i].Name] = &fields[i]
 	}
+	d.schema.Store(s)
 	d.rev.Add(1)
 }
 
@@ -111,79 +118,58 @@ func (d *Descriptor) Revision() uint64 {
 	return rev
 }
 
+// Fields returns the persisted fields in declaration order. The slice
+// is shared: callers must not modify it.
+func (d *Descriptor) Fields() []Field { return d.schema.Load().fields }
+
 // AddField appends a persisted field (used by live schema migrations).
 func (d *Descriptor) AddField(f Field) {
-	d.Fields = append(d.Fields, f)
-	d.reindex()
+	s := d.schema.Load()
+	d.publish(append(slices.Clip(s.fields), f), s.virtual)
 }
 
 // RemoveField deletes a persisted field by name, returning whether it was
 // present (used by live schema migrations together with virtual aliases).
 func (d *Descriptor) RemoveField(name string) bool {
-	for i := range d.Fields {
-		if d.Fields[i].Name == name {
-			d.Fields = append(d.Fields[:i], d.Fields[i+1:]...)
-			d.reindex()
-			return true
-		}
+	s := d.schema.Load()
+	i := slices.IndexFunc(s.fields, func(f Field) bool { return f.Name == name })
+	if i < 0 {
+		return false
 	}
-	return false
+	d.publish(slices.Delete(slices.Clone(s.fields), i, i+1), s.virtual)
+	return true
 }
 
 // Field returns the named persisted field, if declared.
 func (d *Descriptor) Field(name string) (*Field, bool) {
-	f, ok := d.fieldIndex[name]
+	f, ok := d.schema.Load().index[name]
 	return f, ok
 }
 
 // HasAttr reports whether the name is a persisted field or a virtual
 // attribute on this descriptor or any ancestor.
 func (d *Descriptor) HasAttr(name string) bool {
-	for m := d; m != nil; m = m.Parent {
-		if _, ok := m.fieldIndex[name]; ok {
-			return true
-		}
-		if _, ok := m.Virtual[name]; ok {
-			return true
-		}
-	}
-	return false
+	_, ok := d.lookupField(name)
+	return ok || d.lookupVirtual(name) != nil
 }
 
 // FieldNames returns the persisted field names in declaration order.
 func (d *Descriptor) FieldNames() []string {
-	out := make([]string, len(d.Fields))
-	for i, f := range d.Fields {
+	fields := d.Fields()
+	out := make([]string, len(fields))
+	for i, f := range fields {
 		out[i] = f.Name
 	}
-	return out
-}
-
-// AttrNames returns all attribute names (persisted and virtual, including
-// inherited ones), sorted.
-func (d *Descriptor) AttrNames() []string {
-	set := make(map[string]struct{})
-	for m := d; m != nil; m = m.Parent {
-		for _, f := range m.Fields {
-			set[f.Name] = struct{}{}
-		}
-		for n := range m.Virtual {
-			set[n] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
 	return out
 }
 
 // DefineVirtual installs a virtual attribute (programmer-provided getter
 // and/or setter for an attribute not in the DB schema, §3.1).
 func (d *Descriptor) DefineVirtual(v *VirtualAttr) {
-	d.Virtual[v.Name] = v
-	d.rev.Add(1)
+	s := d.schema.Load()
+	virtual := maps.Clone(s.virtual)
+	virtual[v.Name] = v
+	d.publish(s.fields, virtual)
 }
 
 // TypeChain returns the inheritance chain from this model up to the root,
@@ -210,8 +196,12 @@ func (d *Descriptor) IsA(name string) bool {
 // Validate checks the record's attributes against the declared field
 // types. Unknown attributes are allowed only if declared virtual.
 func (d *Descriptor) Validate(r *Record) error {
+	s := d.schema.Load()
 	for name, v := range r.Attrs {
-		f, ok := d.lookupField(name)
+		f, ok := s.index[name]
+		if !ok && d.Parent != nil {
+			f, ok = d.Parent.lookupField(name)
+		}
 		if !ok {
 			if d.lookupVirtual(name) != nil {
 				continue
@@ -230,7 +220,7 @@ func (d *Descriptor) Validate(r *Record) error {
 
 func (d *Descriptor) lookupField(name string) (*Field, bool) {
 	for m := d; m != nil; m = m.Parent {
-		if f, ok := m.fieldIndex[name]; ok {
+		if f, ok := m.schema.Load().index[name]; ok {
 			return f, true
 		}
 	}
@@ -239,7 +229,7 @@ func (d *Descriptor) lookupField(name string) (*Field, bool) {
 
 func (d *Descriptor) lookupVirtual(name string) *VirtualAttr {
 	for m := d; m != nil; m = m.Parent {
-		if v, ok := m.Virtual[name]; ok {
+		if v, ok := m.schema.Load().virtual[name]; ok {
 			return v
 		}
 	}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -168,6 +169,49 @@ func TestDescriptorSchemaMigration(t *testing.T) {
 	}
 	if d.RemoveField("email") {
 		t.Fatal("RemoveField hit a missing field")
+	}
+}
+
+// TestSchemaChangeBesideValidate is a live schema migration (§4.3): the
+// publisher adds, removes and aliases attributes while a subscriber's
+// worker validates records against the same descriptor. Run it under
+// -race: a field set rewritten in place is a data race here.
+func TestSchemaChangeBesideValidate(t *testing.T) {
+	d := NewDescriptor("User", Field{Name: "name", Type: String})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			name := fmt.Sprintf("f%d", i)
+			d.AddField(Field{Name: name, Type: String})
+			d.DefineVirtual(&VirtualAttr{Name: "v" + name})
+			if i%2 == 0 && !d.RemoveField(name) {
+				t.Errorf("RemoveField(%s) missed a field just added", name)
+			}
+		}
+	}()
+	r := NewRecord("User", "u1")
+	r.Set("name", "alice")
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if err := d.Validate(r); err != nil {
+			t.Fatalf("Validate during migration: %v", err)
+		}
+		if !d.HasAttr("name") || len(d.FieldNames()) == 0 {
+			t.Fatal("the unchanged field vanished mid-migration")
+		}
+	}
+	if got := len(d.Fields()); got != 101 {
+		t.Errorf("%d fields after 200 adds and 100 removes, want 101", got)
+	}
+	r.Set("f199", "x")
+	r.Set("vf0", "y")
+	if err := d.Validate(r); err != nil {
+		t.Errorf("Validate after migration: %v", err)
 	}
 }
 

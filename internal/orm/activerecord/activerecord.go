@@ -41,7 +41,7 @@ func (m *Mapper) DB() *reldb.DB { return m.db }
 func (m *Mapper) Register(d *model.Descriptor) error {
 	table := orm.Tableize(d.Name)
 	m.RegisterAs(d, table)
-	cols := make([]reldb.Column, 0, len(d.Fields))
+	cols := make([]reldb.Column, 0, len(d.Fields()))
 	for _, f := range allFields(d) {
 		cols = append(cols, reldb.Column{Name: f.Name, Indexed: f.Indexed})
 	}
@@ -57,7 +57,7 @@ func allFields(d *model.Descriptor) []model.Field {
 	var out []model.Field
 	seen := make(map[string]struct{})
 	for cur := d; cur != nil; cur = cur.Parent {
-		for _, f := range cur.Fields {
+		for _, f := range cur.Fields() {
 			if _, ok := seen[f.Name]; ok {
 				continue
 			}

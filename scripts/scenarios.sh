@@ -63,11 +63,12 @@ scenario_check() {
 
 # Seeded fault scripts (partitions, broker crash/restarts, store
 # deaths, copies the broker accepted and lost), the generation
-# coordinator, the crash property tests, and the broker log's
-# truncation and retention, under the race detector.
+# coordinator, the crash property tests, the convergence verdict every
+# script ends on, and the broker log's truncation and retention, under
+# the race detector.
 scenario_chaos() {
     go test -race $SHORT ./internal/chaos/ ./internal/netsim/ ./internal/coord/ &&
-        gotest -race $SHORT -run 'TestBroker|TestCrash|TestDeadLetter|TestJournal|TestConcurrentPublish|TestStats|TestTruncationInterleaved|TestLogTruncation|TestOneRecordPerPublish|TestSlowConsumer' \
+        gotest -race $SHORT -run 'TestBroker|TestCrash|TestDeadLetter|TestJournal|TestConcurrentPublish|TestStats|TestTruncationInterleaved|TestLogTruncation|TestOneRecordPerPublish|TestSlowConsumer|TestConverged|TestSettle' \
             ./internal/broker/ ./internal/core/
 }
 
