@@ -208,7 +208,7 @@ type App struct {
 	onMove    func(j *job, from, to jobState)
 	onPubMove func(p *publication, from, to pubState)
 
-	// The subscriber's group commit (see flushBatch in subscribe.go):
+	// The subscriber's group commit (see flushBatch in lanes.go):
 	// completed pipeline deliveries queue their jobs here, and whichever
 	// worker leads the flusher drains their counter increments and broker
 	// acks in IncrOpsMulti + AckMulti batches. flushCounts and flushTags

@@ -230,22 +230,13 @@ func (a *App) Bootstrap(from string, models ...string) error {
 	}
 
 	// Step 3: drain the backlog accumulated during steps 1-2 (most of it
-	// was already consumed inside the chunk windows). Workers may be
-	// running concurrently (decommission recovery); TryGet interleaves
-	// safely with them.
-	q := a.Queue()
-	for {
-		d, got, err := q.TryGet()
-		if err != nil {
-			if errors.Is(err, broker.ErrDecommissioned) {
-				return err
-			}
-			return nil // queue closed
+	// was already consumed inside the chunk windows), until the queue is
+	// empty.
+	if err := a.drainQueue(drain, func(empty bool) bool { return empty }); err != nil {
+		if errors.Is(err, broker.ErrDecommissioned) {
+			return err
 		}
-		if !got {
-			break
-		}
-		drain.runFetched(q, d)
+		return nil // queue closed
 	}
 	// Converged: the resume cursors have served their purpose.
 	for _, m := range models {
@@ -409,36 +400,44 @@ func (a *App) publishWatermark(pub *App, id, kind string) error {
 // watermark comes back (setting hiSeen via noteWatermark), bounding the
 // wait with BootstrapChunkWait: past the deadline the chunk applies
 // without live dedup — the per-object version guard alone still makes
-// that correct — and the timeout is counted in ChunkRetries.
+// that correct — and the miss is counted in ChunkRetries. A closed queue
+// or a faulty broker, where no watermark can arrive, is a miss too.
 func (a *App) awaitHighWatermark(drain *worker, w *chunkWindow) error {
+	deadline := time.Now().Add(a.cfg.BootstrapChunkWait)
+	err := a.drainQueue(drain, func(bool) bool { return w.highSeen() || time.Now().After(deadline) })
+	if errors.Is(err, broker.ErrDecommissioned) {
+		return err
+	}
+	if !w.highSeen() {
+		a.tel.chunkRetries.Add(1)
+	}
+	return nil
+}
+
+// drainQueue is bootstrap's drain loop: it takes deliveries off the
+// app's queue one TryGet at a time and runs each through the drain
+// worker until done reports true — asked before every TryGet, and told
+// whether the last one found the queue empty. An empty queue is polled
+// after a pause: workers may be running concurrently (decommission
+// recovery), and TryGet interleaves safely with them — they may consume
+// a watermark on the drain's behalf. It returns the error that ended
+// TryGet (nil with no queue).
+func (a *App) drainQueue(drain *worker, done func(empty bool) bool) error {
 	q := a.Queue()
 	if q == nil {
-		a.tel.chunkRetries.Add(1)
 		return nil
 	}
-	deadline := time.Now().Add(a.cfg.BootstrapChunkWait)
-	for !w.highSeen() {
-		if time.Now().After(deadline) {
-			a.tel.chunkRetries.Add(1)
-			return nil
+	for empty := false; !done(empty); {
+		if empty {
+			a.pause(nil, time.Millisecond)
 		}
 		d, got, err := q.TryGet()
 		if err != nil {
-			if errors.Is(err, broker.ErrDecommissioned) {
-				return err
-			}
-			// Queue closed or broker faulty: no watermark can arrive, so
-			// proceed guarded-only like the timeout path.
-			a.tel.chunkRetries.Add(1)
-			return nil
+			return err
 		}
-		if !got {
-			// Concurrent workers (decommission recovery) may consume the
-			// watermark on our behalf; poll until it lands somewhere.
-			time.Sleep(time.Millisecond)
-			continue
+		if empty = !got; got {
+			drain.runFetched(q, d)
 		}
-		drain.runFetched(q, d)
 	}
 	return nil
 }

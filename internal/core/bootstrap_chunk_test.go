@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"synapse/internal/faultinject"
 	"synapse/internal/model"
+	"synapse/internal/wire"
 )
 
 // TestBootstrapCrashResume kills the bootstrap between a chunk's high
@@ -156,6 +158,59 @@ func TestBootstrapWatermarkDedup(t *testing.T) {
 	}
 	if n := subMapper.Len("User"); n != 10 {
 		t.Errorf("bootstrapped %d users, want 10", n)
+	}
+}
+
+// TestBootstrapLostHighWatermark: a chunk whose high watermark never
+// comes back — the broker loses it on its way into the subscriber's
+// queue — applies once BootstrapChunkWait runs out, guarded by the
+// version guard alone, and the miss counts in ChunkRetries. Every
+// chunk's high watermark is lost here, so every chunk walked misses, and
+// the subscriber still converges.
+func TestBootstrapLostHighWatermark(t *testing.T) {
+	f := NewFabric()
+	pub, _ := newDocApp(t, f, "pub", Config{})
+	mustPublish(t, pub, userDesc(), "likes")
+	ctl := pub.NewController(nil)
+	for i := 0; i < 10; i++ {
+		rec := model.NewRecord("User", fmt.Sprintf("u%02d", i))
+		rec.Set("likes", i)
+		if _, err := ctl.Create(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub, _ := newDocApp(t, f, "sub", Config{BootstrapChunkSize: 4, BootstrapChunkWait: 5 * time.Millisecond})
+	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"likes"}})
+
+	lost := 0 // counted under the broker lock; read after SetLoss(nil) takes it
+	f.Broker.SetLoss(func(queue, _ string, payload []byte) bool {
+		if queue != "sub" {
+			return false
+		}
+		msg, err := wire.Unmarshal(payload)
+		if err != nil {
+			return false
+		}
+		if _, kind, ok := wire.WatermarkOf(msg); ok && kind == wire.WatermarkHigh {
+			lost++
+			return true
+		}
+		return false
+	})
+	if err := sub.Bootstrap("pub"); err != nil {
+		t.Fatal(err)
+	}
+	f.Broker.SetLoss(nil)
+
+	st := sub.Stats()
+	if st.BootstrapChunks != 3 || lost != 3 {
+		t.Fatalf("walked %d chunks, lost %d high watermarks; want 3 and 3 (10 users in chunks of 4)", st.BootstrapChunks, lost)
+	}
+	if st.ChunkRetries != st.BootstrapChunks {
+		t.Errorf("ChunkRetries = %d, want %d: one per chunk whose high watermark was lost", st.ChunkRetries, st.BootstrapChunks)
+	}
+	if err := Converged(pub, sub); err != nil {
+		t.Fatal(err)
 	}
 }
 

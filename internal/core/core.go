@@ -153,8 +153,7 @@ type Config struct {
 	BreakerCooldown  time.Duration
 	// JournalRetryInterval is how often a started app re-drains its
 	// publish journal, healing deferred sends once the broker endpoint
-	// recovers (default 50ms; < 0 disables the periodic drain, leaving
-	// only the one-shot drain at StartWorkers).
+	// recovers, and retries parked acks (default 50ms).
 	JournalRetryInterval time.Duration
 
 	// QueueHighWatermark is the soft depth bound on this app's subscriber
@@ -233,7 +232,7 @@ func (c Config) withDefaults() Config {
 	if c.RetryBackoffMax <= 0 {
 		c.RetryBackoffMax = 100 * time.Millisecond
 	}
-	if c.JournalRetryInterval == 0 {
+	if c.JournalRetryInterval <= 0 {
 		c.JournalRetryInterval = 50 * time.Millisecond
 	}
 	if c.BootstrapChunkSize <= 0 {

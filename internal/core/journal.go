@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"synapse/internal/broker"
 	"synapse/internal/model"
 	"synapse/internal/storage"
 	"synapse/internal/vstore"
@@ -295,7 +296,7 @@ func (a *App) RecoverJournal() (int, error) {
 // pace is non-nil it is consulted before every republish (it is a
 // replay's admission, see admit), and a false return stops the drain
 // early, leaving the remaining entries for the next pass. The periodic
-// drain (StartWorkers) paces against the backpressure signal this way so
+// drain (retryJournal) paces against the backpressure signal this way so
 // a cleared low watermark is answered entry by entry, not with the whole
 // deferred backlog in one burst that would punch straight past the high
 // watermark again. App.Drain and explicit RecoverJournal calls pass nil:
@@ -314,6 +315,49 @@ func (a *App) recoverJournal(pace func() bool) (int, error) {
 	}
 	a.truncateJournal()
 	return drained, err
+}
+
+// retryJournal is the periodic drain a started app runs beside its
+// workers until stop closes. A restarting app may have inherited journal
+// entries from a crashed predecessor: it drains them first, then every
+// JournalRetryInterval replays what was deferred since — a send deferred
+// on a broker outage (journal-and-defer, see publish.go) — and flushes
+// the acknowledgements parked on a transport failure. It replays only
+// deferred and inherited entries, never one whose publish is still in
+// flight. The ack flush cannot live only in the worker loop: a worker
+// whose queue went idle blocks in GetBatch and never iterates again,
+// which would leave parked acks (and their unacked deliveries) stuck.
+func (a *App) retryJournal(stop <-chan struct{}) {
+	// Paced: each republish re-checks the backpressure signal, so
+	// resuming a large deferred backlog cannot itself re-overload the
+	// queue it deferred for.
+	paced := func() bool { return a.exchangePressure() != broker.PressureHigh }
+	_, _ = a.recoverJournal(paced)
+	wasPressured := false
+	for a.pause(stop, a.cfg.JournalRetryInterval) {
+		// Publishes deferred under backpressure stay journaled while the
+		// subscriber side still signals overload: draining now would
+		// re-grow the pressured queue. Parked acks flush regardless — acks
+		// RELIEVE pressure (they return credit and shrink depth).
+		if a.JournalDepth() > 0 && a.exchangePressure() == broker.PressureHigh {
+			wasPressured = true
+			a.flushPendingAcks()
+			continue
+		}
+		if wasPressured {
+			// Jittered resume off the low watermark: concurrently deferred
+			// publishers stagger their drains instead of refilling the
+			// queue in one synchronized burst.
+			wasPressured = false
+			if !a.pause(stop, a.jitter(a.cfg.JournalRetryInterval)) {
+				return
+			}
+		}
+		if a.JournalDepth() > 0 {
+			_, _ = a.recoverJournal(paced)
+		}
+		a.flushPendingAcks()
+	}
 }
 
 // replayInherited republishes the rows predecessor instances left, in

@@ -291,59 +291,3 @@ func (a *App) PendingAcks() int {
 	defer a.ackMu.Unlock()
 	return len(a.pendingAcks)
 }
-
-// awaitBrokerUp blocks until the broker reports up (or the worker is
-// stopped, returning false).
-func (a *App) awaitBrokerUp(stop <-chan struct{}) bool {
-	// One beat unconditionally: on a sharded bus a single shard can be
-	// mid-failover while the bus as a whole reports up, so the reattach
-	// retry loop must not spin hot until the promotion lands.
-	if !a.pauseRetry(stop, 2*time.Millisecond) {
-		return false
-	}
-	for a.fabric.bus().Down() {
-		if !a.pauseRetry(stop, 2*time.Millisecond) {
-			return false
-		}
-	}
-	return true
-}
-
-// reattachQueue swaps the app onto the restarted broker's rebuilt
-// queue handle (the pre-crash handle is permanently defunct). The log
-// replays durable queue state but not the volatile consumer tuning
-// (watermarks, credits), so the handle is re-tuned either way. If the
-// broker crashed again mid-reattach the app keeps its defunct handle;
-// the worker loop parks in awaitBrokerUp and retries — never a nil
-// queue mid-flight.
-func (a *App) reattachQueue() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if q, ok := a.fabric.bus().Queue(a.queueName()); ok {
-		a.tuneQueue(q)
-		a.queue = q
-		return
-	}
-	// The restarted broker has no such queue (it was never durably
-	// declared — e.g. the crash raced the declaration): redeclare.
-	if q, err := a.fabric.bus().DeclareQueue(a.queueName(), a.cfg.QueueMaxLen); err == nil {
-		a.tuneQueue(q)
-		a.queue = q
-	}
-}
-
-// pauseRetry sleeps d or until stop closes; reports false on stop.
-func (a *App) pauseRetry(stop <-chan struct{}, d time.Duration) bool {
-	if stop == nil {
-		time.Sleep(d)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-stop:
-		return false
-	case <-t.C:
-		return true
-	}
-}

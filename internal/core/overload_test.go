@@ -323,10 +323,9 @@ func TestStallClockStartsAtClaim(t *testing.T) {
 func TestDrainFlushesPublisherJournal(t *testing.T) {
 	f := NewFabric()
 	pub, _ := newDocApp(t, f, "pub", Config{
-		RPCAttempts:          1,
-		RPCDeadline:          5 * time.Millisecond,
-		BreakerThreshold:     1000, // keep sends failing on transport, not fast-fail bookkeeping
-		JournalRetryInterval: -1,   // no background drain: Drain must do the flushing
+		RPCAttempts:      1,
+		RPCDeadline:      5 * time.Millisecond,
+		BreakerThreshold: 1000, // keep sends failing on transport, not fast-fail bookkeeping
 	})
 	sub, subMapper := newSQLApp(t, f, "sub", Config{})
 	mustPublish(t, pub, userDesc(), "name")

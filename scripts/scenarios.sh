@@ -129,14 +129,18 @@ scenario_benchmark() {
 # job state table, the random-ops convergence property, the recycled
 # job's lifetime tests, the per-object apply locks, the lost-message
 # timeout recovery and the paper's six example programs run twenty times
-# under it — a failing seed is a bug report, never a rerun.
+# under it — a failing seed is a bug report, never a rerun. Last, without
+# the race detector (they skip under it), the runtime's two budgets: a
+# lone group commit allocates nothing, and a worker's delivery stays
+# within its byte budget.
 scenario_liveness() {
     gotest -race -run 'TestPark' ./internal/vstore/ &&
         gotest -race -run 'TestDependantAhead|TestNewGeneration|TestParked|TestStopWorkersHands|TestBootstrapDrainDeadLetters|TestWorkerPoolGoroutinesFixed' \
             ./internal/core/ &&
         gotest -race -count=20 -run 'TestJobStateTable|TestEveryEntryAppliesAlike|TestQuickConvergenceRandomOps|TestLateDepTimeoutWakeOnReusedJob|TestParkedJobFinishedByAnotherWorker|TestRecycleOnce|TestApplyLocksArePerObject' ./internal/core/ &&
         gotest -race -count=20 -run '^TestLostMsgTimeoutRecovers$' ./internal/bench/ &&
-        gotest -race -count=20 ./examples/...
+        gotest -race -count=20 ./examples/... &&
+        gotest -run 'TestFlushBatchAllocBudget|TestWorkerDeliveryByteBudget' ./internal/core/
 }
 
 # Publisher outbox: the journal is a log with a high-water ack, so what
