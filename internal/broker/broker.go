@@ -531,29 +531,45 @@ func (q *Queue) GetBatch(max int) ([]Delivery, error) { return q.AppendBatch(nil
 // AppendBatch is GetBatch appending to dst, a consumer's reused buffer
 // (nil: a new slice sized to the batch); on an error it returns dst.
 func (q *Queue) AppendBatch(dst []Delivery, max int) ([]Delivery, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.appendLocked(dst, max, true)
+}
+
+// TryAppendBatch is AppendBatch that does not wait: with nothing it may
+// take at once — an empty queue, an exhausted credit window — it
+// returns dst and no error.
+func (q *Queue) TryAppendBatch(dst []Delivery, max int) ([]Delivery, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.appendLocked(dst, max, false)
+}
+
+// appendLocked is the one take path: it appends up to max deliveries to
+// dst, waiting for one, when wait is set, until CancelWaiters interrupts
+// it.
+func (q *Queue) appendLocked(dst []Delivery, max int, wait bool) ([]Delivery, error) {
 	if max < 1 {
 		max = 1
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	seq := q.cancelSeq
 	for {
 		if err := q.usableLocked(); err != nil {
 			return dst, err
 		}
-		if ready := q.readyLocked(); ready > 0 && q.creditLocked() != 0 {
+		if ready, c := q.readyLocked(), q.creditLocked(); ready > 0 && c != 0 {
 			// Fair share: leave enough behind for every consumer still
 			// blocked in the wait below (ceil division keeps n >= 1).
-			n := (ready + q.waiters) / (q.waiters + 1)
-			if n > max {
-				n = max
-			}
+			n := min((ready+q.waiters)/(q.waiters+1), max)
 			// Credit window: the batch may not push outstanding unacked
 			// deliveries past the granted window; acks replenish it.
-			if c := q.creditLocked(); c > 0 && n > c {
-				n = c
+			if c > 0 {
+				n = min(n, c)
 			}
 			return q.takeLocked(slices.Grow(dst, n), len(dst)+n), nil
+		}
+		if !wait {
+			return dst, nil
 		}
 		if q.cancelSeq != seq || q.canceled {
 			q.canceled = false
@@ -583,16 +599,12 @@ func (q *Queue) CancelWaiters() {
 
 // TryGet returns a message if one is immediately available.
 func (q *Queue) TryGet() (Delivery, bool, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.usableLocked(); err != nil {
+	var one [1]Delivery
+	ds, err := q.TryAppendBatch(one[:0], 1)
+	if len(ds) == 0 {
 		return Delivery{}, false, err
 	}
-	if q.readyLocked() == 0 || q.creditLocked() == 0 {
-		return Delivery{}, false, nil
-	}
-	var one [1]Delivery
-	return q.takeLocked(one[:0], 1)[0], true, nil
+	return ds[0], true, nil
 }
 
 // readyLocked counts the messages waiting for a consumer: handed-back

@@ -772,3 +772,82 @@ func BenchmarkPublishFanout(b *testing.B) {
 		}
 	}
 }
+
+// TestTryAppendBatch: the non-blocking take returns at once, empty and
+// with no error, from an empty queue; takes no more than the credit
+// window has left; leaves a consumer blocked in GetBatch its fair
+// share; and reports a decommissioned queue.
+func TestTryAppendBatch(t *testing.T) {
+	b := New()
+	q, _ := b.DeclareQueue("sub", 0)
+	if err := b.Bind("sub", "pub"); err != nil {
+		t.Fatal(err)
+	}
+	if ds, err := q.TryAppendBatch(nil, 4); len(ds) != 0 || err != nil {
+		t.Fatalf("TryAppendBatch on an empty queue = %d deliveries, %v; want 0, nil", len(ds), err)
+	}
+
+	q.SetCredits(3)
+	for range 5 {
+		b.Publish("pub", []byte("m"))
+	}
+	ds, err := q.TryAppendBatch(nil, 8)
+	if len(ds) != 3 || err != nil {
+		t.Fatalf("TryAppendBatch(8) with 3 credits = %d deliveries, %v; want 3", len(ds), err)
+	}
+	if more, err := q.TryAppendBatch(nil, 8); len(more) != 0 || err != nil {
+		t.Fatalf("TryAppendBatch with the credit spent = %d deliveries, %v; want 0, nil", len(more), err)
+	}
+	if err := q.Ack(ds[0].Tag); err != nil {
+		t.Fatal(err)
+	}
+	if more, err := q.TryAppendBatch(ds[:0], 8); len(more) != 1 || err != nil {
+		t.Fatalf("TryAppendBatch after one ack = %d deliveries, %v; want 1", len(more), err)
+	}
+
+	// Fair share: a consumer blocked in GetBatch when 4 messages arrive
+	// is left 2 of them. The arrivals are made by hand, without the
+	// wake-up, so the waiter is still blocked when TryAppendBatch looks.
+	fair, _ := b.DeclareQueue("fair", 0)
+	if err := b.Bind("fair", "pub"); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan int, 1)
+	go func() {
+		ds, err := fair.GetBatch(8)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- len(ds)
+	}()
+	for blocked := false; !blocked; time.Sleep(time.Millisecond) {
+		fair.mu.Lock()
+		blocked = fair.waiters == 1
+		fair.mu.Unlock()
+	}
+	fair.mu.Lock()
+	for range 4 {
+		b.log.append("pub", []byte("m"))
+	}
+	fair.st.pending += 4
+	fair.mu.Unlock()
+	if ds, err := fair.TryAppendBatch(nil, 8); len(ds) != 2 || err != nil {
+		t.Fatalf("TryAppendBatch beside a blocked consumer = %d of 4 deliveries, %v; want 2", len(ds), err)
+	}
+	fair.mu.Lock()
+	fair.cond.Broadcast()
+	fair.mu.Unlock()
+	if n := <-got; n != 2 {
+		t.Fatalf("the blocked consumer got %d deliveries, want the 2 left to it", n)
+	}
+
+	small, _ := b.DeclareQueue("small", 1)
+	if err := b.Bind("small", "pub"); err != nil {
+		t.Fatal(err)
+	}
+	b.Publish("pub", []byte("m"))
+	b.Publish("pub", []byte("m")) // past the bound: decommissioned
+	if _, err := small.TryAppendBatch(nil, 4); !errors.Is(err, ErrDecommissioned) {
+		t.Fatalf("TryAppendBatch on a decommissioned queue: err = %v, want ErrDecommissioned", err)
+	}
+}

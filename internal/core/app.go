@@ -201,8 +201,9 @@ type App struct {
 	parkMu   sync.Mutex
 	parked   map[*job]struct{}
 	ready    []*job
-	released sync.Cond // on parkMu, broadcast by every release
-	jobs     sync.Pool // every entry's jobs, each handed back once it is over (see recycle)
+	released sync.Cond     // on parkMu, broadcast by every release
+	nudged   chan struct{} // one token for a worker whose refill came up short (nudge)
+	jobs     sync.Pool     // every entry's jobs, each handed back once it is over (see recycle)
 
 	// onMove and onPubMove, nil outside tests, see every App.to and App.advance.
 	onMove    func(j *job, from, to jobState)
@@ -305,6 +306,7 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 		journalEpoch: time.Now().UnixNano(),
 		bootWindows:  make(map[string]*chunkWindow),
 		parked:       make(map[*job]struct{}),
+		nudged:       make(chan struct{}, 1),
 		applyLocks:   storage.NewLockTable[vstore.Key](),
 		rng:          rand.New(rand.NewSource(seedFor(name, "overload"))),
 	}

@@ -113,15 +113,15 @@ type Config struct {
 	// Workers is the default worker-pool size for StartWorkers(0).
 	Workers int
 	// PipelineDepth bounds how many deliveries one subscriber worker may
-	// have in flight at once (default 4; 1 = a window of one), and is how
-	// many it fetches at a time. With depth k, the decode, dependency
-	// probe, and version claims of messages N+1..N+k proceed while
-	// message N's callback runs; a message that is not ready parks and
-	// frees its slot; messages sharing a bit of the worker's dispatch
-	// mask (always so for one object) are dispatched in order (never
-	// concurrently), and completed messages group-commit their counter
-	// increments and broker acks through the per-queue flusher (one
-	// IncrOpsMulti + one AckMulti round trip per flush window).
+	// have in flight at once (default 4; 1 = a window of one). With depth
+	// k, the decode, dependency probe, and version claims of messages
+	// N+1..N+k proceed while message N's callback runs; a message that is
+	// not ready parks and frees its slot; messages sharing a bit of the
+	// worker's dispatch mask (always so for one object) are dispatched in
+	// order (never concurrently), and completed messages group-commit
+	// their counter increments and broker acks through the per-queue
+	// flusher (one IncrOpsMulti + one AckMulti round trip per flush
+	// window).
 	PipelineDepth int
 	// MaxDeliveryAttempts bounds failed processing attempts per
 	// subscribed message: after this many failures the message is set

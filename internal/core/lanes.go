@@ -7,11 +7,12 @@ import (
 	"time"
 
 	"synapse/internal/broker"
+	"synapse/internal/vstore"
 	"synapse/internal/wire"
 )
 
 // This file is the subscriber's runtime: the worker pool, each worker's
-// lanes and their stall watchdog, the batch window, the group-commit
+// lanes and their stall watchdog, the sliding window, the group-commit
 // flush and the one stop-aware pause. Every goroutine, timer and sleep
 // that schedules the subscriber algorithm (subscribe.go) starts here,
 // except a job's own DepTimeout timer (probe).
@@ -36,6 +37,7 @@ func (a *App) StartWorkers(n int) {
 	}
 	for i := 0; i < n; i++ {
 		w := a.newWorker(a.cfg.PipelineDepth)
+		w.slides = true
 		a.workersWG.Add(1)
 		go a.workerLoop(w, stop)
 	}
@@ -92,28 +94,35 @@ func (a *App) StopWorkers() {
 // what its batches reuse. Its lanes are long-lived goroutines, started
 // with the worker, that each run one dispatched job at a time through
 // step: a delivery pays for no goroutine start, and the lanes keep the
-// stacks they grew. Bootstrap's drain is a worker with one lane.
+// stacks they grew. Bootstrap's drain is a worker with one lane, whose
+// window does not slide: it fetches for itself.
 type worker struct {
 	app     *App
 	lanes   chan *job       // dispatch to an idle lane
-	results chan laneResult // one per dispatched job
+	results chan laneResult // one per dispatched job, and one more per done one
 	running sync.WaitGroup  // dispatched jobs whose step, flush included, has not returned
 	exited  sync.WaitGroup  // lanes still running; an abandoned one hands its count on
 	batch   []*job
+	ds      []broker.Delivery // the fetch buffer: jobs copy what they need
+	slides  bool              // a pool worker's window slides (processBatch)
 }
 
-// laneResult is a dispatched job's mask, and the job if it failed.
+// laneResult is a dispatched job's mask, and the job if it failed. A
+// done job sends two: done when its slot frees, landed once the flush
+// that carried its increments returned.
 type laneResult struct {
-	mask   uint64
-	failed *job
+	mask         uint64
+	failed       *job
+	done, landed bool
 }
 
 // newWorker builds a worker and starts its lanes.
 func (a *App) newWorker(lanes int) *worker {
 	// Sized to the window: at most PipelineDepth jobs are dispatched and
-	// not yet read back, so neither a dispatch nor a result ever blocks.
+	// not yet read back, each with up to two results, so neither a
+	// dispatch nor a result ever blocks.
 	depth := a.cfg.PipelineDepth
-	w := &worker{app: a, lanes: make(chan *job, depth), results: make(chan laneResult, depth), batch: make([]*job, 0, depth)}
+	w := &worker{app: a, lanes: make(chan *job, depth), results: make(chan laneResult, 2*depth), batch: make([]*job, 0, depth)}
 	w.exited.Add(lanes)
 	for range lanes {
 		go w.runLane()
@@ -164,8 +173,8 @@ func (w *worker) runLane() {
 
 // step runs one dispatched job through the driver: the delivery as far
 // as it goes, a done job's group-commit entry, its result — the window
-// slot frees here — and then the flush. It reports false when the
-// watchdog took the job, and with it the result.
+// slot frees here — and then the flush and the landed result. It
+// reports false when the watchdog took the job, and with it the result.
 func (l *lane) step(j *job) bool {
 	w, a := l.w, l.w.app
 	j.lane = l
@@ -177,12 +186,14 @@ func (l *lane) step(j *job) bool {
 		return false
 	case stateDone:
 		a.commits.Add(j)
+		r.done = true
 	case stateFailed:
 		r.failed = j
 	}
 	w.results <- r
-	if st == stateDone {
+	if r.done {
 		a.commits.Flush()
+		w.results <- laneResult{mask: r.mask, landed: true}
 	}
 	w.running.Done()
 	return true
@@ -220,73 +231,95 @@ func (l *lane) expire() {
 	w.app.move(j, stateStalled)
 	w.app.tel.stalled.Add(1)
 	go w.runLane()
-	w.results <- laneResult{j.mask, j}
+	w.results <- laneResult{mask: j.mask, failed: j}
 	w.running.Done()
 }
 
+// workerLoop fills the worker's window, waiting for a delivery only
+// while it is empty, and works through it (processBatch), which refills
+// each slot as it frees; what ended the refilling — a dead, crashed or
+// closed queue, a refused link — is handled here once the window has
+// drained.
 func (a *App) workerLoop(w *worker, stop <-chan struct{}) {
 	defer a.workersWG.Done()
 	defer w.close()
-	ds := make([]broker.Delivery, 0, a.cfg.PipelineDepth) // the fetch buffer: jobs copy what they need
 	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		a.flushPendingAcks()
-		q := a.Queue()
+		q, err := w.fill(a.cfg.PipelineDepth, true, stop)
 		if q == nil {
 			return
 		}
-		// Admit the fetch through the simulated network: a partitioned or
-		// dropping link pauses the consumer instead of long-polling
-		// through a dead network.
-		if gerr := a.consumeGate(); gerr != nil {
+		if len(w.batch) > 0 {
+			w.processBatch(w.batch, stop)
+		}
+		switch {
+		case err == nil, errors.Is(err, broker.ErrCanceled):
+		case errors.Is(err, broker.ErrDecommissioned):
+			a.recycle(a.retireParked(q)...)
+			if rerr := a.RecoverQueue(); rerr != nil {
+				// Cannot recover (e.g. origin gone); retry after a beat.
+				a.pause(stop, 10*time.Millisecond)
+			}
+		case errors.Is(err, broker.ErrBrokerDown):
+			// Broker crashed: wait out the restart, then swap onto the
+			// rebuilt queue handle (the old one is permanently defunct).
+			for a.fabric.bus().Down() {
+				if !a.pause(stop, 2*time.Millisecond) {
+					return
+				}
+			}
+			a.recycle(a.retireParked(q)...)
+			a.reattachQueue()
+		case errors.Is(err, broker.ErrClosed):
+			return
+		default: // the link refused the fetch
 			a.pause(stop, 5*time.Millisecond)
-			continue
 		}
-		// Released messages run before new ones are fetched: they are
-		// older than anything in the queue, and what is parked behind
-		// them waits for exactly these. Either way a worker takes what
-		// its window can start.
-		w.batch = a.takeReady(w.batch[:0], a.cfg.PipelineDepth)
-		if len(w.batch) == 0 {
-			var err error
-			ds, err = q.AppendBatch(ds[:0], a.cfg.PipelineDepth)
-			switch {
-			case err == nil:
-			case errors.Is(err, broker.ErrCanceled):
-				continue
-			case errors.Is(err, broker.ErrDecommissioned):
-				a.recycle(a.retireParked(q)...)
-				if rerr := a.RecoverQueue(); rerr != nil {
-					// Cannot recover (e.g. origin gone); retry after a beat.
-					a.pause(stop, 10*time.Millisecond)
-				}
-				continue
-			case errors.Is(err, broker.ErrBrokerDown):
-				// Broker crashed: wait out the restart, then swap onto the
-				// rebuilt queue handle (the old one is permanently defunct).
-				for a.fabric.bus().Down() {
-					if !a.pause(stop, 2*time.Millisecond) {
-						return
-					}
-				}
-				a.recycle(a.retireParked(q)...)
-				a.reattachQueue()
-				continue
-			default: // closed
-				return
-			}
-			for _, d := range ds {
-				w.batch = append(w.batch, a.fetched(q, d))
-			}
-			clear(ds)
-		}
-		w.processBatch(w.batch, stop)
-		clear(w.batch) // what parked is the parked set's, not this buffer's
 	}
+}
+
+// fill empties the worker's batch and refills it with up to n jobs its
+// window can start. It returns the queue it took them from: nil on a
+// stop, or with no queue — the worker is done. First it does what every
+// fetch does: it retries parked acks, and admits the fetch through the
+// simulated network, where a partitioned or dropping link refuses it
+// (its error) instead of long-polling through a dead network. Released
+// jobs come first: they are older than anything in the queue, and what
+// is parked behind them waits for exactly these. Then deliveries off
+// the queue, waited for only when wait is set and the ready list gave
+// none; the take's error comes back with whatever the ready list gave.
+func (w *worker) fill(n int, wait bool, stop <-chan struct{}) (*broker.Queue, error) {
+	a := w.app
+	clear(w.batch) // what parked is the parked set's, not this buffer's
+	w.batch = w.batch[:0]
+	select {
+	case <-stop:
+		return nil, nil
+	default:
+	}
+	a.flushPendingAcks()
+	q := a.Queue()
+	if q == nil {
+		return nil, nil
+	}
+	if err := a.consumeGate(); err != nil {
+		return q, err
+	}
+	w.batch = a.takeReady(w.batch, n)
+	k := n - len(w.batch)
+	if k == 0 {
+		return q, nil
+	}
+	var err error
+	if wait && k == n {
+		w.ds, err = q.AppendBatch(w.ds[:0], k)
+	} else {
+		w.ds, err = q.TryAppendBatch(w.ds[:0], k)
+	}
+	for _, d := range w.ds {
+		w.batch = append(w.batch, a.fetched(q, d))
+	}
+	clear(w.ds)
+	return q, err
 }
 
 // processBatch works through one batch of deliveries — released from
@@ -297,6 +330,15 @@ func (a *App) workerLoop(w *worker, stop <-chan struct{}) {
 // instead of queueing behind it. A depth of 1 is the same loop with a
 // window of one.
 //
+//   - The window slides: in a pool worker, a slot that frees while
+//     others are in flight and the batch is all dispatched is refilled
+//     at once (fill, without waiting), so one delivery held in its
+//     version-store window or leading a group commit does not hold the
+//     other slots empty; an emptied window is workerLoop's to fill. A
+//     refill that came up short looks again at the next result or nudge
+//     (a job readied, credit returned); an arrival wakes only consumers
+//     blocked in the queue. A stop, a failure or a refill that fails
+//     ends the refilling; the window then drains.
 //   - Park, don't block: a message whose dependencies are unmet, or
 //     whose generation is ahead of the barrier, parks (see job): its
 //     lane moves on and its slot and dispatch mask are free at once.
@@ -311,8 +353,12 @@ func (a *App) workerLoop(w *worker, stop <-chan struct{}) {
 //     into a 64-bit mask (applyMask); a message is dispatched
 //     only when its mask is disjoint from every in-flight message's,
 //     so two updates to the same guarded object never race within the
-//     worker and dispatch in queue order. Cross-worker ordering is the
-//     job of the dependency counters and the per-object version guard.
+//     worker and dispatch in queue order — and only when the objects
+//     its dependencies name (needsMask) are not those of the message
+//     dispatched last while it is in flight or its flush has not
+//     returned, so a chain of one controller's writes runs link by link
+//     instead of parking each link. Cross-worker ordering is the job of
+//     the dependency counters and the per-object version guard.
 //   - Completion is group-committed: a finished message does not
 //     increment counters or ack inline — it queues both on the app's
 //     group-commit flusher (a.commits, drained by flushBatch), which
@@ -340,10 +386,24 @@ func (w *worker) processBatch(batch []*job, stop <-chan struct{}) {
 		inflightMask uint64
 		stopping     bool
 		failures     []*job
+		refill       = w.slides
+		last         uint64 // the last dispatched job's mask, until its flush returns
 	)
 	for {
+		short := false // the refill took nothing, and may yet
 		// Dispatch while there is capacity and nothing diverted the batch.
-		for !stopping && len(failures) == 0 && next < len(batch) && inflight < depth {
+		for !stopping && len(failures) == 0 && inflight < depth {
+			if next == len(batch) {
+				if !refill || inflight == 0 {
+					break
+				}
+				q, err := w.fill(depth-inflight, false, stop)
+				batch, next, refill = w.batch, 0, q != nil && err == nil
+				if len(batch) == 0 {
+					short = refill
+					break
+				}
+			}
 			select {
 			case <-stop:
 				stopping = true
@@ -368,34 +428,48 @@ func (w *worker) processBatch(batch []*job, stop <-chan struct{}) {
 					next++
 					continue
 				}
-				j.msg, j.mask = msg, a.applyMask(msg)
+				j.msg, j.mask, j.needs = msg, a.applyMask(msg), a.needsMask(msg)
 				a.to(j, stateFetched, stateDecoded)
 			}
-			if j.mask&inflightMask != 0 {
+			if j.mask&inflightMask != 0 || j.needs&last != 0 {
 				break // shared mask bit: wait for the earlier message
 			}
 			next++
 			inflight++
 			inflightMask |= j.mask
+			last = j.mask
 			a.tel.pipelineFill.Record(int64(inflight))
 			w.running.Add(1)
 			w.lanes <- j
 		}
-		if inflight == 0 {
+		if inflight == 0 && (last == 0 || next == len(batch) || stopping || len(failures) > 0) {
 			break
+		}
+		var nudged <-chan struct{} // nil: never ready
+		if short {
+			nudged = a.nudged
 		}
 		select {
 		case r := <-w.results:
-			inflight--
-			inflightMask &^= r.mask
+			if r.mask == last && (r.landed || !r.done) {
+				last = 0 // a done job's flush returned, or it parked or failed
+			}
+			if !r.landed {
+				inflight--
+				inflightMask &^= r.mask
+			}
 			if r.failed != nil {
 				failures = append(failures, r.failed)
 			}
 		case <-stop:
 			stopping = true
+		case <-nudged:
 		}
 	}
 	w.running.Wait() // group commits of completed messages have landed
+	for len(w.results) > 0 {
+		<-w.results // landed results the window no longer needs
+	}
 	// A stop or a failure leaves an undispatched tail. Nack pushes front,
 	// so handing it back newest first restores queue order.
 	for i := len(batch) - 1; i >= next; i-- {
@@ -430,10 +504,35 @@ func (w *worker) processBatch(batch []*job, stop <-chan struct{}) {
 func (a *App) applyMask(msg *wire.Message) uint64 {
 	var mask uint64
 	for i := range msg.Operations {
-		mask |= 1 << (uint64(a.objectKey(&msg.Operations[i])) * 0x9E3779B97F4A7C15 >> 58)
+		mask |= maskBit(a.objectKey(&msg.Operations[i]))
 	}
 	return mask
 }
+
+// needsMask folds the objects the message's dependencies name into the
+// same bits. A message that needs the increments of the message
+// dispatched just before it — the last write of the same controller —
+// waits for them to land like a conflict instead of parking on them: a
+// window running ahead of a chain of writes would park every link. A
+// weak subscriber needs nothing.
+func (a *App) needsMask(msg *wire.Message) uint64 {
+	deps, err := msg.Deps()
+	if err != nil || a.originMode(msg.App) == Weak {
+		return 0
+	}
+	var mask uint64
+	for k := range deps {
+		mask |= maskBit(vstore.Key(k))
+	}
+	for name := range msg.Dots {
+		mask |= maskBit(a.tracker.Resolve(name))
+	}
+	return mask
+}
+
+// maskBit is an object's dispatch-mask bit: the top six bits of a
+// multiplicative (Fibonacci) hash of its key.
+func maskBit(k vstore.Key) uint64 { return 1 << (uint64(k) * 0x9E3779B97F4A7C15 >> 58) }
 
 // flushBatchCap bounds the jobs merged into one group commit, so a
 // deep backlog cannot grow a single IncrOpsMulti/AckMulti call without
@@ -510,6 +609,7 @@ func (a *App) flushBatch(jobs []*job) {
 		}
 		a.flushTags = tags
 		a.tel.observe(stageAck, time.Since(ackStart))
+		a.nudge() // the acks returned credit
 	}
 	a.recycle(jobs...)
 	a.tel.observe(stageFlush, time.Since(flushStart))
@@ -570,6 +670,17 @@ func (a *App) reattachQueue() {
 	if q, err := a.fabric.bus().DeclareQueue(a.queueName(), a.cfg.QueueMaxLen); err == nil {
 		a.tuneQueue(q)
 		a.queue = q
+	}
+}
+
+// nudge tells a worker whose refill came up short (processBatch) to
+// look again: a job was readied, or acks returned credit. One pending
+// token is enough — the worker it wakes takes what its window can start,
+// and a stale one costs one look.
+func (a *App) nudge() {
+	select {
+	case a.nudged <- struct{}{}:
+	default:
 	}
 }
 

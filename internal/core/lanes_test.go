@@ -9,6 +9,7 @@ import (
 
 	"synapse/internal/model"
 	"synapse/internal/vstore"
+	"synapse/internal/wire"
 )
 
 // TestWorkerPoolGoroutinesFixed: a worker's window runs on the lanes it
@@ -184,4 +185,72 @@ func TestApplyLocksArePerObject(t *testing.T) {
 	if !applied("held") {
 		t.Fatal("held was not applied")
 	}
+}
+
+// TestWorkerWindowRefillsPastABlockedDelivery: a worker's window slides.
+// With one object's apply lock held, its delivery — first in the queue —
+// keeps one of a depth-4 worker's slots, and the deliveries queued
+// behind it, of objects on other dispatch-mask bits, all apply through
+// the other three before the lock is released. A window that fetched
+// again only once its whole batch had returned would apply three.
+func TestWorkerWindowRefillsPastABlockedDelivery(t *testing.T) {
+	const others = 16
+	f := NewFabric()
+	pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
+	sub, _ := newSQLApp(t, f, "sub", Config{PipelineDepth: 4})
+	mustPublish(t, pub, userDesc(), "name")
+	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
+	payloads := payloadTap(t, f, "pub")
+	ids := []string{"held"}
+	for i := range others {
+		ids = append(ids, fmt.Sprintf("w%02d", i))
+	}
+	for _, id := range ids {
+		createUser(t, pub.NewController(nil), id, "v1") // depends on nothing
+	}
+	var (
+		key      vstore.Key
+		heldMask uint64
+	)
+	for i, p := range payloads() {
+		msg, err := wire.UnmarshalProjected(p, sub.resolve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch mask := sub.applyMask(msg); {
+		case i == 0:
+			key, heldMask = sub.objectKey(&msg.Operations[0]), mask
+		case mask&heldMask != 0:
+			t.Fatalf("%s shares held's dispatch-mask bit; pick another id", ids[i])
+		}
+	}
+
+	sub.applyLocks.Acquire(key)
+	sub.StartWorkers(1)
+	defer sub.StopWorkers()
+	release := sync.OnceFunc(func() { sub.applyLocks.Release(key) })
+	defer release() // before StopWorkers, which waits for the held delivery
+	applied := func(id string) bool {
+		_, err := sub.Mapper().Find("User", id)
+		return err == nil
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		n := 0
+		for _, id := range ids[1:] {
+			if applied(id) {
+				n++
+			}
+		}
+		if n == others {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of the %d deliveries behind the held one applied while its lock was held", n, others)
+		}
+	}
+	if applied("held") {
+		t.Fatal("held was applied while its lock was held")
+	}
+	release()
+	mustSettle(t, 10*time.Second, pub, sub)
 }

@@ -28,11 +28,18 @@ type genState struct {
 	waiting  []*job // parked on the barrier: ahead of cur while older ones are in flight
 }
 
+// genStateFor is on every delivery's path: it looks under the read lock,
+// which a worker's refill (Queue) shares, and writes only to add.
 func (a *App) genStateFor(origin string) *genState {
+	a.mu.RLock()
+	gs := a.gens[origin]
+	a.mu.RUnlock()
+	if gs != nil {
+		return gs
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	gs := a.gens[origin]
-	if gs == nil {
+	if gs = a.gens[origin]; gs == nil {
 		gs = &genState{inflight: make(map[uint64]int)}
 		a.gens[origin] = gs
 	}
@@ -111,11 +118,12 @@ type job struct {
 // state stays out: a release still on its way from the last pass may
 // compare-and-swap it, but reads nothing here.
 type trip struct {
-	q    *broker.Queue
-	d    broker.Delivery
-	msg  *wire.Message
-	mask uint64
-	lane *lane // the lane running it; nil for ProcessMessage
+	q     *broker.Queue
+	d     broker.Delivery
+	msg   *wire.Message
+	mask  uint64 // applyMask: the objects it writes
+	needs uint64 // needsMask: the objects its dependencies name
+	lane  *lane  // the lane running it; nil for ProcessMessage
 
 	// at is when its stage began: decode, barrier (the first try), dep-wait
 	// (the plan; DepTimeout counts from it too) or apply (the claim).
@@ -316,7 +324,7 @@ func (a *App) park(j *job) bool {
 		a.ready = append(a.ready, j)
 		// j.q is read now, under the lock: on the ready list j is whoever
 		// takes it. The idle consumer is woken once the lock is dropped.
-		defer j.q.CancelWaiters()
+		defer a.readied(j.q)
 	}
 	a.parkMu.Unlock()
 	return false
@@ -335,10 +343,17 @@ func (a *App) release(j *job) {
 	if _, held := a.parked[j]; held {
 		delete(a.parked, j)
 		a.ready = append(a.ready, j)
-		defer j.q.CancelWaiters() // j.q read under the lock, as in park
+		defer a.readied(j.q) // j.q read under the lock, as in park
 	}
 	a.parkMu.Unlock()
 	a.released.Broadcast()
+}
+
+// readied wakes a worker for a job put on the ready list: one blocked
+// in q, or one whose window has a free slot.
+func (a *App) readied(q *broker.Queue) {
+	q.CancelWaiters()
+	a.nudge()
 }
 
 // takeReady moves up to max jobs from the head of the ready list onto

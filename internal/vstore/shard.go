@@ -122,7 +122,8 @@ func (sh *shard) deregister(k Key, p *Parked) {
 // that eventually reaches their threshold will fire them.
 func (sh *shard) wakeReached(ops []op) {
 	sh.waitMu.Lock()
-	var toWake []*Parked
+	var buf [4]*Parked // a flush's usual wake-ups, on the stack
+	toWake := buf[:0]
 	for i := range ops {
 		o := &ops[i]
 		if o.sh != sh {

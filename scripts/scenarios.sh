@@ -127,17 +127,18 @@ scenario_benchmark() {
 # tests, the bootstrap drain's dead-letter test and the fixed lane count
 # run under the race detector; the three entries' differential test, the
 # job state table, the random-ops convergence property, the recycled
-# job's lifetime tests, the per-object apply locks, the lost-message
-# timeout recovery and the paper's six example programs run twenty times
-# under it — a failing seed is a bug report, never a rerun. Last, without
-# the race detector (they skip under it), the runtime's two budgets: a
-# lone group commit allocates nothing, and a worker's delivery stays
-# within its byte budget.
+# job's lifetime tests, the per-object apply locks, the sliding window
+# (deliveries refill past a blocked one), the lost-message timeout
+# recovery and the paper's six example programs run twenty times under
+# it — a failing seed is a bug report, never a rerun. Last, without the
+# race detector (they skip under it), the runtime's two budgets: a lone
+# group commit allocates nothing, and a worker's delivery stays within
+# its byte budget.
 scenario_liveness() {
     gotest -race -run 'TestPark' ./internal/vstore/ &&
         gotest -race -run 'TestDependantAhead|TestNewGeneration|TestParked|TestStopWorkersHands|TestBootstrapDrainDeadLetters|TestWorkerPoolGoroutinesFixed' \
             ./internal/core/ &&
-        gotest -race -count=20 -run 'TestJobStateTable|TestEveryEntryAppliesAlike|TestQuickConvergenceRandomOps|TestLateDepTimeoutWakeOnReusedJob|TestParkedJobFinishedByAnotherWorker|TestRecycleOnce|TestApplyLocksArePerObject' ./internal/core/ &&
+        gotest -race -count=20 -run 'TestJobStateTable|TestEveryEntryAppliesAlike|TestQuickConvergenceRandomOps|TestLateDepTimeoutWakeOnReusedJob|TestParkedJobFinishedByAnotherWorker|TestRecycleOnce|TestApplyLocksArePerObject|TestWorkerWindowRefillsPastABlockedDelivery' ./internal/core/ &&
         gotest -race -count=20 -run '^TestLostMsgTimeoutRecovers$' ./internal/bench/ &&
         gotest -race -count=20 ./examples/... &&
         gotest -run 'TestFlushBatchAllocBudget|TestWorkerDeliveryByteBudget' ./internal/core/
