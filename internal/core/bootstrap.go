@@ -442,16 +442,14 @@ func (a *App) drainQueue(drain *worker, done func(empty bool) bool) error {
 	return nil
 }
 
-// runFetched takes one delivery the drain fetched itself through a
-// worker's steps — decode, apply, dead-letter, back off, ack — after
-// whatever the ready list holds, as workerLoop orders them. A job that
-// is not ready parks like a worker's: a later runFetched, or any worker,
-// resumes it.
+// runFetched runs one delivery the drain fetched itself, after what the
+// ready list holds, through the drain's window, which does not refill. A
+// job that is not ready parks: a later runFetched, or a worker, resumes it.
 func (w *worker) runFetched(q *broker.Queue, d broker.Delivery) {
 	a := w.app
 	w.batch = a.takeReady(w.batch[:0], a.cfg.PipelineDepth)
 	w.batch = append(w.batch, a.fetched(q, d))
-	w.processBatch(w.batch, nil)
+	w.run(nil, w.batch)
 	clear(w.batch)
 }
 

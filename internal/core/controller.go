@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"synapse/internal/model"
-	"synapse/internal/storage"
 	"synapse/internal/wire"
 )
 
@@ -264,7 +263,3 @@ func (c *Controller) Transaction(fn func(*Txn) error) error {
 
 // Close ends the controller scope.
 func (c *Controller) Close() { c.closed = true }
-
-// ErrNotFoundIsClean re-exports the storage sentinel for callers
-// probing controller reads.
-var ErrNotFoundIsClean = storage.ErrNotFound

@@ -7,15 +7,12 @@ import (
 	"time"
 
 	"synapse/internal/broker"
-	"synapse/internal/vstore"
-	"synapse/internal/wire"
 )
 
 // This file is the subscriber's runtime: the worker pool, each worker's
-// lanes and their stall watchdog, the sliding window, the group-commit
+// lanes and their stall watchdog, the window's executor, the group-commit
 // flush and the one stop-aware pause. Every goroutine, timer and sleep
-// that schedules the subscriber algorithm (subscribe.go) starts here,
-// except a job's own DepTimeout timer (probe).
+// of the subscriber (subscribe.go) starts here, but a job's DepTimeout.
 
 // StartWorkers launches n subscriber workers processing this app's
 // queue in parallel (n <= 0 uses Config.Workers). Workers survive queue
@@ -37,9 +34,13 @@ func (a *App) StartWorkers(n int) {
 	}
 	for i := 0; i < n; i++ {
 		w := a.newWorker(a.cfg.PipelineDepth)
-		w.slides = true
+		w.win.refills = true
 		a.workersWG.Add(1)
-		go a.workerLoop(w, stop)
+		go func() {
+			defer a.workersWG.Done()
+			defer w.close()
+			w.run(stop, nil)
+		}()
 	}
 	a.workersWG.Add(1)
 	go func() {
@@ -63,11 +64,8 @@ func (a *App) StopWorkers() {
 		return
 	}
 	close(stop)
-	// Cancel repeatedly until every worker exits: CancelWaiters wakes the
-	// consumers already blocked and at most one about to be, and several
-	// workers can be between their stop check at the loop top and
-	// GetBatch. The queue handle is also re-read each round — a worker
-	// may have reattached to a rebuilt queue after a broker restart.
+	// Cancel until every worker exits: several can be between fill's stop
+	// check and their fetch, or have reattached to a new queue handle.
 	done := make(chan struct{})
 	go func() {
 		a.workersWG.Wait()
@@ -90,39 +88,24 @@ func (a *App) StopWorkers() {
 	a.cutJournal()
 }
 
-// worker is one subscriber worker's apply window (see processBatch) and
-// what its batches reuse. Its lanes are long-lived goroutines, started
-// with the worker, that each run one dispatched job at a time through
-// step: a delivery pays for no goroutine start, and the lanes keep the
-// stacks they grew. Bootstrap's drain is a worker with one lane, whose
-// window does not slide: it fetches for itself.
+// worker is one subscriber worker: its apply window and the lanes that
+// run what it dispatches, goroutines started with the worker that keep
+// the stacks they grew, so a delivery starts none. Bootstrap's drain is
+// a worker with one lane whose window does not refill.
 type worker struct {
 	app     *App
-	lanes   chan *job       // dispatch to an idle lane
-	results chan laneResult // one per dispatched job, and one more per done one
-	running sync.WaitGroup  // dispatched jobs whose step, flush included, has not returned
-	exited  sync.WaitGroup  // lanes still running; an abandoned one hands its count on
+	win     window
+	lanes   chan *job      // dispatched: at most depth wait for a lane
+	results chan event     // lane results: at most two owed per slot (window)
+	exited  sync.WaitGroup // lanes still running; an abandoned one hands its count on
 	batch   []*job
 	ds      []broker.Delivery // the fetch buffer: jobs copy what they need
-	slides  bool              // a pool worker's window slides (processBatch)
-}
-
-// laneResult is a dispatched job's mask, and the job if it failed. A
-// done job sends two: done when its slot frees, landed once the flush
-// that carried its increments returned.
-type laneResult struct {
-	mask         uint64
-	failed       *job
-	done, landed bool
 }
 
 // newWorker builds a worker and starts its lanes.
 func (a *App) newWorker(lanes int) *worker {
-	// Sized to the window: at most PipelineDepth jobs are dispatched and
-	// not yet read back, each with up to two results, so neither a
-	// dispatch nor a result ever blocks.
 	depth := a.cfg.PipelineDepth
-	w := &worker{app: a, lanes: make(chan *job, depth), results: make(chan laneResult, 2*depth), batch: make([]*job, 0, depth)}
+	w := &worker{app: a, win: window{depth: depth}, lanes: make(chan *job, depth), results: make(chan event, 2*depth), batch: make([]*job, 0, depth)}
 	w.exited.Add(lanes)
 	for range lanes {
 		go w.runLane()
@@ -138,16 +121,13 @@ func (w *worker) close() {
 }
 
 // lane is one of a worker's goroutines, and its stall watchdog
-// (Config.ApplyTimeout; none at 0): one reusable timer, armed while the
-// lane's job waits for its per-object apply locks and again from its
-// claim to the end of its apply, never across the version-store window
-// or a release. If the budget (stallBudget) runs out first, the watchdog
-// takes the job: stalled, its window slot and mask free, nacked as a
-// failed attempt, a replacement lane in its lane's place. The lane goes
-// on as its straggler until the callback returns, then drops the result,
-// increments and ack with it, and exits; the per-object apply locks and
-// version guard absorb a straggler's late write like a redelivered
-// duplicate.
+// (Config.ApplyTimeout; none at 0): one timer, armed while the job waits
+// for its apply locks and from its claim to the end of its apply. If the
+// budget (stallBudget) runs out first, the watchdog takes the job —
+// stalled, reported failed, a replacement lane started — and the lane
+// goes on as its straggler until the callback returns, then exits with
+// its result, increments and ack dropped; the apply locks and version
+// guard absorb its late write like a redelivered duplicate.
 type lane struct {
 	w     *worker
 	timer *time.Timer
@@ -171,31 +151,29 @@ func (w *worker) runLane() {
 	w.exited.Done()
 }
 
-// step runs one dispatched job through the driver: the delivery as far
-// as it goes, a done job's group-commit entry, its result — the window
-// slot frees here — and then the flush and the landed result. It
-// reports false when the watchdog took the job, and with it the result.
+// step runs one dispatched job through the driver, reports its result —
+// a done one after its group-commit entry, then landed after the flush —
+// and false when the watchdog took the job, and with it the result.
 func (l *lane) step(j *job) bool {
 	w, a := l.w, l.w.app
 	j.lane = l
-	r := laneResult{mask: j.mask} // after drive, j may be another worker's, or recycled
-	st, _ := a.drive(j)
-	switch st {
+	r := event{kind: evParked, id: j.id, mask: j.mask} // after drive, j may be another worker's, or recycled
+	switch st, _ := a.drive(j); st {
 	case stateStalled:
 		a.retire(j, true)
 		return false
 	case stateDone:
 		a.commits.Add(j)
-		r.done = true
+		r.kind = evDone
 	case stateFailed:
-		r.failed = j
+		r.kind, r.job = evFailed, j
 	}
 	w.results <- r
-	if r.done {
+	if r.kind == evDone {
 		a.commits.Flush()
-		w.results <- laneResult{mask: r.mask, landed: true}
+		r.kind = evLanded
+		w.results <- r
 	}
-	w.running.Done()
 	return true
 }
 
@@ -231,62 +209,110 @@ func (l *lane) expire() {
 	w.app.move(j, stateStalled)
 	w.app.tel.stalled.Add(1)
 	go w.runLane()
-	w.results <- laneResult{mask: j.mask, failed: j}
-	w.running.Done()
+	w.results <- event{kind: evFailed, id: j.id, mask: j.mask, job: j}
 }
 
-// workerLoop fills the worker's window, waiting for a delivery only
-// while it is empty, and works through it (processBatch), which refills
-// each slot as it frees; what ended the refilling — a dead, crashed or
-// closed queue, a refused link — is handled here once the window has
-// drained.
-func (a *App) workerLoop(w *worker, stop <-chan struct{}) {
-	defer a.workersWG.Done()
-	defer w.close()
-	for {
-		q, err := w.fill(a.cfg.PipelineDepth, true, stop)
-		if q == nil {
-			return
-		}
-		if len(w.batch) > 0 {
-			w.processBatch(w.batch, stop)
-		}
-		switch {
-		case err == nil, errors.Is(err, broker.ErrCanceled):
-		case errors.Is(err, broker.ErrDecommissioned):
-			a.recycle(a.retireParked(q)...)
-			if rerr := a.RecoverQueue(); rerr != nil {
-				// Cannot recover (e.g. origin gone); retry after a beat.
-				a.pause(stop, 10*time.Millisecond)
+// run is the window's executor: it performs what window.step returns
+// and feeds back what came of it — a refill's fetch, a lane's result, a
+// stop, a nudge — until the window is over. batch is a hand-built first
+// fetch; a pool worker's window starts empty and fetches for itself.
+// What ended a refilling is handled before the next fetch that waits.
+func (w *worker) run(stop <-chan struct{}, batch []*job) {
+	a := w.app
+	var (
+		q    *broker.Queue
+		err  error // the last fetch's
+		kept bool  // a failure's nack kept it for another attempt
+	)
+	for ev := (event{kind: evFetched, jobs: a.decode(batch)}); ; {
+		var refill *action
+		acts := w.win.step(ev)
+		for i := range acts {
+			switch act := &acts[i]; act.kind {
+			case actDispatch:
+				a.tel.pipelineFill.Record(int64(act.n))
+				act.job.id = act.id
+				w.lanes <- act.job
+			case actNack:
+				if j := act.job; !act.failed {
+					a.move(j, stateFailed)
+					a.nack(j.q, j.d.Tag, ackNack)
+				} else if !a.nack(j.q, j.d.Tag, ackNackError) {
+					kept = true
+					a.tel.retries.Add(1)
+				}
+				a.recycle(act.job)
+			case actBackoff:
+				if kept {
+					a.retryBackoff(act.n, stop)
+				}
+				kept = false
+			case actRefill:
+				refill = act
 			}
-		case errors.Is(err, broker.ErrBrokerDown):
-			// Broker crashed: wait out the restart, then swap onto the
-			// rebuilt queue handle (the old one is permanently defunct).
-			for a.fabric.bus().Down() {
-				if !a.pause(stop, 2*time.Millisecond) {
-					return
+		}
+		if refill != nil {
+			ev = event{kind: evStop}
+			if !refill.wait || a.recoverFetch(q, err, stop) {
+				if q, err = w.fill(refill.n, refill.wait, stop); q != nil {
+					ev = event{kind: evFetched, jobs: a.decode(w.batch), err: err}
 				}
 			}
-			a.recycle(a.retireParked(q)...)
-			a.reattachQueue()
-		case errors.Is(err, broker.ErrClosed):
+			continue
+		}
+		if w.win.over() {
 			return
-		default: // the link refused the fetch
-			a.pause(stop, 5*time.Millisecond)
+		}
+		nudged, stopped := a.nudged, stop // a nil channel is never ready
+		if !w.win.short {
+			nudged = nil // an arrival wakes only consumers blocked in the queue
+		}
+		if w.win.stopping {
+			stopped = nil
+		}
+		select {
+		case ev = <-w.results:
+		case <-stopped:
+			ev = event{kind: evStop}
+		case <-nudged:
+			ev = event{kind: evNudge}
 		}
 	}
 }
 
-// fill empties the worker's batch and refills it with up to n jobs its
-// window can start. It returns the queue it took them from: nil on a
-// stop, or with no queue — the worker is done. First it does what every
-// fetch does: it retries parked acks, and admits the fetch through the
-// simulated network, where a partitioned or dropping link refuses it
-// (its error) instead of long-polling through a dead network. Released
-// jobs come first: they are older than anything in the queue, and what
-// is parked behind them waits for exactly these. Then deliveries off
-// the queue, waited for only when wait is set and the ready list gave
-// none; the take's error comes back with whatever the ready list gave.
+// recoverFetch handles what ended a refilling — a dead, crashed or closed
+// queue, a refused link — and reports false when the worker is done.
+func (a *App) recoverFetch(q *broker.Queue, err error, stop <-chan struct{}) bool {
+	switch {
+	case err == nil, errors.Is(err, broker.ErrCanceled):
+	case errors.Is(err, broker.ErrDecommissioned):
+		a.recycle(a.retireParked(q)...)
+		if a.RecoverQueue() != nil { // e.g. origin gone: retry after a beat
+			a.pause(stop, 10*time.Millisecond)
+		}
+	case errors.Is(err, broker.ErrBrokerDown):
+		// Wait out the restart, then swap onto the rebuilt queue handle.
+		for a.fabric.bus().Down() {
+			if !a.pause(stop, 2*time.Millisecond) {
+				return false
+			}
+		}
+		a.recycle(a.retireParked(q)...)
+		a.reattachQueue()
+	case errors.Is(err, broker.ErrClosed):
+		return false
+	default: // the link refused the fetch
+		a.pause(stop, 5*time.Millisecond)
+	}
+	return true
+}
+
+// fill refills the worker's batch with up to n jobs from the queue it
+// returns: nil on a stop, or with no queue. It retries parked acks and
+// admits the fetch through the simulated network, which refuses it (its
+// error) across a bad link. Released jobs come first, older than anything
+// queued; then deliveries, waited for only if wait is set and none was
+// released. The take's error comes back with what was released.
 func (w *worker) fill(n int, wait bool, stop <-chan struct{}) (*broker.Queue, error) {
 	a := w.app
 	clear(w.batch) // what parked is the parked set's, not this buffer's
@@ -322,221 +348,8 @@ func (w *worker) fill(n int, wait bool, stop <-chan struct{}) (*broker.Queue, er
 	return q, err
 }
 
-// processBatch works through one batch of deliveries — released from
-// the ready list or freshly fetched — with a bounded in-flight window:
-// up to Config.PipelineDepth run concurrently in this worker, each on
-// one of its lanes, so the decode, dependency probe, version claims, and
-// callback of messages N+1..N+k overlap message N's 2ms-class callback
-// instead of queueing behind it. A depth of 1 is the same loop with a
-// window of one.
-//
-//   - The window slides: in a pool worker, a slot that frees while
-//     others are in flight and the batch is all dispatched is refilled
-//     at once (fill, without waiting), so one delivery held in its
-//     version-store window or leading a group commit does not hold the
-//     other slots empty; an emptied window is workerLoop's to fill. A
-//     refill that came up short looks again at the next result or nudge
-//     (a job readied, credit returned); an arrival wakes only consumers
-//     blocked in the queue. A stop, a failure or a refill that fails
-//     ends the refilling; the window then drains.
-//   - Park, don't block: a message whose dependencies are unmet, or
-//     whose generation is ahead of the barrier, parks (see job): its
-//     lane moves on and its slot and dispatch mask are free at once.
-//     The delivery stays unacked, so the credit window bounds the parked
-//     set. Whatever moves the counter it needs (a group-commit flush, a
-//     bootstrap bulk load, an inline increment), empties the generation
-//     it waits for, or runs out its DepTimeout releases it to the ready
-//     list. Queue order is never changed to get there, so every message
-//     ahead of a parked one is parked, running or done — the oldest
-//     unapplied message can always run.
-//   - Conflicts serialize: each message folds its operations' objects
-//     into a 64-bit mask (applyMask); a message is dispatched
-//     only when its mask is disjoint from every in-flight message's,
-//     so two updates to the same guarded object never race within the
-//     worker and dispatch in queue order — and only when the objects
-//     its dependencies name (needsMask) are not those of the message
-//     dispatched last while it is in flight or its flush has not
-//     returned, so a chain of one controller's writes runs link by link
-//     instead of parking each link. Cross-worker ordering is the job of
-//     the dependency counters and the per-object version guard.
-//   - Completion is group-committed: a finished message does not
-//     increment counters or ack inline — it queues both on the app's
-//     group-commit flusher (a.commits, drained by flushBatch), which
-//     merges every message completing in a flush window into ONE
-//     IncrOpsMulti round trip followed by ONE AckMulti call. Acks flush
-//     strictly after the increments land, so a crash between the two
-//     redelivers the messages and the version guard discards the
-//     re-applies as stale (the crash-redelivery invariant).
-//   - Fail to the front: when a message fails (or the worker is
-//     stopping), the undispatched tail and then the failed deliveries
-//     are nacked so the queue front reads [failed..., rest...] — the one
-//     reordering there is, and it puts the retry, with the credit its
-//     nack returned, AHEAD of the dependants parked behind it. Failures
-//     go through the failure-counting nack: after
-//     Config.MaxDeliveryAttempts the broker sets the message aside
-//     (dead-letter) so a poison message cannot wedge the pool; until
-//     then the worker backs off exponentially before it looks at the
-//     queue again, so redelivery does not spin on a persistent fault.
-func (w *worker) processBatch(batch []*job, stop <-chan struct{}) {
-	a := w.app
-	depth := a.cfg.PipelineDepth
-	var (
-		next         int
-		inflight     int
-		inflightMask uint64
-		stopping     bool
-		failures     []*job
-		refill       = w.slides
-		last         uint64 // the last dispatched job's mask, until its flush returns
-	)
-	for {
-		short := false // the refill took nothing, and may yet
-		// Dispatch while there is capacity and nothing diverted the batch.
-		for !stopping && len(failures) == 0 && inflight < depth {
-			if next == len(batch) {
-				if !refill || inflight == 0 {
-					break
-				}
-				q, err := w.fill(depth-inflight, false, stop)
-				batch, next, refill = w.batch, 0, q != nil && err == nil
-				if len(batch) == 0 {
-					short = refill
-					break
-				}
-			}
-			select {
-			case <-stop:
-				stopping = true
-			default:
-			}
-			if stopping {
-				break
-			}
-			j := batch[next]
-			if j.load() == stateFetched {
-				if j.d.Redelivered {
-					a.tel.redelivered.Add(1)
-				}
-				j.at = time.Now()
-				msg, derr := wire.UnmarshalProjected(j.d.Payload, a.resolve)
-				if derr != nil {
-					// Poison message: ack (coalesced) and drop it rather
-					// than loop forever.
-					a.to(j, stateFetched, stateDone)
-					a.commits.Add(j)
-					a.commits.Flush()
-					next++
-					continue
-				}
-				j.msg, j.mask, j.needs = msg, a.applyMask(msg), a.needsMask(msg)
-				a.to(j, stateFetched, stateDecoded)
-			}
-			if j.mask&inflightMask != 0 || j.needs&last != 0 {
-				break // shared mask bit: wait for the earlier message
-			}
-			next++
-			inflight++
-			inflightMask |= j.mask
-			last = j.mask
-			a.tel.pipelineFill.Record(int64(inflight))
-			w.running.Add(1)
-			w.lanes <- j
-		}
-		if inflight == 0 && (last == 0 || next == len(batch) || stopping || len(failures) > 0) {
-			break
-		}
-		var nudged <-chan struct{} // nil: never ready
-		if short {
-			nudged = a.nudged
-		}
-		select {
-		case r := <-w.results:
-			if r.mask == last && (r.landed || !r.done) {
-				last = 0 // a done job's flush returned, or it parked or failed
-			}
-			if !r.landed {
-				inflight--
-				inflightMask &^= r.mask
-			}
-			if r.failed != nil {
-				failures = append(failures, r.failed)
-			}
-		case <-stop:
-			stopping = true
-		case <-nudged:
-		}
-	}
-	w.running.Wait() // group commits of completed messages have landed
-	for len(w.results) > 0 {
-		<-w.results // landed results the window no longer needs
-	}
-	// A stop or a failure leaves an undispatched tail. Nack pushes front,
-	// so handing it back newest first restores queue order.
-	for i := len(batch) - 1; i >= next; i-- {
-		a.move(batch[i], stateFailed)
-		a.nack(batch[i].q, batch[i].d.Tag, ackNack)
-		a.recycle(batch[i])
-	}
-	if len(failures) > 0 {
-		// Fail to the front, after the tail: the failure-counting nacks
-		// push last so the queue front reads [failed..., rest...].
-		alive, maxAttempts := false, 0
-		for _, j := range failures {
-			maxAttempts = max(maxAttempts, j.d.Attempts)
-			if !a.nack(j.q, j.d.Tag, ackNackError) {
-				alive = true
-				a.tel.retries.Add(1)
-			}
-			a.recycle(j)
-		}
-		if alive {
-			a.retryBackoff(maxAttempts, stop)
-		}
-	}
-}
-
-// applyMask folds every operation object in the message into a 64-bit
-// dispatch mask, one bit per object: the top six bits of a
-// multiplicative (Fibonacci) hash of its key. Two messages with
-// disjoint masks cannot touch the same guarded object, so they may run
-// concurrently in the pipeline; overlapping masks dispatch strictly in
-// queue order.
-func (a *App) applyMask(msg *wire.Message) uint64 {
-	var mask uint64
-	for i := range msg.Operations {
-		mask |= maskBit(a.objectKey(&msg.Operations[i]))
-	}
-	return mask
-}
-
-// needsMask folds the objects the message's dependencies name into the
-// same bits. A message that needs the increments of the message
-// dispatched just before it — the last write of the same controller —
-// waits for them to land like a conflict instead of parking on them: a
-// window running ahead of a chain of writes would park every link. A
-// weak subscriber needs nothing.
-func (a *App) needsMask(msg *wire.Message) uint64 {
-	deps, err := msg.Deps()
-	if err != nil || a.originMode(msg.App) == Weak {
-		return 0
-	}
-	var mask uint64
-	for k := range deps {
-		mask |= maskBit(vstore.Key(k))
-	}
-	for name := range msg.Dots {
-		mask |= maskBit(a.tracker.Resolve(name))
-	}
-	return mask
-}
-
-// maskBit is an object's dispatch-mask bit: the top six bits of a
-// multiplicative (Fibonacci) hash of its key.
-func maskBit(k vstore.Key) uint64 { return 1 << (uint64(k) * 0x9E3779B97F4A7C15 >> 58) }
-
-// flushBatchCap bounds the jobs merged into one group commit, so a
-// deep backlog cannot grow a single IncrOpsMulti/AckMulti call without
-// bound (the flusher's leader just takes another turn).
+// flushBatchCap bounds the jobs merged into one group commit; the
+// flusher's leader takes another turn for the rest.
 const flushBatchCap = 256
 
 // FaultBeforeAckFlush fires in the group-commit flusher after a batch's
@@ -544,18 +357,14 @@ const flushBatchCap = 256
 // crash-redelivery window the ack-after-increment ordering exists for.
 const FaultBeforeAckFlush = "subscribe/before-ack-flush"
 
-// flushBatch is the commit flusher's drain — it runs on whichever
-// caller of Flush leads, one batch at a time, inline: a message
-// completing alone pays no goroutine hop and no allocation — and lands
-// one group commit of done jobs: their increments (none for weak, stale,
-// bootstrap-covered or poison deliveries) in ONE IncrOpsMulti round trip,
-// then their acks in ONE AckMulti call; then each is recycled. The order
-// is the invariant: acks flush only after their increments land, so a
-// crash between the two leaves the messages unacked, the broker
-// redelivers them, and the per-object version guard discards the
-// duplicate applies as stale. A key bumped by k messages in the window
-// advances by k — within one message keys are deduped (IncrOps
-// semantics, done at defer time).
+// flushBatch is the commit flusher's drain, run inline by whichever
+// caller of Flush leads (a message completing alone pays no hop and no
+// allocation): one group commit of done jobs, their increments in ONE
+// IncrOpsMulti round trip, then their acks in ONE AckMulti call, then
+// each recycled. Acks flush only after their increments land, so a crash
+// between the two leaves the messages unacked for redelivery, whose
+// applies the version guard discards as stale. A key bumped by k
+// messages advances by k (commit dedups within one message).
 func (a *App) flushBatch(jobs []*job) {
 	flushStart := time.Now()
 	a.tel.flushBatch.Record(int64(len(jobs)))
@@ -568,11 +377,9 @@ func (a *App) flushBatch(jobs []*job) {
 	}
 	if len(counts) > 0 {
 		if err := a.store.IncrOpsMulti(counts); err != nil {
-			// The store mutates nothing on a failed round trip (liveness
-			// and transport are checked before any state), so no
-			// increment landed: a job carrying some must NOT be acked. It
-			// goes back as a failed attempt, for redelivery to re-apply
-			// idempotently and retry the increments. The rest ack below.
+			// A failed round trip mutates nothing, so no increment landed:
+			// a job carrying some goes back as a failed attempt, for
+			// redelivery to retry them. The rest ack below.
 			kept := jobs[:0]
 			for _, j := range jobs {
 				if len(j.incr) > 0 {
@@ -587,17 +394,13 @@ func (a *App) flushBatch(jobs []*job) {
 	}
 	if len(jobs) > 0 {
 		if err := a.faults.Fire(FaultBeforeAckFlush); err != nil {
-			// Armed crash window: the increments above landed, the acks
-			// below never flush — a subscriber dying between the two
-			// group-commit round trips. A restart redelivers every job's
-			// message; the per-object version guard discards the duplicate
-			// applies as stale. (Tests arm Fail here, not Crash: a flush
-			// runs on a worker goroutine, where a panic is unrecoverable.)
+			// Armed crash window: the increments landed, the acks never
+			// flush. (Tests arm Fail here, not Crash: a flush runs on a
+			// worker goroutine, where a panic is unrecoverable.)
 			a.recycle(jobs...)
 			return
 		}
-		// One AckMulti per run of jobs on one queue handle: the whole
-		// batch, unless it straddles a queue reattach.
+		// One AckMulti per run of jobs on one queue handle (a reattach).
 		ackStart := time.Now()
 		tags := a.flushTags[:0]
 		for i, j := range jobs {
@@ -615,15 +418,12 @@ func (a *App) flushBatch(jobs []*job) {
 	a.tel.observe(stageFlush, time.Since(flushStart))
 }
 
-// retryBackoff sleeps before a failed message's redelivery attempt:
-// exponential from Config.RetryBackoffBase, doubling per prior failure,
-// capped at Config.RetryBackoffMax, interruptible by worker stop.
+// retryBackoff sleeps before a failed message's redelivery, until stop:
+// RetryBackoffBase doubled per prior failure, up to RetryBackoffMax.
 func (a *App) retryBackoff(attempts int, stop <-chan struct{}) {
 	delay := a.cfg.RetryBackoffMax
 	if attempts < 16 { // beyond 2^16 the shift is past any sane cap
-		if d := a.cfg.RetryBackoffBase << uint(attempts); d < delay {
-			delay = d
-		}
+		delay = min(delay, a.cfg.RetryBackoffBase<<uint(attempts))
 	}
 	if delay > 0 {
 		a.pause(stop, delay)
@@ -637,11 +437,9 @@ var errStalled = errors.New("synapse: subscriber apply stalled past watchdog bud
 // stallBudgetCap bounds the stall budget, in multiples of ApplyTimeout.
 const stallBudgetCap = 8
 
-// stallBudget is the watchdog time budget for a delivery with the given
+// stallBudget is the watchdog's budget for a delivery with the given
 // prior failed attempts: ApplyTimeout doubled per attempt, up to
-// stallBudgetCap times it. It times the wait for the per-object apply
-// locks, and the apply from the claim on — not the version-store window,
-// and not a wait for a release.
+// stallBudgetCap times it.
 func (a *App) stallBudget(attempts int) time.Duration {
 	budget, max := a.cfg.ApplyTimeout, stallBudgetCap*a.cfg.ApplyTimeout
 	for i := 0; i < attempts && budget < max; i++ {
@@ -650,33 +448,27 @@ func (a *App) stallBudget(attempts int) time.Duration {
 	return min(budget, max)
 }
 
-// reattachQueue swaps the app onto the restarted broker's rebuilt
-// queue handle (the pre-crash handle is permanently defunct). The log
-// replays durable queue state but not the volatile consumer tuning
-// (watermarks, credits), so the handle is re-tuned either way. If the
-// broker crashed again mid-reattach the app keeps its defunct handle;
-// the worker loop waits for the broker and retries — never a nil
-// queue mid-flight.
+// reattachQueue swaps the app onto the restarted broker's rebuilt queue
+// handle, re-tuned: the log replays queue state, not consumer tuning. If
+// the broker crashed again mid-reattach the app keeps its defunct handle
+// and the worker retries — never a nil queue mid-flight.
 func (a *App) reattachQueue() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if q, ok := a.fabric.bus().Queue(a.queueName()); ok {
-		a.tuneQueue(q)
-		a.queue = q
-		return
+	q, ok := a.fabric.bus().Queue(a.queueName())
+	if !ok {
+		// Never durably declared (the crash raced it): redeclare.
+		var err error
+		if q, err = a.fabric.bus().DeclareQueue(a.queueName(), a.cfg.QueueMaxLen); err != nil {
+			return
+		}
 	}
-	// The restarted broker has no such queue (it was never durably
-	// declared — e.g. the crash raced the declaration): redeclare.
-	if q, err := a.fabric.bus().DeclareQueue(a.queueName(), a.cfg.QueueMaxLen); err == nil {
-		a.tuneQueue(q)
-		a.queue = q
-	}
+	a.tuneQueue(q)
+	a.queue = q
 }
 
-// nudge tells a worker whose refill came up short (processBatch) to
-// look again: a job was readied, or acks returned credit. One pending
-// token is enough — the worker it wakes takes what its window can start,
-// and a stale one costs one look.
+// nudge tells a worker whose refill came up short to look again: a job
+// was readied, or acks returned credit. One token is enough.
 func (a *App) nudge() {
 	select {
 	case a.nudged <- struct{}{}:

@@ -151,7 +151,7 @@ func TestApplyLocksArePerObject(t *testing.T) {
 		go func() {
 			defer runs.Done()
 			defer close(done)
-			w.processBatch(batch, nil)
+			w.run(nil, batch)
 		}()
 		return done
 	}

@@ -138,7 +138,7 @@ func (a *App) sendMessage(payload []byte) error {
 }
 
 // consumeGate admits one queue fetch: a partitioned or dropping link
-// stalls the consumer briefly (workerLoop pauses and retries) instead
+// stalls the consumer briefly (the worker pauses and retries) instead
 // of letting it long-poll through a dead network.
 func (a *App) consumeGate() error {
 	if a.fabric.Net == nil {
@@ -174,15 +174,6 @@ func (a *App) coordIncrement(name string) uint64 {
 	var v uint64
 	a.withCoord(func() { v = a.fabric.Coord.Increment(name) })
 	return v
-}
-
-// CoordWatch registers a generation watch through the simulated
-// network (the watch channel itself is push-based and reliable once
-// registered, like a ZooKeeper session).
-func (a *App) CoordWatch(name string) <-chan uint64 {
-	var ch <-chan uint64
-	a.withCoord(func() { ch = a.fabric.Coord.Watch(name) })
-	return ch
 }
 
 // ackKind distinguishes the parked broker acknowledgements.

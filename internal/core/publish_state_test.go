@@ -335,6 +335,7 @@ func TestFailedWriteLeavesNoGap(t *testing.T) {
 			if p := sub.Stats().Parked; len(p) != 0 {
 				t.Fatalf("parked after the next write applied: %v", p)
 			}
+			mustSettle(t, 2*time.Second, pub, sub)
 			pubCounters, err := pub.Store().Snapshot()
 			if err != nil {
 				t.Fatal(err)

@@ -185,7 +185,7 @@ func testLateDepTimeoutWakeOnReusedJob(t *testing.T, when string) {
 // TestParkedJobFinishedByAnotherWorker: a job that parks on one worker's
 // lane is resumed, finished and recycled by a second worker while the
 // first worker's batch still runs. The first frees the job's window slot
-// with the mask its lane read before the job ran (laneResult), not the
+// with the mask its lane read before the job ran (its result event), not the
 // job's own, which by then belongs to the pool: reading that races with
 // the recycling under the race detector.
 func TestParkedJobFinishedByAnotherWorker(t *testing.T) {
@@ -208,7 +208,7 @@ func TestParkedJobFinishedByAnotherWorker(t *testing.T) {
 	defer first.close()
 	done := make(chan struct{})
 	go func() {
-		first.processBatch([]*job{update, hold}, nil)
+		first.run(nil, []*job{update, hold})
 		close(done)
 	}()
 	<-entered
@@ -216,12 +216,12 @@ func TestParkedJobFinishedByAnotherWorker(t *testing.T) {
 
 	second := sub.newWorker(2)
 	defer second.close()
-	second.processBatch([]*job{create}, nil)
+	second.run(nil, []*job{create})
 	ready := sub.takeReady(nil, 2)
 	if len(ready) != 1 || ready[0] != update {
 		t.Fatalf("takeReady = %v, want the parked update", ready)
 	}
-	second.processBatch(ready, nil)
+	second.run(nil, ready)
 	if !isRecycled(update) {
 		t.Fatalf("the update's job was not recycled: %v", update.load())
 	}

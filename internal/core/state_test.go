@@ -169,7 +169,7 @@ func TestJobStateTable(t *testing.T) {
 		sub.Faults().Arm(FaultApply, faultinject.Fail(errors.New("injected apply error")))
 		w := sub.newWorker(2)
 		defer w.close()
-		w.processBatch(batch, nil)
+		w.run(nil, batch)
 		if q.Unacked() != 0 || q.Len() != 3 {
 			t.Fatalf("unacked=%d pending=%d, want 0 and the three sent back", q.Unacked(), q.Len())
 		}
@@ -205,7 +205,7 @@ func TestJobStateTable(t *testing.T) {
 
 		held := object(planned) // a straggler holds it, say
 		sub.applyLocks.Acquire(held)
-		w.processBatch([]*job{planned}, nil)
+		w.run(nil, []*job{planned})
 		stalled(planned, 1)
 		sub.applyLocks.Release(held)
 
@@ -221,7 +221,7 @@ func TestJobStateTable(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			w.processBatch(ready, nil)
+			w.run(nil, ready)
 		}()
 		waitFor(t, 2*time.Second, func() bool { return update.load() != stateReady })
 		update.Wake() // while it waits for the object's lock
@@ -229,7 +229,7 @@ func TestJobStateTable(t *testing.T) {
 		stalled(update, 2)
 		sub.applyLocks.Release(held)
 
-		w.processBatch([]*job{hang}, nil)
+		w.run(nil, []*job{hang})
 		stalled(hang, 3)
 		close(release)
 	})

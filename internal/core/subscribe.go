@@ -123,6 +123,7 @@ type trip struct {
 	msg   *wire.Message
 	mask  uint64 // applyMask: the objects it writes
 	needs uint64 // needsMask: the objects its dependencies name
+	id    uint64 // its dispatch in its worker's window: its lane's results carry it
 	lane  *lane  // the lane running it; nil for ProcessMessage
 
 	// at is when its stage began: decode, barrier (the first try), dep-wait
@@ -172,7 +173,7 @@ func (s jobState) entered() bool { return s >= statePlanned && s <= stateApplied
 
 // jobEdges is DESIGN §2j's table: bit t of jobEdges[s] allows s -> t.
 var jobEdges = [numJobStates]uint16{
-	stateFetched: edges(stateDecoded, stateDone, stateFailed),
+	stateFetched: edges(stateDecoded, stateDone),
 	stateDecoded: edges(stateBarrier, statePlanned, stateDone, stateFailed),
 	stateBarrier: edges(stateDecoded, stateFailed),
 	statePlanned: edges(stateParked, stateReady, stateClaimed, stateFailed, stateStalled),
@@ -207,7 +208,7 @@ func (a *App) to(j *job, from, next jobState) bool {
 		return false
 	}
 	switch {
-	case from == stateFetched && next != stateFailed:
+	case from == stateFetched:
 		j.at = a.observeSince(stageDecode, j.at)
 	case from == stateDecoded && next == statePlanned:
 		j.at = a.observeSince(stageBarrier, j.at)
@@ -283,6 +284,65 @@ func (a *App) fetched(q *broker.Queue, d broker.Delivery) *job {
 	j.q, j.d = q, d
 	return j
 }
+
+// decode readies a fetch for the window: a job fresh off the queue is
+// decoded and given its masks; a poison message is acked and dropped.
+func (a *App) decode(batch []*job) []*job {
+	kept := batch[:0]
+	for _, j := range batch {
+		if j.load() == stateFetched {
+			if j.d.Redelivered {
+				a.tel.redelivered.Add(1)
+			}
+			j.at = time.Now()
+			msg, err := wire.UnmarshalProjected(j.d.Payload, a.resolve)
+			if err != nil {
+				a.to(j, stateFetched, stateDone)
+				a.commits.Add(j)
+				a.commits.Flush()
+				continue
+			}
+			j.msg, j.mask, j.needs = msg, a.applyMask(msg), a.needsMask(msg)
+			a.to(j, stateFetched, stateDecoded)
+		}
+		kept = append(kept, j)
+	}
+	clear(batch[len(kept):])
+	return kept
+}
+
+// applyMask folds every operation object in the message into a 64-bit
+// dispatch mask, one bit per object (maskBit): two messages with disjoint
+// masks cannot touch the same guarded object.
+func (a *App) applyMask(msg *wire.Message) uint64 {
+	var mask uint64
+	for i := range msg.Operations {
+		mask |= maskBit(a.objectKey(&msg.Operations[i]))
+	}
+	return mask
+}
+
+// needsMask folds the objects the message's dependencies name into the
+// same bits, for the window's chain clause. A weak subscriber needs
+// nothing.
+func (a *App) needsMask(msg *wire.Message) uint64 {
+	deps, err := msg.Deps()
+	if err != nil || a.originMode(msg.App) == Weak {
+		return 0
+	}
+	var mask uint64
+	for k := range deps {
+		mask |= maskBit(vstore.Key(k))
+	}
+	for name := range msg.Dots {
+		mask |= maskBit(a.tracker.Resolve(name))
+	}
+	return mask
+}
+
+// maskBit is an object's dispatch-mask bit: the top six bits of a
+// multiplicative (Fibonacci) hash of its key.
+func maskBit(k vstore.Key) uint64 { return 1 << (uint64(k) * 0x9E3779B97F4A7C15 >> 58) }
 
 // applyScratch is what applying one operation needs and nothing keeps:
 // the record handed to Mapper.Save or to an observer's callbacks, and

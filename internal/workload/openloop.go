@@ -164,8 +164,7 @@ func (c OpenLoopConfig) withDefaults() OpenLoopConfig {
 // deterministic stream independent of which worker draws which op.
 //
 // All tuning lives in OpenLoopConfig and is fixed at construction —
-// there are deliberately no setters to guard (see the SetCommentRatio
-// race this package once had).
+// there are deliberately no setters to guard.
 type OpenLoopGen struct {
 	mu  sync.Mutex
 	cfg OpenLoopConfig

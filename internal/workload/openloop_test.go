@@ -216,23 +216,6 @@ func relDiff(a, b float64) float64 {
 	return d / b
 }
 
-// TestSetCommentRatioConcurrent: the setter must be safe against
-// concurrent Next (this raced before the mutex guard).
-func TestSetCommentRatioConcurrent(t *testing.T) {
-	g := NewSocialGen(1, 16)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 2000; i++ {
-			g.SetCommentRatio(float64(i%4) * 0.25)
-		}
-	}()
-	for i := 0; i < 2000; i++ {
-		g.Next()
-	}
-	<-done
-}
-
 // TestOpenLoopSessionChurn: with ActiveSessions on, every op is issued
 // by a currently-live session, the active set stays at the configured
 // size, sessions expire and are replaced (churn reaches well past the

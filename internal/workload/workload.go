@@ -40,9 +40,10 @@ type SocialGen struct {
 	posts    []string
 	nextPost int
 	nextComm int
-	// CommentRatio is the fraction of comment operations (default 0.75).
-	commentRatio float64
 }
+
+// commentRatio is the fraction of comment operations.
+const commentRatio = 0.75
 
 // NewSocialGen builds a generator over the given user population.
 func NewSocialGen(seed int64, users int) *SocialGen {
@@ -50,20 +51,9 @@ func NewSocialGen(seed int64, users int) *SocialGen {
 		users = 1
 	}
 	return &SocialGen{
-		rng:          rand.New(rand.NewSource(seed)),
-		users:        users,
-		commentRatio: 0.75,
+		rng:   rand.New(rand.NewSource(seed)),
+		users: users,
 	}
-}
-
-// SetCommentRatio overrides the post/comment mix. It takes the
-// generator mutex: workers read commentRatio inside Next while holding
-// g.mu, so an unguarded write here is a data race under concurrent
-// draw.
-func (g *SocialGen) SetCommentRatio(r float64) {
-	g.mu.Lock()
-	g.commentRatio = r
-	g.mu.Unlock()
 }
 
 // Next draws the next operation. The first operation is always a post
@@ -72,7 +62,7 @@ func (g *SocialGen) Next() SocialOp {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	user := fmt.Sprintf("u%d", g.rng.Intn(g.users))
-	if len(g.posts) == 0 || g.rng.Float64() >= g.commentRatio {
+	if len(g.posts) == 0 || g.rng.Float64() >= commentRatio {
 		g.nextPost++
 		id := fmt.Sprintf("p%d", g.nextPost)
 		g.posts = append(g.posts, id)

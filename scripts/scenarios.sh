@@ -128,7 +128,8 @@ scenario_benchmark() {
 # run under the race detector; the three entries' differential test, the
 # job state table, the random-ops convergence property, the recycled
 # job's lifetime tests, the per-object apply locks, the sliding window
-# (deliveries refill past a blocked one), the lost-message timeout
+# (deliveries refill past a blocked one) and its step function driven
+# through every event sequence up to depth 3, the lost-message timeout
 # recovery and the paper's six example programs run twenty times under
 # it — a failing seed is a bug report, never a rerun. Last, without the
 # race detector (they skip under it), the runtime's two budgets: a lone
@@ -138,7 +139,7 @@ scenario_liveness() {
     gotest -race -run 'TestPark' ./internal/vstore/ &&
         gotest -race -run 'TestDependantAhead|TestNewGeneration|TestParked|TestStopWorkersHands|TestBootstrapDrainDeadLetters|TestWorkerPoolGoroutinesFixed' \
             ./internal/core/ &&
-        gotest -race -count=20 -run 'TestJobStateTable|TestEveryEntryAppliesAlike|TestQuickConvergenceRandomOps|TestLateDepTimeoutWakeOnReusedJob|TestParkedJobFinishedByAnotherWorker|TestRecycleOnce|TestApplyLocksArePerObject|TestWorkerWindowRefillsPastABlockedDelivery' ./internal/core/ &&
+        gotest -race -count=20 -run 'TestJobStateTable|TestEveryEntryAppliesAlike|TestQuickConvergenceRandomOps|TestLateDepTimeoutWakeOnReusedJob|TestParkedJobFinishedByAnotherWorker|TestRecycleOnce|TestApplyLocksArePerObject|TestWorkerWindowRefillsPastABlockedDelivery|TestWindowExhaustive' ./internal/core/ &&
         gotest -race -count=20 -run '^TestLostMsgTimeoutRecovers$' ./internal/bench/ &&
         gotest -race -count=20 ./examples/... &&
         gotest -run 'TestFlushBatchAllocBudget|TestWorkerDeliveryByteBudget' ./internal/core/
