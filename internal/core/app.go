@@ -205,9 +205,9 @@ type App struct {
 	nudged   chan struct{} // one token for a worker whose refill came up short (nudge)
 	jobs     sync.Pool     // every entry's jobs, each handed back once it is over (see recycle)
 
-	// onMove and onPubMove, nil outside tests, see every App.to and App.advance.
-	onMove    func(j *job, from, to jobState)
-	onPubMove func(p *publication, from, to pubState)
+	// sinks see every transition after the telemetry (see moved). Tests
+	// add them before the app runs; production has none.
+	sinks []func(transition)
 
 	// The subscriber's group commit (see flushBatch in lanes.go):
 	// completed pipeline deliveries queue their jobs here, and whichever
@@ -223,9 +223,9 @@ type App struct {
 	applyLocks *storage.LockTable[vstore.Key]
 }
 
-// telemetry is an app's instruments, written lock-free where things
-// happen and read only by Stats. Each feeds the Stats field named after
-// it, whose comment says what it counts.
+// telemetry is an app's instruments, written lock-free (a job's moves in
+// moved, the rest where things happen) and read only by Stats. Each feeds
+// the Stats field named after it, whose comment says what it counts.
 type telemetry struct {
 	processed, retries, redelivered, stalled atomic.Int64
 	republished, deferred, shed, throttled   atomic.Int64
@@ -245,12 +245,12 @@ type telemetry struct {
 
 // stage indexes the subscriber pipeline timers: payload decode,
 // generation barrier (§4.4), dependency wait (§4.2), version claim + DB
-// apply (§4.2), group-commit flush, and broker ack. Decode is observed
-// once per delivery fetched from the queue; barrier and apply once per
-// delivery from any entry; dep-wait once per delivery with a non-empty
-// plan (weak and bootstrapping deliveries have none); flush and ack once
-// per group commit. Deliveries overlap, so the totals can exceed wall
-// clock.
+// apply (§4.2), group-commit flush, and broker ack. moved observes decode
+// once per delivery fetched from the queue, barrier and apply once per
+// delivery from any entry, dep-wait once per delivery with a non-empty
+// plan (weak and bootstrapping deliveries have none); flushBatch observes
+// flush and ack once per group commit. Deliveries overlap, so the totals
+// can exceed wall clock.
 type stage uint8
 
 const (
@@ -268,6 +268,68 @@ var stageNames = [numStages]string{"decode", "barrier", "dep-wait", "apply", "fl
 
 // observe records one sample of a stage.
 func (t *telemetry) observe(s stage, d time.Duration) { t.stages[s].Record(int64(d)) }
+
+// transition is one event on an app's stream: a job's (pub nil) or a
+// publication's (job nil) move from one jobState or pubState to the next.
+type transition struct {
+	app      *App
+	job      *job
+	pub      *publication
+	from, to uint32
+	t        time.Time
+}
+
+// moved sees every move App.to (j) or App.advance (p) makes: a job's
+// feeds the stage timers (j.at is when its stage began; DepTimeout counts
+// from the plan's) and the processed and redelivered counts, then each
+// sink sees it (emit). Four words, not a transition: an argument that
+// size would grow the frames of to and advance on the lanes' stacks.
+func (a *App) moved(j *job, p *publication, from, next uint32) {
+	ev := transition{app: a, job: j, pub: p, from: from, to: next}
+	if j != nil {
+		switch from, next := jobState(from), jobState(next); {
+		case from == stateFetched:
+			if j.d.Redelivered {
+				a.tel.redelivered.Add(1)
+			}
+			ev.t = time.Now()
+			a.tel.observe(stageDecode, ev.t.Sub(j.at))
+			j.at = ev.t
+		case from == stateDecoded && next == statePlanned:
+			ev.t = time.Now()
+			a.tel.observe(stageBarrier, ev.t.Sub(j.at))
+			j.at = ev.t
+		case next == stateClaimed:
+			ev.t = time.Now()
+			if !j.blockedAt.IsZero() {
+				a.tel.depWaitBlocked.Record(int64(ev.t.Sub(j.blockedAt)))
+			}
+			if len(j.reqs) > 0 {
+				a.tel.observe(stageDepWait, ev.t.Sub(j.at))
+			}
+			j.at = ev.t
+		case from == stateApplied && next == stateDone:
+			ev.t = time.Now()
+			a.tel.observe(stageApply, ev.t.Sub(j.at))
+			a.tel.processed.Add(1)
+		}
+	}
+	if len(a.sinks) > 0 {
+		a.emit(ev)
+	}
+}
+
+// emit stamps ev, unless a timer read the clock, for each sink. A sink
+// may run under parkMu or a generation's mu: it takes only its own lock
+// and calls nothing on the app.
+func (a *App) emit(ev transition) {
+	if ev.t.IsZero() {
+		ev.t = time.Now()
+	}
+	for _, sink := range a.sinks {
+		sink(ev)
+	}
+}
 
 // depWriterStripe is one stripe of the last-writer fingerprint table.
 type depWriterStripe struct {

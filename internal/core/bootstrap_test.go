@@ -480,11 +480,11 @@ func TestBootstrapDrainParkedJobResumesOnWorker(t *testing.T) {
 		t.Fatalf("TryGet: %v, %v", ok, err)
 	}
 	var resumedBy atomic.Pointer[worker]
-	sub.onMove = func(j *job, from, to jobState) {
+	watchJobs(sub, func(j *job, from, to jobState) {
 		if j.d.Tag == d.Tag && from == stateReady {
 			resumedBy.Store(j.lane.w)
 		}
-	}
+	})
 	drain := sub.newWorker(1)
 	defer drain.close()
 	drain.runFetched(q, d)

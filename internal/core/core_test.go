@@ -298,11 +298,11 @@ func TestDestroyPublishesStateAfterRacingUpdateDirect(t *testing.T) {
 	pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
 	mustPublish(t, pub, userDesc(), "name")
 	got := destroyAfterRacingUpdate(t, pub, f, func(race func()) {
-		pub.onPubMove = func(p *publication, from, to pubState) {
+		watchPubs(pub, func(p *publication, from, to pubState) {
 			if from == pubStaged && to == pubPrepared && p.staged[0].verb == wire.OpDestroy {
 				race()
 			}
-		}
+		})
 	})
 	if got != "after" {
 		t.Errorf("destroy published name %v, want the racing update's %q", got, "after")

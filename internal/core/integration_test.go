@@ -105,23 +105,39 @@ func TestEngineMatrix(t *testing.T) {
 }
 
 // TestQuickConvergenceRandomOps drives random controller operations on
-// the publisher and random worker counts and window depths on the
-// subscriber, checking that the subscriber's final state converges to
-// the publisher's — the core replication invariant — under causal
-// delivery.
+// the publisher and random worker counts and window depths on two
+// subscribers, checking that each one's final state converges to the
+// publisher's — the core replication invariant — under causal and weak
+// delivery, and that no recorded history lowers an object's version.
+// The weak subscriber applies out of order, so its claims lose where the
+// causal one's do not.
 func TestQuickConvergenceRandomOps(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		workers := 1 + rng.Intn(4)
 		depth := []int{1, 4}[rng.Intn(2)]
 		f := NewFabric()
-		pub, pubMapper := newDocApp(t, f, "pub", Config{Mode: Causal})
-		sub, subMapper := newSQLApp(t, f, "sub", Config{PipelineDepth: depth})
+		pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
+		sub, _ := newSQLApp(t, f, "sub", Config{PipelineDepth: depth})
+		weak, _ := newDocApp(t, f, "weak", Config{PipelineDepth: depth})
 		mustPublish(t, pub, userDesc(), "name", "likes")
 		mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name", "likes"}})
-
-		sub.StartWorkers(workers)
-		defer sub.StopWorkers()
+		mustSubscribe(t, weak, userDesc(), SubSpec{From: "pub", Attrs: []string{"name", "likes"}, Mode: Weak})
+		record(t, pub)
+		for _, s := range []*App{sub, weak} {
+			record(t, s)
+			s.StartWorkers(workers)
+			defer s.StopWorkers()
+		}
+		defer func() {
+			if t.Failed() {
+				for _, s := range []*App{sub, weak} {
+					st := s.Stats()
+					t.Logf("seed %d (workers=%d depth=%d): %s processed=%d blocked=%d parked=%q",
+						seed, workers, depth, s.name, st.Processed, st.DepWaitsBlocked, st.Parked)
+				}
+			}
+		}()
 
 		const objects = 6
 		live := make(map[string]bool)
@@ -161,46 +177,12 @@ func TestQuickConvergenceRandomOps(t *testing.T) {
 			}
 		}
 
-		// Wait for convergence.
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if statesMatch(pubMapper.Len("User"), subMapper.Len("User")) &&
-				allRecordsEqual(pubMapper, subMapper, objects) {
-				return true
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		st, q := sub.Stats(), sub.Queue()
-		t.Logf("seed %d (workers=%d depth=%d): pub=%d sub=%d records; processed=%d pending=%d unacked=%d blocked=%d",
-			seed, workers, depth, pubMapper.Len("User"), subMapper.Len("User"), st.Processed, q.Len(), q.Unacked(), st.DepWaitsBlocked)
-		for _, p := range st.Parked {
-			t.Logf("seed %d: parked: %s", seed, p)
-		}
-		return false
+		mustSettle(t, 10*time.Second, pub, sub, weak)
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func statesMatch(a, b int) bool { return a == b }
-
-func allRecordsEqual(pub, sub orm.Mapper, objects int) bool {
-	for i := 0; i < objects; i++ {
-		id := fmt.Sprintf("u%d", i)
-		want, errPub := pub.Find("User", id)
-		got, errSub := sub.Find("User", id)
-		if (errPub == nil) != (errSub == nil) {
-			return false
-		}
-		if errPub != nil {
-			continue
-		}
-		if want.String("name") != got.String("name") || want.Int("likes") != got.Int("likes") {
-			return false
-		}
-	}
-	return true
 }
 
 // TestConcurrentPublishersOneSubscriber: several publisher apps feeding
@@ -257,16 +239,23 @@ func TestConcurrentPublishersOneSubscriber(t *testing.T) {
 }
 
 // TestHighConcurrencyStress: many publisher goroutines and subscriber
-// workers hammering overlapping objects; everything converges and no
-// message is lost.
+// workers hammering overlapping objects; a causal and a weak subscriber
+// both converge, no message is lost, and no recorded history puts an
+// object's version after a newer one.
 func TestHighConcurrencyStress(t *testing.T) {
 	f := NewFabric()
-	pub, pubMapper := newDocApp(t, f, "pub", Config{Mode: Causal, VStoreShards: 4})
-	sub, subMapper := newDocApp(t, f, "sub", Config{VStoreShards: 4})
+	pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal, VStoreShards: 4})
+	sub, _ := newDocApp(t, f, "sub", Config{VStoreShards: 4})
+	weak, _ := newSQLApp(t, f, "weak", Config{VStoreShards: 4})
 	mustPublish(t, pub, userDesc(), "likes")
 	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"likes"}})
-	sub.StartWorkers(8)
-	defer sub.StopWorkers()
+	mustSubscribe(t, weak, userDesc(), SubSpec{From: "pub", Attrs: []string{"likes"}, Mode: Weak})
+	record(t, pub)
+	for _, s := range []*App{sub, weak} {
+		record(t, s)
+		s.StartWorkers(8)
+		defer s.StopWorkers()
+	}
 
 	// Seed objects.
 	seed := pub.NewController(nil)
@@ -301,9 +290,7 @@ func TestHighConcurrencyStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 15*time.Second, func() bool {
-		return allRecordsEqual(pubMapper, subMapper, objects)
-	})
+	mustSettle(t, 15*time.Second, pub, sub, weak)
 	if got := sub.Stats().Processed; got < writers*updates {
 		t.Errorf("processed %d messages, want >= %d", got, writers*updates)
 	}

@@ -187,9 +187,7 @@ func (a *App) advance(p *publication, next pubState) {
 			a.outbox.abandon(p.seq, next == pubDeferred)
 		}
 	}
-	if a.onPubMove != nil {
-		a.onPubMove(p, from, next)
-	}
+	a.moved(nil, p, uint32(from), uint32(next))
 }
 
 // stageWrites is staged's step: the dependency names — the staged

@@ -106,7 +106,7 @@ func TestPublicationStateTable(t *testing.T) {
 		taken    = map[string]map[string]bool{} // "committed->sent": scenarios
 	)
 	watch := func(a *App) *App {
-		a.onPubMove = func(p *publication, from, to pubState) {
+		watchPubs(a, func(p *publication, from, to pubState) {
 			mu.Lock()
 			defer mu.Unlock()
 			key := fmt.Sprintf("%v->%v", from, to)
@@ -114,7 +114,7 @@ func TestPublicationStateTable(t *testing.T) {
 				taken[key] = map[string]bool{}
 			}
 			taken[key][scenario] = true
-		}
+		})
 		return a
 	}
 	run := func(name string, fn func(t *testing.T)) {

@@ -316,7 +316,7 @@ const workerDeliveryBytes = 1150 - 400
 
 // TestWorkerDeliveryByteBudget: a worker allocates no job per fetch — it
 // takes them from App.jobs, and flushBatch hands them back — so a
-// delivery through workerLoop, one worker, after warm-up, costs at least
+// delivery through worker.run, one worker, after warm-up, costs at least
 // 400 B less than when each fetch made its batch of jobs.
 func TestWorkerDeliveryByteBudget(t *testing.T) {
 	skipUnderRace(t)
@@ -352,6 +352,6 @@ func TestWorkerDeliveryByteBudget(t *testing.T) {
 	perDelivery := (b1 - b0) / (p1 - p0)
 	t.Logf("%d B per delivery over %d deliveries", perDelivery, p1-p0)
 	if perDelivery > workerDeliveryBytes {
-		t.Errorf("a delivery through workerLoop allocates %d B, want <= %d", perDelivery, workerDeliveryBytes)
+		t.Errorf("a delivery through worker.run allocates %d B, want <= %d", perDelivery, workerDeliveryBytes)
 	}
 }

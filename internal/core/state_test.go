@@ -63,7 +63,7 @@ func TestJobStateTable(t *testing.T) {
 			d = userDesc()
 		}
 		mustSubscribe(t, sub, d, SubSpec{From: "pub", Attrs: []string{"name"}})
-		sub.onMove = func(j *job, from, to jobState) {
+		watchJobs(sub, func(j *job, from, to jobState) {
 			entry := "W"
 			mu.Lock()
 			if j.q == nil {
@@ -73,7 +73,7 @@ func TestJobStateTable(t *testing.T) {
 			}
 			taken[fmt.Sprintf("%s %v->%v", entry, from, to)]++
 			mu.Unlock()
-		}
+		})
 		return f, pub, sub, pub.NewController(nil)
 	}
 	drive := func(t *testing.T, a *App, j *job, want jobState) {

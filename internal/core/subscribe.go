@@ -143,6 +143,8 @@ type trip struct {
 	wait  *vstore.Parked
 	timer *time.Timer
 
+	applied uint64 // bit i: operation i (of the first 64) went to applyOp
+
 	scratch applyScratch
 }
 
@@ -193,13 +195,13 @@ func edges[S jobState | pubState](to ...S) (set uint16) {
 func (j *job) load() jobState { return jobState(j.state.Load()) }
 
 // to moves j from one state to the next: the one place a job changes
-// state, and where the stage timers are observed. A move outside the
-// table panics, like releasing a storage.LockTable key nobody holds. The
-// move is a compare-and-swap: false, and nothing moved, when j is no
-// longer in from. A job that is over is retired: what could still
-// release it goes, its generation count returns, and so does its
-// message, unless ProcessMessage lent it (the watchdog's stalled job is
-// its straggler's to retire).
+// state. A move outside the table panics, like releasing a
+// storage.LockTable key nobody holds. The move is a compare-and-swap:
+// false, and nothing moved, when j is no longer in from. It goes to the
+// stream (moved) while j is whole; then a job that is over is retired:
+// what could still release it goes, its generation count returns, and so
+// does its message, unless ProcessMessage lent it (the watchdog's
+// stalled job is its straggler's to retire).
 func (a *App) to(j *job, from, next jobState) bool {
 	if jobEdges[from]&(1<<next) == 0 {
 		panic(fmt.Sprintf("synapse: subscriber job moved %v -> %v", from, next))
@@ -207,28 +209,9 @@ func (a *App) to(j *job, from, next jobState) bool {
 	if !j.state.CompareAndSwap(uint32(from), uint32(next)) {
 		return false
 	}
-	switch {
-	case from == stateFetched:
-		j.at = a.observeSince(stageDecode, j.at)
-	case from == stateDecoded && next == statePlanned:
-		j.at = a.observeSince(stageBarrier, j.at)
-	case next == stateClaimed:
-		now := time.Now()
-		if !j.blockedAt.IsZero() {
-			a.tel.depWaitBlocked.Record(int64(now.Sub(j.blockedAt)))
-		}
-		if len(j.reqs) > 0 {
-			a.tel.observe(stageDepWait, now.Sub(j.at))
-		}
-		j.at = now
-	case from == stateApplied && next == stateDone:
-		a.observeSince(stageApply, j.at)
-	}
+	a.moved(j, nil, uint32(from), uint32(next))
 	if next == stateDone || next == stateFailed {
 		a.retire(j, from.entered())
-	}
-	if a.onMove != nil {
-		a.onMove(j, from, next)
 	}
 	return true
 }
@@ -238,13 +221,6 @@ func (a *App) to(j *job, from, next jobState) bool {
 func (a *App) move(j *job, next jobState) {
 	for !a.to(j, j.load(), next) {
 	}
-}
-
-// observeSince records the stage that began at start and returns now.
-func (a *App) observeSince(s stage, start time.Time) time.Time {
-	now := time.Now()
-	a.tel.observe(s, now.Sub(start))
-	return now
 }
 
 func (a *App) retire(j *job, entered bool) {
@@ -291,9 +267,6 @@ func (a *App) decode(batch []*job) []*job {
 	kept := batch[:0]
 	for _, j := range batch {
 		if j.load() == stateFetched {
-			if j.d.Redelivered {
-				a.tel.redelivered.Add(1)
-			}
 			j.at = time.Now()
 			msg, err := wire.UnmarshalProjected(j.d.Payload, a.resolve)
 			if err != nil {
@@ -640,7 +613,6 @@ func (a *App) commit(j *job) (jobState, error) {
 		}
 	}
 	a.to(j, stateApplied, stateDone)
-	a.tel.processed.Add(1)
 	return stateDone, nil
 }
 
@@ -808,6 +780,9 @@ func (a *App) claimAndApply(msg *wire.Message, claims []vstore.Claim, claimOp []
 			if r := results[mine]; !r.Applied && (j != nil || r.Prev != claims[mine].Version) {
 				continue // stale update: skip to the latest version
 			}
+		}
+		if j != nil && i < 64 {
+			j.applied |= 1 << i
 		}
 		if err = a.applyOp(msg.App, &msg.Operations[i], sc); err != nil {
 			for ; mine < len(claims); mine++ {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -11,13 +12,18 @@ import (
 	"synapse/internal/netsim"
 )
 
-// mustSettle fails the test unless subs converge on pub within timeout.
+// mustSettle fails the test unless subs converge on pub within timeout,
+// and unless the history of each app with a recorder keeps its rules.
 func mustSettle(t *testing.T, timeout time.Duration, pub *App, subs ...*App) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	if err := Settle(ctx, pub, subs...); err != nil {
-		t.Fatalf("never converged: %v", err)
+	settled := Settle(ctx, pub, subs...)
+	if settled != nil {
+		settled = fmt.Errorf("never converged: %w", settled)
+	}
+	if err := errors.Join(settled, checkRecorded(append([]*App{pub}, subs...)...)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -126,12 +126,15 @@ scenario_benchmark() {
 # ahead of the last old message, one worker); the park/ready/release unit
 # tests, the bootstrap drain's dead-letter test and the fixed lane count
 # run under the race detector; the three entries' differential test, the
-# job state table, the random-ops convergence property, the recycled
-# job's lifetime tests, the per-object apply locks, the sliding window
-# (deliveries refill past a blocked one) and its step function driven
-# through every event sequence up to depth 3, the lost-message timeout
-# recovery and the paper's six example programs run twenty times under
-# it — a failing seed is a bug report, never a rerun. Last, without the
+# job state table, the random-ops convergence property and the
+# many-writer stress (each with a causal and a weak subscriber whose
+# recorded histories must keep every object's applied versions rising),
+# that history check's own table, the recycled job's lifetime tests, the
+# per-object apply locks, the sliding window (deliveries refill past a
+# blocked one) and its step function driven through every event sequence
+# up to depth 3, the lost-message timeout recovery and the paper's six
+# example programs run twenty times under it — a failing seed is a bug
+# report, never a rerun. Last, without the
 # race detector (they skip under it), the runtime's two budgets: a lone
 # group commit allocates nothing, and a worker's delivery stays within
 # its byte budget.
@@ -139,7 +142,7 @@ scenario_liveness() {
     gotest -race -run 'TestPark' ./internal/vstore/ &&
         gotest -race -run 'TestDependantAhead|TestNewGeneration|TestParked|TestStopWorkersHands|TestBootstrapDrainDeadLetters|TestWorkerPoolGoroutinesFixed' \
             ./internal/core/ &&
-        gotest -race -count=20 -run 'TestJobStateTable|TestEveryEntryAppliesAlike|TestQuickConvergenceRandomOps|TestLateDepTimeoutWakeOnReusedJob|TestParkedJobFinishedByAnotherWorker|TestRecycleOnce|TestApplyLocksArePerObject|TestWorkerWindowRefillsPastABlockedDelivery|TestWindowExhaustive' ./internal/core/ &&
+        gotest -race -count=20 -run 'TestJobStateTable|TestEveryEntryAppliesAlike|TestQuickConvergenceRandomOps|TestHighConcurrencyStress|TestCheckVersionsRise|TestLateDepTimeoutWakeOnReusedJob|TestParkedJobFinishedByAnotherWorker|TestRecycleOnce|TestApplyLocksArePerObject|TestWorkerWindowRefillsPastABlockedDelivery|TestWindowExhaustive' ./internal/core/ &&
         gotest -race -count=20 -run '^TestLostMsgTimeoutRecovers$' ./internal/bench/ &&
         gotest -race -count=20 ./examples/... &&
         gotest -run 'TestFlushBatchAllocBudget|TestWorkerDeliveryByteBudget' ./internal/core/
