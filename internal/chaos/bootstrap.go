@@ -30,7 +30,7 @@ type BootstrapConfig struct {
 }
 
 // bootstrapChunkSize makes a default run walk ~19 chunks — plenty of
-// cursor writes and watermark windows for the script to land faults in.
+// chunk reads and cursor writes for the script to land faults in.
 const bootstrapChunkSize = 16
 
 func (c BootstrapConfig) withDefaults() BootstrapConfig {
@@ -60,12 +60,10 @@ type BootstrapResult struct {
 	BrokerBounces int // broker crash/restart cycles mid-join
 
 	// Join behaviour.
-	Attempts     int           // Bootstrap calls until one succeeded
-	Resumes      int64         // attempts that resumed from the journaled cursor
-	Chunks       int64         // chunks sealed across all attempts
-	ChunkRetries int64         // high-watermark waits that timed out
-	Deduped      int64         // chunk rows skipped by the watermark window
-	JoinTime     time.Duration // first Bootstrap call -> success
+	Attempts int           // Bootstrap calls until one succeeded
+	Resumes  int64         // attempts that resumed from the journaled cursor
+	Chunks   int64         // chunks sealed across all attempts
+	JoinTime time.Duration // first Bootstrap call -> success
 
 	Verdict          // RecoveryTime runs from the join's success
 	Regressions      int
@@ -101,7 +99,6 @@ func RunBootstrap(cfg BootstrapConfig) (BootstrapResult, error) {
 
 	sub, err := t.app("boot-sub", rethink(), func(c *core.Config) {
 		c.BootstrapChunkSize = bootstrapChunkSize
-		c.BootstrapChunkWait = 200 * time.Millisecond
 	})
 	if err != nil {
 		return res, err
@@ -118,9 +115,9 @@ func RunBootstrap(cfg BootstrapConfig) (BootstrapResult, error) {
 	written := w.steady(cfg.Seed, objs, cfg.Writes)
 
 	// Seeded network script racing the join: partitions and broker
-	// bounces. These degrade the watermark round-trip (waits time out,
-	// publishes defer to the subscriber's journal) but must never break
-	// the join — chunks fall back to guarded-only applies.
+	// bounces. These cut a chunk's drain short or fail a whole attempt,
+	// and defer publishes to the subscriber's journal, but must never
+	// break the join — each attempt resumes from the journaled cursor.
 	schedDone := make(chan struct{})
 	go func() {
 		defer close(schedDone)
@@ -163,9 +160,9 @@ func RunBootstrap(cfg BootstrapConfig) (BootstrapResult, error) {
 				site  string
 				fails *int
 			}{
-				{core.FaultBootstrapCursor, &res.CursorFails},   // between a chunk's high watermark and its cursor write
-				{core.FaultBootstrapChunkLow, &res.ChunkFails},  // before a chunk's low watermark
-				{core.FaultBootstrapChunkHigh, &res.ChunkFails}, // after a chunk's locked read, before its high watermark
+				{core.FaultBootstrapCursor, &res.CursorFails},   // between a chunk's drain and its cursor write
+				{core.FaultBootstrapChunkLow, &res.ChunkFails},  // before a chunk's read
+				{core.FaultBootstrapChunkHigh, &res.ChunkFails}, // after a chunk's locked read, before its apply
 			}[arng.Intn(3)]
 			sub.Faults().ArmN(s.site, arng.Intn(3), 1, faultinject.Fail(errors.New("chaos: injected crash at "+s.site)))
 			*s.fails++
@@ -205,8 +202,6 @@ func RunBootstrap(cfg BootstrapConfig) (BootstrapResult, error) {
 	st := sub.Stats()
 	res.Resumes = st.BootstrapResumes
 	res.Chunks = st.BootstrapChunks
-	res.ChunkRetries = st.ChunkRetries
-	res.Deduped = st.ChunkRowsDeduped
 	res.MaxPublishStall = pub.Stats().MaxPublishStall
 	return res, nil
 }

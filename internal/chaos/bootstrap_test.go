@@ -9,7 +9,7 @@ import (
 // robustness property: for every seed, a subscriber joining a
 // pre-populated publisher through the chunked live bootstrap — while a
 // writer keeps publishing and the fault script crashes the join at its
-// cursor-journal and watermark fault sites, partitions it from the
+// cursor-journal and chunk fault sites, partitions it from the
 // broker, and bounces the broker — ends exactly converged with the
 // publisher, with zero value regressions (no stale chunk row applied
 // over a newer live write).
@@ -119,8 +119,8 @@ func TestBootstrapRaceSoak(t *testing.T) {
 			t.Fatalf("seed %d applied %d stale chunk rows: %v",
 				res.Seed, res.Regressions, res.RegressionDetail)
 		}
-		t.Logf("seed %d: attempts=%d resumes=%d chunks=%d deduped=%d join=%v recovery=%v stall=%v",
-			res.Seed, res.Attempts, res.Resumes, res.Chunks, res.Deduped,
+		t.Logf("seed %d: attempts=%d resumes=%d chunks=%d join=%v recovery=%v stall=%v",
+			res.Seed, res.Attempts, res.Resumes, res.Chunks,
 			res.JoinTime, res.RecoveryTime, res.MaxPublishStall)
 	}
 }

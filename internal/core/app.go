@@ -142,14 +142,6 @@ type App struct {
 	// instead of re-bootstrapping origins that already converged.
 	recoverPending []string
 
-	// bootWindows tracks the open watermark window per origin while a
-	// chunked bootstrap runs (see bootstrap.go): live messages observed
-	// between a chunk's low and high watermarks record per-object max
-	// versions here, so chunk rows already superseded by live traffic
-	// skip their version-store claims.
-	windowMu    sync.Mutex
-	bootWindows map[string]*chunkWindow
-
 	// faults is the app's fault-injection registry (see faultinject).
 	// Always non-nil; inert unless a test arms a site.
 	faults *faultinject.Registry
@@ -231,7 +223,7 @@ type telemetry struct {
 	republished, deferred, shed, throttled   atomic.Int64
 	publishTime                              atomic.Int64 // ns
 
-	bootstrapChunks, chunkRetries, bootstrapResumes, chunkRowsDeduped atomic.Int64
+	bootstrapChunks, bootstrapResumes atomic.Int64
 
 	depWaitsBlocked, depTimeouts, falseDeps atomic.Int64
 	lastDepTimeoutMu                        sync.Mutex
@@ -366,7 +358,6 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 		env:          make(map[string]any),
 		faults:       faultinject.New(),
 		journalEpoch: time.Now().UnixNano(),
-		bootWindows:  make(map[string]*chunkWindow),
 		parked:       make(map[*job]struct{}),
 		nudged:       make(chan struct{}, 1),
 		applyLocks:   storage.NewLockTable[vstore.Key](),
@@ -494,17 +485,11 @@ type Stats struct {
 	Flushes          int64
 	FlushBatchMean   float64
 	FlushBatchMax    int64
-	// BootstrapChunks counts chunks fully applied by the chunked live
-	// bootstrap; ChunkRetries counts chunks whose high-watermark wait
-	// timed out (the chunk applied under the version guard alone);
-	// BootstrapResumes counts bootstraps that resumed from a journaled
-	// chunk cursor instead of scanning from the start; ChunkRowsDeduped
-	// counts chunk rows skipped because a live message inside the
-	// watermark window already carried a version at least as new.
+	// BootstrapChunks counts chunks fully applied by the chunked
+	// bootstrap; BootstrapResumes counts bootstraps that resumed from a
+	// journaled chunk cursor instead of scanning from the start.
 	BootstrapChunks  int64
-	ChunkRetries     int64
 	BootstrapResumes int64
-	ChunkRowsDeduped int64
 	// MaxPublishStall is the longest bounded publisher-lock hold any
 	// chunk read inflicted on this app's store — the worst-case publish
 	// stall a subscriber join caused (zero when nothing bootstrapped
@@ -554,9 +539,7 @@ func (a *App) Stats() Stats {
 		FlushBatchMean:     t.flushBatch.Mean(),
 		FlushBatchMax:      t.flushBatch.Max(),
 		BootstrapChunks:    t.bootstrapChunks.Load(),
-		ChunkRetries:       t.chunkRetries.Load(),
 		BootstrapResumes:   t.bootstrapResumes.Load(),
-		ChunkRowsDeduped:   t.chunkRowsDeduped.Load(),
 		MaxPublishStall:    time.Duration(t.bootstrapStall.Max()),
 		Parked:             a.describeParked(),
 		Stages:             make(map[string]StageStat, numStages),

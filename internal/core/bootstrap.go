@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"synapse/internal/broker"
@@ -17,121 +16,25 @@ type vKey = vstore.Key
 // Named fault sites on the chunked-bootstrap path (see faultinject;
 // FaultBootstrapCursor lives in journal.go next to the cursor model).
 const (
-	// FaultBootstrapChunkLow fires before a chunk's low watermark is
-	// published — a crash here loses nothing, the chunk never started.
+	// FaultBootstrapChunkLow fires before a chunk's read — a crash here
+	// loses nothing, the chunk never started.
 	FaultBootstrapChunkLow = "bootstrap/chunk-low"
-	// FaultBootstrapChunkHigh fires after the chunk read, before the
-	// high watermark — a crash here replays the chunk from the cursor.
+	// FaultBootstrapChunkHigh fires after the chunk read, before its
+	// apply — a crash here replays the chunk from the cursor.
 	FaultBootstrapChunkHigh = "bootstrap/chunk-high"
 )
 
-// chunkWindow is the live-dedup state for one origin's in-flight chunk:
-// between the chunk's low and high watermarks, every live message
-// processed records the max object version it carried per object
-// key. A chunk row whose version is at or below the touched version is
-// already superseded by live traffic, so its claim and DB write are
-// skipped (DBLog §3.1, adapted: the version guard — not the watermark —
-// carries correctness here, because our version store is external to the
-// data store; the window only saves the superseded rows' round trips).
-type chunkWindow struct {
-	mu      sync.Mutex
-	id      string
-	open    bool
-	hiSeen  bool
-	touched map[vKey]uint64
-}
-
-// close seals the window and hands back the touched-version snapshot.
-func (w *chunkWindow) close() map[vKey]uint64 {
-	w.mu.Lock()
-	t := w.touched
-	w.open = false
-	w.touched = nil
-	w.mu.Unlock()
-	return t
-}
-
-// highSeen reports whether the window's own high watermark came back.
-func (w *chunkWindow) highSeen() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.hiSeen
-}
-
-// windowFor returns the origin's dedup window, nil when no chunked
-// bootstrap from that origin is running.
-func (a *App) windowFor(origin string) *chunkWindow {
-	a.windowMu.Lock()
-	w := a.bootWindows[origin]
-	a.windowMu.Unlock()
-	return w
-}
-
-// openWindow starts a fresh dedup window for the chunk named id.
-func (a *App) openWindow(origin, id string) *chunkWindow {
-	a.windowMu.Lock()
-	w := a.bootWindows[origin]
-	if w == nil {
-		w = &chunkWindow{}
-		a.bootWindows[origin] = w
-	}
-	a.windowMu.Unlock()
-	w.mu.Lock()
-	w.id = id
-	w.open = true
-	w.hiSeen = false
-	w.touched = make(map[vKey]uint64)
-	w.mu.Unlock()
-	return w
-}
-
-// noteWatermark handles a watermark control message from the subscribe
-// path. Watermarks from other subscribers' bootstraps (different window
-// id) and leftovers from our own earlier chunks are ignored.
-func (a *App) noteWatermark(origin, id, kind string) {
-	w := a.windowFor(origin)
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	if w.open && w.id == id && kind == wire.WatermarkHigh {
-		w.hiSeen = true
-	}
-	w.mu.Unlock()
-}
-
-// touchWindow records the object versions a live message carried into
-// the origin's open window (no-op outside a chunk's watermark pair).
-func (a *App) touchWindow(msg *wire.Message) {
-	w := a.windowFor(msg.App)
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	if w.open {
-		for i := range msg.Operations {
-			op := &msg.Operations[i]
-			if v, ok := msg.ObjectVersion(op); ok {
-				k := a.objectKey(op)
-				w.touched[k] = max(v, w.touched[k])
-			}
-		}
-	}
-	w.mu.Unlock()
-}
-
 // Bootstrap synchronizes this app with a publisher in the three-step
-// process of §4.4, with the object snapshot replaced by DBLog-style
-// chunked live sync:
+// process of §4.4, with the object snapshot taken in chunks:
 //
 //  1. all current publisher versions are sent in bulk and saved in the
 //     subscriber's version store;
 //  2. the subscribed models are walked in small keyed chunks, each read
-//     under a bounded publisher lock hold and bracketed by low/high
-//     watermark messages through the broker, so live messages observed
-//     between the watermarks deduplicate chunk rows — the publisher is
-//     never paused for longer than one chunk read, and the live stream
-//     is consumed incrementally instead of accumulating in the queue;
+//     under a bounded publisher lock hold and applied under the
+//     per-object version guard, after which the deliveries ready at that
+//     moment are drained — the publisher is never paused for longer than
+//     one chunk read, and the live stream is consumed chunk by chunk
+//     instead of accumulating in the queue;
 //  3. the remaining backlog is drained (with weak semantics, guarded so
 //     that messages already reflected in the version snapshot are not
 //     double-counted).
@@ -170,11 +73,6 @@ func (a *App) Bootstrap(from string, models ...string) error {
 	defer a.bootDepth.Add(-1)
 	drain := a.newWorker(1)
 	defer drain.close()
-	defer func() {
-		a.windowMu.Lock()
-		delete(a.bootWindows, from)
-		a.windowMu.Unlock()
-	}()
 
 	// A surviving cursor row means an earlier bootstrap of this origin
 	// was interrupted: this run resumes from the journaled chunks.
@@ -230,8 +128,7 @@ func (a *App) Bootstrap(from string, models ...string) error {
 	}
 
 	// Step 3: drain the backlog accumulated during steps 1-2 (most of it
-	// was already consumed inside the chunk windows), until the queue is
-	// empty.
+	// was already consumed after each chunk), until the queue is empty.
 	if err := a.drainQueue(drain, func(empty bool) bool { return empty }); err != nil {
 		if errors.Is(err, broker.ErrDecommissioned) {
 			return err
@@ -311,17 +208,11 @@ func (a *App) bootstrapModel(drain *worker, pub *App, modelName string) error {
 	return a.writeCursor(pub.name, modelName, cursor, true)
 }
 
-// bootstrapChunk syncs one chunk: low watermark, bounded locked read of
-// the chunk's (version, record) pairs, high watermark, live drain until
-// the high watermark returns, then the deduplicated batched apply.
+// bootstrapChunk syncs one chunk: a bounded locked read of the chunk's
+// (version, record) pairs, their batched apply, then a drain of the
+// deliveries ready at that moment.
 func (a *App) bootstrapChunk(drain *worker, pub *App, modelName string, ids []string) error {
 	if err := a.faults.Fire(FaultBootstrapChunkLow); err != nil {
-		return err
-	}
-	windowID := fmt.Sprintf("%s/%s#%d", a.name, modelName, a.tel.bootstrapChunks.Load())
-	w := a.openWindow(pub.name, windowID)
-	defer w.close()
-	if err := a.publishWatermark(pub, windowID, wire.WatermarkLow); err != nil {
 		return err
 	}
 
@@ -372,44 +263,18 @@ func (a *App) bootstrapChunk(drain *worker, pub *App, modelName string, ids []st
 	if err := a.faults.Fire(FaultBootstrapChunkHigh); err != nil {
 		return err
 	}
-	if err := a.publishWatermark(pub, windowID, wire.WatermarkHigh); err != nil {
+	if err := a.applyChunk(pub, modelName, rows); err != nil {
 		return err
 	}
-	if err := a.awaitHighWatermark(drain, w); err != nil {
-		return err
+	// Only what was ready now: a steady writer cannot hold the walk open.
+	// Any broker error but decommission leaves the rest to step 3.
+	ready := 0
+	if q := a.Queue(); q != nil {
+		ready = q.Len()
 	}
-	touched := w.close()
-	return a.applyChunk(pub, modelName, rows, touched)
-}
-
-// publishWatermark sends a watermark control message through the
-// ORIGIN's exchange, so it fans out through the same broker path as the
-// origin's live messages and comes back to this app's queue in publish
-// order relative to them.
-func (a *App) publishWatermark(pub *App, id, kind string) error {
-	payload, err := wire.Marshal(wire.WatermarkMessage(pub.name, id, kind, pub.generation.Load()))
-	if err != nil {
-		return err
-	}
-	return a.brokerOp(func() error {
-		return a.fabric.bus().Publish(pub.name, payload)
-	})
-}
-
-// awaitHighWatermark consumes live traffic until the window's own high
-// watermark comes back (setting hiSeen via noteWatermark), bounding the
-// wait with BootstrapChunkWait: past the deadline the chunk applies
-// without live dedup — the per-object version guard alone still makes
-// that correct — and the miss is counted in ChunkRetries. A closed queue
-// or a faulty broker, where no watermark can arrive, is a miss too.
-func (a *App) awaitHighWatermark(drain *worker, w *chunkWindow) error {
-	deadline := time.Now().Add(a.cfg.BootstrapChunkWait)
-	err := a.drainQueue(drain, func(bool) bool { return w.highSeen() || time.Now().After(deadline) })
+	err = a.drainQueue(drain, func(empty bool) bool { ready--; return empty || ready < 0 })
 	if errors.Is(err, broker.ErrDecommissioned) {
 		return err
-	}
-	if !w.highSeen() {
-		a.tel.chunkRetries.Add(1)
 	}
 	return nil
 }
@@ -419,9 +284,8 @@ func (a *App) awaitHighWatermark(drain *worker, w *chunkWindow) error {
 // worker until done reports true — asked before every TryGet, and told
 // whether the last one found the queue empty. An empty queue is polled
 // after a pause: workers may be running concurrently (decommission
-// recovery), and TryGet interleaves safely with them — they may consume
-// a watermark on the drain's behalf. It returns the error that ended
-// TryGet (nil with no queue).
+// recovery), and TryGet interleaves safely with them. It returns the
+// error that ended TryGet (nil with no queue).
 func (a *App) drainQueue(drain *worker, done func(empty bool) bool) error {
 	q := a.Queue()
 	if q == nil {
@@ -454,14 +318,13 @@ func (w *worker) runFetched(q *broker.Queue, d broker.Delivery) {
 }
 
 // applyChunk applies one chunk's rows as a message that waits for
-// nothing: rows whose version a live message inside the watermark
-// window reached are skipped outright (the live apply already moved the
-// guard at least that far, under the current subscription); the rest
-// claim their versions and apply through claimAndApply like a live
-// message, so a failed row rolls back the claims from it onward. A row
-// also applies at the version already stored, so a resumed chunk writes
-// the rows it applied before once more, with the same state.
-func (a *App) applyChunk(pub *App, modelName string, rows []chunkRow, touched map[vKey]uint64) error {
+// nothing: the rows claim their versions and apply through
+// claimAndApply like a live message, so a row that live traffic already
+// superseded loses its claim there, and a failed row rolls back the
+// claims from it onward. A row also applies at the version already
+// stored, so a resumed chunk writes the rows it applied before once
+// more, with the same state.
+func (a *App) applyChunk(pub *App, modelName string, rows []chunkRow) error {
 	types := pub.publication(modelName).chain
 	ops := make([]wire.Operation, 0, len(rows))
 	var (
@@ -469,10 +332,6 @@ func (a *App) applyChunk(pub *App, modelName string, rows []chunkRow, touched ma
 		claimOp []int
 	)
 	for _, r := range rows {
-		if tv, ok := touched[r.subKey]; ok && tv >= r.version {
-			a.tel.chunkRowsDeduped.Add(1)
-			continue
-		}
 		if r.version > 0 { // a row never published has no guard counter
 			claims = append(claims, vstore.Claim{Key: r.subKey, Version: r.version})
 			claimOp = append(claimOp, len(ops))

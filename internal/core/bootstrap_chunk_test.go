@@ -4,15 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"synapse/internal/faultinject"
 	"synapse/internal/model"
-	"synapse/internal/wire"
 )
 
-// TestBootstrapCrashResume kills the bootstrap between a chunk's high
-// watermark and its cursor-journal write, restarts it, and proves exact
+// TestBootstrapCrashResume kills the bootstrap between a chunk's apply
+// and its cursor-journal write, restarts it, and proves exact
 // convergence with no double-counted counters: the resumed run walks
 // only the un-synced suffix, and the subscriber's ops counters end
 // exactly equal to the publisher's export (a double-counted live
@@ -109,11 +107,11 @@ func TestBootstrapCrashResume(t *testing.T) {
 	}
 }
 
-// TestBootstrapWatermarkDedup drives a publisher write into an open
-// chunk window (between the chunk's locked read and its high watermark)
-// and proves the superseded chunk row is deduplicated: the live message
-// wins, and the chunk skips the row's claim instead of racing it.
-func TestBootstrapWatermarkDedup(t *testing.T) {
+// TestBootstrapLiveWriteMidChunk drives a publisher write between a
+// chunk's locked read and its apply: the chunk holds the OLD (version,
+// attrs) pair while the live message carries the new one, and the
+// version guard lets the newer one win whichever applies first.
+func TestBootstrapLiveWriteMidChunk(t *testing.T) {
 	f := NewFabric()
 	pub, _ := newDocApp(t, f, "pub", Config{})
 	mustPublish(t, pub, userDesc(), "likes")
@@ -130,11 +128,6 @@ func TestBootstrapWatermarkDedup(t *testing.T) {
 	sub, subMapper := newDocApp(t, f, "sub", Config{BootstrapChunkSize: 4})
 	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"likes"}})
 
-	// The chunk-high site fires after the chunk's locked read, before
-	// the high watermark: a write injected there is exactly the race the
-	// watermark window exists to catch — the chunk holds the OLD
-	// (version, attrs) pair, and the live message carrying the new one
-	// is consumed inside the window.
 	sub.Faults().ArmN(FaultBootstrapChunkHigh, 0, 1, func(string) error {
 		patch := model.NewRecord("User", "u00")
 		patch.Set("likes", 999)
@@ -145,32 +138,28 @@ func TestBootstrapWatermarkDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := sub.Stats()
-	if st.ChunkRowsDeduped == 0 {
-		t.Error("no chunk rows deduplicated by the watermark window")
-	}
-	if st.ChunkRetries != 0 {
-		t.Errorf("ChunkRetries = %d: the high watermark never came back", st.ChunkRetries)
-	}
 	got, _ := subMapper.Find("User", "u00")
 	if got.Int("likes") != 999 {
-		t.Errorf("u00 likes = %d, want the in-window live write's 999", got.Int("likes"))
+		t.Errorf("u00 likes = %d, want the mid-chunk live write's 999", got.Int("likes"))
 	}
 	if n := subMapper.Len("User"); n != 10 {
 		t.Errorf("bootstrapped %d users, want 10", n)
 	}
+	if err := Converged(pub, sub); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestBootstrapLostHighWatermark: a chunk whose high watermark never
-// comes back — the broker loses it on its way into the subscriber's
-// queue — applies once BootstrapChunkWait runs out, guarded by the
-// version guard alone, and the miss counts in ChunkRetries. Every
-// chunk's high watermark is lost here, so every chunk walked misses, and
-// the subscriber still converges.
-func TestBootstrapLostHighWatermark(t *testing.T) {
+// TestBootstrapSendsNothingToOtherSubscribers: a join publishes nothing
+// through the origin's exchange, so another subscriber of that origin
+// receives no delivery while it runs.
+func TestBootstrapSendsNothingToOtherSubscribers(t *testing.T) {
 	f := NewFabric()
 	pub, _ := newDocApp(t, f, "pub", Config{})
 	mustPublish(t, pub, userDesc(), "likes")
+	s2, _ := newDocApp(t, f, "s2", Config{})
+	mustSubscribe(t, s2, userDesc(), SubSpec{From: "pub", Attrs: []string{"likes"}})
+
 	ctl := pub.NewController(nil)
 	for i := 0; i < 10; i++ {
 		rec := model.NewRecord("User", fmt.Sprintf("u%02d", i))
@@ -179,37 +168,27 @@ func TestBootstrapLostHighWatermark(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sub, _ := newDocApp(t, f, "sub", Config{BootstrapChunkSize: 4, BootstrapChunkWait: 5 * time.Millisecond})
-	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"likes"}})
+	s1, _ := newDocApp(t, f, "s1", Config{BootstrapChunkSize: 4})
+	mustSubscribe(t, s1, userDesc(), SubSpec{From: "pub", Attrs: []string{"likes"}})
 
-	lost := 0 // counted under the broker lock; read after SetLoss(nil) takes it
-	f.Broker.SetLoss(func(queue, _ string, payload []byte) bool {
-		if queue != "sub" {
-			return false
-		}
-		msg, err := wire.Unmarshal(payload)
-		if err != nil {
-			return false
-		}
-		if _, kind, ok := wire.WatermarkOf(msg); ok && kind == wire.WatermarkHigh {
-			lost++
-			return true
-		}
-		return false
-	})
-	if err := sub.Bootstrap("pub"); err != nil {
+	q2 := s2.Queue()
+	if q2 == nil {
+		t.Fatal("s2 has no queue")
+	}
+	published, depth := f.Broker.Published(), q2.Depth()
+	if err := s1.Bootstrap("pub"); err != nil {
 		t.Fatal(err)
 	}
-	f.Broker.SetLoss(nil)
-
-	st := sub.Stats()
-	if st.BootstrapChunks != 3 || lost != 3 {
-		t.Fatalf("walked %d chunks, lost %d high watermarks; want 3 and 3 (10 users in chunks of 4)", st.BootstrapChunks, lost)
+	if chunks := s1.Stats().BootstrapChunks; chunks != 3 {
+		t.Fatalf("walked %d chunks, want 3 (10 users in chunks of 4)", chunks)
 	}
-	if st.ChunkRetries != st.BootstrapChunks {
-		t.Errorf("ChunkRetries = %d, want %d: one per chunk whose high watermark was lost", st.ChunkRetries, st.BootstrapChunks)
+	if got := f.Broker.Published(); got != published {
+		t.Errorf("broker published %d messages during the join, want 0", got-published)
 	}
-	if err := Converged(pub, sub); err != nil {
+	if got := q2.Depth(); got != depth {
+		t.Errorf("s2's queue went from %d to %d deliveries during s1's join", depth, got)
+	}
+	if err := Converged(pub, s1); err != nil {
 		t.Fatal(err)
 	}
 }

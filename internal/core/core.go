@@ -196,15 +196,10 @@ type Config struct {
 	ApplyTimeout time.Duration
 
 	// BootstrapChunkSize bounds how many publisher objects one bootstrap
-	// chunk reads under a single bounded publisher lock hold (DBLog-style
-	// chunked live sync; default 256). Smaller chunks shrink the worst
-	// publish stall at the cost of more watermark round trips.
+	// chunk reads under a single bounded publisher lock hold (default
+	// 256). Smaller chunks shrink the worst publish stall at the cost of
+	// more chunks, each one cursor write and one version-store claim.
 	BootstrapChunkSize int
-	// BootstrapChunkWait bounds how long the bootstrapping subscriber
-	// waits to observe its own high-watermark message back from the
-	// broker before applying the chunk without live dedup (the per-object
-	// version guard still protects correctness; default 500ms).
-	BootstrapChunkWait time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -237,9 +232,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BootstrapChunkSize <= 0 {
 		c.BootstrapChunkSize = 256
-	}
-	if c.BootstrapChunkWait <= 0 {
-		c.BootstrapChunkWait = 500 * time.Millisecond
 	}
 	return c
 }

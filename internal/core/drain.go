@@ -66,7 +66,3 @@ func (a *App) Drain(ctx context.Context) error {
 // Resume lifts the publish quiescence installed by Drain (a drained app
 // being put back into service without a process restart).
 func (a *App) Resume() { a.draining.Store(false) }
-
-// Draining reports whether the app is currently refusing writes for a
-// drain.
-func (a *App) Draining() bool { return a.draining.Load() }

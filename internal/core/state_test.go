@@ -14,7 +14,6 @@ import (
 	"synapse/internal/faultinject"
 	"synapse/internal/model"
 	"synapse/internal/vstore"
-	"synapse/internal/wire"
 )
 
 // TestJobStateTable holds DESIGN §2j's table to the code. Forcing a move
@@ -269,9 +268,6 @@ func TestJobStateTable(t *testing.T) {
 		}
 		if err := sub.ProcessMessage(got[0]); err != errStaleGeneration {
 			t.Fatalf("old generation: %v, want errStaleGeneration", err)
-		}
-		if err := sub.ProcessMessage(wire.WatermarkMessage("pub", "w", wire.WatermarkLow, 1)); err != nil {
-			t.Fatal(err)
 		}
 		sub.Store().Kill()
 		if err := sub.ProcessMessage(got[3]); err == nil {

@@ -471,22 +471,11 @@ func (a *App) drive(j *job) (st jobState, err error) {
 	}
 }
 
-// enter is a decoded job's step. A bootstrap watermark control message
-// carries no object state: it only flips the in-flight chunk window's
-// state (and is ignored entirely when no chunked bootstrap from this
-// origin is running — other subscribers' watermarks fan out to every
-// queue bound to the origin's exchange), and is taken before the
-// generation barrier so a publisher recovery mid-bootstrap cannot strand
-// the window wait. A message from an older generation is done too; one
-// whose generation is ahead waits at the barrier; the rest are counted
-// in their generation and planned.
+// enter is a decoded job's step. A message from an older generation is
+// done; one whose generation is ahead waits at the barrier; the rest are
+// counted in their generation and planned.
 func (a *App) enter(j *job) (jobState, error) {
 	msg := j.msg
-	if id, kind, ok := wire.WatermarkOf(msg); ok {
-		a.noteWatermark(msg.App, id, kind)
-		a.to(j, stateDecoded, stateDone)
-		return stateDone, nil
-	}
 	switch st := a.enterGeneration(j); st {
 	case stateDone:
 		a.to(j, stateDecoded, stateDone)
@@ -509,8 +498,7 @@ func (a *App) enter(j *job) (jobState, error) {
 // causal mode skips it, and weak mode plans nothing (§6.5: "weak and
 // causal … timeout set to 0 s and ∞"). While bootstrapping, delivery
 // degrades to weak (§4.4): the message waits for nothing but keeps its
-// increments, and once applied it records its versions in the open
-// chunk window.
+// increments.
 //
 // A job whose plan is unmet comes back parked — the driver parks it —
 // until a counter it needs moves, and once a finite DepTimeout has run
@@ -572,12 +560,6 @@ func (a *App) probe(j *job) (jobState, error) {
 			a.noteFalseDeps(msg, j.reqs)
 		}
 		a.recordDepWriters(msg)
-	}
-	if booting {
-		// Only after every operation applied: a failed message is
-		// redelivered whole, and recording its versions early could dedup
-		// a chunk row against an apply that never happened.
-		a.touchWindow(msg)
 	}
 	return stateApplied, nil
 }

@@ -31,9 +31,14 @@ type Runner struct {
 	maxRetries int
 	backoff    time.Duration
 
-	mu      sync.Mutex
-	stopped bool
-	wg      sync.WaitGroup
+	// An Enqueue holds mu's read lock until its send is over, so Stop,
+	// once stopping has woken every Enqueue blocked on a full buffer,
+	// takes the write lock before it closes the queue.
+	mu       sync.RWMutex
+	stopped  bool
+	stopping chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
 
 	// Counters for tests and monitoring.
 	Completed atomic.Int64
@@ -73,6 +78,7 @@ func NewRunner(app *core.App, opts Options) *Runner {
 	r := &Runner{
 		app:        app,
 		queue:      make(chan Job, opts.QueueDepth),
+		stopping:   make(chan struct{}),
 		maxRetries: opts.MaxRetries,
 		backoff:    opts.Backoff,
 	}
@@ -84,28 +90,31 @@ func NewRunner(app *core.App, opts Options) *Runner {
 }
 
 // Enqueue schedules a job. It blocks while the buffer is full and
-// returns ErrStopped after Stop.
+// returns ErrStopped after Stop, or when Stop is called while it blocks;
+// a job it returned nil for runs.
 func (r *Runner) Enqueue(j Job) error {
-	r.mu.Lock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	if r.stopped {
-		r.mu.Unlock()
 		return ErrStopped
 	}
-	r.mu.Unlock()
-	r.queue <- j
-	return nil
+	select {
+	case r.queue <- j:
+		return nil
+	case <-r.stopping:
+		return ErrStopped
+	}
 }
 
 // Stop drains the queue and waits for in-flight jobs to finish.
 func (r *Runner) Stop() {
-	r.mu.Lock()
-	if r.stopped {
+	r.stopOnce.Do(func() {
+		close(r.stopping)
+		r.mu.Lock()
+		r.stopped = true
+		close(r.queue)
 		r.mu.Unlock()
-		return
-	}
-	r.stopped = true
-	close(r.queue)
-	r.mu.Unlock()
+	})
 	r.wg.Wait()
 }
 

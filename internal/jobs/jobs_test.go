@@ -127,6 +127,61 @@ func TestEnqueueAfterStop(t *testing.T) {
 	}
 }
 
+// TestStopWhileEnqueueBlocks: an Enqueue blocked on a full buffer when
+// Stop closes the runner returns ErrStopped (or nil, and its job runs)
+// instead of sending on the closed queue, and Stop still runs every job
+// it accepted.
+func TestStopWhileEnqueueBlocks(t *testing.T) {
+	f := core.NewFabric()
+	app, _ := newApp(t, f, "app")
+	r := NewRunner(app, Options{Workers: 1, QueueDepth: 1})
+	var ran atomic.Int64
+	held, running := make(chan struct{}), make(chan struct{})
+	job := func(*core.Controller) error { ran.Add(1); return nil }
+	if err := r.Enqueue(func(*core.Controller) error {
+		close(running)
+		<-held
+		ran.Add(1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	if err := r.Enqueue(job); err != nil { // fills the buffer
+		t.Fatal(err)
+	}
+	third := make(chan error, 1)
+	go func() { third <- r.Enqueue(job) }()
+	time.Sleep(20 * time.Millisecond) // the third Enqueue blocks on the full buffer
+
+	stopped := make(chan struct{})
+	go func() { r.Stop(); close(stopped) }()
+	time.Sleep(20 * time.Millisecond) // Stop runs while the third still blocks
+	close(held)
+
+	var err error
+	select {
+	case err = <-third:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the blocked Enqueue never returned")
+	}
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop never returned")
+	}
+	accepted := int64(2)
+	switch {
+	case err == nil:
+		accepted++
+	case !errors.Is(err, ErrStopped):
+		t.Fatalf("blocked Enqueue = %v, want nil or ErrStopped", err)
+	}
+	if got := ran.Load(); got != accepted {
+		t.Errorf("ran %d jobs, want the %d accepted", got, accepted)
+	}
+}
+
 func TestJobWritesAreDependencyTracked(t *testing.T) {
 	// Two writes in one job chain causally: the second message depends
 	// on the first (controller chaining, §4.2).

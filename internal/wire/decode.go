@@ -474,7 +474,7 @@ func (d *decoder) operation(op *Operation, app string) error {
 // resolve's pick for the origin and type chain, which come first.
 func (d *decoder) attributes(op *Operation, app string) error {
 	var sink Sink
-	if d.resolve != nil && op.Operation != OpWatermark {
+	if d.resolve != nil {
 		op.sink, op.projected = d.resolve(app, op.Types), true
 		if sink = op.sink; sink == nil || !sink.Wants(op.Operation) {
 			sink = nothing{}

@@ -295,12 +295,6 @@ func TestProjectedDecodeWhatItKeeps(t *testing.T) {
 		}
 		ReleaseMessage(m)
 	}
-
-	m = decode("watermark")
-	if id, kind, ok := WatermarkOf(m); !ok || id != "sub/3" || kind != WatermarkHigh {
-		t.Errorf("watermark came out as %q %q %v", id, kind, ok)
-	}
-	ReleaseMessage(m)
 }
 
 // TestProjectedDecodeNeverBuildsTheRest: a subscriber that names a

@@ -27,54 +27,7 @@ const (
 	OpCreate  OpKind = "create"
 	OpUpdate  OpKind = "update"
 	OpDestroy OpKind = "destroy"
-	// OpWatermark is a bootstrap control verb (DBLog-style chunked sync):
-	// a joining subscriber publishes low/high watermark messages through
-	// the origin's exchange to bracket each chunk select, so live messages
-	// observed between the pair identify chunk rows already superseded by
-	// newer traffic. Watermarks carry no object payload and are ignored by
-	// subscribers that are not mid-bootstrap.
-	OpWatermark OpKind = "watermark"
 )
-
-// WatermarkType is the synthetic type name carried by watermark
-// operations (never a registered model).
-const WatermarkType = "SynapseWatermark"
-
-// Watermark kinds, carried in the operation's Attributes["kind"].
-const (
-	WatermarkLow  = "low"
-	WatermarkHigh = "high"
-)
-
-// WatermarkMessage builds a bootstrap watermark control message for the
-// given origin exchange. id uniquely names the chunk window (subscriber
-// name + chunk counter) so concurrent bootstrappers ignore each other's
-// watermarks; kind is WatermarkLow or WatermarkHigh.
-func WatermarkMessage(origin, id, kind string, generation uint64) *Message {
-	return &Message{
-		App: origin,
-		Operations: []Operation{{
-			Operation:  OpWatermark,
-			Types:      []string{WatermarkType},
-			ID:         id,
-			Attributes: map[string]any{"kind": kind},
-		}},
-		Dependencies: map[string]uint64{},
-		PublishedAt:  time.Now(),
-		Generation:   generation,
-	}
-}
-
-// WatermarkOf reports whether the message is a bootstrap watermark
-// control message, returning its window id and kind when it is.
-func WatermarkOf(m *Message) (id, kind string, ok bool) {
-	if len(m.Operations) != 1 || m.Operations[0].Operation != OpWatermark {
-		return "", "", false
-	}
-	op := &m.Operations[0]
-	k, _ := op.Attributes["kind"].(string)
-	return op.ID, k, true
-}
 
 // Operation is one marshalled object write.
 type Operation struct {
@@ -325,7 +278,7 @@ func Validate(m *Message) error {
 			return fmt.Errorf("wire: operation %d without id", i)
 		}
 		switch op.Operation {
-		case OpCreate, OpUpdate, OpDestroy, OpWatermark:
+		case OpCreate, OpUpdate, OpDestroy:
 		default:
 			return fmt.Errorf("wire: operation %d has unknown verb %q", i, op.Operation)
 		}

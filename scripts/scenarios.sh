@@ -98,12 +98,14 @@ scenario_tail() {
         go run ./cmd/synapse-bench -exp tail $QUICK
 }
 
-# Chunked live bootstrap: the watermark/cursor unit tests (the publish
+# Chunked live bootstrap: the chunk/cursor unit tests (the publish
 # stall ceiling under live writes, crash-resume from the journaled
-# cursor, the drain's dead-letter test, and a parked drain job a worker
-# resumes), the decommission-recovery path, the drain against the worker
-# and synchronous entries, then the seeded bootstrap-race chaos scripts
-# (crashes mid-walk, partitions, broker bounces).
+# cursor, a live write between a chunk's read and its apply, a join
+# that sends other subscribers nothing, the drain's dead-letter test,
+# and a parked drain job a worker resumes), the decommission-recovery
+# path, the drain against the worker and synchronous entries, then the
+# seeded bootstrap-race chaos scripts (crashes mid-walk, partitions,
+# broker bounces).
 scenario_bootstrap() {
     gotest -race $SHORT -run 'TestBootstrap|TestRecoverQueue|TestEveryEntryAppliesAlike' ./internal/core/ &&
         gotest -race $SHORT -run 'TestBootstrapRace' ./internal/chaos/
