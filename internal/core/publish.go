@@ -53,7 +53,8 @@ var pubEdges = [numPubStates]uint16{
 }
 
 // publication is pooled: nothing in it outlives its publish, and release
-// clears it, keeping its buffers and the journal record's map.
+// clears it, keeping its buffers and the journal record's map, and hands
+// back a transaction that can be (see releaser).
 type publication struct {
 	state pubState    // moved only by App.advance
 	pace  func() bool // a drain's pacing gate; nil for a live publish or an unpaced drain
@@ -80,7 +81,15 @@ type publication struct {
 
 var pubPool = sync.Pool{New: func() any { return new(publication) }}
 
+// releaser is a pooled transaction (activerecord's): the publication is
+// its one user, so it hands it back once it is over. It is not part of
+// orm.MapperTx, so a wrapped transaction is simply not reused.
+type releaser interface{ Release() }
+
 func (p *publication) release() {
+	if r, ok := p.tx.(releaser); ok {
+		r.Release()
+	}
 	clear(p.staged)
 	clear(p.writeNames)
 	clear(p.readNames)

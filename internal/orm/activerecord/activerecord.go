@@ -10,6 +10,7 @@ package activerecord
 
 import (
 	"errors"
+	"sync"
 
 	"synapse/internal/model"
 	"synapse/internal/orm"
@@ -20,7 +21,8 @@ import (
 // Mapper implements orm.Mapper and orm.Transactional over reldb.
 type Mapper struct {
 	orm.Registry
-	db *reldb.DB
+	db  *reldb.DB
+	txs sync.Pool // of *Tx, handed back by Tx.Release
 }
 
 // New wraps a relational database.

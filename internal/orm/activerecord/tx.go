@@ -13,9 +13,11 @@ import (
 // Before-callbacks run when operations are staged (matching ActiveRecord,
 // where they run inside the transaction); after-callbacks run once the
 // commit succeeds. It embeds its engine transaction and keeps a publish's
-// worth of operations and returned records inline, so it is one
-// allocation; like the engine's, it is single-use, and the records Commit
-// returns are a view of its own storage.
+// worth of operations and returned records inline, and it is pooled:
+// Begin takes one that Release handed back, so a caller that releases
+// what it began allocates no transaction. Like the engine's, it is used
+// once between the two, and the records Commit returns are a view of its
+// own storage, read before Release.
 type Tx struct {
 	m      *Mapper
 	tx     reldb.Tx
@@ -35,12 +37,32 @@ type txRecOp struct {
 	journal   bool       // staged by StageJournal: no read-back, no callbacks
 }
 
-// Begin starts a transaction (orm.Transactional).
+// Begin starts a transaction (orm.Transactional), in one Release handed
+// back when there is one.
 func (m *Mapper) Begin() orm.MapperTx {
-	tx := &Tx{m: m}
+	tx, _ := m.txs.Get().(*Tx)
+	if tx == nil {
+		tx = new(Tx)
+	}
+	tx.m = m
 	m.db.BeginIn(&tx.tx)
 	tx.ops = tx.opBuf[:0]
 	return tx
+}
+
+// Release hands the transaction back to its mapper's pool once its
+// caller is done with it and with the records Commit returned (the
+// records themselves stay the caller's). One still open is aborted
+// first. It is not part of orm.MapperTx: a caller type-asserts it, and
+// a transaction never released is left to the collector.
+func (tx *Tx) Release() {
+	m := tx.m
+	if m == nil {
+		panic("activerecord: transaction released twice")
+	}
+	tx.Abort()
+	*tx = Tx{}
+	m.txs.Put(tx)
 }
 
 // stage runs the skeleton's validate → before-hook → count step, hands

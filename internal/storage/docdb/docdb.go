@@ -174,7 +174,8 @@ func (db *DB) Delete(collection, id string) (storage.Row, error) {
 }
 
 // DeleteRange removes every document with from <= id < to in one
-// statement (deleteMany on an _id range) and reports how many went.
+// statement (deleteMany on an _id range) and reports how many went. It
+// hands no document over, so each one's map goes back for reuse.
 func (db *DB) DeleteRange(collection, from, to string) (int, error) {
 	var n int
 	var err error
@@ -186,9 +187,10 @@ func (db *DB) DeleteRange(collection, from, to string) (int, error) {
 			return
 		}
 		c := db.collections[collection]
-		for id := range c {
+		for id, doc := range c {
 			if id >= from && id < to {
 				delete(c, id)
+				doc.Recycle()
 				n++
 			}
 		}

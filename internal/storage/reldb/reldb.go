@@ -323,6 +323,7 @@ func (db *DB) deleteLocked(tableName, id string) (storage.Row, error) {
 
 // DeleteRange removes every row with from <= id < to in one statement
 // (DELETE ... WHERE id >= from AND id < to) and reports how many went.
+// It hands no row over, so each one's map goes back for reuse.
 // It does not wait for row locks: a prepared transaction that updates or
 // deletes a row in the range would fail at Commit, so callers range over
 // rows no open transaction names (Synapse: confirmed journal entries).
@@ -352,6 +353,7 @@ func (db *DB) DeleteRange(tableName, from, to string) (int, error) {
 		for _, row := range doomed {
 			t.rows.Delete(row.ID)
 			t.indexRemove(row)
+			row.Recycle()
 		}
 		n = len(doomed)
 	})

@@ -221,10 +221,12 @@ func (tx *Tx) Commit() ([]storage.Row, error) {
 				}
 				written = append(written, stored.Clone())
 			case opDelete:
-				if _, err := tx.db.deleteLocked(op.table, op.id); err != nil {
+				gone, err := tx.db.deleteLocked(op.table, op.id)
+				if err != nil {
 					applyErr = err
 					return
 				}
+				gone.Recycle() // Commit reports only the id
 				written = append(written, storage.Row{ID: op.id})
 			}
 		}

@@ -33,6 +33,10 @@
 //     findOneAndDelete), uncopied: the engine holds it no more, so the
 //     caller owns it outright. One that cannot return it (MySQL, a
 //     Cassandra tombstone) returns a zero row.
+//   - A row an engine drops that nothing else holds (a range delete, a
+//     delete a transaction commits) gives its map back with Recycle, and
+//     Clone reuses it; a row a delete hands over is the caller's and
+//     never goes back.
 package storage
 
 import (
@@ -59,14 +63,48 @@ type Row struct {
 }
 
 // Clone returns a deep-enough copy for the value set engines store
-// (scalars, []any, map[string]any).
+// (scalars, []any, map[string]any). A small row's map comes from the
+// maps dropped rows gave back, when there is one.
 func (r Row) Clone() Row {
-	out := Row{ID: r.ID, Cols: make(map[string]any, len(r.Cols))}
+	out := Row{ID: r.ID}
+	if len(r.Cols) <= smallRow {
+		select {
+		case out.Cols = <-rowMaps:
+		default:
+		}
+	}
+	if out.Cols == nil {
+		out.Cols = make(map[string]any, len(r.Cols))
+	}
 	for k, v := range r.Cols {
 		out.Cols[k] = CloneValue(v)
 	}
 	return out
 }
+
+// Recycle gives the map of a row the engine dropped back for Clone to
+// reuse. Only an engine calls it, on a row nothing else holds; a map
+// larger than one swiss-table group, or one the pool has no room for, is
+// left to the collector.
+func (r Row) Recycle() {
+	if r.Cols == nil || len(r.Cols) > smallRow {
+		return
+	}
+	clear(r.Cols)
+	select {
+	case rowMaps <- r.Cols:
+	default:
+	}
+}
+
+// smallRow is the most columns a map holds in one swiss-table group, so
+// that a recycled map fits any row Clone gives it without growing.
+const smallRow = 8
+
+// rowMaps holds the maps dropped rows gave back. It is bounded at one
+// journal cut's worth (the publisher truncates its outbox 256 entries at
+// a time), so the maps a cut frees serve the entries that follow it.
+var rowMaps = make(chan map[string]any, 256)
 
 // CloneValue deep-copies one column value (scalars are returned as is):
 // the copy in and the copy out of the row-ownership rule.

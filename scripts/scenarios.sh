@@ -175,6 +175,9 @@ scenario_journal() {
 # beside its flushes and its bounded-state test twenty times; then the
 # paper's six example programs twenty times under the race detector, and
 # the workload that applies every message through all five adapters.
+# The recycling model test (the maps of rows reldb and docdb drop go back
+# to Clone; a row a delete hands over never does) runs with coldb's and
+# searchdb's.
 scenario_orm() {
     go vet ./internal/orm/... ./internal/storage/... &&
         gotest -run 'TestConformance.*/(SaveAllocBudget|EachStopsEarly|DeleteHandsOverRow)' ./internal/orm/activerecord ./internal/orm/columnorm \
@@ -183,6 +186,7 @@ scenario_orm() {
         go test -race -count=5 ./internal/orm/... ./internal/storage/... &&
         gotest -race -count=20 -run 'TestModelAgainst|TestReadersDuringFlushes|TestStateBounded' \
             ./internal/storage/coldb ./internal/storage/searchdb &&
+        gotest -race -count=20 -run 'TestRecycledRowsStayOwned' ./internal/storage/ &&
         gotest -race -count=20 ./examples/... &&
         bash benchmark/run.sh --workload fanout_hetero --seconds 5
 }
@@ -224,20 +228,23 @@ scenario_projection() {
 }
 
 # The publisher's commit: the allocation budgets of the row-lock table,
-# the row tree, the engine transaction, the dependency plan and a
-# journaled publish of each verb (plain runs: the budgets skip under the
-# race detector) with the differential check of the payloads against
-# encoding/json, the row tree's typed round trips, the adapter
-# transaction's delete that loads nothing and the destroy that must
-# publish the state an update racing it left; the lock-table property
-# test twenty times and the global-order test a hundred times under the
-# race detector; then the workload whose every message is a journaled
+# the row tree, the engine transaction, the pooled adapter transaction,
+# the dependency plan and a journaled publish of each verb (plain runs:
+# the budgets skip under the race detector) with the differential check
+# of the payloads against encoding/json, the row tree's typed round
+# trips, the adapter transaction's delete that loads nothing, its reset
+# on Release and the destroy that must publish the state an update
+# racing it left; the lock-table property test, the recycled-row model
+# test and concurrent publishes through the transaction pool twenty
+# times and the global-order test a hundred times under the race
+# detector; then the workload whose every message is a journaled
 # PostgreSQL publish, which exits non-zero on any failed operation or
 # oracle mismatch.
 scenario_publish() {
-    gotest -run 'TestLockTableSteadyStateAllocs|TestSetStoresUnboxed|TestTypedRoundTrip|TestTypedOrderedScan|TestTxAllocBudget|TestTxDestroyLoadsNothing|TestPlanAllocBudget|TestPublishAllocBudget|TestPublishPayloadsMatchEncodingJSON|TestDestroyPublishesStateAfterRacingUpdate' \
+    gotest -run 'TestLockTableSteadyStateAllocs|TestSetStoresUnboxed|TestTypedRoundTrip|TestTypedOrderedScan|TestTxAllocBudget|TestTxDestroyLoadsNothing|TestTxReleaseResets|TestTxPoolSteadyStateAllocs|TestPlanAllocBudget|TestPublishAllocBudget|TestPublishPayloadsMatchEncodingJSON|TestDestroyPublishesStateAfterRacingUpdate' \
         ./internal/storage/ ./internal/storage/btree/ ./internal/storage/reldb/ ./internal/orm/activerecord/ ./internal/deptrack/ ./internal/core/ &&
-        gotest -race -count=20 -run 'TestLockTable' ./internal/storage/ &&
+        gotest -race -count=20 -run 'TestLockTable|TestRecycledRowsStayOwned' ./internal/storage/ &&
+        gotest -race -count=20 -run 'TestTxReleaseResets|TestTxPoolConcurrentPublishes' ./internal/orm/activerecord/ &&
         gotest -race -count=100 -run 'TestGlobalModeTotalOrder' ./internal/core/ &&
         bash benchmark/run.sh --workload social_causal --seconds 5
 }
