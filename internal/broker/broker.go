@@ -63,8 +63,8 @@ type Delivery struct {
 
 // Pressure is a queue's overload signal to its publishers. It is the
 // soft counterpart of the §4.4 decommission cliff: past the high
-// watermark the queue asks publishers to degrade (throttle, defer,
-// shed) long before the hard maxLen bound would cut the subscriber off.
+// watermark the queue asks publishers to defer their sends long before
+// the hard maxLen bound would cut the subscriber off.
 type Pressure int
 
 const (

@@ -80,7 +80,7 @@ func RunBootstrap(cfg BootstrapConfig) (BootstrapResult, error) {
 	res := BootstrapResult{Seed: cfg.Seed, Objects: cfg.Objects, Writes: cfg.Writes, Tracker: core.TrackerHash}
 	t := newTurbulent(cfg.Seed, core.TrackerHash)
 	net, brk := t.net, t.f.Broker
-	w, err := t.publisher("boot-pub", nil)
+	w, err := t.publisher("boot-pub")
 	if err != nil {
 		return res, err
 	}
@@ -92,7 +92,7 @@ func RunBootstrap(cfg BootstrapConfig) (BootstrapResult, error) {
 	objs := make([]string, cfg.Objects)
 	for i := range objs {
 		objs[i] = fmt.Sprintf("u%03d", i)
-		if err := w.put(objs[i], false); err != nil {
+		if err := w.put(objs[i]); err != nil {
 			return res, err
 		}
 	}

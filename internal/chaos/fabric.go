@@ -95,8 +95,8 @@ func (t *turbulent) lossy(apps ...*core.App) {
 // writer that drives it. StartWorkers on it runs no consumer (it
 // subscribes to nothing) but does run the periodic journal drain, which
 // is what republishes journal-and-defer sends once the broker heals.
-func (t *turbulent) publisher(name string, tune func(*core.Config)) (*writer, error) {
-	pub, err := t.app(name, mongo(), tune)
+func (t *turbulent) publisher(name string) (*writer, error) {
+	pub, err := t.app(name, mongo(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -123,14 +123,13 @@ type writer struct {
 // put publishes the next value to the object — a create or an update by
 // whether the publisher already holds it — healing a dead version store
 // in place (§4.4: bump the generation, revive empty, resume).
-func (w *writer) put(id string, lowPriority bool) error {
+func (w *writer) put(id string) error {
 	w.next++
 	for {
 		rec := model.NewRecord(chaosModel, id)
 		rec.Set("name", fmt.Sprintf("v%d", w.next))
 		rec.Set("likes", w.next)
 		ctl := w.pub.NewController(nil)
-		ctl.SetLowPriority(lowPriority)
 		var err error
 		if _, ferr := w.pub.Mapper().Find(chaosModel, id); ferr == nil {
 			_, err = ctl.Update(rec)
@@ -157,7 +156,7 @@ func (w *writer) steady(seed int64, objs []string, n int) (wait func() error) {
 		defer close(done)
 		rng := rand.New(rand.NewSource(seed + 1))
 		for i := 0; i < n && err == nil; i++ {
-			err = w.put(objs[rng.Intn(len(objs))], false)
+			err = w.put(objs[rng.Intn(len(objs))])
 			time.Sleep(time.Duration(1+rng.Intn(3)) * time.Millisecond)
 		}
 	}()
@@ -176,7 +175,7 @@ type ecosystem struct {
 }
 
 func (t *turbulent) ecosystem(objects int) (*ecosystem, error) {
-	w, err := t.publisher("chaos-pub", nil)
+	w, err := t.publisher("chaos-pub")
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +222,7 @@ func (e *ecosystem) stop() {
 func (e *ecosystem) finish(res *Result) error {
 	healed := time.Now()
 	for _, id := range e.objs {
-		if err := e.put(id, false); err != nil {
+		if err := e.put(id); err != nil {
 			return err
 		}
 	}

@@ -14,8 +14,9 @@ import (
 // RunOverload drives the overload-control layer end to end: a publisher
 // sustains roughly 2x the throughput a deliberately slow subscriber can
 // apply, so the subscriber queue climbs into its high watermark and the
-// publisher walks the degradation ladder (throttle -> defer -> shed)
-// instead of flooding the queue toward the maxLen decommission cliff.
+// publisher defers its journaled sends instead of flooding the queue
+// toward the maxLen decommission cliff; the paced journal drain
+// republishes them once pressure clears.
 // Mid-run a poison write hangs its subscriber callback forever; the
 // stall watchdog must quarantine it to the dead-letter set-aside while
 // sibling messages keep draining. After the writer stops, the operator
@@ -28,8 +29,8 @@ import (
 //     never decommissioned — soft backpressure absorbs the overload the
 //     hard bound would otherwise answer with the §4.4 cliff.
 //   - Zero lost updates: after release + replay + one settle write per
-//     object, core.Converged holds (the settle writes supersede shed
-//     low-priority updates).
+//     object, core.Converged holds, and every deferred publish was
+//     republished.
 //   - Slow-consumer isolation: the hung delivery quarantines within the
 //     escalation budget while sibling deliveries keep being applied.
 //   - Clean hand-off: Drain leaves no unacked deliveries and no parked
@@ -40,10 +41,6 @@ type OverloadConfig struct {
 	// Writes is how many publisher writes the overload phase sustains
 	// (default 240).
 	Writes int
-	// LowPriorityEvery marks every Nth write sheddable (default 4).
-	LowPriorityEvery int
-	// DisableStall skips the poison write and its quarantine phase.
-	DisableStall bool
 }
 
 const (
@@ -68,9 +65,6 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 	if c.Writes <= 0 {
 		c.Writes = 240
 	}
-	if c.LowPriorityEvery <= 0 {
-		c.LowPriorityEvery = 4
-	}
 	return c
 }
 
@@ -79,10 +73,8 @@ type OverloadResult struct {
 	Seed   int64
 	Writes int
 
-	// Degradation ladder composition (publisher side).
+	// Publisher side.
 	Deferred    int64 // journal-and-defer publishes under pressure
-	Shed        int64 // low-priority publishes dropped under pressure
-	Throttled   int64 // publishes that entered bounded-block
 	Republished int64 // deferred entries re-sent by the paced drain
 
 	// Slow-consumer isolation.
@@ -129,10 +121,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	}
 	t := newTurbulent(cfg.Seed, core.TrackerHash)
 	brk := t.f.Broker
-	w, err := t.publisher("overload-pub", func(c *core.Config) {
-		c.PublishBlockTimeout = 2 * time.Millisecond
-		c.ShedLowPriority = true
-	})
+	w, err := t.publisher("overload-pub")
 	if err != nil {
 		return res, err
 	}
@@ -143,13 +132,12 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 		// ~2x below the offered rate (2 workers x 8ms applies =
 		// ~250 msg/s). Pipeline depth is a capacity knob — at the
 		// default 4 the overlapped applies drain faster than the
-		// writer and the degradation ladder never engages — so this
+		// writer and the publisher never defers — so this
 		// harness pins a window of one; deeper windows get their
 		// chaos coverage from the crash/partition runs.
 		c.PipelineDepth = 1
 		c.QueueMaxLen = overloadHardBound
 		c.QueueHighWatermark = overloadHighWatermark
-		c.CreditWindow = overloadHighWatermark / 2
 		c.ApplyTimeout = 25 * time.Millisecond
 		c.MaxDeliveryAttempts = 3
 		c.RetryBackoffBase = 2 * time.Millisecond
@@ -162,7 +150,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	release := make(chan struct{})
 	probe := &subProbe{name: sub.Name()}
 	err = subscribe(sub, pub, func(ctx *model.CallbackCtx) error {
-		if !cfg.DisableStall && ctx.Record.ID == poisonID {
+		if ctx.Record.ID == poisonID {
 			<-release // hung until the "operator" fixes the callback
 			return nil
 		}
@@ -193,10 +181,10 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	var processedAtPoison int64
 	quarantined := make(chan time.Duration, 1)
 	for i := 0; i < cfg.Writes; i++ {
-		if !cfg.DisableStall && i == poisonAt {
+		if i == poisonAt {
 			poisonTime = time.Now()
 			processedAtPoison = sub.Stats().Processed
-			if err := w.put(poisonID, false); err != nil {
+			if err := w.put(poisonID); err != nil {
 				return res, err
 			}
 			go func(start time.Time) {
@@ -209,8 +197,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 				quarantined <- time.Since(start)
 			}(poisonTime)
 		}
-		low := i%cfg.LowPriorityEvery == cfg.LowPriorityEvery-1
-		if err := w.put(objs[wrng.Intn(len(objs))], low); err != nil {
+		if err := w.put(objs[wrng.Intn(len(objs))]); err != nil {
 			return res, err
 		}
 		// Paced by depth, not by the host: below the high watermark the
@@ -224,23 +211,21 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 
 	// Quarantine must have happened within the escalation budget (three
 	// attempts of escalating watchdog budgets plus backoffs).
-	if !cfg.DisableStall {
-		select {
-		case res.QuarantineTime = <-quarantined:
-		case <-time.After(5 * time.Second):
-			res.Mismatch = "poison delivery never quarantined"
-			return res, nil
-		}
-		res.DrainedDuringStall = sub.Stats().Processed - processedAtPoison
-		// Operator fixes the callback and replays the set-aside.
-		close(release)
-		sub.ReplayDeadLetters()
+	select {
+	case res.QuarantineTime = <-quarantined:
+	case <-time.After(5 * time.Second):
+		res.Mismatch = "poison delivery never quarantined"
+		return res, nil
 	}
+	res.DrainedDuringStall = sub.Stats().Processed - processedAtPoison
+	// Operator fixes the callback and replays the set-aside.
+	close(release)
+	sub.ReplayDeadLetters()
 
-	// Settle: one normal-priority write per object supersedes anything
-	// shed, then the run must converge exactly.
+	// Settle: one more write per object, then the run must converge
+	// exactly.
 	for _, id := range objs {
-		if err := w.put(id, false); err != nil {
+		if err := w.put(id); err != nil {
 			return res, err
 		}
 	}
@@ -270,8 +255,6 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	ps := pub.Stats()
 	ss := sub.Stats()
 	res.Deferred = ps.Deferred
-	res.Shed = ps.Shed
-	res.Throttled = ps.Throttled
 	res.Republished = ps.Republished
 	res.Stalled = ss.Stalled
 	res.DeadLettered = ss.DeadLettered

@@ -7,10 +7,10 @@ import (
 
 // TestOverloadBoundedAndConverges is the headline overload property:
 // under a sustained ~2x overload the soft backpressure layer keeps the
-// queue far from its decommission bound, walks the publisher down the
-// degradation ladder (throttle -> defer -> shed), quarantines a
-// deliberately hung delivery while siblings keep draining, and still
-// converges exactly — then drains cleanly.
+// queue far from its decommission bound, defers the publisher's sends
+// and republishes every one, quarantines a deliberately hung delivery
+// while siblings keep draining, and still converges exactly — then
+// drains cleanly.
 func TestOverloadBoundedAndConverges(t *testing.T) {
 	seeds := 4
 	writes := 0 // defaults
@@ -36,15 +36,16 @@ func TestOverloadBoundedAndConverges(t *testing.T) {
 			if res.MaxDepth >= res.HardBound {
 				t.Fatalf("seed %d: depth %d reached the hard bound %d", res.Seed, res.MaxDepth, res.HardBound)
 			}
-			// The ladder was actually exercised, not bypassed.
+			// Defer was actually exercised, not bypassed, and every
+			// deferred entry went out again.
 			if res.Deferred == 0 {
 				t.Errorf("seed %d: overload never deferred a publish", res.Seed)
 			}
-			if res.Throttled == 0 {
-				t.Errorf("seed %d: overload never entered bounded-block", res.Seed)
-			}
 			if res.Republished == 0 {
 				t.Errorf("seed %d: deferred entries never republished", res.Seed)
+			}
+			if res.Republished != res.Deferred {
+				t.Errorf("seed %d: Republished = %d, Deferred = %d", res.Seed, res.Republished, res.Deferred)
 			}
 			// Slow-consumer isolation: quarantined within the escalation
 			// budget (3 attempts x escalating watchdog budgets + backoffs
@@ -73,27 +74,5 @@ func TestOverloadBoundedAndConverges(t *testing.T) {
 				t.Fatalf("seed %d: drain left %d unacked (ok=%v)", res.Seed, res.DrainUnacked, res.DrainOK)
 			}
 		})
-	}
-}
-
-// TestOverloadShedsOnlyUnderPressure checks the shed rung specifically:
-// low-priority writes are dropped only while pressured, every shed is
-// counted, and the settle writes still converge the run exactly.
-func TestOverloadShedsOnlyUnderPressure(t *testing.T) {
-	res, err := RunOverload(OverloadConfig{Seed: 42, Writes: 160, LowPriorityEvery: 3, DisableStall: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("did not converge: %s", res.Mismatch)
-	}
-	if res.Shed == 0 {
-		t.Error("no low-priority write was ever shed under sustained overload")
-	}
-	if res.Decommissions != 0 || res.MaxDepth >= res.HardBound {
-		t.Fatalf("queue bound violated: depth=%d bound=%d decommissions=%d", res.MaxDepth, res.HardBound, res.Decommissions)
-	}
-	if res.DeadLettered != 0 {
-		t.Errorf("DeadLettered = %d with stall disabled, want 0", res.DeadLettered)
 	}
 }

@@ -220,7 +220,7 @@ type App struct {
 // the Stats field named after it, whose comment says what it counts.
 type telemetry struct {
 	processed, retries, redelivered, stalled atomic.Int64
-	republished, deferred, shed, throttled   atomic.Int64
+	republished, deferred                    atomic.Int64
 	publishTime                              atomic.Int64 // ns
 
 	bootstrapChunks, bootstrapResumes atomic.Int64
@@ -428,20 +428,16 @@ type Stats struct {
 	// set (a prior delivery went unacked — broker restart, worker crash,
 	// or a lost ack).
 	Redelivered int64
-	// Deferred counts publishes whose broker send failed after retries
-	// and degraded to journal-and-defer (the periodic journal drain
-	// republishes them once the endpoint heals).
+	// Deferred counts publishes degraded to journal-and-defer: their
+	// broker send failed after retries, or admission found a subscriber
+	// queue pressured. The periodic journal drain republishes them once
+	// the endpoint heals or the pressure clears.
 	Deferred int64
 	// DeadLetters is the messages currently set aside on the queue's
 	// dead-letter list; DeadLettered is the total ever set aside
 	// (replayed messages leave the list but stay counted).
 	DeadLetters  int
 	DeadLettered int64
-	// Shed counts low-priority publishes dropped under subscriber
-	// pressure (ShedLowPriority mode); Throttled counts publishes that
-	// entered the bounded-block wait (PublishBlockTimeout mode).
-	Shed      int64
-	Throttled int64
 	// Stalled counts deliveries abandoned by the apply watchdog
 	// (callback still running past its escalating ApplyTimeout budget).
 	Stalled int64
@@ -470,11 +466,9 @@ type Stats struct {
 	DepTimeouts    int64
 	LastDepTimeout string
 	// QueueDepth is the subscriber queue's current pending+unacked
-	// depth; QueueMaxDepth the deepest it has ever been; QueuePressured
-	// whether it currently signals PressureHigh to publishers.
-	QueueDepth     int
-	QueueMaxDepth  int
-	QueuePressured bool
+	// depth; QueueMaxDepth the deepest it has ever been.
+	QueueDepth    int
+	QueueMaxDepth int
 	// PipelineFillMean/Max summarize in-flight pipeline occupancy (slots
 	// busy when a worker dispatched a delivery; ≥ 1 by construction).
 	// Flushes counts group-commit flushes; FlushBatchMean/Max summarize
@@ -525,8 +519,6 @@ func (a *App) Stats() Stats {
 		Retries:            t.retries.Load(),
 		Redelivered:        t.redelivered.Load(),
 		Deferred:           t.deferred.Load(),
-		Shed:               t.shed.Load(),
-		Throttled:          t.throttled.Load(),
 		Stalled:            t.stalled.Load(),
 		DepWaitsBlocked:    t.depWaitsBlocked.Load(),
 		DepWaitBlockedMean: time.Duration(t.depWaitBlocked.Mean()),
@@ -561,7 +553,6 @@ func (a *App) Stats() Stats {
 		st.DeadLettered = q.DeadLettered()
 		st.QueueDepth = q.Depth()
 		st.QueueMaxDepth = q.MaxDepthSeen()
-		st.QueuePressured = q.Pressure() == broker.PressureHigh
 	}
 	if n := float64(st.Published) + float64(st.Processed); n > 0 {
 		st.RoundTripsPerMessage = float64(st.VStoreRoundTrips) / n
@@ -865,16 +856,10 @@ func (a *App) tuneQueue(q *broker.Queue) {
 	// group-commit flush lands, and so does every parked message — the
 	// window is what bounds the parked set. A failed delivery nacked to
 	// the queue front gives its credit back, so its retry can always be
-	// fetched ahead of the dependants parked behind it. The derived
-	// window is creditWindowFactor windows' worth; a configured one
-	// smaller than the pool's slot count would starve the pipeline it is
-	// supposed to pace, so it is raised to that.
+	// fetched ahead of the dependants parked behind it. The window is
+	// creditWindowFactor windows' worth of the pool's slots.
 	slots := max(a.cfg.Workers, int(a.poolSize.Load())) * a.cfg.PipelineDepth
-	cw := max(a.cfg.CreditWindow, slots)
-	if a.cfg.CreditWindow == 0 {
-		cw = creditWindowFactor * slots
-	}
-	q.SetCredits(cw)
+	q.SetCredits(creditWindowFactor * slots)
 }
 
 // creditWindowFactor sizes the derived credit window in pipeline slots:

@@ -53,19 +53,7 @@ type Controller struct {
 	// dependency of the next (§4.2).
 	prevWriteDep string
 	closed       bool
-	// lowPriority marks this controller's writes sheddable under
-	// publisher backpressure (see Config.ShedLowPriority).
-	lowPriority bool
 }
-
-// SetLowPriority marks (or unmarks) this controller's subsequent writes
-// as sheddable: when the app enables ShedLowPriority and a subscriber
-// queue signals overload, their messages are dropped after the local
-// commit instead of delivered (counted in Stats.Shed). The local write
-// always persists; subscribers miss the update until a later write of
-// the same object supersedes it — weak-mode semantics, opted into per
-// controller for traffic that tolerates it.
-func (c *Controller) SetLowPriority(low bool) { c.lowPriority = low }
 
 // NewController opens a controller scope within a session. A nil
 // session models a background job.

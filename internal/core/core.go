@@ -158,34 +158,11 @@ type Config struct {
 
 	// QueueHighWatermark is the soft depth bound on this app's subscriber
 	// queue: at or past it the queue signals PressureHigh to its
-	// publishers, whose admission control degrades (block, defer, shed)
-	// instead of growing the queue toward the QueueMaxLen decommission
-	// cliff. The episode ends once depth drains to half of it
-	// (hysteresis, so publishers are not flapped at the boundary). 0
-	// disables the depth signal.
+	// publishers, whose publishes defer (see admit) instead of growing
+	// the queue toward the QueueMaxLen decommission cliff. The episode
+	// ends once depth drains to half of it (hysteresis, so publishers
+	// are not flapped at the boundary). 0 disables the depth signal.
 	QueueHighWatermark int
-	// CreditWindow bounds outstanding unacked deliveries across this
-	// app's worker pool — in flight, awaiting their flush, or parked on
-	// an unmet dependency: the queue hands out at most this many and acks
-	// replenish the window. 0 (the default) derives it: 4 × workers ×
-	// PipelineDepth, workers being the larger of Workers and the pool
-	// actually started; smaller values are raised to 1 × that.
-	CreditWindow int
-	// PublishBlockTimeout enables bounded-block admission: a publish
-	// that sees PressureHigh first waits (jittered polls) up to this
-	// long for pressure to clear before degrading to defer or shed.
-	// 0 makes pressured publishes degrade immediately.
-	PublishBlockTimeout time.Duration
-	// ShedLowPriority enables load shedding: while pressured, publishes
-	// marked low-priority (Controller.SetLowPriority) are dropped after
-	// their local commit instead of sent, counted in Stats.Shed. The
-	// subscriber misses those updates until a later write of the same
-	// objects supersedes them (weak-mode semantics for marked traffic).
-	// A shed message is a hole in the causal order — its versions were
-	// claimed but never shipped — so causal subscribers downstream of a
-	// shedding publisher need a finite DepTimeout (§6.5 degradation) to
-	// ride past the gap; with WaitForever they would wedge on it.
-	ShedLowPriority bool
 	// ApplyTimeout arms the per-delivery stall watchdog: a subscriber
 	// callback still running after the budget is abandoned and the
 	// delivery counted as a failed attempt. The budget escalates —

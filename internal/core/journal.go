@@ -30,9 +30,9 @@ import (
 // versions: the crashed publish already bumped the counters, and only a
 // message carrying those exact versions fills the gap in subscriber ops
 // counters — fresh versions would wedge strict-causal subscribers. A
-// replay may duplicate a send that reached the broker, or resurface a
-// shed entry: the per-object version guard discards the apply, and the
-// duplicate increments only run subscriber counters ahead.
+// replay may duplicate a send that reached the broker: the per-object
+// version guard discards the apply, and the duplicate increments only
+// run subscriber counters ahead.
 
 // journalModel is the reserved model backing the publish journal, one
 // instance ("synapse_journals" row/document) per entry not yet
@@ -98,8 +98,8 @@ func (o *outbox) register() uint64 {
 	return seq
 }
 
-// confirm forgets a sent (or shed) entry and reports whether a cut is
-// due.
+// confirm forgets a sent (or dropped) entry and reports whether a cut
+// is due.
 func (o *outbox) confirm(seq uint64) bool {
 	o.mu.Lock()
 	delete(o.open, seq)
@@ -229,7 +229,7 @@ func (a *App) journalRecord(rec *model.Record, payload []byte, seq uint64) *mode
 	return rec
 }
 
-// journalAck confirms an entry whose message was sent (or shed) — the
+// journalAck confirms an entry whose message was sent (or dropped) — the
 // one acknowledgement path. The confirmation that brings the count to
 // outboxCutEvery also truncates, unless a drain holds journalMu: the
 // drain cuts when it ends.

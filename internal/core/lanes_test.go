@@ -83,9 +83,10 @@ func TestFlushBatchAllocBudget(t *testing.T) {
 	const runs = 100
 	f := NewFabric()
 	pub, _ := newDocApp(t, f, "pub", Config{})
-	sub, _ := newSQLApp(t, f, "sub", Config{CreditWindow: 2 * runs})
+	sub, _ := newSQLApp(t, f, "sub", Config{})
 	mustPublish(t, pub, userDesc(), "name")
 	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
+	sub.Queue().SetCredits(2 * runs)
 	ctl := pub.NewController(nil)
 	for i := range runs + 1 { // AllocsPerRun's warm-up call takes one
 		createUser(t, ctl, fmt.Sprintf("u%d", i), "n")
@@ -125,9 +126,10 @@ func TestApplyLocksArePerObject(t *testing.T) {
 	const others = 256
 	f := NewFabric()
 	pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
-	sub, _ := newSQLApp(t, f, "sub", Config{CreditWindow: others + 1})
+	sub, _ := newSQLApp(t, f, "sub", Config{})
 	mustPublish(t, pub, userDesc(), "name")
 	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
+	sub.Queue().SetCredits(others + 1)
 	for i := range others {
 		createUser(t, pub.NewController(nil), fmt.Sprintf("o%03d", i), "v1") // depends on nothing
 	}

@@ -67,126 +67,6 @@ func TestPublishDefersPastHighWatermarkAndResumes(t *testing.T) {
 	}
 }
 
-// Low-priority writes are shed outright under pressure: the local
-// commit stands, the message is dropped, and its journal entry is acked
-// so the drain cannot resurrect it.
-func TestPublishShedsLowPriorityUnderPressure(t *testing.T) {
-	f := NewFabric()
-	pub, _ := newDocApp(t, f, "pub", Config{
-		ShedLowPriority:      true,
-		JournalRetryInterval: 2 * time.Millisecond,
-	})
-	// A shed message is a hole in the causal order: subscribers that
-	// might receive later writes of the same session need the finite
-	// dependency-wait degradation (§6.5) to ride past it.
-	sub, subMapper := newSQLApp(t, f, "sub", Config{
-		QueueHighWatermark: 2,
-		Workers:            1,
-		DepTimeout:         20 * time.Millisecond,
-	})
-	mustPublish(t, pub, userDesc(), "name")
-	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
-
-	ctl := pub.NewController(nil)
-	for i := 0; i < 3; i++ { // two sends fill to the watermark; third defers
-		rec := model.NewRecord("User", fmt.Sprintf("u%d", i))
-		rec.Set("name", "n")
-		if _, err := ctl.Create(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	low := model.NewRecord("User", "low")
-	low.Set("name", "sheddable")
-	ctl.SetLowPriority(true)
-	if _, err := ctl.Create(low); err != nil {
-		t.Fatal(err)
-	}
-	ctl.SetLowPriority(false)
-
-	st := pub.Stats()
-	if st.Shed != 1 {
-		t.Fatalf("Shed = %d, want 1", st.Shed)
-	}
-	if st.JournalDepth != 1 {
-		t.Fatalf("JournalDepth = %d, want 1 (shed entry acked, deferred entry kept)", st.JournalDepth)
-	}
-	// The local write persisted even though the message was dropped.
-	if _, err := pub.Mapper().Find("User", "low"); err != nil {
-		t.Fatalf("shed write lost locally: %v", err)
-	}
-
-	pub.StartWorkers(1)
-	defer pub.StopWorkers()
-	sub.StartWorkers(0)
-	defer sub.StopWorkers()
-	waitFor(t, 10*time.Second, func() bool {
-		return pub.JournalDepth() == 0 && sub.Stats().Processed >= 3
-	})
-	if _, err := subMapper.Find("User", "low"); err == nil {
-		t.Fatal("shed message delivered anyway")
-	}
-
-	// A later normal-priority write of the same object heals the gap.
-	heal := model.NewRecord("User", "low")
-	heal.Set("name", "healed")
-	if _, err := ctl.Update(heal); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 10*time.Second, func() bool {
-		got, err := subMapper.Find("User", "low")
-		return err == nil && got.String("name") == "healed"
-	})
-}
-
-// Bounded-block mode: a pressured publish waits (jittered polls) for
-// the signal to clear instead of deferring immediately, and sends once
-// consumers catch up.
-func TestPublishBoundedBlockRidesOutPressure(t *testing.T) {
-	f := NewFabric()
-	pub, _ := newDocApp(t, f, "pub", Config{
-		PublishBlockTimeout:  5 * time.Second,
-		JournalRetryInterval: 2 * time.Millisecond,
-	})
-	sub, _ := newSQLApp(t, f, "sub", Config{
-		QueueHighWatermark: 2,
-		Workers:            1,
-	})
-	mustPublish(t, pub, userDesc(), "name")
-	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
-
-	ctl := pub.NewController(nil)
-	for i := 0; i < 2; i++ {
-		rec := model.NewRecord("User", fmt.Sprintf("u%d", i))
-		rec.Set("name", "n")
-		if _, err := ctl.Create(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sub.Queue().Pressure() != broker.PressureHigh {
-		t.Fatal("queue should be pressured")
-	}
-
-	// Start consumers shortly after the blocked publish begins waiting.
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		sub.StartWorkers(0)
-	}()
-	defer sub.StopWorkers()
-	rec := model.NewRecord("User", "blocked")
-	rec.Set("name", "n")
-	if _, err := ctl.Create(rec); err != nil {
-		t.Fatal(err)
-	}
-	st := pub.Stats()
-	if st.Throttled != 1 {
-		t.Fatalf("Throttled = %d, want 1", st.Throttled)
-	}
-	if st.Deferred != 0 {
-		t.Fatalf("Deferred = %d, want 0 (the blocked publish should have sent)", st.Deferred)
-	}
-	waitFor(t, 10*time.Second, func() bool { return sub.Stats().Processed >= 3 })
-}
-
 // --- slow-consumer isolation ------------------------------------------
 
 // A subscriber callback that hangs forever must not wedge its worker:
@@ -489,7 +369,6 @@ func TestDecommissionLastResortUnderLiveLoad(t *testing.T) {
 		pub, sub, q0 := flood(t, Config{
 			QueueMaxLen:        12,
 			QueueHighWatermark: 4,
-			CreditWindow:       2,
 			Workers:            1,
 			DepTimeout:         10 * time.Millisecond,
 		})

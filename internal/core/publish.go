@@ -28,7 +28,7 @@ const (
 	pubWritten                    // the data written, the entry (if it keeps one) not yet; next, journalDirect
 	pubCommitted                  // the data written, the entry durable: a crash leaves it to replay; next, dispatch
 	pubSent                       // the broker took the message; next, confirm
-	pubConfirmed                  // over: sent or shed, the entry confirmed
+	pubConfirmed                  // over: sent, or an unreplayable entry dropped; the entry confirmed
 	pubDeferred                   // over: committed, not sent; the journal drain owns it
 	pubWithdrawn                  // over: nothing committed or sent; the plan's bump undone
 	pubFailed                     // over: committed with no entry, and the send failed

@@ -192,24 +192,22 @@ func TestPublicationStateTable(t *testing.T) {
 
 	run("admission", func(t *testing.T) {
 		f := NewFabric()
-		pub, _ := newDocApp(t, f, "pub", Config{ShedLowPriority: true, PublishBlockTimeout: time.Millisecond})
+		pub, _ := newDocApp(t, f, "pub", Config{})
 		sub, _ := newSQLApp(t, f, "sub", Config{QueueHighWatermark: 2})
 		mustPublish(t, watch(pub), userDesc(), "name")
 		mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
-		ctl, low := pub.NewController(nil), pub.NewController(nil)
-		low.SetLowPriority(true)
-		for _, id := range []string{"u1", "u2", "u3"} { // the third is throttled, then deferred
+		ctl := pub.NewController(nil)
+		for _, id := range []string{"u1", "u2", "u3", "u4"} { // the last two are deferred
 			must(t, create(ctl, id))
 		}
-		must(t, create(low, "u4"))
-		if st := pub.Stats(); st.Throttled != 1 || st.Deferred != 1 || st.Shed != 1 {
-			t.Fatalf("Throttled, Deferred, Shed = %d, %d, %d; want 1, 1, 1", st.Throttled, st.Deferred, st.Shed)
+		if st := pub.Stats(); st.Deferred != 2 {
+			t.Fatalf("Deferred = %d, want 2", st.Deferred)
 		}
 		if n, err := pub.recoverJournal(func() bool { return false }); n != 0 || err != nil {
 			t.Fatalf("a drain paced to a stop = %d, %v", n, err)
 		}
-		if n, err := pub.RecoverJournal(); n != 1 || err != nil || pub.JournalDepth() != 0 {
-			t.Fatalf("RecoverJournal = %d, %v, depth %d; want 1, nil, 0", n, err, pub.JournalDepth())
+		if n, err := pub.RecoverJournal(); n != 2 || err != nil || pub.JournalDepth() != 0 {
+			t.Fatalf("RecoverJournal = %d, %v, depth %d; want 2, nil, 0", n, err, pub.JournalDepth())
 		}
 	})
 

@@ -72,11 +72,14 @@ scenario_chaos() {
             ./internal/broker/ ./internal/core/
 }
 
-# Sustained ~2x overload: degradation ladder, watermark backpressure,
-# stall quarantine, drain/decommission, and the round-trip cost of
-# recovering from the decommission cliff.
+# Sustained ~2x overload: publisher defer and republish, watermark
+# backpressure, stall quarantine, drain/decommission, and the round-trip
+# cost of recovering from the decommission cliff. The full-size
+# TestOverloadBoundedAndConverges is the one test that holds all four
+# overload invariants, so it also runs five times at full size.
 scenario_overload() {
     gotest -race $SHORT -run 'TestOverload' ./internal/chaos/ &&
+        gotest -race -count=5 -run 'TestOverloadBoundedAndConverges' ./internal/chaos/ &&
         gotest -race $SHORT -run 'TestPublish|TestStall|TestDrain|TestDecommission|TestRecoverQueueRoundTripsPerObject' \
             ./internal/core/
 }
@@ -152,7 +155,7 @@ scenario_liveness() {
 
 # Publisher outbox: the journal is a log with a high-water ack, so what
 # guards it is schedules as well as states — the crash windows, the
-# seeded crash/restart property, the overload ladder's defer/shed/drain
+# seeded crash/restart property, the overload defer/drain
 # paths, the outbox, truncation and restart tests, the publication state
 # table, the failed-write gap test and the entry rows' own payloads,
 # twenty times under the race detector; then the workload that journals
