@@ -22,13 +22,13 @@ import (
 const settleTimeout = 15 * time.Second
 
 // turbulent is the fabric every script runs on: a seeded simulated
-// network under a core fabric, and the one RPC/breaker configuration
-// the scripts' apps are built from.
+// network under a core fabric, and the one configuration the scripts'
+// apps are built from.
 type turbulent struct {
 	net  *netsim.Network
 	f    *core.Fabric
 	logs logWatch
-	rpc  core.Config
+	cfg  core.Config
 }
 
 func newTurbulent(seed int64, tracker string) *turbulent {
@@ -44,18 +44,11 @@ func newTurbulent(seed int64, tracker string) *turbulent {
 	})
 	t.f.Net = t.net
 	t.f.Broker.SetTruncateHook(t.logs.hook)
-	t.rpc = core.Config{
-		Mode:                 core.Causal,
-		DepTracker:           tracker,
-		DepTimeout:           50 * time.Millisecond,
-		RPCAttempts:          2,
-		RPCDeadline:          4 * time.Millisecond,
-		RPCBackoffBase:       200 * time.Microsecond,
-		RPCBackoffMax:        time.Millisecond,
-		BreakerThreshold:     3,
-		BreakerCooldown:      5 * time.Millisecond,
-		JournalRetryInterval: 5 * time.Millisecond,
-		Workers:              2,
+	t.cfg = core.Config{
+		Mode:       core.Causal,
+		DepTracker: tracker,
+		DepTimeout: 50 * time.Millisecond,
+		Workers:    2,
 	}
 	return t
 }
@@ -69,7 +62,7 @@ func postgres() orm.Mapper { return activerecord.New(reldb.New(reldb.Postgres)) 
 // app adds an app built from the shared configuration; tune, when set,
 // adjusts the copy first.
 func (t *turbulent) app(name string, m orm.Mapper, tune func(*core.Config)) (*core.App, error) {
-	cfg := t.rpc
+	cfg := t.cfg
 	if tune != nil {
 		tune(&cfg)
 	}

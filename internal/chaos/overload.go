@@ -140,8 +140,6 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 		c.QueueHighWatermark = overloadHighWatermark
 		c.ApplyTimeout = 25 * time.Millisecond
 		c.MaxDeliveryAttempts = 3
-		c.RetryBackoffBase = 2 * time.Millisecond
-		c.RetryBackoffMax = 10 * time.Millisecond
 	})
 	if err != nil {
 		return res, err

@@ -127,34 +127,9 @@ type Config struct {
 	// subscribed message: after this many failures the message is set
 	// aside on the queue's dead-letter list instead of redelivered
 	// (inspect with App.DeadLetters, requeue with App.ReplayDeadLetters).
-	// 0 (the default) retries forever.
+	// 0 (the default) retries forever. Each redelivery waits out a
+	// backoff that doubles per failure (see retryBackoff).
 	MaxDeliveryAttempts int
-	// RetryBackoffBase is the delay before the first redelivery of a
-	// failed message; each subsequent failure doubles it (default 1ms).
-	RetryBackoffBase time.Duration
-	// RetryBackoffMax caps the exponential redelivery backoff
-	// (default 100ms).
-	RetryBackoffMax time.Duration
-	// RPCAttempts/RPCDeadline/RPCBackoffBase/RPCBackoffMax tune the
-	// per-endpoint resilient callers wrapping every cross-service call
-	// (broker, version store, coordinator): attempts per call, total
-	// per-call deadline, and the jittered exponential backoff between
-	// attempts. Zero fields take the netsim defaults (3 attempts, 50ms
-	// deadline, 1ms..16ms backoff).
-	RPCAttempts                   int
-	RPCDeadline                   time.Duration
-	RPCBackoffBase, RPCBackoffMax time.Duration
-	// BreakerThreshold consecutive failed calls open an endpoint's
-	// circuit breaker; it stays open BreakerCooldown before admitting a
-	// half-open probe. While open, calls fast-fail and publishes degrade
-	// to journal-and-defer. Zero fields take the netsim defaults (4
-	// failures, 50ms cooldown).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// JournalRetryInterval is how often a started app re-drains its
-	// publish journal, healing deferred sends once the broker endpoint
-	// recovers, and retries parked acks (default 50ms).
-	JournalRetryInterval time.Duration
 
 	// QueueHighWatermark is the soft depth bound on this app's subscriber
 	// queue: at or past it the queue signals PressureHigh to its
@@ -197,15 +172,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DepTimeout == 0 {
 		c.DepTimeout = WaitForever
-	}
-	if c.RetryBackoffBase <= 0 {
-		c.RetryBackoffBase = time.Millisecond
-	}
-	if c.RetryBackoffMax <= 0 {
-		c.RetryBackoffMax = 100 * time.Millisecond
-	}
-	if c.JournalRetryInterval <= 0 {
-		c.JournalRetryInterval = 50 * time.Millisecond
 	}
 	if c.BootstrapChunkSize <= 0 {
 		c.BootstrapChunkSize = 256

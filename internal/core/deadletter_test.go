@@ -19,10 +19,7 @@ func TestDeadLetterSetAsideAndReplay(t *testing.T) {
 	f := NewFabric()
 	pub, _ := newDocApp(t, f, "pub", Config{})
 	mustPublish(t, pub, userDesc(), "name")
-	sub, subMapper := newDocApp(t, f, "sub", Config{
-		MaxDeliveryAttempts: 2,
-		RetryBackoffBase:    time.Microsecond,
-	})
+	sub, subMapper := newDocApp(t, f, "sub", Config{MaxDeliveryAttempts: 2})
 	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
 
 	// The fault: applying the "poison" user fails until cleared.
@@ -100,10 +97,7 @@ func TestDeadLetterStaleGenerationDropped(t *testing.T) {
 	f := NewFabric()
 	pub, _ := newDocApp(t, f, "pub", Config{})
 	mustPublish(t, pub, userDesc(), "name")
-	sub, subMapper := newDocApp(t, f, "sub", Config{
-		MaxDeliveryAttempts: 2,
-		RetryBackoffBase:    time.Microsecond,
-	})
+	sub, subMapper := newDocApp(t, f, "sub", Config{MaxDeliveryAttempts: 2})
 	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
 
 	// The fault stays on for the whole test: if the stale replay were

@@ -320,11 +320,12 @@ func (a *App) recoverJournal(pace func() bool) (int, error) {
 // retryJournal is the periodic drain a started app runs beside its
 // workers until stop closes. A restarting app may have inherited journal
 // entries from a crashed predecessor: it drains them first, then every
-// JournalRetryInterval replays what was deferred since — a send deferred
-// on a broker outage (journal-and-defer, see publish.go) — and flushes
-// the acknowledgements parked on a transport failure. It replays only
-// deferred and inherited entries, never one whose publish is still in
-// flight. The ack flush cannot live only in the worker loop: a worker
+// broker breaker cooldown replays what was deferred since — a send
+// deferred on a broker outage (journal-and-defer, see publish.go) — and
+// flushes the acknowledgements parked on a transport failure. Both jobs
+// wait for that breaker to admit a call, and an open breaker admits its
+// probe one cooldown after it opened. It replays only deferred and
+// inherited entries, never one whose publish is still in flight. The ack flush cannot live only in the worker loop: a worker
 // whose queue went idle blocks in GetBatch and never iterates again,
 // which would leave parked acks (and their unacked deliveries) stuck.
 func (a *App) retryJournal(stop <-chan struct{}) {
@@ -334,7 +335,8 @@ func (a *App) retryJournal(stop <-chan struct{}) {
 	paced := func() bool { return a.exchangePressure() != broker.PressureHigh }
 	_, _ = a.recoverJournal(paced)
 	wasPressured := false
-	for a.pause(stop, a.cfg.JournalRetryInterval) {
+	period := a.brokerCall.Cooldown()
+	for a.pause(stop, period) {
 		// Publishes deferred under backpressure stay journaled while the
 		// subscriber side still signals overload: draining now would
 		// re-grow the pressured queue. Parked acks flush regardless — acks
@@ -349,7 +351,7 @@ func (a *App) retryJournal(stop <-chan struct{}) {
 			// publishers stagger their drains instead of refilling the
 			// queue in one synchronized burst.
 			wasPressured = false
-			if !a.pause(stop, a.jitter(a.cfg.JournalRetryInterval)) {
+			if !a.pause(stop, a.jitter(period)) {
 				return
 			}
 		}

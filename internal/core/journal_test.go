@@ -278,9 +278,9 @@ func TestEntryRowsOwnTheirPayload(t *testing.T) {
 			f.Net = netsim.New(1)
 			var pub *App
 			if engine == "postgresql" {
-				pub, _ = newSQLApp(t, f, "pub", netFaultConfig())
+				pub, _ = newSQLApp(t, f, "pub", Config{})
 			} else {
-				pub, _ = newDocApp(t, f, "pub", netFaultConfig())
+				pub, _ = newDocApp(t, f, "pub", Config{})
 			}
 			mustPublish(t, pub, userDesc(), "likes")
 			sent := payloadTap(t, f, "pub")
@@ -335,7 +335,7 @@ func TestEntryRowsOwnTheirPayload(t *testing.T) {
 // ack: 88–102 duplicates per 80,000 publishes at 50 ms, ~1,000 at 1 ms.)
 func TestLiveDrainSkipsInFlightPublishes(t *testing.T) {
 	f := NewFabric()
-	pub, _ := newSQLApp(t, f, "pub", Config{JournalRetryInterval: time.Millisecond})
+	pub, _ := newSQLApp(t, f, "pub", Config{})
 	mustPublish(t, pub, userDesc(), "likes")
 	pub.StartWorkers(1)
 	defer pub.StopWorkers()

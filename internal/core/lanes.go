@@ -418,16 +418,20 @@ func (a *App) flushBatch(jobs []*job) {
 	a.tel.observe(stageFlush, time.Since(flushStart))
 }
 
-// retryBackoff sleeps before a failed message's redelivery, until stop:
-// RetryBackoffBase doubled per prior failure, up to RetryBackoffMax.
+// The redelivery backoff: retryBackoffBase doubled per prior failure,
+// up to retryBackoffMax.
+const (
+	retryBackoffBase = time.Millisecond
+	retryBackoffMax  = 100 * time.Millisecond
+)
+
+// retryBackoff sleeps before a failed message's redelivery, until stop.
 func (a *App) retryBackoff(attempts int, stop <-chan struct{}) {
-	delay := a.cfg.RetryBackoffMax
+	delay := retryBackoffMax
 	if attempts < 16 { // beyond 2^16 the shift is past any sane cap
-		delay = min(delay, a.cfg.RetryBackoffBase<<uint(attempts))
+		delay = min(delay, retryBackoffBase<<uint(attempts))
 	}
-	if delay > 0 {
-		a.pause(stop, delay)
-	}
+	a.pause(stop, delay)
 }
 
 // errStalled is what claimAndApply returns to a lane whose job the

@@ -8,21 +8,6 @@ import (
 	"synapse/internal/netsim"
 )
 
-// netFaultConfig is the resilient-caller tuning the network-fault tests
-// share: short deadlines so a partitioned call fails fast, and a fast
-// periodic journal drain so deferred publishes heal quickly.
-func netFaultConfig() Config {
-	return Config{
-		RPCAttempts:          2,
-		RPCDeadline:          4 * time.Millisecond,
-		RPCBackoffBase:       200 * time.Microsecond,
-		RPCBackoffMax:        time.Millisecond,
-		BreakerThreshold:     3,
-		BreakerCooldown:      5 * time.Millisecond,
-		JournalRetryInterval: 5 * time.Millisecond,
-	}
-}
-
 // TestPublishDegradesToJournalAndDefer pins the publisher's behaviour
 // when the broker link is partitioned: the write itself succeeds (the
 // journal entry is durable), the send is deferred rather than failed,
@@ -32,9 +17,9 @@ func netFaultConfig() Config {
 func TestPublishDegradesToJournalAndDefer(t *testing.T) {
 	f := NewFabric()
 	f.Net = netsim.New(1)
-	pub, _ := newDocApp(t, f, "pub", netFaultConfig())
+	pub, _ := newDocApp(t, f, "pub", Config{})
 	mustPublish(t, pub, userDesc(), "name")
-	sub, subMapper := newDocApp(t, f, "sub", netFaultConfig())
+	sub, subMapper := newDocApp(t, f, "sub", Config{})
 	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
 
 	// StartWorkers on the publisher runs the periodic journal drain (it
@@ -78,9 +63,9 @@ func TestPublishDegradesToJournalAndDefer(t *testing.T) {
 func TestWorkersReattachAfterBrokerRestart(t *testing.T) {
 	f := NewFabric()
 	f.Net = netsim.New(2)
-	pub, _ := newDocApp(t, f, "pub", netFaultConfig())
+	pub, _ := newDocApp(t, f, "pub", Config{})
 	mustPublish(t, pub, userDesc(), "name")
-	sub, subMapper := newDocApp(t, f, "sub", netFaultConfig())
+	sub, subMapper := newDocApp(t, f, "sub", Config{})
 	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
 
 	pub.StartWorkers(1)
@@ -126,9 +111,9 @@ func TestWorkersReattachAfterBrokerRestart(t *testing.T) {
 func TestParkedAcksFlushAndDefunctDrop(t *testing.T) {
 	f := NewFabric()
 	f.Net = netsim.New(3)
-	pub, _ := newDocApp(t, f, "pub", netFaultConfig())
+	pub, _ := newDocApp(t, f, "pub", Config{})
 	mustPublish(t, pub, userDesc(), "name")
-	sub, _ := newDocApp(t, f, "sub", netFaultConfig())
+	sub, _ := newDocApp(t, f, "sub", Config{})
 	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
 
 	ctl := pub.NewController(nil)

@@ -56,22 +56,9 @@ func seedFor(name, role string) int64 {
 // initCallers builds the app's per-endpoint resilient callers and
 // installs the version-store transport hook (NewApp).
 func (a *App) initCallers() {
-	base := netsim.CallerConfig{
-		Attempts:         a.cfg.RPCAttempts,
-		Deadline:         a.cfg.RPCDeadline,
-		BackoffBase:      a.cfg.RPCBackoffBase,
-		BackoffMax:       a.cfg.RPCBackoffMax,
-		BreakerThreshold: a.cfg.BreakerThreshold,
-		BreakerCooldown:  a.cfg.BreakerCooldown,
-	}
-	forRole := func(role string) *netsim.Caller {
-		cfg := base
-		cfg.Seed = seedFor(a.name, role)
-		return netsim.NewCaller(cfg)
-	}
-	a.brokerCall = forRole("broker")
-	a.vstoreCall = forRole("vstore")
-	a.coordCall = forRole("coord")
+	a.brokerCall = netsim.NewCaller(seedFor(a.name, "broker"))
+	a.vstoreCall = netsim.NewCaller(seedFor(a.name, "vstore"))
+	a.coordCall = netsim.NewCaller(seedFor(a.name, "coord"))
 	a.store.SetTransport(func() error {
 		return a.vstoreCall.Do(func() error {
 			return a.netCall(EndpointVStore(a.name))

@@ -21,7 +21,7 @@ import (
 // watermark the periodic journal drain republishes everything.
 func TestPublishDefersPastHighWatermarkAndResumes(t *testing.T) {
 	f := NewFabric()
-	pub, _ := newDocApp(t, f, "pub", Config{JournalRetryInterval: 2 * time.Millisecond})
+	pub, _ := newDocApp(t, f, "pub", Config{})
 	sub, _ := newSQLApp(t, f, "sub", Config{
 		QueueHighWatermark: 4,
 		Workers:            2,
@@ -83,8 +83,6 @@ func TestStallWatchdogQuarantinesHungCallback(t *testing.T) {
 				PipelineDepth:       depth,
 				ApplyTimeout:        5 * time.Millisecond,
 				MaxDeliveryAttempts: 2,
-				RetryBackoffBase:    time.Millisecond,
-				RetryBackoffMax:     4 * time.Millisecond,
 				DepTimeout:          20 * time.Millisecond,
 			})
 			mustPublish(t, pub, userDesc(), "name")
@@ -202,11 +200,7 @@ func TestStallClockStartsAtClaim(t *testing.T) {
 // quiescing, and refuses new writes until Resume.
 func TestDrainFlushesPublisherJournal(t *testing.T) {
 	f := NewFabric()
-	pub, _ := newDocApp(t, f, "pub", Config{
-		RPCAttempts:      1,
-		RPCDeadline:      5 * time.Millisecond,
-		BreakerThreshold: 1000, // keep sends failing on transport, not fast-fail bookkeeping
-	})
+	pub, _ := newDocApp(t, f, "pub", Config{})
 	sub, subMapper := newSQLApp(t, f, "sub", Config{})
 	mustPublish(t, pub, userDesc(), "name")
 	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
@@ -313,7 +307,7 @@ func TestDecommissionLastResortUnderLiveLoad(t *testing.T) {
 	flood := func(t *testing.T, subCfg Config) (pubApp, subApp *App, q0 *broker.Queue) {
 		t.Helper()
 		f := NewFabric()
-		pub, _ := newDocApp(t, f, "pub", Config{JournalRetryInterval: 2 * time.Millisecond})
+		pub, _ := newDocApp(t, f, "pub", Config{})
 		sub, _ := newSQLApp(t, f, "sub", subCfg)
 		mustPublish(t, pub, userDesc(), "likes")
 		d := userDesc()

@@ -214,9 +214,9 @@ func TestPublicationStateTable(t *testing.T) {
 	run("send failure", func(t *testing.T) {
 		f := NewFabric()
 		f.Net = netsim.New(1)
-		pub, _ := newDocApp(t, f, "pub", netFaultConfig())
+		pub, _ := newDocApp(t, f, "pub", Config{})
 		mustPublish(t, watch(pub), userDesc(), "name")
-		front := watch(ephemeralApp(t, f, "front", netFaultConfig()))
+		front := watch(ephemeralApp(t, f, "front", Config{}))
 		f.Net.Partition("pub", EndpointBroker)
 		f.Net.Partition("front", EndpointBroker)
 		must(t, create(pub.NewController(nil), "u1")) // journal-and-defer

@@ -149,7 +149,7 @@ func TestJobStateTable(t *testing.T) {
 	})
 
 	t.Run("W poison, a failure to the front, the tail", func(t *testing.T) {
-		f, _, sub, ctl := pair(t, Config{PipelineDepth: 2, RetryBackoffBase: time.Millisecond}, nil)
+		f, _, sub, ctl := pair(t, Config{PipelineDepth: 2}, nil)
 		if err := f.Broker.Publish("pub", []byte("not a message")); err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestJobStateTable(t *testing.T) {
 			}
 			return nil
 		})
-		cfg := Config{ApplyTimeout: 200 * time.Millisecond, RetryBackoffBase: time.Millisecond, RetryBackoffMax: time.Millisecond}
+		cfg := Config{ApplyTimeout: 200 * time.Millisecond}
 		_, pub, sub, ctl := pair(t, cfg, d)
 		for _, id := range []string{"hang", "p"} {
 			createUser(t, pub.NewController(nil), id, "v1") // depends on nothing

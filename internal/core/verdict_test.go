@@ -34,11 +34,11 @@ func verdictApps(t *testing.T) (f *Fabric, pub, sub *App) {
 	t.Helper()
 	f = NewFabric()
 	f.Net = netsim.New(1)
-	pub, _ = newDocApp(t, f, "pub", netFaultConfig())
+	pub, _ = newDocApp(t, f, "pub", Config{})
 	pd := userDesc()
 	pd.DefineVirtual(&model.VirtualAttr{Name: "display", Get: func(r *model.Record) any { return "@" + r.ID }})
 	mustPublish(t, pub, pd, "name", "likes", "display")
-	sub, _ = newSQLApp(t, f, "sub", netFaultConfig())
+	sub, _ = newSQLApp(t, f, "sub", Config{})
 	sd := userDesc()
 	sd.AddField(model.Field{Name: "display", Type: model.String})
 	mustSubscribe(t, sub, sd, SubSpec{From: "pub", Attrs: []string{"name", "likes", "display"}})
@@ -130,12 +130,12 @@ func TestConverged(t *testing.T) {
 // compared, while every stored attribute still is.
 func TestConvergedSkipsObserversAndVirtuals(t *testing.T) {
 	f, pub, sub := verdictApps(t)
-	obs, err := NewApp(f, "obs", nil, netFaultConfig())
+	obs, err := NewApp(f, "obs", nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustSubscribe(t, obs, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}, Observer: true})
-	alias, _ := newDocApp(t, f, "alias", netFaultConfig())
+	alias, _ := newDocApp(t, f, "alias", Config{})
 	ad := model.NewDescriptor("User", model.Field{Name: "handle", Type: model.String}, model.Field{Name: "likes", Type: model.Int})
 	ad.DefineVirtual(&model.VirtualAttr{Name: "name", Set: func(r *model.Record, v any) error {
 		r.Set("handle", strings.ToUpper(v.(string)))

@@ -13,93 +13,84 @@ import (
 // rejected without touching the network until the cooldown elapses.
 var ErrBreakerOpen = errors.New("netsim: circuit breaker open")
 
-// CallerConfig tunes one endpoint's client-side resilience policy.
-type CallerConfig struct {
-	// Attempts is the number of tries per Do (including the first).
-	Attempts int
-	// Deadline bounds one Do end to end — no retry is started after
-	// the deadline has passed, so a Do can never block the app for
-	// longer than roughly Deadline plus one attempt.
-	Deadline time.Duration
-	// BackoffBase/BackoffMax bound the jittered exponential backoff
+// The one client-side resilience policy every Caller runs.
+const (
+	// callAttempts is the number of tries per Do (including the first).
+	callAttempts = 2
+	// callDeadline bounds one Do end to end: no retry is started after
+	// it has passed, so a Do never blocks its app for much longer than
+	// the deadline plus one attempt.
+	callDeadline = 4 * time.Millisecond
+	// backoffBase/backoffMax bound the jittered exponential backoff
 	// slept between attempts.
-	BackoffBase, BackoffMax time.Duration
-	// BreakerThreshold consecutive failed Dos open the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before
-	// admitting a half-open probe.
-	BreakerCooldown time.Duration
-	// Seed drives the backoff jitter (deterministic per endpoint).
-	Seed int64
-}
-
-func (c CallerConfig) withDefaults() CallerConfig {
-	if c.Attempts <= 0 {
-		c.Attempts = 3
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 50 * time.Millisecond
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 16 * time.Millisecond
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 4
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 50 * time.Millisecond
-	}
-	return c
-}
+	backoffBase = 200 * time.Microsecond
+	backoffMax  = time.Millisecond
+	// breakerThreshold consecutive failed Dos open the breaker.
+	breakerThreshold = 3
+	// breakerCooldown is how long the breaker stays open before it
+	// admits a half-open probe.
+	breakerCooldown = 5 * time.Millisecond
+)
 
 // Caller is the client-side resilience wrapper for one remote
 // endpoint: deadline-bounded attempts with jittered exponential
 // backoff, and a circuit breaker that fast-fails while the endpoint is
 // known bad so the app degrades (journal-and-defer) instead of
-// blocking. closed → open after BreakerThreshold consecutive Do
-// failures; open → half-open after the cooldown (one probe Do is
-// admitted); a successful probe closes it, a failed one re-opens it.
+// blocking. closed → open after breakerThreshold consecutive Do
+// failures; open → half-open after the cooldown, where the first Do
+// claims the one probe and every other fast-fails until it lands; a
+// successful probe closes the breaker, a failed one re-opens it.
 //
 // A Do that finds the breaker closed and succeeds reads the clock once
 // and takes no lock: the breaker state it checks is one atomic, and the
 // lock is taken only when the failure streak changes.
 type Caller struct {
-	cfg   CallerConfig
 	epoch time.Time // the monotonic origin openUntil counts from
+	// deadline and cooldown are callDeadline and breakerCooldown; the
+	// package's tests lengthen them where a loaded host could outrun one.
+	deadline, cooldown time.Duration
 
-	openUntil atomic.Int64 // breaker open before epoch + this many ns
+	// openUntil is 0 while the breaker is closed; otherwise calls are
+	// rejected before epoch + this many ns, and the first Do after it
+	// claims the half-open probe by moving it one cooldown on.
+	openUntil atomic.Int64
 	failures  atomic.Int32 // consecutive failed Dos; written under mu
-	fastFails atomic.Int64
 
-	mu    sync.Mutex
-	rng   *rand.Rand
-	trips int64
+	mu  sync.Mutex
+	rng *rand.Rand
 }
 
-// NewCaller builds a Caller with the given policy (zero fields get
-// defaults).
-func NewCaller(cfg CallerConfig) *Caller {
-	cfg = cfg.withDefaults()
-	return &Caller{cfg: cfg, epoch: time.Now(), rng: rand.New(rand.NewSource(cfg.Seed))}
+// NewCaller builds a Caller whose backoff jitter is drawn from seed
+// (deterministic per endpoint).
+func NewCaller(seed int64) *Caller {
+	return &Caller{
+		epoch:    time.Now(),
+		deadline: callDeadline,
+		cooldown: breakerCooldown,
+		rng:      rand.New(rand.NewSource(seed)),
+	}
 }
 
-// Do runs fn under the resilience policy: up to Attempts tries within
-// Deadline, jittered backoff between tries, fast-fail with
-// ErrBreakerOpen while the breaker is open. Returns nil on the first
-// success, the last attempt's error otherwise.
+// Cooldown is how long an opened breaker rejects calls before it
+// admits a probe: the soonest a failed endpoint is tried again.
+func (c *Caller) Cooldown() time.Duration { return c.cooldown }
+
+// Do runs fn under the resilience policy: up to callAttempts tries
+// within callDeadline, jittered backoff between tries, fast-fail with
+// ErrBreakerOpen while the breaker is open or another Do holds the
+// half-open probe. Returns nil on the first success, the last
+// attempt's error otherwise.
 func (c *Caller) Do(fn func() error) error {
 	now := time.Since(c.epoch)
-	if int64(now) < c.openUntil.Load() {
-		c.fastFails.Add(1)
-		return ErrBreakerOpen
+	if until := c.openUntil.Load(); until != 0 {
+		if int64(now) < until || !c.openUntil.CompareAndSwap(until, int64(now+c.cooldown)) {
+			return ErrBreakerOpen
+		}
 	}
 
-	deadline := now + c.cfg.Deadline
+	deadline := now + c.deadline
 	var err error
-	for attempt := 0; attempt < c.cfg.Attempts; attempt++ {
+	for attempt := 0; attempt < callAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(c.backoff(attempt))
 			if time.Since(c.epoch) > deadline {
@@ -107,9 +98,10 @@ func (c *Caller) Do(fn func() error) error {
 			}
 		}
 		if err = fn(); err == nil {
-			if c.failures.Load() != 0 {
+			if c.failures.Load() != 0 || c.openUntil.Load() != 0 {
 				c.mu.Lock()
 				c.failures.Store(0)
+				c.openUntil.Store(0)
 				c.mu.Unlock()
 			}
 			return nil
@@ -117,13 +109,12 @@ func (c *Caller) Do(fn func() error) error {
 	}
 
 	c.mu.Lock()
-	if n := c.failures.Add(1); int(n) >= c.cfg.BreakerThreshold {
+	if c.failures.Add(1) >= breakerThreshold {
 		// Open (or re-open after a failed half-open probe). The
 		// failure count stays at the threshold so one more failed
 		// probe re-opens immediately.
-		c.openUntil.Store(int64(time.Since(c.epoch) + c.cfg.BreakerCooldown))
-		c.failures.Store(int32(c.cfg.BreakerThreshold))
-		c.trips++
+		c.openUntil.Store(int64(time.Since(c.epoch) + c.cooldown))
+		c.failures.Store(breakerThreshold)
 	}
 	c.mu.Unlock()
 	return err
@@ -132,37 +123,9 @@ func (c *Caller) Do(fn func() error) error {
 // backoff draws the jittered exponential delay before the given
 // (1-based) retry attempt: uniform in (0, min(base·2^(n-1), max)].
 func (c *Caller) backoff(attempt int) time.Duration {
-	d := c.cfg.BackoffBase << (attempt - 1)
-	if d > c.cfg.BackoffMax || d <= 0 {
-		d = c.cfg.BackoffMax
-	}
+	d := min(backoffBase<<(attempt-1), backoffMax)
 	c.mu.Lock()
 	j := time.Duration(c.rng.Int63n(int64(d))) + 1
 	c.mu.Unlock()
 	return j
-}
-
-// Open reports whether the breaker is currently rejecting calls.
-func (c *Caller) Open() bool {
-	return int64(time.Since(c.epoch)) < c.openUntil.Load()
-}
-
-// Trips returns how many times the breaker has opened.
-func (c *Caller) Trips() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.trips
-}
-
-// FastFails returns how many Dos were rejected without an attempt.
-func (c *Caller) FastFails() int64 { return c.fastFails.Load() }
-
-// Reset force-closes the breaker and clears the failure streak (used
-// when the caller knows the endpoint recovered, e.g. after an explicit
-// restart in tests).
-func (c *Caller) Reset() {
-	c.mu.Lock()
-	c.failures.Store(0)
-	c.openUntil.Store(0)
-	c.mu.Unlock()
 }

@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -122,98 +124,143 @@ func TestLatencyWindowRespected(t *testing.T) {
 }
 
 func TestCallerRetriesThroughTransientFailure(t *testing.T) {
-	c := NewCaller(CallerConfig{Attempts: 3, BackoffBase: 100 * time.Microsecond, Seed: 1})
+	c := NewCaller(1)
+	c.deadline = time.Minute // the retry must not depend on the host's pace
 	calls := 0
 	err := c.Do(func() error {
 		calls++
-		if calls < 3 {
+		if calls < callAttempts {
 			return errors.New("transient")
 		}
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Do should succeed on third attempt: %v", err)
+		t.Fatalf("Do should succeed on its last attempt: %v", err)
 	}
-	if calls != 3 {
-		t.Fatalf("fn called %d times, want 3", calls)
+	if calls != callAttempts {
+		t.Fatalf("fn called %d times, want %d", calls, callAttempts)
 	}
 }
 
-func TestCallerBreakerOpensAndRecovers(t *testing.T) {
-	c := NewCaller(CallerConfig{
-		Attempts: 1, BreakerThreshold: 2,
-		BreakerCooldown: 20 * time.Millisecond,
-		BackoffBase:     100 * time.Microsecond,
-		Seed:            1,
-	})
+// openBreaker fails breakerThreshold Dos in a row, which opens c's
+// breaker.
+func openBreaker(t *testing.T, c *Caller) {
+	t.Helper()
 	boom := errors.New("down")
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if err := c.Do(func() error { return boom }); !errors.Is(err, boom) {
-			t.Fatalf("attempt %d: got %v, want boom", i, err)
+			t.Fatalf("failure %d: got %v, want boom", i, err)
 		}
 	}
-	if !c.Open() {
-		t.Fatal("breaker should be open after threshold failures")
-	}
+}
+
+// rejects reports whether c fast-fails a Do without running its fn.
+func rejects(c *Caller) bool {
 	ran := false
-	if err := c.Do(func() error { ran = true; return nil }); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open breaker: got %v, want ErrBreakerOpen", err)
-	}
-	if ran {
-		t.Fatal("fn ran while breaker open")
-	}
-	if c.Trips() == 0 || c.FastFails() == 0 {
-		t.Fatalf("trips=%d fastFails=%d, want both > 0", c.Trips(), c.FastFails())
+	err := c.Do(func() error { ran = true; return nil })
+	return errors.Is(err, ErrBreakerOpen) && !ran
+}
+
+func TestCallerBreakerOpensAndRecovers(t *testing.T) {
+	c := NewCaller(1)
+	c.cooldown = 20 * time.Millisecond
+	openBreaker(t, c)
+	if !rejects(c) {
+		t.Fatal("open breaker should fast-fail without running fn")
 	}
 	time.Sleep(25 * time.Millisecond)
 	// Half-open: one probe admitted; success closes the breaker.
 	if err := c.Do(func() error { return nil }); err != nil {
 		t.Fatalf("half-open probe: %v", err)
 	}
-	if c.Open() {
-		t.Fatal("breaker should close after successful probe")
+	ran := false
+	if err := c.Do(func() error { ran = true; return nil }); err != nil || !ran {
+		t.Fatalf("breaker should close after successful probe: err=%v ran=%v", err, ran)
 	}
 }
 
 func TestCallerFailedProbeReopens(t *testing.T) {
-	c := NewCaller(CallerConfig{
-		Attempts: 1, BreakerThreshold: 2,
-		BreakerCooldown: 10 * time.Millisecond,
-		BackoffBase:     100 * time.Microsecond,
-		Seed:            1,
-	})
-	boom := errors.New("down")
-	for i := 0; i < 2; i++ {
-		_ = c.Do(func() error { return boom })
-	}
+	c := NewCaller(1)
+	c.cooldown = 10 * time.Millisecond
+	openBreaker(t, c)
 	time.Sleep(15 * time.Millisecond)
-	_ = c.Do(func() error { return boom }) // failed half-open probe
-	if !c.Open() {
+	boom := errors.New("down")
+	if err := c.Do(func() error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("half-open probe: got %v, want boom", err)
+	}
+	if !rejects(c) {
 		t.Fatal("failed probe should re-open the breaker")
 	}
-	c.Reset()
-	if c.Open() {
-		t.Fatal("Reset should close the breaker")
+}
+
+// TestCallerHalfOpenAdmitsOneProbe races Dos at a breaker whose cooldown
+// has passed: the first claims the half-open probe and every other
+// fast-fails until it lands, rather than all of them dialing the
+// endpoint that is still dead.
+func TestCallerHalfOpenAdmitsOneProbe(t *testing.T) {
+	c := NewCaller(1)
+	c.cooldown = 10 * time.Millisecond
+	openBreaker(t, c)
+	time.Sleep(15 * time.Millisecond)
+	// The probe's claim must outlast a slow scheduler: no Do below may
+	// find it lapsed.
+	c.cooldown = time.Minute
+
+	const callers = 8
+	var rejected, ran atomic.Int32
+	allRejected := make(chan struct{})
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			entered := false
+			err := c.Do(func() error {
+				entered = true
+				// The probe fails only once every other caller has been
+				// turned away, so none of them can see it land.
+				select {
+				case <-allRejected:
+				case <-time.After(time.Second):
+				}
+				return errors.New("still down")
+			})
+			if entered {
+				ran.Add(1)
+			} else if errors.Is(err, ErrBreakerOpen) && rejected.Add(1) == callers-1 {
+				close(allRejected)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := ran.Load(); got != 1 {
+		t.Fatalf("%d of %d Dos ran fn past the cooldown, want 1 probe", got, callers)
+	}
+	if got := rejected.Load(); got != callers-1 {
+		t.Fatalf("%d Dos fast-failed, want %d", got, callers-1)
+	}
+	if !rejects(c) {
+		t.Fatal("failed probe should re-open the breaker")
 	}
 }
 
 func TestCallerDeadlineBoundsRetries(t *testing.T) {
-	c := NewCaller(CallerConfig{
-		Attempts: 100, Deadline: 5 * time.Millisecond,
-		BackoffBase: 2 * time.Millisecond, BackoffMax: 2 * time.Millisecond,
-		BreakerThreshold: 1000, Seed: 1,
-	})
+	c := NewCaller(1)
 	calls := 0
 	boom := errors.New("down")
-	start := time.Now()
-	if err := c.Do(func() error { calls++; return boom }); !errors.Is(err, boom) {
+	err := c.Do(func() error {
+		calls++
+		time.Sleep(callDeadline + time.Millisecond)
+		return boom
+	})
+	if !errors.Is(err, boom) {
 		t.Fatalf("Do: %v", err)
 	}
-	if el := time.Since(start); el > 100*time.Millisecond {
-		t.Fatalf("Do ran %v, deadline not enforced", el)
-	}
-	if calls >= 100 {
-		t.Fatalf("all %d attempts ran despite deadline", calls)
+	if calls != 1 {
+		t.Fatalf("%d attempts ran, want none started past the deadline", calls)
 	}
 }
 
@@ -230,57 +277,44 @@ func TestCallerBreakerHalfOpenRecoveryOverFabric(t *testing.T) {
 		LatencyMin: 10 * time.Microsecond,
 		LatencyMax: 50 * time.Microsecond,
 	})
-	c := NewCaller(CallerConfig{
-		Attempts:         2,
-		Deadline:         250 * time.Millisecond,
-		BackoffBase:      100 * time.Microsecond,
-		BackoffMax:       500 * time.Microsecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  10 * time.Millisecond,
-		Seed:             7,
-	})
-	rpc := func() error { return n.Do("app", "broker", func() error { return nil }) }
+	c := NewCaller(7)
+	c.cooldown = 10 * time.Millisecond
+	attempts := 0
+	rpc := func() error {
+		attempts++
+		return n.Do("app", "broker", func() error { return nil })
+	}
 
 	// Fault: every call through the partitioned link fails for real,
 	// walking the breaker to its threshold.
 	n.Partition("app", "broker")
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if err := c.Do(rpc); !errors.Is(err, ErrPartitioned) {
 			t.Fatalf("call %d through partition: got %v, want ErrPartitioned", i, err)
 		}
 	}
-	if !c.Open() {
-		t.Fatal("breaker should be open after threshold failures through the partition")
-	}
 	// While open and within cooldown, calls fast-fail without touching
 	// the (still dead) link.
 	before := n.Stats().PartitionRx
+	attempts = 0
 	if err := c.Do(rpc); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("within cooldown: got %v, want ErrBreakerOpen", err)
 	}
-	if n.Stats().PartitionRx != before {
+	if attempts != 0 || n.Stats().PartitionRx != before {
 		t.Fatal("fast-fail still dialed the partitioned link")
 	}
 
 	// Heal the fabric; after the cooldown the half-open probe goes
-	// through the healthy link and closes the breaker quickly — far
-	// inside the configured RPC deadline.
+	// through the healthy link and closes the breaker in one attempt.
 	n.Heal("app", "broker")
 	time.Sleep(12 * time.Millisecond)
-	start := time.Now()
 	if err := c.Do(rpc); err != nil {
 		t.Fatalf("half-open probe over healed link: %v", err)
 	}
-	if el := time.Since(start); el > c.cfg.Deadline/2 {
-		t.Fatalf("recovery took %v, should be a single cheap probe", el)
+	if attempts != 1 {
+		t.Fatalf("recovery took %d attempts, should be a single cheap probe", attempts)
 	}
-	if c.Open() {
-		t.Fatal("breaker should close after the successful probe")
-	}
-	if err := c.Do(rpc); err != nil {
-		t.Fatalf("steady state after recovery: %v", err)
-	}
-	if c.Trips() != 1 || c.FastFails() != 1 {
-		t.Fatalf("trips=%d fastFails=%d, want 1/1", c.Trips(), c.FastFails())
+	if err := c.Do(rpc); err != nil || attempts != 2 {
+		t.Fatalf("steady state after recovery: err=%v attempts=%d, want the breaker closed", err, attempts)
 	}
 }

@@ -64,11 +64,14 @@ scenario_check() {
 # Seeded fault scripts (partitions, broker crash/restarts, store
 # deaths, copies the broker accepted and lost), the generation
 # coordinator, the crash property tests, the convergence verdict every
-# script ends on, and the broker log's truncation and retention, under
-# the race detector.
+# script ends on, the broker log's truncation and retention, and the
+# workers' reattach and parked-ack flush across a broker restart, under
+# the race detector. The resilient caller's half-open breaker must admit
+# one probe however its callers race, so that test runs 20 times.
 scenario_chaos() {
     go test -race $SHORT ./internal/chaos/ ./internal/netsim/ ./internal/coord/ &&
-        gotest -race $SHORT -run 'TestBroker|TestCrash|TestDeadLetter|TestJournal|TestConcurrentPublish|TestStats|TestTruncationInterleaved|TestLogTruncation|TestOneRecordPerPublish|TestSlowConsumer|TestConverged|TestSettle' \
+        gotest -race -count=20 -run 'TestCallerHalfOpenAdmitsOneProbe' ./internal/netsim/ &&
+        gotest -race $SHORT -run 'TestBroker|TestCrash|TestDeadLetter|TestJournal|TestConcurrentPublish|TestStats|TestTruncationInterleaved|TestLogTruncation|TestOneRecordPerPublish|TestSlowConsumer|TestConverged|TestSettle|TestWorkersReattachAfterBrokerRestart|TestParkedAcksFlushAndDefunctDrop' \
             ./internal/broker/ ./internal/core/
 }
 
