@@ -148,7 +148,7 @@ func (a *App) Bootstrap(from string, models ...string) error {
 // locks for the chunk's keys.
 type chunkRow struct {
 	id      string
-	token   string
+	token   wire.Token
 	subKey  vKey
 	version uint64
 	attrs   map[string]any
@@ -227,7 +227,7 @@ func (a *App) bootstrapChunk(drain *worker, pub *App, modelName string, ids []st
 	// per-record lock over a full scan.
 	names := make([]string, len(ids))
 	pubKeys := make([]vKey, len(ids))
-	tokens := make([]string, len(ids))
+	tokens := make([]wire.Token, len(ids))
 	for i, id := range ids {
 		names[i] = depName(pub.name, modelName, id)
 		pubKeys[i] = pub.tracker.KeyFor(names[i])
@@ -336,7 +336,7 @@ func (a *App) applyChunk(pub *App, modelName string, rows []chunkRow) error {
 			claims = append(claims, vstore.Claim{Key: r.subKey, Version: r.version})
 			claimOp = append(claimOp, len(ops))
 		}
-		ops = append(ops, wire.Operation{Operation: wire.OpUpdate, Types: types, ID: r.id, Attributes: r.attrs, ObjectDep: r.token})
+		ops = append(ops, wire.Operation{Operation: wire.OpUpdate, Types: types, ID: r.id, Attributes: r.attrs, Object: r.token})
 	}
 	if len(ops) == 0 {
 		return nil

@@ -27,12 +27,12 @@ func (a *App) NewSession(userModel, userID string) *Session {
 // depRef is one tracked dependency within a controller scope.
 type depRef struct {
 	name     string
-	external bool   // read of another app's object (decorator flow)
-	extOps   uint64 // subscriber-side ops value at read time
-	// extToken is the wire token in the ORIGIN app's tracker form (its
-	// hashed key space or its exact name), so the dependency lands on
-	// the counters the origin's other subscribers actually maintain.
-	extToken string
+	external bool // read of another app's object (decorator flow)
+	// ext is an external read's dependency: the token in the ORIGIN
+	// app's tracker form (its hashed key space or its exact name), so it
+	// lands on the counters the origin's other subscribers actually
+	// maintain, and the subscriber-side ops value at read time.
+	ext wire.Dep
 }
 
 // Controller is one unit of work (an HTTP request handler or background
@@ -105,7 +105,7 @@ func (c *Controller) registerRead(modelName, id string) {
 	// The local ops counter for the token lives under OUR resolution of
 	// it (this app's hashed fold or intern of the origin's token).
 	ops := c.app.store.Ops(c.app.tracker.Resolve(token))
-	c.readDeps = append(c.readDeps, depRef{name: name, external: true, extOps: ops, extToken: token})
+	c.readDeps = append(c.readDeps, depRef{name: name, external: true, ext: wire.Dep{Token: token, Version: ops}})
 }
 
 // originFor picks the origin app for a subscribed model (the owner is

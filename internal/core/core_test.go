@@ -97,6 +97,15 @@ func payloadTap(t *testing.T, f *Fabric, exchange string) func() [][]byte {
 	}
 }
 
+// depVersions keys a message's dependencies by token.
+func depVersions(m *wire.Message) map[wire.Token]uint64 {
+	out := make(map[wire.Token]uint64, len(m.Deps))
+	for _, d := range m.Deps {
+		out[d.Token] = d.Version
+	}
+	return out
+}
+
 // tap is payloadTap, decoded.
 func tap(t *testing.T, f *Fabric, exchange string) func() []*wire.Message {
 	t.Helper()

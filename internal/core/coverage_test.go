@@ -185,8 +185,8 @@ func TestAddReadDepsExplicit(t *testing.T) {
 	}
 	got := msgs()
 	userKey := pub.Store().KeyFor(depName("pub", "User", "u1"))
-	if v, ok := got[0].Dependencies[wire.DepKey(uint64(userKey))]; !ok || v != 1 {
-		t.Errorf("explicit read dep = %v (deps %v)", v, got[0].Dependencies)
+	if v, ok := depVersions(got[0])[wire.Token{Key: uint64(userKey)}]; !ok || v != 1 {
+		t.Errorf("explicit read dep = %v (deps %v)", v, got[0].Deps)
 	}
 }
 

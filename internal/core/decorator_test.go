@@ -204,8 +204,8 @@ func TestExternalDepsNotIncremented(t *testing.T) {
 	drain(t, sub) // everything: origin + decorator messages
 
 	dm := decMsgs()
-	for extKey := range dm[0].External {
-		k := sub.Tracker().Resolve(extKey)
+	for _, ext := range dm[0].External {
+		k := sub.Tracker().Resolve(ext.Token)
 		// The origin's create incremented it once; the decorator
 		// message must not have incremented it again.
 		if got := sub.Store().Ops(k); got != 1 {

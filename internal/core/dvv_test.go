@@ -19,14 +19,16 @@ func TestDVVEndToEndCausal(t *testing.T) {
 
 	// DVV messages carry exact name→version dots, no hashed deps.
 	for i, m := range got {
-		if len(m.Dots) == 0 {
+		if len(m.Deps) == 0 {
 			t.Fatalf("msg %d has no dots: %+v", i, m)
 		}
-		if len(m.Dependencies) != 0 {
-			t.Errorf("msg %d carries hashed deps under DVV: %v", i, m.Dependencies)
+		for _, d := range m.Deps {
+			if d.Name == "" {
+				t.Errorf("msg %d carries hashed deps under DVV: %v", i, m.Deps)
+			}
 		}
-		if _, ok := m.Dots["pub/users/id/u1"]; !ok {
-			t.Errorf("msg %d dots = %v, want pub/users/id/u1", i, m.Dots)
+		if _, ok := depVersions(m)[wire.Token{Name: "pub/users/id/u1"}]; !ok {
+			t.Errorf("msg %d dots = %v, want pub/users/id/u1", i, m.Deps)
 		}
 	}
 

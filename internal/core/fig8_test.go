@@ -30,8 +30,8 @@ func TestFig8MessageTrace(t *testing.T) {
 		}
 	}
 
-	key := func(name string) string {
-		return wire.DepKey(uint64(pub.Store().KeyFor(name)))
+	key := func(name string) wire.Token {
+		return wire.Token{Key: uint64(pub.Store().KeyFor(name))}
 	}
 	u1, u2 := key("app/users/id/1"), key("app/users/id/2")
 	p1 := key("app/posts/id/1")
@@ -89,7 +89,7 @@ func TestFig8MessageTrace(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("published %d messages, want 4", len(got))
 	}
-	wantDeps := []map[string]uint64{
+	wantDeps := []map[wire.Token]uint64{
 		{u1: 0, p1: 0},        // M1
 		{u2: 0, c1: 0, p1: 1}, // M2
 		{u1: 1, c2: 0, p1: 1}, // M3
@@ -100,7 +100,7 @@ func TestFig8MessageTrace(t *testing.T) {
 	// read and written is treated as a write (version-1 = 3), matching
 	// the paper's M4 value.
 	for i, want := range wantDeps {
-		gotDeps := got[i].Dependencies
+		gotDeps := depVersions(got[i])
 		if len(gotDeps) != len(want) {
 			t.Errorf("M%d deps = %v, want %v", i+1, gotDeps, want)
 			continue

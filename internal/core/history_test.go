@@ -39,7 +39,7 @@ func watchPubs(a *App, fn func(p *publication, from, to pubState)) {
 type versionRecord struct {
 	origin  string
 	seq     uint64
-	key     string // the object's token: its hashed key in decimal, or its name
+	key     wire.Token // the object's token
 	version uint64
 	chunk   bool
 	at      uint64
@@ -103,17 +103,16 @@ func (r *recorder) sink(ev transition) {
 		for i := range min(len(msg.Operations), 64) {
 			op := &msg.Operations[i]
 			if v, guarded := msg.ObjectVersion(op); guarded && j.applied&(1<<i) != 0 {
-				r.applied = append(r.applied, versionRecord{origin: msg.App, seq: msg.Seq, key: objectToken(op), version: v, at: r.claimedAt[j]})
+				r.applied = append(r.applied, versionRecord{origin: msg.App, seq: msg.Seq, key: op.Object, version: v, at: r.claimedAt[j]})
 			}
 		}
 	case ev.pub != nil && pubState(ev.to) == pubCommitted:
 		p := ev.pub
 		for i := range p.msg.Operations { // none on a replay: it is rebuilt after
 			op := &p.msg.Operations[i]
-			k, hashed := op.ObjectKey()
-			for _, d := range p.deps {
-				if hashed && d.Name == "" && d.Key == k || !hashed && d.Name == op.ObjectDep {
-					r.published = append(r.published, versionRecord{origin: p.msg.App, seq: p.msg.Seq, key: objectToken(op), version: d.Version + 1})
+			for _, d := range p.msg.Deps {
+				if d.Token == op.Object {
+					r.published = append(r.published, versionRecord{origin: p.msg.App, seq: p.msg.Seq, key: op.Object, version: d.Version + 1})
 				}
 			}
 		}
@@ -130,22 +129,13 @@ func (r *recorder) histories() (applied, published []versionRecord) {
 	return applied, slices.Clone(r.published)
 }
 
-// objectToken is how an operation names its object, whether a projected
-// decode parsed its hashed key or not.
-func objectToken(op *wire.Operation) string {
-	if k, ok := op.ObjectKey(); ok {
-		return wire.DepKey(k)
-	}
-	return op.ObjectDep
-}
-
 // checkVersionsRise is the per-object rule of dotted version vectors on
 // one history, taken in order: a key's versions never fall. A live
 // message's rises strictly, since a version is committed once and
 // claimed once; a chunk row may write the version already stored.
 // Origins that share a hashed key share its versions.
 func checkVersionsRise(h []versionRecord) error {
-	last := make(map[string]versionRecord)
+	last := make(map[wire.Token]versionRecord)
 	for _, r := range h {
 		if prev, ok := last[r.key]; ok && (r.version < prev.version || r.version == prev.version && !r.chunk) {
 			return fmt.Errorf("key %s: %v after %v", r.key, r, prev)
@@ -156,25 +146,27 @@ func checkVersionsRise(h []versionRecord) error {
 }
 
 func TestCheckVersionsRise(t *testing.T) {
-	live := func(origin string, seq uint64, key string, v uint64) versionRecord {
-		return versionRecord{origin: origin, seq: seq, key: key, version: v}
+	live := func(origin string, seq, key, v uint64) versionRecord {
+		return versionRecord{origin: origin, seq: seq, key: wire.Token{Key: key}, version: v}
 	}
-	chunk := func(key string, v uint64) versionRecord { return versionRecord{key: key, version: v, chunk: true} }
+	chunk := func(key, v uint64) versionRecord {
+		return versionRecord{key: wire.Token{Key: key}, version: v, chunk: true}
+	}
 	for _, tc := range []struct {
 		name    string
 		history []versionRecord
 		fails   string
 	}{
-		{"rising", []versionRecord{live("pub", 1, "7", 1), live("pub", 2, "9", 1), live("pub", 3, "7", 2)}, ""},
-		{"a live version falls", []versionRecord{live("pub", 1, "7", 1), live("pub", 2, "7", 3), live("pub", 3, "7", 2)},
+		{"rising", []versionRecord{live("pub", 1, 7, 1), live("pub", 2, 9, 1), live("pub", 3, 7, 2)}, ""},
+		{"a live version falls", []versionRecord{live("pub", 1, 7, 1), live("pub", 2, 7, 3), live("pub", 3, 7, 2)},
 			"key 7: version 2 by pub seq=3 after version 3 by pub seq=2"},
-		{"a live version applied twice", []versionRecord{live("pub", 1, "7", 1), live("pub", 1, "7", 1)},
+		{"a live version applied twice", []versionRecord{live("pub", 1, 7, 1), live("pub", 1, 7, 1)},
 			"key 7: version 1 by pub seq=1 after version 1 by pub seq=1"},
-		{"a chunk row re-applies the stored version", []versionRecord{live("pub", 4, "7", 2), chunk("7", 2), live("pub", 5, "7", 3)}, ""},
-		{"a chunk row falls", []versionRecord{live("pub", 4, "7", 2), chunk("7", 1)},
+		{"a chunk row re-applies the stored version", []versionRecord{live("pub", 4, 7, 2), chunk(7, 2), live("pub", 5, 7, 3)}, ""},
+		{"a chunk row falls", []versionRecord{live("pub", 4, 7, 2), chunk(7, 1)},
 			"key 7: version 1 by a chunk row after version 2 by pub seq=4"},
-		{"two origins share a hashed key", []versionRecord{live("a", 1, "7", 1), live("b", 1, "7", 2), live("a", 2, "7", 3)}, ""},
-		{"two origins share a hashed key, and one falls", []versionRecord{live("a", 1, "7", 2), live("b", 1, "7", 1)},
+		{"two origins share a hashed key", []versionRecord{live("a", 1, 7, 1), live("b", 1, 7, 2), live("a", 2, 7, 3)}, ""},
+		{"two origins share a hashed key, and one falls", []versionRecord{live("a", 1, 7, 2), live("b", 1, 7, 1)},
 			"key 7: version 1 by b seq=1 after version 2 by a seq=1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -503,7 +503,7 @@ func (a *App) regenerateStaleEntry(msg *wire.Message) error {
 	}
 	keys := make([]vstore.Key, 0, len(msg.Operations))
 	for i := range msg.Operations {
-		keys = append(keys, a.tracker.Resolve(msg.Operations[i].ObjectDep))
+		keys = append(keys, a.tracker.Resolve(msg.Operations[i].Object))
 	}
 	// One window, like a live publish; a write dependency's version comes
 	// back as version−1 — the wire encoding.
@@ -512,17 +512,13 @@ func (a *App) regenerateStaleEntry(msg *wire.Message) error {
 		return err
 	}
 	defer bumped.Release()
-	// The tokens keep their own forms: exact names (DVV dots) in Dots,
-	// decimal hashed keys in Dependencies.
-	msg.Dependencies, msg.Dots = map[string]uint64{}, map[string]uint64{}
+	// Each object's own token, at its new version.
+	deps := make([]wire.Dep, len(keys))
 	for i, k := range keys {
-		tok, deps := msg.Operations[i].ObjectDep, msg.Dependencies
-		if wire.IsNameToken(tok) {
-			deps = msg.Dots
-		}
-		deps[tok] = bumped.Version(k)
+		deps[i] = wire.Dep{Token: msg.Operations[i].Object, Version: bumped.Version(k)}
 	}
-	msg.External, msg.GlobalDep, msg.Generation = nil, "", gen
+	msg.SetDeps(deps)
+	msg.External, msg.GlobalDep, msg.Generation = nil, nil, gen
 	a.refreshJournalAttrs(msg, true)
 	return nil
 }

@@ -157,7 +157,7 @@ func TestGlobalModeTotalOrder(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("published %d messages", len(got))
 	}
-	if got[0].GlobalDep == "" {
+	if got[0].GlobalDep == nil {
 		t.Fatal("global publisher did not mark the global dependency")
 	}
 
@@ -297,8 +297,8 @@ func TestWeakPublisherSkipsDependencyMachinery(t *testing.T) {
 	}
 	got := msgs()
 	// Only the object's own write dependency is tracked.
-	if len(got[0].Dependencies) != 1 {
-		t.Errorf("weak publisher deps = %v", got[0].Dependencies)
+	if len(got[0].Deps) != 1 {
+		t.Errorf("weak publisher deps = %v", got[0].Deps)
 	}
 }
 

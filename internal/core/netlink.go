@@ -13,8 +13,8 @@ import (
 // cross-service call an App makes — broker publish/consume/ack, version
 // store round trips, coordinator reads and bumps — is routed through
 // the Fabric's netsim.Network (when one is installed) under a
-// per-endpoint resilient caller: deadline-bounded attempts, jittered
-// exponential backoff, and a circuit breaker that fast-fails while the
+// per-endpoint resilient caller: deadline-bounded attempts, a jittered
+// backoff before the retry, and a circuit breaker that fast-fails while the
 // endpoint is known bad. Failure policy per path:
 //
 //   - Publish: a send that fails after retries degrades to

@@ -246,10 +246,11 @@ func differentialSub(t *testing.T, f *Fabric, name string) (*App, orm.Mapper, *o
 // for random payloads — subscribed and unsubscribed attributes, models
 // and origins, polymorphic chains of which only an ancestor is
 // subscribed, two origins publishing one model name, nested Map and
-// StringList values, null and duplicate attributes, keys out of order,
-// hashed keys and DVV dots — a subscriber fed through the projected
-// decode ends in the same state, and shows its callbacks the same
-// records, as one fed wire.Unmarshal's full decode.
+// StringList values, hashed keys and DVV dots — a subscriber fed through
+// the projected decode ends in the same state, and shows its callbacks
+// the same records, as one fed wire.Unmarshal's full decode. Null and
+// duplicate attributes and keys out of order are outside the one form
+// the encoder writes: both decodes refuse them.
 func TestProjectedApplyMatchesFull(t *testing.T) {
 	f := NewFabric()
 	for _, origin := range []struct {
@@ -276,6 +277,7 @@ func TestProjectedApplyMatchesFull(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(24))
 	versions := map[string]uint64{}
+	refused := 0
 	values := []string{
 		`"plain"`, `"esc\"aped é"`, `["a","b"]`, `[]`, `{"k":{"deep":[1,2,{"x":null}]},"n":1.5}`, `null`, `12`, `true`,
 	}
@@ -331,11 +333,17 @@ func TestProjectedApplyMatchesFull(t *testing.T) {
 		}
 		payload := []byte("{" + strings.Join(envelope, ",") + "}")
 
-		perr := projected.consume(payload)
 		msg, err := wire.Unmarshal(payload)
 		if err != nil {
-			t.Fatalf("generated payload does not decode: %v\n%s", err, payload)
+			// Outside the one form the encoder writes: both decodes refuse it.
+			if m, perr := wire.UnmarshalProjected(payload, projected.resolve); perr == nil {
+				wire.ReleaseMessage(m)
+				t.Fatalf("message %d: the projected decode takes what the full one refuses (%v)\n%s", i, err, payload)
+			}
+			refused++
+			continue
 		}
+		perr := projected.consume(payload)
 		ferr := full.ProcessMessage(msg)
 		if (perr == nil) != (ferr == nil) {
 			t.Fatalf("message %d: projected apply says %v, full apply says %v\n%s", i, perr, ferr, payload)
@@ -345,8 +353,8 @@ func TestProjectedApplyMatchesFull(t *testing.T) {
 			t.Fatalf("message %d: callbacks diverge\nprojected: %v\n     full: %v\n%s", i, plog.seen[n-1:], flog.seen[n-1:], payload)
 		}
 	}
-	if len(plog.seen) < 200 {
-		t.Fatalf("only %d callbacks ran: the generator does not reach the apply", len(plog.seen))
+	if len(plog.seen) < 200 || refused == 0 {
+		t.Fatalf("only %d callbacks ran, %d payloads refused: the generator does not reach both ends", len(plog.seen), refused)
 	}
 	stored := func(m orm.Mapper) []string {
 		var out []string

@@ -68,7 +68,7 @@ type publication struct {
 
 	staged                []stagedWrite
 	writeNames, readNames []string
-	external              []depRef
+	external              []wire.Dep
 	tx                    orm.MapperTx
 	plan                  deptrack.Plan
 	deps                  []wire.Dep
@@ -217,7 +217,7 @@ func (a *App) stageWrites(p *publication, c *Controller) error {
 		p.writeNames = append(p.writeNames, c.pendingWriteDeps...)
 		for _, rd := range c.readDeps {
 			if rd.external {
-				p.external = append(p.external, rd)
+				p.external = append(p.external, rd.ext)
 			} else {
 				p.readNames = append(p.readNames, rd.name)
 			}
@@ -428,14 +428,10 @@ func (a *App) buildMessage(p *publication) error {
 	}
 	p.deps = p.plan.AppendDeps(p.deps[:0])
 	msg.SetDeps(p.deps)
-	if len(p.external) > 0 {
-		msg.External = make(map[string]uint64, len(p.external))
-		for _, e := range p.external {
-			msg.External[e.extToken] = e.extOps
-		}
-	}
+	msg.SetExternal(p.external)
 	if a.cfg.Mode == Global {
-		msg.GlobalDep = a.tracker.Token(globalDepName(a.name))
+		global := a.tracker.Token(globalDepName(a.name))
+		msg.GlobalDep = &global
 	}
 	for i, op := range p.staged {
 		ps := a.publication(op.rec.Model)
@@ -444,8 +440,8 @@ func (a *App) buildMessage(p *publication) error {
 			Operation: op.verb,
 			Types:     ps.chain, // shared by every message of the model: read-only
 			ID:        op.rec.ID,
+			Object:    a.tracker.Token(p.writeNames[i]),
 		}
-		wireOp.SetObjectDep(a.tracker.Dep(p.writeNames[i]))
 		if op.verb != wire.OpDestroy || len(op.rec.Attrs) > 0 {
 			wireOp.Project(ps.lens, op.rec)
 		}

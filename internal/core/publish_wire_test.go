@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strconv"
 	"testing"
+	"time"
 
 	"synapse/internal/model"
 	"synapse/internal/orm"
@@ -39,18 +40,42 @@ func (tx skeletonTx) StageJournal(rec *model.Record) error {
 	return tx.Tx.StageJournal(rec)
 }
 
+// wireMirror is a message as encoding/json sees it: the document the
+// encoder writes, each dependency list a map keyed by token text. It is
+// the wire package's test mirror (codec_test.go), which core's tests
+// cannot import; the two change together.
+type wireMirror struct {
+	App          string            `json:"app"`
+	Operations   []wireMirrorOp    `json:"operations"`
+	Dependencies map[string]uint64 `json:"dependencies"`
+	External     map[string]uint64 `json:"external_dependencies,omitempty"`
+	Dots         map[string]uint64 `json:"dots,omitempty"`
+	PublishedAt  time.Time         `json:"published_at"`
+	Generation   uint64            `json:"generation"`
+	GlobalDep    string            `json:"global_dep,omitempty"`
+	Seq          uint64            `json:"seq"`
+	Recovered    bool              `json:"recovered,omitempty"`
+}
+
+type wireMirrorOp struct {
+	Operation  wire.OpKind    `json:"operation"`
+	Types      []string       `json:"types"`
+	ID         string         `json:"id"`
+	Attributes map[string]any `json:"attributes,omitempty"`
+	ObjectDep  string         `json:"object_dep"`
+}
+
 // TestPublishPayloadsMatchEncodingJSON is the differential check of the
-// numeric dependency path and the projected attributes: for a fixed
-// 256-message stream of creates, updates and destroys from a hash and
-// from a DVV publisher, the journal skeleton and the final payload of
-// every publish are byte for byte what encoding/json makes of the
-// message built the old way — dependency maps keyed by token strings,
-// version for reads and version−1 for writes kept by a shadow of the
-// version store, attributes as maps read from the staged record and from
-// the read-back. Under hash, cardinality 16 puts keys like 9 and 10 in
-// one message, whose decimal order is not their numeric order. Every
-// payload also decodes projected: the decoder's fast path takes all of
-// them.
+// dependency tokens and the projected attributes: for a fixed 256-message
+// stream of creates, updates and destroys from a hash and from a DVV
+// publisher, the journal skeleton and the final payload of every publish
+// are byte for byte what encoding/json makes of the message's mirror
+// built the old way — dependency maps keyed by token text, version for
+// reads and version−1 for writes kept by a shadow of the version store,
+// attributes as maps read from the staged record and from the read-back.
+// Under hash, cardinality 16 puts keys like 9 and 10 in one message,
+// whose decimal order is not their numeric order. Every payload also
+// decodes projected, with a sink for every operation with attributes.
 func TestPublishPayloadsMatchEncodingJSON(t *testing.T) {
 	for _, cfg := range []Config{{Mode: Causal, DepCardinality: 16}, {Mode: Causal, DepTracker: TrackerDVV}} {
 		t.Run("tracker="+cfg.DepTracker, func(t *testing.T) {
@@ -71,10 +96,10 @@ func TestPublishPayloadsMatchEncodingJSON(t *testing.T) {
 			plan := func(reads, writes []string) map[string]uint64 {
 				written := map[string]bool{}
 				for _, n := range reads {
-					written[pub.tracker.Token(n)] = false
+					written[pub.tracker.Token(n).String()] = false
 				}
 				for _, n := range writes {
-					written[pub.tracker.Token(n)] = true
+					written[pub.tracker.Token(n).String()] = true
 				}
 				out := map[string]uint64{}
 				for tok, w := range written {
@@ -178,12 +203,12 @@ func TestPublishPayloadsMatchEncodingJSON(t *testing.T) {
 						}
 					}
 					wire.ReleaseMessage(proj)
-					want := &wire.Message{
+					want := &wireMirror{
 						App: "pub",
-						Operations: []wire.Operation{{
+						Operations: []wireMirrorOp{{
 							Operation: verb, Types: []string{"Post"}, ID: id,
 							Attributes: lens("Post").Read(c.attrs),
-							ObjectDep:  pub.tracker.Token(object),
+							ObjectDep:  pub.tracker.Token(object).String(),
 						}},
 						Dependencies: versions,
 						PublishedAt:  sent.PublishedAt,
@@ -201,14 +226,55 @@ func TestPublishPayloadsMatchEncodingJSON(t *testing.T) {
 					}
 				}
 			}
-			// The fast path takes every payload the publisher writes: the
-			// share of operations with attributes a projected decode chose
-			// a sink for is 100 %.
+			// The share of operations with attributes a projected decode
+			// chose a sink for is 100 %.
 			if withAttrs == 0 || projected != withAttrs {
 				t.Fatalf("%d of %d operations with attributes decoded projected", projected, withAttrs)
 			}
 			if cfg.DepTracker == "" && !crossed {
 				t.Fatal("no message carried keys whose decimal order differs from their numeric order")
+			}
+		})
+	}
+}
+
+// TestPublishRefusesTooDeepAttribute: an attribute nested deeper than the
+// decoder reads is refused at the publish, which returns the error,
+// rather than put on the bus for every subscriber to drop.
+func TestPublishRefusesTooDeepAttribute(t *testing.T) {
+	for _, mapper := range []string{"postgresql", "mongodb"} {
+		t.Run(mapper, func(t *testing.T) {
+			f := NewFabric()
+			pub, err := NewApp(f, "pub", mapperFor(mapper), Config{Mode: Causal})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustPublish(t, pub, model.NewDescriptor("Doc", model.Field{Name: "meta", Type: model.Map}), "meta")
+			payloads := payloadTap(t, f, "pub")
+			deep := func(depth int) map[string]any {
+				v := map[string]any{"leaf": true}
+				for range depth - 2 {
+					v = map[string]any{"a": v}
+				}
+				return v
+			}
+			ctl := pub.NewController(nil)
+			rec := model.NewRecord("Doc", "d1")
+			rec.Set("meta", deep(200))
+			if _, err := ctl.Create(rec); err == nil {
+				t.Fatal("a publish with a 200-deep attribute succeeded")
+			}
+			rec = model.NewRecord("Doc", "d2")
+			rec.Set("meta", deep(20))
+			if _, err := ctl.Create(rec); err != nil {
+				t.Fatal(err)
+			}
+			got := payloads()
+			if len(got) != 1 {
+				t.Fatalf("%d payloads on the bus, want the one for d2", len(got))
+			}
+			if _, err := wire.Unmarshal(got[0]); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -108,10 +108,10 @@ func TestExplicitWriteDeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := msgs()
-	aggKey := wire.DepKey(uint64(pub.Store().KeyFor(depName("pub", "User", "agg"))))
-	v, ok := got[1].Dependencies[aggKey]
+	aggKey := wire.Token{Key: uint64(pub.Store().KeyFor(depName("pub", "User", "agg")))}
+	v, ok := depVersions(got[1])[aggKey]
 	if !ok {
-		t.Fatalf("explicit write dep missing from message: %v", got[1].Dependencies)
+		t.Fatalf("explicit write dep missing from message: %v", got[1].Deps)
 	}
 	if v != 1 {
 		t.Errorf("explicit write dep version = %d, want 1 (serialized after the create)", v)

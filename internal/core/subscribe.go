@@ -299,16 +299,12 @@ func (a *App) applyMask(msg *wire.Message) uint64 {
 // same bits, for the window's chain clause. A weak subscriber needs
 // nothing.
 func (a *App) needsMask(msg *wire.Message) uint64 {
-	deps, err := msg.Deps()
-	if err != nil || a.originMode(msg.App) == Weak {
+	if a.originMode(msg.App) == Weak {
 		return 0
 	}
 	var mask uint64
-	for k := range deps {
-		mask |= maskBit(vstore.Key(k))
-	}
-	for name := range msg.Dots {
-		mask |= maskBit(a.tracker.Resolve(name))
+	for _, d := range msg.Deps {
+		mask |= maskBit(a.tracker.Resolve(d.Token))
 	}
 	return mask
 }
@@ -483,10 +479,7 @@ func (a *App) enter(j *job) (jobState, error) {
 	case stateBarrier:
 		return st, nil
 	}
-	if err := a.planDeps(j, a.originMode(msg.App)); err != nil {
-		a.to(j, statePlanned, stateFailed)
-		return stateFailed, err
-	}
+	a.planDeps(j, a.originMode(msg.App))
 	return statePlanned, nil
 }
 
@@ -608,45 +601,34 @@ func (a *App) originMode(origin string) DeliveryMode {
 }
 
 // planDeps builds j's dependency plan from its message: one requirement
-// list for the whole message — hashed dependency versions, exact dots
-// (resolved through this app's tracker — a hash subscriber folds a DVV
-// publisher's names into its own key space, a DVV subscriber interns
-// them), and external dependency minimums (decorator cross-app
-// causality — waited, never incremented). Requirements landing on the
+// list for the whole message — dependency versions (resolved through
+// this app's tracker — a hash subscriber folds a DVV publisher's names
+// into its own key space, a DVV subscriber interns them), and external
+// dependency minimums (decorator cross-app causality — waited, never
+// incremented). Requirements landing on the
 // same key are max-merged by the store, which is equivalent to waiting
 // on each entry in turn. A weak subscriber's plan is empty: it waits for
 // nothing and maintains no counters.
-func (a *App) planDeps(j *job, mode DeliveryMode) error {
+func (a *App) planDeps(j *job, mode DeliveryMode) {
 	msg := j.msg
 	j.reqs, j.incr = j.reqBuf[:0], j.incrBuf[:0]
 	if mode == Weak {
-		return nil
-	}
-	deps, err := msg.Deps()
-	if err != nil {
-		return err
+		return
 	}
 	var globalKey vstore.Key
-	skipGlobal := mode < Global && msg.GlobalDep != ""
+	skipGlobal := mode < Global && msg.GlobalDep != nil
 	if skipGlobal {
-		globalKey = a.tracker.Resolve(msg.GlobalDep)
+		globalKey = a.tracker.Resolve(*msg.GlobalDep)
 	}
-	for k, minVersion := range deps {
-		if key := vstore.Key(k); !skipGlobal || key != globalKey {
-			j.reqs = append(j.reqs, vstore.WaitReq{Key: key, Need: minVersion})
+	for _, d := range msg.Deps {
+		if key := a.tracker.Resolve(d.Token); !skipGlobal || key != globalKey {
+			j.reqs = append(j.reqs, vstore.WaitReq{Key: key, Need: d.Version})
 			j.incr = append(j.incr, key)
 		}
 	}
-	for name, minVersion := range msg.Dots {
-		if key := a.tracker.Resolve(name); !skipGlobal || key != globalKey {
-			j.reqs = append(j.reqs, vstore.WaitReq{Key: key, Need: minVersion})
-			j.incr = append(j.incr, key)
-		}
+	for _, d := range msg.External {
+		j.reqs = append(j.reqs, vstore.WaitReq{Key: a.tracker.Resolve(d.Token), Need: d.Version})
 	}
-	for depKey, minOps := range msg.External {
-		j.reqs = append(j.reqs, vstore.WaitReq{Key: a.tracker.Resolve(depKey), Need: minOps})
-	}
-	return nil
 }
 
 // dedupKeys returns keys with duplicates removed (order preserved);
@@ -662,15 +644,8 @@ func dedupKeys(keys []vstore.Key) []vstore.Key {
 }
 
 // objectKey resolves an operation's object token into this app's
-// version-store key space: a hashed key is adopted verbatim (a projected
-// decode has it parsed already), a DVV publisher's name goes through the
-// tracker.
-func (a *App) objectKey(op *wire.Operation) vstore.Key {
-	if k, ok := op.ObjectKey(); ok {
-		return vstore.Key(k)
-	}
-	return a.tracker.Resolve(op.ObjectDep)
-}
+// version-store key space.
+func (a *App) objectKey(op *wire.Operation) vstore.Key { return a.tracker.Resolve(op.Object) }
 
 // guardWidth is how many guarded operations a message can carry before
 // its claim lists leave the stack.

@@ -131,7 +131,7 @@ func (e *Emulator) emulate(verb wire.OpKind, rec *model.Record) error {
 		Operation: verb,
 		Types:     []string{rec.Model},
 		ID:        rec.ID,
-		ObjectDep: wire.DepKey(uint64(key)),
+		Object:    wire.Token{Key: uint64(key)},
 	}
 	if verb != wire.OpDestroy {
 		op.Attributes = make(map[string]any, len(attrs))
@@ -142,11 +142,11 @@ func (e *Emulator) emulate(verb wire.OpKind, rec *model.Record) error {
 		}
 	}
 	msg := &wire.Message{
-		App:          e.pf.App,
-		Operations:   []wire.Operation{op},
-		Dependencies: map[string]uint64{wire.DepKey(uint64(key)): bumped.Version(key)},
-		PublishedAt:  time.Now().UTC(),
-		Seq:          e.seq,
+		App:         e.pf.App,
+		Operations:  []wire.Operation{op},
+		Deps:        []wire.Dep{{Token: op.Object, Version: bumped.Version(key)}},
+		PublishedAt: time.Now().UTC(),
+		Seq:         e.seq,
 	}
 	payload, err := wire.Marshal(msg)
 	if err != nil {

@@ -2,7 +2,7 @@
 // pluggable layer. The publisher algorithm of §4.2 and the subscriber
 // wait/apply gate are policy-independent: both sides only need a way to
 // derive a version-store key from a dependency name, a wire token to
-// embed in messages, and a plan that bumps counters under the write
+// embed in messages (wire.Token), and a plan that bumps counters under the write
 // locks. What varies is how names map onto counters:
 //
 //   - The hash tracker is the paper's design ("Scaling the Version
@@ -12,16 +12,16 @@
 //     each other's applies.
 //   - The DVV tracker keeps exact per-name dots (a dotted version
 //     vector: one counter pair per object name ever written). Messages
-//     carry name→version dots on the wire (wire.Message.Dots); there
+//     carry the names themselves as tokens (the wire's "dots"); there
 //     are no false dependencies, so causally-unrelated messages apply
 //     concurrently, at the cost of version-store state proportional to
 //     the working set.
 //
-// Both trackers speak both token forms on the subscriber side: tokens
-// containing '/' are exact names, pure decimals are hashed keys (see
-// wire.IsNameToken), so mixed-policy fabrics interoperate — a hash
-// subscriber folds a DVV publisher's dots into its own hashed space,
-// and a DVV subscriber adopts a hash publisher's decimal keys verbatim.
+// Both trackers speak both token forms on the subscriber side (a
+// wire.Token is a hashed key or a name), so mixed-policy fabrics
+// interoperate — a hash subscriber folds a DVV publisher's names into its
+// own hashed space, and a DVV subscriber adopts a hash publisher's keys
+// verbatim.
 package deptrack
 
 import (
@@ -64,7 +64,7 @@ func (p *Plan) Release() { p.batch.Release() }
 func (p *Plan) Undo() error { return p.batch.Undo() }
 
 // AppendDeps appends the plan's dependencies as a message carries them
-// (wire.Message.SetDeps): hashed keys as numbers, DVV keys by name.
+// (wire.Message.SetDeps): hashed keys, or DVV keys by name.
 func (p *Plan) AppendDeps(dst []wire.Dep) []wire.Dep {
 	if p.dvv != nil {
 		p.dvv.mu.RLock()
@@ -72,11 +72,11 @@ func (p *Plan) AppendDeps(dst []wire.Dep) []wire.Dep {
 	}
 	for i := range p.batch.Len() {
 		k, v := p.batch.At(i)
-		d := wire.Dep{Key: uint64(k), Version: v}
+		t := wire.Token{Key: uint64(k)}
 		if p.dvv != nil {
-			d.Name = p.dvv.byKey[k]
+			t = wire.Token{Name: p.dvv.byKey[k]}
 		}
-		dst = append(dst, d)
+		dst = append(dst, wire.Dep{Token: t, Version: v})
 	}
 	return dst
 }
@@ -90,17 +90,14 @@ type Tracker interface {
 	Policy() Policy
 	// KeyFor derives the version-store key for a dependency name.
 	KeyFor(name string) vstore.Key
-	// Token renders the wire token for a dependency name: the decimal
-	// hashed key (hash) or the name itself (dvv).
-	Token(name string) string
-	// Dep is Token before rendering: the hashed key, or the name.
-	Dep(name string) wire.Dep
+	// Token is the wire token for a dependency name: the hashed key
+	// (hash) or the name itself (dvv).
+	Token(name string) wire.Token
 	// Resolve maps a wire token — either form, regardless of this
-	// tracker's own policy — to a version-store key. Name tokens go
-	// through KeyFor; decimal tokens are adopted verbatim, like the
-	// pre-tracker subscriber did. Malformed decimals resolve to key 0
-	// (they cannot pass wire.Validate on the publish side).
-	Resolve(token string) vstore.Key
+	// tracker's own policy — to a version-store key. Names go through
+	// KeyFor; hashed keys are adopted verbatim, like the pre-tracker
+	// subscriber did.
+	Resolve(tok wire.Token) vstore.Key
 	// Plan locks the union of the dependency names and bumps their
 	// counters in one batched round trip per shard (§4.2 step 2+3),
 	// returning the versions to embed. The locks stay held until
@@ -111,7 +108,7 @@ type Tracker interface {
 	// than raw vstore keys) is what lets a subscriber with a different
 	// policy, or a different intern table, fold the snapshot into its
 	// own key space via Resolve.
-	ExportVersions() (map[string]vstore.Counters, error)
+	ExportVersions() (map[wire.Token]vstore.Counters, error)
 	// DescribeKey renders a key for diagnostics (timeout errors): the
 	// exact name under dvv when known, the hashed key number otherwise.
 	DescribeKey(k vstore.Key) string
@@ -164,21 +161,16 @@ func (t *hashTracker) Policy() Policy { return PolicyHash }
 
 func (t *hashTracker) KeyFor(name string) vstore.Key { return t.store.KeyFor(name) }
 
-func (t *hashTracker) Token(name string) string {
-	return wire.DepKey(uint64(t.store.KeyFor(name)))
+func (t *hashTracker) Token(name string) wire.Token {
+	return wire.Token{Key: uint64(t.store.KeyFor(name))}
 }
 
-func (t *hashTracker) Resolve(token string) vstore.Key {
-	if wire.IsNameToken(token) {
-		// A DVV publisher's dot: fold the name into our hashed space.
-		return t.store.KeyFor(token)
+func (t *hashTracker) Resolve(tok wire.Token) vstore.Key {
+	if tok.Name != "" {
+		// A DVV publisher's name: fold it into our hashed space.
+		return t.store.KeyFor(tok.Name)
 	}
-	k, _ := wire.ParseDepKey(token)
-	return vstore.Key(k)
-}
-
-func (t *hashTracker) Dep(name string) wire.Dep {
-	return wire.Dep{Key: uint64(t.store.KeyFor(name))}
+	return vstore.Key(tok.Key)
 }
 
 func (t *hashTracker) Plan(readNames, writeNames []string) (Plan, error) {
@@ -186,14 +178,14 @@ func (t *hashTracker) Plan(readNames, writeNames []string) (Plan, error) {
 	return plan(t.store, readNames, writeNames, t.store.KeyFor)
 }
 
-func (t *hashTracker) ExportVersions() (map[string]vstore.Counters, error) {
+func (t *hashTracker) ExportVersions() (map[wire.Token]vstore.Counters, error) {
 	snap, err := t.store.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]vstore.Counters, len(snap))
+	out := make(map[wire.Token]vstore.Counters, len(snap))
 	for k, c := range snap {
-		out[wire.DepKey(uint64(k))] = c
+		out[wire.Token{Key: uint64(k)}] = c
 	}
 	return out, nil
 }
@@ -243,19 +235,16 @@ func (t *dvvTracker) intern(name string) vstore.Key {
 
 func (t *dvvTracker) KeyFor(name string) vstore.Key { return t.intern(name) }
 
-func (t *dvvTracker) Token(name string) string { return name }
+func (t *dvvTracker) Token(name string) wire.Token { return wire.Token{Name: name} }
 
-func (t *dvvTracker) Resolve(token string) vstore.Key {
-	if wire.IsNameToken(token) {
-		return t.intern(token)
+func (t *dvvTracker) Resolve(tok wire.Token) vstore.Key {
+	if tok.Name != "" {
+		return t.intern(tok.Name)
 	}
-	// A hash publisher's decimal key: adopt it verbatim; it cannot
-	// collide with the interned dot keys (see dotKeyBase).
-	k, _ := wire.ParseDepKey(token)
-	return vstore.Key(k)
+	// A hash publisher's key: adopt it verbatim; it cannot collide with
+	// the interned dot keys (see dotKeyBase).
+	return vstore.Key(tok.Key)
 }
-
-func (t *dvvTracker) Dep(name string) wire.Dep { return wire.Dep{Name: name} }
 
 func (t *dvvTracker) Plan(readNames, writeNames []string) (Plan, error) {
 	p, err := plan(t.store, readNames, writeNames, t.intern)
@@ -263,21 +252,21 @@ func (t *dvvTracker) Plan(readNames, writeNames []string) (Plan, error) {
 	return p, err
 }
 
-func (t *dvvTracker) ExportVersions() (map[string]vstore.Counters, error) {
+func (t *dvvTracker) ExportVersions() (map[wire.Token]vstore.Counters, error) {
 	snap, err := t.store.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]vstore.Counters, len(snap))
+	out := make(map[wire.Token]vstore.Counters, len(snap))
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for k, c := range snap {
 		if name, ok := t.byKey[k]; ok {
-			out[name] = c
+			out[wire.Token{Name: name}] = c
 		} else {
 			// A counter adopted verbatim from a hash publisher (mixed
-			// fabric): export its decimal token unchanged.
-			out[wire.DepKey(uint64(k))] = c
+			// fabric): export its hashed key unchanged.
+			out[wire.Token{Key: uint64(k)}] = c
 		}
 	}
 	return out, nil

@@ -44,14 +44,14 @@ func TestHashTokensAreDecimalKeys(t *testing.T) {
 	tr, _ := New("hash", s, false)
 	name := "app/posts/id/7"
 	tok := tr.Token(name)
-	if wire.IsNameToken(tok) {
-		t.Fatalf("hash token %q is name-form", tok)
+	if tok != (wire.Token{Key: uint64(s.KeyFor(name))}) {
+		t.Fatalf("hash token %v is not the hashed key %d", tok, s.KeyFor(name))
 	}
 	if got := tr.Resolve(tok); got != s.KeyFor(name) {
-		t.Fatalf("Resolve(%q) = %d, want %d", tok, got, s.KeyFor(name))
+		t.Fatalf("Resolve(%v) = %d, want %d", tok, got, s.KeyFor(name))
 	}
 	// A DVV publisher's name token folds into the hashed space.
-	if got := tr.Resolve(name); got != s.KeyFor(name) {
+	if got := tr.Resolve(wire.Token{Name: name}); got != s.KeyFor(name) {
 		t.Fatalf("Resolve(name) = %d, want %d", got, s.KeyFor(name))
 	}
 }
@@ -60,11 +60,11 @@ func TestDVVTokensAreNames(t *testing.T) {
 	s := newStore(t, 0)
 	tr, _ := New("dvv", s, false)
 	name := "app/posts/id/7"
-	if tok := tr.Token(name); tok != name {
-		t.Fatalf("dvv token = %q, want the name", tok)
+	if tok := tr.Token(name); tok != (wire.Token{Name: name}) {
+		t.Fatalf("dvv token = %v, want the name", tok)
 	}
 	k1 := tr.KeyFor(name)
-	k2 := tr.Resolve(name)
+	k2 := tr.Resolve(wire.Token{Name: name})
 	if k1 != k2 {
 		t.Fatalf("intern unstable: %d vs %d", k1, k2)
 	}
@@ -74,22 +74,17 @@ func TestDVVTokensAreNames(t *testing.T) {
 	if other := tr.KeyFor("app/posts/id/8"); other == k1 {
 		t.Fatal("distinct names interned to the same key")
 	}
-	// A hash publisher's decimal token is adopted verbatim.
-	if got := tr.Resolve("42"); got != vstore.Key(42) {
+	// A hash publisher's key is adopted verbatim.
+	if got := tr.Resolve(wire.Token{Key: 42}); got != vstore.Key(42) {
 		t.Fatalf("Resolve(42) = %d", got)
 	}
 }
 
-// versions renders a plan's dependencies keyed by wire token, the way
-// the message's maps carry them.
-func versions(p *Plan) map[string]uint64 {
-	out := map[string]uint64{}
+// versions keys a plan's dependencies by wire token.
+func versions(p *Plan) map[wire.Token]uint64 {
+	out := map[wire.Token]uint64{}
 	for _, d := range p.AppendDeps(nil) {
-		tok := d.Name
-		if tok == "" {
-			tok = wire.DepKey(d.Key)
-		}
-		out[tok] = d.Version
+		out[d.Token] = d.Version
 	}
 	return out
 }
@@ -133,8 +128,8 @@ func TestPlanVersions(t *testing.T) {
 
 // TestEncodeDeps: a plan's dependencies reach the wire in the tracker's
 // form — hashed keys in "dependencies", exact names in "dots" beside an
-// empty "dependencies" map, which the format requires — and the object's
-// own token in "object_dep".
+// empty "dependencies" object, which the format requires — and the
+// object's own token in "object_dep".
 func TestEncodeDeps(t *testing.T) {
 	s := newStore(t, 16)
 	hash, _ := New("hash", s, false)
@@ -147,9 +142,8 @@ func TestEncodeDeps(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer p.Release()
-		m := &wire.Message{App: "app", Operations: []wire.Operation{{Operation: wire.OpCreate, Types: []string{"Post"}, ID: "1"}}}
+		m := &wire.Message{App: "app", Operations: []wire.Operation{{Operation: wire.OpCreate, Types: []string{"Post"}, ID: "1", Object: tr.Token(name)}}}
 		m.SetDeps(p.AppendDeps(nil))
-		m.Operations[0].SetObjectDep(tr.Dep(name))
 		payload, err := wire.Marshal(m)
 		if err != nil {
 			t.Fatal(err)
@@ -161,17 +155,28 @@ func TestEncodeDeps(t *testing.T) {
 		return out
 	}
 
-	tok := hash.Token(name)
-	m := encode(hash)
-	if len(m.Dependencies) != 1 || m.Dependencies[tok] != 0 || m.Dots != nil || m.Operations[0].ObjectDep != tok {
-		t.Fatalf("hash encode: deps=%v dots=%v object_dep=%q", m.Dependencies, m.Dots, m.Operations[0].ObjectDep)
+	for _, tr := range []Tracker{hash, dvv} {
+		m := encode(tr)
+		tok := tr.Token(name)
+		if want := []wire.Dep{{Token: tok}}; !reflect.DeepEqual(m.Deps, want) || m.Operations[0].Object != tok {
+			t.Fatalf("%s encode: deps=%v object=%v, want %v", tr.Policy(), m.Deps, m.Operations[0].Object, want)
+		}
 	}
-	m = encode(dvv)
-	if m.Dots[name] != 0 || len(m.Dots) != 1 || m.Operations[0].ObjectDep != name {
-		t.Fatalf("dvv encode: dots=%v object_dep=%q", m.Dots, m.Operations[0].ObjectDep)
+	payload := func(tr Tracker) string {
+		m := &wire.Message{App: "app", Operations: []wire.Operation{{Operation: wire.OpCreate, Types: []string{"Post"}, ID: "1", Object: tr.Token(name)}}}
+		m.SetDeps([]wire.Dep{{Token: tr.Token(name)}})
+		b, err := wire.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	if m.Dependencies == nil || len(m.Dependencies) != 0 {
-		t.Fatalf("dvv encode must leave an empty Dependencies map, got %v", m.Dependencies)
+	k := fmt.Sprint(uint64(s.KeyFor(name)))
+	if p := payload(hash); !strings.Contains(p, `"dependencies":{"`+k+`":0}`) || strings.Contains(p, "dots") {
+		t.Fatalf("hash payload %s", p)
+	}
+	if p := payload(dvv); !strings.Contains(p, `"dependencies":{},"dots":{"`+name+`":0}`) {
+		t.Fatalf("dvv payload %s, want an empty dependencies object beside the dots", p)
 	}
 }
 
@@ -297,8 +302,8 @@ func TestPlanAllocBudget(t *testing.T) {
 // counters under every token.
 func TestOneWindowScriptServesBothTrackers(t *testing.T) {
 	type message struct {
-		deps   map[string]uint64 // token -> version, as the wire carries it
-		object string            // the written object's token
+		deps   map[wire.Token]uint64 // token -> version, as the wire carries it
+		object wire.Token            // the written object's token
 	}
 	type side struct {
 		store *vstore.Store

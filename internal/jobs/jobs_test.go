@@ -225,9 +225,12 @@ func TestJobWritesAreDependencyTracked(t *testing.T) {
 	}
 	// The second message carries the first write's object as a chained
 	// read dependency (controller chaining within the job scope).
-	firstObj := m1.Operations[0].ObjectDep
-	if _, chained := m2.Dependencies[firstObj]; !chained {
-		t.Errorf("second job message lacks the chained dependency %s: %v",
-			firstObj, m2.Dependencies)
+	firstObj := m1.Operations[0].Object
+	chained := false
+	for _, d := range m2.Deps {
+		chained = chained || d.Token == firstObj
+	}
+	if !chained {
+		t.Errorf("second job message lacks the chained dependency %v: %v", firstObj, m2.Deps)
 	}
 }

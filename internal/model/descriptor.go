@@ -53,21 +53,11 @@ type Field struct {
 	Indexed bool
 }
 
-// Association declares a has_many relationship, used by the graph adapter
-// to materialize edges and by the relational engine for join-table setup.
-type Association struct {
-	Name   string // e.g. "friendships"
-	Model  string // target model name
-	FK     string // foreign-key attribute on the target model
-	Mutual bool   // undirected (graph "both" association)
-}
-
 // Descriptor describes one model: its persisted fields, virtual
-// attributes, associations, callbacks, and (for polymorphic models) its
+// attributes, callbacks, and (for polymorphic models) its
 // parent. It is the explicit Go substitute for a Ruby model class.
 type Descriptor struct {
-	Name   string
-	Assocs []Association
+	Name string
 	// Parent points at the ancestor descriptor for single-table
 	// inheritance; the wire format ships the full inheritance chain so
 	// subscribers can consume polymorphic models (§4.1).

@@ -21,10 +21,8 @@ const (
 	// it has passed, so a Do never blocks its app for much longer than
 	// the deadline plus one attempt.
 	callDeadline = 4 * time.Millisecond
-	// backoffBase/backoffMax bound the jittered exponential backoff
-	// slept between attempts.
+	// backoffBase bounds the jittered backoff slept before the retry.
 	backoffBase = 200 * time.Microsecond
-	backoffMax  = time.Millisecond
 	// breakerThreshold consecutive failed Dos open the breaker.
 	breakerThreshold = 3
 	// breakerCooldown is how long the breaker stays open before it
@@ -33,8 +31,8 @@ const (
 )
 
 // Caller is the client-side resilience wrapper for one remote
-// endpoint: deadline-bounded attempts with jittered exponential
-// backoff, and a circuit breaker that fast-fails while the endpoint is
+// endpoint: deadline-bounded attempts with a jittered backoff before
+// the retry, and a circuit breaker that fast-fails while the endpoint is
 // known bad so the app degrades (journal-and-defer) instead of
 // blocking. closed → open after breakerThreshold consecutive Do
 // failures; open → half-open after the cooldown, where the first Do
@@ -76,7 +74,7 @@ func NewCaller(seed int64) *Caller {
 func (c *Caller) Cooldown() time.Duration { return c.cooldown }
 
 // Do runs fn under the resilience policy: up to callAttempts tries
-// within callDeadline, jittered backoff between tries, fast-fail with
+// within callDeadline, a jittered backoff before the retry, fast-fail with
 // ErrBreakerOpen while the breaker is open or another Do holds the
 // half-open probe. Returns nil on the first success, the last
 // attempt's error otherwise.
@@ -92,7 +90,7 @@ func (c *Caller) Do(fn func() error) error {
 	var err error
 	for attempt := 0; attempt < callAttempts; attempt++ {
 		if attempt > 0 {
-			time.Sleep(c.backoff(attempt))
+			time.Sleep(c.backoff())
 			if time.Since(c.epoch) > deadline {
 				break
 			}
@@ -120,12 +118,11 @@ func (c *Caller) Do(fn func() error) error {
 	return err
 }
 
-// backoff draws the jittered exponential delay before the given
-// (1-based) retry attempt: uniform in (0, min(base·2^(n-1), max)].
-func (c *Caller) backoff(attempt int) time.Duration {
-	d := min(backoffBase<<(attempt-1), backoffMax)
+// backoff draws the jittered delay before the retry: uniform in
+// (0, backoffBase].
+func (c *Caller) backoff() time.Duration {
 	c.mu.Lock()
-	j := time.Duration(c.rng.Int63n(int64(d))) + 1
+	j := time.Duration(c.rng.Int63n(int64(backoffBase))) + 1
 	c.mu.Unlock()
 	return j
 }

@@ -10,32 +10,34 @@ import (
 	"unicode/utf8"
 )
 
-// The hand-rolled decoder. It parses the canonical form Marshal and
-// WithEncoded write, in one pass, with no reflection and no intermediate
-// map[string]any for the envelope, reusing the maps and slices of a
-// pooled Message when one is supplied. Canonical means: no whitespace;
-// members in struct order, each optional and present at most once; null
-// only for a nil operations, dependencies or types; and in strings only
-// the escapes the encoder writes (no surrogate \u escapes, no raw
-// invalid UTF-8). An attribute value may be any JSON value. Any other
-// input is an error here, and the caller decodes it with encoding/json
-// instead, so results and errors are always the stdlib's.
+// The decoder. It parses the one form Marshal and WithEncoded write, in
+// one pass, with no reflection and no intermediate map[string]any for
+// the envelope, reusing the maps and slices of a pooled Message when one
+// is supplied. The form: no whitespace; members in the encoder's order,
+// each present at most once and optional but an operation's object_dep;
+// null only for a nil operations or types; in strings only the escapes the encoder writes
+// (no surrogate \u escapes, no raw invalid UTF-8); dependency tokens of
+// the member's form (canonical decimals in dependencies, names in dots,
+// either elsewhere), each list strictly increasing in the order of their
+// text. An attribute value may be any JSON value nested at most maxDepth
+// deep. Any other input is an error: every payload in the system comes
+// from the encoder, which refuses to write what this refuses to read.
 
-// decodeError is a fast-path failure; the caller falls back to the
-// stdlib decoder for the real error.
+// decodeError is a decode failure and where it happened.
 type decodeError struct {
 	pos int
 	msg string
 }
 
 func (e *decodeError) Error() string {
-	return fmt.Sprintf("wire: fast decode at offset %d: %s", e.pos, e.msg)
+	return fmt.Sprintf("wire: decode at offset %d: %s", e.pos, e.msg)
 }
 
-// maxFastDepth bounds recursion in the fast path. encoding/json allows
-// deeper nesting (10000); inputs between the two bounds simply take the
-// fallback, so nothing observable changes.
-const maxFastDepth = 192
+// maxDepth bounds how deep an attribute value nests, for the decoder's
+// recursion; the encoder refuses a value it would refuse.
+const maxDepth = 192
+
+var errTooDeep = errors.New("attribute nested too deep")
 
 type decoder struct {
 	data    []byte
@@ -46,18 +48,13 @@ type decoder struct {
 	resolve Resolver
 }
 
-// errDepKey ends a projected decode at a dependency key that is a
-// decimal no encoder writes ("007"): the key 7 to Deps, another one to
-// ObjectVersion, which only the string form a full decode keeps apart.
-var errDepKey = errors.New("wire: dependency key is a non-canonical decimal")
-
 func (d *decoder) errf(format string, args ...any) error {
 	return &decodeError{pos: d.pos, msg: fmt.Sprintf(format, args...)}
 }
 
-// decodeFast parses data into m. m must be zeroed or pool-reset; its
+// decode parses data into m. m must be zeroed or pool-reset; its
 // retained maps/slices (cleared by reset) are refilled in place.
-func decodeFast(data []byte, m *Message, resolve Resolver) error {
+func decode(data []byte, m *Message, resolve Resolver) error {
 	d := decoder{data: data, resolve: resolve}
 	if err := d.message(m); err != nil {
 		return err
@@ -289,15 +286,21 @@ func (d *decoder) decimal() (uint64, error) {
 }
 
 // parseDecimal parses a token that is a canonical decimal uint64 —
-// exactly what DepKey prints, so two of them are equal as numbers if and
-// only if equal as strings. (The conversion does not allocate: ParseUint
-// does not keep its argument, and a token that parses fits the stack.)
+// exactly what the encoder prints, so two of them are equal as numbers if
+// and only if equal as strings. It allocates nothing, also for a token
+// that is not one (a name), where strconv.ParseUint builds an error.
 func parseDecimal(tok []byte) (uint64, bool) {
-	if len(tok) > 1 && tok[0] == '0' {
+	if len(tok) == 0 || len(tok) > 1 && tok[0] == '0' {
 		return 0, false
 	}
-	v, err := strconv.ParseUint(string(tok), 10, 64)
-	return v, err == nil
+	var v uint64
+	for _, c := range tok {
+		if c < '0' || c > '9' || v > (math.MaxUint64-uint64(c-'0'))/10 {
+			return 0, false
+		}
+		v = v*10 + uint64(c-'0')
+	}
+	return v, true
 }
 
 var (
@@ -331,14 +334,11 @@ func (d *decoder) message(m *Message) error {
 		case "operations":
 			return d.operations(m)
 		case "dependencies":
-			if d.literal("null") {
-				return nil
-			}
-			return d.depMap(&m.Dependencies, m)
+			return d.deps(&m.Deps, hashedForm)
 		case "external_dependencies":
-			return d.depMap(&m.External, nil)
+			return d.deps(&m.External, eitherForm)
 		case "dots":
-			return d.depMap(&m.Dots, nil)
+			return d.deps(&m.Deps, nameForm)
 		case "published_at":
 			// time.Time's own UnmarshalJSON takes the raw token, exactly
 			// as encoding/json hands it over.
@@ -351,7 +351,14 @@ func (d *decoder) message(m *Message) error {
 			m.Generation, err = d.decimal()
 			return err
 		case "global_dep":
-			return d.stringField(&m.GlobalDep, true)
+			// The token lives in the message, and a name (app/global)
+			// repeats on every message of the stream.
+			s, err := d.str()
+			if err == nil {
+				m.global, err = d.parseToken(s, eitherForm, true)
+				m.GlobalDep = &m.global
+			}
+			return err
 		case "seq":
 			m.Seq, err = d.decimal()
 			return err
@@ -363,8 +370,8 @@ func (d *decoder) message(m *Message) error {
 	})
 }
 
-// stringField parses a string member; intern is for the tokens every
-// message of a stream repeats (origin, global dependency).
+// stringField parses a string member; intern is for the strings every
+// message of a stream repeats (the origin).
 func (d *decoder) stringField(dst *string, intern bool) error {
 	s, err := d.str()
 	if err != nil {
@@ -378,49 +385,48 @@ func (d *decoder) stringField(dst *string, intern bool) error {
 	return nil
 }
 
-// depMap parses a string→uint64 object into a map from the pool. Keys
-// are unique per object or per message, so each is copied, not interned.
-// Given the message — the hashed dependencies of a projected decode —
-// canonical decimal keys are parsed in place into its numeric map and
-// only the others are kept as strings.
-func (d *decoder) depMap(dst *map[string]uint64, hashed *Message) error {
-	if d.resolve == nil {
-		hashed = nil
-	}
-	if hashed == nil {
-		*dst = getDepMap()
-	} else {
-		if hashed.parsedDeps == nil {
-			hashed.parsedDeps = make(map[uint64]uint64, 4)
-		}
-		hashed.depsParsed = true // until a key has to stay a string
-	}
+// deps appends a dependency object's members to *dst: tokens of the
+// given form, each after the one before it in the order of their text.
+// A name is unique to its object, so it is copied, not interned.
+func (d *decoder) deps(dst *[]Dep, form tokenForm) error {
+	start := len(*dst)
 	return d.object(func(key []byte) error {
-		k, numeric := uint64(0), false
-		if hashed != nil {
-			if k, numeric = parseDecimal(key); !numeric {
-				if _, err := strconv.ParseUint(string(key), 10, 64); err == nil {
-					return errDepKey
-				}
-			}
-		}
-		v, err := d.decimal() // parses without the scratch buffer key may alias
-		switch {
-		case err != nil:
+		t, err := d.parseToken(key, form, false)
+		if err != nil {
 			return err
-		case numeric:
-			hashed.parsedDeps[k] = v
-		default:
-			if *dst == nil {
-				*dst = getDepMap()
-			}
-			(*dst)[string(key)] = v
-			if hashed != nil {
-				hashed.depsParsed = false
-			}
 		}
-		return nil
+		if n := len(*dst); n > start && (*dst)[n-1].compare(t) >= 0 {
+			return d.errf("dependency %q out of order", key)
+		}
+		v, err := d.decimal()
+		*dst = append(*dst, Dep{t, v})
+		return err
 	})
+}
+
+// depToken parses a string member that is a dependency token.
+func (d *decoder) depToken(form tokenForm) (Token, error) {
+	s, err := d.str()
+	if err != nil {
+		return Token{}, err
+	}
+	return d.parseToken(s, form, false)
+}
+
+// parseToken reads a token of the given form from its text: a canonical
+// decimal is a hashed key, a string with '/' in it a name (interned if
+// intern).
+func (d *decoder) parseToken(s []byte, form tokenForm, intern bool) (Token, error) {
+	if k, ok := parseDecimal(s); ok && form != nameForm {
+		return Token{Key: k}, nil
+	}
+	if isName(s) && form != hashedForm {
+		if intern {
+			return Token{Name: internString(s)}, nil
+		}
+		return Token{Name: string(s)}, nil
+	}
+	return Token{}, d.errf("dependency %q is not a %s", s, form)
 }
 
 // operations parses the operations array into the message's operation
@@ -448,9 +454,11 @@ func (d *decoder) operations(m *Message) error {
 	return err
 }
 
+// operation parses one operation; its object's token is the one member
+// it cannot do without.
 func (d *decoder) operation(op *Operation, app string) error {
 	next := 0
-	return d.object(func(key []byte) error {
+	err := d.object(func(key []byte) (err error) {
 		switch field(key, operationFields, &next) {
 		case "operation":
 			s, err := d.str()
@@ -463,10 +471,15 @@ func (d *decoder) operation(op *Operation, app string) error {
 		case "attributes":
 			return d.attributes(op, app)
 		case "object_dep":
-			return d.objectDep(op)
+			op.Object, err = d.depToken(eitherForm)
+			return err
 		}
 		return d.errf("unexpected member %q", key)
 	})
+	if err == nil && next < len(operationFields) {
+		return d.errf("operation without object_dep")
+	}
+	return err
 }
 
 // attributes parses an operation's attributes member: in full, or in a
@@ -492,23 +505,6 @@ type nothing struct{}
 
 func (nothing) Wants(OpKind) bool         { return false }
 func (nothing) Key([]byte) (string, bool) { return "", false }
-
-// objectDep parses the object's dependency token: a projected decode
-// keeps a canonical decimal as the number it is, anything else is a
-// string unique to its object.
-func (d *decoder) objectDep(op *Operation) error {
-	s, err := d.str()
-	if err != nil {
-		return err
-	}
-	if d.resolve != nil {
-		op.depKey, op.hasKey = parseDecimal(s)
-	}
-	if !op.hasKey {
-		op.ObjectDep = string(s)
-	}
-	return nil
-}
 
 // internVerb maps the three operation verbs onto their constants so the
 // hot path does not allocate a string per operation.
@@ -547,10 +543,10 @@ func (d *decoder) typeChain(op *Operation) error {
 // encoding/json produces for interface{} targets, already normalized so
 // no Coerce pass is needed. Unless keep, it builds nothing and returns
 // nil, but still fails where building would: a number beyond float64
-// sends a projected decode to the fallback exactly as a full one.
+// fails a projected decode exactly as a full one.
 func (d *decoder) value(depth int, keep bool) (any, error) {
-	if depth > maxFastDepth {
-		return nil, d.errf("nesting too deep for fast path")
+	if depth > maxDepth {
+		return nil, d.errf("%v", errTooDeep)
 	}
 	var c byte
 	if d.pos < len(d.data) {

@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 	"unicode/utf8"
@@ -13,9 +15,10 @@ import (
 	"synapse/internal/model"
 )
 
-// The hand-rolled encoder. The output is byte-for-byte identical to
-// encoding/json.Marshal on a *Message — same field order, the same
-// sorted map keys, the same HTML-escaped string encoding, the same
+// The hand-rolled encoder. The output is byte-for-byte what
+// encoding/json.Marshal makes of the message as a JSON document whose
+// dependency lists are maps keyed by token text — same field order, the
+// same sorted map keys, the same HTML-escaped string encoding, the same
 // ES6-style float rendering — but built by appending straight into one
 // buffer, with no reflection and no intermediate values. Strings that
 // need escaping (control bytes, quotes, `<>&`, invalid UTF-8,
@@ -37,8 +40,9 @@ var encPool = sync.Pool{
 
 // Marshal encodes the message as JSON and returns an exact-size copy of
 // the pooled buffer's bytes — the single allocation of the encode path.
-// It fails exactly where encoding/json would (a non-finite float, a year
-// outside [0, 9999]).
+// It fails where encoding/json would (a non-finite float, a year outside
+// [0, 9999]) and where the decoder would: an attribute nested deeper
+// than maxDepth, a dependency token of the wrong form or out of order.
 func Marshal(m *Message) ([]byte, error) {
 	var out []byte
 	err := WithEncoded(m, func(b []byte) error {
@@ -89,21 +93,20 @@ func (e *encoder) message(m *Message) error {
 	}
 	e.buf = append(e.buf, `,"dependencies":`...)
 	hashed, names := m.splitDeps()
-	if m.deps != nil {
-		e.deps(hashed)
-	} else {
-		e.depMap(m.Dependencies)
+	if err := e.deps(hashed, hashedForm); err != nil {
+		return err
 	}
 	if len(m.External) > 0 {
 		e.buf = append(e.buf, `,"external_dependencies":`...)
-		e.depMap(m.External)
+		if err := e.deps(m.External, eitherForm); err != nil {
+			return err
+		}
 	}
 	if len(names) > 0 {
 		e.buf = append(e.buf, `,"dots":`...)
-		e.deps(names)
-	} else if m.deps == nil && len(m.Dots) > 0 {
-		e.buf = append(e.buf, `,"dots":`...)
-		e.depMap(m.Dots)
+		if err := e.deps(names, nameForm); err != nil {
+			return err
+		}
 	}
 	e.buf = append(e.buf, `,"published_at":`...)
 	if err := e.time(m.PublishedAt); err != nil {
@@ -111,9 +114,11 @@ func (e *encoder) message(m *Message) error {
 	}
 	e.buf = append(e.buf, `,"generation":`...)
 	e.buf = strconv.AppendUint(e.buf, m.Generation, 10)
-	if m.GlobalDep != "" {
+	if m.GlobalDep != nil {
 		e.buf = append(e.buf, `,"global_dep":`...)
-		e.str(m.GlobalDep)
+		if err := e.token(*m.GlobalDep, eitherForm); err != nil {
+			return err
+		}
 	}
 	e.buf = append(e.buf, `,"seq":`...)
 	e.buf = strconv.AppendUint(e.buf, m.Seq, 10)
@@ -148,15 +153,13 @@ func (e *encoder) operation(o *Operation) error {
 		}
 	} else if len(o.Attributes) > 0 {
 		e.buf = append(e.buf, `,"attributes":`...)
-		if err := e.anyMap(o.Attributes); err != nil {
+		if err := e.anyMap(o.Attributes, 0); err != nil {
 			return err
 		}
 	}
 	e.buf = append(e.buf, `,"object_dep":`...)
-	if o.ObjectDep == "" && o.hasKey {
-		e.key(o.depKey)
-	} else {
-		e.str(o.ObjectDep)
+	if err := e.token(o.Object, eitherForm); err != nil {
+		return err
 	}
 	e.buf = append(e.buf, '}')
 	return nil
@@ -174,7 +177,7 @@ func (e *encoder) projected(lens *model.Projection, rec *model.Record) error {
 		}
 		e.str(name)
 		e.buf = append(e.buf, ':')
-		return e.value(v)
+		return e.value(v, 1)
 	})
 	switch {
 	case err != nil:
@@ -187,64 +190,73 @@ func (e *encoder) projected(lens *model.Projection, rec *model.Record) error {
 	return nil
 }
 
-// deps encodes a sorted list of dependencies as the map it stands for.
-func (e *encoder) deps(deps []Dep) {
+// deps encodes a run of dependencies as the object it stands for. It
+// refuses what the decoder refuses: a token of a form the member does
+// not take, or one that does not follow the token before it.
+func (e *encoder) deps(deps []Dep, form tokenForm) error {
 	e.buf = append(e.buf, '{')
 	for i, d := range deps {
 		if i > 0 {
+			if deps[i-1].compare(d.Token) >= 0 {
+				return fmt.Errorf("dependency %v out of order", d.Token)
+			}
 			e.buf = append(e.buf, ',')
 		}
-		if d.Name != "" {
-			e.str(d.Name)
-		} else {
-			e.key(d.Key)
+		if err := e.token(d.Token, form); err != nil {
+			return err
 		}
 		e.buf = append(e.buf, ':')
 		e.buf = strconv.AppendUint(e.buf, d.Version, 10)
 	}
 	e.buf = append(e.buf, '}')
+	return nil
 }
 
-// key encodes a hashed key as its decimal token.
-func (e *encoder) key(k uint64) {
-	e.buf = append(e.buf, '"')
-	e.buf = strconv.AppendUint(e.buf, k, 10)
-	e.buf = append(e.buf, '"')
+// token encodes a dependency token as its text: a hashed key's canonical
+// decimal, or the name. A name must be valid UTF-8: str would write
+// U+FFFD for a bad byte, and the decoder would then read another name,
+// perhaps out of order.
+func (e *encoder) token(t Token, form tokenForm) error {
+	switch {
+	case t.Name == "" && form != nameForm:
+		e.buf = append(e.buf, '"')
+		e.buf = strconv.AppendUint(e.buf, t.Key, 10)
+		e.buf = append(e.buf, '"')
+	case isName(t.Name) && form != hashedForm && utf8.ValidString(t.Name):
+		e.str(t.Name)
+	default:
+		return fmt.Errorf("dependency %v is not a %s", t, form)
+	}
+	return nil
 }
 
-// depMap encodes a dependency map with its keys in sorted order —
-// encoding/json sorts map keys, and byte equivalence (golden payloads,
-// journal dedup) depends on it.
-func (e *encoder) depMap(m map[string]uint64) {
-	if m == nil {
-		e.buf = append(e.buf, "null"...)
-		return
+// compare orders tokens by their text, the order encoding/json sorts a
+// map's keys in.
+func (t Token) compare(u Token) int {
+	if t.Name != "" && u.Name != "" {
+		return strings.Compare(t.Name, u.Name)
 	}
-	n := len(e.keys)
-	for k := range m {
-		e.keys = append(e.keys, k)
-	}
-	keys := e.keys[n:]
-	slices.Sort(keys)
-	e.buf = append(e.buf, '{')
-	for i, k := range keys {
-		if i > 0 {
-			e.buf = append(e.buf, ',')
-		}
-		e.str(k)
-		e.buf = append(e.buf, ':')
-		e.buf = strconv.AppendUint(e.buf, m[k], 10)
-	}
-	e.buf = append(e.buf, '}')
-	e.keys = e.keys[:n]
+	var x, y [20]byte
+	return bytes.Compare(t.text(x[:0]), u.text(y[:0]))
 }
+
+// text appends the token's text to b.
+func (t Token) text(b []byte) []byte {
+	if t.Name != "" {
+		return append(b, t.Name...)
+	}
+	return strconv.AppendUint(b, t.Key, 10)
+}
+
+// String renders the token as the wire writes it, unquoted.
+func (t Token) String() string { return string(t.text(nil)) }
 
 // anyMap sorts and emits a generic object. It borrows a segment of the
 // pooled key slice (offset-based, because nested maps recurse through
 // here); the segment is released on return. Iteration stays safe if a
 // nested call grows e.keys — the local slice header keeps the original
 // backing array alive.
-func (e *encoder) anyMap(m map[string]any) error {
+func (e *encoder) anyMap(m map[string]any, depth int) error {
 	n := len(e.keys)
 	for k := range m {
 		e.keys = append(e.keys, k)
@@ -258,7 +270,7 @@ func (e *encoder) anyMap(m map[string]any) error {
 		}
 		e.str(k)
 		e.buf = append(e.buf, ':')
-		if err := e.value(m[k]); err != nil {
+		if err := e.value(m[k], depth+1); err != nil {
 			e.keys = e.keys[:n]
 			return err
 		}
@@ -268,11 +280,16 @@ func (e *encoder) anyMap(m map[string]any) error {
 	return nil
 }
 
-// value encodes one attribute value. The coerced model value set (nil,
-// bool, int64, float64, string, []any, map[string]any) is handled
-// inline; anything else falls back to encoding/json for that value, so
-// exotic types stay byte-compatible without a reflection fast path.
-func (e *encoder) value(v any) error {
+// value encodes one attribute value at the given depth (an attribute is
+// at 1). The coerced model value set (nil, bool, int64, float64, string,
+// []any, map[string]any) is handled inline; anything else falls back to
+// encoding/json for that value, so exotic types stay byte-compatible
+// without a reflection fast path. Like the decoder, it refuses a value
+// nested deeper than maxDepth.
+func (e *encoder) value(v any, depth int) error {
+	if depth > maxDepth {
+		return errTooDeep
+	}
 	switch t := v.(type) {
 	case nil:
 		e.buf = append(e.buf, "null"...)
@@ -302,12 +319,15 @@ func (e *encoder) value(v any) error {
 			if i > 0 {
 				e.buf = append(e.buf, ',')
 			}
-			if err := e.value(el); err != nil {
+			if err := e.value(el, depth+1); err != nil {
 				return err
 			}
 		}
 		e.buf = append(e.buf, ']')
 	case []string:
+		if len(t) > 0 && depth >= maxDepth {
+			return errTooDeep
+		}
 		e.buf = append(e.buf, '[')
 		for i, el := range t {
 			if i > 0 {
@@ -317,10 +337,16 @@ func (e *encoder) value(v any) error {
 		}
 		e.buf = append(e.buf, ']')
 	case map[string]any:
-		return e.anyMap(t)
+		return e.anyMap(t, depth)
 	default:
 		b, err := json.Marshal(t)
 		if err != nil {
+			return err
+		}
+		// What encoding/json wrote may nest deeper still: the decoder's
+		// own scan says whether it reads it.
+		d := decoder{data: b}
+		if _, err := d.value(depth, false); err != nil {
 			return err
 		}
 		e.buf = append(e.buf, b...)

@@ -19,23 +19,16 @@ var msgPool = sync.Pool{
 	New: func() any { return new(Message) },
 }
 
-// Map pools. nil-vs-empty is observable (encoding/json leaves a map nil
-// when its key is absent), so reset cannot simply keep a cleared map on
-// the struct — it stashes the map here and the decoder takes one back
-// only when the payload actually carries the key.
-var (
-	attrMapPool = sync.Pool{New: func() any { return make(map[string]any, 8) }}
-	depMapPool  = sync.Pool{New: func() any { return make(map[string]uint64, 4) }}
-)
+// The attribute map pool. nil-vs-empty is observable (an operation
+// without an "attributes" member has none), so reset cannot simply keep a
+// cleared map on the operation — it stashes the map here and the decoder
+// takes one back only when the payload actually carries the member.
+var attrMapPool = sync.Pool{New: func() any { return make(map[string]any, 8) }}
 
-func getAttrMap() map[string]any   { return attrMapPool.Get().(map[string]any) }
-func getDepMap() map[string]uint64 { return depMapPool.Get().(map[string]uint64) }
+func getAttrMap() map[string]any { return attrMapPool.Get().(map[string]any) }
 
 // UnmarshalPooled decodes a message into a pooled scratch struct,
-// reusing its maps and slices. A payload outside the canonical form the
-// encoder writes (see Unmarshal) sends the pooled struct back to the
-// pool, and encoding/json decodes it into a fresh message — callers
-// release either kind with ReleaseMessage.
+// reusing its maps and slices; release it with ReleaseMessage.
 func UnmarshalPooled(b []byte) (*Message, error) { return UnmarshalProjected(b, nil) }
 
 // Sink is a compiled subscription as the decoder sees it: which of an
@@ -58,16 +51,13 @@ type Resolver func(app string, types []string) Sink
 // picks for the message's origin and the operation's type chain —
 // unsubscribed attributes, and every attribute of an operation without a
 // sink, are scanned past and never built (Operation.Sink says which sink
-// decided) — and decimal dependency tokens are parsed in place: they are
-// in Deps and Operation.ObjectKey, not in Dependencies and ObjectDep.
-// Only the canonical form the encoder writes is decoded this way; any
-// other payload, and a nil resolve, decode in full like UnmarshalPooled.
+// decided). Everything else, tokens included, is what the full decode
+// reads. A nil resolve decodes in full like UnmarshalPooled.
 func UnmarshalProjected(b []byte, resolve Resolver) (*Message, error) {
 	m := msgPool.Get().(*Message)
-	if err := decodeFast(b, m, resolve); err != nil {
-		m.reset()
-		msgPool.Put(m)
-		return unmarshalStd(b)
+	if err := decode(b, m, resolve); err != nil {
+		ReleaseMessage(m)
+		return nil, err
 	}
 	return m, nil
 }
@@ -86,8 +76,8 @@ func ReleaseMessage(m *Message) {
 
 // reset clears the message for reuse while keeping its allocations: the
 // operations backing array (each element cleared through capacity, so a
-// later decode can extend into it without seeing stale data), the
-// dependency maps, and the parsed-deps cache map.
+// later decode can extend into it without seeing stale data) and the
+// dependency lists.
 func (m *Message) reset() {
 	m.App = ""
 	ops := m.Operations[:cap(m.Operations)]
@@ -95,28 +85,15 @@ func (m *Message) reset() {
 		ops[i].resetKeepAlloc()
 	}
 	m.Operations = m.Operations[:0]
-	if m.Dependencies != nil {
-		clear(m.Dependencies)
-		depMapPool.Put(m.Dependencies)
-		m.Dependencies = nil
-	}
-	if m.External != nil {
-		clear(m.External)
-		depMapPool.Put(m.External)
-		m.External = nil
-	}
-	if m.Dots != nil {
-		clear(m.Dots)
-		depMapPool.Put(m.Dots)
-		m.Dots = nil
-	}
+	clear(m.Deps)
+	m.Deps = m.Deps[:0]
+	clear(m.External)
+	m.External = m.External[:0]
 	m.PublishedAt = time.Time{}
 	m.Generation = 0
-	m.GlobalDep = ""
+	m.GlobalDep, m.global = nil, Token{}
 	m.Seq = 0
 	m.Recovered = false
-	clear(m.parsedDeps)
-	m.depsParsed = false
 }
 
 // resetKeepAlloc zeroes an operation, stashing its attribute map in the
@@ -135,7 +112,6 @@ func (o *Operation) resetKeepAlloc() {
 		attrMapPool.Put(o.Attributes)
 		o.Attributes = nil
 	}
-	o.ObjectDep = ""
+	o.Object = Token{}
 	o.sink, o.projected = nil, false
-	o.depKey, o.hasKey = 0, false
 }

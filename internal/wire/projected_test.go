@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -64,17 +63,16 @@ func mixedSinks() Resolver {
 }
 
 // applied is what applying a decoded message reads of it, in one
-// comparable value: the envelope, the dependencies under their numeric
-// keys, and per operation the object's token and version and the
-// attributes its subscription gets to see.
+// comparable value: the envelope, the dependencies, and per operation
+// the object's token and version and the attributes its subscription
+// gets to see.
 type applied struct {
-	App, GlobalDep  string
+	App             string
 	Generation, Seq uint64
 	Recovered       bool
 	PublishedAt     time.Time
-	Deps            map[uint64]uint64
-	DepsErr         bool
-	Dots, External  map[string]uint64
+	Deps, External  []Dep
+	GlobalDep       *Token
 	Ops             []appliedOp
 }
 
@@ -82,7 +80,7 @@ type appliedOp struct {
 	Verb      OpKind
 	Types     []string
 	ID        string
-	Object    string // the token, whichever form it was kept in
+	Object    Token
 	Version   uint64
 	Versioned bool
 	Attrs     map[string]any
@@ -93,25 +91,14 @@ type appliedOp struct {
 // an operation decoded in full are filtered here, through the same sink.
 func apply(m *Message, resolve Resolver) applied {
 	out := applied{
-		App: m.App, GlobalDep: m.GlobalDep, Generation: m.Generation, Seq: m.Seq,
-		Recovered: m.Recovered, PublishedAt: m.PublishedAt,
-		Dots: orNil(m.Dots), External: orNil(m.External),
-	}
-	deps, err := m.Deps()
-	out.Deps, out.DepsErr = orNil(deps), err != nil
-	for s := range m.Dependencies {
-		if k, err := ParseDepKey(s); err == nil && DepKey(k) != s {
-			out.Deps = nil // two spellings of one key: which one Deps keeps is map order
-		}
+		App: m.App, Generation: m.Generation, Seq: m.Seq, Recovered: m.Recovered, PublishedAt: m.PublishedAt,
+		Deps: orNilSlice(m.Deps), External: orNilSlice(m.External), GlobalDep: m.GlobalDep,
 	}
 	for i := range m.Operations {
 		op := &m.Operations[i]
-		o := appliedOp{Verb: op.Operation, Types: op.Types, ID: op.ID, Object: op.ObjectDep}
+		o := appliedOp{Verb: op.Operation, Types: op.Types, ID: op.ID, Object: op.Object}
 		if len(o.Types) == 0 {
 			o.Types = nil
-		}
-		if k, ok := op.ObjectKey(); ok {
-			o.Object = DepKey(k)
 		}
 		o.Version, o.Versioned = m.ObjectVersion(op)
 		attrs := op.Attributes
@@ -139,18 +126,19 @@ func orNil[K comparable, V any](m map[K]V) map[K]V {
 	return m
 }
 
+func orNilSlice[E any](s []E) []E {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
+}
+
 // checkProjectedMatchesFull is the differential property: the projected
-// decode takes the encoding/json fallback on exactly the payloads the
-// full one does — but for a dependency key spelled like no encoder
-// spells it (errDepKey) — and what applying its result reads equals what
-// applying the full decode's, filtered, reads.
+// decode refuses exactly the payloads the full one refuses, and what
+// applying its result reads equals what applying the full decode's,
+// filtered, reads.
 func checkProjectedMatchesFull(t *testing.T, payload []byte, resolve Resolver) {
 	t.Helper()
-	fullErr := decodeFast(payload, new(Message), nil)
-	projErr := decodeFast(payload, new(Message), resolve)
-	if projErr != errDepKey && (projErr == nil) != (fullErr == nil) {
-		t.Fatalf("fast path: projected decode says %v, full decode says %v for %q", projErr, fullErr, payload)
-	}
 	full, err := Unmarshal(payload)
 	proj, perr := UnmarshalProjected(payload, resolve)
 	if (err == nil) != (perr == nil) {
@@ -166,9 +154,9 @@ func checkProjectedMatchesFull(t *testing.T, payload []byte, resolve Resolver) {
 }
 
 // projectionCases reads the committed seed corpus of FuzzProjectedDecode
-// by file name: payloads the encoder never produces but the decoder has
-// to treat like encoding/json does — keys out of order, duplicate keys,
-// nulls, unknown keys, tokens that are not canonical.
+// by file name: payloads that pick out the sinks, and payloads the
+// encoder never produces, which both decodes refuse — keys out of order,
+// duplicate keys, nulls, unknown keys, tokens that are not canonical.
 func projectionCases(t testing.TB) map[string]string {
 	t.Helper()
 	dir := filepath.Join("testdata", "fuzz", "FuzzProjectedDecode")
@@ -194,15 +182,18 @@ func projectionCases(t testing.TB) map[string]string {
 }
 
 // projectionSeeds are the well-formed payloads of the property: the
-// golden corpus and the benchmark's shapes.
+// golden corpus, the parent's payloads and the benchmark's shapes.
 func projectionSeeds(t testing.TB) [][]byte {
 	var out [][]byte
 	for _, m := range goldenMessages() {
-		b, err := json.Marshal(m)
+		b, err := Marshal(m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, b)
+	}
+	for _, p := range parentPayloads {
+		out = append(out, []byte(p))
 	}
 	return append(out, liveStream(6)...)
 }
@@ -232,7 +223,7 @@ func FuzzProjectedDecode(f *testing.F) {
 
 // TestProjectedDecodeWhatItKeeps pins the contract core relies on: which
 // sink an operation reports, which attributes are there, under whose
-// strings, and where the dependency tokens went.
+// strings, and the dependency tokens.
 func TestProjectedDecodeWhatItKeeps(t *testing.T) {
 	resolve, cases := mixedSinks(), projectionCases(t)
 	decode := func(name string) *Message {
@@ -255,11 +246,11 @@ func TestProjectedDecodeWhatItKeeps(t *testing.T) {
 	if _, projected := post.Sink(); !projected || post.Attributes != nil {
 		t.Errorf("persisted model's destroy kept %v (projected %v), want nothing", post.Attributes, projected)
 	}
-	if k, ok := comment.ObjectKey(); !ok || k != 8 || comment.ObjectDep != "" || len(m.Dependencies) != 0 {
-		t.Errorf("decimal tokens were kept as strings: key %d %v, ObjectDep %q, Dependencies %v", k, ok, comment.ObjectDep, m.Dependencies)
+	if comment.Object != (Token{Key: 8}) {
+		t.Errorf("object token = %v, want hashed key 8", comment.Object)
 	}
-	if deps, err := m.Deps(); err != nil || !reflect.DeepEqual(deps, map[uint64]uint64{8: 1, 9: 2}) {
-		t.Errorf("Deps = %v, %v", deps, err)
+	if want := []Dep{{Token{Key: 8}, 1}, {Token{Key: 9}, 2}}; !reflect.DeepEqual(m.Deps, want) {
+		t.Errorf("Deps = %v, want %v", m.Deps, want)
 	}
 	if v, ok := m.ObjectVersion(post); !ok || v != 3 {
 		t.Errorf("ObjectVersion = %d, %v, want 3", v, ok)
@@ -271,11 +262,11 @@ func TestProjectedDecodeWhatItKeeps(t *testing.T) {
 	if s, _ := op.Sink(); s != resolve("pub4", []string{"Base"}) || !reflect.DeepEqual(op.Attributes, map[string]any{"body": "b"}) {
 		t.Errorf("chain %v resolved to sink %v keeping %v", op.Types, s, op.Attributes)
 	}
-	if _, ok := op.ObjectKey(); ok || op.ObjectDep != "pub4/posts/id/7" {
-		t.Errorf("a DVV name token was not kept as the string it is: %q", op.ObjectDep)
+	if op.Object != (Token{Name: "pub4/posts/id/7"}) {
+		t.Errorf("object token = %v, want the DVV name", op.Object)
 	}
 	if v, ok := m.ObjectVersion(op); !ok || v != 4 {
-		t.Errorf("ObjectVersion through dots = %d, %v, want 4", v, ok)
+		t.Errorf("ObjectVersion through a name = %d, %v, want 4", v, ok)
 	}
 	ReleaseMessage(m)
 
@@ -287,13 +278,11 @@ func TestProjectedDecodeWhatItKeeps(t *testing.T) {
 		ReleaseMessage(m)
 	}
 
-	// Out of order: decoded in full, for the subscriber to filter.
+	// Out of order: refused.
 	for _, name := range []string{"attributes-before-types", "app-after-operations", "types-twice"} {
-		m = decode(name)
-		if _, projected := m.Operations[0].Sink(); projected || len(m.Operations[0].Attributes) != 2 {
-			t.Errorf("%s: projected %v, attributes %v; want a full decode", name, projected, m.Operations[0].Attributes)
+		if m, err := UnmarshalProjected([]byte(cases[name]), resolve); err == nil {
+			t.Errorf("%s: decoded to %#v, want an error", name, m)
 		}
-		ReleaseMessage(m)
 	}
 }
 

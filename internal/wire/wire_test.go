@@ -2,9 +2,9 @@ package wire
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"synapse/internal/model"
@@ -25,12 +25,12 @@ func sampleMessage() *Message {
 			Types:      []string{"User"},
 			ID:         "100",
 			Attributes: map[string]any{"interests": []any{"cats", "dogs"}},
-			ObjectDep:  "7341",
+			Object:     Token{Key: 7341},
 		}},
-		Dependencies: map[string]uint64{"7341": 42},
-		PublishedAt:  time.Date(2014, 10, 11, 7, 59, 0, 0, time.UTC),
-		Generation:   1,
-		Seq:          9,
+		Deps:        []Dep{{Token{Key: 7341}, 42}},
+		PublishedAt: time.Date(2014, 10, 11, 7, 59, 0, 0, time.UTC),
+		Generation:  1,
+		Seq:         9,
 	}
 }
 
@@ -68,7 +68,7 @@ func TestFig6bShape(t *testing.T) {
 
 func TestRoundTrip(t *testing.T) {
 	m := sampleMessage()
-	m.External = map[string]uint64{"55": 3}
+	m.External = []Dep{{Token{Key: 55}, 3}, {Token{Name: "pub9/users/id/2"}, 4}}
 	b, err := Marshal(m)
 	if err != nil {
 		t.Fatal(err)
@@ -80,11 +80,11 @@ func TestRoundTrip(t *testing.T) {
 	if got.App != m.App || got.Generation != 1 || got.Seq != 9 {
 		t.Errorf("envelope = %+v", got)
 	}
-	if got.Dependencies["7341"] != 42 || got.External["55"] != 3 {
-		t.Errorf("deps = %+v ext = %+v", got.Dependencies, got.External)
+	if !reflect.DeepEqual(got.Deps, m.Deps) || !reflect.DeepEqual(got.External, m.External) {
+		t.Errorf("deps = %+v ext = %+v", got.Deps, got.External)
 	}
 	op := got.Operations[0]
-	if op.Model() != "User" || op.ObjectDep != "7341" {
+	if op.Model() != "User" || op.Object != (Token{Key: 7341}) {
 		t.Errorf("op = %+v", op)
 	}
 	rec := record(op)
@@ -141,7 +141,6 @@ func TestValidate(t *testing.T) {
 		{func(m *Message) { m.Operations[0].Types = nil }, "without type"},
 		{func(m *Message) { m.Operations[0].ID = "" }, "without id"},
 		{func(m *Message) { m.Operations[0].Operation = "upsert" }, "unknown verb"},
-		{func(m *Message) { m.Dependencies = map[string]uint64{"abc": 1} }, "bad dependency key"},
 	}
 	for _, c := range cases {
 		m := sampleMessage()
@@ -159,19 +158,6 @@ func TestUnmarshalGarbage(t *testing.T) {
 	}
 }
 
-func TestDepKeyRoundTrip(t *testing.T) {
-	check := func(v uint64) bool {
-		got, err := ParseDepKey(DepKey(v))
-		return err == nil && got == v
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseDepKey("-1"); err == nil {
-		t.Fatal("negative key accepted")
-	}
-}
-
 func TestEmptyModelOnEmptyTypes(t *testing.T) {
 	op := &Operation{}
 	if op.Model() != "" {
@@ -179,31 +165,21 @@ func TestEmptyModelOnEmptyTypes(t *testing.T) {
 	}
 }
 
-func TestDepsParsesAndCaches(t *testing.T) {
-	m := &Message{
-		App:          "pub",
-		Dependencies: map[string]uint64{"12": 3, "7": 0},
+// TestSetDepsOrder checks SetDeps and SetExternal put a publisher's
+// dependencies in the order the encoder writes them — hashed keys by
+// their decimal text (10 before 9), then names; external tokens by text
+// whatever their form — and merge a token listed twice at its highest
+// version.
+func TestSetDepsOrder(t *testing.T) {
+	var m Message
+	m.SetDeps([]Dep{{Token{Name: "a/x"}, 1}, {Token{Key: 9}, 2}, {Token{Key: 10}, 3}, {Token{Key: 9}, 5}, {Token{Name: "0/y"}, 1}})
+	want := []Dep{{Token{Key: 10}, 3}, {Token{Key: 9}, 5}, {Token{Name: "0/y"}, 1}, {Token{Name: "a/x"}, 1}}
+	if !reflect.DeepEqual(m.Deps, want) {
+		t.Errorf("Deps = %v, want %v", m.Deps, want)
 	}
-	deps, err := m.Deps()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deps) != 2 || deps[12] != 3 || deps[7] != 0 {
-		t.Fatalf("deps = %v", deps)
-	}
-	again, err := m.Deps()
-	if err != nil {
-		t.Fatal(err)
-	}
-	again[12] = 99
-	if third, _ := m.Deps(); third[12] != 99 {
-		t.Error("Deps did not return the cached map")
-	}
-}
-
-func TestDepsBadKey(t *testing.T) {
-	m := &Message{Dependencies: map[string]uint64{"not-a-number": 1}}
-	if _, err := m.Deps(); err == nil {
-		t.Fatal("expected parse error")
+	m.SetExternal([]Dep{{Token{Name: "a/x"}, 1}, {Token{Key: 9}, 2}, {Token{Name: "0/y"}, 1}, {Token{Key: 10}, 3}})
+	want = []Dep{{Token{Name: "0/y"}, 1}, {Token{Key: 10}, 3}, {Token{Key: 9}, 2}, {Token{Name: "a/x"}, 1}}
+	if !reflect.DeepEqual(m.External, want) {
+		t.Errorf("External = %v, want %v", m.External, want)
 	}
 }

@@ -216,15 +216,17 @@ scenario_windows() {
 
 # A delivery from bytes to Mapper.Save through the subscription's compiled
 # projection: the two live-stream alloc budgets (which only run without
-# the race detector, so a plain run comes first), ten seconds each of the
-# full decode's fuzz against encoding/json and of the projected-versus-full
-# differential fuzz on top of its committed seed corpus, the subscribe,
-# park, bootstrap, projection and stage-timer tests five times under the
-# race detector; then the workload that decodes and applies every message
-# five times over.
+# the race detector, so a plain run comes first), the token round-trip
+# property against the encoding/json mirror, the parent's payloads, the
+# shared nesting bound (the encoder and a publish refuse what the decoder
+# refuses), ten seconds each of the full decode's fuzz against the mirror
+# and of the projected-versus-full differential fuzz on top of their
+# committed seed corpora, the subscribe, park, bootstrap, projection and
+# stage-timer tests five times under the race detector; then the workload
+# that decodes and applies every message five times over.
 scenario_projection() {
-    gotest -run 'TestUnmarshalPooledAllocBudget|TestProjectedDecode' ./internal/wire/ &&
-        gotest -run 'TestApplyAllocBudget|TestPublishAllocBudget' ./internal/core/ &&
+    gotest -run 'TestUnmarshalPooledAllocBudget|TestProjectedDecode|TestQuickTokenRoundTrip|TestParentPayloadsRoundTrip|TestMarshalRefusesWhatDecodeRefuses' ./internal/wire/ &&
+        gotest -run 'TestApplyAllocBudget|TestPublishAllocBudget|TestPublishRefusesTooDeepAttribute' ./internal/core/ &&
         go test -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime=10s ./internal/wire/ &&
         go test -run '^$' -fuzz 'FuzzProjectedDecode' -fuzztime=10s ./internal/wire/ &&
         gotest -race -count=5 \

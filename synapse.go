@@ -190,7 +190,7 @@ func IsCrash(r any) bool { return faultinject.IsCrash(r) }
 // seeded per-link latency, drops, duplicates, and partitions. Apps ride
 // it out with per-endpoint retries, circuit breakers, and
 // journal-and-defer publishes under one fixed policy: 2 attempts per
-// call within 4 ms, 200 µs–1 ms jittered backoff, a breaker that opens
+// call within 4 ms, a jittered backoff of up to 200 µs before the retry, a breaker that opens
 // after 3 failed calls for a 5 ms cooldown, and a journal drain every
 // cooldown.
 type (
