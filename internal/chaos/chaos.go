@@ -108,7 +108,7 @@ type Result struct {
 	// Traffic and healing volume.
 	Net         netsim.Stats
 	Deferred    int64 // publisher sends degraded to journal-and-defer
-	Republished int64 // journal entries re-sent by the periodic drain
+	Republished int64 // journal entries re-sent by the journal drain
 	Redelivered int64 // subscriber deliveries redelivered (lost acks, restarts)
 
 	LogCheck

@@ -86,8 +86,8 @@ func (t *turbulent) lossy(apps ...*core.App) {
 
 // publisher adds the MongoDB app that owns the chaos model and the
 // writer that drives it. StartWorkers on it runs no consumer (it
-// subscribes to nothing) but does run the periodic journal drain, which
-// is what republishes journal-and-defer sends once the broker heals.
+// subscribes to nothing) but does start the journal drain, which is what
+// republishes journal-and-defer sends once the broker heals.
 func (t *turbulent) publisher(name string) (*writer, error) {
 	pub, err := t.app(name, mongo(), nil)
 	if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"maps"
-	"math/rand"
 	"slices"
 	"sort"
 	"sync"
@@ -151,6 +150,7 @@ type App struct {
 	// this instance's entries (see journal.go).
 	journalEpoch int64
 	outbox       *outbox
+	drainWork    chan struct{} // one token for the journal drain (wakeDrain)
 
 	// tel is every number Stats reports that the app counts itself.
 	tel telemetry
@@ -165,13 +165,10 @@ type App struct {
 	hashedDeps bool
 
 	// Overload-control state: the last subscriber pressure observed over
-	// the network (served from cache while the probe's link is faulty),
-	// the drain flag quiescing publishes, and the seeded jitter source
-	// staggering blocked publishers and journal resumes.
+	// the network (served from cache while the probe's link is faulty)
+	// and the drain flag quiescing publishes.
 	lastPressure atomic.Int32
 	draining     atomic.Bool
-	rngMu        sync.Mutex
-	rng          *rand.Rand
 
 	// Per-endpoint resilient callers and the parked-ack retry list
 	// (see netlink.go).
@@ -360,8 +357,8 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 		journalEpoch: time.Now().UnixNano(),
 		parked:       make(map[*job]struct{}),
 		nudged:       make(chan struct{}, 1),
+		drainWork:    make(chan struct{}, 1),
 		applyLocks:   storage.NewLockTable[vstore.Key](),
-		rng:          rand.New(rand.NewSource(seedFor(name, "overload"))),
 	}
 	a.hashedDeps = tracker.Policy() == deptrack.PolicyHash && cfg.DepCardinality > 0
 	a.compiled.Store(&subTable{})
@@ -430,8 +427,8 @@ type Stats struct {
 	Redelivered int64
 	// Deferred counts publishes degraded to journal-and-defer: their
 	// broker send failed after retries, or admission found a subscriber
-	// queue pressured. The periodic journal drain republishes them once
-	// the endpoint heals or the pressure clears.
+	// queue pressured. The journal drain StartWorkers runs republishes
+	// them once the endpoint heals or the pressure clears.
 	Deferred int64
 	// DeadLetters is the messages currently set aside on the queue's
 	// dead-letter list; DeadLettered is the total ever set aside

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"synapse/internal/broker"
 	"synapse/internal/model"
 	"synapse/internal/storage"
 	"synapse/internal/vstore"
@@ -284,80 +283,75 @@ func (a *App) JournalDepth() int {
 // and reports how many it drained (republished, or dropped as
 // unreplayable): rows inherited from a predecessor instance, then this
 // instance's deferred entries, in (epoch, seq) order. A restarted
-// publisher calls it before serving traffic (StartWorkers also kicks it
-// for apps that consume). It is safe next to live publishes too: an
-// entry whose publish is still in flight is not deferred and is left
-// alone. Drains are serialized, and each ends by truncating.
+// publisher calls it before serving traffic (StartWorkers also starts
+// the journal drain, which replays them first). It is safe next to live
+// publishes too: an entry whose publish is still in flight is not
+// deferred and is left alone. Drains are serialized, and each ends by
+// truncating.
 func (a *App) RecoverJournal() (int, error) {
-	return a.recoverJournal(nil)
+	return a.recoverJournal(false)
 }
 
-// recoverJournal is RecoverJournal with an optional pacing gate: when
-// pace is non-nil it is consulted before every republish (it is a
-// replay's admission, see admit), and a false return stops the drain
-// early, leaving the remaining entries for the next pass. The periodic
-// drain (retryJournal) paces against the backpressure signal this way so
-// a cleared low watermark is answered entry by entry, not with the whole
-// deferred backlog in one burst that would punch straight past the high
-// watermark again. App.Drain and explicit RecoverJournal calls pass nil:
-// they flush unconditionally.
-func (a *App) recoverJournal(pace func() bool) (int, error) {
+// recoverJournal is RecoverJournal, paced or not. A paced replay is
+// admitted only while its subscribers signal no backpressure (admit), and
+// the first refusal stops the drain, leaving the remaining entries for
+// the next pass: a cleared low watermark is answered entry by entry, not
+// with the whole deferred backlog in one burst that would punch straight
+// past the high watermark again. The journal drain (retryJournal) paces;
+// App.Drain and explicit RecoverJournal calls flush unconditionally.
+func (a *App) recoverJournal(paced bool) (int, error) {
 	if a.mapper == nil {
 		return 0, nil
 	}
 	a.journalMu.Lock()
 	defer a.journalMu.Unlock()
-	drained, more, err := a.replayInherited(pace)
+	drained, more, err := a.replayInherited(paced)
 	if more && err == nil {
 		var n int
-		n, err = a.replayDeferred(pace)
+		n, err = a.replayDeferred(paced)
 		drained += n
 	}
 	a.truncateJournal()
 	return drained, err
 }
 
-// retryJournal is the periodic drain a started app runs beside its
-// workers until stop closes. A restarting app may have inherited journal
-// entries from a crashed predecessor: it drains them first, then every
-// broker breaker cooldown replays what was deferred since — a send
-// deferred on a broker outage (journal-and-defer, see publish.go) — and
-// flushes the acknowledgements parked on a transport failure. Both jobs
-// wait for that breaker to admit a call, and an open breaker admits its
-// probe one cooldown after it opened. It replays only deferred and
-// inherited entries, never one whose publish is still in flight. The ack flush cannot live only in the worker loop: a worker
-// whose queue went idle blocks in GetBatch and never iterates again,
-// which would leave parked acks (and their unacked deliveries) stuck.
+// wakeDrain tells the journal drain it has work: an entry deferred, or
+// an acknowledgement parked. One token is enough.
+func (a *App) wakeDrain() {
+	select {
+	case a.drainWork <- struct{}{}:
+	default:
+	}
+}
+
+// retryJournal is the journal drain a started app runs beside its
+// workers until stop closes. It replays what a crashed predecessor left
+// first, then sleeps until there is work (wakeDrain): a send deferred on
+// a broker outage or under backpressure (see publish.go), or an
+// acknowledgement parked on a transport failure. While work remains it
+// retries once per broker breaker cooldown — an open breaker admits its
+// probe one cooldown after it opened — and a wake never shortens that
+// wait, so an ack that keeps re-parking cannot make the loop spin. The
+// replay is paced and never touches an entry whose publish is still in
+// flight. The drain owns parked acks because a worker whose queue went
+// idle blocks in its fetch and never iterates again.
 func (a *App) retryJournal(stop <-chan struct{}) {
-	// Paced: each republish re-checks the backpressure signal, so
-	// resuming a large deferred backlog cannot itself re-overload the
-	// queue it deferred for.
-	paced := func() bool { return a.exchangePressure() != broker.PressureHigh }
-	_, _ = a.recoverJournal(paced)
-	wasPressured := false
+	_, _ = a.recoverJournal(true)
 	period := a.brokerCall.Cooldown()
-	for a.pause(stop, period) {
-		// Publishes deferred under backpressure stay journaled while the
-		// subscriber side still signals overload: draining now would
-		// re-grow the pressured queue. Parked acks flush regardless — acks
-		// RELIEVE pressure (they return credit and shrink depth).
-		if a.JournalDepth() > 0 && a.exchangePressure() == broker.PressureHigh {
-			wasPressured = true
-			a.flushPendingAcks()
-			continue
-		}
-		if wasPressured {
-			// Jittered resume off the low watermark: concurrently deferred
-			// publishers stagger their drains instead of refilling the
-			// queue in one synchronized burst.
-			wasPressured = false
-			if !a.pause(stop, a.jitter(period)) {
+	for {
+		// Its work is not JournalDepth, which counts live publishes too.
+		_, inherited, _ := a.outbox.counts()
+		if inherited == 0 && len(a.outbox.deferred()) == 0 && a.PendingAcks() == 0 {
+			select {
+			case <-stop:
 				return
+			case <-a.drainWork:
 			}
 		}
-		if a.JournalDepth() > 0 {
-			_, _ = a.recoverJournal(paced)
+		if !a.pause(stop, period) {
+			return
 		}
+		_, _ = a.recoverJournal(true)
 		a.flushPendingAcks()
 	}
 }
@@ -366,7 +360,7 @@ func (a *App) retryJournal(stop <-chan struct{}) {
 // id order, and removes the replayed prefix in one range delete. more
 // reports that none is left and the drain may go on to this instance's
 // own entries.
-func (a *App) replayInherited(pace func() bool) (drained int, more bool, err error) {
+func (a *App) replayInherited(paced bool) (drained int, more bool, err error) {
 	if _, inherited, _ := a.outbox.counts(); inherited == 0 {
 		return 0, true, nil
 	}
@@ -383,7 +377,7 @@ func (a *App) replayInherited(pace func() bool) (drained int, more bool, err err
 	}
 	for _, e := range rows {
 		var ok bool
-		if ok, err = a.replay(0, e.String("payload"), pace); !ok {
+		if ok, err = a.replay(0, e.String("payload"), paced); !ok {
 			break
 		}
 		drained++ // rows[:drained] need no further replay
@@ -402,7 +396,7 @@ func (a *App) replayInherited(pace func() bool) (drained int, more bool, err err
 
 // replayDeferred republishes this instance's deferred entries in seq
 // order, each confirmed as it goes.
-func (a *App) replayDeferred(pace func() bool) (drained int, err error) {
+func (a *App) replayDeferred(paced bool) (drained int, err error) {
 	for _, seq := range a.outbox.deferred() {
 		e, err := a.mapper.Find(journalModel, journalID(a.journalEpoch, seq))
 		if err != nil && !errors.Is(err, storage.ErrNotFound) {
@@ -412,7 +406,7 @@ func (a *App) replayDeferred(pace func() bool) (drained int, err error) {
 		if err == nil {
 			stored = e.String("payload")
 		}
-		if ok, err := a.replay(seq, stored, pace); !ok {
+		if ok, err := a.replay(seq, stored, paced); !ok {
 			return drained, err
 		}
 		drained++
@@ -425,10 +419,10 @@ func (a *App) replayDeferred(pace func() bool) (drained int, err error) {
 // rest — pacing, the rebuild, the send, the confirmation. ok reports that
 // it needs no further replay; otherwise it is deferred again, and err
 // says why unless pacing held it.
-func (a *App) replay(seq uint64, stored string, pace func() bool) (ok bool, err error) {
+func (a *App) replay(seq uint64, stored string, paced bool) (ok bool, err error) {
 	p := pubPool.Get().(*publication)
 	defer p.release()
-	p.state, p.seq, p.pace, p.journaling, p.payload = pubDeferred, seq, pace, true, []byte(stored)
+	p.state, p.seq, p.paced, p.journaling, p.payload = pubDeferred, seq, paced, true, []byte(stored)
 	a.advance(p, pubCommitted)
 	err = a.drivePublication(p, nil)
 	return p.state == pubConfirmed, err

@@ -16,8 +16,10 @@ import (
 
 // StartWorkers launches n subscriber workers processing this app's
 // queue in parallel (n <= 0 uses Config.Workers). Workers survive queue
-// decommission by recovering the queue and re-bootstrapping. Beside them
-// runs the journal retry (retryJournal).
+// decommission by recovering the queue and re-bootstrapping. It also
+// starts the journal drain (retryJournal), which replays inherited
+// entries, republishes deferred ones and retries parked acks — which is
+// why a publisher that consumes nothing calls it too.
 func (a *App) StartWorkers(n int) {
 	if n <= 0 {
 		n = a.cfg.Workers
@@ -308,11 +310,11 @@ func (a *App) recoverFetch(q *broker.Queue, err error, stop <-chan struct{}) boo
 }
 
 // fill refills the worker's batch with up to n jobs from the queue it
-// returns: nil on a stop, or with no queue. It retries parked acks and
-// admits the fetch through the simulated network, which refuses it (its
-// error) across a bad link. Released jobs come first, older than anything
-// queued; then deliveries, waited for only if wait is set and none was
-// released. The take's error comes back with what was released.
+// returns: nil on a stop, or with no queue. It admits the fetch through
+// the simulated network, which refuses it (its error) across a bad link.
+// Released jobs come first, older than anything queued; then deliveries,
+// waited for only if wait is set and none was released. The take's
+// error comes back with what was released.
 func (w *worker) fill(n int, wait bool, stop <-chan struct{}) (*broker.Queue, error) {
 	a := w.app
 	clear(w.batch) // what parked is the parked set's, not this buffer's
@@ -322,7 +324,6 @@ func (w *worker) fill(n int, wait bool, stop <-chan struct{}) (*broker.Queue, er
 		return nil, nil
 	default:
 	}
-	a.flushPendingAcks()
 	q := a.Queue()
 	if q == nil {
 		return nil, nil

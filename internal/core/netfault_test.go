@@ -11,9 +11,9 @@ import (
 // TestPublishDegradesToJournalAndDefer pins the publisher's behaviour
 // when the broker link is partitioned: the write itself succeeds (the
 // journal entry is durable), the send is deferred rather than failed,
-// and the periodic journal drain republishes once the link heals — the
-// subscriber converges with no Bootstrap and no error surfaced to the
-// writer.
+// and the journal drain, woken by the deferral, republishes once the
+// link heals — the subscriber converges with no Bootstrap and no error
+// surfaced to the writer.
 func TestPublishDegradesToJournalAndDefer(t *testing.T) {
 	f := NewFabric()
 	f.Net = netsim.New(1)
@@ -22,12 +22,13 @@ func TestPublishDegradesToJournalAndDefer(t *testing.T) {
 	sub, subMapper := newDocApp(t, f, "sub", Config{})
 	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
 
-	// StartWorkers on the publisher runs the periodic journal drain (it
-	// consumes nothing).
+	// StartWorkers on the publisher runs the journal drain (it consumes
+	// nothing).
 	pub.StartWorkers(1)
 	defer pub.StopWorkers()
 	sub.StartWorkers(1)
 	defer sub.StopWorkers()
+	time.Sleep(10 * time.Millisecond) // the drain goes idle: the deferral must wake it
 
 	f.Net.Partition("pub", EndpointBroker)
 
@@ -53,6 +54,43 @@ func TestPublishDegradesToJournalAndDefer(t *testing.T) {
 	if pub.Stats().Republished == 0 {
 		t.Errorf("Stats.Republished = 0, want the drain to have resent the entry")
 	}
+}
+
+// TestParkedAckFlushesPastABlockedWorker parks an ack while the app's
+// only worker is blocked on its empty queue: that worker does not iterate
+// again, so the park itself must wake the journal drain, which retries
+// the ack once the link heals.
+func TestParkedAckFlushesPastABlockedWorker(t *testing.T) {
+	f := NewFabric()
+	f.Net = netsim.New(4)
+	pub, _ := newDocApp(t, f, "pub", Config{})
+	mustPublish(t, pub, userDesc(), "name")
+	sub, _ := newDocApp(t, f, "sub", Config{})
+	mustSubscribe(t, sub, userDesc(), SubSpec{From: "pub", Attrs: []string{"name"}})
+
+	rec := model.NewRecord("User", "u1")
+	rec.Set("name", "v1")
+	if _, err := pub.NewController(nil).Create(rec); err != nil {
+		t.Fatal(err)
+	}
+	q := sub.Queue()
+	ds, err := q.GetBatch(1)
+	if err != nil || len(ds) != 1 {
+		t.Fatalf("GetBatch = %v, %v", ds, err)
+	}
+	sub.StartWorkers(1)
+	defer sub.StopWorkers()
+	time.Sleep(10 * time.Millisecond) // the worker blocks on the empty queue, the drain on no work
+
+	f.Net.Partition("sub", EndpointBroker)
+	sub.ackMultiDelivery(q, []uint64{ds[0].Tag})
+	if n := sub.PendingAcks(); n != 1 {
+		t.Fatalf("PendingAcks = %d after partitioned ack, want 1", n)
+	}
+	f.Net.Heal("sub", EndpointBroker)
+	waitFor(t, 10*time.Second, func() bool {
+		return sub.PendingAcks() == 0 && q.Unacked() == 0
+	})
 }
 
 // TestWorkersReattachAfterBrokerRestart drives the subscriber side of a

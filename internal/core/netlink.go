@@ -19,13 +19,13 @@ import (
 //
 //   - Publish: a send that fails after retries degrades to
 //     journal-and-defer — the journaled entry stays durable and the
-//     periodic journal drain republishes it when the endpoint heals —
+//     journal drain republishes it when the endpoint heals —
 //     rather than blocking or failing the app's write.
 //   - Consume: workers gate each queue fetch on link admission, ride
 //     out partitions with short pauses, and reattach to a fresh queue
 //     handle after a broker restart (ErrBrokerDown).
 //   - Ack/Nack: a transport-failed ack is parked and retried by the
-//     worker loop; if the broker restarted meanwhile the tag is gone
+//     journal drain; if the broker restarted meanwhile the tag is gone
 //     and the broker redelivers the message instead — at-least-once,
 //     absorbed by the subscriber's per-object version guard.
 //   - VStore: the transport hook is consulted before any state is
@@ -230,10 +230,13 @@ func (a *App) sendAck(p pendingAck) (deadLettered bool, err error) {
 	return deadLettered, err
 }
 
+// parkAck keeps an acknowledgement that failed on the transport for the
+// journal drain to retry.
 func (a *App) parkAck(p pendingAck) {
 	a.ackMu.Lock()
 	a.pendingAcks = append(a.pendingAcks, p)
 	a.ackMu.Unlock()
+	a.wakeDrain()
 }
 
 // flushPendingAcks retries parked acknowledgements. Transport failure

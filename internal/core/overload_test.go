@@ -18,7 +18,7 @@ import (
 // A publisher facing a pressured subscriber queue must stop growing it:
 // past the high watermark every journaled publish degrades to
 // journal-and-defer, and once consumers drain the queue below the low
-// watermark the periodic journal drain republishes everything.
+// watermark the journal drain republishes everything.
 func TestPublishDefersPastHighWatermarkAndResumes(t *testing.T) {
 	f := NewFabric()
 	pub, _ := newDocApp(t, f, "pub", Config{})
@@ -54,10 +54,10 @@ func TestPublishDefersPastHighWatermarkAndResumes(t *testing.T) {
 		t.Fatal("queue should signal PressureHigh at the watermark")
 	}
 
-	// Consumers drain; the publisher's periodic journal drain observes
-	// the cleared signal (jittered resume) and republishes every
-	// deferred message — zero updates lost.
-	pub.StartWorkers(1) // journal-drain ticker (pub subscribes to nothing)
+	// Consumers drain; the publisher's journal drain, paced, observes
+	// the cleared signal and republishes every deferred message — zero
+	// updates lost.
+	pub.StartWorkers(1) // the journal drain (pub subscribes to nothing)
 	defer pub.StopWorkers()
 	sub.StartWorkers(0)
 	defer sub.StopWorkers()

@@ -56,8 +56,8 @@ var pubEdges = [numPubStates]uint16{
 // clears it, keeping its buffers and the journal record's map, and hands
 // back a transaction that can be (see releaser).
 type publication struct {
-	state pubState    // moved only by App.advance
-	pace  func() bool // a drain's pacing gate; nil for a live publish or an unpaced drain
+	state pubState // moved only by App.advance
+	paced bool     // a drain's replay, held back under backpressure (admit)
 	// journaling: it keeps a journal entry — a live publish with database
 	// work on an app with a database, and every replay. The outbox indexes
 	// the entry by seq, unless seq is 0: a predecessor's row.
@@ -194,6 +194,9 @@ func (a *App) advance(p *publication, next pubState) {
 			a.journalAck(p.seq)
 		default:
 			a.outbox.abandon(p.seq, next == pubDeferred)
+			if next == pubDeferred {
+				a.wakeDrain() // the entry is the drain's now
+			}
 		}
 	}
 	a.moved(nil, p, uint32(from), uint32(next))

@@ -203,7 +203,7 @@ func TestPublicationStateTable(t *testing.T) {
 		if st := pub.Stats(); st.Deferred != 2 {
 			t.Fatalf("Deferred = %d, want 2", st.Deferred)
 		}
-		if n, err := pub.recoverJournal(func() bool { return false }); n != 0 || err != nil {
+		if n, err := pub.recoverJournal(true); n != 0 || err != nil {
 			t.Fatalf("a drain paced to a stop = %d, %v", n, err)
 		}
 		if n, err := pub.RecoverJournal(); n != 2 || err != nil || pub.JournalDepth() != 0 {

@@ -112,6 +112,20 @@ func goldenMessages() map[string]*Message {
 			Generation:  2,
 			Seq:         4,
 		},
+		"nil-containers": {
+			App: "nils",
+			Operations: []Operation{{
+				Operation: OpUpdate, Types: []string{"N"}, ID: "n", Object: Token{Key: 6},
+				Attributes: map[string]any{
+					"list": []any(nil), "strs": []string(nil), "obj": map[string]any(nil),
+					"inner": []any{[]string(nil), map[string]any{"m": map[string]any(nil)}},
+				},
+			}},
+			Deps:        []Dep{{Token{Key: 6}, 1}},
+			PublishedAt: time.Date(2026, 8, 6, 1, 2, 3, 0, time.UTC),
+			Generation:  2,
+			Seq:         5,
+		},
 		"dvv-dots": {
 			App: "pub4",
 			Operations: []Operation{{

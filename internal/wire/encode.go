@@ -284,8 +284,9 @@ func (e *encoder) anyMap(m map[string]any, depth int) error {
 // at 1). The coerced model value set (nil, bool, int64, float64, string,
 // []any, map[string]any) is handled inline; anything else falls back to
 // encoding/json for that value, so exotic types stay byte-compatible
-// without a reflection fast path. Like the decoder, it refuses a value
-// nested deeper than maxDepth.
+// without a reflection fast path. A nil slice or map is null, as
+// encoding/json writes it. Like the decoder, it refuses a value nested
+// deeper than maxDepth.
 func (e *encoder) value(v any, depth int) error {
 	if depth > maxDepth {
 		return errTooDeep
@@ -314,6 +315,9 @@ func (e *encoder) value(v any, depth int) error {
 	case float32:
 		return e.float(float64(t), 32)
 	case []any:
+		if t == nil {
+			return e.value(nil, depth)
+		}
 		e.buf = append(e.buf, '[')
 		for i, el := range t {
 			if i > 0 {
@@ -325,6 +329,9 @@ func (e *encoder) value(v any, depth int) error {
 		}
 		e.buf = append(e.buf, ']')
 	case []string:
+		if t == nil {
+			return e.value(nil, depth)
+		}
 		if len(t) > 0 && depth >= maxDepth {
 			return errTooDeep
 		}
@@ -337,6 +344,9 @@ func (e *encoder) value(v any, depth int) error {
 		}
 		e.buf = append(e.buf, ']')
 	case map[string]any:
+		if t == nil {
+			return e.value(nil, depth)
+		}
 		return e.anyMap(t, depth)
 	default:
 		b, err := json.Marshal(t)

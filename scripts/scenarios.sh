@@ -160,13 +160,15 @@ scenario_liveness() {
 # guards it is schedules as well as states — the crash windows, the
 # seeded crash/restart property, the overload defer/drain
 # paths, the outbox, truncation and restart tests, the publication state
-# table, the failed-write gap test and the entry rows' own payloads,
+# table, the failed-write gap test, the entry rows' own payloads, the
+# journal drain idling without work (a 100 ms allocation window, which
+# holds under the race detector too) and the parked acks it owns,
 # twenty times under the race detector; then the workload that journals
 # every publish, which exits non-zero on any failed operation or oracle
 # mismatch.
 scenario_journal() {
     gotest -race -count=20 \
-        -run 'TestCrash|TestPublish|TestDrain|TestOutbox|TestJournal|TestLiveDrain|TestRestart|TestInherited|TestAbortedPublish|TestPublicationStateTable|TestFailedWriteLeavesNoGap|TestEntryRowsOwnTheirPayload' \
+        -run 'TestCrash|TestPublish|TestDrain|TestOutbox|TestJournal|TestLiveDrain|TestRestart|TestInherited|TestAbortedPublish|TestPublicationStateTable|TestFailedWriteLeavesNoGap|TestEntryRowsOwnTheirPayload|TestParkedAck' \
         ./internal/core/ &&
         bash benchmark/run.sh --workload social_causal --seconds 5
 }

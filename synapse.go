@@ -191,8 +191,8 @@ func IsCrash(r any) bool { return faultinject.IsCrash(r) }
 // it out with per-endpoint retries, circuit breakers, and
 // journal-and-defer publishes under one fixed policy: 2 attempts per
 // call within 4 ms, a jittered backoff of up to 200 µs before the retry, a breaker that opens
-// after 3 failed calls for a 5 ms cooldown, and a journal drain every
-// cooldown.
+// after 3 failed calls for a 5 ms cooldown, and a journal drain that
+// retries every cooldown while a send is deferred or an ack parked.
 type (
 	// Network is the simulated network: per-link profiles, partitions,
 	// and seeded fault decisions.
