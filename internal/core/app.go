@@ -113,8 +113,12 @@ type App struct {
 	mapper  orm.Mapper
 	cfg     Config
 	store   *vstore.Store
-	tracker deptrack.Tracker
+	tracker *deptrack.Tracker
 	queue   *broker.Queue
+	// globalKey and globalToken are the global-mode dependency, resolved
+	// once (Global mode only).
+	globalKey   vstore.Key
+	globalToken wire.Token
 
 	mu       sync.RWMutex
 	pubs     map[string]*pubSpec            // model -> publication
@@ -361,6 +365,10 @@ func NewApp(f *Fabric, name string, mapper orm.Mapper, cfg Config) (*App, error)
 		applyLocks:   storage.NewLockTable[vstore.Key](),
 	}
 	a.hashedDeps = tracker.Policy() == deptrack.PolicyHash && cfg.DepCardinality > 0
+	if cfg.Mode == Global {
+		a.globalKey = tracker.KeyFor(globalDepName(name))
+		a.globalToken = tracker.TokenOf(a.globalKey)
+	}
 	a.compiled.Store(&subTable{})
 	a.resolve = a.resolveSink
 	a.released.L = &a.parkMu
@@ -591,7 +599,7 @@ func (a *App) Mapper() orm.Mapper { return a.mapper }
 func (a *App) Store() *vstore.Store { return a.store }
 
 // Tracker returns the app's dependency tracker (see Config.DepTracker).
-func (a *App) Tracker() deptrack.Tracker { return a.tracker }
+func (a *App) Tracker() *deptrack.Tracker { return a.tracker }
 
 // Config returns the app's configuration.
 func (a *App) Config() Config { return a.cfg }
@@ -953,7 +961,13 @@ func (a *App) isEphemeral(modelName string) bool {
 // depName builds the canonical dependency name for an object owned by
 // an app, matching the paper's "pub3/users/id/100" form.
 func depName(app, modelName, id string) string {
-	return app + "/" + orm.Tableize(modelName) + "/id/" + id
+	return deptrack.ObjectName(app, orm.Tableize(modelName), id)
+}
+
+// depKey is the key of depName(a.name, modelName, id), resolved from its
+// parts without building it.
+func (a *App) depKey(modelName, id string) vstore.Key {
+	return a.tracker.ObjectKey(a.name, orm.Tableize(modelName), id)
 }
 
 // globalDepName is the synthetic object serializing all writes in
@@ -961,23 +975,10 @@ func depName(app, modelName, id string) string {
 func globalDepName(app string) string { return app + "/global" }
 
 // opFingerprint hashes an operation's identity — origin app, model, id
-// — without allocating (incremental FNV-1a over the components), so
-// the last-writer table can be maintained on the apply hot path without
-// rebuilding the dependency-name string.
+// — from its parts, without allocating, so the last-writer table can be
+// maintained on the apply hot path without building a name.
 func opFingerprint(origin, model, id string) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-		h ^= '/'
-		h *= 1099511628211
-	}
-	mix(origin)
-	mix(model)
-	mix(id)
-	return h
+	return vstore.HashParts(origin, "/", model, "/", id)
 }
 
 // recordDepWriter notes that an operation with fingerprint fp was the

@@ -225,13 +225,11 @@ func (a *App) bootstrapChunk(drain *worker, pub *App, modelName string, ids []st
 	// the real data: permanent divergence. Locked, the pair is atomic,
 	// and the hold is bounded by the chunk size instead of the old
 	// per-record lock over a full scan.
-	names := make([]string, len(ids))
 	pubKeys := make([]vKey, len(ids))
 	tokens := make([]wire.Token, len(ids))
 	for i, id := range ids {
-		names[i] = depName(pub.name, modelName, id)
-		pubKeys[i] = pub.tracker.KeyFor(names[i])
-		tokens[i] = pub.tracker.Token(names[i])
+		pubKeys[i] = pub.depKey(modelName, id)
+		tokens[i] = pub.tracker.TokenOf(pubKeys[i])
 	}
 	start := time.Now()
 	held, err := pub.store.LockWrites(dedupKeys(pubKeys))

@@ -5,6 +5,8 @@ import (
 	"fmt"
 
 	"synapse/internal/model"
+	"synapse/internal/orm"
+	"synapse/internal/vstore"
 	"synapse/internal/wire"
 )
 
@@ -15,24 +17,13 @@ import (
 // skips that dependency, like a Sidekiq job scope.
 type Session struct {
 	app     *App
-	userDep string
+	userDep vstore.Key
 }
 
 // NewSession opens a session bound to a user object (typically the
 // authenticated User). The user model does not need to exist yet.
 func (a *App) NewSession(userModel, userID string) *Session {
-	return &Session{app: a, userDep: depName(a.name, userModel, userID)}
-}
-
-// depRef is one tracked dependency within a controller scope.
-type depRef struct {
-	name     string
-	external bool // read of another app's object (decorator flow)
-	// ext is an external read's dependency: the token in the ORIGIN
-	// app's tracker form (its hashed key space or its exact name), so it
-	// lands on the counters the origin's other subscribers actually
-	// maintain, and the subscriber-side ops value at read time.
-	ext wire.Dep
+	return &Session{app: a, userDep: a.depKey(userModel, userID)}
 }
 
 // Controller is one unit of work (an HTTP request handler or background
@@ -43,16 +34,21 @@ type Controller struct {
 	app     *App
 	session *Session
 
-	readDeps []depRef
-	readBuf  [1]depRef // readDeps' first element: a write's one read
+	// readDeps are the keys of the objects read since the last write,
+	// and of that write's first write dependency: consecutive writes
+	// within the controller chain (§4.2).
+	readDeps []vstore.Key
+	readBuf  [2]vstore.Key // readDeps' room: a write's one read and the chain
+	// external are reads of another app's objects (decorator flow): the
+	// token in the ORIGIN app's tracker form (its hashed key space or its
+	// exact name), so it lands on the counters the origin's other
+	// subscribers actually maintain, and the subscriber-side ops value at
+	// read time.
+	external []wire.Dep
 	// pendingWriteDeps are explicit write dependencies staged by
 	// AddWriteDeps, consumed by the next write operation.
-	pendingWriteDeps []string
-	// prevWriteDep chains consecutive writes within the controller: the
-	// first write dependency of the previous update becomes a read
-	// dependency of the next (§4.2).
-	prevWriteDep string
-	closed       bool
+	pendingWriteDeps []vstore.Key
+	closed           bool
 }
 
 // NewController opens a controller scope within a session. A nil
@@ -82,7 +78,7 @@ func (c *Controller) Find(modelName, id string) (*model.Record, error) {
 // registerRead records the dependency for an object that was read.
 func (c *Controller) registerRead(modelName, id string) {
 	if c.app.owned(modelName) || c.app.isEphemeral(modelName) {
-		c.readDeps = append(c.readDeps, depRef{name: depName(c.app.name, modelName, id)})
+		c.readDeps = append(c.readDeps, c.app.depKey(modelName, id))
 		return
 	}
 	// Subscribed (possibly decorated) model: the dependency belongs to
@@ -94,18 +90,18 @@ func (c *Controller) registerRead(modelName, id string) {
 	if origin == "" {
 		// Neither owned nor subscribed: a purely local model; track as a
 		// local read dep.
-		c.readDeps = append(c.readDeps, depRef{name: depName(c.app.name, modelName, id)})
+		c.readDeps = append(c.readDeps, c.app.depKey(modelName, id))
 		return
 	}
-	name := depName(origin, modelName, id)
-	token := c.app.tracker.Token(name)
+	tr := c.app.tracker
 	if originApp, ok := c.app.fabric.App(origin); ok {
-		token = originApp.tracker.Token(name)
+		tr = originApp.tracker
 	}
+	token := tr.TokenOf(tr.ObjectKey(origin, orm.Tableize(modelName), id))
 	// The local ops counter for the token lives under OUR resolution of
 	// it (this app's hashed fold or intern of the origin's token).
 	ops := c.app.store.Ops(c.app.tracker.Resolve(token))
-	c.readDeps = append(c.readDeps, depRef{name: name, external: true, ext: wire.Dep{Token: token, Version: ops}})
+	c.external = append(c.external, wire.Dep{Token: token, Version: ops})
 }
 
 // originFor picks the origin app for a subscribed model (the owner is
@@ -137,7 +133,7 @@ func (c *Controller) AddReadDeps(modelName string, ids ...string) {
 // next write operation (Table 2).
 func (c *Controller) AddWriteDeps(modelName string, ids ...string) {
 	for _, id := range ids {
-		c.pendingWriteDeps = append(c.pendingWriteDeps, depName(c.app.name, modelName, id))
+		c.pendingWriteDeps = append(c.pendingWriteDeps, c.app.depKey(modelName, id))
 	}
 }
 

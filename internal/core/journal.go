@@ -4,6 +4,7 @@ import (
 	"errors"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -194,16 +195,21 @@ func (a *App) registerJournal() error {
 	return nil
 }
 
-// journalID builds the entry's primary key: instance epoch then message
-// seq, both fixed-width so lexicographic id order (what Mapper.Each and
+// journalID is an entry's primary key: instance epoch then message seq,
+// both fixed-width so lexicographic id order (what Mapper.Each and
 // DeleteRange go by) is publish order, and entries left by a crashed
 // predecessor instance sort — and therefore replay — before new ones.
+// A publish writes its entry's id with the payload (journalRecord); this
+// string form is for DeleteRange's bounds and replay's Find.
 func journalID(epoch int64, seq uint64) string {
 	var arr [40]byte
-	b := appendPadded(arr[:0], uint64(epoch), 20)
+	return string(appendJournalID(arr[:0], epoch, seq))
+}
+
+func appendJournalID(b []byte, epoch int64, seq uint64) []byte {
+	b = appendPadded(b, uint64(epoch), 20)
 	b = append(b, '-')
-	b = appendPadded(b, seq, 16)
-	return string(b)
+	return appendPadded(b, seq, 16)
 }
 
 // appendPadded appends v in decimal, zero-padded to width.
@@ -217,14 +223,23 @@ func appendPadded(b []byte, v uint64, width int) []byte {
 }
 
 // journalRecord makes rec, a publication's scratch record, the journal
-// entry of a marshalled message. The engine copies what it is written, so
-// rec and its one-entry attribute map stay the publication's, refilled by
-// every use.
+// entry of a marshalled message: the id and the payload are one string,
+// one allocation (the payload's box is the other), the row's ID its
+// prefix. Nothing keeps an id past its row, so no id pins a payload. The
+// engine copies what it is written, so rec and its one-entry attribute
+// map stay the publication's, refilled by every use.
 func (a *App) journalRecord(rec *model.Record, payload []byte, seq uint64) *model.Record {
 	if rec.Attrs == nil {
 		rec.Attrs = make(map[string]any, 1)
 	}
-	rec.Model, rec.ID, rec.Attrs["payload"] = journalModel, journalID(a.journalEpoch, seq), string(payload)
+	var arr [40]byte
+	id := appendJournalID(arr[:0], a.journalEpoch, seq)
+	var b strings.Builder
+	b.Grow(len(id) + len(payload))
+	b.Write(id)
+	b.Write(payload)
+	entry := b.String()
+	rec.Model, rec.ID, rec.Attrs["payload"] = journalModel, entry[:len(id)], entry[len(id):]
 	return rec
 }
 

@@ -240,45 +240,50 @@ func TestCausalSubscriberIgnoresGlobalDep(t *testing.T) {
 func TestSessionSerialization(t *testing.T) {
 	// Two controllers in the same session produce session-ordered
 	// messages even for unrelated objects (§3.2 guarantee 3).
-	f := NewFabric()
-	pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
-	mustPublish(t, pub, userDesc(), "name")
-	mustPublish(t, pub, postDesc(), "body")
-	msgs := tap(t, f, "pub")
+	// The session's user is resolved once, under either tracker.
+	for _, tracker := range []string{TrackerHash, TrackerDVV} {
+		t.Run("tracker="+tracker, func(t *testing.T) {
+			f := NewFabric()
+			pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal, DepTracker: tracker})
+			mustPublish(t, pub, userDesc(), "name")
+			mustPublish(t, pub, postDesc(), "body")
+			msgs := tap(t, f, "pub")
 
-	sess := pub.NewSession("User", "1")
-	ctl1 := pub.NewController(sess)
-	p := model.NewRecord("Post", "p1")
-	p.Set("body", "first")
-	if _, err := ctl1.Create(p); err != nil {
-		t.Fatal(err)
-	}
-	ctl2 := pub.NewController(sess)
-	p2 := model.NewRecord("Post", "p2")
-	p2.Set("body", "second")
-	if _, err := ctl2.Create(p2); err != nil {
-		t.Fatal(err)
-	}
-	got := msgs()
+			sess := pub.NewSession("User", "1")
+			ctl1 := pub.NewController(sess)
+			p := model.NewRecord("Post", "p1")
+			p.Set("body", "first")
+			if _, err := ctl1.Create(p); err != nil {
+				t.Fatal(err)
+			}
+			ctl2 := pub.NewController(sess)
+			p2 := model.NewRecord("Post", "p2")
+			p2.Set("body", "second")
+			if _, err := ctl2.Create(p2); err != nil {
+				t.Fatal(err)
+			}
+			got := msgs()
 
-	sub, _ := newDocApp(t, f, "sub", Config{})
-	mustSubscribe(t, sub, postDesc(), SubSpec{From: "pub", Attrs: []string{"body"}, Mode: Causal})
-	drainQueue(t, sub)
+			sub, _ := newDocApp(t, f, "sub", Config{DepTracker: tracker})
+			mustSubscribe(t, sub, postDesc(), SubSpec{From: "pub", Attrs: []string{"body"}, Mode: Causal})
+			drainQueue(t, sub)
 
-	// M2 must not complete before M1: both carry the session user as a
-	// write dependency.
-	done := make(chan error, 1)
-	go func() { done <- sub.ProcessMessage(got[1]) }()
-	select {
-	case err := <-done:
-		t.Fatalf("second session write completed before first: %v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if err := sub.ProcessMessage(got[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+			// M2 must not complete before M1: both carry the session user as a
+			// write dependency.
+			done := make(chan error, 1)
+			go func() { done <- sub.ProcessMessage(got[1]) }()
+			select {
+			case err := <-done:
+				t.Fatalf("second session write completed before first: %v", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			if err := sub.ProcessMessage(got[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

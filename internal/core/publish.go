@@ -9,6 +9,7 @@ import (
 	"synapse/internal/deptrack"
 	"synapse/internal/model"
 	"synapse/internal/orm"
+	"synapse/internal/vstore"
 	"synapse/internal/wire"
 )
 
@@ -23,7 +24,7 @@ type pubState uint32
 
 const (
 	pubStaged     pubState = iota // the write group; next, stageWrites
-	pubPrepared                   // dependency names known, the 2PC prepared; next, bumpDeps
+	pubPrepared                   // dependency keys known, the 2PC prepared; next, bumpDeps
 	pubRegistered                 // counters bumped under the locks, seq drawn, message built; next, commitWrites
 	pubWritten                    // the data written, the entry (if it keeps one) not yet; next, journalDirect
 	pubCommitted                  // the data written, the entry durable: a crash leaves it to replay; next, dispatch
@@ -66,17 +67,17 @@ type publication struct {
 	start      time.Time
 	db         time.Duration // spent in the engine: not Synapse time
 
-	staged                []stagedWrite
-	writeNames, readNames []string
-	external              []wire.Dep
-	tx                    orm.MapperTx
-	plan                  deptrack.Plan
-	deps                  []wire.Dep
-	msg                   wire.Message
-	op                    [1]wire.Operation
-	written               []*model.Record
-	journal               model.Record
-	payload               []byte
+	staged              []stagedWrite
+	writeKeys, readKeys []vstore.Key
+	external            []wire.Dep
+	tx                  orm.MapperTx
+	plan                deptrack.Plan
+	deps                []wire.Dep
+	msg                 wire.Message
+	op                  [1]wire.Operation
+	written             []*model.Record
+	journal             model.Record
+	payload             []byte
 }
 
 var pubPool = sync.Pool{New: func() any { return new(publication) }}
@@ -91,13 +92,11 @@ func (p *publication) release() {
 		r.Release()
 	}
 	clear(p.staged)
-	clear(p.writeNames)
-	clear(p.readNames)
 	clear(p.external)
 	clear(p.deps)
 	clear(p.written)
 	clear(p.journal.Attrs)
-	*p = publication{staged: p.staged[:0], writeNames: p.writeNames[:0], readNames: p.readNames[:0],
+	*p = publication{staged: p.staged[:0], writeKeys: p.writeKeys[:0], readKeys: p.readKeys[:0],
 		external: p.external[:0], deps: p.deps[:0], written: p.written[:0], journal: model.Record{Attrs: p.journal.Attrs}}
 	pubPool.Put(p)
 }
@@ -117,8 +116,8 @@ func (a *App) performWrites(c *Controller, staged []stagedWrite) (*model.Record,
 	}
 	// Controller scope bookkeeping for causal chaining.
 	if a.cfg.Mode >= Causal {
-		c.prevWriteDep = p.writeNames[0]
-		c.readDeps = c.readDeps[:0]
+		c.readDeps = append(c.readDeps[:0], p.writeKeys[0])
+		c.external = c.external[:0]
 		c.pendingWriteDeps = c.pendingWriteDeps[:0]
 	}
 	a.tel.publishTime.Add(int64(time.Since(p.start) - p.db))
@@ -202,35 +201,27 @@ func (a *App) advance(p *publication, next pubState) {
 	a.moved(nil, p, uint32(from), uint32(next))
 }
 
-// stageWrites is staged's step: the dependency names — the staged
+// stageWrites is staged's step: the dependency keys — the staged
 // objects' first, in operation order, then what the delivery mode adds —
 // and, on a transactional engine, the writes staged and prepared (2PC):
 // the engine's row locks validate the write set (§4.2's optimization).
 func (a *App) stageWrites(p *publication, c *Controller) error {
 	for _, op := range p.staged {
-		p.writeNames = append(p.writeNames, depName(a.name, op.rec.Model, op.rec.ID))
+		p.writeKeys = append(p.writeKeys, a.depKey(op.rec.Model, op.rec.ID))
 		if !a.isEphemeral(op.rec.Model) && a.mapper != nil {
 			p.journaling = true
 		}
 	}
 	if a.cfg.Mode >= Causal {
-		if c.session != nil && c.session.userDep != "" {
-			p.writeNames = append(p.writeNames, c.session.userDep)
+		if c.session != nil {
+			p.writeKeys = append(p.writeKeys, c.session.userDep)
 		}
-		p.writeNames = append(p.writeNames, c.pendingWriteDeps...)
-		for _, rd := range c.readDeps {
-			if rd.external {
-				p.external = append(p.external, rd.ext)
-			} else {
-				p.readNames = append(p.readNames, rd.name)
-			}
-		}
-		if c.prevWriteDep != "" {
-			p.readNames = append(p.readNames, c.prevWriteDep)
-		}
+		p.writeKeys = append(p.writeKeys, c.pendingWriteDeps...)
+		p.readKeys = append(p.readKeys, c.readDeps...)
+		p.external = append(p.external, c.external...)
 	}
 	if a.cfg.Mode == Global {
-		p.writeNames = append(p.writeNames, globalDepName(a.name))
+		p.writeKeys = append(p.writeKeys, a.globalKey)
 	}
 	if txm, ok := a.mapper.(orm.Transactional); ok && p.journaling {
 		start := time.Now()
@@ -260,7 +251,7 @@ func (a *App) stageWrites(p *publication, c *Controller) error {
 }
 
 // bumpDeps is prepared's step, through the app's dependency tracker
-// (hash or DVV): lock the union of the dependency names and bump their
+// (hash or DVV): lock the union of the dependency keys and bump their
 // counters, one batched round trip per shard. The locks cover reads and
 // writes and are held through the broker send — stronger than the paper,
 // which locks writes only and releases before sending, leaving a window
@@ -276,7 +267,7 @@ func (a *App) stageWrites(p *publication, c *Controller) error {
 // Then the seq is drawn (registered before the entry can commit) and the
 // message built with the plan's versions.
 func (a *App) bumpDeps(p *publication) (err error) {
-	if p.plan, err = a.tracker.Plan(p.readNames, p.writeNames); err != nil {
+	if p.plan, err = a.tracker.PlanKeys(p.readKeys, p.writeKeys); err != nil {
 		return err
 	}
 	for i, op := range p.staged {
@@ -433,8 +424,7 @@ func (a *App) buildMessage(p *publication) error {
 	msg.SetDeps(p.deps)
 	msg.SetExternal(p.external)
 	if a.cfg.Mode == Global {
-		global := a.tracker.Token(globalDepName(a.name))
-		msg.GlobalDep = &global
+		msg.GlobalDep = &a.globalToken
 	}
 	for i, op := range p.staged {
 		ps := a.publication(op.rec.Model)
@@ -443,7 +433,7 @@ func (a *App) buildMessage(p *publication) error {
 			Operation: op.verb,
 			Types:     ps.chain, // shared by every message of the model: read-only
 			ID:        op.rec.ID,
-			Object:    a.tracker.Token(p.writeNames[i]),
+			Object:    a.tracker.TokenOf(p.writeKeys[i]),
 		}
 		if op.verb != wire.OpDestroy || len(op.rec.Attrs) > 0 {
 			wireOp.Project(ps.lens, op.rec)

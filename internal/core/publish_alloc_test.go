@@ -25,7 +25,8 @@ func skipUnderRace(t *testing.T) {
 // the benchmark's two publisher paths, causal mode, one write with one
 // read dependency, for each verb: social_causal's PostgreSQL publisher
 // (2PC, the entry staged in the transaction) and fanout_hetero's MongoDB
-// publisher (the entry inserted after the apply). The journal's share of
+// publisher (the entry inserted after the apply); and the PostgreSQL
+// path in global mode and under the DVV tracker. The journal's share of
 // it is the append alone — confirming an entry allocates nothing and
 // truncation is amortised over 256 messages. The race detector makes
 // sync.Pool drop items on purpose, so the steady state is only
@@ -37,35 +38,53 @@ func TestPublishAllocBudget(t *testing.T) {
 		app                     func(*testing.T, *Fabric) *App
 		update, create, destroy float64
 	}{
-		// Update 13, Create 15, Destroy 9 measured; 16, 18 and 14 while
-		// every publish allocated its transaction and no dropped row gave
-		// its map back, 18, 21 and 22 while a destroy merged a load taken
-		// before its locks into a record of its own, the transaction built
-		// records of the delete, and the row tree boxed every row it
-		// stored. Of each, the loop's controller and record are 2 to 4. The
-		// rest is what outlives the publish: the engine's journal row (its
-		// id and the payload string; its copy of the publication's map
-		// reuses the map of an entry the last cut dropped), the row a
-		// create stores, the record Update or Create returns (a copy of
-		// the stored row), a destroy's load of the final state (whose
-		// stored row's map the commit's delete gives back), the payload —
-		// and the two dependency names. The transaction comes from the
-		// mapper's pool.
+		// Update 10, Create 12, Destroy 6 measured; 13, 15 and 9 while the
+		// entry's id and payload were two strings and the dependency names
+		// were built, 16, 18 and 14 while every publish allocated its
+		// transaction and no dropped row gave its map back, 18, 21 and 22
+		// while a destroy merged a load taken before its locks into a record
+		// of its own, the transaction built records of the delete, and the
+		// row tree boxed every row it stored. Of each, the loop's controller
+		// and record are 2 to 4. The rest is what outlives the publish: the
+		// engine's journal row (one string, the id its prefix and the
+		// payload the rest, and that payload's box; its copy of the
+		// publication's map reuses the map of an entry the last cut
+		// dropped), the row a create stores, the record Update or Create
+		// returns (a copy of the stored row), a destroy's load of the final
+		// state (whose stored row's map the commit's delete gives back), and
+		// the payload. The dependency names are resolved from their parts
+		// and never built; the transaction comes from the mapper's pool.
 		{"postgresql 2PC", func(t *testing.T, f *Fabric) *App {
 			pub, _ := newSQLApp(t, f, "pub", Config{Mode: Causal})
 			return pub
-		}, 13, 15, 9},
-		// Update 16, Create 18, Destroy 14 measured; 18, 20 and 16 while no
-		// dropped row gave its map back, 19, 21 and 19 while the destroy's
-		// load was merged into its staged record and the read dependency
-		// had no room in the controller. No transaction, but the engine
-		// clones the row it stores and the one a write returns, and the
-		// entry is a plain insert, whose written row Create still copies
-		// out; the entry's stored map is one a cut dropped.
+		}, 10, 12, 6},
+		// Update 13, Create 15, Destroy 11 measured; 16, 18 and 14 while
+		// the entry's id and payload were two strings and the names were
+		// built, 18, 20 and 16 while no dropped row gave its map back, 19,
+		// 21 and 19 while the destroy's load was merged into its staged
+		// record and the read dependency had no room in the controller. No
+		// transaction, but the engine clones the row it stores and the one a
+		// write returns, and the entry is a plain insert, whose written row
+		// Create still copies out; the entry's stored map is one a cut
+		// dropped.
 		{"mongodb direct journal", func(t *testing.T, f *Fabric) *App {
 			pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
 			return pub
-		}, 16, 18, 14},
+		}, 13, 15, 11},
+		// The same as causal: the app's global key and token are resolved
+		// once, when it is made. 16, 18 and 12 while each publish built the
+		// global name twice and boxed its token.
+		{"postgresql 2PC global", func(t *testing.T, f *Fabric) *App {
+			pub, _ := newSQLApp(t, f, "pub", Config{Mode: Global})
+			return pub
+		}, 10, 12, 6},
+		// The hash path's, but a Create interns its new object's name: the
+		// one copy of it the tracker keeps. 13, 15 and 9 while the names
+		// were built.
+		{"postgresql 2PC dvv", func(t *testing.T, f *Fabric) *App {
+			pub, _ := newSQLApp(t, f, "pub", Config{Mode: Causal, DepTracker: TrackerDVV})
+			return pub
+		}, 10, 13, 6},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			f := NewFabric()
@@ -134,9 +153,9 @@ func TestPublishAllocBudget(t *testing.T) {
 				}
 				n := testing.AllocsPerRun(runs, publish)
 				if n > l.budget {
-					t.Errorf("journaled causal %s = %v allocs/op, want <= %v", l.verb, n, l.budget)
+					t.Errorf("journaled %s = %v allocs/op, want <= %v", l.verb, n, l.budget)
 				}
-				t.Logf("journaled causal %s = %v allocs/op", l.verb, n)
+				t.Logf("journaled %s = %v allocs/op", l.verb, n)
 			}
 			if d := pub.JournalDepth(); d != 0 {
 				t.Errorf("JournalDepth = %d after confirmed publishes, want 0", d)

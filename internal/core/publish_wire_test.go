@@ -279,3 +279,91 @@ func TestPublishRefusesTooDeepAttribute(t *testing.T) {
 		})
 	}
 }
+
+// TestPublishTokensMatchNames: the keys a publish resolves from the
+// parts of its names carry the tokens the names themselves resolve to.
+// Every operation's Object is tracker.Token(depName(...)), and the
+// message's Deps are the tokens of its writes, its session's user, its
+// explicit write dependency, the write it chains after and its read,
+// with the global object's in global mode — under both trackers, for
+// ids with a '/' and with non-ASCII characters.
+func TestPublishTokensMatchNames(t *testing.T) {
+	for _, cfg := range []Config{
+		{Mode: Causal, DepCardinality: 16}, {Mode: Causal, DepTracker: TrackerDVV},
+		{Mode: Global}, {Mode: Global, DepTracker: TrackerDVV},
+	} {
+		t.Run(fmt.Sprintf("%v/%s", cfg.Mode, cmp.Or(cfg.DepTracker, TrackerHash)), func(t *testing.T) {
+			f := NewFabric()
+			pub, _ := newSQLApp(t, f, "pub", cfg)
+			mustPublish(t, pub, userDesc(), "name")
+			mustPublish(t, pub, postDesc(), "author", "body")
+			msgs := tap(t, f, "pub")
+			tok := func(modelName, id string) wire.Token { return pub.Tracker().Token(depName("pub", modelName, id)) }
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			post := func(id string) *model.Record {
+				r := model.NewRecord("Post", id)
+				r.Set("body", id)
+				return r
+			}
+
+			u := model.NewRecord("User", "ü/1")
+			u.Set("name", "alice")
+			_, err := pub.NewController(nil).Create(u)
+			must(err)
+			ctl := pub.NewController(pub.NewSession("User", "ü/1"))
+			_, err = ctl.Find("User", "ü/1")
+			must(err)
+			ctl.AddWriteDeps("User", "agg")
+			_, err = ctl.Create(post("p/1"))
+			must(err)
+			_, err = ctl.Update(post("p/1"))
+			must(err)
+			must(ctl.Transaction(func(tx *Txn) error {
+				must(tx.Create(post("p/2")))
+				return tx.Create(post("ß"))
+			}))
+
+			user, p1, p2, p3 := tok("User", "ü/1"), tok("Post", "p/1"), tok("Post", "p/2"), tok("Post", "ß")
+			want := []struct{ objects, deps []wire.Token }{
+				{[]wire.Token{user}, []wire.Token{user}},
+				{[]wire.Token{p1}, []wire.Token{p1, user, tok("User", "agg")}}, // the read is the session's user
+				{[]wire.Token{p1}, []wire.Token{p1, user}},                     // chained after itself
+				{[]wire.Token{p2, p3}, []wire.Token{p2, p3, user, p1}},
+			}
+			got := msgs()
+			if len(got) != len(want) {
+				t.Fatalf("%d messages, want %d", len(got), len(want))
+			}
+			global := pub.Tracker().Token(globalDepName("pub"))
+			for i, w := range want {
+				m := got[i]
+				var objects []wire.Token
+				for _, op := range m.Operations {
+					objects = append(objects, op.Object)
+				}
+				if !slices.Equal(objects, w.objects) {
+					t.Errorf("message %d: objects %v, want %v", i, objects, w.objects)
+				}
+				deps := slices.Clone(w.deps)
+				if cfg.Mode == Global {
+					deps = append(deps, global)
+					if m.GlobalDep == nil || *m.GlobalDep != global {
+						t.Errorf("message %d: global dep %v, want %v", i, m.GlobalDep, global)
+					}
+				}
+				got := slices.SortedFunc(maps.Keys(depVersions(m)), tokenOrder)
+				if want := slices.Compact(slices.SortedFunc(slices.Values(deps), tokenOrder)); !slices.Equal(got, want) {
+					t.Errorf("message %d: deps %v, want %v", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// tokenOrder sorts tokens by their text.
+func tokenOrder(a, b wire.Token) int { return cmp.Compare(a.String(), b.String()) }

@@ -87,34 +87,38 @@ func TestAttributeSubsetFiltering(t *testing.T) {
 // TestExplicitWriteDeps: AddWriteDeps serializes an otherwise unrelated
 // write behind the named object (Table 2).
 func TestExplicitWriteDeps(t *testing.T) {
-	f := NewFabric()
-	pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal})
-	mustPublish(t, pub, userDesc(), "name")
-	mustPublish(t, pub, postDesc(), "body")
-	msgs := tap(t, f, "pub")
+	for _, tracker := range []string{TrackerHash, TrackerDVV} {
+		t.Run("tracker="+tracker, func(t *testing.T) {
+			f := NewFabric()
+			pub, _ := newDocApp(t, f, "pub", Config{Mode: Causal, DepTracker: tracker})
+			mustPublish(t, pub, userDesc(), "name")
+			mustPublish(t, pub, postDesc(), "body")
+			msgs := tap(t, f, "pub")
 
-	ctl := pub.NewController(nil)
-	u := model.NewRecord("User", "agg")
-	u.Set("name", "aggregate-row")
-	if _, err := ctl.Create(u); err != nil {
-		t.Fatal(err)
-	}
+			ctl := pub.NewController(nil)
+			u := model.NewRecord("User", "agg")
+			u.Set("name", "aggregate-row")
+			if _, err := ctl.Create(u); err != nil {
+				t.Fatal(err)
+			}
 
-	ctl2 := pub.NewController(nil)
-	ctl2.AddWriteDeps("User", "agg")
-	p := model.NewRecord("Post", "p1")
-	p.Set("body", "depends on aggregate")
-	if _, err := ctl2.Create(p); err != nil {
-		t.Fatal(err)
-	}
-	got := msgs()
-	aggKey := wire.Token{Key: uint64(pub.Store().KeyFor(depName("pub", "User", "agg")))}
-	v, ok := depVersions(got[1])[aggKey]
-	if !ok {
-		t.Fatalf("explicit write dep missing from message: %v", got[1].Deps)
-	}
-	if v != 1 {
-		t.Errorf("explicit write dep version = %d, want 1 (serialized after the create)", v)
+			ctl2 := pub.NewController(nil)
+			ctl2.AddWriteDeps("User", "agg")
+			p := model.NewRecord("Post", "p1")
+			p.Set("body", "depends on aggregate")
+			if _, err := ctl2.Create(p); err != nil {
+				t.Fatal(err)
+			}
+			got := msgs()
+			aggKey := pub.Tracker().Token(depName("pub", "User", "agg"))
+			v, ok := depVersions(got[1])[aggKey]
+			if !ok {
+				t.Fatalf("explicit write dep missing from message: %v", got[1].Deps)
+			}
+			if v != 1 {
+				t.Errorf("explicit write dep version = %d, want 1 (serialized after the create)", v)
+			}
+		})
 	}
 }
 

@@ -135,7 +135,7 @@ func TestEncodeDeps(t *testing.T) {
 	hash, _ := New("hash", s, false)
 	dvv, _ := New("dvv", s, false)
 	name := "app/posts/id/1"
-	encode := func(tr Tracker) *wire.Message {
+	encode := func(tr *Tracker) *wire.Message {
 		t.Helper()
 		p, err := tr.Plan(nil, []string{name})
 		if err != nil {
@@ -155,14 +155,14 @@ func TestEncodeDeps(t *testing.T) {
 		return out
 	}
 
-	for _, tr := range []Tracker{hash, dvv} {
+	for _, tr := range []*Tracker{hash, dvv} {
 		m := encode(tr)
 		tok := tr.Token(name)
 		if want := []wire.Dep{{Token: tok}}; !reflect.DeepEqual(m.Deps, want) || m.Operations[0].Object != tok {
 			t.Fatalf("%s encode: deps=%v object=%v, want %v", tr.Policy(), m.Deps, m.Operations[0].Object, want)
 		}
 	}
-	payload := func(tr Tracker) string {
+	payload := func(tr *Tracker) string {
 		m := &wire.Message{App: "app", Operations: []wire.Operation{{Operation: wire.OpCreate, Types: []string{"Post"}, ID: "1", Object: tr.Token(name)}}}
 		m.SetDeps([]wire.Dep{{Token: tr.Token(name)}})
 		b, err := wire.Marshal(m)
@@ -268,6 +268,87 @@ func TestDVVInternConcurrent(t *testing.T) {
 	}
 }
 
+// objectNames are the parts of the names TestObjectKeyIsKeyForOfTheName
+// resolves: ids with a '/', with non-ASCII characters, empty, and one
+// longer than the DVV tracker's stack array.
+var objectNames = [][3]string{
+	{"pub", "posts", "7"},
+	{"pub", "users", "a/b"},
+	{"pub", "users", "/id/"},
+	{"pub3", "comments", "ünï/cödé"},
+	{"app", "emoji", "😀"},
+	{"app", "posts", ""},
+	{"", "", ""},
+	{"app", "posts", strings.Repeat("long/", 40)},
+}
+
+// equivalent checks one name's parts against its joined form on both
+// trackers over one store: the part-wise key is KeyFor of the name, the
+// key's token is Token of the name, and ObjectName joins the paper's form.
+func equivalent(t testing.TB, s *vstore.Store, app, table, id string, objectFirst bool) {
+	t.Helper()
+	name := app + "/" + table + "/id/" + id
+	if got := ObjectName(app, table, id); got != name {
+		t.Fatalf("ObjectName(%q, %q, %q) = %q, want %q", app, table, id, got, name)
+	}
+	for _, policy := range []string{"hash", "dvv"} {
+		// A fresh tracker per name, so the DVV intern happens through
+		// whichever form objectFirst says comes first.
+		tr, _ := New(policy, s, false)
+		var k, want vstore.Key
+		if objectFirst {
+			k = tr.ObjectKey(app, table, id)
+			want = tr.KeyFor(name)
+		} else {
+			want = tr.KeyFor(name)
+			k = tr.ObjectKey(app, table, id)
+		}
+		if k != want {
+			t.Fatalf("%s cardinality %d: ObjectKey(%q, %q, %q) = %d, KeyFor of the name %d", policy, s.Config().Cardinality, app, table, id, k, want)
+		}
+		if policy == "hash" && k != s.KeyFor(name) {
+			t.Fatalf("hash: ObjectKey(%q) = %d, the store's KeyFor %d", name, k, s.KeyFor(name))
+		}
+		if got := tr.TokenOf(k); got != tr.Token(name) {
+			t.Fatalf("%s: TokenOf(ObjectKey(%q)) = %v, Token of the name %v", policy, name, got, tr.Token(name))
+		}
+	}
+}
+
+// TestObjectKeyIsKeyForOfTheName: resolving an object's name from its
+// parts gives exactly the key of the joined name — FNV-1a streamed over
+// the parts, the cardinality fold included, at 0, 1, 16 and 4096 — and
+// under DVV interning the parts and interning the joined name are one
+// intern, whichever comes first.
+func TestObjectKeyIsKeyForOfTheName(t *testing.T) {
+	for _, card := range []uint64{0, 1, 16, 4096} {
+		s := newStore(t, card)
+		for _, n := range objectNames {
+			for _, objectFirst := range []bool{true, false} {
+				equivalent(t, s, n[0], n[1], n[2], objectFirst)
+			}
+		}
+	}
+}
+
+// FuzzObjectKey is TestObjectKeyIsKeyForOfTheName over arbitrary parts.
+func FuzzObjectKey(f *testing.F) {
+	for _, n := range objectNames {
+		f.Add(n[0], n[1], n[2], true)
+	}
+	stores := []*vstore.Store{
+		vstore.New(vstore.Config{Shards: 1}),
+		vstore.New(vstore.Config{Shards: 1, Cardinality: 1}),
+		vstore.New(vstore.Config{Shards: 1, Cardinality: 16}),
+		vstore.New(vstore.Config{Shards: 1, Cardinality: 4096}),
+	}
+	f.Fuzz(func(t *testing.T, app, table, id string, objectFirst bool) {
+		for _, s := range stores {
+			equivalent(t, s, app, table, id, objectFirst)
+		}
+	})
+}
+
 // TestPlanAllocBudget pins the publisher's plan as a slot fill: for a
 // publish's usual three names neither tracker builds a token string or a
 // map — the batch's (key, version) pairs are the plan — so there is no
@@ -286,6 +367,22 @@ func TestPlanAllocBudget(t *testing.T) {
 		})
 		if got > budget {
 			t.Errorf("%s: Plan+Release = %.0f allocations, budget %.0f", policy, got, budget)
+		}
+		// The publisher's form: the keys resolved from the names' parts
+		// (an interned name under DVV), then planned.
+		keys := make([]vstore.Key, 3)
+		got = testing.AllocsPerRun(200, func() {
+			keys[0] = tr.ObjectKey("app", "posts", "7")
+			keys[1] = tr.ObjectKey("app", "comments", "1")
+			keys[2] = tr.ObjectKey("app", "users", "9")
+			p, err := tr.PlanKeys(keys[:1], keys[1:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Release()
+		})
+		if got > budget {
+			t.Errorf("%s: ObjectKey+PlanKeys+Release = %.0f allocations, budget %.0f", policy, got, budget)
 		}
 	}
 }
@@ -307,7 +404,7 @@ func TestOneWindowScriptServesBothTrackers(t *testing.T) {
 	}
 	type side struct {
 		store *vstore.Store
-		tr    Tracker
+		tr    *Tracker
 		wakes map[int]int
 	}
 	for _, shards := range []int{1, 4} {

@@ -6,7 +6,10 @@
 // The tree is not safe for concurrent use; callers synchronize.
 package btree
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // degree is the minimum number of children of an internal node (except
 // the root). Nodes hold between degree-1 and 2*degree-1 keys.
@@ -92,9 +95,9 @@ func (n *node[V]) splitChild(i int) {
 	}
 	if !child.leaf() {
 		right.children = append([]*node[V](nil), child.children[minKeys+1:]...)
-		child.children = child.children[:minKeys+1]
+		child.children = shrink(child.children, minKeys+1)
 	}
-	child.items = child.items[:minKeys]
+	child.items = shrink(child.items, minKeys)
 
 	n.items = append(n.items, item[V]{})
 	copy(n.items[i+1:], n.items[i:])
@@ -151,7 +154,7 @@ func (n *node[V]) remove(key string) (val V, had bool) {
 			return val, false
 		}
 		val = n.items[i].val
-		n.items = append(n.items[:i], n.items[i+1:]...)
+		n.items = slices.Delete(n.items, i, i+1)
 		return val, true
 	}
 	if ok {
@@ -194,10 +197,10 @@ func (n *node[V]) ensureChild(i int) {
 		child, left := n.children[i], n.children[i-1]
 		child.items = append([]item[V]{n.items[i-1]}, child.items...)
 		n.items[i-1] = left.items[len(left.items)-1]
-		left.items = left.items[:len(left.items)-1]
+		left.items = shrink(left.items, len(left.items)-1)
 		if !left.leaf() {
 			child.children = append([]*node[V]{left.children[len(left.children)-1]}, child.children...)
-			left.children = left.children[:len(left.children)-1]
+			left.children = shrink(left.children, len(left.children)-1)
 		}
 	case i < len(n.children)-1 && len(n.children[i+1].items) > minKeys:
 		// Borrow from right sibling.
@@ -218,9 +221,17 @@ func (n *node[V]) ensureChild(i int) {
 		left.items = append(left.items, n.items[i])
 		left.items = append(left.items, right.items...)
 		left.children = append(left.children, right.children...)
-		n.items = append(n.items[:i], n.items[i+1:]...)
-		n.children = append(n.children[:i+1], n.children[i+2:]...)
+		n.items = slices.Delete(n.items, i, i+1)
+		n.children = slices.Delete(n.children, i+1, i+2)
 	}
+}
+
+// shrink cuts s to its first n elements and zeroes the rest: a slot past
+// the length that kept its item would keep the key and the value alive
+// (a journal row's id shares its string with the payload).
+func shrink[T any](s []T, n int) []T {
+	clear(s[n:])
+	return s[:n]
 }
 
 func (n *node[V]) max() item[V] {

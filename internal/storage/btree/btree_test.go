@@ -211,6 +211,39 @@ func TestSetStoresUnboxed(t *testing.T) {
 
 // TestQuickAgainstMap drives random operations against a reference map
 // and checks full agreement including ordered iteration.
+// TestDroppedSlotsKeepNothing: after splits, merges, borrows and
+// deletes, no node slot past a slice's length still holds an item or a
+// child, so a deleted key (a journal row's id, which shares its string
+// with the payload) is not kept alive by the tree that dropped it.
+func TestDroppedSlotsKeepNothing(t *testing.T) {
+	tr := New[*int]()
+	rng := rand.New(rand.NewSource(3))
+	for _, i := range rng.Perm(5000) {
+		v := i
+		tr.Set(fmt.Sprintf("k%05d", i), &v)
+	}
+	for _, i := range rng.Perm(5000)[:4500] {
+		tr.Delete(fmt.Sprintf("k%05d", i))
+	}
+	var walk func(n *node[*int])
+	walk = func(n *node[*int]) {
+		for _, it := range n.items[len(n.items):cap(n.items)] {
+			if it != (item[*int]{}) {
+				t.Fatalf("a dropped slot still holds %q", it.key)
+			}
+		}
+		for _, c := range n.children[len(n.children):cap(n.children)] {
+			if c != nil {
+				t.Fatal("a dropped slot still holds a child")
+			}
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(tr.root)
+}
+
 func TestQuickAgainstMap(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

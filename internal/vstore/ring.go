@@ -23,7 +23,7 @@ func newRing(shards int) *ring {
 	r := &ring{points: make([]ringPoint, 0, shards*virtualNodes)}
 	for s := 0; s < shards; s++ {
 		for v := 0; v < virtualNodes; v++ {
-			h := hashString(fmt.Sprintf("shard-%d-vnode-%d", s, v))
+			h := HashParts(fmt.Sprintf("shard-%d-vnode-%d", s, v))
 			r.points = append(r.points, ringPoint{hash: h, shard: s})
 		}
 	}
@@ -48,10 +48,14 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-func hashString(s string) uint64 {
+// HashParts is the 64-bit FNV-1a hash of the parts joined: FNV-1a
+// streams, so a caller holding a name in pieces never builds it.
+func HashParts(parts ...string) uint64 {
 	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
+	for _, s := range parts {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * fnvPrime
+		}
 	}
 	return h
 }

@@ -202,8 +202,11 @@ func (s *Store) charge(cost time.Duration) {
 }
 
 // KeyFor hashes a dependency name into the store's key space.
-func (s *Store) KeyFor(name string) Key {
-	h := hashString(name)
+func (s *Store) KeyFor(name string) Key { return s.KeyForParts(name) }
+
+// KeyForParts is KeyFor of the parts joined, without joining them.
+func (s *Store) KeyForParts(parts ...string) Key {
+	h := HashParts(parts...)
 	if s.cfg.Cardinality > 0 {
 		h %= s.cfg.Cardinality
 	}

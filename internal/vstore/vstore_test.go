@@ -383,7 +383,7 @@ func TestCardinalityOneSerializesEverything(t *testing.T) {
 func TestRingConsistency(t *testing.T) {
 	r := newRing(8)
 	for i := 0; i < 100; i++ {
-		h := hashString(fmt.Sprintf("key-%d", i))
+		h := HashParts(fmt.Sprintf("key-%d", i))
 		a, b := r.locate(h), r.locate(h)
 		if a != b {
 			t.Fatal("ring lookup not deterministic")
@@ -399,7 +399,7 @@ func TestRingBalance(t *testing.T) {
 	counts := make([]int, 4)
 	const n = 20000
 	for i := 0; i < n; i++ {
-		counts[r.locate(hashString(fmt.Sprintf("key-%d", i)))]++
+		counts[r.locate(HashParts(fmt.Sprintf("key-%d", i)))]++
 	}
 	for s, c := range counts {
 		frac := float64(c) / n

@@ -241,21 +241,24 @@ scenario_projection() {
 # the row tree, the engine transaction, the pooled adapter transaction,
 # the dependency plan and a journaled publish of each verb (plain runs:
 # the budgets skip under the race detector) with the differential check
-# of the payloads against encoding/json, the row tree's typed round
-# trips, the adapter transaction's delete that loads nothing, its reset
-# on Release and the destroy that must publish the state an update
-# racing it left; the lock-table property test, the recycled-row model
-# test and concurrent publishes through the transaction pool twenty
-# times and the global-order test a hundred times under the race
-# detector; then the workload whose every message is a journaled
+# of the payloads against encoding/json, the dependency keys resolved
+# from name parts against the joined names (tracker and message), the
+# row tree's typed round trips and its dropped slots, the adapter
+# transaction's delete that loads nothing, its reset on Release and the
+# destroy that must publish the state an update racing it left; the
+# lock-table property test, the recycled-row model test, concurrent
+# publishes through the transaction pool and the controller's chained
+# write dependencies under both trackers twenty times, and the
+# global-order test a hundred times under the race detector; then the workload whose every message is a journaled
 # PostgreSQL publish, which exits non-zero on any failed operation or
 # oracle mismatch.
 scenario_publish() {
-    gotest -run 'TestLockTableSteadyStateAllocs|TestSetStoresUnboxed|TestTypedRoundTrip|TestTypedOrderedScan|TestTxAllocBudget|TestTxDestroyLoadsNothing|TestTxReleaseResets|TestTxPoolSteadyStateAllocs|TestPlanAllocBudget|TestPublishAllocBudget|TestPublishPayloadsMatchEncodingJSON|TestDestroyPublishesStateAfterRacingUpdate' \
+    gotest -run 'TestLockTableSteadyStateAllocs|TestSetStoresUnboxed|TestTypedRoundTrip|TestTypedOrderedScan|TestDroppedSlotsKeepNothing|TestTxAllocBudget|TestTxDestroyLoadsNothing|TestTxReleaseResets|TestTxPoolSteadyStateAllocs|TestPlanAllocBudget|TestObjectKeyIsKeyForOfTheName|TestPublishAllocBudget|TestPublishTokensMatchNames|TestPublishPayloadsMatchEncodingJSON|TestDestroyPublishesStateAfterRacingUpdate' \
         ./internal/storage/ ./internal/storage/btree/ ./internal/storage/reldb/ ./internal/orm/activerecord/ ./internal/deptrack/ ./internal/core/ &&
         gotest -race -count=20 -run 'TestLockTable|TestRecycledRowsStayOwned' ./internal/storage/ &&
         gotest -race -count=20 -run 'TestTxReleaseResets|TestTxPoolConcurrentPublishes' ./internal/orm/activerecord/ &&
         gotest -race -count=100 -run 'TestGlobalModeTotalOrder' ./internal/core/ &&
+        gotest -race -count=20 -run 'TestExplicitWriteDeps|TestSessionSerialization' ./internal/core/ &&
         bash benchmark/run.sh --workload social_causal --seconds 5
 }
 
